@@ -337,8 +337,8 @@ def main() -> None:
                                           16384: 8}
     compiled = CompiledBackend()
     if compiled.provider_name is None:
-        print("[compiled] no JIT provider available "
-              "(numba or a C compiler); skipping compiled columns")
+        print("[compiled] no compiled provider available "
+              "(needs a C compiler); skipping compiled columns")
         compiled = None
 
     results = host_envelope("kernel_batching")

@@ -1,0 +1,141 @@
+"""Pluggable kernel backends for the FHE layer.
+
+Every polynomial-level kernel the accelerator cares about — forward and
+inverse negacyclic NTTs and evaluation-domain automorphisms — funnels
+through the active backend, an implementation of the three-method
+:class:`KernelBackend` protocol over the full ``(L, n)`` residue matrix
+of a double-CRT polynomial (one row is the ``L = 1`` batch):
+
+* :class:`NumpyBackend` — the fast vectorized golden path: a batch is
+  one stacked transform.
+* :class:`repro.kernels.CompiledBackend` — fused kernels from one
+  runtime-compiled C source, bit-identical to the numpy path and
+  falling back to it where the C provider or a gate is missing.
+* :class:`VpuBackend` — the behavioral VPU model: a batch replays one
+  cached compiled ISA program per limb, so a whole CKKS workload runs
+  "on the hardware", bit-for-bit equal to the numpy path.
+* :class:`IntegrityBackend` — any of the above behind the ABFT runtime
+  integrity layer (:mod:`repro.fault`): O(n) checksums after every
+  kernel, bounded replay, program quarantine, and degradation down
+  :func:`ladder_backend` to the golden per-row path.
+
+Swap with :func:`set_backend`, or temporarily with :func:`use_backend`;
+the process default honors ``REPRO_BACKEND=numpy|compiled|vpu``
+(:func:`backend_from_env`).  Backends carry no instrumentation: while a
+:mod:`repro.obs` hook is installed, :func:`get_backend` and
+:func:`use_backend` hand the active one out behind an
+:class:`~repro.fhe.backend.observed.ObservedBackend`.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import warnings
+from contextlib import contextmanager
+
+from repro.fhe.backend.integrity import IntegrityBackend
+from repro.fhe.backend.numpy_backend import NumpyBackend, ladder_backend
+from repro.fhe.backend.observed import ObservedBackend, observed
+from repro.fhe.backend.protocol import KernelBackend
+from repro.fhe.backend.vpu_backend import ProgramQuarantinedError, VpuBackend
+from repro.ntt.negacyclic import get_batched_ntt
+from repro.obs import current_obs_hook
+
+__all__ = [
+    "IntegrityBackend",
+    "KernelBackend",
+    "NumpyBackend",
+    "ObservedBackend",
+    "ProgramQuarantinedError",
+    "VpuBackend",
+    "backend_from_env",
+    "clear_caches",
+    "get_backend",
+    "ladder_backend",
+    "observed",
+    "set_backend",
+    "use_backend",
+]
+
+
+def backend_from_env(default: str = "numpy"):
+    """Construct the backend ``REPRO_BACKEND`` selects (``numpy`` |
+    ``compiled`` | ``vpu``); ``default`` applies when unset or empty.
+    Raises :class:`ValueError` on an unknown name."""
+    name = os.environ.get("REPRO_BACKEND", default).strip().lower() or default
+    if name == "numpy":
+        return NumpyBackend()
+    if name == "compiled":
+        from repro.kernels import CompiledBackend
+
+        return CompiledBackend()
+    if name == "vpu":
+        return VpuBackend()
+    raise ValueError(
+        f"unknown REPRO_BACKEND {name!r} (expected numpy, compiled or vpu)")
+
+
+def _initial_backend() -> KernelBackend:
+    try:
+        return backend_from_env()
+    except ValueError as exc:
+        # Import-time typo in the environment must not make the package
+        # unimportable — warn and run on the default path.
+        warnings.warn(f"{exc}; falling back to NumpyBackend",
+                      RuntimeWarning, stacklevel=2)
+        return NumpyBackend()
+
+
+_ACTIVE: KernelBackend = _initial_backend()
+
+
+def get_backend() -> KernelBackend:
+    """The backend all FHE polynomial kernels currently use (observed
+    while an obs hook is installed)."""
+    return observed(_ACTIVE)
+
+
+def clear_caches() -> None:
+    """Drop every kernel-level cache: the batched-NTT stacks, the
+    compiled-kernel plans and workspaces (:mod:`repro.kernels`, when
+    loaded), and the active backend's compiled programs and quarantines.
+    Fault campaigns and tests call this between runs so poisoned state
+    cannot leak across experiments.  (Twiddle tables stay cached: they
+    are pure functions of ``(n, q)`` that no injection site ever writes.)
+
+    With a live metrics registry the gauges of both program caches are
+    zeroed as well — a snapshot taken after a reset must not report the
+    dropped caches' stale counters, even when the backend that published
+    them is no longer the active one — and the telemetry ring is dropped
+    (windowed deltas across a reset would be nonsense)."""
+    get_batched_ntt.cache_clear()
+    kernel_plans = sys.modules.get("repro.kernels.plan")
+    if kernel_plans is not None:
+        kernel_plans.clear_compiled_caches()
+    clearer = getattr(get_backend(), "clear_caches", None)
+    if clearer is not None:
+        clearer()
+    obs = current_obs_hook()
+    if obs is not None:
+        obs.zero_gauges("backend.program_cache.")
+        obs.zero_gauges("backend.compiled_plan_cache.")
+        obs.reset_telemetry()
+
+
+def set_backend(backend: KernelBackend) -> None:
+    """Install a kernel backend globally."""
+    global _ACTIVE
+    _ACTIVE = backend
+
+
+@contextmanager
+def use_backend(backend: KernelBackend):
+    """Temporarily install a backend (restores the previous on exit)."""
+    global _ACTIVE
+    previous = _ACTIVE
+    _ACTIVE = backend
+    try:
+        yield get_backend()
+    finally:
+        _ACTIVE = previous

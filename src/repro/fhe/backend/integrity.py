@@ -1,0 +1,240 @@
+"""The runtime ABFT integrity layer, as a backend around a backend."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.fault.injector import current_fault_hook
+from repro.fault.integrity import AbftChecker
+from repro.fault.policy import IntegrityPolicy
+from repro.fhe.backend.numpy_backend import NumpyBackend, ladder_backend
+from repro.fhe.backend.observed import observed
+from repro.fhe.backend.vpu_backend import ProgramQuarantinedError
+
+
+class IntegrityBackend:
+    """The runtime ABFT integrity layer, wrapping any kernel backend.
+
+    Every batched kernel dispatch is verified after the fact with an
+    O(n) algorithm-based check (:class:`~repro.fault.integrity
+    .AbftChecker`): random-combination checksums for NTT batches, exact
+    permutation replay for automorphisms.  What happens on a failed
+    check is the :class:`~repro.fault.policy.IntegrityPolicy`:
+
+    * ``OFF`` — no checks, no staging copies: bit-identical dispatch
+      straight to the wrapped backend.
+    * ``DETECT`` — count and flag, keep the result.
+    * ``DETECT_RETRY`` — bounded replay (``max_retries``), invalidating
+      the wrapped backend's cached compiled program first.
+    * ``DETECT_DEGRADE`` — replay, then quarantine the compiled program
+      (after ``quarantine_threshold`` failures) and walk the ladder:
+      level 0 = wrapped backend, then :func:`ladder_backend` (level 1 =
+      clamped numpy batched path, level 2 = golden per-row path).
+      Degraded levels bypass the dram/sram staging models — the
+      redundant re-read path.
+
+    Optional ``dram``/``sram`` models stage inputs through
+    :meth:`DramModel.transfer`/:meth:`OnChipSram.stage`, which is where
+    buffer-site fault injection lands; checksums are taken from the
+    *pristine* caller array (checksummed at the producer), so staging
+    corruption is detectable.
+    """
+
+    name = "integrity"
+
+    def __init__(self, inner=None,
+                 policy: IntegrityPolicy | str = IntegrityPolicy.DETECT_RETRY,
+                 *, seed: int = 0, max_retries: int = 2,
+                 quarantine_threshold: int = 2, dram=None, sram=None):
+        self.inner = NumpyBackend() if inner is None else inner
+        self.policy = IntegrityPolicy.parse(policy)
+        self.checker = AbftChecker(seed)
+        self.max_retries = max_retries
+        self.quarantine_threshold = quarantine_threshold
+        self.dram = dram
+        self.sram = sram
+        self.detections = 0
+        self.corrected = 0
+        self.retries = 0
+        self.flagged = 0
+        self.degrade_level = 0
+        self.degradations = 0
+        self.keyswitch_detections = 0
+        self.keyswitch_recomputed = 0
+        self.dram_ns = 0.0
+        self.sram_cycles = 0
+        self._failures: dict[tuple, int] = {}
+
+    # -- degradation ladder ------------------------------------------------
+
+    def _level_backend(self, level: int):
+        # Observed, so the kernels get a span of their own and the
+        # checks are the self time of this backend's span.
+        return observed(self.inner if level == 0 else ladder_backend(level))
+
+    def _degrade(self) -> None:
+        self.degrade_level = min(self.degrade_level + 1, 2)
+        self.degradations += 1
+
+    def _note_failure(self, key: tuple, primes: tuple[int, ...]) -> None:
+        """Failed-check bookkeeping against the wrapped backend's
+        compiled-program cache: invalidate on early failures, quarantine
+        (under DETECT_DEGRADE) once the threshold is reached."""
+        count = self._failures.get(key, 0) + 1
+        self._failures[key] = count
+        invalidate = getattr(self.inner, "invalidate_program", None)
+        if invalidate is None:
+            return
+        kind, n, _, galois_k = key
+        quarantine = (self.policy is IntegrityPolicy.DETECT_DEGRADE
+                      and count >= self.quarantine_threshold)
+        for q in sorted(set(primes)):
+            if quarantine:
+                self.inner.quarantine_program(kind, n, q, galois_k)
+            else:
+                invalidate(kind, n, q, galois_k)
+
+    def _note_detection(self) -> None:
+        self.detections += 1
+        hook = current_fault_hook()
+        if hook is not None:
+            hook.note_detection()
+
+    # -- staging / dispatch -------------------------------------------------
+
+    def _stage_in(self, rows: np.ndarray) -> np.ndarray:
+        if rows.dtype == object:
+            return rows  # wide-modulus path: exact big ints, no staging
+        work = rows
+        if self.dram is not None:
+            work, ns = self.dram.transfer(work, current_fault_hook())
+            self.dram_ns += ns
+        if self.sram is not None:
+            if not self.sram.fits(int(work.size)):
+                raise ValueError(
+                    f"working set of {int(work.size)} words does not fit "
+                    f"the {self.sram.capacity_bytes}-byte SRAM; stage in "
+                    f"tiles or enlarge the scratchpad")
+            work, cycles = self.sram.stage(work)
+            self.sram_cycles += cycles
+        return work
+
+    def _run(self, kind: str, rows: np.ndarray, primes: tuple[int, ...],
+             galois_k: int | None, level: int) -> np.ndarray:
+        backend = self._level_backend(level)
+        if kind == "ntt":
+            return backend.forward_ntt_batch(rows, primes)
+        if kind == "intt":
+            return backend.inverse_ntt_batch(rows, primes)
+        return backend.automorphism_eval_batch(rows, galois_k, primes)
+
+    def _verify(self, kind: str, inputs: np.ndarray, outputs: np.ndarray,
+                primes: tuple[int, ...], galois_k: int | None) -> bool:
+        if kind == "auto":
+            return self.checker.check_automorphism_batch(inputs, outputs,
+                                                         galois_k)
+        return self.checker.check_ntt_batch(inputs, outputs, primes,
+                                            inverse=kind == "intt")
+
+    def _dispatch(self, kind: str, rows: np.ndarray,
+                  primes: tuple[int, ...],
+                  galois_k: int | None = None) -> np.ndarray:
+        rows = np.asarray(rows)
+        if self.policy is IntegrityPolicy.OFF:
+            return self._run(kind, self._stage_in(rows), primes, galois_k, 0)
+        attempts = 0
+        key = (kind, rows.shape[1], primes, galois_k)
+        while True:
+            level = self.degrade_level
+            work = self._stage_in(rows) if level == 0 else rows
+            try:
+                out = self._run(kind, work, primes, galois_k, level)
+            except ProgramQuarantinedError:
+                self._degrade()
+                continue
+            if self._verify(kind, rows, out, primes, galois_k):
+                if attempts:
+                    self.corrected += 1
+                return out
+            self._note_detection()
+            if self.policy is IntegrityPolicy.DETECT:
+                self.flagged += 1
+                return out
+            self._note_failure(key, primes)
+            if attempts < self.max_retries:
+                attempts += 1
+                self.retries += 1
+                continue
+            if (self.policy is IntegrityPolicy.DETECT_DEGRADE
+                    and self.degrade_level < 2):
+                self._degrade()
+                attempts = 0
+                continue
+            # Replay budget and ladder exhausted: surface the (flagged)
+            # result rather than loop forever against a persistent fault.
+            self.flagged += 1
+            return out
+
+    # -- the backend protocol ----------------------------------------------
+
+    def forward_ntt_batch(self, residues: np.ndarray,
+                          primes: tuple[int, ...]) -> np.ndarray:
+        return self._dispatch("ntt", residues, tuple(primes))
+
+    def inverse_ntt_batch(self, values: np.ndarray,
+                          primes: tuple[int, ...]) -> np.ndarray:
+        return self._dispatch("intt", values, tuple(primes))
+
+    def automorphism_eval_batch(self, values: np.ndarray, galois_k: int,
+                                primes: tuple[int, ...]) -> np.ndarray:
+        return self._dispatch("auto", values, tuple(primes), galois_k)
+
+    # -- keyswitch spare-modulus channel ------------------------------------
+
+    def check_keyswitch_accumulation(self, acc_raw: np.ndarray,
+                                     digit_stack: np.ndarray,
+                                     key_stack: np.ndarray) -> bool:
+        """Verify one lazy keyswitch accumulator over the spare modulus.
+
+        Returns True to accept the accumulator as-is; False tells the
+        caller to recompute on the independent per-step reduced channel
+        (only under retry/degrade policies).
+        """
+        if self.policy is IntegrityPolicy.OFF:
+            return True
+        if self.checker.check_keyswitch_accumulation(acc_raw, digit_stack,
+                                                     key_stack):
+            return True
+        self._note_detection()
+        self.keyswitch_detections += 1
+        if self.policy is IntegrityPolicy.DETECT:
+            self.flagged += 1
+            return True
+        self.keyswitch_recomputed += 1
+        return False
+
+    # -- reporting ----------------------------------------------------------
+
+    def integrity_counters(self) -> dict[str, int]:
+        """The structured counter block a :class:`~repro.fault.report
+        .FaultReport` aggregates per injection."""
+        return {
+            "checks": self.checker.checks,
+            "mismatches": self.checker.mismatches,
+            "detections": self.detections,
+            "corrected": self.corrected,
+            "retries": self.retries,
+            "flagged": self.flagged,
+            "degrade_level": self.degrade_level,
+            "degradations": self.degradations,
+            "keyswitch_detections": self.keyswitch_detections,
+            "keyswitch_recomputed": self.keyswitch_recomputed,
+        }
+
+    def clear_caches(self) -> None:
+        """Clear the wrapped backend's caches and the failure counts
+        (detection counters are the experiment record and survive)."""
+        inner_clear = getattr(self._level_backend(0), "clear_caches", None)
+        if inner_clear is not None:
+            inner_clear()
+        self._failures.clear()

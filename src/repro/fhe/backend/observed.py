@@ -1,0 +1,143 @@
+"""Observation of kernel backends, as one wrapper over the protocol.
+
+The backends keep plain-int counters and know nothing of
+:mod:`repro.obs`.  While an obs hook is installed, :func:`observed` —
+applied wherever a backend is handed out — puts an
+:class:`ObservedBackend` in front, which around every kernel call opens
+a ``<backend name>.<span>`` span and, in ``finally``, adds the growth
+of the backend's counters over the call to the registry, sets the cache
+gauges, and closes the span and any span still open beneath it — so a
+kernel that raises leaves the tracer's stack as it found it.  The
+tables below name every span, counter and gauge; counter growth is
+exact as long as calls on one backend do not overlap.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.obs import current_obs_hook
+
+#: Observed method -> (span suffix, kernel kind).
+_KERNELS = {
+    "forward_ntt_batch": ("batch.ntt", "ntt"),
+    "inverse_ntt_batch": ("batch.intt", "intt"),
+    "automorphism_eval_batch": ("batch.auto", "auto"),
+    "keyswitch_inner_product": ("keyswitch.inner_product", "keyswitch"),
+    "check_keyswitch_accumulation": ("keyswitch.check", "keyswitch_check"),
+}
+#: Backend attribute -> the counter its growth over one call feeds.
+_COUNTERS = {
+    "kernel_invocations": "backend.kernels.{kind}",
+    "fallbacks": "backend.compiled.fallbacks",
+    "self_checks": "backend.compiled.self_checks",
+}
+#: Cache metric family -> the backend's (hits, misses, size) attributes:
+#: counters ``<family>.hit|miss|clears``, gauges ``.hits|misses|size``.
+_CACHES = {
+    "backend.program_cache": (
+        "program_cache_hits", "program_cache_misses", "program_cache_size"),
+    "backend.compiled_plan_cache": (
+        "plan_cache_hits", "plan_cache_misses", "plan_cache_size"),
+}
+
+
+def _read(backend, kind: str) -> tuple[dict[str, int], dict[str, int]]:
+    """``(counters, gauges)`` the backend's plain-int state maps to."""
+    counters: dict[str, int] = {}
+    gauges: dict[str, int] = {}
+    for attr, metric in _COUNTERS.items():
+        value = getattr(backend, attr, None)
+        if value is not None:
+            counters[metric.format(kind=kind)] = value
+    for family, (hits, misses, size) in _CACHES.items():
+        if getattr(backend, hits, None) is not None:
+            counters[f"{family}.hit"] = getattr(backend, hits)
+            counters[f"{family}.miss"] = getattr(backend, misses)
+            gauges[f"{family}.hits"] = getattr(backend, hits)
+            gauges[f"{family}.misses"] = getattr(backend, misses)
+            gauges[f"{family}.size"] = getattr(backend, size)
+    quarantined = getattr(backend, "quarantined_programs", None)
+    if quarantined is not None:
+        gauges["backend.quarantined_programs"] = len(quarantined)
+    integrity = getattr(backend, "integrity_counters", None)
+    if integrity is not None:
+        counters.update((f"integrity.{key}", value)
+                        for key, value in integrity().items())
+        gauges["integrity.degrade_level"] = counters.pop(
+            "integrity.degrade_level")
+    return counters, gauges
+
+
+class ObservedBackend:
+    """A ``KernelBackend`` forwarding to the wrapped one, with a span
+    and a counter mirror around every kernel call (module docstring).
+    Everything else — ``name``, ``vpu``, ``inner``, the counters — reads
+    through to the wrapped backend, and the optional protocol methods
+    exist here exactly when they exist there."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def __getattr__(self, attr):
+        value = getattr(self._backend, attr)
+        if attr in _KERNELS:
+            return lambda *args: self._call(attr, *args)
+        return self._clear_caches if attr == "clear_caches" else value
+
+    def _call(self, method: str, *args):
+        backend = self._backend
+        fn = getattr(backend, method)
+        obs = current_obs_hook()
+        if obs is not None:
+            suffix, kind = _KERNELS[method]
+            before, _ = _read(backend, kind)
+            depth = obs.tracer.depth
+            obs.begin(f"{backend.name}.{suffix}", cat="kernel",
+                      **dict(zip(("n", "limbs"), np.shape(args[0])[::-1])))
+            try:
+                return fn(*args)
+            finally:
+                after, gauges = _read(backend, kind)
+                for metric, value in after.items():
+                    if value != before[metric]:
+                        obs.count(metric, value - before[metric])
+                for metric, value in gauges.items():
+                    obs.gauge(metric, value)
+                # Also closes what a raising kernel left open below.
+                while obs.tracer.depth > depth:
+                    obs.end()
+        return fn(*args)
+
+    def _clear_caches(self) -> None:
+        self._backend.clear_caches()
+        obs = current_obs_hook()
+        if obs is not None:
+            _, gauges = _read(self._backend, "")
+            for family in _CACHES:
+                if f"{family}.size" in gauges:
+                    obs.count(f"{family}.clears")
+            for metric, value in gauges.items():
+                obs.gauge(metric, value)
+
+    def forward_ntt_batch(self, residues: np.ndarray,
+                          primes: tuple[int, ...]) -> np.ndarray:
+        return self._call("forward_ntt_batch", residues, primes)
+
+    def inverse_ntt_batch(self, values: np.ndarray,
+                          primes: tuple[int, ...]) -> np.ndarray:
+        return self._call("inverse_ntt_batch", values, primes)
+
+    def automorphism_eval_batch(self, values: np.ndarray, galois_k: int,
+                                primes: tuple[int, ...]) -> np.ndarray:
+        return self._call("automorphism_eval_batch", values, galois_k,
+                          primes)
+
+
+def observed(backend):
+    """``backend`` behind an :class:`ObservedBackend` while an obs hook
+    is installed (once: an observed backend is handed back as is);
+    ``backend`` itself otherwise."""
+    if current_obs_hook() is None or isinstance(backend, ObservedBackend):
+        return backend
+    return ObservedBackend(backend)

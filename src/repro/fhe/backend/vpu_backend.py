@@ -1,0 +1,218 @@
+"""The kernels executed on the behavioral VPU model."""
+
+from __future__ import annotations
+
+import os
+import threading
+
+import numpy as np
+
+from repro.automorphism.mapping import galois_eval_permutation
+
+
+class ProgramQuarantinedError(RuntimeError):
+    """A kernel resolved to a quarantined compiled program.
+
+    Raised by :meth:`VpuBackend._program` after the integrity layer
+    blacklisted the program (repeated checksum failures); callers are
+    expected to degrade to a software path rather than replay it.
+    """
+
+
+class VpuBackend:
+    """Kernels executed on the behavioral VPU model.
+
+    Works for any power-of-two ``n >= m`` (full-width dimensions peel
+    off recursively; ragged tails run in the packed grouped-CG layout);
+    automorphisms work for any ``n`` divisible by ``m``.  The psi-folding
+    scalings of the negacyclic wrap run as element-wise twiddle work,
+    which the real VPU also does in its element-wise mode.
+
+    The VPU model is a single-polynomial engine, so a batch replays one
+    program per limb.  Compiled ISA programs are cached per ``(kernel,
+    n, m, q)`` — the compile cost is paid once while the data movement
+    stays per limb, exactly the replay schedule a real dispatch queue
+    would issue — so ``program_compilations`` grows with the number of
+    *distinct* kernels while ``kernel_invocations`` grows with the work
+    actually executed.
+    """
+
+    name = "vpu"
+
+    def __init__(self, m: int = 16, verify_programs: bool | None = None):
+        from repro.core import VectorProcessingUnit
+        from repro.mapping import required_registers
+
+        self.m = m
+        self._vpu = VectorProcessingUnit(
+            m=m, q=3, regfile_entries=required_registers(m),
+            memory_rows=8,
+        )
+        self.kernel_invocations = 0
+        self.program_compilations = 0
+        self.programs_verified = 0
+        #: Compiled-program cache hit/miss counters.  Unlike
+        #: ``program_compilations`` (the lifetime experiment record)
+        #: these reset with :meth:`clear_caches`, tracking the cache
+        #: *instance* — the figures the metrics registry mirrors.
+        self.program_cache_hits = 0
+        self.program_cache_misses = 0
+        if verify_programs is None:
+            verify_programs = bool(os.environ.get("REPRO_VERIFY_PROGRAMS"))
+        #: Debug hook: interval-verify every newly compiled micro-program
+        #: (repro.analysis.program_check) before it enters the cache.
+        self.verify_programs = verify_programs
+        self._programs: dict[tuple, object] = {}
+        self._quarantined: set[tuple] = set()
+        #: Guards the compiled-program cache and quarantine set (the
+        #: serving layer shares one backend across overlapping tasks;
+        #: per-key compilation must happen exactly once).  RLock so
+        #: clear/quarantine paths may nest.
+        self._cache_lock = threading.RLock()
+
+    @property
+    def vpu(self):
+        """The underlying behavioral VPU (fault hooks install here)."""
+        return self._vpu
+
+    def _prepare(self, n: int, q: int):
+        self._vpu.set_modulus(q)
+        needed = 2 * max(n // self.m, 2)
+        if self._vpu.memory.rows < needed:
+            # resize_memory keeps any installed fault hook attached.
+            self._vpu.resize_memory(needed)
+
+    # -- compiled-program cache ----------------------------------------------
+
+    def _key(self, kind: str, n: int, q: int,
+             galois_k: int | None = None) -> tuple:
+        return (kind, n, self.m, None if kind == "auto" else q, galois_k)
+
+    def invalidate_program(self, kind: str, n: int, q: int,
+                           galois_k: int | None = None) -> bool:
+        """Drop one cached compiled program (recompiled on next use) —
+        the integrity layer's first response to a failed check, since
+        the cached artifact itself may be the poisoned state."""
+        with self._cache_lock:
+            return self._programs.pop(self._key(kind, n, q, galois_k),
+                                      None) is not None
+
+    def quarantine_program(self, kind: str, n: int, q: int,
+                           galois_k: int | None = None) -> None:
+        """Blacklist a compiled program: dropped now and refused later
+        (:class:`ProgramQuarantinedError`) until :meth:`clear_caches`."""
+        key = self._key(kind, n, q, galois_k)
+        with self._cache_lock:
+            self._programs.pop(key, None)
+            self._quarantined.add(key)
+
+    @property
+    def quarantined_programs(self) -> tuple[tuple, ...]:
+        with self._cache_lock:
+            return tuple(sorted(self._quarantined, key=repr))
+
+    @property
+    def program_cache_size(self) -> int:
+        return len(self._programs)
+
+    def clear_caches(self) -> None:
+        """Forget every compiled program, lift all quarantines, and
+        zero the cache hit/miss counters (a fresh cache instance)."""
+        with self._cache_lock:
+            self._programs.clear()
+            self._quarantined.clear()
+            self.program_cache_hits = 0
+            self.program_cache_misses = 0
+
+    def _program(self, kind: str, n: int, q: int, galois_k: int | None = None):
+        """Fetch (or compile once) the program for one kernel shape.
+
+        Automorphism programs are pure permutations — independent of the
+        modulus — so their cache key drops ``q`` and one program serves
+        every limb of a batch.
+        """
+        key = self._key(kind, n, q, galois_k)
+        with self._cache_lock:
+            if key in self._quarantined:
+                raise ProgramQuarantinedError(
+                    f"compiled program {key} is quarantined after detected "
+                    f"corruption")
+            prog = self._programs.get(key)
+            if prog is not None:
+                self.program_cache_hits += 1
+                return prog
+            self.program_cache_misses += 1
+            from repro.mapping import compile_automorphism
+            from repro.mapping.ntt import (
+                compile_negacyclic_intt,
+                compile_negacyclic_ntt,
+            )
+
+            if kind == "ntt":
+                prog = compile_negacyclic_ntt(n, self.m, q)
+            elif kind == "intt":
+                prog = compile_negacyclic_intt(n, self.m, q)
+            elif kind == "auto":
+                perm = galois_eval_permutation(n, galois_k)
+                prog = compile_automorphism(perm, self.m)
+            else:  # pragma: no cover - internal misuse
+                raise ValueError(f"unknown kernel kind {kind!r}")
+            if self.verify_programs:
+                # Raises ProgramVerificationError before a bad program
+                # can enter the cache (and be replayed limb after limb).
+                from repro.analysis.program_check import check_program
+
+                check_program(prog, q=q, m=self.m).raise_on_error()
+                self.programs_verified += 1
+            self.program_compilations += 1
+            self._programs[key] = prog
+        return prog
+
+    # -- the backend protocol ----------------------------------------------
+
+    def _replay(self, kind: str, values: np.ndarray, primes: tuple[int, ...],
+                pack, unpack, galois_k: int | None = None) -> np.ndarray:
+        """Run one cached program per limb: ``pack`` lays a limb out in
+        the VPU's memory rows, ``unpack`` reads its result back."""
+        values = np.asarray(values, dtype=np.uint64)
+        n = values.shape[1]
+        out = []
+        for limb, q in zip(values, primes):
+            self._prepare(n, q)
+            self._vpu.memory.data[:n // self.m] = pack(limb, self.m)
+            self._vpu.execute(self._program(kind, n, q, galois_k))
+            self.kernel_invocations += 1
+            out.append(unpack(n))
+        return np.stack(out)
+
+    def forward_ntt_batch(self, residues: np.ndarray,
+                          primes: tuple[int, ...]) -> np.ndarray:
+        from repro.mapping import pack_for_ntt, unpack_ntt_result
+
+        # psi-folding runs on the VPU too (element-wise twiddle mode);
+        # natural-order negacyclic values, matching NegacyclicNtt.forward.
+        return self._replay(
+            "ntt", residues, primes, pack_for_ntt,
+            lambda n: unpack_ntt_result(self._vpu.memory, n, self.m))
+
+    def inverse_ntt_batch(self, values: np.ndarray,
+                          primes: tuple[int, ...]) -> np.ndarray:
+        from repro.mapping import pack_ntt_values
+
+        def unpack(n):  # undo the pack_for_ntt layout
+            return self._vpu.memory.data[:n // self.m].T.reshape(-1).copy()
+
+        return self._replay("intt", values, primes, pack_ntt_values, unpack)
+
+    def automorphism_eval_batch(self, values: np.ndarray, galois_k: int,
+                                primes: tuple[int, ...]) -> np.ndarray:
+        from repro.mapping import (
+            automorphism_layout_pack,
+            automorphism_layout_unpack,
+        )
+
+        return self._replay(
+            "auto", values, primes, automorphism_layout_pack,
+            lambda n: automorphism_layout_unpack(
+                self._vpu.memory, n, self.m, base_row=n // self.m),
+            galois_k)

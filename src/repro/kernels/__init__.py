@@ -8,16 +8,14 @@ with precomputed Barrett/Shoup constant tables (hoisted onto
 buffers.  Lazy-reduction eligibility is derived from the fhecheck
 interval analysis (:mod:`repro.analysis.bounds`), never hand-coded.
 
-Two interchangeable JIT providers sit behind one plan format:
-``numba`` (``@njit(parallel=True)``, import-guarded — Numba is not a
-dependency) and ``cext`` (``kernels.c`` compiled at first use with the
-host C compiler and loaded via ctypes).  With neither available,
-:class:`CompiledBackend` degrades to the inherited
+There is one compiled source, ``kernels.c``, built at first use with
+the host C compiler and loaded via ctypes (the ``cext`` provider); the
+numpy path is its reference and its fallback.  On a host with no
+working compiler :class:`CompiledBackend` degrades to the inherited
 :class:`~repro.fhe.backend.NumpyBackend` path, bit-identically.
 
 Select globally with ``REPRO_BACKEND=compiled`` (see
-:mod:`repro.fhe.backend`) and pin the provider with
-``REPRO_JIT=numba|cext|none``.
+:mod:`repro.fhe.backend`).
 """
 
 from repro.kernels.backend import CompiledBackend

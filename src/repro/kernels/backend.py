@@ -1,28 +1,24 @@
 """The compiled fused-kernel backend.
 
-:class:`CompiledBackend` is the third ``KernelBackend`` implementation:
+:class:`CompiledBackend` implements the ``KernelBackend`` protocol with
 whole forward/inverse negacyclic NTTs, batched automorphisms, and the
 fused keyswitch inner loop each run as a *single* compiled call over
 the full ``(L, n)`` residue matrix — no per-stage numpy dispatch, no
 full-size temporaries beyond one reusable workspace.  It subclasses
 :class:`~repro.fhe.backend.NumpyBackend`, so every shape a gate or a
-missing JIT provider refuses simply falls through to the vectorized
-numpy path (and the single-row legacy methods stay inherited).
+missing C toolchain refuses simply falls through to the vectorized
+numpy path.
 
 Bit-identity contract: every compiled kernel returns fully reduced
 residues (< q), and a reduced residue is unique — so outputs match the
 numpy and VPU paths bit for bit regardless of the internal reduction
-schedule.  Because the Numba provider can only be exercised where
-Numba is installed (CI, not this container — and vice versa for the C
-provider on toolchain-less hosts), the backend additionally
-cross-checks each (kernel, shape) pair against the numpy reference on
-first use (``self_check``, disable with ``REPRO_COMPILED_SELFCHECK=0``)
-and raises rather than silently returning wrong residues.
+schedule.  The shared object is built by whatever C compiler the host
+has, so the backend additionally cross-checks each (kernel, shape) pair
+against the numpy reference on first use (``self_check``) and raises
+rather than silently returning wrong residues.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -44,40 +40,35 @@ from repro.kernels.provider import (
     cjit_ks_accum_reduced,
     resolve_provider,
 )
-from repro.obs import current_obs_hook
 
 
 class CompiledBackend(NumpyBackend):
-    """Fused JIT kernels with analyzer-derived gates and numpy fallback.
+    """Fused compiled kernels with analyzer-derived gates and numpy
+    fallback.
 
     ``provider`` is a provider object, a provider name
-    (``numba``/``cext``/``none``), or None to resolve from ``REPRO_JIT``
-    (Numba first, then the runtime-compiled C extension).  With no
-    provider available every dispatch falls back to the inherited numpy
-    path — same results, seed-era speed.
+    (``cext``/``none``), or None for the runtime-compiled C extension.
+    With no provider available every dispatch falls back to the
+    inherited numpy path — same results, seed-era speed.
     """
 
     name = "compiled"
 
-    def __init__(self, provider=None, self_check: bool | None = None):
+    def __init__(self, provider=None, self_check: bool = True):
         super().__init__(mode="fast")
         if provider is None or isinstance(provider, str):
             provider = resolve_provider(provider)
         self._impl = provider
-        if self_check is None:
-            self_check = os.environ.get(
-                "REPRO_COMPILED_SELFCHECK", "1") != "0"
         #: First-use-per-shape cross-check against the numpy reference.
         self.self_check = self_check
         self._checked: set[tuple] = set()
-        self._reference: NumpyBackend | None = None
         self.kernel_invocations = 0
         self.fallbacks = 0
         self.self_checks = 0
 
     @property
     def provider_name(self) -> str | None:
-        """Active JIT provider (``numba``/``cext``), or None."""
+        """Active compiled provider (``cext``), or None."""
         return None if self._impl is None else self._impl.name
 
     @property
@@ -88,7 +79,9 @@ class CompiledBackend(NumpyBackend):
     def plan_cache_misses(self) -> int:
         return plan_cache().misses
 
-    # -- cache management / metrics -----------------------------------------
+    @property
+    def plan_cache_size(self) -> int:
+        return len(plan_cache())
 
     def clear_caches(self) -> None:
         """Reset the shared compiled-kernel state — constant-table plans
@@ -96,31 +89,13 @@ class CompiledBackend(NumpyBackend):
         destination tables — plus this instance's self-check memos."""
         clear_compiled_caches()
         self._checked.clear()
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.count("backend.compiled_plan_cache.clears")
-            self._publish_cache_metrics(obs)
-
-    def _publish_cache_metrics(self, obs) -> None:
-        """Mirror the plan-cache counters into the metrics registry
-        (guarded-hook callers only) — the compiled analogue of
-        ``VpuBackend._publish_cache_metrics``."""
-        cache = plan_cache()
-        obs.gauge("backend.compiled_plan_cache.hits", cache.hits)
-        obs.gauge("backend.compiled_plan_cache.misses", cache.misses)
-        obs.gauge("backend.compiled_plan_cache.size", len(cache))
 
     # -- self-check ----------------------------------------------------------
-
-    def _reference_backend(self) -> NumpyBackend:
-        if self._reference is None:
-            self._reference = NumpyBackend()
-        return self._reference
 
     def _verify_first_use(self, key: tuple, reference_fn, out) -> None:
         """Compare one compiled result against the numpy reference, once
         per (kernel, shape): the runtime leg of the bit-identity
-        contract for providers this host's test suite cannot build."""
+        contract, for whatever compiler built the provider."""
         if not self.self_check or key in self._checked:
             return
         self._checked.add(key)
@@ -131,93 +106,50 @@ class CompiledBackend(NumpyBackend):
                 f"compiled kernel self-check failed for {key[0]} "
                 f"(provider {self.provider_name}): output differs from "
                 f"the numpy reference")
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.count("backend.compiled.self_checks")
-
-    def _note_fallback(self) -> None:
-        self.fallbacks += 1
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.count("backend.compiled.fallbacks")
 
     # -- limb-batched kernels -------------------------------------------------
 
-    def forward_ntt_batch(self, residues: np.ndarray,
-                          primes: tuple[int, ...]) -> np.ndarray:
-        residues = np.asarray(residues)
-        primes = tuple(primes)
-        impl = self._impl
-        plan = (get_plan(residues.shape[1], primes)
-                if impl is not None and residues.shape[1] else None)
-        use_ok = plan is not None and plan.lazy_stages_ok
-        if use_ok:
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.begin("compiled.batch.ntt", cat="kernel",
-                          limbs=len(primes), n=residues.shape[1],
-                          provider=impl.name)
-            x = np.ascontiguousarray(residues, dtype=np.uint64)
-            out = np.empty_like(x)
-            work = get_workspace(x.shape[0], x.shape[1])
-            cjit_fwd_ntt_lazy(impl, plan, x, out, work)
-            self.kernel_invocations += 1
-            self._verify_first_use(
-                ("ntt", x.shape[1], primes),
-                lambda: self._reference_backend().forward_ntt_batch(
-                    x, primes), out)
-            if obs is not None:
-                obs.count("backend.compiled.kernels.ntt")
-                self._publish_cache_metrics(obs)
-                obs.end()
-            return out
-        self._note_fallback()
-        return super().forward_ntt_batch(residues, primes)
-
-    def inverse_ntt_batch(self, values: np.ndarray,
-                          primes: tuple[int, ...]) -> np.ndarray:
+    def _ntt_batch(self, values: np.ndarray, primes: tuple[int, ...],
+                   inverse: bool) -> np.ndarray:
         values = np.asarray(values)
         primes = tuple(primes)
         impl = self._impl
+        reference = (NumpyBackend.inverse_ntt_batch if inverse
+                     else NumpyBackend.forward_ntt_batch)
         plan = (get_plan(values.shape[1], primes)
                 if impl is not None and values.shape[1] else None)
         use_ok = plan is not None and plan.lazy_stages_ok
         if use_ok:
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.begin("compiled.batch.intt", cat="kernel",
-                          limbs=len(primes), n=values.shape[1],
-                          provider=impl.name)
             x = np.ascontiguousarray(values, dtype=np.uint64)
             out = np.empty_like(x)
             work = get_workspace(x.shape[0], x.shape[1])
-            if plan.unclamped_ok:
+            if not inverse:
+                cjit_fwd_ntt_lazy(impl, plan, x, out, work)
+            elif plan.unclamped_ok:
                 cjit_inv_ntt_unclamped(impl, plan, x, out, work)
             else:
                 cjit_inv_ntt_lazy(impl, plan, x, out, work)
             self.kernel_invocations += 1
             self._verify_first_use(
-                ("intt", x.shape[1], primes),
-                lambda: self._reference_backend().inverse_ntt_batch(
-                    x, primes), out)
-            if obs is not None:
-                obs.count("backend.compiled.kernels.intt")
-                self._publish_cache_metrics(obs)
-                obs.end()
+                ("intt" if inverse else "ntt", x.shape[1], primes),
+                lambda: reference(self, x, primes), out)
             return out
-        self._note_fallback()
-        return super().inverse_ntt_batch(values, primes)
+        self.fallbacks += 1
+        return reference(self, values, primes)
+
+    def forward_ntt_batch(self, residues: np.ndarray,
+                          primes: tuple[int, ...]) -> np.ndarray:
+        return self._ntt_batch(residues, primes, inverse=False)
+
+    def inverse_ntt_batch(self, values: np.ndarray,
+                          primes: tuple[int, ...]) -> np.ndarray:
+        return self._ntt_batch(values, primes, inverse=True)
 
     def automorphism_eval_batch(self, values: np.ndarray, galois_k: int,
                                 primes: tuple[int, ...]) -> np.ndarray:
         values = np.asarray(values)
         impl = self._impl
         if impl is not None and values.dtype == np.uint64 and values.shape[1]:
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.begin("compiled.batch.auto", cat="kernel",
-                          limbs=values.shape[0], n=values.shape[1],
-                          galois_k=galois_k, provider=impl.name)
             dest = get_destinations(values.shape[1], galois_k)
             x = np.ascontiguousarray(values)
             out = np.empty_like(x)
@@ -225,13 +157,10 @@ class CompiledBackend(NumpyBackend):
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("auto", x.shape[1], galois_k),
-                lambda: self._reference_backend().automorphism_eval_batch(
-                    x, galois_k, tuple(primes)), out)
-            if obs is not None:
-                obs.count("backend.compiled.kernels.auto")
-                obs.end()
+                lambda: NumpyBackend.automorphism_eval_batch(
+                    self, x, galois_k, primes), out)
             return out
-        self._note_fallback()
+        self.fallbacks += 1
         return super().automorphism_eval_batch(values, galois_k, primes)
 
     # -- fused keyswitch inner loop ------------------------------------------
@@ -265,14 +194,9 @@ class CompiledBackend(NumpyBackend):
                 "accumulate_keyswitch path for wider moduli")
         q_arr = np.array(primes, dtype=np.uint64)
         impl = self._impl
-        obs = current_obs_hook()
         if impl is not None:
             mu_arr = np.array([(1 << 64) // q for q in primes],
                               dtype=np.uint64)
-            if obs is not None:
-                obs.begin("compiled.keyswitch.inner_product", cat="kernel",
-                          digits=num_digits, limbs=rows, n=n,
-                          provider=impl.name)
             acc0 = np.empty((rows, n), dtype=np.uint64)
             acc1 = np.empty((rows, n), dtype=np.uint64)
             if lazy_ok:
@@ -286,13 +210,10 @@ class CompiledBackend(NumpyBackend):
                 ("keyswitch", num_digits, rows, n, tuple(primes)),
                 lambda: (digit_stack * b_stack % q_arr[None, :, None]).sum(
                     axis=0, dtype=np.uint64) % q_arr[:, None], acc0)
-            if obs is not None:
-                obs.count("backend.compiled.kernels.keyswitch")
-                obs.end(lazy=lazy_ok)
             return acc0, acc1
         # No provider: the per-step reduced numpy loop (identical
         # residues; single products proven to fit above).
-        self._note_fallback()
+        self.fallbacks += 1
         q_col = q_arr[:, None]
         acc0 = np.zeros((rows, n), dtype=np.uint64)
         acc1 = np.zeros((rows, n), dtype=np.uint64)

@@ -1,7 +1,7 @@
 """Per-shape plans for the compiled fused kernels.
 
 A :class:`CompiledPlan` gathers, for one ``(n, primes)`` batch shape,
-every constant the fused C/Numba kernels consume: the stacked
+every constant the fused C kernels consume: the stacked
 contiguous per-limb tables (moduli, Barrett constants, psi folds, flat
 stage twiddles, fused unfold scalings, Shoup companions) plus the
 analyzer-derived eligibility gates.  The per-modulus constants come
@@ -79,10 +79,10 @@ class CompiledPlan:
 
 class PlanCache:
     """Keyed plan store with hit/miss counters — the compiled backend's
-    analogue of the ``VpuBackend`` program cache, surfaced through the
-    same obs gauge pattern.  Lookup-and-build is lock-protected so
-    overlapping serving tasks build each ``(n, primes)`` plan once and
-    the hit/miss counters stay exact under concurrency."""
+    analogue of the ``VpuBackend`` program cache.  Lookup-and-build is
+    lock-protected so overlapping serving tasks build each ``(n,
+    primes)`` plan once and the hit/miss counters stay exact under
+    concurrency."""
 
     def __init__(self) -> None:
         self._plans: dict[tuple[int, tuple[int, ...]], CompiledPlan] = {}
@@ -166,17 +166,9 @@ def get_destinations(n: int, galois_k: int) -> np.ndarray:
 def clear_compiled_caches() -> None:
     """Reset every compiled-backend cache: plans (constant tables plus
     counters), workspace buffers, and automorphism destination tables.
-    Wired into the module-level :func:`repro.fhe.backend.clear_caches`.
-
-    Also zeroes the ``backend.compiled_plan_cache.*`` obs gauges (when a
-    metrics registry is live), so a snapshot taken after a reset does
-    not report the dropped cache's stale hit/miss figures."""
-    from repro.obs import current_obs_hook
-
+    Wired into the module-level :func:`repro.fhe.backend.clear_caches`,
+    which also zeroes the ``backend.compiled_plan_cache.*`` gauges."""
     _PLAN_CACHE.clear()
     getattr(_WORKSPACES, "buffers", {}).clear()
     with _DESTINATIONS_LOCK:
         _DESTINATIONS.clear()
-    obs = current_obs_hook()
-    if obs is not None:
-        obs.zero_gauges("backend.compiled_plan_cache.")

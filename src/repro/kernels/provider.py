@@ -1,8 +1,8 @@
-"""JIT provider resolution and the gated ``cjit_*`` kernel entries.
+"""Provider resolution and the gated ``cjit_*`` kernel entries.
 
-Provider order is Numba first (when importable), then the
-runtime-compiled C extension, then ``None`` (the backend falls back to
-numpy) — overridable with ``REPRO_JIT=numba|cext|none``.
+There is one compiled provider, the runtime-compiled C extension
+(:mod:`repro.kernels.cext`); where it cannot be built the backend runs
+the numpy path.
 
 The ``cjit_*`` functions are the *only* way production code invokes a
 compiled kernel.  Names carry the reduction discipline: a ``*_lazy`` /
@@ -15,33 +15,19 @@ rule statically rejects any call that is not under such a gate.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
 def resolve_provider(name: str | None = None):
-    """Pick the compiled-kernel provider.
-
-    ``name`` (or ``$REPRO_JIT``) selects ``numba``, ``cext`` or ``none``
-    explicitly; unset/``auto`` tries Numba then the C extension.
-    Returns ``None`` when the chosen provider is unavailable — the
-    backend then degrades to the numpy path.
-    """
-    if name is None:
-        name = os.environ.get("REPRO_JIT", "auto").strip().lower() or "auto"
-    if name in ("none", "off", "0"):
+    """The compiled-kernel provider: ``cext`` (also the meaning of
+    None), or ``none`` for no provider at all.  Returns ``None`` when
+    there is none or the C extension cannot be built — the backend then
+    runs the numpy path."""
+    if name == "none":
         return None
-    if name not in ("auto", "numba", "cext"):
+    if name not in (None, "cext"):
         raise ValueError(
-            f"unknown REPRO_JIT provider {name!r} (numba|cext|none)")
-    if name in ("auto", "numba"):
-        from repro.kernels.numba_impl import HAVE_NUMBA, NumbaProvider
-
-        if HAVE_NUMBA:
-            return NumbaProvider()
-        if name == "numba":
-            return None
+            f"unknown compiled-kernel provider {name!r} (cext|none)")
     from repro.kernels.cext import load_provider
 
     return load_provider()

@@ -4,9 +4,10 @@ The paper's claims are accounting claims: cycles, SRAM/DRAM traffic,
 and component utilization.  This package makes the model's accounting
 *inspectable*: a hierarchical span tracer and a metrics registry ride a
 single process-global hook threaded through ``VectorProcessingUnit``
-execution, the ``VpuBackend`` kernel entry points, SRAM/DRAM staging,
-``ParallelVpuPool`` scheduling, the integrity layer, the serving
-engine, durable-execution journaling, and the keyswitch phases — and
+execution, SRAM/DRAM staging, ``ParallelVpuPool`` scheduling, the
+serving engine, durable-execution journaling, and the keyswitch phases
+— the kernel backends, integrity layer included, are observed from
+outside by one wrapper (:mod:`repro.fhe.backend.observed`) — and
 the exporters turn one run into a Perfetto-loadable Chrome trace (with
 per-request flow stitching), a JSON metrics snapshot, a Prometheus
 text exposition, and a per-phase cycle-attribution table
@@ -18,7 +19,7 @@ Request-scoped tracing (:mod:`repro.obs.context`): ``begin_request`` /
 root span for one serving request; the context rides a contextvar (and
 the engine's ticket, across the queue), so every span any asyncio
 task opens on behalf of that request — backend kernels, integrity
-verify/replay, recovery journaling — is stamped with the same
+dispatches and replays, recovery journaling — is stamped with the same
 ``trace_id`` and stitches under the root.  One request, one trace.
 
 Hook contract (the overhead-neutrality guarantee, mirroring the fault

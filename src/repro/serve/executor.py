@@ -10,12 +10,12 @@ Two implementations of one small duck-typed contract::
 
 * :class:`CkksOpExecutor` performs **real** ciphertext operations
   (keyswitch, hmult, hrot, rescale) on toy CKKS parameters through the
-  repo's kernel-backend stack, with the degradation ladder mapped onto
-  backend modes exactly as :class:`~repro.fhe.backend.IntegrityBackend`
-  defines it: level 0 = the configured backend, level 1 = clamped
-  numpy, level 2 = per-row golden.  Verification decrypts and compares
-  against a precomputed golden plaintext, so a corrupted result can
-  never pass.
+  repo's kernel-backend stack, on the degradation ladder
+  :class:`~repro.fhe.backend.IntegrityBackend` walks: level 0 = the
+  configured backend, then :func:`~repro.fhe.backend.ladder_backend`
+  (level 1 = clamped numpy, level 2 = per-row golden).  Verification
+  decrypts and compares against a precomputed golden plaintext, so a
+  corrupted result can never pass.
 * :class:`SimulatedExecutor` replaces compute with seeded service-time
   sleeps and fingerprint values — the open-loop benchmark uses it to
   push 100k+ requests through the *scheduling* machinery in seconds
@@ -36,7 +36,7 @@ import zlib
 
 import numpy as np
 
-from repro.fhe.backend import NumpyBackend, use_backend
+from repro.fhe.backend import ladder_backend, use_backend
 from repro.fhe.ckks import Ciphertext, CkksContext
 from repro.fhe.params import CkksParams, toy_params
 from repro.obs import current_obs_hook
@@ -72,8 +72,6 @@ class CkksOpExecutor:
             a.scale * b.scale)
         self._ct_prod = self.ctx.multiply(self._ct_a, self._ct_b,
                                           rescale_after=False)
-        self._clamped = NumpyBackend(mode="clamped")
-        self._golden_backend = NumpyBackend(mode="golden")
         #: Golden decryptions, one per op, computed on the default path.
         self.golden = {op: self._apply(op) for op in OPS}
 
@@ -96,13 +94,12 @@ class CkksOpExecutor:
         """Perform the op; a straggler factor repeats the work, the way
         a slow limb replays on the redundant unit."""
         repeats = max(1, int(round(straggle)))
-        ladder = (None, self._clamped, self._golden_backend)
         value = None
         for _ in range(repeats):
             if level == 0:
                 value = self._apply(request.op)
             else:
-                with use_backend(ladder[min(level, 2)]):
+                with use_backend(ladder_backend(level)):
                     value = self._apply(request.op)
             await asyncio.sleep(0)  # yield between repeats
         assert value is not None

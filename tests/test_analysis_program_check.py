@@ -81,11 +81,12 @@ class TestBackendVerifyHook:
         backend = VpuBackend(m=M, verify_programs=True)
         rng = np.random.default_rng(3)
         coeffs = rng.integers(0, Q, size=N, dtype=np.uint64)
-        evals = backend.forward_ntt(coeffs, Q)
+        coeffs = coeffs[None, :]  # one row is the L = 1 batch
+        evals = backend.forward_ntt_batch(coeffs, (Q,))
         np.testing.assert_array_equal(
-            backend.inverse_ntt(evals, Q), coeffs)
+            backend.inverse_ntt_batch(evals, (Q,)), coeffs)
         assert backend.programs_verified == 2  # ntt + intt
-        backend.forward_ntt(coeffs, Q)  # cache hit: no re-verification
+        backend.forward_ntt_batch(coeffs, (Q,))  # cache hit: no re-verification
         assert backend.programs_verified == 2
 
     def test_default_off_and_env_override(self, monkeypatch):

@@ -26,8 +26,13 @@ def _input(seed: int = 7) -> np.ndarray:
     return rng.integers(0, Q, size=N, dtype=np.uint64)
 
 
+def _forward(backend, x: np.ndarray) -> np.ndarray:
+    """One row through the backend, as the L = 1 batch."""
+    return backend.forward_ntt_batch(x[None, :], (Q,))[0]
+
+
 def _golden(x: np.ndarray) -> np.ndarray:
-    return NumpyBackend().forward_ntt(x, Q)
+    return _forward(NumpyBackend(mode="golden"), x)
 
 
 def _run_with(spec: "FaultSpec | None") -> tuple[np.ndarray, FaultInjector,
@@ -35,7 +40,7 @@ def _run_with(spec: "FaultSpec | None") -> tuple[np.ndarray, FaultInjector,
     backend = VpuBackend(M)
     injector = FaultInjector(() if spec is None else [spec])
     backend.vpu.install_fault_hook(injector)
-    out = backend.forward_ntt(_input(), Q)
+    out = _forward(backend, _input())
     return out, injector, backend
 
 
@@ -43,7 +48,7 @@ class TestDormantHooks:
     def test_dormant_hook_is_bit_exact_and_cycle_exact(self):
         x = _input()
         plain = VpuBackend(M)
-        base = plain.forward_ntt(x, Q)
+        base = _forward(plain, x)
         out, injector, hooked = _run_with(None)
         assert np.array_equal(base, out)
         # A hook with no specs must not change the modeled cycle count.
@@ -53,7 +58,7 @@ class TestDormantHooks:
 
     def test_no_hook_matches_numpy(self):
         x = _input()
-        assert np.array_equal(VpuBackend(M).forward_ntt(x, Q), _golden(x))
+        assert np.array_equal(_forward(VpuBackend(M), x), _golden(x))
 
 
 class TestAluFaults:
@@ -69,10 +74,10 @@ class TestAluFaults:
         backend = VpuBackend(M)
         injector = FaultInjector([spec])
         backend.vpu.install_fault_hook(injector)
-        backend.forward_ntt(_input(), Q)
+        _forward(backend, _input())
         assert injector.fired == [spec]
         # One-shot: a second run on the same injector stays clean.
-        clean = backend.forward_ntt(_input(), Q)
+        clean = _forward(backend, _input())
         assert np.array_equal(clean, _golden(_input()))
 
 
@@ -118,7 +123,7 @@ class TestNetworkFaults:
         backend = VpuBackend(M)
         backend.vpu.install_fault_hook(FaultInjector([spec]))
         with pytest.raises(MuxConflictError):
-            backend.forward_ntt(_input(), Q)
+            _forward(backend, _input())
 
     def test_stuck_agreeing_with_line_is_masked(self):
         # CG-DIF is active during DIF stages; stuck1 on its line agrees.

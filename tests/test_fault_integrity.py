@@ -108,12 +108,12 @@ class TestIntegrityBackendOff:
         assert backend.detections == 0
 
     def test_off_adds_zero_modeled_cycles(self):
-        x = _rows()[0]
+        x, primes = _rows()[:1], PRIMES[:1]  # one row: the L = 1 batch
         plain = VpuBackend(M)
-        base = plain.forward_ntt(x, PRIMES[0])
+        base = plain.forward_ntt_batch(x, primes)
         inner = VpuBackend(M)
         wrapped = IntegrityBackend(inner, "off")
-        out = wrapped.forward_ntt(x, PRIMES[0])
+        out = wrapped.forward_ntt_batch(x, primes)
         assert np.array_equal(base, out)
         assert inner.vpu.stats.cycles == plain.vpu.stats.cycles
 

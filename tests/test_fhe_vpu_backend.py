@@ -9,6 +9,12 @@ from repro.fhe.ckks import CkksContext
 from repro.fhe.params import CkksParams
 
 Q = 998244353
+GOLDEN = NumpyBackend(mode="golden")
+
+
+def row(rng, n):
+    """One random polynomial row, as the L = 1 batch."""
+    return rng.integers(0, Q, (1, n), dtype=np.uint64)
 
 
 @pytest.fixture(scope="module")
@@ -21,40 +27,39 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("n", [256, 512, 4096])  # 512: ragged at m=16
     def test_forward_ntt(self, vpu_backend, n):
-        rng = np.random.default_rng(n)
-        x = rng.integers(0, Q, n, dtype=np.uint64)
+        x = row(np.random.default_rng(n), n)
         np.testing.assert_array_equal(
-            vpu_backend.forward_ntt(x, Q), NumpyBackend().forward_ntt(x, Q)
+            vpu_backend.forward_ntt_batch(x, (Q,)),
+            GOLDEN.forward_ntt_batch(x, (Q,)),
         )
 
     @pytest.mark.parametrize("n", [256, 512, 4096])
     def test_inverse_ntt(self, vpu_backend, n):
-        rng = np.random.default_rng(n + 1)
-        x = rng.integers(0, Q, n, dtype=np.uint64)
+        x = row(np.random.default_rng(n + 1), n)
         np.testing.assert_array_equal(
-            vpu_backend.inverse_ntt(x, Q), NumpyBackend().inverse_ntt(x, Q)
+            vpu_backend.inverse_ntt_batch(x, (Q,)),
+            GOLDEN.inverse_ntt_batch(x, (Q,)),
         )
 
     def test_ntt_roundtrip_on_vpu(self, vpu_backend):
-        rng = np.random.default_rng(5)
-        x = rng.integers(0, Q, 256, dtype=np.uint64)
+        x = row(np.random.default_rng(5), 256)
         np.testing.assert_array_equal(
-            vpu_backend.inverse_ntt(vpu_backend.forward_ntt(x, Q), Q), x
+            vpu_backend.inverse_ntt_batch(
+                vpu_backend.forward_ntt_batch(x, (Q,)), (Q,)), x
         )
 
     @pytest.mark.parametrize("k", [5, 25, 511])
     def test_automorphism(self, vpu_backend, k):
-        n = 256
-        rng = np.random.default_rng(k)
-        x = rng.integers(0, Q, n, dtype=np.uint64)
+        x = row(np.random.default_rng(k), 256)
         np.testing.assert_array_equal(
-            vpu_backend.automorphism_eval(x, k, Q),
-            NumpyBackend().automorphism_eval(x, k, Q),
+            vpu_backend.automorphism_eval_batch(x, k, (Q,)),
+            GOLDEN.automorphism_eval_batch(x, k, (Q,)),
         )
 
     def test_invocation_counter(self, vpu_backend):
         before = vpu_backend.kernel_invocations
-        vpu_backend.forward_ntt(np.zeros(256, dtype=np.uint64), Q)
+        vpu_backend.forward_ntt_batch(np.zeros((1, 256), dtype=np.uint64),
+                                      (Q,))
         assert vpu_backend.kernel_invocations == before + 1
 
 

@@ -5,7 +5,7 @@ kernel (forward/inverse NTT batch, automorphism batch, the fused
 keyswitch inner product) the compiled backend must agree bit for bit
 with both the numpy reference and the behavioral VPU, across the
 boundary-modulus regimes the analyzer gates distinguish — and with no
-JIT provider at all it must degrade to the inherited numpy path, still
+compiled provider at all it must degrade to the inherited numpy path, still
 bit-identically.
 """
 
@@ -23,6 +23,7 @@ from repro.fhe.backend import (
     VpuBackend,
     backend_from_env,
     clear_caches,
+    observed,
     use_backend,
 )
 from repro.kernels import CompiledBackend, get_plan, plan_cache
@@ -54,7 +55,7 @@ def boundary_primes():
 def compiled():
     backend = CompiledBackend()
     if backend.provider_name is None:
-        pytest.skip("no JIT provider available (numba or a C compiler)")
+        pytest.skip("no compiled provider available (needs a C compiler)")
     return backend
 
 
@@ -188,10 +189,10 @@ class TestProviderlessFallback:
         assert backend.kernel_invocations == 0
 
     def test_unknown_provider_name_rejected(self):
-        with pytest.raises(ValueError, match="REPRO_JIT"):
+        with pytest.raises(ValueError, match="provider 'bogus'"):
             CompiledBackend(provider="bogus")
-        with pytest.raises(ValueError, match="REPRO_JIT"):
-            resolve_provider("bogus")
+        with pytest.raises(ValueError, match="provider 'numba'"):
+            resolve_provider("numba")
 
 
 class TestSelection:
@@ -249,8 +250,9 @@ class TestCachesAndObs:
         observer = Observer()
         previous = install_obs_hook(observer)
         try:
-            compiled.forward_ntt_batch(_rows(primes), primes)
-            compiled.forward_ntt_batch(_rows(primes, seed=9), primes)
+            observed(compiled).forward_ntt_batch(_rows(primes), primes)
+            observed(compiled).forward_ntt_batch(_rows(primes, seed=9),
+                                                 primes)
         finally:
             install_obs_hook(previous)
         snapshot = observer.metrics.snapshot()
@@ -258,7 +260,7 @@ class TestCachesAndObs:
         assert gauges["backend.compiled_plan_cache.misses"] == 1
         assert gauges["backend.compiled_plan_cache.hits"] == 1
         assert gauges["backend.compiled_plan_cache.size"] == 1
-        assert snapshot["counters"]["backend.compiled.kernels.ntt"] == 2
+        assert snapshot["counters"]["backend.kernels.ntt"] == 2
 
     def test_obs_off_is_exact_noop(self, compiled):
         # No hook installed: dispatch must not touch any registry.

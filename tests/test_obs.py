@@ -15,7 +15,7 @@ from repro.accel.dram import DramModel
 from repro.accel.parallel import ParallelVpuPool
 from repro.arith.primes import find_ntt_prime, find_ntt_primes
 from repro.fault.injector import FaultInjector, FaultSpec
-from repro.fhe.backend import VpuBackend, use_backend
+from repro.fhe.backend import VpuBackend, observed, use_backend
 from repro.fhe.params import toy_params
 from repro.fhe.sampling import sample_uniform_poly
 from repro.obs import (
@@ -328,7 +328,7 @@ class TestIntegrityMetrics:
             [FaultSpec("alu", "stuck1", cycle=0, bit=33, lane=2)]))
         backend = IntegrityBackend(inner, "detect")
         with observe() as obs:
-            backend.forward_ntt_batch(rows, primes)
+            observed(backend).forward_ntt_batch(rows, primes)
         assert backend.detections >= 1
         assert obs.metrics.counter("integrity.detections") \
             == backend.detections
@@ -343,8 +343,9 @@ class TestCacheMetricsReset:
         rows, primes = _ntt_rows()
         backend = VpuBackend(m=M)
         with observe() as obs:
-            backend.forward_ntt_batch(rows, primes)  # compiles: misses
-            backend.forward_ntt_batch(rows, primes)  # replays: hits
+            watched = observed(backend)
+            watched.forward_ntt_batch(rows, primes)  # compiles: misses
+            watched.forward_ntt_batch(rows, primes)  # replays: hits
             assert backend.program_cache_misses == len(primes)
             assert backend.program_cache_hits == len(primes)
             assert obs.metrics.gauges["backend.program_cache.misses"] \
@@ -354,7 +355,7 @@ class TestCacheMetricsReset:
             assert obs.metrics.gauges["backend.program_cache.size"] \
                 == len(primes)
 
-            backend.clear_caches()
+            watched.clear_caches()
             assert backend.program_cache_hits == 0
             assert backend.program_cache_misses == 0
             assert obs.metrics.gauges["backend.program_cache.hits"] == 0
