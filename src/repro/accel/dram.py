@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import current_obs_hook
+from repro import obs
 
 WORD_BYTES = 8
 
@@ -52,16 +52,13 @@ class DramModel:
         row, which ECC on real HBM narrows but does not eliminate.
         """
         out = np.array(buffer, dtype=np.uint64)
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.begin("dram.transfer", cat="mem", words=out.size)
-        ns = self.transfer_ns(out.size * WORD_BYTES)
-        if fault_hook is not None:
-            fault_hook.corrupt_buffer("dram", out)
-        if obs is not None:
+        with obs.span("dram.transfer", cat="mem", words=out.size) as span:
+            ns = self.transfer_ns(out.size * WORD_BYTES)
+            if fault_hook is not None:
+                fault_hook.corrupt_buffer("dram", out)
             obs.count("dram.bytes", out.size * WORD_BYTES)
             obs.observe_value("dram.transfer_ns", ns)
-            obs.end(ns=round(ns, 3))
+            span.set(ns=round(ns, 3))
         return out, ns
 
 

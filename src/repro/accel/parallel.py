@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core import VectorProcessingUnit
 from repro.core.isa import Program
 from repro.fault.integrity import AbftChecker
@@ -32,7 +33,6 @@ from repro.mapping import (
     required_registers,
     unpack_ntt_result,
 )
-from repro.obs import current_obs_hook
 
 
 class PoolExhaustedError(RuntimeError):
@@ -126,11 +126,9 @@ class ParallelVpuPool:
                 f"refusing to retire VPU {index}: it is the last healthy "
                 f"unit of {self.num_vpus} (the pool would deadlock)")
         self.quarantined.add(index)
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.count("pool.retirements")
-            obs.gauge("pool.quarantined_vpus", len(self.quarantined))
-            obs.gauge("pool.healthy_vpus", len(remaining))
+        obs.count("pool.retirements")
+        obs.gauge("pool.quarantined_vpus", len(self.quarantined))
+        obs.gauge("pool.healthy_vpus", len(remaining))
 
     def _pick_vpu(self, idx: int, attempt: int) -> int:
         """Round-robin over the healthy units; a retry (attempt > 0)
@@ -165,48 +163,45 @@ class ParallelVpuPool:
         limbs = np.asarray(limbs, dtype=np.uint64)
         if limbs.ndim != 2 or limbs.shape[1] != n:
             raise ValueError(f"expected (batch, {n}) input, got {limbs.shape}")
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.begin("pool.run_ntt_batch", cat="pool", instances=len(limbs),
-                      n=n, num_vpus=self.num_vpus)
-        program: Program = compile_ntt(n, self.m, self.q)
-        rows = n // self.m
-        outputs = np.empty_like(limbs)
-        cycles = [0] * self.num_vpus
-        detections = 0
-        retries = 0
-        degraded = 0
-        for idx, data in enumerate(limbs):
-            attempt = 0
-            while True:
-                which = self._pick_vpu(idx, attempt)
-                vpu = self.vpus[which]
-                vpu.memory.data[:rows] = pack_for_ntt(data, self.m)
-                stats = vpu.run_fresh(program)
-                out = unpack_ntt_result(vpu.memory, n, self.m)
-                cycles[which] += stats.cycles
-                if self._checker is None or self._checker.check_cyclic_ntt_row(
-                        data, out, self.q):
-                    outputs[idx] = out
-                    break
-                detections += 1
-                if (self.policy is IntegrityPolicy.DETECT
-                        or attempt >= self.max_retries):
-                    if (self.policy is IntegrityPolicy.DETECT_DEGRADE):
-                        outputs[idx] = self._golden_row(data, n)
-                        degraded += 1
-                    else:
-                        outputs[idx] = out  # flagged, surfaced as-is
-                    break
-                # Replay on a spare unit; retire the failing one so the
-                # round-robin stops feeding it work.
-                self.quarantined.add(which)
-                attempt += 1
-                retries += 1
-        report = ParallelRunReport(
-            len(limbs), tuple(cycles), detections, retries,
-            tuple(sorted(self.quarantined)), degraded)
-        if obs is not None:
+        with obs.span("pool.run_ntt_batch", cat="pool", instances=len(limbs),
+                      n=n, num_vpus=self.num_vpus) as span:
+            program: Program = compile_ntt(n, self.m, self.q)
+            rows = n // self.m
+            outputs = np.empty_like(limbs)
+            cycles = [0] * self.num_vpus
+            detections = 0
+            retries = 0
+            degraded = 0
+            for idx, data in enumerate(limbs):
+                attempt = 0
+                while True:
+                    which = self._pick_vpu(idx, attempt)
+                    vpu = self.vpus[which]
+                    vpu.memory.data[:rows] = pack_for_ntt(data, self.m)
+                    stats = vpu.run_fresh(program)
+                    out = unpack_ntt_result(vpu.memory, n, self.m)
+                    cycles[which] += stats.cycles
+                    if self._checker is None or self._checker.check_cyclic_ntt_row(
+                            data, out, self.q):
+                        outputs[idx] = out
+                        break
+                    detections += 1
+                    if (self.policy is IntegrityPolicy.DETECT
+                            or attempt >= self.max_retries):
+                        if (self.policy is IntegrityPolicy.DETECT_DEGRADE):
+                            outputs[idx] = self._golden_row(data, n)
+                            degraded += 1
+                        else:
+                            outputs[idx] = out  # flagged, surfaced as-is
+                        break
+                    # Replay on a spare unit; retire the failing one so the
+                    # round-robin stops feeding it work.
+                    self.quarantined.add(which)
+                    attempt += 1
+                    retries += 1
+            report = ParallelRunReport(
+                len(limbs), tuple(cycles), detections, retries,
+                tuple(sorted(self.quarantined)), degraded)
             # The pool's scheduling figures, scrapable per run.  The
             # invariant the regression tests pin down: total_cycles sums
             # *every* unit's cycles, retired ones included.
@@ -218,6 +213,6 @@ class ParallelVpuPool:
             obs.count("pool.detections", detections)
             obs.count("pool.retries", retries)
             obs.count("pool.degraded", degraded)
-            obs.end(makespan_cycles=report.makespan_cycles,
-                    total_cycles=report.total_cycles)
+            span.set(makespan_cycles=report.makespan_cycles,
+                     total_cycles=report.total_cycles)
         return outputs, report

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.hwmodel.components import CostReport
 from repro.hwmodel.sram import SramMacro
-from repro.obs import current_obs_hook
 
 
 @dataclass
@@ -67,18 +67,15 @@ class OnChipSram:
         fault hook — site ``"sram"``.  Returns the staged copy and the
         access cycles."""
         out = np.array(buffer, dtype=np.uint64)
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.begin("sram.stage", cat="mem", words=out.size,
-                      write=bool(write))
-        cycles = self.access_cycles(out.size, write)
-        hook = self.fault_hook
-        if hook is not None:
-            hook.corrupt_buffer("sram", out)
-        if obs is not None:
+        with obs.span("sram.stage", cat="mem", words=out.size,
+                      write=bool(write)) as span:
+            cycles = self.access_cycles(out.size, write)
+            hook = self.fault_hook
+            if hook is not None:
+                hook.corrupt_buffer("sram", out)
             obs.count("sram.bytes", out.size * 8)
             obs.count("sram.stage_cycles", cycles)
-            obs.end(cycles=cycles)
+            span.set(cycles=cycles)
         return out, cycles
 
     def fits(self, words: int) -> bool:

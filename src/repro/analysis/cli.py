@@ -327,15 +327,12 @@ def _check_lint(root: Path, verbose: bool) -> tuple[list[Finding], list[str]]:
 
 def _emit_gauges(findings: list[Finding], errors: list[Finding]) -> None:
     """Publish finding counts to the observability layer, if enabled."""
-    from repro.obs import current_obs_hook
+    from repro import obs
 
-    obs = current_obs_hook()
-    if obs is not None:
-        obs.gauge("analysis.findings.total", len(findings))
-        obs.gauge("analysis.findings.errors", len(errors))
-        for source, count in sorted(Counter(
-                f.source for f in findings).items()):
-            obs.gauge(f"analysis.findings.{source}", count)
+    obs.gauge("analysis.findings.total", len(findings))
+    obs.gauge("analysis.findings.errors", len(errors))
+    for source, count in sorted(Counter(f.source for f in findings).items()):
+        obs.gauge(f"analysis.findings.{source}", count)
 
 
 def _run_validate_sarif(path: str) -> int:

@@ -406,7 +406,9 @@ def check_sequence(ops: Sequence[Op], params: Any, *,
 # ---------------------------------------------------------------------------
 
 
-def _scheme_of(ctx: Any) -> str:
+def scheme_of(ctx: Any) -> str:
+    """The scheme (``ckks`` / ``bgv`` / ``bfv``) a context's class name
+    declares; :class:`TypeError` when it declares none."""
     name = type(ctx).__name__
     for scheme in _SCHEME_OPS:
         if name.lower().startswith(scheme):
@@ -429,7 +431,7 @@ def execute_op(op: Op, ctx: Any, values: Sequence[Any], feed: Any,
     import numpy as np
 
     if scheme is None:
-        scheme = _scheme_of(ctx)
+        scheme = scheme_of(ctx)
 
     def ct_with_parts(ct: Any, parts: list[Any], scale: float) -> Any:
         from repro.fhe.ckks import Ciphertext
@@ -494,7 +496,7 @@ def execute_sequence(ops: Sequence[Op], ctx: Any,
     verifies the sequence first — calling this directly is flagged by
     lint rule ``FHC008``.
     """
-    scheme = _scheme_of(ctx)
+    scheme = scheme_of(ctx)
     feed = iter(inputs)
     values: list[Any] = []
     for op in ops:
@@ -512,7 +514,7 @@ def run_checked(ops: Sequence[Op], ctx: Any, inputs: Sequence[Any], *,
     Raises :class:`CtStateError` (carrying the full report) instead of
     executing when the abstract interpreter finds anything.
     """
-    scheme = _scheme_of(ctx)
+    scheme = scheme_of(ctx)
     report = check_sequence(ops, ctx.params, scheme=scheme, label=label)
     if report.ok:
         return execute_sequence(ops, ctx, inputs)

@@ -35,15 +35,6 @@ fast paths silently go wrong:
     installer/accessor functions themselves
     (``install_fault_hook(...)``, ``current_fault_hook()``) is exempt.
 
-``FHC006`` **unguarded observability-hook dereference** — same contract
-    as FHC005 for the tracing/metrics hooks (``*obs_hook`` names and
-    aliases assigned from them, e.g. ``obs = current_obs_hook()``).
-    Observability must be an exact no-op when disabled — bit-identical
-    outputs, integer-identical modeled cycles — so every hook method
-    call needs an ``if <hook> is not None`` guard.  The accessor
-    functions (``install_obs_hook(...)``, ``current_obs_hook()``) are
-    exempt.
-
 ``FHC007`` **ungated compiled lazy kernel** — a ``cjit_*_lazy`` /
     ``cjit_*_unclamped`` compiled-kernel entry (:mod:`repro.kernels
     .provider`) is invoked outside a branch conditioned on an
@@ -93,19 +84,6 @@ fast paths silently go wrong:
     would then classify as silent.  Route journal appends through
     ``append()``; raw writes are legal only inside functions that fsync
     what they wrote.
-
-``FHC013`` **context-free span creation in the serving/recovery
-    layers** — inside :mod:`repro.serve` and :mod:`repro.recover`, a
-    span created on the obs hook (``.begin(...)``, ``.span(...)``,
-    ``.record(...)``) in a function with no trace-context evidence
-    (``bind_trace``/``trace_scope``/``begin_request``/
-    ``current_trace_context``/``TraceContext``/``trace_ctx``).  These
-    layers run on interleaved asyncio tasks: a span begun without the
-    request's :class:`~repro.obs.context.TraceContext` bound lands on
-    whatever stack the worker last left, producing the mis-nested
-    retrospective traces request-scoped tracing replaced.  Create spans
-    through ``Observer.begin_request``/``end_request`` or under
-    ``bind_trace``/``trace_scope`` of the ticket's context.
 
 Suppression: append ``# fhecheck: ok`` (all rules) or
 ``# fhecheck: ok=FHC002`` (one rule) to the offending line — or to the
@@ -161,16 +139,6 @@ _SERVE_WORK_RE = re.compile(
     r"|^to_thread$|^run_in_executor$|_batch$")
 #: The sanctioned deadline/cancellation wrappers (FHC011).
 _DEADLINE_WRAPPER = "with_deadline"
-#: Span-creating verbs on the obs hook (FHC013).  ``begin_request`` /
-#: ``end_request`` are the context-propagating API itself and exempt
-#: by name.
-_SPAN_CREATION_ATTRS = {"begin", "span", "record"}
-#: Trace-context evidence (FHC013): any of these names in the same
-#: function ties the span creation to the request-scoped context API.
-_TRACE_CONTEXT_EVIDENCE = {
-    "trace_scope", "bind_trace", "unbind_trace", "begin_request",
-    "end_request", "current_trace_context", "TraceContext", "trace_ctx",
-}
 
 
 def _dtype_name(node: ast.expr) -> str | None:
@@ -268,14 +236,8 @@ def _function_mentions_uint64(fn: ast.AST, source: str,
     return "uint64" in segment
 
 
-#: The guarded no-op hook families this repo enforces.  Each row is
-#: (rule, name suffix, human label, what "disabled" means).  The same
-#: alias/guard machinery serves both: FHC005 covers the fault-injection
-#: hooks, FHC006 the observability hooks.
-_HOOK_RULES: tuple[tuple[str, str, str, str], ...] = (
-    ("FHC005", "fault_hook", "fault-hook", "fault injection"),
-    ("FHC006", "obs_hook", "observability-hook", "tracing"),
-)
+#: Name suffix of the fault-injection hooks FHC005 tracks.
+_FAULT_HOOK = "fault_hook"
 
 
 def _mentions_hook(node: ast.AST, aliases: set[str], suffix: str) -> bool:
@@ -294,7 +256,7 @@ def _mentions_hook(node: ast.AST, aliases: set[str], suffix: str) -> bool:
 def _collect_hook_aliases(fn: ast.AST, suffix: str) -> set[str]:
     """Names assigned (transitively) from a hook expression, to a
     fixed point: ``hook = self.fault_hook``, ``h = hook``,
-    ``obs = current_obs_hook()``, ..."""
+    ``hook = current_fault_hook()``, ..."""
     aliases: set[str] = set()
     changed = True
     while changed:
@@ -318,7 +280,7 @@ def _scan_guarded(fn: ast.AST, mentions, on_call) -> None:
     A node is *guarded* when it sits in the taken branch of an
     ``if``/``while``/conditional expression (or to the right of an
     ``and``) whose test satisfies ``mentions`` — the shared skeleton of
-    the guarded-dereference rules (FHC005/FHC006) and the gated
+    the guarded-dereference rule (FHC005) and the gated
     compiled-kernel rule (FHC007).  ``else`` branches inherit only the
     outer guardedness; nested function scopes get their own pass.
     """
@@ -435,7 +397,6 @@ class _Linter(ast.NodeVisitor):
         self._check_sequence_entry(node)
         self._check_sram_staging(node)
         self._check_durable_writes(node)
-        self._check_span_context(node)
         self.generic_visit(node)
         self._fn_stack.pop()
 
@@ -571,22 +532,33 @@ class _Linter(ast.NodeVisitor):
                     f"request deadline")
                 return
 
-    # -- FHC005/FHC006: unguarded hook dereference -------------------------
+    # -- FHC005: unguarded fault-hook dereference --------------------------
 
     def _check_fault_hook_guards(self, fn: ast.AST) -> None:
-        for rule, suffix, label, disabled in _HOOK_RULES:
-            self._check_hook_guards(fn, rule, suffix, label, disabled)
-
-    def _check_hook_guards(self, fn: ast.AST, rule: str, suffix: str,
-                           label: str, disabled: str) -> None:
-        aliases = _collect_hook_aliases(fn, suffix)
+        aliases = _collect_hook_aliases(fn, _FAULT_HOOK)
 
         def mentions(node: ast.AST) -> bool:
-            return _mentions_hook(node, aliases, suffix)
+            return _mentions_hook(node, aliases, _FAULT_HOOK)
 
         def on_call(node: ast.Call, guarded: bool) -> None:
-            self._check_hook_call(node, aliases, guarded,
-                                  rule, suffix, label, disabled)
+            func = node.func
+            if guarded or not mentions(func):
+                return
+            # The install/accessor functions are not dereferences:
+            # calling install_fault_hook(x), vpu.install_fault_hook(...)
+            # or current_fault_hook() is how hooks are managed, and is
+            # legal unguarded.
+            if isinstance(func, ast.Name) and func.id.endswith(_FAULT_HOOK):
+                return
+            if isinstance(func, ast.Attribute) and \
+                    func.attr.endswith(_FAULT_HOOK) and \
+                    not mentions(func.value):
+                return
+            self._flag(
+                "FHC005", node,
+                "fault-hook dereference outside an `is not None` guard — "
+                "these hooks must be no-ops when fault injection is "
+                "disabled (guard the call with `if <hook> is not None`)")
 
         _scan_guarded(fn, mentions, on_call)
 
@@ -596,7 +568,7 @@ class _Linter(ast.NodeVisitor):
         """Every ``cjit_*_lazy``/``cjit_*_unclamped`` call must sit in a
         branch conditioned on an analyzer-derived ``*_ok`` gate (or a
         local alias of one) — the guard machinery is shared with
-        FHC005/FHC006, with ``_ok`` as the tracked suffix."""
+        FHC005, with ``_ok`` as the tracked suffix."""
         aliases = _collect_hook_aliases(fn, "_ok")
 
         def mentions(node: ast.AST) -> bool:
@@ -730,71 +702,6 @@ class _Linter(ast.NodeVisitor):
                 "in this function — journal appends must go through the "
                 "fsync'd WriteAheadLog.append() API (a bare write can be "
                 "lost on the very crash the journal exists to survive)")
-
-    # -- FHC013: context-free span creation in serve/recover ---------------
-
-    def _check_span_context(self, fn: ast.AST) -> None:
-        """Inside ``repro/serve/`` and ``repro/recover/``, a span
-        created on the obs hook must show trace-context evidence in the
-        same function (a ``bind_trace``/``trace_scope``/
-        ``begin_request``/``current_trace_context``/``TraceContext``/
-        ``trace_ctx`` mention) — the request-scoped tracing contract:
-        spans in the async layers carry the request's trace or they
-        mis-nest on whatever stack the worker last touched."""
-        if not (self._serve_file or self._recover_file):
-            return
-        aliases = _collect_hook_aliases(fn, "obs_hook")
-        creations: list[tuple[ast.Call, str]] = []
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SPAN_CREATION_ATTRS
-                    and _mentions_hook(node.func.value, aliases,
-                                       "obs_hook")):
-                creations.append((node, node.func.attr))
-        if not creations:
-            return
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Name) and \
-                    node.id in _TRACE_CONTEXT_EVIDENCE:
-                return
-            if isinstance(node, ast.Attribute) and \
-                    node.attr in _TRACE_CONTEXT_EVIDENCE:
-                return
-        for call, verb in creations:
-            self._flag(
-                "FHC013", call,
-                f"span created via .{verb}(...) in the serving/recovery "
-                f"layer with no trace-context evidence in this function "
-                f"— go through the context-propagating API "
-                f"(begin_request/end_request, or bind_trace/trace_scope "
-                f"of the ticket's TraceContext) so the span stitches "
-                f"into its request's trace instead of mis-nesting on a "
-                f"worker's stale stack")
-
-    def _check_hook_call(self, node: ast.Call, aliases: set[str],
-                         guarded: bool, rule: str, suffix: str,
-                         label: str, disabled: str) -> None:
-        func = node.func
-        if not _mentions_hook(func, aliases, suffix):
-            return
-        # The install/accessor functions are not dereferences: calling
-        # install_fault_hook(x), vpu.install_fault_hook(...),
-        # current_fault_hook() or current_obs_hook() is how hooks are
-        # managed, and is legal unguarded.
-        if isinstance(func, ast.Name) and func.id.endswith(suffix):
-            return
-        if isinstance(func, ast.Attribute) and \
-                func.attr.endswith(suffix) and \
-                not _mentions_hook(func.value, aliases, suffix):
-            return
-        if guarded:
-            return
-        self._flag(
-            rule, node,
-            f"{label} dereference outside an `is not None` guard — "
-            f"these hooks must be no-ops when {disabled} is "
-            f"disabled (guard the call with `if <hook> is not None`)")
 
 
 def lint_source(source: str, filename: str = "<string>") -> list[Finding]:

@@ -66,14 +66,12 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "FHC003": "product of an unreduced sum taken mod q",
     "FHC004": "lazy/unclamped kernel result escapes without clamp",
     "FHC005": "fault-hook dereference outside an is-not-None guard",
-    "FHC006": "observability-hook dereference outside an is-not-None guard",
     "FHC007": "compiled lazy kernel invoked outside its eligibility gate",
     "FHC008": "op-sequence executor bypasses the checked entry point",
     "FHC009": "SRAM staging without a capacity check",
     "FHC010": "suppression comment no longer suppresses any finding",
     "FHC011": "backend work awaited outside the deadline wrapper in repro.serve",
     "FHC012": "non-durable file write in repro.recover (no fsync evidence)",
-    "FHC013": "span created off the trace-context API in serve/recover",
 }
 
 _PATH_LINE_RE = re.compile(r"^(?P<path>[^\s:]+\.py):(?P<line>\d+)$")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.arith.barrett import BarrettReducer
 from repro.core.isa import (
     Butterfly,
@@ -39,7 +40,6 @@ from repro.core.isa import (
 )
 from repro.core.network import InterLaneNetwork, NetworkConfig
 from repro.core.register_file import RegisterFile
-from repro.obs import current_obs_hook
 
 
 class VectorMemory:
@@ -197,27 +197,24 @@ class VectorProcessingUnit:
         """Run a program to completion, returning the run's stats."""
         run = ExecutionStats()
         hook = self.fault_hook
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.begin("vpu.execute", cat="vpu", m=self.m, q=self.q,
-                      instructions=len(program))
-        for instr in program:
-            if hook is not None:
-                # Advance the fault clock and land armed state upsets
-                # before the instruction issues.
-                hook.on_cycle(self)
-            self._dispatch(instr)
-            run.record(instr)
-            self.stats.record(instr)
-        if obs is not None:
+        with obs.span("vpu.execute", cat="vpu", m=self.m, q=self.q,
+                      instructions=len(program)) as span:
+            for instr in program:
+                if hook is not None:
+                    # Advance the fault clock and land armed state upsets
+                    # before the instruction issues.
+                    hook.on_cycle(self)
+                self._dispatch(instr)
+                run.record(instr)
+                self.stats.record(instr)
             # Model cycles land on this span (the innermost open one),
             # so every architectural cycle is attributed exactly once.
             obs.add_cycles(run.cycles)
             obs.count("vpu.executions")
             obs.count("vpu.cycles", run.cycles)
             obs.count("vpu.network_passes", run.network_passes)
-            obs.end(cycles=run.cycles,
-                    utilization=round(run.compute_utilization(), 4))
+            span.set(cycles=run.cycles,
+                     utilization=round(run.compute_utilization(), 4))
         return run
 
     def _dispatch(self, instr: Instruction) -> None:

@@ -34,13 +34,13 @@ import sys
 import warnings
 from contextlib import contextmanager
 
+from repro import obs
 from repro.fhe.backend.integrity import IntegrityBackend
 from repro.fhe.backend.numpy_backend import NumpyBackend, ladder_backend
 from repro.fhe.backend.observed import ObservedBackend, observed
 from repro.fhe.backend.protocol import KernelBackend
 from repro.fhe.backend.vpu_backend import ProgramQuarantinedError, VpuBackend
 from repro.ntt.negacyclic import get_batched_ntt
-from repro.obs import current_obs_hook
 
 __all__ = [
     "IntegrityBackend",
@@ -116,11 +116,9 @@ def clear_caches() -> None:
     clearer = getattr(get_backend(), "clear_caches", None)
     if clearer is not None:
         clearer()
-    obs = current_obs_hook()
-    if obs is not None:
-        obs.zero_gauges("backend.program_cache.")
-        obs.zero_gauges("backend.compiled_plan_cache.")
-        obs.reset_telemetry()
+    obs.zero_gauges("backend.program_cache.")
+    obs.zero_gauges("backend.compiled_plan_cache.")
+    obs.reset_telemetry()
 
 
 def set_backend(backend: KernelBackend) -> None:

@@ -5,18 +5,17 @@ The backends keep plain-int counters and know nothing of
 applied wherever a backend is handed out — puts an
 :class:`ObservedBackend` in front, which around every kernel call opens
 a ``<backend name>.<span>`` span and, in ``finally``, adds the growth
-of the backend's counters over the call to the registry, sets the cache
-gauges, and closes the span and any span still open beneath it — so a
-kernel that raises leaves the tracer's stack as it found it.  The
-tables below name every span, counter and gauge; counter growth is
-exact as long as calls on one backend do not overlap.
+of the backend's counters over the call to the registry and sets the
+cache gauges — a kernel that raises still closes its span and mirrors
+its counters.  The tables below name every span, counter and gauge;
+counter growth is exact as long as calls on one backend do not overlap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs import current_obs_hook
+from repro import obs
 
 #: Observed method -> (span suffix, kernel kind).
 _KERNELS = {
@@ -87,16 +86,12 @@ class ObservedBackend:
 
     def _call(self, method: str, *args):
         backend = self._backend
-        fn = getattr(backend, method)
-        obs = current_obs_hook()
-        if obs is not None:
-            suffix, kind = _KERNELS[method]
-            before, _ = _read(backend, kind)
-            depth = obs.tracer.depth
-            obs.begin(f"{backend.name}.{suffix}", cat="kernel",
-                      **dict(zip(("n", "limbs"), np.shape(args[0])[::-1])))
+        suffix, kind = _KERNELS[method]
+        before, _ = _read(backend, kind)
+        with obs.span(f"{backend.name}.{suffix}", cat="kernel",
+                      **dict(zip(("n", "limbs"), np.shape(args[0])[::-1]))):
             try:
-                return fn(*args)
+                return getattr(backend, method)(*args)
             finally:
                 after, gauges = _read(backend, kind)
                 for metric, value in after.items():
@@ -104,21 +99,15 @@ class ObservedBackend:
                         obs.count(metric, value - before[metric])
                 for metric, value in gauges.items():
                     obs.gauge(metric, value)
-                # Also closes what a raising kernel left open below.
-                while obs.tracer.depth > depth:
-                    obs.end()
-        return fn(*args)
 
     def _clear_caches(self) -> None:
         self._backend.clear_caches()
-        obs = current_obs_hook()
-        if obs is not None:
-            _, gauges = _read(self._backend, "")
-            for family in _CACHES:
-                if f"{family}.size" in gauges:
-                    obs.count(f"{family}.clears")
-            for metric, value in gauges.items():
-                obs.gauge(metric, value)
+        _, gauges = _read(self._backend, "")
+        for family in _CACHES:
+            if f"{family}.size" in gauges:
+                obs.count(f"{family}.clears")
+        for metric, value in gauges.items():
+            obs.gauge(metric, value)
 
     def forward_ntt_batch(self, residues: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
@@ -138,6 +127,6 @@ def observed(backend):
     """``backend`` behind an :class:`ObservedBackend` while an obs hook
     is installed (once: an observed backend is handed back as is);
     ``backend`` itself otherwise."""
-    if current_obs_hook() is None or isinstance(backend, ObservedBackend):
+    if obs.current_obs_hook() is None or isinstance(backend, ObservedBackend):
         return backend
     return ObservedBackend(backend)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.fhe.encoding import CkksEncoder
 from repro.fhe.keyswitch import (
     KeySwitchKey,
@@ -26,7 +27,6 @@ from repro.fhe.keyswitch import (
 from repro.fhe.params import CkksParams
 from repro.fhe.polynomial import RnsPoly
 from repro.fhe.rns import get_basis
-from repro.obs import CAT_PHASE, current_obs_hook
 from repro.fhe.sampling import sample_gaussian, sample_ternary, sample_uniform_poly
 
 
@@ -284,15 +284,11 @@ class CkksContext:
     def _apply_galois(self, ct: Ciphertext, k: int) -> Ciphertext:
         if ct.size != 2:
             raise ValueError("rotate expects a relinearized ciphertext")
-        obs = current_obs_hook()
-        if obs is not None:
-            # The single-pass permutation phase of an HRot; the Galois
-            # keyswitch that follows traces its own four phases.
-            obs.begin("hrot.automorphism", cat=CAT_PHASE, galois_k=k)
-        c0 = ct.parts[0].automorphism(k)
-        c1 = ct.parts[1].automorphism(k)
-        if obs is not None:
-            obs.end()
+        # The single-pass permutation phase of an HRot; the Galois
+        # keyswitch that follows traces its own four phases.
+        with obs.span("hrot.automorphism", cat=obs.CAT_PHASE, galois_k=k):
+            c0 = ct.parts[0].automorphism(k)
+            c1 = ct.parts[1].automorphism(k)
         t0, t1 = apply_keyswitch(c1, self.galois_keys[k], self.params)
         return Ciphertext(
             [c0 + mod_down(t0, self.basis), mod_down(t1, self.basis)],

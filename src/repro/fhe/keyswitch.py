@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.bounds import keyswitch_lazy_accumulate_ok, mul_fits_uint64
 from repro.arith.modular import mod_inverse
 from repro.fault.injector import current_fault_hook
 from repro.fhe.backend import get_backend
 from repro.fhe.params import CkksParams
-from repro.obs import CAT_PHASE, current_obs_hook
 from repro.fhe.polynomial import RnsPoly
 from repro.fhe.rns import RnsBasis, get_basis
 from repro.fhe.sampling import sample_gaussian, sample_uniform_poly
@@ -105,56 +105,50 @@ def decompose_digits(x: RnsPoly, params: CkksParams) -> list[RnsPoly]:
     batch — the NTT batch the accelerator speeds up, dispatched as one
     unit instead of one call per residue row.
     """
-    obs = current_obs_hook()
-    if obs is not None:
-        # Phase 1 of the §II-A keyswitch: digit extraction (the inverse
-        # NTT back to coefficients plus the centered-lift broadcast).
-        obs.begin("keyswitch.decompose", cat=CAT_PHASE,
-                  limbs=x.num_limbs, n=x.n)
-    coeff = x.to_coeff()
-    level_primes = x.primes
-    target = level_primes + (params.special_prime,)
-    lcount = len(level_primes)
-    tcount = len(target)
-    evals = np.empty((lcount, tcount, x.n), dtype=np.uint64)
-    # Digit i needs no transform in its own limb: the centered lift is
-    # congruent to the original residue row mod q_i, and forward(inverse)
-    # is an exact identity — so NTT(digit_i mod q_i) == x.residues[i]
-    # bit-for-bit.  Only the off-diagonal (i, j != i) rows hit the NTT.
-    for i in range(lcount):
-        evals[i, i] = x.residues[i]
-    off_diag = [(i, j) for i in range(lcount) for j in range(tcount)
-                if j != i]
-    if max(level_primes) // 2 < min(target):
-        # |centered| <= q_i/2 < every target prime (equal-width chains),
-        # so reduction mod t_j is res[i] + (t_j - q_i) when res[i] is in
-        # the upper half — pure uint64 with wraparound, no int64 `%`.
-        res = coeff.residues
-        half_col = np.array([q // 2 for q in level_primes],
-                            dtype=np.uint64)[:, None]
-        upper = res > half_col
-        src = [i for i, _ in off_diag]
-        offsets = np.array(
-            [(target[j] - level_primes[i]) % (1 << 64) for i, j in off_diag],
-            dtype=np.uint64)[:, None]
-        rows = res[src] + offsets * upper[src]
-    else:
-        q_col = np.array(level_primes, dtype=np.int64)[:, None]
-        res = coeff.residues.astype(np.int64)
-        centered = np.where(res > q_col // 2, res - q_col, res)
-        rows = np.stack([
-            (centered[i] % np.int64(target[j])).astype(np.uint64)
-            for i, j in off_diag
-        ])
-    if obs is not None:
-        obs.end()
-        # Phase 2: the digit NTT batch — all L*(L+1) off-diagonal rows
-        # in one dispatch, the batch the accelerator accelerates.
-        obs.begin("keyswitch.ntt", cat=CAT_PHASE, rows=len(off_diag))
-    batch = get_backend().forward_ntt_batch(
-        rows, tuple(target[j] for _, j in off_diag))
-    if obs is not None:
-        obs.end()
+    # Phase 1 of the §II-A keyswitch: digit extraction (the inverse
+    # NTT back to coefficients plus the centered-lift broadcast).
+    with obs.span("keyswitch.decompose", cat=obs.CAT_PHASE,
+                  limbs=x.num_limbs, n=x.n):
+        coeff = x.to_coeff()
+        level_primes = x.primes
+        target = level_primes + (params.special_prime,)
+        lcount = len(level_primes)
+        tcount = len(target)
+        evals = np.empty((lcount, tcount, x.n), dtype=np.uint64)
+        # Digit i needs no transform in its own limb: the centered lift is
+        # congruent to the original residue row mod q_i, and forward(inverse)
+        # is an exact identity — so NTT(digit_i mod q_i) == x.residues[i]
+        # bit-for-bit.  Only the off-diagonal (i, j != i) rows hit the NTT.
+        for i in range(lcount):
+            evals[i, i] = x.residues[i]
+        off_diag = [(i, j) for i in range(lcount) for j in range(tcount)
+                    if j != i]
+        if max(level_primes) // 2 < min(target):
+            # |centered| <= q_i/2 < every target prime (equal-width chains),
+            # so reduction mod t_j is res[i] + (t_j - q_i) when res[i] is in
+            # the upper half — pure uint64 with wraparound, no int64 `%`.
+            res = coeff.residues
+            half_col = np.array([q // 2 for q in level_primes],
+                                dtype=np.uint64)[:, None]
+            upper = res > half_col
+            src = [i for i, _ in off_diag]
+            offsets = np.array(
+                [(target[j] - level_primes[i]) % (1 << 64) for i, j in off_diag],
+                dtype=np.uint64)[:, None]
+            rows = res[src] + offsets * upper[src]
+        else:
+            q_col = np.array(level_primes, dtype=np.int64)[:, None]
+            res = coeff.residues.astype(np.int64)
+            centered = np.where(res > q_col // 2, res - q_col, res)
+            rows = np.stack([
+                (centered[i] % np.int64(target[j])).astype(np.uint64)
+                for i, j in off_diag
+            ])
+    # Phase 2: the digit NTT batch — all L*(L+1) off-diagonal rows in
+    # one dispatch, the batch the accelerator accelerates.
+    with obs.span("keyswitch.ntt", cat=obs.CAT_PHASE, rows=len(off_diag)):
+        batch = get_backend().forward_ntt_batch(
+            rows, tuple(target[j] for _, j in off_diag))
     for r, (i, j) in enumerate(off_diag):
         evals[i, j] = batch[r]
     return [RnsPoly(evals[i], target, is_eval=True) for i in range(lcount)]
@@ -178,87 +172,83 @@ def accumulate_keyswitch(
     product would wrap).  ``keep`` selects the key limbs matching the
     digits' basis (level prefix plus special prime).
     """
-    obs = current_obs_hook()
-    if obs is not None:
-        # Phase 3: the per-digit inner product (element-wise MACs over
-        # the (L+1, n) residue matrices, lazily reduced when provable).
-        obs.begin("keyswitch.inner_product", cat=CAT_PHASE,
-                  digits=len(digits))
-    q_col = np.array(primes, dtype=np.uint64)[:, None]
-    maxq = max(primes)
-    lazy = keyswitch_lazy_accumulate_ok(len(digits), maxq)
-    wide = not mul_fits_uint64(maxq - 1, maxq - 1)
-    inner = getattr(get_backend(), "keyswitch_inner_product", None)
-    if (inner is not None and not wide and digits
-            and current_fault_hook() is None):
-        # Fused compiled path: one kernel call over the (D, L+1, n)
-        # stacks.  Skipped under an active fault hook so injection sites
-        # and the ABFT spare-modulus check keep seeing the python loop
-        # (IntegrityBackend never exposes the fused method itself).
-        digit_stack = np.stack([d.residues for d in digits])
-        b_stack = np.stack([ksk.pairs[i][0].residues[keep]
-                            for i in range(len(digits))])
-        a_stack = np.stack([ksk.pairs[i][1].residues[keep]
-                            for i in range(len(digits))])
-        acc0, acc1 = inner(digit_stack, b_stack, a_stack, primes)
-        if obs is not None:
-            obs.end(lazy=lazy, fused=True)
-        return (RnsPoly(acc0, primes, is_eval=True),
-                RnsPoly(acc1, primes, is_eval=True))
-    acc0 = np.zeros_like(digits[0].residues)
-    acc1 = np.zeros_like(digits[0].residues)
-    if wide:
-        acc0 = acc0.astype(object)
-        acc1 = acc1.astype(object)
-        q_col = q_col.astype(object)
-    for i, digit in enumerate(digits):
-        b_i, a_i = ksk.pairs[i]
-        if lazy:
-            acc0 += digit.residues * b_i.residues[keep]
-            acc1 += digit.residues * a_i.residues[keep]
-        elif wide:
-            d = digit.residues.astype(object)
-            acc0 = (acc0 + d * b_i.residues[keep].astype(object)) % q_col
-            acc1 = (acc1 + d * a_i.residues[keep].astype(object)) % q_col
-        else:
-            # Each summand is reduced (< q) and the running sum is kept
-            # < q, so the uint64 addition transient stays below 2q.
-            acc0 = (acc0 + digit.residues * b_i.residues[keep] % q_col) % q_col
-            acc1 = (acc1 + digit.residues * a_i.residues[keep] % q_col) % q_col
-    if lazy:
-        hook = current_fault_hook()
-        if hook is not None:
-            # Expose the unreduced lazy accumulators to injection (site
-            # "keyswitch") before the spare-modulus verification runs.
-            hook.corrupt_buffer("keyswitch", acc0)
-            hook.corrupt_buffer("keyswitch", acc1)
-        check = getattr(get_backend(), "check_keyswitch_accumulation", None)
-        if check is not None:
-            # Spare-modulus (redundant-residue) verification: the exact
-            # uint64 accumulator must agree with the independent sum of
-            # spare-channel products.  A False verdict (retry/degrade
-            # policies) recomputes on the per-step reduced channel.
+    # Phase 3: the per-digit inner product (element-wise MACs over the
+    # (L+1, n) residue matrices, lazily reduced when provable).
+    with obs.span("keyswitch.inner_product", cat=obs.CAT_PHASE,
+                  digits=len(digits)) as phase:
+        q_col = np.array(primes, dtype=np.uint64)[:, None]
+        maxq = max(primes)
+        lazy = keyswitch_lazy_accumulate_ok(len(digits), maxq)
+        wide = not mul_fits_uint64(maxq - 1, maxq - 1)
+        inner = getattr(get_backend(), "keyswitch_inner_product", None)
+        if (inner is not None and not wide and digits
+                and current_fault_hook() is None):
+            # Fused compiled path: one kernel call over the (D, L+1, n)
+            # stacks.  Skipped under an active fault hook so injection sites
+            # and the ABFT spare-modulus check keep seeing the python loop
+            # (IntegrityBackend never exposes the fused method itself).
             digit_stack = np.stack([d.residues for d in digits])
             b_stack = np.stack([ksk.pairs[i][0].residues[keep]
                                 for i in range(len(digits))])
             a_stack = np.stack([ksk.pairs[i][1].residues[keep]
                                 for i in range(len(digits))])
-            if not check(acc0, digit_stack, b_stack):
-                acc0 = (digit_stack * b_stack % q_col).sum(
-                    axis=0, dtype=np.uint64)
-            if not check(acc1, digit_stack, a_stack):
-                acc1 = (digit_stack * a_stack % q_col).sum(
-                    axis=0, dtype=np.uint64)
-    acc0 %= q_col
-    acc1 %= q_col
-    if wide:
-        # Reduced residues < q < 2**62 fit uint64 exactly.
-        acc0 = acc0.astype(np.uint64)
-        acc1 = acc1.astype(np.uint64)
-    if obs is not None:
-        obs.end(lazy=lazy)
-    return (RnsPoly(acc0, primes, is_eval=True),
-            RnsPoly(acc1, primes, is_eval=True))
+            acc0, acc1 = inner(digit_stack, b_stack, a_stack, primes)
+            phase.set(lazy=lazy, fused=True)
+            return (RnsPoly(acc0, primes, is_eval=True),
+                    RnsPoly(acc1, primes, is_eval=True))
+        acc0 = np.zeros_like(digits[0].residues)
+        acc1 = np.zeros_like(digits[0].residues)
+        if wide:
+            acc0 = acc0.astype(object)
+            acc1 = acc1.astype(object)
+            q_col = q_col.astype(object)
+        for i, digit in enumerate(digits):
+            b_i, a_i = ksk.pairs[i]
+            if lazy:
+                acc0 += digit.residues * b_i.residues[keep]
+                acc1 += digit.residues * a_i.residues[keep]
+            elif wide:
+                d = digit.residues.astype(object)
+                acc0 = (acc0 + d * b_i.residues[keep].astype(object)) % q_col
+                acc1 = (acc1 + d * a_i.residues[keep].astype(object)) % q_col
+            else:
+                # Each summand is reduced (< q) and the running sum is kept
+                # < q, so the uint64 addition transient stays below 2q.
+                acc0 = (acc0 + digit.residues * b_i.residues[keep] % q_col) % q_col
+                acc1 = (acc1 + digit.residues * a_i.residues[keep] % q_col) % q_col
+        if lazy:
+            hook = current_fault_hook()
+            if hook is not None:
+                # Expose the unreduced lazy accumulators to injection (site
+                # "keyswitch") before the spare-modulus verification runs.
+                hook.corrupt_buffer("keyswitch", acc0)
+                hook.corrupt_buffer("keyswitch", acc1)
+            check = getattr(get_backend(), "check_keyswitch_accumulation", None)
+            if check is not None:
+                # Spare-modulus (redundant-residue) verification: the exact
+                # uint64 accumulator must agree with the independent sum of
+                # spare-channel products.  A False verdict (retry/degrade
+                # policies) recomputes on the per-step reduced channel.
+                digit_stack = np.stack([d.residues for d in digits])
+                b_stack = np.stack([ksk.pairs[i][0].residues[keep]
+                                    for i in range(len(digits))])
+                a_stack = np.stack([ksk.pairs[i][1].residues[keep]
+                                    for i in range(len(digits))])
+                if not check(acc0, digit_stack, b_stack):
+                    acc0 = (digit_stack * b_stack % q_col).sum(
+                        axis=0, dtype=np.uint64)
+                if not check(acc1, digit_stack, a_stack):
+                    acc1 = (digit_stack * a_stack % q_col).sum(
+                        axis=0, dtype=np.uint64)
+        acc0 %= q_col
+        acc1 %= q_col
+        if wide:
+            # Reduced residues < q < 2**62 fit uint64 exactly.
+            acc0 = acc0.astype(np.uint64)
+            acc1 = acc1.astype(np.uint64)
+        phase.set(lazy=lazy)
+        return (RnsPoly(acc0, primes, is_eval=True),
+                RnsPoly(acc1, primes, is_eval=True))
 
 
 def apply_keyswitch(
@@ -333,15 +323,11 @@ def mod_down(t: RnsPoly, basis: RnsBasis,
     if t.primes[-1] != basis.special_prime:
         raise ValueError("mod_down expects the special prime as last limb")
     inv_table = basis.special_inv_mod_chain[:t.num_limbs - 1]
-    obs = current_obs_hook()
-    if obs is not None:
-        # Phase 4: ModDown by the special prime (inverse NTT, rounding
-        # division, forward NTT back to the evaluation domain).
-        obs.begin("keyswitch.mod_down", cat=CAT_PHASE, limbs=t.num_limbs)
-    out = _divide_by_top_limb(t, inv_table, plaintext_modulus)
-    if obs is not None:
-        obs.end()
-    return out
+    # Phase 4: ModDown by the special prime (inverse NTT, rounding
+    # division, forward NTT back to the evaluation domain).
+    with obs.span("keyswitch.mod_down", cat=obs.CAT_PHASE,
+                  limbs=t.num_limbs):
+        return _divide_by_top_limb(t, inv_table, plaintext_modulus)
 
 
 def rescale(poly: RnsPoly, basis: RnsBasis) -> RnsPoly:
@@ -354,13 +340,8 @@ def rescale(poly: RnsPoly, basis: RnsBasis) -> RnsPoly:
         raise ValueError("cannot rescale below one limb")
     q_top = poly.primes[poly.num_limbs - 1]
     inv_table = basis.prime_inv_mod_others(basis.primes.index(q_top))
-    obs = current_obs_hook()
-    if obs is not None:
-        obs.begin("ckks.rescale", cat=CAT_PHASE, limbs=poly.num_limbs)
-    out = _divide_by_top_limb(poly, inv_table)
-    if obs is not None:
-        obs.end()
-    return out
+    with obs.span("ckks.rescale", cat=obs.CAT_PHASE, limbs=poly.num_limbs):
+        return _divide_by_top_limb(poly, inv_table)
 
 
 def mod_switch_exact(poly: RnsPoly, basis: RnsBasis,

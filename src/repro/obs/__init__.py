@@ -22,24 +22,31 @@ task opens on behalf of that request — backend kernels, integrity
 dispatches and replays, recovery journaling — is stamped with the same
 ``trace_id`` and stitches under the root.  One request, one trace.
 
-Hook contract (the overhead-neutrality guarantee, mirroring the fault
-layer's FHC005): production code touches the hook only as ::
+Hook contract (the overhead-neutrality guarantee): the one test of
+"is a hook installed?" lives in this module, behind the verbs
+:func:`span`, :func:`request`, :func:`record`, :func:`add_cycles`,
+:func:`count`, :func:`gauge`, :func:`observe_value`.  Production code
+calls them unconditionally ::
 
-    obs = current_obs_hook()
-    if obs is not None:
-        obs.begin("vpu.execute")
-    ...
-    if obs is not None:
-        obs.end(cycles=run.cycles)
+    from repro import obs
 
-so with observability disabled every site is one predictable branch —
-no span objects, no clock reads, no dict writes, no trace-id minting,
-zero modeled cycles, and bit-identical kernel outputs.  The FHC006
-lint rule statically enforces the guard at every dereference (FHC013
-additionally requires serve/recover span sites to go through the
-context-propagating API), and the test suite asserts bit- and
-cycle-exactness with tracing off vs. on — including with a bound
-:class:`~repro.obs.context.TraceContext`.
+    with obs.span("vpu.execute", cat="vpu", m=self.m) as sp:
+        ...
+        obs.add_cycles(run.cycles)
+        sp.set(cycles=run.cycles)
+
+and with no hook installed every verb returns at once — ``span`` and
+``request`` hand back one shared do-nothing handle — so there are no
+span objects, no clock reads, no dict writes, no trace-id minting, zero
+modeled cycles, and bit-identical kernel outputs.  A span exists only
+as a ``with`` block, so it is closed on every exit, on the observer
+that opened it.  Arguments are still evaluated with the hook off, so
+sites sit per op, per ``vpu.execute``, per request — never per lane.
+Code holds the :class:`Observer` itself (:func:`current_obs_hook`) only
+to read ``.tracer`` / ``.metrics`` back out.  The test suite asserts
+bit- and cycle-exactness with tracing off vs. on — including with a
+bound :class:`~repro.obs.context.TraceContext` — and that the verbs
+read no clock and allocate no handle with the hook off.
 
 ``REPRO_TRACE=1`` in the environment flips the hook on for CLI and
 benchmark entry points that call :func:`enable_from_env`.
@@ -47,9 +54,11 @@ benchmark entry points that call :func:`enable_from_env`.
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Any
 
 from repro.obs.context import (
     TraceContext,
@@ -76,19 +85,29 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
+    "add_cycles",
     "bind_trace",
     "check_span_tree",
+    "count",
     "current_obs_hook",
     "current_trace_context",
     "cycle_attribution",
     "enable_from_env",
+    "gauge",
     "install_obs_hook",
     "new_trace_id",
     "observe",
+    "observe_value",
     "per_trace_cycles",
     "prometheus_text",
+    "record",
+    "request",
+    "reset_telemetry",
+    "span",
+    "tick_ring",
     "trace_scope",
     "unbind_trace",
+    "zero_gauges",
 ]
 
 
@@ -103,12 +122,72 @@ class RequestTrace:
     root: Span
 
 
+class _NoSpan:
+    """What :func:`span` and :func:`request` return with no hook
+    installed: one shared handle on which everything does nothing."""
+
+    __slots__ = ()
+    ctx = None
+
+    def __enter__(self) -> "_NoSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+    def set(self, **end_args: Any) -> None:
+        return None
+
+
+_NO_SPAN = _NoSpan()
+
+
+class _SpanScope:
+    """One ``with`` span: begun on entry, ended on every exit — with the
+    args :meth:`set` collected — on the observer that began it."""
+
+    __slots__ = ("_obs", "_begin", "_end_args")
+
+    def __init__(self, obs: "Observer", name: str, cat: str, args: dict):
+        self._obs = obs
+        self._begin = (name, cat, args)
+        self._end_args: dict = {}
+
+    def set(self, **end_args: Any) -> None:
+        """Args to close the span with (later calls override)."""
+        self._end_args.update(end_args)
+
+    def __enter__(self) -> "_SpanScope":
+        name, cat, args = self._begin
+        self._obs.begin(name, cat, **args)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._obs.end(**self._end_args)
+
+
+class _RequestScope(_SpanScope):
+    """The ``with`` form of ``begin_request`` / ``end_request``;
+    ``ctx`` is the context to carry across task boundaries."""
+
+    __slots__ = ("ctx", "_handle")
+
+    def __enter__(self) -> "_RequestScope":
+        name, cat, args = self._begin
+        self._handle = self._obs.begin_request(name, cat, **args)
+        self.ctx = self._handle.ctx
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._obs.end_request(self._handle, **self._end_args)
+
+
 class Observer:
     """One observation session: tracer, metrics registry, snapshot ring.
 
-    This is the object the instrumentation sites talk to through the
-    guard; it exposes the small verb set the sites need so the hot-path
-    call is one attribute lookup deep.
+    The module-level verbs forward here when this observer is the
+    installed hook; tests and drivers that hold an observer call the
+    same methods on it directly.
     """
 
     def __init__(self, tracer: Tracer | None = None,
@@ -133,17 +212,13 @@ class Observer:
         self.tracer.record(name, cat, dur_ns=dur_ns, **args)
 
     def add_cycles(self, cycles: int) -> None:
+        """Charge model cycles to the innermost open span."""
         self.tracer.add_cycles(cycles)
 
-    @contextmanager
-    def span(self, name: str, cat: str = "model", **args):
-        """Context-manager span (exporter/driver-side convenience; the
-        model's instrumentation sites use guarded begin/end pairs)."""
-        self.tracer.begin(name, cat, **args)
-        try:
-            yield
-        finally:
-            self.tracer.end()
+    def span(self, name: str, cat: str = "model", **args) -> _SpanScope:
+        """``with``-only span; the handle's ``set(**end_args)`` adds
+        the args it closes with."""
+        return _SpanScope(self, name, cat, args)
 
     # -- request-scoped tracing ----------------------------------------------
 
@@ -168,12 +243,21 @@ class Observer:
         self.tracer.end(**args)
         unbind_trace(handle.token)  # type: ignore[arg-type]
 
+    def request(self, name: str, cat: str = "serve",
+                **args) -> _RequestScope:
+        """``with``-only :meth:`begin_request` / :meth:`end_request`
+        pair; the handle has ``ctx`` (what crosses task boundaries)
+        and ``set(**end_args)``."""
+        return _RequestScope(self, name, cat, args)
+
     # -- metrics -------------------------------------------------------------
 
     def count(self, name: str, value: float = 1) -> None:
+        """Add ``value`` to a counter."""
         self.metrics.inc(name, value)
 
     def gauge(self, name: str, value: float) -> None:
+        """Set a gauge to its latest value."""
         self.metrics.gauge(name, value)
 
     def zero_gauges(self, prefix: str) -> int:
@@ -182,6 +266,7 @@ class Observer:
         return self.metrics.zero_gauges(prefix)
 
     def observe_value(self, name: str, value: float) -> None:
+        """Feed one sample to a histogram and its quantile sketch."""
         self.metrics.observe(name, value)
 
     # -- telemetry -----------------------------------------------------------
@@ -209,8 +294,37 @@ def install_obs_hook(hook: Observer | None) -> Observer | None:
 
 def current_obs_hook() -> Observer | None:
     """The process-global observer, or None when observability is off —
-    the only way instrumentation sites reach the tracer/registry."""
+    for code that reads the tracer/registry back out; instrumentation
+    sites use the verbs below."""
     return _ACTIVE_OBSERVER
+
+
+# -- the verbs: what instrumentation sites call, hook or no hook -------------
+
+
+def _verb(method, off=None):
+    """The module-level form of an :class:`Observer` method: called on
+    the installed observer, and with none installed returning ``off``
+    at once — the one hook test every instrumentation site shares."""
+
+    @functools.wraps(method)
+    def verb(*args: Any, **kwargs: Any) -> Any:
+        obs = _ACTIVE_OBSERVER
+        return off if obs is None else method(obs, *args, **kwargs)
+
+    return verb
+
+
+span = _verb(Observer.span, _NO_SPAN)
+request = _verb(Observer.request, _NO_SPAN)
+record = _verb(Observer.record)
+add_cycles = _verb(Observer.add_cycles)
+count = _verb(Observer.count)
+gauge = _verb(Observer.gauge)
+observe_value = _verb(Observer.observe_value)
+zero_gauges = _verb(Observer.zero_gauges)
+tick_ring = _verb(Observer.tick_ring)
+reset_telemetry = _verb(Observer.reset_telemetry)
 
 
 @contextmanager

@@ -35,7 +35,8 @@ import json
 
 import numpy as np
 
-from repro.obs import Observer, cycle_attribution, install_obs_hook
+from repro.obs import (Observer, cycle_attribution, install_obs_hook, request,
+                       span)
 from repro.obs.export import (
     format_attribution,
     metrics_snapshot,
@@ -213,21 +214,10 @@ def _run_pass(workload: _Workload, m: int, observer: Observer | None,
     backend = VpuBackend(m=m)
     previous = install_obs_hook(observer)
     try:
-        with use_backend(backend):
-            if observer is not None and in_request:
-                handle = observer.begin_request(
-                    f"workload.{workload.name}", cat="workload",
-                    quick=workload.quick)
-                try:
-                    out = workload.run()
-                finally:
-                    observer.end_request(handle)
-            elif observer is not None:
-                with observer.span(f"workload.{workload.name}",
-                                   cat="workload", quick=workload.quick):
-                    out = workload.run()
-            else:
-                out = workload.run()
+        scope = request if in_request else span  # no-ops with no observer
+        with use_backend(backend), scope(f"workload.{workload.name}",
+                                         cat="workload", quick=workload.quick):
+            out = workload.run()
     finally:
         install_obs_hook(previous)
     return out, backend.vpu.stats.cycles

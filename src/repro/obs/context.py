@@ -19,10 +19,10 @@ Propagation rules:
   created at ``start()``); the ticket carries the request's
   :class:`TraceContext` and the worker re-enters it with
   :func:`trace_scope` — the one explicit hand-off in the system.
-* Binding is only ever performed behind the obs-hook guard
-  (:func:`repro.obs.current_obs_hook`), so with observability disabled
-  no ids are minted and no contextvar is touched (the FHC006 contract
-  extends to the context path).
+* Binding is only ever performed under an installed obs hook
+  (:func:`repro.obs.request` is a no-op without one, and tickets then
+  carry no context), so with observability disabled no ids are minted
+  and no contextvar is touched.
 
 :func:`per_trace_cycles` and :func:`check_span_tree` are the analysis
 half: per-request cycle attribution that reconciles exactly with the

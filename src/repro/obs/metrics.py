@@ -4,9 +4,9 @@ The registry is the scrape surface the ROADMAP's traffic-serving story
 needs: compiled-program cache hits/misses, integrity detections and
 retries, per-pool makespan/utilization, SRAM/DRAM byte traffic, and —
 for the serving layer — streaming latency quantiles.  All of it is fed
-exclusively through the obs hook (:func:`repro.obs.current_obs_hook`)
-behind ``is not None`` guards, so a disabled registry costs the model
-nothing (FHC006).
+exclusively through the null-safe verbs of :mod:`repro.obs`
+(``count`` / ``gauge`` / ``observe_value``), so a disabled registry
+costs the model nothing.
 
 Every observed value feeds two summaries: the exact
 min/mean/max :class:`Histogram` (what the reports print) and a

@@ -27,10 +27,10 @@ Two clocks ride on every span:
   cycle is counted exactly once and per-phase attribution never double
   counts even when phases nest (:func:`cycle_attribution`).
 
-The tracer is only ever driven through the process-global obs hook
-(:func:`repro.obs.current_obs_hook`); with the hook uninstalled no span
-objects, clock reads, or dictionary writes happen anywhere in the model
-(the FHC006 guard contract).
+The tracer is only ever driven through the process-global obs hook,
+by the null-safe verbs of :mod:`repro.obs`; with the hook uninstalled
+no span objects, clock reads, or dictionary writes happen anywhere in
+the model.
 """
 
 from __future__ import annotations

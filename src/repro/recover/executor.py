@@ -32,17 +32,18 @@ empirically a hundred crashes at a time.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.ctstate import (CtState, CtStateError, Op,
-                                    check_sequence, execute_op)
+                                    check_sequence, execute_op, scheme_of)
 from repro.fault.crash import SITE_OP_BOUNDARY, crash_point
 from repro.fhe.serialize import ciphertext_digest
-from repro.obs import current_obs_hook, current_trace_context
 from repro.recover import checkpoint as ckpt
 from repro.recover.journal import (RT_BEGIN, RT_CHECKPOINT, RT_COMMIT,
                                    RT_OP_DONE, JournalError, decode, encode)
@@ -122,7 +123,7 @@ def golden_outputs_digest(ctx: Any, ops: Sequence[Op],
     The campaign's ground truth: a resumed run is *bit-identical* iff
     its outputs digest equals this.
     """
-    scheme = _scheme_name(ctx)
+    scheme = scheme_of(ctx)
     report = check_sequence(ops, ctx.params, scheme=scheme, label=label)
     if report.ok:
         values: list[Any] = []
@@ -132,14 +133,6 @@ def golden_outputs_digest(ctx: Any, ops: Sequence[Op],
             values.append(execute_op(op, ctx, values, feed, scheme=scheme))
         return outputs_digest(ops, values)
     raise CtStateError(report)
-
-
-def _scheme_name(ctx: Any) -> str:
-    name = type(ctx).__name__.lower()
-    for scheme in ("ckks", "bfv", "bgv"):
-        if name.startswith(scheme):
-            return scheme
-    raise TypeError(f"cannot infer scheme from context {type(ctx).__name__}")
 
 
 def _op_to_json(op: Op) -> list:
@@ -174,7 +167,7 @@ class DurableExecutor:
         self.checkpoint_interval = int(checkpoint_interval)
         self.run_seed = int(run_seed)
         self.label = label
-        self.scheme = _scheme_name(ctx)
+        self.scheme = scheme_of(ctx)
 
     @property
     def journal_path(self) -> Path:
@@ -203,21 +196,12 @@ class DurableExecutor:
         surface as exactly one typed :class:`ResumeFinding`; silent
         divergence surfaces as a raised :class:`DivergenceError`.
         """
-        obs = current_obs_hook()
-        if obs is not None:
-            # Stamp the ambient request trace (0 = standalone recovery)
-            # so a resume triggered on behalf of a serving request shows
-            # up inside that request's stitched trace.
-            ctx = current_trace_context()
-            obs.begin("recover.resume", "recover",
-                      trace=0 if ctx is None else ctx.trace_id)
+        # Under a serving request's bound trace the span carries that
+        # request's trace_id, so the resume shows up inside its stitched
+        # trace (trace_id 0 = standalone recovery).
+        with obs.span("recover.resume", "recover"):
             obs.count("recover.resumes")
-        try:
             return self._resume_inner()
-        finally:
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.end()
 
     def _resume_inner(self) -> RecoveryReport:
         out = RecoveryReport(self.label, self.scheme, len(self.ops))
@@ -227,9 +211,7 @@ class DurableExecutor:
                 "torn_tail",
                 f"journal ended mid-record at byte {scanned.valid_bytes} of "
                 f"{scanned.total_bytes}; torn tail truncated"))
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.count("recover.torn_tails")
+            obs.count("recover.torn_tails")
         with wal:
             begin, journaled, checkpoints, commit = self._parse(
                 scanned.records)
@@ -260,8 +242,10 @@ class DurableExecutor:
                 start = boundary + 1
                 out.resumed_from = boundary
                 out.skipped_ops = start
-                self._execute_range(wal, values, start, report.states,
-                                    journaled=journaled, out=out)
+                with (obs.span("recover.replay", "recover", start=start)
+                      if start > 0 else nullcontext()):
+                    self._execute_range(wal, values, start, report.states,
+                                        journaled=journaled, out=out)
                 out.outputs_digest = outputs_digest(self.ops, values)
                 wal.append(RT_COMMIT, encode({
                     "digest": out.outputs_digest,
@@ -313,11 +297,6 @@ class DurableExecutor:
         for index in range(start):
             if self.ops[index].kind in _FEED_KINDS:
                 next(feed)  # consumed by the journaled prefix
-        obs = current_obs_hook()
-        if obs is not None and start > 0:
-            ctx = current_trace_context()
-            obs.begin("recover.replay", "recover", start=start,
-                      trace=0 if ctx is None else ctx.trace_id)
         for index in range(start, len(self.ops)):
             crash_point(SITE_OP_BOUNDARY)
             op = self.ops[index]
@@ -339,47 +318,35 @@ class DurableExecutor:
                 wal.append(RT_OP_DONE, encode({
                     "index": index, "digest": digest}))
             out.replayed_ops += 1
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.count("recover.ops_executed")
+            obs.count("recover.ops_executed")
             if (self.checkpoint_interval > 0
                     and (index + 1) % self.checkpoint_interval == 0
                     and index + 1 < len(self.ops)):
                 self._take_checkpoint(wal, values, index, states)
-        obs = current_obs_hook()
-        if obs is not None and start > 0:
-            obs.end()
 
     def _take_checkpoint(self, wal: WriteAheadLog, values: list[Any],
                          boundary: int,
                          states: Sequence["CtState | None"]) -> None:
-        obs = current_obs_hook()
-        if obs is not None:
-            ctx = current_trace_context()
-            obs.begin("recover.checkpoint", "recover", boundary=boundary,
-                      trace=0 if ctx is None else ctx.trace_id)
+        with obs.span("recover.checkpoint", "recover", boundary=boundary):
             obs.count("recover.checkpoints")
-        live = ckpt.live_set(self.ops, boundary)
-        entries = ckpt.write_archives(self.directory, boundary, values,
-                                      live, states)
-        wal.append(RT_CHECKPOINT, encode({
-            "boundary": boundary,
-            "ops_digest": ckpt.ops_digest(self.ops, self.scheme),
-            "entries": [{
-                "value": e.value_index,
-                "file": e.file_name,
-                "digest": e.digest,
-                "state": None if e.state is None else {
-                    "level": e.state.level,
-                    "scale_log2": e.state.scale_log2,
-                    "domain": e.state.domain,
-                    "size": e.state.size,
-                },
-            } for e in entries],
-        }))
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.end()
+            live = ckpt.live_set(self.ops, boundary)
+            entries = ckpt.write_archives(self.directory, boundary, values,
+                                          live, states)
+            wal.append(RT_CHECKPOINT, encode({
+                "boundary": boundary,
+                "ops_digest": ckpt.ops_digest(self.ops, self.scheme),
+                "entries": [{
+                    "value": e.value_index,
+                    "file": e.file_name,
+                    "digest": e.digest,
+                    "state": None if e.state is None else {
+                        "level": e.state.level,
+                        "scale_log2": e.state.scale_log2,
+                        "domain": e.state.domain,
+                        "size": e.state.size,
+                    },
+                } for e in entries],
+            }))
 
     def _restore_checkpoint(self, checkpoints: list[dict],
                             states: Sequence["CtState | None"],
@@ -416,9 +383,7 @@ class DurableExecutor:
                     "corrupt_checkpoint",
                     f"checkpoint at op {boundary} failed validation "
                     f"({exc}); falling back"))
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.count("recover.corrupt_checkpoints")
+                obs.count("recover.corrupt_checkpoints")
                 continue
             for index, ct in loaded:
                 values[index] = ct

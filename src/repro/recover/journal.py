@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs import current_obs_hook, current_trace_context
+from repro import obs
 from repro.recover.wal import Record, WriteAheadLog
 
 __all__ = [
@@ -115,28 +115,24 @@ class RequestJournal:
             "timeout_us": int(timeout_s * 1_000_000),
             "payload": payload,
         }
-        obs = current_obs_hook()
-        if obs is not None:
-            # Stamp the request's trace id into the durable record (and
-            # count the append) so a post-crash inspection of the WAL
-            # links each admitted request back to its distributed trace.
-            # With observability off the journal bytes are exactly the
-            # pre-tracing encoding — no key, no id minting.
-            ctx = current_trace_context()
-            if ctx is not None:
-                entry["trace"] = ctx.trace_id
-            obs.count("recover.journal.submits")
-        self._log().append(RT_SERVE_SUBMIT, encode(entry))
+        self._append(RT_SERVE_SUBMIT, entry, "recover.journal.submits")
 
     def record_resolve(self, request_id: int, status: str) -> None:
-        entry = {"id": request_id, "status": status}
-        obs = current_obs_hook()
-        if obs is not None:
-            ctx = current_trace_context()
-            if ctx is not None:
-                entry["trace"] = ctx.trace_id
-            obs.count("recover.journal.resolves")
-        self._log().append(RT_SERVE_RESOLVE, encode(entry))
+        self._append(RT_SERVE_RESOLVE, {"id": request_id, "status": status},
+                     "recover.journal.resolves")
+
+    def _append(self, rtype: int, entry: dict, counter: str) -> None:
+        # Stamp the request's trace id into the durable record (and
+        # count the append) so a post-crash inspection of the WAL links
+        # each admitted request back to its distributed trace.  A trace
+        # is only ever bound under an obs hook, so with observability
+        # off the journal bytes are exactly the pre-tracing encoding —
+        # no key, no id minting.
+        ctx = obs.current_trace_context()
+        if ctx is not None:
+            entry["trace"] = ctx.trace_id
+        obs.count(counter)
+        self._log().append(rtype, encode(entry))
 
     def pending(self) -> list[dict]:
         """Replay the ledger: submits with no matching resolve, in

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.obs import check_span_tree, current_obs_hook, per_trace_cycles
+from repro import obs
 
 __all__ = [
     "ChaosInjector",
@@ -148,9 +148,7 @@ class ChaosInjector:
             self.affected_ids.add(request_id)
             for site in sites:
                 self.by_site[site] += 1
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.count("serve.chaos.injections", len(sites))
+            obs.count("serve.chaos.injections", len(sites))
         return plan
 
 
@@ -297,27 +295,28 @@ def run_chaos_campaign(requests: int = 900, seed: int = 0,
         outcome.violations.append(
             f"only {outcome.injections} injections realized; campaign "
             f"requires >= {min_injections}")
-    obs = current_obs_hook()
-    if obs is not None:
+    observer = obs.current_obs_hook()
+    if observer is not None:
         # Trace well-formedness is part of the chaos contract: after
         # the engine quiesces no span may be left open, every request's
         # spans must form one stitched tree under its root, and cycles
         # summed per trace must reconcile with the registry's counter
         # (retries, degrades, and watchdog races included).
-        dangling = obs.tracer.unwind()
+        dangling = observer.tracer.unwind()
         if dangling:
             outcome.violations.append(
                 f"{dangling} spans left open after the campaign quiesced")
-        for problem in check_span_tree(obs.tracer):
+        for problem in obs.check_span_tree(observer.tracer):
             outcome.violations.append(f"span-tree: {problem}")
         traced = sum(cycles for trace_id, cycles
-                     in per_trace_cycles(obs.tracer).items() if trace_id)
-        counted = int(obs.metrics.counters.get("serve.model_cycles", 0))
+                     in obs.per_trace_cycles(observer.tracer).items()
+                     if trace_id)
+        counted = int(observer.metrics.counters.get("serve.model_cycles", 0))
         if traced != counted:
             outcome.violations.append(
                 f"per-trace cycle sum {traced} != serve.model_cycles "
                 f"counter {counted} (attribution leak)")
-        obs.gauge("serve.chaos.p99_latency", round(outcome.p99_latency, 6))
-        obs.count("serve.chaos.campaign_violations",
-                  len(outcome.violations))
+        observer.gauge("serve.chaos.p99_latency", round(outcome.p99_latency, 6))
+        observer.count("serve.chaos.campaign_violations",
+                       len(outcome.violations))
     return outcome

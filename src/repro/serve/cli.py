@@ -61,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_metrics() -> None:
-    obs = current_obs_hook()
-    if obs is not None:
-        snapshot = obs.metrics.snapshot()
+    observer = current_obs_hook()
+    if observer is not None:
+        snapshot = observer.metrics.snapshot()
         print(json.dumps({"obs": snapshot}, indent=2, sort_keys=True),
               file=sys.stderr)
 

@@ -27,7 +27,7 @@ The request path, in order:
    exceptions never escape ``submit``.
 
 Every request is one trace: ``submit`` opens a ``serve.request`` root
-span via the context-propagating API (``Observer.begin_request``), the
+span with ``obs.request(...)`` (``Observer.begin_request``), the
 minted :class:`~repro.obs.context.TraceContext` rides the ticket
 across the queue, and the worker re-enters it with
 :func:`~repro.obs.context.trace_scope` — so the queue wait, every
@@ -37,8 +37,8 @@ executor dispatches, and any journal records all carry the same
 interleaved tasks.  Phase durations (queue / dispatch / compute /
 verify) are *live* spans with real wall extents plus histograms, so
 ``python -m repro.obs`` renders serving runs the same way it renders
-kernel runs.  All of it sits behind the guarded obs hook: with
-observability off, no context is minted and no span exists.
+kernel runs.  All of it goes through the null-safe ``repro.obs`` verbs:
+with observability off, no context is minted and no span exists.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs import current_obs_hook
+from repro import obs
 from repro.obs.context import TraceContext, bind_trace, unbind_trace
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
@@ -212,9 +212,7 @@ class ServeEngine:
             if item.future.done():
                 continue
             self.counters["shutdown_resolved"] += 1
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.count("serve.shutdown_resolved")
+            obs.count("serve.shutdown_resolved")
             item.future.set_result(ServeResult(
                 item.request.request_id, item.request.tenant,
                 item.request.op, STATUS_ERROR,
@@ -251,9 +249,7 @@ class ServeEngine:
         key = ("rejected_rate" if reason == "rate_limited"
                else "rejected_capacity")
         self.counters[key] += 1
-        obs = current_obs_hook()
-        if obs is not None:
-            obs.count(f"serve.{key}")
+        obs.count(f"serve.{key}")
         return ServeResult(request.request_id, request.tenant, request.op,
                            STATUS_REJECTED, error=reason,
                            retry_after=retry_after)
@@ -286,21 +282,13 @@ class ServeEngine:
         minted context rides the ticket so the worker's spans stitch
         under this root.
         """
-        obs = current_obs_hook()
-        if obs is not None:
-            handle = obs.begin_request(
-                "serve.request", cat="serve", request=request.request_id,
-                tenant=request.tenant, op=request.op)
-            status = "unresolved"
-            try:
-                result = await self._submit(request, handle.ctx)
-                status = result.status
-                return result
-            finally:
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.end_request(handle, status=status)
-        return await self._submit(request, None)
+        with obs.request("serve.request", cat="serve",
+                         request=request.request_id, tenant=request.tenant,
+                         op=request.op) as trace:
+            trace.set(status="unresolved")
+            result = await self._submit(request, trace.ctx)
+            trace.set(status=result.status)
+            return result
 
     async def _submit(self, request: ServeRequest,
                       trace_ctx: TraceContext | None) -> ServeResult:
@@ -339,9 +327,7 @@ class ServeEngine:
             # timeout so the caller never hangs; if the worker finishes
             # later its set_result finds the future already done.
             self.counters["watchdog_fires"] += 1
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.count("serve.watchdog_fires")
+            obs.count("serve.watchdog_fires")
             if not future.done():
                 future.cancel()
             result = ServeResult(request.request_id, request.tenant,
@@ -363,14 +349,12 @@ class ServeEngine:
         plus the ring tick that turns resolutions into periodic
         samples.  Rejections count as requests but not as budget burn:
         load shedding is the mitigation, not the incident."""
-        obs = current_obs_hook()
-        if obs is not None:
-            base = f"serve.tenant.{request.tenant}"
-            obs.count(f"{base}.requests")
-            if result.status in (STATUS_ERROR, STATUS_TIMEOUT):
-                obs.count(f"{base}.bad")
-            obs.observe_value(f"{base}.latency_s", result.latency)
-            obs.tick_ring()
+        base = f"serve.tenant.{request.tenant}"
+        obs.count(f"{base}.requests")
+        if result.status in (STATUS_ERROR, STATUS_TIMEOUT):
+            obs.count(f"{base}.bad")
+        obs.observe_value(f"{base}.latency_s", result.latency)
+        obs.tick_ring()
 
     async def resume_pending(self) -> list[ServeResult]:
         """Re-submit every journaled request that was admitted but never
@@ -385,9 +369,7 @@ class ServeEngine:
         results = []
         for entry in self._journal.pending():
             self.counters["journal_replayed"] += 1
-            obs = current_obs_hook()
-            if obs is not None:
-                obs.count("serve.journal_replayed")
+            obs.count("serve.journal_replayed")
             request = ServeRequest(
                 entry["id"], entry["tenant"], entry["op"],
                 Deadline.after(entry["timeout_s"]),
@@ -431,16 +413,13 @@ class ServeEngine:
         service = (self.clock() - ticket.queued_at
                    - phases.get("queue", 0) / 1e9)
         self.admission.observe_service(max(0.0, service))
-        obs = current_obs_hook()
-        if obs is not None:
-            # Spans are live now (begun under the request's trace
-            # context in _handle_attempts); only the histograms and
-            # counters are recorded at resolution time.
-            for phase in ("queue", "dispatch", "compute", "verify"):
-                obs.observe_value(f"serve.phase.{phase}_ns",
-                                  phases.get(phase, 0))
-            obs.count(f"serve.status.{result.status}")
-            obs.observe_value("serve.attempts", result.attempts)
+        # The spans are live (begun under the request's trace context
+        # in _handle); only the histograms and counters are recorded at
+        # resolution time.
+        for phase in ("queue", "dispatch", "compute", "verify"):
+            obs.observe_value(f"serve.phase.{phase}_ns", phases.get(phase, 0))
+        obs.count(f"serve.status.{result.status}")
+        obs.observe_value("serve.attempts", result.attempts)
         return result
 
     async def _handle(self, ticket: _Ticket) -> ServeResult:
@@ -458,12 +437,10 @@ class ServeEngine:
             dispatch_start = self.clock()
             phases = {"queue": int((dispatch_start - ticket.queued_at) * 1e9),
                       "dispatch": 0, "compute": 0, "verify": 0}
-            obs = current_obs_hook()
-            if obs is not None:
-                # The queue wait just ended: record it as an already-elapsed
-                # span ([dequeue - wait, dequeue]) stitched under the root.
-                obs.record("serve.queue", cat="serve", dur_ns=phases["queue"],
-                           request=request.request_id)
+            # The queue wait just ended: record it as an already-elapsed
+            # span ([dequeue - wait, dequeue]) stitched under the root.
+            obs.record("serve.queue", cat="serve", dur_ns=phases["queue"],
+                       request=request.request_id)
             if request.deadline.expired():
                 return self._finish(ticket, ServeResult(
                     request.request_id, request.tenant, request.op,
@@ -478,21 +455,18 @@ class ServeEngine:
                 attempts += 1
                 dispatch_ns = int((self.clock() - dispatch_start) * 1e9)
                 phases["dispatch"] += dispatch_ns
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.record("serve.dispatch", cat="serve",
-                               dur_ns=dispatch_ns, attempt=attempts)
-                    # Live span: retries and degrade steps each get their
-                    # own serve.attempt, and the executor's backend spans
-                    # nest inside it structurally.
-                    obs.begin("serve.attempt", cat="serve",
-                              request=request.request_id, attempt=attempts,
-                              level=level)
-                compute_start = self.clock()
+                obs.record("serve.dispatch", cat="serve",
+                           dur_ns=dispatch_ns, attempt=attempts)
                 value: Any = None
                 verified = False
                 attempt_timed_out = False
-                try:
+                # Live span: retries and degrade steps each get their own
+                # serve.attempt, and the executor's backend spans nest
+                # inside it structurally.
+                with obs.span("serve.attempt", cat="serve",
+                              request=request.request_id, attempt=attempts,
+                              level=level) as attempt_span:
+                    compute_start = self.clock()
                     try:
                         value = await with_deadline(
                             self._run_attempt(request, level, attempts, plan),
@@ -503,22 +477,16 @@ class ServeEngine:
                     verify_start = self.clock()
                     compute_ns = int((verify_start - compute_start) * 1e9)
                     phases["compute"] += compute_ns
-                    obs = current_obs_hook()
-                    if obs is not None:
-                        obs.record("serve.compute", cat="serve",
-                                   dur_ns=compute_ns, level=level)
+                    obs.record("serve.compute", cat="serve",
+                               dur_ns=compute_ns, level=level)
                     if not attempt_timed_out:
                         verified = bool(self.executor.verify(request, value))
                         verify_ns = int((self.clock() - verify_start) * 1e9)
                         phases["verify"] += verify_ns
-                        obs = current_obs_hook()
-                        if obs is not None:
-                            obs.record("serve.verify", cat="serve",
-                                       dur_ns=verify_ns, verified=verified)
-                finally:
-                    obs = current_obs_hook()
-                    if obs is not None:
-                        obs.end(verified=verified, timed_out=attempt_timed_out)
+                        obs.record("serve.verify", cat="serve",
+                                   dur_ns=verify_ns, verified=verified)
+                    attempt_span.set(verified=verified,
+                                     timed_out=attempt_timed_out)
                 if verified:
                     if level in self.breakers:
                         self.breakers[level].record_success()
@@ -530,9 +498,7 @@ class ServeEngine:
                 # Attempt failed: integrity mismatch or a lost completion.
                 if not attempt_timed_out:
                     self.counters["integrity_failures"] += 1
-                    obs = current_obs_hook()
-                    if obs is not None:
-                        obs.count("serve.integrity_failures")
+                    obs.count("serve.integrity_failures")
                 if level in self.breakers:
                     self.breakers[level].record_failure()
                 if request.deadline.expired():
@@ -556,9 +522,7 @@ class ServeEngine:
                     # Budget or attempts exhausted at this level: degrade.
                     level += 1
                     self.counters["degrade_steps"] += 1
-                    obs = current_obs_hook()
-                    if obs is not None:
-                        obs.count("serve.degrade_steps")
+                    obs.count("serve.degrade_steps")
                     continue
                 return self._finish(ticket, ServeResult(
                     request.request_id, request.tenant, request.op,

@@ -36,10 +36,10 @@ import zlib
 
 import numpy as np
 
+from repro import obs
 from repro.fhe.backend import ladder_backend, use_backend
 from repro.fhe.ckks import Ciphertext, CkksContext
 from repro.fhe.params import CkksParams, toy_params
-from repro.obs import current_obs_hook
 from repro.serve.requests import OPS, ServeRequest
 
 __all__ = ["CkksOpExecutor", "SimulatedExecutor"]
@@ -163,15 +163,13 @@ class SimulatedExecutor:
     async def run(self, request: ServeRequest, level: int,
                   straggle: float = 1.0) -> int:
         await asyncio.sleep(self.service_time(request, level) * straggle)
-        obs = current_obs_hook()
-        if obs is not None:
-            # Charge the modeled cycles to the innermost open span (the
-            # engine's serve.attempt, stamped with the request's trace)
-            # and mirror them into the registry: per-trace sums from
-            # the tracer must reconcile with this counter exactly.
-            cycles = self.model_cycles(request, level)
-            obs.add_cycles(cycles)
-            obs.count("serve.model_cycles", cycles)
+        # Charge the modeled cycles to the innermost open span (the
+        # engine's serve.attempt, stamped with the request's trace) and
+        # mirror them into the registry: per-trace sums from the tracer
+        # must reconcile with this counter exactly.
+        cycles = self.model_cycles(request, level)
+        obs.add_cycles(cycles)
+        obs.count("serve.model_cycles", cycles)
         return self.fingerprint(request)
 
     def verify(self, request: ServeRequest, value: int) -> bool:

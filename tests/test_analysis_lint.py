@@ -160,63 +160,6 @@ class TestFHC005FaultHookGuard:
             """)
 
 
-class TestFHC006ObsHookGuard:
-    def test_flags_unguarded_accessor_alias(self):
-        assert "FHC006" in _rules("""
-            def f(x):
-                obs = current_obs_hook()
-                obs.count("vpu.executions")
-                return x
-            """)
-
-    def test_guarded_alias_exempts(self):
-        assert _rules("""
-            def f(x):
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.begin("vpu.execute", m=16)
-                y = work(x)
-                if obs is not None:
-                    obs.end(cycles=y)
-                return y
-            """) == []
-
-    def test_installer_and_accessor_calls_exempt(self):
-        assert _rules("""
-            def f(observer):
-                previous = install_obs_hook(observer)
-                install_obs_hook(previous)
-                return current_obs_hook()
-            """) == []
-
-    def test_dereference_outside_the_guard_still_flagged(self):
-        assert "FHC006" in _rules("""
-            def f(x):
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.begin("span")
-                obs.end()
-                return x
-            """)
-
-    def test_transitive_alias_tracked(self):
-        assert "FHC006" in _rules("""
-            def f(x):
-                obs = current_obs_hook()
-                o2 = obs
-                o2.count("x")
-            """)
-
-    def test_fault_and_obs_rules_are_independent(self):
-        rules = _rules("""
-            def f(self, x):
-                self.fault_hook.filter_alu("mul", x)
-                obs = current_obs_hook()
-                obs.count("x")
-            """)
-        assert "FHC005" in rules and "FHC006" in rules
-
-
 class TestFHC007CompiledGateGuard:
     def test_flags_ungated_lazy_kernel(self):
         assert "FHC007" in _rules("""
@@ -521,93 +464,4 @@ class TestFHC012RecoverDurability:
         assert self._recover_rules("""
             def append(fh, blob):
                 fh.write(blob)  # fhecheck: ok=FHC012
-            """) == []
-
-
-class TestFHC013SpanTraceContext:
-    """Seeded mutations for the span/trace-context rule: a span created
-    in the serving or recovery layer with no trace-context evidence in
-    the function is exactly the bug the request-scoped tracing refactor
-    removed (orphan spans that cannot be stitched into a request)."""
-
-    SERVE = "src/repro/serve/engine.py"
-
-    def _serve_rules(self, source: str, filename: str | None = None):
-        import textwrap
-
-        from repro.analysis.lint import lint_source
-
-        return [f.rule for f in
-                lint_source(textwrap.dedent(source),
-                            filename=filename or self.SERVE)]
-
-    def test_flags_guarded_span_with_no_context_evidence(self):
-        assert self._serve_rules("""
-            def handler(ticket):
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.begin("serve.attempt", cat="serve")
-                    obs.end()
-            """) == ["FHC013"]
-
-    def test_flags_record_and_span_verbs_too(self):
-        assert self._serve_rules("""
-            def handler(x):
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.record("serve.queue", cat="serve", dur_ns=5)
-            """) == ["FHC013"]
-
-    def test_bind_trace_evidence_sanctions_the_span(self):
-        assert self._serve_rules("""
-            def handler(ticket):
-                token = bind_trace(ticket.trace_ctx)
-                try:
-                    obs = current_obs_hook()
-                    if obs is not None:
-                        obs.begin("serve.attempt", cat="serve")
-                        obs.end()
-                finally:
-                    unbind_trace(token)
-            """) == []
-
-    def test_current_trace_context_stamp_is_evidence(self):
-        assert self._serve_rules("""
-            def resume(path):
-                obs = current_obs_hook()
-                if obs is not None:
-                    ctx = current_trace_context()
-                    obs.begin("recover.resume", cat="recover",
-                              trace=0 if ctx is None else ctx.trace_id)
-            """, filename="src/repro/recover/executor.py") == []
-
-    def test_begin_request_is_the_boundary_and_exempt(self):
-        assert self._serve_rules("""
-            def submit(req):
-                obs = current_obs_hook()
-                if obs is not None:
-                    handle = obs.begin_request("serve.request", cat="serve")
-                    obs.end_request(handle)
-            """) == []
-
-    def test_rule_scoped_to_serve_and_recover(self):
-        source = """
-            def handler(ticket):
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.begin("phase", cat="model")
-                    obs.end()
-            """
-        assert self._serve_rules(
-            source, filename="src/repro/fhe/other.py") == []
-        assert self._serve_rules(
-            source, filename="src/repro/recover/executor.py") == ["FHC013"]
-
-    def test_suppression_comment_applies(self):
-        assert self._serve_rules("""
-            def handler(ticket):
-                obs = current_obs_hook()
-                if obs is not None:
-                    obs.begin("serve.attempt", cat="serve")  # fhecheck: ok=FHC013
-                    obs.end()
             """) == []

@@ -10,12 +10,15 @@ backend's reported total).
 import json
 
 import numpy as np
+import pytest
 
+from repro import obs as verbs
 from repro.accel.dram import DramModel
 from repro.accel.parallel import ParallelVpuPool
 from repro.arith.primes import find_ntt_prime, find_ntt_primes
 from repro.fault.injector import FaultInjector, FaultSpec
-from repro.fhe.backend import VpuBackend, observed, use_backend
+from repro.fhe.backend import NumpyBackend, VpuBackend, observed, use_backend
+from repro.fhe.ckks import CkksContext
 from repro.fhe.params import toy_params
 from repro.fhe.sampling import sample_uniform_poly
 from repro.obs import (
@@ -37,6 +40,7 @@ from repro.obs.export import (
     to_chrome_trace,
     validate_chrome_trace,
 )
+from repro.recover.executor import DivergenceError
 
 N = 64
 M = 16
@@ -315,6 +319,60 @@ class TestNeutrality:
         names = [s.name for s in obs.tracer.spans]
         assert "dram.transfer" in names and "sram.stage" in names
 
+    @staticmethod
+    def _drive(api):
+        """One span with every verb inside it, through ``api`` — the
+        ``repro.obs`` module or an :class:`Observer`."""
+        with api.span("outer", cat=CAT_PHASE, k=1) as span:
+            api.add_cycles(7)
+            api.count("c", 2)
+            api.gauge("g", 3)
+            api.observe_value("h", 4)
+            api.record("elapsed", dur_ns=5, a=1)
+            assert span.set(z=9) is None
+
+    def test_verbs_do_nothing_without_a_hook(self):
+        reads = []
+        idle = Observer(Tracer(clock=lambda: reads.append(None) or len(reads)))
+        reads.clear()
+        assert current_obs_hook() is None
+        handle = verbs.span("a", cat=CAT_PHASE, k=1)
+        assert handle is verbs.span("b") is verbs.request("r", request=1)
+        assert handle.ctx is None
+        self._drive(verbs)
+        with verbs.request("r") as trace:
+            trace.set(status="ok")
+            assert verbs.current_trace_context() is None
+        rows, primes = _ntt_rows()
+        VpuBackend(m=M).forward_ntt_batch(rows, primes)
+        assert reads == [] and idle.tracer.spans == []
+        assert idle.metrics.snapshot() == MetricsRegistry().snapshot()
+
+    def test_verbs_match_observer_methods_under_a_hook(self):
+        with observe() as hooked:
+            self._drive(verbs)
+        direct = Observer()
+        self._drive(direct)
+        # ...and the bare begin/end pair the verbs wrap.
+        paired = Observer()
+        paired.begin("outer", cat=CAT_PHASE, k=1)
+        paired.add_cycles(7)
+        paired.count("c", 2)
+        paired.gauge("g", 3)
+        paired.observe_value("h", 4)
+        paired.record("elapsed", dur_ns=5, a=1)
+        paired.end(z=9)
+
+        def shape(observer):
+            assert observer.tracer.depth == 0
+            return ([(s.name, s.cat, s.args, s.cycles_self,
+                      s.parent and s.parent.name, s.end_ns is not None)
+                     for s in observer.tracer.spans],
+                    observer.metrics.snapshot())
+
+        assert shape(hooked) == shape(direct) == shape(paired)
+        assert [s.name for s in hooked.tracer.spans] == ["outer", "elapsed"]
+
 
 class TestIntegrityMetrics:
     """Integrity-layer counters surface through the metrics registry."""
@@ -436,3 +494,56 @@ class TestPoolObservability:
                 limbs, N)
         assert np.array_equal(baseline, traced)
         assert base_report == traced_report
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _rotate_on_a_raising_backend(tmp_path):
+    ctx = CkksContext(toy_params(), seed=1)
+    ctx.generate_galois_keys([1])
+    ct = ctx.encrypt(np.zeros(ctx.params.slots))
+
+    class Raising(NumpyBackend):
+        def forward_ntt_batch(self, residues, primes):
+            raise _Boom
+
+    with use_backend(Raising()):
+        ctx.rotate(ct, 1)
+
+
+def _pool_with_a_raising_vpu(tmp_path):
+    pool = ParallelVpuPool(2, M, find_ntt_prime(2 * N, 28))
+
+    def run_fresh(program):
+        raise _Boom
+
+    pool.vpus[1].run_fresh = run_fresh
+    pool.run_ntt_batch(np.zeros((2, N), dtype=np.uint64), N)
+
+
+def _resume_that_diverges(tmp_path):
+    from tests.test_recover_executor import run_with_a_tampered_digest
+
+    run_with_a_tampered_digest(tmp_path).resume()
+
+
+class TestSpansCloseOnError:
+    """Regression: instrumentation sites were bare begin/end pairs, so
+    a raise between them left the span open and the *next* request's
+    root nested under it.  Every span is a ``with`` block now."""
+
+    @pytest.mark.parametrize("workload, error, span", [
+        (_rotate_on_a_raising_backend, _Boom, "keyswitch.ntt"),
+        (_pool_with_a_raising_vpu, _Boom, "pool.run_ntt_batch"),
+        (_resume_that_diverges, DivergenceError, "recover.replay"),
+    ])
+    def test_a_raise_inside_a_span_leaves_none_open(self, tmp_path, workload,
+                                                    error, span):
+        with observe() as obs:
+            with pytest.raises(error):
+                workload(tmp_path)
+            assert span in [s.name for s in obs.tracer.spans]
+            assert obs.tracer.depth == 0
+            assert obs.tracer.begin("next request").parent is None

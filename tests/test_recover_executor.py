@@ -196,23 +196,28 @@ class TestStaleCheckpointFixture:
         assert report.outputs_digest == GOLDEN
 
 
+def run_with_a_tampered_digest(directory):
+    """The executor of a completed run whose journal lost its COMMIT and
+    misreports the last op's digest: resuming it must diverge."""
+    journal = _completed_run(directory)
+
+    def mutate(record):
+        if record.rtype != RT_OP_DONE:
+            return None
+        entry = decode(record)
+        if entry["index"] != len(OPS) - 1:
+            return None
+        entry["digest"] = "f" * 64
+        return entry and encode(entry)
+
+    _rewrite(journal, keep=lambda r: r.rtype != RT_COMMIT, mutate=mutate)
+    return _executor(directory)
+
+
 class TestDivergenceDetection:
     def test_tampered_op_digest_raises_loudly(self, tmp_path):
-        journal = _completed_run(tmp_path)
-
-        def mutate(record):
-            if record.rtype != RT_OP_DONE:
-                return None
-            entry = decode(record)
-            if entry["index"] != len(OPS) - 1:
-                return None
-            entry["digest"] = "f" * 64
-            return entry and encode(entry)
-
-        _rewrite(journal, keep=lambda r: r.rtype != RT_COMMIT,
-                 mutate=mutate)
         with pytest.raises(DivergenceError):
-            _executor(tmp_path).resume()
+            run_with_a_tampered_digest(tmp_path).resume()
 
 
 class TestLiveSet:

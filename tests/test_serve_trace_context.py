@@ -17,6 +17,7 @@ import json
 from repro.obs import (
     Observer,
     check_span_tree,
+    current_trace_context,
     install_obs_hook,
     observe,
     per_trace_cycles,
@@ -150,6 +151,33 @@ class TestBarrierHammer:
 
         results = run(main())
         assert all(r.status == STATUS_OK for r in results)
+
+    def test_request_closes_on_the_observer_that_opened_it(self):
+        """Regression: ``submit`` re-read the hook in its ``finally``,
+        so uninstalling it mid-request skipped ``end_request`` — root
+        span left open, trace context left bound on the caller."""
+        class Unhooking(SimulatedExecutor):
+            async def run(self, request, level, straggle=1.0):
+                install_obs_hook(None)
+                return await super().run(request, level, straggle=straggle)
+
+        async def main():
+            async with ServeEngine(Unhooking(seed=5),
+                                   ServeConfig(workers=1, seed=5)) as engine:
+                result = await engine.submit(_request(1, "tenant-0"))
+                return result, current_trace_context()
+
+        observer = Observer()
+        install_obs_hook(observer)
+        try:
+            result, ambient = run(main())
+        finally:
+            install_obs_hook(None)
+        assert result.status == STATUS_OK and ambient is None
+        root, = [s for s in observer.tracer.spans
+                 if s.name == "serve.request"]
+        assert root.args["status"] == STATUS_OK
+        assert observer.tracer.unwind() == 0
 
 
 class TestChaosSpanContract:
