@@ -28,12 +28,13 @@ those invariants instead of trusting comments:
   double-buffer conflicts.
 * :mod:`repro.analysis.ctstate` — ciphertext-state abstract
   interpretation of recorded CKKS/BFV/BGV op sequences (level, scale,
-  NTT/coeff domain, noise budget), plus the checked execution entry
-  point :func:`~repro.analysis.ctstate.run_checked`.
+  NTT/coeff domain, noise budget).  Its verdict is what the program
+  executor (:class:`repro.fhe.program.ProgramExecutor`) is built from;
+  :func:`~repro.analysis.ctstate.run_checked` composes the two.
 * :mod:`repro.analysis.lint` — repository-specific AST lint rules
   (object-dtype leakage, unchecked ``astype`` narrowing, unreduced
   products under ``%``, lazy values escaping without a clamp, unchecked
-  sequence execution and SRAM staging, stale suppressions).
+  SRAM staging, stale suppressions).
 * :mod:`repro.analysis.sarif` — SARIF 2.1.0 rendering of findings for
   GitHub code scanning, with an envelope validator CI runs.
 
@@ -89,7 +90,6 @@ __all__ = [
     "check_dataflow",
     "check_program",
     "check_sequence",
-    "execute_sequence",
     "keyswitch_lazy_accumulate_ok",
     "keyswitch_staging_plan",
     "mul_fits_uint64",
@@ -119,7 +119,6 @@ _LAZY = {
     "CtStateReport": "ctstate",
     "Op": "ctstate",
     "check_sequence": "ctstate",
-    "execute_sequence": "ctstate",
     "run_checked": "ctstate",
     "to_sarif": "sarif",
     "validate_sarif": "sarif",

@@ -286,7 +286,7 @@ def _check_ctstate(verbose: bool) -> tuple[list[Finding], list[str]]:
         findings.extend(report.findings)
         status = "ok " if report.ok else "FAIL"
         lines.append(
-            f"[{status}] ctstate {report.label:28s} {report.ops:3d} ops, "
+            f"[{status}] ctstate {report.label:28s} {len(report.ops):3d} ops, "
             f"min budget {report.min_budget_bits:6.1f} bits")
         if verbose or not report.ok:
             lines += [f"    {f}" for f in report.findings]

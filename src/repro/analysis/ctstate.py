@@ -9,15 +9,17 @@ This pass steps a small abstract domain — RNS level, log2 scale,
 NTT/coefficient domain, ciphertext size, and a noise-bit bound from
 :class:`repro.fhe.noise.NoiseEstimator` — over a recorded sequence of
 scheme ops *before* anything executes.  It is the verification
-substrate the ring-program compiler (ROADMAP item 5) targets: a planner
+substrate the ring-program planner (ROADMAP item 3) targets: a planner
 may reorder ops only if the checked states are unchanged.
 
-A sequence is a list of :class:`Op` values; op ``i`` produces value
-``i`` and ``srcs`` name earlier values.  :func:`check_sequence`
-interprets it abstractly, :func:`execute_sequence` replays it on a real
-context, and :func:`run_checked` is the *checked entry point* — lint
-rule ``FHC008`` requires every in-tree executor call to be guarded by a
-``check_sequence`` verdict exactly the way :func:`run_checked` does it.
+The program format — :class:`~repro.fhe.program.Op`, the op table and
+the executor — lives in :mod:`repro.fhe.program`; this module holds only
+the abstract side.  :func:`check_sequence` interprets a sequence and
+returns a :class:`CtStateReport` that carries the ops it judged, and
+that report is the only thing :class:`~repro.fhe.program.ProgramExecutor`
+accepts: it raises :class:`CtStateError` on a verdict with findings, so
+executing an unverified sequence cannot be expressed.
+:func:`run_checked` is the two-step composition.
 
 Rules
 -----
@@ -48,43 +50,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from repro.analysis.findings import FindingList
-
-#: Ops each scheme supports (everything else is a C005 finding).
-_SCHEME_OPS = {
-    "ckks": frozenset({
-        "encrypt", "add", "sub", "multiply", "multiply_plain", "tensor",
-        "relinearize", "rescale", "rotate", "conjugate", "mod_reduce",
-        "ntt", "intt",
-    }),
-    "bgv": frozenset({
-        "encrypt", "add", "sub", "multiply", "multiply_plain", "rotate",
-        "mod_switch",
-    }),
-    "bfv": frozenset({
-        "encrypt", "add", "sub", "multiply", "multiply_plain",
-    }),
-}
-
-_ARITY = {
-    "encrypt": 0, "add": 2, "sub": 2, "multiply": 2, "tensor": 2,
-    "multiply_plain": 1, "relinearize": 1, "rescale": 1, "rotate": 1,
-    "conjugate": 1, "mod_reduce": 1, "mod_switch": 1, "ntt": 1, "intt": 1,
-}
-
-
-@dataclass(frozen=True)
-class Op:
-    """One recorded scheme operation.
-
-    ``srcs`` are indices of earlier ops in the sequence; ``arg`` carries
-    the rotation step count (``rotate``) or the target level
-    (``mod_reduce``).
-    """
-
-    kind: str
-    srcs: tuple[int, ...] = ()
-    arg: int | None = None
-    label: str = ""
+from repro.fhe.program import (OP_TABLE, SCHEMES, Op, ProgramExecutor,
+                               scheme_of)
 
 
 @dataclass(frozen=True)
@@ -105,7 +72,8 @@ class CtStateReport:
 
     label: str
     scheme: str
-    ops: int = 0
+    #: The program this verdict is about.
+    ops: tuple[Op, ...] = ()
     #: Abstract state of each produced value (None for unknown kinds).
     states: list[CtState | None] = field(default_factory=list)
     #: Tightest remaining noise budget (bits) over all produced values.
@@ -122,7 +90,7 @@ class CtStateReport:
 
 
 class CtStateError(RuntimeError):
-    """Raised by :func:`run_checked` when a sequence fails verification."""
+    """A sequence failed verification (raised in place of executing it)."""
 
     def __init__(self, report: CtStateReport):
         self.report = report
@@ -138,9 +106,9 @@ class _Interp:
     def __init__(self, params: Any, scheme: str, label: str):
         from repro.fhe.noise import NoiseEstimator
 
-        if scheme not in _SCHEME_OPS:
+        if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; "
-                             f"choose from {sorted(_SCHEME_OPS)}")
+                             f"choose from {sorted(SCHEMES)}")
         self.scheme = scheme
         self.t_bits = 0.0
         if hasattr(params, "ciphertext_params"):  # BgvParams
@@ -216,12 +184,12 @@ class _Interp:
 
     def step(self, op: Op, states: list[CtState | None]) -> CtState | None:
         self.kind = op.kind
-        if op.kind not in _SCHEME_OPS[self.scheme]:
-            known = op.kind in _ARITY
+        spec = OP_TABLE.get(op.kind)
+        if spec is None or self.scheme not in spec.run:
             self._error(
                 "C005",
                 f"op {op.kind!r} is not "
-                + (f"supported by the {self.scheme} scheme" if known
+                + (f"supported by the {self.scheme} scheme" if spec
                    else "a known operation"))
             return None
         srcs: list[CtState] = []
@@ -232,10 +200,10 @@ class _Interp:
                             f"source value #{index} does not exist yet")
                 return None
             srcs.append(state)
-        if len(srcs) != _ARITY[op.kind]:
+        if len(srcs) != spec.arity:
             self._error(
                 "C005",
-                f"op {op.kind!r} takes {_ARITY[op.kind]} source(s), "
+                f"op {op.kind!r} takes {spec.arity} source(s), "
                 f"got {len(srcs)}")
             return None
         if any(s.poisoned for s in srcs):
@@ -392,133 +360,26 @@ def check_sequence(ops: Sequence[Op], params: Any, *,
     fired.
     """
     interp = _Interp(params, scheme, label)
+    interp.report.ops = tuple(ops)
     states: list[CtState | None] = []
     for index, op in enumerate(ops):
         interp.index = index
         states.append(interp.step(op, states))
-        interp.report.ops += 1
     interp.report.states = states
     return interp.report
 
 
-# ---------------------------------------------------------------------------
-# Concrete replay + the checked entry point.
-# ---------------------------------------------------------------------------
-
-
-def scheme_of(ctx: Any) -> str:
-    """The scheme (``ckks`` / ``bgv`` / ``bfv``) a context's class name
-    declares; :class:`TypeError` when it declares none."""
-    name = type(ctx).__name__
-    for scheme in _SCHEME_OPS:
-        if name.lower().startswith(scheme):
-            return scheme
-    raise TypeError(f"cannot infer scheme from context {name}")
-
-
-def execute_op(op: Op, ctx: Any, values: Sequence[Any], feed: Any,
-               *, scheme: str | None = None) -> Any:
-    """Execute **one** recorded op against a real scheme context.
-
-    ``values`` holds the results of earlier ops (indexed by ``srcs``)
-    and ``feed`` is an iterator yielding one value array per
-    ``encrypt`` / ``multiply_plain`` op.  This is the single-step core
-    both :func:`execute_sequence` and the durable executor
-    (:mod:`repro.recover`) loop over; like the sequence executors it is
-    subject to lint rule ``FHC008`` — callers must hold a
-    ``check_sequence`` verdict for the sequence the op belongs to.
-    """
-    import numpy as np
-
-    if scheme is None:
-        scheme = scheme_of(ctx)
-
-    def ct_with_parts(ct: Any, parts: list[Any], scale: float) -> Any:
-        from repro.fhe.ckks import Ciphertext
-        return Ciphertext(parts, scale)
-
-    a = values[op.srcs[0]] if op.srcs else None
-    b = values[op.srcs[1]] if len(op.srcs) > 1 else None
-    kind = op.kind
-    if kind == "encrypt":
-        out = ctx.encrypt(np.asarray(next(feed)))
-    elif kind == "add":
-        out = ctx.add(a, b)
-    elif kind == "sub":
-        out = ctx.sub(a, b)
-    elif kind == "multiply":
-        if scheme == "ckks":
-            out = ctx.multiply(a, b, rescale_after=False)
-        elif scheme == "bgv":
-            out = ctx.multiply(a, b, switch_modulus=False)
-        else:
-            out = ctx.multiply(a, b)
-    elif kind == "multiply_plain":
-        values_in = np.asarray(next(feed))
-        if scheme == "ckks":
-            out = ctx.multiply_plain(a, values_in, rescale_after=False)
-        else:
-            out = ctx.multiply_plain(a, values_in)
-    elif kind == "tensor":
-        d0 = a.parts[0] * b.parts[0]
-        d1 = a.parts[0] * b.parts[1] + a.parts[1] * b.parts[0]
-        d2 = a.parts[1] * b.parts[1]
-        out = ct_with_parts(a, [d0, d1, d2], a.scale * b.scale)
-    elif kind == "relinearize":
-        out = ctx.relinearize(a)
-    elif kind == "rescale":
-        out = ctx.rescale(a)
-    elif kind == "rotate":
-        out = ctx.rotate(a, op.arg if op.arg is not None else 1)
-    elif kind == "conjugate":
-        out = ctx.conjugate(a)
-    elif kind == "mod_reduce":
-        target = op.arg if op.arg is not None else a.level - 1
-        out = ctx.mod_reduce(a, target)
-    elif kind == "mod_switch":
-        out = ctx.mod_switch(a)
-    elif kind == "ntt":
-        out = ct_with_parts(a, [p.to_eval() for p in a.parts], a.scale)
-    elif kind == "intt":
-        out = ct_with_parts(a, [p.to_coeff() for p in a.parts], a.scale)
-    else:
-        raise ValueError(f"cannot execute op kind {kind!r}")
-    return out
-
-
-def execute_sequence(ops: Sequence[Op], ctx: Any,
-                     inputs: Sequence[Any]) -> list[Any]:
-    """Replay a sequence on a real scheme context.
-
-    ``inputs`` supplies one value array per ``encrypt`` /
-    ``multiply_plain`` op, in sequence order.  Returns the list of
-    produced values (one per op).  Prefer :func:`run_checked`, which
-    verifies the sequence first — calling this directly is flagged by
-    lint rule ``FHC008``.
-    """
-    scheme = scheme_of(ctx)
-    feed = iter(inputs)
-    values: list[Any] = []
-    for op in ops:
-        # execute_sequence is itself the guarded executor: its callers
-        # hold the check_sequence verdict (run_checked's shape).
-        # fhecheck: ok=FHC008 — the per-op core inherits this call's verdict
-        values.append(execute_op(op, ctx, values, feed, scheme=scheme))
-    return values
-
-
 def run_checked(ops: Sequence[Op], ctx: Any, inputs: Sequence[Any], *,
                 label: str = "") -> list[Any]:
-    """The checked entry point: verify, then execute.
+    """Verify, then execute: the values of ``ops`` run on ``ctx``.
 
-    Raises :class:`CtStateError` (carrying the full report) instead of
-    executing when the abstract interpreter finds anything.
+    ``inputs`` supplies one array per ``encrypt`` / ``multiply_plain``
+    op.  Raises :class:`CtStateError` (carrying the full report) instead
+    of executing when the abstract interpreter finds anything.
     """
-    scheme = scheme_of(ctx)
-    report = check_sequence(ops, ctx.params, scheme=scheme, label=label)
-    if report.ok:
-        return execute_sequence(ops, ctx, inputs)
-    raise CtStateError(report)
+    report = check_sequence(ops, ctx.params, scheme=scheme_of(ctx),
+                            label=label)
+    return ProgramExecutor(report, ctx, inputs).run()
 
 
 # ---------------------------------------------------------------------------

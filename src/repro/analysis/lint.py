@@ -45,15 +45,6 @@ fast paths silently go wrong:
     call bypassing the gate reintroduces exactly the hand-coded width
     assumptions fhecheck exists to eliminate.
 
-``FHC008`` **unchecked op-sequence execution** — a recorded-sequence
-    executor (``execute_sequence`` / ``replay_sequence``) is invoked
-    outside a branch conditioned on a :func:`repro.analysis.ctstate
-    .check_sequence` verdict (or a local alias of one).  Op sequences
-    must go through the checked entry point
-    (:func:`repro.analysis.ctstate.run_checked`) or reproduce its
-    check-then-execute shape — executing an unverified sequence skips
-    the level/scale/domain/noise verification entirely.
-
 ``FHC009`` **unchecked SRAM staging** — a ``.stage(...)`` call on an
     SRAM model with no capacity evidence anywhere in the enclosing
     function (no ``.fits(...)`` call and no ``capacity`` mention).
@@ -120,10 +111,6 @@ _LAZY_KERNELS = {"dif_stages_lazy", "dit_stages_lazy",
 #: ``_lazy``/``_unclamped`` suffix; ungated ones (pure gathers,
 #: per-step-reduced accumulators) do not.
 _CJIT_LAZY_RE = re.compile(r"^cjit_\w*_(?:lazy|unclamped)$")
-#: Recorded-sequence executors that must go through the checked entry
-#: point (FHC008); the verdict provider tracked as the guard.
-_SEQUENCE_EXECUTORS = {"execute_sequence", "replay_sequence", "execute_op"}
-_SEQUENCE_CHECK_SUFFIX = "check_sequence"
 #: Files subject to FHC011: the async serving layer.
 _SERVE_PATH_RE = re.compile(r"repro[/\\]serve[/\\]")
 #: Files subject to FHC012: the durable-execution layer.
@@ -394,7 +381,6 @@ class _Linter(ast.NodeVisitor):
         self._check_lazy_escape(node)
         self._check_fault_hook_guards(node)
         self._check_compiled_gate_guards(node)
-        self._check_sequence_entry(node)
         self._check_sram_staging(node)
         self._check_durable_writes(node)
         self.generic_visit(node)
@@ -590,37 +576,6 @@ class _Linter(ast.NodeVisitor):
                 f"outside a branch conditioned on an analyzer-derived "
                 f"*_ok eligibility gate — lazy schedules are sound only "
                 f"where the interval analysis proves them")
-
-        _scan_guarded(fn, mentions, on_call)
-
-    # -- FHC008: op-sequence executor bypasses the checked entry point -----
-
-    def _check_sequence_entry(self, fn: ast.AST) -> None:
-        """Every ``execute_sequence``/``replay_sequence`` call must sit
-        in a branch conditioned on a ``check_sequence`` verdict (or a
-        local alias, e.g. ``report = check_sequence(...)`` guarding
-        ``if report.ok:``) — the shape :func:`repro.analysis.ctstate
-        .run_checked` canonicalizes."""
-        aliases = _collect_hook_aliases(fn, _SEQUENCE_CHECK_SUFFIX)
-
-        def mentions(node: ast.AST) -> bool:
-            return _mentions_hook(node, aliases, _SEQUENCE_CHECK_SUFFIX)
-
-        def on_call(node: ast.Call, guarded: bool) -> None:
-            name = None
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            if name not in _SEQUENCE_EXECUTORS or guarded:
-                return
-            self._flag(
-                "FHC008", node,
-                f"{name}() invoked outside a branch conditioned on a "
-                f"check_sequence verdict — route op sequences through "
-                f"the checked entry point (ctstate.run_checked) so "
-                f"level/scale/domain/noise are verified before "
-                f"execution")
 
         _scan_guarded(fn, mentions, on_call)
 

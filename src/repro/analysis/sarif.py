@@ -67,7 +67,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "FHC004": "lazy/unclamped kernel result escapes without clamp",
     "FHC005": "fault-hook dereference outside an is-not-None guard",
     "FHC007": "compiled lazy kernel invoked outside its eligibility gate",
-    "FHC008": "op-sequence executor bypasses the checked entry point",
     "FHC009": "SRAM staging without a capacity check",
     "FHC010": "suppression comment no longer suppresses any finding",
     "FHC011": "backend work awaited outside the deadline wrapper in repro.serve",

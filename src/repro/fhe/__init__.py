@@ -30,6 +30,8 @@ Modules:
 * :mod:`repro.fhe.polyeval` — homomorphic polynomial evaluation
   (Horner and Paterson-Stockmeyer).
 * :mod:`repro.fhe.noise` — noise measurement and budget estimation.
+* :mod:`repro.fhe.program` — the ring-program IR: ``Op``, the op table,
+  program digests/liveness, and the one (verdict-taking) executor.
 * :mod:`repro.fhe.serialize` — key/ciphertext persistence.
 * :mod:`repro.fhe.backend` — pluggable kernel backends, including the
   one that routes NTTs and automorphisms through the VPU model.

@@ -30,8 +30,7 @@ from repro.recover.campaign import (CLASSIFICATIONS, EXECUTORS, CrashRun,
                                     KillCampaignResult, Workload,
                                     build_workload, recovery_latency_sweep,
                                     run_campaign)
-from repro.recover.checkpoint import (CheckpointEntry, CheckpointError,
-                                      live_set, ops_digest)
+from repro.recover.checkpoint import CheckpointEntry, CheckpointError
 from repro.recover.executor import (DivergenceError, DurableExecutor,
                                     RecoveryReport, ResumeFinding,
                                     golden_outputs_digest, outputs_digest)
@@ -59,8 +58,6 @@ __all__ = [
     "WriteAheadLog",
     "build_workload",
     "golden_outputs_digest",
-    "live_set",
-    "ops_digest",
     "outputs_digest",
     "recovery_latency_sweep",
     "run_campaign",

@@ -45,10 +45,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.ctstate import (Op, bgv_mult_switch_sequence,
+from repro.analysis.ctstate import (bgv_mult_switch_sequence,
                                     ckks_mult_rotate_sequence)
 from repro.fault.crash import (SITE_OP_BOUNDARY, SITE_WAL_MID_RECORD,
                                CrashInjector, CrashSpec, install_crash_hook)
+from repro.fhe.bgv import BgvContext, BgvParams
+from repro.fhe.ckks import CkksContext
+from repro.fhe.params import toy_params
+from repro.fhe.program import Op, feed_count
 from repro.recover.executor import DurableExecutor, golden_outputs_digest
 
 __all__ = [
@@ -61,8 +65,20 @@ CLASS_DETECTED_TORN = "detected_torn"
 CLASS_FAILED = "failed"
 CLASSIFICATIONS = (CLASS_RECOVERED, CLASS_DETECTED_TORN, CLASS_FAILED)
 
-#: The two recover workload executors the campaign sweeps.
-EXECUTORS = ("ckks", "bgv")
+#: The recover workload executors the campaign sweeps, each as (context
+#: class, parameter factory, base sequence, one input array from a
+#: generator).
+_WORKLOADS: dict[str, tuple[Any, ...]] = {
+    "ckks": (CkksContext, toy_params, ckks_mult_rotate_sequence,
+             lambda rng, params: rng.standard_normal(params.n // 2)),
+    "bgv": (BgvContext,
+            lambda: BgvParams(n=256, levels=3, plaintext_modulus=65537,
+                              prime_bits=30),
+            bgv_mult_switch_sequence,
+            lambda rng, params: rng.integers(0, params.plaintext_modulus,
+                                             size=params.n)),
+}
+EXECUTORS = tuple(_WORKLOADS)
 
 _KEY_SEED = 2025
 _INPUT_SEED = 7
@@ -93,10 +109,6 @@ class Workload:
                                      label=f"golden-{self.name}")
 
 
-def _feed_count(ops: Sequence[Op]) -> int:
-    return sum(1 for op in ops if op.kind in ("encrypt", "multiply_plain"))
-
-
 def build_workload(name: str) -> Workload:
     """The named campaign executor (``ckks`` or ``bgv``).
 
@@ -104,45 +116,23 @@ def build_workload(name: str) -> Workload:
     — exactly what a restarted service does when it reloads key
     material — so resume operates against bit-identical keys.
     """
-    if name == "ckks":
-        from repro.fhe.ckks import CkksContext
-        from repro.fhe.params import toy_params
+    if name not in _WORKLOADS:
+        raise ValueError(f"unknown campaign executor {name!r}; "
+                         f"choose from {EXECUTORS}")
+    context, make_params, base_sequence, sample = _WORKLOADS[name]
+    params = make_params()
 
-        params = toy_params()
+    def make_ctx() -> Any:
+        ctx = context(params, seed=_KEY_SEED)
+        ctx.generate_galois_keys([1])
+        return ctx
 
-        def make_ctx() -> Any:
-            ctx = CkksContext(params, seed=_KEY_SEED)
-            ctx.generate_galois_keys([1])
-            return ctx
-
-        ops = ckks_mult_rotate_sequence(params.levels)
-        ops = ops + [Op("add", (len(ops) - 1, len(ops) - 1)),
-                     Op("rotate", (len(ops),), arg=1)]
-        rng = np.random.default_rng(_INPUT_SEED)
-        inputs = [rng.standard_normal(params.n // 2).tolist()
-                  for _ in range(_feed_count(ops))]
-        return Workload(name, make_ctx, ops, inputs)
-    if name == "bgv":
-        from repro.fhe.bgv import BgvContext, BgvParams
-
-        params = BgvParams(n=256, levels=3, plaintext_modulus=65537,
-                           prime_bits=30)
-
-        def make_ctx() -> Any:
-            ctx = BgvContext(params, seed=_KEY_SEED)
-            ctx.generate_galois_keys([1])
-            return ctx
-
-        ops = bgv_mult_switch_sequence(params.levels)
-        ops = ops + [Op("add", (len(ops) - 1, len(ops) - 1)),
-                     Op("rotate", (len(ops),), arg=1)]
-        rng = np.random.default_rng(_INPUT_SEED)
-        inputs = [rng.integers(0, params.plaintext_modulus,
-                               size=params.n).tolist()
-                  for _ in range(_feed_count(ops))]
-        return Workload(name, make_ctx, ops, inputs)
-    raise ValueError(f"unknown campaign executor {name!r}; "
-                     f"choose from {EXECUTORS}")
+    ops = base_sequence(params.levels)
+    ops = ops + [Op("add", (len(ops) - 1, len(ops) - 1)),
+                 Op("rotate", (len(ops),), arg=1)]
+    rng = np.random.default_rng(_INPUT_SEED)
+    inputs = [sample(rng, params).tolist() for _ in range(feed_count(ops))]
+    return Workload(name, make_ctx, ops, inputs)
 
 
 @dataclass

@@ -1,11 +1,11 @@
-"""Ciphertext checkpoints: live-set selection, durable archives, and
-validated loading.
+"""Ciphertext checkpoints: durable archives and validated loading.
 
-A checkpoint at op boundary ``k`` persists exactly the *live set* —
-values ``i <= k`` that some later op still reads, plus sinks (values no
-later op consumes, i.e. the run's outputs so far).  Dead intermediates
-are never written: on the deep multiply/rescale chains the canonical
-workloads use, the live set stays O(1) while the value list grows O(n).
+A checkpoint at op boundary ``k`` persists exactly the *live set*
+(:func:`repro.fhe.program.live_set`) — values ``i <= k`` that some later
+op still reads, plus sinks (values no later op consumes, i.e. the run's
+outputs so far).  Dead intermediates are never written: on the deep
+multiply/rescale chains the canonical workloads use, the live set stays
+O(1) while the value list grows O(n).
 
 Write protocol (crash-ordering matters):
 
@@ -24,7 +24,8 @@ finding in the resume report:
 
 * archive digest (``SerializationError`` from the serialize layer, or
   a journal-vs-archive digest mismatch) → ``corrupt_checkpoint``;
-* the journal record's ``ops_digest`` vs the current program →
+* the journal record's ``ops_digest``
+  (:func:`repro.fhe.program.ops_digest`) vs the current program →
   ``stale_checkpoint``;
 * the loaded ciphertext's abstract state (level / domain / size, and
   ``scale_log2`` within tolerance) vs a fresh
@@ -35,20 +36,19 @@ finding in the resume report:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.analysis.ctstate import CtState, Op
+from repro.analysis.ctstate import CtState
 from repro.fhe.serialize import (SerializationError, ciphertext_digest,
                                  load_ciphertext, save_ciphertext)
 
 __all__ = [
-    "CheckpointEntry", "CheckpointError", "live_set", "ops_digest",
-    "checkpoint_file_name", "write_archives", "load_entry", "state_matches",
+    "CheckpointEntry", "CheckpointError", "checkpoint_file_name",
+    "write_archives", "load_entry", "state_matches",
 ]
 
 #: ``scale_log2`` agreement tolerance between a loaded ciphertext and
@@ -68,41 +68,6 @@ class CheckpointEntry:
     file_name: str
     digest: str
     state: "CtState | None"
-
-
-def live_set(ops: Sequence[Op], boundary: int) -> list[int]:
-    """Value indices that must survive a checkpoint at ``boundary``.
-
-    A value ``i <= boundary`` is live when a later op reads it, or when
-    nothing ever reads it (a sink — it is an output of the run).
-    """
-    consumed: set[int] = set()
-    future: set[int] = set()
-    for index, op in enumerate(ops):
-        for src in op.srcs:
-            consumed.add(src)
-            if index > boundary:
-                future.add(src)
-    live = []
-    for index in range(boundary + 1):
-        if index in future or index not in consumed:
-            live.append(index)
-    return live
-
-
-def sink_indices(ops: Sequence[Op]) -> list[int]:
-    """Values no op consumes — the run's outputs."""
-    consumed = {src for op in ops for src in op.srcs}
-    return [i for i in range(len(ops)) if i not in consumed]
-
-
-def ops_digest(ops: Sequence[Op], scheme: str) -> str:
-    """Digest pinning the program a journal/checkpoint belongs to."""
-    h = hashlib.sha256()
-    h.update(scheme.encode())
-    for op in ops:
-        h.update(repr((op.kind, op.srcs, op.arg)).encode())
-    return h.hexdigest()
 
 
 def checkpoint_file_name(boundary: int, value_index: int) -> str:

@@ -1,8 +1,10 @@
 """The durable executor: journaled, checkpointed, crash-resumable
 replay of recorded ciphertext-op sequences.
 
-:class:`DurableExecutor` wraps the checked execution shape of
-:func:`repro.analysis.ctstate.run_checked` with a durability contract:
+:class:`DurableExecutor` drives the one program executor
+(:class:`repro.fhe.program.ProgramExecutor`, which exists only for a
+clean ``check_sequence`` verdict and a feed of the right length) under
+a durability contract:
 
 * every completed op's output digest is journaled (``OP_DONE``) before
   the next op starts, so after a SIGKILL at any instant the journal
@@ -12,7 +14,8 @@ replay of recorded ciphertext-op sequences.
   (archives fsync'd *before* the record — the record is the commit
   point);
 * :meth:`resume` rebuilds the run from the journal: truncate the torn
-  tail, re-verify the program with ``check_sequence``, validate the
+  tail, refuse a ``BEGIN`` record written for another program, run seed
+  or feed, re-verify the program with ``check_sequence``, validate the
   newest usable checkpoint (content digest + abstract-state agreement),
   re-execute the suffix, and *prove* bit-identity by comparing each
   replayed op's digest against the journaled one — a mismatch raises
@@ -40,9 +43,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import obs
-from repro.analysis.ctstate import (CtState, CtStateError, Op,
-                                    check_sequence, execute_op, scheme_of)
+from repro.analysis.ctstate import CtState, check_sequence
 from repro.fault.crash import SITE_OP_BOUNDARY, crash_point
+from repro.fhe.program import (Op, ProgramExecutor, live_set, op_to_row,
+                               ops_digest, scheme_of, sink_indices)
 from repro.fhe.serialize import ciphertext_digest
 from repro.recover import checkpoint as ckpt
 from repro.recover.journal import (RT_BEGIN, RT_CHECKPOINT, RT_COMMIT,
@@ -53,9 +57,6 @@ __all__ = ["DivergenceError", "DurableExecutor", "RecoveryReport",
            "ResumeFinding", "golden_outputs_digest", "outputs_digest"]
 
 JOURNAL_NAME = "journal.wal"
-
-#: Feed-consuming op kinds: each draws one entry from ``inputs``.
-_FEED_KINDS = frozenset({"encrypt", "multiply_plain"})
 
 
 class DivergenceError(RuntimeError):
@@ -100,7 +101,7 @@ class RecoveryReport:
 def outputs_digest(ops: Sequence[Op], values: Sequence[Any]) -> str:
     """Combined digest over the run's sink values (its outputs)."""
     h = hashlib.sha256()
-    for index in ckpt.sink_indices(ops):
+    for index in sink_indices(ops):
         h.update(ciphertext_digest(values[index]).encode())
     return h.hexdigest()
 
@@ -123,25 +124,11 @@ def golden_outputs_digest(ctx: Any, ops: Sequence[Op],
     The campaign's ground truth: a resumed run is *bit-identical* iff
     its outputs digest equals this.
     """
-    scheme = scheme_of(ctx)
-    report = check_sequence(ops, ctx.params, scheme=scheme, label=label)
-    if report.ok:
-        values: list[Any] = []
-        feed = iter(inputs)
-        for index, op in enumerate(ops):
-            _reseed(ctx, run_seed, index)
-            values.append(execute_op(op, ctx, values, feed, scheme=scheme))
-        return outputs_digest(ops, values)
-    raise CtStateError(report)
-
-
-def _op_to_json(op: Op) -> list:
-    return [op.kind, list(op.srcs), op.arg, op.label]
-
-
-def _op_from_json(row: Sequence[Any]) -> Op:
-    kind, srcs, arg, label = row
-    return Op(str(kind), tuple(srcs), arg, str(label))
+    report = check_sequence(ops, ctx.params, scheme=scheme_of(ctx),
+                            label=label)
+    values = ProgramExecutor(report, ctx, inputs).run(
+        before=lambda index: _reseed(ctx, run_seed, index))
+    return outputs_digest(ops, values)
 
 
 def _inputs_to_json(inputs: Sequence[Any]) -> list:
@@ -168,6 +155,7 @@ class DurableExecutor:
         self.run_seed = int(run_seed)
         self.label = label
         self.scheme = scheme_of(ctx)
+        self.ops_digest = ops_digest(self.ops, self.scheme)
 
     @property
     def journal_path(self) -> Path:
@@ -178,14 +166,14 @@ class DurableExecutor:
     def run(self) -> RecoveryReport:
         """Execute from scratch, journaling as we go.
 
-        Verifies the sequence with ``check_sequence`` first (the
-        run_checked shape); raises :class:`CtStateError` on a bad
-        program before any journal record is written.
+        Raises :class:`CtStateError` (a program ``check_sequence``
+        rejects) or :class:`ValueError` (a feed of the wrong length)
+        before any journal record is written.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         out = RecoveryReport(self.label, self.scheme, len(self.ops))
         with WriteAheadLog(self.journal_path) as wal:
-            return self._fresh_under_wal(wal, out)
+            return self._execute_and_commit(wal, out)
 
     # -- resume ------------------------------------------------------------
 
@@ -194,7 +182,9 @@ class DurableExecutor:
 
         Torn tails, corrupt checkpoints, and stale checkpoints each
         surface as exactly one typed :class:`ResumeFinding`; silent
-        divergence surfaces as a raised :class:`DivergenceError`.
+        divergence surfaces as a raised :class:`DivergenceError`; a
+        journal begun for another program, run seed or feed raises
+        :class:`JournalError`.
         """
         # Under a serving request's bound trace the span carries that
         # request's trace_id, so the resume shows up inside its stitched
@@ -215,17 +205,17 @@ class DurableExecutor:
         with wal:
             begin, journaled, checkpoints, commit = self._parse(
                 scanned.records)
-            expected_digest = ckpt.ops_digest(self.ops, self.scheme)
             if begin is None:
                 # The crash hit the very first append: nothing durable
                 # happened, so this resume is a fresh run (keeping the
                 # torn-tail finding if the BEGIN record itself tore).
-                return self._fresh_under_wal(wal, out)
-            if begin["ops_digest"] != expected_digest:
-                raise JournalError(
-                    "journal BEGIN record belongs to a different program "
-                    f"({begin['ops_digest'][:12]}… != "
-                    f"{expected_digest[:12]}…)")
+                return self._execute_and_commit(wal, out)
+            for key, mine in self._identity().items():
+                if begin[key] != mine:
+                    raise JournalError(
+                        f"journal BEGIN record belongs to a different run: "
+                        f"its {key} is {str(begin[key])[:12]}…, this "
+                        f"executor's is {str(mine)[:12]}…")
             if commit is not None:
                 # The crash happened after the commit point: the run is
                 # already durable and nothing needs replaying.
@@ -233,86 +223,60 @@ class DurableExecutor:
                 out.outputs_digest = commit["digest"]
                 out.skipped_ops = len(self.ops)
                 return out
-            report = check_sequence(self.ops, self.ctx.params,
-                                    scheme=self.scheme, label=self.label)
-            if report.ok:
-                values: list[Any] = [None] * len(self.ops)
-                boundary = self._restore_checkpoint(
-                    checkpoints, report.states, values, out)
-                start = boundary + 1
-                out.resumed_from = boundary
-                out.skipped_ops = start
-                with (obs.span("recover.replay", "recover", start=start)
-                      if start > 0 else nullcontext()):
-                    self._execute_range(wal, values, start, report.states,
-                                        journaled=journaled, out=out)
-                out.outputs_digest = outputs_digest(self.ops, values)
-                wal.append(RT_COMMIT, encode({
-                    "digest": out.outputs_digest,
-                    "outputs": ckpt.sink_indices(self.ops),
-                }))
-                out.committed = True
-                return out
-            raise CtStateError(report)
+            return self._execute_and_commit(wal, out, journaled, checkpoints)
 
-    def _fresh_under_wal(self, wal: WriteAheadLog,
-                         out: RecoveryReport) -> RecoveryReport:
-        """Start over on an empty (or fully-torn) journal."""
-        report = check_sequence(self.ops, self.ctx.params,
-                                scheme=self.scheme, label=self.label)
-        if report.ok:
-            wal.append(RT_BEGIN, encode({
-                "label": self.label,
-                "scheme": self.scheme,
-                "ops": [_op_to_json(op) for op in self.ops],
-                "inputs": _inputs_to_json(self.inputs),
+    def _identity(self) -> dict[str, Any]:
+        """The ``BEGIN`` fields that pin *which run* a journal records;
+        resuming under any other value would commit outputs no run
+        produced."""
+        return {"ops_digest": self.ops_digest,
                 "run_seed": self.run_seed,
-                "checkpoint_interval": self.checkpoint_interval,
-                "ops_digest": ckpt.ops_digest(self.ops, self.scheme),
-            }))
-            values: list[Any] = [None] * len(self.ops)
-            self._execute_range(wal, values, 0, report.states,
-                                journaled={}, out=out)
-            out.outputs_digest = outputs_digest(self.ops, values)
-            wal.append(RT_COMMIT, encode({
-                "digest": out.outputs_digest,
-                "outputs": ckpt.sink_indices(self.ops),
-            }))
-            out.committed = True
-            return out
-        raise CtStateError(report)
+                "inputs": _inputs_to_json(self.inputs)}
 
     # -- shared machinery --------------------------------------------------
 
-    def _execute_range(self, wal: WriteAheadLog, values: list[Any],
-                       start: int, states: Sequence["CtState | None"],
-                       *, journaled: dict[int, str],
-                       out: RecoveryReport) -> None:
-        """Execute ops ``start..end``, journaling and checkpointing.
+    def _execute_and_commit(self, wal: WriteAheadLog, out: RecoveryReport,
+                            journaled: "dict[int, str] | None" = None,
+                            checkpoints: Sequence[dict] = ()
+                            ) -> RecoveryReport:
+        """Execute what the journal does not already hold — journaling,
+        checkpointing and cross-checking replayed digests — then seal
+        the run.  ``journaled`` is None on an empty (or fully-torn)
+        journal, which gets its ``BEGIN`` here.
 
-        Only ever called under a ``check_sequence`` verdict held by
-        ``run``/``_resume_inner`` (the run_checked shape).
+        Nothing is appended for a program ``check_sequence`` rejects
+        (:class:`CtStateError`) or a feed of the wrong length
+        (:class:`ValueError`): the executor exists only past both.
         """
-        feed = iter(self.inputs)
-        for index in range(start):
-            if self.ops[index].kind in _FEED_KINDS:
-                next(feed)  # consumed by the journaled prefix
-        for index in range(start, len(self.ops)):
+        report = check_sequence(self.ops, self.ctx.params,
+                                scheme=self.scheme, label=self.label)
+        program = ProgramExecutor(report, self.ctx, self.inputs)
+        if journaled is None:
+            journaled = {}
+            wal.append(RT_BEGIN, encode({
+                "label": self.label,
+                "scheme": self.scheme,
+                "ops": [op_to_row(op) for op in self.ops],
+                "checkpoint_interval": self.checkpoint_interval,
+                **self._identity(),
+            }))
+        values: list[Any] = [None] * len(self.ops)
+        start = self._restore_checkpoint(checkpoints, report.states, values,
+                                         out) + 1
+        out.resumed_from = start - 1
+        out.skipped_ops = start
+
+        def before(index: int) -> None:
             crash_point(SITE_OP_BOUNDARY)
-            op = self.ops[index]
             _reseed(self.ctx, self.run_seed, index)
-            # _execute_range runs only under its caller's check_sequence
-            # verdict (run/_resume_inner hold `report.ok`).
-            # fhecheck: ok=FHC008 — verdict held by the calling frame
-            value = execute_op(op, self.ctx, values, feed,
-                               scheme=self.scheme)
-            values[index] = value
+
+        def after(index: int, value: Any) -> None:
             digest = ciphertext_digest(value)
             previous = journaled.get(index)
             if previous is not None and previous != digest:
                 raise DivergenceError(
-                    f"op {index} ({op.kind}) replayed to digest "
-                    f"{digest[:12]}… but the journal recorded "
+                    f"op {index} ({self.ops[index].kind}) replayed to "
+                    f"digest {digest[:12]}… but the journal recorded "
                     f"{previous[:12]}… — resume is not bit-identical")
             if previous is None:
                 wal.append(RT_OP_DONE, encode({
@@ -322,19 +286,30 @@ class DurableExecutor:
             if (self.checkpoint_interval > 0
                     and (index + 1) % self.checkpoint_interval == 0
                     and index + 1 < len(self.ops)):
-                self._take_checkpoint(wal, values, index, states)
+                self._take_checkpoint(wal, values, index, report.states)
+
+        with (obs.span("recover.replay", "recover", start=start)
+              if start > 0 else nullcontext()):
+            program.run(values, start=start, before=before, after=after)
+        out.outputs_digest = outputs_digest(self.ops, values)
+        wal.append(RT_COMMIT, encode({
+            "digest": out.outputs_digest,
+            "outputs": sink_indices(self.ops),
+        }))
+        out.committed = True
+        return out
 
     def _take_checkpoint(self, wal: WriteAheadLog, values: list[Any],
                          boundary: int,
                          states: Sequence["CtState | None"]) -> None:
         with obs.span("recover.checkpoint", "recover", boundary=boundary):
             obs.count("recover.checkpoints")
-            live = ckpt.live_set(self.ops, boundary)
-            entries = ckpt.write_archives(self.directory, boundary, values,
-                                          live, states)
+            entries = ckpt.write_archives(
+                self.directory, boundary, values,
+                live_set(self.ops, boundary), states)
             wal.append(RT_CHECKPOINT, encode({
                 "boundary": boundary,
-                "ops_digest": ckpt.ops_digest(self.ops, self.scheme),
+                "ops_digest": self.ops_digest,
                 "entries": [{
                     "value": e.value_index,
                     "file": e.file_name,
@@ -348,16 +323,15 @@ class DurableExecutor:
                 } for e in entries],
             }))
 
-    def _restore_checkpoint(self, checkpoints: list[dict],
+    def _restore_checkpoint(self, checkpoints: Sequence[dict],
                             states: Sequence["CtState | None"],
                             values: list[Any],
                             out: RecoveryReport) -> int:
         """Load the newest usable checkpoint into ``values``; returns
         its boundary (-1 when none is usable)."""
-        expected_digest = ckpt.ops_digest(self.ops, self.scheme)
         for record in reversed(checkpoints):
             boundary = record["boundary"]
-            if record["ops_digest"] != expected_digest:
+            if record["ops_digest"] != self.ops_digest:
                 out.findings.append(ResumeFinding(
                     "stale_checkpoint",
                     f"checkpoint at op {boundary} was taken against a "

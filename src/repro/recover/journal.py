@@ -9,6 +9,8 @@ those bytes meaning.  An execution journal is a strict grammar::
 * ``BEGIN`` pins the workload: label, scheme, the full op list, the
   input feed, the run seed, and a digest over the ops so a later resume
   can detect a *stale* checkpoint taken against a different program.
+  Resume refuses a journal whose digest, run seed or feed is not its
+  own.
 * ``OP_DONE`` records the digest of each produced ciphertext the moment
   the op completes — the bit-identity ledger replay is checked against.
 * ``CHECKPOINT`` names the serialized live-set archives on disk (with

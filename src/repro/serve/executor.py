@@ -9,8 +9,12 @@ Two implementations of one small duck-typed contract::
     def health() -> float                    # capacity fraction in [0, 1]
 
 * :class:`CkksOpExecutor` performs **real** ciphertext operations
-  (keyswitch, hmult, hrot, rescale) on toy CKKS parameters through the
-  repo's kernel-backend stack, on the degradation ladder
+  on toy CKKS parameters through the repo's kernel-backend stack.  It
+  has no op vocabulary of its own: the four served names
+  (:data:`~repro.serve.requests.OPS`) are labels on positions of one
+  checked ring program (:data:`SERVED_PROGRAM`, in the
+  :mod:`repro.fhe.program` vocabulary), and serving a request
+  re-executes the labelled position — on the degradation ladder
   :class:`~repro.fhe.backend.IntegrityBackend` walks: level 0 = the
   configured backend, then :func:`~repro.fhe.backend.ladder_backend`
   (level 1 = clamped numpy, level 2 = per-row golden).  Verification
@@ -37,16 +41,34 @@ import zlib
 import numpy as np
 
 from repro import obs
+from repro.analysis.ctstate import check_sequence
 from repro.fhe.backend import ladder_backend, use_backend
-from repro.fhe.ckks import Ciphertext, CkksContext
+from repro.fhe.ckks import CkksContext
 from repro.fhe.params import CkksParams, toy_params
+from repro.fhe.program import Op, ProgramExecutor
 from repro.serve.requests import OPS, ServeRequest
 
-__all__ = ["CkksOpExecutor", "SimulatedExecutor"]
+__all__ = ["SERVED_PROGRAM", "CkksOpExecutor", "SimulatedExecutor"]
 
 #: Service-time multiplier per degradation-ladder level — degraded
 #: paths are safer but slower (the golden path is per-row scalar code).
 LEVEL_SLOWDOWN = (1.0, 1.4, 2.5)
+
+
+#: The program behind the served ops: two fresh ciphertexts, their
+#: unrelinearized 3-part product (so ``keyswitch`` folds an s^2 part
+#: back, exercising apply_keyswitch in isolation) and their unrescaled
+#: product (what ``rescale`` consumes), then one labelled position per
+#: name in :data:`~repro.serve.requests.OPS`.
+SERVED_PROGRAM = (
+    Op("encrypt"), Op("encrypt"),
+    Op("tensor", (0, 1)),
+    Op("multiply", (0, 1)),
+    Op("multiply", (0, 1), label="hmult"),
+    Op("rescale", (3,), label="rescale"),
+    Op("rotate", (0,), arg=1, label="hrot"),
+    Op("relinearize", (2,), label="keyswitch"),
+)
 
 
 class CkksOpExecutor:
@@ -59,35 +81,26 @@ class CkksOpExecutor:
         self.ctx = CkksContext(self.params, seed=2025)
         self.ctx.generate_galois_keys([1])
         rng = np.random.default_rng(seed)
-        slots = self.params.slots
-        self._ct_a = self.ctx.encrypt(rng.normal(0.0, 1.0, slots))
-        self._ct_b = self.ctx.encrypt(rng.normal(0.0, 1.0, slots))
-        # An unrelinearized 3-part product: the keyswitch op folds its
-        # s^2 component back, exercising apply_keyswitch in isolation.
-        a, b = self.ctx._check_levels(self._ct_a, self._ct_b)
-        self._ct3 = Ciphertext(
-            [a.parts[0] * b.parts[0],
-             a.parts[0] * b.parts[1] + a.parts[1] * b.parts[0],
-             a.parts[1] * b.parts[1]],
-            a.scale * b.scale)
-        self._ct_prod = self.ctx.multiply(self._ct_a, self._ct_b,
-                                          rescale_after=False)
-        #: Golden decryptions, one per op, computed on the default path.
-        self.golden = {op: self._apply(op) for op in OPS}
+        self._program = ProgramExecutor(
+            check_sequence(SERVED_PROGRAM, self.params, label="serve"),
+            self.ctx,
+            [rng.normal(0.0, 1.0, self.params.slots) for _ in range(2)])
+        self._values = self._program.run()
+        self._position = {op.label: index
+                          for index, op in enumerate(SERVED_PROGRAM)
+                          if op.label}
+        #: Golden decryptions, one per op, from the default-path run.
+        self.golden = {op: self.ctx.decrypt(self._values[self._position[op]])
+                       for op in OPS}
+        # Requests re-execute the served positions; only what they read
+        # (the unlabelled values) stays resident.
+        for index in self._position.values():
+            self._values[index] = None
 
     def _apply(self, op: str) -> np.ndarray:
-        if op == "hmult":
-            out = self.ctx.multiply(self._ct_a, self._ct_b,
-                                    rescale_after=False)
-        elif op == "rescale":
-            out = self.ctx.rescale(self._ct_prod)
-        elif op == "hrot":
-            out = self.ctx.rotate(self._ct_a, 1)
-        elif op == "keyswitch":
-            out = self.ctx.relinearize(self._ct3)
-        else:  # pragma: no cover - ServeRequest validates the op
-            raise ValueError(f"unknown op {op!r}")
-        return self.ctx.decrypt(out)
+        """Re-execute the position ``op`` labels and decrypt it."""
+        return self.ctx.decrypt(
+            self._program.at(self._values, self._position[op]))
 
     async def run(self, request: ServeRequest, level: int,
                   straggle: float = 1.0) -> np.ndarray:

@@ -231,47 +231,6 @@ class TestSuppressions:
             """) == ["FHC002", "FHC010"]
 
 
-class TestFHC008SequenceCheckGuard:
-    def test_flags_unchecked_execution(self):
-        assert "FHC008" in _rules("""
-            def f(ops, ctx, inputs):
-                return execute_sequence(ops, ctx, inputs)
-            """)
-
-    def test_checked_entry_point_shape_exempts(self):
-        # The exact shape of ctstate.run_checked must pass its own rule.
-        assert _rules("""
-            def run_checked(ops, ctx, inputs, label=""):
-                report = check_sequence(ops, ctx.params, label=label)
-                if report.ok:
-                    return execute_sequence(ops, ctx, inputs)
-                raise CtStateError(report)
-            """) == []
-
-    def test_raise_on_error_guard_exempts(self):
-        assert _rules("""
-            def f(ops, ctx, inputs):
-                check_sequence(ops, ctx.params).raise_on_error()
-                report = check_sequence(ops, ctx.params)
-                if report.ok:
-                    return execute_sequence(ops, ctx, inputs)
-            """) == []
-
-    def test_check_after_execution_still_flagged(self):
-        assert "FHC008" in _rules("""
-            def f(ops, ctx, inputs):
-                out = execute_sequence(ops, ctx, inputs)
-                check_sequence(ops, ctx.params)
-                return out
-            """)
-
-    def test_suppression(self):
-        assert _rules("""
-            def f(ops, ctx, inputs):
-                return execute_sequence(ops, ctx, inputs)  # fhecheck: ok=FHC008
-            """) == []
-
-
 class TestFHC009SramStagingGuard:
     def test_flags_unchecked_stage(self):
         assert "FHC009" in _rules("""

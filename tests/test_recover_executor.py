@@ -5,10 +5,10 @@ each produced by a deliberately damaged journal fixture."""
 import numpy as np
 import pytest
 
-from repro.analysis.ctstate import Op, ckks_mult_rotate_sequence
+from repro.analysis.ctstate import ckks_mult_rotate_sequence
 from repro.fhe.ckks import CkksContext
 from repro.fhe.params import toy_params
-from repro.recover.checkpoint import live_set, sink_indices
+from repro.fhe.program import Op, feed_count, live_set, sink_indices
 from repro.recover.executor import (JOURNAL_NAME, DivergenceError,
                                     DurableExecutor, golden_outputs_digest)
 from repro.recover.journal import (RT_CHECKPOINT, RT_COMMIT, RT_OP_DONE,
@@ -29,10 +29,8 @@ def _make_ctx():
 
 def _inputs():
     rng = np.random.default_rng(7)
-    n_feed = sum(1 for op in OPS
-                 if op.kind in ("encrypt", "multiply_plain"))
     return [rng.standard_normal(PARAMS.n // 2).tolist()
-            for _ in range(n_feed)]
+            for _ in range(feed_count(OPS))]
 
 
 INPUTS = _inputs()
@@ -119,6 +117,42 @@ class TestFreshRunAndResume:
             run_seed=RUN_SEED)
         with pytest.raises(JournalError):
             other.resume()
+
+
+class TestResumeChecksTheRunItJournaled:
+    """BEGIN records ``run_seed`` and ``inputs`` next to ``ops_digest``;
+    resuming past a checkpoint under a different value of either used to
+    commit an outputs digest no run produces, with no finding."""
+
+    # An encrypt after the resume point draws from the run seed and the
+    # feed, so both reach the outputs.
+    ops = [Op("encrypt"), Op("encrypt"), Op("add", (0, 1)),
+           Op("rotate", (2,), arg=1), Op("encrypt"), Op("add", (3, 4))]
+
+    def _executor(self, directory, *, run_seed=RUN_SEED, scale=1.0):
+        rng = np.random.default_rng(7)
+        inputs = [(scale * rng.standard_normal(PARAMS.n // 2)).tolist()
+                  for _ in range(feed_count(self.ops))]
+        return DurableExecutor(_make_ctx(), self.ops, inputs, directory,
+                               checkpoint_interval=INTERVAL,
+                               run_seed=run_seed)
+
+    @pytest.mark.parametrize("field,change", [
+        ("run_seed", {"run_seed": RUN_SEED + 1}),
+        ("inputs", {"scale": 2.0}),
+    ])
+    def test_resume_rejects_another_runs_journal(self, tmp_path, field,
+                                                 change):
+        golden = self._executor(tmp_path).run().outputs_digest
+        journal = tmp_path / JOURNAL_NAME
+        _rewrite(journal, keep=lambda r: r.rtype != RT_COMMIT and not (
+            r.rtype == RT_OP_DONE and decode(r)["index"] > 3))
+        crashed = journal.read_bytes()
+        with pytest.raises(JournalError, match=field):
+            self._executor(tmp_path, **change).resume()
+        assert journal.read_bytes() == crashed  # nothing was committed
+        report = self._executor(tmp_path).resume()
+        assert report.outputs_digest == golden and report.resumed_from == 3
 
 
 class TestTornTailFixture:

@@ -10,7 +10,8 @@ from repro.serve.chaos import ChaosInjector, ChaosPlan
 from repro.serve.deadline import Deadline
 from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.errors import EngineClosedError
-from repro.serve.executor import CkksOpExecutor, SimulatedExecutor
+from repro.serve.executor import (SERVED_PROGRAM, CkksOpExecutor,
+                                  SimulatedExecutor)
 from repro.serve.requests import (
     OPS,
     STATUS_DEGRADED,
@@ -274,6 +275,15 @@ class TestCkksExecutor:
 
         verdicts = run(main())
         assert all(verdicts.values())
+
+    def test_served_names_label_one_checked_program(self, executor):
+        labels = [op.label for op in SERVED_PROGRAM if op.label]
+        assert sorted(labels) == sorted(OPS)
+        # keyswitch (relinearize the tensor product) and rescale reach
+        # the same plaintext product hmult does, by other positions.
+        for op in ("keyswitch", "rescale"):
+            assert np.allclose(executor.golden[op], executor.golden["hmult"],
+                               atol=1e-3)
 
     def test_corruption_never_verifies(self, executor):
         async def main():
