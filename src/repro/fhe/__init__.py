@@ -14,15 +14,18 @@ Modules:
   digit-decomposition keyswitch.
 * :mod:`repro.fhe.polynomial` — double-CRT polynomials.
 * :mod:`repro.fhe.sampling` — ternary/Gaussian/uniform samplers.
-* :mod:`repro.fhe.encoding` — the canonical-embedding encoder with the
-  power-of-5 slot ordering that makes HRot a cyclic slot rotation.
+* :mod:`repro.fhe.encoding` — the canonical-embedding encoder and the
+  exact integer batch encoder, both on the power-of-5 slot ordering that
+  makes HRot a cyclic slot rotation.
 * :mod:`repro.fhe.keyswitch` — RNS digit-decomposition keyswitching with
   one special prime.
-* :mod:`repro.fhe.ckks` — keygen, encryption, and the evaluator
-  (HAdd/HSub/HMult/HRot/conjugate/rescale).
-* :mod:`repro.fhe.bgv` / :mod:`repro.fhe.bfv` — the BGV and BFV schemes
-  (exact integer slots) on the identical substrate, as §II-A
-  anticipates.
+* :mod:`repro.fhe.rlwe` — the RLWE core all three schemes subclass:
+  keygen, public-key encryption, the secret phase and the relin / Galois
+  keyswitch folds, written once.
+* :mod:`repro.fhe.ckks` — the CKKS layer on it: encoder, scale
+  management, and the evaluator (HAdd/HSub/HMult/HRot/conjugate/rescale).
+* :mod:`repro.fhe.bgv` / :mod:`repro.fhe.bfv` — the BGV and BFV layers
+  (exact integer slots) on the same core, as §II-A anticipates.
 * :mod:`repro.fhe.packing` — arbitrary-length vectors over multiple
   ciphertexts.
 * :mod:`repro.fhe.linear` — homomorphic matrix-vector products

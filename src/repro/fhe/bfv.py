@@ -4,8 +4,9 @@ Where BGV carries its plaintext next to the noise (``m + t*e``) and
 manages scale through modulus switching, BFV embeds the plaintext at the
 *top* of the modulus (``Delta*m`` with ``Delta = floor(Q/t)``) and
 divides by ``Q/t`` after every multiplication.  Same ring, same NTT and
-automorphism kernels, same digit keyswitch — one more datapoint for the
-paper's claim that the unified VPU serves every mainstream scheme.
+automorphism kernels, same keys and digit keyswitch (the shared RLWE
+core, :mod:`repro.fhe.rlwe`) — one more datapoint for the paper's claim
+that the unified VPU serves every mainstream scheme.
 
 Scope note: homomorphic multiplication's tensor step must be computed
 over the integers before the ``t/Q`` rounding, which RNS-optimized BFV
@@ -21,139 +22,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arith.modular import mod_inverse
 from repro.fhe.bgv import BgvParams
-from repro.fhe.keyswitch import apply_keyswitch, generate_keyswitch_key, mod_down
+from repro.fhe.encoding import BatchEncoder
 from repro.fhe.polynomial import RnsPoly
-from repro.fhe.rns import get_basis
-from repro.fhe.sampling import sample_gaussian, sample_ternary, sample_uniform_poly
-from repro.ntt.negacyclic import NegacyclicNtt
+from repro.fhe.rlwe import RlweCiphertext, RlweContext
 
 
 @dataclass
-class BfvCiphertext:
+class BfvCiphertext(RlweCiphertext):
     """A BFV ciphertext (no auxiliary bookkeeping needed: scale
     invariance is the scheme's selling point)."""
 
-    parts: list[RnsPoly]
-
-    @property
-    def size(self) -> int:
-        return len(self.parts)
+    scheme = "bfv"
 
 
-class BfvContext:
+class BfvContext(RlweContext):
     """Keys and evaluator for BFV (single-level modulus: the chain's
     full product; BFV needs no level ladder)."""
+
+    scheme = "bfv"
 
     def __init__(self, params: BgvParams, seed: int = 2025):
         self.params = params
         self.t = params.plaintext_modulus
-        self._cp = params.ciphertext_params()
-        self.basis = get_basis(self._cp.primes, self._cp.special_prime)
-        self._rng = np.random.default_rng(seed)
-        self._full = self._cp.primes + (self._cp.special_prime,)
+        self.encoder = BatchEncoder(params.n, self.t)
+        super().__init__(params.ciphertext_params(), seed)
         self.big_q = self.basis.big_q
         self.delta = self.big_q // self.t
-        self._plain_ntt = NegacyclicNtt(params.n, self.t)
-        self._slot_order = self._build_slot_order()
-        self._keygen()
 
-    # -- slot packing (same power-of-5 orbits as BGV) -----------------------
+    def _plain_poly(self, values: np.ndarray, scale: int = 1) -> RnsPoly:
+        """Encoded slots as a chain polynomial, times ``scale``."""
+        coeffs = self.encoder.encode(values).astype(object) * scale
+        return RnsPoly.from_int_coeffs(coeffs, self.chain.primes)
 
-    def _build_slot_order(self) -> np.ndarray:
-        n = self.params.n
-        order = np.empty(n, dtype=np.int64)
-        exponent = 1
-        for u in range(n // 2):
-            order[u] = (exponent - 1) // 2
-            order[u + n // 2] = (2 * n - exponent - 1) // 2
-            exponent = exponent * 5 % (2 * n)
-        return order
-
-    def _encode_coeffs(self, values: np.ndarray) -> np.ndarray:
-        n = self.params.n
-        if len(values) != n:
-            raise ValueError(f"expected {n} slots, got {len(values)}")
-        evals = np.zeros(n, dtype=np.uint64)
-        evals[self._slot_order] = np.asarray(values, dtype=object) % self.t
-        coeffs = self._plain_ntt.inverse(evals).astype(np.int64)
-        return np.where(coeffs > self.t // 2, coeffs - self.t, coeffs)
-
-    def _decode_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        evals = self._plain_ntt.forward(
-            np.asarray(coeffs, dtype=object) % self.t)
-        # fhecheck: ok=FHC002 — evals are residues mod t < 2**62
-        return evals[self._slot_order].astype(np.int64)
-
-    # -- keys ---------------------------------------------------------------
-
-    def _keygen(self) -> None:
-        cp = self._cp
-        n = self.params.n
-        secret = sample_ternary(n, self._rng)
-        self._secret_full = RnsPoly.from_int_coeffs(secret, self._full)
-        self.secret = self._secret_full.limbs_prefix(cp.levels)
-        a = sample_uniform_poly(n, cp.primes, self._rng)
-        e = RnsPoly.from_int_coeffs(
-            sample_gaussian(n, cp.error_std, self._rng), cp.primes)
-        self.public_key = ((-(a * self.secret)) + e, a)
-        s_squared = self._secret_full * self._secret_full
-        self.relin_key = generate_keyswitch_key(
-            cp, s_squared, self._secret_full, self._rng)
+    def _scale_round(self, coeffs: np.ndarray) -> np.ndarray:
+        """``round(t * x / Q)`` coefficient-wise, over the integers."""
+        return np.array(
+            [(2 * self.t * int(v) + self.big_q) // (2 * self.big_q)
+             for v in coeffs], dtype=object)
 
     # -- encryption -----------------------------------------------------------
 
     def encrypt(self, values: np.ndarray) -> BfvCiphertext:
-        cp = self._cp
-        n = self.params.n
-        m_coeffs = self._encode_coeffs(values)
-        scaled = (m_coeffs.astype(object) * self.delta)
-        m_poly = RnsPoly.from_int_coeffs(scaled, cp.primes)
-        b, a = self.public_key
-        u = RnsPoly.from_int_coeffs(sample_ternary(n, self._rng), cp.primes)
-        e0 = RnsPoly.from_int_coeffs(
-            sample_gaussian(n, cp.error_std, self._rng), cp.primes)
-        e1 = RnsPoly.from_int_coeffs(
-            sample_gaussian(n, cp.error_std, self._rng), cp.primes)
-        return BfvCiphertext([b * u + e0 + m_poly, a * u + e1])
-
-    def _lift(self, poly: RnsPoly) -> np.ndarray:
-        """Centered big-integer coefficients of a chain polynomial."""
-        coeff = poly.to_coeff()
-        total = np.zeros(self.params.n, dtype=object)
-        for i, q in enumerate(coeff.primes):
-            q_hat = self.big_q // q
-            factor = q_hat * mod_inverse(q_hat, q) % self.big_q
-            total = (total + coeff.residues[i].astype(object) * factor) \
-                % self.big_q
-        return np.where(total > self.big_q // 2, total - self.big_q, total)
+        return BfvCiphertext(self._encrypt(self._plain_poly(values, self.delta)))
 
     def decrypt(self, ct: BfvCiphertext) -> np.ndarray:
-        s = self.secret
-        acc = ct.parts[0].copy()
-        s_power = s
-        for part in ct.parts[1:]:
-            acc = acc + part * s_power
-            s_power = s_power * s
-        carried = self._lift(acc)
         # m = round(t * carried / Q) mod t.
-        rounded = np.array(
-            [(2 * self.t * int(v) + self.big_q) // (2 * self.big_q)
-             for v in carried], dtype=object)
-        return self._decode_coeffs(rounded % self.t)
+        return self.encoder.decode(
+            self._scale_round(self.phase(ct).centered_lift()))
 
     # -- evaluator ---------------------------------------------------------------
 
-    def add(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
-        return BfvCiphertext([x + y for x, y in zip(a.parts, b.parts)])
-
-    def sub(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
-        return BfvCiphertext([x - y for x, y in zip(a.parts, b.parts)])
-
     def add_plain(self, ct: BfvCiphertext, values: np.ndarray) -> BfvCiphertext:
-        scaled = self._encode_coeffs(values).astype(object) * self.delta
-        m_poly = RnsPoly.from_int_coeffs(scaled, self._cp.primes)
+        m_poly = self._plain_poly(values, self.delta)
         return BfvCiphertext([ct.parts[0] + m_poly]
                              + [p.copy() for p in ct.parts[1:]])
 
@@ -161,16 +82,15 @@ class BfvContext:
                        values: np.ndarray) -> BfvCiphertext:
         # Plaintext multiplicand is NOT Delta-scaled (the ciphertext
         # already carries one Delta).
-        m_poly = RnsPoly.from_int_coeffs(
-            self._encode_coeffs(values), self._cp.primes)
+        m_poly = self._plain_poly(values)
         return BfvCiphertext([p * m_poly for p in ct.parts])
 
     def multiply(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
         """HMult: integer tensor, ``t/Q`` rounding, relinearization."""
         if a.size != 2 or b.size != 2:
             raise ValueError("multiply expects 2-part ciphertexts")
-        lifted_a = [self._lift(p) for p in a.parts]
-        lifted_b = [self._lift(p) for p in b.parts]
+        a0, a1 = (p.centered_lift() for p in a.parts)
+        b0, b1 = (p.centered_lift() for p in b.parts)
 
         def negacyclic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             n = self.params.n
@@ -188,20 +108,9 @@ class BfvContext:
                         out[k - n] -= v
             return out
 
-        def scale_round(poly: np.ndarray) -> np.ndarray:
-            return np.array(
-                [(2 * self.t * int(v) + self.big_q) // (2 * self.big_q)
-                 for v in poly], dtype=object)
-
-        d0 = scale_round(negacyclic(lifted_a[0], lifted_b[0]))
-        d1 = scale_round(negacyclic(lifted_a[0], lifted_b[1])
-                         + negacyclic(lifted_a[1], lifted_b[0]))
-        d2 = scale_round(negacyclic(lifted_a[1], lifted_b[1]))
-
-        primes = self._cp.primes
-        d0p = RnsPoly.from_int_coeffs(d0, primes)
-        d1p = RnsPoly.from_int_coeffs(d1, primes)
-        d2p = RnsPoly.from_int_coeffs(d2, primes)
-        t0, t1 = apply_keyswitch(d2p, self.relin_key, self._cp)
-        return BfvCiphertext([d0p + mod_down(t0, self.basis),
-                              d1p + mod_down(t1, self.basis)])
+        lifted = [negacyclic(a0, b0),
+                  negacyclic(a0, b1) + negacyclic(a1, b0),
+                  negacyclic(a1, b1)]
+        return self._relin_fold(BfvCiphertext(
+            [RnsPoly.from_int_coeffs(self._scale_round(d), self.chain.primes)
+             for d in lifted]))

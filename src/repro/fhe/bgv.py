@@ -3,11 +3,12 @@
 The paper notes (§II-A) that BGV/BFV "can also be similarly supported
 given their similar computation patterns" — the kernels are the same
 element-wise modular ops, NTTs and automorphisms the unified VPU
-accelerates.  This module proves that in code: BGV reuses this
-repository's RNS polynomials, digit-decomposition keyswitch and Galois
-machinery wholesale; only the plaintext encoding (exact integers modulo
-``t``) and the noise placement (``t * e`` instead of CKKS's scaled
-reals) differ.
+accelerates.  This module proves that in code: keys, encryption, the
+secret phase and the relin / Galois keyswitch folds are the shared RLWE
+core (:mod:`repro.fhe.rlwe`); only the plaintext encoding (exact
+integers modulo ``t``), the noise placement (``t * e`` instead of
+CKKS's scaled reals — the core's one ``noise_modulus`` value) and the
+modulus-switch bookkeeping live here.
 
 Supported: SIMD slot packing over ``Z_t`` (``t`` prime, ``t === 1 mod
 2N``), encryption, HAdd/HSub, HMult with relinearization, slot rotation
@@ -22,18 +23,11 @@ import numpy as np
 
 from repro.arith.modular import mod_inverse
 from repro.arith.primes import is_prime
-from repro.fhe.keyswitch import (
-    KeySwitchKey,
-    apply_keyswitch,
-    generate_keyswitch_key,
-    mod_down,
-    mod_switch_exact,
-)
+from repro.fhe.encoding import BatchEncoder
+from repro.fhe.keyswitch import mod_switch_exact
 from repro.fhe.params import CkksParams
 from repro.fhe.polynomial import RnsPoly
-from repro.fhe.rns import get_basis
-from repro.fhe.sampling import sample_gaussian, sample_ternary, sample_uniform_poly
-from repro.ntt.negacyclic import NegacyclicNtt
+from repro.fhe.rlwe import RlweCiphertext, RlweContext, tensor
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ class BgvParams:
 
 
 @dataclass
-class BgvCiphertext:
+class BgvCiphertext(RlweCiphertext):
     """A BGV ciphertext.
 
     ``factor`` tracks the plaintext correction accumulated by modulus
@@ -77,158 +71,51 @@ class BgvCiphertext:
     ``factor`` (the product of dropped primes mod ``t``) to undo it.
     """
 
-    parts: list[RnsPoly]
     factor: int = 1
-
-    @property
-    def level(self) -> int:
-        return self.parts[0].num_limbs - 1
-
-    @property
-    def size(self) -> int:
-        return len(self.parts)
+    scheme = "bgv"
 
 
-class BgvContext:
+class BgvContext(RlweContext):
     """Keys and evaluator for BGV."""
+
+    scheme = "bgv"
 
     def __init__(self, params: BgvParams, seed: int = 2025):
         self.params = params
         self.t = params.plaintext_modulus
-        self._cp = params.ciphertext_params()
-        self.basis = get_basis(self._cp.primes, self._cp.special_prime)
-        self._rng = np.random.default_rng(seed)
-        self._full = self._cp.primes + (self._cp.special_prime,)
-        self._plain_ntt = NegacyclicNtt(params.n, self.t)
-        self._slot_order = self._build_slot_order()
-        self._keygen()
-        self.galois_keys: dict[int, KeySwitchKey] = {}
+        self.encoder = BatchEncoder(params.n, self.t)
+        # Noise sits at multiples of t (``m + t*e``), keys included.
+        super().__init__(params.ciphertext_params(), seed, noise_modulus=self.t)
 
     # -- slot packing -----------------------------------------------------
 
-    def _build_slot_order(self) -> np.ndarray:
-        """Natural-eval-index of slot ``u``: the power-of-5 (and negative)
-        ordering that turns Galois maps into slot rotations.
-
-        The ``n`` evaluation points split into two size-``n/2`` orbits
-        under multiplication by 5; slots ``0..n/2-1`` walk the ``+5^u``
-        orbit and slots ``n/2..n-1`` the ``-5^u`` orbit.
-        """
-        n = self.params.n
-        order = np.empty(n, dtype=np.int64)
-        exponent = 1
-        for u in range(n // 2):
-            order[u] = (exponent - 1) // 2
-            order[u + n // 2] = (2 * n - exponent - 1) // 2
-            exponent = exponent * 5 % (2 * n)
-        return order
-
     def encode(self, values: np.ndarray) -> RnsPoly:
         """Integer slots (mod t) -> plaintext polynomial over the chain."""
-        values = np.asarray(values)
-        n = self.params.n
-        if len(values) != n:
-            raise ValueError(f"expected {n} slots, got {len(values)}")
-        evals = np.zeros(n, dtype=np.uint64)
-        evals[self._slot_order] = np.asarray(values, dtype=object) % self.t
-        coeffs = self._plain_ntt.inverse(evals)
-        centered = np.where(coeffs.astype(np.int64) > self.t // 2,
-                            coeffs.astype(np.int64) - self.t,
-                            coeffs.astype(np.int64))
-        return RnsPoly.from_int_coeffs(centered, self._cp.primes)
+        return RnsPoly.from_int_coeffs(self.encoder.encode(values),
+                                       self.chain.primes)
 
     def decode(self, plain_coeffs: np.ndarray) -> np.ndarray:
         """Centered integer coefficients -> integer slots (mod t)."""
-        evals = self._plain_ntt.forward(
-            np.asarray(plain_coeffs, dtype=object) % self.t)
-        # fhecheck: ok=FHC002 — evals are residues mod t < 2**62
-        return evals[self._slot_order].astype(np.int64)
-
-    # -- keys ----------------------------------------------------------------
-
-    def _keygen(self) -> None:
-        cp = self._cp
-        n = self.params.n
-        secret_coeffs = sample_ternary(n, self._rng)
-        self._secret_full = RnsPoly.from_int_coeffs(secret_coeffs, self._full)
-        self.secret = self._secret_full.limbs_prefix(cp.levels)
-        a = sample_uniform_poly(n, cp.primes, self._rng)
-        e = RnsPoly.from_int_coeffs(
-            sample_gaussian(n, cp.error_std, self._rng) * self.t, cp.primes)
-        self.public_key = ((-(a * self.secret)) + e, a)
-        s_squared = self._secret_full * self._secret_full
-        self.relin_key = generate_keyswitch_key(
-            cp, s_squared, self._secret_full, self._rng,
-            error_scale=self.t)
-
-    def generate_galois_keys(self, rotations: list[int]) -> None:
-        for r in rotations:
-            k = pow(5, r, 2 * self.params.n)
-            if k in self.galois_keys:
-                continue
-            s_rot = self._secret_full.automorphism(k)
-            self.galois_keys[k] = generate_keyswitch_key(
-                self._cp, s_rot, self._secret_full, self._rng,
-                error_scale=self.t)
+        return self.encoder.decode(plain_coeffs)
 
     # -- encryption -------------------------------------------------------------
 
     def encrypt(self, values: np.ndarray) -> BgvCiphertext:
-        cp = self._cp
-        n = self.params.n
-        m = self.encode(values)
-        b, a = self.public_key
-        u = RnsPoly.from_int_coeffs(sample_ternary(n, self._rng), cp.primes)
-        e0 = RnsPoly.from_int_coeffs(
-            sample_gaussian(n, cp.error_std, self._rng) * self.t, cp.primes)
-        e1 = RnsPoly.from_int_coeffs(
-            sample_gaussian(n, cp.error_std, self._rng) * self.t, cp.primes)
-        return BgvCiphertext([b * u + e0 + m, a * u + e1])
+        return BgvCiphertext(self._encrypt(self.encode(values)))
 
     def decrypt(self, ct: BgvCiphertext) -> np.ndarray:
-        s = self.secret.limbs_prefix(ct.level + 1)
-        acc = ct.parts[0].copy()
-        s_power = s
-        for part in ct.parts[1:]:
-            acc = acc + part * s_power
-            s_power = s_power * s
-        coeff = acc.to_coeff()
-        # Centered CRT lift, then reduce mod t.
-        q_prod = 1
-        for q in coeff.primes:
-            q_prod *= q
-        total = np.zeros(self.params.n, dtype=object)
-        for i, q in enumerate(coeff.primes):
-            q_hat = q_prod // q
-            factor = q_hat * mod_inverse(q_hat, q) % q_prod
-            total = (total + coeff.residues[i].astype(object) * factor) % q_prod
-        centered = np.where(total > q_prod // 2, total - q_prod, total)
-        decoded = self.decode(centered)
+        decoded = self.decode(self.phase(ct).centered_lift())
         return (decoded * ct.factor) % self.t
 
     # -- evaluator ------------------------------------------------------------
 
-    def _align(self, a: BgvCiphertext, b: BgvCiphertext):
+    def _operands(self, a: BgvCiphertext, b: BgvCiphertext):
         if a.factor != b.factor:
             raise ValueError(
                 f"plaintext correction factors differ ({a.factor} vs "
                 f"{b.factor}): operands took different mod-switch paths"
             )
-        level = min(a.level, b.level)
-        return (BgvCiphertext([p.limbs_prefix(level + 1) for p in a.parts],
-                              a.factor),
-                BgvCiphertext([p.limbs_prefix(level + 1) for p in b.parts],
-                              b.factor))
-
-    def add(self, a: BgvCiphertext, b: BgvCiphertext) -> BgvCiphertext:
-        a, b = self._align(a, b)
-        return BgvCiphertext([x + y for x, y in zip(a.parts, b.parts)],
-                             a.factor)
-
-    def sub(self, a: BgvCiphertext, b: BgvCiphertext) -> BgvCiphertext:
-        a, b = self._align(a, b)
-        return BgvCiphertext([x - y for x, y in zip(a.parts, b.parts)],
-                             a.factor)
+        return self._match_levels(a, b)
 
     def add_plain(self, ct: BgvCiphertext, values: np.ndarray) -> BgvCiphertext:
         if ct.factor != 1:
@@ -245,15 +132,9 @@ class BgvContext:
     def multiply(self, a: BgvCiphertext, b: BgvCiphertext,
                  switch_modulus: bool = True) -> BgvCiphertext:
         """HMult: tensor, relinearize, then modulus-switch to tame noise."""
-        a, b = self._align(a, b)
-        d0 = a.parts[0] * b.parts[0]
-        d1 = a.parts[0] * b.parts[1] + a.parts[1] * b.parts[0]
-        d2 = a.parts[1] * b.parts[1]
-        t0, t1 = apply_keyswitch(d2, self.relin_key, self._cp)
-        out = BgvCiphertext(
-            [d0 + mod_down(t0, self.basis, self.t),
-             d1 + mod_down(t1, self.basis, self.t)],
-            a.factor * b.factor % self.t)
+        a, b = self._operands(a, b)
+        out = self._relin_fold(BgvCiphertext(
+            tensor(a, b), a.factor * b.factor % self.t))
         if switch_modulus and out.level > 0:
             out = self.mod_switch(out)
         return out
@@ -261,16 +142,7 @@ class BgvContext:
     def rotate(self, ct: BgvCiphertext, steps: int) -> BgvCiphertext:
         """Rotate the first-orbit slots by ``steps`` (and the second orbit
         correspondingly), via the Galois action + keyswitch."""
-        k = pow(5, steps % (self.params.n // 2), 2 * self.params.n)
-        if k == 1:
-            return BgvCiphertext([p.copy() for p in ct.parts], ct.factor)
-        if k not in self.galois_keys:
-            raise KeyError(f"no Galois key for rotation {steps}")
-        c0 = ct.parts[0].automorphism(k)
-        c1 = ct.parts[1].automorphism(k)
-        t0, t1 = apply_keyswitch(c1, self.galois_keys[k], self._cp)
-        return BgvCiphertext([c0 + mod_down(t0, self.basis, self.t),
-                              mod_down(t1, self.basis, self.t)], ct.factor)
+        return self._rotate(ct, steps)
 
     def mod_switch(self, ct: BgvCiphertext) -> BgvCiphertext:
         """Drop the top chain prime, scaling noise down by ~q_l while

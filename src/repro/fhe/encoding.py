@@ -1,6 +1,6 @@
-"""CKKS canonical-embedding encoder.
+"""Slot encoders: CKKS canonical embedding and exact integer batching.
 
-A plaintext vector of ``N/2`` complex slots embeds into a real
+A CKKS plaintext vector of ``N/2`` complex slots embeds into a real
 polynomial through the canonical embedding: slot ``t`` is the value of
 the polynomial at the primitive ``2N``-th root ``zeta^(5^t)`` (and its
 conjugate at ``zeta^(-5^t)``), scaled by Delta and rounded.
@@ -13,6 +13,11 @@ slot vector by ``r`` — the paper's §II-C, where applying
 ordering the same action would scramble the slots.
 
 Transforms are O(N log N): one FFT plus an index permutation.
+
+:class:`BatchEncoder` is the exact-integer counterpart BGV and BFV
+share: the same orbit ordering (:func:`slot_order`) over the
+evaluation points of ``Z_t[X]/(X^N + 1)``, with a plain-modulus NTT in
+place of the FFT.
 """
 
 from __future__ import annotations
@@ -21,6 +26,52 @@ import numpy as np
 
 from repro.fhe.params import CkksParams
 from repro.fhe.polynomial import RnsPoly
+from repro.ntt.negacyclic import NegacyclicNtt
+
+
+def slot_order(n: int) -> np.ndarray:
+    """Natural evaluation index of every slot, in power-of-5 order —
+    the ordering that turns Galois maps into slot rotations.
+
+    The ``n`` evaluation points split into two size-``n/2`` orbits
+    under multiplication by 5; slots ``0..n/2-1`` walk the ``+5^u``
+    orbit (index ``j`` with ``2j+1 = 5^u mod 2n``) and slots
+    ``n/2..n-1`` the conjugate ``-5^u`` orbit.
+    """
+    order = np.empty(n, dtype=np.int64)
+    exponent = 1
+    for u in range(n // 2):
+        order[u] = (exponent - 1) // 2
+        order[u + n // 2] = (2 * n - exponent - 1) // 2
+        exponent = exponent * 5 % (2 * n)
+    return order
+
+
+class BatchEncoder:
+    """SIMD packing of ``n`` integer slots modulo a prime ``t``
+    (``t === 1 mod 2n``) — the plaintext side of BGV and BFV."""
+
+    def __init__(self, n: int, t: int):
+        self.n = n
+        self.t = t
+        self.slot_order = slot_order(n)
+        self._ntt = NegacyclicNtt(n, t)
+
+    def encode(self, values: np.ndarray) -> np.ndarray:
+        """Integer slots (mod t) -> centered plaintext coefficients."""
+        values = np.asarray(values)
+        if len(values) != self.n:
+            raise ValueError(f"expected {self.n} slots, got {len(values)}")
+        evals = np.zeros(self.n, dtype=np.uint64)
+        evals[self.slot_order] = values.astype(object) % self.t
+        coeffs = self._ntt.inverse(evals).astype(np.int64)
+        return np.where(coeffs > self.t // 2, coeffs - self.t, coeffs)
+
+    def decode(self, coeffs: np.ndarray) -> np.ndarray:
+        """Integer coefficients (any representative) -> slots in [0, t)."""
+        evals = self._ntt.forward(np.asarray(coeffs, dtype=object) % self.t)
+        # fhecheck: ok=FHC002 — evals are residues mod t < 2**62
+        return evals[self.slot_order].astype(np.int64)
 
 
 class CkksEncoder:
@@ -31,15 +82,10 @@ class CkksEncoder:
         n = params.n
         self.n = n
         self.slots = params.slots
-        # Map slot t to the DFT bin j with 2j+1 = 5^t mod 2N, and the
-        # conjugate bin for -5^t.
-        exponent = 1
-        self._slot_bin = np.empty(self.slots, dtype=np.int64)
-        self._conj_bin = np.empty(self.slots, dtype=np.int64)
-        for t in range(self.slots):
-            self._slot_bin[t] = (exponent - 1) // 2
-            self._conj_bin[t] = (2 * n - exponent - 1) // 2
-            exponent = exponent * 5 % (2 * n)
+        # Slot t sits in DFT bin j with 2j+1 = 5^t mod 2N; its conjugate
+        # in the bin for -5^t.
+        order = slot_order(n)
+        self._slot_bin, self._conj_bin = order[:self.slots], order[self.slots:]
         #: Twist factors e^{i pi k / N} linking the odd-root transform to
         #: the standard DFT.
         k = np.arange(n)
@@ -85,16 +131,4 @@ class CkksEncoder:
 
     def decode(self, poly: RnsPoly, scale: float) -> np.ndarray:
         """Decode a plaintext polynomial back to slot values."""
-        coeff_poly = poly.to_coeff()
-        q_prod = 1
-        for q in coeff_poly.primes:
-            q_prod *= q
-        # Centered CRT lift limb-by-limb (vectorized Garner would be
-        # overkill at these sizes).
-        acc = np.zeros(self.n, dtype=object)
-        for i, q in enumerate(coeff_poly.primes):
-            q_hat = q_prod // q
-            factor = q_hat * pow(q_hat, -1, q) % q_prod
-            acc = (acc + coeff_poly.residues[i].astype(object) * factor) % q_prod
-        centered = np.where(acc > q_prod // 2, acc - q_prod, acc)
-        return self.project(centered.astype(np.float64)) / scale
+        return self.project(poly.centered_lift().astype(np.float64)) / scale

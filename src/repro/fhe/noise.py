@@ -22,22 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arith.modular import mod_inverse
 from repro.fhe.ckks import Ciphertext, CkksContext
-
-
-def _lift_centered(poly) -> np.ndarray:
-    """Centered CRT lift of an RNS polynomial to integer coefficients."""
-    coeff = poly.to_coeff()
-    q_prod = 1
-    for q in coeff.primes:
-        q_prod *= q
-    total = np.zeros(coeff.n, dtype=object)
-    for i, q in enumerate(coeff.primes):
-        q_hat = q_prod // q
-        factor = q_hat * mod_inverse(q_hat, q) % q_prod
-        total = (total + coeff.residues[i].astype(object) * factor) % q_prod
-    return np.where(total > q_prod // 2, total - q_prod, total)
 
 
 def measure_noise(ctx: CkksContext, ct: Ciphertext,
@@ -47,13 +32,7 @@ def measure_noise(ctx: CkksContext, ct: Ciphertext,
     ``expected`` is the plaintext slot vector the ciphertext should
     carry.  Returns ``log2 || <ct, s> - encode(expected) ||_inf``.
     """
-    s = ctx.secret.limbs_prefix(ct.level + 1)
-    acc = ct.parts[0].copy()
-    s_power = s
-    for part in ct.parts[1:]:
-        acc = acc + part * s_power
-        s_power = s_power * s
-    carried = _lift_centered(acc)
+    carried = ctx.phase(ct).centered_lift()
     ideal = np.rint(ctx.encoder.embed(expected) * ct.scale).astype(object)
     noise = np.abs(carried - ideal).max()
     return math.log2(max(int(noise), 1))

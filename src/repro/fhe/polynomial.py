@@ -12,6 +12,7 @@ on the behavioral VPU and how the numpy path reaches its throughput.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,3 +209,16 @@ class RnsPoly:
         q = self.primes[index]
         row = self.residues[index].astype(np.int64)
         return np.where(row > q // 2, row - q, row)
+
+    def centered_lift(self) -> np.ndarray:
+        """Centered CRT lift to big-integer (object dtype) coefficients
+        in ``(-Q/2, Q/2]``, ``Q`` the product of this polynomial's
+        primes (either domain; golden-model code, one pass per limb)."""
+        coeff = self.to_coeff()
+        q_prod = math.prod(coeff.primes)
+        total = np.zeros(self.n, dtype=object)
+        for i, q in enumerate(coeff.primes):
+            q_hat = q_prod // q
+            factor = q_hat * pow(q_hat, -1, q) % q_prod
+            total = (total + coeff.residues[i].astype(object) * factor) % q_prod
+        return np.where(total > q_prod // 2, total - q_prod, total)

@@ -27,6 +27,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from repro.fhe.ckks import Ciphertext
+from repro.fhe.rlwe import tensor
 
 __all__ = [
     "OP_TABLE", "SCHEMES", "Op", "OpSpec", "ProgramExecutor", "Verdict",
@@ -73,11 +74,7 @@ def _row(arity: int, run: Callable[..., Any],
 
 def _tensor(ctx: Any, op: Op, a: Any, b: Any) -> Any:
     """The unrelinearized 3-part product ``multiply`` folds back."""
-    return Ciphertext(
-        [a.parts[0] * b.parts[0],
-         a.parts[0] * b.parts[1] + a.parts[1] * b.parts[0],
-         a.parts[1] * b.parts[1]],
-        a.scale * b.scale)
+    return Ciphertext(tensor(a, b), a.scale * b.scale)
 
 
 _CKKS = ("ckks",)
@@ -124,13 +121,13 @@ OP_TABLE: dict[str, OpSpec] = {
 
 
 def scheme_of(ctx: Any) -> str:
-    """The scheme (``ckks`` / ``bgv`` / ``bfv``) a context's class name
-    declares; :class:`TypeError` when it declares none."""
-    name = type(ctx).__name__
-    for scheme in SCHEMES:
-        if name.lower().startswith(scheme):
-            return scheme
-    raise TypeError(f"cannot infer scheme from context {name}")
+    """The scheme tag (``ckks`` / ``bgv`` / ``bfv``) a context declares
+    as ``scheme``; :class:`TypeError` when it declares none."""
+    scheme = getattr(ctx, "scheme", None)
+    if scheme not in SCHEMES:
+        raise TypeError(f"context {ctx!r} declares no scheme tag "
+                        f"(expected scheme = one of {SCHEMES})")
+    return scheme
 
 
 def feed_count(ops: Sequence[Op]) -> int:

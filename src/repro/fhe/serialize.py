@@ -12,8 +12,10 @@ All three schemes serialize through the same archive format:
 :class:`repro.fhe.ckks.Ciphertext` (carries a scale),
 :class:`repro.fhe.bfv.BfvCiphertext` (no bookkeeping), and
 :class:`repro.fhe.bgv.BgvCiphertext` (carries the mod-switch plaintext
-correction ``factor``).  A ``scheme`` tag in the archive routes the
-loader to the right class.
+correction ``factor``).  Each class declares its ``scheme`` tag
+(:mod:`repro.fhe.rlwe`); the tag — never the class name, so subclasses
+serialize as their base scheme — is written into the archive and routes
+the loader back through :data:`repro.fhe.rlwe.CIPHERTEXT_TYPES`.
 
 Robustness contract (the durable-execution layer in
 :mod:`repro.recover` leans on it): every archive carries a SHA-256
@@ -31,20 +33,19 @@ from __future__ import annotations
 import hashlib
 import io
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.fhe.polynomial import RnsPoly
+from repro.fhe.rlwe import CIPHERTEXT_TYPES
 
 #: v1 archives are CKKS-only and carry no digest; v2 adds the scheme
 #: tag, the BGV factor, and the content digest.  Both load.
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
-
-#: Scheme tags stored in the archive, mapped to ciphertext class names.
-_SCHEMES = ("ckks", "bfv", "bgv")
 
 
 class SerializationError(ValueError):
@@ -56,16 +57,13 @@ class SerializationError(ValueError):
 
 
 def _ciphertext_scheme(ct: Any) -> str:
-    """Infer the scheme tag from the ciphertext's class name."""
-    name = type(ct).__name__.lower()
-    for scheme in ("bfv", "bgv"):
-        if name.startswith(scheme):
-            return scheme
-    if name == "ciphertext":
-        return "ckks"
-    raise SerializationError(
-        f"cannot serialize {type(ct).__name__}: expected a CKKS "
-        f"Ciphertext, BfvCiphertext, or BgvCiphertext")
+    """The scheme tag the ciphertext's class declares."""
+    scheme = getattr(ct, "scheme", None)
+    if scheme not in CIPHERTEXT_TYPES:
+        raise SerializationError(
+            f"cannot serialize {ct!r}: expected a CKKS Ciphertext, "
+            f"BfvCiphertext, or BgvCiphertext")
+    return scheme
 
 
 def ciphertext_digest(ct: Any) -> str:
@@ -153,7 +151,7 @@ def load_ciphertext(path: str | Path | io.BytesIO) -> Any:
                     f"unsupported ciphertext format v{version}")
             scheme = (str(data["scheme"][0]) if "scheme" in data.files
                       else "ckks")
-            if scheme not in _SCHEMES:
+            if scheme not in CIPHERTEXT_TYPES:
                 raise SerializationError(f"unknown scheme tag {scheme!r}")
             parts = []
             num_parts = int(data["num_parts"][0])
@@ -190,14 +188,10 @@ def load_ciphertext(path: str | Path | io.BytesIO) -> Any:
 
 def _construct(scheme: str, parts: list[RnsPoly], scale: float,
                factor: int) -> Any:
-    if scheme == "bfv":
-        from repro.fhe.bfv import BfvCiphertext
-        return BfvCiphertext(parts)
-    if scheme == "bgv":
-        from repro.fhe.bgv import BgvCiphertext
-        return BgvCiphertext(parts, factor=factor)
-    from repro.fhe.ckks import Ciphertext
-    return Ciphertext(parts, scale)
+    cls = CIPHERTEXT_TYPES[scheme]
+    bookkeeping = {"scale": scale, "factor": factor}
+    return cls(parts, **{f.name: bookkeeping[f.name]
+                         for f in fields(cls) if f.name != "parts"})
 
 
 def ciphertext_size_bytes(ct: Any) -> int:

@@ -23,13 +23,13 @@ a durability contract:
   outputs.
 
 Bit-identical resume requires taming the one stateful ambient input:
-the context's encryption RNG.  A context encrypts through
-``self._rng``, whose state depends on how many encryptions came before
-— which a resumed process cannot replay cheaply.  The executor
-therefore derives a fresh seeded generator **per op** from
-``(run_seed, op_index)``; fresh runs and resumed runs draw identical
-randomness by construction, which the kill campaign then verifies
-empirically a hundred crashes at a time.
+the context's encryption RNG.  A context encrypts through one
+generator whose state depends on how many encryptions came before —
+which a resumed process cannot replay cheaply.  The executor therefore
+restarts it **per op** from ``(run_seed, op_index)``
+(:meth:`repro.fhe.rlwe.RlweContext.reseed`); fresh runs and resumed
+runs draw identical randomness by construction, which the kill campaign
+then verifies empirically a hundred crashes at a time.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _reseed(ctx: Any, run_seed: int, op_index: int) -> None:
     exactly the randomness the crashed one did — position in the
     sequence, not number of prior encryptions, determines the stream.
     """
-    ctx._rng = np.random.default_rng((run_seed, op_index))
+    ctx.reseed((run_seed, op_index))
 
 
 def golden_outputs_digest(ctx: Any, ops: Sequence[Op],

@@ -17,7 +17,7 @@ from repro.fhe.bgv import BgvContext, BgvParams
 from repro.fhe.ckks import CkksContext
 from repro.fhe.params import toy_params
 from repro.fhe.program import (OP_TABLE, SCHEMES, Op, ProgramExecutor,
-                               feed_count, op_to_row, ops_digest)
+                               feed_count, op_to_row, ops_digest, scheme_of)
 from repro.recover.checkpoint import state_matches
 from repro.recover.executor import (JOURNAL_NAME, DurableExecutor,
                                     golden_outputs_digest)
@@ -78,9 +78,8 @@ class TestOpTable:
         values = ProgramExecutor(
             report, ctx, _inputs(scheme, feed_count(ops))).run()
         assert len(values) == len(ops) and None not in values
-        if scheme != "bfv":  # BFV ciphertexts carry no level / domain
-            for value, state in zip(values, report.states):
-                assert state_matches(value, state) is None
+        for value, state in zip(values, report.states):
+            assert state_matches(value, state) is None
 
     def test_unsupported_pairs_are_refused_by_the_checker(self):
         for kind, spec in OP_TABLE.items():
@@ -101,10 +100,39 @@ class TestOpTable:
         assert op_to_row(ops[1]) == ["rotate", [0], 1, "x"]
 
 
-class CkksCountingContext:
-    """Stands in for a CKKS context (``scheme_of`` reads the class name)
-    and counts every attribute touched."""
+class TestSchemeTag:
+    """`scheme_of` reads the declared tag, never the class name."""
 
+    def test_subclass_of_any_name_is_its_base_scheme(self):
+        class Bgvish(CkksContext):  # the name says bgv; the tag says ckks
+            pass
+
+        ctx = Bgvish(toy_params(), seed=3)
+        assert scheme_of(ctx) == "ckks"
+        x = np.linspace(-1, 1, toy_params().slots)
+        values = run_checked([Op("encrypt"), Op("encrypt"),
+                              Op("multiply", (0, 1)), Op("rescale", (2,))],
+                             ctx, [x, x])
+        np.testing.assert_allclose(ctx.decrypt(values[-1]).real, x * x,
+                                   atol=1e-3)
+
+    def test_every_context_class_declares_its_tag(self, contexts):
+        assert {scheme_of(ctx) for ctx in contexts.values()} == set(SCHEMES)
+        assert all(scheme_of(ctx) == name for name, ctx in contexts.items())
+
+    def test_untagged_object_is_a_type_error(self):
+        class CkksLookalike:  # named like a context, declares nothing
+            params = toy_params()
+
+        with pytest.raises(TypeError, match="scheme"):
+            scheme_of(CkksLookalike())
+
+
+class CkksCountingContext:
+    """Stands in for a CKKS context (``scheme_of`` reads the ``scheme``
+    tag) and counts every attribute touched."""
+
+    scheme = "ckks"
     params = toy_params()
 
     def __init__(self):

@@ -1,0 +1,150 @@
+"""The RLWE core (`repro.fhe.rlwe`) and the integer slot encoder the
+exact schemes share: encoder properties, the one Galois fold, the
+pinned keygen -> encrypt -> multiply (-> rotate) digests that make
+bit-identity a check instead of a promise, and the structural rules
+that keep the scheme modules thin and the benchmark's keyswitch spans
+visible."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.fhe
+from repro.fhe.bfv import BfvCiphertext, BfvContext
+from repro.fhe.bgv import BgvCiphertext, BgvContext, BgvParams
+from repro.fhe.ckks import Ciphertext, CkksContext
+from repro.fhe.encoding import BatchEncoder
+from repro.fhe.params import toy_params
+from repro.fhe.rlwe import CIPHERTEXT_TYPES, RlweCiphertext, RlweContext
+from repro.fhe.serialize import ciphertext_digest
+
+T = 65537
+PINNED = BgvParams(n=64, levels=2, plaintext_modulus=257, prime_bits=28)
+FHE_DIR = Path(repro.fhe.__file__).parent
+
+
+class TestBatchEncoder:
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return BgvContext(BgvParams(n=256, levels=3, plaintext_modulus=T,
+                                    prime_bits=28), seed=7)
+
+    def test_slot_order_is_permutation(self, ctx):
+        assert sorted(ctx.encoder.slot_order) == list(range(256))
+
+    @pytest.mark.parametrize("n,t", [(8, 17), (64, 257), (256, T)])
+    def test_roundtrip(self, n, t):
+        encoder = BatchEncoder(n, t)
+        v = np.random.default_rng(n).integers(0, t, n)
+        coeffs = encoder.encode(v)
+        assert np.abs(coeffs).max() <= t // 2  # centered representatives
+        np.testing.assert_array_equal(encoder.decode(coeffs), v)
+
+    def test_wrong_size_rejected(self):
+        with pytest.raises(ValueError):
+            BatchEncoder(64, 257).encode(np.arange(63))
+
+    def test_bgv_and_bfv_encode_the_same_coefficients(self):
+        """One encoder under both exact schemes: the same slots give the
+        same centered coefficients, which is what BGV's plaintext
+        polynomial carries (BFV scales them by Delta)."""
+        bgv, bfv = BgvContext(PINNED, seed=1), BfvContext(PINNED, seed=1)
+        v = np.arange(64) * 3 % 257
+        coeffs = bgv.encoder.encode(v)
+        np.testing.assert_array_equal(bfv.encoder.encode(v), coeffs)
+        np.testing.assert_array_equal(
+            bgv.encode(v).centered_lift().astype(np.int64), coeffs)
+
+
+class TestSharedCore:
+    def test_each_scheme_is_a_thin_layer_over_the_core(self):
+        for ctx_cls, ct_cls in ((CkksContext, Ciphertext),
+                                (BgvContext, BgvCiphertext),
+                                (BfvContext, BfvCiphertext)):
+            assert issubclass(ctx_cls, RlweContext)
+            assert issubclass(ct_cls, RlweCiphertext)
+            assert ctx_cls.scheme == ct_cls.scheme
+            assert CIPHERTEXT_TYPES[ct_cls.scheme] is ct_cls
+            for owned in ("_keygen", "_encrypt", "phase", "_relin_fold",
+                          "_galois_fold", "reseed", "add", "sub"):
+                assert owned not in vars(ctx_cls)
+
+    def test_hoisted_rotation_is_the_same_galois_fold(self):
+        ctx = CkksContext(toy_params(), seed=7)
+        ctx.generate_galois_keys([1, 5])
+        ct = ctx.encrypt(np.linspace(-1, 1, ctx.params.slots))
+        for r in (1, 5):
+            [hoisted] = ctx.rotate_hoisted(ct, [r])
+            assert ciphertext_digest(hoisted) == ciphertext_digest(
+                ctx.rotate(ct, r))
+
+    def test_reseed_restarts_the_encryption_stream(self):
+        ctx = CkksContext(toy_params(), seed=7)
+        x = np.zeros(ctx.params.slots)
+        ctx.reseed((11, 4))
+        first = ciphertext_digest(ctx.encrypt(x))
+        assert ciphertext_digest(ctx.encrypt(x)) != first
+        ctx.reseed((11, 4))
+        assert ciphertext_digest(ctx.encrypt(x)) == first
+
+
+class TestPinnedDigests:
+    """Recorded at the commit before the schemes moved onto the core
+    (seed 7, Galois key for rotation 1).  Keys and ciphertexts must
+    stay bit-identical: the order of RNG draws (secret, a, e, relin
+    key; then u, e0, e1 per encryption) is a fixed point."""
+
+    def test_ckks_multiply_rotate(self):
+        ctx = CkksContext(toy_params(), seed=7)
+        ctx.generate_galois_keys([1])
+        x = np.arange(ctx.params.slots) / ctx.params.slots
+        out = ctx.rotate(ctx.multiply(ctx.encrypt(x), ctx.encrypt(x)), 1)
+        assert ciphertext_digest(out) == (
+            "f6aac1f115506fa428cf235c642859dbaf20f0e3ff5511bafc04e4005ffd6d94")
+
+    def test_bgv_multiply_rotate(self):
+        ctx = BgvContext(PINNED, seed=7)
+        ctx.generate_galois_keys([1])
+        v = np.arange(64)
+        out = ctx.rotate(ctx.multiply(ctx.encrypt(v), ctx.encrypt(v)), 1)
+        assert ciphertext_digest(out) == (
+            "c936d67c5919ceebf9325b027538a8e43ddafbec69df46e0eb368f40c7e45bfe")
+
+    def test_bfv_multiply(self):
+        ctx = BfvContext(PINNED, seed=7)
+        v = np.arange(64)
+        out = ctx.multiply(ctx.encrypt(v), ctx.encrypt(v))
+        assert ciphertext_digest(out) == (
+            "bdbc5f8dff2347e5335bf8ce8277ebc09375904d9c4dfb79fbc3378647c691f8")
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Every name a module binds with ``from ... import name``."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+class TestStructure:
+    @pytest.mark.parametrize("module", ["ckks.py", "bgv.py", "bfv.py"])
+    def test_scheme_modules_do_not_reimplement_the_core(self, module):
+        source = (FHE_DIR / module).read_text()
+        for owned_by_core in ("repro.fhe.sampling", "sample_",
+                              "generate_keyswitch_key", "_build_slot_order"):
+            assert owned_by_core not in source
+
+    def test_core_reaches_rebound_keyswitch_functions_through_the_module(self):
+        """`benchmarks/e2e/spans.instrument` rebinds these five on the
+        `repro.fhe.keyswitch` module only; a by-name import in the core
+        would keep calling the unwrapped function and the benchmark's
+        apply_keyswitch span count (a divisor in `run.py`) would drop."""
+        rebound = {"apply_keyswitch", "decompose_digits",
+                   "accumulate_keyswitch", "mod_down", "rescale"}
+        assert not rebound & _imported_names(FHE_DIR / "rlwe.py")
+
+    def test_core_sits_below_the_program_layer(self):
+        source = (FHE_DIR / "rlwe.py").read_text()
+        for above in ("repro.analysis", "repro.recover", "repro.serve"):
+            assert f"from {above}" not in source
+            assert f"import {above}" not in source

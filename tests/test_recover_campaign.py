@@ -7,6 +7,7 @@ machinery never runs twice.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,8 +48,14 @@ class TestCrashPrimitives:
 class TestWorkloads:
     @pytest.mark.parametrize("name", ["ckks", "bgv"])
     def test_goldens_are_stable(self, name):
+        """Run to run, and against the committed campaign artifact: the
+        golden covers keygen, encryption and every op of the workload,
+        so any drift in RNG draw order or ring arithmetic moves it."""
         workload = build_workload(name)
         assert workload.golden() == workload.golden()
+        committed = json.loads(
+            (Path(__file__).parent.parent / "BENCH_recover.json").read_text())
+        assert workload.golden() == committed["campaign"]["goldens"][name]
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):

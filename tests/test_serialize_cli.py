@@ -177,6 +177,40 @@ class TestMultiSchemeSerialization:
         assert ciphertext_digest(a) != ciphertext_digest(b)
 
 
+class TestSchemeTagRouting:
+    """The archive's scheme comes from the class's declared tag."""
+
+    def test_ciphertext_subclass_roundtrips_as_its_base_scheme(self, ctx):
+        from repro.fhe.ckks import Ciphertext
+        from repro.fhe.serialize import ciphertext_digest
+
+        class TenantCiphertext(Ciphertext):
+            pass
+
+        plain = ctx.encrypt(np.linspace(-1, 1, ctx.params.slots))
+        tagged = TenantCiphertext(plain.parts, plain.scale)
+        assert ciphertext_digest(tagged) == ciphertext_digest(plain)
+        buffer = io.BytesIO()
+        save_ciphertext(tagged, buffer)
+        buffer.seek(0)
+        loaded = load_ciphertext(buffer)
+        assert type(loaded) is Ciphertext
+        assert ciphertext_digest(loaded) == ciphertext_digest(plain)
+
+    def test_untagged_object_is_a_serialization_error(self, ctx):
+        from repro.fhe.serialize import SerializationError, ciphertext_digest
+
+        class Ciphertext:  # the CKKS class's name, but no tag
+            def __init__(self, parts):
+                self.parts, self.scale = parts, 1.0
+
+        impostor = Ciphertext(ctx.encrypt(np.zeros(ctx.params.slots)).parts)
+        with pytest.raises(SerializationError):
+            ciphertext_digest(impostor)
+        with pytest.raises(SerializationError):
+            save_ciphertext(impostor, io.BytesIO())
+
+
 class TestSerializationHardening:
     """Typed errors on truncated, corrupted, or mismatched archives."""
 
