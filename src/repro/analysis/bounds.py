@@ -13,10 +13,12 @@ to the kernels:
 * ``num_digits * max(q)**2 < 2**64`` guarding the fused keyswitch
   accumulation in :mod:`repro.fhe.keyswitch` is now
   :func:`keyswitch_lazy_accumulate_ok`.
+* the uint64 fit of the integrity layer's checksum dot products
+  (:mod:`repro.fault.integrity`) is :func:`checksum_dot_lazy_ok`.
 
-All gates are ``lru_cache``'d: the analyses are O(log n) exact-integer
-arithmetic, and the hot paths see a dictionary hit after the first call
-for a given shape.
+The plan-backed gates are ``lru_cache``'d: the analyses are O(log n)
+exact-integer arithmetic, and the hot paths see a dictionary hit after
+the first call for a given shape.
 
 The derived gates are *never stricter in the wrong direction* than the
 hand-coded ones they replace: the exact binding product for the
@@ -110,3 +112,26 @@ def mul_fits_uint64(max_a: int, max_b: int) -> bool:
     """Does a raw elementwise product of values up to ``max_a``/``max_b``
     fit uint64?  The guard for *any* un-gated ``a * b % q`` fallback."""
     return max_a * max_b <= U64_MAX
+
+
+#: Bit at which the integrity layer splits a checksum weight word.
+CHECKSUM_HALF_BITS = 15
+
+
+def checksum_dot_lazy_ok(n: int, max_x: int, q: int) -> bool:
+    """May an ABFT checksum over ``n`` words up to ``max_x`` run in
+    uint64 with one final ``%`` per dot product?
+
+    The weight vector is reduced mod ``q`` and split at bit
+    :data:`CHECKSUM_HALF_BITS` (15), so a half is at most
+    ``max((q - 1) >> 15, 2**15 - 1)``.  True iff the unreduced dot
+    product ``n * max_x * half`` fits uint64 and so does the
+    recombination of the two reduced halves,
+    ``(q - 1) + ((q - 1) << 15)``.  ``max_x`` is the measured maximum
+    of the rows (a corrupted word need not be below ``q``), so the gate
+    is a closed form, not a cached plan.
+    """
+    bits = CHECKSUM_HALF_BITS
+    half = max((q - 1) >> bits, (1 << bits) - 1)
+    return (n * max_x * half <= U64_MAX
+            and (q - 1) + ((q - 1) << bits) <= U64_MAX)

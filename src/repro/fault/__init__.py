@@ -3,8 +3,11 @@
 * :mod:`repro.fault.injector` — deterministic fault specs and the
   injection engine (register file, mux network, lane ALUs, SRAM/DRAM
   words, keyswitch accumulators).
-* :mod:`repro.fault.integrity` — O(n) ABFT checks: random-combination
-  NTT checksums, exact automorphism replay, spare-modulus keyswitch
+* :mod:`repro.fault.integrity` — O(n) ABFT checks: per NTT row two dot
+  products against a precomputed weight pair ``(r, Mᵀ r)`` — no
+  transform at check time; one corrupted word is always caught, an
+  arbitrary in-kernel corruption escapes with probability ``1/q`` —
+  plus exact automorphism replay and spare-modulus keyswitch
   verification.
 * :mod:`repro.fault.crash` — process-level crash sites (seeded SIGKILL
   at op boundaries and mid-WAL-record torn writes) for the

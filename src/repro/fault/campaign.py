@@ -55,7 +55,7 @@ from repro.ntt.negacyclic import NegacyclicNtt
 @dataclass(frozen=True)
 class CampaignConfig:
     """One campaign, fully determined (the seed covers spec generation,
-    workload data, and the ABFT coefficient streams)."""
+    workload data, and the ABFT weight vectors)."""
 
     workload: str = "vpu-ntt"
     policy: IntegrityPolicy = IntegrityPolicy.DETECT_RETRY

@@ -1,18 +1,27 @@
 """ABFT checks: O(n) algorithm-based verification of kernel batches.
 
-**NTT batches.**  The negacyclic NTT is a linear map over ``Z_q``, so
-for batch rows ``x_r`` sharing a modulus ``q`` with outputs ``y_r`` and
-random nonzero coefficients ``c_r``:
+**NTT rows** (negacyclic forward / inverse, and the pool's plain cyclic
+transform).  Each is a linear map ``y = M x`` over ``Z_q``, so for any
+vector ``r`` and its image ``w = Mᵀ r``
 
-    ``sum_r c_r * y_r  ==  NTT(sum_r c_r * x_r)   (mod q)``
+    ``<r, y>  ==  <r, M x>  ==  <w, x>   (mod q)``
 
-The check folds a whole ``(L, n)`` batch into one combination row per
-distinct modulus (O(n) per row) plus **one** trusted golden transform
-per modulus — instead of re-running L transforms.  A single corrupted
-row is detected with certainty: ``q`` is prime and ``c_r != 0``, so a
-nonzero row error cannot cancel out of the combination.  Multi-row
-corruptions escape only if their weighted errors cancel exactly — a
-``~1/q`` coincidence against random coefficients.
+The checker draws one seeded ``r`` per ``(n, q, map)``, builds ``w``
+**once** with a single golden transform, and from then on verifies a
+row with two dot products — no transform and no golden-model object at
+check time.  Both vectors are kept as 15-bit halves, so a dot product
+over reduced rows stays below ``2**58`` and takes one ``%`` per row
+(:func:`repro.analysis.bounds.checksum_dot_lazy_ok`; rows that fail the
+gate — moduli of ``2**31`` and up at large ``n``, or a corrupted word
+with high bits set — take the same expression in exact object
+arithmetic).  The guarantee, per row: every ``r_k`` and ``w_k`` is
+nonzero and ``q`` is prime, so **one** corrupted word at the kernel's
+input or output always changes exactly one side and is detected with
+certainty; an arbitrary corruption inside the kernel is a nonzero error
+``e`` on ``y`` and escapes only if ``<r, e> == 0``, probability ``1/q``
+(``2**-28 .. 2**-30``) over the draw of ``r``.  Every row is judged on
+its own, so errors in different rows cannot cancel and the faulty rows
+are named.
 
 **Automorphism batches** are prime-independent permutations; the check
 recomputes the permutation scatter (cached index table) and compares
@@ -26,13 +35,20 @@ so it must satisfy
     ``A mod q_s  ==  sum_i (d_i mod q_s)(k_i mod q_s)   (mod q_s)``
 
 for the spare prime ``q_s < 2**20`` — an independent arithmetic channel
-whose products stay below 2**40 and cannot themselves overflow.
+whose products stay below ``2**40``, so the right-hand side accumulates
+unreduced too (exact for any digit count below ``2**24``).  The digits
+are reduced once per keyswitch (both accumulators share them) and each
+key's ``mod q_s`` image is built once and lives exactly as long as the
+key.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
+from repro.analysis.bounds import CHECKSUM_HALF_BITS, checksum_dot_lazy_ok
 from repro.automorphism.mapping import galois_eval_permutation
 from repro.ntt.negacyclic import NegacyclicNtt
 
@@ -40,39 +56,62 @@ from repro.ntt.negacyclic import NegacyclicNtt
 #: products are exact in uint64, coprime to every chain prime.
 SPARE_MODULUS = 1_048_573
 
-
-def _combine_rows(rows: np.ndarray, idx: list[int], coeffs: np.ndarray,
-                  q: int) -> np.ndarray:
-    """``sum_r coeffs[r] * rows[idx[r]] mod q`` — O(n) per row."""
-    if q < (1 << 31):
-        qq = np.uint64(q)
-        acc = np.zeros(rows.shape[1], dtype=np.uint64)
-        for c, i in zip(coeffs, idx):
-            term = np.asarray(rows[i], dtype=np.uint64) % qq
-            acc = (acc + np.uint64(c) * term % qq) % qq
-        return acc
-    acc_obj = np.zeros(rows.shape[1], dtype=object)
-    for c, i in zip(coeffs, idx):
-        acc_obj = (acc_obj + int(c) * rows[i].astype(object)) % q
-    return acc_obj
+#: The linear maps a weight table exists for.
+_MAPS = ("ntt", "intt", "cyclic")
 
 
-def _rows_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    if getattr(a, "dtype", None) == object or \
-            getattr(b, "dtype", None) == object:
-        return all(int(x) == int(y) for x, y in zip(a, b))
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
+def _transposed_image(golden: NegacyclicNtt, r: np.ndarray,
+                      kind: str) -> np.ndarray:
+    """``Mᵀ r`` for the map ``kind`` names, by one golden transform.
+
+    With ``D = diag(psi**j)`` and ``V`` the (symmetric) cyclic DFT
+    matrix, the natural-order negacyclic forward map is ``V D`` and its
+    inverse ``D⁻¹ V⁻¹``; so the transposes are ``D V`` and ``V⁻¹ D⁻¹``,
+    and ``V z`` is the golden forward transform of ``D⁻¹ z``.
+    """
+    t, q = golden.tables, golden.q
+    folded = r * t.psi_inv_powers % q
+    if kind == "intt":
+        return golden.inverse(folded) * t.psi_powers % q
+    image = golden.forward(folded)
+    return image if kind == "cyclic" else image * t.psi_powers % q
+
+
+def _split(v: np.ndarray, q: int) -> np.ndarray:
+    """``v`` as its ``(lo, hi)`` halves, stored as narrowly as ``q``
+    allows (the tables are per-prime and persistent)."""
+    dtype = np.uint32 if q <= (1 << 47) else np.uint64
+    mask = (1 << CHECKSUM_HALF_BITS) - 1
+    return np.stack([v & mask, v >> CHECKSUM_HALF_BITS]).astype(dtype)
+
+
+def _checksums(block: np.ndarray, halves: np.ndarray, q: int) -> np.ndarray:
+    """``<v, row> mod q`` for every row of ``block``, ``v`` given as its
+    ``(lo, hi)`` halves: uint64 with one ``%`` per dot product when the
+    bound analyzer proves the unreduced sums fit, object dtype
+    otherwise."""
+    lazy = checksum_dot_lazy_ok(block.shape[1], int(block.max()), q)
+    dtype = np.uint64 if lazy else object
+    sums = np.einsum("ij,kj->ik", block.astype(dtype, copy=False),
+                     halves.astype(dtype)) % q
+    return (sums[:, 0] + (sums[:, 1] << CHECKSUM_HALF_BITS)) % q
 
 
 class AbftChecker:
-    """Stateful checker: one seeded coefficient stream + check counters.
+    """Stateful checker: seeded weight tables + check counters.
 
-    The coefficient stream is deterministic per seed, so a campaign with
-    a fixed seed produces byte-identical reports.
+    A weight table is a pure function of ``(seed, n, q, map)`` — not of
+    the order checks are issued in — so a campaign with a fixed seed
+    produces byte-identical reports.
     """
 
     def __init__(self, seed: int = 0):
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        #: ``(n, q, map) -> (r halves, w halves)``, each ``(2, n)``.
+        self._weights: dict[tuple[int, int, str],
+                            tuple[np.ndarray, np.ndarray]] = {}
+        #: ``KeySwitchKey -> (b image, a image)``, each ``(D, L+1, n)``.
+        self._key_images = weakref.WeakKeyDictionary()
         self.checks = 0
         self.mismatches = 0
 
@@ -82,29 +121,61 @@ class AbftChecker:
             self.mismatches += 1
         return ok
 
-    # -- NTT / automorphism batches ------------------------------------------
+    def clear_caches(self) -> None:
+        """Drop the weight tables and the key spare images (rebuilt on
+        next use, to the same values; the counters survive)."""
+        self._weights.clear()
+        self._key_images.clear()
 
-    def check_ntt_batch(self, inputs: np.ndarray, outputs: np.ndarray,
-                        primes: tuple[int, ...],
-                        inverse: bool = False) -> bool:
-        """Verify a batched (inverse) negacyclic NTT via random
-        combinations, grouping rows that share a modulus."""
+    # -- NTT rows -------------------------------------------------------------
+
+    def _weight_table(self, n: int, q: int,
+                      kind: str) -> tuple[np.ndarray, np.ndarray]:
+        key = (n, q, kind)
+        table = self._weights.get(key)
+        if table is None:
+            golden = NegacyclicNtt(n, q)
+            rng = np.random.default_rng(
+                [self._seed, n, q, _MAPS.index(kind)])
+            while True:
+                r = rng.integers(1, q, size=n, dtype=np.uint64)
+                w = _transposed_image(golden, r, kind)
+                if w.all():  # r is nonzero by construction
+                    break
+            table = self._weights[key] = (_split(r, q), _split(w, q))
+        return table
+
+    def faulty_ntt_rows(self, inputs: np.ndarray, outputs: np.ndarray,
+                        primes: tuple[int, ...], kind: str) -> list[int]:
+        """Rows of a batch whose output is not the ``kind`` transform
+        (``"ntt"`` | ``"intt"`` | ``"cyclic"``) of their input."""
         inputs = np.asarray(inputs)
         outputs = np.asarray(outputs)
         groups: dict[int, list[int]] = {}
         for i, q in enumerate(primes):
             groups.setdefault(int(q), []).append(i)
-        ok = True
-        for q in sorted(groups):
-            idx = groups[q]
-            coeffs = self._rng.integers(1, q, size=len(idx), dtype=np.uint64)
-            combo_in = _combine_rows(inputs, idx, coeffs, q)
-            combo_out = _combine_rows(outputs, idx, coeffs, q)
-            golden = NegacyclicNtt(inputs.shape[1], q)
-            ref = golden.inverse(combo_in) if inverse \
-                else golden.forward(combo_in)
-            ok = ok and _rows_equal(ref, combo_out)
-        return self._record(ok)
+        faulty: list[int] = []
+        for q, idx in groups.items():
+            r, w = self._weight_table(inputs.shape[1], q, kind)
+            differs = (_checksums(outputs[idx], r, q)
+                       != _checksums(inputs[idx], w, q))
+            faulty.extend(idx[k] for k in np.flatnonzero(differs))
+        return sorted(faulty)
+
+    def check_ntt_batch(self, inputs: np.ndarray, outputs: np.ndarray,
+                        primes: tuple[int, ...],
+                        inverse: bool = False) -> bool:
+        """Verify a batched (inverse) negacyclic NTT, row by row."""
+        return self._record(not self.faulty_ntt_rows(
+            inputs, outputs, primes, "intt" if inverse else "ntt"))
+
+    def check_cyclic_ntt_row(self, x_row: np.ndarray, y_row: np.ndarray,
+                             q: int) -> bool:
+        """Verify one plain cyclic NTT row (natural order) as produced
+        by the multi-VPU pool's ``compile_ntt`` programs."""
+        return self._record(not self.faulty_ntt_rows(
+            np.asarray(x_row)[None, :], np.asarray(y_row)[None, :], (q,),
+            "cyclic"))
 
     def check_automorphism_batch(self, inputs: np.ndarray,
                                  outputs: np.ndarray,
@@ -118,34 +189,35 @@ class AbftChecker:
         return self._record(bool(np.array_equal(expected,
                                                 np.asarray(outputs))))
 
-    def check_cyclic_ntt_row(self, x_row: np.ndarray, y_row: np.ndarray,
-                             q: int) -> bool:
-        """Verify one plain cyclic NTT row (natural order) as produced
-        by the multi-VPU pool's ``compile_ntt`` programs."""
-        from repro.ntt.cooley_tukey import vec_ntt_dif
-        from repro.ntt.tables import get_tables
-
-        qq = np.uint64(q)
-        c = np.uint64(int(self._rng.integers(1, q)))
-        t = get_tables(len(x_row), q)
-        combo_in = np.asarray(x_row, dtype=np.uint64) % qq * c % qq
-        ref = np.empty_like(combo_in)
-        ref[t.bitrev] = vec_ntt_dif(combo_in, t)
-        combo_out = np.asarray(y_row, dtype=np.uint64) % qq * c % qq
-        return self._record(bool(np.array_equal(ref, combo_out)))
-
     # -- keyswitch spare-modulus check ----------------------------------------
 
-    def check_keyswitch_accumulation(self, acc_raw: np.ndarray,
-                                     digit_stack: np.ndarray,
-                                     key_stack: np.ndarray) -> bool:
-        """Spare-modulus verification of one lazy keyswitch accumulator.
+    def _key_image(self, ksk) -> tuple[np.ndarray, np.ndarray]:
+        image = self._key_images.get(ksk)
+        if image is None:
+            qs = np.uint64(SPARE_MODULUS)
+            # Reduced below q_s < 2**20, so uint32 holds every word.
+            image = self._key_images[ksk] = tuple(
+                np.stack([(pair[part].residues % qs).astype(np.uint32)  # fhecheck: ok=FHC002
+                          for pair in ksk.pairs])
+                for part in (0, 1))
+        return image
 
-        ``acc_raw`` is the **unreduced** ``(L, n)`` uint64 accumulator
-        ``sum_i digit_i * key_i``; ``digit_stack``/``key_stack`` are the
-        ``(D, L, n)`` reduced operands it was accumulated from.
+    def check_keyswitch_accumulation(self, accs, digits, ksk,
+                                     keep: list[int]) -> tuple[bool, ...]:
+        """Spare-modulus verification of one keyswitch's lazy
+        accumulators; one verdict (and one recorded check) each.
+
+        ``accs[part]`` is the **unreduced** ``(L+1, n)`` uint64
+        accumulator ``sum_i digits[i] * ksk.pairs[i][part]`` over the
+        key limbs ``keep``.
         """
         qs = np.uint64(SPARE_MODULUS)
-        spare = (digit_stack % qs) * (key_stack % qs) % qs
-        expected = spare.sum(axis=0, dtype=np.uint64) % qs
-        return self._record(bool(np.array_equal(acc_raw % qs, expected)))
+        images = self._key_image(ksk)
+        expected = [np.zeros_like(acc) for acc in accs]
+        for i, digit in enumerate(digits):
+            reduced = digit.residues % qs
+            for total, image in zip(expected, images):
+                total += reduced * image[i, keep]
+        return tuple(
+            self._record(bool(np.array_equal(acc % qs, total % qs)))
+            for acc, total in zip(accs, expected))

@@ -99,7 +99,9 @@ def get_backend() -> KernelBackend:
 def clear_caches() -> None:
     """Drop every kernel-level cache: the batched-NTT stacks, the
     compiled-kernel plans and workspaces (:mod:`repro.kernels`, when
-    loaded), and the active backend's compiled programs and quarantines.
+    loaded), and the active backend's compiled programs and quarantines
+    (for an :class:`IntegrityBackend` also its checker's weight tables
+    and key spare images).
     Fault campaigns and tests call this between runs so poisoned state
     cannot leak across experiments.  (Twiddle tables stay cached: they
     are pure functions of ``(n, q)`` that no injection site ever writes.)

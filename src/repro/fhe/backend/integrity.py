@@ -17,12 +17,19 @@ class IntegrityBackend:
 
     Every batched kernel dispatch is verified after the fact with an
     O(n) algorithm-based check (:class:`~repro.fault.integrity
-    .AbftChecker`): random-combination checksums for NTT batches, exact
-    permutation replay for automorphisms.  What happens on a failed
-    check is the :class:`~repro.fault.policy.IntegrityPolicy`:
+    .AbftChecker`): for NTT batches two dot products a row against
+    precomputed weight vectors (``<r, y> == <Mᵀ r, x>``; a corrupted
+    input or output word is always caught, an arbitrary corruption of a
+    row escapes with probability ``1/q``), exact permutation replay for
+    automorphisms, and a spare-modulus check of the keyswitch
+    accumulators.  The weight tables (per ``(n, q, direction)``) and
+    the keys' spare images are built on first use, live in the checker
+    and go with :meth:`clear_caches`.  What happens on a failed check is
+    the :class:`~repro.fault.policy.IntegrityPolicy`:
 
     * ``OFF`` — no checks, no staging copies: bit-identical dispatch
-      straight to the wrapped backend.
+      straight to the wrapped backend, its fused keyswitch kernel
+      included.
     * ``DETECT`` — count and flag, keep the result.
     * ``DETECT_RETRY`` — bounded replay (``max_retries``), invalidating
       the wrapped backend's cached compiled program first.
@@ -189,22 +196,38 @@ class IntegrityBackend:
                                 primes: tuple[int, ...]) -> np.ndarray:
         return self._dispatch("auto", values, tuple(primes), galois_k)
 
-    # -- keyswitch spare-modulus channel ------------------------------------
+    # -- the optional protocol methods, present by policy ------------------
 
-    def check_keyswitch_accumulation(self, acc_raw: np.ndarray,
-                                     digit_stack: np.ndarray,
-                                     key_stack: np.ndarray) -> bool:
-        """Verify one lazy keyswitch accumulator over the spare modulus.
+    def __getattr__(self, attr: str):
+        """The keyswitch probes (``getattr`` with a default at the call
+        site).  ``OFF`` hands out the wrapped backend's fused
+        ``keyswitch_inner_product``, if it has one, and no check — so a
+        keyswitch runs exactly as on the bare backend; every checking
+        policy hands out the spare-modulus check and no fused kernel,
+        so the accumulators stay visible to it."""
+        off = self.__dict__.get("policy") is IntegrityPolicy.OFF
+        if attr == "keyswitch_inner_product" and off:
+            return getattr(self._level_backend(0), attr)
+        if attr == "check_keyswitch_accumulation" and not off:
+            return self._check_keyswitch_accumulation
+        raise AttributeError(attr)
 
-        Returns True to accept the accumulator as-is; False tells the
-        caller to recompute on the independent per-step reduced channel
-        (only under retry/degrade policies).
+    def _check_keyswitch_accumulation(self, acc0: np.ndarray,
+                                      acc1: np.ndarray, digits, ksk,
+                                      keep: list[int]) -> tuple[bool, ...]:
+        """Verify both lazy accumulators of one keyswitch over the
+        spare modulus; one verdict each.
+
+        True accepts the accumulator as-is; False tells the caller to
+        recompute it on the independent per-step reduced channel (only
+        under retry/degrade policies).
         """
-        if self.policy is IntegrityPolicy.OFF:
-            return True
-        if self.checker.check_keyswitch_accumulation(acc_raw, digit_stack,
-                                                     key_stack):
-            return True
+        verdicts = self.checker.check_keyswitch_accumulation(
+            (acc0, acc1), digits, ksk, keep)
+        return tuple(ok or self._accept_flagged_accumulator()
+                     for ok in verdicts)
+
+    def _accept_flagged_accumulator(self) -> bool:
         self._note_detection()
         self.keyswitch_detections += 1
         if self.policy is IntegrityPolicy.DETECT:
@@ -232,9 +255,11 @@ class IntegrityBackend:
         }
 
     def clear_caches(self) -> None:
-        """Clear the wrapped backend's caches and the failure counts
-        (detection counters are the experiment record and survive)."""
+        """Clear the wrapped backend's caches, the checker's weight
+        tables and key spare images, and the failure counts (detection
+        counters are the experiment record and survive)."""
         inner_clear = getattr(self._level_backend(0), "clear_caches", None)
         if inner_clear is not None:
             inner_clear()
+        self.checker.clear_caches()
         self._failures.clear()

@@ -16,9 +16,11 @@ class KernelBackend(Protocol):
 
     Two further methods are optional and probed with ``getattr``: the
     fused ``keyswitch_inner_product(digit_stack, b_stack, a_stack,
-    primes)`` (:class:`repro.kernels.CompiledBackend`) and the
-    spare-modulus ``check_keyswitch_accumulation(acc_raw, digit_stack,
-    key_stack)`` (:class:`IntegrityBackend`).
+    primes)`` (:class:`repro.kernels.CompiledBackend`, and an
+    :class:`IntegrityBackend` under ``OFF`` around one) and the
+    spare-modulus ``check_keyswitch_accumulation(acc0, acc1, digits,
+    ksk, keep)``, one verdict per accumulator (an
+    :class:`IntegrityBackend` under any checking policy).
     """
 
     def forward_ntt_batch(self, residues: np.ndarray,

@@ -39,9 +39,13 @@ from repro.fhe.rns import RnsBasis, get_basis
 from repro.fhe.sampling import sample_gaussian, sample_uniform_poly
 
 
-@dataclass
+@dataclass(eq=False)
 class KeySwitchKey:
-    """One digit-decomposed keyswitch key (relinearization or Galois)."""
+    """One digit-decomposed keyswitch key (relinearization or Galois).
+
+    Compared and hashed by identity, so per-key derived data (the
+    integrity layer's spare-modulus image) can be weakly keyed on it.
+    """
 
     #: Per digit i: (b_i, a_i), both over the full basis Q_L * P, eval domain.
     pairs: list[tuple[RnsPoly, RnsPoly]]
@@ -186,7 +190,7 @@ def accumulate_keyswitch(
             # Fused compiled path: one kernel call over the (D, L+1, n)
             # stacks.  Skipped under an active fault hook so injection sites
             # and the ABFT spare-modulus check keep seeing the python loop
-            # (IntegrityBackend never exposes the fused method itself).
+            # (a checking IntegrityBackend never exposes the fused method).
             digit_stack = np.stack([d.residues for d in digits])
             b_stack = np.stack([ksk.pairs[i][0].residues[keep]
                                 for i in range(len(digits))])
@@ -225,21 +229,18 @@ def accumulate_keyswitch(
                 hook.corrupt_buffer("keyswitch", acc1)
             check = getattr(get_backend(), "check_keyswitch_accumulation", None)
             if check is not None:
-                # Spare-modulus (redundant-residue) verification: the exact
+                # Spare-modulus (redundant-residue) verification: each exact
                 # uint64 accumulator must agree with the independent sum of
                 # spare-channel products.  A False verdict (retry/degrade
-                # policies) recomputes on the per-step reduced channel.
-                digit_stack = np.stack([d.residues for d in digits])
-                b_stack = np.stack([ksk.pairs[i][0].residues[keep]
-                                    for i in range(len(digits))])
-                a_stack = np.stack([ksk.pairs[i][1].residues[keep]
-                                    for i in range(len(digits))])
-                if not check(acc0, digit_stack, b_stack):
-                    acc0 = (digit_stack * b_stack % q_col).sum(
-                        axis=0, dtype=np.uint64)
-                if not check(acc1, digit_stack, a_stack):
-                    acc1 = (digit_stack * a_stack % q_col).sum(
-                        axis=0, dtype=np.uint64)
+                # policies) recomputes that accumulator on the per-step
+                # reduced channel.
+                accs = [acc0, acc1]
+                for part, ok in enumerate(check(acc0, acc1, digits, ksk, keep)):
+                    if not ok:
+                        accs[part] = sum(
+                            d.residues * ksk.pairs[i][part].residues[keep]
+                            % q_col for i, d in enumerate(digits))
+                acc0, acc1 = accs
         acc0 %= q_col
         acc1 %= q_col
         if wide:

@@ -9,12 +9,14 @@ cheap boolean and the full derivation can never drift apart.
 """
 
 from repro.analysis.bounds import (
+    checksum_dot_lazy_ok,
     compiled_ntt_ok,
     keyswitch_lazy_accumulate_ok,
     mul_fits_uint64,
     ntt_shoup_ok,
     unclamped_dit_ok,
 )
+from repro.analysis.intervals import U64_MAX
 from repro.analysis.stage_plans import (
     analyze_batched_forward,
     analyze_keyswitch_accumulate,
@@ -82,3 +84,43 @@ class TestMulFitsUint64:
     def test_exact_boundary(self):
         assert mul_fits_uint64(2**32 - 1, 2**32 + 1)        # == 2^64 - 1
         assert not mul_fits_uint64(2**32, 2**32)            # == 2^64
+
+
+class TestChecksumDotGate:
+    """The integrity layer's uint64 dot products: two 15-bit-split
+    halves of a weight vector against ``n`` words (the side that fails
+    runs in exact object arithmetic — tests/test_fault_integrity.py)."""
+
+    N = 8192
+
+    def test_repository_moduli_pass_on_reduced_rows(self):
+        for bits in (28, 30, 31):
+            q = find_ntt_prime(2 * self.N, bits)
+            assert checksum_dot_lazy_ok(self.N, q - 1, q)
+
+    def test_modulus_boundary_on_reduced_rows(self):
+        def bound(q):
+            return self.N * (q - 1) * ((q - 1) >> 15)
+
+        lo, hi = 1 << 31, 1 << 40  # passes, fails
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if checksum_dot_lazy_ok(self.N, mid - 1, mid):
+                lo = mid
+            else:
+                hi = mid
+        assert bound(lo) <= U64_MAX < bound(hi)
+        assert lo == 1 << 33  # n * q * (q >> 15) == 2**64 one word later
+
+    def test_measured_word_boundary(self):
+        q = find_ntt_prime(2 * self.N, 30)  # both halves 15 bits
+        top = U64_MAX // (self.N * ((1 << 15) - 1))
+        assert checksum_dot_lazy_ok(self.N, top, q)
+        assert not checksum_dot_lazy_ok(self.N, top + 1, q)
+        assert not checksum_dot_lazy_ok(self.N, 1 << 63, q)
+
+    def test_recombination_boundary(self):
+        # lo + (hi << 15) of two reduced halves: (q - 1) * (2**15 + 1).
+        q = U64_MAX // ((1 << 15) + 1) + 1
+        assert checksum_dot_lazy_ok(1, 0, q)
+        assert not checksum_dot_lazy_ok(1, 0, q + 1)
