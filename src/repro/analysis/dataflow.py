@@ -35,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import FindingList
-from repro.analysis.program_check import _route_table
 from repro.core.isa import Instruction, NetworkPass, NttStage, Program
-from repro.core.network import NetworkConfig
+from repro.core.network import InterLaneNetwork
 
 
 @dataclass
@@ -62,15 +61,6 @@ def _loc(pc: int, instr: Instruction) -> str:
     return f"pc {pc}: {type(instr).__name__}"
 
 
-def _routing_configs(instr: Instruction) -> list[NetworkConfig]:
-    """Network configurations this instruction drives through the muxes."""
-    if isinstance(instr, NetworkPass):
-        return [instr.config]
-    if isinstance(instr, NttStage):
-        return [NetworkConfig(cg=instr.kind, cg_group_size=instr.group_size)]
-    return []
-
-
 def check_dataflow(program: Program, *, m: int) -> DataflowReport:
     """Def-use verify one compiled micro-program for an ``m``-lane VPU.
 
@@ -82,6 +72,7 @@ def check_dataflow(program: Program, *, m: int) -> DataflowReport:
         raise ValueError(f"lane count must be a power of two, got {m}")
     report = DataflowReport(label=program.label or "<program>", m=m)
     findings = report.findings
+    network = InterLaneNetwork(m)
     defined: set[int] = set()
     #: reg -> pc of the last write that no later instruction has read yet.
     unread_writes: dict[int, int] = {}
@@ -110,8 +101,8 @@ def check_dataflow(program: Program, *, m: int) -> DataflowReport:
             unread_writes.pop(reg, None)
 
         # D003: every routed configuration must be a lane permutation.
-        for config in _routing_configs(instr):
-            route = _route_table(m, config)
+        if isinstance(instr, (NetworkPass, NttStage)):
+            route = network.route(instr.config).tolist()
             if sorted(route) != list(range(m)):
                 missing = sorted(set(range(m)) - set(route))
                 findings.error(

@@ -18,18 +18,16 @@ instruction:
   is ``< q``, or ``< 2q`` where the program declares lazy output.
 
 Network routing is resolved through the *actual* mux-level
-:class:`~repro.core.network.InterLaneNetwork` model: the walker traverses
-a lane-index vector to learn each pass's permutation, so the interval
-flow sees exactly the routing the hardware would perform (including
-grouped-CG sub-networks and diagonal register reads).
+:class:`~repro.core.network.InterLaneNetwork` model: the walker asks it
+for each pass's lane route (:meth:`InterLaneNetwork.route`, the table
+the executor replays), so the interval flow sees exactly the routing the
+hardware would perform (including grouped-CG sub-networks and diagonal
+register reads).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-
-import numpy as np
 
 from repro.analysis.findings import Finding, FindingList
 from repro.analysis.intervals import U64_MAX, Interval, IntervalVec
@@ -47,7 +45,7 @@ from repro.core.isa import (
     VMulTwiddle,
     VSub,
 )
-from repro.core.network import InterLaneNetwork, NetworkConfig
+from repro.core.network import InterLaneNetwork
 
 
 class ProgramVerificationError(RuntimeError):
@@ -83,21 +81,9 @@ class ProgramCheckReport:
             raise ProgramVerificationError(self)
 
 
-@lru_cache(maxsize=64)
-def _network(m: int) -> InterLaneNetwork:
-    return InterLaneNetwork(m)
-
-
-@lru_cache(maxsize=1024)
-def _route_table(m: int, config: NetworkConfig) -> tuple[int, ...]:
-    """``src_of_dst`` lane permutation for one network configuration,
-    learned by traversing a lane-index vector through the mux model."""
-    routed = _network(m).traverse(np.arange(m, dtype=np.uint64), config)
-    return tuple(int(v) for v in routed)
-
-
 class _Walker:
-    """One interval-execution of a program (mirrors ``VPU._dispatch``)."""
+    """One interval-execution of a program (mirrors the VPU's replay
+    loop)."""
 
     def __init__(self, program: Program, q: int, m: int,
                  input_bound: int | None, lazy_output: bool):
@@ -105,6 +91,7 @@ class _Walker:
         self.m = m
         self.report = ProgramCheckReport(label=program.label or "<program>",
                                          q=q, m=m)
+        self.network = InterLaneNetwork(m)
         self.regs: dict[int, IntervalVec] = {}
         self.memory: dict[int, IntervalVec] = {}
         # Contract for rows the program loads but never stored: the
@@ -227,15 +214,12 @@ class _Walker:
                 self._read(instr.src), instr.kind, instr.twiddles)
         elif isinstance(instr, NttStage):
             x = self._read(instr.src)
+            route = self.network.route(instr.config)
             if instr.kind == "dif":
-                route = _route_table(m, NetworkConfig(
-                    cg="dif", cg_group_size=instr.group_size))
                 out = self._butterfly(x.permute(route), "dif",
                                       instr.twiddles)
             else:
                 half = self._butterfly(x, "dit", instr.twiddles)
-                route = _route_table(m, NetworkConfig(
-                    cg="dit", cg_group_size=instr.group_size))
                 out = half.permute(route)
             self.regs[instr.dst] = out
         elif isinstance(instr, NetworkPass):
@@ -253,7 +237,7 @@ class _Walker:
                     lo.append(lane_iv.lo)
                     hi.append(lane_iv.hi)
                 value = IntervalVec(lo, hi)
-            route = _route_table(m, instr.config)
+            route = self.network.route(instr.config)
             self.regs[instr.dst] = value.permute(route)
         elif isinstance(instr, Load):
             self.regs[instr.dst] = self.memory.get(instr.addr,

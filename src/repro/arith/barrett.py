@@ -60,6 +60,10 @@ class BarrettReducer:
             raise ValueError(f"modulus out of supported range: {self.q}")
         self.width = self.q.bit_length()
         self.mu = (1 << (2 * self.width)) // self.q
+        if self.q < (1 << 31):
+            # The uint64 datapath's constants: w - 1, w + 1, mu, q.
+            self._lane_constants = tuple(np.uint64(c) for c in (
+                self.width - 1, self.width + 1, self.mu, self.q))
 
     # -- scalar datapath ---------------------------------------------------
 
@@ -102,23 +106,39 @@ class BarrettReducer:
     # -- vectorized datapath -----------------------------------------------
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized ``a * b mod q`` (requires ``q < 2**31``).
+        """Vectorized ``a * b mod q``.
 
-        Implements the same shift/multiply structure as :meth:`reduce`
-        using uint64 intermediates; used by the numpy fast paths while
-        remaining faithful to the hardware algorithm.
+        Implements the same shift/multiply structure as :meth:`reduce`:
+        with uint64 intermediates below ``2**31`` (operands taken as
+        they come, the product must stay below ``q**2``), and on exact
+        Python integers from there up.
         """
         if self.q >= (1 << 31):
-            raise ValueError("vectorized Barrett requires q < 2**31")
-        w = np.uint64(self.width)
-        qq = np.uint64(self.q)
-        mu = np.uint64(self.mu)
+            return self._mul_vec_exact(a, b)
+        low, high, mu, qq = self._lane_constants
         z = np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64)
-        q_hat = ((z >> (w - np.uint64(1))) * mu) >> (w + np.uint64(1))
-        t = z - q_hat * qq
-        t = np.where(t >= qq, t - qq, t)
-        t = np.where(t >= qq, t - qq, t)
-        return t
+        t = z - (((z >> low) * mu) >> high) * qq
+        # Two conditional subtractions: ``t - qq`` wraps above ``t``
+        # exactly when ``t < qq``.
+        t = np.minimum(t, t - qq)
+        return np.minimum(t, t - qq)
+
+    def _mul_vec_exact(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`mul` on every lane at once, for moduli whose products
+        overflow uint64: operands reduced first, object-dtype
+        intermediates, ``max_corrections_seen`` maintained."""
+        q, w = self.q, self.width
+        z = ((np.asarray(a, dtype=np.uint64).astype(object) % q)
+             * (np.asarray(b, dtype=np.uint64).astype(object) % q))
+        t = z - (((z >> (w - 1)) * self.mu) >> (w + 1)) * q
+        first = t >= q
+        t = np.where(first, t - q, t)
+        second = t >= q
+        t = np.where(second, t - q, t)
+        corrections = int(first.any()) + int(second.any())
+        if corrections > self.max_corrections_seen:
+            self.max_corrections_seen = corrections
+        return t.astype(np.uint64)
 
     def mul_count_ops(self, a: int, b: int) -> tuple[int, dict[str, int]]:
         """Return ``a*b mod q`` plus the operation tally of the datapath.

@@ -183,6 +183,11 @@ class NttStage(Instruction):
         if self.kind not in ("dit", "dif"):
             raise ValueError(f"kind must be 'dit' or 'dif', got {self.kind}")
 
+    @property
+    def config(self) -> NetworkConfig:
+        """The CG traversal fused into this stage."""
+        return NetworkConfig(cg=self.kind, cg_group_size=self.group_size)
+
     def read_regs(self) -> list[int]:
         return [self.src]
 
@@ -260,12 +265,19 @@ class Program:
 
     instructions: list[Instruction] = field(default_factory=list)
     label: str = ""
+    #: Decoded forms the executor keeps with the program, one per
+    #: ``(lanes, register-file entries)`` it ran on; whoever drops the
+    #: program drops them too.
+    lowered: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def append(self, instr: Instruction) -> None:
         self.instructions.append(instr)
+        self.lowered.clear()
 
     def extend(self, instrs: list[Instruction]) -> None:
         self.instructions.extend(instrs)
+        self.lowered.clear()
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -26,13 +26,14 @@ class RegisterFile:
         #: branch per read and zero modeled cycles).
         self.fault_hook = None
 
-    def _check(self, reg: int) -> None:
+    def check_range(self, reg: int) -> None:
+        """Reject a register index this file does not have."""
         if not 0 <= reg < self.entries:
             raise IndexError(f"register {reg} out of range [0, {self.entries})")
 
     def read(self, reg: int) -> np.ndarray:
         """Read one register row (all lanes)."""
-        self._check(reg)
+        self.check_range(reg)
         self.reads += 1
         value = self.data[reg].copy()
         hook = self.fault_hook
@@ -42,7 +43,7 @@ class RegisterFile:
 
     def write(self, reg: int, value: np.ndarray) -> None:
         """Write one register row (all lanes)."""
-        self._check(reg)
+        self.check_range(reg)
         value = np.asarray(value, dtype=np.uint64)
         if value.shape != (self.m,):
             raise ValueError(f"expected shape ({self.m},), got {value.shape}")

@@ -84,16 +84,20 @@ class CgStage(_Stage):
                   else dif_gather_permutation(m))
         super().__init__(m, source, f"cg-{kind}")
         self.kind = kind
+        self._grouped: dict[int, np.ndarray] = {}
 
     def grouped_source(self, group_size: int) -> np.ndarray:
         """Source indices when split into independent sub-networks."""
+        if group_size in self._grouped:
+            return self._grouped[group_size]
         if group_size < 2 or group_size > self.m or group_size & (group_size - 1):
             raise ValueError(f"bad group size {group_size}")
         if self.m % group_size:
             raise ValueError(f"{group_size} does not divide {self.m}")
         sub = CgStage(group_size, self.kind).remote_source
         blocks = [sub + g * group_size for g in range(self.m // group_size)]
-        return np.concatenate(blocks)
+        source = self._grouped[group_size] = np.concatenate(blocks)
+        return source
 
     def apply(self, x: np.ndarray, active: bool = True,
               group_size: int | None = None) -> np.ndarray:

@@ -11,9 +11,30 @@ utilization is computed — utilization is butterfly/compute cycles over
 total cycles, the paper's "actual throughput on our VPU vs. the ideal
 full throughput".
 
-Moduli below 2**31 use the vectorized Barrett path; the datapath is
-bit-accurate with the scalar Barrett model either way (the tests check
-both against plain modular arithmetic).
+Execution is decode once, replay many.  The first time a program runs on
+a unit of a given shape it is *lowered*: every instruction becomes one
+flat tuple — opcode, register indices, twiddle vector as a ``uint64``
+array, the lane route of its network configuration — and everything that
+is a pure function of the instruction and the unit's shape is settled
+there: the 2R1W port budget, register range, twiddle length, the
+diagonal-read window, and what the instruction adds to
+:class:`ExecutionStats`.  The lowered form is kept on the program
+(``Program.lowered``), knows nothing of the bound modulus, and goes away
+with the program or when the program grows.  :meth:`~VectorProcessingUnit
+.execute` replays it; whatever retired is booked when the replay ends,
+also when it ends in an exception.
+
+A lane route is the network's own answer
+(:meth:`~repro.core.network.InterLaneNetwork.route`: the lane indices
+sent once through the mux model), so a fault-free traversal is one
+gather.  With a fault hook installed every fault point fires exactly as
+the hardware would expose it — ``on_cycle`` before each instruction,
+register-file and memory read ports, each adder / subtractor /
+multiplier result — and every traversal walks the mux stages again,
+because a control-word or mux-select fault reroutes a single pass.
+
+The datapath is bit-accurate with the scalar Barrett model for every
+modulus (the tests check it against plain modular arithmetic).
 """
 
 from __future__ import annotations
@@ -40,6 +61,11 @@ from repro.core.isa import (
 )
 from repro.core.network import InterLaneNetwork, NetworkConfig
 from repro.core.register_file import RegisterFile
+
+#: Opcodes of the lowered form, most frequent first in the replay loop.
+(_NTT, _LOAD, _STORE, _NET_DIAG, _NET, _MUL_TWIDDLE, _MUL_SCALAR,
+ _ADD, _SUB, _MUL, _BFLY) = range(11)
+_BINARY = {VAdd: _ADD, VSub: _SUB, VMul: _MUL}
 
 
 class VectorMemory:
@@ -109,6 +135,18 @@ class ExecutionStats:
         if isinstance(instr, Store):
             self.stores += 1
 
+    def add(self, other: "ExecutionStats") -> None:
+        """Accumulate another tally; instruction classes keep the order
+        in which they were first seen."""
+        self.cycles += other.cycles
+        self.multiplier_busy += other.multiplier_busy
+        self.adder_busy += other.adder_busy
+        self.network_passes += other.network_passes
+        self.loads += other.loads
+        self.stores += other.stores
+        for name, count in other.by_type.items():
+            self.by_type[name] = self.by_type.get(name, 0) + count
+
     def compute_utilization(self) -> float:
         """Fraction of cycles the arithmetic lanes did useful work."""
         if self.cycles == 0:
@@ -119,6 +157,17 @@ class ExecutionStats:
                         "VMulTwiddle", "Butterfly")
         )
         return busy / self.cycles
+
+
+@dataclass(frozen=True)
+class _Lowered:
+    """A decoded program: ``(opcode, dst, a, b, const, route, config)``
+    per instruction, and what one complete replay books."""
+
+    steps: tuple
+    stats: ExecutionStats
+    regfile_reads: int
+    regfile_writes: int
 
 
 class VectorProcessingUnit:
@@ -156,7 +205,7 @@ class VectorProcessingUnit:
         """Rebind the lanes' Barrett units to a new RNS modulus."""
         self.reducer = BarrettReducer(q)
         self.q = q
-        self._vectorized = q < (1 << 31)
+        self._q = np.uint64(q)
 
     def reset_stats(self) -> None:
         self.stats = ExecutionStats()
@@ -164,49 +213,129 @@ class VectorProcessingUnit:
     # -- arithmetic helpers (bit-accurate with the Barrett datapath) -----
 
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._vectorized:
-            out = self.reducer.mul_vec(a, b)
-        else:
-            out = np.array([self.reducer.mul(int(x), int(y))
-                            for x, y in zip(a, b)], dtype=np.uint64)
+        out = self.reducer.mul_vec(a, b)
         hook = self.fault_hook
         if hook is not None:
             out = hook.filter_alu("mul", out)
         return out
 
     def _add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        q = np.uint64(self.q)
+        q = self._q
         t = a % q + b % q
-        out = np.where(t >= q, t - q, t)
+        out = np.minimum(t, t - q)  # t - q wraps above t exactly when t < q
         hook = self.fault_hook
         if hook is not None:
             out = hook.filter_alu("add", out)
         return out
 
     def _sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        q = np.uint64(self.q)
+        q = self._q
         out = (a % q + (q - b % q)) % q
         hook = self.fault_hook
         if hook is not None:
             out = hook.filter_alu("sub", out)
         return out
 
+    def _butterfly_pairs(self, x: np.ndarray, dif: bool,
+                         tw: np.ndarray) -> np.ndarray:
+        """Butterfly the adjacent lane pairs ``(2j, 2j+1)`` (Fig. 1c)."""
+        u = x[0::2]
+        v = x[1::2]
+        out = np.empty(self.m, dtype=np.uint64)
+        if dif:
+            out[0::2] = self._add(u, v)
+            out[1::2] = self._mul(self._sub(u, v), tw)
+        else:
+            t = self._mul(v, tw)
+            out[0::2] = self._add(u, t)
+            out[1::2] = self._sub(u, t)
+        return out
+
+    # -- lowering ----------------------------------------------------------
+
+    def _lower(self, instructions: list[Instruction]) -> _Lowered:
+        """Decode instructions for this unit's shape, running every
+        check that depends on nothing else."""
+        m, rf, net = self.m, self.regfile, self.network
+        lanes = np.arange(m)
+        steps = []
+        stats = ExecutionStats()
+        reads = writes = 0
+
+        def twiddles(instr, count: int, what: str) -> np.ndarray:
+            tw = np.array(instr.twiddles, dtype=np.uint64)
+            if tw.shape != (count,):
+                raise ValueError(what)
+            return tw
+
+        for instr in instructions:
+            read_regs, write_regs = instr.read_regs(), instr.write_regs()
+            rf.check_ports(read_regs, write_regs)
+            for reg in read_regs + write_regs:
+                rf.check_range(reg)
+            kind = type(instr)
+            const = route = config = None
+            if kind in _BINARY:
+                op, dst, a, b = _BINARY[kind], instr.dst, instr.a, instr.b
+            elif kind is VMulScalar:
+                op, dst, a, b = _MUL_SCALAR, instr.dst, instr.a, None
+                const = instr.scalar  # reduced by the modulus bound at replay
+            elif kind is VMulTwiddle:
+                op, dst, a, b = _MUL_TWIDDLE, instr.dst, instr.a, None
+                const = twiddles(
+                    instr, m, f"twiddle vector must have {m} entries")
+            elif kind is Butterfly or kind is NttStage:
+                op, dst, a, b = _BFLY, instr.dst, instr.src, instr.kind == "dif"
+                const = twiddles(
+                    instr, m // 2, f"butterfly needs {m // 2} twiddles")
+                if kind is NttStage:
+                    # Fused network + butterfly: dif routes through the
+                    # CG gather first, dit through the CG scatter last.
+                    # Grouped mode needs no special butterfly handling:
+                    # adjacent pairs stay adjacent pairs and the twiddle
+                    # vector already carries the per-group factors.
+                    op, config = _NTT, instr.config
+                    route = net.route(config)
+            elif kind is NetworkPass:
+                op, dst, a, b = _NET, instr.dst, instr.src, None
+                config = instr.config
+                route = net.route(config)
+                if instr.src_rot is not None:
+                    # Diagonal read: lane l fetches its own register file
+                    # at src + (l + rot) mod window (per-lane address
+                    # decoders).  ``a`` indexes the row as read, ``b``
+                    # the same row already routed.
+                    regs = instr.src + (lanes + instr.src_rot) % instr.src_window
+                    if regs.max() >= rf.entries:
+                        raise IndexError("diagonal read window out of range")
+                    op, a, b = _NET_DIAG, (regs, lanes), (regs[route], route)
+            elif kind is Load:
+                op, dst, a, b = _LOAD, instr.dst, instr.addr, None
+            elif kind is Store:
+                op, dst, a, b = _STORE, None, instr.src, instr.addr
+            else:
+                raise TypeError(f"unknown instruction {instr!r}")
+            steps.append((op, dst, a, b, const, route, config))
+            stats.record(instr)
+            # Register-file accesses: both operands of a binary op, else
+            # one read (none for a load); one write (none for a store).
+            reads += 2 if kind in _BINARY else int(kind is not Load)
+            writes += int(kind is not Store)
+        return _Lowered(tuple(steps), stats, reads, writes)
+
     # -- execution ---------------------------------------------------------
 
     def execute(self, program: Program) -> ExecutionStats:
         """Run a program to completion, returning the run's stats."""
+        shape = (self.m, self.regfile.entries)
+        lowered = program.lowered.get(shape)
+        if lowered is None:
+            lowered = program.lowered[shape] = self._lower(program.instructions)
         run = ExecutionStats()
-        hook = self.fault_hook
         with obs.span("vpu.execute", cat="vpu", m=self.m, q=self.q,
                       instructions=len(program)) as span:
-            for instr in program:
-                if hook is not None:
-                    # Advance the fault clock and land armed state upsets
-                    # before the instruction issues.
-                    hook.on_cycle(self)
-                self._dispatch(instr)
-                run.record(instr)
-                self.stats.record(instr)
+            self._replay(program, lowered)
+            run.add(lowered.stats)
             # Model cycles land on this span (the innermost open one),
             # so every architectural cycle is attributed exactly once.
             obs.add_cycles(run.cycles)
@@ -217,87 +346,74 @@ class VectorProcessingUnit:
                      utilization=round(run.compute_utilization(), 4))
         return run
 
-    def _dispatch(self, instr: Instruction) -> None:
-        rf = self.regfile
-        rf.check_ports(instr.read_regs(), instr.write_regs())
-        if isinstance(instr, VAdd):
-            rf.write(instr.dst, self._add(rf.read(instr.a), rf.read(instr.b)))
-        elif isinstance(instr, VSub):
-            rf.write(instr.dst, self._sub(rf.read(instr.a), rf.read(instr.b)))
-        elif isinstance(instr, VMul):
-            rf.write(instr.dst, self._mul(rf.read(instr.a), rf.read(instr.b)))
-        elif isinstance(instr, VMulScalar):
-            scalar = np.full(self.m, instr.scalar % self.q, dtype=np.uint64)
-            rf.write(instr.dst, self._mul(rf.read(instr.a), scalar))
-        elif isinstance(instr, VMulTwiddle):
-            tw = np.array(instr.twiddles, dtype=np.uint64)
-            if tw.shape != (self.m,):
-                raise ValueError(f"twiddle vector must have {self.m} entries")
-            rf.write(instr.dst, self._mul(rf.read(instr.a), tw))
-        elif isinstance(instr, Butterfly):
-            self._butterfly(instr)
-        elif isinstance(instr, NttStage):
-            self._ntt_stage(instr)
-        elif isinstance(instr, NetworkPass):
-            if instr.src_rot is None:
-                value = rf.read(instr.src)
-            else:
-                # Diagonal read: lane l fetches its own register file at
-                # src + (l + rot) mod window (per-lane address decoders).
-                lanes = np.arange(self.m)
-                regs = instr.src + (lanes + instr.src_rot) % instr.src_window
-                if regs.max() >= rf.entries:
-                    raise IndexError("diagonal read window out of range")
-                value = rf.data[regs, lanes].copy()
-                rf.reads += 1
-            rf.write(instr.dst, self.network.traverse(value, instr.config))
-        elif isinstance(instr, Load):
-            rf.write(instr.dst, self.memory.read_row(instr.addr))
-        elif isinstance(instr, Store):
-            self.memory.data[instr.addr] = rf.read(instr.src)
-        else:
-            raise TypeError(f"unknown instruction {instr!r}")
+    def _replay(self, program: Program, lowered: _Lowered) -> None:
+        rf, net, memory, hook = (self.regfile, self.network, self.memory,
+                                 self.fault_hook)
+        data = rf.data
+        add, sub, mul, butterfly = (self._add, self._sub, self._mul,
+                                    self._butterfly_pairs)
 
-    def _butterfly(self, instr: Butterfly) -> None:
-        rf = self.regfile
-        x = rf.read(instr.src)
-        rf.write(instr.dst, self._butterfly_pairs(x, instr.kind, instr.twiddles))
+        def read(reg: int) -> np.ndarray:
+            value = data[reg]
+            if hook is not None:
+                value = hook.filter_regfile_read(reg, value.copy())
+            return value
 
-    def _butterfly_pairs(self, x: np.ndarray, kind: str,
-                         twiddles: tuple[int, ...]) -> np.ndarray:
-        tw = np.array(twiddles, dtype=np.uint64)
-        if tw.shape != (self.m // 2,):
-            raise ValueError(f"butterfly needs {self.m // 2} twiddles")
-        u = x[0::2]
-        v = x[1::2]
-        out = np.empty(self.m, dtype=np.uint64)
-        if kind == "dif":
-            out[0::2] = self._add(u, v)
-            out[1::2] = self._mul(self._sub(u, v), tw)
-        else:  # dit
-            t = self._mul(v, tw)
-            out[0::2] = self._add(u, t)
-            out[1::2] = self._sub(u, t)
-        return out
+        def routed(x: np.ndarray, route: np.ndarray,
+                   config: NetworkConfig) -> np.ndarray:
+            if hook is not None:
+                # Control-word and mux-select faults reroute one pass.
+                return net.traverse(x, config)
+            net.passes += 1
+            return x[route]
 
-    def _ntt_stage(self, instr: NttStage) -> None:
-        """Fused network + butterfly: one cycle per CG NTT stage.
-
-        Grouped mode needs no special butterfly handling: adjacent pairs
-        stay adjacent pairs and the twiddle vector already carries the
-        per-group factors.
-        """
-        rf = self.regfile
-        x = rf.read(instr.src)
-        if instr.kind == "dif":
-            routed = self.network.traverse(
-                x, NetworkConfig(cg="dif", cg_group_size=instr.group_size))
-            out = self._butterfly_pairs(routed, "dif", instr.twiddles)
-        else:
-            half = self._butterfly_pairs(x, "dit", instr.twiddles)
-            out = self.network.traverse(
-                half, NetworkConfig(cg="dit", cg_group_size=instr.group_size))
-        rf.write(instr.dst, out)
+        pc = 0
+        try:
+            for pc, (op, dst, a, b, const, route, config) in enumerate(
+                    lowered.steps):
+                if hook is not None:
+                    # Advance the fault clock and land armed state upsets
+                    # before the instruction issues.
+                    hook.on_cycle(self)
+                if op == _NTT:
+                    if b:
+                        data[dst] = butterfly(
+                            routed(read(a), route, config), True, const)
+                    else:
+                        data[dst] = routed(
+                            butterfly(read(a), False, const), route, config)
+                elif op == _LOAD:
+                    data[dst] = memory.read_row(a)
+                elif op == _STORE:
+                    memory.data[b] = read(a)
+                elif op == _NET_DIAG:
+                    if hook is not None:
+                        data[dst] = net.traverse(data[a], config)
+                    else:
+                        net.passes += 1
+                        data[dst] = data[b]
+                elif op == _NET:
+                    data[dst] = routed(read(a), route, config)
+                elif op == _MUL_TWIDDLE:
+                    data[dst] = mul(read(a), const)
+                elif op == _MUL_SCALAR:
+                    data[dst] = mul(read(a), np.uint64(const % self.q))
+                elif op == _ADD:
+                    data[dst] = add(read(a), read(b))
+                elif op == _SUB:
+                    data[dst] = sub(read(a), read(b))
+                elif op == _MUL:
+                    data[dst] = mul(read(a), read(b))
+                else:
+                    data[dst] = butterfly(read(a), b, const)
+        except BaseException:
+            # Book only the instructions that retired before ``pc``.
+            lowered = self._lower(program.instructions[:pc])
+            raise
+        finally:
+            self.stats.add(lowered.stats)
+            rf.reads += lowered.regfile_reads
+            rf.writes += lowered.regfile_writes
 
     # -- convenience -------------------------------------------------------
 

@@ -2,9 +2,9 @@
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-import repro.analysis.dataflow as dataflow_mod
 from repro.analysis.dataflow import check_dataflow
 from repro.arith.primes import find_ntt_prime
 from repro.core.isa import (
@@ -16,7 +16,7 @@ from repro.core.isa import (
     VAdd,
     VMulTwiddle,
 )
-from repro.core.network import NetworkConfig
+from repro.core.network import InterLaneNetwork, NetworkConfig
 
 
 def _prog(*instrs: Instruction, label: str = "synthetic") -> Program:
@@ -111,8 +111,8 @@ class TestD002DeadWrite:
 class TestD003RoutingPermutation:
     def test_broken_route_table_flagged(self, monkeypatch):
         # The real network only produces permutations; force a mux fault.
-        monkeypatch.setattr(dataflow_mod, "_route_table",
-                            lambda m, config: [0] * m)
+        monkeypatch.setattr(InterLaneNetwork, "route",
+                            lambda self, config: np.zeros(self.m, dtype=int))
         report = check_dataflow(_prog(
             Load(dst=0, addr=0),
             NetworkPass(dst=1, src=0, config=NetworkConfig()),

@@ -61,10 +61,30 @@ class TestBarrett:
                             dtype=np.uint64)
         np.testing.assert_array_equal(got, expected)
 
-    def test_mul_vec_requires_narrow_modulus(self):
-        red = BarrettReducer(PRIMES[-1])
-        with pytest.raises(ValueError):
-            red.mul_vec(np.array([1]), np.array([1]))
+    @pytest.mark.parametrize("q", [
+        (1 << 31) - 1,      # last modulus of the uint64 branch
+        2147483659,         # first prime >= 2**31: the exact branch
+        (1 << 61) - 1,
+    ])
+    def test_mul_vec_across_the_width_boundary(self, q):
+        """Both branches of ``mul_vec`` are the scalar datapath, lane for
+        lane, with the same correction count."""
+        vec, scalar = BarrettReducer(q), BarrettReducer(q)
+        rng = np.random.default_rng(q % 1000)
+        a = rng.integers(0, q, size=256, dtype=np.uint64)
+        b = rng.integers(0, q, size=256, dtype=np.uint64)
+        a[:6] = b[3:9] = [0, 1, q - 1, q - 1, q // 2, q - 2]
+        if q >= 1 << 31:
+            a[10:20] += np.uint64(q)  # the exact branch reduces operands
+        got = vec.mul_vec(a, b)
+        expected = [scalar.mul(int(x), int(y)) for x, y in zip(a, b)]
+        assert got.dtype == np.uint64 and got.tolist() == expected
+        assert got.tolist() == [int(x) * int(y) % q for x, y in zip(a, b)]
+        if q >= 1 << 31:
+            assert vec.max_corrections_seen == scalar.max_corrections_seen <= 2
+        # One multiplier for a whole register (the executor's VMulScalar).
+        assert vec.mul_vec(a, np.uint64(q - 1)).tolist() == [
+            int(x) * (q - 1) % q for x in a]
 
     def test_op_tally(self):
         red = BarrettReducer(12289)
