@@ -11,6 +11,11 @@ keyswitch — in three dispatch regimes:
 * **compiled** (:mod:`repro.kernels`): the whole transform / keyswitch
   inner loop as a single JIT-compiled, allocation-free kernel call.
 
+A last row times the whole keyswitch on the compiled backend both ways:
+**fused** (the row-fused ``keyswitch_apply`` slot, one kernel call) and
+**phased** (``decompose_digits`` + ``accumulate_keyswitch``, the same
+kernels with Python between them).
+
 Outputs are checked bit-for-bit across all regimes (and, for the
 keyswitch, between the numpy, compiled and VPU backends) before any
 number is recorded.  Results land in machine-readable
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 
@@ -34,7 +40,12 @@ from repro.arith.primes import find_ntt_primes
 from repro.automorphism.mapping import galois_eval_permutation
 from repro.fhe.backend import NumpyBackend, VpuBackend, use_backend
 from repro.fhe.ckks import CkksContext
-from repro.fhe.keyswitch import KeySwitchKey, apply_keyswitch
+from repro.fhe.keyswitch import (
+    KeySwitchKey,
+    accumulate_keyswitch,
+    apply_keyswitch,
+    decompose_digits,
+)
 from repro.fhe.params import CkksParams, small_params
 from repro.fhe.polynomial import RnsPoly
 from repro.kernels import CompiledBackend
@@ -291,6 +302,46 @@ def bench_keyswitch(repeats: int, compiled: CompiledBackend | None,
     return result
 
 
+def bench_keyswitch_fused(n: int, levels: int, repeats: int,
+                          compiled: CompiledBackend) -> dict:
+    """The whole keyswitch on the compiled backend, row-fused slot vs
+    phase by phase, at an ``ops_compiled``-like shape (30-bit primes)."""
+    params = CkksParams(n=n, levels=levels, scale_bits=29, prime_bits=30)
+    with use_backend(compiled):
+        ksk = CkksContext(params, seed=42).relin_key
+    rng = np.random.default_rng(11)
+    x = RnsPoly(
+        np.stack([rng.integers(0, q, n, dtype=np.uint64)
+                  for q in params.primes]),
+        params.primes, is_eval=True)
+    keep = list(range(levels + 1))
+    target = params.primes + (params.special_prime,)
+
+    def fused():
+        with use_backend(compiled):
+            return apply_keyswitch(x, ksk, params)
+
+    def phased():
+        with use_backend(compiled):
+            return accumulate_keyswitch(decompose_digits(x, params), ksk,
+                                        keep, target)
+
+    golden = apply_keyswitch(x, ksk, params)  # NumpyBackend, the default
+    for ours in (fused(), phased()):
+        for part, want in zip(ours, golden):
+            np.testing.assert_array_equal(part.residues, want.residues)
+    # One kernel call on the now warm backend: the slot ran, so "fused"
+    # below does not time a declined slot's fall-through.
+    before = compiled.kernel_invocations
+    fused()
+    if compiled.kernel_invocations - before != 1:
+        raise RuntimeError("keyswitch_apply declined at the bench shape")
+    fused_s, phased_s = _best_of_pair(fused, phased, repeats)
+    return {"n": n, "limbs": levels, "bit_identical": True,
+            "fused_s": fused_s,
+            "phased_s": phased_s, "speedup_fused": phased_s / fused_s}
+
+
 def bench_vpu_program_cache(n: int = 1024, levels: int = 3) -> dict:
     """Compile-once/replay-per-limb on the VPU: the dispatch engine's
     other half.  Reports wall-clock for the first (compiling) batch vs a
@@ -346,6 +397,9 @@ def main() -> None:
         "quick": args.quick,
         "compiled_provider":
             None if compiled is None else compiled.provider_name,
+        # The compiled columns depend on it: with a thread on every
+        # core of a shared host the kernels' barriers stall.
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "ntt": {}, "automorphism": {},
     })
     for n, levels in sizes.items():
@@ -358,6 +412,10 @@ def main() -> None:
     print("[keyswitch] small_params ...")
     results["keyswitch_small_params"] = bench_keyswitch(
         repeats, compiled, check_vpu=not args.quick)
+    if compiled is not None:
+        print("[keyswitch] fused vs phased on the compiled backend ...")
+        results["keyswitch_fused"] = bench_keyswitch_fused(
+            *((1024, 4) if args.quick else (8192, 8)), repeats, compiled)
     if not args.quick:
         print("[vpu] program cache ...")
         results["vpu_program_cache"] = bench_vpu_program_cache()
@@ -379,6 +437,12 @@ def main() -> None:
     print(f"  keyswitch     small_params: seed {ks['seed_per_limb_s']*1e3:8.3f} ms"
           f"  batched {ks['batched_s']*1e3:8.3f} ms"
           f"  speedup {ks['speedup']:5.2f}x" + _compiled_cols(ks))
+    if "keyswitch_fused" in results:
+        kf = results["keyswitch_fused"]
+        print(f"  keyswitch     n={kf['n']} L={kf['limbs']} compiled:"
+              f" phased {kf['phased_s']*1e3:8.3f} ms"
+              f"  fused {kf['fused_s']*1e3:8.3f} ms"
+              f"  speedup {kf['speedup_fused']:5.2f}x")
     if "vpu_program_cache" in results:
         vp = results["vpu_program_cache"]
         print(f"  vpu cache     n={vp['n']}: {vp['program_compilations']} compiles"

@@ -15,6 +15,10 @@ to the kernels:
   :func:`keyswitch_lazy_accumulate_ok`.
 * the uint64 fit of the integrity layer's checksum dot products
   (:mod:`repro.fault.integrity`) is :func:`checksum_dot_lazy_ok`.
+* ``max(level_primes) // 2 < min(target)`` and ``q_top // 2 <
+  min(chain)`` guarding the conditional-add centered lifts in
+  :mod:`repro.fhe.keyswitch` are both :func:`centered_lift_lazy_ok`,
+  shared with the row-fused compiled keyswitch.
 
 The plan-backed gates are ``lru_cache``'d: the analyses are O(log n)
 exact-integer arithmetic, and the hot paths see a dictionary hit after
@@ -112,6 +116,24 @@ def mul_fits_uint64(max_a: int, max_b: int) -> bool:
     """Does a raw elementwise product of values up to ``max_a``/``max_b``
     fit uint64?  The guard for *any* un-gated ``a * b % q`` fallback."""
     return max_a * max_b <= U64_MAX
+
+
+def centered_lift_lazy_ok(max_from: int, min_to: int) -> bool:
+    """May the centered lift of residues modulo primes up to
+    ``max_from`` be reduced modulo primes down to ``min_to`` by one
+    conditional add (``c + (q_to - q_from)`` on the upper half, pure
+    uint64 with wraparound) in place of a signed ``%``?
+
+    True iff the lift's magnitude bound ``max_from // 2`` lies below
+    every target prime, so the lifted value is already in ``(-q_to,
+    q_to)``.  Equal-width chains always pass; a mixed-width chain whose
+    widest source prime is at least twice its narrowest target does
+    not.  This one gate covers both lifts of a keyswitch — the digit
+    lift of ``decompose_digits`` (every level prime against the level
+    primes plus the special prime) and the top-limb lift of
+    ``mod_down`` / ``rescale`` — on the numpy and the compiled path.
+    """
+    return max_from // 2 < min_to
 
 
 #: Bit at which the integrity layer splits a checksum weight word.

@@ -12,6 +12,11 @@ from repro.fhe.backend.observed import observed
 from repro.fhe.backend.vpu_backend import ProgramQuarantinedError
 
 
+#: The optional fused kernels of the protocol: whole keyswitch phases
+#: in one call, with nothing in between for a check to look at.
+_FUSED = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb")
+
+
 class IntegrityBackend:
     """The runtime ABFT integrity layer, wrapping any kernel backend.
 
@@ -28,7 +33,7 @@ class IntegrityBackend:
     the :class:`~repro.fault.policy.IntegrityPolicy`:
 
     * ``OFF`` — no checks, no staging copies: bit-identical dispatch
-      straight to the wrapped backend, its fused keyswitch kernel
+      straight to the wrapped backend, its fused keyswitch kernels
       included.
     * ``DETECT`` — count and flag, keep the result.
     * ``DETECT_RETRY`` — bounded replay (``max_retries``), invalidating
@@ -200,13 +205,13 @@ class IntegrityBackend:
 
     def __getattr__(self, attr: str):
         """The keyswitch probes (``getattr`` with a default at the call
-        site).  ``OFF`` hands out the wrapped backend's fused
-        ``keyswitch_inner_product``, if it has one, and no check — so a
-        keyswitch runs exactly as on the bare backend; every checking
-        policy hands out the spare-modulus check and no fused kernel,
-        so the accumulators stay visible to it."""
+        site).  ``OFF`` hands out the wrapped backend's fused kernels
+        (:data:`_FUSED`), those it has, and no check — so a keyswitch
+        runs exactly as on the bare backend; every checking policy
+        hands out the spare-modulus check and no fused kernel, so every
+        batch dispatch and the accumulators stay visible to it."""
         off = self.__dict__.get("policy") is IntegrityPolicy.OFF
-        if attr == "keyswitch_inner_product" and off:
+        if attr in _FUSED and off:
             return getattr(self._level_backend(0), attr)
         if attr == "check_keyswitch_accumulation" and not off:
             return self._check_keyswitch_accumulation

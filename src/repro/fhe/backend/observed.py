@@ -9,9 +9,17 @@ of the backend's counters over the call to the registry and sets the
 cache gauges — a kernel that raises still closes its span and mirrors
 its counters.  The tables below name every span, counter and gauge;
 counter growth is exact as long as calls on one backend do not overlap.
+
+A row-fused kernel runs several keyswitch phases in one call.  It is
+handed a tick array in which it accumulates the time it spent in each,
+and the wrapper divides the call's measured wall time in those
+proportions into synthetic phase spans (:data:`_PHASES`), so a trace
+names the phases whichever path computed them.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -23,7 +31,18 @@ _KERNELS = {
     "inverse_ntt_batch": ("batch.intt", "intt"),
     "automorphism_eval_batch": ("batch.auto", "auto"),
     "keyswitch_inner_product": ("keyswitch.inner_product", "keyswitch"),
+    "keyswitch_apply": ("keyswitch.apply", "keyswitch_apply"),
+    "drop_top_limb": ("keyswitch.drop_top", "drop_top"),
     "check_keyswitch_accumulation": ("keyswitch.check", "keyswitch_check"),
+}
+#: Fused method -> (phase span, the tick slots it sums), in phase order.
+#: ``keyswitch_apply`` ticks: inverse NTTs, digit lifts, forward NTTs,
+#: multiply-accumulates (the phased ``keyswitch.decompose`` covers the
+#: first two).
+_PHASES = {
+    "keyswitch_apply": (("keyswitch.decompose", (0, 1)),
+                        ("keyswitch.ntt", (2,)),
+                        ("keyswitch.inner_product", (3,))),
 }
 #: Backend attribute -> the counter its growth over one call feeds.
 _COUNTERS = {
@@ -87,12 +106,26 @@ class ObservedBackend:
     def _call(self, method: str, *args):
         backend = self._backend
         suffix, kind = _KERNELS[method]
+        ticks = None
+        # A wrapping backend (one with an ``inner``) forwards the call to
+        # its observed inner backend, which does the split.
+        if method in _PHASES and not hasattr(backend, "inner"):
+            ticks = np.zeros(4, dtype=np.int64)
+            args += (ticks,)
         before, _ = _read(backend, kind)
         with obs.span(f"{backend.name}.{suffix}", cat="kernel",
                       **dict(zip(("n", "limbs"), np.shape(args[0])[::-1]))):
+            start = time.perf_counter_ns()
             try:
                 return getattr(backend, method)(*args)
             finally:
+                if ticks is not None and ticks.any():
+                    # (A declined call ticks nothing: the phased path
+                    # that follows records the real phases.)
+                    wall = time.perf_counter_ns() - start
+                    for phase, slots in _PHASES[method]:
+                        obs.record(phase, cat=obs.CAT_PHASE, dur_ns=wall * int(
+                            ticks[list(slots)].sum()) // int(ticks.sum()))
                 after, gauges = _read(backend, kind)
                 for metric, value in after.items():
                     if value != before[metric]:

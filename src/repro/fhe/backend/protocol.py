@@ -1,4 +1,4 @@
-"""The kernel contract every backend implements."""
+"""The kernel contract: three kernels every backend has, four optional slots."""
 
 from __future__ import annotations
 
@@ -14,12 +14,26 @@ class KernelBackend(Protocol):
     batch shape — a keyswitch is "per digit, a batch of NTTs", §II-A).
     A single polynomial row is the ``L = 1`` batch.
 
-    Two further methods are optional and probed with ``getattr``: the
-    fused ``keyswitch_inner_product(digit_stack, b_stack, a_stack,
-    primes)`` (:class:`repro.kernels.CompiledBackend`, and an
-    :class:`IntegrityBackend` under ``OFF`` around one) and the
-    spare-modulus ``check_keyswitch_accumulation(acc0, acc1, digits,
-    ksk, keep)``, one verdict per accumulator (an
+    Four further methods are optional and probed with ``getattr``.
+    Three are fused kernels, exposed by
+    :class:`repro.kernels.CompiledBackend` and by an
+    :class:`IntegrityBackend` under ``OFF`` around one, never under a
+    checking policy:
+
+    * ``keyswitch_apply(residues, primes, key_block, keep)`` — the whole
+      of ``apply_keyswitch`` (inverse NTTs, digit lifts, forward NTTs,
+      multiply-accumulate against a ``KeySwitchKey.block`` read in
+      place) as two ``(L + 1, n)`` accumulators, or ``None`` when a
+      gate refuses and the caller must run the phases;
+    * ``drop_top_limb(residues, primes, inv_table)`` — the rounded
+      division by the top limb behind ``rescale`` and the CKKS
+      ``mod_down``, or ``None`` likewise;
+    * ``keyswitch_inner_product(digit_stack, b_stack, a_stack,
+      primes)`` — the multiply-accumulate alone, over digits that are
+      already transformed (hoisted rotations).
+
+    The fourth is the spare-modulus ``check_keyswitch_accumulation(
+    acc0, acc1, digits, ksk, keep)``, one verdict per accumulator (an
     :class:`IntegrityBackend` under any checking policy).
     """
 

@@ -19,17 +19,26 @@ limb, then element-wise multiply-accumulates — plus the ModDown by
 ``P`` at the end.  The implementation dispatches it that way too: all
 ``L * (L + 1)`` digit-row NTTs go to the backend as **one** batch, and
 the per-digit products accumulate in place over the full residue
-matrices with a single final reduction.
+matrices with a single final reduction.  A backend may go one step
+further and offer the whole keyswitch (``keyswitch_apply``) and the
+ModDown / rescale division (``drop_top_limb``) as one kernel call each;
+:func:`apply_keyswitch` and :func:`_divide_by_top_limb` take those
+slots when nothing needs to see the phases, and the phase-by-phase
+functions below stay the path of every other case and the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
-from repro.analysis.bounds import keyswitch_lazy_accumulate_ok, mul_fits_uint64
+from repro.analysis.bounds import (
+    centered_lift_lazy_ok,
+    keyswitch_lazy_accumulate_ok,
+    mul_fits_uint64,
+)
 from repro.arith.modular import mod_inverse
 from repro.fault.injector import current_fault_hook
 from repro.fhe.backend import get_backend
@@ -47,12 +56,40 @@ class KeySwitchKey:
     integrity layer's spare-modulus image) can be weakly keyed on it.
     """
 
-    #: Per digit i: (b_i, a_i), both over the full basis Q_L * P, eval domain.
+    #: Per digit i: (b_i, a_i), both over the full basis Q_L * P, eval
+    #: domain.  Their residues are views into :attr:`block`.
     pairs: list[tuple[RnsPoly, RnsPoly]]
+    #: The key's only storage: one contiguous ``(D, 2, L+1, n)`` uint64
+    #: array, ``block[i, 0]`` / ``block[i, 1]`` the residues of ``b_i`` /
+    #: ``a_i`` — the layout the compiled keyswitch reads in place.
+    block: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        pairs = self.pairs
+        shape = pairs[0][0].residues.shape if pairs else (0, 0)
+        self.block = np.empty((len(pairs), 2) + shape, dtype=np.uint64)
+        self.pairs = []
+        for slab, pair in zip(self.block, pairs):
+            for rows, poly in zip(slab, pair):
+                rows[...] = poly.residues
+            self.pairs.append(tuple(
+                RnsPoly(rows, poly.primes, poly.is_eval)
+                for rows, poly in zip(slab, pair)))
 
     @property
     def num_digits(self) -> int:
         return len(self.pairs)
+
+
+def _fused_slot(name: str):
+    """The active backend's optional fused kernel ``name``, or None —
+    also None while a fault hook is installed: injection sites and the
+    ABFT spare-modulus check live between the phases a fused kernel
+    runs in one call (a checking ``IntegrityBackend`` never exposes
+    one)."""
+    if current_fault_hook() is not None:
+        return None
+    return getattr(get_backend(), name, None)
 
 
 def _full_primes(params: CkksParams) -> tuple[int, ...]:
@@ -127,7 +164,7 @@ def decompose_digits(x: RnsPoly, params: CkksParams) -> list[RnsPoly]:
             evals[i, i] = x.residues[i]
         off_diag = [(i, j) for i in range(lcount) for j in range(tcount)
                     if j != i]
-        if max(level_primes) // 2 < min(target):
+        if centered_lift_lazy_ok(max(level_primes), min(target)):
             # |centered| <= q_i/2 < every target prime (equal-width chains),
             # so reduction mod t_j is res[i] + (t_j - q_i) when res[i] is in
             # the upper half — pure uint64 with wraparound, no int64 `%`.
@@ -184,19 +221,16 @@ def accumulate_keyswitch(
         maxq = max(primes)
         lazy = keyswitch_lazy_accumulate_ok(len(digits), maxq)
         wide = not mul_fits_uint64(maxq - 1, maxq - 1)
-        inner = getattr(get_backend(), "keyswitch_inner_product", None)
-        if (inner is not None and not wide and digits
-                and current_fault_hook() is None):
+        inner = _fused_slot("keyswitch_inner_product")
+        if inner is not None and not wide and digits:
             # Fused compiled path: one kernel call over the (D, L+1, n)
-            # stacks.  Skipped under an active fault hook so injection sites
-            # and the ABFT spare-modulus check keep seeing the python loop
-            # (a checking IntegrityBackend never exposes the fused method).
-            digit_stack = np.stack([d.residues for d in digits])
-            b_stack = np.stack([ksk.pairs[i][0].residues[keep]
-                                for i in range(len(digits))])
-            a_stack = np.stack([ksk.pairs[i][1].residues[keep]
-                                for i in range(len(digits))])
-            acc0, acc1 = inner(digit_stack, b_stack, a_stack, primes)
+            # stacks.  The key stacks are views into the key block at the
+            # top level (keep is the full basis), one gather below it.
+            key = ksk.block[:len(digits)]
+            if keep != list(range(key.shape[2])):
+                key = key[:, :, keep]
+            acc0, acc1 = inner(np.stack([d.residues for d in digits]),
+                               key[:, 0], key[:, 1], primes)
             phase.set(lazy=lazy, fused=True)
             return (RnsPoly(acc0, primes, is_eval=True),
                     RnsPoly(acc1, primes, is_eval=True))
@@ -259,10 +293,23 @@ def apply_keyswitch(
 
     Returns the two accumulated parts still over ``chain + special``;
     follow with :func:`mod_down` to drop the special prime.
+
+    A backend with the row-fused ``keyswitch_apply`` slot does the whole
+    keyswitch in one kernel call — unless :func:`_fused_slot` withholds
+    it or the slot declines (a gate refused); then, and on every other
+    backend, :func:`decompose_digits` and :func:`accumulate_keyswitch`
+    run phase by phase, which is also the oracle the fused slot is
+    checked against.
     """
-    digits = decompose_digits(x, params)
     keep = list(range(x.num_limbs)) + [params.levels]  # limbs of Q_l * P
     primes = x.primes + (params.special_prime,)
+    fused = _fused_slot("keyswitch_apply")
+    if fused is not None and x.is_eval:
+        accs = fused(x.residues, primes, ksk.block, keep)
+        if accs is not None:
+            return (RnsPoly(accs[0], primes, is_eval=True),
+                    RnsPoly(accs[1], primes, is_eval=True))
+    digits = decompose_digits(x, params)
     return accumulate_keyswitch(digits, ksk, keep, primes)
 
 
@@ -273,8 +320,15 @@ def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,
     ``delta === x (mod q_top)``; with ``plaintext_modulus`` set, ``delta``
     is additionally forced to ``0 (mod t)`` so the division leaves exact
     BGV plaintexts untouched (CKKS treats the rounding as approximation
-    noise and skips the correction).
+    noise and skips the correction).  That uncorrected division is one
+    kernel call on a backend with the ``drop_top_limb`` slot, under the
+    same conditions as :func:`apply_keyswitch`'s fused slot.
     """
+    fused = _fused_slot("drop_top_limb")
+    if fused is not None and plaintext_modulus is None and poly.is_eval:
+        out = fused(poly.residues, poly.primes, inv_table)
+        if out is not None:
+            return RnsPoly(out, poly.primes[:-1], is_eval=True)
     coeff = poly.to_coeff()
     top = coeff.num_limbs - 1
     q_top = poly.primes[top]
@@ -298,7 +352,8 @@ def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,
     if delta.dtype == object:
         lifted = np.stack([(delta % q).astype(np.uint64)
                            for q in chain.primes])
-    elif plaintext_modulus is None and q_top // 2 < min(chain.primes):
+    elif plaintext_modulus is None and centered_lift_lazy_ok(
+            q_top, min(chain.primes)):
         # CKKS rescale/moddown: |delta| <= q_top/2 below every chain
         # prime, so reduction is a conditional add.
         d = delta[None, :]

@@ -1,8 +1,9 @@
 """``repro.kernels`` — the compiled fused-kernel backend.
 
 The whole forward/inverse negacyclic NTT, the batched automorphism,
-and the fused keyswitch inner loop each compile to a *single*
-cache-blocked kernel call over the full ``(L, n)`` residue matrix,
+the fused keyswitch inner loop, and — row-fused, with no digit tensor
+in between — a whole keyswitch and the rounded top-limb division each
+compile to a *single* kernel call over the full ``(L, n)`` residue matrix,
 with precomputed Barrett/Shoup constant tables (hoisted onto
 :class:`~repro.ntt.tables.NttTables`) and reusable per-shape workspace
 buffers.  Lazy-reduction eligibility is derived from the fhecheck

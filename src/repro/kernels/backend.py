@@ -7,22 +7,30 @@ the full ``(L, n)`` residue matrix — no per-stage numpy dispatch, no
 full-size temporaries beyond one reusable workspace.  It subclasses
 :class:`~repro.fhe.backend.NumpyBackend`, so every shape a gate or a
 missing C toolchain refuses simply falls through to the vectorized
-numpy path.
+numpy path.  On top of the protocol it offers the optional row-fused
+slots ``keyswitch_apply`` (a whole keyswitch) and ``drop_top_limb``
+(``rescale`` / ``mod_down``), which return ``None`` instead of falling
+back so the caller runs its own phase-by-phase path.
 
 Bit-identity contract: every compiled kernel returns fully reduced
 residues (< q), and a reduced residue is unique — so outputs match the
 numpy and VPU paths bit for bit regardless of the internal reduction
 schedule.  The shared object is built by whatever C compiler the host
 has, so the backend additionally cross-checks each (kernel, shape) pair
-against the numpy reference on first use (``self_check``) and raises
-rather than silently returning wrong residues.
+against the numpy reference on first use (``self_check``) — the
+row-fused slots against the same computation phase by phase — and
+raises rather than silently returning wrong residues.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import keyswitch_lazy_accumulate_ok, mul_fits_uint64
+from repro.analysis.bounds import (
+    centered_lift_lazy_ok,
+    keyswitch_lazy_accumulate_ok,
+    mul_fits_uint64,
+)
 from repro.fhe.backend import NumpyBackend
 from repro.kernels.plan import (
     clear_compiled_caches,
@@ -33,13 +41,27 @@ from repro.kernels.plan import (
 )
 from repro.kernels.provider import (
     cjit_auto_batch,
+    cjit_drop_top_limb_lazy,
     cjit_fwd_ntt_lazy,
     cjit_inv_ntt_lazy,
     cjit_inv_ntt_unclamped,
+    cjit_keyswitch_apply_lazy,
     cjit_ks_accum_lazy,
     cjit_ks_accum_reduced,
     resolve_provider,
 )
+
+
+def _digit_stride(stack: np.ndarray) -> int | None:
+    """Words between consecutive digits of a ``(D, R, n)`` uint64 key
+    stack whose ``(R, n)`` slabs are packed — a contiguous stack or a
+    part of a :class:`~repro.fhe.keyswitch.KeySwitchKey` block, which
+    the kernel then reads in place — or None when it needs a copy."""
+    n = stack.shape[2]
+    if stack.dtype != np.uint64 or stack.strides[1:] != (8 * n, 8) \
+            or stack.strides[0] % 8:
+        return None
+    return stack.strides[0] // 8
 
 
 class CompiledBackend(NumpyBackend):
@@ -173,17 +195,22 @@ class CompiledBackend(NumpyBackend):
         and ``sum_d digit_d * a_d`` over ``(D, R, n)`` stacks in one
         compiled call, reduced per limb on return.
 
-        The lazy (single-final-reduction) accumulator is selected by the
-        derived gate :func:`~repro.analysis.bounds
+        ``b_stack`` / ``a_stack`` may be views whose digits sit a
+        uniform stride apart (one part of a key block); they are then
+        read in place.  The lazy (single-final-reduction) accumulator is
+        selected by the derived gate :func:`~repro.analysis.bounds
         .keyswitch_lazy_accumulate_ok`; otherwise products reduce as
         they are added.  Moduli whose single products overflow uint64
         are the caller's (object-dtype) problem — this method refuses
         them.
         """
         digit_stack = np.ascontiguousarray(digit_stack, dtype=np.uint64)
-        b_stack = np.ascontiguousarray(b_stack, dtype=np.uint64)
-        a_stack = np.ascontiguousarray(a_stack, dtype=np.uint64)
         num_digits, rows, n = digit_stack.shape
+        key_stride = _digit_stride(b_stack)
+        if key_stride is None or key_stride != _digit_stride(a_stack):
+            b_stack = np.ascontiguousarray(b_stack, dtype=np.uint64)
+            a_stack = np.ascontiguousarray(a_stack, dtype=np.uint64)
+            key_stride = rows * n
         maxq = max(primes)
         lazy_ok = keyswitch_lazy_accumulate_ok(num_digits, maxq)
         reduced_ok = mul_fits_uint64(maxq - 1, maxq - 1)
@@ -201,10 +228,10 @@ class CompiledBackend(NumpyBackend):
             acc1 = np.empty((rows, n), dtype=np.uint64)
             if lazy_ok:
                 cjit_ks_accum_lazy(impl, digit_stack, b_stack, a_stack,
-                                   acc0, acc1, q_arr, mu_arr)
+                                   key_stride, acc0, acc1, q_arr, mu_arr)
             else:
                 cjit_ks_accum_reduced(impl, digit_stack, b_stack, a_stack,
-                                      acc0, acc1, q_arr, mu_arr)
+                                      key_stride, acc0, acc1, q_arr, mu_arr)
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("keyswitch", num_digits, rows, n, tuple(primes)),
@@ -221,3 +248,132 @@ class CompiledBackend(NumpyBackend):
             acc0 = (acc0 + digit_stack[d] * b_stack[d] % q_col) % q_col
             acc1 = (acc1 + digit_stack[d] * a_stack[d] % q_col) % q_col
         return acc0, acc1
+
+    # -- row-fused keyswitch and top-limb division ----------------------------
+
+    def keyswitch_apply(self, residues: np.ndarray, primes: tuple[int, ...],
+                        key_block: np.ndarray, keep,
+                        ticks: np.ndarray | None = None,
+                        ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The whole of ``apply_keyswitch`` in one compiled call.
+
+        ``residues`` is the ``(L, n)`` evaluation-domain matrix modulo
+        ``primes[:-1]``; ``primes`` ends in the special prime.
+        ``key_block`` is a :class:`~repro.fhe.keyswitch.KeySwitchKey`
+        block ``(D >= L, 2, K, n)``, read in place through the ``L + 1``
+        row indices ``keep``.  Returns the two ``(L + 1, n)``
+        accumulators — or ``None``, before allocating anything, when
+        there is no provider or a gate refuses (``plan.lazy_stages_ok``,
+        :func:`~repro.analysis.bounds.centered_lift_lazy_ok`, a single
+        product fitting uint64): the caller then runs the phased path.
+        ``ticks``, when given, is a 4-slot int64 array that gains the
+        nanoseconds spent in the inverse NTTs, the digit lifts, the
+        forward NTTs and the multiply-accumulates.
+        """
+        impl = self._impl
+        primes = tuple(primes)
+        limbs = len(primes) - 1
+        if impl is None or limbs < 1 or not key_block.flags.c_contiguous \
+                or key_block.dtype != np.uint64:
+            return None
+        x = np.ascontiguousarray(residues, dtype=np.uint64)
+        n = x.shape[1]
+        keep = np.asarray(keep, dtype=np.int64)
+        digits, parts, key_limbs, key_n = key_block.shape
+        if x.shape[0] != limbs or digits < limbs or parts != 2 \
+                or key_n != n or keep.shape != (limbs + 1,) \
+                or keep.min() < 0 or keep.max() >= key_limbs:
+            raise ValueError(
+                f"keyswitch_apply: {x.shape} residues, key block "
+                f"{key_block.shape} and keep {keep.tolist()} do not "
+                f"describe a keyswitch over {limbs + 1} primes")
+        plan = get_plan(n, primes) if n else None
+        max_q = max(primes)
+        lift_ok = centered_lift_lazy_ok(max(primes[:-1]), min(primes))
+        product_ok = mul_fits_uint64(max_q - 1, max_q - 1)
+        if plan is not None and plan.lazy_stages_ok and lift_ok \
+                and product_ok:
+            acc0 = np.empty((limbs + 1, n), dtype=np.uint64)
+            acc1 = np.empty((limbs + 1, n), dtype=np.uint64)
+            cjit_keyswitch_apply_lazy(
+                impl, plan, x, key_block, keep, acc0, acc1,
+                get_workspace(3 * limbs + 2, n),
+                keyswitch_lazy_accumulate_ok(limbs, max_q), ticks)
+            self.kernel_invocations += 1
+            self._verify_first_use(
+                ("keyswitch_apply", n, primes),
+                lambda: self._phased_keyswitch(x, primes, key_block, keep),
+                (acc0, acc1))
+            return acc0, acc1
+        return None
+
+    def _phased_keyswitch(self, x: np.ndarray, primes: tuple[int, ...],
+                          key_block: np.ndarray, keep: np.ndarray,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """The oracle of :meth:`keyswitch_apply`: the same keyswitch
+        phase by phase — this backend's batch kernels (each checked
+        against numpy on first use of its own shape), every digit row
+        transformed (no diagonal reuse), the lift through a signed
+        ``%`` and a per-step reduced accumulator."""
+        level = primes[:-1]
+        coeff = self.inverse_ntt_batch(x, level).astype(np.int64)
+        from_col = np.array(level, dtype=np.int64)[:, None]
+        centered = np.where(coeff > from_col // 2, coeff - from_col, coeff)
+        to_col = np.array(primes, dtype=np.int64)[:, None]
+        q_col = to_col.astype(np.uint64)
+        accs = (np.zeros((len(primes), x.shape[1]), dtype=np.uint64),
+                np.zeros((len(primes), x.shape[1]), dtype=np.uint64))
+        for i in range(len(level)):
+            digit = self.forward_ntt_batch(
+                (centered[i] % to_col).astype(np.uint64), primes)
+            for acc, key_rows in zip(accs, key_block[i]):
+                acc += digit * key_rows[keep] % q_col
+                acc %= q_col
+        return accs
+
+    def drop_top_limb(self, residues: np.ndarray, primes: tuple[int, ...],
+                      inv_table) -> np.ndarray | None:
+        """Rounded division by the top limb, ``(x - [x]_top) / q_top``,
+        evaluation domain in and out, in one compiled call: the CKKS
+        ``rescale`` and the special-prime ``mod_down`` (no plaintext
+        modulus).  ``inv_table[j]`` is ``q_top^{-1} mod primes[j]``.
+        Returns the ``(R - 1, n)`` matrix, or ``None`` — before
+        allocating anything — when there is no provider or a gate
+        refuses, as for :meth:`keyswitch_apply`.
+        """
+        impl = self._impl
+        primes = tuple(primes)
+        rows = len(primes)
+        if impl is None or rows < 2:
+            return None
+        x = np.ascontiguousarray(residues, dtype=np.uint64)
+        n = x.shape[1]
+        inv = np.ascontiguousarray(inv_table, dtype=np.uint64)
+        if x.shape[0] != rows or inv.shape != (rows - 1,):
+            raise ValueError(
+                f"drop_top_limb: {x.shape} residues and {inv.shape} "
+                f"inverses do not match {rows} primes")
+        plan = get_plan(n, primes) if n else None
+        lift_ok = centered_lift_lazy_ok(primes[-1], min(primes[:-1]))
+        if plan is not None and plan.lazy_stages_ok and lift_ok:
+            out = np.empty((rows - 1, n), dtype=np.uint64)
+            cjit_drop_top_limb_lazy(impl, plan, x, inv, out,
+                                    get_workspace(2 * rows, n))
+            self.kernel_invocations += 1
+            self._verify_first_use(
+                ("drop_top_limb", n, primes),
+                lambda: self._phased_drop_top(x, primes, inv), out)
+            return out
+        return None
+
+    def _phased_drop_top(self, x: np.ndarray, primes: tuple[int, ...],
+                         inv: np.ndarray) -> np.ndarray:
+        """The oracle of :meth:`drop_top_limb`, phase by phase on this
+        backend's batch kernels with signed-``%`` arithmetic."""
+        coeff = self.inverse_ntt_batch(x, primes).astype(np.int64)
+        q_top = primes[-1]
+        tail = np.where(coeff[-1] > q_top // 2, coeff[-1] - q_top, coeff[-1])
+        q_col = np.array(primes[:-1], dtype=np.int64)[:, None]
+        diff = ((coeff[:-1] - tail) % q_col).astype(np.uint64)
+        scaled = diff * inv[:, None] % q_col.astype(np.uint64)
+        return self.forward_ntt_batch(scaled, primes[:-1])

@@ -65,52 +65,71 @@ def _addr(arr: np.ndarray) -> int:
     return arr.ctypes.data
 
 
+class PlanTables(ctypes.Structure):
+    """ctypes mirror of ``plan_t`` in ``kernels.c``: the addresses of
+    one :class:`~repro.kernels.plan.CompiledPlan`'s constant tables."""
+
+    _fields_ = [(name, _VOID) for name in (
+        "q", "mu", "psi", "psi_sh", "twf", "twf_sh", "twi", "twi_sh",
+        "unfold", "unfold_sh", "bitrev")]
+
+
+def _tables(plan) -> PlanTables:
+    """The plan's table addresses, built once and kept on the plan
+    (which owns the arrays, so the addresses live as long as it does)."""
+    tables = getattr(plan, "ctables", None)
+    if tables is None:
+        tables = plan.ctables = PlanTables(
+            *(_addr(getattr(plan, name)) for name, _ in PlanTables._fields_))
+    return tables
+
+
+_PLAN = ctypes.POINTER(PlanTables)
+
+
 class CExtProvider:
     """ctypes facade over the compiled ``kernels.c`` entry points.
 
     Arrays handed in must be C-contiguous uint64 (int64 for index
-    tables) — the plan builder and the backend guarantee that — so each
-    call is four pointer loads and one foreign call, no marshalling.
+    tables and ticks) — the plan builder and the backend guarantee
+    that — so each call is a handful of pointer loads and one foreign
+    call, no marshalling.
     """
 
     name = "cext"
 
     def __init__(self, lib: ctypes.CDLL):
-        self._fwd = lib.repro_fwd_ntt_batch
-        self._fwd.restype = None
-        self._fwd.argtypes = [_VOID, _VOID, _VOID, _I64, _I64,
-                              _VOID, _VOID, _VOID, _VOID, _VOID, _VOID,
-                              _VOID, _INT]
-        self._inv = lib.repro_inv_ntt_batch
-        self._inv.restype = None
-        self._inv.argtypes = [_VOID, _VOID, _VOID, _I64, _I64,
-                              _VOID, _VOID, _VOID, _VOID, _VOID, _VOID,
-                              _VOID, _INT]
-        self._auto = lib.repro_auto_batch
-        self._auto.restype = None
-        self._auto.argtypes = [_VOID, _VOID, _I64, _I64, _VOID]
-        self._ks = lib.repro_ks_accum
-        self._ks.restype = None
-        self._ks.argtypes = [_VOID, _VOID, _VOID, _VOID, _VOID,
-                             _I64, _I64, _I64, _VOID, _VOID, _INT]
+        def entry(symbol: str, *argtypes):
+            fn = getattr(lib, symbol)
+            fn.restype = None
+            fn.argtypes = list(argtypes)
+            return fn
+
+        self._fwd = entry("repro_fwd_ntt_batch", _PLAN, _VOID, _VOID, _VOID,
+                          _I64, _I64, _INT)
+        self._inv = entry("repro_inv_ntt_batch", _PLAN, _VOID, _VOID, _VOID,
+                          _I64, _I64, _INT)
+        self._auto = entry("repro_auto_batch", _VOID, _VOID, _I64, _I64,
+                           _VOID)
+        self._ks = entry("repro_ks_accum", _VOID, _VOID, _VOID, _I64,
+                         _VOID, _VOID, _I64, _I64, _I64, _VOID, _VOID, _INT)
+        self._ks_apply = entry("repro_ks_apply", _PLAN, _VOID, _VOID, _VOID,
+                               _VOID, _VOID, _VOID, _VOID, _I64, _I64, _I64,
+                               _INT, _INT, _INT, _VOID)
+        self._drop_top = entry("repro_drop_top_limb", _PLAN, _VOID, _VOID,
+                               _VOID, _VOID, _VOID, _I64, _I64, _INT, _INT)
 
     def fwd_ntt(self, plan, x: np.ndarray, out: np.ndarray,
                 work: np.ndarray, use_shoup: bool) -> None:
         rows, n = x.shape
-        self._fwd(_addr(x), _addr(out), _addr(work), rows, n,
-                  _addr(plan.q), _addr(plan.mu),
-                  _addr(plan.psi), _addr(plan.psi_sh),
-                  _addr(plan.twf), _addr(plan.twf_sh),
-                  _addr(plan.bitrev), 1 if use_shoup else 0)
+        self._fwd(_tables(plan), _addr(x), _addr(out), _addr(work), rows, n,
+                  1 if use_shoup else 0)
 
     def inv_ntt(self, plan, x: np.ndarray, out: np.ndarray,
                 work: np.ndarray, mode: int) -> None:
         rows, n = x.shape
-        self._inv(_addr(x), _addr(out), _addr(work), rows, n,
-                  _addr(plan.q), _addr(plan.mu),
-                  _addr(plan.twi), _addr(plan.twi_sh),
-                  _addr(plan.unfold), _addr(plan.unfold_sh),
-                  _addr(plan.bitrev), mode)
+        self._inv(_tables(plan), _addr(x), _addr(out), _addr(work), rows, n,
+                  mode)
 
     def auto(self, x: np.ndarray, out: np.ndarray,
              dest: np.ndarray) -> None:
@@ -118,13 +137,35 @@ class CExtProvider:
         self._auto(_addr(x), _addr(out), rows, n, _addr(dest))
 
     def ks_accum(self, digits: np.ndarray, bstack: np.ndarray,
-                 astack: np.ndarray, acc0: np.ndarray, acc1: np.ndarray,
-                 q_arr: np.ndarray, mu_arr: np.ndarray,
+                 astack: np.ndarray, key_stride: int, acc0: np.ndarray,
+                 acc1: np.ndarray, q_arr: np.ndarray, mu_arr: np.ndarray,
                  lazy: bool) -> None:
         num_digits, rows, n = digits.shape
-        self._ks(_addr(digits), _addr(bstack), _addr(astack),
+        self._ks(_addr(digits), _addr(bstack), _addr(astack), key_stride,
                  _addr(acc0), _addr(acc1), num_digits, rows, n,
                  _addr(q_arr), _addr(mu_arr), 1 if lazy else 0)
+
+    def ks_apply(self, plan, x: np.ndarray, key: np.ndarray,
+                 keep: np.ndarray, acc0: np.ndarray, acc1: np.ndarray,
+                 work: np.ndarray, use_shoup: bool, inv_mode: int,
+                 lazy: bool, ticks: np.ndarray | None) -> None:
+        """``work`` is ``(3 L + 2, n)``: ``L`` coefficient rows, then
+        two scratch rows per target limb."""
+        limbs, n = x.shape
+        self._ks_apply(_tables(plan), _addr(x), _addr(key), _addr(keep),
+                       _addr(acc0), _addr(acc1), _addr(work),
+                       _addr(work[limbs:]), limbs, key.shape[2], n,
+                       1 if use_shoup else 0, inv_mode, 1 if lazy else 0,
+                       None if ticks is None else _addr(ticks))
+
+    def drop_top(self, plan, x: np.ndarray, inv: np.ndarray,
+                 out: np.ndarray, work: np.ndarray, use_shoup: bool,
+                 inv_mode: int) -> None:
+        """``work`` is ``(2 R, n)``: coefficient rows, then scratch."""
+        rows, n = x.shape
+        self._drop_top(_tables(plan), _addr(x), _addr(inv), _addr(out),
+                       _addr(work), _addr(work[rows:]), rows, n,
+                       1 if use_shoup else 0, inv_mode)
 
 
 def load_provider() -> CExtProvider | None:

@@ -8,6 +8,12 @@
  * stages of every limb in one call — no per-stage dispatch, no
  * temporaries beyond the caller-provided workspace.
  *
+ * The butterfly loops exist once, in ``fwd_row`` / ``inv_row``; the
+ * batch entries map them over rows, and the two row-fused entries
+ * (``repro_ks_apply``, ``repro_drop_top_limb``) call them between a
+ * lift and a multiply-accumulate so a 64 KB row is produced and
+ * consumed while it is in cache.
+ *
  * The arithmetic mirrors the analyzed numpy stage plans line for line
  * (``repro.analysis.stage_plans``), so the eligibility gates derived
  * there (``repro.analysis.bounds``) carry over:
@@ -18,14 +24,19 @@
  *   wider moduli up to 2**31;
  * - the clamp-free inverse schedule only under ``unclamped_dit_ok``;
  * - the unreduced keyswitch accumulator only under
- *   ``keyswitch_lazy_accumulate_ok``.
+ *   ``keyswitch_lazy_accumulate_ok``;
+ * - the conditional-add centered lift only under
+ *   ``centered_lift_lazy_ok``.
  *
  * Outputs are always fully reduced (< q), which is what makes the
  * backend bit-identical to the numpy and VPU paths: the reduced residue
  * is unique regardless of the internal reduction schedule.
  */
 
+#define _POSIX_C_SOURCE 199309L /* clock_gettime under -std=c11 */
+
 #include <stdint.h>
+#include <time.h>
 
 typedef uint64_t u64;
 typedef int64_t i64;
@@ -37,9 +48,26 @@ typedef unsigned __int128 u128;
 #ifdef _OPENMP
 #define PARALLEL_LIMBS \
     _Pragma("omp parallel for schedule(static) if (par_rows > 1 && par_rows * n >= 16384)")
+#define ATOMIC_UPDATE _Pragma("omp atomic")
 #else
 #define PARALLEL_LIMBS
+#define ATOMIC_UPDATE
 #endif
+
+/* Phase clock of the row-fused keyswitch.  `ticks` is NULL unless an
+ * observer asked for the split; on NULL neither helper reads a clock. */
+static inline i64 tick_now(const i64 *ticks) {
+    if (!ticks) return 0;
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (i64)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+static inline void tick_add(i64 *ticks, int slot, i64 ns) {
+    if (!ticks) return;
+    ATOMIC_UPDATE
+    ticks[slot] += ns;
+}
 
 /* Barrett reduction of an arbitrary uint64 value z modulo q, with the
  * precomputed constant mu = floor(2**64 / q).  The estimate
@@ -62,220 +90,251 @@ static inline u64 shoup_mul_lazy(u64 x, u64 w, u64 w_sh, u64 q) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Forward negacyclic NTT, all stages fused.                          */
+/* One row of the forward negacyclic NTT, all stages fused -- the only */
+/* forward butterfly loops in this file.                               */
 /*                                                                    */
-/* in/out/work: (L, n) row-major.  psi/psi_sh: (L, n) folding tables.  */
-/* twf/twf_sh: per-limb flattened DIF stage twiddles (lengths n/2,    */
-/* n/4, .., 1 concatenated -> n - 1 entries per limb).  bitrev: the   */
-/* length-n involution undoing the DIF output order.  use_shoup       */
-/* selects the mod-free butterfly (gate: ntt_shoup_ok).               */
+/* x: n input words; a: n words of scratch; o: n output words (o may  */
+/* alias x: the psi fold consumes x before o is written).  ps/ps_sh:  */
+/* the row's psi folding table.  tw/tw_sh: its flattened DIF stage    */
+/* twiddles (lengths n/2, n/4, .., 1 concatenated -> n - 1 entries).  */
+/* bitrev: the length-n involution undoing the DIF output order.      */
+/* use_shoup selects the mod-free butterfly (gate: ntt_shoup_ok).     */
 /* ------------------------------------------------------------------ */
-void repro_fwd_ntt_batch(const u64 *in, u64 *out, u64 *work,
-                         i64 L, i64 n,
-                         const u64 *q_arr, const u64 *mu_arr,
-                         const u64 *psi, const u64 *psi_sh,
-                         const u64 *twf, const u64 *twf_sh,
-                         const i64 *bitrev, int use_shoup) {
-    const i64 par_rows = L;
-    PARALLEL_LIMBS
-    for (i64 l = 0; l < par_rows; l++) {
-        const u64 q = q_arr[l], mu = mu_arr[l], two_q = 2 * q;
-        const u64 *x = in + l * n;
-        const u64 *ps = psi + l * n;
-        const u64 *tw = twf + l * (n - 1);
-        u64 *a = work + l * n;
+static inline void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n,
+                           u64 q, u64 mu,
+                           const u64 *ps, const u64 *ps_sh,
+                           const u64 *tw, const u64 *tw_sh,
+                           const i64 *bitrev, int use_shoup) {
+    const u64 two_q = 2 * q;
 
-        /* psi fold: x * psi^j, into [0, 2q) (Shoup) or [0, q). */
-        if (use_shoup) {
-            const u64 *ps_sh = psi_sh + l * n;
-            for (i64 i = 0; i < n; i++) {
-                u64 v = x[i];
-                if (v >= q) v %= q;
-                a[i] = shoup_mul_lazy(v, ps[i], ps_sh[i], q);
-            }
-        } else {
-            for (i64 i = 0; i < n; i++) {
-                u64 v = x[i];
-                if (v >= q) v %= q;
-                a[i] = barrett_mod(v * ps[i], q, mu);
+    /* psi fold: x * psi^j, into [0, 2q) (Shoup) or [0, q). */
+    if (use_shoup) {
+        for (i64 i = 0; i < n; i++) {
+            u64 v = x[i];
+            if (v >= q) v %= q;
+            a[i] = shoup_mul_lazy(v, ps[i], ps_sh[i], q);
+        }
+    } else {
+        for (i64 i = 0; i < n; i++) {
+            u64 v = x[i];
+            if (v >= q) v %= q;
+            a[i] = barrett_mod(v * ps[i], q, mu);
+        }
+    }
+
+    /* Gentleman-Sande DIF stages, lazy (< 2q lanes throughout). */
+    i64 toff = 0;
+    for (i64 len = n >> 1; len >= 2; len >>= 1) {
+        const u64 *wt = tw + toff;
+        for (i64 start = 0; start < n; start += 2 * len) {
+            u64 *pu = a + start;
+            u64 *pv = a + start + len;
+            if (use_shoup) {
+                const u64 *wt_sh = tw_sh + toff;
+                for (i64 j = 0; j < len; j++) {
+                    u64 u = pu[j], v = pv[j];
+                    u64 t = u + v; /* < 4q */
+                    if (t >= two_q) t -= two_q;
+                    u64 d = u + two_q - v; /* < 4q < 2**32 */
+                    pu[j] = t;
+                    pv[j] = shoup_mul_lazy(d, wt[j], wt_sh[j], q);
+                }
+            } else {
+                for (i64 j = 0; j < len; j++) {
+                    u64 u = pu[j], v = pv[j];
+                    u64 t = u + v;
+                    if (t >= two_q) t -= two_q;
+                    u64 d = u + two_q - v; /* (4q-1)(q-1) < 2**64 */
+                    pu[j] = t;
+                    pv[j] = barrett_mod(d * wt[j], q, mu);
+                }
             }
         }
+        toff += len;
+    }
+    /* Last stage (len == 1): the single twiddle is omega**0 == 1
+     * for every prime -- skip the product, clamp the difference. */
+    if (n >= 2) {
+        for (i64 start = 0; start < n; start += 2) {
+            u64 u = a[start], v = a[start + 1];
+            u64 t = u + v;
+            if (t >= two_q) t -= two_q;
+            u64 d = u + two_q - v;
+            if (d >= two_q) d -= two_q;
+            a[start] = t;
+            a[start + 1] = d;
+        }
+    }
 
-        /* Gentleman-Sande DIF stages, lazy (< 2q lanes throughout). */
-        i64 toff = 0;
-        const u64 *tw_sh = use_shoup ? twf_sh + l * (n - 1) : 0;
-        for (i64 len = n >> 1; len >= 2; len >>= 1) {
+    /* Undo the DIF output order (bit reversal is an involution: a
+     * gather with the same table) and finish the < q reduction. */
+    for (i64 i = 0; i < n; i++) {
+        u64 t = a[bitrev[i]];
+        if (t >= q) t -= q;
+        o[i] = t;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* One row of the inverse negacyclic NTT, all stages fused -- the only */
+/* inverse butterfly loops in this file.                               */
+/*                                                                    */
+/* x/a/o as in fwd_row (o may alias x: the bit-reversal gather        */
+/* consumes x first).  tw/tw_sh: flattened DIT stage twiddles         */
+/* (lengths 1, 2, .., n/2).  uf/uf_sh: the fused psi^{-j} * n^{-1}    */
+/* table.  mode: 0 = lazy Barrett, 1 = lazy Shoup (gate:              */
+/* ntt_shoup_ok), 2 = clamp-free (gate: unclamped_dit_ok).            */
+/* ------------------------------------------------------------------ */
+static inline void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
+                           u64 q, u64 mu,
+                           const u64 *tw, const u64 *tw_sh,
+                           const u64 *uf, const u64 *uf_sh,
+                           const i64 *bitrev, int mode) {
+    const u64 two_q = 2 * q;
+
+    /* Natural order -> bit-reversed DIT input, reduced < q. */
+    for (i64 i = 0; i < n; i++) {
+        u64 v = x[bitrev[i]];
+        if (v >= q) v %= q;
+        a[i] = v;
+    }
+
+    i64 toff = 0;
+    if (mode == 2) {
+        /* Clamp-free schedule: lanes grow by exactly +q per stage
+         * (the twiddled half is freshly reduced); the gate proved
+         * every intermediate, including the fused unfold product
+         * below, fits uint64. */
+        for (i64 len = 1; len < n; len <<= 1) {
             const u64 *wt = tw + toff;
             for (i64 start = 0; start < n; start += 2 * len) {
                 u64 *pu = a + start;
                 u64 *pv = a + start + len;
-                if (use_shoup) {
-                    const u64 *wt_sh = tw_sh + toff;
-                    for (i64 j = 0; j < len; j++) {
-                        u64 u = pu[j], v = pv[j];
-                        u64 t = u + v; /* < 4q */
-                        if (t >= two_q) t -= two_q;
-                        u64 d = u + two_q - v; /* < 4q < 2**32 */
-                        pu[j] = t;
-                        pv[j] = shoup_mul_lazy(d, wt[j], wt_sh[j], q);
-                    }
+                if (len == 1) {
+                    /* Stage 0 twiddle is omega**0 == 1. */
+                    u64 u = pu[0], v = pv[0];
+                    pu[0] = u + v;
+                    pv[0] = u + q - v;
                 } else {
                     for (i64 j = 0; j < len; j++) {
-                        u64 u = pu[j], v = pv[j];
-                        u64 t = u + v;
-                        if (t >= two_q) t -= two_q;
-                        u64 d = u + two_q - v; /* (4q-1)(q-1) < 2**64 */
-                        pu[j] = t;
-                        pv[j] = barrett_mod(d * wt[j], q, mu);
+                        u64 u = pu[j];
+                        u64 v = barrett_mod(pv[j] * wt[j], q, mu);
+                        pu[j] = u + v;
+                        pv[j] = u + q - v;
                     }
                 }
             }
             toff += len;
         }
-        /* Last stage (len == 1): the single twiddle is omega**0 == 1
-         * for every prime -- skip the product, clamp the difference. */
-        if (n >= 2) {
-            for (i64 start = 0; start < n; start += 2) {
-                u64 u = a[start], v = a[start + 1];
-                u64 t = u + v;
-                if (t >= two_q) t -= two_q;
-                u64 d = u + two_q - v;
-                if (d >= two_q) d -= two_q;
-                a[start] = t;
-                a[start + 1] = d;
+        for (i64 i = 0; i < n; i++)
+            o[i] = barrett_mod(a[i] * uf[i], q, mu);
+    } else if (mode == 1) {
+        /* Lazy Shoup schedule: < 2q lanes, mod-free twiddle
+         * products, Shoup unfold plus one conditional subtract. */
+        for (i64 len = 1; len < n; len <<= 1) {
+            const u64 *wt = tw + toff;
+            const u64 *wt_sh = tw_sh + toff;
+            for (i64 start = 0; start < n; start += 2 * len) {
+                u64 *pu = a + start;
+                u64 *pv = a + start + len;
+                for (i64 j = 0; j < len; j++) {
+                    u64 u = pu[j];
+                    u64 vin = pv[j];
+                    u64 v = (len == 1)
+                                ? vin
+                                : shoup_mul_lazy(vin, wt[j], wt_sh[j], q);
+                    u64 t = u + v;
+                    if (t >= two_q) t -= two_q;
+                    u64 d = u + two_q - v;
+                    if (d >= two_q) d -= two_q;
+                    pu[j] = t;
+                    pv[j] = d;
+                }
             }
+            toff += len;
         }
-
-        /* Undo the DIF output order (bit reversal is an involution: a
-         * gather with the same table) and finish the < q reduction. */
-        u64 *o = out + l * n;
         for (i64 i = 0; i < n; i++) {
-            u64 t = a[bitrev[i]];
-            if (t >= q) t -= q;
-            o[i] = t;
+            u64 r = shoup_mul_lazy(a[i], uf[i], uf_sh[i], q);
+            if (r >= q) r -= q;
+            o[i] = r;
         }
+    } else {
+        /* Lazy Barrett schedule (2**30 <= q < 2**31). */
+        for (i64 len = 1; len < n; len <<= 1) {
+            const u64 *wt = tw + toff;
+            for (i64 start = 0; start < n; start += 2 * len) {
+                u64 *pu = a + start;
+                u64 *pv = a + start + len;
+                for (i64 j = 0; j < len; j++) {
+                    u64 u = pu[j];
+                    u64 vin = pv[j];
+                    u64 v = (len == 1)
+                                ? vin
+                                : barrett_mod(vin * wt[j], q, mu);
+                    u64 t = u + v;
+                    if (t >= two_q) t -= two_q;
+                    u64 d = u + two_q - v;
+                    if (d >= two_q) d -= two_q;
+                    pu[j] = t;
+                    pv[j] = d;
+                }
+            }
+            toff += len;
+        }
+        for (i64 i = 0; i < n; i++)
+            o[i] = barrett_mod(a[i] * uf[i], q, mu);
     }
 }
 
+/* The constant tables of one (n, primes) plan (repro/kernels/plan.py),
+ * row l modulo q[l]: n words per row in psi/unfold, n - 1 in the flat
+ * stage twiddles.  The *_sh companions exist only where ntt_shoup_ok
+ * holds and are touched only under use_shoup / inverse mode 1.  Field
+ * order is the ctypes mirror's (cext.PlanTables). */
+typedef struct {
+    const u64 *q, *mu;
+    const u64 *psi, *psi_sh;
+    const u64 *twf, *twf_sh;
+    const u64 *twi, *twi_sh;
+    const u64 *unfold, *unfold_sh;
+    const i64 *bitrev;
+} plan_t;
+
+static inline void plan_fwd(const plan_t *p, i64 l, i64 n, const u64 *x,
+                            u64 *a, u64 *o, int use_shoup) {
+    fwd_row(x, a, o, n, p->q[l], p->mu[l],
+            p->psi + l * n, use_shoup ? p->psi_sh + l * n : 0,
+            p->twf + l * (n - 1), use_shoup ? p->twf_sh + l * (n - 1) : 0,
+            p->bitrev, use_shoup);
+}
+
+static inline void plan_inv(const plan_t *p, i64 l, i64 n, const u64 *x,
+                            u64 *a, u64 *o, int mode) {
+    inv_row(x, a, o, n, p->q[l], p->mu[l],
+            p->twi + l * (n - 1), mode == 1 ? p->twi_sh + l * (n - 1) : 0,
+            p->unfold + l * n, mode == 1 ? p->unfold_sh + l * n : 0,
+            p->bitrev, mode);
+}
+
 /* ------------------------------------------------------------------ */
-/* Inverse negacyclic NTT, all stages fused.                          */
-/*                                                                    */
-/* twi/twi_sh: flattened DIT stage twiddles (lengths 1, 2, .., n/2).  */
-/* unfold/unfold_sh: fused psi^{-j} * n^{-1} tables.  mode: 0 = lazy  */
-/* Barrett, 1 = lazy Shoup (gate: ntt_shoup_ok), 2 = clamp-free       */
-/* (gate: unclamped_dit_ok).                                          */
+/* Batched transforms: in/out/work (L, n) row-major, row l through    */
+/* plan row l.                                                         */
 /* ------------------------------------------------------------------ */
-void repro_inv_ntt_batch(const u64 *in, u64 *out, u64 *work,
-                         i64 L, i64 n,
-                         const u64 *q_arr, const u64 *mu_arr,
-                         const u64 *twi, const u64 *twi_sh,
-                         const u64 *unfold, const u64 *unfold_sh,
-                         const i64 *bitrev, int mode) {
+void repro_fwd_ntt_batch(const plan_t *plan, const u64 *in, u64 *out,
+                         u64 *work, i64 L, i64 n, int use_shoup) {
     const i64 par_rows = L;
     PARALLEL_LIMBS
-    for (i64 l = 0; l < par_rows; l++) {
-        const u64 q = q_arr[l], mu = mu_arr[l], two_q = 2 * q;
-        const u64 *x = in + l * n;
-        const u64 *tw = twi + l * (n - 1);
-        const u64 *uf = unfold + l * n;
-        u64 *a = work + l * n;
-        u64 *o = out + l * n;
+    for (i64 l = 0; l < par_rows; l++)
+        plan_fwd(plan, l, n, in + l * n, work + l * n, out + l * n,
+                 use_shoup);
+}
 
-        /* Natural order -> bit-reversed DIT input, reduced < q. */
-        for (i64 i = 0; i < n; i++) {
-            u64 v = x[bitrev[i]];
-            if (v >= q) v %= q;
-            a[i] = v;
-        }
-
-        i64 toff = 0;
-        if (mode == 2) {
-            /* Clamp-free schedule: lanes grow by exactly +q per stage
-             * (the twiddled half is freshly reduced); the gate proved
-             * every intermediate, including the fused unfold product
-             * below, fits uint64. */
-            for (i64 len = 1; len < n; len <<= 1) {
-                const u64 *wt = tw + toff;
-                for (i64 start = 0; start < n; start += 2 * len) {
-                    u64 *pu = a + start;
-                    u64 *pv = a + start + len;
-                    if (len == 1) {
-                        /* Stage 0 twiddle is omega**0 == 1. */
-                        u64 u = pu[0], v = pv[0];
-                        pu[0] = u + v;
-                        pv[0] = u + q - v;
-                    } else {
-                        for (i64 j = 0; j < len; j++) {
-                            u64 u = pu[j];
-                            u64 v = barrett_mod(pv[j] * wt[j], q, mu);
-                            pu[j] = u + v;
-                            pv[j] = u + q - v;
-                        }
-                    }
-                }
-                toff += len;
-            }
-            for (i64 i = 0; i < n; i++)
-                o[i] = barrett_mod(a[i] * uf[i], q, mu);
-        } else if (mode == 1) {
-            /* Lazy Shoup schedule: < 2q lanes, mod-free twiddle
-             * products, Shoup unfold plus one conditional subtract. */
-            const u64 *tw_sh = twi_sh + l * (n - 1);
-            const u64 *uf_sh = unfold_sh + l * n;
-            for (i64 len = 1; len < n; len <<= 1) {
-                const u64 *wt = tw + toff;
-                const u64 *wt_sh = tw_sh + toff;
-                for (i64 start = 0; start < n; start += 2 * len) {
-                    u64 *pu = a + start;
-                    u64 *pv = a + start + len;
-                    for (i64 j = 0; j < len; j++) {
-                        u64 u = pu[j];
-                        u64 vin = pv[j];
-                        u64 v = (len == 1)
-                                    ? vin
-                                    : shoup_mul_lazy(vin, wt[j], wt_sh[j], q);
-                        u64 t = u + v;
-                        if (t >= two_q) t -= two_q;
-                        u64 d = u + two_q - v;
-                        if (d >= two_q) d -= two_q;
-                        pu[j] = t;
-                        pv[j] = d;
-                    }
-                }
-                toff += len;
-            }
-            for (i64 i = 0; i < n; i++) {
-                u64 r = shoup_mul_lazy(a[i], uf[i], uf_sh[i], q);
-                if (r >= q) r -= q;
-                o[i] = r;
-            }
-        } else {
-            /* Lazy Barrett schedule (2**30 <= q < 2**31). */
-            for (i64 len = 1; len < n; len <<= 1) {
-                const u64 *wt = tw + toff;
-                for (i64 start = 0; start < n; start += 2 * len) {
-                    u64 *pu = a + start;
-                    u64 *pv = a + start + len;
-                    for (i64 j = 0; j < len; j++) {
-                        u64 u = pu[j];
-                        u64 vin = pv[j];
-                        u64 v = (len == 1)
-                                    ? vin
-                                    : barrett_mod(vin * wt[j], q, mu);
-                        u64 t = u + v;
-                        if (t >= two_q) t -= two_q;
-                        u64 d = u + two_q - v;
-                        if (d >= two_q) d -= two_q;
-                        pu[j] = t;
-                        pv[j] = d;
-                    }
-                }
-                toff += len;
-            }
-            for (i64 i = 0; i < n; i++)
-                o[i] = barrett_mod(a[i] * uf[i], q, mu);
-        }
-    }
+void repro_inv_ntt_batch(const plan_t *plan, const u64 *in, u64 *out,
+                         u64 *work, i64 L, i64 n, int mode) {
+    const i64 par_rows = L;
+    PARALLEL_LIMBS
+    for (i64 l = 0; l < par_rows; l++)
+        plan_inv(plan, l, n, in + l * n, work + l * n, out + l * n, mode);
 }
 
 /* ------------------------------------------------------------------ */
@@ -295,16 +354,60 @@ void repro_auto_batch(const u64 *in, u64 *out, i64 L, i64 n,
 }
 
 /* ------------------------------------------------------------------ */
-/* Fused keyswitch inner loop: acc0 = sum_d digit_d * b_d and          */
-/* acc1 = sum_d digit_d * a_d over (D, R, n) stacks, reduced per limb.*/
+/* The keyswitch multiply-accumulate of one limb row, written once:   */
+/* s0 += digit * b, s1 += digit * a.                                   */
 /*                                                                    */
-/* lazy == 1 accumulates raw uint64 products with a single final      */
-/* Barrett reduction (gate: keyswitch_lazy_accumulate_ok); otherwise  */
-/* every product is Barrett-reduced as it is added and the running    */
-/* sum is kept < q with a conditional subtract.                       */
+/* lazy == 1 accumulates raw uint64 products and leaves the single    */
+/* final Barrett reduction to mac_finish (gate:                       */
+/* keyswitch_lazy_accumulate_ok); otherwise every product is          */
+/* Barrett-reduced as it is added and the running sum is kept < q     */
+/* with a conditional subtract.                                        */
+/* ------------------------------------------------------------------ */
+static inline void mac_clear(u64 *s0, u64 *s1, i64 n) {
+    for (i64 k = 0; k < n; k++) {
+        s0[k] = 0;
+        s1[k] = 0;
+    }
+}
+
+static inline void mac_row(u64 *s0, u64 *s1, const u64 *dd, const u64 *bb,
+                           const u64 *aa, i64 n, u64 q, u64 mu, int lazy) {
+    if (lazy) {
+        for (i64 k = 0; k < n; k++) {
+            s0[k] += dd[k] * bb[k];
+            s1[k] += dd[k] * aa[k];
+        }
+    } else {
+        for (i64 k = 0; k < n; k++) {
+            u64 t0 = s0[k] + barrett_mod(dd[k] * bb[k], q, mu);
+            if (t0 >= q) t0 -= q;
+            u64 t1 = s1[k] + barrett_mod(dd[k] * aa[k], q, mu);
+            if (t1 >= q) t1 -= q;
+            s0[k] = t0;
+            s1[k] = t1;
+        }
+    }
+}
+
+static inline void mac_finish(u64 *s0, u64 *s1, i64 n, u64 q, u64 mu,
+                              int lazy) {
+    if (!lazy) return;
+    for (i64 k = 0; k < n; k++) {
+        s0[k] = barrett_mod(s0[k], q, mu);
+        s1[k] = barrett_mod(s1[k], q, mu);
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Keyswitch inner product over stacks: acc0 = sum_d digit_d * b_d    */
+/* and acc1 = sum_d digit_d * a_d, reduced per limb.  digits is a     */
+/* contiguous (D, R, n) stack; digit d's key rows start key_stride    */
+/* words after digit d - 1's (R * n for a contiguous stack, more for  */
+/* a view into a KeySwitchKey block).                                  */
 /* ------------------------------------------------------------------ */
 void repro_ks_accum(const u64 *digits, const u64 *bstack, const u64 *astack,
-                    u64 *acc0, u64 *acc1, i64 D, i64 R, i64 n,
+                    i64 key_stride, u64 *acc0, u64 *acc1,
+                    i64 D, i64 R, i64 n,
                     const u64 *q_arr, const u64 *mu_arr, int lazy) {
     const i64 par_rows = R;
     PARALLEL_LIMBS
@@ -312,35 +415,127 @@ void repro_ks_accum(const u64 *digits, const u64 *bstack, const u64 *astack,
         const u64 q = q_arr[r], mu = mu_arr[r];
         u64 *s0 = acc0 + r * n;
         u64 *s1 = acc1 + r * n;
+        mac_clear(s0, s1, n);
+        for (i64 d = 0; d < D; d++)
+            mac_row(s0, s1, digits + (d * R + r) * n,
+                    bstack + d * key_stride + r * n,
+                    astack + d * key_stride + r * n, n, q, mu, lazy);
+        mac_finish(s0, s1, n, q, mu, lazy);
+    }
+}
+
+/* Centered lift of one coefficient row mod q_from, reduced mod q_to by
+ * a conditional add: |centered| <= q_from / 2 < q_to (gate:
+ * centered_lift_lazy_ok), so the upper half maps to c - q_from + q_to,
+ * a uint64 add of the wrapped offset. */
+static inline void lift_row(const u64 *c, u64 *o, i64 n,
+                            u64 q_from, u64 q_to) {
+    const u64 half = q_from >> 1, offset = q_to - q_from;
+    for (i64 k = 0; k < n; k++)
+        o[k] = c[k] + (c[k] > half ? offset : 0);
+}
+
+/* ------------------------------------------------------------------ */
+/* Row-fused keyswitch: the whole of apply_keyswitch in one call.     */
+/*                                                                    */
+/* x: (L, n) evaluation-domain rows mod the first L plan primes; the  */
+/* plan has L + 1 rows, the special prime last.  key: one key block   */
+/* (D >= L, 2, K, n), digit i's b / a rows at [i][0] / [i][1], read   */
+/* in place through keep (L + 1 row indices below K).  acc0/acc1:     */
+/* (L + 1, n) outputs.  coeff: (L, n) scratch for the coefficient     */
+/* rows; work: (2 (L + 1), n) scratch, two rows per target limb.      */
+/*                                                                    */
+/* After the L inverse NTTs, target limb j takes each digit i in      */
+/* turn: lift coefficient row i into j's scratch row, forward-NTT it  */
+/* mod q_j there, and multiply-accumulate it into acc0[j] / acc1[j]   */
+/* while it is still in cache -- no (L, L + 1, n) digit tensor.  On   */
+/* the diagonal the lift is congruent to x[i] mod q_i and forward of  */
+/* inverse is the identity, so x[i] itself is the digit.              */
+/*                                                                    */
+/* ticks: NULL, or 4 slots that gain the nanoseconds spent in the     */
+/* inverse NTTs, lifts, forward NTTs and MACs (summed over threads).  */
+/* ------------------------------------------------------------------ */
+void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
+                    const i64 *keep, u64 *acc0, u64 *acc1,
+                    u64 *coeff, u64 *work, i64 L, i64 K, i64 n,
+                    int use_shoup, int inv_mode, int lazy, i64 *ticks) {
+    i64 par_rows = L;
+    PARALLEL_LIMBS
+    for (i64 l = 0; l < par_rows; l++) {
+        const i64 t0 = tick_now(ticks);
+        plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n,
+                 inv_mode);
+        tick_add(ticks, 0, tick_now(ticks) - t0);
+    }
+
+    par_rows = L + 1;
+    PARALLEL_LIMBS
+    for (i64 j = 0; j < par_rows; j++) {
+        const u64 q = plan->q[j], mu = plan->mu[j];
+        u64 *s0 = acc0 + j * n;
+        u64 *s1 = acc1 + j * n;
+        u64 *row = work + 2 * j * n;
+        i64 lift_ns = 0, ntt_ns = 0, mac_ns = 0;
+        i64 t0 = tick_now(ticks), t1;
+        mac_clear(s0, s1, n);
+        for (i64 i = 0; i < L; i++) {
+            const u64 *digit = x + i * n;
+            if (i != j) {
+                lift_row(coeff + i * n, row, n, plan->q[i], q);
+                t1 = tick_now(ticks);
+                lift_ns += t1 - t0;
+                plan_fwd(plan, j, n, row, row + n, row, use_shoup);
+                t0 = tick_now(ticks);
+                ntt_ns += t0 - t1;
+                digit = row;
+            }
+            const u64 *rows = key + (2 * i * K + keep[j]) * n;
+            mac_row(s0, s1, digit, rows, rows + K * n, n, q, mu, lazy);
+            t1 = tick_now(ticks);
+            mac_ns += t1 - t0;
+            t0 = t1;
+        }
+        mac_finish(s0, s1, n, q, mu, lazy);
+        mac_ns += tick_now(ticks) - t0;
+        tick_add(ticks, 1, lift_ns);
+        tick_add(ticks, 2, ntt_ns);
+        tick_add(ticks, 3, mac_ns);
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Drop the top limb with rounding, (x - [x]_top) / q_top, in one     */
+/* call: the CKKS rescale and the special-prime ModDown.              */
+/*                                                                    */
+/* x: (R, n) evaluation-domain rows through the R plan rows; out:     */
+/* (R - 1, n), evaluation domain.  inv[j] = q_top^{-1} mod q_j.       */
+/* coeff/work: (R, n) scratch each.  Per remaining limb: subtract the */
+/* centered lift of the top coefficient row (lift_row's gate, against */
+/* every remaining prime), multiply by inv[j], forward NTT.           */
+/* ------------------------------------------------------------------ */
+void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
+                         u64 *out, u64 *coeff, u64 *work, i64 R, i64 n,
+                         int use_shoup, int inv_mode) {
+    i64 par_rows = R;
+    PARALLEL_LIMBS
+    for (i64 l = 0; l < par_rows; l++)
+        plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n,
+                 inv_mode);
+
+    const u64 *top = coeff + (R - 1) * n;
+    const u64 q_top = plan->q[R - 1];
+    par_rows = R - 1;
+    PARALLEL_LIMBS
+    for (i64 j = 0; j < par_rows; j++) {
+        const u64 q = plan->q[j], mu = plan->mu[j], scale = inv[j];
+        u64 *c = coeff + j * n;
+        u64 *a = work + j * n;
+        lift_row(top, a, n, q_top, q);
         for (i64 k = 0; k < n; k++) {
-            s0[k] = 0;
-            s1[k] = 0;
+            u64 s = c[k] + (q - a[k]); /* < 2q: one conditional subtract */
+            if (s >= q) s -= q;
+            c[k] = barrett_mod(s * scale, q, mu);
         }
-        for (i64 d = 0; d < D; d++) {
-            const u64 *dd = digits + (d * R + r) * n;
-            const u64 *bb = bstack + (d * R + r) * n;
-            const u64 *aa = astack + (d * R + r) * n;
-            if (lazy) {
-                for (i64 k = 0; k < n; k++) {
-                    s0[k] += dd[k] * bb[k];
-                    s1[k] += dd[k] * aa[k];
-                }
-            } else {
-                for (i64 k = 0; k < n; k++) {
-                    u64 t0 = s0[k] + barrett_mod(dd[k] * bb[k], q, mu);
-                    if (t0 >= q) t0 -= q;
-                    u64 t1 = s1[k] + barrett_mod(dd[k] * aa[k], q, mu);
-                    if (t1 >= q) t1 -= q;
-                    s0[k] = t0;
-                    s1[k] = t1;
-                }
-            }
-        }
-        if (lazy) {
-            for (i64 k = 0; k < n; k++) {
-                s0[k] = barrett_mod(s0[k], q, mu);
-                s1[k] = barrett_mod(s1[k], q, mu);
-            }
-        }
+        plan_fwd(plan, j, n, c, a, out + j * n, use_shoup);
     }
 }

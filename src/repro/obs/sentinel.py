@@ -181,6 +181,12 @@ BENCH_SPECS: dict[str, tuple[MetricSpec, ...]] = {
                    required=False),
         MetricSpec("keyswitch_small_params.speedup_compiled", "ratio",
                    floor=5.0, required=False),
+        # The row-fused keyswitch slot against the same kernels phase
+        # by phase (committed 1.5x at n=8192, one thread): it must not lose.
+        MetricSpec("keyswitch_fused.bit_identical", "bool_true",
+                   required=False),
+        MetricSpec("keyswitch_fused.speedup_fused", "ratio", floor=1.1,
+                   required=False),
         # Same-host wall clock, full mode only.
         MetricSpec("ntt.*.batched_s", "latency", portable=False),
         MetricSpec("automorphism.*.batched_s", "latency", portable=False),

@@ -8,7 +8,10 @@ answer is cross-checked against the symbolic stage-plan analysis so the
 cheap boolean and the full derivation can never drift apart.
 """
 
+import numpy as np
+
 from repro.analysis.bounds import (
+    centered_lift_lazy_ok,
     checksum_dot_lazy_ok,
     compiled_ntt_ok,
     keyswitch_lazy_accumulate_ok,
@@ -21,7 +24,7 @@ from repro.analysis.stage_plans import (
     analyze_batched_forward,
     analyze_keyswitch_accumulate,
 )
-from repro.arith.primes import find_ntt_prime
+from repro.arith.primes import find_ntt_prime, find_ntt_primes
 
 
 class TestCompiledNttModulusEdge:
@@ -124,3 +127,60 @@ class TestChecksumDotGate:
         q = U64_MAX // ((1 << 15) + 1) + 1
         assert checksum_dot_lazy_ok(1, 0, q)
         assert not checksum_dot_lazy_ok(1, 0, q + 1)
+
+
+class TestCenteredLiftEdge:
+    """The conditional-add lift is sound iff the lift's magnitude bound
+    ``max_from // 2`` is below every target prime."""
+
+    def test_equal_width_chain_accepted(self):
+        primes = find_ntt_primes(512, 30, 4)
+        assert centered_lift_lazy_ok(max(primes), min(primes))
+
+    def test_boundary_is_exact(self):
+        q = find_ntt_prime(512, 30)
+        assert centered_lift_lazy_ok(q, q // 2 + 1)
+        assert not centered_lift_lazy_ok(q, q // 2)
+        # A source twice as wide as the target is the first to fail.
+        assert centered_lift_lazy_ok(2 * q - 1, q)
+        assert not centered_lift_lazy_ok(2 * q, q)
+
+    def test_gate_agrees_with_the_lift_it_guards(self):
+        """On both sides of the boundary: the conditional add equals the
+        signed ``%`` exactly when the gate accepts."""
+        q_from = 1009
+        centered = np.arange(q_from, dtype=np.int64)
+        centered = np.where(centered > q_from // 2, centered - q_from,
+                            centered)
+        for q_to in (q_from // 2, q_from // 2 + 1, q_from, 4 * q_from + 1):
+            added = centered + q_to * (centered < 0)
+            exact = bool(np.array_equal(added, centered % q_to))
+            assert centered_lift_lazy_ok(q_from, q_to) == exact
+
+    def test_mixed_width_chain_refused_and_fused_slots_decline(self):
+        n = 64
+        small = find_ntt_prime(2 * n, 20)
+        wide = tuple(find_ntt_primes(2 * n, 30, 2))
+        # Narrow target under a wide source: refused either way round
+        # the special prime sits.
+        assert not centered_lift_lazy_ok(max(wide), small)
+        # repro.fhe first: under REPRO_BACKEND=compiled its import pulls
+        # in repro.kernels, not the other way round.
+        import repro.fhe  # noqa: F401
+        from repro.kernels import CompiledBackend
+
+        backend = CompiledBackend()
+        if backend.provider_name is None:
+            return  # nothing to decline without a compiled provider
+        rng = np.random.default_rng(0)
+        for primes in ((wide[0], small, wide[1]), (small, wide[0], wide[1])):
+            rows = np.stack([rng.integers(0, q, n, dtype=np.uint64)
+                             for q in primes])
+            key = rng.integers(0, small, (2, 2, 3, n), dtype=np.uint64)
+            assert backend.keyswitch_apply(rows[:2], primes, key,
+                                           [0, 1, 2]) is None
+        # q_top // 2 against the narrowest remaining prime.
+        assert backend.drop_top_limb(rows, (small,) + wide, [1, 1]) is None
+        assert backend.drop_top_limb(
+            rows, wide + (small,), [1, 1]) is not None
+        assert backend.kernel_invocations >= 1

@@ -1,0 +1,518 @@
+"""The row-fused keyswitch slots of the compiled backend.
+
+``keyswitch_apply`` (the whole of ``apply_keyswitch`` in one kernel
+call) and ``drop_top_limb`` (``rescale`` / the CKKS ``mod_down``) must
+agree bit for bit with the phase-by-phase path on the same backend and
+with ``NumpyBackend`` — for all three schemes' keys, at every level,
+across the modulus widths the gates distinguish and on either side of
+the OpenMP threshold — must decline where a gate refuses, must stay
+out of the way of fault hooks and checking integrity policies, and
+must be caught by the first-use self-check when the kernel is wrong.
+"""
+
+import ctypes
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.arith.primes import find_ntt_prime, find_ntt_primes
+from repro.fault.injector import FaultInjector, use_fault_hook
+from repro.fhe import keyswitch
+from repro.fhe.backend import (
+    IntegrityBackend,
+    NumpyBackend,
+    VpuBackend,
+    use_backend,
+)
+from repro.fhe.bfv import BfvContext
+from repro.fhe.bgv import BgvContext, BgvParams
+from repro.fhe.ckks import Ciphertext, CkksContext
+from repro.fhe.keyswitch import KeySwitchKey
+from repro.fhe.params import toy_params
+from repro.fhe.rlwe import tensor
+from repro.fhe.rns import get_basis
+from repro.fhe.sampling import sample_uniform_poly
+from repro.kernels import CompiledBackend, cext
+from repro.kernels import backend as kernels_backend
+from repro.obs import observe
+
+pytestmark = pytest.mark.skipif(
+    CompiledBackend().provider_name is None,
+    reason="no compiled provider available (needs a C compiler)")
+
+N = 64
+T = 65537
+SLOTS = ("keyswitch_apply", "drop_top_limb")
+
+
+class SpyBackend(CompiledBackend):
+    """A compiled backend that notes every call of a fused slot and
+    whether it was taken (True) or declined (False)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.taken = []
+
+    def keyswitch_apply(self, *args, **kwargs):
+        out = super().keyswitch_apply(*args, **kwargs)
+        self.taken.append(("keyswitch_apply", out is not None))
+        return out
+
+    def drop_top_limb(self, *args, **kwargs):
+        out = super().drop_top_limb(*args, **kwargs)
+        self.taken.append(("drop_top_limb", out is not None))
+        return out
+
+
+def _phased(x, ksk, params):
+    """``apply_keyswitch`` with the fused slot left out."""
+    keep = list(range(x.num_limbs)) + [params.levels]
+    return keyswitch.accumulate_keyswitch(
+        keyswitch.decompose_digits(x, params), ksk, keep,
+        x.primes + (params.special_prime,))
+
+
+def _same(ours, golden):
+    return all(np.array_equal(a.residues, b.residues)
+               for a, b in zip(ours, golden))
+
+
+def _on_numpy(fn):
+    """``fn()`` on ``NumpyBackend`` (the process default may be the
+    compiled backend: the suite also runs under REPRO_BACKEND)."""
+    with use_backend(NumpyBackend()):
+        return fn()
+
+
+def _assert_three_ways(x, ksk, params, *, taken=True):
+    """Fused, phased on the same backend and numpy agree; the slot was
+    taken (or declined) as expected."""
+    golden = _on_numpy(lambda: keyswitch.apply_keyswitch(x, ksk, params))
+    assert _same(_on_numpy(lambda: _phased(x, ksk, params)), golden)
+    spy = SpyBackend()
+    with use_backend(spy):
+        assert _same(keyswitch.apply_keyswitch(x, ksk, params), golden)
+        assert spy.taken == [("keyswitch_apply", taken)]
+        assert _same(_phased(x, ksk, params), golden)
+
+
+def _synthetic(primes, n=N, seed=0):
+    """Random ``x`` over ``primes[:-1]`` and a random key over
+    ``primes`` (special prime last), with the stand-in parameter object
+    the keyswitch functions read."""
+    rng = np.random.default_rng(seed)
+    ksk = KeySwitchKey([
+        (sample_uniform_poly(n, primes, rng),
+         sample_uniform_poly(n, primes, rng))
+        for _ in primes[:-1]])
+    params = SimpleNamespace(special_prime=primes[-1],
+                             levels=len(primes) - 1)
+    return sample_uniform_poly(n, primes[:-1], rng), ksk, params
+
+
+SCHEMES = {
+    "ckks": lambda: CkksContext(toy_params(), seed=11),
+    "bgv": lambda: BgvContext(BgvParams(
+        n=256, levels=3, plaintext_modulus=T, prime_bits=28), seed=12),
+    "bfv": lambda: BfvContext(BgvParams(
+        n=256, levels=3, plaintext_modulus=T, prime_bits=28), seed=13),
+}
+
+
+@pytest.fixture(scope="module", params=SCHEMES)
+def ctx(request):
+    context = SCHEMES[request.param]()
+    context.generate_galois_keys([1])
+    return context
+
+
+class TestSchemesAndLevels:
+    @pytest.mark.parametrize("limbs", [3, 2, 1],
+                             ids=["top", "middle", "one-limb"])
+    @pytest.mark.parametrize("key", ["relinearize", "rotate"])
+    def test_fused_phased_numpy_agree(self, ctx, key, limbs):
+        ksk = (ctx.relin_key if key == "relinearize"
+               else next(iter(ctx.galois_keys.values())))
+        chain = ctx.chain
+        x = sample_uniform_poly(chain.n, chain.primes[:limbs],
+                                np.random.default_rng(limbs))
+        _assert_three_ways(x, ksk, chain)
+
+    def test_whole_ops_match_numpy(self, ctx):
+        rng = np.random.default_rng(5)
+        values = (rng.uniform(-1, 1, ctx.chain.n // 2) if ctx.scheme == "ckks"
+                  else rng.integers(0, T, ctx.chain.n).astype(np.int64))
+        a, b = ctx.encrypt(values), ctx.encrypt(values[::-1].copy())
+
+        def ops():
+            out = [ctx.multiply(a, b)]
+            if hasattr(ctx, "rotate"):
+                out.append(ctx.rotate(out[0], 1))
+            return out
+
+        golden = _on_numpy(ops)
+        spy = SpyBackend()
+        with use_backend(spy):
+            ours = ops()
+        assert all(_same(x.parts, y.parts) for x, y in zip(ours, golden))
+        assert ("keyswitch_apply", True) in spy.taken
+        # BGV's mod_down carries the plaintext modulus: phased.
+        assert (("drop_top_limb", True) in spy.taken) == \
+            (ctx.scheme != "bgv")
+
+
+class TestModulusWidths:
+    """Primes just below 2^30 (Shoup butterflies), between 2^30 and
+    2^31 (Barrett variant) and at 2^31 and above (no compiled NTT: the
+    slot declines and the phased path answers)."""
+
+    @pytest.mark.parametrize("bits, limbs, taken", [
+        (30, 3, True),
+        (31, 3, True),
+        (31, 5, True),   # five 31-bit products overflow: reduced accumulate
+        (32, 3, False),
+        (40, 2, False),
+    ])
+    def test_keyswitch(self, bits, limbs, taken):
+        primes = tuple(find_ntt_primes(2 * N, bits, limbs + 1))
+        for count in range(1, limbs + 1):
+            x, ksk, params = _synthetic(primes, seed=bits + count)
+            _assert_three_ways(x.limbs_prefix(count), ksk, params,
+                               taken=taken)
+
+    @pytest.mark.parametrize("bits, taken", [(30, True), (31, True),
+                                             (32, False)])
+    def test_drop_top_limb(self, bits, taken):
+        primes = tuple(find_ntt_primes(2 * N, bits, 4))
+        basis = get_basis(primes[:-1], primes[-1])
+        t = sample_uniform_poly(N, primes, np.random.default_rng(bits))
+
+        def both():
+            return (keyswitch.mod_down(t, basis),
+                    keyswitch.rescale(t.limbs_prefix(3), basis))
+
+        golden = _on_numpy(both)
+        spy = SpyBackend()
+        with use_backend(spy):
+            assert _same(both(), golden)
+        assert spy.taken == [("drop_top_limb", taken)] * 2
+
+    def test_mixed_width_chain_declines(self):
+        """The lift gate refuses (a 30-bit source against a 20-bit
+        target): both slots decline and the signed-``%`` path answers."""
+        small = find_ntt_prime(2 * N, 20)
+        wide = tuple(find_ntt_primes(2 * N, 30, 2))
+        primes = (wide[0], small, wide[1])
+        x, ksk, params = _synthetic(primes, seed=3)
+        _assert_three_ways(x, ksk, params, taken=False)
+        basis = get_basis((small, wide[0]), wide[1])
+        t = sample_uniform_poly(N, (small,) + wide,
+                                np.random.default_rng(4))
+        golden = _on_numpy(lambda: keyswitch.mod_down(t, basis))
+        spy = SpyBackend()
+        with use_backend(spy):
+            assert _same([keyswitch.mod_down(t, basis)], [golden])
+        assert spy.taken == [("drop_top_limb", False)]
+
+
+class TestDropTopLimb:
+    def test_plaintext_modulus_never_reaches_the_slot(self):
+        params = toy_params()
+        basis = get_basis(params.primes, params.special_prime)
+        full = params.primes + (params.special_prime,)
+        t = sample_uniform_poly(params.n, full, np.random.default_rng(1))
+
+        def both():
+            return (keyswitch.mod_down(t, basis, T),
+                    keyswitch.mod_switch_exact(t.limbs_prefix(3), basis, T))
+
+        golden = _on_numpy(both)
+        spy = SpyBackend()
+        with use_backend(spy):
+            assert _same(both(), golden)
+        assert spy.taken == []
+
+    def test_coefficient_domain_input_runs_phased(self):
+        params = toy_params()
+        basis = get_basis(params.primes, params.special_prime)
+        poly = sample_uniform_poly(params.n, params.primes,
+                                   np.random.default_rng(2)).to_coeff()
+        golden = _on_numpy(lambda: keyswitch.rescale(poly, basis))
+        spy = SpyBackend()
+        with use_backend(spy):
+            assert _same([keyswitch.rescale(poly, basis)], [golden])
+        assert spy.taken == []
+
+
+_OMP_SCRIPT = """
+import numpy as np
+from repro.fhe import keyswitch
+from repro.fhe.backend import use_backend
+from repro.fhe.ckks import CkksContext
+from repro.fhe.params import CkksParams
+from repro.fhe.rns import get_basis
+from repro.fhe.sampling import sample_uniform_poly
+from repro.kernels import CompiledBackend
+
+compiled = CompiledBackend()
+for n in (256, 8192):  # (L + 1) * n below and above the 16384 threshold
+    params = CkksParams(n=n, levels=2, scale_bits=26, prime_bits=28)
+    with use_backend(compiled):
+        ksk = CkksContext(params, seed=1).relin_key
+    basis = get_basis(params.primes, params.special_prime)
+    x = sample_uniform_poly(n, params.primes, np.random.default_rng(n))
+    golden = keyswitch.apply_keyswitch(x, ksk, params)
+    down = keyswitch.mod_down(golden[0], basis)
+    before = compiled.kernel_invocations
+    with use_backend(compiled):
+        ours = keyswitch.apply_keyswitch(x, ksk, params)
+        ours_down = keyswitch.mod_down(ours[0], basis)
+    assert compiled.kernel_invocations - before >= 2
+    assert all(np.array_equal(a.residues, b.residues)
+               for a, b in zip(ours + (ours_down,), golden + (down,)))
+print("ok")
+"""
+
+
+class TestOpenMpThreshold:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bit_identical_on_either_side(self, threads):
+        result = subprocess.run(
+            [sys.executable, "-c", _OMP_SCRIPT],
+            env={**os.environ, "OMP_NUM_THREADS": threads,
+                 "REPRO_BACKEND": "numpy",
+                 "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
+
+def _ckks_rounds(ctx):
+    rng = np.random.default_rng(9)
+    a = ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots))
+    b = ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots))
+    three_part = Ciphertext(tensor(a, b), a.scale * b.scale)
+    product = ctx.multiply(a, b, rescale_after=False)
+    return {"hmult": lambda: ctx.multiply(a, b),
+            "hrot": lambda: ctx.rotate(a, 1),
+            "keyswitch": lambda: ctx.relinearize(three_part),
+            "rescale": lambda: ctx.rescale(product)}
+
+
+class TestChecksKeepThePhases:
+    @pytest.fixture(scope="class")
+    def rounds(self):
+        context = CkksContext(toy_params(), seed=21)
+        context.generate_galois_keys([1])
+        return _ckks_rounds(context)
+
+    def test_fault_hook_keeps_the_slots_out(self, rounds):
+        golden = _on_numpy(
+            lambda: {kind: op() for kind, op in rounds.items()})
+        spy = SpyBackend()
+        with use_backend(spy), use_fault_hook(FaultInjector()):
+            for kind, op in rounds.items():
+                assert _same(op().parts, golden[kind].parts)
+        assert spy.taken == []
+
+    def test_detect_policy_hides_the_slots_and_checks_every_phase(
+            self, rounds):
+        guard = IntegrityBackend(CompiledBackend(), "detect")
+        for slot in SLOTS + ("keyswitch_inner_product",):
+            assert not hasattr(guard, slot)
+        counts = {}
+        with use_backend(guard):
+            for kind, op in rounds.items():
+                before = guard.checker.checks
+                op()
+                counts[kind] = guard.checker.checks - before
+        assert counts == {"hmult": 12, "hrot": 10, "keyswitch": 8,
+                          "rescale": 4}
+        assert guard.checker.mismatches == 0
+
+    @pytest.mark.parametrize("inner", [CompiledBackend, NumpyBackend,
+                                       lambda: VpuBackend(m=16)])
+    def test_off_policy_exposes_what_the_inner_backend_has(self, inner):
+        bare = inner()
+        off = IntegrityBackend(bare, "off")
+        for slot in SLOTS + ("keyswitch_inner_product",
+                             "check_keyswitch_accumulation"):
+            assert hasattr(off, slot) == hasattr(bare, slot)
+
+    def test_off_policy_is_call_identical_to_the_bare_backend(self, rounds):
+        spies = SpyBackend(), SpyBackend()
+        with use_backend(spies[0]):
+            bare = {kind: op() for kind, op in rounds.items()}
+        with use_backend(IntegrityBackend(spies[1], "off")):
+            off = {kind: op() for kind, op in rounds.items()}
+        assert all(_same(off[kind].parts, bare[kind].parts) for kind in bare)
+        assert spies[0].taken == spies[1].taken
+        assert spies[0].kernel_invocations == spies[1].kernel_invocations
+
+
+class TestSlotContract:
+    def test_no_provider_declines_before_allocating(self, monkeypatch):
+        backend = CompiledBackend(provider="none")
+        x, ksk, params = _synthetic(
+            tuple(find_ntt_primes(2 * N, 30, 4)))
+
+        def refuse(*args):
+            raise AssertionError("allocated before declining")
+
+        monkeypatch.setattr(kernels_backend, "get_plan", refuse)
+        monkeypatch.setattr(kernels_backend, "get_workspace", refuse)
+        primes = x.primes + (params.special_prime,)
+        assert backend.keyswitch_apply(x.residues, primes, ksk.block,
+                                       [0, 1, 2, 3]) is None
+        assert backend.drop_top_limb(x.residues, x.primes, [1, 1]) is None
+        assert backend.kernel_invocations == 0
+
+    def test_first_use_is_checked_once_per_shape_and_counted(self):
+        backend = CompiledBackend()
+        primes = tuple(find_ntt_primes(2 * N, 30, 4))
+        x, ksk, params = _synthetic(primes)
+
+        def call():
+            assert backend.keyswitch_apply(
+                x.residues, primes, ksk.block, [0, 1, 2, 3]) is not None
+            return backend.self_checks, backend.kernel_invocations
+
+        checks, calls = call()
+        assert checks >= 1  # the slot's own, plus its oracle's kernels'
+        assert call() == (checks, calls + 1)
+        backend.clear_caches()
+        assert call()[0] > checks
+
+    def test_out_of_range_keep_is_refused(self):
+        primes = tuple(find_ntt_primes(2 * N, 30, 4))
+        x, ksk, _ = _synthetic(primes)
+        with pytest.raises(ValueError, match="keyswitch_apply"):
+            CompiledBackend().keyswitch_apply(
+                x.residues, primes, ksk.block, [0, 1, 2, 4])
+
+    def test_observed_call_names_the_phases(self):
+        primes = tuple(find_ntt_primes(2 * N, 30, 4))
+        x, ksk, params = _synthetic(primes)
+        with use_backend(CompiledBackend()):
+            keyswitch.apply_keyswitch(x, ksk, params)  # first-use check
+            with observe() as session:
+                keyswitch.apply_keyswitch(x, ksk, params)
+        kernel, = [s for s in session.tracer.spans if s.parent is None]
+        assert kernel.name == "compiled.keyswitch.apply"
+        phases = kernel.children
+        assert [s.name for s in phases] == [
+            "keyswitch.decompose", "keyswitch.ntt",
+            "keyswitch.inner_product"]
+        wall = kernel.end_ns - kernel.start_ns
+        assert 0 < sum(s.end_ns - s.start_ns for s in phases) <= wall
+        assert session.metrics.counter(
+            "backend.kernels.keyswitch_apply") == 1
+
+
+class TestKeyBlock:
+    def test_pairs_are_views_into_one_block(self):
+        ksk = CkksContext(toy_params(), seed=3).relin_key
+        levels, n = toy_params().levels, toy_params().n
+        assert ksk.block.shape == (levels, 2, levels + 1, n)
+        assert ksk.block.flags.c_contiguous
+        for i, pair in enumerate(ksk.pairs):
+            for part, poly in enumerate(pair):
+                assert np.shares_memory(poly.residues, ksk.block)
+                assert np.array_equal(poly.residues, ksk.block[i, part])
+
+    def test_hoisted_accumulate_reads_the_block_in_place(self):
+        seen = []
+
+        class Spy(CompiledBackend):
+            def keyswitch_inner_product(self, digits, b_stack, a_stack,
+                                        primes):
+                seen.append((b_stack, a_stack))
+                return super().keyswitch_inner_product(
+                    digits, b_stack, a_stack, primes)
+
+        ctx = CkksContext(toy_params(), seed=4)
+        ctx.generate_galois_keys([1, 2])
+        ct = ctx.encrypt(np.linspace(-1, 1, ctx.params.slots))
+        lower = ctx.mod_reduce(ct, 1)
+
+        def hoisted():
+            return [out for c in (ct, lower)
+                    for out in ctx.rotate_hoisted(c, [1, 2])]
+
+        golden = _on_numpy(hoisted)
+        with use_backend(Spy()):
+            ours = hoisted()
+        assert all(_same(mine.parts, want.parts)
+                   for mine, want in zip(ours, golden))
+        keys = list(ctx.galois_keys.values())
+        top, below = seen[:2], seen[2:]
+        assert all(np.shares_memory(stack, key.block)
+                   for stacks, key in zip(top, keys) for stack in stacks)
+        assert not any(np.shares_memory(stack, key.block)
+                       for stacks, key in zip(below, keys)
+                       for stack in stacks)
+
+
+def _mutant_provider(tmp_path, old, new):
+    """The C provider built from ``kernels.c`` with ``old`` -> ``new``."""
+    source = cext._SOURCE.read_text()
+    assert source.count(old) == 1
+    path = tmp_path / "kernels.c"
+    path.write_text(source.replace(old, new))
+    lib = cext._build(path, tmp_path)
+    assert lib is not None
+    return cext.CExtProvider(ctypes.CDLL(str(lib)))
+
+
+def _with_boundary_coefficients(primes, seed=0):
+    """Evaluation-domain rows whose coefficient rows hold ``q // 2``
+    and ``q // 2 + 1``: the two sides of the centered lift."""
+    rng = np.random.default_rng(seed)
+    coeff = np.stack([rng.integers(0, q, N, dtype=np.uint64)
+                      for q in primes])
+    for row, q in zip(coeff, primes):
+        row[:2] = q // 2, q // 2 + 1
+    return NumpyBackend().forward_ntt_batch(coeff, primes)
+
+
+class TestSelfCheckCatchesAWrongKernel:
+    PRIMES = tuple(find_ntt_primes(2 * N, 30, 5))
+
+    @pytest.mark.parametrize("old, new", [
+        ("c[k] > half ? offset : 0", "c[k] >= half ? offset : 0"),
+        ("(2 * i * K + keep[j]) * n", "(2 * i * K + j) * n"),
+        ("if (i != j) {", "if (i != j && j) {"),
+    ], ids=["lift-with->=", "key-rows-not-through-keep",
+            "diagonal-reuse-off-the-diagonal"])
+    def test_keyswitch_apply(self, tmp_path, old, new):
+        backend = CompiledBackend(
+            provider=_mutant_provider(tmp_path, old, new))
+        _, ksk, _ = _synthetic(self.PRIMES)
+        # One level down a 4-limb chain, so keep is not the identity.
+        primes = self.PRIMES[:3] + self.PRIMES[4:]
+        x = _with_boundary_coefficients(primes[:-1])
+        with pytest.raises(RuntimeError, match="self-check failed"):
+            backend.keyswitch_apply(x, primes, ksk.block, [0, 1, 2, 4])
+
+    def test_drop_top_limb(self, tmp_path):
+        backend = CompiledBackend(provider=_mutant_provider(
+            tmp_path, "c[k] > half ? offset : 0",
+            "c[k] >= half ? offset : 0"))
+        x = _with_boundary_coefficients(self.PRIMES)
+        with pytest.raises(RuntimeError, match="self-check failed"):
+            backend.drop_top_limb(x, self.PRIMES, [1, 1, 1, 1])
+
+    def test_the_unmutated_kernel_passes_on_the_same_inputs(self):
+        backend = CompiledBackend()
+        _, ksk, _ = _synthetic(self.PRIMES)
+        primes = self.PRIMES[:3] + self.PRIMES[4:]
+        x = _with_boundary_coefficients(self.PRIMES)
+        assert backend.keyswitch_apply(
+            x[:3], primes, ksk.block, [0, 1, 2, 4]) is not None
+        assert backend.drop_top_limb(
+            x, self.PRIMES, [1, 1, 1, 1]) is not None
+        assert backend.self_checks >= 2
