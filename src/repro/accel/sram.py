@@ -65,7 +65,13 @@ class OnChipSram:
         """Stage a uint64 buffer through the scratchpad: charges the
         bandwidth model and exposes the resident words to the (optional)
         fault hook — site ``"sram"``.  Returns the staged copy and the
-        access cycles."""
+        access cycles; a working set that does not fit raises rather
+        than model a machine with infinite SRAM."""
+        if not self.fits(np.size(buffer)):
+            raise ValueError(
+                f"working set of {np.size(buffer)} words does not fit "
+                f"the {self.capacity_bytes}-byte SRAM; stage in "
+                f"tiles or enlarge the scratchpad")
         out = np.array(buffer, dtype=np.uint64)
         with obs.span("sram.stage", cat="mem", words=out.size,
                       write=bool(write)) as span:

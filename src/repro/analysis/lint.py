@@ -1,8 +1,11 @@
 """Repository-specific AST lint rules (the ``fhecheck lint`` pass).
 
 These are *heuristic* rules targeting the failure modes this codebase
-has actually paid for in review time — each encodes one way the uint64
-fast paths silently go wrong:
+has actually paid for in review time — eight of them, the stale-waiver
+report FHC010 included, each encoding one way the uint64 fast paths
+(or the layers around them) silently go wrong.  The gaps in the
+numbering are rules deleted when a refactor made what they policed
+unwritable (DESIGN.md says which and how).
 
 ``FHC001`` **object-dtype leak** — an ``object``-dtype value (from
     ``.astype(object)`` or ``dtype=object``) is narrowed straight into a
@@ -34,23 +37,6 @@ fast paths silently go wrong:
     cycles — so every dereference needs the guard.  Calling the
     installer/accessor functions themselves
     (``install_fault_hook(...)``, ``current_fault_hook()``) is exempt.
-
-``FHC007`` **ungated compiled lazy kernel** — a ``cjit_*_lazy`` /
-    ``cjit_*_unclamped`` compiled-kernel entry (:mod:`repro.kernels
-    .provider`) is invoked outside a branch conditioned on an
-    analyzer-derived eligibility gate (a ``*_ok`` name or attribute,
-    e.g. ``plan.lazy_stages_ok`` from :func:`repro.analysis.bounds
-    .compiled_ntt_ok`, or a local alias of one).  The lazy schedules
-    are sound *only* where the interval analysis proves them — a direct
-    call bypassing the gate reintroduces exactly the hand-coded width
-    assumptions fhecheck exists to eliminate.
-
-``FHC009`` **unchecked SRAM staging** — a ``.stage(...)`` call on an
-    SRAM model with no capacity evidence anywhere in the enclosing
-    function (no ``.fits(...)`` call and no ``capacity`` mention).
-    :meth:`repro.accel.sram.OnChipSram.stage` charges bandwidth for
-    whatever it is handed; staging a working set that does not fit
-    silently models a machine with infinite SRAM.
 
 ``FHC011`` **bare backend await in the serving layer** — inside
     :mod:`repro.serve` (the only async package), an ``await`` whose
@@ -105,21 +91,15 @@ _NARROW_DTYPES = {"int64", "int32", "uint32", "int16", "uint16",
                   "int8", "uint8"}
 _LAZY_KERNELS = {"dif_stages_lazy", "dit_stages_lazy",
                  "dit_stages_unclamped"}
-#: Compiled-kernel entries whose reduction discipline is conditional on
-#: an analyzer-derived gate (FHC007).  The naming convention is load-
-#: bearing: every gated entry in ``repro.kernels.provider`` carries a
-#: ``_lazy``/``_unclamped`` suffix; ungated ones (pure gathers,
-#: per-step-reduced accumulators) do not.
-_CJIT_LAZY_RE = re.compile(r"^cjit_\w*_(?:lazy|unclamped)$")
 #: Files subject to FHC011: the async serving layer.
 _SERVE_PATH_RE = re.compile(r"repro[/\\]serve[/\\]")
 #: Files subject to FHC012: the durable-execution layer.
 _RECOVER_PATH_RE = re.compile(r"repro[/\\]recover[/\\]")
 #: Names that mark an awaited expression as *backend work* (FHC011):
 #: kernel/op dispatch verbs and thread-offload primitives.  The naming
-#: convention is load-bearing, like FHC007's ``cjit_*`` prefix: serve
-#: code names its backend entry points with these verbs and keeps
-#: bounded primitives (queue get, lock acquire, sleep) off the list.
+#: convention is load-bearing: serve code names its backend entry
+#: points with these verbs and keeps bounded primitives (queue get,
+#: lock acquire, sleep) off the list.
 _SERVE_WORK_RE = re.compile(
     r"(?:^|_)(?:ntt|intt|keyswitch|hmult|hrot|rescale|rotate|multiply|"
     r"automorphism|execute|compute|dispatch|kernel)(?:_|$)"
@@ -227,20 +207,20 @@ def _function_mentions_uint64(fn: ast.AST, source: str,
 _FAULT_HOOK = "fault_hook"
 
 
-def _mentions_hook(node: ast.AST, aliases: set[str], suffix: str) -> bool:
-    """Does the subtree reference a hook of this family — a
-    ``*<suffix>`` attribute/name (including the accessor functions) or
-    a tracked local alias?"""
+def _mentions_hook(node: ast.AST, aliases: set[str]) -> bool:
+    """Does the subtree reference a fault hook — a ``*fault_hook``
+    attribute/name (including the accessor functions) or a tracked
+    local alias?"""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and (sub.id.endswith(suffix)
+        if isinstance(sub, ast.Name) and (sub.id.endswith(_FAULT_HOOK)
                                           or sub.id in aliases):
             return True
-        if isinstance(sub, ast.Attribute) and sub.attr.endswith(suffix):
+        if isinstance(sub, ast.Attribute) and sub.attr.endswith(_FAULT_HOOK):
             return True
     return False
 
 
-def _collect_hook_aliases(fn: ast.AST, suffix: str) -> set[str]:
+def _collect_hook_aliases(fn: ast.AST) -> set[str]:
     """Names assigned (transitively) from a hook expression, to a
     fixed point: ``hook = self.fault_hook``, ``h = hook``,
     ``hook = current_fault_hook()``, ..."""
@@ -251,7 +231,7 @@ def _collect_hook_aliases(fn: ast.AST, suffix: str) -> set[str]:
         for node in ast.walk(fn):
             if not isinstance(node, ast.Assign):
                 continue
-            if not _mentions_hook(node.value, aliases, suffix):
+            if not _mentions_hook(node.value, aliases):
                 continue
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id not in aliases:
@@ -266,10 +246,9 @@ def _scan_guarded(fn: ast.AST, mentions, on_call) -> None:
 
     A node is *guarded* when it sits in the taken branch of an
     ``if``/``while``/conditional expression (or to the right of an
-    ``and``) whose test satisfies ``mentions`` — the shared skeleton of
-    the guarded-dereference rule (FHC005) and the gated
-    compiled-kernel rule (FHC007).  ``else`` branches inherit only the
-    outer guardedness; nested function scopes get their own pass.
+    ``and``) whose test satisfies ``mentions`` — the skeleton of the
+    guarded-dereference rule (FHC005).  ``else`` branches inherit only
+    the outer guardedness; nested function scopes get their own pass.
     """
 
     def scan(node: ast.AST, guarded: bool) -> None:
@@ -380,8 +359,6 @@ class _Linter(ast.NodeVisitor):
         self._fn_stack.append(node)
         self._check_lazy_escape(node)
         self._check_fault_hook_guards(node)
-        self._check_compiled_gate_guards(node)
-        self._check_sram_staging(node)
         self._check_durable_writes(node)
         self.generic_visit(node)
         self._fn_stack.pop()
@@ -521,10 +498,10 @@ class _Linter(ast.NodeVisitor):
     # -- FHC005: unguarded fault-hook dereference --------------------------
 
     def _check_fault_hook_guards(self, fn: ast.AST) -> None:
-        aliases = _collect_hook_aliases(fn, _FAULT_HOOK)
+        aliases = _collect_hook_aliases(fn)
 
         def mentions(node: ast.AST) -> bool:
-            return _mentions_hook(node, aliases, _FAULT_HOOK)
+            return _mentions_hook(node, aliases)
 
         def on_call(node: ast.Call, guarded: bool) -> None:
             func = node.func
@@ -547,85 +524,6 @@ class _Linter(ast.NodeVisitor):
                 "disabled (guard the call with `if <hook> is not None`)")
 
         _scan_guarded(fn, mentions, on_call)
-
-    # -- FHC007: ungated compiled lazy kernel ------------------------------
-
-    def _check_compiled_gate_guards(self, fn: ast.AST) -> None:
-        """Every ``cjit_*_lazy``/``cjit_*_unclamped`` call must sit in a
-        branch conditioned on an analyzer-derived ``*_ok`` gate (or a
-        local alias of one) — the guard machinery is shared with
-        FHC005, with ``_ok`` as the tracked suffix."""
-        aliases = _collect_hook_aliases(fn, "_ok")
-
-        def mentions(node: ast.AST) -> bool:
-            return _mentions_hook(node, aliases, "_ok")
-
-        def on_call(node: ast.Call, guarded: bool) -> None:
-            name = None
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            if name is None or not _CJIT_LAZY_RE.match(name):
-                return
-            if guarded:
-                return
-            self._flag(
-                "FHC007", node,
-                f"compiled lazy-reduction kernel {name}() invoked "
-                f"outside a branch conditioned on an analyzer-derived "
-                f"*_ok eligibility gate — lazy schedules are sound only "
-                f"where the interval analysis proves them")
-
-        _scan_guarded(fn, mentions, on_call)
-
-    # -- FHC009: SRAM staging without a capacity check ---------------------
-
-    def _check_sram_staging(self, fn: ast.AST) -> None:
-        """A ``<sram>.stage(...)`` call needs capacity evidence in the
-        same function: a ``.fits(...)`` call or any ``capacity``
-        mention (attribute, name, or keyword)."""
-
-        def mentions_sram(node: ast.AST) -> bool:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and "sram" in sub.id.lower():
-                    return True
-                if isinstance(sub, ast.Attribute) and \
-                        "sram" in sub.attr.lower():
-                    return True
-            return False
-
-        stage_calls = [
-            node for node in ast.walk(fn)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "stage"
-            and mentions_sram(node.func.value)
-        ]
-        if not stage_calls:
-            return
-        has_capacity_evidence = False
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr == "fits":
-                has_capacity_evidence = True
-            elif isinstance(node, ast.Attribute) and \
-                    "capacity" in node.attr:
-                has_capacity_evidence = True
-            elif isinstance(node, ast.Name) and "capacity" in node.id:
-                has_capacity_evidence = True
-            if has_capacity_evidence:
-                break
-        if has_capacity_evidence:
-            return
-        for call in stage_calls:
-            self._flag(
-                "FHC009", call,
-                "SRAM staging without a capacity check in this function "
-                "— call sram.fits(...) (or assert against capacity) "
-                "before .stage(...), else oversized working sets model "
-                "an infinite SRAM silently")
 
     # -- FHC012: non-durable write in the recovery layer -------------------
 

@@ -59,15 +59,13 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "C005": "level underflow or op unsupported by the scheme",
     "C006": "noise bound exhausts the modulus budget",
     "C007": "ciphertext-size misuse",
-    # lint (FHC...)
+    # lint (FHC...): the parse failure plus the 8 rules of lint.py
     "FHC000": "file could not be parsed for linting",
     "FHC001": "object-dtype value narrowed to fixed width without reduction",
     "FHC002": "integer narrowing with no visible range guard",
     "FHC003": "product of an unreduced sum taken mod q",
     "FHC004": "lazy/unclamped kernel result escapes without clamp",
     "FHC005": "fault-hook dereference outside an is-not-None guard",
-    "FHC007": "compiled lazy kernel invoked outside its eligibility gate",
-    "FHC009": "SRAM staging without a capacity check",
     "FHC010": "suppression comment no longer suppresses any finding",
     "FHC011": "backend work awaited outside the deadline wrapper in repro.serve",
     "FHC012": "non-durable file write in repro.recover (no fsync evidence)",

@@ -277,10 +277,9 @@ def analyze_batched_forward(log_n: int, q: int) -> PlanReport:
 
 def analyze_batched_inverse(log_n: int, q: int, *,
                             unclamped: bool) -> PlanReport:
-    """Mirror of :meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.inverse`
-    (and :func:`repro.ntt.cooley_tukey.vec_intt_dit_multi`): reduced
-    entry, DIT stages, fused ``psi^{-1} n^{-1}`` (or ``n^{-1}``) scaling
-    with one true reduction.  Declared output: ``< q``.
+    """Mirror of :meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.inverse`:
+    reduced entry, DIT stages, fused ``psi^{-1} n^{-1}`` scaling with
+    one true reduction.  Declared output: ``< q``.
 
     This is the analysis behind the production gate
     :func:`repro.analysis.bounds.unclamped_dit_ok`.

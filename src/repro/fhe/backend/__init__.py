@@ -76,24 +76,31 @@ def backend_from_env(default: str = "numpy"):
         f"unknown REPRO_BACKEND {name!r} (expected numpy, compiled or vpu)")
 
 
-def _initial_backend() -> KernelBackend:
-    try:
-        return backend_from_env()
-    except ValueError as exc:
-        # Import-time typo in the environment must not make the package
-        # unimportable — warn and run on the default path.
-        warnings.warn(f"{exc}; falling back to NumpyBackend",
-                      RuntimeWarning, stacklevel=2)
-        return NumpyBackend()
+#: The installed backend; None until the first :func:`get_backend` /
+#: :func:`use_backend` resolves ``REPRO_BACKEND`` — not at import, so
+#: :mod:`repro.kernels` (which imports this package) can be imported
+#: first under ``REPRO_BACKEND=compiled``.
+_ACTIVE: KernelBackend | None = None
 
 
-_ACTIVE: KernelBackend = _initial_backend()
+def _active() -> KernelBackend:
+    global _ACTIVE
+    if _ACTIVE is None:
+        try:
+            _ACTIVE = backend_from_env()
+        except ValueError as exc:
+            # A typo in the environment must not break every FHE call —
+            # warn and run on the default path.
+            warnings.warn(f"{exc}; falling back to NumpyBackend",
+                          RuntimeWarning, stacklevel=3)
+            _ACTIVE = NumpyBackend()
+    return _ACTIVE
 
 
 def get_backend() -> KernelBackend:
     """The backend all FHE polynomial kernels currently use (observed
     while an obs hook is installed)."""
-    return observed(_ACTIVE)
+    return observed(_active())
 
 
 def clear_caches() -> None:
@@ -133,7 +140,7 @@ def set_backend(backend: KernelBackend) -> None:
 def use_backend(backend: KernelBackend):
     """Temporarily install a backend (restores the previous on exit)."""
     global _ACTIVE
-    previous = _ACTIVE
+    previous = _active()
     _ACTIVE = backend
     try:
         yield get_backend()

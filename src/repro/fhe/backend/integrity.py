@@ -122,12 +122,7 @@ class IntegrityBackend:
             work, ns = self.dram.transfer(work, current_fault_hook())
             self.dram_ns += ns
         if self.sram is not None:
-            if not self.sram.fits(int(work.size)):
-                raise ValueError(
-                    f"working set of {int(work.size)} words does not fit "
-                    f"the {self.sram.capacity_bytes}-byte SRAM; stage in "
-                    f"tiles or enlarge the scratchpad")
-            work, cycles = self.sram.stage(work)
+            work, cycles = self.sram.stage(work)  # raises if it cannot fit
             self.sram_cycles += cycles
         return work
 

@@ -30,7 +30,7 @@ class KernelBackend(Protocol):
       ``mod_down``, or ``None`` likewise;
     * ``keyswitch_inner_product(digit_stack, b_stack, a_stack,
       primes)`` — the multiply-accumulate alone, over digits that are
-      already transformed (hoisted rotations).
+      already transformed (hoisted rotations), or ``None`` likewise.
 
     The fourth is the spare-modulus ``check_keyswitch_accumulation(
     acc0, acc1, digits, ksk, keep)``, one verdict per accumulator (an

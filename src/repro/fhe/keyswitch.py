@@ -229,11 +229,12 @@ def accumulate_keyswitch(
             key = ksk.block[:len(digits)]
             if keep != list(range(key.shape[2])):
                 key = key[:, :, keep]
-            acc0, acc1 = inner(np.stack([d.residues for d in digits]),
-                               key[:, 0], key[:, 1], primes)
-            phase.set(lazy=lazy, fused=True)
-            return (RnsPoly(acc0, primes, is_eval=True),
-                    RnsPoly(acc1, primes, is_eval=True))
+            accs = inner(np.stack([d.residues for d in digits]),
+                         key[:, 0], key[:, 1], primes)
+            if accs is not None:  # None: the slot declined (no provider)
+                phase.set(lazy=lazy, fused=True)
+                return (RnsPoly(accs[0], primes, is_eval=True),
+                        RnsPoly(accs[1], primes, is_eval=True))
         acc0 = np.zeros_like(digits[0].residues)
         acc1 = np.zeros_like(digits[0].residues)
         if wide:

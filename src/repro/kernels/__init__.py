@@ -10,9 +10,13 @@ buffers.  Lazy-reduction eligibility is derived from the fhecheck
 interval analysis (:mod:`repro.analysis.bounds`), never hand-coded.
 
 There is one compiled source, ``kernels.c``, built at first use with
-the host C compiler and loaded via ctypes (the ``cext`` provider); the
-numpy path is its reference and its fallback.  On a host with no
-working compiler :class:`CompiledBackend` degrades to the inherited
+the host C compiler and loaded via ctypes by the one module between
+:class:`CompiledBackend` and C, :mod:`repro.kernels.cext`; the numpy
+path is its reference and its fallback.  Which reduction schedule a
+shape runs is decided once, in its :class:`CompiledPlan`, and travels
+to C inside the plan; the binding takes no schedule argument and
+refuses a plan no schedule is proven for.  On a host with no working
+compiler :class:`CompiledBackend` degrades to the inherited
 :class:`~repro.fhe.backend.NumpyBackend` path, bit-identically.
 
 Select globally with ``REPRO_BACKEND=compiled`` (see
@@ -20,13 +24,13 @@ Select globally with ``REPRO_BACKEND=compiled`` (see
 """
 
 from repro.kernels.backend import CompiledBackend
+from repro.kernels.cext import resolve_provider
 from repro.kernels.plan import (
     CompiledPlan,
     clear_compiled_caches,
     get_plan,
     plan_cache,
 )
-from repro.kernels.provider import resolve_provider
 
 __all__ = [
     "CompiledBackend",

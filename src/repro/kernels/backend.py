@@ -17,38 +17,28 @@ residues (< q), and a reduced residue is unique — so outputs match the
 numpy and VPU paths bit for bit regardless of the internal reduction
 schedule.  The shared object is built by whatever C compiler the host
 has, so the backend additionally cross-checks each (kernel, shape) pair
-against the numpy reference on first use (``self_check``) — the
-row-fused slots against the same computation phase by phase — and
-raises rather than silently returning wrong residues.
+against the numpy reference on first use — the row-fused slots against
+the same computation phase by phase — and raises rather than silently
+returning wrong residues.
+
+The backend picks no reduction schedule: it asks the plan whether a
+kernel may run, and calls the binding (:mod:`repro.kernels.cext`) with
+the plan, which carries the schedule and is refused by the binding
+itself where no schedule is sound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import (
-    centered_lift_lazy_ok,
-    keyswitch_lazy_accumulate_ok,
-    mul_fits_uint64,
-)
 from repro.fhe.backend import NumpyBackend
+from repro.kernels.cext import resolve_provider
 from repro.kernels.plan import (
     clear_compiled_caches,
     get_destinations,
     get_plan,
     get_workspace,
     plan_cache,
-)
-from repro.kernels.provider import (
-    cjit_auto_batch,
-    cjit_drop_top_limb_lazy,
-    cjit_fwd_ntt_lazy,
-    cjit_inv_ntt_lazy,
-    cjit_inv_ntt_unclamped,
-    cjit_keyswitch_apply_lazy,
-    cjit_ks_accum_lazy,
-    cjit_ks_accum_reduced,
-    resolve_provider,
 )
 
 
@@ -76,13 +66,12 @@ class CompiledBackend(NumpyBackend):
 
     name = "compiled"
 
-    def __init__(self, provider=None, self_check: bool = True):
+    def __init__(self, provider=None):
         super().__init__(mode="fast")
         if provider is None or isinstance(provider, str):
             provider = resolve_provider(provider)
         self._impl = provider
-        #: First-use-per-shape cross-check against the numpy reference.
-        self.self_check = self_check
+        #: (kernel, shape) pairs already cross-checked against numpy.
         self._checked: set[tuple] = set()
         self.kernel_invocations = 0
         self.fallbacks = 0
@@ -118,7 +107,7 @@ class CompiledBackend(NumpyBackend):
         """Compare one compiled result against the numpy reference, once
         per (kernel, shape): the runtime leg of the bit-identity
         contract, for whatever compiler built the provider."""
-        if not self.self_check or key in self._checked:
+        if key in self._checked:
             return
         self._checked.add(key)
         self.self_checks += 1
@@ -140,17 +129,11 @@ class CompiledBackend(NumpyBackend):
                      else NumpyBackend.forward_ntt_batch)
         plan = (get_plan(values.shape[1], primes)
                 if impl is not None and values.shape[1] else None)
-        use_ok = plan is not None and plan.lazy_stages_ok
-        if use_ok:
+        if plan is not None and plan.lazy_stages_ok:
             x = np.ascontiguousarray(values, dtype=np.uint64)
             out = np.empty_like(x)
-            work = get_workspace(x.shape[0], x.shape[1])
-            if not inverse:
-                cjit_fwd_ntt_lazy(impl, plan, x, out, work)
-            elif plan.unclamped_ok:
-                cjit_inv_ntt_unclamped(impl, plan, x, out, work)
-            else:
-                cjit_inv_ntt_lazy(impl, plan, x, out, work)
+            kernel = impl.inv_ntt if inverse else impl.fwd_ntt
+            kernel(plan, x, out, get_workspace(x.shape[0], x.shape[1]))
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("intt" if inverse else "ntt", x.shape[1], primes),
@@ -175,7 +158,7 @@ class CompiledBackend(NumpyBackend):
             dest = get_destinations(values.shape[1], galois_k)
             x = np.ascontiguousarray(values)
             out = np.empty_like(x)
-            cjit_auto_batch(impl, x, out, dest)
+            impl.auto(x, out, dest)
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("auto", x.shape[1], galois_k),
@@ -190,20 +173,23 @@ class CompiledBackend(NumpyBackend):
     def keyswitch_inner_product(self, digit_stack: np.ndarray,
                                 b_stack: np.ndarray, a_stack: np.ndarray,
                                 primes: tuple[int, ...],
-                                ) -> tuple[np.ndarray, np.ndarray]:
+                                ) -> tuple[np.ndarray, np.ndarray] | None:
         """Fused decompose-side inner product: ``sum_d digit_d * b_d``
         and ``sum_d digit_d * a_d`` over ``(D, R, n)`` stacks in one
-        compiled call, reduced per limb on return.
+        compiled call, reduced per limb on return — or ``None``, before
+        allocating anything, when there is no provider: the caller then
+        runs its own loop.
 
         ``b_stack`` / ``a_stack`` may be views whose digits sit a
         uniform stride apart (one part of a key block); they are then
-        read in place.  The lazy (single-final-reduction) accumulator is
-        selected by the derived gate :func:`~repro.analysis.bounds
-        .keyswitch_lazy_accumulate_ok`; otherwise products reduce as
-        they are added.  Moduli whose single products overflow uint64
-        are the caller's (object-dtype) problem — this method refuses
-        them.
+        read in place.  The binding picks the lazy (single final
+        reduction) or the per-step reduced accumulator from the derived
+        gate, and refuses moduli whose single products overflow uint64
+        — those are the caller's (object-dtype) problem.
         """
+        impl = self._impl
+        if impl is None:
+            return None
         digit_stack = np.ascontiguousarray(digit_stack, dtype=np.uint64)
         num_digits, rows, n = digit_stack.shape
         key_stride = _digit_stride(b_stack)
@@ -211,42 +197,20 @@ class CompiledBackend(NumpyBackend):
             b_stack = np.ascontiguousarray(b_stack, dtype=np.uint64)
             a_stack = np.ascontiguousarray(a_stack, dtype=np.uint64)
             key_stride = rows * n
-        maxq = max(primes)
-        lazy_ok = keyswitch_lazy_accumulate_ok(num_digits, maxq)
-        reduced_ok = mul_fits_uint64(maxq - 1, maxq - 1)
-        if not reduced_ok and not lazy_ok:
-            raise ValueError(
-                "keyswitch_inner_product requires single digit-key "
-                "products to fit uint64; use the object-dtype "
-                "accumulate_keyswitch path for wider moduli")
-        q_arr = np.array(primes, dtype=np.uint64)
-        impl = self._impl
-        if impl is not None:
-            mu_arr = np.array([(1 << 64) // q for q in primes],
-                              dtype=np.uint64)
-            acc0 = np.empty((rows, n), dtype=np.uint64)
-            acc1 = np.empty((rows, n), dtype=np.uint64)
-            if lazy_ok:
-                cjit_ks_accum_lazy(impl, digit_stack, b_stack, a_stack,
-                                   key_stride, acc0, acc1, q_arr, mu_arr)
-            else:
-                cjit_ks_accum_reduced(impl, digit_stack, b_stack, a_stack,
-                                      key_stride, acc0, acc1, q_arr, mu_arr)
-            self.kernel_invocations += 1
-            self._verify_first_use(
-                ("keyswitch", num_digits, rows, n, tuple(primes)),
-                lambda: (digit_stack * b_stack % q_arr[None, :, None]).sum(
-                    axis=0, dtype=np.uint64) % q_arr[:, None], acc0)
-            return acc0, acc1
-        # No provider: the per-step reduced numpy loop (identical
-        # residues; single products proven to fit above).
-        self.fallbacks += 1
-        q_col = q_arr[:, None]
-        acc0 = np.zeros((rows, n), dtype=np.uint64)
-        acc1 = np.zeros((rows, n), dtype=np.uint64)
-        for d in range(num_digits):
-            acc0 = (acc0 + digit_stack[d] * b_stack[d] % q_col) % q_col
-            acc1 = (acc1 + digit_stack[d] * a_stack[d] % q_col) % q_col
+        primes = tuple(primes)
+        acc0 = np.empty((rows, n), dtype=np.uint64)
+        acc1 = np.empty((rows, n), dtype=np.uint64)
+        impl.ks_accum(primes, digit_stack, b_stack, a_stack, key_stride,
+                      acc0, acc1)
+        self.kernel_invocations += 1
+
+        def reference() -> np.ndarray:
+            q_arr = np.array(primes, dtype=np.uint64)
+            return (digit_stack * b_stack % q_arr[None, :, None]).sum(
+                axis=0, dtype=np.uint64) % q_arr[:, None]
+
+        self._verify_first_use(
+            ("keyswitch", num_digits, rows, n, primes), reference, acc0)
         return acc0, acc1
 
     # -- row-fused keyswitch and top-limb division ----------------------------
@@ -263,9 +227,8 @@ class CompiledBackend(NumpyBackend):
         block ``(D >= L, 2, K, n)``, read in place through the ``L + 1``
         row indices ``keep``.  Returns the two ``(L + 1, n)``
         accumulators — or ``None``, before allocating anything, when
-        there is no provider or a gate refuses (``plan.lazy_stages_ok``,
-        :func:`~repro.analysis.bounds.centered_lift_lazy_ok`, a single
-        product fitting uint64): the caller then runs the phased path.
+        there is no provider or the plan's gate refuses
+        (``plan.keyswitch_ok``): the caller then runs the phased path.
         ``ticks``, when given, is a 4-slot int64 array that gains the
         nanoseconds spent in the inverse NTTs, the digit lifts, the
         forward NTTs and the multiply-accumulates.
@@ -288,17 +251,11 @@ class CompiledBackend(NumpyBackend):
                 f"{key_block.shape} and keep {keep.tolist()} do not "
                 f"describe a keyswitch over {limbs + 1} primes")
         plan = get_plan(n, primes) if n else None
-        max_q = max(primes)
-        lift_ok = centered_lift_lazy_ok(max(primes[:-1]), min(primes))
-        product_ok = mul_fits_uint64(max_q - 1, max_q - 1)
-        if plan is not None and plan.lazy_stages_ok and lift_ok \
-                and product_ok:
+        if plan is not None and plan.keyswitch_ok:
             acc0 = np.empty((limbs + 1, n), dtype=np.uint64)
             acc1 = np.empty((limbs + 1, n), dtype=np.uint64)
-            cjit_keyswitch_apply_lazy(
-                impl, plan, x, key_block, keep, acc0, acc1,
-                get_workspace(3 * limbs + 2, n),
-                keyswitch_lazy_accumulate_ok(limbs, max_q), ticks)
+            impl.ks_apply(plan, x, key_block, keep, acc0, acc1,
+                          get_workspace(3 * limbs + 2, n), ticks)
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("keyswitch_apply", n, primes),
@@ -354,11 +311,9 @@ class CompiledBackend(NumpyBackend):
                 f"drop_top_limb: {x.shape} residues and {inv.shape} "
                 f"inverses do not match {rows} primes")
         plan = get_plan(n, primes) if n else None
-        lift_ok = centered_lift_lazy_ok(primes[-1], min(primes[:-1]))
-        if plan is not None and plan.lazy_stages_ok and lift_ok:
+        if plan is not None and plan.drop_top_ok:
             out = np.empty((rows - 1, n), dtype=np.uint64)
-            cjit_drop_top_limb_lazy(impl, plan, x, inv, out,
-                                    get_workspace(2 * rows, n))
+            impl.drop_top(plan, x, inv, out, get_workspace(2 * rows, n))
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("drop_top_limb", n, primes),

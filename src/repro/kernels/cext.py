@@ -1,9 +1,17 @@
-"""Runtime-compiled C provider (``cc`` + ctypes).
+"""The one binding between ``CompiledBackend`` and ``kernels.c``.
 
 Builds ``kernels.c`` with the host C toolchain at first use and loads
 it through ctypes — no build system, no install step, no hard
 dependency: :func:`load_provider` returns ``None`` whenever a working
 compiler is missing and the backend degrades to numpy.
+
+An entry takes ``(plan, arrays...)`` and nothing that names a reduction
+schedule.  The schedule is the plan's (:class:`~repro.kernels.plan
+.CompiledPlan` writes it into ``plan_t``); the stack accumulate, which
+has no plan, asks :func:`~repro.analysis.bounds
+.keyswitch_lazy_accumulate_ok` itself.  Each entry raises *before* the
+foreign call when handed a table-less plan or a shape its gate refuses,
+so a lazy kernel cannot be run where the analysis did not prove it.
 
 The shared object is cached on disk keyed by the source hash (under
 ``$REPRO_KERNEL_CACHE`` or the system temp directory), so the one-time
@@ -23,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from repro.analysis.bounds import keyswitch_lazy_accumulate_ok, mul_fits_uint64
 
 _SOURCE = Path(__file__).with_name("kernels.c")
 _VOID = ctypes.c_void_p
@@ -66,21 +76,31 @@ def _addr(arr: np.ndarray) -> int:
 
 
 class PlanTables(ctypes.Structure):
-    """ctypes mirror of ``plan_t`` in ``kernels.c``: the addresses of
-    one :class:`~repro.kernels.plan.CompiledPlan`'s constant tables."""
+    """ctypes mirror of ``plan_t`` in ``kernels.c``, field for field:
+    the addresses of one :class:`~repro.kernels.plan.CompiledPlan`'s
+    constant tables, then its schedule."""
 
     _fields_ = [(name, _VOID) for name in (
         "q", "mu", "psi", "psi_sh", "twf", "twf_sh", "twi", "twi_sh",
-        "unfold", "unfold_sh", "bitrev")]
+        "unfold", "unfold_sh", "bitrev")] + [
+        (name, _INT) for name in ("fwd_shoup", "inv_mode", "ks_lazy")]
 
 
-def _tables(plan) -> PlanTables:
-    """The plan's table addresses, built once and kept on the plan
-    (which owns the arrays, so the addresses live as long as it does)."""
+def _tables(plan, entry: str, ok: bool = True) -> PlanTables:
+    """The plan's ``plan_t``, built once and kept on the plan (which
+    owns the arrays, so the addresses live as long as it does) — or a
+    :class:`ValueError` when the plan is table-less or ``ok``, the
+    entry's own gate, is False."""
+    if not (plan.lazy_stages_ok and ok):
+        raise ValueError(
+            f"{entry}: no compiled schedule is proven sound for "
+            f"n={plan.n}, primes={plan.primes}")
     tables = getattr(plan, "ctables", None)
     if tables is None:
-        tables = plan.ctables = PlanTables(
-            *(_addr(getattr(plan, name)) for name, _ in PlanTables._fields_))
+        tables = plan.ctables = PlanTables(*(
+            getattr(plan, name) if ctype is _INT
+            else _addr(getattr(plan, name))
+            for name, ctype in PlanTables._fields_))
     return tables
 
 
@@ -92,8 +112,8 @@ class CExtProvider:
 
     Arrays handed in must be C-contiguous uint64 (int64 for index
     tables and ticks) — the plan builder and the backend guarantee
-    that — so each call is a handful of pointer loads and one foreign
-    call, no marshalling.
+    that — so each call is a gate test, a handful of pointer loads and
+    one foreign call, no marshalling.
     """
 
     name = "cext"
@@ -106,66 +126,92 @@ class CExtProvider:
             return fn
 
         self._fwd = entry("repro_fwd_ntt_batch", _PLAN, _VOID, _VOID, _VOID,
-                          _I64, _I64, _INT)
+                          _I64, _I64)
         self._inv = entry("repro_inv_ntt_batch", _PLAN, _VOID, _VOID, _VOID,
-                          _I64, _I64, _INT)
+                          _I64, _I64)
         self._auto = entry("repro_auto_batch", _VOID, _VOID, _I64, _I64,
                            _VOID)
         self._ks = entry("repro_ks_accum", _VOID, _VOID, _VOID, _I64,
                          _VOID, _VOID, _I64, _I64, _I64, _VOID, _VOID, _INT)
         self._ks_apply = entry("repro_ks_apply", _PLAN, _VOID, _VOID, _VOID,
                                _VOID, _VOID, _VOID, _VOID, _I64, _I64, _I64,
-                               _INT, _INT, _INT, _VOID)
+                               _VOID)
         self._drop_top = entry("repro_drop_top_limb", _PLAN, _VOID, _VOID,
-                               _VOID, _VOID, _VOID, _I64, _I64, _INT, _INT)
+                               _VOID, _VOID, _VOID, _I64, _I64)
 
     def fwd_ntt(self, plan, x: np.ndarray, out: np.ndarray,
-                work: np.ndarray, use_shoup: bool) -> None:
+                work: np.ndarray) -> None:
         rows, n = x.shape
-        self._fwd(_tables(plan), _addr(x), _addr(out), _addr(work), rows, n,
-                  1 if use_shoup else 0)
+        self._fwd(_tables(plan, "fwd_ntt"), _addr(x), _addr(out),
+                  _addr(work), rows, n)
 
     def inv_ntt(self, plan, x: np.ndarray, out: np.ndarray,
-                work: np.ndarray, mode: int) -> None:
+                work: np.ndarray) -> None:
         rows, n = x.shape
-        self._inv(_tables(plan), _addr(x), _addr(out), _addr(work), rows, n,
-                  mode)
+        self._inv(_tables(plan, "inv_ntt"), _addr(x), _addr(out),
+                  _addr(work), rows, n)
 
     def auto(self, x: np.ndarray, out: np.ndarray,
              dest: np.ndarray) -> None:
+        """Pure gather: no reduction, hence no gate."""
         rows, n = x.shape
         self._auto(_addr(x), _addr(out), rows, n, _addr(dest))
 
-    def ks_accum(self, digits: np.ndarray, bstack: np.ndarray,
-                 astack: np.ndarray, key_stride: int, acc0: np.ndarray,
-                 acc1: np.ndarray, q_arr: np.ndarray, mu_arr: np.ndarray,
-                 lazy: bool) -> None:
+    def ks_accum(self, primes: tuple[int, ...], digits: np.ndarray,
+                 bstack: np.ndarray, astack: np.ndarray, key_stride: int,
+                 acc0: np.ndarray, acc1: np.ndarray) -> None:
+        """``key_stride``: words between consecutive digits' key rows.
+        The accumulator stays unreduced until one final reduction where
+        :func:`~repro.analysis.bounds.keyswitch_lazy_accumulate_ok`
+        allows, and reduces every product as it is added otherwise —
+        which still needs a single product to fit uint64."""
         num_digits, rows, n = digits.shape
+        max_q = max(primes)
+        lazy = keyswitch_lazy_accumulate_ok(num_digits, max_q)
+        if not lazy and not mul_fits_uint64(max_q - 1, max_q - 1):
+            raise ValueError(
+                "ks_accum requires single digit-key products to fit "
+                "uint64; use the object-dtype accumulate_keyswitch path "
+                "for wider moduli")
+        q_arr = np.array(primes, dtype=np.uint64)
+        mu_arr = np.array([(1 << 64) // q for q in primes], dtype=np.uint64)
         self._ks(_addr(digits), _addr(bstack), _addr(astack), key_stride,
                  _addr(acc0), _addr(acc1), num_digits, rows, n,
                  _addr(q_arr), _addr(mu_arr), 1 if lazy else 0)
 
     def ks_apply(self, plan, x: np.ndarray, key: np.ndarray,
                  keep: np.ndarray, acc0: np.ndarray, acc1: np.ndarray,
-                 work: np.ndarray, use_shoup: bool, inv_mode: int,
-                 lazy: bool, ticks: np.ndarray | None) -> None:
+                 work: np.ndarray, ticks: np.ndarray | None = None) -> None:
         """``work`` is ``(3 L + 2, n)``: ``L`` coefficient rows, then
-        two scratch rows per target limb."""
+        two scratch rows per target limb.  Gate: ``plan.keyswitch_ok``."""
         limbs, n = x.shape
-        self._ks_apply(_tables(plan), _addr(x), _addr(key), _addr(keep),
-                       _addr(acc0), _addr(acc1), _addr(work),
-                       _addr(work[limbs:]), limbs, key.shape[2], n,
-                       1 if use_shoup else 0, inv_mode, 1 if lazy else 0,
+        self._ks_apply(_tables(plan, "ks_apply", plan.keyswitch_ok),
+                       _addr(x), _addr(key), _addr(keep), _addr(acc0),
+                       _addr(acc1), _addr(work), _addr(work[limbs:]), limbs,
+                       key.shape[2], n,
                        None if ticks is None else _addr(ticks))
 
     def drop_top(self, plan, x: np.ndarray, inv: np.ndarray,
-                 out: np.ndarray, work: np.ndarray, use_shoup: bool,
-                 inv_mode: int) -> None:
-        """``work`` is ``(2 R, n)``: coefficient rows, then scratch."""
+                 out: np.ndarray, work: np.ndarray) -> None:
+        """``work`` is ``(2 R, n)``: coefficient rows, then scratch.
+        Gate: ``plan.drop_top_ok``."""
         rows, n = x.shape
-        self._drop_top(_tables(plan), _addr(x), _addr(inv), _addr(out),
-                       _addr(work), _addr(work[rows:]), rows, n,
-                       1 if use_shoup else 0, inv_mode)
+        self._drop_top(_tables(plan, "drop_top", plan.drop_top_ok),
+                       _addr(x), _addr(inv), _addr(out), _addr(work),
+                       _addr(work[rows:]), rows, n)
+
+
+def resolve_provider(name: str | None = None) -> CExtProvider | None:
+    """The compiled-kernel provider: ``cext`` (also the meaning of
+    None), or ``none`` for no provider at all.  Returns ``None`` when
+    there is none or the C extension cannot be built — the backend then
+    runs the numpy path."""
+    if name == "none":
+        return None
+    if name not in (None, "cext"):
+        raise ValueError(
+            f"unknown compiled-kernel provider {name!r} (cext|none)")
+    return load_provider()
 
 
 def load_provider() -> CExtProvider | None:

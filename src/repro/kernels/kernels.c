@@ -16,7 +16,10 @@
  *
  * The arithmetic mirrors the analyzed numpy stage plans line for line
  * (``repro.analysis.stage_plans``), so the eligibility gates derived
- * there (``repro.analysis.bounds``) carry over:
+ * there (``repro.analysis.bounds``) carry over.  Which schedule a plan's
+ * kernels run is decided once, where the plan is built
+ * (``repro/kernels/plan.py``), and read here from ``plan_t`` -- no
+ * plan-taking entry has a schedule argument a caller could set:
  *
  * - Shoup butterflies (``*_sh`` tables, 2**32 radix) when
  *   ``ntt_shoup_ok`` holds (q < 2**30);
@@ -286,11 +289,12 @@ static inline void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
     }
 }
 
-/* The constant tables of one (n, primes) plan (repro/kernels/plan.py),
- * row l modulo q[l]: n words per row in psi/unfold, n - 1 in the flat
- * stage twiddles.  The *_sh companions exist only where ntt_shoup_ok
- * holds and are touched only under use_shoup / inverse mode 1.  Field
- * order is the ctypes mirror's (cext.PlanTables). */
+/* One (n, primes) plan (repro/kernels/plan.py): its constant tables,
+ * row l modulo q[l] -- n words per row in psi/unfold, n - 1 in the flat
+ * stage twiddles -- and the reduction schedule the gates proved for
+ * it.  The *_sh companions exist only where ntt_shoup_ok holds and are
+ * touched only under fwd_shoup / inverse mode 1.  Field order is the
+ * ctypes mirror's (cext.PlanTables). */
 typedef struct {
     const u64 *q, *mu;
     const u64 *psi, *psi_sh;
@@ -298,10 +302,14 @@ typedef struct {
     const u64 *twi, *twi_sh;
     const u64 *unfold, *unfold_sh;
     const i64 *bitrev;
+    int fwd_shoup; /* forward butterflies: 1 Shoup, 0 Barrett */
+    int inv_mode;  /* inverse schedule, as inv_row's mode */
+    int ks_lazy;   /* repro_ks_apply: 1 unreduced accumulator */
 } plan_t;
 
 static inline void plan_fwd(const plan_t *p, i64 l, i64 n, const u64 *x,
-                            u64 *a, u64 *o, int use_shoup) {
+                            u64 *a, u64 *o) {
+    const int use_shoup = p->fwd_shoup;
     fwd_row(x, a, o, n, p->q[l], p->mu[l],
             p->psi + l * n, use_shoup ? p->psi_sh + l * n : 0,
             p->twf + l * (n - 1), use_shoup ? p->twf_sh + l * (n - 1) : 0,
@@ -309,7 +317,8 @@ static inline void plan_fwd(const plan_t *p, i64 l, i64 n, const u64 *x,
 }
 
 static inline void plan_inv(const plan_t *p, i64 l, i64 n, const u64 *x,
-                            u64 *a, u64 *o, int mode) {
+                            u64 *a, u64 *o) {
+    const int mode = p->inv_mode;
     inv_row(x, a, o, n, p->q[l], p->mu[l],
             p->twi + l * (n - 1), mode == 1 ? p->twi_sh + l * (n - 1) : 0,
             p->unfold + l * n, mode == 1 ? p->unfold_sh + l * n : 0,
@@ -321,20 +330,19 @@ static inline void plan_inv(const plan_t *p, i64 l, i64 n, const u64 *x,
 /* plan row l.                                                         */
 /* ------------------------------------------------------------------ */
 void repro_fwd_ntt_batch(const plan_t *plan, const u64 *in, u64 *out,
-                         u64 *work, i64 L, i64 n, int use_shoup) {
+                         u64 *work, i64 L, i64 n) {
     const i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++)
-        plan_fwd(plan, l, n, in + l * n, work + l * n, out + l * n,
-                 use_shoup);
+        plan_fwd(plan, l, n, in + l * n, work + l * n, out + l * n);
 }
 
 void repro_inv_ntt_batch(const plan_t *plan, const u64 *in, u64 *out,
-                         u64 *work, i64 L, i64 n, int mode) {
+                         u64 *work, i64 L, i64 n) {
     const i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++)
-        plan_inv(plan, l, n, in + l * n, work + l * n, out + l * n, mode);
+        plan_inv(plan, l, n, in + l * n, work + l * n, out + l * n);
 }
 
 /* ------------------------------------------------------------------ */
@@ -458,13 +466,13 @@ static inline void lift_row(const u64 *c, u64 *o, i64 n,
 void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
                     const i64 *keep, u64 *acc0, u64 *acc1,
                     u64 *coeff, u64 *work, i64 L, i64 K, i64 n,
-                    int use_shoup, int inv_mode, int lazy, i64 *ticks) {
+                    i64 *ticks) {
+    const int lazy = plan->ks_lazy;
     i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++) {
         const i64 t0 = tick_now(ticks);
-        plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n,
-                 inv_mode);
+        plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n);
         tick_add(ticks, 0, tick_now(ticks) - t0);
     }
 
@@ -484,7 +492,7 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
                 lift_row(coeff + i * n, row, n, plan->q[i], q);
                 t1 = tick_now(ticks);
                 lift_ns += t1 - t0;
-                plan_fwd(plan, j, n, row, row + n, row, use_shoup);
+                plan_fwd(plan, j, n, row, row + n, row);
                 t0 = tick_now(ticks);
                 ntt_ns += t0 - t1;
                 digit = row;
@@ -514,13 +522,11 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
 /* every remaining prime), multiply by inv[j], forward NTT.           */
 /* ------------------------------------------------------------------ */
 void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
-                         u64 *out, u64 *coeff, u64 *work, i64 R, i64 n,
-                         int use_shoup, int inv_mode) {
+                         u64 *out, u64 *coeff, u64 *work, i64 R, i64 n) {
     i64 par_rows = R;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++)
-        plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n,
-                 inv_mode);
+        plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n);
 
     const u64 *top = coeff + (R - 1) * n;
     const u64 q_top = plan->q[R - 1];
@@ -536,6 +542,6 @@ void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
             if (s >= q) s -= q;
             c[k] = barrett_mod(s * scale, q, mu);
         }
-        plan_fwd(plan, j, n, c, a, out + j * n, use_shoup);
+        plan_fwd(plan, j, n, c, a, out + j * n);
     }
 }

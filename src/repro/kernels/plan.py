@@ -4,10 +4,12 @@ A :class:`CompiledPlan` gathers, for one ``(n, primes)`` batch shape,
 every constant the fused C kernels consume: the stacked
 contiguous per-limb tables (moduli, Barrett constants, psi folds, flat
 stage twiddles, fused unfold scalings, Shoup companions) plus the
-analyzer-derived eligibility gates.  The per-modulus constants come
-from :class:`repro.ntt.tables.NttTables` — hoisted there so every
-backend shares one computation per ``(n, q)`` — and a plan only
-*stacks* them into the row-major layout the kernels index.
+analyzer-derived eligibility gates and the reduction schedule they
+select — chosen here, once per shape, and nowhere else.  The
+per-modulus constants come from :class:`repro.ntt.tables.NttTables` —
+hoisted there so every backend shares one computation per ``(n, q)`` —
+and a plan only *stacks* them into the row-major layout the kernels
+index.
 
 Three process-global caches live here, all reset by
 :func:`clear_compiled_caches` (and therefore by the module-level
@@ -26,24 +28,43 @@ import threading
 
 import numpy as np
 
-from repro.analysis.bounds import compiled_ntt_ok, ntt_shoup_ok, unclamped_dit_ok
+from repro.analysis.bounds import (
+    centered_lift_lazy_ok,
+    compiled_ntt_ok,
+    keyswitch_lazy_accumulate_ok,
+    mul_fits_uint64,
+    ntt_shoup_ok,
+    unclamped_dit_ok,
+)
 from repro.ntt.tables import get_tables
 
 #: Placeholder for Shoup tables on shapes where the gate refuses them;
-#: the kernels never read it (``use_shoup`` is derived from the same
-#: gate) but the providers want a consistently-typed 2-D argument.
+#: the kernels never read it (the schedule below comes from the same
+#: gate) but the binding wants a consistently-typed 2-D argument.
 _NO_TABLE = np.empty((0, 0), dtype=np.uint64)
 
 
 class CompiledPlan:
-    """Constant tables plus derived gates for one ``(n, primes)`` shape.
+    """Constant tables, derived gates and the schedule they select for
+    one ``(n, primes)`` shape.
 
     ``lazy_stages_ok`` (from :func:`~repro.analysis.bounds
     .compiled_ntt_ok`) decides whether the fused kernels may run at all;
-    when it is False the plan stays table-less and the backend falls
-    back to numpy.  ``shoup_ok`` and ``unclamped_ok`` select the
-    mod-free butterfly and the clamp-free inverse schedule, again
-    analyzer-derived rather than hand-coded width checks.
+    when it is False the plan stays table-less, the binding refuses it
+    and the backend falls back to numpy.  The other gates are
+    analyzer-derived too, never hand-coded width checks, and resolve
+    into the schedule every kernel of this plan runs, which travels to
+    C inside ``plan_t``: ``fwd_shoup`` (forward butterflies, 1 Shoup /
+    0 Barrett), ``inv_mode`` (0 lazy Barrett, 1 lazy Shoup, 2
+    clamp-free) and ``ks_lazy`` (the row-fused keyswitch accumulates
+    its ``len(primes) - 1`` digit products unreduced).  No caller
+    passes a schedule, so none can ask for one the plan never proved.
+
+    The two row-fused kernels read the last prime as the special prime
+    (``keyswitch_ok``: conditional-add digit lifts and single products
+    fitting uint64) or the limb being dropped (``drop_top_ok``: its lift
+    against every remaining prime); the binding raises, and the backend
+    declines, where the gate is False.
     """
 
     def __init__(self, n: int, primes: tuple[int, ...]):
@@ -51,11 +72,20 @@ class CompiledPlan:
         self.primes = primes
         self.log_n = n.bit_length() - 1
         max_q = max(primes)
+        rest = primes[:-1]
         self.lazy_stages_ok = (n >= 2 and not (n & (n - 1))
                                and compiled_ntt_ok(self.log_n, max_q))
         self.shoup_ok = self.lazy_stages_ok and ntt_shoup_ok(self.log_n, max_q)
-        self.unclamped_ok = (self.lazy_stages_ok
-                             and unclamped_dit_ok(self.log_n, max_q))
+        unclamped_ok = (self.lazy_stages_ok
+                        and unclamped_dit_ok(self.log_n, max_q))
+        self.keyswitch_ok = (self.lazy_stages_ok and bool(rest)
+                             and centered_lift_lazy_ok(max(rest), min(primes))
+                             and mul_fits_uint64(max_q - 1, max_q - 1))
+        self.drop_top_ok = (self.lazy_stages_ok and bool(rest)
+                            and centered_lift_lazy_ok(primes[-1], min(rest)))
+        self.fwd_shoup = int(self.shoup_ok)
+        self.inv_mode = 2 if unclamped_ok else 1 if self.shoup_ok else 0
+        self.ks_lazy = int(keyswitch_lazy_accumulate_ok(len(rest), max_q))
         if not self.lazy_stages_ok:
             return  # ineligible shape: no tables, backend falls back
         tabs = [get_tables(n, q) for q in primes]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import unclamped_dit_ok
 from repro.ntt.tables import NttTables
 
 
@@ -118,8 +117,9 @@ def vec_intt_dit(x: np.ndarray, tables: NttTables) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Limb-batched paths: one dispatch over a stack of rows, each with its
-# own prime modulus (the shape keyswitch and ring conversions produce).
+# Limb-batched stage kernels: one dispatch over a stack of rows, each
+# with its own prime modulus (the shape keyswitch and ring conversions
+# produce).  Their one caller is negacyclic.BatchedNegacyclicNtt.
 #
 # The stage loops use lazy reduction: uint64 `%` by a broadcast divisor
 # is numpy's slowest elementwise op, so the add/sub halves of every
@@ -253,70 +253,3 @@ def dit_stages_unclamped(a: np.ndarray, q3: np.ndarray,
         blocks[:, :, :length] = u + v              # < M + q
         blocks[:, :, length:] = (u + q3) - v       # positive, < M + q
         length *= 2
-
-
-def _check_multi(x: np.ndarray, tables_per_row: list[NttTables]) -> None:
-    if x.ndim != 2 or len(tables_per_row) != x.shape[0]:
-        raise ValueError(
-            f"expected ({len(tables_per_row)}, n) residue stack, got {x.shape}")
-    n = tables_per_row[0].n
-    if x.shape[1] != n:
-        raise ValueError(f"last axis must be {n}, got {x.shape[1]}")
-    for t in tables_per_row:
-        _check_vec(t)
-
-
-def vec_ntt_dif_multi(x: np.ndarray, tables_per_row: list[NttTables]) -> np.ndarray:
-    """Forward DIF NTT over an ``(L, n)`` stack, row ``i`` modulo
-    ``tables_per_row[i].q``.
-
-    One vectorized butterfly pass per stage covers every limb at once:
-    the per-prime stage twiddles are stacked into an ``(L, 1, length)``
-    block and the moduli broadcast as an ``(L, 1, 1)`` column, so the
-    whole residue matrix moves through each stage in a single numpy
-    dispatch instead of ``L`` separate transform calls.
-    """
-    x = np.asarray(x, dtype=np.uint64)
-    _check_multi(x, tables_per_row)
-    q_col = np.array([t.q for t in tables_per_row], dtype=np.uint64)[:, None]
-    q3 = q_col[:, :, None]
-    a = (x % q_col).copy() if x.base is None else x % q_col
-    shoup = (_stacked_stage_twiddles(tables_per_row, "dif_shoup")
-             if all(t.q < (1 << 30) for t in tables_per_row) else None)
-    dif_stages_lazy(a, q3, 2 * q3,
-                    _stacked_stage_twiddles(tables_per_row, "dif"), shoup)
-    np.minimum(a, a - q_col, out=a)
-    return a
-
-
-def vec_intt_dit_multi(x: np.ndarray, tables_per_row: list[NttTables],
-                       scale_col: np.ndarray | None = None) -> np.ndarray:
-    """Inverse DIT NTT over an ``(L, n)`` stack with per-row moduli
-    (bit-reversed in, natural out).
-
-    ``scale_col`` replaces the default per-row ``n^{-1}`` factor with an
-    arbitrary fully-reduced multiplier (column or full ``(L, n)`` table)
-    — the negacyclic wrapper uses it to fuse ``psi^{-j} * n^{-1}`` into
-    the single final reduction.
-    """
-    x = np.asarray(x, dtype=np.uint64)
-    _check_multi(x, tables_per_row)
-    q_col = np.array([t.q for t in tables_per_row], dtype=np.uint64)[:, None]
-    q3 = q_col[:, :, None]
-    a = x % q_col
-    maxq = max(t.q for t in tables_per_row)
-    log_n = tables_per_row[0].log_n
-    if unclamped_dit_ok(log_n, maxq):
-        dit_stages_unclamped(a, q3,
-                             _stacked_stage_twiddles(tables_per_row, "dit"))
-    else:
-        shoup = (_stacked_stage_twiddles(tables_per_row, "dit_shoup")
-                 if all(t.q < (1 << 30) for t in tables_per_row) else None)
-        dit_stages_lazy(a, q3, 2 * q3,
-                        _stacked_stage_twiddles(tables_per_row, "dit"), shoup)
-    if scale_col is None:
-        scale_col = np.array([t.n_inv for t in tables_per_row],
-                             dtype=np.uint64)[:, None]
-    # Final fused reduction: lanes are < 2q (clamped) or < (log2(n)+1)*q
-    # (unclamped, gated above), so the product fits uint64 either way.
-    return a * scale_col % q_col

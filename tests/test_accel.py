@@ -1,8 +1,11 @@
 """Tests for the accelerator top level (SRAM, NoC, scheduler)."""
 
+import numpy as np
 import pytest
 
 from repro.accel import Accelerator, OnChipSram, RingNoc
+from repro.arith.primes import find_ntt_prime
+from repro.fhe.backend import IntegrityBackend, NumpyBackend
 
 
 class TestSram:
@@ -23,6 +26,29 @@ class TestSram:
         sram = OnChipSram(capacity_bytes=1 << 20)
         assert sram.fits((1 << 20) // 8)
         assert not sram.fits((1 << 20) // 8 + 1)
+
+    def test_stage_refuses_a_buffer_that_does_not_fit(self):
+        sram = OnChipSram(capacity_bytes=64)
+        staged, cycles = sram.stage(np.arange(8, dtype=np.uint64))
+        assert staged.tolist() == list(range(8)) and cycles == 1
+        with pytest.raises(ValueError, match="working set of 9 words does "
+                           "not fit the 64-byte SRAM; stage in tiles"):
+            sram.stage(np.zeros(9, dtype=np.uint64))
+        assert sram.reads == 8  # the refused buffer was never charged
+
+    def test_integrity_backend_surfaces_the_same_message(self):
+        q = find_ntt_prime(32, 20)
+        tiny = OnChipSram(capacity_bytes=64)
+        for policy in ("off", "detect"):
+            backend = IntegrityBackend(NumpyBackend(), policy, sram=tiny)
+            with pytest.raises(ValueError, match="working set of 16 words "
+                               "does not fit the 64-byte SRAM"):
+                backend.forward_ntt_batch(
+                    np.zeros((1, 16), dtype=np.uint64), (q,))
+        roomy = IntegrityBackend(NumpyBackend(), "detect",
+                                 sram=OnChipSram(capacity_bytes=128))
+        roomy.forward_ntt_batch(np.zeros((1, 16), dtype=np.uint64), (q,))
+        assert roomy.sram_cycles == 1
 
     def test_cost_positive(self):
         c = OnChipSram().cost()

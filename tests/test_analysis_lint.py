@@ -1,5 +1,6 @@
 """The repository-specific AST lint rules (fhecheck lint)."""
 
+import re
 import textwrap
 
 from repro.analysis.lint import lint_paths, lint_source
@@ -160,54 +161,6 @@ class TestFHC005FaultHookGuard:
             """)
 
 
-class TestFHC007CompiledGateGuard:
-    def test_flags_ungated_lazy_kernel(self):
-        assert "FHC007" in _rules("""
-            def f(impl, plan, x, out, work):
-                cjit_fwd_ntt_lazy(impl, plan, x, out, work)
-            """)
-
-    def test_gate_alias_exempts(self):
-        assert _rules("""
-            def f(impl, plan, x, out, work):
-                use_ok = plan is not None and plan.lazy_stages_ok
-                if use_ok:
-                    cjit_fwd_ntt_lazy(impl, plan, x, out, work)
-            """) == []
-
-    def test_direct_gate_attribute_exempts(self):
-        assert _rules("""
-            def f(impl, plan, x, out, work):
-                if plan.unclamped_ok:
-                    cjit_inv_ntt_unclamped(impl, plan, x, out, work)
-                else:
-                    if plan.lazy_stages_ok:
-                        cjit_inv_ntt_lazy(impl, plan, x, out, work)
-            """) == []
-
-    def test_ungated_call_in_else_branch_flagged(self):
-        assert "FHC007" in _rules("""
-            def f(impl, plan, x, out, work):
-                if plan.unclamped_ok:
-                    cjit_inv_ntt_unclamped(impl, plan, x, out, work)
-                else:
-                    cjit_inv_ntt_lazy(impl, plan, x, out, work)
-            """)
-
-    def test_non_lazy_entries_exempt(self):
-        assert _rules("""
-            def f(impl, x, out, dest, acc0, acc1, q, mu):
-                cjit_auto_batch(impl, x, out, dest)
-                cjit_ks_accum_reduced(impl, x, x, x, acc0, acc1, q, mu)
-            """) == []
-
-    def test_suppression(self):
-        assert _rules("""
-            def f(impl, plan, x, out, work):
-                cjit_fwd_ntt_lazy(impl, plan, x, out, work)  # fhecheck: ok=FHC007
-            """) == []
-
-
 class TestSuppressions:
     def test_same_line_suppression(self):
         assert _rules("""
@@ -231,32 +184,27 @@ class TestSuppressions:
             """) == ["FHC002", "FHC010"]
 
 
-class TestFHC009SramStagingGuard:
-    def test_flags_unchecked_stage(self):
-        assert "FHC009" in _rules("""
-            def f(self, work):
-                self.sram.stage(work)
-            """)
+class TestRuleCatalogue:
+    RULES = ["FHC001", "FHC002", "FHC003", "FHC004", "FHC005", "FHC010",
+             "FHC011", "FHC012"]
 
-    def test_fits_check_exempts(self):
-        assert _rules("""
-            def f(self, work):
-                if not self.sram.fits(work.size):
-                    raise ValueError("working set does not fit")
-                self.sram.stage(work)
-            """) == []
+    def test_eight_rules_documented_and_declared(self):
+        import repro.analysis.lint as lint
+        from repro.analysis.sarif import RULE_DESCRIPTIONS
 
-    def test_capacity_reference_exempts(self):
-        assert _rules("""
-            def f(self, work):
-                assert work.size * 8 <= self.sram.capacity_bytes
-                self.sram.stage(work)
-            """) == []
+        assert sorted(set(re.findall(r"FHC\d+", lint.__doc__))) == self.RULES
+        assert "eight" in lint.__doc__
+        assert sorted(rule for rule in RULE_DESCRIPTIONS
+                      if rule.startswith("FHC")) == ["FHC000"] + self.RULES
 
-    def test_non_sram_receiver_exempt(self):
+    def test_what_two_deleted_rules_policed_is_no_longer_lint(self):
+        """An ungated lazy kernel and an unchecked SRAM staging are
+        unwritable now (the binding and ``OnChipSram.stage`` refuse
+        them), so their call shapes are ordinary code to the linter."""
         assert _rules("""
-            def f(self, work):
-                self.pipeline.stage(work)
+            def f(self, impl, plan, x, out, work):
+                impl.fwd_ntt(plan, x, out, work)
+                self.sram.stage(work)
             """) == []
 
 

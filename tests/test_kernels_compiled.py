@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.analysis.bounds import keyswitch_lazy_accumulate_ok
 from repro.arith.primes import find_ntt_prime, find_ntt_primes, is_prime
 from repro.fhe.backend import (
     IntegrityBackend,
@@ -26,8 +27,14 @@ from repro.fhe.backend import (
     observed,
     use_backend,
 )
-from repro.kernels import CompiledBackend, get_plan, plan_cache
-from repro.kernels.provider import resolve_provider
+from repro.fhe.keyswitch import KeySwitchKey, accumulate_keyswitch
+from repro.fhe.sampling import sample_uniform_poly
+from repro.kernels import (
+    CompiledBackend,
+    get_plan,
+    plan_cache,
+    resolve_provider,
+)
 from repro.obs import Observer, install_obs_hook
 
 N = 64
@@ -135,7 +142,7 @@ class TestKeyswitchInnerProduct:
         for bits in (29, 31):  # lazy gate holds at 29, refuses at 31
             primes = tuple(find_ntt_primes(2 * N, bits, LIMBS))
             q_arr = np.array(primes, dtype=np.uint64)
-            shape = (4, LIMBS, N)
+            shape = (5, LIMBS, N)
             d = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
             b = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
             a = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
@@ -153,20 +160,46 @@ class TestKeyswitchInnerProduct:
         with pytest.raises(ValueError, match="fit uint64"):
             compiled.keyswitch_inner_product(z, z, z, (q,))
 
+    def test_schedule_is_picked_from_the_gate_without_being_told(
+            self, compiled):
+        """Five digits: the lazy accumulator at 29-bit primes, the
+        per-step reduced one at 31-bit — the binding's own choice,
+        visible only as the last argument of the foreign call."""
+        impl = compiled._impl
+        real, seen = impl._ks, []
+        impl._ks = lambda *args: (seen.append(args[-1]), real(*args))
+        try:
+            for bits in (29, 31):
+                primes = tuple(find_ntt_primes(2 * N, bits, LIMBS))
+                z = np.zeros((5, LIMBS, N), dtype=np.uint64)
+                assert keyswitch_lazy_accumulate_ok(5, max(primes)) == \
+                    (bits == 29)
+                compiled.keyswitch_inner_product(z, z, z, primes)
+        finally:
+            impl._ks = real
+        assert seen == [1, 0]
+
     def test_providerless_fallback_matches(self):
+        """No provider: the slot declines before touching its arguments
+        and ``accumulate_keyswitch`` runs its own lazy loop."""
         backend = CompiledBackend(provider="none")
         assert backend.provider_name is None
-        rng = np.random.default_rng(5)
         primes = tuple(find_ntt_primes(2 * N, 29, LIMBS))
-        q_arr = np.array(primes, dtype=np.uint64)
-        shape = (3, LIMBS, N)
-        d = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
-        b = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
-        a = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
-        acc0, _ = backend.keyswitch_inner_product(d, b, a, primes)
-        ref0 = (d * b % q_arr[None, :, None]).sum(
-            axis=0, dtype=np.uint64) % q_arr[:, None]
-        assert np.array_equal(acc0, ref0)
+        assert backend.keyswitch_inner_product(
+            None, None, None, primes) is None
+        assert backend.fallbacks == backend.kernel_invocations == 0
+        rng = np.random.default_rng(5)
+        digits = [sample_uniform_poly(N, primes, rng) for _ in range(3)]
+        ksk = KeySwitchKey([(sample_uniform_poly(N, primes, rng),
+                             sample_uniform_poly(N, primes, rng))
+                            for _ in digits])
+        keep = list(range(LIMBS))
+        with use_backend(NumpyBackend()):
+            golden = accumulate_keyswitch(digits, ksk, keep, primes)
+        with use_backend(backend):
+            ours = accumulate_keyswitch(digits, ksk, keep, primes)
+        for mine, want in zip(ours, golden):
+            assert np.array_equal(mine.residues, want.residues)
 
 
 class TestProviderlessFallback:
@@ -224,6 +257,25 @@ class TestSelection:
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize("first, second", [
+        ("repro.kernels", "repro.fhe.backend"),
+        ("repro.fhe.backend", "repro.kernels"),
+    ])
+    def test_either_import_order_under_the_compiled_default(self, first,
+                                                            second):
+        """Regression: ``kernels.backend`` imports ``repro.fhe.backend``,
+        which used to construct the ``REPRO_BACKEND`` default — importing
+        ``repro.kernels`` back — while it was itself being imported."""
+        code = (f"import {first}\nimport {second}\n"
+                "from repro.fhe.backend import get_backend\n"
+                "assert get_backend().name == 'compiled'\n")
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "REPRO_BACKEND": "compiled",
+                 "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
     def test_integrity_backend_wraps_compiled(self, compiled):
         wrapped = IntegrityBackend(inner=compiled)
         primes = tuple(find_ntt_primes(2 * N, 29, LIMBS))
@@ -274,10 +326,10 @@ class TestSelfCheck:
         class _Broken:
             name = "broken"
 
-            def fwd_ntt(self, plan, x, out, work, use_shoup):
+            def fwd_ntt(self, plan, x, out, work):
                 out[:] = 0
 
-        backend = CompiledBackend(provider=_Broken(), self_check=True)
+        backend = CompiledBackend(provider=_Broken())
         primes = tuple(find_ntt_primes(2 * N, 29, LIMBS))
         with pytest.raises(RuntimeError, match="self-check failed"):
             backend.forward_ntt_batch(_rows(primes), primes)
