@@ -14,7 +14,12 @@ keyswitch — in three dispatch regimes:
 A last row times the whole keyswitch on the compiled backend both ways:
 **fused** (the row-fused ``keyswitch_apply`` slot, one kernel call) and
 **phased** (``decompose_digits`` + ``accumulate_keyswitch``, the same
-kernels with Python between them).
+kernels with Python between them) — and then the same keyswitch under
+``IntegrityBackend(compiled, "detect")``: **checked** (the row-fused
+slot taking its own ABFT sums) against **unchecked** (the bare slot)
+and against the **phased checked** path every checking policy took
+before, so the guard's cost relative to what it guards is a committed
+number (``keyswitch_checked.guard_ratio``).
 
 Outputs are checked bit-for-bit across all regimes (and, for the
 keyswitch, between the numpy, compiled and VPU backends) before any
@@ -38,7 +43,12 @@ import numpy as np
 
 from repro.arith.primes import find_ntt_primes
 from repro.automorphism.mapping import galois_eval_permutation
-from repro.fhe.backend import NumpyBackend, VpuBackend, use_backend
+from repro.fhe.backend import (
+    IntegrityBackend,
+    NumpyBackend,
+    VpuBackend,
+    use_backend,
+)
 from repro.fhe.ckks import CkksContext
 from repro.fhe.keyswitch import (
     KeySwitchKey,
@@ -76,11 +86,6 @@ def _best_of_group(fns, repeats: int) -> list[float]:
             fn()
             best[i] = min(best[i], time.perf_counter() - t0)
     return best
-
-
-def _best_of_pair(fn_a, fn_b, repeats: int) -> tuple[float, float]:
-    best_a, best_b = _best_of_group([fn_a, fn_b], repeats)
-    return best_a, best_b
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +308,11 @@ def bench_keyswitch(repeats: int, compiled: CompiledBackend | None,
 
 
 def bench_keyswitch_fused(n: int, levels: int, repeats: int,
-                          compiled: CompiledBackend) -> dict:
+                          compiled: CompiledBackend) -> tuple[dict, dict]:
     """The whole keyswitch on the compiled backend, row-fused slot vs
-    phase by phase, at an ``ops_compiled``-like shape (30-bit primes)."""
+    phase by phase, at an ``ops_compiled``-like shape (30-bit primes);
+    then checked (``detect``) vs unchecked, fused and phased.  Returns
+    the ``keyswitch_fused`` and ``keyswitch_checked`` rows."""
     params = CkksParams(n=n, levels=levels, scale_bits=29, prime_bits=30)
     with use_backend(compiled):
         ksk = CkksContext(params, seed=42).relin_key
@@ -316,30 +323,50 @@ def bench_keyswitch_fused(n: int, levels: int, repeats: int,
         params.primes, is_eval=True)
     keep = list(range(levels + 1))
     target = params.primes + (params.special_prime,)
+    guard = IntegrityBackend(compiled, "detect")
 
-    def fused():
-        with use_backend(compiled):
+    def fused(backend=compiled):
+        with use_backend(backend):
             return apply_keyswitch(x, ksk, params)
 
-    def phased():
-        with use_backend(compiled):
+    def phased(backend=compiled):
+        with use_backend(backend):
             return accumulate_keyswitch(decompose_digits(x, params), ksk,
                                         keep, target)
 
+    def checked():
+        return fused(guard)
+
+    def phased_checked():
+        return phased(guard)
+
     golden = apply_keyswitch(x, ksk, params)  # NumpyBackend, the default
-    for ours in (fused(), phased()):
+    for ours in (fused(), phased(), checked(), phased_checked()):
         for part, want in zip(ours, golden):
             np.testing.assert_array_equal(part.residues, want.residues)
     # One kernel call on the now warm backend: the slot ran, so "fused"
-    # below does not time a declined slot's fall-through.
-    before = compiled.kernel_invocations
-    fused()
-    if compiled.kernel_invocations - before != 1:
-        raise RuntimeError("keyswitch_apply declined at the bench shape")
-    fused_s, phased_s = _best_of_pair(fused, phased, repeats)
-    return {"n": n, "limbs": levels, "bit_identical": True,
-            "fused_s": fused_s,
-            "phased_s": phased_s, "speedup_fused": phased_s / fused_s}
+    # and "checked" below do not time a declined slot's fall-through.
+    for call in (fused, checked):
+        before = compiled.kernel_invocations
+        call()
+        if compiled.kernel_invocations - before != 1:
+            raise RuntimeError("keyswitch_apply declined at the bench shape")
+    before = guard.checker.checks
+    checked()
+    checks = guard.checker.checks - before
+    if guard.checker.mismatches:
+        raise RuntimeError("integrity mismatch on a fault-free keyswitch")
+    fused_s, phased_s, checked_s, phased_checked_s = _best_of_group(
+        [fused, phased, checked, phased_checked], repeats)
+    shape = {"n": n, "limbs": levels, "bit_identical": True}
+    return ({**shape, "fused_s": fused_s, "phased_s": phased_s,
+             "speedup_fused": phased_s / fused_s},
+            {**shape, "policy": "detect", "checks": checks,
+             "unchecked_s": fused_s, "checked_s": checked_s,
+             "phased_checked_s": phased_checked_s,
+             # The guard's cost as a share of what it guards.
+             "guard_ratio": checked_s / fused_s - 1.0,
+             "speedup_checked": phased_checked_s / checked_s})
 
 
 def bench_vpu_program_cache(n: int = 1024, levels: int = 3) -> dict:
@@ -414,8 +441,9 @@ def main() -> None:
         repeats, compiled, check_vpu=not args.quick)
     if compiled is not None:
         print("[keyswitch] fused vs phased on the compiled backend ...")
-        results["keyswitch_fused"] = bench_keyswitch_fused(
-            *((1024, 4) if args.quick else (8192, 8)), repeats, compiled)
+        results["keyswitch_fused"], results["keyswitch_checked"] = \
+            bench_keyswitch_fused(
+                *((1024, 4) if args.quick else (8192, 8)), repeats, compiled)
     if not args.quick:
         print("[vpu] program cache ...")
         results["vpu_program_cache"] = bench_vpu_program_cache()
@@ -443,6 +471,13 @@ def main() -> None:
               f" phased {kf['phased_s']*1e3:8.3f} ms"
               f"  fused {kf['fused_s']*1e3:8.3f} ms"
               f"  speedup {kf['speedup_fused']:5.2f}x")
+        kc = results["keyswitch_checked"]
+        print(f"  keyswitch     n={kc['n']} L={kc['limbs']} detect:  "
+              f" phased {kc['phased_checked_s']*1e3:8.3f} ms"
+              f"  fused {kc['checked_s']*1e3:8.3f} ms"
+              f"  speedup {kc['speedup_checked']:5.2f}x"
+              f"  guard {kc['guard_ratio']*100:5.1f} % of the unchecked"
+              f" {kc['unchecked_s']*1e3:.3f} ms")
     if "vpu_program_cache" in results:
         vp = results["vpu_program_cache"]
         print(f"  vpu cache     n={vp['n']}: {vp['program_compilations']} compiles"

@@ -40,11 +40,29 @@ unreduced too (exact for any digit count below ``2**24``).  The digits
 are reduced once per keyswitch (both accumulators share them) and each
 key's ``mod q_s`` image is built once and lives exactly as long as the
 key.
+
+**Row-fused kernels.**  ``CompiledBackend.keyswitch_apply`` /
+``drop_top_limb`` run a whole keyswitch (a whole top-limb division) in
+one call, so nothing outside sees their row NTTs.  Handed a
+:class:`FusedCheck` they take the very same sums themselves — per row
+NTT ``<w, x>`` over the row before the transform and ``<r, y>`` after
+it, per target limb both sides of the spare identity — from this
+checker's tables, and :meth:`AbftChecker.check_fused` reduces,
+recombines, compares and records them as the checks the phased path
+would have made: inverse batch, forward batch, and the two
+accumulators of a keyswitch.  The kernel only sums; the tables, the
+verdict and the counters stay here.  A word of ``2**32`` or more (no
+reduced row has one) would wrap the kernel's unreduced sums, so the
+kernel reports it as a mismatch outright.  The spare identity is
+compared as a sum over each limb row, not word by word: one corrupted
+accumulator word still always shows, several in one row cancel only
+with the channel's own ``1/q_s``.
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +74,39 @@ from repro.ntt.negacyclic import NegacyclicNtt
 #: products are exact in uint64, coprime to every chain prime.
 SPARE_MODULUS = 1_048_573
 
+#: What a row-fused kernel writes for a row sum it refused to take: the
+#: row held a word of 2**32 or more.
+_WIDE_ROW = np.uint64((1 << 64) - 1)
+
 #: The linear maps a weight table exists for.
 _MAPS = ("ntt", "intt", "cyclic")
+
+
+@dataclass(eq=False)
+class FusedCheck:
+    """What one row-fused kernel call is handed to be checkable, and —
+    after the call — what it measured.  Built by
+    :meth:`AbftChecker.fused_check`, read and filled by the binding
+    (:mod:`repro.kernels.cext`, which mirrors it as ``check_t``),
+    judged by :meth:`AbftChecker.check_fused`."""
+
+    #: Stacked weight tables, ``(plan rows, 2, 2, n)`` uint32: plan row
+    #: ``l``'s input weights ``w`` then output weights ``r``, as halves.
+    intt: np.ndarray
+    ntt: np.ndarray
+    #: Modulus of every row NTT, in the order the kernel numbers them,
+    #: the first ``inverse_rows`` of them inverse transforms.
+    row_moduli: np.ndarray
+    inverse_rows: int
+    #: A keyswitch's key block ``mod spare_modulus`` (uint32, the
+    #: block's layout); None for a top-limb drop.
+    key_image: np.ndarray | None = None
+    spare_modulus: int = 0
+    #: The kernel's outputs: ``(row NTTs, 2 sides, 2 halves)`` unreduced
+    #: dot products, and per target limb and key part both sides of the
+    #: spare identity summed over the row, ``(L + 1, 2, 2)``.
+    sums: np.ndarray | None = None
+    spare: np.ndarray | None = None
 
 
 def _transposed_image(golden: NegacyclicNtt, r: np.ndarray,
@@ -110,8 +159,13 @@ class AbftChecker:
         #: ``(n, q, map) -> (r halves, w halves)``, each ``(2, n)``.
         self._weights: dict[tuple[int, int, str],
                             tuple[np.ndarray, np.ndarray]] = {}
-        #: ``KeySwitchKey -> (b image, a image)``, each ``(D, L+1, n)``.
-        self._key_images = weakref.WeakKeyDictionary()
+        #: ``(n, primes) -> (intt stack, ntt stack)``: the tables of a
+        #: plan's rows, stacked in the order a row-fused kernel walks.
+        self._stacks: dict[tuple, tuple] = {}
+        #: ``id(key block) -> (weak ref, image)``: the block ``mod q_s``
+        #: in its own ``(D, 2, L+1, n)`` layout, for as long as the
+        #: block lives.
+        self._key_images: dict[int, tuple] = {}
         self.checks = 0
         self.mismatches = 0
 
@@ -125,6 +179,7 @@ class AbftChecker:
         """Drop the weight tables and the key spare images (rebuilt on
         next use, to the same values; the counters survive)."""
         self._weights.clear()
+        self._stacks.clear()
         self._key_images.clear()
 
     # -- NTT rows -------------------------------------------------------------
@@ -191,16 +246,15 @@ class AbftChecker:
 
     # -- keyswitch spare-modulus check ----------------------------------------
 
-    def _key_image(self, ksk) -> tuple[np.ndarray, np.ndarray]:
-        image = self._key_images.get(ksk)
-        if image is None:
-            qs = np.uint64(SPARE_MODULUS)
+    def _key_image(self, block: np.ndarray) -> np.ndarray:
+        entry = self._key_images.get(id(block))
+        if entry is None or entry[0]() is not block:
             # Reduced below q_s < 2**20, so uint32 holds every word.
-            image = self._key_images[ksk] = tuple(
-                np.stack([(pair[part].residues % qs).astype(np.uint32)  # fhecheck: ok=FHC002
-                          for pair in ksk.pairs])
-                for part in (0, 1))
-        return image
+            image = (block % np.uint64(SPARE_MODULUS)).astype(np.uint32)  # fhecheck: ok=FHC002
+            images, key = self._key_images, id(block)
+            entry = images[key] = (
+                weakref.ref(block, lambda _: images.pop(key, None)), image)
+        return entry[1]
 
     def check_keyswitch_accumulation(self, accs, digits, ksk,
                                      keep: list[int]) -> tuple[bool, ...]:
@@ -212,12 +266,69 @@ class AbftChecker:
         key limbs ``keep``.
         """
         qs = np.uint64(SPARE_MODULUS)
-        images = self._key_image(ksk)
+        image = self._key_image(ksk.block)
         expected = [np.zeros_like(acc) for acc in accs]
         for i, digit in enumerate(digits):
             reduced = digit.residues % qs
-            for total, image in zip(expected, images):
-                total += reduced * image[i, keep]
+            for part, total in enumerate(expected):
+                total += reduced * image[i, part][keep]
         return tuple(
             self._record(bool(np.array_equal(acc % qs, total % qs)))
             for acc, total in zip(accs, expected))
+
+    # -- row-fused kernels ----------------------------------------------------
+
+    def fused_check(self, n: int, primes: tuple[int, ...],
+                    key_block: np.ndarray | None = None) -> FusedCheck:
+        """The request a row-fused kernel over plan ``(n, primes)``
+        takes as ``check``: ``keyswitch_apply`` when ``key_block`` is
+        given (``primes`` ends in the special prime), ``drop_top_limb``
+        otherwise (``primes`` ends in the limb being dropped)."""
+        tables = self._stacks.get((n, primes))
+        if tables is None:
+            tables = self._stacks[n, primes] = tuple(
+                # (r, w) per modulus -> row l's (w, r): input side first.
+                np.ascontiguousarray(np.stack([
+                    np.stack(self._weight_table(n, q, kind)[::-1])
+                    for q in primes]))
+                for kind in ("intt", "ntt"))
+        rest = primes[:-1]
+        if key_block is None:
+            inverse, forward = primes, rest
+        else:
+            inverse = rest
+            forward = tuple(q for i in range(len(rest))
+                            for j, q in enumerate(primes) if j != i)
+        check = FusedCheck(
+            *tables, np.array(inverse + forward, dtype=np.uint64),
+            len(inverse))
+        if key_block is not None:
+            check.key_image = self._key_image(key_block)
+            check.spare_modulus = SPARE_MODULUS
+        return check
+
+    def faulty_fused_rows(self, check: FusedCheck,
+                          ) -> tuple[list[int], list[int]]:
+        """``(inverse rows, forward rows)`` of a row-fused call whose
+        two sums disagree, numbered as the phased path batches them:
+        the inverse rows by limb; the forward rows of a keyswitch by
+        ``(digit, target limb != digit)``, of a top-limb drop by limb."""
+        sums = check.sums
+        q = check.row_moduli[:, None]
+        sides = (sums[:, :, 0] % q
+                 + (sums[:, :, 1] % q << CHECKSUM_HALF_BITS)) % q
+        bad = (sides[:, 0] != sides[:, 1]) | (
+            sums == _WIDE_ROW).any(axis=(1, 2))
+        split = check.inverse_rows
+        return (np.flatnonzero(bad[:split]).tolist(),
+                np.flatnonzero(bad[split:]).tolist())
+
+    def check_fused(self, check: FusedCheck) -> tuple[bool, ...]:
+        """Judge the sums a row-fused kernel left on ``check`` and
+        record them as the phased path's checks: the inverse batch, the
+        forward batch and — for a keyswitch — the two accumulators."""
+        verdicts = [not rows for rows in self.faulty_fused_rows(check)]
+        if check.spare is not None:
+            verdicts += np.all(check.spare[:, :, 0] == check.spare[:, :, 1],
+                               axis=0).tolist()
+        return tuple(self._record(ok) for ok in verdicts)

@@ -16,11 +16,15 @@ Outcome classes per injection:
 
 Serialization is deliberately deterministic — sorted keys, stable event
 order — so equal seeds produce byte-identical JSON (the seeded-
-determinism audit depends on it).
+determinism audit depends on it).  The JSON is summary + seed: the
+per-event rows are reproducible from the seed, so they are pinned by
+``events_digest`` (sha256 over the canonical rows) rather than
+archived.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -52,7 +56,8 @@ class FaultEvent:
 
 @dataclass
 class FaultReport:
-    """The full campaign record (counters + per-event detail)."""
+    """The full campaign record (counters + per-event detail; the
+    detail stays in memory, its digest goes into the JSON)."""
 
     workload: str
     policy: str
@@ -93,6 +98,13 @@ class FaultReport:
         live = detected + counts.get("silent", 0)
         return 1.0 if live == 0 else detected / live
 
+    def events_digest(self) -> str:
+        """sha256 over the canonical JSON of the event rows, in order:
+        two runs agree on it iff they agree on every event field."""
+        rows = json.dumps([event.to_dict() for event in self.events],
+                          sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(rows.encode()).hexdigest()
+
     def to_dict(self) -> dict:
         from repro.obs.export import host_envelope
 
@@ -120,7 +132,7 @@ class FaultReport:
             "retries": sum(event.retries for event in self.events),
             "degradations": sum(1 for event in self.events
                                 if event.degrade_level > 0),
-            "events": [event.to_dict() for event in self.events],
+            "events_digest": self.events_digest(),
         })
         return out
 

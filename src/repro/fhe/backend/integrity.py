@@ -13,8 +13,14 @@ from repro.fhe.backend.vpu_backend import ProgramQuarantinedError
 
 
 #: The optional fused kernels of the protocol: whole keyswitch phases
-#: in one call, with nothing in between for a check to look at.
+#: in one call.  ``OFF`` hands out all three as the wrapped backend has
+#: them.  A checking policy hands out the two row-fused ones
+#: (:data:`_CHECKED`) *checked* — the kernel takes the ABFT sums of its
+#: own row NTTs and accumulators, the checker judges them — and never
+#: ``keyswitch_inner_product``, which has no checked form (hoisted
+#: rotations therefore run phase by phase under a checking policy).
 _FUSED = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb")
+_CHECKED = ("keyswitch_apply", "drop_top_limb")
 
 
 class IntegrityBackend:
@@ -29,15 +35,24 @@ class IntegrityBackend:
     automorphisms, and a spare-modulus check of the keyswitch
     accumulators.  The weight tables (per ``(n, q, direction)``) and
     the keys' spare images are built on first use, live in the checker
-    and go with :meth:`clear_caches`.  What happens on a failed check is
-    the :class:`~repro.fault.policy.IntegrityPolicy`:
+    and go with :meth:`clear_caches`.  Where the wrapped backend has the
+    row-fused ``keyswitch_apply`` / ``drop_top_limb`` kernels, a whole
+    keyswitch (top-limb division) is one *checked* kernel call instead:
+    the kernel takes the same sums over its own row NTTs and
+    accumulators and the checker judges them as the same checks — at
+    ladder level 0 and without a ``dram`` / ``sram`` staging model
+    only, since those need to see each dispatch.  What happens on a
+    failed check is the :class:`~repro.fault.policy.IntegrityPolicy`:
 
     * ``OFF`` — no checks, no staging copies: bit-identical dispatch
       straight to the wrapped backend, its fused keyswitch kernels
       included.
     * ``DETECT`` — count and flag, keep the result.
     * ``DETECT_RETRY`` — bounded replay (``max_retries``), invalidating
-      the wrapped backend's cached compiled program first.
+      the wrapped backend's cached compiled program first.  (A checked
+      fused call that fails is not replayed as such: it reports "not
+      taken" and the caller reruns the op phase by phase, through this
+      per-dispatch replay — one recovery mechanism.)
     * ``DETECT_DEGRADE`` — replay, then quarantine the compiled program
       (after ``quarantine_threshold`` failures) and walk the ladder:
       level 0 = wrapped backend, then :func:`ladder_backend` (level 1 =
@@ -202,15 +217,63 @@ class IntegrityBackend:
         """The keyswitch probes (``getattr`` with a default at the call
         site).  ``OFF`` hands out the wrapped backend's fused kernels
         (:data:`_FUSED`), those it has, and no check — so a keyswitch
-        runs exactly as on the bare backend; every checking policy
-        hands out the spare-modulus check and no fused kernel, so every
-        batch dispatch and the accumulators stay visible to it."""
+        runs exactly as on the bare backend.  Every checking policy
+        hands out the spare-modulus check and, of the fused kernels,
+        only the checked row-fused ones (:data:`_CHECKED`) — when the
+        wrapped backend has the slot *now* (probed by name at every
+        call: the wrapped backend may be swapped for a proxy), at
+        ladder level 0 and with no staging model; the phased path,
+        whose every batch dispatch is visible here, is the rest."""
         off = self.__dict__.get("policy") is IntegrityPolicy.OFF
         if attr in _FUSED and off:
             return getattr(self._level_backend(0), attr)
         if attr == "check_keyswitch_accumulation" and not off:
             return self._check_keyswitch_accumulation
+        if attr in _CHECKED and not off and not self.degrade_level \
+                and self.dram is None and self.sram is None \
+                and hasattr(self.inner, attr):
+            return getattr(self, "_checked_" + attr)
         raise AttributeError(attr)
+
+    def _checked_keyswitch_apply(self, residues: np.ndarray,
+                                 primes: tuple[int, ...],
+                                 key_block: np.ndarray, keep):
+        """``keyswitch_apply`` on the wrapped backend with the kernel
+        taking its own ABFT sums, judged and recorded as the phased
+        keyswitch's four checks (inverse batch, forward batch, two
+        accumulators).  ``None`` — "not taken", the caller runs the
+        phases — when the wrapped slot declines, and after a mismatch
+        under a replaying policy."""
+        primes = tuple(primes)
+        check = self.checker.fused_check(np.shape(residues)[1], primes,
+                                         key_block)
+        accs = self._level_backend(0).keyswitch_apply(
+            residues, primes, key_block, keep, check=check)
+        return accs if accs is None or self._judge_fused(check) else None
+
+    def _checked_drop_top_limb(self, residues: np.ndarray,
+                               primes: tuple[int, ...], inv_table):
+        """``drop_top_limb`` likewise: the phased division's two checks
+        (inverse batch, forward batch)."""
+        primes = tuple(primes)
+        check = self.checker.fused_check(np.shape(residues)[1], primes)
+        out = self._level_backend(0).drop_top_limb(
+            residues, primes, inv_table, check=check)
+        return out if out is None or self._judge_fused(check) else None
+
+    def _judge_fused(self, check) -> bool:
+        """Record a checked fused call's verdicts; False when the
+        result must not be used (a mismatch under a policy that
+        replays)."""
+        verdicts = self.checker.check_fused(check)
+        self.keyswitch_detections += verdicts[2:].count(False)
+        failed = verdicts.count(False)
+        for _ in range(failed):
+            self._note_detection()
+        if failed and self.policy is IntegrityPolicy.DETECT:
+            self.flagged += failed
+            return True
+        return not failed
 
     def _check_keyswitch_accumulation(self, acc0: np.ndarray,
                                       acc1: np.ndarray, digits, ksk,

@@ -14,7 +14,9 @@ A row-fused kernel runs several keyswitch phases in one call.  It is
 handed a tick array in which it accumulates the time it spent in each,
 and the wrapper divides the call's measured wall time in those
 proportions into synthetic phase spans (:data:`_PHASES`), so a trace
-names the phases whichever path computed them.
+names the phases whichever path computed them — the integrity sums of
+a checked call among them, as ``keyswitch.check``: the guard's cost is
+a line of its own.
 """
 
 from __future__ import annotations
@@ -38,12 +40,16 @@ _KERNELS = {
 #: Fused method -> (phase span, the tick slots it sums), in phase order.
 #: ``keyswitch_apply`` ticks: inverse NTTs, digit lifts, forward NTTs,
 #: multiply-accumulates (the phased ``keyswitch.decompose`` covers the
-#: first two).
+#: first two), then the check loops of a checked call.  A phase that
+#: ticked nothing (the check of an unchecked call) is not emitted.
 _PHASES = {
     "keyswitch_apply": (("keyswitch.decompose", (0, 1)),
                         ("keyswitch.ntt", (2,)),
-                        ("keyswitch.inner_product", (3,))),
+                        ("keyswitch.inner_product", (3,)),
+                        ("keyswitch.check", (4,))),
 }
+#: Length of the tick array a row-fused kernel is handed.
+_TICK_SLOTS = 5
 #: Backend attribute -> the counter its growth over one call feeds.
 _COUNTERS = {
     "kernel_invocations": "backend.kernels.{kind}",
@@ -100,32 +106,34 @@ class ObservedBackend:
     def __getattr__(self, attr):
         value = getattr(self._backend, attr)
         if attr in _KERNELS:
-            return lambda *args: self._call(attr, *args)
+            return lambda *args, **kwargs: self._call(attr, *args, **kwargs)
         return self._clear_caches if attr == "clear_caches" else value
 
-    def _call(self, method: str, *args):
+    def _call(self, method: str, *args, **kwargs):
         backend = self._backend
         suffix, kind = _KERNELS[method]
         ticks = None
         # A wrapping backend (one with an ``inner``) forwards the call to
-        # its observed inner backend, which does the split.
+        # its observed inner backend — under a checking integrity policy
+        # with the check request added — which does the split.
         if method in _PHASES and not hasattr(backend, "inner"):
-            ticks = np.zeros(4, dtype=np.int64)
-            args += (ticks,)
+            ticks = kwargs["ticks"] = np.zeros(_TICK_SLOTS, dtype=np.int64)
         before, _ = _read(backend, kind)
         with obs.span(f"{backend.name}.{suffix}", cat="kernel",
                       **dict(zip(("n", "limbs"), np.shape(args[0])[::-1]))):
             start = time.perf_counter_ns()
             try:
-                return getattr(backend, method)(*args)
+                return getattr(backend, method)(*args, **kwargs)
             finally:
                 if ticks is not None and ticks.any():
                     # (A declined call ticks nothing: the phased path
                     # that follows records the real phases.)
                     wall = time.perf_counter_ns() - start
                     for phase, slots in _PHASES[method]:
-                        obs.record(phase, cat=obs.CAT_PHASE, dur_ns=wall * int(
-                            ticks[list(slots)].sum()) // int(ticks.sum()))
+                        spent = int(ticks[list(slots)].sum())
+                        if spent:
+                            obs.record(phase, cat=obs.CAT_PHASE,
+                                       dur_ns=wall * spent // int(ticks.sum()))
                 after, gauges = _read(backend, kind)
                 for metric, value in after.items():
                     if value != before[metric]:

@@ -15,16 +15,22 @@ class KernelBackend(Protocol):
     A single polynomial row is the ``L = 1`` batch.
 
     Four further methods are optional and probed with ``getattr``.
-    Three are fused kernels, exposed by
-    :class:`repro.kernels.CompiledBackend` and by an
-    :class:`IntegrityBackend` under ``OFF`` around one, never under a
-    checking policy:
+    Three are fused kernels of :class:`repro.kernels.CompiledBackend`.
+    An :class:`IntegrityBackend` around one hands out all three under
+    ``OFF``; under a checking policy it hands out its own *checked*
+    ``keyswitch_apply`` / ``drop_top_limb`` (same signature; the kernel
+    takes the ABFT sums of its row NTTs and accumulators through the
+    wrapped slot's ``check=`` argument and the checker judges them) —
+    at ladder level 0 and without a ``dram`` / ``sram`` staging model —
+    never the unchecked ones, and not ``keyswitch_inner_product``, so
+    hoisted rotations run phase by phase under a checking policy:
 
     * ``keyswitch_apply(residues, primes, key_block, keep)`` — the whole
       of ``apply_keyswitch`` (inverse NTTs, digit lifts, forward NTTs,
       multiply-accumulate against a ``KeySwitchKey.block`` read in
-      place) as two ``(L + 1, n)`` accumulators, or ``None`` when a
-      gate refuses and the caller must run the phases;
+      place) as two ``(L + 1, n)`` accumulators, or ``None`` ("not
+      taken") when a gate refuses — or a check failed under a replaying
+      policy — and the caller must run the phases;
     * ``drop_top_limb(residues, primes, inv_table)`` — the rounded
       division by the top limb behind ``rescale`` and the CKKS
       ``mod_down``, or ``None`` likewise;
@@ -34,7 +40,8 @@ class KernelBackend(Protocol):
 
     The fourth is the spare-modulus ``check_keyswitch_accumulation(
     acc0, acc1, digits, ksk, keep)``, one verdict per accumulator (an
-    :class:`IntegrityBackend` under any checking policy).
+    :class:`IntegrityBackend` under any checking policy; the phased
+    keyswitch calls it).
     """
 
     def forward_ntt_batch(self, residues: np.ndarray,

@@ -21,9 +21,10 @@ limb, then element-wise multiply-accumulates — plus the ModDown by
 the per-digit products accumulate in place over the full residue
 matrices with a single final reduction.  A backend may go one step
 further and offer the whole keyswitch (``keyswitch_apply``) and the
-ModDown / rescale division (``drop_top_limb``) as one kernel call each;
+ModDown / rescale division (``drop_top_limb``) as one kernel call each
+(a checking ``IntegrityBackend`` offers them checked from inside);
 :func:`apply_keyswitch` and :func:`_divide_by_top_limb` take those
-slots when nothing needs to see the phases, and the phase-by-phase
+slots unless a fault hook needs the phases, and the phase-by-phase
 functions below stay the path of every other case and the oracle.
 """
 
@@ -52,8 +53,9 @@ from repro.fhe.sampling import sample_gaussian, sample_uniform_poly
 class KeySwitchKey:
     """One digit-decomposed keyswitch key (relinearization or Galois).
 
-    Compared and hashed by identity, so per-key derived data (the
-    integrity layer's spare-modulus image) can be weakly keyed on it.
+    Compared and hashed by identity.  Per-key derived data (the
+    integrity layer's spare-modulus image) is weakly keyed on
+    :attr:`block`, the one array every keyswitch path is handed.
     """
 
     #: Per digit i: (b_i, a_i), both over the full basis Q_L * P, eval
@@ -83,10 +85,10 @@ class KeySwitchKey:
 
 def _fused_slot(name: str):
     """The active backend's optional fused kernel ``name``, or None —
-    also None while a fault hook is installed: injection sites and the
-    ABFT spare-modulus check live between the phases a fused kernel
-    runs in one call (a checking ``IntegrityBackend`` never exposes
-    one)."""
+    also None while a fault hook is installed: the injection sites live
+    between the phases a fused kernel runs in one call.  (A checking
+    ``IntegrityBackend`` exposes ``keyswitch_apply`` / ``drop_top_limb``
+    in their checked form only, and no ``keyswitch_inner_product``.)"""
     if current_fault_hook() is not None:
         return None
     return getattr(get_backend(), name, None)
@@ -297,10 +299,11 @@ def apply_keyswitch(
 
     A backend with the row-fused ``keyswitch_apply`` slot does the whole
     keyswitch in one kernel call — unless :func:`_fused_slot` withholds
-    it or the slot declines (a gate refused); then, and on every other
-    backend, :func:`decompose_digits` and :func:`accumulate_keyswitch`
-    run phase by phase, which is also the oracle the fused slot is
-    checked against.
+    it or the slot declines (a gate refused, or its integrity check
+    failed under a replaying policy); then, and on every other backend,
+    :func:`decompose_digits` and :func:`accumulate_keyswitch` run phase
+    by phase, which is also the oracle the fused slot is checked
+    against.
     """
     keep = list(range(x.num_limbs)) + [params.levels]  # limbs of Q_l * P
     primes = x.primes + (params.special_prime,)

@@ -217,7 +217,7 @@ class CompiledBackend(NumpyBackend):
 
     def keyswitch_apply(self, residues: np.ndarray, primes: tuple[int, ...],
                         key_block: np.ndarray, keep,
-                        ticks: np.ndarray | None = None,
+                        ticks: np.ndarray | None = None, check=None,
                         ) -> tuple[np.ndarray, np.ndarray] | None:
         """The whole of ``apply_keyswitch`` in one compiled call.
 
@@ -229,9 +229,16 @@ class CompiledBackend(NumpyBackend):
         accumulators — or ``None``, before allocating anything, when
         there is no provider or the plan's gate refuses
         (``plan.keyswitch_ok``): the caller then runs the phased path.
-        ``ticks``, when given, is a 4-slot int64 array that gains the
+        ``ticks``, when given, is a 5-slot int64 array that gains the
         nanoseconds spent in the inverse NTTs, the digit lifts, the
-        forward NTTs and the multiply-accumulates.
+        forward NTTs, the multiply-accumulates and the check's loops.
+        ``check``, when given, is an integrity request
+        (:meth:`repro.fault.integrity.AbftChecker.fused_check`): the
+        kernel also takes the ABFT sums of every row NTT and of the
+        spare-modulus channel and leaves them on it (``check.sums``,
+        ``check.spare``) for the checker to judge; the call declines
+        where ``plan.checksum_ok`` or the unreduced accumulator
+        (``plan.ks_lazy``) is missing.
         """
         impl = self._impl
         primes = tuple(primes)
@@ -251,11 +258,13 @@ class CompiledBackend(NumpyBackend):
                 f"{key_block.shape} and keep {keep.tolist()} do not "
                 f"describe a keyswitch over {limbs + 1} primes")
         plan = get_plan(n, primes) if n else None
-        if plan is not None and plan.keyswitch_ok:
+        if plan is not None and plan.keyswitch_ok and (
+                check is None or plan.checksum_ok and plan.ks_lazy):
             acc0 = np.empty((limbs + 1, n), dtype=np.uint64)
             acc1 = np.empty((limbs + 1, n), dtype=np.uint64)
+            scratch = 3 * limbs + 2 + (0 if check is None else 2 * limbs + 2)
             impl.ks_apply(plan, x, key_block, keep, acc0, acc1,
-                          get_workspace(3 * limbs + 2, n), ticks)
+                          get_workspace(scratch, n), ticks, check)
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("keyswitch_apply", n, primes),
@@ -289,14 +298,15 @@ class CompiledBackend(NumpyBackend):
         return accs
 
     def drop_top_limb(self, residues: np.ndarray, primes: tuple[int, ...],
-                      inv_table) -> np.ndarray | None:
+                      inv_table, check=None) -> np.ndarray | None:
         """Rounded division by the top limb, ``(x - [x]_top) / q_top``,
         evaluation domain in and out, in one compiled call: the CKKS
         ``rescale`` and the special-prime ``mod_down`` (no plaintext
         modulus).  ``inv_table[j]`` is ``q_top^{-1} mod primes[j]``.
         Returns the ``(R - 1, n)`` matrix, or ``None`` — before
         allocating anything — when there is no provider or a gate
-        refuses, as for :meth:`keyswitch_apply`.
+        refuses, as for :meth:`keyswitch_apply`; ``check`` as there
+        (row-NTT sums only: nothing is accumulated here).
         """
         impl = self._impl
         primes = tuple(primes)
@@ -311,9 +321,11 @@ class CompiledBackend(NumpyBackend):
                 f"drop_top_limb: {x.shape} residues and {inv.shape} "
                 f"inverses do not match {rows} primes")
         plan = get_plan(n, primes) if n else None
-        if plan is not None and plan.drop_top_ok:
+        if plan is not None and plan.drop_top_ok and (
+                check is None or plan.checksum_ok):
             out = np.empty((rows - 1, n), dtype=np.uint64)
-            impl.drop_top(plan, x, inv, out, get_workspace(2 * rows, n))
+            impl.drop_top(plan, x, inv, out, get_workspace(2 * rows, n),
+                          check)
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("drop_top_limb", n, primes),

@@ -12,6 +12,9 @@ has no plan, asks :func:`~repro.analysis.bounds
 .keyswitch_lazy_accumulate_ok` itself.  Each entry raises *before* the
 foreign call when handed a table-less plan or a shape its gate refuses,
 so a lazy kernel cannot be run where the analysis did not prove it.
+The two row-fused entries also take an optional ``check`` — the
+integrity layer's weight tables in, the kernel's ABFT sums out
+(:class:`CheckTables`) — under the same rule.
 
 The shared object is cached on disk keyed by the source hash (under
 ``$REPRO_KERNEL_CACHE`` or the system temp directory), so the one-time
@@ -37,6 +40,7 @@ from repro.analysis.bounds import keyswitch_lazy_accumulate_ok, mul_fits_uint64
 _SOURCE = Path(__file__).with_name("kernels.c")
 _VOID = ctypes.c_void_p
 _I64 = ctypes.c_int64
+_U64 = ctypes.c_uint64
 _INT = ctypes.c_int
 
 
@@ -104,7 +108,55 @@ def _tables(plan, entry: str, ok: bool = True) -> PlanTables:
     return tables
 
 
+class CheckTables(ctypes.Structure):
+    """ctypes mirror of ``check_t`` in ``kernels.c``, field for field:
+    the integrity layer's weight tables and key image, the two outputs
+    the kernel writes its sums to, and the spare modulus."""
+
+    _fields_ = [(name, _VOID) for name in (
+        "intt", "ntt", "key_image", "sums", "spare")] + [("spare_q", _U64)]
+
+
+def _check_tables(plan, entry: str, check, row_ntts: int,
+                  key: np.ndarray | None = None) -> CheckTables | None:
+    """``check_t`` for one call — None for ``check`` None, the unchecked
+    call.  ``check`` carries the stacked weight tables ``intt`` / ``ntt``
+    (``(plan rows, 2, 2, n)`` uint32) and, for a keyswitch over key
+    block ``key``, ``key_image`` (the block's shape, uint32) with its
+    ``spare_modulus``; the outputs ``check.sums`` (``(row_ntts, 2, 2)``)
+    and ``check.spare`` (``(plan rows, 2, 2)``, keyswitch only) are
+    allocated here.  Raises :class:`ValueError` on a plan whose
+    checksum gate refused — or, for a keyswitch, whose accumulator is
+    not kept unreduced — and on tables of the wrong shape or dtype."""
+    if check is None:
+        return None
+    if not (plan.checksum_ok and (key is None or plan.ks_lazy)):
+        raise ValueError(
+            f"{entry}: in-kernel integrity sums are not proven sound for "
+            f"n={plan.n}, primes={plan.primes}")
+    rows = len(plan.primes)
+    wanted = {"intt": (rows, 2, 2, plan.n), "ntt": (rows, 2, 2, plan.n)}
+    if key is not None:
+        wanted["key_image"] = key.shape
+    for name, shape in wanted.items():
+        table = getattr(check, name)
+        if table.shape != shape or table.dtype != np.uint32 \
+                or not table.flags.c_contiguous:
+            raise ValueError(
+                f"{entry}: check.{name} must be a contiguous uint32 "
+                f"{shape} table, got {table.dtype} {table.shape}")
+    check.sums = np.empty((row_ntts, 2, 2), dtype=np.uint64)
+    check.spare = (None if key is None
+                   else np.empty((rows, 2, 2), dtype=np.uint64))
+    return CheckTables(
+        _addr(check.intt), _addr(check.ntt),
+        None if key is None else _addr(check.key_image), _addr(check.sums),
+        None if key is None else _addr(check.spare),
+        0 if key is None else check.spare_modulus)
+
+
 _PLAN = ctypes.POINTER(PlanTables)
+_CHECK = ctypes.POINTER(CheckTables)
 
 
 class CExtProvider:
@@ -135,9 +187,9 @@ class CExtProvider:
                          _VOID, _VOID, _I64, _I64, _I64, _VOID, _VOID, _INT)
         self._ks_apply = entry("repro_ks_apply", _PLAN, _VOID, _VOID, _VOID,
                                _VOID, _VOID, _VOID, _VOID, _I64, _I64, _I64,
-                               _VOID)
+                               _VOID, _CHECK)
         self._drop_top = entry("repro_drop_top_limb", _PLAN, _VOID, _VOID,
-                               _VOID, _VOID, _VOID, _I64, _I64)
+                               _VOID, _VOID, _VOID, _I64, _I64, _CHECK)
 
     def fwd_ntt(self, plan, x: np.ndarray, out: np.ndarray,
                 work: np.ndarray) -> None:
@@ -181,24 +233,32 @@ class CExtProvider:
 
     def ks_apply(self, plan, x: np.ndarray, key: np.ndarray,
                  keep: np.ndarray, acc0: np.ndarray, acc1: np.ndarray,
-                 work: np.ndarray, ticks: np.ndarray | None = None) -> None:
+                 work: np.ndarray, ticks: np.ndarray | None = None,
+                 check=None) -> None:
         """``work`` is ``(3 L + 2, n)``: ``L`` coefficient rows, then
-        two scratch rows per target limb.  Gate: ``plan.keyswitch_ok``."""
+        two scratch rows per target limb — ``(5 L + 4, n)`` with
+        ``check`` (:func:`_check_tables`), whose ``L + L * L`` row NTTs
+        are numbered as in ``kernels.c``.  ``ticks`` has five slots.
+        Gate: ``plan.keyswitch_ok``."""
         limbs, n = x.shape
-        self._ks_apply(_tables(plan, "ks_apply", plan.keyswitch_ok),
-                       _addr(x), _addr(key), _addr(keep), _addr(acc0),
-                       _addr(acc1), _addr(work), _addr(work[limbs:]), limbs,
-                       key.shape[2], n,
-                       None if ticks is None else _addr(ticks))
+        tables = _tables(plan, "ks_apply", plan.keyswitch_ok)
+        self._ks_apply(tables, _addr(x), _addr(key), _addr(keep),
+                       _addr(acc0), _addr(acc1), _addr(work),
+                       _addr(work[limbs:]), limbs, key.shape[2], n,
+                       None if ticks is None else _addr(ticks),
+                       _check_tables(plan, "ks_apply", check,
+                                     limbs + limbs * limbs, key))
 
     def drop_top(self, plan, x: np.ndarray, inv: np.ndarray,
-                 out: np.ndarray, work: np.ndarray) -> None:
+                 out: np.ndarray, work: np.ndarray, check=None) -> None:
         """``work`` is ``(2 R, n)``: coefficient rows, then scratch.
+        ``check`` as for :meth:`ks_apply`, over ``2 R - 1`` row NTTs.
         Gate: ``plan.drop_top_ok``."""
         rows, n = x.shape
-        self._drop_top(_tables(plan, "drop_top", plan.drop_top_ok),
-                       _addr(x), _addr(inv), _addr(out), _addr(work),
-                       _addr(work[rows:]), rows, n)
+        tables = _tables(plan, "drop_top", plan.drop_top_ok)
+        self._drop_top(tables, _addr(x), _addr(inv), _addr(out), _addr(work),
+                       _addr(work[rows:]), rows, n,
+                       _check_tables(plan, "drop_top", check, 2 * rows - 1))
 
 
 def resolve_provider(name: str | None = None) -> CExtProvider | None:

@@ -42,6 +42,7 @@
 #include <time.h>
 
 typedef uint64_t u64;
+typedef uint32_t u32;
 typedef int64_t i64;
 typedef unsigned __int128 u128;
 
@@ -58,7 +59,8 @@ typedef unsigned __int128 u128;
 #endif
 
 /* Phase clock of the row-fused keyswitch.  `ticks` is NULL unless an
- * observer asked for the split; on NULL neither helper reads a clock. */
+ * observer asked for the split; on NULL neither helper reads a clock.
+ * Slots: 0 inverse NTTs, 1 lifts, 2 forward NTTs, 3 MACs, 4 checks. */
 static inline i64 tick_now(const i64 *ticks) {
     if (!ticks) return 0;
     struct timespec ts;
@@ -444,6 +446,96 @@ static inline void lift_row(const u64 *c, u64 *o, i64 n,
 }
 
 /* ------------------------------------------------------------------ */
+/* In-kernel integrity sums (repro.fault.integrity.AbftChecker).      */
+/*                                                                    */
+/* The two row-fused entries take an optional `check`; NULL runs the  */
+/* instructions they ran without it and nothing else.  With it, every */
+/* row NTT is bracketed by the two dot products of the checker's row  */
+/* check -- <w, x> over the row before the transform, <r, y> over it  */
+/* after, with w = M^T r -- and repro_ks_apply runs the spare-modulus */
+/* channel beside mac_row.  The kernel only sums: the final % q, the  */
+/* recombination of the halves and the verdict stay with the checker. */
+/* Field order is the ctypes mirror's (cext.CheckTables).             */
+/* ------------------------------------------------------------------ */
+typedef struct {
+    /* (plan rows, 2, 2, n) each: plan row l's input weights w, then its
+     * output weights r, both as (lo, hi) 15-bit halves. */
+    const u32 *intt, *ntt;
+    /* The key block mod spare_q, in the block's own (D, 2, K, n)
+     * layout; repro_ks_apply only. */
+    const u32 *key_image;
+    /* Out, (row NTTs, 2, 2): per row NTT the input side then the output
+     * side, each the unreduced (lo, hi) half sums. */
+    u64 *sums;
+    /* Out, (L + 1, 2, 2): per target limb and key part, sum_k of the
+     * unreduced accumulator mod spare_q, then sum_k of the spare
+     * channel mod spare_q; repro_ks_apply only. */
+    u64 *spare;
+    u64 spare_q;
+} check_t;
+
+/* One side of a row check: both half-weight dot products of row x,
+ * unreduced (gate: checksum_dot_lazy_ok at max_x = 2**32 - 1, asked
+ * where the plan is built).  A reduced row has no word >= 2**32: a row
+ * that does gets all-ones sums, which the checker never accepts,
+ * instead of sums that wrapped. */
+static inline void check_side(const u32 *halves, const u64 *x, i64 n,
+                              u64 *out) {
+    const u32 *lo = halves, *hi = halves + n;
+    u64 s_lo = 0, s_hi = 0, seen = 0;
+    for (i64 k = 0; k < n; k++) {
+        const u64 v = x[k];
+        s_lo += v * lo[k];
+        s_hi += v * hi[k];
+        seen |= v;
+    }
+    const u64 wide = (seen >> 32) ? ~(u64)0 : 0;
+    out[0] = s_lo | wide;
+    out[1] = s_hi | wide;
+}
+
+/* Side `side` (0 input, 1 output) of row NTT number `r` of the kernel's
+ * walk, a forward (fwd) or inverse transform through plan row l.
+ * Returns the nanoseconds it took (0 without ticks) so the caller can
+ * keep them out of the neighbouring phase. */
+static inline i64 check_row(const check_t *check, int fwd, i64 l, i64 r,
+                            int side, const u64 *x, i64 n,
+                            const i64 *ticks) {
+    if (!check) return 0;
+    const i64 t0 = tick_now(ticks);
+    const u32 *table = fwd ? check->ntt : check->intt;
+    check_side(table + (4 * l + 2 * side) * n, x, n,
+               check->sums + 4 * r + 2 * side);
+    return tick_now(ticks) - t0;
+}
+
+/* The spare-modulus channel of one digit row, beside mac_row and over
+ * the row it read: t0 += (digit mod qs) * b image, t1 likewise.  Both
+ * factors are below qs < 2**20, so the sums stay unreduced. */
+static inline void spare_row(u64 *t0, u64 *t1, const u64 *dd, const u32 *ib,
+                             const u32 *ia, i64 n, u64 qs, u64 mus) {
+    for (i64 k = 0; k < n; k++) {
+        const u64 d = barrett_mod(dd[k], qs, mus);
+        t0[k] += d * ib[k];
+        t1[k] += d * ia[k];
+    }
+}
+
+/* Both sides of one accumulator's spare check: the unreduced
+ * accumulator and its spare channel, each reduced mod qs word by word
+ * and summed (n words below 2**20: exact). */
+static inline void spare_sides(const u64 *acc, const u64 *t, i64 n, u64 qs,
+                               u64 mus, u64 *out) {
+    u64 lhs = 0, rhs = 0;
+    for (i64 k = 0; k < n; k++) {
+        lhs += barrett_mod(acc[k], qs, mus);
+        rhs += barrett_mod(t[k], qs, mus);
+    }
+    out[0] = lhs;
+    out[1] = rhs;
+}
+
+/* ------------------------------------------------------------------ */
 /* Row-fused keyswitch: the whole of apply_keyswitch in one call.     */
 /*                                                                    */
 /* x: (L, n) evaluation-domain rows mod the first L plan primes; the  */
@@ -451,7 +543,8 @@ static inline void lift_row(const u64 *c, u64 *o, i64 n,
 /* (D >= L, 2, K, n), digit i's b / a rows at [i][0] / [i][1], read   */
 /* in place through keep (L + 1 row indices below K).  acc0/acc1:     */
 /* (L + 1, n) outputs.  coeff: (L, n) scratch for the coefficient     */
-/* rows; work: (2 (L + 1), n) scratch, two rows per target limb.      */
+/* rows; work: (2 (L + 1), n) scratch, two rows per target limb --    */
+/* with check, (4 (L + 1), n): two more per limb, the spare channel.  */
 /*                                                                    */
 /* After the L inverse NTTs, target limb j takes each digit i in      */
 /* turn: lift coefficient row i into j's scratch row, forward-NTT it  */
@@ -460,20 +553,32 @@ static inline void lift_row(const u64 *c, u64 *o, i64 n,
 /* the diagonal the lift is congruent to x[i] mod q_i and forward of  */
 /* inverse is the identity, so x[i] itself is the digit.              */
 /*                                                                    */
-/* ticks: NULL, or 4 slots that gain the nanoseconds spent in the     */
-/* inverse NTTs, lifts, forward NTTs and MACs (summed over threads).  */
+/* ticks: NULL, or 5 slots that gain the nanoseconds spent in the     */
+/* inverse NTTs, lifts, forward NTTs, MACs and the check's loops      */
+/* (summed over threads).                                              */
+/*                                                                    */
+/* check: NULL, or the integrity sums.  Row NTTs are numbered as the  */
+/* phased keyswitch batches them: the L inverse rows, then the        */
+/* forward row of digit i in target limb j != i at L + i L + j (less  */
+/* one past the diagonal).  The spare channel needs the accumulator   */
+/* unreduced (plan->ks_lazy; the binding refuses otherwise).          */
 /* ------------------------------------------------------------------ */
 void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
                     const i64 *keep, u64 *acc0, u64 *acc1,
                     u64 *coeff, u64 *work, i64 L, i64 K, i64 n,
-                    i64 *ticks) {
+                    i64 *ticks, const check_t *check) {
     const int lazy = plan->ks_lazy;
+    const u64 qs = check ? check->spare_q : 0;
+    const u64 mus = check ? ~(u64)0 / qs : 0; /* qs is odd: floor(2**64 / qs) */
     i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++) {
+        i64 check_ns = check_row(check, 0, l, l, 0, x + l * n, n, ticks);
         const i64 t0 = tick_now(ticks);
         plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n);
         tick_add(ticks, 0, tick_now(ticks) - t0);
+        check_ns += check_row(check, 0, l, l, 1, coeff + l * n, n, ticks);
+        tick_add(ticks, 4, check_ns);
     }
 
     par_rows = L + 1;
@@ -483,24 +588,45 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
         u64 *s0 = acc0 + j * n;
         u64 *s1 = acc1 + j * n;
         u64 *row = work + 2 * j * n;
-        i64 lift_ns = 0, ntt_ns = 0, mac_ns = 0;
+        u64 *c0 = check ? work + 2 * (L + 1 + j) * n : 0; /* spare channel */
+        u64 *c1 = check ? c0 + n : 0;
+        i64 lift_ns = 0, ntt_ns = 0, mac_ns = 0, check_ns = 0;
         i64 t0 = tick_now(ticks), t1;
         mac_clear(s0, s1, n);
+        if (check) mac_clear(c0, c1, n);
         for (i64 i = 0; i < L; i++) {
             const u64 *digit = x + i * n;
             if (i != j) {
+                const i64 r = L + i * L + (j > i ? j - 1 : j);
                 lift_row(coeff + i * n, row, n, plan->q[i], q);
                 t1 = tick_now(ticks);
                 lift_ns += t1 - t0;
+                i64 ns = check_row(check, 1, j, r, 0, row, n, ticks);
                 plan_fwd(plan, j, n, row, row + n, row);
+                ns += check_row(check, 1, j, r, 1, row, n, ticks);
                 t0 = tick_now(ticks);
-                ntt_ns += t0 - t1;
+                ntt_ns += t0 - t1 - ns;
+                check_ns += ns;
                 digit = row;
             }
-            const u64 *rows = key + (2 * i * K + keep[j]) * n;
+            const i64 key_row = (2 * i * K + keep[j]) * n;
+            const u64 *rows = key + key_row;
             mac_row(s0, s1, digit, rows, rows + K * n, n, q, mu, lazy);
             t1 = tick_now(ticks);
             mac_ns += t1 - t0;
+            t0 = t1;
+            if (check) {
+                const u32 *image = check->key_image + key_row;
+                spare_row(c0, c1, digit, image, image + K * n, n, qs, mus);
+                t0 = tick_now(ticks);
+                check_ns += t0 - t1;
+            }
+        }
+        if (check) {
+            spare_sides(s0, c0, n, qs, mus, check->spare + 4 * j);
+            spare_sides(s1, c1, n, qs, mus, check->spare + 4 * j + 2);
+            t1 = tick_now(ticks);
+            check_ns += t1 - t0;
             t0 = t1;
         }
         mac_finish(s0, s1, n, q, mu, lazy);
@@ -508,6 +634,7 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
         tick_add(ticks, 1, lift_ns);
         tick_add(ticks, 2, ntt_ns);
         tick_add(ticks, 3, mac_ns);
+        tick_add(ticks, 4, check_ns);
     }
 }
 
@@ -520,13 +647,20 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
 /* coeff/work: (R, n) scratch each.  Per remaining limb: subtract the */
 /* centered lift of the top coefficient row (lift_row's gate, against */
 /* every remaining prime), multiply by inv[j], forward NTT.           */
+/*                                                                    */
+/* check: NULL, or the integrity sums of the 2 R - 1 row NTTs: the R  */
+/* inverse rows, then remaining limb j's forward row at R + j.        */
 /* ------------------------------------------------------------------ */
 void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
-                         u64 *out, u64 *coeff, u64 *work, i64 R, i64 n) {
+                         u64 *out, u64 *coeff, u64 *work, i64 R, i64 n,
+                         const check_t *check) {
     i64 par_rows = R;
     PARALLEL_LIMBS
-    for (i64 l = 0; l < par_rows; l++)
+    for (i64 l = 0; l < par_rows; l++) {
+        check_row(check, 0, l, l, 0, x + l * n, n, 0);
         plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n);
+        check_row(check, 0, l, l, 1, coeff + l * n, n, 0);
+    }
 
     const u64 *top = coeff + (R - 1) * n;
     const u64 q_top = plan->q[R - 1];
@@ -542,6 +676,8 @@ void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
             if (s >= q) s -= q;
             c[k] = barrett_mod(s * scale, q, mu);
         }
+        check_row(check, 1, j, R + j, 0, c, n, 0);
         plan_fwd(plan, j, n, c, a, out + j * n);
+        check_row(check, 1, j, R + j, 1, out + j * n, n, 0);
     }
 }

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.analysis.bounds import (
     centered_lift_lazy_ok,
+    checksum_dot_lazy_ok,
     compiled_ntt_ok,
     keyswitch_lazy_accumulate_ok,
     mul_fits_uint64,
@@ -64,7 +65,11 @@ class CompiledPlan:
     (``keyswitch_ok``: conditional-add digit lifts and single products
     fitting uint64) or the limb being dropped (``drop_top_ok``: its lift
     against every remaining prime); the binding raises, and the backend
-    declines, where the gate is False.
+    declines, where the gate is False.  ``checksum_ok`` is the same kind
+    of gate for their optional integrity sums: every row's two ABFT dot
+    products fit uint64 unreduced (:func:`~repro.analysis.bounds
+    .checksum_dot_lazy_ok` over reduced-width words, ``max_x = 2**32 -
+    1``; the kernel reports a wider word instead of summing it).
     """
 
     def __init__(self, n: int, primes: tuple[int, ...]):
@@ -83,6 +88,8 @@ class CompiledPlan:
                              and mul_fits_uint64(max_q - 1, max_q - 1))
         self.drop_top_ok = (self.lazy_stages_ok and bool(rest)
                             and centered_lift_lazy_ok(primes[-1], min(rest)))
+        self.checksum_ok = self.lazy_stages_ok and all(
+            checksum_dot_lazy_ok(n, (1 << 32) - 1, q) for q in set(primes))
         self.fwd_shoup = int(self.shoup_ok)
         self.inv_mode = 2 if unclamped_ok else 1 if self.shoup_ok else 0
         self.ks_lazy = int(keyswitch_lazy_accumulate_ok(len(rest), max_q))

@@ -187,6 +187,12 @@ BENCH_SPECS: dict[str, tuple[MetricSpec, ...]] = {
                    required=False),
         MetricSpec("keyswitch_fused.speedup_fused", "ratio", floor=1.1,
                    required=False),
+        # The same keyswitch under ``detect``: the checked fused slot
+        # against the phased checked path (committed 2.1x; 2.2x quick).
+        MetricSpec("keyswitch_checked.bit_identical", "bool_true",
+                   required=False),
+        MetricSpec("keyswitch_checked.speedup_checked", "ratio", floor=1.3,
+                   required=False),
         # Same-host wall clock, full mode only.
         MetricSpec("ntt.*.batched_s", "latency", portable=False),
         MetricSpec("automorphism.*.batched_s", "latency", portable=False),

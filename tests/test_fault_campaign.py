@@ -1,5 +1,6 @@
 """Campaign driver: coverage, classification, determinism, CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -43,7 +44,10 @@ class TestSmokeCampaign:
         data = json.loads(report.to_json())
         assert data["injections"] == 48
         assert data["policy"] == "detect-retry"
-        assert len(data["events"]) == 48
+        # Summary + seed: the event rows are pinned by digest, not kept.
+        assert "events" not in data and len(report.events) == 48
+        assert data["events_digest"] == report.events_digest()
+        assert len(data["events_digest"]) == 64
 
     def test_report_carries_shared_artifact_envelope(self, report):
         data = json.loads(report.to_json())
@@ -55,6 +59,18 @@ class TestSmokeCampaign:
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
         assert audit_determinism(smoke_config(injections=12))
+
+    def test_digest_pins_every_event_field(self):
+        report = run_campaign(smoke_config(injections=12))
+        digest = report.events_digest()
+        event = report.events[5]
+        report.events[5] = dataclasses.replace(event,
+                                               retries=event.retries + 1)
+        assert report.events_digest() != digest
+        report.events[5] = event
+        assert report.events_digest() == digest
+        report.events.reverse()
+        assert report.events_digest() != digest
 
     def test_different_seed_differs(self):
         a = run_campaign(smoke_config(injections=12, seed=1)).to_json()

@@ -2,13 +2,17 @@
 
 The reduction schedule is the plan's and the gate is the callee's: no
 binding entry and no plan-taking C entry has a schedule parameter, the
-ctypes mirror matches ``plan_t`` field for field, and an ineligible
-plan handed straight to the binding raises before the foreign call.
+ctypes mirrors match ``plan_t`` and ``check_t`` field for field, and an
+ineligible plan — or an integrity request the plan's checksum gate
+refuses, or one with ill-shaped tables — handed straight to the binding
+raises before the foreign call.
 """
 
 import ctypes
 import inspect
 import re
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,8 +110,129 @@ class TestGatesLiveInTheCallee:
         assert get_plan(N, tuple(find_ntt_primes(2 * N, 31, 6))).ks_lazy == 0
 
 
+def _check(plan, key=None):
+    """A well-formed integrity request for ``plan`` (zero tables)."""
+    table = np.zeros((len(plan.primes), 2, 2, N), dtype=np.uint32)
+    return SimpleNamespace(
+        intt=table, ntt=table.copy(), spare_modulus=1_048_573,
+        key_image=None if key is None else np.zeros(key.shape, np.uint32))
+
+
+class TestCheckRequestIsValidatedInTheCallee:
+    """``check`` reaches C through the binding only, as ``check_t``."""
+
+    @pytest.fixture
+    def plan(self):
+        return get_plan(N, tuple(find_ntt_primes(2 * N, 30, 3)))
+
+    def _checked_calls(self, provider, plan, check_of):
+        rows = len(plan.primes)
+        x = np.zeros((rows, N), dtype=np.uint64)
+        key = np.zeros((rows, 2, rows, N), dtype=np.uint64)
+        keep = np.arange(rows, dtype=np.int64)
+        out, acc0, acc1 = (_poison(rows - 1, N), _poison(rows, N),
+                           _poison(rows, N))
+        work = np.zeros((5 * rows, N), dtype=np.uint64)
+        ks, drop = check_of(plan, key), check_of(plan, None)
+        return {
+            "ks_apply": (lambda: provider.ks_apply(
+                plan, x[:-1], key, keep, acc0, acc1, work, None, ks),
+                [acc0, acc1], ks),
+            "drop_top": (lambda: provider.drop_top(
+                plan, x, np.ones(rows - 1, dtype=np.uint64), out, work, drop),
+                [out], drop),
+        }
+
+    def test_a_well_formed_request_gets_its_sums(self, provider, plan):
+        limbs = len(plan.primes) - 1
+        for entry, (call, outputs, check) in self._checked_calls(
+                provider, plan, _check).items():
+            call()
+            assert not any((out == 0xDEAD).any() for out in outputs)
+            row_ntts = (limbs + limbs * limbs if entry == "ks_apply"
+                        else 2 * limbs + 1)
+            assert check.sums.shape == (row_ntts, 2, 2)
+            assert not check.sums.any()  # zero rows against zero weights
+            if entry == "ks_apply":
+                assert check.spare.shape == (limbs + 1, 2, 2)
+            else:
+                assert check.spare is None
+
+    @pytest.mark.parametrize("entry", ["ks_apply", "drop_top"])
+    @pytest.mark.parametrize("spoil", [
+        lambda c: setattr(c, "intt", c.intt[:-1]),
+        lambda c: setattr(c, "ntt", c.ntt.astype(np.uint64)),
+        lambda c: setattr(c, "intt", c.intt[:, ::-1]),
+    ], ids=["short-table", "uint64-table", "strided-table"])
+    def test_ill_shaped_tables_never_reach_c(self, provider, plan, entry,
+                                             spoil):
+        call, outputs, check = self._checked_calls(
+            provider, plan, _check)[entry]
+        spoil(check)
+        with pytest.raises(ValueError, match=rf"{entry}: check\.\w+ must be"):
+            call()
+        assert all((out == 0xDEAD).all() for out in outputs)
+
+    def test_key_image_must_mirror_the_key_block(self, provider, plan):
+        call, outputs, check = self._checked_calls(
+            provider, plan, _check)["ks_apply"]
+        check.key_image = check.key_image[:, :1]
+        with pytest.raises(ValueError, match="check.key_image"):
+            call()
+        assert all((out == 0xDEAD).all() for out in outputs)
+
+    @pytest.mark.parametrize("entry", ["ks_apply", "drop_top"])
+    def test_refused_checksum_gate_never_reaches_c(self, provider, plan,
+                                                   entry, monkeypatch):
+        """The gate is the plan's (``checksum_dot_lazy_ok`` at ``max_x =
+        2**32 - 1``, asked once where the plan is built): it refuses
+        31-bit primes at n = 2^17 and nothing the toy shapes reach, so
+        the refusal itself is forced here."""
+        assert plan.checksum_ok
+        call, outputs, _ = self._checked_calls(provider, plan, _check)[entry]
+        monkeypatch.setattr(plan, "checksum_ok", False)
+        with pytest.raises(ValueError, match=f"{entry}: in-kernel integrity"):
+            call()
+        assert all((out == 0xDEAD).all() for out in outputs)
+
+    def test_reduced_accumulator_refuses_the_spare_channel(self, provider):
+        """Six 31-bit products overflow uint64, so the accumulator is
+        reduced at every step and has no ``mod q_s`` to compare."""
+        plan = get_plan(N, tuple(find_ntt_primes(2 * N, 31, 7)))
+        assert plan.keyswitch_ok and plan.checksum_ok and not plan.ks_lazy
+        calls = self._checked_calls(provider, plan, _check)
+        with pytest.raises(ValueError, match="ks_apply: in-kernel integrity"):
+            calls["ks_apply"][0]()
+        calls["drop_top"][0]()  # row sums only: no accumulator involved
+
+    def test_the_gate_is_the_analysis_closed_form(self):
+        from repro.analysis.bounds import checksum_dot_lazy_ok
+
+        for bits in (28, 30, 31):
+            plan = get_plan(N, tuple(find_ntt_primes(2 * N, bits, 3)))
+            assert plan.checksum_ok == all(
+                checksum_dot_lazy_ok(N, 2**32 - 1, q) for q in plan.primes)
+        assert not checksum_dot_lazy_ok(1 << 17, 2**32 - 1, (1 << 31) - 1)
+
+
 def _c_source():
     return re.sub(r"/\*.*?\*/", "", cext._SOURCE.read_text(), flags=re.S)
+
+
+def _c_struct_fields(struct):
+    """``struct``'s fields in ``kernels.c``, as a ctypes ``_fields_``."""
+    body = re.search(r"typedef struct \{([^{}]*)\} %s;" % struct,
+                     _c_source()).group(1)
+    scalars = {"int": ctypes.c_int, "u64": ctypes.c_uint64}
+    fields = []
+    for decl in filter(None, (d.strip() for d in body.split(";"))):
+        ctype, names = re.fullmatch(r"((?:const )?\w+) (.+)", decl,
+                                    flags=re.S).groups()
+        for name in (part.strip() for part in names.split(",")):
+            fields.append((name.lstrip("*"),
+                           ctypes.c_void_p if name.startswith("*")
+                           else scalars[ctype]))
+    return fields
 
 
 class TestNoScheduleParameterAnywhere:
@@ -133,14 +258,7 @@ class TestNoScheduleParameterAnywhere:
                         if any(w in p for w in SCHEDULE_WORDS)], name
 
     def test_plan_tables_mirror_plan_t_field_for_field(self):
-        body = re.search(r"typedef struct \{(.*?)\} plan_t;", _c_source(),
-                         flags=re.S).group(1)
-        fields = []
-        for decl in filter(None, (d.strip() for d in body.split(";"))):
-            ctype, names = re.fullmatch(r"((?:const )?\w+) (.+)", decl,
-                                        flags=re.S).groups()
-            for name in (part.strip() for part in names.split(",")):
-                fields.append((name.lstrip("*"),
-                               ctypes.c_void_p if name.startswith("*")
-                               else {"int": ctypes.c_int}[ctype]))
-        assert fields == cext.PlanTables._fields_
+        assert _c_struct_fields("plan_t") == cext.PlanTables._fields_
+
+    def test_check_tables_mirror_check_t_field_for_field(self):
+        assert _c_struct_fields("check_t") == cext.CheckTables._fields_

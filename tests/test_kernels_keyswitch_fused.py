@@ -6,8 +6,9 @@ agree bit for bit with the phase-by-phase path on the same backend and
 with ``NumpyBackend`` — for all three schemes' keys, at every level,
 across the modulus widths the gates distinguish and on either side of
 the OpenMP threshold — must decline where a gate refuses, must stay
-out of the way of fault hooks and checking integrity policies, and
-must be caught by the first-use self-check when the kernel is wrong.
+out of the way of fault hooks, must reach a checking integrity policy
+only in their checked form, and must be caught by the first-use
+self-check when the kernel is wrong.
 """
 
 import ctypes
@@ -319,11 +320,17 @@ class TestChecksKeepThePhases:
                 assert _same(op().parts, golden[kind].parts)
         assert spy.taken == []
 
-    def test_detect_policy_hides_the_slots_and_checks_every_phase(
-            self, rounds):
-        guard = IntegrityBackend(CompiledBackend(), "detect")
-        for slot in SLOTS + ("keyswitch_inner_product",):
-            assert not hasattr(guard, slot)
+    def test_detect_policy_offers_checked_slots(self, rounds):
+        """A checking policy offers the two row-fused slots in their
+        checked form only — its own methods, never the wrapped
+        backend's unchecked ones — and no ``keyswitch_inner_product``
+        (hoisted rotations run phased under it).  The checks recorded
+        are the phased path's, one for one."""
+        spy = SpyBackend()
+        guard = IntegrityBackend(spy, "detect")
+        for slot in SLOTS:
+            assert getattr(guard, slot).__self__ is guard
+        assert not hasattr(guard, "keyswitch_inner_product")
         counts = {}
         with use_backend(guard):
             for kind, op in rounds.items():
@@ -333,6 +340,7 @@ class TestChecksKeepThePhases:
         assert counts == {"hmult": 12, "hrot": 10, "keyswitch": 8,
                           "rescale": 4}
         assert guard.checker.mismatches == 0
+        assert spy.taken and all(taken for _, taken in spy.taken)
 
     @pytest.mark.parametrize("inner", [CompiledBackend, NumpyBackend,
                                        lambda: VpuBackend(m=16)])
