@@ -19,7 +19,11 @@ kernels with Python between them) — and then the same keyswitch under
 slot taking its own ABFT sums) against **unchecked** (the bare slot)
 and against the **phased checked** path every checking policy took
 before, so the guard's cost relative to what it guards is a committed
-number (``keyswitch_checked.guard_ratio``).
+number (``keyswitch_checked.guard_ratio``).  The ``drop_top_limb`` row
+does the same for the ModDown / rescale division: the compiled slot
+(one inverse and ``R - 1`` forward row NTTs, the subtraction in the
+evaluation domain) against the phased division on the same batch
+kernels (``2 R - 1`` row NTTs), and checked against unchecked.
 
 Outputs are checked bit-for-bit across all regimes (and, for the
 keyswitch, between the numpy, compiled and VPU backends) before any
@@ -55,9 +59,11 @@ from repro.fhe.keyswitch import (
     accumulate_keyswitch,
     apply_keyswitch,
     decompose_digits,
+    mod_down,
 )
 from repro.fhe.params import CkksParams, small_params
 from repro.fhe.polynomial import RnsPoly
+from repro.fhe.rns import get_basis
 from repro.kernels import CompiledBackend
 from repro.ntt.tables import get_tables
 from repro.obs.export import host_envelope
@@ -369,6 +375,68 @@ def bench_keyswitch_fused(n: int, levels: int, repeats: int,
              "speedup_checked": phased_checked_s / checked_s})
 
 
+class _BatchKernelsOnly:
+    """A backend's three batch kernels and none of its fused slots: what
+    the phased paths run on."""
+
+    def __init__(self, backend):
+        self.name = backend.name
+        self.forward_ntt_batch = backend.forward_ntt_batch
+        self.inverse_ntt_batch = backend.inverse_ntt_batch
+        self.automorphism_eval_batch = backend.automorphism_eval_batch
+
+
+def bench_drop_top_limb(n: int, levels: int, repeats: int,
+                        compiled: CompiledBackend) -> dict:
+    """The special-prime ModDown of ``R = levels + 1`` limbs on the
+    compiled backend: the ``drop_top_limb`` slot vs the phased division
+    on the same batch kernels, and the slot under ``detect``."""
+    params = CkksParams(n=n, levels=levels, scale_bits=29, prime_bits=30)
+    basis = get_basis(params.primes, params.special_prime)
+    primes = params.primes + (params.special_prime,)
+    rng = np.random.default_rng(12)
+    t = RnsPoly(
+        np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes]),
+        primes, is_eval=True)
+    guard = IntegrityBackend(compiled, "detect")
+
+    def drop(backend):
+        with use_backend(backend):
+            return mod_down(t, basis)
+
+    def fused():
+        return drop(compiled)
+
+    def phased():
+        return drop(_BatchKernelsOnly(compiled))
+
+    def checked():
+        return drop(guard)
+
+    golden = mod_down(t, basis)  # NumpyBackend, the default
+    for ours in (fused(), phased(), checked()):
+        np.testing.assert_array_equal(ours.residues, golden.residues)
+    for call in (fused, checked):
+        before = compiled.kernel_invocations
+        call()
+        if compiled.kernel_invocations - before != 1:
+            raise RuntimeError("drop_top_limb declined at the bench shape")
+    if guard.checker.mismatches:
+        raise RuntimeError("integrity mismatch on a fault-free ModDown")
+    # The kernel reports one pair of sums per row NTT it ran.
+    check = guard.checker.fused_check(n, primes)
+    compiled.drop_top_limb(t.residues, primes, basis.special_inv_mod_chain,
+                           check=check)
+    fused_s, phased_s, checked_s = _best_of_group(
+        [fused, phased, checked], repeats)
+    return {"n": n, "limbs": len(primes), "bit_identical": True,
+            "row_ntts": len(check.sums),
+            "fused_s": fused_s, "phased_s": phased_s,
+            "speedup_fused": phased_s / fused_s,
+            "policy": "detect", "checked_s": checked_s,
+            "guard_ratio": checked_s / fused_s - 1.0}
+
+
 def bench_vpu_program_cache(n: int = 1024, levels: int = 3) -> dict:
     """Compile-once/replay-per-limb on the VPU: the dispatch engine's
     other half.  Reports wall-clock for the first (compiling) batch vs a
@@ -444,6 +512,9 @@ def main() -> None:
         results["keyswitch_fused"], results["keyswitch_checked"] = \
             bench_keyswitch_fused(
                 *((1024, 4) if args.quick else (8192, 8)), repeats, compiled)
+        print("[drop_top_limb] fused vs phased on the compiled backend ...")
+        results["drop_top_limb"] = bench_drop_top_limb(
+            *((1024, 4) if args.quick else (8192, 8)), repeats, compiled)
     if not args.quick:
         print("[vpu] program cache ...")
         results["vpu_program_cache"] = bench_vpu_program_cache()
@@ -478,6 +549,13 @@ def main() -> None:
               f"  speedup {kc['speedup_checked']:5.2f}x"
               f"  guard {kc['guard_ratio']*100:5.1f} % of the unchecked"
               f" {kc['unchecked_s']*1e3:.3f} ms")
+        dt = results["drop_top_limb"]
+        print(f"  drop_top_limb n={dt['n']} R={dt['limbs']} compiled:"
+              f" phased {dt['phased_s']*1e3:8.3f} ms"
+              f" ({2 * dt['limbs'] - 1} row NTTs)"
+              f"  fused {dt['fused_s']*1e3:8.3f} ms ({dt['row_ntts']})"
+              f"  speedup {dt['speedup_fused']:5.2f}x"
+              f"  guard {dt['guard_ratio']*100:5.1f} %")
     if "vpu_program_cache" in results:
         vp = results["vpu_program_cache"]
         print(f"  vpu cache     n={vp['n']}: {vp['program_compilations']} compiles"

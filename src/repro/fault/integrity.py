@@ -43,7 +43,10 @@ key.
 
 **Row-fused kernels.**  ``CompiledBackend.keyswitch_apply`` /
 ``drop_top_limb`` run a whole keyswitch (a whole top-limb division) in
-one call, so nothing outside sees their row NTTs.  Handed a
+one call, so nothing outside sees their row NTTs — ``L + L * L`` of
+them in a keyswitch, ``R`` in a drop of the top of ``R`` limbs (its one
+inverse, then a forward row per remaining limb: the subtraction is done
+in the evaluation domain).  Handed a
 :class:`FusedCheck` they take the very same sums themselves — per row
 NTT ``<w, x>`` over the row before the transform and ``<r, y>`` after
 it, per target limb both sides of the spare identity — from this
@@ -294,7 +297,8 @@ class AbftChecker:
                 for kind in ("intt", "ntt"))
         rest = primes[:-1]
         if key_block is None:
-            inverse, forward = primes, rest
+            # Only the top row leaves the evaluation domain.
+            inverse, forward = primes[-1:], rest
         else:
             inverse = rest
             forward = tuple(q for i in range(len(rest))
@@ -310,9 +314,11 @@ class AbftChecker:
     def faulty_fused_rows(self, check: FusedCheck,
                           ) -> tuple[list[int], list[int]]:
         """``(inverse rows, forward rows)`` of a row-fused call whose
-        two sums disagree, numbered as the phased path batches them:
-        the inverse rows by limb; the forward rows of a keyswitch by
-        ``(digit, target limb != digit)``, of a top-limb drop by limb."""
+        two sums disagree, numbered as the kernel walks them.  A
+        keyswitch: the inverse rows by limb, the forward rows by
+        ``(digit, target limb != digit)``, as the phased path batches
+        them.  A top-limb drop: its one inverse row (the top limb),
+        the forward rows by remaining limb."""
         sums = check.sums
         q = check.row_moduli[:, None]
         sides = (sums[:, :, 0] % q

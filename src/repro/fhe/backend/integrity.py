@@ -12,14 +12,15 @@ from repro.fhe.backend.observed import observed
 from repro.fhe.backend.vpu_backend import ProgramQuarantinedError
 
 
-#: The optional fused kernels of the protocol: whole keyswitch phases
-#: in one call.  ``OFF`` hands out all three as the wrapped backend has
-#: them.  A checking policy hands out the two row-fused ones
-#: (:data:`_CHECKED`) *checked* — the kernel takes the ABFT sums of its
-#: own row NTTs and accumulators, the checker judges them — and never
-#: ``keyswitch_inner_product``, which has no checked form (hoisted
-#: rotations therefore run phase by phase under a checking policy).
-_FUSED = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb")
+#: The optional fused kernels of the protocol: whole keyswitch phases,
+#: or the tensor product, in one call.  ``OFF`` hands out all four as
+#: the wrapped backend has them.  A checking policy hands out the two
+#: row-fused ones (:data:`_CHECKED`) *checked* — the kernel takes the
+#: ABFT sums of its own row NTTs and accumulators, the checker judges
+#: them — and never the other two, which have no checked form (hoisted
+#: rotations then run phase by phase, the tensor product in ``RnsPoly``).
+_FUSED = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb",
+          "tensor_product")
 _CHECKED = ("keyswitch_apply", "drop_top_limb")
 
 

@@ -35,6 +35,7 @@ _KERNELS = {
     "keyswitch_inner_product": ("keyswitch.inner_product", "keyswitch"),
     "keyswitch_apply": ("keyswitch.apply", "keyswitch_apply"),
     "drop_top_limb": ("keyswitch.drop_top", "drop_top"),
+    "tensor_product": ("tensor", "tensor"),
     "check_keyswitch_accumulation": ("keyswitch.check", "keyswitch_check"),
 }
 #: Fused method -> (phase span, the tick slots it sums), in phase order.

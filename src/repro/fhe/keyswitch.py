@@ -88,7 +88,8 @@ def _fused_slot(name: str):
     also None while a fault hook is installed: the injection sites live
     between the phases a fused kernel runs in one call.  (A checking
     ``IntegrityBackend`` exposes ``keyswitch_apply`` / ``drop_top_limb``
-    in their checked form only, and no ``keyswitch_inner_product``.)"""
+    in their checked form only, and neither ``keyswitch_inner_product``
+    nor ``tensor_product``.)"""
     if current_fault_hook() is not None:
         return None
     return getattr(get_backend(), name, None)

@@ -95,12 +95,18 @@ class RlweCiphertext:
 
 def tensor(a: RlweCiphertext, b: RlweCiphertext) -> list[RnsPoly]:
     """Parts ``(d0, d1, d2)`` of an unrelinearized 2-part x 2-part
-    product (operands at the same level)."""
+    product (operands at the same level): one kernel call on a backend
+    with the ``tensor_product`` slot, ``RnsPoly`` arithmetic otherwise."""
     if a.size != 2 or b.size != 2:
         raise ValueError("multiply expects relinearized (2-part) inputs")
-    return [a.parts[0] * b.parts[0],
-            a.parts[0] * b.parts[1] + a.parts[1] * b.parts[0],
-            a.parts[1] * b.parts[1]]
+    a0, a1, b0, b1 = parts = (*a.parts, *b.parts)
+    fused = keyswitch._fused_slot("tensor_product")
+    if fused is not None and all(p.is_eval and p.primes == a0.primes
+                                 for p in parts):
+        blocks = fused(*(p.residues for p in parts), a0.primes)
+        if blocks is not None:  # None: the slot declined
+            return [RnsPoly(d, a0.primes, is_eval=True) for d in blocks]
+    return [a0 * b0, a0 * b1 + a1 * b0, a1 * b1]
 
 
 class RlweContext:

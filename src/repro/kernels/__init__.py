@@ -1,8 +1,8 @@
 """``repro.kernels`` — the compiled fused-kernel backend.
 
 The whole forward/inverse negacyclic NTT, the batched automorphism,
-the fused keyswitch inner loop, and — row-fused, with no digit tensor
-in between — a whole keyswitch and the rounded top-limb division each
+the fused keyswitch inner loop, the tensor product and — row-fused, no
+digit tensor in between — a whole keyswitch and the top-limb division each
 compile to a *single* kernel call over the full ``(L, n)`` residue matrix,
 with precomputed Barrett/Shoup constant tables (hoisted onto
 :class:`~repro.ntt.tables.NttTables`) and reusable per-shape workspace

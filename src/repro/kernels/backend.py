@@ -7,10 +7,10 @@ the full ``(L, n)`` residue matrix — no per-stage numpy dispatch, no
 full-size temporaries beyond one reusable workspace.  It subclasses
 :class:`~repro.fhe.backend.NumpyBackend`, so every shape a gate or a
 missing C toolchain refuses simply falls through to the vectorized
-numpy path.  On top of the protocol it offers the optional row-fused
-slots ``keyswitch_apply`` (a whole keyswitch) and ``drop_top_limb``
-(``rescale`` / ``mod_down``), which return ``None`` instead of falling
-back so the caller runs its own phase-by-phase path.
+numpy path.  On top of the protocol it offers the optional slots
+``keyswitch_apply`` (a whole keyswitch), ``drop_top_limb`` (``rescale``
+/ ``mod_down``) — both row-fused — and ``tensor_product``, which return
+``None`` instead of falling back so the caller runs its own path.
 
 Bit-identity contract: every compiled kernel returns fully reduced
 residues (< q), and a reduced residue is unique — so outputs match the
@@ -124,6 +124,9 @@ class CompiledBackend(NumpyBackend):
                    inverse: bool) -> np.ndarray:
         values = np.asarray(values)
         primes = tuple(primes)
+        if values.shape[0] != len(primes):
+            raise ValueError(f"ntt batch: {values.shape} rows do not match "
+                             f"{len(primes)} primes")
         impl = self._impl
         reference = (NumpyBackend.inverse_ntt_batch if inverse
                      else NumpyBackend.forward_ntt_batch)
@@ -303,6 +306,7 @@ class CompiledBackend(NumpyBackend):
         evaluation domain in and out, in one compiled call: the CKKS
         ``rescale`` and the special-prime ``mod_down`` (no plaintext
         modulus).  ``inv_table[j]`` is ``q_top^{-1} mod primes[j]``.
+        Only the top row leaves the evaluation domain: ``R`` row NTTs.
         Returns the ``(R - 1, n)`` matrix, or ``None`` — before
         allocating anything — when there is no provider or a gate
         refuses, as for :meth:`keyswitch_apply`; ``check`` as there
@@ -324,8 +328,7 @@ class CompiledBackend(NumpyBackend):
         if plan is not None and plan.drop_top_ok and (
                 check is None or plan.checksum_ok):
             out = np.empty((rows - 1, n), dtype=np.uint64)
-            impl.drop_top(plan, x, inv, out, get_workspace(2 * rows, n),
-                          check)
+            impl.drop_top(plan, x, inv, out, get_workspace(rows, n), check)
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("drop_top_limb", n, primes),
@@ -336,7 +339,9 @@ class CompiledBackend(NumpyBackend):
     def _phased_drop_top(self, x: np.ndarray, primes: tuple[int, ...],
                          inv: np.ndarray) -> np.ndarray:
         """The oracle of :meth:`drop_top_limb`, phase by phase on this
-        backend's batch kernels with signed-``%`` arithmetic."""
+        backend's batch kernels with signed-``%`` arithmetic — and by
+        another algorithm: every row goes to the coefficient domain and
+        the subtraction happens there (``2 R - 1`` row NTTs)."""
         coeff = self.inverse_ntt_batch(x, primes).astype(np.int64)
         q_top = primes[-1]
         tail = np.where(coeff[-1] > q_top // 2, coeff[-1] - q_top, coeff[-1])
@@ -344,3 +349,36 @@ class CompiledBackend(NumpyBackend):
         diff = ((coeff[:-1] - tail) % q_col).astype(np.uint64)
         scaled = diff * inv[:, None] % q_col.astype(np.uint64)
         return self.forward_ntt_batch(scaled, primes[:-1])
+
+    # -- tensor product -------------------------------------------------------
+
+    def tensor_product(self, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
+                       b1: np.ndarray, primes: tuple[int, ...],
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The parts ``(a0 b0, a0 b1 + a1 b0, a1 b1)`` of an unrelinearized
+        product over ``(L, n)`` evaluation-domain blocks in one call — or
+        ``None``, as for :meth:`keyswitch_apply` (gate: ``plan.tensor_ok``)."""
+        impl = self._impl
+        primes = tuple(primes)
+        if impl is None:
+            return None
+        blocks = [np.ascontiguousarray(block, dtype=np.uint64)
+                  for block in (a0, a1, b0, b1)]
+        shape = blocks[0].shape
+        if any(block.shape != (len(primes),) + shape[1:2] for block in blocks):
+            raise ValueError(
+                f"tensor_product: blocks {[b.shape for b in blocks]} do "
+                f"not match {len(primes)} primes")
+        plan = get_plan(shape[1], primes) if shape[1] else None
+        if plan is None or not plan.tensor_ok:
+            return None
+        out = tuple(np.empty(shape, dtype=np.uint64) for _ in range(3))
+        impl.tensor(plan, blocks, out)
+        self.kernel_invocations += 1
+        x0, x1, y0, y1 = blocks
+        q = plan.q[:, None]
+        self._verify_first_use(
+            ("tensor_product", shape[1], primes),  # RnsPoly's * and +:
+            lambda: (x0 * y0 % q, (x0 * y1 % q + x1 * y0 % q) % q,
+                     x1 * y1 % q), out)
+        return out

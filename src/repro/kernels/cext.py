@@ -189,7 +189,8 @@ class CExtProvider:
                                _VOID, _VOID, _VOID, _VOID, _I64, _I64, _I64,
                                _VOID, _CHECK)
         self._drop_top = entry("repro_drop_top_limb", _PLAN, _VOID, _VOID,
-                               _VOID, _VOID, _VOID, _I64, _I64, _CHECK)
+                               _VOID, _VOID, _I64, _I64, _CHECK)
+        self._tensor = entry("repro_tensor", _PLAN, *[_VOID] * 7, _I64, _I64)
 
     def fwd_ntt(self, plan, x: np.ndarray, out: np.ndarray,
                 work: np.ndarray) -> None:
@@ -251,14 +252,20 @@ class CExtProvider:
 
     def drop_top(self, plan, x: np.ndarray, inv: np.ndarray,
                  out: np.ndarray, work: np.ndarray, check=None) -> None:
-        """``work`` is ``(2 R, n)``: coefficient rows, then scratch.
-        ``check`` as for :meth:`ks_apply`, over ``2 R - 1`` row NTTs.
-        Gate: ``plan.drop_top_ok``."""
+        """``work`` is ``(R, n)``: the top coefficient row, then scratch.
+        ``check`` as for :meth:`ks_apply`, over ``R`` row NTTs (the top
+        row's inverse first).  Gate: ``plan.drop_top_ok``."""
         rows, n = x.shape
         tables = _tables(plan, "drop_top", plan.drop_top_ok)
         self._drop_top(tables, _addr(x), _addr(inv), _addr(out), _addr(work),
-                       _addr(work[rows:]), rows, n,
-                       _check_tables(plan, "drop_top", check, 2 * rows - 1))
+                       rows, n, _check_tables(plan, "drop_top", check, rows))
+
+    def tensor(self, plan, operands, parts) -> None:
+        """``parts = (a0 b0, a0 b1 + a1 b0, a1 b1)`` of ``operands = (a0,
+        a1, b0, b1)``, ``(L, n)`` blocks.  Gate: ``plan.tensor_ok``."""
+        rows, n = operands[0].shape
+        self._tensor(_tables(plan, "tensor", plan.tensor_ok),
+                     *map(_addr, (*operands, *parts)), rows, n)
 
 
 def resolve_provider(name: str | None = None) -> CExtProvider | None:

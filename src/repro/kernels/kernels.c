@@ -11,8 +11,8 @@
  * The butterfly loops exist once, in ``fwd_row`` / ``inv_row``; the
  * batch entries map them over rows, and the two row-fused entries
  * (``repro_ks_apply``, ``repro_drop_top_limb``) call them between a
- * lift and a multiply-accumulate so a 64 KB row is produced and
- * consumed while it is in cache.
+ * lift and a multiply-accumulate (a subtract-and-scale) so a 64 KB
+ * row is produced and consumed while it is in cache.
  *
  * The arithmetic mirrors the analyzed numpy stage plans line for line
  * (``repro.analysis.stage_plans``), so the eligibility gates derived
@@ -644,40 +644,60 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
 /*                                                                    */
 /* x: (R, n) evaluation-domain rows through the R plan rows; out:     */
 /* (R - 1, n), evaluation domain.  inv[j] = q_top^{-1} mod q_j.       */
-/* coeff/work: (R, n) scratch each.  Per remaining limb: subtract the */
-/* centered lift of the top coefficient row (lift_row's gate, against */
-/* every remaining prime), multiply by inv[j], forward NTT.           */
+/* work: (R, n) scratch, the top coefficient row first.  The NTT is   */
+/* linear, so only the top row is inverse-transformed; remaining limb */
+/* j lifts it centered (lift_row's gate, against every remaining      */
+/* prime), forward-NTTs the lift in its output row and finishes there */
+/* -- out_j = inv[j] * (x_j - NTT_j(lift)): R row NTTs, not 2 R - 1.  */
 /*                                                                    */
-/* check: NULL, or the integrity sums of the 2 R - 1 row NTTs: the R  */
-/* inverse rows, then remaining limb j's forward row at R + j.        */
+/* check: NULL, or the integrity sums of the R row NTTs: the top      */
+/* row's inverse at 0, remaining limb j's forward row at 1 + j (the   */
+/* element-wise finish is outside the brackets).                      */
 /* ------------------------------------------------------------------ */
 void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
-                         u64 *out, u64 *coeff, u64 *work, i64 R, i64 n,
+                         u64 *out, u64 *work, i64 R, i64 n,
                          const check_t *check) {
-    i64 par_rows = R;
-    PARALLEL_LIMBS
-    for (i64 l = 0; l < par_rows; l++) {
-        check_row(check, 0, l, l, 0, x + l * n, n, 0);
-        plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n);
-        check_row(check, 0, l, l, 1, coeff + l * n, n, 0);
-    }
-
-    const u64 *top = coeff + (R - 1) * n;
-    const u64 q_top = plan->q[R - 1];
-    par_rows = R - 1;
+    const i64 t = R - 1;
+    u64 *top = work;
+    check_row(check, 0, t, 0, 0, x + t * n, n, 0);
+    plan_inv(plan, t, n, x + t * n, work + n, top);
+    check_row(check, 0, t, 0, 1, top, n, 0);
+    const u64 q_top = plan->q[t];
+    const i64 par_rows = R - 1;
     PARALLEL_LIMBS
     for (i64 j = 0; j < par_rows; j++) {
         const u64 q = plan->q[j], mu = plan->mu[j], scale = inv[j];
-        u64 *c = coeff + j * n;
-        u64 *a = work + j * n;
-        lift_row(top, a, n, q_top, q);
+        u64 *o = out + j * n;
+        lift_row(top, o, n, q_top, q);
+        check_row(check, 1, j, 1 + j, 0, o, n, 0);
+        plan_fwd(plan, j, n, o, work + (1 + j) * n, o);
+        check_row(check, 1, j, 1 + j, 1, o, n, 0);
         for (i64 k = 0; k < n; k++) {
-            u64 s = c[k] + (q - a[k]); /* < 2q: one conditional subtract */
+            u64 v = x[j * n + k];
+            if (v >= q) v %= q;
+            u64 s = v + (q - o[k]); /* < 2q: one conditional subtract */
             if (s >= q) s -= q;
-            c[k] = barrett_mod(s * scale, q, mu);
+            o[k] = barrett_mod(s * scale, q, mu);
         }
-        check_row(check, 1, j, R + j, 0, c, n, 0);
-        plan_fwd(plan, j, n, c, a, out + j * n);
-        check_row(check, 1, j, R + j, 1, out + j * n, n, 0);
+    }
+}
+
+/* Tensor product of two 2-part ciphertexts, (L, n) rows through the
+ * L plan rows: d0 = a0 b0, d1 = a0 b1 + a1 b0, d2 = a1 b1, operands
+ * read once.  A product of reduced words fits uint64 (tensor_ok). */
+void repro_tensor(const plan_t *plan, const u64 *a0, const u64 *a1,
+                  const u64 *b0, const u64 *b1, u64 *d0, u64 *d1, u64 *d2,
+                  i64 L, i64 n) {
+    const i64 par_rows = L;
+    PARALLEL_LIMBS
+    for (i64 l = 0; l < par_rows; l++) {
+        const u64 q = plan->q[l], mu = plan->mu[l];
+        for (i64 k = l * n; k < (l + 1) * n; k++) {
+            const u64 x0 = a0[k], x1 = a1[k], y0 = b0[k], y1 = b1[k];
+            u64 s = barrett_mod(x0 * y1, q, mu) + barrett_mod(x1 * y0, q, mu);
+            d0[k] = barrett_mod(x0 * y0, q, mu);
+            d1[k] = s >= q ? s - q : s;
+            d2[k] = barrett_mod(x1 * y1, q, mu);
+        }
     }
 }

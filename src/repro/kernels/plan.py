@@ -64,8 +64,9 @@ class CompiledPlan:
     The two row-fused kernels read the last prime as the special prime
     (``keyswitch_ok``: conditional-add digit lifts and single products
     fitting uint64) or the limb being dropped (``drop_top_ok``: its lift
-    against every remaining prime); the binding raises, and the backend
-    declines, where the gate is False.  ``checksum_ok`` is the same kind
+    against every remaining prime); the tensor product needs only the
+    single-product fit (``tensor_ok``).  The binding raises, and the
+    backend declines, where a gate is False.  ``checksum_ok`` is the same kind
     of gate for their optional integrity sums: every row's two ABFT dot
     products fit uint64 unreduced (:func:`~repro.analysis.bounds
     .checksum_dot_lazy_ok` over reduced-width words, ``max_x = 2**32 -
@@ -83,9 +84,10 @@ class CompiledPlan:
         self.shoup_ok = self.lazy_stages_ok and ntt_shoup_ok(self.log_n, max_q)
         unclamped_ok = (self.lazy_stages_ok
                         and unclamped_dit_ok(self.log_n, max_q))
-        self.keyswitch_ok = (self.lazy_stages_ok and bool(rest)
-                             and centered_lift_lazy_ok(max(rest), min(primes))
-                             and mul_fits_uint64(max_q - 1, max_q - 1))
+        self.tensor_ok = (self.lazy_stages_ok
+                          and mul_fits_uint64(max_q - 1, max_q - 1))
+        self.keyswitch_ok = (self.tensor_ok and bool(rest)
+                             and centered_lift_lazy_ok(max(rest), min(primes)))
         self.drop_top_ok = (self.lazy_stages_ok and bool(rest)
                             and centered_lift_lazy_ok(primes[-1], min(rest)))
         self.checksum_ok = self.lazy_stages_ok and all(

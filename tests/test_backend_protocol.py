@@ -49,7 +49,7 @@ BACKENDS = {
     "integrity-detect": lambda: IntegrityBackend(NumpyBackend(), "detect"),
 }
 OPTIONAL = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb",
-            "check_keyswitch_accumulation")
+            "tensor_product", "check_keyswitch_accumulation")
 
 
 def _rows(primes, seed=0):

@@ -22,7 +22,7 @@ from repro.kernels import cext, get_plan, resolve_provider
 
 N = 64
 PLAN_ENTRIES = {"repro_fwd_ntt_batch", "repro_inv_ntt_batch",
-                "repro_ks_apply", "repro_drop_top_limb"}
+                "repro_ks_apply", "repro_drop_top_limb", "repro_tensor"}
 SCHEDULE_WORDS = ("shoup", "mode", "lazy", "unclamped")
 
 
@@ -48,6 +48,7 @@ def _calls(provider, plan):
     ones = np.ones(rows - 1, dtype=np.uint64)
     out, acc0, acc1 = _poison(rows, N), _poison(rows, N), _poison(rows, N)
     work = np.zeros((3 * rows, N), dtype=np.uint64)
+    parts = [_poison(rows, N) for _ in range(3)]
     return {
         "fwd_ntt": (lambda: provider.fwd_ntt(plan, x, out, work), [out]),
         "inv_ntt": (lambda: provider.inv_ntt(plan, x, out, work), [out]),
@@ -55,12 +56,13 @@ def _calls(provider, plan):
             plan, x[:-1], key, keep, acc0, acc1, work), [acc0, acc1]),
         "drop_top": (lambda: provider.drop_top(
             plan, x, ones, out, work), [out]),
+        "tensor": (lambda: provider.tensor(plan, [x] * 4, parts), parts),
     }
 
 
 class TestGatesLiveInTheCallee:
     @pytest.mark.parametrize("entry", ["fwd_ntt", "inv_ntt", "ks_apply",
-                                       "drop_top"])
+                                       "drop_top", "tensor"])
     def test_table_less_plan_never_reaches_c(self, provider, entry):
         """q >= 2^31: ``lazy_stages_ok`` is False, the plan has no
         tables, and nothing is written."""
@@ -90,7 +92,7 @@ class TestGatesLiveInTheCallee:
 
     def test_eligible_plan_runs_every_entry(self, provider):
         plan = get_plan(N, tuple(find_ntt_primes(2 * N, 30, 3)))
-        assert plan.keyswitch_ok and plan.drop_top_ok
+        assert plan.keyswitch_ok and plan.drop_top_ok and plan.tensor_ok
         for call, outputs in _calls(provider, plan).values():
             call()
             assert not any((out == 0xDEAD).any() for out in outputs)
@@ -149,8 +151,9 @@ class TestCheckRequestIsValidatedInTheCallee:
                 provider, plan, _check).items():
             call()
             assert not any((out == 0xDEAD).any() for out in outputs)
+            # A drop leaves the evaluation domain in its top row only.
             row_ntts = (limbs + limbs * limbs if entry == "ks_apply"
-                        else 2 * limbs + 1)
+                        else 1 + limbs)
             assert check.sums.shape == (row_ntts, 2, 2)
             assert not check.sums.any()  # zero rows against zero weights
             if entry == "ks_apply":
@@ -251,7 +254,7 @@ class TestNoScheduleParameterAnywhere:
 
     def test_binding_entries_have_no_schedule_parameter(self):
         for name in ("fwd_ntt", "inv_ntt", "auto", "ks_accum", "ks_apply",
-                     "drop_top"):
+                     "drop_top", "tensor"):
             params = inspect.signature(
                 getattr(cext.CExtProvider, name)).parameters
             assert not [p for p in params

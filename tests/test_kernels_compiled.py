@@ -95,6 +95,40 @@ class TestThreeWayBitEquality:
         assert np.array_equal(inv["compiled"], inv["numpy"])
         assert np.array_equal(inv["compiled"], x)
 
+    def test_lazy_shoup_inverse_schedule(self, compiled):
+        """``inv_mode == 1`` — Shoup butterflies hold, the clamp-free
+        inverse does not — needs n = 2^16 with a prime just under 2^30;
+        every shape the benches and the other tests use gets mode 2."""
+        n = 1 << 16
+        primes = (find_ntt_prime(2 * n, 30),)
+        plan = get_plan(n, primes)
+        assert (plan.fwd_shoup, plan.inv_mode) == (1, 1)
+        x = np.random.default_rng(16).integers(
+            0, primes[0], size=(1, n), dtype=np.uint64)
+        coeff = compiled.inverse_ntt_batch(x, primes)
+        assert np.array_equal(coeff,
+                              NumpyBackend().inverse_ntt_batch(x, primes))
+        assert np.array_equal(compiled.forward_ntt_batch(coeff, primes), x)
+
+    @pytest.mark.parametrize("kernel", ["forward_ntt_batch",
+                                        "inverse_ntt_batch"])
+    def test_row_count_must_match_the_primes(self, kernel):
+        """C walks ``x.shape[0]`` rows through as many plan rows: a
+        matrix with more rows than primes never reaches the binding."""
+        class _Unreachable:
+            name = "unreachable"
+
+            def fwd_ntt(self, *args):
+                raise AssertionError("reached the binding")
+
+            inv_ntt = fwd_ntt
+
+        backend = CompiledBackend(provider=_Unreachable())
+        primes = tuple(find_ntt_primes(2 * N, 29, 2))
+        with pytest.raises(ValueError, match="do not match 2 primes"):
+            getattr(backend, kernel)(np.zeros((3, N), dtype=np.uint64),
+                                     primes)
+
     def test_automorphism_batch(self, compiled, boundary_primes):
         primes = tuple(find_ntt_primes(2 * N, 29, LIMBS))
         x = compiled.forward_ntt_batch(_rows(primes), primes)

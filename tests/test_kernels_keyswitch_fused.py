@@ -1,7 +1,8 @@
 """The row-fused keyswitch slots of the compiled backend.
 
 ``keyswitch_apply`` (the whole of ``apply_keyswitch`` in one kernel
-call) and ``drop_top_limb`` (``rescale`` / the CKKS ``mod_down``) must
+call), ``drop_top_limb`` (``rescale`` / the CKKS ``mod_down``) and
+``tensor_product`` (the three parts of an unrelinearized product) must
 agree bit for bit with the phase-by-phase path on the same backend and
 with ``NumpyBackend`` — for all three schemes' keys, at every level,
 across the modulus widths the gates distinguish and on either side of
@@ -22,6 +23,7 @@ import pytest
 
 from repro.arith.primes import find_ntt_prime, find_ntt_primes
 from repro.fault.injector import FaultInjector, use_fault_hook
+from repro.fault.integrity import AbftChecker
 from repro.fhe import keyswitch
 from repro.fhe.backend import (
     IntegrityBackend,
@@ -34,7 +36,7 @@ from repro.fhe.bgv import BgvContext, BgvParams
 from repro.fhe.ckks import Ciphertext, CkksContext
 from repro.fhe.keyswitch import KeySwitchKey
 from repro.fhe.params import toy_params
-from repro.fhe.rlwe import tensor
+from repro.fhe.rlwe import RlweCiphertext, tensor
 from repro.fhe.rns import get_basis
 from repro.fhe.sampling import sample_uniform_poly
 from repro.kernels import CompiledBackend, cext
@@ -66,6 +68,11 @@ class SpyBackend(CompiledBackend):
     def drop_top_limb(self, *args, **kwargs):
         out = super().drop_top_limb(*args, **kwargs)
         self.taken.append(("drop_top_limb", out is not None))
+        return out
+
+    def tensor_product(self, *args):
+        out = super().tensor_product(*args)
+        self.taken.append(("tensor_product", out is not None))
         return out
 
 
@@ -166,6 +173,49 @@ class TestSchemesAndLevels:
             (ctx.scheme != "bgv")
 
 
+class TestTensorProduct:
+    def test_matches_the_numpy_form_on_every_scheme(self, ctx):
+        rng = np.random.default_rng(6)
+        values = (rng.uniform(-1, 1, ctx.chain.n // 2) if ctx.scheme == "ckks"
+                  else rng.integers(0, T, ctx.chain.n).astype(np.int64))
+        a, b = ctx.encrypt(values), ctx.encrypt(values[::-1].copy())
+        golden = _on_numpy(lambda: tensor(a, b))  # RnsPoly arithmetic
+        spy = SpyBackend()
+        with use_backend(spy):
+            assert _same(tensor(a, b), golden)
+            assert spy.taken == [("tensor_product", True)]
+            with use_fault_hook(FaultInjector()):  # withheld, like the rest
+                assert keyswitch._fused_slot("tensor_product") is None
+                assert _same(tensor(a, b), golden)
+        assert spy.taken == [("tensor_product", True)]
+        assert spy.self_checks == 1
+
+    def test_mixed_width_chain_declines(self):
+        """A 32-bit limb: no compiled schedule, hence no ``mu`` table
+        to reduce with — the slot declines, ``RnsPoly`` answers."""
+        primes = tuple(find_ntt_primes(2 * N, 30, 2)
+                       + find_ntt_primes(2 * N, 32, 1))
+        rng = np.random.default_rng(7)
+        a, b = (RlweCiphertext([sample_uniform_poly(N, primes, rng)
+                                for _ in range(2)]) for _ in range(2))
+        golden = _on_numpy(lambda: tensor(a, b))
+        spy = SpyBackend()
+        with use_backend(spy):
+            assert _same(tensor(a, b), golden)
+        assert spy.taken == [("tensor_product", False)]
+        assert spy.kernel_invocations == 0
+
+    def test_shapes_are_checked_before_the_foreign_call(self):
+        primes = tuple(find_ntt_primes(2 * N, 30, 2))
+        block = np.zeros((2, N), dtype=np.uint64)
+        with pytest.raises(ValueError, match="tensor_product"):
+            CompiledBackend().tensor_product(block, block, block[:1], block,
+                                             primes)
+        with pytest.raises(ValueError, match="tensor_product"):
+            CompiledBackend().tensor_product(block, block, block, block,
+                                             primes[:1])
+
+
 class TestModulusWidths:
     """Primes just below 2^30 (Shoup butterflies), between 2^30 and
     2^31 (Barrett variant) and at 2^31 and above (no compiled NTT: the
@@ -221,6 +271,42 @@ class TestModulusWidths:
 
 
 class TestDropTopLimb:
+    @pytest.mark.parametrize("n", [8, 64, 8192])
+    @pytest.mark.parametrize("rows", range(2, 10))
+    def test_matches_the_coefficient_domain_oracle(self, rows, n):
+        """The kernel subtracts in the evaluation domain (``R`` row
+        NTTs); ``_phased_drop_top`` takes every row to the coefficient
+        domain and back (``2 R - 1``).  Same residues, also from rows
+        that arrive unreduced."""
+        primes = tuple(find_ntt_primes(2 * n, 30, rows))
+        basis = get_basis(primes[:-1], primes[-1])
+        inv = np.asarray(basis.special_inv_mod_chain, dtype=np.uint64)
+        x = sample_uniform_poly(n, primes,
+                                np.random.default_rng(rows * n)).residues
+        backend = CompiledBackend()
+        golden = backend._phased_drop_top(x, primes, inv)
+        q_col = np.array(primes, dtype=np.uint64)[:, None]
+        for offset in (0, 1, 2):
+            check = AbftChecker().fused_check(n, primes)
+            out = backend.drop_top_limb(x + offset * q_col, primes, inv,
+                                        check=check)
+            assert np.array_equal(out, golden), offset
+            assert check.sums.shape == (rows, 2, 2)  # R row NTTs
+            assert AbftChecker().check_fused(check) == (True, True)
+
+    def test_the_same_with_two_openmp_threads(self):
+        """The serial top-row inverse followed by a parallel loop over
+        the remaining limbs, with the threads actually there."""
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider",
+             f"{__file__}::TestDropTopLimb::"
+             "test_matches_the_coefficient_domain_oracle"],
+            env={**os.environ, "OMP_NUM_THREADS": "2",
+                 "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stdout + result.stderr
+
     def test_plaintext_modulus_never_reaches_the_slot(self):
         params = toy_params()
         basis = get_basis(params.primes, params.special_prime)
@@ -331,6 +417,7 @@ class TestChecksKeepThePhases:
         for slot in SLOTS:
             assert getattr(guard, slot).__self__ is guard
         assert not hasattr(guard, "keyswitch_inner_product")
+        assert not hasattr(guard, "tensor_product")
         counts = {}
         with use_backend(guard):
             for kind, op in rounds.items():
@@ -347,7 +434,7 @@ class TestChecksKeepThePhases:
     def test_off_policy_exposes_what_the_inner_backend_has(self, inner):
         bare = inner()
         off = IntegrityBackend(bare, "off")
-        for slot in SLOTS + ("keyswitch_inner_product",
+        for slot in SLOTS + ("keyswitch_inner_product", "tensor_product",
                              "check_keyswitch_accumulation"):
             assert hasattr(off, slot) == hasattr(bare, slot)
 
