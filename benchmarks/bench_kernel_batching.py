@@ -23,7 +23,12 @@ number (``keyswitch_checked.guard_ratio``).  The ``drop_top_limb`` row
 does the same for the ModDown / rescale division: the compiled slot
 (one inverse and ``R - 1`` forward row NTTs, the subtraction in the
 evaluation domain) against the phased division on the same batch
-kernels (``2 R - 1`` row NTTs), and checked against unchecked.
+kernels (``2 R - 1`` row NTTs), and checked against unchecked.  The
+``keyswitch_hoisted`` row rotates one ciphertext ``K`` times: plain
+rotations, ``rotate_hoisted`` phase by phase, and ``rotate_hoisted``
+through the ``keyswitch_hoisted`` slot (each digit row transformed once
+and accumulated into all ``K`` rotations in one kernel call), with what
+a rotation after the first costs and the slot's cost under ``detect``.
 
 Outputs are checked bit-for-bit across all regimes (and, for the
 keyswitch, between the numpy, compiled and VPU backends) before any
@@ -437,6 +442,79 @@ def bench_drop_top_limb(n: int, levels: int, repeats: int,
             "guard_ratio": checked_s / fused_s - 1.0}
 
 
+class _WithoutHoistedSlot:
+    """A backend with its ``keyswitch_hoisted`` slot withheld: hoisted
+    rotations then run phase by phase (``decompose_digits``, a permuted
+    stack per rotation, ``keyswitch_inner_product``) — the path every
+    ``rotate_hoisted`` took before the slot existed."""
+
+    keyswitch_hoisted = None
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def __getattr__(self, attr):
+        return getattr(self._backend, attr)
+
+
+def bench_keyswitch_hoisted(n: int, levels: int, count: int, repeats: int,
+                            compiled: CompiledBackend) -> dict:
+    """``count`` rotations of one top-level ciphertext on the compiled
+    backend three ways — plain rotations, ``rotate_hoisted`` phase by
+    phase, ``rotate_hoisted`` through the ``keyswitch_hoisted`` slot —
+    and the slot under ``detect``.  ``ms_rotation_2_to_K`` is what a
+    rotation after the first costs: the slot's time for ``count`` steps
+    less its time for one, per extra step."""
+    params = CkksParams(n=n, levels=levels, scale_bits=29, prime_bits=30)
+    steps = list(range(1, count + 1))
+    with use_backend(compiled):
+        ctx = CkksContext(params, seed=43)
+        ctx.generate_galois_keys(steps)
+        ct = ctx.encrypt(np.linspace(-1, 1, params.slots))
+    guard = IntegrityBackend(compiled, "detect")
+
+    def on(backend, some=steps):
+        with use_backend(backend):
+            return ctx.rotate_hoisted(ct, some)
+
+    def plain():
+        with use_backend(compiled):
+            return [ctx.rotate(ct, s) for s in steps]
+
+    candidates = [plain, lambda: on(_WithoutHoistedSlot(compiled)),
+                  lambda: on(compiled), lambda: on(guard),
+                  lambda: on(compiled, steps[:1])]
+    with use_backend(NumpyBackend()):
+        golden = [ctx.rotate(ct, s) for s in steps]
+    for ours in [call() for call in candidates[:4]]:
+        for rotated, want in zip(ours, golden):
+            for part, expected in zip(rotated.parts, want.parts):
+                np.testing.assert_array_equal(part.residues,
+                                              expected.residues)
+    before = compiled.kernel_invocations, guard.checker.checks
+    on(guard)
+    # The slot, two ModDowns and the c0 permutation per rotation.
+    if compiled.kernel_invocations - before[0] != 1 + 3 * count:
+        raise RuntimeError("keyswitch_hoisted declined at the bench shape")
+    checks = guard.checker.checks - before[1]
+    if guard.checker.mismatches:
+        raise RuntimeError("integrity mismatch on fault-free rotations")
+    plain_s, phased_s, slot_s, checked_s, one_s = _best_of_group(
+        candidates, repeats)
+    per_rotation = 1e3 / count
+    return {"n": n, "limbs": levels, "rotations": count,
+            "bit_identical": True,
+            "plain_ms_per_rotation": plain_s * per_rotation,
+            "phased_ms_per_rotation": phased_s * per_rotation,
+            "slot_ms_per_rotation": slot_s * per_rotation,
+            "ms_rotation_2_to_K": (slot_s - one_s) * 1e3 / (count - 1),
+            "speedup_hoisted": plain_s / slot_s,
+            "policy": "detect",
+            "checks": checks,
+            "checked_ms_per_rotation": checked_s * per_rotation,
+            "guard_ratio": checked_s / slot_s - 1.0}
+
+
 def bench_vpu_program_cache(n: int = 1024, levels: int = 3) -> dict:
     """Compile-once/replay-per-limb on the VPU: the dispatch engine's
     other half.  Reports wall-clock for the first (compiling) batch vs a
@@ -515,6 +593,9 @@ def main() -> None:
         print("[drop_top_limb] fused vs phased on the compiled backend ...")
         results["drop_top_limb"] = bench_drop_top_limb(
             *((1024, 4) if args.quick else (8192, 8)), repeats, compiled)
+        print("[keyswitch] hoisted rotations on the compiled backend ...")
+        results["keyswitch_hoisted"] = bench_keyswitch_hoisted(
+            *((1024, 4) if args.quick else (8192, 8)), 8, repeats, compiled)
     if not args.quick:
         print("[vpu] program cache ...")
         results["vpu_program_cache"] = bench_vpu_program_cache()
@@ -556,6 +637,15 @@ def main() -> None:
               f"  fused {dt['fused_s']*1e3:8.3f} ms ({dt['row_ntts']})"
               f"  speedup {dt['speedup_fused']:5.2f}x"
               f"  guard {dt['guard_ratio']*100:5.1f} %")
+        kh = results["keyswitch_hoisted"]
+        print(f"  hoisted rot   n={kh['n']} L={kh['limbs']}"
+              f" K={kh['rotations']}, ms per rotation:"
+              f" plain {kh['plain_ms_per_rotation']:6.2f}"
+              f"  phased {kh['phased_ms_per_rotation']:6.2f}"
+              f"  slot {kh['slot_ms_per_rotation']:6.2f}"
+              f" (2..K {kh['ms_rotation_2_to_K']:5.2f})"
+              f"  speedup {kh['speedup_hoisted']:5.2f}x"
+              f"  guard {kh['guard_ratio']*100:5.1f} %")
     if "vpu_program_cache" in results:
         vp = results["vpu_program_cache"]
         print(f"  vpu cache     n={vp['n']}: {vp['program_compilations']} compiles"

@@ -42,8 +42,9 @@ key's ``mod q_s`` image is built once and lives exactly as long as the
 key.
 
 **Row-fused kernels.**  ``CompiledBackend.keyswitch_apply`` /
-``drop_top_limb`` run a whole keyswitch (a whole top-limb division) in
-one call, so nothing outside sees their row NTTs — ``L + L * L`` of
+``keyswitch_hoisted`` / ``drop_top_limb`` run a whole keyswitch (the
+keyswitches of several rotations of one polynomial, a whole top-limb
+division) in one call, so nothing outside sees their row NTTs — ``L + L * L`` of
 them in a keyswitch, ``R`` in a drop of the top of ``R`` limbs (its one
 inverse, then a forward row per remaining limb: the subtraction is done
 in the evaluation domain).  Handed a
@@ -57,9 +58,16 @@ accumulators of a keyswitch.  The kernel only sums; the tables, the
 verdict and the counters stay here.  A word of ``2**32`` or more (no
 reduced row has one) would wrap the kernel's unreduced sums, so the
 kernel reports it as a mismatch outright.  The spare identity is
-compared as a sum over each limb row, not word by word: one corrupted
-accumulator word still always shows, several in one row cancel only
-with the channel's own ``1/q_s``.
+compared as a sum over each limb row, not word by word — the
+accumulator side ``sum_k (A[k] mod q_s)``, the channel side one dot
+product per digit row, ``sum_i <d_i mod q_s, k_i mod q_s>``, congruent
+``mod q_s``: one corrupted accumulator word still always shows, several
+in one row cancel only with the channel's own ``1/q_s``.  Hoisted
+rotations share the row NTTs (summed once) and run the spare channel
+per rotation against that rotation's key image; since the channel
+reads each digit row through the same Galois table as the
+multiply-accumulate it checks, the table itself is compared word for
+word with the permutation this checker derives from the Galois element.
 """
 
 from __future__ import annotations
@@ -101,15 +109,21 @@ class FusedCheck:
     #: the first ``inverse_rows`` of them inverse transforms.
     row_moduli: np.ndarray
     inverse_rows: int
-    #: A keyswitch's key block ``mod spare_modulus`` (uint32, the
-    #: block's layout); None for a top-limb drop.
-    key_image: np.ndarray | None = None
+    #: A keyswitch's key blocks ``mod spare_modulus`` (uint32, each in
+    #: its block's layout), one per rotation of a hoisted call; None
+    #: for a top-limb drop.
+    key_images: list[np.ndarray] | None = None
     spare_modulus: int = 0
+    #: Hoisted rotations: the Galois element of each rotation, whose
+    #: slot permutation the kernel must read its digit rows through.
+    galois: tuple[int, ...] | None = None
     #: The kernel's outputs: ``(row NTTs, 2 sides, 2 halves)`` unreduced
-    #: dot products, and per target limb and key part both sides of the
-    #: spare identity summed over the row, ``(L + 1, 2, 2)``.
+    #: dot products; per rotation, target limb and key part both sides
+    #: of the spare identity summed over the row, ``(G, L + 1, 2, 2)``;
+    #: and the permutation tables the binding handed the kernel.
     sums: np.ndarray | None = None
     spare: np.ndarray | None = None
+    tables: list[np.ndarray] | None = None
 
 
 def _transposed_image(golden: NegacyclicNtt, r: np.ndarray,
@@ -282,11 +296,14 @@ class AbftChecker:
     # -- row-fused kernels ----------------------------------------------------
 
     def fused_check(self, n: int, primes: tuple[int, ...],
-                    key_block: np.ndarray | None = None) -> FusedCheck:
+                    key_blocks: list[np.ndarray] | None = None,
+                    galois=None) -> FusedCheck:
         """The request a row-fused kernel over plan ``(n, primes)``
-        takes as ``check``: ``keyswitch_apply`` when ``key_block`` is
-        given (``primes`` ends in the special prime), ``drop_top_limb``
-        otherwise (``primes`` ends in the limb being dropped)."""
+        takes as ``check``: a keyswitch when ``key_blocks`` is given
+        (``primes`` ends in the special prime) — ``keyswitch_apply``
+        over its one block, or ``keyswitch_hoisted`` over one block per
+        Galois element of ``galois`` — ``drop_top_limb`` otherwise
+        (``primes`` ends in the limb being dropped)."""
         tables = self._stacks.get((n, primes))
         if tables is None:
             tables = self._stacks[n, primes] = tuple(
@@ -296,7 +313,7 @@ class AbftChecker:
                     for q in primes]))
                 for kind in ("intt", "ntt"))
         rest = primes[:-1]
-        if key_block is None:
+        if key_blocks is None:
             # Only the top row leaves the evaluation domain.
             inverse, forward = primes[-1:], rest
         else:
@@ -306,9 +323,10 @@ class AbftChecker:
         check = FusedCheck(
             *tables, np.array(inverse + forward, dtype=np.uint64),
             len(inverse))
-        if key_block is not None:
-            check.key_image = self._key_image(key_block)
+        if key_blocks is not None:
+            check.key_images = [self._key_image(b) for b in key_blocks]
             check.spare_modulus = SPARE_MODULUS
+            check.galois = None if galois is None else tuple(galois)
         return check
 
     def faulty_fused_rows(self, check: FusedCheck,
@@ -332,9 +350,22 @@ class AbftChecker:
     def check_fused(self, check: FusedCheck) -> tuple[bool, ...]:
         """Judge the sums a row-fused kernel left on ``check`` and
         record them as the phased path's checks: the inverse batch, the
-        forward batch and — for a keyswitch — the two accumulators."""
+        forward batch and — for a keyswitch — per rotation its two
+        accumulators, then (hoisted rotations) the permutation table
+        the kernel read its digit rows through, compared word for word
+        with the Galois element's own: the replay check the phased path
+        makes of each permuted digit."""
         verdicts = [not rows for rows in self.faulty_fused_rows(check)]
         if check.spare is not None:
-            verdicts += np.all(check.spare[:, :, 0] == check.spare[:, :, 1],
-                               axis=0).tolist()
+            sides = check.spare % np.uint64(check.spare_modulus)
+            agree = np.all(sides[..., 0] == sides[..., 1], axis=1)
+            n = check.intt.shape[-1]
+            for g, accumulators in enumerate(agree.tolist()):
+                verdicts += accumulators
+                if check.galois is not None:
+                    source = np.empty(n, dtype=np.int64)
+                    source[galois_eval_permutation(
+                        n, check.galois[g]).destinations()] = np.arange(n)
+                    verdicts.append(bool(np.array_equal(check.tables[g],
+                                                        source)))
         return tuple(self._record(ok) for ok in verdicts)

@@ -13,15 +13,17 @@ from repro.fhe.backend.vpu_backend import ProgramQuarantinedError
 
 
 #: The optional fused kernels of the protocol: whole keyswitch phases,
-#: or the tensor product, in one call.  ``OFF`` hands out all four as
-#: the wrapped backend has them.  A checking policy hands out the two
+#: or the tensor product, in one call.  ``OFF`` hands out all five as
+#: the wrapped backend has them.  A checking policy hands out the three
 #: row-fused ones (:data:`_CHECKED`) *checked* — the kernel takes the
 #: ABFT sums of its own row NTTs and accumulators, the checker judges
-#: them — and never the other two, which have no checked form (hoisted
-#: rotations then run phase by phase, the tensor product in ``RnsPoly``).
-_FUSED = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb",
-          "tensor_product")
-_CHECKED = ("keyswitch_apply", "drop_top_limb")
+#: them (and, for hoisted rotations, the permutation tables the kernel
+#: read through) — and never the other two, which have no checked form
+#: (the phased accumulate then runs its numpy loop, the tensor product
+#: in ``RnsPoly``).
+_FUSED = ("keyswitch_inner_product", "keyswitch_apply", "keyswitch_hoisted",
+          "drop_top_limb", "tensor_product")
+_CHECKED = ("keyswitch_apply", "keyswitch_hoisted", "drop_top_limb")
 
 
 class IntegrityBackend:
@@ -37,8 +39,10 @@ class IntegrityBackend:
     accumulators.  The weight tables (per ``(n, q, direction)``) and
     the keys' spare images are built on first use, live in the checker
     and go with :meth:`clear_caches`.  Where the wrapped backend has the
-    row-fused ``keyswitch_apply`` / ``drop_top_limb`` kernels, a whole
-    keyswitch (top-limb division) is one *checked* kernel call instead:
+    row-fused ``keyswitch_apply`` / ``keyswitch_hoisted`` /
+    ``drop_top_limb`` kernels, a whole keyswitch (the keyswitches of
+    several rotations, a top-limb division) is one *checked* kernel call
+    instead:
     the kernel takes the same sums over its own row NTTs and
     accumulators and the checker judges them as the same checks — at
     ladder level 0 and without a ``dram`` / ``sram`` staging model
@@ -247,10 +251,23 @@ class IntegrityBackend:
         under a replaying policy."""
         primes = tuple(primes)
         check = self.checker.fused_check(np.shape(residues)[1], primes,
-                                         key_block)
-        accs = self._level_backend(0).keyswitch_apply(
-            residues, primes, key_block, keep, check=check)
-        return accs if accs is None or self._judge_fused(check) else None
+                                         [key_block])
+        return self._checked("keyswitch_apply", check, residues, primes,
+                             key_block, keep)
+
+    def _checked_keyswitch_hoisted(self, residues: np.ndarray,
+                                   primes: tuple[int, ...], key_blocks,
+                                   keep, galois):
+        """``keyswitch_hoisted`` likewise: the two row-NTT batches are
+        bracketed once for all ``G`` rotations, and each rotation adds
+        its two accumulator checks (the spare channel against its own
+        key's image) and one of the permutation table the kernel read
+        through — ``2 + 3 G`` checks."""
+        primes = tuple(primes)
+        check = self.checker.fused_check(np.shape(residues)[1], primes,
+                                         list(key_blocks), galois)
+        return self._checked("keyswitch_hoisted", check, residues, primes,
+                             key_blocks, keep, galois)
 
     def _checked_drop_top_limb(self, residues: np.ndarray,
                                primes: tuple[int, ...], inv_table):
@@ -258,8 +275,11 @@ class IntegrityBackend:
         (inverse batch, forward batch)."""
         primes = tuple(primes)
         check = self.checker.fused_check(np.shape(residues)[1], primes)
-        out = self._level_backend(0).drop_top_limb(
-            residues, primes, inv_table, check=check)
+        return self._checked("drop_top_limb", check, residues, primes,
+                             inv_table)
+
+    def _checked(self, slot: str, check, *args):
+        out = getattr(self._level_backend(0), slot)(*args, check=check)
         return out if out is None or self._judge_fused(check) else None
 
     def _judge_fused(self, check) -> bool:

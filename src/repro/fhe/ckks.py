@@ -184,6 +184,19 @@ class CkksContext(RlweContext):
         network pass on the VPU) for every rotation: ``r`` rotations cost
         one decomposition instead of ``r``.  This is the standard
         hoisting optimization bootstrapping and BSGS matvecs lean on.
+        Each result is bit-identical to :meth:`rotate` by that amount.
+
+        Every step's key is looked up before anything is computed
+        (:class:`KeyError`); steps that rotate nothing decompose
+        nothing, and equal steps share one accumulation.
         """
-        digits = keyswitch.decompose_digits(ct.parts[1], self.params)
-        return [self._rotate(ct, steps, digits) for steps in steps_list]
+        elements = [self._galois_element(steps) for steps in steps_list]
+        distinct = list(dict.fromkeys(k for k in elements if k != 1))
+        folded = {1: ct}
+        if distinct:
+            folded.update(zip(distinct, self._galois_folds(ct, distinct)))
+        out, handed_out = [], {1}  # the input itself always goes out copied
+        for k in elements:
+            out.append(folded[k].copy() if k in handed_out else folded[k])
+            handed_out.add(k)
+        return out

@@ -20,17 +20,21 @@ limb, then element-wise multiply-accumulates — plus the ModDown by
 ``L * (L + 1)`` digit-row NTTs go to the backend as **one** batch, and
 the per-digit products accumulate in place over the full residue
 matrices with a single final reduction.  A backend may go one step
-further and offer the whole keyswitch (``keyswitch_apply``) and the
-ModDown / rescale division (``drop_top_limb``) as one kernel call each
-(a checking ``IntegrityBackend`` offers them checked from inside);
-:func:`apply_keyswitch` and :func:`_divide_by_top_limb` take those
-slots unless a fault hook needs the phases, and the phase-by-phase
-functions below stay the path of every other case and the oracle.
+further and offer the whole keyswitch (``keyswitch_apply``), the
+keyswitches of several Galois images of one polynomial — hoisted
+rotations, the digit NTT batch paid once (``keyswitch_hoisted``) — and
+the ModDown / rescale division (``drop_top_limb``) as one kernel call
+each (a checking ``IntegrityBackend`` offers them checked from inside);
+:func:`apply_keyswitch`, :func:`hoisted_keyswitch` and
+:func:`_divide_by_top_limb` take those slots unless a fault hook needs
+the phases, and the phase-by-phase functions below stay the path of
+every other case and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -87,9 +91,10 @@ def _fused_slot(name: str):
     """The active backend's optional fused kernel ``name``, or None —
     also None while a fault hook is installed: the injection sites live
     between the phases a fused kernel runs in one call.  (A checking
-    ``IntegrityBackend`` exposes ``keyswitch_apply`` / ``drop_top_limb``
-    in their checked form only, and neither ``keyswitch_inner_product``
-    nor ``tensor_product``.)"""
+    ``IntegrityBackend`` exposes ``keyswitch_apply`` /
+    ``keyswitch_hoisted`` / ``drop_top_limb`` in their checked form
+    only, and neither ``keyswitch_inner_product`` nor
+    ``tensor_product``.)"""
     if current_fault_hook() is not None:
         return None
     return getattr(get_backend(), name, None)
@@ -179,7 +184,8 @@ def decompose_digits(x: RnsPoly, params: CkksParams) -> list[RnsPoly]:
             offsets = np.array(
                 [(target[j] - level_primes[i]) % (1 << 64) for i, j in off_diag],
                 dtype=np.uint64)[:, None]
-            rows = res[src] + offsets * upper[src]
+            rows = res[src]
+            rows += offsets * upper[src]
         else:
             q_col = np.array(level_primes, dtype=np.int64)[:, None]
             res = coeff.residues.astype(np.int64)
@@ -316,6 +322,54 @@ def apply_keyswitch(
                     RnsPoly(accs[1], primes, is_eval=True))
     digits = decompose_digits(x, params)
     return accumulate_keyswitch(digits, ksk, keep, primes)
+
+
+def hoisted_keyswitch(
+    x: RnsPoly, keys: list[KeySwitchKey], galois: list[int],
+    params: CkksParams,
+) -> list[tuple[RnsPoly, RnsPoly]]:
+    """Switch the Galois images ``sigma_k(x)``, ``k`` in ``galois``, each
+    under its own key, paying the digit NTT batch once.
+
+    ``[g]`` is bit for bit what :func:`apply_keyswitch` returns for
+    ``x.automorphism(galois[g])`` under ``keys[g]``: the Galois action
+    is one slot permutation in every limb, so it commutes with the
+    per-prime digits, and permuting the digits of ``x`` replaces
+    decomposing the permuted ``x``.  A backend with the
+    ``keyswitch_hoisted`` slot walks the digit rows once for all the
+    rotations in one kernel call (under the conditions of
+    :func:`apply_keyswitch`'s slot); otherwise
+    :func:`phased_keyswitches` does, phase by phase.
+    """
+    keep = list(range(x.num_limbs)) + [params.levels]
+    primes = x.primes + (params.special_prime,)
+    fused = _fused_slot("keyswitch_hoisted")
+    if fused is not None and x.is_eval:
+        accs = fused(x.residues, primes, [key.block for key in keys], keep,
+                     galois)
+        if accs is not None:
+            return [(RnsPoly(acc0, primes, is_eval=True),
+                     RnsPoly(acc1, primes, is_eval=True))
+                    for acc0, acc1 in zip(*accs)]
+    return phased_keyswitches(x, keys, galois, keep, primes)
+
+
+def phased_keyswitches(
+    x: RnsPoly, keys, galois: list[int] | None, keep: list[int],
+    primes: tuple[int, ...],
+) -> list[tuple[RnsPoly, RnsPoly]]:
+    """One :func:`decompose_digits`, then per key the digits permuted by
+    its Galois element (``galois`` None: not at all) and
+    :func:`accumulate_keyswitch` — the hoisted keyswitch phase by phase,
+    and the oracle of the compiled ``keyswitch_apply`` /
+    ``keyswitch_hoisted`` kernels (``primes``: the limbs of ``x``, then
+    the special prime)."""
+    # (decompose_digits reads nothing of its parameter set but this.)
+    digits = decompose_digits(x, SimpleNamespace(special_prime=primes[-1]))
+    return [accumulate_keyswitch(
+        digits if galois is None
+        else [digit.automorphism(galois[g]) for digit in digits],
+        key, keep, primes) for g, key in enumerate(keys)]
 
 
 def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,

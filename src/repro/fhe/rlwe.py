@@ -241,43 +241,45 @@ class RlweContext:
         return replace(ct, parts=[ct.parts[0] + self._mod_down(t0),
                                   ct.parts[1] + self._mod_down(t1)])
 
-    def _galois_fold(self, ct: _Ct, k: int,
-                     digits: list[RnsPoly] | None = None) -> _Ct:
-        """Apply ``X -> X^k`` and keyswitch back to the canonical secret.
-
-        ``digits`` is the hoisted form: the digit decomposition of
-        ``ct.parts[1]``, computed once by the caller.  The Galois action
-        commutes with the per-prime decomposition, so permuting the
-        digits replaces decomposing the permuted part.
-        """
+    def _galois_fold(self, ct: _Ct, k: int) -> _Ct:
+        """Apply ``X -> X^k`` and keyswitch back to the canonical secret."""
         if ct.size != 2:
             raise ValueError("rotate expects a relinearized ciphertext")
-        key = self.galois_keys[k]
-        if digits is None:
-            # The single-pass permutation phase of an HRot; the Galois
-            # keyswitch that follows traces its own four phases.
-            with obs.span("hrot.automorphism", cat=obs.CAT_PHASE, galois_k=k):
-                c0 = ct.parts[0].automorphism(k)
-                c1 = ct.parts[1].automorphism(k)
-            t0, t1 = keyswitch.apply_keyswitch(c1, key, self.chain)
-        else:
+        # The single-pass permutation phase of an HRot; the Galois
+        # keyswitch that follows traces its own four phases.
+        with obs.span("hrot.automorphism", cat=obs.CAT_PHASE, galois_k=k):
             c0 = ct.parts[0].automorphism(k)
-            rotated = [digit.automorphism(k) for digit in digits]
-            primes = rotated[0].primes  # the level's limbs + special prime
-            keep = list(range(len(primes) - 1)) + [self.chain.levels]
-            t0, t1 = keyswitch.accumulate_keyswitch(rotated, key, keep, primes)
+            c1 = ct.parts[1].automorphism(k)
+        t0, t1 = keyswitch.apply_keyswitch(c1, self.galois_keys[k], self.chain)
         return replace(ct, parts=[c0 + self._mod_down(t0), self._mod_down(t1)])
 
-    def _rotate(self, ct: _Ct, steps: int,
-                digits: list[RnsPoly] | None = None) -> _Ct:
-        """Rotate the slots of each power-of-5 orbit by ``steps``."""
+    def _galois_folds(self, ct: _Ct, elements: list[int]) -> list[_Ct]:
+        """:meth:`_galois_fold` for each of ``elements``, hoisted: the
+        digits of ``ct.parts[1]`` are transformed once for all of them
+        (:func:`repro.fhe.keyswitch.hoisted_keyswitch`); each image is
+        finished with its own ``c0`` permutation and two ModDowns."""
+        if ct.size != 2:
+            raise ValueError("rotate expects a relinearized ciphertext")
+        switched = keyswitch.hoisted_keyswitch(
+            ct.parts[1], [self.galois_keys[k] for k in elements], elements,
+            self.chain)
+        return [replace(ct, parts=[
+            ct.parts[0].automorphism(k) + self._mod_down(t0),
+            self._mod_down(t1)]) for k, (t0, t1) in zip(elements, switched)]
+
+    def _galois_element(self, steps: int) -> int:
+        """The Galois element rotating each power-of-5 orbit by
+        ``steps`` (1: no rotation); its key must exist."""
         n = self.chain.n
         k = pow(5, steps % (n // 2), 2 * n)
-        if k == 1:
-            return ct.copy()
-        if k not in self.galois_keys:
+        if k != 1 and k not in self.galois_keys:
             raise KeyError(
                 f"no Galois key for rotation {steps}; call "
                 "generate_galois_keys first"
             )
-        return self._galois_fold(ct, k, digits)
+        return k
+
+    def _rotate(self, ct: _Ct, steps: int) -> _Ct:
+        """Rotate the slots of each power-of-5 orbit by ``steps``."""
+        k = self._galois_element(steps)
+        return ct.copy() if k == 1 else self._galois_fold(ct, k)

@@ -8,9 +8,11 @@ full-size temporaries beyond one reusable workspace.  It subclasses
 :class:`~repro.fhe.backend.NumpyBackend`, so every shape a gate or a
 missing C toolchain refuses simply falls through to the vectorized
 numpy path.  On top of the protocol it offers the optional slots
-``keyswitch_apply`` (a whole keyswitch), ``drop_top_limb`` (``rescale``
-/ ``mod_down``) — both row-fused — and ``tensor_product``, which return
-``None`` instead of falling back so the caller runs its own path.
+``keyswitch_apply`` (a whole keyswitch), ``keyswitch_hoisted`` (the
+keyswitches of several rotations of one polynomial, its digit rows
+transformed once), ``drop_top_limb`` (``rescale`` / ``mod_down``) — all
+row-fused — and ``tensor_product``, which return ``None`` instead of
+falling back so the caller runs its own path.
 
 Bit-identity contract: every compiled kernel returns fully reduced
 residues (< q), and a reduced residue is unique — so outputs match the
@@ -18,8 +20,9 @@ numpy and VPU paths bit for bit regardless of the internal reduction
 schedule.  The shared object is built by whatever C compiler the host
 has, so the backend additionally cross-checks each (kernel, shape) pair
 against the numpy reference on first use — the row-fused slots against
-the same computation phase by phase — and raises rather than silently
-returning wrong residues.
+the same computation phase by phase (the keyswitch slots against
+:func:`repro.fhe.keyswitch.phased_keyswitches` itself) — and raises
+rather than silently returning wrong residues.
 
 The backend picks no reduction schedule: it asks the plan whether a
 kernel may run, and calls the binding (:mod:`repro.kernels.cext`) with
@@ -28,6 +31,8 @@ itself where no schedule is sound.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,6 +45,36 @@ from repro.kernels.plan import (
     get_workspace,
     plan_cache,
 )
+
+
+class _PhasedKernels:
+    """A backend's three batch kernels and none of its optional slots:
+    what the keyswitch slots' oracle runs the phased path on.  The
+    forward digit batch of ``decompose_digits`` — per digit, one row in
+    every limb of ``primes`` but its own — goes digit by digit through
+    the slot's own ``(n, primes)`` plan (the missing limb's row is a
+    don't-care), so the oracle stacks no tables of its own: a plan for
+    the whole ``L * L``-row batch is 33 MB a level at ``n = 8192``."""
+
+    name = "compiled-phased"
+
+    def __init__(self, backend, primes: tuple[int, ...]):
+        self._forward = backend.forward_ntt_batch
+        self._primes = primes
+        self.inverse_ntt_batch = backend.inverse_ntt_batch
+        self.automorphism_eval_batch = backend.automorphism_eval_batch
+
+    def forward_ntt_batch(self, residues: np.ndarray,
+                          batch_primes: tuple[int, ...]) -> np.ndarray:
+        primes, limbs = self._primes, len(self._primes) - 1
+        out = np.empty_like(residues)
+        block = np.zeros((limbs + 1, residues.shape[1]), dtype=np.uint64)
+        for start in range(0, len(batch_primes), limbs):
+            rows = [primes.index(q)
+                    for q in batch_primes[start:start + limbs]]
+            block[rows] = residues[start:start + limbs]
+            out[start:start + limbs] = self._forward(block, primes)[rows]
+        return out
 
 
 def _digit_stride(stack: np.ndarray) -> int | None:
@@ -243,62 +278,95 @@ class CompiledBackend(NumpyBackend):
         where ``plan.checksum_ok`` or the unreduced accumulator
         (``plan.ks_lazy``) is missing.
         """
+        accs = self._keyswitch("keyswitch_apply", residues, primes,
+                               [key_block], keep, None, ticks, check)
+        return None if accs is None else (accs[0][0], accs[1][0])
+
+    def keyswitch_hoisted(self, residues: np.ndarray, primes: tuple[int, ...],
+                          key_blocks, keep, galois,
+                          ticks: np.ndarray | None = None, check=None,
+                          ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Hoisted rotations: the keyswitches of ``G`` Galois images of
+        one polynomial in one compiled call — the same walk as
+        :meth:`keyswitch_apply` (which is its ``G = 1``, no-table case),
+        every digit row transformed once and multiply-accumulated into
+        all ``G`` accumulator pairs, rotation ``g`` reading it through
+        the slot permutation of ``X -> X^galois[g]`` against
+        ``key_blocks[g]``.  Returns two ``(G, L + 1, n)`` stacks —
+        ``[g]`` what ``keyswitch_apply`` returns for the permuted
+        polynomial — or ``None`` likewise.  A ``check`` request also
+        receives the tables the kernel read through (``check.tables``)."""
+        return self._keyswitch("keyswitch_hoisted", residues, primes,
+                               list(key_blocks), keep, list(galois), ticks,
+                               check)
+
+    def _keyswitch(self, slot: str, residues, primes, key_blocks: list, keep,
+                   galois: list[int] | None, ticks, check):
         impl = self._impl
         primes = tuple(primes)
         limbs = len(primes) - 1
-        if impl is None or limbs < 1 or not key_block.flags.c_contiguous \
-                or key_block.dtype != np.uint64:
+        if impl is None or limbs < 1 or not all(
+                block.flags.c_contiguous and block.dtype == np.uint64
+                for block in key_blocks):
             return None
         x = np.ascontiguousarray(residues, dtype=np.uint64)
         n = x.shape[1]
         keep = np.asarray(keep, dtype=np.int64)
-        digits, parts, key_limbs, key_n = key_block.shape
+        shapes = {block.shape for block in key_blocks}
+        digits, parts, key_limbs, key_n = (
+            shapes.pop() if len(shapes) == 1 else (0, 0, 0, 0))
         if x.shape[0] != limbs or digits < limbs or parts != 2 \
                 or key_n != n or keep.shape != (limbs + 1,) \
-                or keep.min() < 0 or keep.max() >= key_limbs:
+                or keep.min() < 0 or keep.max() >= key_limbs \
+                or (galois is not None and len(galois) != len(key_blocks)):
             raise ValueError(
-                f"keyswitch_apply: {x.shape} residues, key block "
-                f"{key_block.shape} and keep {keep.tolist()} do not "
-                f"describe a keyswitch over {limbs + 1} primes")
+                f"{slot}: {x.shape} residues, key blocks "
+                f"{[block.shape for block in key_blocks]}, keep "
+                f"{keep.tolist()} and Galois elements {galois} do not "
+                f"describe keyswitches over {limbs + 1} primes")
         plan = get_plan(n, primes) if n else None
         if plan is not None and plan.keyswitch_ok and (
                 check is None or plan.checksum_ok and plan.ks_lazy):
-            acc0 = np.empty((limbs + 1, n), dtype=np.uint64)
-            acc1 = np.empty((limbs + 1, n), dtype=np.uint64)
-            scratch = 3 * limbs + 2 + (0 if check is None else 2 * limbs + 2)
-            impl.ks_apply(plan, x, key_block, keep, acc0, acc1,
-                          get_workspace(scratch, n), ticks, check)
+            count = len(key_blocks)
+            acc0 = np.empty((count, limbs + 1, n), dtype=np.uint64)
+            acc1 = np.empty((count, limbs + 1, n), dtype=np.uint64)
+            # The kernel gathers: slot k of the image is slot src[k] of
+            # the digit row, and the source table of X -> X^k is the
+            # destination table of its inverse.
+            tables = None if galois is None else [
+                get_destinations(n, pow(k, -1, 2 * n)) for k in galois]
+            impl.ks_apply(plan, x, key_blocks, keep, acc0, acc1,
+                          get_workspace(3 * limbs + 2, n),
+                          ticks, check, tables)
             self.kernel_invocations += 1
             self._verify_first_use(
-                ("keyswitch_apply", n, primes),
-                lambda: self._phased_keyswitch(x, primes, key_block, keep),
+                (slot, n, primes),
+                lambda: self._phased_keyswitch(x, primes, key_blocks, keep,
+                                               galois),
                 (acc0, acc1))
             return acc0, acc1
         return None
 
     def _phased_keyswitch(self, x: np.ndarray, primes: tuple[int, ...],
-                          key_block: np.ndarray, keep: np.ndarray,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """The oracle of :meth:`keyswitch_apply`: the same keyswitch
-        phase by phase — this backend's batch kernels (each checked
-        against numpy on first use of its own shape), every digit row
-        transformed (no diagonal reuse), the lift through a signed
-        ``%`` and a per-step reduced accumulator."""
-        level = primes[:-1]
-        coeff = self.inverse_ntt_batch(x, level).astype(np.int64)
-        from_col = np.array(level, dtype=np.int64)[:, None]
-        centered = np.where(coeff > from_col // 2, coeff - from_col, coeff)
-        to_col = np.array(primes, dtype=np.int64)[:, None]
-        q_col = to_col.astype(np.uint64)
-        accs = (np.zeros((len(primes), x.shape[1]), dtype=np.uint64),
-                np.zeros((len(primes), x.shape[1]), dtype=np.uint64))
-        for i in range(len(level)):
-            digit = self.forward_ntt_batch(
-                (centered[i] % to_col).astype(np.uint64), primes)
-            for acc, key_rows in zip(accs, key_block[i]):
-                acc += digit * key_rows[keep] % q_col
-                acc %= q_col
-        return accs
+                          key_blocks: list, keep: np.ndarray,
+                          galois: list[int] | None):
+        """The oracle of both keyswitch slots: :mod:`repro.fhe.keyswitch`'s
+        own phased path — decompose, permute, accumulate — on this
+        backend's three batch kernels alone (each checked against numpy
+        on first use of its own shape), so no fused slot is taken."""
+        from repro.fhe import keyswitch
+        from repro.fhe.backend import use_backend
+        from repro.fhe.polynomial import RnsPoly
+
+        keys = [SimpleNamespace(block=block, pairs=[
+            [SimpleNamespace(residues=rows) for rows in pair]
+            for pair in block]) for block in key_blocks]
+        with use_backend(_PhasedKernels(self, primes)):
+            accs = keyswitch.phased_keyswitches(
+                RnsPoly(x, primes[:-1], is_eval=True), keys, galois,
+                keep.tolist(), primes)
+        return tuple(np.stack([pair[part].residues for pair in accs])
+                     for part in (0, 1))
 
     def drop_top_limb(self, residues: np.ndarray, primes: tuple[int, ...],
                       inv_table, check=None) -> np.ndarray | None:

@@ -110,49 +110,65 @@ def _tables(plan, entry: str, ok: bool = True) -> PlanTables:
 
 class CheckTables(ctypes.Structure):
     """ctypes mirror of ``check_t`` in ``kernels.c``, field for field:
-    the integrity layer's weight tables and key image, the two outputs
+    the integrity layer's weight tables and key images, the two outputs
     the kernel writes its sums to, and the spare modulus."""
 
     _fields_ = [(name, _VOID) for name in (
-        "intt", "ntt", "key_image", "sums", "spare")] + [("spare_q", _U64)]
+        "intt", "ntt", "key_images", "sums", "spare")] + [("spare_q", _U64)]
+
+
+def _pointers(arrays) -> ctypes.Array:
+    """The addresses of ``arrays`` as a C array of pointers (the caller
+    keeps the arrays alive across the foreign call)."""
+    return (_VOID * len(arrays))(*map(_addr, arrays))
 
 
 def _check_tables(plan, entry: str, check, row_ntts: int,
-                  key: np.ndarray | None = None) -> CheckTables | None:
+                  keys=None) -> CheckTables | None:
     """``check_t`` for one call — None for ``check`` None, the unchecked
     call.  ``check`` carries the stacked weight tables ``intt`` / ``ntt``
-    (``(plan rows, 2, 2, n)`` uint32) and, for a keyswitch over key
-    block ``key``, ``key_image`` (the block's shape, uint32) with its
-    ``spare_modulus``; the outputs ``check.sums`` (``(row_ntts, 2, 2)``)
-    and ``check.spare`` (``(plan rows, 2, 2)``, keyswitch only) are
-    allocated here.  Raises :class:`ValueError` on a plan whose
-    checksum gate refused — or, for a keyswitch, whose accumulator is
-    not kept unreduced — and on tables of the wrong shape or dtype."""
+    (``(plan rows, 2, 2, n)`` uint32) and, for a keyswitch over the key
+    blocks ``keys``, ``key_images`` (one per block, its shape, uint32)
+    with their ``spare_modulus``; the outputs ``check.sums``
+    (``(row_ntts, 2, 2)``) and ``check.spare`` (``(len(keys), plan rows,
+    2, 2)``, keyswitch only) are allocated here.  Raises
+    :class:`ValueError` on a plan whose checksum gate refused — or, for a
+    keyswitch, whose accumulator is not kept unreduced — and on tables
+    of the wrong shape or dtype."""
     if check is None:
         return None
-    if not (plan.checksum_ok and (key is None or plan.ks_lazy)):
+    if not (plan.checksum_ok and (keys is None or plan.ks_lazy)):
         raise ValueError(
             f"{entry}: in-kernel integrity sums are not proven sound for "
             f"n={plan.n}, primes={plan.primes}")
     rows = len(plan.primes)
-    wanted = {"intt": (rows, 2, 2, plan.n), "ntt": (rows, 2, 2, plan.n)}
-    if key is not None:
-        wanted["key_image"] = key.shape
-    for name, shape in wanted.items():
-        table = getattr(check, name)
+    wanted = [("intt", check.intt, (rows, 2, 2, plan.n)),
+              ("ntt", check.ntt, (rows, 2, 2, plan.n))]
+    if keys is not None:
+        if len(check.key_images) != len(keys):
+            raise ValueError(
+                f"{entry}: {len(check.key_images)} check.key_images for "
+                f"{len(keys)} key blocks")
+        wanted += [("key_images", image, key.shape)
+                   for image, key in zip(check.key_images, keys)]
+    for name, table, shape in wanted:
         if table.shape != shape or table.dtype != np.uint32 \
                 or not table.flags.c_contiguous:
             raise ValueError(
                 f"{entry}: check.{name} must be a contiguous uint32 "
                 f"{shape} table, got {table.dtype} {table.shape}")
     check.sums = np.empty((row_ntts, 2, 2), dtype=np.uint64)
-    check.spare = (None if key is None
-                   else np.empty((rows, 2, 2), dtype=np.uint64))
-    return CheckTables(
-        _addr(check.intt), _addr(check.ntt),
-        None if key is None else _addr(check.key_image), _addr(check.sums),
-        None if key is None else _addr(check.spare),
-        0 if key is None else check.spare_modulus)
+    if keys is None:
+        check.spare = None
+        return CheckTables(_addr(check.intt), _addr(check.ntt), None,
+                           _addr(check.sums), None, 0)
+    check.spare = np.empty((len(keys), rows, 2, 2), dtype=np.uint64)
+    images = _pointers(check.key_images)
+    tables = CheckTables(
+        _addr(check.intt), _addr(check.ntt), ctypes.addressof(images),
+        _addr(check.sums), _addr(check.spare), check.spare_modulus)
+    tables.images = images  # the struct holds an address: keep it alive
+    return tables
 
 
 _PLAN = ctypes.POINTER(PlanTables)
@@ -186,8 +202,8 @@ class CExtProvider:
         self._ks = entry("repro_ks_accum", _VOID, _VOID, _VOID, _I64,
                          _VOID, _VOID, _I64, _I64, _I64, _VOID, _VOID, _INT)
         self._ks_apply = entry("repro_ks_apply", _PLAN, _VOID, _VOID, _VOID,
-                               _VOID, _VOID, _VOID, _VOID, _I64, _I64, _I64,
-                               _VOID, _CHECK)
+                               _I64, _VOID, _VOID, _VOID, _VOID, _VOID,
+                               _I64, _I64, _I64, _VOID, _CHECK)
         self._drop_top = entry("repro_drop_top_limb", _PLAN, _VOID, _VOID,
                                _VOID, _VOID, _I64, _I64, _CHECK)
         self._tensor = entry("repro_tensor", _PLAN, *[_VOID] * 7, _I64, _I64)
@@ -232,23 +248,44 @@ class CExtProvider:
                  _addr(acc0), _addr(acc1), num_digits, rows, n,
                  _addr(q_arr), _addr(mu_arr), 1 if lazy else 0)
 
-    def ks_apply(self, plan, x: np.ndarray, key: np.ndarray,
-                 keep: np.ndarray, acc0: np.ndarray, acc1: np.ndarray,
-                 work: np.ndarray, ticks: np.ndarray | None = None,
-                 check=None) -> None:
-        """``work`` is ``(3 L + 2, n)``: ``L`` coefficient rows, then
-        two scratch rows per target limb — ``(5 L + 4, n)`` with
-        ``check`` (:func:`_check_tables`), whose ``L + L * L`` row NTTs
-        are numbered as in ``kernels.c``.  ``ticks`` has five slots.
+    def ks_apply(self, plan, x: np.ndarray, keys, keep: np.ndarray,
+                 acc0: np.ndarray, acc1: np.ndarray, work: np.ndarray,
+                 ticks: np.ndarray | None = None, check=None,
+                 tables=None) -> None:
+        """``G = len(keys)`` keyswitches of ``x`` in one walk over its
+        digit rows, into ``acc0`` / ``acc1`` ``(G, L + 1, n)``: plain
+        ones (``tables`` None), or of its Galois images — rotation
+        ``g`` reads every digit row through the int64 source table
+        ``tables[g]`` against key block ``keys[g]`` (hoisted rotations).
+        ``work`` is ``(3 L + 2, n)``: ``L`` coefficient rows, then two
+        scratch rows per target limb.  ``check`` (:func:`_check_tables`)
+        numbers the ``L + L * L`` row NTTs as ``kernels.c`` does and
+        also receives ``tables``.  ``ticks`` has five slots.
         Gate: ``plan.keyswitch_ok``."""
         limbs, n = x.shape
-        tables = _tables(plan, "ks_apply", plan.keyswitch_ok)
-        self._ks_apply(tables, _addr(x), _addr(key), _addr(keep),
-                       _addr(acc0), _addr(acc1), _addr(work),
-                       _addr(work[limbs:]), limbs, key.shape[2], n,
-                       None if ticks is None else _addr(ticks),
-                       _check_tables(plan, "ks_apply", check,
-                                     limbs + limbs * limbs, key))
+        tables_ok = tables is None or len(tables) == len(keys) and all(
+            t.shape == (n,) and t.dtype == np.int64 for t in tables)
+        if not keys or not tables_ok or len({key.shape for key in keys}) != 1 \
+                or acc0.shape != (len(keys), limbs + 1, n) \
+                or acc1.shape != acc0.shape:
+            raise ValueError(
+                f"ks_apply: {len(keys)} key blocks of shapes "
+                f"{[key.shape for key in keys]}, "
+                f"{None if tables is None else len(tables)} tables and "
+                f"{acc0.shape} accumulators do not describe keyswitches "
+                f"of a {x.shape} polynomial")
+        plan_tables = _tables(plan, "ks_apply", plan.keyswitch_ok)
+        checks = _check_tables(plan, "ks_apply", check,
+                               limbs + limbs * limbs, keys)
+        if check is not None:
+            check.tables = tables  # what the kernel reads through
+        key_pointers = _pointers(keys)
+        table_pointers = None if tables is None else _pointers(tables)
+        self._ks_apply(plan_tables, _addr(x), key_pointers, table_pointers,
+                       len(keys), _addr(keep), _addr(acc0), _addr(acc1),
+                       _addr(work), _addr(work[limbs:]), limbs,
+                       keys[0].shape[2], n,
+                       None if ticks is None else _addr(ticks), checks)
 
     def drop_top(self, plan, x: np.ndarray, inv: np.ndarray,
                  out: np.ndarray, work: np.ndarray, check=None) -> None:

@@ -10,9 +10,10 @@
  *
  * The butterfly loops exist once, in ``fwd_row`` / ``inv_row``; the
  * batch entries map them over rows, and the two row-fused entries
- * (``repro_ks_apply``, ``repro_drop_top_limb``) call them between a
- * lift and a multiply-accumulate (a subtract-and-scale) so a 64 KB
- * row is produced and consumed while it is in cache.
+ * (``repro_ks_apply`` -- one keyswitch, or the keyswitches of several
+ * rotations of one polynomial -- and ``repro_drop_top_limb``) call
+ * them between a lift and a multiply-accumulate (a subtract-and-scale)
+ * so a 64 KB row is produced and consumed while it is in cache.
  *
  * The arithmetic mirrors the analyzed numpy stage plans line for line
  * (``repro.analysis.stage_plans``), so the eligibility gates derived
@@ -365,7 +366,10 @@ void repro_auto_batch(const u64 *in, u64 *out, i64 L, i64 n,
 
 /* ------------------------------------------------------------------ */
 /* The keyswitch multiply-accumulate of one limb row, written once:   */
-/* s0 += digit * b, s1 += digit * a.                                   */
+/* s0 += digit * b, s1 += digit * a.  src is NULL, or the source table */
+/* of a slot permutation: the digit is then the Galois image of row    */
+/* dd, slot k of which is dd[src[k]] (a gather: the accumulators and   */
+/* the key rows are still walked in order).                            */
 /*                                                                    */
 /* lazy == 1 accumulates raw uint64 products and leaves the single    */
 /* final Barrett reduction to mac_finish (gate:                       */
@@ -380,18 +384,21 @@ static inline void mac_clear(u64 *s0, u64 *s1, i64 n) {
     }
 }
 
-static inline void mac_row(u64 *s0, u64 *s1, const u64 *dd, const u64 *bb,
-                           const u64 *aa, i64 n, u64 q, u64 mu, int lazy) {
+static inline void mac_row(u64 *s0, u64 *s1, const u64 *dd, const i64 *src,
+                           const u64 *bb, const u64 *aa, i64 n, u64 q, u64 mu,
+                           int lazy) {
     if (lazy) {
         for (i64 k = 0; k < n; k++) {
-            s0[k] += dd[k] * bb[k];
-            s1[k] += dd[k] * aa[k];
+            const u64 d = dd[src ? src[k] : k];
+            s0[k] += d * bb[k];
+            s1[k] += d * aa[k];
         }
     } else {
         for (i64 k = 0; k < n; k++) {
-            u64 t0 = s0[k] + barrett_mod(dd[k] * bb[k], q, mu);
+            const u64 d = dd[src ? src[k] : k];
+            u64 t0 = s0[k] + barrett_mod(d * bb[k], q, mu);
             if (t0 >= q) t0 -= q;
-            u64 t1 = s1[k] + barrett_mod(dd[k] * aa[k], q, mu);
+            u64 t1 = s1[k] + barrett_mod(d * aa[k], q, mu);
             if (t1 >= q) t1 -= q;
             s0[k] = t0;
             s1[k] = t1;
@@ -427,7 +434,7 @@ void repro_ks_accum(const u64 *digits, const u64 *bstack, const u64 *astack,
         u64 *s1 = acc1 + r * n;
         mac_clear(s0, s1, n);
         for (i64 d = 0; d < D; d++)
-            mac_row(s0, s1, digits + (d * R + r) * n,
+            mac_row(s0, s1, digits + (d * R + r) * n, 0,
                     bstack + d * key_stride + r * n,
                     astack + d * key_stride + r * n, n, q, mu, lazy);
         mac_finish(s0, s1, n, q, mu, lazy);
@@ -461,15 +468,16 @@ typedef struct {
     /* (plan rows, 2, 2, n) each: plan row l's input weights w, then its
      * output weights r, both as (lo, hi) 15-bit halves. */
     const u32 *intt, *ntt;
-    /* The key block mod spare_q, in the block's own (D, 2, K, n)
-     * layout; repro_ks_apply only. */
-    const u32 *key_image;
+    /* Per rotation, its key block mod spare_q in the block's own
+     * (D, 2, K, n) layout; repro_ks_apply only. */
+    const u32 **key_images;
     /* Out, (row NTTs, 2, 2): per row NTT the input side then the output
      * side, each the unreduced (lo, hi) half sums. */
     u64 *sums;
-    /* Out, (L + 1, 2, 2): per target limb and key part, sum_k of the
-     * unreduced accumulator mod spare_q, then sum_k of the spare
-     * channel mod spare_q; repro_ks_apply only. */
+    /* Out, (G, L + 1, 2, 2): per rotation, target limb and key part,
+     * sum_k of the unreduced accumulator mod spare_q, then the spare
+     * channel, sum_i of <digit i, key image i> mod spare_q -- congruent
+     * mod spare_q; repro_ks_apply only. */
     u64 *spare;
     u64 spare_q;
 } check_t;
@@ -509,64 +517,83 @@ static inline i64 check_row(const check_t *check, int fwd, i64 l, i64 r,
     return tick_now(ticks) - t0;
 }
 
-/* The spare-modulus channel of one digit row, beside mac_row and over
- * the row it read: t0 += (digit mod qs) * b image, t1 likewise.  Both
- * factors are below qs < 2**20, so the sums stay unreduced. */
-static inline void spare_row(u64 *t0, u64 *t1, const u64 *dd, const u32 *ib,
-                             const u32 *ia, i64 n, u64 qs, u64 mus) {
-    for (i64 k = 0; k < n; k++) {
-        const u64 d = barrett_mod(dd[k], qs, mus);
-        t0[k] += d * ib[k];
-        t1[k] += d * ia[k];
-    }
+/* One digit row mod the spare modulus, taken once however many
+ * rotations read it.  Words below qs < 2**20. */
+static inline void spare_reduce(u32 *dq, const u64 *dd, i64 n, u64 qs,
+                                u64 mus) {
+    for (i64 k = 0; k < n; k++)
+        dq[k] = (u32)barrett_mod(dd[k], qs, mus);
 }
 
-/* Both sides of one accumulator's spare check: the unreduced
- * accumulator and its spare channel, each reduced mod qs word by word
- * and summed (n words below 2**20: exact). */
-static inline void spare_sides(const u64 *acc, const u64 *t, i64 n, u64 qs,
-                               u64 mus, u64 *out) {
-    u64 lhs = 0, rhs = 0;
+/* The spare-modulus channel of one digit row, beside mac_row and over
+ * the row it read (through the same src): the dot products of the
+ * digit mod qs with the b image and with the a image, each reduced and
+ * added to its accumulator's channel side, sides[1] / sides[3].  Both
+ * factors are below qs < 2**20 and checksum_ok bounds n by 2**17, so a
+ * row's dot product stays unreduced. */
+static inline void spare_row(u64 *sides, const u32 *dq, const i64 *src,
+                             const u32 *ib, const u32 *ia, i64 n, u64 qs,
+                             u64 mus) {
+    u64 t0 = 0, t1 = 0;
     for (i64 k = 0; k < n; k++) {
-        lhs += barrett_mod(acc[k], qs, mus);
-        rhs += barrett_mod(t[k], qs, mus);
+        const u64 d = dq[src ? src[k] : k];
+        t0 += d * ib[k];
+        t1 += d * ia[k];
     }
-    out[0] = lhs;
-    out[1] = rhs;
+    sides[1] += barrett_mod(t0, qs, mus);
+    sides[3] += barrett_mod(t1, qs, mus);
+}
+
+/* The accumulator side of a spare check: the unreduced accumulator
+ * reduced mod qs word by word and summed (n words below 2**20: exact). */
+static inline u64 spare_sum(const u64 *acc, i64 n, u64 qs, u64 mus) {
+    u64 sum = 0;
+    for (i64 k = 0; k < n; k++) sum += barrett_mod(acc[k], qs, mus);
+    return sum;
 }
 
 /* ------------------------------------------------------------------ */
-/* Row-fused keyswitch: the whole of apply_keyswitch in one call.     */
+/* Row-fused keyswitch: the whole of apply_keyswitch in one call, for */
+/* G Galois images of one polynomial at once (hoisted rotations).     */
 /*                                                                    */
 /* x: (L, n) evaluation-domain rows mod the first L plan primes; the  */
-/* plan has L + 1 rows, the special prime last.  key: one key block   */
+/* plan has L + 1 rows, the special prime last.  keys: G key blocks   */
 /* (D >= L, 2, K, n), digit i's b / a rows at [i][0] / [i][1], read   */
-/* in place through keep (L + 1 row indices below K).  acc0/acc1:     */
-/* (L + 1, n) outputs.  coeff: (L, n) scratch for the coefficient     */
-/* rows; work: (2 (L + 1), n) scratch, two rows per target limb --    */
-/* with check, (4 (L + 1), n): two more per limb, the spare channel.  */
+/* in place through keep (L + 1 row indices below K).  tables: NULL   */
+/* -- G plain keyswitches of x -- or G source tables of Galois maps:  */
+/* rotation g switches sigma_g(x), slot k of which is slot            */
+/* tables[g][k] of x.  acc0/acc1: (G, L + 1, n) outputs.  coeff:      */
+/* (L, n) scratch for the coefficient rows; work: two scratch rows    */
+/* per target limb.                                                   */
 /*                                                                    */
 /* After the L inverse NTTs, target limb j takes each digit i in      */
 /* turn: lift coefficient row i into j's scratch row, forward-NTT it  */
-/* mod q_j there, and multiply-accumulate it into acc0[j] / acc1[j]   */
-/* while it is still in cache -- no (L, L + 1, n) digit tensor.  On   */
-/* the diagonal the lift is congruent to x[i] mod q_i and forward of  */
-/* inverse is the identity, so x[i] itself is the digit.              */
+/* mod q_j there, and -- while it is still in cache -- multiply-      */
+/* accumulate it into every rotation's acc0[g][j] / acc1[g][j],       */
+/* rotation g reading it through its table against its own key rows:  */
+/* the Galois map is the same slot permutation in every limb, so it   */
+/* commutes with the per-prime digits and each digit row is           */
+/* transformed once however many rotations there are.  No             */
+/* (L, L + 1, n) digit tensor.  On the diagonal the lift is congruent */
+/* to x[i] mod q_i and forward of inverse is the identity, so x[i]    */
+/* itself is the digit.                                               */
 /*                                                                    */
 /* ticks: NULL, or 5 slots that gain the nanoseconds spent in the     */
 /* inverse NTTs, lifts, forward NTTs, MACs and the check's loops      */
 /* (summed over threads).                                              */
 /*                                                                    */
 /* check: NULL, or the integrity sums.  Row NTTs are numbered as the  */
-/* phased keyswitch batches them: the L inverse rows, then the        */
-/* forward row of digit i in target limb j != i at L + i L + j (less  */
-/* one past the diagonal).  The spare channel needs the accumulator   */
-/* unreduced (plan->ks_lazy; the binding refuses otherwise).          */
+/* phased keyswitch batches them -- once per call, not per rotation:  */
+/* the L inverse rows, then the forward row of digit i in target limb */
+/* j != i at L + i L + j (less one past the diagonal).  The spare     */
+/* channel runs per rotation, against key_images[g], and needs the    */
+/* accumulator unreduced (plan->ks_lazy; the binding refuses          */
+/* otherwise).                                                         */
 /* ------------------------------------------------------------------ */
-void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
-                    const i64 *keep, u64 *acc0, u64 *acc1,
-                    u64 *coeff, u64 *work, i64 L, i64 K, i64 n,
-                    i64 *ticks, const check_t *check) {
+void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
+                    const i64 *const *tables, i64 G, const i64 *keep,
+                    u64 *acc0, u64 *acc1, u64 *coeff, u64 *work,
+                    i64 L, i64 K, i64 n, i64 *ticks, const check_t *check) {
     const int lazy = plan->ks_lazy;
     const u64 qs = check ? check->spare_q : 0;
     const u64 mus = check ? ~(u64)0 / qs : 0; /* qs is odd: floor(2**64 / qs) */
@@ -585,15 +612,18 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
     PARALLEL_LIMBS
     for (i64 j = 0; j < par_rows; j++) {
         const u64 q = plan->q[j], mu = plan->mu[j];
-        u64 *s0 = acc0 + j * n;
-        u64 *s1 = acc1 + j * n;
         u64 *row = work + 2 * j * n;
-        u64 *c0 = check ? work + 2 * (L + 1 + j) * n : 0; /* spare channel */
-        u64 *c1 = check ? c0 + n : 0;
+        u32 *dq = (u32 *)(row + n); /* digit mod qs, in the NTT's scratch */
         i64 lift_ns = 0, ntt_ns = 0, mac_ns = 0, check_ns = 0;
         i64 t0 = tick_now(ticks), t1;
-        mac_clear(s0, s1, n);
-        if (check) mac_clear(c0, c1, n);
+        for (i64 g = 0; g < G; g++) {
+            const i64 out = (g * (L + 1) + j) * n;
+            mac_clear(acc0 + out, acc1 + out, n);
+            if (check) {
+                u64 *sides = check->spare + 4 * (g * (L + 1) + j);
+                sides[1] = sides[3] = 0;
+            }
+        }
         for (i64 i = 0; i < L; i++) {
             const u64 *digit = x + i * n;
             if (i != j) {
@@ -610,26 +640,39 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *key,
                 digit = row;
             }
             const i64 key_row = (2 * i * K + keep[j]) * n;
-            const u64 *rows = key + key_row;
-            mac_row(s0, s1, digit, rows, rows + K * n, n, q, mu, lazy);
+            for (i64 g = 0; g < G; g++) {
+                const i64 out = (g * (L + 1) + j) * n;
+                const u64 *rows = keys[g] + key_row;
+                mac_row(acc0 + out, acc1 + out, digit, tables ? tables[g] : 0,
+                        rows, rows + K * n, n, q, mu, lazy);
+            }
             t1 = tick_now(ticks);
             mac_ns += t1 - t0;
             t0 = t1;
             if (check) {
-                const u32 *image = check->key_image + key_row;
-                spare_row(c0, c1, digit, image, image + K * n, n, qs, mus);
+                spare_reduce(dq, digit, n, qs, mus);
+                for (i64 g = 0; g < G; g++) {
+                    const u32 *image = check->key_images[g] + key_row;
+                    spare_row(check->spare + 4 * (g * (L + 1) + j), dq,
+                              tables ? tables[g] : 0, image, image + K * n, n,
+                              qs, mus);
+                }
                 t0 = tick_now(ticks);
                 check_ns += t0 - t1;
             }
         }
-        if (check) {
-            spare_sides(s0, c0, n, qs, mus, check->spare + 4 * j);
-            spare_sides(s1, c1, n, qs, mus, check->spare + 4 * j + 2);
-            t1 = tick_now(ticks);
-            check_ns += t1 - t0;
-            t0 = t1;
+        for (i64 g = 0; g < G; g++) {
+            const i64 out = (g * (L + 1) + j) * n;
+            if (check) {
+                u64 *sides = check->spare + 4 * (g * (L + 1) + j);
+                sides[0] = spare_sum(acc0 + out, n, qs, mus);
+                sides[2] = spare_sum(acc1 + out, n, qs, mus);
+                t1 = tick_now(ticks);
+                check_ns += t1 - t0;
+                t0 = t1;
+            }
+            mac_finish(acc0 + out, acc1 + out, n, q, mu, lazy);
         }
-        mac_finish(s0, s1, n, q, mu, lazy);
         mac_ns += tick_now(ticks) - t0;
         tick_add(ticks, 1, lift_ns);
         tick_add(ticks, 2, ntt_ns);

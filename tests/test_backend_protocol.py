@@ -48,8 +48,8 @@ BACKENDS = {
     "integrity-off": lambda: IntegrityBackend(VpuBackend(m=M), "off"),
     "integrity-detect": lambda: IntegrityBackend(NumpyBackend(), "detect"),
 }
-OPTIONAL = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb",
-            "tensor_product", "check_keyswitch_accumulation")
+OPTIONAL = ("keyswitch_inner_product", "keyswitch_apply", "keyswitch_hoisted",
+            "drop_top_limb", "tensor_product", "check_keyswitch_accumulation")
 
 
 def _rows(primes, seed=0):

@@ -225,7 +225,7 @@ def _assert_sums_match_numpy(backend, checker, x, primes, ksk, keep):
     numpy checksum of the same row recomputed phase by phase, and the
     verdict equals ``faulty_ntt_rows`` / ``check_keyswitch_accumulation``."""
     limbs = len(primes) - 1
-    check = checker.fused_check(x.shape[1], primes, ksk.block)
+    check = checker.fused_check(x.shape[1], primes, [ksk.block])
     accs = backend.keyswitch_apply(x, primes, ksk.block, keep, check=check)
     assert accs is not None
     coeff, lifted, digits, moduli = _phased_rows(x, primes)
@@ -253,10 +253,15 @@ def _assert_sums_match_numpy(backend, checker, x, primes, ksk, keep):
     unreduced = [sum(tensor[i] * ksk.block[i, part][keep]
                      for i in range(limbs)) for part in (0, 1)]
     qs = np.uint64(SPARE_MODULUS)
+    spare, = check.spare  # one rotation: the plain keyswitch
     for part, acc in enumerate(unreduced):
-        assert np.array_equal(check.spare[:, part, 0],
-                              (acc % qs).sum(axis=1))
-        assert np.array_equal(check.spare[:, part, 0], check.spare[:, part, 1])
+        assert np.array_equal(spare[:, part, 0], (acc % qs).sum(axis=1))
+        # ... and the channel: per digit row one dot product against
+        # the key image, reduced, summed over the digits.
+        channel = sum((tensor[i] % qs * (ksk.block[i, part][keep] % qs)
+                       ).sum(axis=1) % qs for i in range(limbs))
+        assert np.array_equal(spare[:, part, 1], channel)
+        assert np.array_equal(spare[:, part, 0] % qs, channel % qs)
         assert np.array_equal(
             accs[part], acc % np.array(primes, dtype=np.uint64)[:, None])
     oracle = AbftChecker()
@@ -381,7 +386,7 @@ class TestDetection:
         keep = [0, 1, 2, 3]
 
         def run(residues=x.residues):
-            check = checker.fused_check(N, self.PRIMES, ksk.block)
+            check = checker.fused_check(N, self.PRIMES, [ksk.block])
             backend.keyswitch_apply(residues, self.PRIMES, ksk.block, keep,
                                     check=check)
             return check
@@ -421,7 +426,7 @@ class TestDetection:
         expected = [True] * 4
         expected[2 + part] = False
         assert checker.check_fused(check) == tuple(expected)
-        limb_sides = check.spare[:, part]
+        limb_sides = check.spare[0, :, part] % np.uint64(SPARE_MODULUS)
         assert (limb_sides[:, 0] != limb_sides[:, 1]).tolist() == \
             [False, False, False, True]  # the special-prime limb, row 3
 

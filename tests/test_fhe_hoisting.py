@@ -87,3 +87,92 @@ class TestHoistedRotations:
         individual_calls = counter.ntt_calls
 
         assert hoisted_calls < individual_calls / 1.5
+
+
+class DecompositionCounter:
+    """Counts ``decompose_digits`` calls and backend kernel dispatches."""
+
+    def __init__(self, monkeypatch):
+        from repro.fhe import backend as backend_mod
+        from repro.fhe import keyswitch
+
+        self.decompositions = 0
+        self.dispatches = 0
+        original = keyswitch.decompose_digits
+        counter = self
+
+        def counted(x, params):
+            counter.decompositions += 1
+            return original(x, params)
+
+        class Counting(backend_mod.NumpyBackend):
+            def forward_ntt_batch(self, residues, primes):
+                counter.dispatches += 1
+                return super().forward_ntt_batch(residues, primes)
+
+            def inverse_ntt_batch(self, values, primes):
+                counter.dispatches += 1
+                return super().inverse_ntt_batch(values, primes)
+
+            def automorphism_eval_batch(self, values, galois_k, primes):
+                counter.dispatches += 1
+                return super().automorphism_eval_batch(values, galois_k,
+                                                       primes)
+
+        monkeypatch.setattr(keyswitch, "decompose_digits", counted)
+        self.backend = Counting()
+
+
+class TestValidatesBeforeItSpends:
+    def test_missing_key_raises_before_any_kernel(self, ctx, monkeypatch):
+        counter = DecompositionCounter(monkeypatch)
+        ct = ctx.encrypt(rand(ctx, 5))
+        from repro.fhe.backend import use_backend
+
+        with use_backend(counter.backend):
+            with pytest.raises(KeyError, match="rotation 7"):
+                ctx.rotate_hoisted(ct, [1, 2, 7])
+        assert (counter.decompositions, counter.dispatches) == (0, 0)
+
+    @pytest.mark.parametrize("steps", [[], [0], [0, 0],
+                                       [toy_params().n // 2]])
+    def test_steps_that_rotate_nothing_decompose_nothing(self, ctx, steps,
+                                                         monkeypatch):
+        counter = DecompositionCounter(monkeypatch)
+        z = rand(ctx, 6)
+        ct = ctx.encrypt(z)
+        from repro.fhe.backend import use_backend
+
+        with use_backend(counter.backend):
+            out = ctx.rotate_hoisted(ct, steps)
+        assert (counter.decompositions, counter.dispatches) == (0, 0)
+        assert len(out) == len(steps)
+        for same in out:
+            assert same is not ct
+            assert all(np.array_equal(p.residues, q.residues)
+                       for p, q in zip(same.parts, ct.parts))
+
+    def test_duplicate_steps_share_one_accumulation(self, ctx, monkeypatch):
+        from repro.fhe import keyswitch
+        from repro.fhe.backend import use_backend
+
+        counter = DecompositionCounter(monkeypatch)
+        accumulations = []
+        original = keyswitch.accumulate_keyswitch
+
+        def counted(digits, ksk, keep, primes):
+            accumulations.append(ksk)
+            return original(digits, ksk, keep, primes)
+
+        monkeypatch.setattr(keyswitch, "accumulate_keyswitch", counted)
+        ct = ctx.encrypt(rand(ctx, 7))
+        slots = ctx.params.slots
+        with use_backend(counter.backend):
+            out = ctx.rotate_hoisted(ct, [2, 1, 2, 2 + slots, 0])
+        assert counter.decompositions == 1
+        assert len(accumulations) == 2  # steps 2 and 1
+        first, _, second, third, _ = out
+        for twin in (second, third):
+            assert twin is not first
+            assert all(np.array_equal(p.residues, q.residues)
+                       for p, q in zip(twin.parts, first.parts))

@@ -92,6 +92,102 @@ class TestMatvec:
                              np.zeros((4, 8)))
 
 
+def _dense(rng):
+    return rng.normal(0, 0.4, (DIM, DIM))
+
+
+def _banded(rng):
+    """Diagonals {0, 1, DIM - 1}: the shape of the e2e ``pipeline``'s
+    block-rotation matrix."""
+    w = np.zeros((DIM, DIM))
+    i = np.arange(DIM)
+    for d in (0, 1, DIM - 1):
+        w[i, (i + d) % DIM] = rng.normal(0, 0.4, DIM)
+    return w
+
+
+MATRICES = {"dense": _dense, "banded": _banded,
+            "zero": lambda rng: np.zeros((DIM, DIM))}
+#: Digit decompositions a matvec of each matrix performs on the phased
+#: path, per method: one hoisted call over the input, plus — BSGS — one
+#: plain rotation per giant step off the first.
+DECOMPOSITIONS = {
+    ("dense", encrypted_matvec): 1, ("dense", encrypted_matvec_bsgs): 1 + 3,
+    ("banded", encrypted_matvec): 1, ("banded", encrypted_matvec_bsgs): 1 + 1,
+    ("zero", encrypted_matvec): 0, ("zero", encrypted_matvec_bsgs): 0,
+}
+
+
+class TestMatvecHoisting:
+    @pytest.mark.parametrize("method", [encrypted_matvec,
+                                        encrypted_matvec_bsgs])
+    @pytest.mark.parametrize("kind", MATRICES)
+    def test_result_and_one_decomposition_per_input(self, ctx, kind, method,
+                                                    monkeypatch):
+        from repro.fhe import keyswitch
+        from repro.fhe.backend import NumpyBackend, use_backend
+
+        rng = np.random.default_rng(11)
+        w = MATRICES[kind](rng)
+        x = rng.uniform(-1, 1, DIM)
+        ct = encrypt_tiled(ctx, x)
+        inputs = []
+        original = keyswitch.decompose_digits
+
+        def counted(poly, params):
+            inputs.append(poly)
+            return original(poly, params)
+
+        monkeypatch.setattr(keyswitch, "decompose_digits", counted)
+        with use_backend(NumpyBackend()):  # no fused slot: the phased path
+            out = ctx.decrypt(method(ctx, ct, w))
+        np.testing.assert_allclose(out[:DIM].real, w @ x, atol=2e-3)
+        assert len(inputs) == DECOMPOSITIONS[kind, method]
+        # The matvec's own input is decomposed once, however many of its
+        # rotations are read.
+        assert sum(poly is ct.parts[1] for poly in inputs) == min(
+            1, len(inputs))
+
+    def test_bsgs_rotates_only_the_baby_steps_a_diagonal_reads(self, ctx,
+                                                               monkeypatch):
+        """Diagonals {0, 1, 7} at baby = 2: baby step 1 (d = 1, 7) and
+        giant step 6 — step 0 rotates nothing."""
+        asked = []
+        original = CkksContext.rotate_hoisted
+        monkeypatch.setattr(
+            CkksContext, "rotate_hoisted",
+            lambda self, ct, steps: asked.append(list(steps))
+            or original(self, ct, steps))
+        rng = np.random.default_rng(12)
+        w = _banded(rng)
+        encrypted_matvec_bsgs(ctx, encrypt_tiled(ctx, rng.uniform(-1, 1, DIM)),
+                              w)
+        assert asked == [[0, 1]]
+        w16 = np.zeros((16, 16))
+        i = np.arange(16)
+        for d in (0, 1, 15):
+            w16[i, (i + d) % 16] = 1.0
+        # The pipeline's matrix: baby steps 1 and 3 are read, 2 is not.
+        assert required_rotations(16, bsgs=True, matrix=w16) == [1, 3, 12]
+        assert required_rotations(16, bsgs=True) == [1, 2, 3, 4, 8, 12]
+        assert required_rotations(DIM, matrix=w) == [1, 7]
+        assert required_rotations(DIM, matrix=np.zeros((DIM, DIM))) == []
+
+    def test_keys_for_the_matrix_alone_suffice(self):
+        context = CkksContext(
+            CkksParams(n=256, levels=4, scale_bits=27, prime_bits=28), seed=14)
+        rng = np.random.default_rng(13)
+        w = _banded(rng)
+        x = rng.uniform(-1, 1, DIM)
+        for bsgs, method in ((False, encrypted_matvec),
+                             (True, encrypted_matvec_bsgs)):
+            context.galois_keys.clear()
+            context.generate_galois_keys(
+                required_rotations(DIM, bsgs=bsgs, matrix=w))
+            out = context.decrypt(method(context, encrypt_tiled(context, x), w))
+            np.testing.assert_allclose(out[:DIM].real, w @ x, atol=2e-3)
+
+
 class TestPolyEval:
     def setup_method(self):
         self.rng = np.random.default_rng(7)

@@ -46,14 +46,15 @@ def _calls(provider, plan):
     key = np.zeros((rows, 2, rows, N), dtype=np.uint64)
     keep = np.arange(rows, dtype=np.int64)
     ones = np.ones(rows - 1, dtype=np.uint64)
-    out, acc0, acc1 = _poison(rows, N), _poison(rows, N), _poison(rows, N)
+    out, acc0, acc1 = (_poison(rows, N), _poison(1, rows, N),
+                       _poison(1, rows, N))
     work = np.zeros((3 * rows, N), dtype=np.uint64)
     parts = [_poison(rows, N) for _ in range(3)]
     return {
         "fwd_ntt": (lambda: provider.fwd_ntt(plan, x, out, work), [out]),
         "inv_ntt": (lambda: provider.inv_ntt(plan, x, out, work), [out]),
         "ks_apply": (lambda: provider.ks_apply(
-            plan, x[:-1], key, keep, acc0, acc1, work), [acc0, acc1]),
+            plan, x[:-1], [key], keep, acc0, acc1, work), [acc0, acc1]),
         "drop_top": (lambda: provider.drop_top(
             plan, x, ones, out, work), [out]),
         "tensor": (lambda: provider.tensor(plan, [x] * 4, parts), parts),
@@ -117,7 +118,7 @@ def _check(plan, key=None):
     table = np.zeros((len(plan.primes), 2, 2, N), dtype=np.uint32)
     return SimpleNamespace(
         intt=table, ntt=table.copy(), spare_modulus=1_048_573,
-        key_image=None if key is None else np.zeros(key.shape, np.uint32))
+        key_images=None if key is None else [np.zeros(key.shape, np.uint32)])
 
 
 class TestCheckRequestIsValidatedInTheCallee:
@@ -132,13 +133,13 @@ class TestCheckRequestIsValidatedInTheCallee:
         x = np.zeros((rows, N), dtype=np.uint64)
         key = np.zeros((rows, 2, rows, N), dtype=np.uint64)
         keep = np.arange(rows, dtype=np.int64)
-        out, acc0, acc1 = (_poison(rows - 1, N), _poison(rows, N),
-                           _poison(rows, N))
+        out, acc0, acc1 = (_poison(rows - 1, N), _poison(1, rows, N),
+                           _poison(1, rows, N))
         work = np.zeros((5 * rows, N), dtype=np.uint64)
         ks, drop = check_of(plan, key), check_of(plan, None)
         return {
             "ks_apply": (lambda: provider.ks_apply(
-                plan, x[:-1], key, keep, acc0, acc1, work, None, ks),
+                plan, x[:-1], [key], keep, acc0, acc1, work, None, ks),
                 [acc0, acc1], ks),
             "drop_top": (lambda: provider.drop_top(
                 plan, x, np.ones(rows - 1, dtype=np.uint64), out, work, drop),
@@ -157,7 +158,7 @@ class TestCheckRequestIsValidatedInTheCallee:
             assert check.sums.shape == (row_ntts, 2, 2)
             assert not check.sums.any()  # zero rows against zero weights
             if entry == "ks_apply":
-                assert check.spare.shape == (limbs + 1, 2, 2)
+                assert check.spare.shape == (1, limbs + 1, 2, 2)
             else:
                 assert check.spare is None
 
@@ -179,8 +180,8 @@ class TestCheckRequestIsValidatedInTheCallee:
     def test_key_image_must_mirror_the_key_block(self, provider, plan):
         call, outputs, check = self._checked_calls(
             provider, plan, _check)["ks_apply"]
-        check.key_image = check.key_image[:, :1]
-        with pytest.raises(ValueError, match="check.key_image"):
+        check.key_images = [check.key_images[0][:, :1]]
+        with pytest.raises(ValueError, match="check.key_images"):
             call()
         assert all((out == 0xDEAD).all() for out in outputs)
 

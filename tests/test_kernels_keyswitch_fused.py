@@ -49,7 +49,7 @@ pytestmark = pytest.mark.skipif(
 
 N = 64
 T = 65537
-SLOTS = ("keyswitch_apply", "drop_top_limb")
+SLOTS = ("keyswitch_apply", "keyswitch_hoisted", "drop_top_limb")
 
 
 class SpyBackend(CompiledBackend):
@@ -63,6 +63,11 @@ class SpyBackend(CompiledBackend):
     def keyswitch_apply(self, *args, **kwargs):
         out = super().keyswitch_apply(*args, **kwargs)
         self.taken.append(("keyswitch_apply", out is not None))
+        return out
+
+    def keyswitch_hoisted(self, *args, **kwargs):
+        out = super().keyswitch_hoisted(*args, **kwargs)
+        self.taken.append(("keyswitch_hoisted", out is not None))
         return out
 
     def drop_top_limb(self, *args, **kwargs):
@@ -407,11 +412,10 @@ class TestChecksKeepThePhases:
         assert spy.taken == []
 
     def test_detect_policy_offers_checked_slots(self, rounds):
-        """A checking policy offers the two row-fused slots in their
+        """A checking policy offers the three row-fused slots in their
         checked form only — its own methods, never the wrapped
-        backend's unchecked ones — and no ``keyswitch_inner_product``
-        (hoisted rotations run phased under it).  The checks recorded
-        are the phased path's, one for one."""
+        backend's unchecked ones — and no ``keyswitch_inner_product``.
+        The checks recorded are the phased path's, one for one."""
         spy = SpyBackend()
         guard = IntegrityBackend(spy, "detect")
         for slot in SLOTS:
@@ -523,6 +527,8 @@ class TestKeyBlock:
         seen = []
 
         class Spy(CompiledBackend):
+            keyswitch_hoisted = None  # withheld: the phased accumulate
+
             def keyswitch_inner_product(self, digits, b_stack, a_stack,
                                         primes):
                 seen.append((b_stack, a_stack))
@@ -545,6 +551,7 @@ class TestKeyBlock:
                    for mine, want in zip(ours, golden))
         keys = list(ctx.galois_keys.values())
         top, below = seen[:2], seen[2:]
+        assert len(top) == len(below) == 2
         assert all(np.shares_memory(stack, key.block)
                    for stacks, key in zip(top, keys) for stack in stacks)
         assert not any(np.shares_memory(stack, key.block)
