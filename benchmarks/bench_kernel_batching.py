@@ -26,9 +26,10 @@ evaluation domain) against the phased division on the same batch
 kernels (``2 R - 1`` row NTTs), and checked against unchecked.  The
 ``keyswitch_hoisted`` row rotates one ciphertext ``K`` times: plain
 rotations, ``rotate_hoisted`` phase by phase, and ``rotate_hoisted``
-through the ``keyswitch_hoisted`` slot (each digit row transformed once
-and accumulated into all ``K`` rotations in one kernel call), with what
-a rotation after the first costs and the slot's cost under ``detect``.
+through the ``keyswitch_apply`` slot with ``K`` key blocks (each digit
+row transformed once and accumulated into all ``K`` rotations in one
+kernel call), with what a rotation after the first costs and the slot's
+cost under ``detect``.
 
 Outputs are checked bit-for-bit across all regimes (and, for the
 keyswitch, between the numpy, compiled and VPU backends) before any
@@ -201,9 +202,9 @@ def seed_apply_keyswitch(x: RnsPoly, ksk: KeySwitchKey,
     keep = list(range(x.num_limbs)) + [params.levels]
     t0 = t1 = None
     for i, digit in enumerate(digits):
-        b_i, a_i = ksk.pairs[i]
-        tb = mul(digit, b_i.residues[keep])
-        ta = mul(digit, a_i.residues[keep])
+        b_i, a_i = ksk.block[i][:, keep]
+        tb = mul(digit, b_i)
+        ta = mul(digit, a_i)
         t0 = tb if t0 is None else add(t0, tb)
         t1 = ta if t1 is None else add(t1, ta)
     return (RnsPoly(t0, target, is_eval=True),
@@ -443,12 +444,12 @@ def bench_drop_top_limb(n: int, levels: int, repeats: int,
 
 
 class _WithoutHoistedSlot:
-    """A backend with its ``keyswitch_hoisted`` slot withheld: hoisted
+    """A backend with its ``keyswitch_apply`` slot withheld: hoisted
     rotations then run phase by phase (``decompose_digits``, a permuted
-    stack per rotation, ``keyswitch_inner_product``) — the path every
-    ``rotate_hoisted`` took before the slot existed."""
+    stack per rotation, ``keyswitch_inner_product``) — the phased
+    baseline the slot's ``K``-key call is timed against."""
 
-    keyswitch_hoisted = None
+    keyswitch_apply = None
 
     def __init__(self, backend):
         self._backend = backend
@@ -461,7 +462,7 @@ def bench_keyswitch_hoisted(n: int, levels: int, count: int, repeats: int,
                             compiled: CompiledBackend) -> dict:
     """``count`` rotations of one top-level ciphertext on the compiled
     backend three ways — plain rotations, ``rotate_hoisted`` phase by
-    phase, ``rotate_hoisted`` through the ``keyswitch_hoisted`` slot —
+    phase, ``rotate_hoisted`` through the ``keyswitch_apply`` slot —
     and the slot under ``detect``.  ``ms_rotation_2_to_K`` is what a
     rotation after the first costs: the slot's time for ``count`` steps
     less its time for one, per extra step."""
@@ -495,7 +496,8 @@ def bench_keyswitch_hoisted(n: int, levels: int, count: int, repeats: int,
     on(guard)
     # The slot, two ModDowns and the c0 permutation per rotation.
     if compiled.kernel_invocations - before[0] != 1 + 3 * count:
-        raise RuntimeError("keyswitch_hoisted declined at the bench shape")
+        raise RuntimeError("keyswitch_apply declined K rotations at the "
+                           "bench shape")
     checks = guard.checker.checks - before[1]
     if guard.checker.mismatches:
         raise RuntimeError("integrity mismatch on fault-free rotations")

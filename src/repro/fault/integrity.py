@@ -42,19 +42,19 @@ key's ``mod q_s`` image is built once and lives exactly as long as the
 key.
 
 **Row-fused kernels.**  ``CompiledBackend.keyswitch_apply`` /
-``keyswitch_hoisted`` / ``drop_top_limb`` run a whole keyswitch (the
-keyswitches of several rotations of one polynomial, a whole top-limb
-division) in one call, so nothing outside sees their row NTTs — ``L + L * L`` of
-them in a keyswitch, ``R`` in a drop of the top of ``R`` limbs (its one
-inverse, then a forward row per remaining limb: the subtraction is done
-in the evaluation domain).  Handed a
+``drop_top_limb`` run a whole keyswitch (or the keyswitches of several
+rotations of one polynomial, or a whole top-limb division) in one call,
+so nothing outside sees their row NTTs — ``L + L * L`` of them in a
+keyswitch, ``R`` in a drop of the top of ``R`` limbs (its one inverse,
+then a forward row per remaining limb: the subtraction is done in the
+evaluation domain).  Handed a
 :class:`FusedCheck` they take the very same sums themselves — per row
 NTT ``<w, x>`` over the row before the transform and ``<r, y>`` after
 it, per target limb both sides of the spare identity — from this
 checker's tables, and :meth:`AbftChecker.check_fused` reduces,
 recombines, compares and records them as the checks the phased path
 would have made: inverse batch, forward batch, and the two
-accumulators of a keyswitch.  The kernel only sums; the tables, the
+accumulators of each keyswitch.  The kernel only sums; the tables, the
 verdict and the counters stay here.  A word of ``2**32`` or more (no
 reduced row has one) would wrap the kernel's unreduced sums, so the
 kernel reports it as a mismatch outright.  The spare identity is
@@ -62,12 +62,13 @@ compared as a sum over each limb row, not word by word — the
 accumulator side ``sum_k (A[k] mod q_s)``, the channel side one dot
 product per digit row, ``sum_i <d_i mod q_s, k_i mod q_s>``, congruent
 ``mod q_s``: one corrupted accumulator word still always shows, several
-in one row cancel only with the channel's own ``1/q_s``.  Hoisted
-rotations share the row NTTs (summed once) and run the spare channel
-per rotation against that rotation's key image; since the channel
-reads each digit row through the same Galois table as the
-multiply-accumulate it checks, the table itself is compared word for
-word with the permutation this checker derives from the Galois element.
+in one row cancel only with the channel's own ``1/q_s``.  The ``G``
+keyswitches of one call share its row NTTs (summed once) and run the
+spare channel per key block against that block's image; for hoisted
+rotations, since the channel reads each digit row through the same
+Galois table as the multiply-accumulate it checks, the table itself is
+compared word for word with the permutation this checker derives from
+the Galois element.
 """
 
 from __future__ import annotations
@@ -110,15 +111,15 @@ class FusedCheck:
     row_moduli: np.ndarray
     inverse_rows: int
     #: A keyswitch's key blocks ``mod spare_modulus`` (uint32, each in
-    #: its block's layout), one per rotation of a hoisted call; None
-    #: for a top-limb drop.
+    #: its block's layout), one per keyswitch of the call; None for a
+    #: top-limb drop.
     key_images: list[np.ndarray] | None = None
     spare_modulus: int = 0
     #: Hoisted rotations: the Galois element of each rotation, whose
     #: slot permutation the kernel must read its digit rows through.
     galois: tuple[int, ...] | None = None
     #: The kernel's outputs: ``(row NTTs, 2 sides, 2 halves)`` unreduced
-    #: dot products; per rotation, target limb and key part both sides
+    #: dot products; per key block, target limb and key part both sides
     #: of the spare identity summed over the row, ``(G, L + 1, 2, 2)``;
     #: and the permutation tables the binding handed the kernel.
     sums: np.ndarray | None = None
@@ -279,7 +280,7 @@ class AbftChecker:
         accumulators; one verdict (and one recorded check) each.
 
         ``accs[part]`` is the **unreduced** ``(L+1, n)`` uint64
-        accumulator ``sum_i digits[i] * ksk.pairs[i][part]`` over the
+        accumulator ``sum_i digits[i] * ksk.block[i, part]`` over the
         key limbs ``keep``.
         """
         qs = np.uint64(SPARE_MODULUS)
@@ -299,9 +300,9 @@ class AbftChecker:
                     key_blocks: list[np.ndarray] | None = None,
                     galois=None) -> FusedCheck:
         """The request a row-fused kernel over plan ``(n, primes)``
-        takes as ``check``: a keyswitch when ``key_blocks`` is given
-        (``primes`` ends in the special prime) — ``keyswitch_apply``
-        over its one block, or ``keyswitch_hoisted`` over one block per
+        takes as ``check``: ``keyswitch_apply`` when ``key_blocks`` is
+        given (``primes`` ends in the special prime) — over those blocks
+        of the polynomial itself (``galois`` None), or one block per
         Galois element of ``galois`` — ``drop_top_limb`` otherwise
         (``primes`` ends in the limb being dropped)."""
         tables = self._stacks.get((n, primes))
@@ -350,7 +351,7 @@ class AbftChecker:
     def check_fused(self, check: FusedCheck) -> tuple[bool, ...]:
         """Judge the sums a row-fused kernel left on ``check`` and
         record them as the phased path's checks: the inverse batch, the
-        forward batch and — for a keyswitch — per rotation its two
+        forward batch and — for a keyswitch — per key block its two
         accumulators, then (hoisted rotations) the permutation table
         the kernel read its digit rows through, compared word for word
         with the Galois element's own: the replay check the phased path

@@ -12,18 +12,19 @@ from repro.fhe.backend.observed import observed
 from repro.fhe.backend.vpu_backend import ProgramQuarantinedError
 
 
-#: The optional fused kernels of the protocol: whole keyswitch phases,
-#: or the tensor product, in one call.  ``OFF`` hands out all five as
-#: the wrapped backend has them.  A checking policy hands out the three
-#: row-fused ones (:data:`_CHECKED`) *checked* — the kernel takes the
-#: ABFT sums of its own row NTTs and accumulators, the checker judges
-#: them (and, for hoisted rotations, the permutation tables the kernel
-#: read through) — and never the other two, which have no checked form
-#: (the phased accumulate then runs its numpy loop, the tensor product
-#: in ``RnsPoly``).
-_FUSED = ("keyswitch_inner_product", "keyswitch_apply", "keyswitch_hoisted",
-          "drop_top_limb", "tensor_product")
-_CHECKED = ("keyswitch_apply", "keyswitch_hoisted", "drop_top_limb")
+#: The optional fused kernels of the protocol: a whole keyswitch (of one
+#: polynomial or of several of its rotations), a top-limb division, the
+#: digit multiply-accumulate or the tensor product in one call.  ``OFF``
+#: hands out all four as the wrapped backend has them.  A checking
+#: policy hands out the two row-fused ones (:data:`_CHECKED`) *checked*
+#: — the kernel takes the ABFT sums of its own row NTTs and accumulators,
+#: the checker judges them (and, for rotations, the permutation tables
+#: the kernel read through) — and never the other two, which have no
+#: checked form (the phased accumulate then runs its numpy loop, the
+#: tensor product in ``RnsPoly``).
+_FUSED = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb",
+          "tensor_product")
+_CHECKED = ("keyswitch_apply", "drop_top_limb")
 
 
 class IntegrityBackend:
@@ -39,14 +40,13 @@ class IntegrityBackend:
     accumulators.  The weight tables (per ``(n, q, direction)``) and
     the keys' spare images are built on first use, live in the checker
     and go with :meth:`clear_caches`.  Where the wrapped backend has the
-    row-fused ``keyswitch_apply`` / ``keyswitch_hoisted`` /
-    ``drop_top_limb`` kernels, a whole keyswitch (the keyswitches of
-    several rotations, a top-limb division) is one *checked* kernel call
-    instead:
-    the kernel takes the same sums over its own row NTTs and
-    accumulators and the checker judges them as the same checks — at
-    ladder level 0 and without a ``dram`` / ``sram`` staging model
-    only, since those need to see each dispatch.  What happens on a
+    row-fused ``keyswitch_apply`` / ``drop_top_limb`` kernels, a whole
+    keyswitch (or the keyswitches of several rotations, or a top-limb
+    division) is one *checked* kernel call instead: the kernel takes the
+    same sums over its own row NTTs and accumulators and the checker
+    judges them as the same checks — at ladder level 0 and without a
+    ``dram`` / ``sram`` staging model only, since those need to see
+    each dispatch.  What happens on a
     failed check is the :class:`~repro.fault.policy.IntegrityPolicy`:
 
     * ``OFF`` — no checks, no staging copies: bit-identical dispatch
@@ -241,32 +241,22 @@ class IntegrityBackend:
         raise AttributeError(attr)
 
     def _checked_keyswitch_apply(self, residues: np.ndarray,
-                                 primes: tuple[int, ...],
-                                 key_block: np.ndarray, keep):
+                                 primes: tuple[int, ...], key_blocks, keep,
+                                 galois=None):
         """``keyswitch_apply`` on the wrapped backend with the kernel
         taking its own ABFT sums, judged and recorded as the phased
-        keyswitch's four checks (inverse batch, forward batch, two
-        accumulators).  ``None`` — "not taken", the caller runs the
-        phases — when the wrapped slot declines, and after a mismatch
-        under a replaying policy."""
-        primes = tuple(primes)
-        check = self.checker.fused_check(np.shape(residues)[1], primes,
-                                         [key_block])
-        return self._checked("keyswitch_apply", check, residues, primes,
-                             key_block, keep)
-
-    def _checked_keyswitch_hoisted(self, residues: np.ndarray,
-                                   primes: tuple[int, ...], key_blocks,
-                                   keep, galois):
-        """``keyswitch_hoisted`` likewise: the two row-NTT batches are
-        bracketed once for all ``G`` rotations, and each rotation adds
-        its two accumulator checks (the spare channel against its own
-        key's image) and one of the permutation table the kernel read
-        through — ``2 + 3 G`` checks."""
+        keyswitch's checks: the inverse and the forward row-NTT batch
+        once a call, then per key block its two accumulators (the spare
+        channel against that key's image) and — for a rotation — the
+        permutation table the kernel read through: ``2 + 2 G`` checks
+        for ``G`` plain keyswitches, ``2 + 3 G`` for ``G`` rotations.
+        ``None`` — "not taken", the caller runs the phases — when the
+        wrapped slot declines, and after a mismatch under a replaying
+        policy."""
         primes = tuple(primes)
         check = self.checker.fused_check(np.shape(residues)[1], primes,
                                          list(key_blocks), galois)
-        return self._checked("keyswitch_hoisted", check, residues, primes,
+        return self._checked("keyswitch_apply", check, residues, primes,
                              key_blocks, keep, galois)
 
     def _checked_drop_top_limb(self, residues: np.ndarray,

@@ -34,22 +34,19 @@ _KERNELS = {
     "automorphism_eval_batch": ("batch.auto", "auto"),
     "keyswitch_inner_product": ("keyswitch.inner_product", "keyswitch"),
     "keyswitch_apply": ("keyswitch.apply", "keyswitch_apply"),
-    "keyswitch_hoisted": ("keyswitch.hoisted", "keyswitch_hoisted"),
     "drop_top_limb": ("keyswitch.drop_top", "drop_top"),
     "tensor_product": ("tensor", "tensor"),
     "check_keyswitch_accumulation": ("keyswitch.check", "keyswitch_check"),
 }
 #: Fused method -> (phase span, the tick slots it sums), in phase order.
-#: The keyswitch kernels' ticks: inverse NTTs, digit lifts, forward NTTs,
+#: The keyswitch kernel's ticks: inverse NTTs, digit lifts, forward NTTs,
 #: multiply-accumulates (the phased ``keyswitch.decompose`` covers the
 #: first two), then the check loops of a checked call.  A phase that
 #: ticked nothing (the check of an unchecked call) is not emitted.
-_KEYSWITCH_PHASES = (("keyswitch.decompose", (0, 1)),
-                     ("keyswitch.ntt", (2,)),
-                     ("keyswitch.inner_product", (3,)),
-                     ("keyswitch.check", (4,)))
-_PHASES = {"keyswitch_apply": _KEYSWITCH_PHASES,
-           "keyswitch_hoisted": _KEYSWITCH_PHASES}
+_PHASES = {"keyswitch_apply": (("keyswitch.decompose", (0, 1)),
+                               ("keyswitch.ntt", (2,)),
+                               ("keyswitch.inner_product", (3,)),
+                               ("keyswitch.check", (4,)))}
 #: Length of the tick array a row-fused kernel is handed.
 _TICK_SLOTS = 5
 #: Backend attribute -> the counter its growth over one call feeds.

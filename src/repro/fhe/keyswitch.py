@@ -20,15 +20,15 @@ limb, then element-wise multiply-accumulates — plus the ModDown by
 ``L * (L + 1)`` digit-row NTTs go to the backend as **one** batch, and
 the per-digit products accumulate in place over the full residue
 matrices with a single final reduction.  A backend may go one step
-further and offer the whole keyswitch (``keyswitch_apply``), the
-keyswitches of several Galois images of one polynomial — hoisted
-rotations, the digit NTT batch paid once (``keyswitch_hoisted``) — and
-the ModDown / rescale division (``drop_top_limb``) as one kernel call
-each (a checking ``IntegrityBackend`` offers them checked from inside);
-:func:`apply_keyswitch`, :func:`hoisted_keyswitch` and
-:func:`_divide_by_top_limb` take those slots unless a fault hook needs
-the phases, and the phase-by-phase functions below stay the path of
-every other case and the oracle.
+further and offer the keyswitch (``keyswitch_apply``) — of one
+polynomial, or of several Galois images of it with the digit NTT batch
+paid once (hoisted rotations): one slot, one walk — and the ModDown /
+rescale division (``drop_top_limb``) as one kernel call each (a
+checking ``IntegrityBackend`` offers them checked from inside);
+:func:`hoisted_keyswitch` (which :func:`apply_keyswitch` calls with one
+key) and :func:`_divide_by_top_limb` take those slots unless a fault
+hook needs the phases, and the phase-by-phase functions below stay the
+path of every other case and the oracle.
 """
 
 from __future__ import annotations
@@ -62,39 +62,24 @@ class KeySwitchKey:
     :attr:`block`, the one array every keyswitch path is handed.
     """
 
-    #: Per digit i: (b_i, a_i), both over the full basis Q_L * P, eval
-    #: domain.  Their residues are views into :attr:`block`.
-    pairs: list[tuple[RnsPoly, RnsPoly]]
     #: The key's only storage: one contiguous ``(D, 2, L+1, n)`` uint64
-    #: array, ``block[i, 0]`` / ``block[i, 1]`` the residues of ``b_i`` /
+    #: array over the full basis ``Q_L * P``, evaluation domain;
+    #: ``block[i, 0]`` / ``block[i, 1]`` are digit ``i``'s ``b_i`` /
     #: ``a_i`` — the layout the compiled keyswitch reads in place.
-    block: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        pairs = self.pairs
-        shape = pairs[0][0].residues.shape if pairs else (0, 0)
-        self.block = np.empty((len(pairs), 2) + shape, dtype=np.uint64)
-        self.pairs = []
-        for slab, pair in zip(self.block, pairs):
-            for rows, poly in zip(slab, pair):
-                rows[...] = poly.residues
-            self.pairs.append(tuple(
-                RnsPoly(rows, poly.primes, poly.is_eval)
-                for rows, poly in zip(slab, pair)))
+    block: np.ndarray = field(repr=False)
 
     @property
     def num_digits(self) -> int:
-        return len(self.pairs)
+        return len(self.block)
 
 
 def _fused_slot(name: str):
     """The active backend's optional fused kernel ``name``, or None —
     also None while a fault hook is installed: the injection sites live
     between the phases a fused kernel runs in one call.  (A checking
-    ``IntegrityBackend`` exposes ``keyswitch_apply`` /
-    ``keyswitch_hoisted`` / ``drop_top_limb`` in their checked form
-    only, and neither ``keyswitch_inner_product`` nor
-    ``tensor_product``.)"""
+    ``IntegrityBackend`` exposes ``keyswitch_apply`` / ``drop_top_limb``
+    in their checked form only, and neither ``keyswitch_inner_product``
+    nor ``tensor_product``.)"""
     if current_fault_hook() is not None:
         return None
     return getattr(get_backend(), name, None)
@@ -122,7 +107,7 @@ def generate_keyswitch_key(
     full = _full_primes(params)
     n = params.n
     p = params.special_prime
-    pairs = []
+    rows = []  # per digit, the residues of (b_i, a_i)
     for i in range(params.levels):
         a = sample_uniform_poly(n, full, rng)
         e = RnsPoly.from_int_coeffs(
@@ -139,8 +124,8 @@ def generate_keyswitch_key(
         gadget = RnsPoly(s_from_eval_full.residues * pb_col % q_col,
                          full, is_eval=True)
         b = (-(a * s_to_eval_full)) + e + gadget
-        pairs.append((b, a))
-    return KeySwitchKey(pairs)
+        rows.append((b.residues, a.residues))
+    return KeySwitchKey(np.array(rows))
 
 
 def decompose_digits(x: RnsPoly, params: CkksParams) -> list[RnsPoly]:
@@ -251,19 +236,19 @@ def accumulate_keyswitch(
             acc1 = acc1.astype(object)
             q_col = q_col.astype(object)
         for i, digit in enumerate(digits):
-            b_i, a_i = ksk.pairs[i]
+            b_i, a_i = ksk.block[i]
             if lazy:
-                acc0 += digit.residues * b_i.residues[keep]
-                acc1 += digit.residues * a_i.residues[keep]
+                acc0 += digit.residues * b_i[keep]
+                acc1 += digit.residues * a_i[keep]
             elif wide:
                 d = digit.residues.astype(object)
-                acc0 = (acc0 + d * b_i.residues[keep].astype(object)) % q_col
-                acc1 = (acc1 + d * a_i.residues[keep].astype(object)) % q_col
+                acc0 = (acc0 + d * b_i[keep].astype(object)) % q_col
+                acc1 = (acc1 + d * a_i[keep].astype(object)) % q_col
             else:
                 # Each summand is reduced (< q) and the running sum is kept
                 # < q, so the uint64 addition transient stays below 2q.
-                acc0 = (acc0 + digit.residues * b_i.residues[keep] % q_col) % q_col
-                acc1 = (acc1 + digit.residues * a_i.residues[keep] % q_col) % q_col
+                acc0 = (acc0 + digit.residues * b_i[keep] % q_col) % q_col
+                acc1 = (acc1 + digit.residues * a_i[keep] % q_col) % q_col
         if lazy:
             hook = current_fault_hook()
             if hook is not None:
@@ -282,8 +267,8 @@ def accumulate_keyswitch(
                 for part, ok in enumerate(check(acc0, acc1, digits, ksk, keep)):
                     if not ok:
                         accs[part] = sum(
-                            d.residues * ksk.pairs[i][part].residues[keep]
-                            % q_col for i, d in enumerate(digits))
+                            d.residues * ksk.block[i, part][keep] % q_col
+                            for i, d in enumerate(digits))
                 acc0, acc1 = accs
         acc0 %= q_col
         acc1 %= q_col
@@ -302,48 +287,37 @@ def apply_keyswitch(
     """Switch ``x`` (eval domain, chain limbs only) to the target key.
 
     Returns the two accumulated parts still over ``chain + special``;
-    follow with :func:`mod_down` to drop the special prime.
-
-    A backend with the row-fused ``keyswitch_apply`` slot does the whole
-    keyswitch in one kernel call — unless :func:`_fused_slot` withholds
-    it or the slot declines (a gate refused, or its integrity check
-    failed under a replaying policy); then, and on every other backend,
-    :func:`decompose_digits` and :func:`accumulate_keyswitch` run phase
-    by phase, which is also the oracle the fused slot is checked
-    against.
+    follow with :func:`mod_down` to drop the special prime.  The one-key,
+    no-rotation call of :func:`hoisted_keyswitch`.
     """
-    keep = list(range(x.num_limbs)) + [params.levels]  # limbs of Q_l * P
-    primes = x.primes + (params.special_prime,)
-    fused = _fused_slot("keyswitch_apply")
-    if fused is not None and x.is_eval:
-        accs = fused(x.residues, primes, ksk.block, keep)
-        if accs is not None:
-            return (RnsPoly(accs[0], primes, is_eval=True),
-                    RnsPoly(accs[1], primes, is_eval=True))
-    digits = decompose_digits(x, params)
-    return accumulate_keyswitch(digits, ksk, keep, primes)
+    return hoisted_keyswitch(x, [ksk], None, params)[0]
 
 
 def hoisted_keyswitch(
-    x: RnsPoly, keys: list[KeySwitchKey], galois: list[int],
+    x: RnsPoly, keys: list[KeySwitchKey], galois: list[int] | None,
     params: CkksParams,
 ) -> list[tuple[RnsPoly, RnsPoly]]:
     """Switch the Galois images ``sigma_k(x)``, ``k`` in ``galois``, each
-    under its own key, paying the digit NTT batch once.
+    under its own key, paying the digit NTT batch once (``galois`` None:
+    switch ``x`` itself under each key).
 
-    ``[g]`` is bit for bit what :func:`apply_keyswitch` returns for
-    ``x.automorphism(galois[g])`` under ``keys[g]``: the Galois action
-    is one slot permutation in every limb, so it commutes with the
-    per-prime digits, and permuting the digits of ``x`` replaces
-    decomposing the permuted ``x``.  A backend with the
-    ``keyswitch_hoisted`` slot walks the digit rows once for all the
-    rotations in one kernel call (under the conditions of
-    :func:`apply_keyswitch`'s slot); otherwise
-    :func:`phased_keyswitches` does, phase by phase.
+    ``[g]`` is bit for bit the keyswitch of ``x.automorphism(galois[g])``
+    under ``keys[g]``: the Galois action is one slot permutation in
+    every limb, so it commutes with the per-prime digits, and permuting
+    the digits of ``x`` replaces decomposing the permuted ``x``.  A
+    backend with the row-fused ``keyswitch_apply`` slot walks the digit
+    rows once for all the keys in one kernel call — unless
+    :func:`_fused_slot` withholds it or the slot declines (a gate
+    refused, or its integrity check failed under a replaying policy);
+    then, and on every other backend, :func:`phased_keyswitches` runs
+    phase by phase, which is also the oracle the slot is checked
+    against.  No keys: nothing is computed.
     """
-    keep = list(range(x.num_limbs)) + [params.levels]
+    if not keys:
+        return []
+    keep = list(range(x.num_limbs)) + [params.levels]  # limbs of Q_l * P
     primes = x.primes + (params.special_prime,)
-    fused = _fused_slot("keyswitch_hoisted")
+    fused = _fused_slot("keyswitch_apply")
     if fused is not None and x.is_eval:
         accs = fused(x.residues, primes, [key.block for key in keys], keep,
                      galois)
@@ -360,10 +334,9 @@ def phased_keyswitches(
 ) -> list[tuple[RnsPoly, RnsPoly]]:
     """One :func:`decompose_digits`, then per key the digits permuted by
     its Galois element (``galois`` None: not at all) and
-    :func:`accumulate_keyswitch` — the hoisted keyswitch phase by phase,
-    and the oracle of the compiled ``keyswitch_apply`` /
-    ``keyswitch_hoisted`` kernels (``primes``: the limbs of ``x``, then
-    the special prime)."""
+    :func:`accumulate_keyswitch` — :func:`hoisted_keyswitch` phase by
+    phase, and the oracle of the compiled ``keyswitch_apply`` slot
+    (``primes``: the limbs of ``x``, then the special prime)."""
     # (decompose_digits reads nothing of its parameter set but this.)
     digits = decompose_digits(x, SimpleNamespace(special_prime=primes[-1]))
     return [accumulate_keyswitch(

@@ -18,7 +18,7 @@ Both rotate *one* ciphertext many times — every non-zero diagonal's
 step, or the baby steps some non-zero diagonal reads — and make one
 :meth:`~repro.fhe.ckks.CkksContext.rotate_hoisted` call for them, so the
 input's digit NTT batch is paid once a matvec (on a backend with the
-``keyswitch_hoisted`` slot: one kernel call).  BSGS giant steps rotate
+``keyswitch_apply`` slot: one kernel call).  BSGS giant steps rotate
 distinct sums and stay plain rotations.  :func:`required_rotations`
 names the Galois keys, all a ``dim`` can need or only those a given
 matrix does.

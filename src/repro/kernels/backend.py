@@ -8,11 +8,11 @@ full-size temporaries beyond one reusable workspace.  It subclasses
 :class:`~repro.fhe.backend.NumpyBackend`, so every shape a gate or a
 missing C toolchain refuses simply falls through to the vectorized
 numpy path.  On top of the protocol it offers the optional slots
-``keyswitch_apply`` (a whole keyswitch), ``keyswitch_hoisted`` (the
-keyswitches of several rotations of one polynomial, its digit rows
-transformed once), ``drop_top_limb`` (``rescale`` / ``mod_down``) — all
-row-fused — and ``tensor_product``, which return ``None`` instead of
-falling back so the caller runs its own path.
+``keyswitch_apply`` (the keyswitches of one polynomial or of several
+of its rotations, its digit rows transformed once) and
+``drop_top_limb`` (``rescale`` / ``mod_down``) — both row-fused — and
+``tensor_product``, which return ``None`` instead of falling back so
+the caller runs its own path.
 
 Bit-identity contract: every compiled kernel returns fully reduced
 residues (< q), and a reduced residue is unique — so outputs match the
@@ -20,7 +20,7 @@ numpy and VPU paths bit for bit regardless of the internal reduction
 schedule.  The shared object is built by whatever C compiler the host
 has, so the backend additionally cross-checks each (kernel, shape) pair
 against the numpy reference on first use — the row-fused slots against
-the same computation phase by phase (the keyswitch slots against
+the same computation phase by phase (the keyswitch slot against
 :func:`repro.fhe.keyswitch.phased_keyswitches` itself) — and raises
 rather than silently returning wrong residues.
 
@@ -31,8 +31,6 @@ itself where no schedule is sound.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,7 +47,7 @@ from repro.kernels.plan import (
 
 class _PhasedKernels:
     """A backend's three batch kernels and none of its optional slots:
-    what the keyswitch slots' oracle runs the phased path on.  The
+    what the keyswitch slot's oracle runs the phased path on.  The
     forward digit batch of ``decompose_digits`` — per digit, one row in
     every limb of ``primes`` but its own — goes digit by digit through
     the slot's own ``(n, primes)`` plan (the missing limb's row is a
@@ -254,18 +252,24 @@ class CompiledBackend(NumpyBackend):
     # -- row-fused keyswitch and top-limb division ----------------------------
 
     def keyswitch_apply(self, residues: np.ndarray, primes: tuple[int, ...],
-                        key_block: np.ndarray, keep,
+                        key_blocks, keep, galois=None,
                         ticks: np.ndarray | None = None, check=None,
                         ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The whole of ``apply_keyswitch`` in one compiled call.
+        """``G`` keyswitches of one polynomial in one compiled call.
 
-        ``residues`` is the ``(L, n)`` evaluation-domain matrix modulo
-        ``primes[:-1]``; ``primes`` ends in the special prime.
-        ``key_block`` is a :class:`~repro.fhe.keyswitch.KeySwitchKey`
-        block ``(D >= L, 2, K, n)``, read in place through the ``L + 1``
-        row indices ``keep``.  Returns the two ``(L + 1, n)``
-        accumulators — or ``None``, before allocating anything, when
-        there is no provider or the plan's gate refuses
+        Of the polynomial itself (``galois`` None — ``apply_keyswitch``
+        is ``G = 1``), or of its Galois images ``X -> X^galois[g]``
+        (hoisted rotations).  ``residues`` is the ``(L, n)``
+        evaluation-domain matrix modulo ``primes[:-1]``; ``primes`` ends
+        in the special prime.  ``key_blocks`` are ``G``
+        :class:`~repro.fhe.keyswitch.KeySwitchKey` blocks
+        ``(D >= L, 2, K, n)``, read in place through the ``L + 1`` row
+        indices ``keep``.  Every digit row is transformed once and
+        multiply-accumulated into all ``G`` accumulator pairs, rotation
+        ``g`` reading it through the slot permutation of
+        ``X -> X^galois[g]`` against ``key_blocks[g]``.  Returns two
+        ``(G, L + 1, n)`` stacks — or ``None``, before allocating
+        anything, when there is no provider or the plan's gate refuses
         (``plan.keyswitch_ok``): the caller then runs the phased path.
         ``ticks``, when given, is a 5-slot int64 array that gains the
         nanoseconds spent in the inverse NTTs, the digit lifts, the
@@ -274,37 +278,15 @@ class CompiledBackend(NumpyBackend):
         (:meth:`repro.fault.integrity.AbftChecker.fused_check`): the
         kernel also takes the ABFT sums of every row NTT and of the
         spare-modulus channel and leaves them on it (``check.sums``,
-        ``check.spare``) for the checker to judge; the call declines
+        ``check.spare``, and the tables it read through as
+        ``check.tables``) for the checker to judge; the call declines
         where ``plan.checksum_ok`` or the unreduced accumulator
         (``plan.ks_lazy``) is missing.
         """
-        accs = self._keyswitch("keyswitch_apply", residues, primes,
-                               [key_block], keep, None, ticks, check)
-        return None if accs is None else (accs[0][0], accs[1][0])
-
-    def keyswitch_hoisted(self, residues: np.ndarray, primes: tuple[int, ...],
-                          key_blocks, keep, galois,
-                          ticks: np.ndarray | None = None, check=None,
-                          ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Hoisted rotations: the keyswitches of ``G`` Galois images of
-        one polynomial in one compiled call — the same walk as
-        :meth:`keyswitch_apply` (which is its ``G = 1``, no-table case),
-        every digit row transformed once and multiply-accumulated into
-        all ``G`` accumulator pairs, rotation ``g`` reading it through
-        the slot permutation of ``X -> X^galois[g]`` against
-        ``key_blocks[g]``.  Returns two ``(G, L + 1, n)`` stacks —
-        ``[g]`` what ``keyswitch_apply`` returns for the permuted
-        polynomial — or ``None`` likewise.  A ``check`` request also
-        receives the tables the kernel read through (``check.tables``)."""
-        return self._keyswitch("keyswitch_hoisted", residues, primes,
-                               list(key_blocks), keep, list(galois), ticks,
-                               check)
-
-    def _keyswitch(self, slot: str, residues, primes, key_blocks: list, keep,
-                   galois: list[int] | None, ticks, check):
         impl = self._impl
         primes = tuple(primes)
         limbs = len(primes) - 1
+        key_blocks = list(key_blocks)
         if impl is None or limbs < 1 or not all(
                 block.flags.c_contiguous and block.dtype == np.uint64
                 for block in key_blocks):
@@ -320,51 +302,50 @@ class CompiledBackend(NumpyBackend):
                 or keep.min() < 0 or keep.max() >= key_limbs \
                 or (galois is not None and len(galois) != len(key_blocks)):
             raise ValueError(
-                f"{slot}: {x.shape} residues, key blocks "
+                f"keyswitch_apply: {x.shape} residues, key blocks "
                 f"{[block.shape for block in key_blocks]}, keep "
                 f"{keep.tolist()} and Galois elements {galois} do not "
                 f"describe keyswitches over {limbs + 1} primes")
         plan = get_plan(n, primes) if n else None
-        if plan is not None and plan.keyswitch_ok and (
-                check is None or plan.checksum_ok and plan.ks_lazy):
-            count = len(key_blocks)
-            acc0 = np.empty((count, limbs + 1, n), dtype=np.uint64)
-            acc1 = np.empty((count, limbs + 1, n), dtype=np.uint64)
-            # The kernel gathers: slot k of the image is slot src[k] of
-            # the digit row, and the source table of X -> X^k is the
-            # destination table of its inverse.
-            tables = None if galois is None else [
-                get_destinations(n, pow(k, -1, 2 * n)) for k in galois]
-            impl.ks_apply(plan, x, key_blocks, keep, acc0, acc1,
-                          get_workspace(3 * limbs + 2, n),
-                          ticks, check, tables)
-            self.kernel_invocations += 1
-            self._verify_first_use(
-                (slot, n, primes),
-                lambda: self._phased_keyswitch(x, primes, key_blocks, keep,
-                                               galois),
-                (acc0, acc1))
-            return acc0, acc1
-        return None
+        if plan is None or not plan.keyswitch_ok or (
+                check is not None and not (plan.checksum_ok and plan.ks_lazy)):
+            return None
+        count = len(key_blocks)
+        acc0 = np.empty((count, limbs + 1, n), dtype=np.uint64)
+        acc1 = np.empty((count, limbs + 1, n), dtype=np.uint64)
+        # The kernel gathers: slot k of the image is slot src[k] of the
+        # digit row, and the source table of X -> X^k is the destination
+        # table of its inverse.
+        tables = None if galois is None else [
+            get_destinations(n, pow(k, -1, 2 * n)) for k in galois]
+        impl.ks_apply(plan, x, key_blocks, keep, acc0, acc1,
+                      get_workspace(3 * limbs + 2, n), ticks, check, tables)
+        self.kernel_invocations += 1
+        # The plain and the table-reading walks are checked apart.
+        self._verify_first_use(
+            ("keyswitch_apply", n, primes, galois is None),
+            lambda: self._phased_keyswitch(x, primes, key_blocks, keep,
+                                           galois),
+            (acc0, acc1))
+        return acc0, acc1
 
     def _phased_keyswitch(self, x: np.ndarray, primes: tuple[int, ...],
                           key_blocks: list, keep: np.ndarray,
                           galois: list[int] | None):
-        """The oracle of both keyswitch slots: :mod:`repro.fhe.keyswitch`'s
-        own phased path — decompose, permute, accumulate — on this
-        backend's three batch kernels alone (each checked against numpy
-        on first use of its own shape), so no fused slot is taken."""
+        """The oracle of :meth:`keyswitch_apply`:
+        :mod:`repro.fhe.keyswitch`'s own phased path — decompose,
+        permute, accumulate — on this backend's three batch kernels alone
+        (each checked against numpy on first use of its own shape), so no
+        fused slot is taken."""
         from repro.fhe import keyswitch
         from repro.fhe.backend import use_backend
         from repro.fhe.polynomial import RnsPoly
 
-        keys = [SimpleNamespace(block=block, pairs=[
-            [SimpleNamespace(residues=rows) for rows in pair]
-            for pair in block]) for block in key_blocks]
         with use_backend(_PhasedKernels(self, primes)):
             accs = keyswitch.phased_keyswitches(
-                RnsPoly(x, primes[:-1], is_eval=True), keys, galois,
-                keep.tolist(), primes)
+                RnsPoly(x, primes[:-1], is_eval=True),
+                [keyswitch.KeySwitchKey(block) for block in key_blocks],
+                galois, keep.tolist(), primes)
         return tuple(np.stack([pair[part].residues for pair in accs])
                      for part in (0, 1))
 

@@ -200,9 +200,10 @@ BENCH_SPECS: dict[str, tuple[MetricSpec, ...]] = {
                    required=False),
         MetricSpec("drop_top_limb.speedup_fused", "ratio", floor=1.7,
                    required=False),
-        # K = 8 rotations of one ciphertext through the keyswitch_hoisted
-        # slot against 8 plain rotations: committed 2.0x at n=8192, L=8;
-        # 1.85x quick (n=1024, where per-call glue weighs more).
+        # K = 8 rotations of one ciphertext hoisted through the
+        # keyswitch_apply slot against 8 plain rotations: committed 2.0x
+        # at n=8192, L=8; 1.85x quick (n=1024, where per-call glue
+        # weighs more).
         MetricSpec("keyswitch_hoisted.bit_identical", "bool_true",
                    required=False),
         MetricSpec("keyswitch_hoisted.speedup_hoisted", "ratio", floor=1.2,

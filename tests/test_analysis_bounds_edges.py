@@ -177,7 +177,7 @@ class TestCenteredLiftEdge:
             rows = np.stack([rng.integers(0, q, n, dtype=np.uint64)
                              for q in primes])
             key = rng.integers(0, small, (2, 2, 3, n), dtype=np.uint64)
-            assert backend.keyswitch_apply(rows[:2], primes, key,
+            assert backend.keyswitch_apply(rows[:2], primes, [key],
                                            [0, 1, 2]) is None
         # q_top // 2 against the narrowest remaining prime.
         assert backend.drop_top_limb(rows, (small,) + wide, [1, 1]) is None

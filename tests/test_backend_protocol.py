@@ -48,8 +48,8 @@ BACKENDS = {
     "integrity-off": lambda: IntegrityBackend(VpuBackend(m=M), "off"),
     "integrity-detect": lambda: IntegrityBackend(NumpyBackend(), "detect"),
 }
-OPTIONAL = ("keyswitch_inner_product", "keyswitch_apply", "keyswitch_hoisted",
-            "drop_top_limb", "tensor_product", "check_keyswitch_accumulation")
+OPTIONAL = ("keyswitch_inner_product", "keyswitch_apply", "drop_top_limb",
+            "tensor_product", "check_keyswitch_accumulation")
 
 
 def _rows(primes, seed=0):
@@ -123,6 +123,22 @@ class TestWrapperTransparency:
             assert [s.name for s in spans] == [f"{backend.name}.batch.ntt"]
             assert spans[0].args == {"limbs": len(PRIMES), "n": N}
             assert obs.tracer.unwind() == 0
+
+
+#: An integrity layer around the compiled backend, under every policy.
+GUARDED = {f"integrity-{policy}-compiled":
+           lambda policy=policy: IntegrityBackend(CompiledBackend(), policy)
+           for policy in ("off", "detect", "retry", "degrade")}
+
+
+@pytest.mark.parametrize("name", [*BACKENDS, *GUARDED])
+def test_one_keyswitch_slot(name, wrap):
+    """Plain keyswitches and hoisted rotations share ``keyswitch_apply``:
+    no backend — bare or observed, an integrity layer around the
+    compiled backend under any policy among them — has a second slot."""
+    backend = wrap({**BACKENDS, **GUARDED}[name]())
+    assert not hasattr(backend, "keyswitch_hoisted")
+    assert hasattr(backend, "keyswitch_apply") == ("compiled" in name)
 
 
 class TestObservedOutputsAndCycles:

@@ -63,9 +63,10 @@ def _synthetic_keyswitch(num_digits: int = 4, seed: int = 11):
                        is_eval=True)
 
     digits = [poly(2) for _ in range(num_digits)]
-    ksk = KeySwitchKey([(poly(3), poly(3)) for _ in range(num_digits)])
-    accs = [sum(d.residues * pair[part].residues[keep]
-                for d, pair in zip(digits, ksk.pairs)) for part in (0, 1)]
+    ksk = KeySwitchKey(np.stack([[poly(3).residues for _ in range(2)]
+                                 for _ in range(num_digits)]))
+    accs = [sum(d.residues * key[part][keep]
+                for d, key in zip(digits, ksk.block)) for part in (0, 1)]
     return accs, digits, ksk, keep
 
 

@@ -161,8 +161,9 @@ class TestSameChecksFromTheFusedSlots:
         # hmult: 1 keyswitch + 2 mod_down + 2 rescale; hrot and
         # keyswitch: 1 + 2; rescale: 2 -- and nothing else.
         assert spy.taken == (
-            [("keyswitch_apply", True)] + [("drop_top_limb", True)] * 4
-            + ([("keyswitch_apply", True)] + [("drop_top_limb", True)] * 2) * 2
+            [("keyswitch_apply", 1, True)] + [("drop_top_limb", True)] * 4
+            + ([("keyswitch_apply", 1, True)]
+               + [("drop_top_limb", True)] * 2) * 2
             + [("drop_top_limb", True)] * 2)
 
     def test_observed_checked_call_prices_the_guard(self):
@@ -226,7 +227,8 @@ def _assert_sums_match_numpy(backend, checker, x, primes, ksk, keep):
     verdict equals ``faulty_ntt_rows`` / ``check_keyswitch_accumulation``."""
     limbs = len(primes) - 1
     check = checker.fused_check(x.shape[1], primes, [ksk.block])
-    accs = backend.keyswitch_apply(x, primes, ksk.block, keep, check=check)
+    accs = backend.keyswitch_apply(x, primes, [ksk.block], keep,
+                                   check=check)
     assert accs is not None
     coeff, lifted, digits, moduli = _phased_rows(x, primes)
 
@@ -263,7 +265,7 @@ def _assert_sums_match_numpy(backend, checker, x, primes, ksk, keep):
         assert np.array_equal(spare[:, part, 1], channel)
         assert np.array_equal(spare[:, part, 0] % qs, channel % qs)
         assert np.array_equal(
-            accs[part], acc % np.array(primes, dtype=np.uint64)[:, None])
+            accs[part][0], acc % np.array(primes, dtype=np.uint64)[:, None])
     oracle = AbftChecker()
     assert checker.check_fused(check) == (True, True) + \
         oracle.check_keyswitch_accumulation(unreduced, polys, ksk, keep)
@@ -387,8 +389,8 @@ class TestDetection:
 
         def run(residues=x.residues):
             check = checker.fused_check(N, self.PRIMES, [ksk.block])
-            backend.keyswitch_apply(residues, self.PRIMES, ksk.block, keep,
-                                    check=check)
+            backend.keyswitch_apply(residues, self.PRIMES, [ksk.block],
+                                    keep, check=check)
             return check
 
         assert checker.check_fused(run()) == (True,) * 4
@@ -465,11 +467,11 @@ class TestDetection:
                     get_plan(N, batch_primes).twf,
                     (batch_primes.index(self.PRIMES[2]), 0)))
             out = keyswitch.apply_keyswitch(x, ksk, params)
-        assert spy.taken[0] == ("keyswitch_apply", True)
+        assert spy.taken[0] == ("keyswitch_apply", 1, True)
         assert guard.detections >= 1
         if policy == "detect":
             # Flag, keep the (wrong) fused result, dispatch nothing more.
-            assert spy.taken == [("keyswitch_apply", True)]
+            assert spy.taken == [("keyswitch_apply", 1, True)]
             assert guard.flagged >= 1 and guard.retries == 0
             assert not _same(out, golden)
             assert guard.checker.checks == 8
@@ -608,7 +610,7 @@ class TestModulusWidths:
         guard = IntegrityBackend(spy, "detect")
         with use_backend(guard):
             assert _same(keyswitch.apply_keyswitch(x, ksk, params), golden)
-        assert spy.taken == [("keyswitch_apply", taken)]
+        assert spy.taken == [("keyswitch_apply", 1, taken)]
         assert (guard.checker.checks, guard.checker.mismatches) == (checks, 0)
 
     def test_mixed_width_chain_declines(self):
@@ -627,7 +629,7 @@ class TestModulusWidths:
         guard = IntegrityBackend(spy, "detect")
         with use_backend(guard):
             assert _same(both(), golden)
-        assert spy.taken == [("keyswitch_apply", False),
+        assert spy.taken == [("keyswitch_apply", 1, False),
                              ("drop_top_limb", False)]
         assert (guard.checker.checks, guard.checker.mismatches) == (6, 0)
 

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.fhe import keyswitch
+from repro.fhe.backend import (
+    IntegrityBackend,
+    NumpyBackend,
+    VpuBackend,
+    use_backend,
+)
 from repro.fhe.ckks import CkksContext
 from repro.fhe.params import toy_params
+from repro.kernels import CompiledBackend
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +184,22 @@ class TestValidatesBeforeItSpends:
             assert twin is not first
             assert all(np.array_equal(p.residues, q.residues)
                        for p, q in zip(twin.parts, first.parts))
+
+    @pytest.mark.parametrize("make", [
+        NumpyBackend, CompiledBackend,
+        lambda: IntegrityBackend(CompiledBackend(), "detect"),
+        lambda: VpuBackend(m=16),
+    ], ids=["numpy", "compiled", "compiled-detect", "vpu"])
+    def test_no_keys_switch_nothing(self, ctx, make, monkeypatch):
+        """No keys: ``[]`` on every backend, before any decomposition
+        or kernel call."""
+        counter = DecompositionCounter(monkeypatch)
+        x = ctx.encrypt(rand(ctx, 8)).parts[1]
+        backend = make()
+        with use_backend(backend):
+            assert keyswitch.hoisted_keyswitch(x, [], [], ctx.params) == []
+        guarded = getattr(backend, "inner", backend)
+        assert counter.decompositions == 0
+        assert getattr(guarded, "kernel_invocations", 0) == 0
+        assert getattr(backend, "checker", None) is None \
+            or backend.checker.checks == 0

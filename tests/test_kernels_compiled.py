@@ -224,9 +224,9 @@ class TestKeyswitchInnerProduct:
         assert backend.fallbacks == backend.kernel_invocations == 0
         rng = np.random.default_rng(5)
         digits = [sample_uniform_poly(N, primes, rng) for _ in range(3)]
-        ksk = KeySwitchKey([(sample_uniform_poly(N, primes, rng),
-                             sample_uniform_poly(N, primes, rng))
-                            for _ in digits])
+        ksk = KeySwitchKey(np.stack([
+            [sample_uniform_poly(N, primes, rng).residues for _ in range(2)]
+            for _ in digits]))
         keep = list(range(LIMBS))
         with use_backend(NumpyBackend()):
             golden = accumulate_keyswitch(digits, ksk, keep, primes)

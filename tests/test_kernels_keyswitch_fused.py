@@ -1,18 +1,23 @@
 """The row-fused keyswitch slots of the compiled backend.
 
-``keyswitch_apply`` (the whole of ``apply_keyswitch`` in one kernel
-call), ``drop_top_limb`` (``rescale`` / the CKKS ``mod_down``) and
+``keyswitch_apply`` (``G`` whole keyswitches of one polynomial in one
+kernel call: ``apply_keyswitch`` is ``G = 1``, hoisted rotations —
+``tests/test_kernels_keyswitch_hoisted.py`` — ``G > 1``),
+``drop_top_limb`` (``rescale`` / the CKKS ``mod_down``) and
 ``tensor_product`` (the three parts of an unrelinearized product) must
 agree bit for bit with the phase-by-phase path on the same backend and
 with ``NumpyBackend`` — for all three schemes' keys, at every level,
 across the modulus widths the gates distinguish and on either side of
-the OpenMP threshold — must decline where a gate refuses, must stay
-out of the way of fault hooks, must reach a checking integrity policy
-only in their checked form, and must be caught by the first-use
-self-check when the kernel is wrong.
+the OpenMP threshold — must decline where a gate refuses, must stay out
+of the way of fault hooks, must reach a checking integrity policy only
+in their checked form, and must be caught by the first-use self-check
+when the kernel is wrong.  The keyswitch slot's decline and
+ragged-argument checks are written once here for any ``G`` and run with
+``G = 1`` here, ``G = 3`` in the hoisted file.
 """
 
 import ctypes
+import dataclasses
 import os
 import subprocess
 import sys
@@ -49,25 +54,27 @@ pytestmark = pytest.mark.skipif(
 
 N = 64
 T = 65537
-SLOTS = ("keyswitch_apply", "keyswitch_hoisted", "drop_top_limb")
+SLOTS = ("keyswitch_apply", "drop_top_limb")
+#: ``G`` -> the Galois elements a ``G``-key call of the keyswitch slot
+#: is tested with: one plain keyswitch, three rotations.
+GALOIS = {1: None, 3: [5, 25, 125]}
 
 
 class SpyBackend(CompiledBackend):
     """A compiled backend that notes every call of a fused slot and
-    whether it was taken (True) or declined (False)."""
+    whether it was taken (True) or declined (False) — for the keyswitch
+    slot also its ``G``, the number of key blocks."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.taken = []
 
-    def keyswitch_apply(self, *args, **kwargs):
-        out = super().keyswitch_apply(*args, **kwargs)
-        self.taken.append(("keyswitch_apply", out is not None))
-        return out
-
-    def keyswitch_hoisted(self, *args, **kwargs):
-        out = super().keyswitch_hoisted(*args, **kwargs)
-        self.taken.append(("keyswitch_hoisted", out is not None))
+    def keyswitch_apply(self, residues, primes, key_blocks, *args,
+                        **kwargs):
+        out = super().keyswitch_apply(residues, primes, key_blocks, *args,
+                                      **kwargs)
+        self.taken.append(("keyswitch_apply", len(key_blocks),
+                           out is not None))
         return out
 
     def drop_top_limb(self, *args, **kwargs):
@@ -109,7 +116,7 @@ def _assert_three_ways(x, ksk, params, *, taken=True):
     spy = SpyBackend()
     with use_backend(spy):
         assert _same(keyswitch.apply_keyswitch(x, ksk, params), golden)
-        assert spy.taken == [("keyswitch_apply", taken)]
+        assert spy.taken == [("keyswitch_apply", 1, taken)]
         assert _same(_phased(x, ksk, params), golden)
 
 
@@ -118,13 +125,83 @@ def _synthetic(primes, n=N, seed=0):
     ``primes`` (special prime last), with the stand-in parameter object
     the keyswitch functions read."""
     rng = np.random.default_rng(seed)
-    ksk = KeySwitchKey([
-        (sample_uniform_poly(n, primes, rng),
-         sample_uniform_poly(n, primes, rng))
-        for _ in primes[:-1]])
+    ksk = KeySwitchKey(np.stack([  # per digit b_i, then a_i
+        [sample_uniform_poly(n, primes, rng).residues for _ in range(2)]
+        for _ in primes[:-1]]))
     params = SimpleNamespace(special_prime=primes[-1],
                              levels=len(primes) - 1)
     return sample_uniform_poly(n, primes[:-1], rng), ksk, params
+
+
+# -- what the keyswitch slot does alike for every G ------------------------------
+# Written once here and called with ``G = 1`` below and ``G = 3`` in
+# ``tests/test_kernels_keyswitch_hoisted.py``.
+
+SLOT_PRIMES = tuple(find_ntt_primes(2 * N, 30, 4))
+_WIDE = tuple(find_ntt_primes(2 * N, 30, 2))
+#: Chains without a compiled schedule: the lift gate refuses a 30-bit
+#: source against a 20-bit target, and a 32-bit limb has no compiled NTT.
+UNSCHEDULED = {
+    "lift-30-20-bit": (_WIDE[0], find_ntt_prime(2 * N, 20), _WIDE[1]),
+    "mixed-30-32-bit": _WIDE + tuple(find_ntt_primes(2 * N, 32, 2)),
+    "32-bit": tuple(find_ntt_primes(2 * N, 32, 4)),
+}
+
+
+def assert_unscheduled_chain_declines(primes, count):
+    """A ``count``-key call over ``primes`` declines before any kernel
+    runs, and the phased path answers with numpy's residues."""
+    galois = GALOIS[count]
+    x, ksk, params = _synthetic(primes, seed=3)
+    backend = CompiledBackend()
+    assert backend.keyswitch_apply(x.residues, primes, [ksk.block] * count,
+                                   range(len(primes)), galois) is None
+    assert backend.kernel_invocations == 0
+
+    def switch():
+        return keyswitch.hoisted_keyswitch(x, [ksk] * count, galois, params)
+
+    golden = _on_numpy(switch)
+    spy = SpyBackend()
+    with use_backend(spy):
+        assert all(_same(a, b) for a, b in zip(switch(), golden))
+    assert spy.taken == [("keyswitch_apply", count, False)]
+
+
+def assert_declines_before_allocating(monkeypatch, count):
+    """With no provider a ``count``-key call is ``None`` before any plan,
+    workspace or Galois table is built; returns the backend."""
+    backend = CompiledBackend(provider="none")
+    x, ksk, _ = _synthetic(SLOT_PRIMES)
+
+    def refuse(*args):
+        raise AssertionError("allocated before declining")
+
+    for name in ("get_plan", "get_workspace", "get_destinations"):
+        monkeypatch.setattr(kernels_backend, name, refuse)
+    assert backend.keyswitch_apply(
+        x.residues, SLOT_PRIMES, [ksk.block] * count, [0, 1, 2, 3],
+        GALOIS[count]) is None
+    assert backend.kernel_invocations == 0
+    return backend
+
+
+def assert_ragged_arguments_refused(count):
+    """An out-of-range ``keep``, Galois elements and key blocks of
+    different counts, blocks of different shapes, no blocks: each a
+    ``ValueError`` naming the slot before the foreign call."""
+    x, ksk, _ = _synthetic(SLOT_PRIMES)
+    other = np.zeros((3, 2, 5, N), dtype=np.uint64)
+    galois = GALOIS[count]
+    blocks = [ksk.block] * count
+    backend = CompiledBackend()
+    for args in ((blocks, [0, 1, 2, 4], galois),
+                 (blocks, [0, 1, 2, 3], [5] * (count + 1)),
+                 (blocks + [other], [0, 1, 2, 3], galois and galois + [5]),
+                 ([], [0, 1, 2, 3], galois)):
+        with pytest.raises(ValueError, match="keyswitch_apply"):
+            backend.keyswitch_apply(x.residues, SLOT_PRIMES, *args)
+    assert backend.kernel_invocations == 0
 
 
 SCHEMES = {
@@ -172,7 +249,7 @@ class TestSchemesAndLevels:
         with use_backend(spy):
             ours = ops()
         assert all(_same(x.parts, y.parts) for x, y in zip(ours, golden))
-        assert ("keyswitch_apply", True) in spy.taken
+        assert ("keyswitch_apply", 1, True) in spy.taken
         # BGV's mod_down carries the plaintext modulus: phased.
         assert (("drop_top_limb", True) in spy.taken) == \
             (ctx.scheme != "bgv")
@@ -258,13 +335,13 @@ class TestModulusWidths:
         assert spy.taken == [("drop_top_limb", taken)] * 2
 
     def test_mixed_width_chain_declines(self):
-        """The lift gate refuses (a 30-bit source against a 20-bit
-        target): both slots decline and the signed-``%`` path answers."""
-        small = find_ntt_prime(2 * N, 20)
-        wide = tuple(find_ntt_primes(2 * N, 30, 2))
-        primes = (wide[0], small, wide[1])
-        x, ksk, params = _synthetic(primes, seed=3)
-        _assert_three_ways(x, ksk, params, taken=False)
+        """No schedule for the chain: the plain keyswitch declines and
+        the phased path answers with numpy's residues (``G = 3``:
+        ``tests/test_kernels_keyswitch_hoisted.py``); so does
+        ``drop_top_limb`` where the lift gate refuses."""
+        for primes in UNSCHEDULED.values():
+            assert_unscheduled_chain_declines(primes, 1)
+        wide, small = _WIDE, UNSCHEDULED["lift-30-20-bit"][1]
         basis = get_basis((small, wide[0]), wide[1])
         t = sample_uniform_poly(N, (small,) + wide,
                                 np.random.default_rng(4))
@@ -431,7 +508,7 @@ class TestChecksKeepThePhases:
         assert counts == {"hmult": 12, "hrot": 10, "keyswitch": 8,
                           "rescale": 4}
         assert guard.checker.mismatches == 0
-        assert spy.taken and all(taken for _, taken in spy.taken)
+        assert spy.taken and all(entry[-1] for entry in spy.taken)
 
     @pytest.mark.parametrize("inner", [CompiledBackend, NumpyBackend,
                                        lambda: VpuBackend(m=16)])
@@ -455,29 +532,19 @@ class TestChecksKeepThePhases:
 
 class TestSlotContract:
     def test_no_provider_declines_before_allocating(self, monkeypatch):
-        backend = CompiledBackend(provider="none")
-        x, ksk, params = _synthetic(
-            tuple(find_ntt_primes(2 * N, 30, 4)))
-
-        def refuse(*args):
-            raise AssertionError("allocated before declining")
-
-        monkeypatch.setattr(kernels_backend, "get_plan", refuse)
-        monkeypatch.setattr(kernels_backend, "get_workspace", refuse)
-        primes = x.primes + (params.special_prime,)
-        assert backend.keyswitch_apply(x.residues, primes, ksk.block,
-                                       [0, 1, 2, 3]) is None
+        backend = assert_declines_before_allocating(monkeypatch, 1)
+        x, _, _ = _synthetic(SLOT_PRIMES)
         assert backend.drop_top_limb(x.residues, x.primes, [1, 1]) is None
         assert backend.kernel_invocations == 0
 
     def test_first_use_is_checked_once_per_shape_and_counted(self):
         backend = CompiledBackend()
-        primes = tuple(find_ntt_primes(2 * N, 30, 4))
+        primes = SLOT_PRIMES
         x, ksk, params = _synthetic(primes)
 
         def call():
             assert backend.keyswitch_apply(
-                x.residues, primes, ksk.block, [0, 1, 2, 3]) is not None
+                x.residues, primes, [ksk.block], [0, 1, 2, 3]) is not None
             return backend.self_checks, backend.kernel_invocations
 
         checks, calls = call()
@@ -487,14 +554,11 @@ class TestSlotContract:
         assert call()[0] > checks
 
     def test_out_of_range_keep_is_refused(self):
-        primes = tuple(find_ntt_primes(2 * N, 30, 4))
-        x, ksk, _ = _synthetic(primes)
-        with pytest.raises(ValueError, match="keyswitch_apply"):
-            CompiledBackend().keyswitch_apply(
-                x.residues, primes, ksk.block, [0, 1, 2, 4])
+        """... and every other ragged argument of a plain keyswitch."""
+        assert_ragged_arguments_refused(1)
 
     def test_observed_call_names_the_phases(self):
-        primes = tuple(find_ntt_primes(2 * N, 30, 4))
+        primes = SLOT_PRIMES
         x, ksk, params = _synthetic(primes)
         with use_backend(CompiledBackend()):
             keyswitch.apply_keyswitch(x, ksk, params)  # first-use check
@@ -513,21 +577,19 @@ class TestSlotContract:
 
 
 class TestKeyBlock:
-    def test_pairs_are_views_into_one_block(self):
+    def test_the_key_is_one_contiguous_block(self):
         ksk = CkksContext(toy_params(), seed=3).relin_key
         levels, n = toy_params().levels, toy_params().n
+        assert [f.name for f in dataclasses.fields(ksk)] == ["block"]
         assert ksk.block.shape == (levels, 2, levels + 1, n)
-        assert ksk.block.flags.c_contiguous
-        for i, pair in enumerate(ksk.pairs):
-            for part, poly in enumerate(pair):
-                assert np.shares_memory(poly.residues, ksk.block)
-                assert np.array_equal(poly.residues, ksk.block[i, part])
+        assert ksk.block.dtype == np.uint64 and ksk.block.flags.c_contiguous
+        assert ksk.num_digits == levels
 
     def test_hoisted_accumulate_reads_the_block_in_place(self):
         seen = []
 
         class Spy(CompiledBackend):
-            keyswitch_hoisted = None  # withheld: the phased accumulate
+            keyswitch_apply = None  # withheld: the phased accumulate
 
             def keyswitch_inner_product(self, digits, b_stack, a_stack,
                                         primes):
@@ -598,7 +660,23 @@ class TestSelfCheckCatchesAWrongKernel:
         primes = self.PRIMES[:3] + self.PRIMES[4:]
         x = _with_boundary_coefficients(primes[:-1])
         with pytest.raises(RuntimeError, match="self-check failed"):
-            backend.keyswitch_apply(x, primes, ksk.block, [0, 1, 2, 4])
+            backend.keyswitch_apply(x, primes, [ksk.block], [0, 1, 2, 4])
+
+    def test_the_table_path_is_checked_apart_from_the_plain_one(
+            self, tmp_path):
+        """A kernel that reads every digit row straight, whatever the
+        Galois table: its plain keyswitches are right and pass, and the
+        first rotation at the same shape is checked all the same."""
+        backend = CompiledBackend(provider=_mutant_provider(
+            tmp_path, "digit, tables ? tables[g] : 0,", "digit, 0,"))
+        primes = self.PRIMES[:4]
+        x, ksk, _ = _synthetic(primes)
+        keep = [0, 1, 2, 3]
+        assert backend.keyswitch_apply(x.residues, primes, [ksk.block],
+                                       keep) is not None
+        with pytest.raises(RuntimeError, match="self-check failed"):
+            backend.keyswitch_apply(x.residues, primes, [ksk.block], keep,
+                                    [5])
 
     def test_drop_top_limb(self, tmp_path):
         backend = CompiledBackend(provider=_mutant_provider(
@@ -614,7 +692,7 @@ class TestSelfCheckCatchesAWrongKernel:
         primes = self.PRIMES[:3] + self.PRIMES[4:]
         x = _with_boundary_coefficients(self.PRIMES)
         assert backend.keyswitch_apply(
-            x[:3], primes, ksk.block, [0, 1, 2, 4]) is not None
+            x[:3], primes, [ksk.block], [0, 1, 2, 4]) is not None
         assert backend.drop_top_limb(
             x, self.PRIMES, [1, 1, 1, 1]) is not None
         assert backend.self_checks >= 2

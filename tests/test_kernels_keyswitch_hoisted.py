@@ -1,14 +1,16 @@
-"""Hoisted rotations as one kernel: the ``keyswitch_hoisted`` slot.
+"""Hoisted rotations as one kernel: the ``keyswitch_apply`` slot, G > 1.
 
 ``repro_ks_apply`` transforms each digit row once and accumulates it
 into ``G`` rotations, each reading it through its Galois table against
 its own key block.  ``rotate_hoisted`` through the slot must be bit for
 bit ``K`` plain rotations — every ``K``, every level, both sides of the
 OpenMP threshold — must stay phased under a fault hook, must decline
-where a gate refuses, must refuse ragged arguments before the foreign
-call, and under a checking policy must record a pinned number of checks
-and flag a stuck word of one rotation's key block, of its Galois table
-and of a forward twiddle.
+where a gate or the provider is missing, must refuse ragged arguments
+before the foreign call, and under a checking policy must record a
+pinned number of checks and flag a stuck word of one rotation's key
+block, of its Galois table and of a forward twiddle.  (The decline and
+ragged-argument checks are the ``G = 1`` ones of
+``tests/test_kernels_keyswitch_fused.py``, called with ``G = 3``.)
 """
 
 import os
@@ -28,15 +30,17 @@ from repro.fhe.ckks import CkksContext
 from repro.fhe.params import CkksParams, toy_params
 from repro.fhe.serialize import ciphertext_digest
 from repro.kernels import CompiledBackend, cext, get_plan
-from repro.kernels import backend as kernels_backend
 from repro.kernels.plan import get_destinations
 from tests.test_fault_integrity_fused import flipped
 from tests.test_kernels_keyswitch_fused import (
+    UNSCHEDULED,
     SpyBackend,
     _mutant_provider,
     _on_numpy,
-    _same,
     _synthetic,
+    assert_declines_before_allocating,
+    assert_ragged_arguments_refused,
+    assert_unscheduled_chain_declines,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -71,8 +75,8 @@ def assert_hoisted_is_k_plain_rotations(n, levels):
                 del spy.taken[:]
                 hoisted = ctx.rotate_hoisted(ct, steps)
                 # One call, over the distinct non-zero steps.
-                assert spy.taken == [("keyswitch_hoisted", True)] + \
-                    [("drop_top_limb", True)] * (2 * (count + 1))
+                assert spy.taken == [("keyswitch_apply", count + 1, True)] \
+                    + [("drop_top_limb", True)] * (2 * (count + 1))
                 plain = [ctx.rotate(ct, s) for s in steps]
             assert _digests(hoisted) == _digests(plain) == _digests(golden), \
                 (n, level, count)
@@ -128,13 +132,13 @@ class TestWhoTakesTheSlot:
         golden = _on_numpy(lambda: [ctx.rotate(ct, s) for s in STEPS[:3]])
         spy = SpyBackend()
         with use_backend(spy), use_fault_hook(FaultInjector()):
-            assert keyswitch._fused_slot("keyswitch_hoisted") is None
+            assert keyswitch._fused_slot("keyswitch_apply") is None
             hoisted = ctx.rotate_hoisted(ct, STEPS[:3])
         assert spy.taken == []
         assert _digests(hoisted) == _digests(golden)
 
     def test_numpy_has_no_slot_and_decomposes_once(self, ctx, ct):
-        assert not hasattr(NumpyBackend(), "keyswitch_hoisted")
+        assert not hasattr(NumpyBackend(), "keyswitch_apply")
         limbs = ct.level + 1
 
         class Counting(NumpyBackend):
@@ -149,55 +153,19 @@ class TestWhoTakesTheSlot:
             ctx.rotate_hoisted(ct, STEPS)
         assert counting.digit_batches == 1
 
-    @pytest.mark.parametrize("primes", [
-        tuple(find_ntt_primes(2 * N, 30, 2) + find_ntt_primes(2 * N, 32, 2)),
-        tuple(find_ntt_primes(2 * N, 32, 4)),
-    ], ids=["mixed-30-32-bit", "32-bit"])
-    def test_a_chain_without_a_schedule_declines(self, primes):
-        """No compiled NTT for a 32-bit limb: ``None``, and the phased
-        path answers with the same residues as numpy."""
-        x, ksk, params = _synthetic(primes, seed=5)
-        spy = SpyBackend()
-        assert spy.keyswitch_hoisted(
-            x.residues, primes, [ksk.block] * 2, [0, 1, 2, 3], [5, 25]) is None
-        assert spy.kernel_invocations == 0
-        golden = _on_numpy(lambda: keyswitch.hoisted_keyswitch(
-            x, [ksk, ksk], [5, 25], params))
-        with use_backend(spy):
-            ours = keyswitch.hoisted_keyswitch(x, [ksk, ksk], [5, 25], params)
-        assert all(_same(a, b) for a, b in zip(ours, golden))
-        assert spy.taken[-1] == ("keyswitch_hoisted", False)
+    @pytest.mark.parametrize("chain", UNSCHEDULED)
+    def test_a_chain_without_a_schedule_declines(self, chain):
+        assert_unscheduled_chain_declines(UNSCHEDULED[chain], 3)
 
     def test_no_provider_declines_before_allocating(self, monkeypatch):
-        backend = CompiledBackend(provider="none")
-        primes = tuple(find_ntt_primes(2 * N, 30, 4))
-        x, ksk, _ = _synthetic(primes)
-
-        def refuse(*args):
-            raise AssertionError("allocated before declining")
-
-        for name in ("get_plan", "get_workspace", "get_destinations"):
-            monkeypatch.setattr(kernels_backend, name, refuse)
-        assert backend.keyswitch_hoisted(
-            x.residues, primes, [ksk.block], [0, 1, 2, 3], [5]) is None
-        assert backend.kernel_invocations == 0
+        assert_declines_before_allocating(monkeypatch, 3)
 
 
 class TestRaggedArgumentsNeverReachC:
     PRIMES = tuple(find_ntt_primes(2 * N, 30, 4))
 
     def test_the_slot_refuses(self):
-        x, ksk, _ = _synthetic(self.PRIMES)
-        other = np.zeros((3, 2, 5, N), dtype=np.uint64)
-        backend = CompiledBackend()
-        for blocks, galois in (([ksk.block] * 2, [5]),       # 2 keys, 1 k
-                               ([ksk.block], [5, 25]),
-                               ([ksk.block, other], [5, 25]),  # ragged blocks
-                               ([], [])):
-            with pytest.raises(ValueError, match="keyswitch_hoisted"):
-                backend.keyswitch_hoisted(x.residues, self.PRIMES, blocks,
-                                          [0, 1, 2, 3], galois)
-        assert backend.kernel_invocations == 0
+        assert_ragged_arguments_refused(3)
 
     def test_the_binding_refuses(self):
         provider = cext.load_provider()
@@ -228,9 +196,9 @@ class TestRaggedArgumentsNeverReachC:
 
 def _checked_call(backend, checker, x, primes, blocks, galois):
     check = checker.fused_check(N, primes, blocks, galois)
-    accs = backend.keyswitch_hoisted(x.residues, primes, blocks,
-                                     list(range(len(primes))), galois,
-                                     check=check)
+    accs = backend.keyswitch_apply(x.residues, primes, blocks,
+                                   list(range(len(primes))), galois,
+                                   check=check)
     assert accs is not None
     return check
 
@@ -327,8 +295,8 @@ class TestDetection:
             ctx.rotate(ct, 1)
             assert guard.checker.checks - before == 10
         assert guard.checker.mismatches == 0 and guard.detections == 0
-        assert spy.taken[0] == ("keyswitch_hoisted", True)
-        assert getattr(guard, "keyswitch_hoisted").__self__ is guard
+        assert spy.taken[0] == ("keyswitch_apply", count, True)
+        assert getattr(guard, "keyswitch_apply").__self__ is guard
 
     @pytest.mark.parametrize("policy", ["detect", "retry", "degrade"])
     @pytest.mark.parametrize("site", ["key", "table"])
@@ -348,13 +316,14 @@ class TestDetection:
             del spy.taken[:]
             with fault:
                 out = ctx.rotate_hoisted(ct, steps)
-        assert spy.taken[0] == ("keyswitch_hoisted", True)
+        assert spy.taken[0] == ("keyswitch_apply", 3, True)
         assert guard.detections >= 1 and guard.keyswitch_detections >= 1
         same = [a == b for a, b in zip(_digests(out), _digests(golden))]
         if policy == "detect":
             # Flag and keep: the other two rotations are untouched.
             assert same == [True, False, True] and guard.flagged >= 1
-            assert ("keyswitch_apply", True) not in spy.taken
+            assert [entry for entry in spy.taken
+                    if entry[0] == "keyswitch_apply"] == spy.taken[:1]
         elif site == "key":
             # Declined; the phased rerun reads the same stuck key word,
             # its spare check fails again and that accumulator is

@@ -162,28 +162,26 @@ class TestKeyswitchAccumulateFallbacks:
         rng = np.random.default_rng(seed)
         n = 16
         digits = []
-        pairs = []
+        block = np.empty((num_digits, 2, len(primes), n), dtype=np.uint64)
         for i in range(num_digits):
             res = np.stack([
                 rng.integers(0, q, size=n, dtype=np.uint64) for q in primes])
             digits.append(RnsPoly(res, primes, is_eval=True))
-            b = np.stack([
-                rng.integers(0, q, size=n, dtype=np.uint64) for q in primes])
-            a = np.stack([
-                rng.integers(0, q, size=n, dtype=np.uint64) for q in primes])
-            pairs.append((RnsPoly(b, primes, is_eval=True),
-                          RnsPoly(a, primes, is_eval=True)))
-        return digits, KeySwitchKey(pairs)
+            for part in (0, 1):  # b_i, then a_i
+                block[i, part] = np.stack([
+                    rng.integers(0, q, size=n, dtype=np.uint64)
+                    for q in primes])
+        return digits, KeySwitchKey(block)
 
     def _reference(self, digits, ksk, keep, primes):
         q_col = np.array(primes, dtype=object)[:, None]
         acc0 = np.zeros_like(digits[0].residues, dtype=object)
         acc1 = np.zeros_like(digits[0].residues, dtype=object)
         for i, digit in enumerate(digits):
-            b_i, a_i = ksk.pairs[i]
+            b_i, a_i = ksk.block[i][:, keep].astype(object)
             d = digit.residues.astype(object)
-            acc0 = (acc0 + d * b_i.residues[keep].astype(object)) % q_col
-            acc1 = (acc1 + d * a_i.residues[keep].astype(object)) % q_col
+            acc0 = (acc0 + d * b_i) % q_col
+            acc1 = (acc1 + d * a_i) % q_col
         return acc0.astype(np.uint64), acc1.astype(np.uint64)
 
     @pytest.mark.parametrize("bits,num_digits", [
