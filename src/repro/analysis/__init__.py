@@ -13,16 +13,15 @@ those invariants instead of trusting comments:
   wraparound conditional-subtract semantics).
 * :mod:`repro.analysis.program_check` — abstract interpretation of
   compiled VPU micro-programs (:class:`repro.core.isa.Program`),
-  propagating per-lane value intervals through every instruction.
+  propagating per-lane value intervals through the VPU's lowered steps.
 * :mod:`repro.analysis.stage_plans` — symbolic per-stage analysis of the
   numpy lazy-reduction kernels, mirroring them line by line.
 * :mod:`repro.analysis.bounds` — the production gate API: the single
   source of truth the NTT/keyswitch fast paths query instead of
   hand-coded inequalities.
-* :mod:`repro.analysis.dataflow` — def-use verification of compiled VPU
-  micro-programs under the real dispatch semantics: uninitialized
-  register reads, dead writes, routing that is not a permutation,
-  diagonal-read WAR hazards, 2R1W port violations.
+* :mod:`repro.analysis.dataflow` — def-use verification over the same
+  lowered steps: uninitialized register reads, dead writes, routing that
+  is not a permutation, diagonal-read WAR hazards, 2R1W port violations.
 * :mod:`repro.analysis.resources` — symbolic SRAM/DRAM occupancy replay
   of staged accelerator plans: capacity overflow, use-after-evict,
   double-buffer conflicts.
@@ -128,7 +127,7 @@ _LAZY = {
 def __getattr__(name: str) -> object:
     """Load the heavier passes on first use (PEP 562).
 
-    ``program_check``/``dataflow`` import :mod:`repro.core.isa`, whose
+    ``program_check``/``dataflow`` import :mod:`repro.core.vpu`, whose
     own import chain reaches back here through the NTT kernels' bounds
     gates (``core.stages -> repro.ntt -> cooley_tukey ->
     analysis.bounds``) — an eager import would be circular.  The same

@@ -7,8 +7,8 @@ Six sections, all run by default:
   rotation and conjugation automorphisms the keyswitch tests exercise)
   and interval-verify each with
   :func:`repro.analysis.program_check.check_program`.
-* ``dataflow`` — def-use verify the same compiled programs with
-  :func:`repro.analysis.dataflow.check_dataflow`: uninitialized
+* ``dataflow`` — def-use verify the same compiled and lowered programs
+  with :func:`repro.analysis.dataflow.check_dataflow`: uninitialized
   register reads, dead writes, non-permutation routing, diagonal WAR
   hazards, 2R1W port violations.
 * ``plans`` — symbolically verify the lazy-reduction stage plans across
@@ -52,15 +52,16 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 if TYPE_CHECKING:
     from repro.core.isa import Program
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.bounds import unclamped_dit_ok
+from repro.analysis.dataflow import check_dataflow
 from repro.analysis.lint import lint_paths
-from repro.analysis.program_check import ProgramCheckReport, check_program
+from repro.analysis.program_check import check_program
 from repro.analysis.sarif import to_sarif, validate_sarif
 from repro.analysis.stage_plans import (
     PlanReport,
@@ -114,44 +115,42 @@ def _workload_programs(m: int, bench_shapes: bool) -> Iterator[
         yield compile_ntt(4096, 64, 998244353), 998244353, 64
 
 
-def _check_programs(m: int, verbose: bool,
-                    bench_shapes: bool) -> tuple[list[Finding], list[str]]:
-    """Compile and interval-verify the workload's micro-programs."""
+def _book(report: Any, text: str, verbose: bool, findings: list[Finding],
+          lines: list[str]) -> None:
+    """Book one report: its findings, its status line, and — when
+    verbose or failing — each finding under it."""
+    findings.extend(report.findings)
+    lines.append(f"[{'ok ' if report.ok else 'FAIL'}] {text}")
+    if verbose or not report.ok:
+        lines += [f"    {f}" for f in report.findings]
+
+
+def _check_programs(workload: list, verbose: bool
+                    ) -> tuple[list[Finding], list[str]]:
+    """Interval-verify the workload's micro-programs."""
     findings: list[Finding] = []
     lines: list[str] = []
-    reports: list[ProgramCheckReport] = []
-    for program, q, lanes in _workload_programs(m, bench_shapes):
-        reports.append(check_program(program, q=q, m=lanes))
-    for report in reports:
-        findings.extend(report.findings)
-        status = "ok " if report.ok else "FAIL"
-        line = (f"[{status}] program {report.label:45s} q={report.q:<10d} "
-                f"{report.instructions:5d} instrs, max intermediate "
-                f"2^{report.max_intermediate.bit_length()}")
-        lines.append(line)
-        if verbose or not report.ok:
-            lines += [f"    {f}" for f in report.findings]
+    for program, q, lanes in workload:
+        report = check_program(program, q=q, m=lanes)
+        _book(report, f"program {report.label:45s} q={report.q:<10d} "
+              f"{report.instructions:5d} instrs, max intermediate "
+              f"2^{report.max_intermediate.bit_length()}",
+              verbose, findings, lines)
     return findings, lines
 
 
-def _check_dataflow(m: int, verbose: bool,
-                    bench_shapes: bool) -> tuple[list[Finding], list[str]]:
+def _check_dataflow(workload: list, verbose: bool
+                    ) -> tuple[list[Finding], list[str]]:
     """Def-use verify the same compiled micro-programs."""
-    from repro.analysis.dataflow import check_dataflow
-
     findings: list[Finding] = []
     lines: list[str] = []
-    for program, _q, lanes in _workload_programs(m, bench_shapes):
+    for program, _q, lanes in workload:
         report = check_dataflow(program, m=lanes)
-        findings.extend(report.findings)
-        status = "ok " if report.ok else "FAIL"
-        lines.append(
-            f"[{status}] dataflow {report.label:44s} "
-            f"{report.instructions:5d} instrs, "
-            f"{report.registers_written:3d} regs, "
-            f"{report.dead_at_exit} dead at exit")
-        if verbose or not report.ok:
-            lines += [f"    {f}" for f in report.findings]
+        _book(report, f"dataflow {report.label:44s} "
+              f"{report.instructions:5d} instrs, "
+              f"{report.registers_written:3d} regs, "
+              f"{report.dead_at_exit} dead at exit",
+              verbose, findings, lines)
     return findings, lines
 
 
@@ -188,22 +187,16 @@ def _check_plans(verbose: bool) -> tuple[list[Finding], list[str]]:
             lines.append(f"[{status}] gate refuses unclamped DIT for "
                          f"q={q} (analysis agrees: {not refused.ok})")
             if refused.ok:
-                findings.extend(
-                    analyze_batched_inverse(log_n, q, unclamped=True)
-                    .findings)
+                findings.extend(refused.findings)
     params = toy_params()
     maxq = max(params.primes + (params.special_prime,))
     reports.append(("toy keyswitch", analyze_keyswitch_accumulate(
         params.levels, maxq, lazy=True)))
     for label, report in reports:
-        findings.extend(report.findings)
-        status = "ok " if report.ok else "FAIL"
-        lines.append(
-            f"[{status}] plan {report.name:32s} ({label}) q={report.q:<10d} "
-            f"lane bound {report.stage_bounds[-1]}, max intermediate "
-            f"2^{report.max_intermediate.bit_length()}")
-        if verbose or not report.ok:
-            lines += [f"    {f}" for f in report.findings]
+        _book(report, f"plan {report.name:32s} ({label}) q={report.q:<10d} "
+              f"lane bound {report.stage_bounds[-1]}, max intermediate "
+              f"2^{report.max_intermediate.bit_length()}",
+              verbose, findings, lines)
     return findings, lines
 
 
@@ -230,16 +223,11 @@ def _check_resources(verbose: bool) -> tuple[list[Finding], list[str]]:
     ]
     reports = [analyze_staged_plan(plan) for plan in plans]
     for report in reports:
-        findings.extend(report.findings)
-        status = "ok " if report.ok else "FAIL"
-        lines.append(
-            f"[{status}] staged {report.label:32s} peak "
-            f"{report.peak_words * 8 // 1024:5d} KiB of "
-            f"{report.capacity_words * 8 // 1024} KiB, dram "
-            f"{report.dram_words * 8 // 1024} KiB "
-            f"({report.dram_ns:.0f} ns)")
-        if verbose or not report.ok:
-            lines += [f"    {f}" for f in report.findings]
+        _book(report, f"staged {report.label:32s} peak "
+              f"{report.peak_words * 8 // 1024:5d} KiB of "
+              f"{report.capacity_words * 8 // 1024} KiB, dram "
+              f"{report.dram_words * 8 // 1024} KiB "
+              f"({report.dram_ns:.0f} ns)", verbose, findings, lines)
     # Gate-agreement: an SRAM sized below the proven peak must be
     # refused — if the analysis verifies it anyway, that is a finding.
     big_report = reports[1]
@@ -283,13 +271,9 @@ def _check_ctstate(verbose: bool) -> tuple[list[Finding], list[str]]:
         n = getattr(params, "n", 0)
         report = check_sequence(ops, params, scheme=scheme,
                                 label=f"{scheme} n={n} canonical")
-        findings.extend(report.findings)
-        status = "ok " if report.ok else "FAIL"
-        lines.append(
-            f"[{status}] ctstate {report.label:28s} {len(report.ops):3d} ops, "
-            f"min budget {report.min_budget_bits:6.1f} bits")
-        if verbose or not report.ok:
-            lines += [f"    {f}" for f in report.findings]
+        _book(report, f"ctstate {report.label:28s} {len(report.ops):3d} ops, "
+              f"min budget {report.min_budget_bits:6.1f} bits",
+              verbose, findings, lines)
     # Gate-agreement: dropping the first rescale of the toy pipeline
     # must be refused — a verifier that accepts it is broken.
     ops = ckks_mult_rotate_sequence(toy_params().levels)
@@ -402,32 +386,25 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     findings: list[Finding] = []
     lines: list[str] = []
-    if "programs" in sections:
-        f, out = _check_programs(args.lanes, args.verbose, args.bench_shapes)
-        findings += f
-        lines += out
-    if "dataflow" in sections:
-        f, out = _check_dataflow(args.lanes, args.verbose, args.bench_shapes)
-        findings += f
-        lines += out
-    if "plans" in sections:
-        f, out = _check_plans(args.verbose)
-        findings += f
-        lines += out
-    if "resources" in sections:
-        f, out = _check_resources(args.verbose)
-        findings += f
-        lines += out
-    if "ctstate" in sections:
-        f, out = _check_ctstate(args.verbose)
-        findings += f
-        lines += out
-    if "lint" in sections:
-        root = (Path(args.lint_root) if args.lint_root
-                else Path(__file__).resolve().parents[1])
-        f, out = _check_lint(root, args.verbose)
-        findings += f
-        lines += out
+    # Compiled once; the first pass keeps each program's lowered form on
+    # it and the second walks that same object.
+    workload = (list(_workload_programs(args.lanes, args.bench_shapes))
+                if {"programs", "dataflow"} & set(sections) else [])
+    root = (Path(args.lint_root) if args.lint_root
+            else Path(__file__).resolve().parents[1])
+    passes = {
+        "programs": lambda: _check_programs(workload, args.verbose),
+        "dataflow": lambda: _check_dataflow(workload, args.verbose),
+        "plans": lambda: _check_plans(args.verbose),
+        "resources": lambda: _check_resources(args.verbose),
+        "ctstate": lambda: _check_ctstate(args.verbose),
+        "lint": lambda: _check_lint(root, args.verbose),
+    }
+    for section in _SECTIONS:
+        if section in sections:
+            f, out = passes[section]()
+            findings += f
+            lines += out
 
     errors = [f for f in findings if f.severity.value == "error"]
     elapsed = time.perf_counter() - started
@@ -445,19 +422,18 @@ def main(argv: list[str] | None = None) -> int:
     else:
         payload = None
 
+    verdict = "clean" if not errors else f"{len(errors)} error(s)"
+    summary = (f"fhecheck: {verdict} across {', '.join(sections)} "
+               f"in {elapsed:.2f}s")
     if args.output is not None and payload is not None:
         Path(args.output).write_text(payload + "\n", encoding="utf-8")
         print("\n".join(lines))
-        verdict = "clean" if not errors else f"{len(errors)} error(s)"
-        print(f"fhecheck: {verdict} across {', '.join(sections)} "
-              f"in {elapsed:.2f}s -> {args.output} ({out_format})")
+        print(f"{summary} -> {args.output} ({out_format})")
     elif payload is not None:
         print(payload)
     else:
         print("\n".join(lines))
-        verdict = "clean" if not errors else f"{len(errors)} error(s)"
-        print(f"fhecheck: {verdict} across {', '.join(sections)} "
-              f"in {elapsed:.2f}s")
+        print(summary)
     return 1 if errors else 0
 
 

@@ -1,12 +1,11 @@
 """Def-use dataflow verification of compiled VPU micro-programs.
 
-:func:`check_dataflow` walks a :class:`repro.core.isa.Program` under the
-same dispatch semantics as :class:`repro.core.vpu.VectorProcessingUnit`
-— including the diagonal per-lane register reads of the transpose
-passes and the mux-level routing learned from the real
-:class:`~repro.core.network.InterLaneNetwork` model — but tracks *which*
-registers are defined and consumed instead of their value intervals
-(that is :mod:`repro.analysis.program_check`'s job).
+:func:`check_dataflow` walks a :class:`repro.core.isa.Program` as
+:class:`repro.core.vpu.VectorProcessingUnit` decodes it — the lowered
+steps :mod:`repro.analysis.program_check` walks too, with their operand
+roles, lane routes and diagonal-read register vectors — but tracks
+*which* registers are defined and consumed instead of their value
+intervals.
 
 Rules
 -----
@@ -21,7 +20,8 @@ Rules
                       inside the source window, so in-flight lanes would
                       observe the partially overwritten row
 ``D005``     error    register-file port budget exceeded (more than 2 distinct
-                      read ports or 1 write port in one instruction)
+                      read ports or 1 write port in one instruction: the
+                      lowering's port check failed)
 ============ ======== =========================================================
 
 ``D001`` dedupes per register (the first uninitialized read is reported,
@@ -35,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import FindingList
-from repro.core.isa import Instruction, NetworkPass, NttStage, Program
-from repro.core.network import InterLaneNetwork
+from repro.analysis.program_check import _location, decode
+from repro.core.isa import Program
+from repro.core.vpu import _ADD, _LOAD, _MUL, _NET_DIAG, _STORE, _SUB
 
 
 @dataclass
@@ -57,8 +58,23 @@ class DataflowReport:
         return self.findings.ok
 
 
-def _loc(pc: int, instr: Instruction) -> str:
-    return f"pc {pc}: {type(instr).__name__}"
+def _operands(step: tuple) -> tuple:
+    """``(reads, writes)``: the registers a lowered step consumes and
+    defines.  Streamed constants are not reads (``VMulTwiddle`` charges a
+    read port for its twiddles but consumes only ``a``); a diagonal read
+    consumes its whole per-lane register vector."""
+    op, dst, a, b = step[:4]
+    if op == _LOAD:
+        return (), (dst,)
+    if op == _STORE:
+        return (a,), ()
+    if op == _NET_DIAG:
+        return a[0].tolist(), (dst,)
+    if op in (_ADD, _SUB, _MUL):
+        return (a, b), (dst,)
+    if op is None:  # undecodable: the registers its ports touch
+        return a, dst
+    return (a,), (dst,)
 
 
 def check_dataflow(program: Program, *, m: int) -> DataflowReport:
@@ -68,27 +84,25 @@ def check_dataflow(program: Program, *, m: int) -> DataflowReport:
     error-severity finding fired.  Dead writes (``D002``) are warnings —
     they waste cycles but cannot corrupt results.
     """
-    if m <= 0 or m & (m - 1):
-        raise ValueError(f"lane count must be a power of two, got {m}")
+    lowered, faults = decode(program, m)
     report = DataflowReport(label=program.label or "<program>", m=m)
     findings = report.findings
-    network = InterLaneNetwork(m)
     defined: set[int] = set()
     #: reg -> pc of the last write that no later instruction has read yet.
     unread_writes: dict[int, int] = {}
 
-    for pc, instr in enumerate(program):
-        loc = _loc(pc, instr)
-        reads = set(instr.data_read_regs(m))
-        writes = set(instr.write_regs())
+    for pc, (instr, step) in enumerate(zip(program.instructions,
+                                           lowered.steps, strict=True)):
+        loc = _location(pc, instr)
+        op, dst, _, _, _, route, _ = step
+        reads, writes = (set(regs) for regs in _operands(step))
 
         # D005: the 2R1W port budget the register file enforces at run
-        # time (RegisterFile.check_ports), proven statically here.
-        port_reads = set(instr.read_regs())
-        if len(port_reads) > 2 or len(writes) > 1:
+        # time (RegisterFile.check_ports), a fault of the lowering.
+        if (pc, "ports") in faults:
             findings.error(
                 "dataflow", "D005", loc,
-                f"instruction needs {len(port_reads)} read / "
+                f"instruction needs {len(set(instr.read_regs()))} read / "
                 f"{len(writes)} write ports; the lanes are 2R1W")
 
         # D001: reads of never-written registers.
@@ -101,33 +115,27 @@ def check_dataflow(program: Program, *, m: int) -> DataflowReport:
             unread_writes.pop(reg, None)
 
         # D003: every routed configuration must be a lane permutation.
-        if isinstance(instr, (NetworkPass, NttStage)):
-            route = network.route(instr.config).tolist()
-            if sorted(route) != list(range(m)):
-                missing = sorted(set(range(m)) - set(route))
-                findings.error(
-                    "dataflow", "D003", loc,
-                    f"network routing is not a permutation of {m} lanes "
-                    f"(lanes {missing[:8]} dropped)")
+        if route is not None and sorted(route.tolist()) != list(range(m)):
+            missing = sorted(set(range(m)) - set(route.tolist()))
+            findings.error(
+                "dataflow", "D003", loc,
+                f"network routing is not a permutation of {m} lanes "
+                f"(lanes {missing[:8]} dropped)")
 
         # D004: diagonal reads gather one register per lane; writing into
         # that window in the same traversal is a WAR hazard in hardware.
-        if isinstance(instr, NetworkPass) and instr.src_rot is not None:
-            assert instr.src_window is not None
-            window = {instr.src + (lane + instr.src_rot) % instr.src_window
-                      for lane in range(m)}
-            if instr.dst in window:
-                findings.error(
-                    "dataflow", "D004", loc,
-                    f"destination r{instr.dst} lies inside the diagonal "
-                    f"source window r{instr.src}..r{instr.src + instr.src_window - 1}")
+        if op == _NET_DIAG and dst in reads:
+            findings.error(
+                "dataflow", "D004", loc,
+                f"destination r{dst} lies inside the diagonal "
+                f"source window r{min(reads)}..r{max(reads)}")
 
         # D002: overwrite of a value nothing read.
         for reg in sorted(writes):
             stale = unread_writes.get(reg)
             if stale is not None:
                 findings.warning(
-                    "dataflow", "D002", _loc(stale, program.instructions[stale]),
+                    "dataflow", "D002", _location(stale, program.instructions[stale]),
                     f"write to r{reg} is dead: overwritten at pc {pc} "
                     f"with no intervening read")
             unread_writes[reg] = pc
@@ -139,6 +147,6 @@ def check_dataflow(program: Program, *, m: int) -> DataflowReport:
     report.dead_at_exit = len(unread_writes)
     for reg, pc in sorted(unread_writes.items()):
         findings.warning(
-            "dataflow", "D002", _loc(pc, program.instructions[pc]),
+            "dataflow", "D002", _location(pc, program.instructions[pc]),
             f"write to r{reg} is dead: never read before program end")
     return report

@@ -1,9 +1,12 @@
 """Abstract interpretation of compiled VPU micro-programs.
 
-:func:`check_program` walks a :class:`repro.core.isa.Program` exactly as
-:class:`repro.core.vpu.VectorProcessingUnit` would execute it, but over
-per-lane **value intervals** instead of values.  It proves, per
-instruction:
+:func:`check_program` walks a :class:`repro.core.isa.Program` over
+per-lane **value intervals** instead of values.  It walks the program as
+:class:`repro.core.vpu.VectorProcessingUnit` decodes it — the lowered
+steps its replay loop reads, with their lane routes, twiddle vectors and
+diagonal-read register vectors — so it sees exactly the routing the
+hardware would perform (grouped-CG sub-networks and diagonal register
+reads included).  It proves, per instruction:
 
 * every uint64 intermediate of the vectorized Barrett datapath fits
   (``z = a * b`` with *raw* register values — the vectorized multiplier
@@ -11,41 +14,57 @@ instruction:
 * the Barrett precondition ``z < q**2`` holds, which is what guarantees
   the two-correction reduction bound;
 * twiddle constants are fully reduced (``< q``), matching the table
-  contract;
+  contract, and have the lane geometry's length (a decode fault);
 * reads never see an uninitialized register (the mapping compilers must
   route data through loads);
 * every architecturally visible value — anything stored back to memory —
-  is ``< q``, or ``< 2q`` where the program declares lazy output.
-
-Network routing is resolved through the *actual* mux-level
-:class:`~repro.core.network.InterLaneNetwork` model: the walker asks it
-for each pass's lane route (:meth:`InterLaneNetwork.route`, the table
-the executor replays), so the interval flow sees exactly the routing the
-hardware would perform (including grouped-CG sub-networks and diagonal
-register reads).
+  is ``< q``, or ``< 2q`` where the program declares lazy output;
+* every instruction is one the unit decodes (a decode fault).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
-from repro.analysis.findings import Finding, FindingList
+import numpy as np
+
+from repro.analysis.findings import FindingList
 from repro.analysis.intervals import U64_MAX, Interval, IntervalVec
-from repro.core.isa import (
-    Butterfly,
-    Instruction,
-    Load,
-    NetworkPass,
-    NttStage,
-    Program,
-    Store,
-    VAdd,
-    VMul,
-    VMulScalar,
-    VMulTwiddle,
-    VSub,
+from repro.core.isa import Instruction, Program
+from repro.core.vpu import (
+    _ADD,
+    _BFLY,
+    _LOAD,
+    _MUL,
+    _MUL_SCALAR,
+    _MUL_TWIDDLE,
+    _NET,
+    _NET_DIAG,
+    _NTT,
+    _STORE,
+    _SUB,
+    VectorProcessingUnit,
 )
-from repro.core.network import InterLaneNetwork
+from repro.mapping.ntt import required_registers
+
+
+def decode(program: Program, m: int) -> tuple:
+    """Lower a program as an ``m``-lane VPU does, without raising.
+
+    Returns ``(lowered, faults)`` (see :meth:`VectorProcessingUnit._lower`).
+    The unit has the register file the compilers assume, so a fault-free
+    lowering is the one a backend unit keeps on the program and replays.
+    """
+    unit = VectorProcessingUnit(m, regfile_entries=required_registers(m),
+                                memory_rows=1)
+    faults: dict = {}
+    return unit.lower(program, faults), faults
+
+
+def _location(pc: int, instr: Instruction) -> str:
+    """Where a finding of a micro-program pass points."""
+    return f"pc {pc}: {type(instr).__name__}"
 
 
 class ProgramVerificationError(RuntimeError):
@@ -82,16 +101,17 @@ class ProgramCheckReport:
 
 
 class _Walker:
-    """One interval-execution of a program (mirrors the VPU's replay
-    loop)."""
+    """One interval-execution of a lowered program (the VPU's replay
+    loop over intervals)."""
 
     def __init__(self, program: Program, q: int, m: int,
-                 input_bound: int | None, lazy_output: bool):
+                 input_bound: int | None, lazy_output: bool,
+                 faults: dict):
         self.q = q
         self.m = m
         self.report = ProgramCheckReport(label=program.label or "<program>",
                                          q=q, m=m)
-        self.network = InterLaneNetwork(m)
+        self.faults = faults
         self.regs: dict[int, IntervalVec] = {}
         self.memory: dict[int, IntervalVec] = {}
         # Contract for rows the program loads but never stored: the
@@ -101,15 +121,13 @@ class _Walker:
                              else q - 1))
         self.visible_bound = 2 * q - 1 if lazy_output else q - 1
         self.pc = 0
-        self.instr: Instruction | None = None
+        self.instr: Any = None
 
     # -- finding helpers ---------------------------------------------------
 
-    def _loc(self) -> str:
-        return f"pc {self.pc}: {type(self.instr).__name__}"
-
     def _error(self, rule: str, message: str) -> None:
-        self.report.findings.error("program", rule, self._loc(), message)
+        self.report.findings.error("program", rule,
+                                   _location(self.pc, self.instr), message)
 
     def _note_intermediate(self, hi: int) -> None:
         if hi > self.report.max_intermediate:
@@ -153,30 +171,30 @@ class _Walker:
                                 + min(b.max_hi, self.q - 1))
         return IntervalVec.reduced(len(a), self.q)
 
-    def _twiddles(self, twiddles: tuple[int, ...],
-                  expect: int) -> IntervalVec:
-        if len(twiddles) != expect:
+    def _twiddles(self, const: np.ndarray) -> IntervalVec:
+        if (self.pc, "twiddles") in self.faults:
+            # The lowering cut or zero-padded them to the lane geometry.
             self._error(
                 "P005",
-                f"twiddle vector has {len(twiddles)} entries, lane "
-                f"geometry needs {expect}")
-            twiddles = tuple(twiddles)[:expect] + (0,) * (expect - len(twiddles))
-        bad = [int(t) for t in twiddles if not 0 <= int(t) < self.q]
+                f"twiddle vector has {len(self.instr.twiddles)} entries, "
+                f"lane geometry needs {len(const)}")
+        twiddles = const.tolist()
+        bad = [t for t in twiddles if t >= self.q]
         if bad:
             self._error(
                 "P003",
                 f"{len(bad)} twiddle(s) not fully reduced mod q={self.q} "
                 f"(worst: {max(bad)})")
-        return IntervalVec.exact(int(t) % self.q for t in twiddles)
+        return IntervalVec.exact(t % self.q for t in twiddles)
 
-    # -- instruction semantics ---------------------------------------------
+    # -- step semantics ----------------------------------------------------
 
-    def _butterfly(self, x: IntervalVec, kind: str,
-                   twiddles: tuple[int, ...]) -> IntervalVec:
-        tw = self._twiddles(twiddles, self.m // 2)
+    def _butterfly(self, x: IntervalVec, dif: bool,
+                   const: np.ndarray) -> IntervalVec:
+        tw = self._twiddles(const)
         u = x.every(0, 2)
         v = x.every(1, 2)
-        if kind == "dif":
+        if dif:
             even = self._add_reduced(u, v)
             # _sub reduces operands, so the multiplier sees [0, q).
             diff = IntervalVec.reduced(self.m // 2, self.q)
@@ -187,72 +205,59 @@ class _Walker:
             odd = IntervalVec.reduced(self.m // 2, self.q)
         return IntervalVec.interleave(even, odd)
 
-    def step(self, instr: Instruction) -> None:
+    def step(self, instr: Instruction, step: tuple) -> None:
+        """Transfer one lowered step ``(op, dst, a, b, const, route,
+        config)`` of ``instr`` over the register intervals."""
         self.instr = instr
+        op, dst, a, b, const, route, _ = step
         q, m = self.q, self.m
-        if isinstance(instr, VAdd):
-            self.regs[instr.dst] = self._add_reduced(
-                self._read(instr.a), self._read(instr.b))
-        elif isinstance(instr, VSub):
-            self._read(instr.a)
-            self._read(instr.b)
-            self.regs[instr.dst] = IntervalVec.reduced(m, q)
-        elif isinstance(instr, VMul):
-            self.regs[instr.dst] = self._mul(
-                self._read(instr.a), self._read(instr.b), "VMul")
-        elif isinstance(instr, VMulScalar):
-            scalar = IntervalVec.uniform(
-                m, Interval.const(int(instr.scalar) % q))
-            self.regs[instr.dst] = self._mul(
-                self._read(instr.a), scalar, "VMulScalar")
-        elif isinstance(instr, VMulTwiddle):
-            tw = self._twiddles(instr.twiddles, m)
-            self.regs[instr.dst] = self._mul(
-                self._read(instr.a), tw, "VMulTwiddle")
-        elif isinstance(instr, Butterfly):
-            self.regs[instr.dst] = self._butterfly(
-                self._read(instr.src), instr.kind, instr.twiddles)
-        elif isinstance(instr, NttStage):
-            x = self._read(instr.src)
-            route = self.network.route(instr.config)
-            if instr.kind == "dif":
-                out = self._butterfly(x.permute(route), "dif",
-                                      instr.twiddles)
+        if op == _ADD:
+            self.regs[dst] = self._add_reduced(self._read(a), self._read(b))
+        elif op == _SUB:
+            self._read(a)
+            self._read(b)
+            self.regs[dst] = IntervalVec.reduced(m, q)
+        elif op == _MUL:
+            self.regs[dst] = self._mul(self._read(a), self._read(b), "VMul")
+        elif op == _MUL_SCALAR:
+            scalar = IntervalVec.uniform(m, Interval.const(int(const) % q))
+            self.regs[dst] = self._mul(self._read(a), scalar, "VMulScalar")
+        elif op == _MUL_TWIDDLE:
+            tw = self._twiddles(const)
+            self.regs[dst] = self._mul(self._read(a), tw, "VMulTwiddle")
+        elif op == _BFLY:
+            self.regs[dst] = self._butterfly(self._read(a), b, const)
+        elif op == _NTT:
+            x = self._read(a)
+            if b:
+                self.regs[dst] = self._butterfly(x.permute(route), True, const)
             else:
-                half = self._butterfly(x, "dit", instr.twiddles)
-                out = half.permute(route)
-            self.regs[instr.dst] = out
-        elif isinstance(instr, NetworkPass):
-            if instr.src_rot is None:
-                value = self._read(instr.src)
-            else:
-                # Diagonal read: lane l fetches register
-                # src + (l + rot) % window at its own lane position.
-                assert instr.src_window is not None
-                lo: list[int] = []
-                hi: list[int] = []
-                for lane in range(m):
-                    reg = instr.src + (lane + instr.src_rot) % instr.src_window
-                    lane_iv = self._read(reg).lane(lane)
-                    lo.append(lane_iv.lo)
-                    hi.append(lane_iv.hi)
-                value = IntervalVec(lo, hi)
-            route = self.network.route(instr.config)
-            self.regs[instr.dst] = value.permute(route)
-        elif isinstance(instr, Load):
-            self.regs[instr.dst] = self.memory.get(instr.addr,
-                                                   self.input_row)
-        elif isinstance(instr, Store):
-            value = self._read(instr.src)
+                self.regs[dst] = self._butterfly(x, False, const).permute(route)
+        elif op == _NET:
+            self.regs[dst] = self._read(a).permute(route)
+        elif op == _NET_DIAG:
+            # Diagonal read: lane l fetches its own register regs[l].
+            regs, lanes = a
+            lo: list[int] = []
+            hi: list[int] = []
+            for reg, lane in zip(regs.tolist(), lanes.tolist()):
+                lane_iv = self._read(reg).lane(lane)
+                lo.append(lane_iv.lo)
+                hi.append(lane_iv.hi)
+            self.regs[dst] = IntervalVec(lo, hi).permute(route)
+        elif op == _LOAD:
+            self.regs[dst] = self.memory.get(a, self.input_row)
+        elif op == _STORE:
+            value = self._read(a)
             if value.max_hi > self.visible_bound:
                 self._error(
                     "P006",
                     f"stored value bound {value.max_hi} exceeds the "
                     f"architecturally visible limit {self.visible_bound} "
                     f"(q={q})")
-            self.memory[instr.addr] = value
+            self.memory[b] = value
         else:
-            self._error("P007", f"unknown instruction {instr!r}")
+            self._error("P007", str(self.faults[(self.pc, "opcode")]))
         self.report.instructions += 1
         self.pc += 1
 
@@ -283,9 +288,8 @@ def check_program(program: Program, *, q: int, m: int,
     """
     if q <= 1:
         raise ValueError(f"modulus must exceed 1, got {q}")
-    if m <= 0 or m & (m - 1):
-        raise ValueError(f"lane count must be a power of two, got {m}")
-    walker = _Walker(program, q, m, input_bound, lazy_output)
-    for instr in program:
-        walker.step(instr)
+    lowered, faults = decode(program, m)
+    walker = _Walker(program, q, m, input_bound, lazy_output, faults)
+    for instr, step in zip(program.instructions, lowered.steps, strict=True):
+        walker.step(instr, step)
     return walker.report

@@ -30,17 +30,6 @@ class Instruction:
     def write_regs(self) -> list[int]:
         return []
 
-    def data_read_regs(self, m: int) -> list[int]:
-        """Registers whose *values* this instruction consumes.
-
-        :meth:`read_regs` models the register-file *port* budget (what
-        the 2R1W check charges); this models true dataflow for the
-        static verifier: streamed constants are excluded, and diagonal
-        network reads expand to the full per-lane register window for a
-        machine with ``m`` lanes.
-        """
-        return self.read_regs()
-
     #: Does this instruction occupy the modular multipliers?
     uses_multiplier: bool = field(default=False, init=False, repr=False)
     #: Does this instruction occupy the modular adders?
@@ -114,11 +103,6 @@ class VMulTwiddle(Instruction):
 
     def read_regs(self) -> list[int]:
         return [self.a, self.dst]  # twiddles stream through port 2
-
-    def data_read_regs(self, m: int) -> list[int]:
-        # The dst slot is a port charge for the streamed twiddles; the
-        # only register value consumed is ``a``.
-        return [self.a]
 
     def write_regs(self) -> list[int]:
         return [self.dst]
@@ -220,18 +204,9 @@ class NetworkPass(Instruction):
             raise ValueError(f"src_window must be positive, got {self.src_window}")
 
     def read_regs(self) -> list[int]:
-        if self.src_rot is None:
-            return [self.src]
-        # Diagonal read: one register per lane, still one read port each.
+        # A diagonal read takes one register per lane, still one read
+        # port each.
         return [self.src]
-
-    def data_read_regs(self, m: int) -> list[int]:
-        if self.src_rot is None:
-            return [self.src]
-        # Lane l reads register src + (l + src_rot) % src_window.
-        assert self.src_window is not None
-        return sorted({self.src + (lane + self.src_rot) % self.src_window
-                       for lane in range(m)})
 
     def write_regs(self) -> list[int]:
         return [self.dst]

@@ -22,7 +22,10 @@ diagonal-read window, and what the instruction adds to
 (``Program.lowered``), knows nothing of the bound modulus, and goes away
 with the program or when the program grows.  :meth:`~VectorProcessingUnit
 .execute` replays it; whatever retired is booked when the replay ends,
-also when it ends in an exception.
+also when it ends in an exception.  The lowering is the only decoder of
+the ISA: the interval and def-use passes of :mod:`repro.analysis` walk
+the same steps, decoded tolerantly so that a failed check comes back as
+a value instead of an exception.
 
 A lane route is the network's own answer
 (:meth:`~repro.core.network.InterLaneNetwork.route`: the lane indices
@@ -253,26 +256,47 @@ class VectorProcessingUnit:
 
     # -- lowering ----------------------------------------------------------
 
-    def _lower(self, instructions: list[Instruction]) -> _Lowered:
+    def _lower(self, instructions: list[Instruction],
+               faults: dict | None = None) -> _Lowered:
         """Decode instructions for this unit's shape, running every
-        check that depends on nothing else."""
+        check that depends on nothing else.
+
+        The first failed check raises, unless a ``faults`` dict is given:
+        then each is stored as ``faults[pc, check] = error`` (``check`` is
+        ``"ports"``, ``"registers"``, ``"twiddles"`` or ``"opcode"``) and
+        decoding goes on with a placeholder — twiddles cut or zero-padded
+        to the lane geometry; for an unknown instruction a ``None`` opcode
+        whose ``dst`` / ``a`` are the registers its ports write / read.
+        """
         m, rf, net = self.m, self.regfile, self.network
         lanes = np.arange(m)
         steps = []
         stats = ExecutionStats()
         reads = writes = 0
 
+        def fault(check: str, error: Exception) -> None:
+            if faults is None:
+                raise error
+            faults[len(steps), check] = error
+
         def twiddles(instr, count: int, what: str) -> np.ndarray:
             tw = np.array(instr.twiddles, dtype=np.uint64)
             if tw.shape != (count,):
-                raise ValueError(what)
+                fault("twiddles", ValueError(what))
+                tw = np.pad(tw[:count], (0, max(count - len(tw), 0)))
             return tw
 
         for instr in instructions:
             read_regs, write_regs = instr.read_regs(), instr.write_regs()
-            rf.check_ports(read_regs, write_regs)
-            for reg in read_regs + write_regs:
-                rf.check_range(reg)
+            try:
+                rf.check_ports(read_regs, write_regs)
+            except ValueError as error:
+                fault("ports", error)
+            try:
+                for reg in read_regs + write_regs:
+                    rf.check_range(reg)
+            except IndexError as error:
+                fault("registers", error)
             kind = type(instr)
             const = route = config = None
             if kind in _BINARY:
@@ -307,14 +331,16 @@ class VectorProcessingUnit:
                     # the same row already routed.
                     regs = instr.src + (lanes + instr.src_rot) % instr.src_window
                     if regs.max() >= rf.entries:
-                        raise IndexError("diagonal read window out of range")
+                        fault("registers", IndexError(
+                            "diagonal read window out of range"))
                     op, a, b = _NET_DIAG, (regs, lanes), (regs[route], route)
             elif kind is Load:
                 op, dst, a, b = _LOAD, instr.dst, instr.addr, None
             elif kind is Store:
                 op, dst, a, b = _STORE, None, instr.src, instr.addr
             else:
-                raise TypeError(f"unknown instruction {instr!r}")
+                fault("opcode", TypeError(f"unknown instruction {instr!r}"))
+                op, dst, a, b = None, write_regs, read_regs, None
             steps.append((op, dst, a, b, const, route, config))
             stats.record(instr)
             # Register-file accesses: both operands of a binary op, else
@@ -323,14 +349,23 @@ class VectorProcessingUnit:
             writes += int(kind is not Store)
         return _Lowered(tuple(steps), stats, reads, writes)
 
+    def lower(self, program: Program, faults: dict | None = None) -> _Lowered:
+        """Decode a program for this unit's shape, once.
+
+        Kept in ``program.lowered`` unless the decode recorded a fault."""
+        shape = (self.m, self.regfile.entries)
+        lowered = program.lowered.get(shape)
+        if lowered is None:
+            lowered = self._lower(program.instructions, faults)
+            if not faults:
+                program.lowered[shape] = lowered
+        return lowered
+
     # -- execution ---------------------------------------------------------
 
     def execute(self, program: Program) -> ExecutionStats:
         """Run a program to completion, returning the run's stats."""
-        shape = (self.m, self.regfile.entries)
-        lowered = program.lowered.get(shape)
-        if lowered is None:
-            lowered = program.lowered[shape] = self._lower(program.instructions)
+        lowered = self.lower(program)
         run = ExecutionStats()
         with obs.span("vpu.execute", cat="vpu", m=self.m, q=self.q,
                       instructions=len(program)) as span:

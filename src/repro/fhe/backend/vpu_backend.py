@@ -60,7 +60,8 @@ class VpuBackend:
         if verify_programs is None:
             verify_programs = bool(os.environ.get("REPRO_VERIFY_PROGRAMS"))
         #: Debug hook: interval-verify every newly compiled micro-program
-        #: (repro.analysis.program_check) before it enters the cache.
+        #: (repro.analysis.program_check), on the unit's own lowering of
+        #: it, before it enters the cache.
         self.verify_programs = verify_programs
         self._programs: dict[tuple, object] = {}
         self._quarantined: set[tuple] = set()
@@ -157,9 +158,13 @@ class VpuBackend:
                 prog = compile_automorphism(perm, self.m)
             else:  # pragma: no cover - internal misuse
                 raise ValueError(f"unknown kernel kind {kind!r}")
+            # Decoded by the unit that replays it: a program the unit
+            # refuses raises here, before it can enter the cache.
+            self._vpu.lower(prog)
             if self.verify_programs:
-                # Raises ProgramVerificationError before a bad program
-                # can enter the cache (and be replayed limb after limb).
+                # Walks the lowered form just kept on the program, the
+                # object every replay reuses; raises
+                # ProgramVerificationError before the program is cached.
                 from repro.analysis.program_check import check_program
 
                 check_program(prog, q=q, m=self.m).raise_on_error()

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.isa import Instruction, Load, NetworkPass, Program, Store
+from repro.core.vpu import ExecutionStats
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,14 @@ def _diag_window(instr: Instruction) -> list[int]:
 
 
 def analyze_program(program: Program) -> ProgramAnalysis:
-    """Single pass over the instruction stream."""
-    by_type: dict[str, int] = {}
+    """Single pass over the instruction stream.
+
+    The resource counts are the executor's own booking
+    (:meth:`~repro.core.vpu.ExecutionStats.record`)."""
+    stats = ExecutionStats()
     registers: set[int] = set()
     reads_mem: set[int] = set()
     writes_mem: set[int] = set()
-    network = mult = add = 0
     # Liveness: walk backwards, a register is live from its last read up
     # to its defining write.
     live: set[int] = set()
@@ -65,31 +68,24 @@ def analyze_program(program: Program) -> ProgramAnalysis:
             live.add(reg)
         peak = max(peak, len(live))
     for instr in program:
-        name = type(instr).__name__
-        by_type[name] = by_type.get(name, 0) + 1
+        stats.record(instr)
         registers.update(instr.read_regs())
         registers.update(instr.write_regs())
         registers.update(_diag_window(instr))
-        if instr.uses_network:
-            network += 1
-        if instr.uses_multiplier:
-            mult += 1
-        if instr.uses_adder:
-            add += 1
         if isinstance(instr, Load):
             reads_mem.add(instr.addr)
         if isinstance(instr, Store):
             writes_mem.add(instr.addr)
     return ProgramAnalysis(
         instruction_count=len(program),
-        by_type=by_type,
+        by_type=stats.by_type,
         registers_used=frozenset(registers),
         peak_live_registers=peak,
         memory_rows_read=frozenset(reads_mem),
         memory_rows_written=frozenset(writes_mem),
-        network_passes=network,
-        multiplier_ops=mult,
-        adder_ops=add,
+        network_passes=stats.network_passes,
+        multiplier_ops=stats.multiplier_busy,
+        adder_ops=stats.adder_busy,
     )
 
 

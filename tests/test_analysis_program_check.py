@@ -115,3 +115,28 @@ class TestBackendVerifyHook:
         finally:
             mapping_ntt.compile_negacyclic_ntt = original
         assert not backend._programs  # nothing cached
+
+    def test_program_its_unit_refuses_never_enters_cache(self, monkeypatch):
+        # No interval rule covers register range; the unit refuses it.
+        import repro.mapping.ntt as mapping_ntt
+        from repro.mapping import required_registers
+
+        entries = required_registers(M)
+        monkeypatch.setattr(
+            mapping_ntt, "compile_negacyclic_ntt",
+            lambda *args, **kwargs: Program(label="deep", instructions=[
+                Load(dst=entries, addr=0), Store(src=entries, addr=0)]))
+        backend = VpuBackend(m=M, verify_programs=True)
+        with pytest.raises(IndexError):
+            backend._program("ntt", N, Q)
+        assert not backend._programs
+
+    def test_replay_reuses_the_verified_lowering(self):
+        backend = VpuBackend(m=M, verify_programs=True)
+        program = backend._program("ntt", N, Q)
+        (lowered,) = program.lowered.values()  # one decode, verified
+        coeffs = np.arange(N, dtype=np.uint64)[None, :]
+        backend.forward_ntt_batch(coeffs, (Q,))
+        assert backend._program("ntt", N, Q) is program
+        (replayed,) = program.lowered.values()
+        assert replayed is lowered
