@@ -21,12 +21,13 @@ and against the **phased checked** path every checking policy took
 before, so the guard's cost relative to what it guards is a committed
 number (``keyswitch_checked.guard_ratio``).  The ``drop_top_limb`` row
 does the same for the ModDown / rescale division: the compiled slot
-(one inverse and ``R - 1`` forward row NTTs, the subtraction in the
-evaluation domain) against the phased division on the same batch
-kernels (``2 R - 1`` row NTTs), and checked against unchecked.  The
-``keyswitch_hoisted`` row rotates one ciphertext ``K`` times: plain
-rotations, ``rotate_hoisted`` phase by phase, and ``rotate_hoisted``
-through the ``keyswitch_apply`` slot with ``K`` key blocks (each digit
+against the phased division on the same batch kernels — both one
+inverse and ``R - 1`` forward row NTTs with the subtraction in the
+evaluation domain, so the slot saves only the glue between them — and
+checked against unchecked.  The ``keyswitch_hoisted`` row rotates one
+ciphertext ``K`` times: plain rotations, ``rotate_hoisted`` phase by
+phase, and ``rotate_hoisted`` through the ``keyswitch_apply`` slot with
+``K`` key blocks (each digit
 row transformed once and accumulated into all ``K`` rotations in one
 kernel call), with what a rotation after the first costs and the slot's
 cost under ``detect``.
@@ -635,8 +636,8 @@ def main() -> None:
         dt = results["drop_top_limb"]
         print(f"  drop_top_limb n={dt['n']} R={dt['limbs']} compiled:"
               f" phased {dt['phased_s']*1e3:8.3f} ms"
-              f" ({2 * dt['limbs'] - 1} row NTTs)"
-              f"  fused {dt['fused_s']*1e3:8.3f} ms ({dt['row_ntts']})"
+              f"  fused {dt['fused_s']*1e3:8.3f} ms"
+              f" ({dt['row_ntts']} row NTTs each)"
               f"  speedup {dt['speedup_fused']:5.2f}x"
               f"  guard {dt['guard_ratio']*100:5.1f} %")
         kh = results["keyswitch_hoisted"]

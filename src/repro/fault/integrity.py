@@ -45,9 +45,7 @@ key.
 ``drop_top_limb`` run a whole keyswitch (or the keyswitches of several
 rotations of one polynomial, or a whole top-limb division) in one call,
 so nothing outside sees their row NTTs — ``L + L * L`` of them in a
-keyswitch, ``R`` in a drop of the top of ``R`` limbs (its one inverse,
-then a forward row per remaining limb: the subtraction is done in the
-evaluation domain).  Handed a
+keyswitch, ``R`` in a drop of ``R`` limbs, as phase by phase.  Handed a
 :class:`FusedCheck` they take the very same sums themselves — per row
 NTT ``<w, x>`` over the row before the transform and ``<r, y>`` after
 it, per target limb both sides of the spare identity — from this

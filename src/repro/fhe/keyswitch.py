@@ -19,7 +19,8 @@ limb, then element-wise multiply-accumulates — plus the ModDown by
 ``P`` at the end.  The implementation dispatches it that way too: all
 ``L * (L + 1)`` digit-row NTTs go to the backend as **one** batch, and
 the per-digit products accumulate in place over the full residue
-matrices with a single final reduction.  A backend may go one step
+matrices with a single final reduction; the ModDown (and the rescale)
+is ``R`` row NTTs on every executor.  A backend may go one step
 further and offer the keyswitch (``keyswitch_apply``) — of one
 polynomial, or of several Galois images of it with the digit NTT batch
 paid once (hoisted rotations): one slot, one walk — and the ModDown /
@@ -347,7 +348,11 @@ def phased_keyswitches(
 
 def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,
                         plaintext_modulus: int | None = None) -> RnsPoly:
-    """Drop the last limb with rounding: ``(x - delta) / q_top``.
+    """Drop the last limb with rounding: ``(x - delta) / q_top``, in
+    ``R`` row NTTs: the top row's inverse, then ``delta``, lifted into
+    the ``R - 1`` remaining limbs, goes forward as one batch and is
+    subtracted in the evaluation domain (a coefficient-domain input is
+    divided as it is and sent forward) — the slot's schedule.
 
     ``delta === x (mod q_top)``; with ``plaintext_modulus`` set, ``delta``
     is additionally forced to ``0 (mod t)`` so the division leaves exact
@@ -361,43 +366,39 @@ def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,
         out = fused(poly.residues, poly.primes, inv_table)
         if out is not None:
             return RnsPoly(out, poly.primes[:-1], is_eval=True)
-    coeff = poly.to_coeff()
-    top = coeff.num_limbs - 1
+    top = poly.num_limbs - 1
     q_top = poly.primes[top]
-    tail = coeff.centered_limb(top)
-    if plaintext_modulus is None:
-        delta = tail
-    elif plaintext_modulus < (1 << 31):
-        # int64 throughout: |tail| < q_top/2 < 2**30 and the correction
-        # magnitude is <= t/2 < 2**31, so delta stays below 2**61.
+    tail = RnsPoly(poly.residues[top:], (q_top,),
+                   poly.is_eval).to_coeff().centered_limb(0)
+    delta = tail
+    if plaintext_modulus is not None:
+        # int64 while |tail| < q_top/2 < 2**30 and the correction magnitude
+        # is <= t/2 < 2**31 (delta below 2**61); exact big ints beyond.
         t = plaintext_modulus
+        tail = tail.astype(object) if t >= 1 << 31 else tail
         correction = (-tail * mod_inverse(q_top, t)) % t
         correction = np.where(correction > t // 2, correction - t, correction)
         delta = tail + correction * q_top
-    else:  # oversized plaintext modulus: exact big-int fallback
-        t = plaintext_modulus
-        correction = (-tail.astype(object) * mod_inverse(q_top, t)) % t
-        correction = np.where(correction > t // 2, correction - t, correction)
-        delta = tail.astype(object) + correction * q_top
-    chain = coeff.limbs_prefix(top)
+    chain = poly.limbs_prefix(top)
     q_col = np.array(chain.primes, dtype=np.int64)[:, None]
-    if delta.dtype == object:
-        lifted = np.stack([(delta % q).astype(np.uint64)
-                           for q in chain.primes])
-    elif plaintext_modulus is None and centered_lift_lazy_ok(
+    d = delta[None, :]
+    if plaintext_modulus is None and centered_lift_lazy_ok(
             q_top, min(chain.primes)):
         # CKKS rescale/moddown: |delta| <= q_top/2 below every chain
         # prime, so reduction is a conditional add.
-        d = delta[None, :]
         lifted = (d + q_col * (d < 0)).astype(np.uint64)
     else:
-        lifted = (delta[None, :] % q_col).astype(np.uint64)
+        lifted = (d % q_col.astype(d.dtype)).astype(np.uint64)
+    if poly.is_eval:
+        lifted = get_backend().forward_ntt_batch(lifted, chain.primes)
     qq = q_col.astype(np.uint64)
     inv_col = np.asarray(inv_table, dtype=np.uint64)[:, None]
     s = chain.residues + (qq - lifted)  # < 2q: one conditional subtract
     np.minimum(s, s - qq, out=s)
     out = s * inv_col % qq
-    return RnsPoly(out, chain.primes, is_eval=False).to_eval()
+    if not poly.is_eval:
+        out = get_backend().forward_ntt_batch(out, chain.primes)
+    return RnsPoly(out, chain.primes, is_eval=True)
 
 
 def mod_down(t: RnsPoly, basis: RnsBasis,
@@ -411,8 +412,8 @@ def mod_down(t: RnsPoly, basis: RnsBasis,
     if t.primes[-1] != basis.special_prime:
         raise ValueError("mod_down expects the special prime as last limb")
     inv_table = basis.special_inv_mod_chain[:t.num_limbs - 1]
-    # Phase 4: ModDown by the special prime (inverse NTT, rounding
-    # division, forward NTT back to the evaluation domain).
+    # Phase 4: ModDown by the special prime (top-row inverse NTT, the
+    # lifted rows' forward batch, division in the evaluation domain).
     with obs.span("keyswitch.mod_down", cat=obs.CAT_PHASE,
                   limbs=t.num_limbs):
         return _divide_by_top_limb(t, inv_table, plaintext_modulus)

@@ -189,12 +189,6 @@ class RnsPoly:
 
     # -- level / limb management ------------------------------------------------
 
-    def drop_limb(self, index: int) -> "RnsPoly":
-        """Remove one residue row (used by rescale and ModDown)."""
-        keep = [i for i in range(self.num_limbs) if i != index]
-        return RnsPoly(self.residues[keep],
-                       tuple(self.primes[i] for i in keep), self.is_eval)
-
     def limbs_prefix(self, count: int) -> "RnsPoly":
         """Keep only the first ``count`` limbs (level truncation)."""
         if not 1 <= count <= self.num_limbs:

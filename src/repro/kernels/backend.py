@@ -20,9 +20,8 @@ numpy and VPU paths bit for bit regardless of the internal reduction
 schedule.  The shared object is built by whatever C compiler the host
 has, so the backend additionally cross-checks each (kernel, shape) pair
 against the numpy reference on first use — the row-fused slots against
-the same computation phase by phase (the keyswitch slot against
-:func:`repro.fhe.keyswitch.phased_keyswitches` itself) — and raises
-rather than silently returning wrong residues.
+:mod:`repro.fhe.keyswitch`'s own phased paths — and raises rather than
+silently returning wrong residues.
 
 The backend picks no reduction schedule: it asks the plan whether a
 kernel may run, and calls the binding (:mod:`repro.kernels.cext`) with
@@ -31,6 +30,8 @@ itself where no schedule is sound.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -47,23 +48,25 @@ from repro.kernels.plan import (
 
 class _PhasedKernels:
     """A backend's three batch kernels and none of its optional slots:
-    what the keyswitch slot's oracle runs the phased path on.  The
-    forward digit batch of ``decompose_digits`` — per digit, one row in
-    every limb of ``primes`` but its own — goes digit by digit through
-    the slot's own ``(n, primes)`` plan (the missing limb's row is a
-    don't-care), so the oracle stacks no tables of its own: a plan for
-    the whole ``L * L``-row batch is 33 MB a level at ``n = 8192``."""
+    what the row-fused slots' oracles run the phased paths on.  Every
+    transform goes through the slot's own ``(n, primes)`` plan, up to
+    ``len(primes) - 1`` rows at a time (a digit's forward rows, the
+    drop's top row; the rest are don't-cares), so the oracles stack no
+    tables of their own: a plan for the whole ``L * L``-row digit batch
+    is 33 MB a level at ``n = 8192``."""
 
     name = "compiled-phased"
 
     def __init__(self, backend, primes: tuple[int, ...]):
-        self._forward = backend.forward_ntt_batch
         self._primes = primes
-        self.inverse_ntt_batch = backend.inverse_ntt_batch
+        self.forward_ntt_batch = partial(self._through_plan,
+                                         backend.forward_ntt_batch)
+        self.inverse_ntt_batch = partial(self._through_plan,
+                                         backend.inverse_ntt_batch)
         self.automorphism_eval_batch = backend.automorphism_eval_batch
 
-    def forward_ntt_batch(self, residues: np.ndarray,
-                          batch_primes: tuple[int, ...]) -> np.ndarray:
+    def _through_plan(self, kernel, residues: np.ndarray,
+                      batch_primes: tuple[int, ...]) -> np.ndarray:
         primes, limbs = self._primes, len(self._primes) - 1
         out = np.empty_like(residues)
         block = np.zeros((limbs + 1, residues.shape[1]), dtype=np.uint64)
@@ -71,7 +74,7 @@ class _PhasedKernels:
             rows = [primes.index(q)
                     for q in batch_primes[start:start + limbs]]
             block[rows] = residues[start:start + limbs]
-            out[start:start + limbs] = self._forward(block, primes)[rows]
+            out[start:start + limbs] = kernel(block, primes)[rows]
         return out
 
 
@@ -355,11 +358,12 @@ class CompiledBackend(NumpyBackend):
         evaluation domain in and out, in one compiled call: the CKKS
         ``rescale`` and the special-prime ``mod_down`` (no plaintext
         modulus).  ``inv_table[j]`` is ``q_top^{-1} mod primes[j]``.
-        Only the top row leaves the evaluation domain: ``R`` row NTTs.
-        Returns the ``(R - 1, n)`` matrix, or ``None`` — before
-        allocating anything — when there is no provider or a gate
-        refuses, as for :meth:`keyswitch_apply`; ``check`` as there
-        (row-NTT sums only: nothing is accumulated here).
+        Only the top row leaves the evaluation domain: ``R`` row NTTs,
+        as in the phased division.  Returns the ``(R - 1, n)`` matrix,
+        or ``None`` — before allocating anything — when there is no
+        provider or a gate refuses, as for :meth:`keyswitch_apply`;
+        ``check`` as there (row-NTT sums only: nothing is accumulated
+        here).
         """
         impl = self._impl
         primes = tuple(primes)
@@ -381,23 +385,23 @@ class CompiledBackend(NumpyBackend):
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("drop_top_limb", n, primes),
-                lambda: self._phased_drop_top(x, primes, inv), out)
+                lambda: self._phased_drop(x, primes, inv), out)
             return out
         return None
 
-    def _phased_drop_top(self, x: np.ndarray, primes: tuple[int, ...],
-                         inv: np.ndarray) -> np.ndarray:
-        """The oracle of :meth:`drop_top_limb`, phase by phase on this
-        backend's batch kernels with signed-``%`` arithmetic — and by
-        another algorithm: every row goes to the coefficient domain and
-        the subtraction happens there (``2 R - 1`` row NTTs)."""
-        coeff = self.inverse_ntt_batch(x, primes).astype(np.int64)
-        q_top = primes[-1]
-        tail = np.where(coeff[-1] > q_top // 2, coeff[-1] - q_top, coeff[-1])
-        q_col = np.array(primes[:-1], dtype=np.int64)[:, None]
-        diff = ((coeff[:-1] - tail) % q_col).astype(np.uint64)
-        scaled = diff * inv[:, None] % q_col.astype(np.uint64)
-        return self.forward_ntt_batch(scaled, primes[:-1])
+    def _phased_drop(self, x: np.ndarray, primes: tuple[int, ...],
+                     inv: np.ndarray) -> np.ndarray:
+        """The oracle of :meth:`drop_top_limb`:
+        :func:`repro.fhe.keyswitch._divide_by_top_limb`'s phased path —
+        top-row inverse, lift, forward batch, element-wise finish — on
+        this backend's batch kernels alone, as for the keyswitch slot."""
+        from repro.fhe import keyswitch
+        from repro.fhe.backend import use_backend
+        from repro.fhe.polynomial import RnsPoly
+
+        with use_backend(_PhasedKernels(self, primes)):
+            return keyswitch._divide_by_top_limb(
+                RnsPoly(x, primes, is_eval=True), inv).residues
 
     # -- tensor product -------------------------------------------------------
 

@@ -193,12 +193,12 @@ BENCH_SPECS: dict[str, tuple[MetricSpec, ...]] = {
                    required=False),
         MetricSpec("keyswitch_checked.speedup_checked", "ratio", floor=1.3,
                    required=False),
-        # The top-limb drop with the subtraction in the evaluation domain
-        # (R row NTTs) against the phased division on the same batch
-        # kernels (2R - 1): committed 2.5x at n=8192, R=9; 2.7x quick.
+        # The top-limb drop slot against the phased division on the same
+        # batch kernels, both R row NTTs: committed 1.6x at n=8192, R=9
+        # (one thread); 1.8x quick.  It must not lose.
         MetricSpec("drop_top_limb.bit_identical", "bool_true",
                    required=False),
-        MetricSpec("drop_top_limb.speedup_fused", "ratio", floor=1.7,
+        MetricSpec("drop_top_limb.speedup_fused", "ratio", floor=1.0,
                    required=False),
         # K = 8 rotations of one ciphertext hoisted through the
         # keyswitch_apply slot against 8 plain rotations: committed 2.0x

@@ -225,13 +225,19 @@ def test_bench_round_cycles_and_instruction_counts():
             cycles[kind] = stats.cycles - before
             assert all(np.array_equal(p.residues, g.residues)
                        for p, g in zip(out.parts, golden[kind].parts))
-    assert cycles == {"hmult": 13216, "hrot": 9792, "keyswitch": 9504,
-                      "rescale": 3712}
-    assert stats.by_type == {"Load": 6368, "Store": 6368, "NttStage": 15680,
-                             "NetworkPass": 3232, "VMulScalar": 1440,
-                             "VMulTwiddle": 3136}
-    assert stats.network_passes == backend.vpu.network.passes == 18912
-    assert (stats.loads, stats.stores) == (6368, 6368)
+    # Row NTTs per op at L = 3, the compiled slots' schedule.  A keyswitch
+    # is 3 inverse + 3 * 4 - 3 = 9 forward digit rows, then two ModDowns
+    # of R = 4 limbs at R rows each (the top row's inverse, 3 forward):
+    # 3 + 9 + 2 * 4 = 20.  A rescale is two drops of R = 3: 2 * 3 = 6.
+    # HMult = keyswitch + rescale = 3 + 9 + 2 * 4 + 2 * 3 = 26; HRot =
+    # keyswitch = 20, plus 2 * 3 automorphism rows.
+    assert cycles == {"hmult": 9376, "hrot": 7488, "keyswitch": 7200,
+                      "rescale": 2176}
+    assert stats.by_type == {"Load": 4704, "Store": 4704, "NttStage": 11520,
+                             "NetworkPass": 2400, "VMulScalar": 608,
+                             "VMulTwiddle": 2304}
+    assert stats.network_passes == backend.vpu.network.passes == 13920
+    assert (stats.loads, stats.stores) == (4704, 4704)
 
 
 # -- (c) lifetime of the lowered form ----------------------------------------

@@ -507,9 +507,9 @@ class TestDetection:
         """What the drop's walk brackets: the top row's inverse and
         every remaining limb's forward transform.  ``detect`` flags and
         keeps the result; a replaying policy declines, so the division
-        reruns phase by phase — its forward batch on another plan's
-        tables, its inverse batch through the very plan row the fused
-        call used."""
+        reruns phase by phase — the same two batches, one inverse row
+        and ``R - 1`` forward rows, each on a plan of its own shape —
+        and records the same two checks as the checked fused call."""
         primes = self.PRIMES
         basis = get_basis(primes[:-1], primes[-1])
         t = sample_uniform_poly(N, primes, np.random.default_rng(5))
@@ -531,16 +531,17 @@ class TestDetection:
             assert spy.taken[1:] == [] and not _same([out], [golden])
             assert (guard.checker.checks, guard.checker.mismatches,
                     guard.detections, guard.flagged) == (4, 1, 1, 1)
-        elif table == "unfold":
-            # Declined; the phased inverse batch reads the same stuck
-            # word, is caught again, replayed and finally flagged.
-            assert spy.taken[1:] == [("intt", 4)] * 2 + [("ntt", 3)]
-            assert (guard.retries, guard.flagged) == (1, 1)
-        else:
-            assert spy.taken[1:] == [("intt", 4), ("ntt", 3)]
-            assert _same([out], [golden])
-            assert (guard.checker.checks, guard.checker.mismatches,
-                    guard.detections, guard.flagged) == (6, 1, 1, 0)
+            return
+        inverse_rows = check.inverse_rows
+        assert spy.taken[1:] == [
+            ("intt", inverse_rows),
+            ("ntt", len(check.row_moduli) - inverse_rows)] == [
+            ("intt", 1), ("ntt", len(primes) - 1)]
+        assert _same([out], [golden])
+        # Two checks for the fused call, two for the phased rerun.
+        assert (guard.checker.checks, guard.checker.mismatches,
+                guard.detections, guard.flagged, guard.retries) == (
+            6, 1, 1, 0, 0)
 
 
 # -- (e) who exposes the checked slots -----------------------------------------

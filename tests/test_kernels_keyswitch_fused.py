@@ -47,6 +47,7 @@ from repro.fhe.sampling import sample_uniform_poly
 from repro.kernels import CompiledBackend, cext
 from repro.kernels import backend as kernels_backend
 from repro.obs import observe
+from tests.test_fhe_drop import coefficient_domain_drop
 
 pytestmark = pytest.mark.skipif(
     CompiledBackend().provider_name is None,
@@ -357,16 +358,16 @@ class TestDropTopLimb:
     @pytest.mark.parametrize("rows", range(2, 10))
     def test_matches_the_coefficient_domain_oracle(self, rows, n):
         """The kernel subtracts in the evaluation domain (``R`` row
-        NTTs); ``_phased_drop_top`` takes every row to the coefficient
-        domain and back (``2 R - 1``).  Same residues, also from rows
-        that arrive unreduced."""
+        NTTs); ``coefficient_domain_drop`` takes every row to the
+        coefficient domain and back (``2 R - 1``).  Same residues, also
+        from rows that arrive unreduced."""
         primes = tuple(find_ntt_primes(2 * n, 30, rows))
         basis = get_basis(primes[:-1], primes[-1])
         inv = np.asarray(basis.special_inv_mod_chain, dtype=np.uint64)
         x = sample_uniform_poly(n, primes,
                                 np.random.default_rng(rows * n)).residues
         backend = CompiledBackend()
-        golden = backend._phased_drop_top(x, primes, inv)
+        golden = coefficient_domain_drop(x, primes, inv)
         q_col = np.array(primes, dtype=np.uint64)[:, None]
         for offset in (0, 1, 2):
             check = AbftChecker().fused_check(n, primes)
