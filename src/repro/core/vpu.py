@@ -20,12 +20,21 @@ there: the 2R1W port budget, register range, twiddle length, the
 diagonal-read window, and what the instruction adds to
 :class:`ExecutionStats`.  The lowered form is kept on the program
 (``Program.lowered``), knows nothing of the bound modulus, and goes away
-with the program or when the program grows.  :meth:`~VectorProcessingUnit
-.execute` replays it; whatever retired is booked when the replay ends,
-also when it ends in an exception.  The lowering is the only decoder of
-the ISA: the interval and def-use passes of :mod:`repro.analysis` walk
-the same steps, decoded tolerantly so that a failed check comes back as
-a value instead of an exception.
+with the program or when the program grows.  The lowering is the only
+decoder of the ISA: the interval and def-use passes of
+:mod:`repro.analysis` walk the same steps, decoded tolerantly so that a
+failed check comes back as a value instead of an exception.
+
+:meth:`~VectorProcessingUnit.execute` replays the lowered form in one of
+two ways.  With no fault hook, and every ``Load`` / ``Store`` row inside
+the memory, it runs *lock step*, as §IV-A maps an NTT: registers and
+rows are renamed to immutable values, so ``Load`` and ``Store`` move no
+data, and the steps of one dependency level with one opcode run as one
+numpy call over all the independent row strands.  That schedule is built
+on the first such replay and kept on the lowered form.  Registers, rows
+and counters are written once, at the end; a replay that raises commits
+and books nothing.  Otherwise the step loop runs one instruction at a
+time and books whatever retired, also when it ends in an exception.
 
 A lane route is the network's own answer
 (:meth:`~repro.core.network.InterLaneNetwork.route`: the lane indices
@@ -43,6 +52,7 @@ modulus (the tests check it against plain modular arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -162,15 +172,112 @@ class ExecutionStats:
         return busy / self.cycles
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Lowered:
     """A decoded program: ``(opcode, dst, a, b, const, route, config)``
-    per instruction, and what one complete replay books."""
+    per instruction, what one complete replay books, its lock-step form."""
 
     steps: tuple
     stats: ExecutionStats
     regfile_reads: int
     regfile_writes: int
+    lockstep: _LockStep | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class _LockStep:
+    """A strict lowering renamed to immutable values and levelled.
+
+    A replay's table of values opens with the ``inputs`` (registers, then
+    rows, read before any write); wave ``(op, flag, start, stop, a, b,
+    const)`` computes values ``[start, stop)`` — one dependency level's
+    steps of one opcode and dif/dit flag — from value ids or flat ``value
+    * m + lane`` gathers.  ``outputs`` (registers, values, rows, values)
+    are committed at the end; ``span`` bounds the rows named."""
+
+    values: int
+    inputs: tuple
+    waves: tuple
+    outputs: tuple
+    span: tuple
+
+
+def _lock_step(steps: tuple, m: int) -> _LockStep:
+    """Rename and level a strict lowering.  A place is ``(0, register)``
+    or ``(1, row)``; ``Load`` and ``Store`` only move its name."""
+    level = []       # dependency depth of every value, in creation order
+    initial = {}     # place -> the value it held before the program
+    current = {}     # place -> the value it holds now
+    computes = []    # (depth, op, flag, value, operands, lanes, const)
+
+    def value(place) -> int:
+        v = current.get(place)
+        if v is None:
+            v = current[place] = initial[place] = len(level)
+            level.append(0)
+        return v
+
+    for op, dst, a, b, const, route, _ in steps:
+        if op == _LOAD:
+            current[0, dst] = value((1, a))
+            continue
+        if op == _STORE:
+            current[1, b] = value((0, a))
+            continue
+        flag, lanes = op in (_NTT, _BFLY) and b, route
+        if op == _NET_DIAG:
+            # Output lane j reads lane route[j] of register b[0][j].
+            op, lanes = _NET, b[1]
+            operands = [value((0, r)) for r in b[0].tolist()]
+        elif op in _BINARY.values():
+            operands = [value((0, a)), value((0, b))]
+        else:
+            operands = [value((0, a))]
+        depth = 1 + max(level[v] for v in operands)
+        current[0, dst] = len(level)
+        computes.append((depth, op, flag, len(level), operands, lanes, const))
+        level.append(depth)
+
+    computes.sort(key=lambda c: c[:3])  # stable: program order per wave
+    final = np.empty(len(level), dtype=np.intp)
+    inits = sorted(initial)             # registers, then rows
+    final[[initial[p] for p in inits]] = np.arange(len(inits))
+    final[[c[3] for c in computes]] = len(inits) + np.arange(len(computes))
+    waves, start = [], len(inits)
+    for (_, op, flag), group in groupby(computes, key=lambda c: c[:3]):
+        wave = list(group)
+        a, b, const = final[[w[4][0] for w in wave]], None, None
+        if op == _NET:
+            # One gather of (value, lane) pairs from the flat value table.
+            a = np.stack([final[w[4]] * m + w[5] for w in wave])
+        elif op in _BINARY.values():
+            b = final[[w[4][1] for w in wave]]
+        elif op == _MUL_SCALAR:
+            const = np.array([w[6] for w in wave], dtype=object)[:, None]
+        else:
+            const = np.stack([w[6] for w in wave])
+        if op == _NTT:
+            # dif gathers its operand through the route; dit routes the
+            # butterflied rows of the wave itself.
+            routes = np.stack([w[5] for w in wave])
+            if flag:
+                a = a[:, None] * m + routes
+            else:
+                b = np.arange(len(wave))[:, None] * m + routes
+        waves.append((op, flag, start, start + len(wave), a, b, const))
+        start += len(wave)
+
+    changed = [(*p, final[v]) for p, v in current.items()
+               if initial.get(p) != v]
+    rows = [p[1] for p in current if p[0] == 1]  # every row named
+    return _LockStep(
+        len(level),
+        tuple(np.array([p[1] for p in inits if p[0] == kind], dtype=np.intp)
+              for kind in (0, 1)),
+        tuple(waves),
+        tuple(np.array([c[i] for c in changed if c[0] == kind], dtype=np.intp)
+              for kind in (0, 1) for i in (1, 2)),
+        (min(rows, default=0), max(rows, default=-1)))
 
 
 class VectorProcessingUnit:
@@ -241,17 +348,18 @@ class VectorProcessingUnit:
 
     def _butterfly_pairs(self, x: np.ndarray, dif: bool,
                          tw: np.ndarray) -> np.ndarray:
-        """Butterfly the adjacent lane pairs ``(2j, 2j+1)`` (Fig. 1c)."""
-        u = x[0::2]
-        v = x[1::2]
-        out = np.empty(self.m, dtype=np.uint64)
+        """Butterfly the adjacent lane pairs ``(2j, 2j+1)`` of every
+        ``(..., m)`` row, with ``(..., m/2)`` twiddles (Fig. 1c)."""
+        u = x[..., 0::2]
+        v = x[..., 1::2]
+        out = np.empty(x.shape, dtype=np.uint64)
         if dif:
-            out[0::2] = self._add(u, v)
-            out[1::2] = self._mul(self._sub(u, v), tw)
+            out[..., 0::2] = self._add(u, v)
+            out[..., 1::2] = self._mul(self._sub(u, v), tw)
         else:
             t = self._mul(v, tw)
-            out[0::2] = self._add(u, t)
-            out[1::2] = self._sub(u, t)
+            out[..., 0::2] = self._add(u, t)
+            out[..., 1::2] = self._sub(u, t)
         return out
 
     # -- lowering ----------------------------------------------------------
@@ -369,7 +477,14 @@ class VectorProcessingUnit:
         run = ExecutionStats()
         with obs.span("vpu.execute", cat="vpu", m=self.m, q=self.q,
                       instructions=len(program)) as span:
-            self._replay(program, lowered)
+            hooked = self.fault_hook is not None
+            if not hooked and lowered.lockstep is None:
+                lowered.lockstep = _lock_step(lowered.steps, self.m)
+            low, high = (0, -1) if hooked else lowered.lockstep.span
+            if hooked or low < 0 or high >= self.memory.rows:
+                self._replay(program, lowered)  # books what retired
+            else:
+                self._replay_lockstep(lowered)
             run.add(lowered.stats)
             # Model cycles land on this span (the innermost open one),
             # so every architectural cycle is attributed exactly once.
@@ -449,6 +564,41 @@ class VectorProcessingUnit:
             self.stats.add(lowered.stats)
             rf.reads += lowered.regfile_reads
             rf.writes += lowered.regfile_writes
+
+    def _replay_lockstep(self, lowered: _Lowered) -> None:
+        """Run the schedule wave by wave on a table of values; registers,
+        rows and counters change only once every wave has run."""
+        rf, memory, schedule = self.regfile, self.memory, lowered.lockstep
+        table = np.empty((schedule.values, self.m), dtype=np.uint64)
+        flat = table.reshape(-1)
+        regs, rows = schedule.inputs
+        table[:len(regs)] = rf.data[regs]
+        table[len(regs):len(regs) + len(rows)] = memory.data[rows]
+        mul, butterfly = self._mul, self._butterfly_pairs
+        binary = {_ADD: self._add, _SUB: self._sub, _MUL: mul}
+        for op, flag, start, stop, a, b, const in schedule.waves:
+            if op == _NTT and flag:
+                out = butterfly(flat[a], True, const)
+            elif op == _NTT:
+                out = butterfly(table[a], False, const).reshape(-1)[b]
+            elif op == _NET:
+                out = flat[a]
+            elif op == _MUL_TWIDDLE:
+                out = mul(table[a], const)
+            elif op == _MUL_SCALAR:
+                out = mul(table[a], (const % self.q).astype(np.uint64))
+            elif op in binary:
+                out = binary[op](table[a], table[b])
+            else:
+                out = butterfly(table[a], flag, const)
+            table[start:stop] = out
+        regs, reg_values, rows, row_values = schedule.outputs
+        rf.data[regs] = table[reg_values]
+        memory.data[rows] = table[row_values]
+        self.stats.add(lowered.stats)
+        rf.reads += lowered.regfile_reads
+        rf.writes += lowered.regfile_writes
+        self.network.passes += lowered.stats.network_passes
 
     # -- convenience -------------------------------------------------------
 

@@ -65,9 +65,10 @@ class VpuBackend:
         self.verify_programs = verify_programs
         self._programs: dict[tuple, object] = {}
         self._quarantined: set[tuple] = set()
-        #: Guards the compiled-program cache and quarantine set (the
-        #: serving layer shares one backend across overlapping tasks;
-        #: per-key compilation must happen exactly once).  RLock so
+        #: Guards the compiled-program cache, the quarantine set and the
+        #: unit itself for a whole batch (the serving layer shares one
+        #: backend across overlapping tasks; per-key compilation must
+        #: happen exactly once).  RLock so a batch may fetch programs and
         #: clear/quarantine paths may nest.
         self._cache_lock = threading.RLock()
 
@@ -182,12 +183,15 @@ class VpuBackend:
         values = np.asarray(values, dtype=np.uint64)
         n = values.shape[1]
         out = []
-        for limb, q in zip(values, primes):
-            self._prepare(n, q)
-            self._vpu.memory.data[:n // self.m] = pack(limb, self.m)
-            self._vpu.execute(self._program(kind, n, q, galois_k))
-            self.kernel_invocations += 1
-            out.append(unpack(n))
+        # One unit: its modulus and memory are rebound per limb, so a
+        # batch holds the unit from its first limb to its last.
+        with self._cache_lock:
+            for limb, q in zip(values, primes):
+                self._prepare(n, q)
+                self._vpu.memory.data[:n // self.m] = pack(limb, self.m)
+                self._vpu.execute(self._program(kind, n, q, galois_k))
+                self.kernel_invocations += 1
+                out.append(unpack(n))
         return np.stack(out)
 
     def forward_ntt_batch(self, residues: np.ndarray,

@@ -32,6 +32,8 @@ case is an artifact of its ``z|y``-ordered layout.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.arith.modular import mod_inverse
@@ -84,8 +86,17 @@ def unpack_ntt_result(memory: VectorMemory, n: int, m: int,
                       base_row: int = 0) -> np.ndarray:
     """Reassemble the natural-order NTT result from the final layout."""
     rows = n // m
-    data = memory.data[base_row:base_row + rows]
-    return _unpack(data, m)
+    return memory.data[base_row:base_row + rows].reshape(-1)[
+        _result_order(n, m)]
+
+
+@lru_cache(maxsize=None)
+def _result_order(n: int, m: int) -> np.ndarray:
+    """Where each natural-order value sits in the flattened final layout
+    (read-only): the layout recursion run once on the positions."""
+    order = _unpack(np.arange(n).reshape(n // m, m), m)
+    order.setflags(write=False)
+    return order
 
 
 def _unpack(rows: np.ndarray, m: int) -> np.ndarray:
@@ -119,30 +130,9 @@ def pack_ntt_values(values: np.ndarray, m: int) -> np.ndarray:
     """Inverse of :func:`unpack_ntt_result`: natural-order NTT values to
     the memory layout the inverse-transform program consumes."""
     values = np.asarray(values)
-    rows = len(values) // m
-    out = np.empty((rows, m), dtype=values.dtype)
-    _pack_values(values, out, m)
-    return out
-
-
-def _pack_values(values: np.ndarray, out: np.ndarray, m: int) -> None:
-    bitrev = bit_reverse_indices(m)
-    rows = out.shape[0]
-    if rows == 1:
-        out[0] = values[bitrev]
-        return
-    if rows < m:
-        c = rows
-        bitrev_c = bit_reverse_indices(c)
-        for r in range(c):
-            for g in range(m // c):
-                k1 = int(bitrev[g * c + r])
-                out[r][g * c:(g + 1) * c] = values[k1 + m * bitrev_c]
-        return
-    ntiles = rows // m
-    for p1 in range(m):
-        _pack_values(values[int(bitrev[p1])::m],
-                     out[p1 * ntiles:(p1 + 1) * ntiles], m)
+    out = np.empty(len(values), dtype=values.dtype)
+    out[_result_order(len(values), m)] = values
+    return out.reshape(-1, m)
 
 
 # ---------------------------------------------------------------------------

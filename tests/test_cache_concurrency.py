@@ -1,11 +1,13 @@
 """Thread-safety of the module-level caches and the cache-reset
 metrics contract (gauges zeroed on clear)."""
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.arith.primes import find_ntt_primes
 from repro.fhe.backend import VpuBackend, clear_caches
 from repro.kernels.plan import get_plan, get_workspace, plan_cache
 from repro.ntt.negacyclic import get_batched_ntt
@@ -92,6 +94,34 @@ class TestVpuProgramCache:
         assert backend.program_cache_misses == 1
         assert backend.program_cache_hits == total_calls - 1
         assert backend.program_compilations == 1
+
+    def test_concurrent_batches_on_one_unit_match_the_serial_result(self):
+        """A batch rebinds the unit's modulus and memory per limb: 4
+        threads x 6 batches, each thread with its own prime order."""
+        n, m, threads = 1024, 64, 4
+        primes = find_ntt_primes(2 * n, 28, 4)
+        orders = [tuple(primes[t:] + primes[:t]) for t in range(threads)]
+        x = np.random.default_rng(5).integers(0, min(primes), (4, n),
+                                              dtype=np.uint64)
+        backend = VpuBackend(m=m)
+        want = {order: backend.forward_ntt_batch(x, order) for order in orders}
+        barrier = threading.Barrier(threads)
+
+        def body(order):
+            barrier.wait(timeout=60)
+            return [backend.forward_ntt_batch(x, order) for _ in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(body, orders, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        wrong = sum(not np.array_equal(got, want[order])
+                    for order, batches in zip(orders, results)
+                    for got in batches)
+        assert wrong == 0
 
 
 class TestClearCachesMetricsReset:

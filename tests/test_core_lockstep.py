@@ -1,0 +1,151 @@
+"""The lock-step replay against the step loop.
+
+``VectorProcessingUnit.execute`` runs a program wave by wave when no
+fault hook is installed and every row it names is in memory, and one
+instruction at a time otherwise.  These tests run each compiled program
+kind, and programs built around the renaming's hazards, both ways from
+the same state and compare everything a replay leaves behind.
+"""
+
+import numpy as np
+import pytest
+
+from repro.arith.primes import find_ntt_prime
+from repro.automorphism.controls import uniform_shift_controls
+from repro.automorphism.mapping import galois_eval_permutation
+from repro.core import (
+    Load,
+    NetworkConfig,
+    NetworkPass,
+    Program,
+    Store,
+    VAdd,
+    VectorProcessingUnit,
+    VMul,
+    VMulScalar,
+)
+from repro.fault import FaultInjector
+from repro.mapping import compile_automorphism, required_registers
+from repro.mapping.ntt import compile_negacyclic_intt, compile_negacyclic_ntt
+from tests.test_core_replay import oracle
+
+Q = 268369921
+
+
+def _state(vpu):
+    """Everything a replay leaves behind on a unit."""
+    return (vpu.memory.data.tolist(), vpu.regfile.data.tolist(), vpu.stats,
+            list(vpu.stats.by_type.items()), vpu.regfile.reads,
+            vpu.regfile.writes, vpu.network.passes)
+
+
+def _both_paths(program, m, q, entries, rows, seed=0):
+    """Run ``program`` lock-step and on the step loop from one random
+    state; return both units."""
+    rng = np.random.default_rng(seed)
+    regs = rng.integers(0, q, (entries, m), dtype=np.uint64)
+    mem = rng.integers(0, q, (rows, m), dtype=np.uint64)
+    units = []
+    for hook in (None, FaultInjector()):
+        vpu = VectorProcessingUnit(m=m, q=q, regfile_entries=entries,
+                                   memory_rows=rows)
+        vpu.install_fault_hook(hook)
+        vpu.regfile.data[:] = regs
+        vpu.memory.data[:] = mem
+        vpu.execute(program)
+        units.append(vpu)
+    lockstep, stepped = units
+    (lowered,) = program.lowered.values()
+    assert lowered.lockstep is not None
+    assert _state(lockstep) == _state(stepped)
+    return lockstep, regs, mem
+
+
+# -- every compiled program kind ---------------------------------------------
+
+SHAPES = [(4, 8), (4, 16), (4, 32), (4, 64), (16, 64), (16, 256), (16, 512),
+          (64, 1024), (64, 2048), (64, 4096)]
+
+
+@pytest.mark.parametrize("kind", ["ntt", "intt", "auto"])
+@pytest.mark.parametrize("m, n", SHAPES)
+def test_compiled_programs_replay_alike(kind, m, n):
+    q = find_ntt_prime(2 * n, 28)
+    if kind == "ntt":
+        programs = [compile_negacyclic_ntt(n, m, q)]
+    elif kind == "intt":
+        programs = [compile_negacyclic_intt(n, m, q)]
+    else:
+        programs = [compile_automorphism(galois_eval_permutation(n, k), m)
+                    for k in (5, 2 * n - 1)]
+    for program in programs:
+        _both_paths(program, m, q, required_registers(m), 2 * n // m)
+
+
+def test_a_modulus_above_the_uint64_multiplier_replays_alike():
+    n, m = 256, 16
+    q = find_ntt_prime(2 * n, 32)
+    assert q >= 1 << 31
+    for program in (compile_negacyclic_ntt(n, m, q),
+                    compile_negacyclic_intt(n, m, q)):
+        _both_paths(program, m, q, required_registers(m), n // m)
+
+
+# -- hazards of the renaming --------------------------------------------------
+
+M = 8
+DIAGONAL = NetworkPass(5, 0, NetworkConfig(shift=uniform_shift_controls(M, 3)),
+                       src_rot=1, src_window=4)
+HAZARDS = {
+    # Two strands share r0; their scalars run in one wave.
+    "register reused across strands": [
+        Load(0, 0), VMulScalar(0, 0, 3), Store(0, 0),
+        Load(0, 1), VMulScalar(0, 0, 5), Store(0, 1)],
+    "store then load of one row": [
+        Load(0, 0), VAdd(1, 0, 0), Store(1, 1), Load(2, 1), VMul(3, 2, 2),
+        Store(3, 0)],
+    # r0..r3 come from one wave; r1 is overwritten in the diagonal read's
+    # own level, after it in program order.
+    "diagonal read of registers written in one level": [
+        Load(0, 0), Load(1, 1), Load(2, 2), Load(3, 3),
+        VMulScalar(0, 0, 2), VMulScalar(1, 1, 3), VMulScalar(2, 2, 4),
+        VMulScalar(3, 3, 5), DIAGONAL, VMulScalar(1, 2, 7), Store(5, 0),
+        Store(1, 1)],
+    "load of a row never written": [
+        Load(0, 3), VAdd(1, 0, 4), Store(1, 2)],
+    "no compute": [
+        Load(0, 0), Store(0, 2), Load(1, 2), Store(1, 1), Store(4, 3),
+        Load(4, 0)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", HAZARDS)
+def test_hazard_programs(name):
+    program = Program(list(HAZARDS[name]))
+    vpu, regs, mem = _both_paths(program, M, Q, entries=6, rows=4, seed=1)
+    regs, mem = regs.tolist(), mem.tolist()
+    oracle(program, regs, mem, M, Q)
+    assert vpu.regfile.data.tolist() == regs
+    assert vpu.memory.data.tolist() == mem
+
+
+def test_a_raising_lockstep_replay_commits_and_books_nothing():
+    """Unlike the step loop, which books the prefix that retired
+    (``TestExceptionBooking`` in test_core_replay.py)."""
+    vpu = VectorProcessingUnit(m=4, q=97, regfile_entries=4, memory_rows=2)
+    vpu.memory.data[:] = [[1, 2, 3, 4], [5, 6, 7, 8]]
+    program = Program([Load(0, 0), Load(1, 1), VAdd(2, 0, 1), VMul(3, 2, 2),
+                       Store(3, 0)])
+
+    def broken(a, b):
+        raise FloatingPointError("multiplier")
+
+    vpu._mul = broken
+    before = (vpu.memory.data.copy(), vpu.regfile.data.copy())
+    with pytest.raises(FloatingPointError):
+        vpu.execute(program)
+    assert np.array_equal(vpu.memory.data, before[0])
+    assert np.array_equal(vpu.regfile.data, before[1])
+    assert (vpu.stats.cycles, vpu.regfile.reads, vpu.regfile.writes,
+            vpu.network.passes) == (0, 0, 0, 0)

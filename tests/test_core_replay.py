@@ -165,26 +165,35 @@ def random_program(rng: random.Random, m: int, q: int, length: int) -> Program:
 @given(m=st.sampled_from([4, 8, 16, 64]), q=st.sampled_from(MODULI),
        seed=st.integers(0, 2**32 - 1), length=st.integers(1, 40))
 def test_random_programs_match_the_oracle(m, q, seed, length):
+    """Both replays: lock-step with no hook, the step loop under a
+    dormant injector."""
     rng = random.Random(seed)
     program = random_program(rng, m, q, length)
     regs = [[rng.randrange(q) for _ in range(m)] for _ in range(REGS)]
     mem = [[rng.randrange(q) for _ in range(m)] for _ in range(ROWS)]
-    vpu = VectorProcessingUnit(m=m, q=q, regfile_entries=REGS,
-                               memory_rows=ROWS)
-    vpu.regfile.data[:] = np.array(regs, dtype=np.uint64)
-    vpu.memory.data[:] = np.array(mem, dtype=np.uint64)
+    want_regs, want_mem = [list(r) for r in regs], [list(r) for r in mem]
+    oracle(program, want_regs, want_mem, m, q)
 
-    stats = vpu.execute(program)
-    oracle(program, regs, mem, m, q)
+    for hook in (None, FaultInjector()):
+        vpu = VectorProcessingUnit(m=m, q=q, regfile_entries=REGS,
+                                   memory_rows=ROWS)
+        vpu.install_fault_hook(hook)
+        vpu.regfile.data[:] = np.array(regs, dtype=np.uint64)
+        vpu.memory.data[:] = np.array(mem, dtype=np.uint64)
 
-    assert vpu.regfile.data.tolist() == regs
-    assert vpu.memory.data.tolist() == mem
-    assert stats.cycles == length == sum(stats.by_type.values())
-    assert stats.by_type == {
-        name: sum(type(i).__name__ == name for i in program)
-        for name in stats.by_type}
-    assert vpu.network.passes == stats.network_passes == sum(
-        isinstance(i, (NetworkPass, NttStage)) for i in program)
+        stats = vpu.execute(program)
+        if hook is None:
+            (lowered,) = program.lowered.values()
+            assert lowered.lockstep is not None
+
+        assert vpu.regfile.data.tolist() == want_regs
+        assert vpu.memory.data.tolist() == want_mem
+        assert stats.cycles == length == sum(stats.by_type.values())
+        assert stats.by_type == {
+            name: sum(type(i).__name__ == name for i in program)
+            for name in stats.by_type}
+        assert vpu.network.passes == stats.network_passes == sum(
+            isinstance(i, (NetworkPass, NttStage)) for i in program)
 
 
 # -- (b) the benchmark round's fixed points ----------------------------------
@@ -259,11 +268,30 @@ class TestLoweredLifetime:
         assert len(program.lowered) == 1
         for grow in (lambda: program.append(VAdd(2, 1, 1)),
                      lambda: program.extend([Store(2, 1)])):
+            (lowered,) = program.lowered.values()
+            schedule = weakref.ref(lowered.lockstep)
+            del lowered
             grow()
             assert not program.lowered
+            gc.collect()
+            assert schedule() is None
             stats = vpu.execute(program)
             assert stats.cycles == len(program)
         assert vpu.memory.data[1].tolist() == [4, 8, 12, 16]
+
+    def test_a_faulted_lowering_builds_no_schedule(self):
+        from repro.analysis.program_check import decode
+
+        program = Program([Load(0, 0), VMulTwiddle(1, 0, (1, 2, 3)),
+                           VAdd(2, 1, 1)])
+        lowered, faults = decode(program, 4)
+        assert list(faults) == [(1, "twiddles")]
+        assert lowered.lockstep is None and not program.lowered
+        vpu = VectorProcessingUnit(m=4, q=97, regfile_entries=10,
+                                   memory_rows=1)
+        with pytest.raises(ValueError):
+            vpu.execute(program)
+        assert lowered.lockstep is None and not program.lowered
 
     def test_one_program_two_moduli_two_register_files(self):
         """The automorphism programs carry no modulus: one compiled (and
@@ -312,11 +340,11 @@ class TestLoweredLifetime:
         backend.forward_ntt_batch(np.zeros((1, 64), dtype=np.uint64), (q,))
         (program,) = backend._programs.values()
         (lowered,) = program.lowered.values()
-        ref = weakref.ref(lowered)
+        refs = [weakref.ref(lowered), weakref.ref(lowered.lockstep)]
         del program, lowered
         drop(backend, q)
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
 
 
 # -- what a raising replay books ----------------------------------------------
