@@ -120,14 +120,15 @@ class Accelerator:
         """The §II-A keyswitch kernel mix at a given level.
 
         Digit decomposition: one inverse NTT per limb, then per digit a
-        forward-NTT batch over every limb (plus special), element-wise
-        multiply-accumulates against the key, and the final ModDown
-        (inverse NTTs + element-wise fix-up).
+        forward-NTT batch over every other limb plus the special prime (a
+        digit is already in the evaluation domain in its own limb),
+        element-wise multiply-accumulates against the key, and the final
+        ModDown (inverse NTTs + element-wise fix-up).
         """
         limbs = level + 1
         reports = [
             self.schedule_ntt(n, limbs, polys=1),                     # to coeff
-            self.schedule_ntt(n, limbs * (limbs + 1), polys=1),       # digits up
+            self.schedule_ntt(n, limbs * limbs, polys=1),             # digits up
             self.schedule_elementwise(n, limbs + 1, polys=2, ops=limbs),  # MACs
             self.schedule_ntt(n, limbs + 1, polys=2),                 # ModDown iNTT
             self.schedule_elementwise(n, limbs, polys=2, ops=2),      # sub + scale
@@ -154,7 +155,7 @@ class Accelerator:
         limbs = level + 1
         reports = [
             self.schedule_ntt(n, limbs, polys=1),                # to coeff, once
-            self.schedule_ntt(n, limbs * (limbs + 1), polys=1),  # digits, once
+            self.schedule_ntt(n, limbs * limbs, polys=1),        # digits, once
         ]
         for _ in range(rotations):
             reports.extend([

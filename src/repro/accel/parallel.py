@@ -99,6 +99,9 @@ class ParallelVpuPool:
                                  memory_rows=memory_rows)
             for _ in range(num_vpus)
         ]
+        #: The compiled NTT per length; its lowering and lock-step
+        #: schedule stay on it between batches.
+        self._programs: dict[int, Program] = {}
 
     @property
     def healthy_units(self) -> tuple[int, ...]:
@@ -165,7 +168,9 @@ class ParallelVpuPool:
             raise ValueError(f"expected (batch, {n}) input, got {limbs.shape}")
         with obs.span("pool.run_ntt_batch", cat="pool", instances=len(limbs),
                       n=n, num_vpus=self.num_vpus) as span:
-            program: Program = compile_ntt(n, self.m, self.q)
+            program = self._programs.get(n)
+            if program is None:
+                program = self._programs[n] = compile_ntt(n, self.m, self.q)
             rows = n // self.m
             outputs = np.empty_like(limbs)
             cycles = [0] * self.num_vpus

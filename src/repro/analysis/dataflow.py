@@ -5,7 +5,11 @@
 steps :mod:`repro.analysis.program_check` walks too, with their operand
 roles, lane routes and diagonal-read register vectors — but tracks
 *which* registers are defined and consumed instead of their value
-intervals.
+intervals.  The roles are :func:`repro.core.vpu.step_operands`, the def-use
+model the VPU's lock-step renaming reads too.  From the same walk the
+report gives the program's register and memory demands: registers used,
+peak live registers, rows read and written, and the lowering's resource
+counts.
 
 Rules
 -----
@@ -37,12 +41,15 @@ from dataclasses import dataclass, field
 from repro.analysis.findings import FindingList
 from repro.analysis.program_check import _location, decode
 from repro.core.isa import Program
-from repro.core.vpu import _ADD, _LOAD, _MUL, _NET_DIAG, _STORE, _SUB
+from repro.core.vpu import _LOAD, _NET_DIAG, _STORE, ExecutionStats, step_operands
 
 
 @dataclass
 class DataflowReport:
-    """Outcome of one def-use walk over a micro-program."""
+    """Findings and register / memory demands of one def-use walk.
+
+    The demands are what a lane's register file and the scratchpad must
+    provide for the program."""
 
     label: str
     m: int
@@ -51,30 +58,30 @@ class DataflowReport:
     registers_written: int = 0
     #: Registers still holding an unread (dead) value at program end.
     dead_at_exit: int = 0
+    #: Registers any step reads or writes.
+    registers_used: frozenset = frozenset()
+    #: Most registers holding a value some later step reads, at once.
+    peak_live_registers: int = 0
+    memory_rows_read: frozenset = frozenset()
+    memory_rows_written: frozenset = frozenset()
+    #: The lowering's resource counts: one cycle per instruction.
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
     findings: FindingList = field(default_factory=FindingList)
 
     @property
     def ok(self) -> bool:
         return self.findings.ok
 
+    @property
+    def register_pressure(self) -> int:
+        """Registers any lane's file must provide."""
+        return max(self.registers_used, default=-1) + 1
 
-def _operands(step: tuple) -> tuple:
-    """``(reads, writes)``: the registers a lowered step consumes and
-    defines.  Streamed constants are not reads (``VMulTwiddle`` charges a
-    read port for its twiddles but consumes only ``a``); a diagonal read
-    consumes its whole per-lane register vector."""
-    op, dst, a, b = step[:4]
-    if op == _LOAD:
-        return (), (dst,)
-    if op == _STORE:
-        return (a,), ()
-    if op == _NET_DIAG:
-        return a[0].tolist(), (dst,)
-    if op in (_ADD, _SUB, _MUL):
-        return (a, b), (dst,)
-    if op is None:  # undecodable: the registers its ports touch
-        return a, dst
-    return (a,), (dst,)
+    @property
+    def memory_footprint_rows(self) -> int:
+        """Scratchpad rows the program needs."""
+        return max(self.memory_rows_read | self.memory_rows_written,
+                   default=-1) + 1
 
 
 def check_dataflow(program: Program, *, m: int) -> DataflowReport:
@@ -82,20 +89,23 @@ def check_dataflow(program: Program, *, m: int) -> DataflowReport:
 
     Returns a :class:`DataflowReport`; ``report.ok`` is False when any
     error-severity finding fired.  Dead writes (``D002``) are warnings —
-    they waste cycles but cannot corrupt results.
+    they waste cycles but cannot corrupt results.  The report's register
+    and memory facts hold for any program, clean or not.
     """
     lowered, faults = decode(program, m)
     report = DataflowReport(label=program.label or "<program>", m=m)
+    report.stats.add(lowered.stats)
     findings = report.findings
+    operands = [tuple(map(set, step_operands(step)))
+                for step in lowered.steps]
     defined: set[int] = set()
     #: reg -> pc of the last write that no later instruction has read yet.
     unread_writes: dict[int, int] = {}
 
-    for pc, (instr, step) in enumerate(zip(program.instructions,
-                                           lowered.steps, strict=True)):
+    for pc, (instr, step, (reads, writes)) in enumerate(zip(
+            program.instructions, lowered.steps, operands, strict=True)):
         loc = _location(pc, instr)
         op, dst, _, _, _, route, _ = step
-        reads, writes = (set(regs) for regs in _operands(step))
 
         # D005: the 2R1W port budget the register file enforces at run
         # time (RegisterFile.check_ports), a fault of the lowering.
@@ -143,6 +153,18 @@ def check_dataflow(program: Program, *, m: int) -> DataflowReport:
 
         report.instructions += 1
 
+    # Liveness, walking backwards: a register is live from its defining
+    # write to its last read.
+    live: set[int] = set()
+    for reads, writes in reversed(operands):
+        live = live - writes | reads
+        report.peak_live_registers = max(report.peak_live_registers,
+                                         len(live))
+    report.registers_used = frozenset().union(*(r | w for r, w in operands))
+    report.memory_rows_read = frozenset(
+        step[2] for step in lowered.steps if step[0] == _LOAD)
+    report.memory_rows_written = frozenset(
+        step[3] for step in lowered.steps if step[0] == _STORE)
     report.registers_written = len(defined)
     report.dead_at_exit = len(unread_writes)
     for reg, pc in sorted(unread_writes.items()):

@@ -45,6 +45,7 @@ from repro.core.vpu import (
     _STORE,
     _SUB,
     VectorProcessingUnit,
+    step_operands,
 )
 from repro.mapping.ntt import required_registers
 
@@ -209,55 +210,48 @@ class _Walker:
         """Transfer one lowered step ``(op, dst, a, b, const, route,
         config)`` of ``instr`` over the register intervals."""
         self.instr = instr
-        op, dst, a, b, const, route, _ = step
+        op, _, a, b, const, route, _ = step
         q, m = self.q, self.m
+        # An undecodable step has nothing to transfer; its fault is P007.
+        reads, writes = step_operands(step) if op is not None else ((), ())
+        x = [self._read(reg) for reg in reads]
         if op == _ADD:
-            self.regs[dst] = self._add_reduced(self._read(a), self._read(b))
+            out = self._add_reduced(*x)
         elif op == _SUB:
-            self._read(a)
-            self._read(b)
-            self.regs[dst] = IntervalVec.reduced(m, q)
+            out = IntervalVec.reduced(m, q)
         elif op == _MUL:
-            self.regs[dst] = self._mul(self._read(a), self._read(b), "VMul")
+            out = self._mul(*x, "VMul")
         elif op == _MUL_SCALAR:
             scalar = IntervalVec.uniform(m, Interval.const(int(const) % q))
-            self.regs[dst] = self._mul(self._read(a), scalar, "VMulScalar")
+            out = self._mul(x[0], scalar, "VMulScalar")
         elif op == _MUL_TWIDDLE:
-            tw = self._twiddles(const)
-            self.regs[dst] = self._mul(self._read(a), tw, "VMulTwiddle")
+            out = self._mul(x[0], self._twiddles(const), "VMulTwiddle")
         elif op == _BFLY:
-            self.regs[dst] = self._butterfly(self._read(a), b, const)
+            out = self._butterfly(x[0], b, const)
+        elif op == _NTT and b:
+            out = self._butterfly(x[0].permute(route), True, const)
         elif op == _NTT:
-            x = self._read(a)
-            if b:
-                self.regs[dst] = self._butterfly(x.permute(route), True, const)
-            else:
-                self.regs[dst] = self._butterfly(x, False, const).permute(route)
+            out = self._butterfly(x[0], False, const).permute(route)
         elif op == _NET:
-            self.regs[dst] = self._read(a).permute(route)
+            out = x[0].permute(route)
         elif op == _NET_DIAG:
-            # Diagonal read: lane l fetches its own register regs[l].
-            regs, lanes = a
-            lo: list[int] = []
-            hi: list[int] = []
-            for reg, lane in zip(regs.tolist(), lanes.tolist()):
-                lane_iv = self._read(reg).lane(lane)
-                lo.append(lane_iv.lo)
-                hi.append(lane_iv.hi)
-            self.regs[dst] = IntervalVec(lo, hi).permute(route)
+            # Output lane j is lane route[j] of its own register reads[j].
+            lanes = [v.lane(lane) for v, lane in zip(x, route.tolist())]
+            out = IntervalVec([iv.lo for iv in lanes], [iv.hi for iv in lanes])
         elif op == _LOAD:
-            self.regs[dst] = self.memory.get(a, self.input_row)
+            out = self.memory.get(a, self.input_row)
         elif op == _STORE:
-            value = self._read(a)
-            if value.max_hi > self.visible_bound:
+            if x[0].max_hi > self.visible_bound:
                 self._error(
                     "P006",
-                    f"stored value bound {value.max_hi} exceeds the "
+                    f"stored value bound {x[0].max_hi} exceeds the "
                     f"architecturally visible limit {self.visible_bound} "
                     f"(q={q})")
-            self.memory[b] = value
+            self.memory[b] = x[0]
         else:
             self._error("P007", str(self.faults[(self.pc, "opcode")]))
+        for reg in writes:
+            self.regs[reg] = out
         self.report.instructions += 1
         self.pc += 1
 

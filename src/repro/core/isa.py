@@ -219,6 +219,10 @@ class Load(Instruction):
     dst: int
     addr: int
 
+    def __post_init__(self) -> None:
+        if self.addr < 0:  # it would index the memory from its end
+            raise ValueError(f"memory row must be non-negative, got {self.addr}")
+
     def write_regs(self) -> list[int]:
         return [self.dst]
 
@@ -229,6 +233,10 @@ class Store(Instruction):
 
     src: int
     addr: int
+
+    def __post_init__(self) -> None:
+        if self.addr < 0:
+            raise ValueError(f"memory row must be non-negative, got {self.addr}")
 
     def read_regs(self) -> list[int]:
         return [self.src]

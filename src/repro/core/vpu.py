@@ -21,9 +21,10 @@ diagonal-read window, and what the instruction adds to
 :class:`ExecutionStats`.  The lowered form is kept on the program
 (``Program.lowered``), knows nothing of the bound modulus, and goes away
 with the program or when the program grows.  The lowering is the only
-decoder of the ISA: the interval and def-use passes of
-:mod:`repro.analysis` walk the same steps, decoded tolerantly so that a
-failed check comes back as a value instead of an exception.
+decoder of the ISA, and :func:`step_operands` its one def-use model: the
+lock-step schedule and the interval and def-use passes of
+:mod:`repro.analysis` read the same steps through it, decoded tolerantly
+for the passes, so that a failed check comes back as a value.
 
 :meth:`~VectorProcessingUnit.execute` replays the lowered form in one of
 two ways.  With no fault hook, and every ``Load`` / ``Store`` row inside
@@ -131,22 +132,20 @@ class ExecutionStats:
     network_passes: int = 0
     loads: int = 0
     stores: int = 0
+    #: Cycles in which the multipliers or the adders did work.
+    compute_busy: int = 0
     by_type: dict = field(default_factory=dict)
 
     def record(self, instr: Instruction) -> None:
         self.cycles += 1
         name = type(instr).__name__
         self.by_type[name] = self.by_type.get(name, 0) + 1
-        if instr.uses_multiplier:
-            self.multiplier_busy += 1
-        if instr.uses_adder:
-            self.adder_busy += 1
-        if instr.uses_network:
-            self.network_passes += 1
-        if isinstance(instr, Load):
-            self.loads += 1
-        if isinstance(instr, Store):
-            self.stores += 1
+        self.multiplier_busy += instr.uses_multiplier
+        self.adder_busy += instr.uses_adder
+        self.compute_busy += instr.uses_multiplier or instr.uses_adder
+        self.network_passes += instr.uses_network
+        self.loads += isinstance(instr, Load)
+        self.stores += isinstance(instr, Store)
 
     def add(self, other: "ExecutionStats") -> None:
         """Accumulate another tally; instruction classes keep the order
@@ -154,6 +153,7 @@ class ExecutionStats:
         self.cycles += other.cycles
         self.multiplier_busy += other.multiplier_busy
         self.adder_busy += other.adder_busy
+        self.compute_busy += other.compute_busy
         self.network_passes += other.network_passes
         self.loads += other.loads
         self.stores += other.stores
@@ -162,14 +162,7 @@ class ExecutionStats:
 
     def compute_utilization(self) -> float:
         """Fraction of cycles the arithmetic lanes did useful work."""
-        if self.cycles == 0:
-            return 0.0
-        busy = sum(
-            count for name, count in self.by_type.items()
-            if name in ("VAdd", "VSub", "VMul", "VMulScalar",
-                        "VMulTwiddle", "Butterfly")
-        )
-        return busy / self.cycles
+        return self.compute_busy / self.cycles if self.cycles else 0.0
 
 
 @dataclass(eq=False)
@@ -184,6 +177,29 @@ class _Lowered:
     lockstep: _LockStep | None = None
 
 
+def step_operands(step: tuple) -> tuple:
+    """The registers a lowered step consumes and defines: ``(reads, writes)``.
+
+    This is the ISA's one def-use model: the lock-step renaming and both
+    program passes of :mod:`repro.analysis` read it.  Streamed
+    constants are not reads (``VMulTwiddle`` charges a read port for its
+    twiddles but consumes only ``a``).  A diagonal read consumes one
+    register per output lane, in output-lane order.  An undecodable step
+    (``None`` opcode) reads and writes the registers its ports touch."""
+    op, dst, a, b = step[:4]
+    if op == _LOAD:
+        return (), (dst,)
+    if op == _STORE:
+        return (a,), ()
+    if op == _NET_DIAG:
+        return b[0].tolist(), (dst,)
+    if op in (_ADD, _SUB, _MUL):
+        return (a, b), (dst,)
+    if op is None:
+        return a, dst
+    return (a,), (dst,)
+
+
 @dataclass(frozen=True, eq=False)
 class _LockStep:
     """A strict lowering renamed to immutable values and levelled.
@@ -193,13 +209,13 @@ class _LockStep:
     const)`` computes values ``[start, stop)`` — one dependency level's
     steps of one opcode and dif/dit flag — from value ids or flat ``value
     * m + lane`` gathers.  ``outputs`` (registers, values, rows, values)
-    are committed at the end; ``span`` bounds the rows named."""
+    are committed at the end; ``top_row`` is the highest row named."""
 
     values: int
     inputs: tuple
     waves: tuple
     outputs: tuple
-    span: tuple
+    top_row: int
 
 
 def _lock_step(steps: tuple, m: int) -> _LockStep:
@@ -217,26 +233,25 @@ def _lock_step(steps: tuple, m: int) -> _LockStep:
             level.append(0)
         return v
 
-    for op, dst, a, b, const, route, _ in steps:
-        if op == _LOAD:
-            current[0, dst] = value((1, a))
-            continue
+    for step in steps:
+        op, _, a, b, const, route, _ = step
+        reads, writes = step_operands(step)
+        operands = [value((0, r)) for r in reads]
         if op == _STORE:
-            current[1, b] = value((0, a))
+            current[1, b] = operands[0]
             continue
-        flag, lanes = op in (_NTT, _BFLY) and b, route
-        if op == _NET_DIAG:
-            # Output lane j reads lane route[j] of register b[0][j].
-            op, lanes = _NET, b[1]
-            operands = [value((0, r)) for r in b[0].tolist()]
-        elif op in _BINARY.values():
-            operands = [value((0, a)), value((0, b))]
+        if op == _LOAD:
+            result = value((1, a))
         else:
-            operands = [value((0, a))]
-        depth = 1 + max(level[v] for v in operands)
-        current[0, dst] = len(level)
-        computes.append((depth, op, flag, len(level), operands, lanes, const))
-        level.append(depth)
+            # A diagonal read joins the network passes: output lane j
+            # reads lane route[j] of its own operand, reads[j].
+            depth = 1 + max(level[v] for v in operands)
+            result = len(level)
+            computes.append((depth, _NET if op == _NET_DIAG else op,
+                             op in (_NTT, _BFLY) and b, result, operands,
+                             route, const))
+            level.append(depth)
+        current[0, writes[0]] = result
 
     computes.sort(key=lambda c: c[:3])  # stable: program order per wave
     final = np.empty(len(level), dtype=np.intp)
@@ -269,7 +284,6 @@ def _lock_step(steps: tuple, m: int) -> _LockStep:
 
     changed = [(*p, final[v]) for p, v in current.items()
                if initial.get(p) != v]
-    rows = [p[1] for p in current if p[0] == 1]  # every row named
     return _LockStep(
         len(level),
         tuple(np.array([p[1] for p in inits if p[0] == kind], dtype=np.intp)
@@ -277,7 +291,7 @@ def _lock_step(steps: tuple, m: int) -> _LockStep:
         tuple(waves),
         tuple(np.array([c[i] for c in changed if c[0] == kind], dtype=np.intp)
               for kind in (0, 1) for i in (1, 2)),
-        (min(rows, default=0), max(rows, default=-1)))
+        max((p[1] for p in current if p[0] == 1), default=-1))
 
 
 class VectorProcessingUnit:
@@ -480,8 +494,7 @@ class VectorProcessingUnit:
             hooked = self.fault_hook is not None
             if not hooked and lowered.lockstep is None:
                 lowered.lockstep = _lock_step(lowered.steps, self.m)
-            low, high = (0, -1) if hooked else lowered.lockstep.span
-            if hooked or low < 0 or high >= self.memory.rows:
+            if hooked or lowered.lockstep.top_row >= self.memory.rows:
                 self._replay(program, lowered)  # books what retired
             else:
                 self._replay_lockstep(lowered)

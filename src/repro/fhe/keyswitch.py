@@ -17,11 +17,12 @@ This is the computation pattern the paper's keyswitch workload refers
 to (§II-A): per digit, a batch of NTTs to re-express the digit in every
 limb, then element-wise multiply-accumulates — plus the ModDown by
 ``P`` at the end.  The implementation dispatches it that way too: all
-``L * (L + 1)`` digit-row NTTs go to the backend as **one** batch, and
-the per-digit products accumulate in place over the full residue
-matrices with a single final reduction; the ModDown (and the rescale)
-is ``R`` row NTTs on every executor.  A backend may go one step
-further and offer the keyswitch (``keyswitch_apply``) — of one
+``L * L`` digit-row NTTs (each digit skips its own limb) go to the
+backend as **one** batch, and the per-digit products accumulate in
+place over the full residue matrices with a single final reduction;
+the ModDown (and the rescale) is ``R`` row NTTs on every executor.  A
+backend may go one step further and offer the keyswitch
+(``keyswitch_apply``) — of one
 polynomial, or of several Galois images of it with the digit NTT batch
 paid once (hoisted rotations): one slot, one walk — and the ModDown /
 rescale division (``drop_top_limb``) as one kernel call each (a
@@ -135,8 +136,8 @@ def decompose_digits(x: RnsPoly, params: CkksParams) -> list[RnsPoly]:
     Digit ``i`` is the centered lift of ``[x]_{q_i}`` re-expressed over
     every chain limb of ``x``'s level plus the special prime, in the
     evaluation domain.  All ``L`` centered lifts reduce against the
-    target basis in one ``(L, L+1, n)`` broadcast, and the resulting
-    ``L * (L+1)`` rows go to the backend as a **single** forward-NTT
+    target basis in one ``(L, L+1, n)`` broadcast, and the ``L * L`` rows
+    off its own limbs go to the backend as a **single** forward-NTT
     batch — the NTT batch the accelerator speeds up, dispatched as one
     unit instead of one call per residue row.
     """
@@ -180,7 +181,7 @@ def decompose_digits(x: RnsPoly, params: CkksParams) -> list[RnsPoly]:
                 (centered[i] % np.int64(target[j])).astype(np.uint64)
                 for i, j in off_diag
             ])
-    # Phase 2: the digit NTT batch — all L*(L+1) off-diagonal rows in
+    # Phase 2: the digit NTT batch — all L*L off-diagonal rows in
     # one dispatch, the batch the accelerator accelerates.
     with obs.span("keyswitch.ntt", cat=obs.CAT_PHASE, rows=len(off_diag)):
         batch = get_backend().forward_ntt_batch(

@@ -13,7 +13,6 @@
   matrix/tensor products using uniform shift passes (§III-A).
 """
 
-from repro.mapping.analysis import analyze_program, render_analysis
 from repro.mapping.automorphism import (
     automorphism_layout_pack,
     automorphism_layout_unpack,
@@ -37,7 +36,6 @@ from repro.mapping.transpose import compile_tile_transpose
 
 __all__ = [
     "NttMappingError",
-    "analyze_program",
     "automorphism_layout_pack",
     "automorphism_layout_unpack",
     "compile_automorphism",
@@ -51,7 +49,6 @@ __all__ = [
     "compile_tile_transpose",
     "pack_for_ntt",
     "pack_ntt_values",
-    "render_analysis",
     "required_registers",
     "unpack_ntt_result",
 ]

@@ -140,3 +140,66 @@ class TestScheduler:
     def test_validation(self):
         with pytest.raises(ValueError):
             Accelerator(num_vpus=0)
+
+
+class _RowCounter(NumpyBackend):
+    """Counts the NTT and automorphism rows an op sends to the backend."""
+
+    def __init__(self):
+        super().__init__()
+        self.ntt_rows = self.automorphism_rows = 0
+
+    def forward_ntt_batch(self, residues, primes):
+        self.ntt_rows += len(primes)
+        return super().forward_ntt_batch(residues, primes)
+
+    def inverse_ntt_batch(self, values, primes):
+        self.ntt_rows += len(primes)
+        return super().inverse_ntt_batch(values, primes)
+
+    def automorphism_eval_batch(self, values, galois_k, primes):
+        self.automorphism_rows += len(primes)
+        return super().automorphism_eval_batch(values, galois_k, primes)
+
+
+class TestScheduleMatchesTheCode:
+    """Each ``schedule_*`` prices the kernel instances the scheme code
+    really dispatches at that level."""
+
+    STEPS = [1, 2, 3]
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        from repro.fhe.ckks import CkksContext
+        from repro.fhe.params import CkksParams
+
+        ctx = CkksContext(CkksParams(n=64, levels=6, scale_bits=20,
+                                     prime_bits=28), seed=1)
+        ctx.generate_galois_keys(self.STEPS)
+        return ctx
+
+    @pytest.mark.parametrize("level", range(1, 6))
+    def test_ntt_and_automorphism_instances(self, ctx, level):
+        from repro.fhe.backend import use_backend
+        from repro.fhe.ckks import Ciphertext
+        from repro.fhe.rlwe import tensor
+
+        acc = Accelerator(num_vpus=8, lanes=64)
+        ct = ctx.mod_reduce(ctx.encrypt(np.ones(ctx.params.slots)), level)
+        square = Ciphertext(tensor(ct, ct), ct.scale * ct.scale)
+        n = ctx.params.n
+        ops = [
+            (lambda: ctx.relinearize(square), acc.schedule_keyswitch(n, level)),
+            (lambda: ctx.rotate(ct, 1), acc.schedule_hrot(n, level)),
+            (lambda: ctx.rotate_hoisted(ct, self.STEPS),
+             acc.schedule_hrot_hoisted(n, level, len(self.STEPS))),
+            (lambda: ctx.multiply(ct, ct), acc.schedule_hmult(n, level)),
+        ]
+        for run, reports in ops:
+            counter = _RowCounter()
+            with use_backend(counter):
+                run()
+            priced = [sum(r.kernel_instances for r in reports
+                          if r.operation.startswith(kind))
+                      for kind in ("ntt-", "automorphism-")]
+            assert priced == [counter.ntt_rows, counter.automorphism_rows]

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Load,
     NetworkConfig,
     NetworkPass,
     NttStage,
     Program,
+    Store,
     VectorProcessingUnit,
 )
 from repro.core.vpu import VectorMemory
+from repro.fault import FaultInjector
 
 
 class TestInstructionValidation:
@@ -25,6 +28,25 @@ class TestInstructionValidation:
     def test_ntt_stage_kind(self):
         with pytest.raises(ValueError):
             NttStage("fft", 0, 0, (1,))
+
+    @pytest.mark.parametrize("kind", [Load, Store])
+    def test_negative_memory_row(self, kind):
+        # It would index the memory from its end.
+        with pytest.raises(ValueError, match="non-negative"):
+            kind(0, -1)
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_rows_past_the_memory_raise(self, hooked):
+        """On the step loop, whether a fault hook is installed or the
+        lock-step schedule names a row the memory does not have."""
+        vpu = VectorProcessingUnit(m=4, q=97, regfile_entries=4,
+                                   memory_rows=2)
+        vpu.install_fault_hook(FaultInjector() if hooked else None)
+        for program in (Program([Load(0, 2)]),
+                        Program([Load(0, 1), Store(0, 2)])):
+            with pytest.raises(IndexError):
+                vpu.execute(program)
+        assert not vpu.memory.data.any()
 
     def test_diag_read_window_bounds(self):
         vpu = VectorProcessingUnit(m=8, q=998244353, regfile_entries=4)

@@ -192,6 +192,15 @@ class TestStats:
         stats = vpu.run_fresh(prog)
         assert stats.compute_utilization() == 0.5
 
+    def test_compute_utilization_counts_fused_ntt_stages(self):
+        from repro.mapping import compile_ntt, required_registers
+
+        vpu = fresh_vpu(64, regfile_entries=required_registers(64),
+                        memory_rows=64)
+        stats = vpu.run_fresh(compile_ntt(4096, 64, Q))
+        assert (stats.compute_busy, stats.cycles) == (832, 1344)
+        assert stats.compute_utilization() == 832 / 1344
+
     def test_modulus_rebind(self):
         vpu = fresh_vpu()
         vpu.set_modulus(12289)
