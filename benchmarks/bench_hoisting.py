@@ -37,7 +37,7 @@ def test_hoisted_rotations(benchmark, ctx, results_dir):
     individual = len(STEPS) * Accelerator.total_makespan(
         acc.schedule_hrot(n, level))
     hoisted = Accelerator.total_makespan(
-        acc.schedule_hrot_hoisted(n, level, len(STEPS)))
+        acc.schedule_hrot(n, level, rotations=len(STEPS)))
     record(
         results_dir, "hoisting",
         f"{len(STEPS)} rotations of one ciphertext (N={n}, level {level}) "

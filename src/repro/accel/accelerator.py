@@ -135,38 +135,29 @@ class Accelerator:
         ]
         return reports
 
-    def schedule_hrot(self, n: int, level: int) -> list[ScheduleReport]:
-        """HRot = automorphism + keyswitch (paper §II-A)."""
-        return ([self.schedule_automorphism(n, level + 1)]
-                + self.schedule_keyswitch(n, level))
+    def schedule_hrot(self, n: int, level: int,
+                      rotations: int = 1) -> list[ScheduleReport]:
+        """HRot = automorphism + keyswitch (paper §II-A), ``rotations`` at once.
 
-    def schedule_hrot_hoisted(self, n: int, level: int,
-                              rotations: int) -> list[ScheduleReport]:
-        """``rotations`` rotations of one ciphertext with hoisting.
-
-        The digit decomposition (the §II-A NTT batch) runs **once**; each
-        rotation then costs only the automorphism passes on the digits
-        plus the multiply-accumulates and its own ModDown — the
-        optimization BSGS matvecs and bootstrapping rely on
-        (cf. :meth:`repro.fhe.ckks.CkksContext.rotate_hoisted`).
+        Priced as the scheme layer's Galois fold runs it: every rotation
+        permutes ``c0``; one rotation permutes ``c1`` and keyswitches it,
+        several decompose ``c1`` once (the §II-A NTT batch, hoisted) and
+        permute its digits per rotation — the optimization BSGS matvecs
+        and bootstrapping rely on (cf.
+        :meth:`repro.fhe.ckks.CkksContext.rotate_hoisted`).
         """
         if rotations < 1:
             raise ValueError("need at least one rotation")
         limbs = level + 1
-        reports = [
-            self.schedule_ntt(n, limbs, polys=1),                # to coeff, once
-            self.schedule_ntt(n, limbs * limbs, polys=1),        # digits, once
-        ]
-        for _ in range(rotations):
-            reports.extend([
-                # Automorphism on c0 and on every digit (single passes).
-                self.schedule_automorphism(n, limbs * (limbs + 1) + limbs,
-                                           polys=1),
-                self.schedule_elementwise(n, limbs + 1, polys=2, ops=limbs),
-                self.schedule_ntt(n, limbs + 1, polys=2),        # ModDown
-                self.schedule_elementwise(n, limbs, polys=2, ops=2),
-            ])
-        return reports
+        if rotations == 1:
+            return ([self.schedule_automorphism(n, limbs)]
+                    + self.schedule_keyswitch(n, level))
+        decompose, digits_up, *finish = self.schedule_keyswitch(n, level)
+        # Per rotation: c0 and the L digits over L + 1 limbs, then the
+        # multiply-accumulates and its own ModDown.
+        per_rotation = [self.schedule_automorphism(n, limbs * (limbs + 2),
+                                                   polys=1), *finish]
+        return [decompose, digits_up, *per_rotation * rotations]
 
     def schedule_hmult(self, n: int, level: int) -> list[ScheduleReport]:
         """HMult = pointwise tensor products + keyswitch + rescale."""

@@ -137,9 +137,7 @@ class ParallelVpuPool:
         """Round-robin over the healthy units; a retry (attempt > 0)
         lands on a different VPU than the failing one whenever a second
         healthy unit exists."""
-        healthy = [i for i in range(self.num_vpus) if i not in self.quarantined]
-        if not healthy:
-            healthy = list(range(self.num_vpus))  # nothing left: best effort
+        healthy = self.healthy_units
         return healthy[(idx + attempt) % len(healthy)]
 
     def _golden_row(self, data: np.ndarray, n: int) -> np.ndarray:
@@ -200,8 +198,10 @@ class ParallelVpuPool:
                             outputs[idx] = out  # flagged, surfaced as-is
                         break
                     # Replay on a spare unit; retire the failing one so the
-                    # round-robin stops feeding it work.
-                    self.quarantined.add(which)
+                    # round-robin stops feeding it work — unless it is the
+                    # last healthy unit, which then takes the replay.
+                    if len(self.healthy_units) > 1:
+                        self.retire(which)
                     attempt += 1
                     retries += 1
             report = ParallelRunReport(

@@ -350,7 +350,7 @@ class AbftChecker:
         """Judge the sums a row-fused kernel left on ``check`` and
         record them as the phased path's checks: the inverse batch, the
         forward batch and — for a keyswitch — per key block its two
-        accumulators, then (hoisted rotations) the permutation table
+        accumulators, then (rotations) the permutation table
         the kernel read its digit rows through, compared word for word
         with the Galois element's own: the replay check the phased path
         makes of each permuted digit."""

@@ -34,7 +34,7 @@ class KernelBackend(Protocol):
       against ``KeySwitchKey`` blocks read in place), every digit row
       transformed once: of the polynomial itself under each block
       (``galois`` None; ``apply_keyswitch`` is ``G = 1``), or of its
-      Galois images ``X -> X^galois[g]`` (hoisted rotations) — as two
+      Galois images ``X -> X^galois[g]`` (rotations) — as two
       ``(G, L + 1, n)`` stacks, or ``None`` ("not taken") when a gate
       refuses — or a check failed under a replaying policy — and the
       caller must run the phases;

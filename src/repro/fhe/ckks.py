@@ -169,7 +169,7 @@ class CkksContext(RlweContext):
         if k not in self.galois_keys:
             raise KeyError("no conjugation key; call generate_galois_keys "
                            "with conjugation=True")
-        return self._galois_fold(ct, k)
+        return self._galois_folds(ct, [k])[0]
 
     def rotate_hoisted(self, ct: Ciphertext,
                        steps_list: list[int]) -> list[Ciphertext]:

@@ -305,15 +305,13 @@ def hoisted_keyswitch(
 
     ``[g]`` is bit for bit the keyswitch of ``x.automorphism(galois[g])``
     under ``keys[g]``: the Galois action is one slot permutation in
-    every limb, so it commutes with the per-prime digits, and permuting
-    the digits of ``x`` replaces decomposing the permuted ``x``.  A
-    backend with the row-fused ``keyswitch_apply`` slot walks the digit
-    rows once for all the keys in one kernel call — unless
-    :func:`_fused_slot` withholds it or the slot declines (a gate
-    refused, or its integrity check failed under a replaying policy);
-    then, and on every other backend, :func:`phased_keyswitches` runs
-    phase by phase, which is also the oracle the slot is checked
-    against.  No keys: nothing is computed.
+    every limb, so it commutes with the per-prime digits.  A backend
+    with the row-fused ``keyswitch_apply`` slot walks the digit rows
+    once for all the keys in one kernel call — unless :func:`_fused_slot`
+    withholds it or the slot declines (a gate refused, or its integrity
+    check failed under a replaying policy); then, and on every other
+    backend, :func:`phased_keyswitches` runs.  No keys: nothing is
+    computed.
     """
     if not keys:
         return []
@@ -330,20 +328,29 @@ def hoisted_keyswitch(
     return phased_keyswitches(x, keys, galois, keep, primes)
 
 
+def galois_images(polys: list[RnsPoly], k: int) -> list[RnsPoly]:
+    """``polys`` under ``X -> X^k``: the permutation phase of an HRot."""
+    with obs.span("hrot.automorphism", cat=obs.CAT_PHASE, galois_k=k):
+        return [poly.automorphism(k) for poly in polys]
+
+
 def phased_keyswitches(
     x: RnsPoly, keys, galois: list[int] | None, keep: list[int],
     primes: tuple[int, ...],
 ) -> list[tuple[RnsPoly, RnsPoly]]:
-    """One :func:`decompose_digits`, then per key the digits permuted by
-    its Galois element (``galois`` None: not at all) and
-    :func:`accumulate_keyswitch` — :func:`hoisted_keyswitch` phase by
-    phase, and the oracle of the compiled ``keyswitch_apply`` slot
-    (``primes``: the limbs of ``x``, then the special prime)."""
+    """:func:`hoisted_keyswitch` phase by phase: permute, decompose, MAC.
+
+    One Galois element permutes ``x`` (``L`` rows) before the one
+    :func:`decompose_digits`, several permute its digits (``L`` rows of
+    ``L + 1`` limbs each); then :func:`accumulate_keyswitch` per key.
+    The oracle of the ``keyswitch_apply`` slot (``primes``: the limbs of
+    ``x``, then the special prime)."""
+    if galois is not None and len(galois) == 1:
+        [x], galois = galois_images([x], galois[0]), None
     # (decompose_digits reads nothing of its parameter set but this.)
     digits = decompose_digits(x, SimpleNamespace(special_prime=primes[-1]))
     return [accumulate_keyswitch(
-        digits if galois is None
-        else [digit.automorphism(galois[g]) for digit in digits],
+        digits if galois is None else galois_images(digits, galois[g]),
         key, keep, primes) for g, key in enumerate(keys)]
 
 

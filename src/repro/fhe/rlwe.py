@@ -35,7 +35,6 @@ from typing import Any, ClassVar, TypeVar
 
 import numpy as np
 
-from repro import obs
 # The end-to-end benchmark times each keyswitch phase by rebinding
 # apply_keyswitch / decompose_digits / accumulate_keyswitch / mod_down /
 # rescale *on the keyswitch module* for one traced pass, and divides by
@@ -241,31 +240,19 @@ class RlweContext:
         return replace(ct, parts=[ct.parts[0] + self._mod_down(t0),
                                   ct.parts[1] + self._mod_down(t1)])
 
-    def _galois_fold(self, ct: _Ct, k: int) -> _Ct:
-        """Apply ``X -> X^k`` and keyswitch back to the canonical secret."""
-        if ct.size != 2:
-            raise ValueError("rotate expects a relinearized ciphertext")
-        # The single-pass permutation phase of an HRot; the Galois
-        # keyswitch that follows traces its own four phases.
-        with obs.span("hrot.automorphism", cat=obs.CAT_PHASE, galois_k=k):
-            c0 = ct.parts[0].automorphism(k)
-            c1 = ct.parts[1].automorphism(k)
-        t0, t1 = keyswitch.apply_keyswitch(c1, self.galois_keys[k], self.chain)
-        return replace(ct, parts=[c0 + self._mod_down(t0), self._mod_down(t1)])
-
     def _galois_folds(self, ct: _Ct, elements: list[int]) -> list[_Ct]:
-        """:meth:`_galois_fold` for each of ``elements``, hoisted: the
-        digits of ``ct.parts[1]`` are transformed once for all of them
-        (:func:`repro.fhe.keyswitch.hoisted_keyswitch`); each image is
-        finished with its own ``c0`` permutation and two ModDowns."""
+        """Apply ``X -> X^k`` for each of ``elements`` and keyswitch back
+        to the canonical secret: every ``c0`` is permuted, ``c1`` is
+        switched under all the keys by one (hoisted)
+        :func:`repro.fhe.keyswitch.hoisted_keyswitch`, two ModDowns each."""
         if ct.size != 2:
             raise ValueError("rotate expects a relinearized ciphertext")
-        switched = keyswitch.hoisted_keyswitch(
-            ct.parts[1], [self.galois_keys[k] for k in elements], elements,
-            self.chain)
-        return [replace(ct, parts=[
-            ct.parts[0].automorphism(k) + self._mod_down(t0),
-            self._mod_down(t1)]) for k, (t0, t1) in zip(elements, switched)]
+        keys = [self.galois_keys[k] for k in elements]
+        c0s = [keyswitch.galois_images([ct.parts[0]], k)[0] for k in elements]
+        switched = keyswitch.hoisted_keyswitch(ct.parts[1], keys, elements,
+                                               self.chain)
+        return [replace(ct, parts=[c0 + self._mod_down(t0), self._mod_down(t1)])
+                for c0, (t0, t1) in zip(c0s, switched)]
 
     def _galois_element(self, steps: int) -> int:
         """The Galois element rotating each power-of-5 orbit by
@@ -282,4 +269,4 @@ class RlweContext:
     def _rotate(self, ct: _Ct, steps: int) -> _Ct:
         """Rotate the slots of each power-of-5 orbit by ``steps``."""
         k = self._galois_element(steps)
-        return ct.copy() if k == 1 else self._galois_fold(ct, k)
+        return ct.copy() if k == 1 else self._galois_folds(ct, [k])[0]

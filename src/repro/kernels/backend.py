@@ -262,7 +262,7 @@ class CompiledBackend(NumpyBackend):
 
         Of the polynomial itself (``galois`` None — ``apply_keyswitch``
         is ``G = 1``), or of its Galois images ``X -> X^galois[g]``
-        (hoisted rotations).  ``residues`` is the ``(L, n)``
+        (rotations).  ``residues`` is the ``(L, n)``
         evaluation-domain matrix modulo ``primes[:-1]``; ``primes`` ends
         in the special prime.  ``key_blocks`` are ``G``
         :class:`~repro.fhe.keyswitch.KeySwitchKey` blocks
@@ -324,22 +324,32 @@ class CompiledBackend(NumpyBackend):
         impl.ks_apply(plan, x, key_blocks, keep, acc0, acc1,
                       get_workspace(3 * limbs + 2, n), ticks, check, tables)
         self.kernel_invocations += 1
-        # The plain and the table-reading walks are checked apart.
+        # The plain, one-table and several-table walks are checked apart.
         self._verify_first_use(
-            ("keyswitch_apply", n, primes, galois is None),
-            lambda: self._phased_keyswitch(x, primes, key_blocks, keep,
+            ("keyswitch_apply", n, primes,
+             None if galois is None else len(galois) > 1),
+            lambda: self._keyswitch_oracle(x, primes, key_blocks, keep,
                                            galois),
             (acc0, acc1))
         return acc0, acc1
 
-    def _phased_keyswitch(self, x: np.ndarray, primes: tuple[int, ...],
+    def _keyswitch_oracle(self, x: np.ndarray, primes: tuple[int, ...],
                           key_blocks: list, keep: np.ndarray,
                           galois: list[int] | None):
-        """The oracle of :meth:`keyswitch_apply`:
+        """The oracle of :meth:`keyswitch_apply`.  A plain call's is
         :mod:`repro.fhe.keyswitch`'s own phased path — decompose,
-        permute, accumulate — on this backend's three batch kernels alone
-        (each checked against numpy on first use of its own shape), so no
-        fused slot is taken."""
+        accumulate — on this backend's three batch kernels alone (each
+        checked against numpy on first use of its own shape), so no fused
+        slot is taken.  A rotation's is the plain call (itself checked on
+        its first use) on each Galois image of ``x``, permuted by numpy:
+        the same keyswitch with the permutation outside the kernel."""
+        if galois is not None:
+            # (Not through a subclass's override: a spy sees its callers.)
+            plain = [CompiledBackend.keyswitch_apply(
+                self, NumpyBackend.automorphism_eval_batch(
+                    self, x, k, primes[:-1]), primes, [block], keep)
+                for k, block in zip(galois, key_blocks)]
+            return tuple(map(np.concatenate, zip(*plain)))
         from repro.fhe import keyswitch
         from repro.fhe.backend import use_backend
         from repro.fhe.polynomial import RnsPoly
@@ -348,7 +358,7 @@ class CompiledBackend(NumpyBackend):
             accs = keyswitch.phased_keyswitches(
                 RnsPoly(x, primes[:-1], is_eval=True),
                 [keyswitch.KeySwitchKey(block) for block in key_blocks],
-                galois, keep.tolist(), primes)
+                None, keep.tolist(), primes)
         return tuple(np.stack([pair[part].residues for pair in accs])
                      for part in (0, 1))
 

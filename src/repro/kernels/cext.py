@@ -256,7 +256,7 @@ class CExtProvider:
         digit rows, into ``acc0`` / ``acc1`` ``(G, L + 1, n)``: plain
         ones (``tables`` None), or of its Galois images — rotation
         ``g`` reads every digit row through the int64 source table
-        ``tables[g]`` against key block ``keys[g]`` (hoisted rotations).
+        ``tables[g]`` against key block ``keys[g]`` (rotations).
         ``work`` is ``(3 L + 2, n)``: ``L`` coefficient rows, then two
         scratch rows per target limb.  ``check`` (:func:`_check_tables`)
         numbers the ``L + L * L`` row NTTs as ``kernels.c`` does and

@@ -54,9 +54,9 @@ from repro.ntt.constant_geometry import (
 )
 from repro.ntt.tables import get_tables
 
-#: Working registers: 0/1 ping-pong; transpose tiles use [2, 2+2m).
+#: Working register 0 (every stage runs in place); transpose tiles use
+#: [2, 2+2m).
 _R_WORK = 0
-_R_TMP = 1
 _TILE_A = 2
 
 
@@ -141,18 +141,27 @@ def pack_ntt_values(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def compile_small_ntt(m: int, root: int, q: int, program: Program,
-                      data_reg: int = _R_WORK, tmp_reg: int = _R_TMP) -> None:
+                      data_reg: int = _R_WORK) -> None:
     """Emit a length-``m`` forward CG-DIF NTT on one register row.
 
     Natural-order input across lanes; bit-reversed output.  Each stage is
     one fused :class:`NttStage` (CG gather + paired-lane DIF butterfly in
     a single cycle, as in Fig. 1c), in place in ``data_reg``.
     """
-    del tmp_reg  # fused stages run in place; kept for signature stability
     log_m = m.bit_length() - 1
     for stage in range(log_m):
         twiddles = tuple(cg_dif_twiddles_for_root(m, root, q, stage))
         program.append(NttStage("dif", data_reg, data_reg, twiddles))
+
+
+def _group_shape(m: int, c: int) -> tuple[int, int]:
+    """``(log2 c, m / c)`` of a grouped transform whose group size ``c``
+    is a power of two in ``[2, m]`` dividing ``m``."""
+    if c < 2 or c > m or c & (c - 1):
+        raise NttMappingError(f"group size must be a power of two in [2, m], got {c}")
+    if m % c:
+        raise NttMappingError(f"group size {c} does not divide m={m}")
+    return c.bit_length() - 1, m // c
 
 
 def compile_grouped_ntt(m: int, c: int, root: int, q: int,
@@ -164,12 +173,7 @@ def compile_grouped_ntt(m: int, c: int, root: int, q: int,
     ``c``-element sub-vector (natural order in, bit-reversed out) with
     the same stage sequence, keeping all lanes busy.
     """
-    if c < 2 or c > m or c & (c - 1):
-        raise NttMappingError(f"group size must be a power of two in [2, m], got {c}")
-    if m % c:
-        raise NttMappingError(f"group size {c} does not divide m={m}")
-    log_c = c.bit_length() - 1
-    groups = m // c
+    log_c, groups = _group_shape(m, c)
     for stage in range(log_c):
         per_group = cg_dif_twiddles_for_root(c, root, q, stage)
         twiddles = tuple(per_group) * groups
@@ -182,12 +186,7 @@ def compile_grouped_intt(m: int, c: int, root_inv: int, q: int,
                          scale: bool = True) -> None:
     """Inverse of :func:`compile_grouped_ntt` (bit-reversed in,
     natural out, per-group ``c^{-1}`` scaling)."""
-    if c < 2 or c > m or c & (c - 1):
-        raise NttMappingError(f"group size must be a power of two in [2, m], got {c}")
-    if m % c:
-        raise NttMappingError(f"group size {c} does not divide m={m}")
-    log_c = c.bit_length() - 1
-    groups = m // c
+    log_c, groups = _group_shape(m, c)
     for stage in range(log_c):
         per_group = cg_dit_twiddles_for_root(c, root_inv, q, stage)
         twiddles = tuple(per_group) * groups
@@ -198,15 +197,13 @@ def compile_grouped_intt(m: int, c: int, root_inv: int, q: int,
 
 
 def compile_small_intt(m: int, root_inv: int, q: int, program: Program,
-                       data_reg: int = _R_WORK, tmp_reg: int = _R_TMP,
-                       scale: bool = True) -> None:
+                       data_reg: int = _R_WORK, scale: bool = True) -> None:
     """Emit a length-``m`` inverse CG-DIT NTT on one register row.
 
     Bit-reversed input (exactly the forward output); natural-order
     output.  Each stage is one fused :class:`NttStage` (paired-lane DIT
     butterfly + CG scatter); a final scalar multiply applies ``m^{-1}``.
     """
-    del tmp_reg  # fused stages run in place; kept for signature stability
     log_m = m.bit_length() - 1
     for stage in range(log_m):
         twiddles = tuple(cg_dit_twiddles_for_root(m, root_inv, q, stage))

@@ -191,8 +191,9 @@ class TestScheduleMatchesTheCode:
         ops = [
             (lambda: ctx.relinearize(square), acc.schedule_keyswitch(n, level)),
             (lambda: ctx.rotate(ct, 1), acc.schedule_hrot(n, level)),
+            (lambda: ctx.rotate_hoisted(ct, [1]), acc.schedule_hrot(n, level)),
             (lambda: ctx.rotate_hoisted(ct, self.STEPS),
-             acc.schedule_hrot_hoisted(n, level, len(self.STEPS))),
+             acc.schedule_hrot(n, level, rotations=len(self.STEPS))),
             (lambda: ctx.multiply(ct, ct), acc.schedule_hmult(n, level)),
         ]
         for run, reports in ops:

@@ -43,15 +43,19 @@ class TestHoistedSchedule:
         acc = Accelerator(num_vpus=8, lanes=64)
         individual = 4 * Accelerator.total_makespan(acc.schedule_hrot(4096, 5))
         hoisted = Accelerator.total_makespan(
-            acc.schedule_hrot_hoisted(4096, 5, 4))
+            acc.schedule_hrot(4096, 5, rotations=4))
         assert hoisted < individual
-        # One rotation hoisted ~ one plain rotation (no loop to amortize).
-        single = Accelerator.total_makespan(
-            acc.schedule_hrot_hoisted(4096, 5, 1))
-        plain = Accelerator.total_makespan(acc.schedule_hrot(4096, 5))
-        assert single < 2 * plain
+
+    def test_one_rotation_is_the_plain_rotation(self):
+        """One rotation permutes ``c0`` and ``c1`` and keyswitches the
+        permuted ``c1``: exactly an automorphism pass over both parts
+        and one keyswitch."""
+        acc = Accelerator(num_vpus=8, lanes=64)
+        assert acc.schedule_hrot(4096, 5, rotations=1) == (
+            [acc.schedule_automorphism(4096, 6)]
+            + acc.schedule_keyswitch(4096, 5))
 
     def test_validation(self):
         acc = Accelerator(num_vpus=8, lanes=64)
         with pytest.raises(ValueError):
-            acc.schedule_hrot_hoisted(4096, 5, 0)
+            acc.schedule_hrot(4096, 5, rotations=0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.accel.parallel import ParallelVpuPool, PoolExhaustedError
+from repro.fault.injector import FaultInjector, FaultSpec
 from repro.ntt import vec_ntt_dif
 from repro.ntt.tables import get_tables
 from repro.obs import observe
@@ -103,3 +104,25 @@ class TestDegradedExecution:
         pool.retire(0)
         pool.retire(1)
         assert health() == pytest.approx(0.5)
+
+
+class TestFailedReplaysKeepOneUnit:
+    """A failed replay retires its unit only while another healthy unit
+    remains; the last one takes the replays and the pool keeps serving."""
+
+    @pytest.mark.parametrize("units,policy", [(1, "degrade"), (2, "retry")])
+    def test_every_unit_faulty(self, units, policy):
+        pool = ParallelVpuPool(units, m=M, q=Q, policy=policy)
+        for vpu in pool.vpus:
+            vpu.install_fault_hook(FaultInjector(
+                [FaultSpec("alu", "stuck1", cycle=0, bit=33, lane=0)]))
+        batch = np.random.default_rng(7).integers(0, Q, (3, N),
+                                                  dtype=np.uint64)
+        outputs, report = pool.run_ntt_batch(batch, N)
+        assert len(pool.healthy_units) == 1
+        assert PoolHealth(pool)() == pytest.approx(1 / units)
+        assert report.detections >= 1
+        assert len(report.quarantined_vpus) == units - 1
+        if policy == "degrade":
+            assert report.degraded == len(batch)
+            assert np.array_equal(outputs, _golden(batch))

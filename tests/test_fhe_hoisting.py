@@ -203,3 +203,82 @@ class TestValidatesBeforeItSpends:
         assert getattr(guarded, "kernel_invocations", 0) == 0
         assert getattr(backend, "checker", None) is None \
             or backend.checker.checks == 0
+
+
+class TestPlainRotationSchedule:
+    """A plain rotation is the one Galois fold with one element: ``c0``
+    and ``c1`` are permuted, then ``c1`` is decomposed — the dispatches
+    of an HRot before hoisting existed."""
+
+    @pytest.fixture(scope="class")
+    def ct(self, ctx):
+        return ctx.encrypt(rand(ctx, 9))
+
+    def test_kernel_sequence(self, ctx, ct):
+        class Sequence(NumpyBackend):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def forward_ntt_batch(self, residues, primes):
+                self.calls.append(("fwd", len(primes)))
+                return super().forward_ntt_batch(residues, primes)
+
+            def inverse_ntt_batch(self, values, primes):
+                self.calls.append(("inv", len(primes)))
+                return super().inverse_ntt_batch(values, primes)
+
+            def automorphism_eval_batch(self, values, galois_k, primes):
+                self.calls.append(("auto", len(primes)))
+                return super().automorphism_eval_batch(values, galois_k,
+                                                       primes)
+
+        backend = Sequence()
+        with use_backend(backend):
+            ctx.rotate(ct, 1)
+        assert ct.level + 1 == 3
+        assert backend.calls == [
+            ("auto", 3), ("auto", 3), ("inv", 3), ("fwd", 9),
+            ("inv", 1), ("fwd", 3), ("inv", 1), ("fwd", 3)]
+
+    def test_compiled_permutes_c0_and_gathers_the_digits(self, ctx, ct):
+        class Rows(CompiledBackend):
+            def __init__(self):
+                super().__init__()
+                self.automorphism_rows = 0
+                self.galois = []
+
+            def automorphism_eval_batch(self, values, galois_k, primes):
+                self.automorphism_rows += len(primes)
+                return super().automorphism_eval_batch(values, galois_k,
+                                                       primes)
+
+            def keyswitch_apply(self, residues, primes, key_blocks, keep,
+                                galois=None, ticks=None, check=None):
+                self.galois.append(galois)
+                return super().keyswitch_apply(residues, primes, key_blocks,
+                                               keep, galois, ticks, check)
+
+        golden = NumpyBackend()
+        with use_backend(golden):
+            want = ctx.rotate(ct, 1)
+        backend = Rows()
+        with use_backend(backend):
+            ctx.rotate(ct, 1)  # first use: the slot's phased oracle runs
+            backend.automorphism_rows = 0
+            got = ctx.rotate(ct, 1)
+        assert backend.automorphism_rows == ct.level + 1  # L, not 2 L
+        assert backend.galois[-1] == [pow(5, 1, 2 * ctx.params.n)]
+        assert all(np.array_equal(a.residues, b.residues)
+                   for a, b in zip(got.parts, want.parts))
+
+    @pytest.mark.parametrize("inner", [CompiledBackend, NumpyBackend],
+                             ids=["compiled", "numpy"])
+    def test_ten_checks_under_detect(self, ctx, ct, inner):
+        guard = IntegrityBackend(inner(), "detect")
+        with use_backend(guard):
+            ctx.rotate(ct, 1)  # first use
+            before = guard.checker.checks
+            ctx.rotate(ct, 1)
+        assert guard.checker.checks - before == 10
+        assert guard.checker.mismatches == 0

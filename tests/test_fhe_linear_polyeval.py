@@ -138,15 +138,36 @@ class TestMatvecHoisting:
             inputs.append(poly)
             return original(poly, params)
 
+        hoisted = []
+        original_hoisted = CkksContext.rotate_hoisted
+
+        def counted_hoisted(self, c, steps):
+            before = len(inputs)
+            out = original_hoisted(self, c, steps)
+            hoisted.append((c is ct, list(steps), inputs[before:]))
+            return out
+
         monkeypatch.setattr(keyswitch, "decompose_digits", counted)
+        monkeypatch.setattr(CkksContext, "rotate_hoisted", counted_hoisted)
         with use_backend(NumpyBackend()):  # no fused slot: the phased path
             out = ctx.decrypt(method(ctx, ct, w))
         np.testing.assert_allclose(out[:DIM].real, w @ x, atol=2e-3)
         assert len(inputs) == DECOMPOSITIONS[kind, method]
+        if not inputs:
+            assert hoisted == []
+            return
         # The matvec's own input is decomposed once, however many of its
-        # rotations are read.
-        assert sum(poly is ct.parts[1] for poly in inputs) == min(
-            1, len(inputs))
+        # rotations are read: several rotations decompose its c1 itself,
+        # a single one decomposes c1's image under that rotation.
+        (own, steps, (poly,)), = hoisted
+        assert own
+        moved = {ctx._galois_element(s) for s in steps} - {1}
+        if len(moved) > 1:
+            assert poly is ct.parts[1]
+        else:
+            k, = moved
+            assert np.array_equal(poly.residues,
+                                  ct.parts[1].automorphism(k).residues)
 
     def test_bsgs_rotates_only_the_baby_steps_a_diagonal_reads(self, ctx,
                                                                monkeypatch):

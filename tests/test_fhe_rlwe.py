@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.fhe
+from repro.fhe.backend import NumpyBackend, VpuBackend, use_backend
 from repro.fhe.bfv import BfvCiphertext, BfvContext
 from repro.fhe.bgv import BgvCiphertext, BgvContext, BgvParams
 from repro.fhe.ckks import Ciphertext, CkksContext
@@ -19,6 +20,7 @@ from repro.fhe.encoding import BatchEncoder
 from repro.fhe.params import toy_params
 from repro.fhe.rlwe import CIPHERTEXT_TYPES, RlweCiphertext, RlweContext
 from repro.fhe.serialize import ciphertext_digest
+from repro.kernels import CompiledBackend
 
 T = 65537
 PINNED = BgvParams(n=64, levels=2, plaintext_modulus=257, prime_bits=28)
@@ -68,7 +70,7 @@ class TestSharedCore:
             assert ctx_cls.scheme == ct_cls.scheme
             assert CIPHERTEXT_TYPES[ct_cls.scheme] is ct_cls
             for owned in ("_keygen", "_encrypt", "phase", "_relin_fold",
-                          "_galois_fold", "reseed", "add", "sub"):
+                          "_galois_folds", "reseed", "add", "sub"):
                 assert owned not in vars(ctx_cls)
 
     def test_hoisted_rotation_is_the_same_galois_fold(self):
@@ -88,6 +90,51 @@ class TestSharedCore:
         assert ciphertext_digest(ctx.encrypt(x)) != first
         ctx.reseed((11, 4))
         assert ciphertext_digest(ctx.encrypt(x)) == first
+
+
+class TestOneGaloisFold:
+    """Every rotation entry takes ``_galois_folds``: one element permutes
+    ``c1`` before its decomposition, several permute the shared digits
+    (the compiled slot gathers either way).  Both schedules, and every
+    backend, give the same bits."""
+
+    BACKENDS = [NumpyBackend, CompiledBackend, lambda: VpuBackend(m=16)]
+
+    @staticmethod
+    def _digests(run, make):
+        with use_backend(make()):
+            return [ciphertext_digest(ct) for ct in run()]
+
+    @pytest.mark.parametrize("make", BACKENDS, ids=["numpy", "compiled", "vpu"])
+    def test_ckks_conjugate(self, make):
+        ctx = CkksContext(toy_params(), seed=7)
+        ctx.generate_galois_keys([1], conjugation=True)
+        ct = ctx.encrypt(np.linspace(-1, 1, ctx.params.slots))
+        k = 2 * ctx.params.n - 1
+
+        def run():
+            return [ctx.conjugate(ct), ctx.rotate_hoisted(ct, [1])[0],
+                    ctx.rotate(ct, 1), *ctx._galois_folds(ct, [k, 5])]
+
+        conjugated, hoisted, plain, *folds = self._digests(run, make)
+        assert conjugated == folds[0] and plain == hoisted == folds[1]
+        assert self._digests(run, NumpyBackend) == [conjugated, hoisted,
+                                                    plain, *folds]
+
+    @pytest.mark.parametrize("make", BACKENDS, ids=["numpy", "compiled", "vpu"])
+    def test_bgv_rotate(self, make):
+        ctx = BgvContext(PINNED, seed=7)
+        ctx.generate_galois_keys([1, 2])
+        ct = ctx.encrypt(np.arange(64))
+
+        def run():
+            return [ctx.rotate(ct, 1),
+                    *ctx._galois_folds(ct, [ctx._galois_element(1),
+                                            ctx._galois_element(2)])]
+
+        plain, *folds = self._digests(run, make)
+        assert plain == folds[0]
+        assert self._digests(run, NumpyBackend) == [plain, *folds]
 
 
 class TestPinnedDigests:

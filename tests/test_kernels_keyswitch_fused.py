@@ -679,6 +679,23 @@ class TestSelfCheckCatchesAWrongKernel:
             backend.keyswitch_apply(x.residues, primes, [ksk.block], keep,
                                     [5])
 
+    def test_the_hoisted_walk_is_checked_apart_from_one_rotation(
+            self, tmp_path):
+        """A kernel that reads every rotation through the first one's
+        Galois table: a single rotation is right and passes, and the
+        first hoisted call at the same shape is checked all the same."""
+        backend = CompiledBackend(provider=_mutant_provider(
+            tmp_path, "digit, tables ? tables[g] : 0,",
+            "digit, tables ? tables[0] : 0,"))
+        primes = self.PRIMES[:4]
+        x, ksk, _ = _synthetic(primes)
+        keep = [0, 1, 2, 3]
+        assert backend.keyswitch_apply(x.residues, primes, [ksk.block], keep,
+                                       [5]) is not None
+        with pytest.raises(RuntimeError, match="self-check failed"):
+            backend.keyswitch_apply(x.residues, primes, [ksk.block] * 2,
+                                    keep, [5, 25])
+
     def test_drop_top_limb(self, tmp_path):
         backend = CompiledBackend(provider=_mutant_provider(
             tmp_path, "c[k] > half ? offset : 0",

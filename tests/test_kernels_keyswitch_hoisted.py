@@ -266,9 +266,11 @@ class TestDetection:
                          ticks=None, check=None, tables=None):
                 super().ks_apply(plan, x, keys, keep, acc0, acc1, work,
                                  ticks, check, tables)
-                check.tables = [
-                    np.argsort(galois_eval_permutation(N, k).destinations())
-                    for k in check.galois]
+                if check is not None:
+                    check.tables = [
+                        np.argsort(
+                            galois_eval_permutation(N, k).destinations())
+                        for k in check.galois]
 
         lying = Lying.__new__(Lying)
         lying.__dict__.update(cext.load_provider().__dict__)
