@@ -10,6 +10,9 @@ RNS limbs and both ciphertext polynomials) can be scheduled and priced.
 * :mod:`repro.accel.noc` — a ring NoC with per-hop latency/energy.
 * :mod:`repro.accel.accelerator` — the multi-VPU scheduler and the
   full-chip cost roll-up.
+* :mod:`repro.accel.parallel` — functional multi-VPU execution: a batch
+  of NTTs on the units of one :class:`~repro.fhe.backend.VpuBackend`,
+  with the makespan and utilization the scheduler predicts.
 """
 
 from repro.accel.accelerator import Accelerator, ScheduleReport

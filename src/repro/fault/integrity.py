@@ -1,8 +1,8 @@
 """ABFT checks: O(n) algorithm-based verification of kernel batches.
 
-**NTT rows** (negacyclic forward / inverse, and the pool's plain cyclic
-transform).  Each is a linear map ``y = M x`` over ``Z_q``, so for any
-vector ``r`` and its image ``w = Mᵀ r``
+**NTT rows** (negacyclic forward / inverse).  Each is a linear map
+``y = M x`` over ``Z_q``, so for any vector ``r`` and its image
+``w = Mᵀ r``
 
     ``<r, y>  ==  <r, M x>  ==  <w, x>   (mod q)``
 
@@ -89,7 +89,7 @@ SPARE_MODULUS = 1_048_573
 _WIDE_ROW = np.uint64((1 << 64) - 1)
 
 #: The linear maps a weight table exists for.
-_MAPS = ("ntt", "intt", "cyclic")
+_MAPS = ("ntt", "intt")
 
 
 @dataclass(eq=False)
@@ -136,10 +136,8 @@ def _transposed_image(golden: NegacyclicNtt, r: np.ndarray,
     """
     t, q = golden.tables, golden.q
     folded = r * t.psi_inv_powers % q
-    if kind == "intt":
-        return golden.inverse(folded) * t.psi_powers % q
-    image = golden.forward(folded)
-    return image if kind == "cyclic" else image * t.psi_powers % q
+    image = (golden.inverse if kind == "intt" else golden.forward)(folded)
+    return image * t.psi_powers % q
 
 
 def _split(v: np.ndarray, q: int) -> np.ndarray:
@@ -219,7 +217,7 @@ class AbftChecker:
     def faulty_ntt_rows(self, inputs: np.ndarray, outputs: np.ndarray,
                         primes: tuple[int, ...], kind: str) -> list[int]:
         """Rows of a batch whose output is not the ``kind`` transform
-        (``"ntt"`` | ``"intt"`` | ``"cyclic"``) of their input."""
+        (``"ntt"`` | ``"intt"``) of their input."""
         inputs = np.asarray(inputs)
         outputs = np.asarray(outputs)
         groups: dict[int, list[int]] = {}
@@ -239,14 +237,6 @@ class AbftChecker:
         """Verify a batched (inverse) negacyclic NTT, row by row."""
         return self._record(not self.faulty_ntt_rows(
             inputs, outputs, primes, "intt" if inverse else "ntt"))
-
-    def check_cyclic_ntt_row(self, x_row: np.ndarray, y_row: np.ndarray,
-                             q: int) -> bool:
-        """Verify one plain cyclic NTT row (natural order) as produced
-        by the multi-VPU pool's ``compile_ntt`` programs."""
-        return self._record(not self.faulty_ntt_rows(
-            np.asarray(x_row)[None, :], np.asarray(y_row)[None, :], (q,),
-            "cyclic"))
 
     def check_automorphism_batch(self, inputs: np.ndarray,
                                  outputs: np.ndarray,

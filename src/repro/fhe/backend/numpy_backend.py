@@ -47,8 +47,7 @@ class NumpyBackend:
         if self._stacked(primes):
             return get_batched_ntt(n, primes,
                                    self.mode == "clamped").forward(residues)
-        return np.stack([NegacyclicNtt(n, q).forward(residues[i])
-                         for i, q in enumerate(primes)])
+        return _per_row(NegacyclicNtt.forward, residues, primes)
 
     def inverse_ntt_batch(self, values: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
@@ -58,8 +57,7 @@ class NumpyBackend:
         if self._stacked(primes):
             return get_batched_ntt(n, primes,
                                    self.mode == "clamped").inverse(values)
-        return np.stack([NegacyclicNtt(n, q).inverse(values[i])
-                         for i, q in enumerate(primes)])
+        return _per_row(NegacyclicNtt.inverse, values, primes)
 
     def automorphism_eval_batch(self, values: np.ndarray, galois_k: int,
                                 primes: tuple[int, ...]) -> np.ndarray:
@@ -70,6 +68,16 @@ class NumpyBackend:
         out = np.empty_like(values)
         out[:, perm.destinations()] = values
         return out
+
+
+def _per_row(transform, values: np.ndarray,
+             primes: tuple[int, ...]) -> np.ndarray:
+    """Row ``i`` through the reference ``transform`` modulo ``primes[i]``."""
+    if len(values) != len(primes):
+        raise ValueError(f"{len(values)} rows for {len(primes)} primes")
+    n = values.shape[1]
+    return np.stack([transform(NegacyclicNtt(n, q), row)
+                     for row, q in zip(values, primes)])
 
 
 _LADDER = (NumpyBackend(mode="clamped"), NumpyBackend(mode="golden"))

@@ -29,8 +29,11 @@ class VpuBackend:
     which the real VPU also does in its element-wise mode.
 
     The VPU model is a single-polynomial engine, so a batch replays one
-    program per limb.  Compiled ISA programs are cached per ``(kernel,
-    n, m, q)`` — the compile cost is paid once while the data movement
+    program per limb, limb ``i`` on unit ``i % units`` of ``units``
+    identical VPUs (paper §IV: the mapping extends to multiple VPUs for
+    parallel execution; each unit keeps its own ``stats``).  Compiled
+    ISA programs are cached per ``(kernel, n, m, q)`` and shared by
+    every unit — the compile cost is paid once while the data movement
     stays per limb, exactly the replay schedule a real dispatch queue
     would issue — so ``program_compilations`` grows with the number of
     *distinct* kernels while ``kernel_invocations`` grows with the work
@@ -39,15 +42,22 @@ class VpuBackend:
 
     name = "vpu"
 
-    def __init__(self, m: int = 16, verify_programs: bool | None = None):
+    def __init__(self, m: int = 16, verify_programs: bool | None = None,
+                 units: int = 1):
         from repro.core import VectorProcessingUnit
         from repro.mapping import required_registers
 
+        if units < 1:
+            raise ValueError("need at least one VPU")
         self.m = m
-        self._vpu = VectorProcessingUnit(
-            m=m, q=3, regfile_entries=required_registers(m),
-            memory_rows=8,
-        )
+        #: The VPUs a batch is spread over; one regfile shape, so they
+        #: share every program's lowering.
+        self.units = [
+            VectorProcessingUnit(m=m, q=3,
+                                 regfile_entries=required_registers(m),
+                                 memory_rows=8)
+            for _ in range(units)
+        ]
         self.kernel_invocations = 0
         self.program_compilations = 0
         self.programs_verified = 0
@@ -66,7 +76,7 @@ class VpuBackend:
         self._programs: dict[tuple, object] = {}
         self._quarantined: set[tuple] = set()
         #: Guards the compiled-program cache, the quarantine set and the
-        #: unit itself for a whole batch (the serving layer shares one
+        #: units themselves for a whole batch (the serving layer shares one
         #: backend across overlapping tasks; per-key compilation must
         #: happen exactly once).  RLock so a batch may fetch programs and
         #: clear/quarantine paths may nest.
@@ -74,15 +84,16 @@ class VpuBackend:
 
     @property
     def vpu(self):
-        """The underlying behavioral VPU (fault hooks install here)."""
-        return self._vpu
+        """Unit 0, the only unit of a single-VPU backend (fault hooks
+        install here)."""
+        return self.units[0]
 
-    def _prepare(self, n: int, q: int):
-        self._vpu.set_modulus(q)
+    def _prepare(self, unit, n: int, q: int):
+        unit.set_modulus(q)
         needed = 2 * max(n // self.m, 2)
-        if self._vpu.memory.rows < needed:
+        if unit.memory.rows < needed:
             # resize_memory keeps any installed fault hook attached.
-            self._vpu.resize_memory(needed)
+            unit.resize_memory(needed)
 
     # -- compiled-program cache ----------------------------------------------
 
@@ -148,20 +159,23 @@ class VpuBackend:
             from repro.mapping.ntt import (
                 compile_negacyclic_intt,
                 compile_negacyclic_ntt,
+                compile_ntt,
             )
 
             if kind == "ntt":
                 prog = compile_negacyclic_ntt(n, self.m, q)
             elif kind == "intt":
                 prog = compile_negacyclic_intt(n, self.m, q)
+            elif kind == "cyclic":
+                prog = compile_ntt(n, self.m, q)
             elif kind == "auto":
                 perm = galois_eval_permutation(n, galois_k)
                 prog = compile_automorphism(perm, self.m)
             else:  # pragma: no cover - internal misuse
                 raise ValueError(f"unknown kernel kind {kind!r}")
-            # Decoded by the unit that replays it: a program the unit
-            # refuses raises here, before it can enter the cache.
-            self._vpu.lower(prog)
+            # Decoded for the units that replay it: a program they
+            # refuse raises here, before it can enter the cache.
+            self.vpu.lower(prog)
             if self.verify_programs:
                 # Walks the lowered form just kept on the program, the
                 # object every replay reuses; raises
@@ -179,20 +193,24 @@ class VpuBackend:
     def _replay(self, kind: str, values: np.ndarray, primes: tuple[int, ...],
                 pack, unpack, galois_k: int | None = None) -> np.ndarray:
         """Run one cached program per limb: ``pack`` lays a limb out in
-        the VPU's memory rows, ``unpack`` reads its result back."""
+        a unit's memory rows, ``unpack`` reads its result back from that
+        unit's memory."""
         values = np.asarray(values, dtype=np.uint64)
+        if len(values) != len(primes):
+            raise ValueError(f"{len(values)} rows for {len(primes)} primes")
         n = values.shape[1]
-        out = []
-        # One unit: its modulus and memory are rebound per limb, so a
-        # batch holds the unit from its first limb to its last.
+        out = np.empty_like(values)
+        # Each unit's modulus and memory are rebound per limb, so a batch
+        # holds the units from its first limb to its last.
         with self._cache_lock:
-            for limb, q in zip(values, primes):
-                self._prepare(n, q)
-                self._vpu.memory.data[:n // self.m] = pack(limb, self.m)
-                self._vpu.execute(self._program(kind, n, q, galois_k))
+            for i, (limb, q) in enumerate(zip(values, primes)):
+                unit = self.units[i % len(self.units)]
+                self._prepare(unit, n, q)
+                unit.memory.data[:n // self.m] = pack(limb, self.m)
+                unit.execute(self._program(kind, n, q, galois_k))
                 self.kernel_invocations += 1
-                out.append(unpack(n))
-        return np.stack(out)
+                out[i] = unpack(unit.memory, n)
+        return out
 
     def forward_ntt_batch(self, residues: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
@@ -202,14 +220,24 @@ class VpuBackend:
         # natural-order negacyclic values, matching NegacyclicNtt.forward.
         return self._replay(
             "ntt", residues, primes, pack_for_ntt,
-            lambda n: unpack_ntt_result(self._vpu.memory, n, self.m))
+            lambda memory, n: unpack_ntt_result(memory, n, self.m))
+
+    def cyclic_ntt_batch(self, values: np.ndarray,
+                         primes: tuple[int, ...]) -> np.ndarray:
+        """The plain cyclic NTT of every row, in natural order (the
+        multi-VPU pool's kernel; not part of the backend protocol)."""
+        from repro.mapping import pack_for_ntt, unpack_ntt_result
+
+        return self._replay(
+            "cyclic", values, primes, pack_for_ntt,
+            lambda memory, n: unpack_ntt_result(memory, n, self.m))
 
     def inverse_ntt_batch(self, values: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
         from repro.mapping import pack_ntt_values
 
-        def unpack(n):  # undo the pack_for_ntt layout
-            return self._vpu.memory.data[:n // self.m].T.reshape(-1).copy()
+        def unpack(memory, n):  # undo the pack_for_ntt layout
+            return memory.data[:n // self.m].T.reshape(-1)
 
         return self._replay("intt", values, primes, pack_ntt_values, unpack)
 
@@ -222,6 +250,6 @@ class VpuBackend:
 
         return self._replay(
             "auto", values, primes, automorphism_layout_pack,
-            lambda n: automorphism_layout_unpack(
-                self._vpu.memory, n, self.m, base_row=n // self.m),
+            lambda memory, n: automorphism_layout_unpack(
+                memory, n, self.m, base_row=n // self.m),
             galois_k)

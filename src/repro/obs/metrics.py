@@ -2,7 +2,8 @@
 
 The registry is the scrape surface the ROADMAP's traffic-serving story
 needs: compiled-program cache hits/misses, integrity detections and
-retries, per-pool makespan/utilization, SRAM/DRAM byte traffic, and —
+retries, the multi-VPU pool's makespan/utilization, SRAM/DRAM byte
+traffic, and —
 for the serving layer — streaming latency quantiles.  All of it is fed
 exclusively through the null-safe verbs of :mod:`repro.obs`
 (``count`` / ``gauge`` / ``observe_value``), so a disabled registry

@@ -26,7 +26,7 @@ service needs —
 ``BENCH_serve.json`` (schema-1 envelope, obs phase attribution).
 """
 
-from repro.serve.admission import AdmissionController, PoolHealth
+from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.chaos import (
     ChaosInjector,
@@ -40,7 +40,6 @@ from repro.serve.errors import (
     CircuitOpenError,
     DeadlineExceeded,
     EngineClosedError,
-    PoolExhaustedError,
     RejectedError,
     RetryBudgetExhausted,
     ServeError,
@@ -60,8 +59,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "EngineClosedError",
-    "PoolExhaustedError",
-    "PoolHealth",
     "RejectedError",
     "RetryBudget",
     "RetryBudgetExhausted",

@@ -1,12 +1,11 @@
-"""Admission control: bounded queues scaled by pool health.
+"""Admission control: bounded queues scaled by backend health.
 
 The controller owns one number — the queue-depth cap — and shrinks it
 with backend capacity: ``capacity = queue_limit * health_fraction``,
-where the health fraction comes from whatever the executor serves on
-(for a :class:`~repro.accel.parallel.ParallelVpuPool` it is
-``healthy / total`` VPUs, via :class:`PoolHealth`).  Retired units
-therefore shed queued work *proactively* instead of letting latency
-grow until deadlines do the shedding.
+where the health fraction is whatever the executor's optional
+``health()`` reports (1.0 without one).  Lost capacity therefore sheds
+queued work *proactively* instead of letting latency grow until
+deadlines do the shedding.
 
 Rejections carry a ``retry_after`` estimate derived from Little's law:
 current backlog divided by observed drain rate.
@@ -25,18 +24,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-__all__ = ["AdmissionController", "PoolHealth"]
-
-
-class PoolHealth:
-    """Health fraction of a :class:`~repro.accel.parallel.ParallelVpuPool`
-    (``healthy_units / num_vpus``) as a zero-argument callable."""
-
-    def __init__(self, pool) -> None:
-        self.pool = pool
-
-    def __call__(self) -> float:
-        return len(self.pool.healthy_units) / self.pool.num_vpus
+__all__ = ["AdmissionController"]
 
 
 class AdmissionController:

@@ -8,21 +8,14 @@ anonymous error.  :class:`ServeError` subclasses never escape
 :meth:`repro.serve.engine.ServeEngine.submit`; they are folded into the
 returned :class:`~repro.serve.requests.ServeResult` with the exception
 class name as the ``error`` field.
-
-:class:`~repro.accel.parallel.PoolExhaustedError` (every VPU retired)
-is re-exported here so serve callers import one module for the whole
-failure vocabulary.
 """
 
 from __future__ import annotations
-
-from repro.accel.parallel import PoolExhaustedError
 
 __all__ = [
     "CircuitOpenError",
     "DeadlineExceeded",
     "EngineClosedError",
-    "PoolExhaustedError",
     "RejectedError",
     "RetryBudgetExhausted",
     "ServeError",

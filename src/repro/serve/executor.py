@@ -6,7 +6,8 @@ Two implementations of one small duck-typed contract::
     def verify(request, value) -> bool       # integrity verdict
     def corrupt(value) -> value              # chaos helper: a detectably
                                              # wrong value of the same type
-    def health() -> float                    # capacity fraction in [0, 1]
+    def health() -> float                    # optional: capacity fraction
+                                             # in [0, 1] (default 1.0)
 
 * :class:`CkksOpExecutor` performs **real** ciphertext operations
   on toy CKKS parameters through the repo's kernel-backend stack.  It
@@ -74,10 +75,8 @@ SERVED_PROGRAM = (
 class CkksOpExecutor:
     """Real CKKS ops on toy parameters through the backend stack."""
 
-    def __init__(self, params: CkksParams | None = None, seed: int = 7,
-                 pool=None):
+    def __init__(self, params: CkksParams | None = None, seed: int = 7):
         self.params = toy_params() if params is None else params
-        self.pool = pool
         self.ctx = CkksContext(self.params, seed=2025)
         self.ctx.generate_galois_keys([1])
         rng = np.random.default_rng(seed)
@@ -127,11 +126,6 @@ class CkksOpExecutor:
     def corrupt(self, value: np.ndarray) -> np.ndarray:
         return value + 1000.0
 
-    def health(self) -> float:
-        if self.pool is None:
-            return 1.0
-        return len(self.pool.healthy_units) / self.pool.num_vpus
-
 
 class SimulatedExecutor:
     """Seeded service-time model for scheduler-scale benchmarks.
@@ -146,10 +140,9 @@ class SimulatedExecutor:
     SERVICE_MEAN = {"keyswitch": 0.0008, "hmult": 0.0010,
                     "hrot": 0.0009, "rescale": 0.0004}
 
-    def __init__(self, seed: int = 0, time_scale: float = 1.0, pool=None):
+    def __init__(self, seed: int = 0, time_scale: float = 1.0):
         self.seed = seed
         self.time_scale = time_scale
-        self.pool = pool
 
     def service_time(self, request: ServeRequest, level: int) -> float:
         rng = np.random.default_rng((self.seed, request.request_id,
@@ -190,8 +183,3 @@ class SimulatedExecutor:
 
     def corrupt(self, value: int) -> int:
         return value ^ 0xDEAD_BEEF
-
-    def health(self) -> float:
-        if self.pool is None:
-            return 1.0
-        return len(self.pool.healthy_units) / self.pool.num_vpus

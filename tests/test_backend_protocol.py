@@ -92,6 +92,24 @@ class TestConformance:
             backend.automorphism_eval_batch(fwd, GALOIS_K, primes),
             golden_auto)
 
+    @pytest.mark.parametrize("rows, primes", [(3, PRIMES[:2]), (2, PRIMES)],
+                             ids=["more-rows", "more-primes"])
+    def test_rows_and_primes_that_disagree(self, name, wrap, rows, primes):
+        """No backend drops or invents a limb: an NTT batch whose row
+        count is not its prime count is refused, and the Galois action
+        (prime-independent) never changes the row count."""
+        backend = wrap(BACKENDS[name]())
+        x = _rows(PRIMES)[:rows]
+        with pytest.raises(ValueError):
+            backend.forward_ntt_batch(x, primes)
+        with pytest.raises(ValueError):
+            backend.inverse_ntt_batch(x, primes)
+        try:
+            out = backend.automorphism_eval_batch(x, GALOIS_K, primes)
+        except ValueError:
+            return
+        assert len(out) == rows
+
 
 @pytest.mark.parametrize("name", BACKENDS)
 class TestWrapperTransparency:

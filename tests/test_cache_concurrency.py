@@ -6,6 +6,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from repro.arith.primes import find_ntt_primes
 from repro.fhe.backend import VpuBackend, clear_caches
@@ -95,15 +96,17 @@ class TestVpuProgramCache:
         assert backend.program_cache_hits == total_calls - 1
         assert backend.program_compilations == 1
 
-    def test_concurrent_batches_on_one_unit_match_the_serial_result(self):
-        """A batch rebinds the unit's modulus and memory per limb: 4
+    @pytest.mark.parametrize("units", [1, 2])
+    def test_concurrent_batches_on_one_unit_match_the_serial_result(
+            self, units):
+        """A batch rebinds each unit's modulus and memory per limb: 4
         threads x 6 batches, each thread with its own prime order."""
         n, m, threads = 1024, 64, 4
         primes = find_ntt_primes(2 * n, 28, 4)
         orders = [tuple(primes[t:] + primes[:t]) for t in range(threads)]
         x = np.random.default_rng(5).integers(0, min(primes), (4, n),
                                               dtype=np.uint64)
-        backend = VpuBackend(m=m)
+        backend = VpuBackend(m=m, units=units)
         want = {order: backend.forward_ntt_batch(x, order) for order in orders}
         barrier = threading.Barrier(threads)
 

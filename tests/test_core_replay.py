@@ -37,6 +37,7 @@ from repro.core import (
     VSub,
 )
 from repro.core.stages import MuxConflictError
+from repro.core.vpu import ExecutionStats
 from repro.fault import FaultInjector, FaultSpec
 from repro.fhe.backend import VpuBackend, use_backend
 from repro.mapping import (
@@ -199,9 +200,12 @@ def test_random_programs_match_the_oracle(m, q, seed, length):
 # -- (b) the benchmark round's fixed points ----------------------------------
 
 
-def test_bench_round_cycles_and_instruction_counts():
+@pytest.mark.parametrize("units", [1, 4])
+def test_bench_round_cycles_and_instruction_counts(units):
     """What ``benchmarks/e2e`` reads off ``vpu_model``, as a unit test:
-    one round of {hmult, hrot, keyswitch, rescale} at the bench shape."""
+    one round of {hmult, hrot, keyswitch, rescale} at the bench shape.
+    Spreading the limbs over several units moves no figure of the
+    units' summed tally."""
     from repro.fhe.backend import NumpyBackend
     from repro.fhe.ckks import Ciphertext, CkksContext
     from repro.fhe.params import CkksParams
@@ -224,16 +228,24 @@ def test_bench_round_cycles_and_instruction_counts():
                "rescale": lambda: ctx.rescale(product)}
         golden = {kind: op() for kind, op in ops.items()}
 
-    backend = VpuBackend(m=64)
-    stats = backend.vpu.stats
+    backend = VpuBackend(m=64, units=units)
+
+    def tally():
+        stats = ExecutionStats()
+        for unit in backend.units:
+            stats.add(unit.stats)
+        return stats
+
     cycles = {}
     with use_backend(backend):
         for kind, op in ops.items():
-            before = stats.cycles
+            before = tally().cycles
             out = op()
-            cycles[kind] = stats.cycles - before
+            cycles[kind] = tally().cycles - before
             assert all(np.array_equal(p.residues, g.residues)
                        for p, g in zip(out.parts, golden[kind].parts))
+    stats = tally()
+    assert all(unit.stats.cycles for unit in backend.units)
     # Row NTTs per op at L = 3, the compiled slots' schedule.  A keyswitch
     # is 3 inverse + 3 * 4 - 3 = 9 forward digit rows, then two ModDowns
     # of R = 4 limbs at R rows each (the top row's inverse, 3 forward):
@@ -245,7 +257,8 @@ def test_bench_round_cycles_and_instruction_counts():
     assert stats.by_type == {"Load": 4704, "Store": 4704, "NttStage": 11520,
                              "NetworkPass": 2400, "VMulScalar": 608,
                              "VMulTwiddle": 2304}
-    assert stats.network_passes == backend.vpu.network.passes == 13920
+    assert stats.network_passes == sum(
+        unit.network.passes for unit in backend.units) == 13920
     assert (stats.loads, stats.stores) == (4704, 4704)
 
 

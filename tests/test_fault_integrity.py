@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.dram import DramModel
-from repro.accel.parallel import ParallelVpuPool
 from repro.analysis.bounds import checksum_dot_lazy_ok
 from repro.arith.modular import mod_inverse
 from repro.arith.primes import find_ntt_prime, find_ntt_primes
@@ -42,12 +41,10 @@ def _golden_batch(rows: np.ndarray) -> np.ndarray:
 
 
 def _transform(kind: str, x: np.ndarray, q: int) -> np.ndarray:
-    """The golden-model oracle of the three maps the checker knows."""
+    """The golden-model oracle of the two maps the checker knows."""
     golden = NegacyclicNtt(len(x), q)
     if kind == "intt":
         return np.asarray(golden.inverse(x))
-    if kind == "cyclic":  # V x = negacyclic forward of psi**-j * x_j
-        x = x * golden.tables.psi_inv_powers % q
     return np.asarray(golden.forward(x))
 
 
@@ -119,7 +116,7 @@ class TestAbftChecker:
 #: Just below 2**28, 2**30 and 2**31, and one wide modulus whose
 #: checksums only fit exact (object) arithmetic.
 WEIGHT_BITS = (28, 30, 31, 40)
-KINDS = ("ntt", "intt", "cyclic")
+KINDS = ("ntt", "intt")
 
 
 def _weights(checker: AbftChecker, n: int, q: int, kind: str):
@@ -198,8 +195,7 @@ class TestWeightVectors:
             lambda c: c.check_ntt_batch(rows, bad, PRIMES),
             lambda c: c.check_ntt_batch(outputs, rows, PRIMES, inverse=True),
             lambda c: c.check_ntt_batch(rows[:1], outputs[:1], PRIMES[:1]),
-            lambda c: c.check_cyclic_ntt_row(
-                rows[2], _transform("cyclic", rows[2], PRIMES[2]), PRIMES[2]),
+            lambda c: c.check_ntt_batch(rows[2:], outputs[2:], PRIMES[2:]),
         ]
         first, second = AbftChecker(5), AbftChecker(5)
         verdicts = [call(first) for call in calls]
@@ -431,42 +427,3 @@ class TestKeyswitchIntegrity:
                                  "flagged", "degrade_level",
                                  "keyswitch_detections"}
 
-
-class TestParallelPoolIntegrity:
-    def test_faulty_vpu_is_quarantined_and_work_replays(self):
-        q = find_ntt_prime(2 * N, 28)
-        rng = np.random.default_rng(5)
-        limbs = rng.integers(0, q, size=(4, N), dtype=np.uint64)
-        clean_pool = ParallelVpuPool(2, M, q)
-        golden, _ = clean_pool.run_ntt_batch(limbs, N)
-        pool = ParallelVpuPool(2, M, q, policy="retry")
-        pool.vpus[0].install_fault_hook(FaultInjector(
-            [FaultSpec("alu", "stuck1", cycle=0, bit=33, lane=0)]))
-        out, report = pool.run_ntt_batch(limbs, N)
-        assert np.array_equal(out, golden)
-        assert report.detections >= 1
-        assert report.retries >= 1
-        assert 0 in report.quarantined_vpus
-
-    def test_degrade_falls_back_to_golden_row(self):
-        q = find_ntt_prime(2 * N, 28)
-        rng = np.random.default_rng(6)
-        limbs = rng.integers(0, q, size=(3, N), dtype=np.uint64)
-        golden, _ = ParallelVpuPool(1, M, q).run_ntt_batch(limbs, N)
-        pool = ParallelVpuPool(1, M, q, policy="degrade", max_retries=1)
-        for vpu in pool.vpus:  # every unit faulty: replay cannot win
-            vpu.install_fault_hook(FaultInjector(
-                [FaultSpec("alu", "stuck1", cycle=0, bit=33, lane=0)]))
-        out, report = pool.run_ntt_batch(limbs, N)
-        assert np.array_equal(out, golden)
-        assert report.degraded >= 1
-
-    def test_off_policy_pool_unchanged(self):
-        q = find_ntt_prime(2 * N, 28)
-        rng = np.random.default_rng(8)
-        limbs = rng.integers(0, q, size=(4, N), dtype=np.uint64)
-        pool = ParallelVpuPool(2, M, q)
-        out, report = pool.run_ntt_batch(limbs, N)
-        assert report.detections == 0 and report.quarantined_vpus == ()
-        assert report.speedup >= 1.0
-        assert out.shape == limbs.shape

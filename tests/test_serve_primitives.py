@@ -5,7 +5,7 @@ import asyncio
 
 import pytest
 
-from repro.serve.admission import AdmissionController, PoolHealth
+from repro.serve.admission import AdmissionController
 from repro.serve.breaker import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
@@ -202,10 +202,3 @@ class TestAdmission:
         shallow = controller.retry_after(depth=12, workers=2)
         deep = controller.retry_after(depth=50, workers=2)
         assert deep > shallow > 0
-
-    def test_pool_health_adapter(self):
-        class FakePool:
-            num_vpus = 4
-            healthy_units = (0, 2)
-
-        assert PoolHealth(FakePool())() == pytest.approx(0.5)
