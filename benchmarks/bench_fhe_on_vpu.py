@@ -65,7 +65,7 @@ def test_table3_row_2pow18_live(benchmark, results_dir):
                                memory_rows=n // m)
     x = np.random.default_rng(0).integers(0, Q, n, dtype=np.uint64)
     vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-    prog = compile_ntt(n, m, Q)
+    prog = compile_ntt(n, m)
 
     stats = benchmark.pedantic(lambda: vpu.run_fresh(prog),
                                rounds=1, iterations=1)

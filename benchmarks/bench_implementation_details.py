@@ -19,7 +19,7 @@ Q = 998244353
 def build_artifacts():
     acc = Accelerator(num_vpus=8, lanes=64)
     roofline = roofline_table(acc)
-    ntt_report = check_dataflow(compile_ntt(4096, 64, Q), m=64)
+    ntt_report = check_dataflow(compile_ntt(4096, 64), m=64)
     autom_report = check_dataflow(
         compile_automorphism(paper_sigma(4096, 3), 64), m=64)
     return roofline, ntt_report, autom_report

@@ -519,9 +519,12 @@ def bench_keyswitch_hoisted(n: int, levels: int, count: int, repeats: int,
 
 
 def bench_vpu_program_cache(n: int = 1024, levels: int = 3) -> dict:
-    """Compile-once/replay-per-limb on the VPU: the dispatch engine's
-    other half.  Reports wall-clock for the first (compiling) batch vs a
-    cached batch, plus the compile-invocation reduction."""
+    """One program per kernel shape on the VPU: compiled, lowered and
+    scheduled once, bound to each prime by a gather, replayed per limb —
+    the dispatch engine's other half.  Reports wall-clock for the first
+    (compiling and binding) batch vs a cached batch, plus the
+    compile-invocation reduction (every limb of every batch over one
+    compilation)."""
     primes = tuple(find_ntt_primes(2 * n, 29, levels))
     rng = np.random.default_rng(3)
     rows = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])

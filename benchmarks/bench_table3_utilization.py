@@ -30,7 +30,7 @@ def run_executable_ntt(m=16, n=4096):
                                memory_rows=2 * n // m)
     x = np.random.default_rng(0).integers(0, Q, n, dtype=np.uint64)
     vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-    prog = compile_ntt(n, m, Q)
+    prog = compile_ntt(n, m)
     stats = vpu.run_fresh(prog)
     t = get_tables(n, Q)
     expected = np.empty(n, dtype=np.uint64)

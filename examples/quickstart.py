@@ -40,7 +40,7 @@ def main() -> None:
     # --- NTT: decomposed into two 64-point dimensions, butterflies on the
     # CG network stage, transposes on the shift stages (paper §IV-A).
     vpu.memory.data[:N // M] = pack_for_ntt(x, M)
-    stats = vpu.run_fresh(compile_ntt(N, M, Q))
+    stats = vpu.run_fresh(compile_ntt(N, M))
     got = unpack_ntt_result(vpu.memory, N, M)
     tables = get_tables(N, Q)
     expected = np.empty(N, dtype=np.uint64)

@@ -3,18 +3,22 @@
 :func:`check_program` walks a :class:`repro.core.isa.Program` over
 per-lane **value intervals** instead of values.  It walks the program as
 :class:`repro.core.vpu.VectorProcessingUnit` decodes it — the lowered
-steps its replay loop reads, with their lane routes, twiddle vectors and
-diagonal-read register vectors — so it sees exactly the routing the
-hardware would perform (grouped-CG sub-networks and diagonal register
-reads included).  It proves, per instruction:
+steps its replay loop reads, with their lane routes, constant-table
+slots and diagonal-read register vectors — under the program's binding
+to ``q`` (:func:`repro.core.vpu.bind_table`), so it sees exactly the
+routing and the constants the hardware would use (grouped-CG
+sub-networks and diagonal register reads included).  It proves, per
+instruction:
 
 * every uint64 intermediate of the vectorized Barrett datapath fits
   (``z = a * b`` with *raw* register values — the vectorized multiplier
-  does not pre-reduce its operands);
+  does not pre-reduce its operands; from ``q >= 2**31`` on it reduces
+  them and multiplies exact integers);
 * the Barrett precondition ``z < q**2`` holds, which is what guarantees
   the two-correction reduction bound;
 * twiddle constants are fully reduced (``< q``), matching the table
-  contract, and have the lane geometry's length (a decode fault);
+  contract, and every slot an instruction names lies inside the bound
+  table;
 * reads never see an uninitialized register (the mapping compilers must
   route data through loads);
 * every architecturally visible value — anything stored back to memory —
@@ -45,6 +49,7 @@ from repro.core.vpu import (
     _STORE,
     _SUB,
     VectorProcessingUnit,
+    bind_table,
     step_operands,
 )
 from repro.mapping.ntt import required_registers
@@ -110,6 +115,7 @@ class _Walker:
                  faults: dict):
         self.q = q
         self.m = m
+        self.binding = bind_table(program, q)
         self.report = ProgramCheckReport(label=program.label or "<program>",
                                          q=q, m=m)
         self.faults = faults
@@ -150,6 +156,11 @@ class _Walker:
     def _mul(self, a: IntervalVec, b: IntervalVec, what: str) -> IntervalVec:
         """The vectorized Barrett multiplier on raw register values."""
         q = self.q
+        if q >= 1 << 31:
+            # Past the uint64 datapath the multiplier reduces its
+            # operands and multiplies exact integers: nothing overflows.
+            self._note_intermediate((q - 1) ** 2)
+            return IntervalVec.reduced(len(a), q)
         z = a.mul(b)
         self._note_intermediate(z.max_hi)
         if z.max_hi > U64_MAX:
@@ -172,14 +183,20 @@ class _Walker:
                                 + min(b.max_hi, self.q - 1))
         return IntervalVec.reduced(len(a), self.q)
 
-    def _twiddles(self, const: np.ndarray) -> IntervalVec:
-        if (self.pc, "twiddles") in self.faults:
-            # The lowering cut or zero-padded them to the lane geometry.
+    def _constants(self, table: np.ndarray, slot: slice) -> list[int]:
+        """The bound words a slot names, zeros where it runs outside the
+        table."""
+        words = table[max(slot.start, 0):slot.stop].tolist()
+        if slot.start < 0 or len(words) < slot.stop - slot.start:
             self._error(
                 "P005",
-                f"twiddle vector has {len(self.instr.twiddles)} entries, "
-                f"lane geometry needs {len(const)}")
-        twiddles = const.tolist()
+                f"constant slot [{slot.start}, {slot.stop}) lies outside "
+                f"the bound table's {len(table)} words")
+            words = [0] * (slot.stop - slot.start)
+        return words
+
+    def _twiddles(self, slot: slice) -> IntervalVec:
+        twiddles = self._constants(self.binding.twiddles, slot)
         bad = [t for t in twiddles if t >= self.q]
         if bad:
             self._error(
@@ -191,7 +208,7 @@ class _Walker:
     # -- step semantics ----------------------------------------------------
 
     def _butterfly(self, x: IntervalVec, dif: bool,
-                   const: np.ndarray) -> IntervalVec:
+                   const: slice) -> IntervalVec:
         tw = self._twiddles(const)
         u = x.every(0, 2)
         v = x.every(1, 2)
@@ -222,7 +239,8 @@ class _Walker:
         elif op == _MUL:
             out = self._mul(*x, "VMul")
         elif op == _MUL_SCALAR:
-            scalar = IntervalVec.uniform(m, Interval.const(int(const) % q))
+            (word,) = self._constants(self.binding.scalars, const)
+            scalar = IntervalVec.uniform(m, Interval.const(word % q))
             out = self._mul(x[0], scalar, "VMulScalar")
         elif op == _MUL_TWIDDLE:
             out = self._mul(x[0], self._twiddles(const), "VMulTwiddle")

@@ -94,7 +94,7 @@ def cmd_verify(args) -> int:
     x = np.random.default_rng(args.seed).integers(0, q, n, dtype=np.uint64)
 
     vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-    stats = vpu.run_fresh(compile_ntt(n, m, q))
+    stats = vpu.run_fresh(compile_ntt(n, m))
     got = unpack_ntt_result(vpu.memory, n, m)
     t = get_tables(n, q)
     expected = np.empty(n, dtype=np.uint64)

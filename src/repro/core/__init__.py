@@ -30,7 +30,7 @@ from repro.core.isa import (
 from repro.core.network import InterLaneNetwork, NetworkConfig
 from repro.core.register_file import RegisterFile
 from repro.core.stages import CgStage, ShiftStage
-from repro.core.vpu import VectorMemory, VectorProcessingUnit
+from repro.core.vpu import VectorMemory, VectorProcessingUnit, bind_table
 
 __all__ = [
     "Butterfly",
@@ -52,4 +52,5 @@ __all__ = [
     "VSub",
     "VectorMemory",
     "VectorProcessingUnit",
+    "bind_table",
 ]

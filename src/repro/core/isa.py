@@ -5,17 +5,17 @@ SIMD) and respects the per-lane 2R1W register-file port budget.  The
 compilers in :mod:`repro.mapping` emit :class:`Program` objects; the
 executor in :mod:`repro.core.vpu` runs them and accounts cycles.
 
-Twiddle factors and other per-lane constants are attached to the
-instructions as vectors; in hardware they stream from the register file
-or twiddle SRAM, and the cycle accounting treats them as one operand
-read, exactly like the paper's butterfly that takes its twiddle "from
-the register file in one of the two lanes".
+An instruction names constants by their slot in its program's table,
+which says what each *is* for any prime (a power of a ``2n``-th root of
+unity ``psi``, or an inverse ``k^{-1}``); binding a prime
+(:func:`repro.core.vpu.bind_table`) fills the twiddle SRAM the lanes read
+"from the register file in one of the two lanes", at one operand read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.network import NetworkConfig
 
@@ -74,11 +74,11 @@ class VMul(_BinaryOp):
 
 @dataclass(frozen=True)
 class VMulScalar(Instruction):
-    """Multiply a register by one scalar constant: ``dst = a * c mod q``."""
+    """Multiply by a scalar word: ``dst = a * scalars[word] mod q``."""
 
     dst: int
     a: int
-    scalar: int
+    word: int
     uses_multiplier = True
 
     def read_regs(self) -> list[int]:
@@ -90,7 +90,7 @@ class VMulScalar(Instruction):
 
 @dataclass(frozen=True)
 class VMulTwiddle(Instruction):
-    """Multiply a register by a per-lane constant vector.
+    """Multiply a register by a twiddle row (``m`` words from ``row``).
 
     Used for the element-wise twiddle passes between NTT dimensions
     (§IV-A) and the psi-folding of negacyclic transforms.
@@ -98,7 +98,7 @@ class VMulTwiddle(Instruction):
 
     dst: int
     a: int
-    twiddles: tuple[int, ...]
+    row: int
     uses_multiplier = True
 
     def read_regs(self) -> list[int]:
@@ -117,13 +117,13 @@ class Butterfly(Instruction):
     * ``dif``: ``out = (u + v, (u - v) * w_j)``
     * ``dit``: ``out = (u + w_j*v, u - w_j*v)``
 
-    ``twiddles`` has one factor per pair (length m/2).
+    ``w_j`` is word ``row + j`` of the twiddle table (one per pair).
     """
 
     kind: str
     dst: int
     src: int
-    twiddles: tuple[int, ...]
+    row: int
     uses_multiplier = True
     uses_adder = True
 
@@ -157,7 +157,7 @@ class NttStage(Instruction):
     kind: str
     dst: int
     src: int
-    twiddles: tuple[int, ...]
+    row: int
     group_size: int | None = None
     uses_multiplier = True
     uses_adder = True
@@ -244,23 +244,50 @@ class Store(Instruction):
 
 @dataclass
 class Program:
-    """An instruction sequence with a human-readable label."""
+    """An instruction sequence, a label and its constant table.
+
+    ``twiddles`` holds the ``psi``-exponents (mod ``2n``) of the twiddle
+    rows back to back, ``scalars`` the ``k`` of each word ``k^{-1}``."""
 
     instructions: list[Instruction] = field(default_factory=list)
     label: str = ""
+    n: int = 0  # psi is a primitive 2n-th root of unity
+    twiddles: list[int] = field(default_factory=list)
+    scalars: list[int] = field(default_factory=list)
     #: Decoded forms the executor keeps with the program, one per
-    #: ``(lanes, register-file entries)`` it ran on; whoever drops the
-    #: program drops them too.
+    #: ``(lanes, register-file entries)`` it ran on, and the table's
+    #: binding to each prime it ran under; whoever drops the program
+    #: drops them too.
     lowered: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    bound: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)  # twiddle row -> its offset
+
+    def twiddle_row(self, exponents: Iterable[int]) -> int:
+        """The offset of a row of ``psi``-exponents, added on first use."""
+        row = tuple(int(e) % (2 * self.n) for e in exponents)
+        if row not in self._rows:
+            self._rows[row] = len(self.twiddles)
+            self.twiddles.extend(row)
+        return self._rows[row]
+
+    def scalar_word(self, k: int) -> int:
+        """The index of the scalar word ``k^{-1}``, added on first use."""
+        if k not in self.scalars:
+            self.scalars.append(k)
+        return self.scalars.index(k)
 
     def append(self, instr: Instruction) -> None:
         self.instructions.append(instr)
         self.lowered.clear()
+        self.bound.clear()
 
     def extend(self, instrs: list[Instruction]) -> None:
         self.instructions.extend(instrs)
         self.lowered.clear()
+        self.bound.clear()
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -273,7 +300,7 @@ class Program:
         return sum(1 for i in self.instructions if isinstance(i, kind))
 
     def disassemble(self, limit: int | None = None) -> str:
-        """Human-readable listing (twiddle vectors abbreviated)."""
+        """Human-readable listing (constants by their table slot)."""
         lines = [f"; {self.label} ({len(self.instructions)} instructions)"]
         shown = self.instructions if limit is None else self.instructions[:limit]
         for pc, instr in enumerate(shown):
@@ -289,9 +316,9 @@ def _format_instruction(instr: Instruction) -> str:
         op = {"VAdd": "+", "VSub": "-", "VMul": "*"}[name]
         return f"r{instr.dst} = r{instr.a} {op} r{instr.b}"
     if isinstance(instr, VMulScalar):
-        return f"r{instr.dst} = r{instr.a} * {instr.scalar}"
+        return f"r{instr.dst} = r{instr.a} * s[{instr.word}]"
     if isinstance(instr, VMulTwiddle):
-        return f"r{instr.dst} = r{instr.a} * tw[{len(instr.twiddles)}]"
+        return f"r{instr.dst} = r{instr.a} * tw[{instr.row}]"
     if isinstance(instr, Butterfly):
         return f"r{instr.dst} = bfly.{instr.kind}(r{instr.src})"
     if isinstance(instr, NttStage):

@@ -11,18 +11,19 @@ utilization is computed — utilization is butterfly/compute cycles over
 total cycles, the paper's "actual throughput on our VPU vs. the ideal
 full throughput".
 
-Execution is decode once, replay many.  The first time a program runs on
-a unit of a given shape it is *lowered*: every instruction becomes one
-flat tuple — opcode, register indices, twiddle vector as a ``uint64``
-array, the lane route of its network configuration — and everything that
-is a pure function of the instruction and the unit's shape is settled
-there: the 2R1W port budget, register range, twiddle length, the
-diagonal-read window, and what the instruction adds to
-:class:`ExecutionStats`.  The lowered form is kept on the program
-(``Program.lowered``), knows nothing of the bound modulus, and goes away
-with the program or when the program grows.  The lowering is the only
-decoder of the ISA, and :func:`step_operands` its one def-use model: the
-lock-step schedule and the interval and def-use passes of
+Execution is decode once, bind once per prime, replay many.  The first
+time a program runs on a unit of a given shape it is *lowered*: every
+instruction becomes one flat tuple — opcode, register indices, the
+constant-table slot it reads, the lane route of its network
+configuration — and everything that is a pure function of the
+instruction and the unit's shape is settled there: the 2R1W port
+budget, register range, the diagonal-read window, and what the
+instruction adds to :class:`ExecutionStats`.  The lowered form is kept
+on the program (``Program.lowered``), knows neither modulus nor
+constant (a :class:`Binding` per prime, in ``Program.bound``), and goes
+away with the program or when it grows.  The lowering is the only
+decoder of the ISA, and :func:`step_operands` its one def-use model:
+the lock-step schedule and the interval and def-use passes of
 :mod:`repro.analysis` read the same steps through it, decoded tolerantly
 for the passes, so that a failed check comes back as a value.
 
@@ -32,10 +33,12 @@ the memory, it runs *lock step*, as §IV-A maps an NTT: registers and
 rows are renamed to immutable values, so ``Load`` and ``Store`` move no
 data, and the steps of one dependency level with one opcode run as one
 numpy call over all the independent row strands.  That schedule is built
-on the first such replay and kept on the lowered form.  Registers, rows
-and counters are written once, at the end; a replay that raises commits
-and books nothing.  Otherwise the step loop runs one instruction at a
-time and books whatever retired, also when it ends in an exception.
+on the first such replay and kept on the lowered form; when the
+binding and its inputs are below ``q``, so is every value, and the
+adders never divide.  Registers, rows and counters are written once, at
+the end; a replay that raises commits and books nothing.  Otherwise the
+step loop runs one instruction at a time and books whatever retired,
+also when it ends in an exception.
 
 A lane route is the network's own answer
 (:meth:`~repro.core.network.InterLaneNetwork.route`: the lane indices
@@ -53,6 +56,7 @@ modulus (the tests check it against plain modular arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -75,11 +79,42 @@ from repro.core.isa import (
 )
 from repro.core.network import InterLaneNetwork, NetworkConfig
 from repro.core.register_file import RegisterFile
+from repro.ntt.tables import get_tables
 
 #: Opcodes of the lowered form, most frequent first in the replay loop.
 (_NTT, _LOAD, _STORE, _NET_DIAG, _NET, _MUL_TWIDDLE, _MUL_SCALAR,
  _ADD, _SUB, _MUL, _BFLY) = range(11)
 _BINARY = {VAdd: _ADD, VSub: _SUB, VMul: _MUL}
+
+
+@dataclass(eq=False)
+class Binding:
+    """A program's constant table bound to one prime (the unit's
+    twiddle SRAM), with each lock-step schedule's wave constants."""
+
+    q: int
+    twiddles: np.ndarray
+    scalars: np.ndarray
+    reduced: bool  # every word below q: fhecheck's P003 condition
+    waves: dict = field(default_factory=dict)
+
+
+def bind_table(program: Program, q: int, twiddles=None,
+               scalars=None) -> Binding:
+    """The program's constant table under ``q``, kept in ``program.bound``.
+
+    Given ``twiddles`` / ``scalars``, binds those words by hand."""
+    if twiddles is None and scalars is None:
+        if q in program.bound:
+            return program.bound[q]
+        scalars = [pow(k, -1, q) for k in program.scalars]
+        if program.twiddles:
+            twiddles = get_tables(program.n, q).psi_period[program.twiddles]
+    words = [np.array([] if w is None else w, dtype=np.uint64)
+             for w in (twiddles, scalars)]
+    program.bound[q] = Binding(
+        q, *words, all(int(w.max(initial=0)) < q for w in words))
+    return program.bound[q]
 
 
 class VectorMemory:
@@ -168,9 +203,11 @@ class ExecutionStats:
 @dataclass(eq=False)
 class _Lowered:
     """A decoded program: ``(opcode, dst, a, b, const, route, config)``
-    per instruction, what one complete replay books, its lock-step form."""
+    per instruction (``const`` a constant-table ``slice``), the slots it
+    reads, what one complete replay books, its lock-step form."""
 
     steps: tuple
+    table: tuple
     stats: ExecutionStats
     regfile_reads: int
     regfile_writes: int
@@ -208,8 +245,9 @@ class _LockStep:
     rows, read before any write); wave ``(op, flag, start, stop, a, b,
     const)`` computes values ``[start, stop)`` — one dependency level's
     steps of one opcode and dif/dit flag — from value ids or flat ``value
-    * m + lane`` gathers.  ``outputs`` (registers, values, rows, values)
-    are committed at the end; ``top_row`` is the highest row named."""
+    * m + lane`` gathers and table indices (one row if all are alike).
+    ``outputs`` (registers, values, rows, values) are committed at the
+    end; ``top_row`` is the highest row named."""
 
     values: int
     inputs: tuple
@@ -267,10 +305,12 @@ def _lock_step(steps: tuple, m: int) -> _LockStep:
             a = np.stack([final[w[4]] * m + w[5] for w in wave])
         elif op in _BINARY.values():
             b = final[[w[4][1] for w in wave]]
-        elif op == _MUL_SCALAR:
-            const = np.array([w[6] for w in wave], dtype=object)[:, None]
         else:
-            const = np.stack([w[6] for w in wave])
+            first = wave[0][6]
+            starts = np.array([w[6].start for w in wave], dtype=np.intp)
+            if (starts == first.start).all():
+                starts = starts[:1]
+            const = starts[:, None] + np.arange(first.stop - first.start)
         if op == _NTT:
             # dif gathers its operand through the route; dit routes the
             # butterflied rows of the wave itself.
@@ -360,20 +400,29 @@ class VectorProcessingUnit:
             out = hook.filter_alu("sub", out)
         return out
 
-    def _butterfly_pairs(self, x: np.ndarray, dif: bool,
-                         tw: np.ndarray) -> np.ndarray:
+    # :meth:`_add` / :meth:`_sub` of operands below ``q``: no division.
+    def _add_reduced(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        t = a + b
+        return np.minimum(t, t - self._q)
+
+    def _sub_reduced(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        t = a + (self._q - b)
+        return np.minimum(t, t - self._q)
+
+    def _butterfly_pairs(self, x: np.ndarray, dif: bool, tw: np.ndarray,
+                         add, sub) -> np.ndarray:
         """Butterfly the adjacent lane pairs ``(2j, 2j+1)`` of every
         ``(..., m)`` row, with ``(..., m/2)`` twiddles (Fig. 1c)."""
         u = x[..., 0::2]
         v = x[..., 1::2]
         out = np.empty(x.shape, dtype=np.uint64)
         if dif:
-            out[..., 0::2] = self._add(u, v)
-            out[..., 1::2] = self._mul(self._sub(u, v), tw)
+            out[..., 0::2] = add(u, v)
+            out[..., 1::2] = self._mul(sub(u, v), tw)
         else:
             t = self._mul(v, tw)
-            out[..., 0::2] = self._add(u, t)
-            out[..., 1::2] = self._sub(u, t)
+            out[..., 0::2] = add(u, t)
+            out[..., 1::2] = sub(u, t)
         return out
 
     # -- lowering ----------------------------------------------------------
@@ -385,9 +434,8 @@ class VectorProcessingUnit:
 
         The first failed check raises, unless a ``faults`` dict is given:
         then each is stored as ``faults[pc, check] = error`` (``check`` is
-        ``"ports"``, ``"registers"``, ``"twiddles"`` or ``"opcode"``) and
-        decoding goes on with a placeholder — twiddles cut or zero-padded
-        to the lane geometry; for an unknown instruction a ``None`` opcode
+        ``"ports"``, ``"registers"`` or ``"opcode"``) and decoding goes on
+        with a placeholder — for an unknown instruction a ``None`` opcode
         whose ``dst`` / ``a`` are the registers its ports write / read.
         """
         m, rf, net = self.m, self.regfile, self.network
@@ -395,18 +443,12 @@ class VectorProcessingUnit:
         steps = []
         stats = ExecutionStats()
         reads = writes = 0
+        table = [0, 0, 0]  # lowest slot, twiddle and scalar words read
 
         def fault(check: str, error: Exception) -> None:
             if faults is None:
                 raise error
             faults[len(steps), check] = error
-
-        def twiddles(instr, count: int, what: str) -> np.ndarray:
-            tw = np.array(instr.twiddles, dtype=np.uint64)
-            if tw.shape != (count,):
-                fault("twiddles", ValueError(what))
-                tw = np.pad(tw[:count], (0, max(count - len(tw), 0)))
-            return tw
 
         for instr in instructions:
             read_regs, write_regs = instr.read_regs(), instr.write_regs()
@@ -425,21 +467,19 @@ class VectorProcessingUnit:
                 op, dst, a, b = _BINARY[kind], instr.dst, instr.a, instr.b
             elif kind is VMulScalar:
                 op, dst, a, b = _MUL_SCALAR, instr.dst, instr.a, None
-                const = instr.scalar  # reduced by the modulus bound at replay
+                const = slice(instr.word, instr.word + 1)
             elif kind is VMulTwiddle:
                 op, dst, a, b = _MUL_TWIDDLE, instr.dst, instr.a, None
-                const = twiddles(
-                    instr, m, f"twiddle vector must have {m} entries")
+                const = slice(instr.row, instr.row + m)
             elif kind is Butterfly or kind is NttStage:
                 op, dst, a, b = _BFLY, instr.dst, instr.src, instr.kind == "dif"
-                const = twiddles(
-                    instr, m // 2, f"butterfly needs {m // 2} twiddles")
+                const = slice(instr.row, instr.row + m // 2)
                 if kind is NttStage:
                     # Fused network + butterfly: dif routes through the
                     # CG gather first, dit through the CG scatter last.
                     # Grouped mode needs no special butterfly handling:
                     # adjacent pairs stay adjacent pairs and the twiddle
-                    # vector already carries the per-group factors.
+                    # row already carries the per-group factors.
                     op, config = _NTT, instr.config
                     route = net.route(config)
             elif kind is NetworkPass:
@@ -463,13 +503,18 @@ class VectorProcessingUnit:
             else:
                 fault("opcode", TypeError(f"unknown instruction {instr!r}"))
                 op, dst, a, b = None, write_regs, read_regs, None
+            if const is not None:
+                words = 1 + (op == _MUL_SCALAR)
+                table[0] = min(table[0], const.start)
+                table[words] = max(table[words], const.stop)
             steps.append((op, dst, a, b, const, route, config))
             stats.record(instr)
             # Register-file accesses: both operands of a binary op, else
             # one read (none for a load); one write (none for a store).
             reads += 2 if kind in _BINARY else int(kind is not Load)
             writes += int(kind is not Store)
-        return _Lowered(tuple(steps), stats, reads, writes)
+        return _Lowered(tuple(steps), tuple(table), stats,
+                        reads, writes)
 
     def lower(self, program: Program, faults: dict | None = None) -> _Lowered:
         """Decode a program for this unit's shape, once.
@@ -487,7 +532,12 @@ class VectorProcessingUnit:
 
     def execute(self, program: Program) -> ExecutionStats:
         """Run a program to completion, returning the run's stats."""
-        lowered = self.lower(program)
+        lowered, binding = self.lower(program), bind_table(program, self.q)
+        lowest, twiddles, scalars = lowered.table
+        if (lowest < 0 or binding.twiddles.size < twiddles
+                or binding.scalars.size < scalars):
+            raise ValueError(f"table slots {lowered.table} (lowest, twiddle, "
+                             f"scalar words) outside the binding to {self.q}")
         run = ExecutionStats()
         with obs.span("vpu.execute", cat="vpu", m=self.m, q=self.q,
                       instructions=len(program)) as span:
@@ -495,9 +545,9 @@ class VectorProcessingUnit:
             if not hooked and lowered.lockstep is None:
                 lowered.lockstep = _lock_step(lowered.steps, self.m)
             if hooked or lowered.lockstep.top_row >= self.memory.rows:
-                self._replay(program, lowered)  # books what retired
+                self._replay(program, lowered, binding)  # books what retired
             else:
-                self._replay_lockstep(lowered)
+                self._replay_lockstep(lowered, binding)
             run.add(lowered.stats)
             # Model cycles land on this span (the innermost open one),
             # so every architectural cycle is attributed exactly once.
@@ -509,12 +559,14 @@ class VectorProcessingUnit:
                      utilization=round(run.compute_utilization(), 4))
         return run
 
-    def _replay(self, program: Program, lowered: _Lowered) -> None:
+    def _replay(self, program: Program, lowered: _Lowered,
+                binding: Binding) -> None:
         rf, net, memory, hook = (self.regfile, self.network, self.memory,
                                  self.fault_hook)
         data = rf.data
-        add, sub, mul, butterfly = (self._add, self._sub, self._mul,
-                                    self._butterfly_pairs)
+        add, sub, mul = self._add, self._sub, self._mul
+        butterfly = partial(self._butterfly_pairs, add=add, sub=sub)
+        twiddles, scalars = binding.twiddles, binding.scalars % self._q
 
         def read(reg: int) -> np.ndarray:
             value = data[reg]
@@ -538,6 +590,8 @@ class VectorProcessingUnit:
                     # Advance the fault clock and land armed state upsets
                     # before the instruction issues.
                     hook.on_cycle(self)
+                if const is not None:
+                    const = (scalars if op == _MUL_SCALAR else twiddles)[const]
                 if op == _NTT:
                     if b:
                         data[dst] = butterfly(
@@ -557,10 +611,8 @@ class VectorProcessingUnit:
                         data[dst] = data[b]
                 elif op == _NET:
                     data[dst] = routed(read(a), route, config)
-                elif op == _MUL_TWIDDLE:
+                elif op in (_MUL_TWIDDLE, _MUL_SCALAR):
                     data[dst] = mul(read(a), const)
-                elif op == _MUL_SCALAR:
-                    data[dst] = mul(read(a), np.uint64(const % self.q))
                 elif op == _ADD:
                     data[dst] = add(read(a), read(b))
                 elif op == _SUB:
@@ -578,28 +630,38 @@ class VectorProcessingUnit:
             rf.reads += lowered.regfile_reads
             rf.writes += lowered.regfile_writes
 
-    def _replay_lockstep(self, lowered: _Lowered) -> None:
+    def _replay_lockstep(self, lowered: _Lowered, binding: Binding) -> None:
         """Run the schedule wave by wave on a table of values; registers,
         rows and counters change only once every wave has run."""
         rf, memory, schedule = self.regfile, self.memory, lowered.lockstep
+        consts = binding.waves.get(schedule)
+        if consts is None:
+            consts = binding.waves[schedule] = tuple(
+                None if const is None else (binding.scalars % self._q
+                 if op == _MUL_SCALAR else binding.twiddles)[const]
+                for op, *_, const in schedule.waves)
         table = np.empty((schedule.values, self.m), dtype=np.uint64)
         flat = table.reshape(-1)
         regs, rows = schedule.inputs
         table[:len(regs)] = rf.data[regs]
         table[len(regs):len(regs) + len(rows)] = memory.data[rows]
-        mul, butterfly = self._mul, self._butterfly_pairs
-        binary = {_ADD: self._add, _SUB: self._sub, _MUL: mul}
-        for op, flag, start, stop, a, b, const in schedule.waves:
+        add, sub, mul = self._add, self._sub, self._mul
+        inputs = table[:len(regs) + len(rows)]
+        if binding.reduced and inputs.max(initial=0) < self.q:
+            # Every value the lanes make stays below q: no division.
+            add, sub = self._add_reduced, self._sub_reduced
+        binary = {_ADD: add, _SUB: sub, _MUL: mul}
+        butterfly = partial(self._butterfly_pairs, add=add, sub=sub)
+        for (op, flag, start, stop, a, b, _), const in zip(schedule.waves,
+                                                           consts):
             if op == _NTT and flag:
                 out = butterfly(flat[a], True, const)
             elif op == _NTT:
                 out = butterfly(table[a], False, const).reshape(-1)[b]
             elif op == _NET:
                 out = flat[a]
-            elif op == _MUL_TWIDDLE:
+            elif op in (_MUL_TWIDDLE, _MUL_SCALAR):
                 out = mul(table[a], const)
-            elif op == _MUL_SCALAR:
-                out = mul(table[a], (const % self.q).astype(np.uint64))
             elif op in binary:
                 out = binary[op](table[a], table[b])
             else:

@@ -108,7 +108,7 @@ class IntegrityBackend:
         self.degrade_level = min(self.degrade_level + 1, 2)
         self.degradations += 1
 
-    def _note_failure(self, key: tuple, primes: tuple[int, ...]) -> None:
+    def _note_failure(self, key: tuple) -> None:
         """Failed-check bookkeeping against the wrapped backend's
         compiled-program cache: invalidate on early failures, quarantine
         (under DETECT_DEGRADE) once the threshold is reached."""
@@ -117,14 +117,14 @@ class IntegrityBackend:
         invalidate = getattr(self.inner, "invalidate_program", None)
         if invalidate is None:
             return
+        # One program serves every prime of the batch: dropping it drops
+        # every binding too.
         kind, n, _, galois_k = key
-        quarantine = (self.policy is IntegrityPolicy.DETECT_DEGRADE
-                      and count >= self.quarantine_threshold)
-        for q in sorted(set(primes)):
-            if quarantine:
-                self.inner.quarantine_program(kind, n, q, galois_k)
-            else:
-                invalidate(kind, n, q, galois_k)
+        if (self.policy is IntegrityPolicy.DETECT_DEGRADE
+                and count >= self.quarantine_threshold):
+            self.inner.quarantine_program(kind, n, galois_k=galois_k)
+        else:
+            invalidate(kind, n, galois_k=galois_k)
 
     def _note_detection(self) -> None:
         self.detections += 1
@@ -187,7 +187,7 @@ class IntegrityBackend:
             if self.policy is IntegrityPolicy.DETECT:
                 self.flagged += 1
                 return out
-            self._note_failure(key, primes)
+            self._note_failure(key)
             if attempts < self.max_retries:
                 attempts += 1
                 self.retries += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 
 import numpy as np
 
@@ -32,12 +33,16 @@ class VpuBackend:
     program per limb, limb ``i`` on unit ``i % units`` of ``units``
     identical VPUs (paper §IV: the mapping extends to multiple VPUs for
     parallel execution; each unit keeps its own ``stats``).  Compiled
-    ISA programs are cached per ``(kernel, n, m, q)`` and shared by
-    every unit — the compile cost is paid once while the data movement
-    stays per limb, exactly the replay schedule a real dispatch queue
-    would issue — so ``program_compilations`` grows with the number of
-    *distinct* kernels while ``kernel_invocations`` grows with the work
-    actually executed.
+    ISA programs carry no prime: their twiddles and scalars are slots of
+    a constant table that each prime binds by a gather
+    (:func:`repro.core.vpu.bind_table`, kept on the program).  So
+    programs are cached per ``(kernel, n, m)`` and shared by every unit
+    and every prime — one compilation, one lowering and one lock-step
+    schedule per kernel shape, while the data movement stays per limb,
+    exactly the replay schedule a real dispatch queue would issue — so
+    ``program_compilations`` grows with the number of *distinct kernel
+    shapes* while ``kernel_invocations`` grows with the work actually
+    executed.
     """
 
     name = "vpu"
@@ -69,11 +74,14 @@ class VpuBackend:
         self.program_cache_misses = 0
         if verify_programs is None:
             verify_programs = bool(os.environ.get("REPRO_VERIFY_PROGRAMS"))
-        #: Debug hook: interval-verify every newly compiled micro-program
-        #: (repro.analysis.program_check), on the unit's own lowering of
-        #: it, before it enters the cache.
+        #: Debug hook: interval-verify every new binding of a compiled
+        #: micro-program to a prime (repro.analysis.program_check), on the
+        #: unit's own lowering of it, before any unit replays it.
         self.verify_programs = verify_programs
         self._programs: dict[tuple, object] = {}
+        #: Bindings the debug hook has verified; a binding goes with its
+        #: program.
+        self._verified: weakref.WeakSet = weakref.WeakSet()
         self._quarantined: set[tuple] = set()
         #: Guards the compiled-program cache, the quarantine set and the
         #: units themselves for a whole batch (the serving layer shares one
@@ -97,24 +105,27 @@ class VpuBackend:
 
     # -- compiled-program cache ----------------------------------------------
 
-    def _key(self, kind: str, n: int, q: int,
-             galois_k: int | None = None) -> tuple:
-        return (kind, n, self.m, None if kind == "auto" else q, galois_k)
+    def _key(self, kind: str, n: int, galois_k: int | None = None) -> tuple:
+        return (kind, n, self.m, galois_k)
 
-    def invalidate_program(self, kind: str, n: int, q: int,
+    def invalidate_program(self, kind: str, n: int, *,
                            galois_k: int | None = None) -> bool:
-        """Drop one cached compiled program (recompiled on next use) —
-        the integrity layer's first response to a failed check, since
-        the cached artifact itself may be the poisoned state."""
+        """Drop one cached compiled program and all its bindings.
+
+        It is recompiled and rebound on next use — the integrity layer's
+        first response to a failed check, since the cached artifact
+        itself may be the poisoned state."""
         with self._cache_lock:
-            return self._programs.pop(self._key(kind, n, q, galois_k),
+            return self._programs.pop(self._key(kind, n, galois_k),
                                       None) is not None
 
-    def quarantine_program(self, kind: str, n: int, q: int,
+    def quarantine_program(self, kind: str, n: int, *,
                            galois_k: int | None = None) -> None:
-        """Blacklist a compiled program: dropped now and refused later
+        """Blacklist a compiled program for every prime.
+
+        It is dropped now, bindings included, and refused later
         (:class:`ProgramQuarantinedError`) until :meth:`clear_caches`."""
-        key = self._key(kind, n, q, galois_k)
+        key = self._key(kind, n, galois_k)
         with self._cache_lock:
             self._programs.pop(key, None)
             self._quarantined.add(key)
@@ -137,64 +148,78 @@ class VpuBackend:
             self.program_cache_hits = 0
             self.program_cache_misses = 0
 
-    def _program(self, kind: str, n: int, q: int, galois_k: int | None = None):
+    def _program(self, kind: str, n: int, primes: tuple[int, ...],
+                 galois_k: int | None = None):
         """Fetch (or compile once) the program for one kernel shape.
 
-        Automorphism programs are pure permutations — independent of the
-        modulus — so their cache key drops ``q`` and one program serves
-        every limb of a batch.
+        The program serves every prime; under ``verify_programs`` its
+        binding to each of ``primes`` is interval-verified the first
+        time, before any unit replays it and before a fresh program is
+        cached.
         """
-        key = self._key(kind, n, q, galois_k)
+        key = self._key(kind, n, galois_k)
         with self._cache_lock:
             if key in self._quarantined:
                 raise ProgramQuarantinedError(
                     f"compiled program {key} is quarantined after detected "
                     f"corruption")
             prog = self._programs.get(key)
-            if prog is not None:
+            fresh = prog is None
+            if fresh:
+                self.program_cache_misses += 1
+                prog = self._compile(kind, n, galois_k)
+                # Decoded for the units that replay it: a program they
+                # refuse raises here, before it can enter the cache.
+                self.vpu.lower(prog)
+            else:
                 self.program_cache_hits += 1
-                return prog
-            self.program_cache_misses += 1
-            from repro.mapping import compile_automorphism
-            from repro.mapping.ntt import (
-                compile_negacyclic_intt,
-                compile_negacyclic_ntt,
-                compile_ntt,
-            )
-
-            if kind == "ntt":
-                prog = compile_negacyclic_ntt(n, self.m, q)
-            elif kind == "intt":
-                prog = compile_negacyclic_intt(n, self.m, q)
-            elif kind == "cyclic":
-                prog = compile_ntt(n, self.m, q)
-            elif kind == "auto":
-                perm = galois_eval_permutation(n, galois_k)
-                prog = compile_automorphism(perm, self.m)
-            else:  # pragma: no cover - internal misuse
-                raise ValueError(f"unknown kernel kind {kind!r}")
-            # Decoded for the units that replay it: a program they
-            # refuse raises here, before it can enter the cache.
-            self.vpu.lower(prog)
             if self.verify_programs:
-                # Walks the lowered form just kept on the program, the
-                # object every replay reuses; raises
-                # ProgramVerificationError before the program is cached.
-                from repro.analysis.program_check import check_program
-
-                check_program(prog, q=q, m=self.m).raise_on_error()
-                self.programs_verified += 1
-            self.program_compilations += 1
-            self._programs[key] = prog
+                self._verify(prog, primes)
+            if fresh:
+                self.program_compilations += 1
+                self._programs[key] = prog
         return prog
+
+    def _verify(self, prog, primes: tuple[int, ...]) -> None:
+        """Walk the lowered form kept on the program, the object every
+        replay reuses, under each new binding a replay will read; raises
+        ProgramVerificationError."""
+        from repro.analysis.program_check import check_program
+        from repro.core.vpu import bind_table
+
+        for q in dict.fromkeys(primes):
+            binding = bind_table(prog, q)
+            if binding not in self._verified:
+                check_program(prog, q=q, m=self.m).raise_on_error()
+                self._verified.add(binding)
+                self.programs_verified += 1
+
+    def _compile(self, kind: str, n: int, galois_k: int | None):
+        from repro.mapping import compile_automorphism
+        from repro.mapping.ntt import (
+            compile_negacyclic_intt,
+            compile_negacyclic_ntt,
+            compile_ntt,
+        )
+
+        if kind == "ntt":
+            return compile_negacyclic_ntt(n, self.m)
+        if kind == "intt":
+            return compile_negacyclic_intt(n, self.m)
+        if kind == "cyclic":
+            return compile_ntt(n, self.m)
+        if kind == "auto":
+            return compile_automorphism(galois_eval_permutation(n, galois_k),
+                                        self.m)
+        raise ValueError(f"unknown kernel kind {kind!r}")  # internal misuse
 
     # -- the backend protocol ----------------------------------------------
 
     def _replay(self, kind: str, values: np.ndarray, primes: tuple[int, ...],
                 pack, unpack, galois_k: int | None = None) -> np.ndarray:
-        """Run one cached program per limb: ``pack`` lays a limb out in
-        a unit's memory rows, ``unpack`` reads its result back from that
-        unit's memory."""
+        """Run the kernel's one cached program on every limb, each under
+        its own prime: ``pack`` lays a limb out in a unit's memory rows,
+        ``unpack`` reads its result back from that unit's memory."""
         values = np.asarray(values, dtype=np.uint64)
         if len(values) != len(primes):
             raise ValueError(f"{len(values)} rows for {len(primes)} primes")
@@ -203,11 +228,13 @@ class VpuBackend:
         # Each unit's modulus and memory are rebound per limb, so a batch
         # holds the units from its first limb to its last.
         with self._cache_lock:
+            if len(primes):
+                program = self._program(kind, n, primes, galois_k)
             for i, (limb, q) in enumerate(zip(values, primes)):
                 unit = self.units[i % len(self.units)]
                 self._prepare(unit, n, q)
                 unit.memory.data[:n // self.m] = pack(limb, self.m)
-                unit.execute(self._program(kind, n, q, galois_k))
+                unit.execute(program)
                 self.kernel_invocations += 1
                 out[i] = unpack(unit.memory, n)
         return out

@@ -36,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.arith.modular import mod_inverse
 from repro.core.isa import (
     Load,
     NttStage,
@@ -46,13 +45,12 @@ from repro.core.isa import (
     VMulTwiddle,
 )
 from repro.core.vpu import VectorMemory
-from repro.mapping.transpose import compile_tile_transpose
-from repro.ntt.bitrev import bit_reverse_indices
-from repro.ntt.constant_geometry import (
-    cg_dif_twiddles_for_root,
-    cg_dit_twiddles_for_root,
+from repro.mapping.transpose import (
+    compile_packed_transpose,
+    compile_tile_transpose,
 )
-from repro.ntt.tables import get_tables
+from repro.ntt.bitrev import bit_reverse_indices
+from repro.ntt.constant_geometry import cg_dif_exponents, cg_dit_exponents
 
 #: Working register 0 (every stage runs in place); transpose tiles use
 #: [2, 2+2m).
@@ -109,13 +107,9 @@ def _unpack(rows: np.ndarray, m: int) -> np.ndarray:
         # Ragged leaf: packed layout — row r', lane g*c + u holds
         # X[k1 + m*k2] with k1 = br_m(g*c + r'), k2 = br_c(u).
         c = rows.shape[0]
-        bitrev_c = bit_reverse_indices(c)
         out = np.empty(c * m, dtype=rows.dtype)
-        for r in range(c):
-            for g in range(m // c):
-                k1 = int(bitrev[g * c + r])
-                k2 = bitrev_c  # vector over u
-                out[k1 + m * k2] = rows[r][g * c:(g + 1) * c]
+        out[bitrev.reshape(m // c, c).T[:, :, None]
+            + m * bit_reverse_indices(c)] = rows.reshape(c, m // c, c)
         return out
     ntiles = rows.shape[0] // m
     out = np.empty(rows.shape[0] * m, dtype=rows.dtype)
@@ -138,20 +132,20 @@ def pack_ntt_values(values: np.ndarray, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Small (length-m) NTTs on the CG network
 # ---------------------------------------------------------------------------
+# A root is a ``psi``-exponent of the program's table: ``root^k`` is
+# ``root * k``.
 
 
-def compile_small_ntt(m: int, root: int, q: int, program: Program,
+def compile_small_ntt(m: int, root: int, program: Program,
                       data_reg: int = _R_WORK) -> None:
     """Emit a length-``m`` forward CG-DIF NTT on one register row.
 
-    Natural-order input across lanes; bit-reversed output.  Each stage is
-    one fused :class:`NttStage` (CG gather + paired-lane DIF butterfly in
-    a single cycle, as in Fig. 1c), in place in ``data_reg``.
+    ``root`` is the exponent of an order-``m`` root of unity.  Natural-
+    order input across lanes; bit-reversed output.  Each stage is one
+    fused :class:`NttStage` (CG gather + paired-lane DIF butterfly in a
+    single cycle, as in Fig. 1c), in place in ``data_reg``.
     """
-    log_m = m.bit_length() - 1
-    for stage in range(log_m):
-        twiddles = tuple(cg_dif_twiddles_for_root(m, root, q, stage))
-        program.append(NttStage("dif", data_reg, data_reg, twiddles))
+    compile_grouped_ntt(m, m, root, program, data_reg)
 
 
 def _group_shape(m: int, c: int) -> tuple[int, int]:
@@ -164,39 +158,40 @@ def _group_shape(m: int, c: int) -> tuple[int, int]:
     return c.bit_length() - 1, m // c
 
 
-def compile_grouped_ntt(m: int, c: int, root: int, q: int,
-                        program: Program, data_reg: int = _R_WORK) -> None:
+def compile_grouped_ntt(m: int, c: int, root: int, program: Program,
+                        data_reg: int = _R_WORK) -> None:
     """Emit ``m/c`` independent length-``c`` NTTs on one register row.
 
     The short-last-dimension mode of §IV-A: the CG network splits into
     ``m/c`` groups of size ``c``; every group transforms its own
     ``c``-element sub-vector (natural order in, bit-reversed out) with
-    the same stage sequence, keeping all lanes busy.
+    the same stage sequence, keeping all lanes busy.  ``root`` is the
+    exponent of an order-``c`` root of unity.  ``c = m`` is the
+    full-width transform of :func:`compile_small_ntt`.
     """
     log_c, groups = _group_shape(m, c)
     for stage in range(log_c):
-        per_group = cg_dif_twiddles_for_root(c, root, q, stage)
-        twiddles = tuple(per_group) * groups
-        program.append(NttStage("dif", data_reg, data_reg, twiddles,
-                                group_size=c))
+        row = program.twiddle_row(
+            [root * k for k in cg_dif_exponents(c, stage)] * groups)
+        program.append(NttStage("dif", data_reg, data_reg, row,
+                                group_size=c if c < m else None))
 
 
-def compile_grouped_intt(m: int, c: int, root_inv: int, q: int,
-                         program: Program, data_reg: int = _R_WORK,
-                         scale: bool = True) -> None:
+def compile_grouped_intt(m: int, c: int, root_inv: int, program: Program,
+                         data_reg: int = _R_WORK, scale: bool = True) -> None:
     """Inverse of :func:`compile_grouped_ntt` (bit-reversed in,
     natural out, per-group ``c^{-1}`` scaling)."""
     log_c, groups = _group_shape(m, c)
     for stage in range(log_c):
-        per_group = cg_dit_twiddles_for_root(c, root_inv, q, stage)
-        twiddles = tuple(per_group) * groups
-        program.append(NttStage("dit", data_reg, data_reg, twiddles,
-                                group_size=c))
+        row = program.twiddle_row(
+            [root_inv * k for k in cg_dit_exponents(c, stage)] * groups)
+        program.append(NttStage("dit", data_reg, data_reg, row,
+                                group_size=c if c < m else None))
     if scale:
-        program.append(VMulScalar(data_reg, data_reg, mod_inverse(c, q)))
+        program.append(VMulScalar(data_reg, data_reg, program.scalar_word(c)))
 
 
-def compile_small_intt(m: int, root_inv: int, q: int, program: Program,
+def compile_small_intt(m: int, root_inv: int, program: Program,
                        data_reg: int = _R_WORK, scale: bool = True) -> None:
     """Emit a length-``m`` inverse CG-DIT NTT on one register row.
 
@@ -204,12 +199,7 @@ def compile_small_intt(m: int, root_inv: int, q: int, program: Program,
     output.  Each stage is one fused :class:`NttStage` (paired-lane DIT
     butterfly + CG scatter); a final scalar multiply applies ``m^{-1}``.
     """
-    log_m = m.bit_length() - 1
-    for stage in range(log_m):
-        twiddles = tuple(cg_dit_twiddles_for_root(m, root_inv, q, stage))
-        program.append(NttStage("dit", data_reg, data_reg, twiddles))
-    if scale:
-        program.append(VMulScalar(data_reg, data_reg, mod_inverse(m, q)))
+    compile_grouped_intt(m, m, root_inv, program, data_reg, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +207,8 @@ def compile_small_intt(m: int, root_inv: int, q: int, program: Program,
 # ---------------------------------------------------------------------------
 
 
-def _check_decomposable(n: int, m: int) -> None:
-    """Validate an (n, m) pair for the executable compiler.
+def _program(n: int, m: int, label: str) -> Program:
+    """An empty program for an (n, m) pair the executable compiler takes.
 
     Any power-of-two ``n >= m`` compiles: full-width dimensions peel off
     until the remainder ``c < m``, which runs in the packed grouped-CG
@@ -230,39 +220,33 @@ def _check_decomposable(n: int, m: int) -> None:
         raise NttMappingError(
             f"N must be a power of two >= m; got N={n}, m={m}"
         )
+    return Program(label=f"{label}-{n} on {m} lanes", n=n)
 
 
-def compile_ntt(n: int, m: int, q: int) -> Program:
-    """Compile a full length-``n`` forward NTT (cyclic, root from the
-    cached tables) into a VPU program.
+def compile_ntt(n: int, m: int) -> Program:
+    """Compile a full length-``n`` forward NTT (cyclic, on ``omega =
+    psi^2``) into a VPU program for every prime.
 
     Expects memory rows ``[0, n/m)`` pre-filled via :func:`pack_for_ntt`;
     leaves the result in the recursive layout read back by
     :func:`unpack_ntt_result`.
     """
-    _check_decomposable(n, m)
-    tables = get_tables(n, q)
-    prog = Program(label=f"ntt-{n} on {m} lanes")
-    _emit_forward(prog, n, m, list(range(n // m)), tables.omega, q)
+    prog = _program(n, m, "ntt")
+    _emit_forward(prog, n, m, list(range(n // m)), 2)
     return prog
 
 
 def _emit_forward(prog: Program, n: int, m: int, rows: list[int],
-                  root: int, q: int) -> None:
+                  root: int) -> None:
     big_r = n // m
     bitrev = bit_reverse_indices(m)
-    dim_root = pow(root, big_r, q)  # order-m root for this dimension
-    # Inter-dimension twiddles omega^(k1 * jr) with k1 = br(p) advance by
-    # a fixed per-lane factor between consecutive rows, so one modexp per
-    # lane seeds an incremental accumulation instead of m modexps per row.
-    lane_step = [pow(root, int(bitrev[p]), q) for p in range(m)]
-    lane_tw = [1] * m
-    for addr in rows:
+    for i, addr in enumerate(rows):
         prog.append(Load(_R_WORK, addr))
-        compile_small_ntt(m, dim_root, q, prog)
+        compile_small_ntt(m, root * big_r, prog)  # order-m root
         if big_r > 1:
-            prog.append(VMulTwiddle(_R_WORK, _R_WORK, tuple(lane_tw)))
-            lane_tw = [t * s % q for t, s in zip(lane_tw, lane_step)]
+            # Inter-dimension twiddles omega^(k1 * jr), k1 = br(p).
+            prog.append(VMulTwiddle(_R_WORK, _R_WORK, prog.twiddle_row(
+                i * root * bitrev)))
         prog.append(Store(_R_WORK, addr))
     if big_r == 1:
         return
@@ -270,25 +254,21 @@ def _emit_forward(prog: Program, n: int, m: int, rows: list[int],
         # Ragged tail: a short last dimension of length c = big_r runs in
         # the packed layout (m/c grouped small NTTs per row, §IV-A).
         _emit_packed_transpose(prog, m, big_r, rows)
-        sub_root = pow(root, m, q)
         for addr in rows:
             prog.append(Load(_R_WORK, addr))
-            compile_grouped_ntt(m, big_r, sub_root, q, prog)
+            compile_grouped_ntt(m, big_r, root * m, prog)
             prog.append(Store(_R_WORK, addr))
         return
     _emit_tile_transposes(prog, m, rows)
     ntiles = big_r // m
-    sub_root = pow(root, m, q)
     for p1 in range(m):
         _emit_forward(prog, big_r, m, rows[p1 * ntiles:(p1 + 1) * ntiles],
-                      sub_root, q)
+                      root * m)
 
 
 def _emit_packed_transpose(prog: Program, m: int, c: int,
                            rows: list[int]) -> None:
     """Load a c-row window, packed-transpose in register, store back."""
-    from repro.mapping.transpose import compile_packed_transpose
-
     for r in range(c):
         prog.append(Load(_TILE_A + r, rows[r]))
     compile_packed_transpose(m, c, _TILE_A, _TILE_A + c, prog)
@@ -314,7 +294,18 @@ def _emit_tile_transposes(prog: Program, m: int, rows: list[int]) -> None:
             prog.append(Store(tile_b + p1, rows[p1 * ntiles + jrest]))
 
 
-def compile_negacyclic_ntt(n: int, m: int, q: int) -> Program:
+def _emit_psi_fold(prog: Program, n: int, m: int, sign: int) -> None:
+    """Multiply coefficient ``j`` by ``psi^(sign * j)``, row by row."""
+    rows = n // m
+    for r in range(rows):
+        # pack_for_ntt: row r, lane l holds x[l*rows + r].
+        row = prog.twiddle_row(sign * (np.arange(m) * rows + r))
+        prog.append(Load(_R_WORK, r))
+        prog.append(VMulTwiddle(_R_WORK, _R_WORK, row))
+        prog.append(Store(_R_WORK, r))
+
+
+def compile_negacyclic_ntt(n: int, m: int) -> Program:
     """Forward negacyclic NTT entirely on the VPU.
 
     Prepends the ``psi``-folding pass (one element-wise twiddle multiply
@@ -322,78 +313,52 @@ def compile_negacyclic_ntt(n: int, m: int, q: int) -> Program:
     transform, so the CKKS ring kernel runs without any host-side
     arithmetic.  Layout contract identical to :func:`compile_ntt`.
     """
-    _check_decomposable(n, m)
-    tables = get_tables(n, q)
-    prog = Program(label=f"negacyclic-ntt-{n} on {m} lanes")
-    rows = n // m
-    for r in range(rows):
-        # pack_for_ntt: row r, lane l holds x[l*rows + r].
-        tw = tuple(int(tables.psi_powers[(l * rows + r) % n])
-                   for l in range(m))
-        prog.append(Load(_R_WORK, r))
-        prog.append(VMulTwiddle(_R_WORK, _R_WORK, tw))
-        prog.append(Store(_R_WORK, r))
-    _emit_forward(prog, n, m, list(range(rows)), tables.omega, q)
+    prog = _program(n, m, "negacyclic-ntt")
+    _emit_psi_fold(prog, n, m, 1)
+    _emit_forward(prog, n, m, list(range(n // m)), 2)
     return prog
 
 
-def compile_negacyclic_intt(n: int, m: int, q: int) -> Program:
+def compile_negacyclic_intt(n: int, m: int) -> Program:
     """Inverse negacyclic NTT entirely on the VPU (cyclic inverse, then
     the ``psi^{-1}`` unfolding pass)."""
-    _check_decomposable(n, m)
-    tables = get_tables(n, q)
-    prog = Program(label=f"negacyclic-intt-{n} on {m} lanes")
-    rows = n // m
-    _emit_inverse(prog, n, m, list(range(rows)),
-                  mod_inverse(tables.omega, q), q)
-    for r in range(rows):
-        tw = tuple(int(tables.psi_inv_powers[(l * rows + r) % n])
-                   for l in range(m))
-        prog.append(Load(_R_WORK, r))
-        prog.append(VMulTwiddle(_R_WORK, _R_WORK, tw))
-        prog.append(Store(_R_WORK, r))
+    prog = _program(n, m, "negacyclic-intt")
+    _emit_inverse(prog, n, m, list(range(n // m)), -2)
+    _emit_psi_fold(prog, n, m, -1)
     return prog
 
 
-def compile_intt(n: int, m: int, q: int) -> Program:
+def compile_intt(n: int, m: int) -> Program:
     """Compile the inverse transform consuming :func:`compile_ntt`'s
     output layout and restoring the :func:`pack_for_ntt` layout."""
-    _check_decomposable(n, m)
-    tables = get_tables(n, q)
-    prog = Program(label=f"intt-{n} on {m} lanes")
-    _emit_inverse(prog, n, m, list(range(n // m)),
-                  mod_inverse(tables.omega, q), q)
+    prog = _program(n, m, "intt")
+    _emit_inverse(prog, n, m, list(range(n // m)), -2)
     return prog
 
 
 def _emit_inverse(prog: Program, n: int, m: int, rows: list[int],
-                  root_inv: int, q: int) -> None:
+                  root_inv: int) -> None:
     big_r = n // m
     bitrev = bit_reverse_indices(m)
     if 1 < big_r < m:
         # Ragged tail, mirrored: grouped inverse NTTs, then the packed
         # transpose (an involution — the same movement returns the
         # full-width layout).
-        sub_root_inv = pow(root_inv, m, q)
         for addr in rows:
             prog.append(Load(_R_WORK, addr))
-            compile_grouped_intt(m, big_r, sub_root_inv, q, prog)
+            compile_grouped_intt(m, big_r, root_inv * m, prog)
             prog.append(Store(_R_WORK, addr))
         _emit_packed_transpose(prog, m, big_r, rows)
     elif big_r > 1:
         ntiles = big_r // m
-        sub_root_inv = pow(root_inv, m, q)
         for p1 in range(m):
             _emit_inverse(prog, big_r, m, rows[p1 * ntiles:(p1 + 1) * ntiles],
-                          sub_root_inv, q)
+                          root_inv * m)
         _emit_tile_transposes(prog, m, rows)
-    dim_root_inv = pow(root_inv, big_r, q)
-    lane_step = [pow(root_inv, int(bitrev[p]), q) for p in range(m)]
-    lane_tw = [1] * m
-    for addr in rows:
+    for i, addr in enumerate(rows):
         prog.append(Load(_R_WORK, addr))
         if big_r > 1:
-            prog.append(VMulTwiddle(_R_WORK, _R_WORK, tuple(lane_tw)))
-            lane_tw = [t * s % q for t, s in zip(lane_tw, lane_step)]
-        compile_small_intt(m, dim_root_inv, q, prog)
+            prog.append(VMulTwiddle(_R_WORK, _R_WORK, prog.twiddle_row(
+                i * root_inv * bitrev)))
+        compile_small_intt(m, root_inv * big_r, prog)
         prog.append(Store(_R_WORK, addr))

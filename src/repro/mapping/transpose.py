@@ -17,6 +17,8 @@ throughput utilization below 100%.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.automorphism.controls import uniform_shift_controls
 from repro.core.isa import NetworkPass, Program
 from repro.core.network import NetworkConfig
@@ -60,6 +62,7 @@ def tile_transpose_pass_count(m: int) -> int:
     return 2 * m
 
 
+@lru_cache(maxsize=None)
 def group_shift_controls(m: int, group: int, amount: int):
     """Controls for a *group-local* cyclic shift: each block of ``group``
     lanes rotates internally by ``amount``.

@@ -10,6 +10,8 @@ These helpers exist for the software layers that *do* want natural order
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -22,17 +24,21 @@ def bit_reverse(value: int, bits: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def bit_reverse_indices(n: int) -> np.ndarray:
     """Return the length-``n`` bit-reversal permutation as an index array.
 
-    ``n`` must be a power of two.
+    ``n`` must be a power of two.  Cached per ``n``, so the array is
+    read-only.
     """
     if n <= 0 or n & (n - 1):
         raise ValueError(f"n must be a positive power of two, got {n}")
     bits = n.bit_length() - 1
+    i = np.arange(n, dtype=np.int64)
     indices = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        indices[i] = bit_reverse(i, bits)
+    for b in range(bits):
+        indices |= ((i >> b) & 1) << (bits - 1 - b)
+    indices.setflags(write=False)
     return indices
 
 

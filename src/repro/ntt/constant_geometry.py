@@ -18,6 +18,8 @@ output), and CG-DIT to :func:`intt_dit`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.ntt.bitrev import rotate_bits_left, rotate_bits_right
@@ -57,29 +59,29 @@ def dit_scatter_permutation(n: int) -> np.ndarray:
     return perm
 
 
-def cg_dif_twiddles_for_root(n: int, root: int, q: int, stage: int) -> list[int]:
-    """CG-DIF stage twiddles for an explicit order-``n`` root.
+@lru_cache(maxsize=None)
+def cg_dif_exponents(n: int, stage: int) -> tuple[int, ...]:
+    """CG-DIF stage twiddles as exponents ``k`` of an order-``n`` root.
+
+    Exponents, so one list serves any root: multi-dimensional
+    decomposition runs its small NTTs on roots like ``omega_N^(N/m)``,
+    which are fixed by the four-step algebra and cannot be swapped for
+    another primitive root of the same order.
 
     Butterfly ``j`` (pairing positions ``j`` and ``j + n/2``) corresponds
     to the GS butterfly at logical index ``i = ror^stage(j)``; its twiddle
     is ``root^((i mod L) * 2^stage)`` with ``L = n / 2^(stage+1)``.
-
-    The explicit-root form exists because multi-dimensional decomposition
-    runs its small NTTs on roots like ``omega_N^(N/m)``, which are fixed
-    by the four-step algebra and cannot be swapped for another primitive
-    root of the same order.
     """
     bits = n.bit_length() - 1
     half_block = n >> (stage + 1)  # GS "length" L at this stage
-    twiddles = []
-    for j in range(n // 2):
-        logical = rotate_bits_right(j, stage, bits)
-        twiddles.append(pow(root, (logical % half_block) << stage, q))
-    return twiddles
+    return tuple((rotate_bits_right(j, stage, bits) % half_block) << stage
+                 for j in range(n // 2))
 
 
-def cg_dit_twiddles_for_root(n: int, root_inv: int, q: int, stage: int) -> list[int]:
-    """CG-DIT stage twiddles for an explicit order-``n`` inverse root.
+@lru_cache(maxsize=None)
+def cg_dit_exponents(n: int, stage: int) -> tuple[int, ...]:
+    """CG-DIT stage twiddles as exponents ``k`` of an order-``n``
+    inverse root.
 
     Butterfly ``j`` reads adjacent positions ``(2j, 2j+1)``; the logical
     index is ``i = rol^stage(2j)`` and the twiddle is
@@ -88,21 +90,20 @@ def cg_dit_twiddles_for_root(n: int, root_inv: int, q: int, stage: int) -> list[
     bits = n.bit_length() - 1
     length = 1 << stage  # CT "length" at this stage
     step = n // (2 * length)
-    twiddles = []
-    for j in range(n // 2):
-        logical = rotate_bits_left(2 * j, stage, bits)
-        twiddles.append(pow(root_inv, (logical % length) * step, q))
-    return twiddles
+    return tuple((rotate_bits_left(2 * j, stage, bits) % length) * step
+                 for j in range(n // 2))
 
 
 def cg_dif_stage_twiddles(stage: int, tables: NttTables) -> list[int]:
     """Twiddles for CG-DIF stage ``stage`` using the tables' own root."""
-    return cg_dif_twiddles_for_root(tables.n, tables.omega, tables.q, stage)
+    return [pow(tables.omega, k, tables.q)
+            for k in cg_dif_exponents(tables.n, stage)]
 
 
 def cg_dit_stage_twiddles(stage: int, tables: NttTables) -> list[int]:
     """Twiddles for CG-DIT stage ``stage`` using the tables' own root."""
-    return cg_dit_twiddles_for_root(tables.n, tables.omega_inv, tables.q, stage)
+    return [pow(tables.omega_inv, k, tables.q)
+            for k in cg_dit_exponents(tables.n, stage)]
 
 
 def cg_dif_stage(x: list[int], stage: int, tables: NttTables) -> list[int]:

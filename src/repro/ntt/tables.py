@@ -76,13 +76,22 @@ class NttTables:
         self._dit_twiddles_flat: np.ndarray | None = None
         self._dif_twiddles_flat_shoup: np.ndarray | None = None
         self._dit_twiddles_flat_shoup: np.ndarray | None = None
+        self._psi_period: np.ndarray | None = None
 
     def _power_table(self, base: int, count: int, dtype) -> np.ndarray:
-        powers = np.empty(count, dtype=dtype)
-        value = 1
-        for i in range(count):
-            powers[i] = value if dtype is object else np.uint64(value)
-            value = value * base % self.q
+        # Doubling: with base**j filled for j < k, the next k powers are
+        # those times base**k.
+        q = self.q if dtype is object else np.uint64(self.q)
+        powers = np.ones(count, dtype=dtype)
+        filled, step = 1, base % self.q
+        while filled < count:
+            take = min(filled, count - filled)
+            factor = step if dtype is object else np.uint64(step)
+            out = powers[filled:filled + take]
+            np.multiply(powers[:take], factor, out=out)
+            np.remainder(out, q, out=out)
+            filled += take
+            step = step * step % self.q
         return powers
 
     def _stage_twiddles(self, powers: np.ndarray,
@@ -187,6 +196,17 @@ class NttTables:
         if self._psi_inv_ninv_shoup is None:
             self._psi_inv_ninv_shoup = self._shoup([self.psi_inv_ninv])[0]
         return self._psi_inv_ninv_shoup
+
+    @property
+    def psi_period(self) -> np.ndarray:
+        """``psi**e`` for ``e`` in ``[0, 2n)`` as uint64 (``psi**(n + j)
+        = -psi**j``): the table a VPU program's twiddles are gathered
+        from (:func:`repro.core.vpu.bind_table`)."""
+        if self._psi_period is None:
+            psi = self.psi_powers.astype(np.uint64)
+            self._psi_period = np.concatenate([psi, self.q - psi])
+            self._psi_period.setflags(write=False)
+        return self._psi_period
 
     def _concat(self, stages: list[np.ndarray]) -> np.ndarray:
         if not stages:  # n == 1: a zero-stage transform

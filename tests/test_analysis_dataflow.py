@@ -58,8 +58,8 @@ class TestCleanPrograms:
             compile_negacyclic_ntt
 
         q = find_ntt_prime(512, 28)
-        for program in (compile_negacyclic_ntt(256, 16, q),
-                        compile_negacyclic_intt(256, 16, q)):
+        for program in (compile_negacyclic_ntt(256, 16),
+                        compile_negacyclic_intt(256, 16)):
             report = check_dataflow(program, m=16)
             assert report.ok, list(report.findings)
             assert report.dead_at_exit == 0
@@ -173,7 +173,7 @@ class TestD005PortBudget:
         # walk must not demand dst be initialized.
         report = check_dataflow(_prog(
             Load(dst=0, addr=0),
-            VMulTwiddle(dst=1, a=0, twiddles=tuple(range(16))),
+            VMulTwiddle(dst=1, a=0, row=0),
             Store(src=1, addr=0),
         ), m=16)
         assert report.ok, list(report.findings)

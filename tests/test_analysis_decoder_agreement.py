@@ -2,8 +2,9 @@
 
 Each seeded program maps to three verdicts: the exact rule list of
 :func:`check_program` (interval pass), the exact rule list of
-:func:`check_dataflow` (def-use pass), and the exception type the VPU's
-strict lowering raises (``None``: the unit accepts the program).  A
+:func:`check_dataflow` (def-use pass), and the exception type the VPU
+raises before it runs the program — lowering it, or checking its bound
+table against the lowering (``None``: the unit runs it).  A
 finding belongs to exactly one pass, so no row names a defect twice.
 """
 
@@ -25,6 +26,7 @@ from repro.core.isa import (
     VMulTwiddle,
 )
 from repro.core.network import InterLaneNetwork, NetworkConfig
+from repro.core.vpu import bind_table
 from repro.mapping.ntt import compile_negacyclic_ntt, required_registers
 
 M = 16
@@ -44,17 +46,19 @@ class FakeWideRead(Instruction):
 
 
 def _phantom_read():
-    program = compile_negacyclic_ntt(256, M, find_ntt_prime(512, 28))
+    program = compile_negacyclic_ntt(256, M)
     program.instructions.append(Store(src=999, addr=0))
     return program, find_ntt_prime(512, 28), {}
 
 
 def _twiddle_program(twiddles, q=Q, **options):
-    return Program(label="twiddle", instructions=[
+    program = Program(label="twiddle", instructions=[
         Load(dst=0, addr=0),
-        VMulTwiddle(dst=1, a=0, twiddles=tuple(twiddles)),
+        VMulTwiddle(dst=1, a=0, row=0),
         Store(src=1, addr=0),
-    ]), q, options
+    ])
+    bind_table(program, q, twiddles=twiddles)
+    return program, q, options
 
 
 def _three_reads():
@@ -114,9 +118,10 @@ def test_passes_and_lowering_agree(case, monkeypatch):
     report = check_dataflow(program, m=M)
     assert [f.rule for f in report.findings] == dataflow_rules
     program, _, _ = build()
-    unit = VectorProcessingUnit(m=M, regfile_entries=required_registers(M))
+    unit = VectorProcessingUnit(m=M, q=q,
+                                regfile_entries=required_registers(M))
     if raises is None:
-        unit._lower(program.instructions)
+        unit.execute(program)
     else:
         with pytest.raises(raises):
-            unit._lower(program.instructions)
+            unit.execute(program)

@@ -28,7 +28,7 @@ class TestUninitializedReadMutation:
     """Drop-in compiler bug: an instruction reads a phantom register."""
 
     def _program(self) -> Program:
-        return compile_negacyclic_ntt(256, 16, find_ntt_prime(512, 28))
+        return compile_negacyclic_ntt(256, 16)
 
     def test_clean_program_has_zero_findings(self):
         report = check_dataflow(self._program(), m=16)

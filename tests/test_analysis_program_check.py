@@ -10,6 +10,7 @@ from repro.analysis.program_check import (
 )
 from repro.arith.primes import find_ntt_prime
 from repro.core.isa import Load, Program, Store, VMulTwiddle
+from repro.core.vpu import bind_table
 from repro.fhe.backend import VpuBackend
 from repro.mapping.ntt import compile_negacyclic_intt, compile_negacyclic_ntt
 
@@ -18,22 +19,29 @@ N = 64
 Q = find_ntt_prime(2 * N, 28)
 
 
+def _one_twiddle_row(label, q, twiddles):
+    """Load, multiply by one hand-bound twiddle row under ``q``, store."""
+    program = Program(label=label, instructions=[
+        Load(dst=0, addr=0),
+        VMulTwiddle(dst=1, a=0, row=0),
+        Store(src=1, addr=0),
+    ])
+    bind_table(program, q, twiddles=twiddles)
+    return program
+
+
 class TestCheckProgram:
     @pytest.mark.parametrize("compiler", [compile_negacyclic_ntt,
                                           compile_negacyclic_intt])
     def test_compiled_ntt_programs_verify_clean(self, compiler):
-        program = compiler(N, M, Q)
+        program = compiler(N, M)
         report = check_program(program, q=Q, m=M)
         assert report.ok, [str(f) for f in report.findings]
         assert report.instructions == len(list(program))
         assert 0 < report.max_intermediate < Q * Q
 
     def test_unreduced_twiddle_flagged(self):
-        program = Program(label="bad-twiddle", instructions=[
-            Load(dst=0, addr=0),
-            VMulTwiddle(dst=1, a=0, twiddles=tuple([Q] * M)),  # == q, not < q
-            Store(src=1, addr=0),
-        ])
+        program = _one_twiddle_row("bad-twiddle", Q, [Q] * M)  # not < q
         report = check_program(program, q=Q, m=M)
         assert not report.ok
         assert any(f.rule == "P003" for f in report.findings)
@@ -49,11 +57,7 @@ class TestCheckProgram:
         """Lazy (< 2q) inputs into a twiddle product overflow the
         Barrett precondition when q is at the vectorized ceiling."""
         q = find_ntt_prime(2 * N, 31)
-        program = Program(label="lazy-in", instructions=[
-            Load(dst=0, addr=0),
-            VMulTwiddle(dst=1, a=0, twiddles=tuple([q - 1] * M)),
-            Store(src=1, addr=0),
-        ])
+        program = _one_twiddle_row("lazy-in", q, [q - 1] * M)
         clean = check_program(program, q=q, m=M)
         assert clean.ok
         lazy_in = check_program(program, q=q, m=M, input_bound=2 * q - 1)
@@ -97,11 +101,7 @@ class TestBackendVerifyHook:
 
     def test_bad_program_never_enters_cache(self):
         backend = VpuBackend(m=M, verify_programs=True)
-        bad = Program(label="bad", instructions=[
-            Load(dst=0, addr=0),
-            VMulTwiddle(dst=1, a=0, twiddles=tuple([Q] * M)),
-            Store(src=1, addr=0),
-        ])
+        bad = _one_twiddle_row("bad", Q, [Q] * M)
 
         def compile_bad(*args, **kwargs):
             return bad
@@ -111,7 +111,7 @@ class TestBackendVerifyHook:
         mapping_ntt.compile_negacyclic_ntt = compile_bad
         try:
             with pytest.raises(ProgramVerificationError):
-                backend._program("ntt", N, Q)
+                backend._program("ntt", N, (Q,))
         finally:
             mapping_ntt.compile_negacyclic_ntt = original
         assert not backend._programs  # nothing cached
@@ -128,15 +128,15 @@ class TestBackendVerifyHook:
                 Load(dst=entries, addr=0), Store(src=entries, addr=0)]))
         backend = VpuBackend(m=M, verify_programs=True)
         with pytest.raises(IndexError):
-            backend._program("ntt", N, Q)
+            backend._program("ntt", N, (Q,))
         assert not backend._programs
 
     def test_replay_reuses_the_verified_lowering(self):
         backend = VpuBackend(m=M, verify_programs=True)
-        program = backend._program("ntt", N, Q)
+        program = backend._program("ntt", N, (Q,))
         (lowered,) = program.lowered.values()  # one decode, verified
         coeffs = np.arange(N, dtype=np.uint64)[None, :]
         backend.forward_ntt_batch(coeffs, (Q,))
-        assert backend._program("ntt", N, Q) is program
+        assert backend._program("ntt", N, (Q,)) is program
         (replayed,) = program.lowered.values()
         assert replayed is lowered

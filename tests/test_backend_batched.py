@@ -113,19 +113,21 @@ class TestRnsPolyVectorizedOps:
 
 
 class TestVpuProgramCache:
-    """Compiled programs are keyed on (kernel, n, m, q) and replayed."""
+    """Compiled programs are keyed on (kernel, n, m), bound per prime
+    and replayed."""
 
-    def test_repeated_ntt_workload_compiles_once_per_prime(self):
+    def test_repeated_ntt_workload_compiles_once(self):
         backend = VpuBackend(m=16)
         x = residue_stack(8)
         repeats = 6
         for _ in range(repeats):
             backend.forward_ntt_batch(x, PRIMES)
         assert backend.kernel_invocations == repeats * len(PRIMES)
-        # One compile per distinct prime, replayed for every other limb
-        # dispatch: >= 5x fewer compiles than invocations.
-        assert backend.program_compilations == len(PRIMES)
-        assert backend.kernel_invocations >= 5 * backend.program_compilations
+        # One compile for the kernel shape, bound to every prime and
+        # replayed for every limb dispatch.
+        assert backend.program_compilations == 1
+        (program,) = backend._programs.values()
+        assert sorted(program.bound) == sorted(PRIMES)
 
     def test_automorphism_program_shared_across_limbs(self):
         backend = VpuBackend(m=16)

@@ -231,8 +231,7 @@ class TestSpansCannotDangle:
 
     def test_degrade_over_quarantined_programs(self):
         inner = VpuBackend(m=M)
-        for q in PRIMES:
-            inner.quarantine_program("ntt", N, q)
+        inner.quarantine_program("ntt", N)
         backend = IntegrityBackend(inner, "degrade")
         x = _rows(PRIMES)
         with use_backend(backend), observe() as obs:

@@ -87,7 +87,7 @@ class TestPlanCache:
 class TestVpuProgramCache:
     def test_single_compile_under_concurrency(self):
         backend = VpuBackend(m=16)
-        results = _hammer(lambda: backend._program("ntt", 64, Q),
+        results = _hammer(lambda: backend._program("ntt", 64, (Q,)),
                           per_thread=5)
         instances = {id(p) for batch in results for p in batch}
         assert len(instances) == 1

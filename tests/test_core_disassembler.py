@@ -25,9 +25,9 @@ class TestDisassembler:
             VSub(3, 0, 1),
             VMul(4, 0, 1),
             VMulScalar(5, 0, 7),
-            VMulTwiddle(6, 0, tuple(range(8))),
-            Butterfly("dif", 7, 0, (1, 2, 3, 4)),
-            NttStage("dit", 0, 0, (1, 2, 3, 4), group_size=4),
+            VMulTwiddle(6, 0, 8),
+            Butterfly("dif", 7, 0, 4),
+            NttStage("dit", 0, 0, 4, group_size=4),
             NetworkPass(1, 0, NetworkConfig(cg="dif")),
             NetworkPass(1, 0, NetworkConfig(shift=affine_controls(8, 3)),
                         src_rot=2, src_window=8),
@@ -39,7 +39,7 @@ class TestDisassembler:
         assert "r2 = r0 + r1" in text
         assert "r3 = r0 - r1" in text
         assert "r4 = r0 * r1" in text
-        assert "r5 = r0 * 7" in text
+        assert "r5 = r0 * s[7]" in text
         assert "tw[8]" in text
         assert "bfly.dif" in text
         assert "nttstage.dit" in text and "/g4" in text
@@ -49,13 +49,13 @@ class TestDisassembler:
         assert "mem[6] = r0" in text
 
     def test_limit_truncates(self):
-        prog = compile_ntt(64, 8, 998244353)
+        prog = compile_ntt(64, 8)
         text = prog.disassemble(limit=5)
         assert "more" in text
         assert text.count("\n") <= 8
 
     def test_full_listing_length(self):
-        prog = compile_ntt(64, 8, 998244353)
+        prog = compile_ntt(64, 8)
         text = prog.disassemble()
         # Header + one line per instruction.
         assert text.count("\n") == len(prog)

@@ -24,6 +24,7 @@ from repro.core import (
     VMul,
     VMulScalar,
 )
+from repro.core.vpu import bind_table
 from repro.fault import FaultInjector
 from repro.mapping import compile_automorphism, required_registers
 from repro.mapping.ntt import compile_negacyclic_intt, compile_negacyclic_ntt
@@ -72,9 +73,9 @@ SHAPES = [(4, 8), (4, 16), (4, 32), (4, 64), (16, 64), (16, 256), (16, 512),
 def test_compiled_programs_replay_alike(kind, m, n):
     q = find_ntt_prime(2 * n, 28)
     if kind == "ntt":
-        programs = [compile_negacyclic_ntt(n, m, q)]
+        programs = [compile_negacyclic_ntt(n, m)]
     elif kind == "intt":
-        programs = [compile_negacyclic_intt(n, m, q)]
+        programs = [compile_negacyclic_intt(n, m)]
     else:
         programs = [compile_automorphism(galois_eval_permutation(n, k), m)
                     for k in (5, 2 * n - 1)]
@@ -86,21 +87,23 @@ def test_a_modulus_above_the_uint64_multiplier_replays_alike():
     n, m = 256, 16
     q = find_ntt_prime(2 * n, 32)
     assert q >= 1 << 31
-    for program in (compile_negacyclic_ntt(n, m, q),
-                    compile_negacyclic_intt(n, m, q)):
+    for program in (compile_negacyclic_ntt(n, m),
+                    compile_negacyclic_intt(n, m)):
         _both_paths(program, m, q, required_registers(m), n // m)
 
 
 # -- hazards of the renaming --------------------------------------------------
 
 M = 8
+#: The hazard programs' hand-bound scalar words.
+SCALARS = (3, 5, 2, 4, 7)
 DIAGONAL = NetworkPass(5, 0, NetworkConfig(shift=uniform_shift_controls(M, 3)),
                        src_rot=1, src_window=4)
 HAZARDS = {
     # Two strands share r0; their scalars run in one wave.
     "register reused across strands": [
-        Load(0, 0), VMulScalar(0, 0, 3), Store(0, 0),
-        Load(0, 1), VMulScalar(0, 0, 5), Store(0, 1)],
+        Load(0, 0), VMulScalar(0, 0, 0), Store(0, 0),
+        Load(0, 1), VMulScalar(0, 0, 1), Store(0, 1)],
     "store then load of one row": [
         Load(0, 0), VAdd(1, 0, 0), Store(1, 1), Load(2, 1), VMul(3, 2, 2),
         Store(3, 0)],
@@ -108,8 +111,8 @@ HAZARDS = {
     # own level, after it in program order.
     "diagonal read of registers written in one level": [
         Load(0, 0), Load(1, 1), Load(2, 2), Load(3, 3),
-        VMulScalar(0, 0, 2), VMulScalar(1, 1, 3), VMulScalar(2, 2, 4),
-        VMulScalar(3, 3, 5), DIAGONAL, VMulScalar(1, 2, 7), Store(5, 0),
+        VMulScalar(0, 0, 2), VMulScalar(1, 1, 0), VMulScalar(2, 2, 3),
+        VMulScalar(3, 3, 1), DIAGONAL, VMulScalar(1, 2, 4), Store(5, 0),
         Store(1, 1)],
     "load of a row never written": [
         Load(0, 3), VAdd(1, 0, 4), Store(1, 2)],
@@ -123,6 +126,7 @@ HAZARDS = {
 @pytest.mark.parametrize("name", HAZARDS)
 def test_hazard_programs(name):
     program = Program(list(HAZARDS[name]))
+    bind_table(program, Q, scalars=SCALARS)
     vpu, regs, mem = _both_paths(program, M, Q, entries=6, rows=4, seed=1)
     regs, mem = regs.tolist(), mem.tolist()
     oracle(program, regs, mem, M, Q)

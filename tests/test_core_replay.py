@@ -37,7 +37,7 @@ from repro.core import (
     VSub,
 )
 from repro.core.stages import MuxConflictError
-from repro.core.vpu import ExecutionStats
+from repro.core.vpu import ExecutionStats, bind_table
 from repro.fault import FaultInjector, FaultSpec
 from repro.fhe.backend import VpuBackend, use_backend
 from repro.mapping import (
@@ -62,7 +62,13 @@ MODULI = (268369921, (1 << 31) - 1, 2147483659)
 
 
 def oracle(program, regs, mem, m, q):
-    """The ISA on lists of Python ints (all values below ``q``)."""
+    """The ISA on lists of Python ints (all values below ``q``), with
+    the program's constant table bound to ``q``."""
+    table = bind_table(program, q)
+    words, scalars = table.twiddles.tolist(), table.scalars.tolist()
+
+    def twiddles(i, width):
+        return words[i.row:i.row + width]
 
     def cg(x, kind, g):
         out, h = [], (g or m) // 2
@@ -98,16 +104,16 @@ def oracle(program, regs, mem, m, q):
         elif kind is VMul:
             regs[i.dst] = [a * b % q for a, b in zip(regs[i.a], regs[i.b])]
         elif kind is VMulScalar:
-            regs[i.dst] = [a * i.scalar % q for a in regs[i.a]]
+            regs[i.dst] = [a * scalars[i.word] % q for a in regs[i.a]]
         elif kind is VMulTwiddle:
-            regs[i.dst] = [a * w % q for a, w in zip(regs[i.a], i.twiddles)]
+            regs[i.dst] = [a * w % q for a, w in zip(regs[i.a], twiddles(i, m))]
         elif kind is Butterfly:
-            regs[i.dst] = butterfly(regs[i.src], i.kind, i.twiddles)
+            regs[i.dst] = butterfly(regs[i.src], i.kind, twiddles(i, m // 2))
         elif kind is NttStage and i.kind == "dif":
             regs[i.dst] = butterfly(cg(regs[i.src], "dif", i.group_size),
-                                    "dif", i.twiddles)
+                                    "dif", twiddles(i, m // 2))
         elif kind is NttStage:
-            regs[i.dst] = cg(butterfly(regs[i.src], "dit", i.twiddles),
+            regs[i.dst] = cg(butterfly(regs[i.src], "dit", twiddles(i, m // 2)),
                              "dit", i.group_size)
         elif kind is NetworkPass:
             row = regs[i.src] if i.src_rot is None else [
@@ -121,11 +127,21 @@ def oracle(program, regs, mem, m, q):
 
 
 def random_program(rng: random.Random, m: int, q: int, length: int) -> Program:
+    """A random program with a hand-bound table under ``q``: twiddles
+    below ``q``, scalars below ``q`` or any 64-bit word (then the table
+    is not reduced and the lock-step lanes divide)."""
+    words, scalars, scalar_bound = [], [], rng.choice([q, 1 << 64])
+
     def reg():
         return rng.randrange(REGS)
 
     def twiddles(count):
-        return tuple(rng.randrange(q) for _ in range(count))
+        words.extend(rng.randrange(q) for _ in range(count))
+        return len(words) - count
+
+    def word():
+        scalars.append(rng.randrange(scalar_bound))
+        return len(scalars) - 1
 
     def group():
         return rng.choice([None] + [1 << b for b in range(1, m.bit_length())])
@@ -148,7 +164,7 @@ def random_program(rng: random.Random, m: int, q: int, length: int) -> Program:
         lambda: VAdd(reg(), reg(), reg()),
         lambda: VSub(reg(), reg(), reg()),
         lambda: VMul(reg(), reg(), reg()),
-        lambda: VMulScalar(reg(), reg(), rng.randrange(1 << 64)),
+        lambda: VMulScalar(reg(), reg(), word()),
         lambda: VMulTwiddle(reg(), reg(), twiddles(m)),
         lambda: Butterfly(rng.choice(["dif", "dit"]), reg(), reg(),
                           twiddles(m // 2)),
@@ -159,7 +175,9 @@ def random_program(rng: random.Random, m: int, q: int, length: int) -> Program:
         lambda: Load(reg(), rng.randrange(ROWS)),
         lambda: Store(reg(), rng.randrange(ROWS)),
     ]
-    return Program([rng.choice(makers)() for _ in range(length)])
+    program = Program([rng.choice(makers)() for _ in range(length)])
+    bind_table(program, q, twiddles=words, scalars=scalars)
+    return program
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,14 +313,13 @@ class TestLoweredLifetime:
     def test_a_faulted_lowering_builds_no_schedule(self):
         from repro.analysis.program_check import decode
 
-        program = Program([Load(0, 0), VMulTwiddle(1, 0, (1, 2, 3)),
-                           VAdd(2, 1, 1)])
+        program = Program([Load(0, 0), VAdd(1, 0, 12), VAdd(2, 1, 1)])
         lowered, faults = decode(program, 4)
-        assert list(faults) == [(1, "twiddles")]
+        assert list(faults) == [(1, "registers")]
         assert lowered.lockstep is None and not program.lowered
         vpu = VectorProcessingUnit(m=4, q=97, regfile_entries=10,
                                    memory_rows=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             vpu.execute(program)
         assert lowered.lockstep is None and not program.lowered
 
@@ -333,18 +350,20 @@ class TestLoweredLifetime:
         assert all(program.lowered[key] is lowered[key] for key in lowered)
 
     def test_scalar_resolves_against_the_bound_modulus(self):
-        program = Program([VMulScalar(1, 0, 1000)])
+        """A scalar word is ``k^{-1}`` under whichever prime is bound."""
+        program = Program([VMulScalar(1, 0, 0)], scalars=[1000])
         vpu = VectorProcessingUnit(m=4, q=97, regfile_entries=2, memory_rows=1)
         for q in (97, 13):
             vpu.set_modulus(q)
             vpu.regfile.data[0] = [1, 2, 3, 4]
             vpu.execute(program)
             assert vpu.regfile.data[1].tolist() == [
-                v * 1000 % q for v in (1, 2, 3, 4)]
+                v * pow(1000, -1, q) % q for v in (1, 2, 3, 4)]
+        assert sorted(program.bound) == [13, 97]
 
     @pytest.mark.parametrize("drop", [
-        lambda backend, q: backend.invalidate_program("ntt", 64, q),
-        lambda backend, q: backend.quarantine_program("ntt", 64, q),
+        lambda backend, q: backend.invalidate_program("ntt", 64),
+        lambda backend, q: backend.quarantine_program("ntt", 64),
         lambda backend, q: backend.clear_caches(),
     ])
     def test_dropping_the_program_drops_its_lowered_form(self, drop):
@@ -353,11 +372,13 @@ class TestLoweredLifetime:
         backend.forward_ntt_batch(np.zeros((1, 64), dtype=np.uint64), (q,))
         (program,) = backend._programs.values()
         (lowered,) = program.lowered.values()
-        refs = [weakref.ref(lowered), weakref.ref(lowered.lockstep)]
-        del program, lowered
+        (binding,) = program.bound.values()
+        refs = [weakref.ref(lowered), weakref.ref(lowered.lockstep),
+                weakref.ref(binding)]
+        del program, lowered, binding
         drop(backend, q)
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
 
 
 # -- what a raising replay books ----------------------------------------------
@@ -383,8 +404,8 @@ class TestExceptionBooking:
     @pytest.mark.parametrize("bad, error", [
         (VAdd(4, 0, 1), IndexError),                  # register range
         (VAdd(0, 0, 9), IndexError),
-        (VMulTwiddle(0, 1, (1, 2, 3)), ValueError),   # twiddle length
-        (Butterfly("dif", 0, 1, (1,)), ValueError),
+        (VMulTwiddle(0, 1, 0), ValueError),      # past the bound table
+        (Butterfly("dif", 0, 1, 0), ValueError),
         (NetworkPass(0, 2, NetworkConfig(), src_rot=0, src_window=3),
          IndexError),                                 # diagonal window
     ])
@@ -456,9 +477,8 @@ def test_dormant_injector_sees_the_parent_commits_fault_points():
 def test_route_is_the_mux_model_for_every_compiled_config(m, sizes):
     configs = set()
     for n in sizes:
-        q = find_ntt_prime(2 * n, 28)
-        programs = [compile_negacyclic_ntt(n, m, q),
-                    compile_negacyclic_intt(n, m, q)]
+        programs = [compile_negacyclic_ntt(n, m),
+                    compile_negacyclic_intt(n, m)]
         programs += [compile_automorphism(galois_eval_permutation(n, k), m)
                      for k in (5, 25, 2 * n - 1)]
         for instr in (i for program in programs for i in program):
@@ -490,7 +510,7 @@ def test_large_negacyclic_ntt_executes_to_the_cycle_model(log_n):
                                memory_rows=n // m)
     x = np.random.default_rng(log_n).integers(0, q, n, dtype=np.uint64)
     vpu.memory.data[:] = pack_for_ntt(x, m)
-    stats = vpu.execute(compile_negacyclic_ntt(n, m, q))
+    stats = vpu.execute(compile_negacyclic_ntt(n, m))
     assert np.array_equal(unpack_ntt_result(vpu.memory, n, m),
                           NegacyclicNtt(n, q).forward(x))
     model = ntt_cycle_model(n, m)

@@ -19,6 +19,7 @@ from repro.core import (
     VSub,
     VectorProcessingUnit,
 )
+from repro.core.vpu import bind_table
 from repro.ntt.tables import get_tables
 
 Q = 998244353
@@ -26,6 +27,13 @@ Q = 998244353
 
 def fresh_vpu(m=8, q=Q, **kw):
     return VectorProcessingUnit(m=m, q=q, **kw)
+
+
+def hand_bound(instructions, twiddles=(), scalars=(), q=Q):
+    """A program whose constant table is bound to ``q`` by hand."""
+    program = Program(instructions)
+    bind_table(program, q, twiddles=list(twiddles), scalars=list(scalars))
+    return program
 
 
 class TestRegisterFile:
@@ -78,7 +86,8 @@ class TestElementwiseOps:
         a = np.arange(8, dtype=np.uint64)
         tw = tuple(range(10, 18))
         vpu.regfile.write(0, a)
-        vpu.execute(Program([VMulScalar(1, 0, 7), VMulTwiddle(2, 0, tw)]))
+        vpu.execute(hand_bound([VMulScalar(1, 0, 0), VMulTwiddle(2, 0, 0)],
+                               twiddles=tw, scalars=[7]))
         np.testing.assert_array_equal(vpu.regfile.read(1), a * 7 % Q)
         np.testing.assert_array_equal(vpu.regfile.read(2),
                                       a * np.array(tw, dtype=np.uint64) % Q)
@@ -86,7 +95,7 @@ class TestElementwiseOps:
     def test_twiddle_length_check(self):
         vpu = fresh_vpu()
         with pytest.raises(ValueError):
-            vpu.execute(Program([VMulTwiddle(1, 0, (1, 2, 3))]))
+            vpu.execute(hand_bound([VMulTwiddle(1, 0, 0)], twiddles=(1, 2, 3)))
 
     def test_wide_modulus_scalar_path(self):
         from repro.arith import find_ntt_prime
@@ -106,7 +115,7 @@ class TestButterfly:
         x = np.arange(8, dtype=np.uint64)
         tw = (3, 5, 7, 11)
         vpu.regfile.write(0, x)
-        vpu.execute(Program([Butterfly("dif", 1, 0, tw)]))
+        vpu.execute(hand_bound([Butterfly("dif", 1, 0, 0)], twiddles=tw))
         out = vpu.regfile.read(1)
         for j in range(4):
             u, v = int(x[2 * j]), int(x[2 * j + 1])
@@ -118,7 +127,7 @@ class TestButterfly:
         x = np.arange(8, dtype=np.uint64)
         tw = (3, 5, 7, 11)
         vpu.regfile.write(0, x)
-        vpu.execute(Program([Butterfly("dit", 1, 0, tw)]))
+        vpu.execute(hand_bound([Butterfly("dit", 1, 0, 0)], twiddles=tw))
         out = vpu.regfile.read(1)
         for j in range(4):
             u, v = int(x[2 * j]), int(x[2 * j + 1])
@@ -128,12 +137,12 @@ class TestButterfly:
 
     def test_kind_check(self):
         with pytest.raises(ValueError):
-            Butterfly("xxx", 1, 0, (1,))
+            Butterfly("xxx", 1, 0, 0)
 
     def test_twiddle_count_check(self):
         vpu = fresh_vpu()
         with pytest.raises(ValueError):
-            vpu.execute(Program([Butterfly("dif", 1, 0, (1, 2))]))
+            vpu.execute(hand_bound([Butterfly("dif", 1, 0, 0)], twiddles=(1, 2)))
 
 
 class TestMemoryAndNetwork:
@@ -169,15 +178,14 @@ class TestMemoryAndNetwork:
 class TestStats:
     def test_resource_accounting(self):
         vpu = fresh_vpu()
-        tw = tuple([1] * 4)
-        prog = Program([
+        prog = hand_bound([
             VAdd(2, 0, 1),
             VMul(3, 0, 1),
-            Butterfly("dif", 4, 0, tw),
+            Butterfly("dif", 4, 0, 0),
             NetworkPass(5, 0, NetworkConfig()),
             Load(6, 0),
             Store(6, 1),
-        ])
+        ], twiddles=[1] * 4)
         stats = vpu.run_fresh(prog)
         assert stats.cycles == 6
         assert stats.multiplier_busy == 2  # VMul + Butterfly
@@ -197,7 +205,7 @@ class TestStats:
 
         vpu = fresh_vpu(64, regfile_entries=required_registers(64),
                         memory_rows=64)
-        stats = vpu.run_fresh(compile_ntt(4096, 64, Q))
+        stats = vpu.run_fresh(compile_ntt(4096, 64))
         assert (stats.compute_busy, stats.cycles) == (832, 1344)
         assert stats.compute_utilization() == 832 / 1344
 

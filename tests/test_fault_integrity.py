@@ -380,7 +380,7 @@ class TestDegradation:
     def test_module_clear_caches_clears_active_backend(self):
         inner = VpuBackend(M)
         backend = IntegrityBackend(inner, "retry")
-        inner.quarantine_program("ntt", N, PRIMES[0])
+        inner.quarantine_program("ntt", N)
         backend.forward_ntt_batch(_rows()[1:], PRIMES[1:])
         accs, digits, ksk, keep = _synthetic_keyswitch()
         assert backend.check_keyswitch_accumulation(

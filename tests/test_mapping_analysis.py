@@ -4,7 +4,6 @@ reports them from the lowered steps' def-use model."""
 import pytest
 
 from repro.analysis.dataflow import check_dataflow
-from repro.arith.primes import find_ntt_prime
 from repro.automorphism import paper_sigma
 from repro.automorphism.mapping import galois_eval_permutation
 from repro.core import (
@@ -68,7 +67,7 @@ class TestAnalyzeBasics:
         # consumes only `a`: r1 is defined, never live before it.
         prog = Program([
             Load(0, 0),
-            VMulTwiddle(1, 0, tuple(range(16))),
+            VMulTwiddle(1, 0, 0),
             Store(1, 0),
         ])
         a, _ = facts(prog)
@@ -95,12 +94,12 @@ class TestCompiledPrograms:
     def test_ntt_fits_declared_register_budget(self, m, n):
         """The compiler's required_registers() promise holds for every
         compiled program, square or ragged."""
-        a, _ = facts(compile_ntt(n, m, Q), m)
+        a, _ = facts(compile_ntt(n, m), m)
         assert a.register_pressure <= required_registers(m)
 
     def test_ntt_memory_footprint(self):
         m, n = 8, 512
-        a, _ = facts(compile_ntt(n, m, Q), m)
+        a, _ = facts(compile_ntt(n, m), m)
         assert a.memory_footprint_rows == n // m
 
     def test_automorphism_reads_and_writes_disjoint_regions(self):
@@ -117,7 +116,7 @@ class TestCompiledPrograms:
     def test_paper_shapes(self, kind, expected):
         """The register file and scratchpad the m = 64 programs of the
         paper's Table III need, at n = 4096."""
-        program = (compile_ntt(4096, 64, Q) if kind == "ntt" else
+        program = (compile_ntt(4096, 64) if kind == "ntt" else
                    compile_automorphism(paper_sigma(4096, 3), 64))
         a, stats = facts(program, 64)
         assert (a.register_pressure, a.peak_live_registers,
@@ -161,7 +160,6 @@ def _sweep():
 
 @pytest.mark.parametrize("kind, m, n", list(_sweep()))
 def test_def_use_facts_match_the_port_model(kind, m, n):
-    q = find_ntt_prime(2 * n, 28)
     if kind == "auto":
         programs = [compile_automorphism(galois_eval_permutation(n, k), m)
                     for k in (5, 2 * n - 1)]
@@ -169,7 +167,7 @@ def test_def_use_facts_match_the_port_model(kind, m, n):
         compile_ = {"ntt": compile_ntt, "intt": compile_intt,
                     "nntt": compile_negacyclic_ntt,
                     "nintt": compile_negacyclic_intt}[kind]
-        programs = [compile_(n, m, q)]
+        programs = [compile_(n, m)]
     for program in programs:
         a, stats = facts(program, m)
         assert (a.register_pressure, a.peak_live_registers,

@@ -20,12 +20,11 @@ Q = 998244353
 
 def run(m, c, x, forward=True, also_inverse=False):
     vpu = VectorProcessingUnit(m=m, q=Q)
-    t = get_tables(c, Q)
-    prog = Program()
+    prog = Program(n=c)  # table roots: psi of order 2c, omega = psi^2
     if forward:
-        compile_grouped_ntt(m, c, t.omega, Q, prog)
+        compile_grouped_ntt(m, c, 2, prog)
     if also_inverse or not forward:
-        compile_grouped_intt(m, c, t.omega_inv, Q, prog)
+        compile_grouped_intt(m, c, -2, prog)
     vpu.regfile.write(0, np.asarray(x, dtype=np.uint64))
     stats = vpu.run_fresh(prog)
     return vpu.regfile.read(0), stats, prog
@@ -53,9 +52,8 @@ class TestGroupedNtt:
     def test_cycle_count_is_log_c(self):
         """Short dims cost log2(c) stages — the full-width lanes stay
         busy with m/c transforms in flight, the §IV-A utilization point."""
-        t = get_tables(8, Q)
-        prog = Program()
-        compile_grouped_ntt(64, 8, t.omega, Q, prog)
+        prog = Program(n=8)
+        compile_grouped_ntt(64, 8, 2, prog)
         assert len(prog) == 3
         assert all(isinstance(i, NttStage) and i.group_size == 8 for i in prog)
 
@@ -64,12 +62,11 @@ class TestGroupedNtt:
         from repro.mapping import compile_small_ntt
 
         m = 16
-        t = get_tables(m, Q)
         x = np.random.default_rng(0).integers(0, Q, m, dtype=np.uint64)
         grouped, _, _ = run(m, m, x)
         vpu = VectorProcessingUnit(m=m, q=Q)
-        prog = Program()
-        compile_small_ntt(m, t.omega, Q, prog)
+        prog = Program(n=m)
+        compile_small_ntt(m, 2, prog)
         vpu.regfile.write(0, x)
         vpu.execute(prog)
         np.testing.assert_array_equal(grouped, vpu.regfile.read(0))
@@ -78,7 +75,6 @@ class TestGroupedNtt:
         """c = 2: each pair of adjacent lanes is one 2-point NTT (a bare
         butterfly; the CG group routing is the identity)."""
         m, c = 16, 2
-        t = get_tables(c, Q)
         x = np.random.default_rng(4).integers(0, Q, m, dtype=np.uint64)
         out, _, prog = run(m, c, x)
         assert len(prog) == 1
@@ -90,10 +86,10 @@ class TestGroupedNtt:
     def test_validation(self):
         prog = Program()
         with pytest.raises(NttMappingError):
-            compile_grouped_ntt(16, 3, 1, Q, prog)
+            compile_grouped_ntt(16, 3, 1, prog)
         with pytest.raises(NttMappingError):
-            compile_grouped_ntt(16, 32, 1, Q, prog)
+            compile_grouped_ntt(16, 32, 1, prog)
         with pytest.raises(NttMappingError):
-            compile_grouped_ntt(16, 1, 1, Q, prog)
+            compile_grouped_ntt(16, 1, 1, prog)
         with pytest.raises(NttMappingError):
-            compile_grouped_intt(16, 3, 1, Q, prog)
+            compile_grouped_intt(16, 3, 1, prog)

@@ -28,7 +28,7 @@ class TestNegacyclicOnVpu:
         vpu = make_vpu(m, n)
         x = np.random.default_rng(n).integers(0, Q, n, dtype=np.uint64)
         vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-        vpu.execute(compile_negacyclic_ntt(n, m, Q))
+        vpu.execute(compile_negacyclic_ntt(n, m))
         got = unpack_ntt_result(vpu.memory, n, m)
         expected = NegacyclicNtt(n, Q).forward(x)
         np.testing.assert_array_equal(got, expected)
@@ -39,7 +39,7 @@ class TestNegacyclicOnVpu:
         values = np.random.default_rng(n + 1).integers(0, Q, n,
                                                        dtype=np.uint64)
         vpu.memory.data[:n // m] = pack_ntt_values(values, m)
-        vpu.execute(compile_negacyclic_intt(n, m, Q))
+        vpu.execute(compile_negacyclic_intt(n, m))
         got = vpu.memory.data[:n // m].T.reshape(-1)
         expected = NegacyclicNtt(n, Q).inverse(values)
         np.testing.assert_array_equal(got, expected)
@@ -49,17 +49,17 @@ class TestNegacyclicOnVpu:
         vpu = make_vpu(m, n)
         x = np.random.default_rng(2).integers(0, Q, n, dtype=np.uint64)
         vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-        vpu.execute(compile_negacyclic_ntt(n, m, Q))
+        vpu.execute(compile_negacyclic_ntt(n, m))
         mid = unpack_ntt_result(vpu.memory, n, m)
         vpu.memory.data[:n // m] = pack_ntt_values(mid, m)
-        vpu.execute(compile_negacyclic_intt(n, m, Q))
+        vpu.execute(compile_negacyclic_intt(n, m))
         np.testing.assert_array_equal(vpu.memory.data[:n // m].T.reshape(-1),
                                       x)
 
     def test_no_host_arithmetic_needed(self):
         """The psi folding appears as element-wise twiddle instructions
         in the program — the VPU's element-wise mode, not host work."""
-        prog = compile_negacyclic_ntt(64, 8, Q)
+        prog = compile_negacyclic_ntt(64, 8)
         from repro.core.isa import VMulTwiddle
 
         fold_passes = prog.count(VMulTwiddle)

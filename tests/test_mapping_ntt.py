@@ -67,28 +67,27 @@ class TestSmallNtt:
         vpu = make_vpu(m, m)
         x = rand(m, m + 1)
         vpu.regfile.write(0, x)
-        prog = Program()
-        compile_small_ntt(m, t.omega, Q, prog)
+        prog = Program(n=m)  # table roots: psi of order 2m, omega = psi^2
+        compile_small_ntt(m, 2, prog)
         vpu.execute(prog)
         expected = ntt_dif([int(v) for v in x], t)
         assert [int(v) for v in vpu.regfile.read(0)] == expected
 
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_roundtrip(self, m):
-        t = get_tables(m, Q)
         vpu = make_vpu(m, m)
         x = rand(m, m + 2)
         vpu.regfile.write(0, x)
-        prog = Program()
-        compile_small_ntt(m, t.omega, Q, prog)
-        compile_small_intt(m, t.omega_inv, Q, prog)
+        prog = Program(n=m)
+        compile_small_ntt(m, 2, prog)
+        compile_small_intt(m, -2, prog)
         vpu.execute(prog)
         np.testing.assert_array_equal(vpu.regfile.read(0), x)
 
     def test_cycle_structure(self):
         """log2(m) fused stages: one cycle each (network + butterfly)."""
-        prog = Program()
-        compile_small_ntt(64, get_tables(64, Q).omega, Q, prog)
+        prog = Program(n=64)
+        compile_small_ntt(64, 2, prog)
         assert len(prog) == 6
 
 
@@ -99,7 +98,7 @@ class TestFullNtt:
         vpu = make_vpu(m, n)
         x = rand(n, n)
         vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-        prog = compile_ntt(n, m, Q)
+        prog = compile_ntt(n, m)
         vpu.execute(prog)
         got = unpack_ntt_result(vpu.memory, n, m)
         t = get_tables(n, Q)
@@ -118,8 +117,8 @@ class TestFullNtt:
         vpu = make_vpu(m, n)
         x = rand(n, n + 5)
         vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-        vpu.execute(compile_ntt(n, m, Q))
-        vpu.execute(compile_intt(n, m, Q))
+        vpu.execute(compile_ntt(n, m))
+        vpu.execute(compile_intt(n, m))
         got = vpu.memory.data[:n // m]
         np.testing.assert_array_equal(got, pack_for_ntt(x, m))
 
@@ -133,7 +132,7 @@ class TestFullNtt:
         values = np.array(naive_ntt([int(v) for v in x], t.omega, Q),
                           dtype=np.uint64)
         vpu.memory.data[:n // m] = pack_ntt_values(values, m)
-        vpu.execute(compile_intt(n, m, Q))
+        vpu.execute(compile_intt(n, m))
         np.testing.assert_array_equal(vpu.memory.data[:n // m],
                                       pack_for_ntt(x, m))
 
@@ -157,7 +156,7 @@ class TestFullNtt:
         vpu = make_vpu(m, n)
         x = rand(n, n + 11)
         vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-        vpu.execute(compile_ntt(n, m, Q))
+        vpu.execute(compile_ntt(n, m))
         got = unpack_ntt_result(vpu.memory, n, m)
         t = get_tables(n, Q)
         from repro.ntt import vec_ntt_dif
@@ -171,18 +170,18 @@ class TestFullNtt:
         vpu = make_vpu(m, n)
         x = rand(n, n + 13)
         vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-        vpu.execute(compile_ntt(n, m, Q))
-        vpu.execute(compile_intt(n, m, Q))
+        vpu.execute(compile_ntt(n, m))
+        vpu.execute(compile_intt(n, m))
         np.testing.assert_array_equal(vpu.memory.data[:n // m],
                                       pack_for_ntt(x, m))
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(NttMappingError):
-            compile_ntt(64, 6, Q)   # m not a power of two
+            compile_ntt(64, 6)   # m not a power of two
         with pytest.raises(NttMappingError):
-            compile_ntt(48, 16, Q)  # N not a power of two
+            compile_ntt(48, 16)  # N not a power of two
         with pytest.raises(NttMappingError):
-            compile_ntt(8, 16, Q)   # N below the lane count
+            compile_ntt(8, 16)   # N below the lane count
 
     def test_utilization_accounting(self):
         """The executed program's resource stats feed Table III: compute
@@ -190,7 +189,7 @@ class TestFullNtt:
         m, n = 16, 256
         vpu = make_vpu(m, n)
         vpu.memory.data[:n // m] = pack_for_ntt(rand(n, 1), m)
-        stats = vpu.run_fresh(compile_ntt(n, m, Q))
+        stats = vpu.run_fresh(compile_ntt(n, m))
         # Exclude loads/stores (overlapped with compute by the streaming
         # SRAM in real hardware).
         active = stats.cycles - stats.loads - stats.stores

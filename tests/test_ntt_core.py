@@ -38,6 +38,33 @@ class TestTables:
             assert int(t.omega_powers[j]) == pow(t.omega, j, Q)
             assert int(t.psi_inv_powers[j]) == pow(t.psi, -j, Q)
 
+    @pytest.mark.parametrize("n, bits", [(1, 17), (2, 17), (512, 28),
+                                         (1024, 31), (256, 40)])
+    def test_power_tables_match_pow(self, n, bits):
+        """The doubling fill against pow, on the uint64 tables and the
+        object ones of wide primes; psi_period runs over 2n."""
+        from repro.arith.primes import find_ntt_prime
+
+        q = find_ntt_prime(2 * n, bits)
+        t = NttTables(n, q)
+        for j in range(n):
+            assert int(t.omega_powers[j]) == pow(t.omega, j, q)
+            assert int(t.omega_inv_powers[j]) == pow(t.omega, -j, q)
+            assert int(t.psi_powers[j]) == pow(t.psi, j, q)
+            assert int(t.psi_inv_powers[j]) == pow(t.psi, -j, q)
+        assert t.psi_period.tolist() == [pow(t.psi, e, q)
+                                         for e in range(2 * n)]
+
+    def test_bit_reverse_indices_match_the_scalar_loop(self):
+        from repro.ntt.bitrev import bit_reverse, bit_reverse_indices
+
+        for n in (1, 2, 4, 64, 1024):
+            bits = n.bit_length() - 1
+            got = bit_reverse_indices(n)
+            assert got.tolist() == [bit_reverse(i, bits) for i in range(n)]
+            assert not got.flags.writeable
+            assert bit_reverse_indices(n) is got  # cached per n
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             NttTables(3, Q)

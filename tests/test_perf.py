@@ -30,7 +30,7 @@ class TestCycleModelValidation:
                                      (8, 32), (16, 512), (64, 1024),
                                      (16, 2048)])
     def test_counts_match_compiler(self, m, n):
-        prog = compile_ntt(n, m, Q)
+        prog = compile_ntt(n, m)
         model = ntt_cycle_model(n, m)
         fused_stages = prog.count(NttStage)
         transpose_passes = prog.count(NetworkPass)
@@ -44,7 +44,7 @@ class TestCycleModelValidation:
                                    memory_rows=2 * n // m)
         vpu.memory.data[:n // m] = pack_for_ntt(
             np.random.default_rng(0).integers(0, Q, n, dtype=np.uint64), m)
-        stats = vpu.run_fresh(compile_ntt(n, m, Q))
+        stats = vpu.run_fresh(compile_ntt(n, m))
         model = ntt_cycle_model(n, m)
         assert stats.by_type["NttStage"] == model.compute_cycles
         assert stats.by_type.get("NetworkPass", 0) == model.network_only_cycles

@@ -21,7 +21,7 @@ def run_ntt(m, n):
                                memory_rows=2 * n // m)
     vpu.memory.data[:n // m] = pack_for_ntt(
         np.random.default_rng(0).integers(0, Q, n, dtype=np.uint64), m)
-    return vpu.run_fresh(compile_ntt(n, m, Q))
+    return vpu.run_fresh(compile_ntt(n, m))
 
 
 class TestEnergyModel:

@@ -37,7 +37,7 @@ class TestVpuNttProperty:
                                    memory_rows=max(16, 2 * n // m))
         x = np.random.default_rng(seed).integers(0, Q, n, dtype=np.uint64)
         vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-        vpu.execute(compile_ntt(n, m, Q))
+        vpu.execute(compile_ntt(n, m))
         got = unpack_ntt_result(vpu.memory, n, m)
         t = get_tables(n, Q)
         expected = np.empty(n, dtype=np.uint64)
@@ -53,8 +53,8 @@ class TestVpuNttProperty:
                                    memory_rows=2 * n // m)
         x = np.random.default_rng(seed).integers(0, Q, n, dtype=np.uint64)
         vpu.memory.data[:n // m] = pack_for_ntt(x, m)
-        vpu.execute(compile_ntt(n, m, Q))
-        vpu.execute(compile_intt(n, m, Q))
+        vpu.execute(compile_ntt(n, m))
+        vpu.execute(compile_intt(n, m))
         np.testing.assert_array_equal(vpu.memory.data[:n // m],
                                       pack_for_ntt(x, m))
 
