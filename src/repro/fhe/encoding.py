@@ -130,5 +130,8 @@ class CkksEncoder:
         return RnsPoly.from_int_coeffs(rounded, primes), scale
 
     def decode(self, poly: RnsPoly, scale: float) -> np.ndarray:
-        """Decode a plaintext polynomial back to slot values."""
-        return self.project(poly.centered_lift().astype(np.float64)) / scale
+        """Decode a plaintext polynomial back to slot values.
+
+        An int64 lift converts to float64 with the rounding of the
+        Python-int one, so it skips the object dtype."""
+        return self.project(poly.centered_coeffs().astype(np.float64)) / scale

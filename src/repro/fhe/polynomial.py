@@ -14,21 +14,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.fhe.backend import get_backend
 
 
+#: Limbs whose primes are all below this run Garner's recurrence with
+#: lazy sums: a residue or digit times a constant, both below
+#: ``2**31``, stays below ``2**62``.  Any wider prime takes the
+#: big-integer lift.
+_LANE_LIMIT = 1 << 31
+_INT64_MAX = (1 << 63) - 1
+
+
 def _reduce_int_rows(coeffs: np.ndarray,
                      primes: tuple[int, ...]) -> np.ndarray | None:
     """Reduce integer coefficients modulo every prime in one broadcast.
 
-    Returns the ``(L, n)`` uint64 matrix, or ``None`` when the input
-    does not fit the int64 fast path (oversized big-int coefficients).
-    Centered digits and sampled noise are always far below ``2**62``,
-    so in practice only genuinely wide inputs (BFV lifts, CRT
-    recompositions) fall back to the object-dtype path.
+    Returns the ``(L, n)`` uint64 matrix, or ``None`` when a prime is
+    not below ``2**31`` or the input does not fit int64.  Centered
+    digits, sampled noise and every lifted value inside the int64
+    window of :func:`_centered_crt` (the inverse) fit; only genuinely
+    wide inputs (BFV's tensor products of uniform operands) fall back
+    to the object-dtype path.
     """
     if any(q >= (1 << 31) for q in primes):
         return None
@@ -44,6 +54,134 @@ def _reduce_int_rows(coeffs: np.ndarray,
         coeffs = coeffs.astype(np.int64)
     q_col = np.array(primes, dtype=np.int64)[:, None]
     return (coeffs[None, :] % q_col).astype(np.uint64)
+
+
+@lru_cache(maxsize=64)
+def _garner_constants(primes: tuple[int, ...]) -> tuple:
+    """Per limb ``i``: ``(P_i^-1 mod q_i, (-P_j P_i^-1 mod q_i for
+    j < i))``, where ``P_i = q_0 ... q_{i-1}`` is the mixed-radix
+    weight of digit ``i``."""
+    weights = [math.prod(primes[:i]) for i in range(len(primes))]
+    rows = []
+    for i, q in enumerate(primes):
+        inv = pow(weights[i], -1, q)
+        rows.append((inv, tuple(-w * inv % q for w in weights[:i])))
+    return tuple(rows)
+
+
+def _reduce_lanes(x: np.ndarray, q: np.uint64, quot: np.ndarray) -> None:
+    """``x %= q`` in place on uint64 lanes, through the buffer ``quot``
+    (a floor division by a scalar is a multiply-shift in numpy; ``%``
+    is a hardware divide)."""
+    np.floor_divide(x, q, out=quot)
+    quot *= q
+    x -= quot
+
+
+def _garner_digits(residues: np.ndarray,
+                   primes: tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix digits of each column's CRT value ``X``,
+    ``X = d_0 + d_1 P_1 + ... + d_{L-1} P_{L-1}`` with ``0 <= d_i < q_i``,
+    written over the ``(L, n)`` uint64 ``residues`` (every prime below
+    ``_LANE_LIMIT``): row ``i`` is read once, then holds ``d_i``.
+
+    Garner's recurrence ``d_i = (r_i - X mod P_i) P_i^-1 (mod q_i)``,
+    written as ``r_i P_i^-1 + sum_j d_j (-P_j P_i^-1)``.  Every term is
+    below ``2**62``, so the lane sums three of them onto a reduced
+    partial sum before it reduces again.
+    """
+    digits = residues
+    quot = np.empty(residues.shape[1], dtype=np.uint64)
+    for i, (q, (inv, terms)) in enumerate(
+            zip(primes, _garner_constants(primes))):
+        q = np.uint64(q)
+        acc = digits[i]
+        acc *= np.uint64(inv)
+        for j, (digit, c) in enumerate(zip(digits, terms), start=1):
+            if j % 3 == 0:
+                _reduce_lanes(acc, q, quot)
+            acc += digit * np.uint64(c)
+        _reduce_lanes(acc, q, quot)
+    return digits
+
+
+def _centered_crt_bigint(residues: np.ndarray,
+                         primes: tuple[int, ...]) -> np.ndarray:
+    """The textbook centered CRT lift on Python ints (object dtype), one
+    pass per limb, for primes from ``_LANE_LIMIT`` up."""
+    q_prod = math.prod(primes)
+    total = np.zeros(residues.shape[1], dtype=object)
+    for i, q in enumerate(primes):
+        q_hat = q_prod // q
+        factor = q_hat * pow(q_hat, -1, q) % q_prod
+        total = (total + residues[i].astype(object) * factor) % q_prod
+    return np.where(total > q_prod // 2, total - q_prod, total)
+
+
+def _centered_crt(residues: np.ndarray,
+                  primes: tuple[int, ...]) -> np.ndarray:
+    """Centered CRT lift of coefficient-domain residues, which it may
+    overwrite: each column's ``X mod Q`` in ``(-Q/2, Q/2]``, exact.
+
+    int64 when every prime is below ``_LANE_LIMIT`` and every value
+    fits int64, object dtype (Python ints) otherwise.  On such primes
+    the lift reads each value off its Garner digits: the sign is a
+    digit-wise comparison with ``(Q - 1) / 2``, the magnitude is
+    assembled in uint64 when it fits the int64 window and by
+    object-dtype Horner only for the columns outside it.  Wider primes
+    take :func:`_centered_crt_bigint`.
+    """
+    if max(primes) >= _LANE_LIMIT:
+        return _centered_crt_bigint(residues, primes)
+    digits = _garner_digits(residues, primes)
+    # X > (Q - 1) / 2, whose digits are all (q_i - 1) / 2: compare from
+    # the most significant digit down.
+    negative = np.zeros(residues.shape[1], dtype=bool)
+    tied = ~negative
+    for q, digit in zip(primes[::-1], digits[::-1]):
+        half = np.uint64(q // 2)
+        negative |= tied & (digit > half)
+        tied &= digit == half
+        if not tied.any():
+            break
+    # The window: the first k limbs, whose product P_k fits int64.  A
+    # negative value X - Q is -(M + 1), M = Q - 1 - X, whose digits are
+    # q_i - 1 - d_i; a positive one is M = X.  The value fits int64 iff
+    # the digits of M above k are 0 and m_k P_k + (M mod P_k) fits.
+    k, weight = 0, 1
+    while k < len(primes) and weight * primes[k] <= _INT64_MAX:
+        weight *= primes[k]
+        k += 1
+    low = digits[k - 1].copy()
+    for q, digit in zip(primes[:k - 1][::-1], digits[:k - 1][::-1]):
+        low *= np.uint64(q)
+        low += digit
+    magnitude = np.where(negative, np.uint64(weight - 1) - low, low)
+    fits = None
+    if k < len(primes):
+        q_top = np.uint64(primes[k])
+        top = np.where(negative, q_top - np.uint64(1) - digits[k], digits[k])
+        fits = top <= np.uint64(_INT64_MAX // weight)
+        if k + 1 < len(primes):
+            high = digits[k + 1:]
+            q_high = np.array(primes[k + 1:], dtype=np.uint64)[:, None]
+            fits &= np.where(negative, (high == q_high - np.uint64(1)).all(0),
+                             ~high.any(0))
+        magnitude += top * np.uint64(weight)  # wraps only outside the window
+        fits &= magnitude <= np.uint64(_INT64_MAX)
+    # -(M + 1) is ~M in two's complement.
+    values = magnitude.view(np.int64)
+    values = np.where(negative, ~values, values)
+    if fits is None or fits.all():
+        return values
+    out = values.astype(object)
+    outside = np.flatnonzero(~fits)
+    total = digits[-1, outside].astype(object)
+    for q, digit in zip(primes[:-1][::-1], digits[:-1][::-1]):
+        total = total * q + digit[outside].astype(object)
+    out[outside] = np.where(negative[outside], total - math.prod(primes),
+                            total)
+    return out
 
 
 @dataclass
@@ -204,15 +342,22 @@ class RnsPoly:
         row = self.residues[index].astype(np.int64)
         return np.where(row > q // 2, row - q, row)
 
+    def centered_coeffs(self) -> np.ndarray:
+        """The centered lift, as int64 on word primes when it fits.
+
+        Exact values in ``(-Q/2, Q/2]``, ``Q`` the product of this
+        polynomial's primes (either domain): int64 when every prime is
+        below ``2**31`` and every coefficient fits int64, object dtype
+        otherwise.  See :func:`_centered_crt`."""
+        coeff = self.to_coeff()  # a fresh matrix in either domain
+        return _centered_crt(coeff.residues, coeff.primes)
+
     def centered_lift(self) -> np.ndarray:
-        """Centered CRT lift to big-integer (object dtype) coefficients
-        in ``(-Q/2, Q/2]``, ``Q`` the product of this polynomial's
-        primes (either domain; golden-model code, one pass per limb)."""
-        coeff = self.to_coeff()
-        q_prod = math.prod(coeff.primes)
-        total = np.zeros(self.n, dtype=object)
-        for i, q in enumerate(coeff.primes):
-            q_hat = q_prod // q
-            factor = q_hat * pow(q_hat, -1, q) % q_prod
-            total = (total + coeff.residues[i].astype(object) * factor) % q_prod
-        return np.where(total > q_prod // 2, total - q_prod, total)
+        """Centered CRT lift to exact integer (object dtype) coefficients.
+
+        :meth:`centered_coeffs` as Python ints, in ``(-Q/2, Q/2]``
+        (either domain).  On primes below ``2**31`` it runs in word
+        arithmetic: the sign and every value that fits int64 come off
+        the Garner digits, and only values outside that window become
+        big integers."""
+        return self.centered_coeffs().astype(object, copy=False)

@@ -118,10 +118,11 @@ class CkksOpExecutor:
         return value
 
     def verify(self, request: ServeRequest, value: np.ndarray) -> bool:
-        """Decrypted result must match the precomputed golden plaintext
-        (all ladder levels compute the identical integer result)."""
-        golden = self.golden[request.op]
-        return bool(np.allclose(value, golden, rtol=0.0, atol=1e-6))
+        """Decrypted result must equal the precomputed golden plaintext
+        bit for bit: every ladder level computes the identical integers
+        and the lift is exact, so a tolerance could only hide a wrong
+        result."""
+        return bool(np.array_equal(value, self.golden[request.op]))
 
     def corrupt(self, value: np.ndarray) -> np.ndarray:
         return value + 1000.0

@@ -6,6 +6,7 @@ that keep the scheme modules thin and the benchmark's keyswitch spans
 visible."""
 
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.fhe.bfv import BfvCiphertext, BfvContext
 from repro.fhe.bgv import BgvCiphertext, BgvContext, BgvParams
 from repro.fhe.ckks import Ciphertext, CkksContext
 from repro.fhe.encoding import BatchEncoder
-from repro.fhe.params import toy_params
+from repro.fhe.params import CkksParams, toy_params
 from repro.fhe.rlwe import CIPHERTEXT_TYPES, RlweCiphertext, RlweContext
 from repro.fhe.serialize import ciphertext_digest
 from repro.kernels import CompiledBackend
@@ -165,6 +166,60 @@ class TestPinnedDigests:
         out = ctx.multiply(ctx.encrypt(v), ctx.encrypt(v))
         assert ciphertext_digest(out) == (
             "bdbc5f8dff2347e5335bf8ce8277ebc09375904d9c4dfb79fbc3378647c691f8")
+
+
+def _sha256(values: np.ndarray, dtype) -> str:
+    return hashlib.sha256(np.ascontiguousarray(
+        np.asarray(values, dtype=dtype)).tobytes()).hexdigest()
+
+
+class TestPinnedDecryptions:
+    """Recorded before the centered lift moved onto word-sized Garner
+    digits (seed 7): the CKKS ``decrypt`` float64 bytes and the BGV /
+    BFV decoded slots, at two shapes each.  The lift is exact and the
+    int64 -> float64 conversion rounds as the Python-int one does, so
+    every decryption is bit-identical."""
+
+    CKKS = {
+        "toy": (toy_params(),
+                "dadc7fd11825cb43e3067f3319d09c431b6b2d67250d1191abf1cccdf7116491",
+                "857add1df26e0857595a9ca35f596882b668a17688ee77028dee07b1e74f76ae"),
+        "six-limb": (CkksParams(n=512, levels=6, scale_bits=27, prime_bits=29),
+                     "3d5228676344e696de1ac376bfef8bcaf2d52a6f606bcdc187fb2861e161cd6a",
+                     "5fc694e70d19d5f891d1e82e0d3347a4bd2d979044fdbc83b997d094b7caea54"),
+    }
+    EXACT = {
+        "pinned": (PINNED,
+                   "c27fb52122825197639df02a93f769be29711a3d96bf953c043593ee15549889",
+                   "f59d5cd2620bae36ff64be467b2fa793c463b6a411bc2540866f9830296c9dc1"),
+        "three-limb": (BgvParams(n=256, levels=3, plaintext_modulus=T,
+                                 prime_bits=28),
+                       "dd7b8c95b02e4a3f96eb2f5e49f0ac738dcb47d382790182b9e83f4a98cf82bc",
+                       "6bf525f14e0808ae1d0498f853acdf01eca29a7d9f6f491e3bee27ae0c5ff9eb"),
+    }
+
+    @pytest.mark.parametrize("shape", CKKS)
+    def test_ckks_decrypt(self, shape):
+        params, fresh, product = self.CKKS[shape]
+        ctx = CkksContext(params, seed=7)
+        ctx.generate_galois_keys([1])
+        x = np.arange(params.slots) / params.slots
+        a = ctx.encrypt(x)
+        out = ctx.rotate(ctx.multiply(a, ctx.encrypt(x)), 1)
+        assert _sha256(ctx.decrypt(a), np.complex128) == fresh
+        assert _sha256(ctx.decrypt(out), np.complex128) == product
+
+    @pytest.mark.parametrize("shape", EXACT)
+    def test_bgv_and_bfv_decrypt(self, shape):
+        params, bgv_digest, bfv_digest = self.EXACT[shape]
+        v = np.arange(params.n)
+        bgv = BgvContext(params, seed=7)
+        bgv.generate_galois_keys([1])
+        out = bgv.rotate(bgv.multiply(bgv.encrypt(v), bgv.encrypt(v)), 1)
+        assert _sha256(bgv.decrypt(out), np.int64) == bgv_digest
+        bfv = BfvContext(params, seed=7)
+        out = bfv.multiply(bfv.encrypt(v), bfv.encrypt(v))
+        assert _sha256(bfv.decrypt(out), np.int64) == bfv_digest
 
 
 def _imported_names(path: Path) -> set[str]:
