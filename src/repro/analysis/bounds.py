@@ -38,11 +38,11 @@ from functools import lru_cache
 
 from repro.analysis.intervals import U64_MAX
 from repro.analysis.stage_plans import (
-    analyze_batched_forward,
     analyze_batched_inverse,
     analyze_dif_lazy,
     analyze_dit_lazy,
     analyze_keyswitch_accumulate,
+    analyze_shoup_scale,
 )
 
 
@@ -81,34 +81,20 @@ def keyswitch_lazy_accumulate_ok(num_digits: int, max_q: int) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def compiled_ntt_ok(log_n: int, max_q: int) -> bool:
-    """May the fused compiled NTT kernels (:mod:`repro.kernels`) run at
-    all for ``n = 2**log_n`` and moduli up to ``max_q``?
-
-    True iff the symbolic plans for the lazy batched forward *and* the
-    (clamped) lazy batched inverse prove every intermediate fits uint64.
-    Wide moduli (``q >= 2**31``) fail here through the plan's own
-    product bound ``(4q - 1)(q - 1)``, not a hand-coded width check —
-    the same eligibility the numpy batched path derives.
-    """
-    return (analyze_batched_forward(log_n, max_q).ok
-            and analyze_batched_inverse(log_n, max_q, unclamped=False).ok)
-
-
-@lru_cache(maxsize=1024)
 def ntt_shoup_ok(log_n: int, max_q: int) -> bool:
     """May the mod-free Shoup butterfly variants run for this shape?
 
-    True iff the Shoup stage plans verify end to end — the analyzer's
+    True iff the Shoup plans verify end to end — the analyzer's
     ``S002``/``S003`` preconditions (``q < 2**30``, every multiplicand
-    below the ``2**32`` precision radix) checked at every stage.  The
-    forward plan enters at ``2q - 1`` (the Shoup psi fold's output
-    bound, which also dominates the fold's own ``< q`` multiplicand);
-    the inverse enters reduced.
+    below the ``2**32`` precision radix) checked at every stage and at
+    the pointwise psi fold / unfold (also where ``n <= 2`` has no
+    twiddled stage).  The forward stages and the scaling enter at
+    ``2q - 1``, the inverse stages reduced.  The compiled kernels' gate.
     """
     fwd = analyze_dif_lazy(log_n, max_q, shoup=True, entry_hi=2 * max_q - 1)
     inv = analyze_dit_lazy(log_n, max_q, shoup=True, entry_hi=max_q - 1)
-    return fwd.ok and inv.ok
+    scale = analyze_shoup_scale(max_q, 2 * max_q - 1)
+    return fwd.ok and inv.ok and scale.ok
 
 
 @lru_cache(maxsize=1024)

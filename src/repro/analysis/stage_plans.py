@@ -250,6 +250,16 @@ def analyze_dit_unclamped(log_n: int, q: int,
     return plan.finish(cur, cur.hi, "dit unclamped output")
 
 
+def analyze_shoup_scale(q: int, entry_hi: int) -> PlanReport:
+    """A pointwise Shoup scaling: the compiled NTTs' psi fold or unfold.
+
+    One Shoup product of lanes up to ``entry_hi``.  Declared output:
+    ``< 2q``."""
+    plan = _Plan("shoup_scale", q, 0)
+    out = plan.shoup_mul(Interval.upto(entry_hi), "lanes * scale (Shoup)")
+    return plan.finish(out, 2 * q - 1, "shoup scale output")
+
+
 def analyze_batched_forward(log_n: int, q: int) -> PlanReport:
     """Mirror of :meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.forward`:
     psi folding, lazy DIF stages, one final conditional subtract.

@@ -420,7 +420,8 @@ class CompiledBackend(NumpyBackend):
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The parts ``(a0 b0, a0 b1 + a1 b0, a1 b1)`` of an unrelinearized
         product over ``(L, n)`` evaluation-domain blocks in one call — or
-        ``None``, as for :meth:`keyswitch_apply` (gate: ``plan.tensor_ok``)."""
+        ``None``, as for :meth:`keyswitch_apply` (gate:
+        ``plan.lazy_stages_ok``)."""
         impl = self._impl
         primes = tuple(primes)
         if impl is None:
@@ -433,7 +434,7 @@ class CompiledBackend(NumpyBackend):
                 f"tensor_product: blocks {[b.shape for b in blocks]} do "
                 f"not match {len(primes)} primes")
         plan = get_plan(shape[1], primes) if shape[1] else None
-        if plan is None or not plan.tensor_ok:
+        if plan is None or not plan.lazy_stages_ok:
             return None
         out = tuple(np.empty(shape, dtype=np.uint64) for _ in range(3))
         impl.tensor(plan, blocks, out)

@@ -87,7 +87,7 @@ class PlanTables(ctypes.Structure):
     _fields_ = [(name, _VOID) for name in (
         "q", "mu", "psi", "psi_sh", "twf", "twf_sh", "twi", "twi_sh",
         "unfold", "unfold_sh", "bitrev")] + [
-        (name, _INT) for name in ("fwd_shoup", "inv_mode", "ks_lazy")]
+        (name, _INT) for name in ("inv_mode", "ks_lazy")]
 
 
 def _tables(plan, entry: str, ok: bool = True) -> PlanTables:
@@ -299,9 +299,9 @@ class CExtProvider:
 
     def tensor(self, plan, operands, parts) -> None:
         """``parts = (a0 b0, a0 b1 + a1 b0, a1 b1)`` of ``operands = (a0,
-        a1, b0, b1)``, ``(L, n)`` blocks.  Gate: ``plan.tensor_ok``."""
+        a1, b0, b1)``, ``(L, n)`` blocks.  Gate: ``plan.lazy_stages_ok``."""
         rows, n = operands[0].shape
-        self._tensor(_tables(plan, "tensor", plan.tensor_ok),
+        self._tensor(_tables(plan, "tensor"),
                      *map(_addr, (*operands, *parts)), rows, n)
 
 

@@ -22,10 +22,9 @@
  * (``repro/kernels/plan.py``), and read here from ``plan_t`` -- no
  * plan-taking entry has a schedule argument a caller could set:
  *
- * - Shoup butterflies (``*_sh`` tables, 2**32 radix) when
- *   ``ntt_shoup_ok`` holds (q < 2**30);
- * - Barrett reduction (``mu = floor(2**64 / q)``) for the lazy paths of
- *   wider moduli up to 2**31;
+ * - Shoup butterflies (``*_sh`` tables, 2**32 radix) in every NTT: a
+ *   plan has tables only where ``ntt_shoup_ok`` holds (q < 2**30), and
+ *   a wider prime's NTTs take the numpy path;
  * - the clamp-free inverse schedule only under ``unclamped_dit_ok``;
  * - the unreduced keyswitch accumulator only under
  *   ``keyswitch_lazy_accumulate_ok``;
@@ -104,56 +103,38 @@ static inline u64 shoup_mul_lazy(u64 x, u64 w, u64 w_sh, u64 q) {
 /* the row's psi folding table.  tw/tw_sh: its flattened DIF stage    */
 /* twiddles (lengths n/2, n/4, .., 1 concatenated -> n - 1 entries).  */
 /* bitrev: the length-n involution undoing the DIF output order.      */
-/* use_shoup selects the mod-free butterfly (gate: ntt_shoup_ok).     */
+/* Every product is a mod-free Shoup product (gate: ntt_shoup_ok).    */
+/* Out of line: inlined into a row loop, gcc 12 -O3 -fopenmp spilled  */
+/* a butterfly product to the stack (a ~8 % slower forward NTT).      */
 /* ------------------------------------------------------------------ */
-static inline void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n,
-                           u64 q, u64 mu,
-                           const u64 *ps, const u64 *ps_sh,
-                           const u64 *tw, const u64 *tw_sh,
-                           const i64 *bitrev, int use_shoup) {
+__attribute__((noinline))
+static void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
+                    const u64 *ps, const u64 *ps_sh,
+                    const u64 *tw, const u64 *tw_sh, const i64 *bitrev) {
     const u64 two_q = 2 * q;
 
-    /* psi fold: x * psi^j, into [0, 2q) (Shoup) or [0, q). */
-    if (use_shoup) {
-        for (i64 i = 0; i < n; i++) {
-            u64 v = x[i];
-            if (v >= q) v %= q;
-            a[i] = shoup_mul_lazy(v, ps[i], ps_sh[i], q);
-        }
-    } else {
-        for (i64 i = 0; i < n; i++) {
-            u64 v = x[i];
-            if (v >= q) v %= q;
-            a[i] = barrett_mod(v * ps[i], q, mu);
-        }
+    /* psi fold: x * psi^j, into [0, 2q). */
+    for (i64 i = 0; i < n; i++) {
+        u64 v = x[i];
+        if (v >= q) v %= q;
+        a[i] = shoup_mul_lazy(v, ps[i], ps_sh[i], q);
     }
 
     /* Gentleman-Sande DIF stages, lazy (< 2q lanes throughout). */
     i64 toff = 0;
     for (i64 len = n >> 1; len >= 2; len >>= 1) {
         const u64 *wt = tw + toff;
+        const u64 *wt_sh = tw_sh + toff;
         for (i64 start = 0; start < n; start += 2 * len) {
             u64 *pu = a + start;
             u64 *pv = a + start + len;
-            if (use_shoup) {
-                const u64 *wt_sh = tw_sh + toff;
-                for (i64 j = 0; j < len; j++) {
-                    u64 u = pu[j], v = pv[j];
-                    u64 t = u + v; /* < 4q */
-                    if (t >= two_q) t -= two_q;
-                    u64 d = u + two_q - v; /* < 4q < 2**32 */
-                    pu[j] = t;
-                    pv[j] = shoup_mul_lazy(d, wt[j], wt_sh[j], q);
-                }
-            } else {
-                for (i64 j = 0; j < len; j++) {
-                    u64 u = pu[j], v = pv[j];
-                    u64 t = u + v;
-                    if (t >= two_q) t -= two_q;
-                    u64 d = u + two_q - v; /* (4q-1)(q-1) < 2**64 */
-                    pu[j] = t;
-                    pv[j] = barrett_mod(d * wt[j], q, mu);
-                }
+            for (i64 j = 0; j < len; j++) {
+                u64 u = pu[j], v = pv[j];
+                u64 t = u + v; /* < 4q */
+                if (t >= two_q) t -= two_q;
+                u64 d = u + two_q - v; /* < 4q < 2**32 */
+                pu[j] = t;
+                pv[j] = shoup_mul_lazy(d, wt[j], wt_sh[j], q);
             }
         }
         toff += len;
@@ -188,8 +169,8 @@ static inline void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n,
 /* x/a/o as in fwd_row (o may alias x: the bit-reversal gather        */
 /* consumes x first).  tw/tw_sh: flattened DIT stage twiddles         */
 /* (lengths 1, 2, .., n/2).  uf/uf_sh: the fused psi^{-j} * n^{-1}    */
-/* table.  mode: 0 = lazy Barrett, 1 = lazy Shoup (gate:              */
-/* ntt_shoup_ok), 2 = clamp-free (gate: unclamped_dit_ok).            */
+/* table.  mode: 1 = lazy Shoup (gate: ntt_shoup_ok), 2 = clamp-free  */
+/* (gate: unclamped_dit_ok; its products are Barrett-reduced).        */
 /* ------------------------------------------------------------------ */
 static inline void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
                            u64 q, u64 mu,
@@ -234,7 +215,7 @@ static inline void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
         }
         for (i64 i = 0; i < n; i++)
             o[i] = barrett_mod(a[i] * uf[i], q, mu);
-    } else if (mode == 1) {
+    } else {
         /* Lazy Shoup schedule: < 2q lanes, mod-free twiddle
          * products, Shoup unfold plus one conditional subtract. */
         for (i64 len = 1; len < n; len <<= 1) {
@@ -264,39 +245,13 @@ static inline void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
             if (r >= q) r -= q;
             o[i] = r;
         }
-    } else {
-        /* Lazy Barrett schedule (2**30 <= q < 2**31). */
-        for (i64 len = 1; len < n; len <<= 1) {
-            const u64 *wt = tw + toff;
-            for (i64 start = 0; start < n; start += 2 * len) {
-                u64 *pu = a + start;
-                u64 *pv = a + start + len;
-                for (i64 j = 0; j < len; j++) {
-                    u64 u = pu[j];
-                    u64 vin = pv[j];
-                    u64 v = (len == 1)
-                                ? vin
-                                : barrett_mod(vin * wt[j], q, mu);
-                    u64 t = u + v;
-                    if (t >= two_q) t -= two_q;
-                    u64 d = u + two_q - v;
-                    if (d >= two_q) d -= two_q;
-                    pu[j] = t;
-                    pv[j] = d;
-                }
-            }
-            toff += len;
-        }
-        for (i64 i = 0; i < n; i++)
-            o[i] = barrett_mod(a[i] * uf[i], q, mu);
     }
 }
 
 /* One (n, primes) plan (repro/kernels/plan.py): its constant tables,
  * row l modulo q[l] -- n words per row in psi/unfold, n - 1 in the flat
- * stage twiddles -- and the reduction schedule the gates proved for
- * it.  The *_sh companions exist only where ntt_shoup_ok holds and are
- * touched only under fwd_shoup / inverse mode 1.  Field order is the
+ * stage twiddles, each with its Shoup companion (*_sh) -- and the
+ * reduction schedule the gates proved for it.  Field order is the
  * ctypes mirror's (cext.PlanTables). */
 typedef struct {
     const u64 *q, *mu;
@@ -305,27 +260,21 @@ typedef struct {
     const u64 *twi, *twi_sh;
     const u64 *unfold, *unfold_sh;
     const i64 *bitrev;
-    int fwd_shoup; /* forward butterflies: 1 Shoup, 0 Barrett */
-    int inv_mode;  /* inverse schedule, as inv_row's mode */
-    int ks_lazy;   /* repro_ks_apply: 1 unreduced accumulator */
+    int inv_mode; /* inverse schedule, as inv_row's mode */
+    int ks_lazy;  /* repro_ks_apply: 1 unreduced accumulator */
 } plan_t;
 
 static inline void plan_fwd(const plan_t *p, i64 l, i64 n, const u64 *x,
                             u64 *a, u64 *o) {
-    const int use_shoup = p->fwd_shoup;
-    fwd_row(x, a, o, n, p->q[l], p->mu[l],
-            p->psi + l * n, use_shoup ? p->psi_sh + l * n : 0,
-            p->twf + l * (n - 1), use_shoup ? p->twf_sh + l * (n - 1) : 0,
-            p->bitrev, use_shoup);
+    fwd_row(x, a, o, n, p->q[l], p->psi + l * n, p->psi_sh + l * n,
+            p->twf + l * (n - 1), p->twf_sh + l * (n - 1), p->bitrev);
 }
 
 static inline void plan_inv(const plan_t *p, i64 l, i64 n, const u64 *x,
                             u64 *a, u64 *o) {
-    const int mode = p->inv_mode;
     inv_row(x, a, o, n, p->q[l], p->mu[l],
-            p->twi + l * (n - 1), mode == 1 ? p->twi_sh + l * (n - 1) : 0,
-            p->unfold + l * n, mode == 1 ? p->unfold_sh + l * n : 0,
-            p->bitrev, mode);
+            p->twi + l * (n - 1), p->twi_sh + l * (n - 1),
+            p->unfold + l * n, p->unfold_sh + l * n, p->bitrev, p->inv_mode);
 }
 
 /* ------------------------------------------------------------------ */
@@ -727,7 +676,7 @@ void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
 
 /* Tensor product of two 2-part ciphertexts, (L, n) rows through the
  * L plan rows: d0 = a0 b0, d1 = a0 b1 + a1 b0, d2 = a1 b1, operands
- * read once.  A product of reduced words fits uint64 (tensor_ok). */
+ * read once.  A product of two reduced words below 2**30 fits uint64. */
 void repro_tensor(const plan_t *plan, const u64 *a0, const u64 *a1,
                   const u64 *b0, const u64 *b1, u64 *d0, u64 *d1, u64 *d2,
                   i64 L, i64 n) {

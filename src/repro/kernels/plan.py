@@ -31,46 +31,38 @@ import numpy as np
 from repro.analysis.bounds import (
     centered_lift_lazy_ok,
     checksum_dot_lazy_ok,
-    compiled_ntt_ok,
     keyswitch_lazy_accumulate_ok,
-    mul_fits_uint64,
     ntt_shoup_ok,
     unclamped_dit_ok,
 )
 from repro.ntt.tables import get_tables
-
-#: Placeholder for Shoup tables on shapes where the gate refuses them;
-#: the kernels never read it (the schedule below comes from the same
-#: gate) but the binding wants a consistently-typed 2-D argument.
-_NO_TABLE = np.empty((0, 0), dtype=np.uint64)
 
 
 class CompiledPlan:
     """Constant tables, derived gates and the schedule they select for
     one ``(n, primes)`` shape.
 
-    ``lazy_stages_ok`` (from :func:`~repro.analysis.bounds
-    .compiled_ntt_ok`) decides whether the fused kernels may run at all;
-    when it is False the plan stays table-less, the binding refuses it
-    and the backend falls back to numpy.  The other gates are
-    analyzer-derived too, never hand-coded width checks, and resolve
-    into the schedule every kernel of this plan runs, which travels to
-    C inside ``plan_t``: ``fwd_shoup`` (forward butterflies, 1 Shoup /
-    0 Barrett), ``inv_mode`` (0 lazy Barrett, 1 lazy Shoup, 2
-    clamp-free) and ``ks_lazy`` (the row-fused keyswitch accumulates
-    its ``len(primes) - 1`` digit products unreduced).  No caller
-    passes a schedule, so none can ask for one the plan never proved.
+    ``lazy_stages_ok`` decides whether the fused kernels may run at
+    all: ``n >= 2`` is a power of two and the Shoup plans verify
+    (:func:`~repro.analysis.bounds.ntt_shoup_ok`), which holds exactly
+    when every prime is below ``2**30``.  Otherwise the plan stays
+    table-less, the binding refuses it and the backend falls back to
+    numpy.  The other gates are analyzer-derived too and resolve into
+    the schedule every kernel of this plan runs, which travels to C
+    inside ``plan_t``: ``inv_mode`` (1 lazy Shoup, 2 clamp-free) and
+    ``ks_lazy`` (the row-fused keyswitch sums its digit products
+    unreduced).  No caller passes a schedule, so none can ask for one
+    the plan never proved.
 
     The two row-fused kernels read the last prime as the special prime
-    (``keyswitch_ok``: conditional-add digit lifts and single products
-    fitting uint64) or the limb being dropped (``drop_top_ok``: its lift
-    against every remaining prime); the tensor product needs only the
-    single-product fit (``tensor_ok``).  The binding raises, and the
-    backend declines, where a gate is False.  ``checksum_ok`` is the same kind
-    of gate for their optional integrity sums: every row's two ABFT dot
-    products fit uint64 unreduced (:func:`~repro.analysis.bounds
-    .checksum_dot_lazy_ok` over reduced-width words, ``max_x = 2**32 -
-    1``; the kernel reports a wider word instead of summing it).
+    (``keyswitch_ok``) or the limb being dropped (``drop_top_ok``), each
+    gated on its conditional-add lift; the tensor product needs nothing
+    more, as a product of two words below ``2**30`` fits uint64.  The
+    binding raises, and the backend declines, where a gate is False.
+    ``checksum_ok`` gates their optional integrity sums: every row's
+    two ABFT dot products fit uint64 unreduced
+    (:func:`~repro.analysis.bounds.checksum_dot_lazy_ok` at ``max_x =
+    2**32 - 1``; the kernel reports a wider word instead of summing it).
     """
 
     def __init__(self, n: int, primes: tuple[int, ...]):
@@ -80,20 +72,14 @@ class CompiledPlan:
         max_q = max(primes)
         rest = primes[:-1]
         self.lazy_stages_ok = (n >= 2 and not (n & (n - 1))
-                               and compiled_ntt_ok(self.log_n, max_q))
-        self.shoup_ok = self.lazy_stages_ok and ntt_shoup_ok(self.log_n, max_q)
-        unclamped_ok = (self.lazy_stages_ok
-                        and unclamped_dit_ok(self.log_n, max_q))
-        self.tensor_ok = (self.lazy_stages_ok
-                          and mul_fits_uint64(max_q - 1, max_q - 1))
-        self.keyswitch_ok = (self.tensor_ok and bool(rest)
+                               and ntt_shoup_ok(self.log_n, max_q))
+        self.keyswitch_ok = (self.lazy_stages_ok and bool(rest)
                              and centered_lift_lazy_ok(max(rest), min(primes)))
         self.drop_top_ok = (self.lazy_stages_ok and bool(rest)
                             and centered_lift_lazy_ok(primes[-1], min(rest)))
         self.checksum_ok = self.lazy_stages_ok and all(
             checksum_dot_lazy_ok(n, (1 << 32) - 1, q) for q in set(primes))
-        self.fwd_shoup = int(self.shoup_ok)
-        self.inv_mode = 2 if unclamped_ok else 1 if self.shoup_ok else 0
+        self.inv_mode = 2 if unclamped_dit_ok(self.log_n, max_q) else 1
         self.ks_lazy = int(keyswitch_lazy_accumulate_ok(len(rest), max_q))
         if not self.lazy_stages_ok:
             return  # ineligible shape: no tables, backend falls back
@@ -102,18 +88,14 @@ class CompiledPlan:
         self.q = np.array(primes, dtype=np.uint64)
         self.mu = np.array([t.barrett_mu for t in tabs], dtype=np.uint64)
         self.psi = stack([t.psi_powers for t in tabs])
+        self.psi_sh = stack([t.psi_shoup for t in tabs])
         self.twf = stack([t.dif_twiddles_flat for t in tabs])
+        self.twf_sh = stack([t.dif_twiddles_flat_shoup for t in tabs])
         self.twi = stack([t.dit_twiddles_flat for t in tabs])
+        self.twi_sh = stack([t.dit_twiddles_flat_shoup for t in tabs])
         self.unfold = stack([t.psi_inv_ninv for t in tabs])
+        self.unfold_sh = stack([t.psi_inv_ninv_shoup for t in tabs])
         self.bitrev = np.ascontiguousarray(tabs[0].bitrev, dtype=np.int64)
-        if self.shoup_ok:
-            self.psi_sh = stack([t.psi_shoup for t in tabs])
-            self.twf_sh = stack([t.dif_twiddles_flat_shoup for t in tabs])
-            self.twi_sh = stack([t.dit_twiddles_flat_shoup for t in tabs])
-            self.unfold_sh = stack([t.psi_inv_ninv_shoup for t in tabs])
-        else:
-            self.psi_sh = self.twf_sh = _NO_TABLE
-            self.twi_sh = self.unfold_sh = _NO_TABLE
 
 
 class PlanCache:

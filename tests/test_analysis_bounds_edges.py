@@ -1,11 +1,12 @@
 """Edge-of-validity tests for the production gates in analysis.bounds.
 
 The gates answer "may the fast path run?" right at the boundaries the
-paper's parameter space touches: the widest vectorized modulus (just
-below 2^31), the Shoup precision limit (2^30), and the degenerate
-smallest shapes (log_n <= 1, a single keyswitch digit).  Each gate
-answer is cross-checked against the symbolic stage-plan analysis so the
-cheap boolean and the full derivation can never drift apart.
+paper's parameter space touches: the widest modulus the compiled
+kernels take (just below 2^30, the Shoup precision limit), the widest
+vectorized numpy modulus (just below 2^31), and the degenerate smallest
+shapes (log_n <= 1, a single keyswitch digit).  Each gate answer is
+cross-checked against the symbolic stage-plan analysis so the cheap
+boolean and the full derivation can never drift apart.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ import numpy as np
 from repro.analysis.bounds import (
     centered_lift_lazy_ok,
     checksum_dot_lazy_ok,
-    compiled_ntt_ok,
     keyswitch_lazy_accumulate_ok,
     mul_fits_uint64,
     ntt_shoup_ok,
@@ -22,27 +22,60 @@ from repro.analysis.bounds import (
 from repro.analysis.intervals import U64_MAX
 from repro.analysis.stage_plans import (
     analyze_batched_forward,
+    analyze_batched_inverse,
     analyze_keyswitch_accumulate,
 )
-from repro.arith.primes import find_ntt_prime, find_ntt_primes
+from repro.arith.primes import find_ntt_prime, find_ntt_primes, is_prime
+from repro.kernels.plan import CompiledPlan
+
+#: NTT primes for every n up to 2^17 on either side of 2^30: the
+#: largest below it, and the smallest above it.
+ORDER = 1 << 18
+BELOW_2_30 = find_ntt_prime(ORDER, 30)
+ABOVE_2_30 = next(q for q in range((1 << 30) + 1, 1 << 31, ORDER)
+                  if is_prime(q))
 
 
 class TestCompiledNttModulusEdge:
+    """The compiled kernels' gate is ``ntt_shoup_ok``: a plan has tables
+    exactly where every prime is below 2^30."""
+
     def test_widest_vectorized_modulus_accepted(self):
-        # Largest NTT-friendly prime below 2^31 for n=256 negacyclic.
-        q = find_ntt_prime(512, 31)
-        assert q == 2147483137
-        assert compiled_ntt_ok(8, q)
+        # Largest NTT-friendly prime below 2^30 for n=256 negacyclic.
+        q = find_ntt_prime(512, 30)
+        assert q == 1073738753
+        assert ntt_shoup_ok(8, q)
+        assert CompiledPlan(256, (q,)).lazy_stages_ok
 
     def test_32_bit_modulus_refused(self):
         q = find_ntt_prime(512, 32)
         assert q == 4294962689
-        assert not compiled_ntt_ok(8, q)
+        assert not ntt_shoup_ok(8, q)
+        assert not analyze_batched_forward(8, q).ok
 
     def test_gate_agrees_with_stage_analysis_on_both_sides(self):
-        for bits in (31, 32):
-            q = find_ntt_prime(512, bits)
-            assert compiled_ntt_ok(8, q) == analyze_batched_forward(8, q).ok
+        """Every log_n from 0 to 17 (n <= 2 has no twiddled stage: the
+        pointwise Shoup scaling refuses there): the gate holds exactly
+        below 2^30, and wherever it holds the clamped batched plans
+        verify too, so the gate narrowed nothing below 2^30."""
+        for log_n in range(18):
+            for q in (BELOW_2_30, ABOVE_2_30):
+                ok = ntt_shoup_ok(log_n, q)
+                assert ok == (q < 1 << 30), (log_n, q)
+                if ok:
+                    assert analyze_batched_forward(log_n, q).ok
+                    assert analyze_batched_inverse(log_n, q,
+                                                   unclamped=False).ok
+
+    def test_compiled_plan_edge_is_2_30(self):
+        narrow = tuple(find_ntt_primes(ORDER, 30, 2))
+        for n in (2, 64, 1024):
+            for primes in (narrow, narrow + (ABOVE_2_30,), (ABOVE_2_30,),
+                           tuple(find_ntt_primes(ORDER, 31, 2))):
+                plan = CompiledPlan(n, primes)
+                assert plan.lazy_stages_ok == (max(primes) < 1 << 30)
+                assert hasattr(plan, "q") == plan.lazy_stages_ok
+        assert not CompiledPlan(48, narrow).lazy_stages_ok
 
 
 class TestShoupPrecisionEdge:
@@ -51,24 +84,23 @@ class TestShoupPrecisionEdge:
 
     def test_31_bit_modulus_refused(self):
         # Interval-precise: the wide modulus breaks the 2^32 Shoup radix
-        # even though it fits the plain lazy path.
+        # even though it fits numpy's lazy batched plans.
         q = find_ntt_prime(512, 31)
         assert not ntt_shoup_ok(8, q)
-        assert compiled_ntt_ok(8, q)
+        assert analyze_batched_forward(8, q).ok
 
 
 class TestDegenerateShapes:
     """log_n <= 1 and single-digit keyswitch must not over-reject."""
 
     def test_two_point_ntt_accepted(self):
-        assert compiled_ntt_ok(1, 257)
         assert ntt_shoup_ok(1, 257)
         assert unclamped_dit_ok(1, 257)
 
     def test_log_n_zero_does_not_raise(self):
         # A 1-point transform is vacuously safe for any sane modulus.
-        assert compiled_ntt_ok(0, 257)
         assert ntt_shoup_ok(0, 257)
+        assert analyze_batched_inverse(0, 257, unclamped=False).ok
 
     def test_degenerate_analysis_agreement(self):
         assert analyze_batched_forward(1, 257).ok

@@ -285,9 +285,20 @@ class TestNumpyChecksAreTheOracleOfTheCSums:
 
     @pytest.mark.parametrize("bits", [28, 30, 31])
     def test_keyswitch_sums_and_verdicts(self, bits):
+        """From 2^30 up no compiled NTT is proven: the checked slot
+        declines before the foreign call, and the phased path answers
+        (``TestModulusWidths``)."""
         primes = tuple(find_ntt_primes(2 * N, bits, 5))
-        _assert_sums_match_numpy(CompiledBackend(), AbftChecker(3),
-                                 *_one_level_down(primes))
+        backend, checker = CompiledBackend(), AbftChecker(3)
+        if bits <= 30:
+            _assert_sums_match_numpy(backend, checker,
+                                     *_one_level_down(primes))
+            return
+        x, level_primes, ksk, keep = _one_level_down(primes)
+        check = checker.fused_check(N, level_primes, [ksk.block])
+        assert backend.keyswitch_apply(x, level_primes, [ksk.block], keep,
+                                       check=check) is None
+        assert backend.kernel_invocations == 0
 
     def test_drop_top_sums_and_verdicts(self):
         """A drop of the top of ``R`` limbs runs ``R`` row NTTs — the
@@ -599,8 +610,9 @@ class TestExposure:
 class TestModulusWidths:
     @pytest.mark.parametrize("bits, limbs, taken, checks", [
         (30, 3, True, 4),
-        (31, 3, True, 4),
-        (31, 6, False, 2),   # reduced accumulator: no spare identity
+        (30, 17, False, 2),  # reduced accumulator: no spare identity
+        (31, 3, False, 4),   # no compiled NTT: phased, spare identity
+        (31, 6, False, 2),   # ... and a reduced accumulator: no spare
         (32, 3, False, 2),   # no compiled NTT: object-dtype MAC, no spare
     ])
     def test_keyswitch(self, bits, limbs, taken, checks):
@@ -634,7 +646,7 @@ class TestModulusWidths:
                              ("drop_top_limb", False)]
         assert (guard.checker.checks, guard.checker.mismatches) == (6, 0)
 
-    @pytest.mark.parametrize("bits, taken", [(30, True), (31, True),
+    @pytest.mark.parametrize("bits, taken", [(30, True), (31, False),
                                              (32, False)])
     def test_drop_top_limb(self, bits, taken):
         primes = tuple(find_ntt_primes(2 * N, bits, 4))

@@ -65,7 +65,7 @@ class TestGatesLiveInTheCallee:
     @pytest.mark.parametrize("entry", ["fwd_ntt", "inv_ntt", "ks_apply",
                                        "drop_top", "tensor"])
     def test_table_less_plan_never_reaches_c(self, provider, entry):
-        """q >= 2^31: ``lazy_stages_ok`` is False, the plan has no
+        """q >= 2^30: ``lazy_stages_ok`` is False, the plan has no
         tables, and nothing is written."""
         plan = get_plan(N, tuple(find_ntt_primes(2 * N, 32, 3)))
         assert not plan.lazy_stages_ok and not hasattr(plan, "q")
@@ -93,24 +93,33 @@ class TestGatesLiveInTheCallee:
 
     def test_eligible_plan_runs_every_entry(self, provider):
         plan = get_plan(N, tuple(find_ntt_primes(2 * N, 30, 3)))
-        assert plan.keyswitch_ok and plan.drop_top_ok and plan.tensor_ok
+        assert plan.keyswitch_ok and plan.drop_top_ok
         for call, outputs in _calls(provider, plan).values():
             call()
             assert not any((out == 0xDEAD).any() for out in outputs)
 
     @pytest.mark.parametrize("bits, schedule", [
-        (30, (1, 2, 1)),   # Shoup forward, clamp-free inverse
-        (31, (0, 0, 1)),   # Barrett both ways (mode 1 needs n >= 2^16)
+        (30, (2, 1)),  # clamp-free inverse, unreduced accumulator
+        (31, (1, 1)),  # table-less: no schedule reaches C
     ])
     def test_schedule_is_resolved_once_on_the_plan(self, provider, bits,
                                                    schedule):
+        """The plan holds ``(inv_mode, ks_lazy)`` and ``plan_t`` carries
+        it.  From 2^30 up no compiled NTT is proven: the plan is
+        table-less and every plan entry raises before C."""
         plan = get_plan(N, tuple(find_ntt_primes(2 * N, bits, 3)))
-        assert (plan.fwd_shoup, plan.inv_mode, plan.ks_lazy) == schedule
+        assert (plan.inv_mode, plan.ks_lazy) == schedule
+        if bits > 30:
+            assert not plan.lazy_stages_ok and not hasattr(plan, "q")
+            for entry, (call, outputs) in _calls(provider, plan).items():
+                with pytest.raises(ValueError,
+                                   match=f"{entry}: no compiled schedule"):
+                    call()
+                assert all((out == 0xDEAD).all() for out in outputs)
+            return
         tables = cext._tables(plan, "test")
-        assert (tables.fwd_shoup, tables.inv_mode, tables.ks_lazy) == schedule
+        assert (tables.inv_mode, tables.ks_lazy) == schedule
         assert cext._tables(plan, "test") is tables
-        # Six 31-bit products overflow uint64: reduced accumulate.
-        assert get_plan(N, tuple(find_ntt_primes(2 * N, 31, 6))).ks_lazy == 0
 
 
 def _check(plan, key=None):
@@ -190,7 +199,7 @@ class TestCheckRequestIsValidatedInTheCallee:
                                                    entry, monkeypatch):
         """The gate is the plan's (``checksum_dot_lazy_ok`` at ``max_x =
         2**32 - 1``, asked once where the plan is built): it refuses
-        31-bit primes at n = 2^17 and nothing the toy shapes reach, so
+        30-bit primes at n = 2^18 and nothing the toy shapes reach, so
         the refusal itself is forced here."""
         assert plan.checksum_ok
         call, outputs, _ = self._checked_calls(provider, plan, _check)[entry]
@@ -200,9 +209,12 @@ class TestCheckRequestIsValidatedInTheCallee:
         assert all((out == 0xDEAD).all() for out in outputs)
 
     def test_reduced_accumulator_refuses_the_spare_channel(self, provider):
-        """Six 31-bit products overflow uint64, so the accumulator is
-        reduced at every step and has no ``mod q_s`` to compare."""
-        plan = get_plan(N, tuple(find_ntt_primes(2 * N, 31, 7)))
+        """17 30-bit products overflow uint64 (16 do not), so the
+        accumulator is reduced at every step and has no ``mod q_s`` to
+        compare."""
+        primes = tuple(find_ntt_primes(2 * N, 30, 18))
+        assert get_plan(N, primes[:17]).ks_lazy
+        plan = get_plan(N, primes)
         assert plan.keyswitch_ok and plan.checksum_ok and not plan.ks_lazy
         calls = self._checked_calls(provider, plan, _check)
         with pytest.raises(ValueError, match="ks_apply: in-kernel integrity"):
@@ -212,11 +224,12 @@ class TestCheckRequestIsValidatedInTheCallee:
     def test_the_gate_is_the_analysis_closed_form(self):
         from repro.analysis.bounds import checksum_dot_lazy_ok
 
-        for bits in (28, 30, 31):
+        for bits in (28, 29, 30):
             plan = get_plan(N, tuple(find_ntt_primes(2 * N, bits, 3)))
             assert plan.checksum_ok == all(
                 checksum_dot_lazy_ok(N, 2**32 - 1, q) for q in plan.primes)
-        assert not checksum_dot_lazy_ok(1 << 17, 2**32 - 1, (1 << 31) - 1)
+        assert checksum_dot_lazy_ok(1 << 17, 2**32 - 1, (1 << 30) - 1)
+        assert not checksum_dot_lazy_ok(1 << 18, 2**32 - 1, (1 << 30) - 1)
 
 
 def _c_source():

@@ -44,7 +44,7 @@ from repro.fhe.params import toy_params
 from repro.fhe.rlwe import RlweCiphertext, tensor
 from repro.fhe.rns import get_basis
 from repro.fhe.sampling import sample_uniform_poly
-from repro.kernels import CompiledBackend, cext
+from repro.kernels import CompiledBackend, cext, get_plan
 from repro.kernels import backend as kernels_backend
 from repro.obs import observe
 from tests.test_fhe_drop import coefficient_domain_drop
@@ -205,6 +205,29 @@ def assert_ragged_arguments_refused(count):
     assert backend.kernel_invocations == 0
 
 
+def assert_reduced_walk_matches_phased(count):
+    """n = 1024 over 17 limbs of 30-bit primes and the special prime:
+    17 digit products overflow uint64, so the slot keeps its
+    accumulator reduced (``ks_lazy`` 0), and ``18 * 1024`` rows are
+    past the OpenMP threshold, so that walk runs threaded where threads
+    are there.  A ``count``-key call is taken and matches the phased
+    path on numpy."""
+    n = 1024
+    primes = tuple(find_ntt_primes(2 * n, 30, 18))
+    assert get_plan(n, primes).ks_lazy == 0
+    x, ksk, params = _synthetic(primes, n=n, seed=17)
+
+    def switch():
+        return keyswitch.hoisted_keyswitch(x, [ksk] * count, GALOIS[count],
+                                           params)
+
+    golden = _on_numpy(switch)
+    spy = SpyBackend()
+    with use_backend(spy):
+        assert all(_same(a, b) for a, b in zip(switch(), golden))
+    assert spy.taken == [("keyswitch_apply", count, True)]
+
+
 SCHEMES = {
     "ckks": lambda: CkksContext(toy_params(), seed=11),
     "bgv": lambda: BgvContext(BgvParams(
@@ -300,14 +323,13 @@ class TestTensorProduct:
 
 
 class TestModulusWidths:
-    """Primes just below 2^30 (Shoup butterflies), between 2^30 and
-    2^31 (Barrett variant) and at 2^31 and above (no compiled NTT: the
-    slot declines and the phased path answers)."""
+    """Primes just below 2^30 (Shoup butterflies) and at 2^30 and above
+    (no compiled NTT: the slot declines and the phased path answers)."""
 
     @pytest.mark.parametrize("bits, limbs, taken", [
         (30, 3, True),
-        (31, 3, True),
-        (31, 5, True),   # five 31-bit products overflow: reduced accumulate
+        (30, 17, True),  # 17 30-bit products overflow: reduced accumulate
+        (31, 3, False),
         (32, 3, False),
         (40, 2, False),
     ])
@@ -318,7 +340,7 @@ class TestModulusWidths:
             _assert_three_ways(x.limbs_prefix(count), ksk, params,
                                taken=taken)
 
-    @pytest.mark.parametrize("bits, taken", [(30, True), (31, True),
+    @pytest.mark.parametrize("bits, taken", [(30, True), (31, False),
                                              (32, False)])
     def test_drop_top_limb(self, bits, taken):
         primes = tuple(find_ntt_primes(2 * N, bits, 4))
@@ -334,6 +356,9 @@ class TestModulusWidths:
         with use_backend(spy):
             assert _same(both(), golden)
         assert spy.taken == [("drop_top_limb", taken)] * 2
+
+    def test_reduced_accumulator_threaded(self):
+        assert_reduced_walk_matches_phased(1)
 
     def test_mixed_width_chain_declines(self):
         """No schedule for the chain: the plain keyswitch declines and

@@ -40,6 +40,7 @@ from tests.test_kernels_keyswitch_fused import (
     _synthetic,
     assert_declines_before_allocating,
     assert_ragged_arguments_refused,
+    assert_reduced_walk_matches_phased,
     assert_unscheduled_chain_declines,
 )
 
@@ -98,6 +99,9 @@ class TestBitIdentity:
                  "PYTHONPATH": os.pathsep.join(sys.path)},
             capture_output=True, text=True, timeout=600)
         assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_reduced_accumulator_threaded(self):
+        assert_reduced_walk_matches_phased(3)
 
     def test_every_backend_agrees_at_the_bench_shape(self):
         """n = 8192, L = 8: numpy, compiled, compiled under ``detect``
