@@ -520,8 +520,9 @@ def bench_keyswitch_hoisted(n: int, levels: int, count: int, repeats: int,
 
 def bench_vpu_program_cache(n: int = 1024, levels: int = 3) -> dict:
     """One program per kernel shape on the VPU: compiled, lowered and
-    scheduled once, bound to each prime by a gather, replayed per limb —
-    the dispatch engine's other half.  Reports wall-clock for the first
+    scheduled once, bound to each prime by a gather, and replayed on
+    every limb of a batch in one lock-step pass — the dispatch engine's
+    other half.  Reports wall-clock for the first
     (compiling and binding) batch vs a cached batch, plus the
     compile-invocation reduction (every limb of every batch over one
     compilation)."""

@@ -29,6 +29,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _lane_words(q: int) -> tuple[int, int, int, int]:
+    """The uint64 datapath's constants for ``q``: ``w - 1``, ``w + 1``,
+    ``mu`` and ``q``."""
+    w = q.bit_length()
+    return w - 1, w + 1, (1 << (2 * w)) // q, q
+
+
+def _reduce_lanes(z: np.ndarray, low, high, mu, q) -> np.ndarray:
+    """The uint64 datapath's reduction of products ``z < q**2`` from the
+    constants of :func:`_lane_words` (scalars, or arrays shaped like
+    ``z``)."""
+    t = z - (((z >> low) * mu) >> high) * q
+    # Two conditional subtractions: ``t - q`` wraps above ``t`` exactly
+    # when ``t < q``.
+    t = np.minimum(t, t - q)
+    return np.minimum(t, t - q)
+
+
 @dataclass
 class BarrettReducer:
     """A Barrett modular multiplier for a fixed modulus.
@@ -61,9 +79,8 @@ class BarrettReducer:
         self.width = self.q.bit_length()
         self.mu = (1 << (2 * self.width)) // self.q
         if self.q < (1 << 31):
-            # The uint64 datapath's constants: w - 1, w + 1, mu, q.
-            self._lane_constants = tuple(np.uint64(c) for c in (
-                self.width - 1, self.width + 1, self.mu, self.q))
+            self._lane_constants = tuple(
+                np.uint64(c) for c in _lane_words(self.q))
 
     # -- scalar datapath ---------------------------------------------------
 
@@ -115,13 +132,8 @@ class BarrettReducer:
         """
         if self.q >= (1 << 31):
             return self._mul_vec_exact(a, b)
-        low, high, mu, qq = self._lane_constants
         z = np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64)
-        t = z - (((z >> low) * mu) >> high) * qq
-        # Two conditional subtractions: ``t - qq`` wraps above ``t``
-        # exactly when ``t < qq``.
-        t = np.minimum(t, t - qq)
-        return np.minimum(t, t - qq)
+        return _reduce_lanes(z, *self._lane_constants)
 
     def _mul_vec_exact(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """:meth:`mul` on every lane at once, for moduli whose products
@@ -155,3 +167,53 @@ class BarrettReducer:
             "subtractions": 1 + corrections,  # corrections <= 2
         }
         return result, ops
+
+
+class BarrettStack:
+    """The Barrett multipliers of a batch: one modulus per limb, applied
+    to arrays with a leading limb axis.
+
+    While every modulus is below ``2**31`` the limbs share the uint64
+    datapath.  A constant that differs between limbs is expanded to the
+    operands' shape (numpy runs a broadcast limb axis in short loops);
+    one they share stays a scalar.  From ``2**31`` up each limb takes its
+    own reducer's exact path.
+    """
+
+    def __init__(self, moduli) -> None:
+        moduli = [int(q) for q in moduli]
+        #: The moduli, one ``uint64`` word per limb.
+        self.moduli = np.array(moduli, dtype=np.uint64)
+        self._reducers = None
+        columns = [moduli]
+        if max(moduli) >= (1 << 31):
+            self._reducers = [BarrettReducer(q) for q in moduli]
+        else:
+            columns = list(zip(*map(_lane_words, moduli)))
+        self._columns = [
+            np.uint64(c[0]) if c.count(c[0]) == len(c)
+            else np.array(c, dtype=np.uint64) for c in columns]
+        self._words: dict[tuple, tuple] = {}
+
+    def words(self, shape: tuple) -> tuple:
+        """The datapath constants (``w - 1``, ``w + 1``, ``mu``, ``q``; on
+        the exact path ``q`` alone), each a scalar or shaped ``shape``."""
+        words = self._words.get(shape)
+        if words is None:
+            limbs = (-1,) + (1,) * (len(shape) - 1)
+            words = self._words[shape] = tuple(
+                c if c.ndim == 0 else np.empty(shape, dtype=np.uint64)
+                for c in self._columns)
+            for word, c in zip(words, self._columns):
+                if c.ndim:
+                    word[...] = c.reshape(limbs)
+        return words
+
+    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`BarrettReducer.mul_vec` of every limb: ``a`` and ``b``
+        are ``(L, ...)``, limb ``l`` reduced modulo ``moduli[l]``."""
+        if self._reducers is not None:
+            return np.stack([r.mul_vec(x, y)
+                             for r, x, y in zip(self._reducers, a, b)])
+        z = a * b
+        return _reduce_lanes(z, *self.words(z.shape))

@@ -27,18 +27,24 @@ the lock-step schedule and the interval and def-use passes of
 :mod:`repro.analysis` read the same steps through it, decoded tolerantly
 for the passes, so that a failed check comes back as a value.
 
-:meth:`~VectorProcessingUnit.execute` replays the lowered form in one of
-two ways.  With no fault hook, and every ``Load`` / ``Store`` row inside
-the memory, it runs *lock step*, as §IV-A maps an NTT: registers and
-rows are renamed to immutable values, so ``Load`` and ``Store`` move no
-data, and the steps of one dependency level with one opcode run as one
-numpy call over all the independent row strands.  That schedule is built
-on the first such replay and kept on the lowered form; when the
-binding and its inputs are below ``q``, so is every value, and the
-adders never divide.  Registers, rows and counters are written once, at
-the end; a replay that raises commits and books nothing.  Otherwise the
-step loop runs one instruction at a time and books whatever retired,
-also when it ends in an exception.
+:meth:`~VectorProcessingUnit.execute` replays the lowered form once, or
+once per limb of a batch: one prime and one memory image per limb, as
+the RNS limbs of an FHE operation are independent (§IV-A maps an NTT as
+independent CG NTTs the same way).  It replays in one of two ways.  With
+no fault hook, and every ``Load`` / ``Store`` row inside the memory, it
+runs *lock step*: registers and rows are renamed to immutable values, so
+``Load`` and ``Store`` move no data, and the steps of one dependency
+level of one kind run as one numpy call over all the independent row
+strands of every limb, each limb's lanes bound to its prime.  That
+schedule is built on the first such replay and kept on the lowered form;
+a butterfly wave gathers its halves as contiguous arrays through flat
+offsets the schedule computes once.  When every binding and input is
+below its limb's ``q``, so is every value, and the adders never divide.
+Registers, rows and counters are written once, at the end; a replay that
+raises commits and books nothing.  Otherwise (or for a program that reads
+a register before writing it, which would carry it from limb to limb)
+the step loop runs one instruction at a time, limb by limb, and books
+whatever retired, also when it ends in an exception.
 
 A lane route is the network's own answer
 (:meth:`~repro.core.network.InterLaneNetwork.route`: the lane indices
@@ -62,7 +68,7 @@ from itertools import groupby
 import numpy as np
 
 from repro import obs
-from repro.arith.barrett import BarrettReducer
+from repro.arith.barrett import BarrettReducer, BarrettStack
 from repro.core.isa import (
     Butterfly,
     Instruction,
@@ -84,6 +90,8 @@ from repro.ntt.tables import get_tables
 #: Opcodes of the lowered form, most frequent first in the replay loop.
 (_NTT, _LOAD, _STORE, _NET_DIAG, _NET, _MUL_TWIDDLE, _MUL_SCALAR,
  _ADD, _SUB, _MUL, _BFLY) = range(11)
+#: The lock-step waves of either butterfly, routed or not.
+_DIF, _DIT = 11, 12
 _BINARY = {VAdd: _ADD, VSub: _SUB, VMul: _MUL}
 
 
@@ -115,6 +123,29 @@ def bind_table(program: Program, q: int, twiddles=None,
     program.bound[q] = Binding(
         q, *words, all(int(w.max(initial=0)) < q for w in words))
     return program.bound[q]
+
+
+# The lanes' modular adder and subtractor, on any words and, dividing
+# nothing, on words below q.  ``t - q`` wraps above ``t`` exactly when
+# ``t < q``, and ``d + q`` below ``d`` exactly when ``d`` wrapped.
+
+def _add_words(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
+    t = a % q + b % q
+    return np.minimum(t, t - q)
+
+
+def _sub_words(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
+    return (a % q + (q - b % q)) % q
+
+
+def _add_reduced(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
+    t = a + b
+    return np.minimum(t, t - q)
+
+
+def _sub_reduced(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
+    d = a - b
+    return np.minimum(d, d + q)
 
 
 class VectorMemory:
@@ -182,18 +213,18 @@ class ExecutionStats:
         self.loads += isinstance(instr, Load)
         self.stores += isinstance(instr, Store)
 
-    def add(self, other: "ExecutionStats") -> None:
-        """Accumulate another tally; instruction classes keep the order
-        in which they were first seen."""
-        self.cycles += other.cycles
-        self.multiplier_busy += other.multiplier_busy
-        self.adder_busy += other.adder_busy
-        self.compute_busy += other.compute_busy
-        self.network_passes += other.network_passes
-        self.loads += other.loads
-        self.stores += other.stores
+    def add(self, other: "ExecutionStats", times: int = 1) -> None:
+        """Accumulate another tally ``times`` over; instruction classes
+        keep the order in which they were first seen."""
+        self.cycles += times * other.cycles
+        self.multiplier_busy += times * other.multiplier_busy
+        self.adder_busy += times * other.adder_busy
+        self.compute_busy += times * other.compute_busy
+        self.network_passes += times * other.network_passes
+        self.loads += times * other.loads
+        self.stores += times * other.stores
         for name, count in other.by_type.items():
-            self.by_type[name] = self.by_type.get(name, 0) + count
+            self.by_type[name] = self.by_type.get(name, 0) + times * count
 
     def compute_utilization(self) -> float:
         """Fraction of cycles the arithmetic lanes did useful work."""
@@ -242,18 +273,31 @@ class _LockStep:
     """A strict lowering renamed to immutable values and levelled.
 
     A replay's table of values opens with the ``inputs`` (registers, then
-    rows, read before any write); wave ``(op, flag, start, stop, a, b,
+    rows, read before any write; ``input_counts`` is the number of
+    registers and of all inputs); wave ``(op, start, stop, a, b, group,
     const)`` computes values ``[start, stop)`` — one dependency level's
-    steps of one opcode and dif/dit flag — from value ids or flat ``value
-    * m + lane`` gathers and table indices (one row if all are alike).
-    ``outputs`` (registers, values, rows, values) are committed at the
-    end; ``top_row`` is the highest row named."""
+    steps of one kind — from value ids (a ``slice`` for a run) or flat
+    ``value * m + lane`` offsets.  A butterfly wave gathers its halves
+    ``u`` and ``v`` as contiguous arrays through the offsets ``a`` and
+    ``b``, and writes its sums and differences to lanes ``G*group + j``
+    and ``G*group + j + group/2``, ``j < group/2``, of every group ``G``
+    of its rows: a dit stage's CG scatter, or with ``group`` 2 the
+    adjacent pairs of a dif stage or a plain butterfly.  ``const`` is the
+    wave's ``(slice, shape)`` of a binding's flat word table, whose slots
+    ``words`` lists per wave as ``(scalar, slots)``.  ``outputs``
+    (registers, values, rows, values) are committed at the end;
+    ``top_row`` is the highest row named; ``carries`` is whether a
+    register is read before it is written and written after, so that
+    each limb of a batch would read what the limb before left."""
 
     values: int
     inputs: tuple
+    input_counts: tuple
     waves: tuple
+    words: tuple
     outputs: tuple
     top_row: int
+    carries: bool
 
 
 def _lock_step(steps: tuple, m: int) -> _LockStep:
@@ -262,7 +306,8 @@ def _lock_step(steps: tuple, m: int) -> _LockStep:
     level = []       # dependency depth of every value, in creation order
     initial = {}     # place -> the value it held before the program
     current = {}     # place -> the value it holds now
-    computes = []    # (depth, op, flag, value, operands, lanes, const)
+    computes = []    # (depth, kind, group, value, operands, lanes, const)
+    lanes = np.arange(m)
 
     def value(place) -> int:
         v = current.get(place)
@@ -272,7 +317,7 @@ def _lock_step(steps: tuple, m: int) -> _LockStep:
         return v
 
     for step in steps:
-        op, _, a, b, const, route, _ = step
+        op, _, a, b, const, route, config = step
         reads, writes = step_operands(step)
         operands = [value((0, r)) for r in reads]
         if op == _STORE:
@@ -282,12 +327,19 @@ def _lock_step(steps: tuple, m: int) -> _LockStep:
             result = value((1, a))
         else:
             # A diagonal read joins the network passes: output lane j
-            # reads lane route[j] of its own operand, reads[j].
+            # reads lane route[j] of its own operand, reads[j].  A plain
+            # butterfly is an NTT stage whose route is the identity.
+            kind, group = (_NET if op == _NET_DIAG else op), 2
+            if op in (_NTT, _BFLY):
+                kind = _DIF if b else _DIT
+                if route is None:
+                    route = lanes
+                elif not b:
+                    group = config.cg_group_size or m
             depth = 1 + max(level[v] for v in operands)
             result = len(level)
-            computes.append((depth, _NET if op == _NET_DIAG else op,
-                             op in (_NTT, _BFLY) and b, result, operands,
-                             route, const))
+            computes.append((depth, kind, group, result, operands, route,
+                             const))
             level.append(depth)
         current[0, writes[0]] = result
 
@@ -296,42 +348,69 @@ def _lock_step(steps: tuple, m: int) -> _LockStep:
     inits = sorted(initial)             # registers, then rows
     final[[initial[p] for p in inits]] = np.arange(len(inits))
     final[[c[3] for c in computes]] = len(inits) + np.arange(len(computes))
-    waves, start = [], len(inits)
-    for (_, op, flag), group in groupby(computes, key=lambda c: c[:3]):
-        wave = list(group)
-        a, b, const = final[[w[4][0] for w in wave]], None, None
+    waves, words, start, offset = [], [], len(inits), 0
+    for (_, op, group), members in groupby(computes, key=lambda c: c[:3]):
+        wave = list(members)
+        ids = final[[w[4][0] for w in wave]]
+        a, b, const = _rows(ids), None, None
         if op == _NET:
             # One gather of (value, lane) pairs from the flat value table.
             a = np.stack([final[w[4]] * m + w[5] for w in wave])
         elif op in _BINARY.values():
-            b = final[[w[4][1] for w in wave]]
-        else:
+            b = _rows(final[[w[4][1] for w in wave]])
+        elif op in (_DIF, _DIT):
+            # dif gathers its operand through the route, dit the adjacent
+            # pairs of its own.
+            source = ids[:, None] * m + (
+                np.stack([w[5] for w in wave]) if op == _DIF else lanes)
+            a, b = source[:, 0::2].copy(), source[:, 1::2].copy()
+        if wave[0][6] is not None:
             first = wave[0][6]
             starts = np.array([w[6].start for w in wave], dtype=np.intp)
             if (starts == first.start).all():
                 starts = starts[:1]
-            const = starts[:, None] + np.arange(first.stop - first.start)
-        if op == _NTT:
-            # dif gathers its operand through the route; dit routes the
-            # butterflied rows of the wave itself.
-            routes = np.stack([w[5] for w in wave])
-            if flag:
-                a = a[:, None] * m + routes
-            else:
-                b = np.arange(len(wave))[:, None] * m + routes
-        waves.append((op, flag, start, start + len(wave), a, b, const))
+            slots = starts[:, None] + np.arange(first.stop - first.start)
+            words.append((op == _MUL_SCALAR, slots))
+            const = (slice(offset, offset + slots.size), slots.shape)
+            offset += slots.size
+        waves.append((op, start, start + len(wave), a, b, group, const))
         start += len(wave)
 
     changed = [(*p, final[v]) for p, v in current.items()
                if initial.get(p) != v]
+    inputs = [[p[1] for p in inits if p[0] == kind] for kind in (0, 1)]
     return _LockStep(
         len(level),
-        tuple(np.array([p[1] for p in inits if p[0] == kind], dtype=np.intp)
-              for kind in (0, 1)),
+        tuple(_rows(np.array(ids, dtype=np.intp)) for ids in inputs),
+        (len(inputs[0]), len(inits)),
         tuple(waves),
-        tuple(np.array([c[i] for c in changed if c[0] == kind], dtype=np.intp)
+        tuple(words),
+        tuple(_rows(np.array([c[i] for c in changed if c[0] == kind],
+                             dtype=np.intp))
               for kind in (0, 1) for i in (1, 2)),
-        max((p[1] for p in current if p[0] == 1), default=-1))
+        max((p[1] for p in current if p[0] == 1), default=-1),
+        any(c[0] == 0 and (0, c[1]) in initial for c in changed))
+
+
+def _rows(ids: np.ndarray):
+    """Ids as a ``slice`` when they are a run, which indexes without a
+    copy."""
+    if len(ids) and (np.diff(ids) == 1).all():
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return ids
+
+
+def _wave_words(binding: Binding, schedule: _LockStep) -> np.ndarray:
+    """The binding's words of every wave of ``schedule``, flat, gathered
+    once and kept on the binding."""
+    words = binding.waves.get(schedule)
+    if words is None:
+        scalars = binding.scalars % np.uint64(binding.q)
+        words = binding.waves[schedule] = np.concatenate(
+            [np.empty(0, dtype=np.uint64)]
+            + [(scalars if scalar else binding.twiddles)[slots].reshape(-1)
+               for scalar, slots in schedule.words])
+    return words
 
 
 class VectorProcessingUnit:
@@ -384,30 +463,18 @@ class VectorProcessingUnit:
         return out
 
     def _add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        q = self._q
-        t = a % q + b % q
-        out = np.minimum(t, t - q)  # t - q wraps above t exactly when t < q
+        out = _add_words(a, b, self._q)
         hook = self.fault_hook
         if hook is not None:
             out = hook.filter_alu("add", out)
         return out
 
     def _sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        q = self._q
-        out = (a % q + (q - b % q)) % q
+        out = _sub_words(a, b, self._q)
         hook = self.fault_hook
         if hook is not None:
             out = hook.filter_alu("sub", out)
         return out
-
-    # :meth:`_add` / :meth:`_sub` of operands below ``q``: no division.
-    def _add_reduced(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        t = a + b
-        return np.minimum(t, t - self._q)
-
-    def _sub_reduced(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        t = a + (self._q - b)
-        return np.minimum(t, t - self._q)
 
     def _butterfly_pairs(self, x: np.ndarray, dif: bool, tw: np.ndarray,
                          add, sub) -> np.ndarray:
@@ -530,29 +597,56 @@ class VectorProcessingUnit:
 
     # -- execution ---------------------------------------------------------
 
-    def execute(self, program: Program) -> ExecutionStats:
-        """Run a program to completion, returning the run's stats."""
-        lowered, binding = self.lower(program), bind_table(program, self.q)
+    def execute(self, program: Program, primes=None,
+                images: np.ndarray | None = None) -> ExecutionStats:
+        """Run a program to completion, returning the run's stats.
+
+        By default it runs once, under the unit's modulus, on its memory.
+        Given one prime and one memory image (an array shaped like
+        ``memory.data``) per limb, it runs once per limb, in order, as
+        if each limb ran alone: limb ``l`` under ``primes[l]``, on the
+        memory ``images[l]`` and the registers the limb before it left,
+        and ``images[l]`` receives the memory it leaves.  The stats are
+        the sum over the limbs; the unit is left with the last limb's
+        modulus, registers and memory."""
+        if primes is None:
+            primes, images = (self.q,), self.memory.data[None]
+        elif not len(primes) or images.shape != (len(primes),
+                                                 *self.memory.data.shape):
+            raise ValueError(f"{len(primes)} primes for memory images of "
+                             f"shape {images.shape}")
+        lowered = self.lower(program)
+        bindings = [bind_table(program, q) for q in primes]
         lowest, twiddles, scalars = lowered.table
-        if (lowest < 0 or binding.twiddles.size < twiddles
-                or binding.scalars.size < scalars):
-            raise ValueError(f"table slots {lowered.table} (lowest, twiddle, "
-                             f"scalar words) outside the binding to {self.q}")
+        for binding in bindings:
+            if (lowest < 0 or binding.twiddles.size < twiddles
+                    or binding.scalars.size < scalars):
+                raise ValueError(
+                    f"table slots {lowered.table} (lowest, twiddle, scalar "
+                    f"words) outside the binding to {binding.q}")
+        limbs = len(bindings)
         run = ExecutionStats()
-        with obs.span("vpu.execute", cat="vpu", m=self.m, q=self.q,
+        with obs.span("vpu.execute", cat="vpu", m=self.m, limbs=limbs,
                       instructions=len(program)) as span:
             hooked = self.fault_hook is not None
             if not hooked and lowered.lockstep is None:
                 lowered.lockstep = _lock_step(lowered.steps, self.m)
-            if hooked or lowered.lockstep.top_row >= self.memory.rows:
-                self._replay(program, lowered, binding)  # books what retired
+            if (hooked or lowered.lockstep.top_row >= self.memory.rows
+                    or limbs > 1 and lowered.lockstep.carries):
+                # Limb by limb; each books what retired.
+                for binding, image in zip(bindings, images):
+                    if binding.q != self.q:
+                        self.set_modulus(binding.q)
+                    self.memory.data[:] = image
+                    self._replay(program, lowered, binding)
+                    image[:] = self.memory.data
             else:
-                self._replay_lockstep(lowered, binding)
-            run.add(lowered.stats)
+                self._replay_lockstep(lowered, bindings, images)
+            run.add(lowered.stats, limbs)
             # Model cycles land on this span (the innermost open one),
             # so every architectural cycle is attributed exactly once.
             obs.add_cycles(run.cycles)
-            obs.count("vpu.executions")
+            obs.count("vpu.executions", limbs)
             obs.count("vpu.cycles", run.cycles)
             obs.count("vpu.network_passes", run.network_passes)
             span.set(cycles=run.cycles,
@@ -630,50 +724,66 @@ class VectorProcessingUnit:
             rf.reads += lowered.regfile_reads
             rf.writes += lowered.regfile_writes
 
-    def _replay_lockstep(self, lowered: _Lowered, binding: Binding) -> None:
-        """Run the schedule wave by wave on a table of values; registers,
-        rows and counters change only once every wave has run."""
-        rf, memory, schedule = self.regfile, self.memory, lowered.lockstep
-        consts = binding.waves.get(schedule)
-        if consts is None:
-            consts = binding.waves[schedule] = tuple(
-                None if const is None else (binding.scalars % self._q
-                 if op == _MUL_SCALAR else binding.twiddles)[const]
-                for op, *_, const in schedule.waves)
-        table = np.empty((schedule.values, self.m), dtype=np.uint64)
-        flat = table.reshape(-1)
-        regs, rows = schedule.inputs
-        table[:len(regs)] = rf.data[regs]
-        table[len(regs):len(regs) + len(rows)] = memory.data[rows]
-        add, sub, mul = self._add, self._sub, self._mul
-        inputs = table[:len(regs) + len(rows)]
-        if binding.reduced and inputs.max(initial=0) < self.q:
+    def _replay_lockstep(self, lowered: _Lowered, bindings: list,
+                         images: np.ndarray) -> None:
+        """Run the schedule wave by wave on a table of values with one
+        plane per limb, the lanes of limb ``l`` bound to its prime;
+        registers, rows, the modulus and the counters change only once
+        every wave has run."""
+        rf, schedule, m = self.regfile, lowered.lockstep, self.m
+        limbs = len(bindings)
+        words = [_wave_words(binding, schedule) for binding in bindings]
+        consts = words[0][None] if limbs == 1 else np.stack(words)
+        table = np.empty((limbs, schedule.values, m), dtype=np.uint64)
+        flat = table.reshape(limbs, -1)
+        (regs, rows), (registers, count) = (schedule.inputs,
+                                            schedule.input_counts)
+        inputs = table[:, :count]
+        inputs[:, :registers] = rf.data[regs]
+        inputs[:, registers:] = images[:, rows]
+        lanes = BarrettStack([binding.q for binding in bindings])
+        mul = lanes.mul_vec
+        add, sub = _add_words, _sub_words
+        if (all(binding.reduced for binding in bindings)
+                and (inputs.reshape(limbs, -1).max(axis=1, initial=0)
+                     < lanes.moduli).all()):
             # Every value the lanes make stays below q: no division.
-            add, sub = self._add_reduced, self._sub_reduced
-        binary = {_ADD: add, _SUB: sub, _MUL: mul}
-        butterfly = partial(self._butterfly_pairs, add=add, sub=sub)
-        for (op, flag, start, stop, a, b, _), const in zip(schedule.waves,
-                                                           consts):
-            if op == _NTT and flag:
-                out = butterfly(flat[a], True, const)
-            elif op == _NTT:
-                out = butterfly(table[a], False, const).reshape(-1)[b]
+            add, sub = _add_reduced, _sub_reduced
+        for op, start, stop, a, b, group, const in schedule.waves:
+            rows_out = table[:, start:stop]
+            if const is not None:
+                const = consts[:, const[0]].reshape(limbs, *const[1])
+            if op in (_DIF, _DIT):
+                u, v = flat.take(a, axis=1), flat.take(b, axis=1)
+                q = lanes.words(u.shape)[-1]
+                if op == _DIF:
+                    low, high = add(u, v, q), mul(sub(u, v, q), const)
+                else:
+                    v = mul(v, const)
+                    low, high = add(u, v, q), sub(u, v, q)
+                half = group // 2
+                halves = rows_out.reshape(limbs, -1, 2, half)
+                halves[:, :, 0] = low.reshape(limbs, -1, half)
+                halves[:, :, 1] = high.reshape(limbs, -1, half)
             elif op == _NET:
-                out = flat[a]
-            elif op in (_MUL_TWIDDLE, _MUL_SCALAR):
-                out = mul(table[a], const)
-            elif op in binary:
-                out = binary[op](table[a], table[b])
+                rows_out[:] = flat.take(a, axis=1)
+            elif op in (_ADD, _SUB):
+                x = table[:, a]
+                rows_out[:] = (add if op == _ADD else sub)(
+                    x, table[:, b], lanes.words(x.shape)[-1])
             else:
-                out = butterfly(table[a], flag, const)
-            table[start:stop] = out
+                rows_out[:] = mul(table[:, a],
+                                  table[:, b] if const is None else const)
         regs, reg_values, rows, row_values = schedule.outputs
-        rf.data[regs] = table[reg_values]
-        memory.data[rows] = table[row_values]
-        self.stats.add(lowered.stats)
-        rf.reads += lowered.regfile_reads
-        rf.writes += lowered.regfile_writes
-        self.network.passes += lowered.stats.network_passes
+        rf.data[regs] = table[-1, reg_values]
+        images[:, rows] = table[:, row_values]
+        self.memory.data[:] = images[-1]
+        if bindings[-1].q != self.q:
+            self.set_modulus(bindings[-1].q)
+        self.stats.add(lowered.stats, limbs)
+        rf.reads += limbs * lowered.regfile_reads
+        rf.writes += limbs * lowered.regfile_writes
+        self.network.passes += limbs * lowered.stats.network_passes
 
     # -- convenience -------------------------------------------------------
 

@@ -12,8 +12,9 @@ of a double-CRT polynomial (one row is the ``L = 1`` batch):
   runtime-compiled C source, bit-identical to the numpy path and
   falling back to it where the C provider or a gate is missing.
 * :class:`VpuBackend` — the behavioral VPU model: a batch replays one
-  cached compiled ISA program per limb, so a whole CKKS workload runs
-  "on the hardware", bit-for-bit equal to the numpy path.
+  cached compiled ISA program on every limb, each unit's share of the
+  limbs in one lock-step pass, so a whole CKKS workload runs "on the
+  hardware", bit-for-bit equal to the numpy path.
 * :class:`IntegrityBackend` — any of the above behind the ABFT runtime
   integrity layer (:mod:`repro.fault`): O(n) checksums after every
   kernel, bounded replay, program quarantine, and degradation down

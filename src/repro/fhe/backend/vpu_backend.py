@@ -29,20 +29,20 @@ class VpuBackend:
     scalings of the negacyclic wrap run as element-wise twiddle work,
     which the real VPU also does in its element-wise mode.
 
-    The VPU model is a single-polynomial engine, so a batch replays one
-    program per limb, limb ``i`` on unit ``i % units`` of ``units``
-    identical VPUs (paper §IV: the mapping extends to multiple VPUs for
-    parallel execution; each unit keeps its own ``stats``).  Compiled
-    ISA programs carry no prime: their twiddles and scalars are slots of
-    a constant table that each prime binds by a gather
+    A batch is packed once, one memory image per limb, and spread over
+    ``units`` identical VPUs (paper §IV: the mapping extends to multiple
+    VPUs for parallel execution; each unit keeps its own ``stats``):
+    unit ``j`` runs limbs ``j, j + units, ...`` as one batch, which it
+    replays lock step in one pass, every limb under its own prime (a unit
+    with a fault hook steps them one by one).  Compiled ISA programs
+    carry no prime: their twiddles and scalars are slots of a constant
+    table that each prime binds by a gather
     (:func:`repro.core.vpu.bind_table`, kept on the program).  So
     programs are cached per ``(kernel, n, m)`` and shared by every unit
     and every prime — one compilation, one lowering and one lock-step
-    schedule per kernel shape, while the data movement stays per limb,
-    exactly the replay schedule a real dispatch queue would issue — so
-    ``program_compilations`` grows with the number of *distinct kernel
-    shapes* while ``kernel_invocations`` grows with the work actually
-    executed.
+    schedule per kernel shape — so ``program_compilations`` grows with
+    the number of *distinct kernel shapes* while ``kernel_invocations``
+    (one per limb) grows with the work actually executed.
     """
 
     name = "vpu"
@@ -95,13 +95,6 @@ class VpuBackend:
         """Unit 0, the only unit of a single-VPU backend (fault hooks
         install here)."""
         return self.units[0]
-
-    def _prepare(self, unit, n: int, q: int):
-        unit.set_modulus(q)
-        needed = 2 * max(n // self.m, 2)
-        if unit.memory.rows < needed:
-            # resize_memory keeps any installed fault hook attached.
-            unit.resize_memory(needed)
 
     # -- compiled-program cache ----------------------------------------------
 
@@ -218,25 +211,33 @@ class VpuBackend:
     def _replay(self, kind: str, values: np.ndarray, primes: tuple[int, ...],
                 pack, unpack, galois_k: int | None = None) -> np.ndarray:
         """Run the kernel's one cached program on every limb, each under
-        its own prime: ``pack`` lays a limb out in a unit's memory rows,
-        ``unpack`` reads its result back from that unit's memory."""
+        its own prime: unit ``j`` of ``k`` runs limbs ``j, j + k, ...`` as
+        one batch.  ``pack`` lays the limbs out as memory rows,
+        ``unpack`` reads their results back from the memory images the
+        unit leaves."""
         values = np.asarray(values, dtype=np.uint64)
         if len(values) != len(primes):
             raise ValueError(f"{len(values)} rows for {len(primes)} primes")
         n = values.shape[1]
         out = np.empty_like(values)
-        # Each unit's modulus and memory are rebound per limb, so a batch
-        # holds the units from its first limb to its last.
+        if not len(primes):
+            return out
+        rows = pack(values, self.m)
+        needed = 2 * max(n // self.m, 2)
+        units = len(self.units)
+        # A batch holds the units from its first limb to its last.
         with self._cache_lock:
-            if len(primes):
-                program = self._program(kind, n, primes, galois_k)
-            for i, (limb, q) in enumerate(zip(values, primes)):
-                unit = self.units[i % len(self.units)]
-                self._prepare(unit, n, q)
-                unit.memory.data[:n // self.m] = pack(limb, self.m)
-                unit.execute(program)
-                self.kernel_invocations += 1
-                out[i] = unpack(unit.memory, n)
+            program = self._program(kind, n, primes, galois_k)
+            for j, unit in enumerate(self.units[:len(primes)]):
+                if unit.memory.rows < needed:
+                    # resize_memory keeps any installed fault hook attached.
+                    unit.resize_memory(needed)
+                share = rows[j::units]
+                images = np.repeat(unit.memory.data[None], len(share), axis=0)
+                images[:, :share.shape[1]] = share
+                unit.execute(program, primes[j::units], images)
+                self.kernel_invocations += len(images)
+                out[j::units] = unpack(images, n)
         return out
 
     def forward_ntt_batch(self, residues: np.ndarray,
@@ -247,7 +248,7 @@ class VpuBackend:
         # natural-order negacyclic values, matching NegacyclicNtt.forward.
         return self._replay(
             "ntt", residues, primes, pack_for_ntt,
-            lambda memory, n: unpack_ntt_result(memory, n, self.m))
+            lambda images, n: unpack_ntt_result(images, n, self.m))
 
     def cyclic_ntt_batch(self, values: np.ndarray,
                          primes: tuple[int, ...]) -> np.ndarray:
@@ -257,14 +258,14 @@ class VpuBackend:
 
         return self._replay(
             "cyclic", values, primes, pack_for_ntt,
-            lambda memory, n: unpack_ntt_result(memory, n, self.m))
+            lambda images, n: unpack_ntt_result(images, n, self.m))
 
     def inverse_ntt_batch(self, values: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
         from repro.mapping import pack_ntt_values
 
-        def unpack(memory, n):  # undo the pack_for_ntt layout
-            return memory.data[:n // self.m].T.reshape(-1)
+        def unpack(images, n):  # undo the pack_for_ntt layout
+            return images[:, :n // self.m].swapaxes(1, 2).reshape(-1, n)
 
         return self._replay("intt", values, primes, pack_ntt_values, unpack)
 
@@ -277,6 +278,6 @@ class VpuBackend:
 
         return self._replay(
             "auto", values, primes, automorphism_layout_pack,
-            lambda memory, n: automorphism_layout_unpack(
-                memory, n, self.m, base_row=n // self.m),
+            lambda images, n: automorphism_layout_unpack(
+                images, n, self.m, base_row=n // self.m),
             galois_k)

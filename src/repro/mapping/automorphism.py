@@ -37,21 +37,24 @@ def automorphism_layout_pack(x: np.ndarray, m: int) -> np.ndarray:
 
     Row-major ``N = m x C`` matrix with the **row index across lanes**:
     memory row ``c`` holds column ``c``, i.e. lane ``l`` of row ``c`` is
-    element ``x[l * C + c]``.
+    element ``x[l * C + c]``.  Each vector of an ``(..., N)`` stack gets
+    its own rows.
     """
     x = np.asarray(x)
-    n = len(x)
+    n = x.shape[-1]
     if n % m:
         raise ValueError(f"N={n} is not a multiple of m={m}")
     cols = n // m
-    return x.reshape(m, cols).T.copy()
+    return x.reshape(*x.shape[:-1], m, cols).swapaxes(-1, -2).copy()
 
 
-def automorphism_layout_unpack(memory: VectorMemory, n: int, m: int,
-                               base_row: int = 0) -> np.ndarray:
-    """Read a vector back out of the column layout."""
-    cols = n // m
-    return memory.data[base_row:base_row + cols].T.reshape(-1).copy()
+def automorphism_layout_unpack(memory: VectorMemory | np.ndarray, n: int,
+                               m: int, base_row: int = 0) -> np.ndarray:
+    """Read a vector back out of the column layout of a memory, or one
+    out of each image of an ``(..., rows, m)`` stack."""
+    data = memory if isinstance(memory, np.ndarray) else memory.data
+    cols = data[..., base_row:base_row + n // m, :].swapaxes(-1, -2)
+    return cols.reshape(*cols.shape[:-2], -1).copy()
 
 
 def compile_automorphism(perm: AffinePermutation, m: int,

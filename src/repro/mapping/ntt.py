@@ -68,24 +68,27 @@ def required_registers(m: int) -> int:
 
 
 def pack_for_ntt(x: np.ndarray, m: int) -> np.ndarray:
-    """Arrange a length-``N`` vector into the VPU's initial memory rows.
+    """Arrange a length-``N`` vector into the VPU's initial memory rows
+    (each vector of an ``(..., N)`` stack into its own rows).
 
     Row ``jr``, lane ``l`` gets ``x[l * (N/m) + jr]``.
     """
     x = np.asarray(x)
-    n = len(x)
+    n = x.shape[-1]
     if n % m:
         raise NttMappingError(f"N={n} is not a multiple of m={m}")
     rows = n // m
-    return x.reshape(m, rows).T.copy()
+    return x.reshape(*x.shape[:-1], m, rows).swapaxes(-1, -2).copy()
 
 
-def unpack_ntt_result(memory: VectorMemory, n: int, m: int,
+def unpack_ntt_result(memory: VectorMemory | np.ndarray, n: int, m: int,
                       base_row: int = 0) -> np.ndarray:
-    """Reassemble the natural-order NTT result from the final layout."""
-    rows = n // m
-    return memory.data[base_row:base_row + rows].reshape(-1)[
-        _result_order(n, m)]
+    """Reassemble the natural-order NTT result from the final layout of
+    a memory, or of each image of an ``(..., rows, m)`` stack."""
+    data = memory if isinstance(memory, np.ndarray) else memory.data
+    rows = data[..., base_row:base_row + n // m, :]
+    return rows.reshape(*rows.shape[:-2], -1).take(_result_order(n, m),
+                                                   axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -124,9 +127,9 @@ def pack_ntt_values(values: np.ndarray, m: int) -> np.ndarray:
     """Inverse of :func:`unpack_ntt_result`: natural-order NTT values to
     the memory layout the inverse-transform program consumes."""
     values = np.asarray(values)
-    out = np.empty(len(values), dtype=values.dtype)
-    out[_result_order(len(values), m)] = values
-    return out.reshape(-1, m)
+    out = np.empty(values.shape, dtype=values.dtype)
+    out[..., _result_order(values.shape[-1], m)] = values
+    return out.reshape(*values.shape[:-1], -1, m)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.core import (
     VSub,
     bind_table,
 )
+from repro.core import vpu as vpu_module
 from repro.fault import FaultInjector
 from repro.fhe.backend import (
     IntegrityBackend,
@@ -184,13 +185,13 @@ def _run_both_ways(program, q, regs, mem, monkeypatch):
     """Run lock step and on the step loop from one state; return both
     states and how often the lock step took the division-free adder."""
     calls = []
-    reduced_add = VectorProcessingUnit._add_reduced
+    reduced_add = vpu_module._add_reduced
 
-    def spy(self, a, b):
+    def spy(a, b, q):
         calls.append(1)
-        return reduced_add(self, a, b)
+        return reduced_add(a, b, q)
 
-    monkeypatch.setattr(VectorProcessingUnit, "_add_reduced", spy)
+    monkeypatch.setattr(vpu_module, "_add_reduced", spy)
     states = []
     for hook in (None, FaultInjector()):
         vpu = VectorProcessingUnit(m=M, q=q, regfile_entries=len(regs),

@@ -10,7 +10,8 @@ the same state and compare everything a replay leaves behind.
 import numpy as np
 import pytest
 
-from repro.arith.primes import find_ntt_prime
+from repro.arith.barrett import BarrettStack
+from repro.arith.primes import find_ntt_prime, find_ntt_primes
 from repro.automorphism.controls import uniform_shift_controls
 from repro.automorphism.mapping import galois_eval_permutation
 from repro.core import (
@@ -26,6 +27,7 @@ from repro.core import (
 )
 from repro.core.vpu import bind_table
 from repro.fault import FaultInjector
+from repro.fhe.backend import VpuBackend
 from repro.mapping import compile_automorphism, required_registers
 from repro.mapping.ntt import compile_negacyclic_intt, compile_negacyclic_ntt
 from tests.test_core_replay import oracle
@@ -134,7 +136,7 @@ def test_hazard_programs(name):
     assert vpu.memory.data.tolist() == mem
 
 
-def test_a_raising_lockstep_replay_commits_and_books_nothing():
+def test_a_raising_lockstep_replay_commits_and_books_nothing(monkeypatch):
     """Unlike the step loop, which books the prefix that retired
     (``TestExceptionBooking`` in test_core_replay.py)."""
     vpu = VectorProcessingUnit(m=4, q=97, regfile_entries=4, memory_rows=2)
@@ -142,10 +144,11 @@ def test_a_raising_lockstep_replay_commits_and_books_nothing():
     program = Program([Load(0, 0), Load(1, 1), VAdd(2, 0, 1), VMul(3, 2, 2),
                        Store(3, 0)])
 
-    def broken(a, b):
+    def broken(self, a, b):
         raise FloatingPointError("multiplier")
 
-    vpu._mul = broken
+    # The lock-step lanes' multiplier.
+    monkeypatch.setattr(BarrettStack, "mul_vec", broken)
     before = (vpu.memory.data.copy(), vpu.regfile.data.copy())
     with pytest.raises(FloatingPointError):
         vpu.execute(program)
@@ -153,3 +156,140 @@ def test_a_raising_lockstep_replay_commits_and_books_nothing():
     assert np.array_equal(vpu.regfile.data, before[1])
     assert (vpu.stats.cycles, vpu.regfile.reads, vpu.regfile.writes,
             vpu.network.passes) == (0, 0, 0, 0)
+
+
+# -- a batch of limbs in one replay -------------------------------------------
+
+def _kernel(backend, kind, x, primes):
+    if kind == "ntt":
+        return backend.forward_ntt_batch(x, primes)
+    if kind == "intt":
+        return backend.inverse_ntt_batch(x, primes)
+    if kind == "cyclic":
+        return backend.cyclic_ntt_batch(x, primes)
+    return backend.automorphism_eval_batch(x, 5, primes)
+
+
+def _batched_and_stepped(kind, x, primes, m, units, seed=0):
+    """Run one batch on a backend whose units replay it lock step, and on
+    one whose units step every limb (a dormant injector on each), from
+    the same register state; return both outputs and backends."""
+    rng = np.random.default_rng(seed)
+    regs = rng.integers(0, 1 << 20, (required_registers(m), m),
+                        dtype=np.uint64)
+    runs = []
+    for stepped in (False, True):
+        backend = VpuBackend(m=m, units=units)
+        for unit in backend.units:
+            unit.regfile.data[:] = regs
+            if stepped:
+                unit.install_fault_hook(FaultInjector())
+        runs.append((_kernel(backend, kind, x, primes), backend))
+    return runs
+
+
+@pytest.mark.parametrize("units", [1, 2, 3])
+@pytest.mark.parametrize("limbs", [1, 2, 3, 9])
+@pytest.mark.parametrize("kind", ["ntt", "intt", "cyclic", "auto"])
+@pytest.mark.parametrize("m, n", [(16, 256), (4, 32)])
+def test_a_batch_replays_like_its_limbs_one_by_one(kind, limbs, units, m, n):
+    """Each unit takes limbs j, j + units, ... as one lock-step batch;
+    outputs and everything every unit is left with equal the step loop
+    run limb by limb."""
+    primes = tuple(find_ntt_primes(2 * n, 28, limbs))
+    rng = np.random.default_rng(limbs * units)
+    x = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+    (batched, lockstep), (stepped, reference) = _batched_and_stepped(
+        kind, x, primes, m, units)
+    assert np.array_equal(batched, stepped)
+    for unit, ref in zip(lockstep.units, reference.units):
+        assert _state(unit) == _state(ref)
+        assert unit.q == ref.q
+    assert lockstep.kernel_invocations == reference.kernel_invocations == limbs
+    (program,) = lockstep._programs.values()
+    (lowered,) = program.lowered.values()
+    assert not lowered.lockstep.carries  # so the units ran lock step
+
+
+def test_a_batch_mixing_a_wide_prime_replays_alike():
+    """A prime from 2**31 up takes the exact multiplier limb by limb
+    inside the batch; the others share the uint64 datapath."""
+    n, m = 256, 16
+    primes = (find_ntt_prime(2 * n, 28), find_ntt_prime(2 * n, 32),
+              find_ntt_prime(2 * n, 28, 1))
+    assert primes[1] >= 1 << 31
+    rng = np.random.default_rng(7)
+    x = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+    for kind in ("ntt", "intt"):
+        (batched, lockstep), (stepped, reference) = _batched_and_stepped(
+            kind, x, primes, m, units=1)
+        assert np.array_equal(batched, stepped)
+        assert _state(lockstep.vpu) == _state(reference.vpu)
+
+
+def test_a_batch_with_unreduced_inputs_divides(monkeypatch):
+    """A limb with words at or above its prime sends the whole batch to
+    the dividing adders; the results still equal the step loop's."""
+    from repro.core import vpu as vpu_module
+
+    n, m = 256, 16
+    primes = tuple(find_ntt_primes(2 * n, 28, 3))
+    rng = np.random.default_rng(8)
+    x = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+    x[1, ::7] += np.uint64(primes[1])  # words in [q, 2q) on one limb
+    calls = []
+    reduced_add = vpu_module._add_reduced
+    monkeypatch.setattr(
+        vpu_module, "_add_reduced",
+        lambda a, b, q: calls.append(1) or reduced_add(a, b, q))
+    (batched, lockstep), (stepped, reference) = _batched_and_stepped(
+        "ntt", x, primes, m, units=1)
+    assert not calls
+    assert np.array_equal(batched, stepped)
+    assert _state(lockstep.vpu) == _state(reference.vpu)
+
+
+def test_a_raising_batch_commits_and_books_nothing(monkeypatch):
+    """The second of a batch's multiplications fails: no limb's memory
+    image, no register, no counter and not the modulus moves."""
+    n, m = 64, 16
+    primes = tuple(find_ntt_primes(2 * n, 28, 3))
+    program = compile_negacyclic_ntt(n, m)
+    vpu = VectorProcessingUnit(m=m, q=Q, regfile_entries=required_registers(m),
+                               memory_rows=n // m)
+    rng = np.random.default_rng(9)
+    images = np.stack([rng.integers(0, q, (n // m, m), dtype=np.uint64)
+                       for q in primes])
+    vpu.regfile.data[:] = rng.integers(0, Q, vpu.regfile.data.shape,
+                                       dtype=np.uint64)
+    before = (images.copy(), _state(vpu), vpu.q)
+    multiply = BarrettStack.mul_vec
+    calls = []
+
+    def failing(self, a, b):
+        calls.append(1)
+        if len(calls) == 2:
+            raise FloatingPointError("multiplier")
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(BarrettStack, "mul_vec", failing)
+    with pytest.raises(FloatingPointError):
+        vpu.execute(program, primes, images)
+    assert np.array_equal(images, before[0])
+    assert (_state(vpu), vpu.q) == before[1:]
+    assert vpu.stats.cycles == 0
+
+
+def test_a_program_that_carries_registers_steps_its_limbs():
+    """A register read before the program writes it passes from each limb
+    to the next, so such a batch replays limb by limb."""
+    program = Program([Load(0, 0), VAdd(1, 1, 0), Store(1, 1)])
+    vpu = VectorProcessingUnit(m=4, q=97, regfile_entries=2, memory_rows=2)
+    images = np.array([[[1, 2, 3, 4], [0] * 4], [[10, 20, 30, 40], [0] * 4]],
+                      dtype=np.uint64)
+    vpu.execute(program, (97, 97), images)
+    (lowered,) = program.lowered.values()
+    assert lowered.lockstep.carries
+    assert images[:, 1].tolist() == [[1, 2, 3, 4], [11, 22, 33, 44]]
+    assert vpu.regfile.data[1].tolist() == [11, 22, 33, 44]
+    assert vpu.stats.cycles == 2 * len(program)

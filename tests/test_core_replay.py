@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arith.primes import find_ntt_prime
+from repro.arith.primes import find_ntt_prime, find_ntt_primes
 from repro.automorphism.controls import ShiftControls
 from repro.automorphism.mapping import galois_eval_permutation
 from repro.core import (
@@ -218,15 +218,18 @@ def test_random_programs_match_the_oracle(m, q, seed, length):
 # -- (b) the benchmark round's fixed points ----------------------------------
 
 
-@pytest.mark.parametrize("units", [1, 4])
+@pytest.mark.parametrize("units", [1, 3, 4])
 def test_bench_round_cycles_and_instruction_counts(units):
     """What ``benchmarks/e2e`` reads off ``vpu_model``, as a unit test:
     one round of {hmult, hrot, keyswitch, rescale} at the bench shape.
     Spreading the limbs over several units moves no figure of the
-    units' summed tally."""
+    units' summed tally, nor the observer's counters: a unit books one
+    execution per limb of its batch (at 3 units a batch of 4 limbs splits
+    2 / 1 / 1)."""
     from repro.fhe.backend import NumpyBackend
     from repro.fhe.ckks import Ciphertext, CkksContext
     from repro.fhe.params import CkksParams
+    from repro.obs import observe
 
     with use_backend(NumpyBackend()):
         ctx = CkksContext(CkksParams(n=1024, levels=3, scale_bits=26,
@@ -254,12 +257,16 @@ def test_bench_round_cycles_and_instruction_counts(units):
             stats.add(unit.stats)
         return stats
 
-    cycles = {}
-    with use_backend(backend):
+    cycles, counted = {}, {}
+    with use_backend(backend), observe() as observer:
+        counters = observer.metrics.counters
         for kind, op in ops.items():
-            before = tally().cycles
+            before = (tally().cycles, counters.get("vpu.executions", 0),
+                      counters.get("vpu.cycles", 0))
             out = op()
-            cycles[kind] = tally().cycles - before
+            cycles[kind] = tally().cycles - before[0]
+            counted[kind] = (counters["vpu.executions"] - before[1],
+                             counters["vpu.cycles"] - before[2])
             assert all(np.array_equal(p.residues, g.residues)
                        for p, g in zip(out.parts, golden[kind].parts))
     stats = tally()
@@ -272,6 +279,10 @@ def test_bench_round_cycles_and_instruction_counts(units):
     # keyswitch = 20, plus 2 * 3 automorphism rows.
     assert cycles == {"hmult": 9376, "hrot": 7488, "keyswitch": 7200,
                       "rescale": 2176}
+    # One execution per limb, as when the backend replayed limb by limb.
+    assert counted == {kind: ({"hmult": 26, "hrot": 26, "keyswitch": 20,
+                               "rescale": 6}[kind], cycles[kind])
+                       for kind in cycles}
     assert stats.by_type == {"Load": 4704, "Store": 4704, "NttStage": 11520,
                              "NetworkPass": 2400, "VMulScalar": 608,
                              "VMulTwiddle": 2304}
@@ -470,6 +481,87 @@ def test_dormant_injector_sees_the_parent_commits_fault_points():
     assert injector.cycles == 72
     assert injector.exposures == {"sram": 16, "regfile": 52, "alu": 80,
                                   "network": 32}
+
+    # A hooked unit steps a batch limb by limb.  The digest covers every
+    # fault point it is shown, in order and with its value; it was taken
+    # when the backend still rebound the unit once per limb.
+    primes = tuple(find_ntt_primes(128, 28, 3))
+    rows = (np.arange(192, dtype=np.uint64).reshape(3, 64)
+            * np.uint64(2654435761) % np.uint64(primes[-1]))
+    recorder = _RecordingInjector()
+    backend = VpuBackend(m=16)
+    backend.vpu.install_fault_hook(recorder)
+    y = backend.forward_ntt_batch(rows, primes)
+    assert np.array_equal(y, VpuBackend(m=16).forward_ntt_batch(rows, primes))
+    assert recorder.cycles == 3 * 72
+    assert recorder.exposures == {"sram": 48, "regfile": 156, "alu": 240,
+                                  "network": 96}
+    assert recorder.digest.hexdigest()[:16] == "bcf8cbdae20e1456"
+
+
+class _RecordingInjector(FaultInjector):
+    """A dormant injector that digests every fault point it is shown."""
+
+    def __init__(self):
+        super().__init__()
+        self.digest = hashlib.sha256()
+
+    def _see(self, *parts):
+        for part in parts:
+            self.digest.update(part.tobytes() if isinstance(part, np.ndarray)
+                               else repr(part).encode())
+
+    def on_cycle(self, vpu):
+        self._see("cycle", vpu.q, vpu.memory.data)
+        super().on_cycle(vpu)
+
+    def filter_regfile_read(self, reg, value):
+        self._see("regfile", reg, value)
+        return super().filter_regfile_read(reg, value)
+
+    def filter_memory_read(self, addr, value):
+        self._see("sram", addr, value)
+        return super().filter_memory_read(addr, value)
+
+    def filter_alu(self, op, value):
+        self._see("alu", op, value)
+        return super().filter_alu(op, value)
+
+    def filter_network_config(self, config, m):
+        self._see("network", config.cg, config.cg_group_size, m)
+        return super().filter_network_config(config, m)
+
+    def filter_mux_selects(self, stage_index, selects):
+        self._see("mux", stage_index, selects)
+        return super().filter_mux_selects(stage_index, selects)
+
+
+def test_a_hooked_unit_steps_its_limbs_while_the_others_batch(monkeypatch):
+    """With a fault hook on unit 0 only, unit 0 runs its limbs one by one
+    on the step loop and unit 1 its limbs as one lock-step batch; the
+    outputs equal a run with no hook."""
+    primes = tuple(find_ntt_primes(128, 28, 5))
+    rng = np.random.default_rng(3)
+    x = np.stack([rng.integers(0, q, 64, dtype=np.uint64) for q in primes])
+    calls = []
+    for name in ("_replay", "_replay_lockstep"):
+        original = getattr(VectorProcessingUnit, name)
+
+        def spy(self, *args, _original=original, _name=name):
+            calls.append((_name, self))
+            return _original(self, *args)
+
+        monkeypatch.setattr(VectorProcessingUnit, name, spy)
+    hooked = VpuBackend(m=16, units=2)
+    hooked.units[0].install_fault_hook(FaultInjector())
+    out = hooked.forward_ntt_batch(x, primes)
+    first, second = hooked.units
+    assert [n for n, unit in calls if unit is first] == ["_replay"] * 3
+    assert [n for n, unit in calls if unit is second] == ["_replay_lockstep"]
+    calls.clear()
+    assert np.array_equal(out, VpuBackend(m=16, units=2).forward_ntt_batch(
+        x, primes))
+    assert [n for n, _ in calls] == ["_replay_lockstep"] * 2
 
 
 @pytest.mark.parametrize("m, sizes", [(4, (16, 32, 64)), (16, (64, 256, 512)),

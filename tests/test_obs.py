@@ -492,7 +492,7 @@ def _rotate_on_a_raising_backend(tmp_path):
 def _pool_with_a_raising_vpu(tmp_path):
     pool = ParallelVpuPool(2, M, find_ntt_prime(2 * N, 28))
 
-    def execute(program):
+    def execute(program, primes, images):
         raise _Boom
 
     pool.backend.units[1].execute = execute
