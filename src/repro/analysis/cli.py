@@ -11,10 +11,11 @@ Six sections, all run by default:
   with :func:`repro.analysis.dataflow.check_dataflow`: uninitialized
   register reads, dead writes, non-permutation routing, diagonal WAR
   hazards, 2R1W port violations.
-* ``plans`` — symbolically verify the lazy-reduction stage plans across
-  the supported modulus regimes (Shoup ``< 2**30``, plain lazy
-  ``< 2**31``) plus the fused keyswitch accumulation for the toy
-  parameter set, and confirm the unclamped-DIT gate agrees with the
+* ``plans`` — symbolically verify the lazy-reduction stage plans of the
+  host word regime (every modulus ``< 2**30``: the toy chain, the
+  Shoup edge, and the edge at ``n = 2**16`` where the inverse falls
+  back to clamped stages) plus the fused keyswitch accumulation for the
+  toy parameter set, and confirm the unclamped-DIT gate agrees with the
   analysis on both sides of the boundary.
 * ``resources`` — replay the canonical keyswitch/NTT/automorphism
   staging schedules against the SRAM/DRAM models with
@@ -168,8 +169,8 @@ def _plan_regimes() -> Iterable[tuple[str, int, int]]:
     yield "toy chain max", log_n, max(params.primes + (params.special_prime,))
     n = params.n
     yield "shoup edge (just below 2^30)", log_n, find_ntt_prime(2 * n, 30)
-    yield "widest vectorized (just below 2^31)", log_n, \
-        find_ntt_prime(2 * n, 31)
+    yield "clamped inverse (n = 2^16, just below 2^30)", 16, \
+        find_ntt_prime(1 << 17, 30)
 
 
 def _check_plans(verbose: bool) -> tuple[list[Finding], list[str]]:

@@ -11,15 +11,17 @@ The checker draws one seeded ``r`` per ``(n, q, map)``, builds ``w``
 row with two dot products — no transform and no golden-model object at
 check time.  Both vectors are kept as 15-bit halves, so a dot product
 over reduced rows stays below ``2**58`` and takes one ``%`` per row
-(:func:`repro.analysis.bounds.checksum_dot_lazy_ok`; rows that fail the
-gate — moduli of ``2**31`` and up at large ``n``, or a corrupted word
-with high bits set — take the same expression in exact object
-arithmetic).  The guarantee, per row: every ``r_k`` and ``w_k`` is
-nonzero and ``q`` is prime, so **one** corrupted word at the kernel's
-input or output always changes exactly one side and is detected with
-certainty; an arbitrary corruption inside the kernel is a nonzero error
-``e`` on ``y`` and escapes only if ``<r, e> == 0``, probability ``1/q``
-(``2**-28 .. 2**-30``) over the draw of ``r``.  Every row is judged on
+(:func:`repro.analysis.bounds.checksum_dot_lazy_ok`; a row that fails
+the gate — a corrupted word with high bits set — takes the same
+expression in exact object arithmetic).  The tables come from one host
+transform, so a modulus of ``2**30`` or more gets none
+(:class:`~repro.ntt.negacyclic.HostModulusError`).  The guarantee, per
+row: every ``r_k`` and ``w_k`` is nonzero and ``q`` is prime, so
+**one** corrupted word at the kernel's input or output always changes
+exactly one side and is detected with certainty; an arbitrary
+corruption inside the kernel is a nonzero error ``e`` on ``y`` and
+escapes only if ``<r, e> == 0``, probability ``1/q`` (``2**-28 ..
+2**-30``) over the draw of ``r``.  Every row is judged on
 its own, so errors in different rows cannot cancel and the faulty rows
 are named.
 

@@ -135,8 +135,6 @@ class IntegrityBackend:
     # -- staging / dispatch -------------------------------------------------
 
     def _stage_in(self, rows: np.ndarray) -> np.ndarray:
-        if rows.dtype == object:
-            return rows  # wide-modulus path: exact big ints, no staging
         work = rows
         if self.dram is not None:
             work, ns = self.dram.transfer(work, current_fault_hook())

@@ -33,31 +33,24 @@ class NumpyBackend:
             raise ValueError(f"unknown NumpyBackend mode {mode!r}")
         self.mode = mode
 
-    def _stacked(self, primes: tuple[int, ...]) -> bool:
-        """Whether a batch runs as one stacked transform; golden mode
-        and 31-bit-plus moduli go row by row through the reference."""
-        return self.mode != "golden" and all(q < (1 << 31) for q in primes)
-
     def forward_ntt_batch(self, residues: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
         """Forward-NTT every limb of an ``(L, n)`` residue matrix in one
         stacked dispatch (row ``i`` modulo ``primes[i]``)."""
         residues = np.asarray(residues)
-        n = residues.shape[1]
-        if self._stacked(primes):
-            return get_batched_ntt(n, primes,
-                                   self.mode == "clamped").forward(residues)
-        return _per_row(NegacyclicNtt.forward, residues, primes)
+        if self.mode == "golden":
+            return _per_row(NegacyclicNtt.forward, residues, primes)
+        return get_batched_ntt(residues.shape[1], primes,
+                               self.mode == "clamped").forward(residues)
 
     def inverse_ntt_batch(self, values: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
         """Inverse-NTT every limb of an ``(L, n)`` value matrix at once."""
         values = np.asarray(values)
-        n = values.shape[1]
-        if self._stacked(primes):
-            return get_batched_ntt(n, primes,
-                                   self.mode == "clamped").inverse(values)
-        return _per_row(NegacyclicNtt.inverse, values, primes)
+        if self.mode == "golden":
+            return _per_row(NegacyclicNtt.inverse, values, primes)
+        return get_batched_ntt(values.shape[1], primes,
+                               self.mode == "clamped").inverse(values)
 
     def automorphism_eval_batch(self, values: np.ndarray, galois_k: int,
                                 primes: tuple[int, ...]) -> np.ndarray:

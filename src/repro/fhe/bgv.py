@@ -28,6 +28,7 @@ from repro.fhe.keyswitch import mod_switch_exact
 from repro.fhe.params import CkksParams
 from repro.fhe.polynomial import RnsPoly
 from repro.fhe.rlwe import RlweCiphertext, RlweContext, tensor
+from repro.ntt.negacyclic import check_host_moduli
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,8 @@ class BgvParams:
     """BGV parameter set: a ciphertext chain plus a plaintext modulus.
 
     ``plaintext_modulus`` must be a prime with ``t === 1 (mod 2n)`` so
-    the plaintext ring splits into ``n`` integer slots (SIMD batching).
+    the plaintext ring splits into ``n`` integer slots (SIMD batching),
+    and below ``2**30``: it is the modulus of the encoder's host NTT.
     """
 
     n: int = 1024
@@ -46,6 +48,7 @@ class BgvParams:
 
     def __post_init__(self) -> None:
         t = self.plaintext_modulus
+        check_host_moduli((t,))
         if not is_prime(t):
             raise ValueError(f"plaintext modulus must be prime, got {t}")
         if (t - 1) % (2 * self.n):

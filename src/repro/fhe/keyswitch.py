@@ -44,7 +44,6 @@ from repro import obs
 from repro.analysis.bounds import (
     centered_lift_lazy_ok,
     keyswitch_lazy_accumulate_ok,
-    mul_fits_uint64,
 )
 from repro.arith.modular import mod_inverse
 from repro.fault.injector import current_fault_hook
@@ -53,6 +52,7 @@ from repro.fhe.params import CkksParams
 from repro.fhe.polynomial import RnsPoly
 from repro.fhe.rns import RnsBasis, get_basis
 from repro.fhe.sampling import sample_gaussian, sample_uniform_poly
+from repro.ntt.negacyclic import check_host_moduli
 
 
 @dataclass(eq=False)
@@ -200,14 +200,12 @@ def accumulate_keyswitch(
     Accumulates ``sum_i digit_i * b_i`` and ``sum_i digit_i * a_i`` in
     place over the ``(L+1, n)`` residue matrices with lazy reduction:
     when the analyzer proves the full unreduced accumulator
-    ``num_digits * (max(q)-1)**2`` fits uint64 (always true for the
-    repository's <=30-bit primes and practical digit counts) the raw
-    products accumulate unreduced and each sum takes exactly **one**
-    final ``%``.  Otherwise each product is reduced as it is added —
-    through uint64 while a single raw product still fits, through
-    object dtype beyond that (moduli of 2**32 and up, where even one
-    product would wrap).  ``keep`` selects the key limbs matching the
-    digits' basis (level prefix plus special prime).
+    ``num_digits * (max(q)-1)**2`` fits uint64 (true for the host's
+    primes below ``2**30`` up to 16 digits) the raw products accumulate
+    unreduced and each sum takes exactly **one** final ``%``.
+    Otherwise each product, below ``2**60``, is reduced as it is added.
+    ``keep`` selects the key limbs matching the digits' basis (level
+    prefix plus special prime).
     """
     # Phase 3: the per-digit inner product (element-wise MACs over the
     # (L+1, n) residue matrices, lazily reduced when provable).
@@ -216,9 +214,8 @@ def accumulate_keyswitch(
         q_col = np.array(primes, dtype=np.uint64)[:, None]
         maxq = max(primes)
         lazy = keyswitch_lazy_accumulate_ok(len(digits), maxq)
-        wide = not mul_fits_uint64(maxq - 1, maxq - 1)
         inner = _fused_slot("keyswitch_inner_product")
-        if inner is not None and not wide and digits:
+        if inner is not None and digits:
             # Fused compiled path: one kernel call over the (D, L+1, n)
             # stacks.  The key stacks are views into the key block at the
             # top level (keep is the full basis), one gather below it.
@@ -233,19 +230,11 @@ def accumulate_keyswitch(
                         RnsPoly(accs[1], primes, is_eval=True))
         acc0 = np.zeros_like(digits[0].residues)
         acc1 = np.zeros_like(digits[0].residues)
-        if wide:
-            acc0 = acc0.astype(object)
-            acc1 = acc1.astype(object)
-            q_col = q_col.astype(object)
         for i, digit in enumerate(digits):
             b_i, a_i = ksk.block[i]
             if lazy:
                 acc0 += digit.residues * b_i[keep]
                 acc1 += digit.residues * a_i[keep]
-            elif wide:
-                d = digit.residues.astype(object)
-                acc0 = (acc0 + d * b_i[keep].astype(object)) % q_col
-                acc1 = (acc1 + d * a_i[keep].astype(object)) % q_col
             else:
                 # Each summand is reduced (< q) and the running sum is kept
                 # < q, so the uint64 addition transient stays below 2q.
@@ -274,10 +263,6 @@ def accumulate_keyswitch(
                 acc0, acc1 = accs
         acc0 %= q_col
         acc1 %= q_col
-        if wide:
-            # Reduced residues < q < 2**62 fit uint64 exactly.
-            acc0 = acc0.astype(np.uint64)
-            acc1 = acc1.astype(np.uint64)
         phase.set(lazy=lazy)
         return (RnsPoly(acc0, primes, is_eval=True),
                 RnsPoly(acc1, primes, is_eval=True))
@@ -367,8 +352,11 @@ def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,
     BGV plaintexts untouched (CKKS treats the rounding as approximation
     noise and skips the correction).  That uncorrected division is one
     kernel call on a backend with the ``drop_top_limb`` slot, under the
-    same conditions as :func:`apply_keyswitch`'s fused slot.
+    same conditions as :func:`apply_keyswitch`'s fused slot.  ``t``, like
+    every host modulus, must be below ``2**30``.
     """
+    if plaintext_modulus is not None:
+        check_host_moduli((plaintext_modulus,))
     fused = _fused_slot("drop_top_limb")
     if fused is not None and plaintext_modulus is None and poly.is_eval:
         out = fused(poly.residues, poly.primes, inv_table)
@@ -380,10 +368,9 @@ def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,
                    poly.is_eval).to_coeff().centered_limb(0)
     delta = tail
     if plaintext_modulus is not None:
-        # int64 while |tail| < q_top/2 < 2**30 and the correction magnitude
-        # is <= t/2 < 2**31 (delta below 2**61); exact big ints beyond.
+        # int64: |tail| < q_top/2 < 2**29 and the correction magnitude is
+        # <= t/2 < 2**29 (delta below 2**59).
         t = plaintext_modulus
-        tail = tail.astype(object) if t >= 1 << 31 else tail
         correction = (-tail * mod_inverse(q_top, t)) % t
         correction = np.where(correction > t // 2, correction - t, correction)
         delta = tail + correction * q_top
@@ -396,7 +383,7 @@ def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,
         # prime, so reduction is a conditional add.
         lifted = (d + q_col * (d < 0)).astype(np.uint64)
     else:
-        lifted = (d % q_col.astype(d.dtype)).astype(np.uint64)
+        lifted = (d % q_col).astype(np.uint64)
     if poly.is_eval:
         lifted = get_backend().forward_ntt_batch(lifted, chain.primes)
     qq = q_col.astype(np.uint64)

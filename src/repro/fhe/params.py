@@ -1,9 +1,10 @@
 """CKKS parameter sets.
 
 A parameter set fixes the ring degree ``N``, the RNS modulus chain
-``q_0 .. q_{L-1}`` (one 30-bit NTT-friendly prime per level, so the
-vectorized uint64 arithmetic paths apply), one special prime ``p`` for
-keyswitching, and the encoding scale.
+``q_0 .. q_{L-1}`` (one NTT-friendly prime of at most 30 bits per
+level: every host modulus is below ``2**30``, see
+:func:`~repro.ntt.negacyclic.check_host_moduli`), one special prime
+``p`` for keyswitching, and the encoding scale.
 
 These presets are sized for *functional* reproduction on a laptop, not
 for cryptographic security — a production deployment would use
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.arith.primes import find_ntt_primes
+from repro.ntt.negacyclic import HOST_MODULUS_LIMIT, HostModulusError
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class CkksParams:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.scale_bits >= self.prime_bits:
             raise ValueError("scale must be below the prime width")
-        if self.prime_bits > 30:
-            raise ValueError("prime_bits > 30 breaks the uint64 fast paths")
+        if 1 << self.prime_bits > HOST_MODULUS_LIMIT:
+            raise HostModulusError(
+                f"{self.prime_bits}-bit primes reach the host limit 2**30")
         if (self.secret_hamming_weight is not None
                 and not 0 < self.secret_hamming_weight <= self.n):
             raise ValueError(

@@ -19,13 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from repro.fhe.backend import get_backend
+from repro.ntt.negacyclic import check_host_moduli
 
-
-#: Limbs whose primes are all below this run Garner's recurrence with
-#: lazy sums: a residue or digit times a constant, both below
-#: ``2**31``, stays below ``2**62``.  Any wider prime takes the
-#: big-integer lift.
-_LANE_LIMIT = 1 << 31
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -33,22 +28,19 @@ def _reduce_int_rows(coeffs: np.ndarray,
                      primes: tuple[int, ...]) -> np.ndarray | None:
     """Reduce integer coefficients modulo every prime in one broadcast.
 
-    Returns the ``(L, n)`` uint64 matrix, or ``None`` when a prime is
-    not below ``2**31`` or the input does not fit int64.  Centered
-    digits, sampled noise and every lifted value inside the int64
-    window of :func:`_centered_crt` (the inverse) fit; only genuinely
-    wide inputs (BFV's tensor products of uniform operands) fall back
-    to the object-dtype path.
+    Returns the ``(L, n)`` uint64 matrix, or ``None`` when the input
+    does not fit int64.  Centered digits, sampled noise and every
+    lifted value inside the int64 window of :func:`_centered_crt` (the
+    inverse) fit; only genuinely wide inputs (BFV's tensor products of
+    uniform operands) fall back to the object-dtype path.
     """
-    if any(q >= (1 << 31) for q in primes):
-        return None
     if coeffs.dtype == object or not np.issubdtype(coeffs.dtype, np.integer):
         try:
             coeffs = coeffs.astype(np.int64)
         except (OverflowError, TypeError, ValueError):
             return None
     elif coeffs.dtype == np.uint64 and len(coeffs) \
-            and coeffs.max() > np.iinfo(np.int64).max:
+            and coeffs.max() >= 1 << 63:
         return None
     else:
         coeffs = coeffs.astype(np.int64)
@@ -82,13 +74,13 @@ def _garner_digits(residues: np.ndarray,
                    primes: tuple[int, ...]) -> np.ndarray:
     """Mixed-radix digits of each column's CRT value ``X``,
     ``X = d_0 + d_1 P_1 + ... + d_{L-1} P_{L-1}`` with ``0 <= d_i < q_i``,
-    written over the ``(L, n)`` uint64 ``residues`` (every prime below
-    ``_LANE_LIMIT``): row ``i`` is read once, then holds ``d_i``.
+    written over the ``(L, n)`` uint64 ``residues``: row ``i`` is read
+    once, then holds ``d_i``.
 
     Garner's recurrence ``d_i = (r_i - X mod P_i) P_i^-1 (mod q_i)``,
     written as ``r_i P_i^-1 + sum_j d_j (-P_j P_i^-1)``.  Every term is
-    below ``2**62``, so the lane sums three of them onto a reduced
-    partial sum before it reduces again.
+    below ``2**60`` (every prime is below ``2**30``), so the lane sums
+    three of them onto a reduced partial sum before it reduces again.
     """
     digits = residues
     quot = np.empty(residues.shape[1], dtype=np.uint64)
@@ -105,34 +97,17 @@ def _garner_digits(residues: np.ndarray,
     return digits
 
 
-def _centered_crt_bigint(residues: np.ndarray,
-                         primes: tuple[int, ...]) -> np.ndarray:
-    """The textbook centered CRT lift on Python ints (object dtype), one
-    pass per limb, for primes from ``_LANE_LIMIT`` up."""
-    q_prod = math.prod(primes)
-    total = np.zeros(residues.shape[1], dtype=object)
-    for i, q in enumerate(primes):
-        q_hat = q_prod // q
-        factor = q_hat * pow(q_hat, -1, q) % q_prod
-        total = (total + residues[i].astype(object) * factor) % q_prod
-    return np.where(total > q_prod // 2, total - q_prod, total)
-
-
 def _centered_crt(residues: np.ndarray,
                   primes: tuple[int, ...]) -> np.ndarray:
     """Centered CRT lift of coefficient-domain residues, which it may
     overwrite: each column's ``X mod Q`` in ``(-Q/2, Q/2]``, exact.
 
-    int64 when every prime is below ``_LANE_LIMIT`` and every value
-    fits int64, object dtype (Python ints) otherwise.  On such primes
-    the lift reads each value off its Garner digits: the sign is a
-    digit-wise comparison with ``(Q - 1) / 2``, the magnitude is
-    assembled in uint64 when it fits the int64 window and by
-    object-dtype Horner only for the columns outside it.  Wider primes
-    take :func:`_centered_crt_bigint`.
+    int64 when every value fits int64, object dtype (Python ints)
+    otherwise.  The lift reads each value off its Garner digits: the
+    sign is a digit-wise comparison with ``(Q - 1) / 2``, the magnitude
+    is assembled in uint64 when it fits the int64 window and by
+    object-dtype Horner only for the columns outside it.
     """
-    if max(primes) >= _LANE_LIMIT:
-        return _centered_crt_bigint(residues, primes)
     digits = _garner_digits(residues, primes)
     # X > (Q - 1) / 2, whose digits are all (q_i - 1) / 2: compare from
     # the most significant digit down.
@@ -194,7 +169,9 @@ class RnsPoly:
         ``(len(primes), n)`` uint64 array; row ``i`` holds the polynomial
         modulo ``primes[i]``.
     primes:
-        The moduli, in chain order (special prime last when present).
+        The moduli, in chain order (special prime last when present);
+        each below ``2**30``, or construction raises
+        :class:`~repro.ntt.negacyclic.HostModulusError`.
     is_eval:
         True when rows are natural-order evaluation values.
     """
@@ -204,6 +181,7 @@ class RnsPoly:
     is_eval: bool
 
     def __post_init__(self) -> None:
+        check_host_moduli(self.primes)
         self.residues = np.asarray(self.residues, dtype=np.uint64)
         if self.residues.ndim != 2 or self.residues.shape[0] != len(self.primes):
             raise ValueError(
@@ -266,9 +244,9 @@ class RnsPoly:
     # -- ring operations -----------------------------------------------------
     #
     # All limb-wise ops run as one broadcast over the full residue
-    # matrix.  Residues stay below 2**30 (30-bit primes), so sums fit
-    # uint64 with room and products fit below 2**60 — no per-limb loop,
-    # no intermediate overflow.
+    # matrix.  Every prime is below 2**30 (__post_init__ refuses any
+    # other), so sums fit uint64 with room and products fit below
+    # 2**60 — no per-limb loop, no intermediate overflow.
 
     def __add__(self, other: "RnsPoly") -> "RnsPoly":
         self._check_compatible(other)
@@ -343,12 +321,12 @@ class RnsPoly:
         return np.where(row > q // 2, row - q, row)
 
     def centered_coeffs(self) -> np.ndarray:
-        """The centered lift, as int64 on word primes when it fits.
+        """The centered lift, as int64 when it fits.
 
         Exact values in ``(-Q/2, Q/2]``, ``Q`` the product of this
-        polynomial's primes (either domain): int64 when every prime is
-        below ``2**31`` and every coefficient fits int64, object dtype
-        otherwise.  See :func:`_centered_crt`."""
+        polynomial's primes (either domain): int64 when every
+        coefficient fits int64, object dtype otherwise.  See
+        :func:`_centered_crt`."""
         coeff = self.to_coeff()  # a fresh matrix in either domain
         return _centered_crt(coeff.residues, coeff.primes)
 
@@ -356,8 +334,7 @@ class RnsPoly:
         """Centered CRT lift to exact integer (object dtype) coefficients.
 
         :meth:`centered_coeffs` as Python ints, in ``(-Q/2, Q/2]``
-        (either domain).  On primes below ``2**31`` it runs in word
-        arithmetic: the sign and every value that fits int64 come off
-        the Garner digits, and only values outside that window become
-        big integers."""
+        (either domain).  It runs in word arithmetic: the sign and every
+        value that fits int64 come off the Garner digits, and only values
+        outside that window become big integers."""
         return self.centered_coeffs().astype(object, copy=False)

@@ -44,6 +44,7 @@ from repro.kernels.plan import (
     get_workspace,
     plan_cache,
 )
+from repro.ntt.negacyclic import check_host_moduli
 
 
 class _PhasedKernels:
@@ -163,6 +164,7 @@ class CompiledBackend(NumpyBackend):
         if values.shape[0] != len(primes):
             raise ValueError(f"ntt batch: {values.shape} rows do not match "
                              f"{len(primes)} primes")
+        check_host_moduli(primes)
         impl = self._impl
         reference = (NumpyBackend.inverse_ntt_batch if inverse
                      else NumpyBackend.forward_ntt_batch)
@@ -223,9 +225,10 @@ class CompiledBackend(NumpyBackend):
         uniform stride apart (one part of a key block); they are then
         read in place.  The binding picks the lazy (single final
         reduction) or the per-step reduced accumulator from the derived
-        gate, and refuses moduli whose single products overflow uint64
-        — those are the caller's (object-dtype) problem.
+        gate; a modulus of ``2**30`` or more is refused first
+        (:class:`~repro.ntt.negacyclic.HostModulusError`).
         """
+        check_host_moduli(primes)
         impl = self._impl
         if impl is None:
             return None

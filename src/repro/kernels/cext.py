@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.bounds import keyswitch_lazy_accumulate_ok, mul_fits_uint64
+from repro.analysis.bounds import keyswitch_lazy_accumulate_ok
 
 _SOURCE = Path(__file__).with_name("kernels.c")
 _VOID = ctypes.c_void_p
@@ -232,16 +232,11 @@ class CExtProvider:
         """``key_stride``: words between consecutive digits' key rows.
         The accumulator stays unreduced until one final reduction where
         :func:`~repro.analysis.bounds.keyswitch_lazy_accumulate_ok`
-        allows, and reduces every product as it is added otherwise —
-        which still needs a single product to fit uint64."""
+        allows, and reduces every product as it is added otherwise; the
+        caller has refused every modulus of ``2**30`` or more, so a
+        single product always fits uint64."""
         num_digits, rows, n = digits.shape
-        max_q = max(primes)
-        lazy = keyswitch_lazy_accumulate_ok(num_digits, max_q)
-        if not lazy and not mul_fits_uint64(max_q - 1, max_q - 1):
-            raise ValueError(
-                "ks_accum requires single digit-key products to fit "
-                "uint64; use the object-dtype accumulate_keyswitch path "
-                "for wider moduli")
+        lazy = keyswitch_lazy_accumulate_ok(num_digits, max(primes))
         q_arr = np.array(primes, dtype=np.uint64)
         mu_arr = np.array([(1 << 64) // q for q in primes], dtype=np.uint64)
         self._ks(_addr(digits), _addr(bstack), _addr(astack), key_stride,

@@ -3,8 +3,11 @@
 The negacyclic convolution theorem: fold ``psi^j`` (a primitive ``2n``-th
 root with ``psi^2 = omega``) into the inputs, run a plain cyclic NTT, and
 unfold ``psi^{-j}`` after the inverse.  :class:`NegacyclicNtt` packages
-this with the repository's order conventions and exposes both a fast
-vectorized path and a scalar path for wide moduli.
+this with the repository's order conventions, and
+:class:`BatchedNegacyclicNtt` runs it over a whole residue matrix.  Both
+refuse a modulus of ``2**30`` or more (:func:`check_host_moduli`); the
+VPU model's 64-bit words take such primes, against
+:mod:`repro.ntt.reference`.
 
 The ``forward`` output is in **natural order** (bit-reversal applied
 internally after the DIF pass) because the FHE layer treats evaluation
@@ -26,22 +29,38 @@ from repro.ntt.cooley_tukey import (
     dif_stages_lazy,
     dit_stages_lazy,
     dit_stages_unclamped,
-    intt_dit,
-    ntt_dif,
     vec_intt_dit,
     vec_ntt_dif,
 )
 from repro.ntt.tables import NttTables, get_tables
+
+#: Every host modulus is below this: a product of two residues stays
+#: below ``2**60`` and a Shoup quotient is exact, so each host kernel
+#: runs one uint64 schedule.
+HOST_MODULUS_LIMIT = 1 << 30
+
+
+class HostModulusError(ValueError):
+    """A host batch met a modulus of :data:`HOST_MODULUS_LIMIT` or more."""
+
+
+def check_host_moduli(moduli) -> None:
+    """Raise :class:`HostModulusError` on the first modulus of ``2**30``
+    or more; every host entry point calls this before any work."""
+    for q in moduli:
+        if q >= HOST_MODULUS_LIMIT:
+            raise HostModulusError(
+                f"modulus {q} is not below the host limit 2**30")
 
 
 class NegacyclicNtt:
     """Forward/inverse negacyclic NTT bound to one ``(n, q)`` pair."""
 
     def __init__(self, n: int, q: int):
+        check_host_moduli((q,))
         self.tables: NttTables = get_tables(n, q)
         self.n = n
         self.q = q
-        self._vectorized = q < (1 << 31)
 
     # -- natural-order API (software / FHE layer) ---------------------------
 
@@ -58,26 +77,16 @@ class NegacyclicNtt:
     def forward_bitrev(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> bit-reversed evaluation values (DIF output)."""
         t = self.tables
-        if self._vectorized:
-            x = np.asarray(coeffs, dtype=np.uint64) % np.uint64(self.q)
-            x = x * t.psi_powers % np.uint64(self.q)
-            return vec_ntt_dif(x, t)
-        scaled = [int(c) * int(t.psi_powers[j]) % self.q
-                  for j, c in enumerate(coeffs)]
-        return np.array(ntt_dif(scaled, t), dtype=object)
+        x = np.asarray(coeffs, dtype=np.uint64) % np.uint64(self.q)
+        x = x * t.psi_powers % np.uint64(self.q)
+        return vec_ntt_dif(x, t)
 
     def inverse_bitrev(self, values: np.ndarray) -> np.ndarray:
         """Bit-reversed evaluation values -> coefficients (DIT input)."""
         t = self.tables
-        if self._vectorized:
-            x = np.asarray(values, dtype=np.uint64) % np.uint64(self.q)
-            x = vec_intt_dit(x, t)
-            return x * t.psi_inv_powers % np.uint64(self.q)
-        out = intt_dit([int(v) for v in values], t)
-        return np.array(
-            [v * int(t.psi_inv_powers[j]) % self.q for j, v in enumerate(out)],
-            dtype=object,
-        )
+        x = np.asarray(values, dtype=np.uint64) % np.uint64(self.q)
+        x = vec_intt_dit(x, t)
+        return x * t.psi_inv_powers % np.uint64(self.q)
 
     # -- order conversion ----------------------------------------------------
 
@@ -100,8 +109,8 @@ class BatchedNegacyclicNtt:
     double-CRT polynomial is one unit of work, not ``L`` separate rows.
     The psi/psi-inverse foldings and the per-stage twiddles are stacked
     across primes once at construction, so every stage of every limb
-    runs as a single vectorized butterfly pass.  Requires every prime
-    below ``2**31`` (the repository's uint64 fast-path regime).
+    runs as a single vectorized butterfly pass.  Every prime must be
+    below :data:`HOST_MODULUS_LIMIT`.
     """
 
     def __init__(self, n: int, primes: tuple[int, ...],
@@ -112,10 +121,8 @@ class BatchedNegacyclicNtt:
         #: so every butterfly product is strictly reduced — the integrity
         #: layer's mid-ladder fallback when the fast paths are suspect.
         self.clamped = clamped
+        check_host_moduli(primes)
         self.tables = [get_tables(n, q) for q in primes]
-        for t in self.tables:
-            if t.q >= (1 << 31):
-                raise ValueError("batched NTT requires every prime < 2**31")
         self._q_col = np.array(primes, dtype=np.uint64)[:, None]
         self._q3 = self._q_col[:, :, None]
         self._two_q3 = 2 * self._q3
@@ -128,9 +135,8 @@ class BatchedNegacyclicNtt:
         self._dif_tw = _stacked_stage_twiddles(self.tables, "dif")
         self._dit_tw = _stacked_stage_twiddles(self.tables, "dit")
         # Shoup companions make the forward butterfly and the psi folding
-        # mod-free (q < 2**30, which every repository parameter set
-        # satisfies).
-        if not clamped and all(q < (1 << 30) for q in primes):
+        # mod-free (q < 2**30, the host limit).
+        if not clamped:
             self._dif_shoup = _stacked_stage_twiddles(self.tables, "dif_shoup")
             self._dit_shoup = _stacked_stage_twiddles(self.tables, "dit_shoup")
             self._psi_shoup = np.stack([t.psi_shoup for t in self.tables])
@@ -233,8 +239,4 @@ def negacyclic_poly_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     ntt = NegacyclicNtt(len(a), q)
     fa = ntt.forward_bitrev(a)
     fb = ntt.forward_bitrev(b)
-    if ntt._vectorized:
-        prod = fa * fb % np.uint64(q)
-    else:
-        prod = np.array([int(x) * int(y) % q for x, y in zip(fa, fb)], dtype=object)
-    return ntt.inverse_bitrev(prod)
+    return ntt.inverse_bitrev(fa * fb % np.uint64(q))

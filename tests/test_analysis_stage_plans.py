@@ -21,7 +21,7 @@ from repro.arith.primes import find_ntt_prime
 
 Q28 = find_ntt_prime(512, 28)   # toy regime
 Q30 = find_ntt_prime(512, 30)   # Shoup edge
-Q31 = find_ntt_prime(512, 31)   # widest vectorized
+Q31 = find_ntt_prime(512, 31)   # past the host limit (analysis only)
 
 
 class TestCleanPlans:

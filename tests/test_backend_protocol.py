@@ -1,16 +1,17 @@
 """The ``KernelBackend`` protocol: every backend, bare and observed.
 
 One conformance check over all implementations — three batch kernels,
-nothing single-row, L = 1 and L > 1 batches bit-identical to the golden
-per-row reference at the 2^30 / 2^31 boundary primes — and the
-observing wrapper's contract: transparent (same bits, same VPU cycles,
+nothing single-row, L = 1 and L > 1 batches bit-identical to the naive
+reference transform below 2^30, and past that host limit a refusal on
+every host backend while the VPU model's 64-bit words still run — and
+the observing wrapper's contract: transparent (same bits, same VPU cycles,
 same attributes), and unable to leave a span open.
 """
 
 import numpy as np
 import pytest
 
-from repro.arith.primes import find_ntt_prime
+from repro.arith.primes import find_ntt_prime, find_ntt_primes
 from repro.automorphism.mapping import galois_eval_permutation
 from repro.core.stages import MuxConflictError
 from repro.fault.injector import FaultInjector, FaultSpec
@@ -26,17 +27,21 @@ from repro.fhe.backend import (
     use_backend,
 )
 from repro.kernels import CompiledBackend
-from repro.ntt.negacyclic import NegacyclicNtt
+from repro.ntt.negacyclic import HostModulusError
 from repro.obs import observe
-from tests.test_ntt_boundary_moduli import _prime_just_above
+from tests.test_ntt_boundary_moduli import _prime_just_above, reference_forward
 
 N = 64
 M = 16
 GALOIS_K = 5
-#: Below 2^30 (Shoup), just above it (lazy, no Shoup), below 2^31 (the
-#: widest vectorized prime; the unclamped inverse is refused).
-PRIMES = (find_ntt_prime(2 * N, 30), _prime_just_above(2 * N, 1 << 30),
-          find_ntt_prime(2 * N, 31))
+#: Host primes: the Shoup edge (just below 2^30) and two more below it.
+PRIMES = tuple(find_ntt_primes(2 * N, 30, 3))
+#: Past the host limit: just above 2^30, and just below 2^31 (the widest
+#: prime of the retired vectorized tier).  Every host backend refuses
+#: them; the VPU model runs them.
+WIDE = (_prime_just_above(2 * N, 1 << 30), find_ntt_prime(2 * N, 31))
+#: The backends whose kernels run on the VPU model.
+VPU_BACKED = ("vpu", "integrity-off")
 
 BACKENDS = {
     "numpy-fast": NumpyBackend,
@@ -75,14 +80,20 @@ class TestConformance:
         for single in ("forward_ntt", "inverse_ntt", "automorphism_eval"):
             assert not hasattr(backend, single)
 
-    @pytest.mark.parametrize("primes", [PRIMES[:1], PRIMES[1:2], PRIMES[2:],
+    @pytest.mark.parametrize("primes", [PRIMES[:1], WIDE[:1], WIDE[1:],
                                         PRIMES], ids=["L1-lt2^30", "L1-gt2^30",
                                                       "L1-lt2^31", "L3"])
     def test_batches_match_golden_rows(self, name, wrap, primes):
         backend = wrap(BACKENDS[name]())
         x = _rows(primes)
-        golden_fwd = np.stack([NegacyclicNtt(N, q).forward(x[i])
-                               for i, q in enumerate(primes)])
+        if primes[0] in WIDE and name not in VPU_BACKED:
+            for kernel in (backend.forward_ntt_batch,
+                           backend.inverse_ntt_batch):
+                with pytest.raises(HostModulusError, match=str(primes[0])):
+                    kernel(x, primes)
+            return
+        golden_fwd = np.stack([reference_forward(row, q)
+                               for row, q in zip(x, primes)])
         perm = galois_eval_permutation(N, GALOIS_K)
         golden_auto = np.stack([perm.apply(row) for row in golden_fwd])
         fwd = backend.forward_ntt_batch(x, primes)
@@ -161,16 +172,17 @@ def test_one_keyswitch_slot(name, wrap):
 
 class TestObservedOutputsAndCycles:
     def test_vpu_bits_and_cycles_identical(self):
-        x = _rows(PRIMES)
+        primes = PRIMES + WIDE
+        x = _rows(primes)
         bare = VpuBackend(m=M)
-        off = bare.forward_ntt_batch(x, PRIMES)
+        off = bare.forward_ntt_batch(x, primes)
         watched = VpuBackend(m=M)
         with observe() as obs:
-            on = observed(watched).forward_ntt_batch(x, PRIMES)
+            on = observed(watched).forward_ntt_batch(x, primes)
         assert np.array_equal(off, on)
         assert watched.vpu.stats.cycles == bare.vpu.stats.cycles
         assert obs.tracer.total_cycles() == bare.vpu.stats.cycles
-        assert obs.metrics.counter("backend.kernels.ntt") == len(PRIMES)
+        assert obs.metrics.counter("backend.kernels.ntt") == len(primes)
 
     def test_fused_keyswitch_observed(self):
         compiled = CompiledBackend()

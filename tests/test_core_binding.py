@@ -3,7 +3,8 @@
 A compiled program names constant-table slots, never a prime's values,
 so ``VpuBackend`` compiles, lowers and schedules one program per
 ``(kind, n, m)`` and binds each prime by a gather.  These tests hold
-the binding to the numpy kernels over primes of every width, pin the
+the binding to the numpy kernels over primes of every host width and
+to the naive reference transform above it, pin the
 compilation count of an FHE round, check that the integrity layer and
 the verification hook act on the shared program and all its bindings,
 and that the lock-step lanes drop their division only when every input
@@ -53,16 +54,25 @@ def _rows(primes, n=N, seed=0):
 
 def test_one_shape_program_serves_primes_of_every_width():
     """Primes of 14 to 30 bits, and one above 2**32, all replay the one
-    forward and the one inverse program, equal to the numpy kernels."""
-    primes = tuple(find_ntt_prime(2 * N, bits) for bits in range(14, 31))
-    primes += (find_ntt_prime(2 * N, 33),)
-    assert primes[-1] >= 1 << 31 and len(set(primes)) == len(primes)
+    forward and the one inverse program: equal to the numpy kernels
+    below the host limit, and to the naive reference transform on the
+    33-bit prime (the VPU model's words are 64 bits wide; the host
+    refuses that prime)."""
+    from tests.test_ntt_boundary_moduli import reference_forward
+
+    host = tuple(find_ntt_prime(2 * N, bits) for bits in range(14, 31))
+    wide = find_ntt_prime(2 * N, 33)
+    primes = host + (wide,)
+    assert wide >= 1 << 31 and len(set(primes)) == len(primes)
     x = _rows(primes)
     backend, golden = VpuBackend(m=M), NumpyBackend()
     evals = backend.forward_ntt_batch(x, primes)
-    assert np.array_equal(evals, golden.forward_ntt_batch(x, primes))
-    assert np.array_equal(backend.inverse_ntt_batch(evals, primes),
-                          golden.inverse_ntt_batch(evals, primes))
+    assert np.array_equal(evals[:-1], golden.forward_ntt_batch(x[:-1], host))
+    assert np.array_equal(evals[-1], reference_forward(x[-1], wide))
+    coeffs = backend.inverse_ntt_batch(evals, primes)
+    assert np.array_equal(coeffs[:-1],
+                          golden.inverse_ntt_batch(evals[:-1], host))
+    assert np.array_equal(coeffs, x)
     assert backend.program_compilations == 2
     for program in backend._programs.values():
         assert sorted(program.bound) == sorted(primes)

@@ -22,7 +22,11 @@ from repro.fhe.backend import (
 from repro.fhe.keyswitch import KeySwitchKey, accumulate_keyswitch
 from repro.fhe.polynomial import RnsPoly
 from repro.kernels import CompiledBackend
-from repro.ntt.negacyclic import NegacyclicNtt
+from repro.ntt.negacyclic import (
+    HOST_MODULUS_LIMIT,
+    HostModulusError,
+    NegacyclicNtt,
+)
 
 N = 64
 M = 16
@@ -113,8 +117,8 @@ class TestAbftChecker:
         assert checker.checks == 4 and checker.mismatches == 1
 
 
-#: Just below 2**28, 2**30 and 2**31, and one wide modulus whose
-#: checksums only fit exact (object) arithmetic.
+#: Just below 2**28 and 2**30; just below 2**31 and one wide modulus are
+#: past the host limit, where the checker refuses to build weight tables.
 WEIGHT_BITS = (28, 30, 31, 40)
 KINDS = ("ntt", "intt")
 
@@ -133,19 +137,24 @@ class TestWeightVectors:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_checksum_identity(self, n, bits, kind, seed):
         """``<r, M x> == <w, x> (mod q)`` for the table's own ``r, w``,
-        and the checker's dot products agree with it."""
+        and the checker's dot products agree with it; a modulus past the
+        host limit gets no table (one golden host transform builds it)."""
         q = find_ntt_prime(2 * n, bits)
+        assert checksum_dot_lazy_ok(n, q - 1, q) == (bits < 40)
         x = np.random.default_rng(seed).integers(0, q, size=n,
                                                  dtype=np.uint64)
-        y = _transform(kind, x, q)
         checker = AbftChecker(seed % 7)
+        if q >= HOST_MODULUS_LIMIT:
+            with pytest.raises(HostModulusError, match=str(q)):
+                checker.faulty_ntt_rows(x[None, :], x[None, :], (q,), kind)
+            return
+        y = _transform(kind, x, q)
         r, w = _weights(checker, n, q, kind)
         assert all(0 < v < q for v in r) and all(0 < v < q for v in w)
         assert (r * y.astype(object)).sum() % q == \
             (w * x.astype(object)).sum() % q
         assert checker.faulty_ntt_rows(x[None, :], y[None, :], (q,),
                                        kind) == []
-        assert checksum_dot_lazy_ok(n, q - 1, q) == (bits < 40)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_single_word_fault_is_flagged_and_its_row_named(self, kind):

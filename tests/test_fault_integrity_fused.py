@@ -38,6 +38,7 @@ from repro.fhe.polynomial import RnsPoly
 from repro.fhe.rns import get_basis
 from repro.fhe.sampling import sample_uniform_poly
 from repro.kernels import CompiledBackend, get_plan
+from repro.ntt.negacyclic import HostModulusError
 from repro.obs import observe
 from tests.test_kernels_keyswitch_fused import (
     SLOTS,
@@ -48,6 +49,7 @@ from tests.test_kernels_keyswitch_fused import (
     _phased,
     _same,
     _synthetic,
+    assert_host_refuses,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -285,19 +287,17 @@ class TestNumpyChecksAreTheOracleOfTheCSums:
 
     @pytest.mark.parametrize("bits", [28, 30, 31])
     def test_keyswitch_sums_and_verdicts(self, bits):
-        """From 2^30 up no compiled NTT is proven: the checked slot
-        declines before the foreign call, and the phased path answers
-        (``TestModulusWidths``)."""
+        """From 2^30 up no compiled NTT is proven and the host refuses
+        the chain: no polynomial, and no weight tables to check with."""
         primes = tuple(find_ntt_primes(2 * N, bits, 5))
         backend, checker = CompiledBackend(), AbftChecker(3)
         if bits <= 30:
             _assert_sums_match_numpy(backend, checker,
                                      *_one_level_down(primes))
             return
-        x, level_primes, ksk, keep = _one_level_down(primes)
-        check = checker.fused_check(N, level_primes, [ksk.block])
-        assert backend.keyswitch_apply(x, level_primes, [ksk.block], keep,
-                                       check=check) is None
+        assert_host_refuses(primes)
+        with pytest.raises(HostModulusError, match=str(primes[0])):
+            checker.fused_check(N, primes)
         assert backend.kernel_invocations == 0
 
     def test_drop_top_sums_and_verdicts(self):
@@ -611,12 +611,15 @@ class TestModulusWidths:
     @pytest.mark.parametrize("bits, limbs, taken, checks", [
         (30, 3, True, 4),
         (30, 17, False, 2),  # reduced accumulator: no spare identity
-        (31, 3, False, 4),   # no compiled NTT: phased, spare identity
-        (31, 6, False, 2),   # ... and a reduced accumulator: no spare
-        (32, 3, False, 2),   # no compiled NTT: object-dtype MAC, no spare
+        (31, 3, False, 4),   # past the host limit: refused
+        (31, 6, False, 2),   # past the host limit: refused
+        (32, 3, False, 2),   # past the host limit: refused
     ])
     def test_keyswitch(self, bits, limbs, taken, checks):
         primes = tuple(find_ntt_primes(2 * N, bits, limbs + 1))
+        if bits > 30:
+            assert_host_refuses(primes)
+            return
         x, ksk, params = _synthetic(primes, seed=bits)
         golden = _on_numpy(lambda: keyswitch.apply_keyswitch(x, ksk, params))
         spy = SpyBackend()
@@ -650,6 +653,9 @@ class TestModulusWidths:
                                              (32, False)])
     def test_drop_top_limb(self, bits, taken):
         primes = tuple(find_ntt_primes(2 * N, bits, 4))
+        if bits > 30:
+            assert_host_refuses(primes)
+            return
         basis = get_basis(primes[:-1], primes[-1])
         t = sample_uniform_poly(N, primes, np.random.default_rng(bits))
         golden = _on_numpy(lambda: keyswitch.mod_down(t, basis))

@@ -1,13 +1,13 @@
 """`RnsPoly.centered_lift` against a pure-Python CRT reference.
 
-On primes below ``2**31`` the lift reads each coefficient off its
-Garner digits in uint64 lanes and assembles it in int64 when it fits,
-by big-int Horner otherwise; wider primes take the big-integer lift.
+The lift reads each coefficient off its Garner digits in uint64 lanes
+and assembles it in int64 when it fits, by big-int Horner otherwise.
 Every case here compares every entry, as a Python int, with the
 textbook ``sum r_i * (Q/q_i) * ((Q/q_i)^-1 mod q_i) mod Q`` lift: prime
-widths on both sides of the ``2**31`` gate, ``Q`` below and above
-``2**63``, both domains, uniform residues, decrypt-sized values and the
-values at the edges of the sign test and of the int64 window.
+widths up to the ``2**30`` host limit, ``Q`` below and above ``2**63``,
+both domains, uniform residues, decrypt-sized values and the values at
+the edges of the sign test and of the int64 window.  Wider primes (31
+and 33 bits here) build no polynomial to lift: ``RnsPoly`` refuses them.
 """
 
 import math
@@ -17,9 +17,10 @@ import pytest
 
 from repro.arith.primes import find_ntt_primes
 from repro.fhe.polynomial import RnsPoly
+from repro.ntt.negacyclic import HOST_MODULUS_LIMIT, HostModulusError
 
 N = 64
-WIDTHS = (14, 28, 30, 31, 33)
+WIDTHS = (14, 28, 30, 31, 33)  # 31 and 33: past the host limit
 LIMBS = (1, 2, 3, 8, 16)
 
 
@@ -63,6 +64,16 @@ def make_columns(primes: tuple[int, ...], seed: int) -> np.ndarray:
     return np.concatenate([head, uniform], axis=1)
 
 
+def refused(primes: tuple[int, ...], residues: np.ndarray) -> bool:
+    """Whether ``primes`` are past the host limit, asserting that a
+    polynomial over them is refused rather than lifted."""
+    if max(primes) < HOST_MODULUS_LIMIT:
+        return False
+    with pytest.raises(HostModulusError, match=str(max(primes))):
+        RnsPoly(residues, primes, is_eval=False)
+    return True
+
+
 def assert_exact(lifted: np.ndarray, expected: list[int]) -> None:
     assert lifted.dtype == object
     assert all(type(v) is int for v in lifted)
@@ -78,6 +89,8 @@ def test_matches_the_reference(bits, limbs, to_eval):
     it."""
     primes = tuple(find_ntt_primes(2 * N, bits, limbs))
     residues = make_columns(primes, seed=bits * 100 + limbs)
+    if refused(primes, residues):
+        return
     poly = RnsPoly(residues.copy(), primes, is_eval=False)
     if to_eval:
         poly = poly.to_eval()
@@ -88,18 +101,19 @@ def test_matches_the_reference(bits, limbs, to_eval):
 
 @pytest.mark.parametrize("bits,limbs", [(30, 8), (28, 16), (14, 8), (33, 3)])
 def test_int64_result_when_every_value_fits(bits, limbs):
-    """`centered_coeffs` is int64 exactly when every prime is below
-    ``2**31`` and every value fits int64, and its float64 conversion
-    rounds as the Python ints' does: the CKKS decoder reads it
-    directly."""
+    """`centered_coeffs` is int64 exactly when every value fits int64,
+    and its float64 conversion rounds as the Python ints' does: the CKKS
+    decoder reads it directly."""
     primes = tuple(find_ntt_primes(2 * N, bits, limbs))
     rng = np.random.default_rng(limbs)
     values = [int(v) for v in rng.integers(-(1 << 62), 1 << 62, N)]
     values[:6] = [(1 << 53) + 1, -(1 << 53) - 3, (1 << 63) - 1, -(1 << 63),
                   (1 << 62) + 1, 0]
+    if refused(primes, residues_of(values, primes)):
+        return
     poly = RnsPoly(residues_of(values, primes), primes, is_eval=False)
     coeffs = poly.centered_coeffs()
-    assert (coeffs.dtype == np.int64) == (max(primes) < 1 << 31)
+    assert coeffs.dtype == np.int64
     assert [int(v) for v in coeffs] == values
     np.testing.assert_array_equal(
         coeffs.astype(np.float64).view(np.uint64),

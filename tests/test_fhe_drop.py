@@ -9,7 +9,9 @@ takes every row to the coefficient domain and subtracts there in exact
 integers (``2 R - 1`` row NTTs) — on numpy, on the compiled slot, on the
 compiled batch kernels phase by phase and on the VPU model, for every
 scheme's drop, for coefficient-domain inputs and for chains whose lift
-has no conditional-add fast path.
+has no conditional-add fast path.  A 32-bit chain and a plaintext
+modulus of ``2**33`` are past the host limit: every executor refuses
+them with ``HostModulusError``.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.fhe.program import OP_TABLE
 from repro.fhe.rns import get_basis
 from repro.fhe.sampling import sample_uniform_poly
 from repro.kernels import CompiledBackend
+from repro.ntt.negacyclic import HostModulusError
 
 N = 64
 T = 65537
@@ -173,9 +176,8 @@ def _exact_cases():
 
 
 def _synthetic_cases():
-    """Drops no context here makes: a plaintext modulus of 2^31 and
-    more (the exact big-integer correction), and chains whose lift has
-    no conditional-add fast path."""
+    """Drops no context here makes: chains whose lift has no
+    conditional-add fast path."""
     wide = tuple(find_ntt_primes(2 * N, 30, 2))
     small = find_ntt_prime(2 * N, 20)
     lift = (wide[0], small, wide[1])
@@ -183,18 +185,29 @@ def _synthetic_cases():
     cases = {}
     for name, primes, t in (
             ("lift-30-20-bit", lift, None),
-            ("lift-30-20-bit-bgv", lift, T),
-            ("32-bit", tuple(find_ntt_primes(2 * N, 32, 4)), None)):
+            ("lift-30-20-bit-bgv", lift, T)):
         basis = get_basis(primes[:-1], primes[-1])
         x = sample_uniform_poly(N, primes, np.random.default_rng(len(name)))
         cases[name] = (lambda x=x, basis=basis, t=t:
                        keyswitch.mod_down(x, basis, t))
-    primes = tuple(find_ntt_primes(2 * N, 28, 4))
-    basis = get_basis(primes[:-1], primes[-1])
-    x = sample_uniform_poly(N, primes[:-1], np.random.default_rng(7))
-    cases["bgv-t-2^33"] = lambda: keyswitch.mod_switch_exact(
-        x, basis, find_ntt_prime(2 * N, 33))
     return cases
+
+
+def _refused_cases():
+    """Drops past the host limit, as ``(modulus, op)``: a 32-bit chain
+    builds no polynomial to drop, and BGV's ``t``-correction refuses
+    ``t = 2^33``."""
+    wide = tuple(find_ntt_primes(2 * N, 32, 4))
+    primes = tuple(find_ntt_primes(2 * N, 28, 4))
+    x = sample_uniform_poly(N, primes[:-1], np.random.default_rng(7))
+    t = find_ntt_prime(2 * N, 33)
+    return {
+        "32-bit": (wide[0], lambda: keyswitch.mod_down(
+            sample_uniform_poly(N, wide, np.random.default_rng(6)),
+            get_basis(wide[:-1], wide[-1]))),
+        "bgv-t-2^33": (t, lambda: keyswitch.mod_switch_exact(
+            x, get_basis(primes[:-1], primes[-1]), t)),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +217,7 @@ def drops():
     return {name: _recorded(op) for name, op in ops.items()}
 
 
+REFUSED = _refused_cases()
 CASES = ("ckks-hmult", "ckks-coefficient-domain", "bgv-hmult", "bfv-hmult",
          "bgv-t-2^33", "lift-30-20-bit", "lift-30-20-bit-bgv", "32-bit")
 
@@ -211,12 +225,11 @@ CASES = ("ckks-hmult", "ckks-coefficient-domain", "bgv-hmult", "bfv-hmult",
 def test_the_cases_reach_every_branch(drops):
     seen = {name: [(p.is_eval, p.num_limbs, t) for p, _, t in calls]
             for name, calls in drops.items()}
-    assert sorted(seen) == sorted(CASES)
+    assert sorted(seen) == sorted(set(CASES) - set(REFUSED))
     assert seen["ckks-hmult"] == [(True, 4, None)] * 2 + [(True, 3, None)] * 2
     assert seen["ckks-coefficient-domain"] == [(False, 3, None)] * 2
     assert seen["bgv-hmult"] == [(True, 4, T)] * 2 + [(True, 3, T)] * 2
     assert seen["bfv-hmult"] == [(True, 4, None)] * 2
-    assert seen["bgv-t-2^33"][0][2] >= 1 << 31
 
 
 BACKENDS = {
@@ -234,6 +247,12 @@ BACKENDS = {
 def test_matches_the_coefficient_domain_oracle(drops, case, backend):
     executor = BACKENDS[backend]()
     hook = FaultInjector() if backend == "compiled-phased" else None
+    if case in REFUSED:
+        modulus, op = REFUSED[case]
+        with use_backend(executor), use_fault_hook(hook), pytest.raises(
+                HostModulusError, match=str(modulus)):
+            op()
+        return
     for poly, inv, t in drops[case]:
         golden = coefficient_domain_drop(poly.residues, poly.primes, inv, t,
                                          poly.is_eval)

@@ -3,10 +3,10 @@
 Three-way **bit-equality** is the contract under test: for every
 kernel (forward/inverse NTT batch, automorphism batch, the fused
 keyswitch inner product) the compiled backend must agree bit for bit
-with both the numpy reference and the behavioral VPU, across the
-boundary-modulus regimes the analyzer gates distinguish — and with no
-compiled provider at all it must degrade to the inherited numpy path, still
-bit-identically.
+with both the numpy reference and the behavioral VPU below the host
+limit (``2**30``), and refuse past it where the VPU still runs — and
+with no compiled provider at all it must degrade to the inherited numpy
+path, still bit-identically.
 """
 
 import os
@@ -35,7 +35,9 @@ from repro.kernels import (
     plan_cache,
     resolve_provider,
 )
+from repro.ntt.negacyclic import HOST_MODULUS_LIMIT, HostModulusError
 from repro.obs import Observer, install_obs_hook
+from tests.test_ntt_boundary_moduli import reference_forward
 
 N = 64
 LOG_N = 6
@@ -72,6 +74,28 @@ def _rows(primes, seed=7):
                         dtype=np.uint64)
 
 
+def assert_refused_on_the_host(compiled, x, primes):
+    """Past the host limit no compiled NTT is proven and both transforms
+    raise ``HostModulusError`` naming the first wide prime, before a plan
+    is built or a fallback counted, as numpy does; the VPU model equals
+    the reference."""
+    wide = next(q for q in primes if q >= HOST_MODULUS_LIMIT)
+    counts = (compiled.kernel_invocations, compiled.fallbacks,
+              len(plan_cache()))
+    for backend in (compiled, NumpyBackend()):
+        for kernel in (backend.forward_ntt_batch, backend.inverse_ntt_batch):
+            with pytest.raises(HostModulusError, match=str(wide)):
+                kernel(x, primes)
+    assert (compiled.kernel_invocations, compiled.fallbacks,
+            len(plan_cache())) == counts
+    assert not get_plan(N, primes).lazy_stages_ok
+    vpu = VpuBackend(m=16)
+    evals = vpu.forward_ntt_batch(x, primes)
+    for row, value, q in zip(x, evals, primes):
+        assert np.array_equal(value, reference_forward(row, q))
+    assert np.array_equal(vpu.inverse_ntt_batch(evals, primes), x)
+
+
 class TestThreeWayBitEquality:
     """compiled == numpy == VPU, per boundary-modulus regime."""
 
@@ -79,12 +103,16 @@ class TestThreeWayBitEquality:
                                         "below_2^31"])
     def test_forward_inverse_ntt(self, compiled, boundary_primes, regime):
         """Below 2^30 the compiled kernels run; from 2^30 up no compiled
-        NTT is proven and both transforms take the numpy path."""
+        NTT is proven and the batch is refused, while the VPU model
+        still runs it."""
         q = boundary_primes[regime]
         primes = tuple(
             find_ntt_primes(2 * N, q.bit_length(), LIMBS)
             if regime != "above_2^30" else [q] * 1)
         x = _rows(primes)
+        if regime != "below_2^30":
+            assert_refused_on_the_host(compiled, x, primes)
+            return
         fwd = {}
         inv = {}
         counts = (compiled.kernel_invocations, compiled.fallbacks)
@@ -95,7 +123,7 @@ class TestThreeWayBitEquality:
                     fwd[backend.name], primes)
         grew = (compiled.kernel_invocations - counts[0],
                 compiled.fallbacks - counts[1])
-        assert grew == ((2, 0) if regime == "below_2^30" else (0, 2))
+        assert grew == (2, 0)
         assert np.array_equal(fwd["compiled"], fwd["numpy"])
         assert np.array_equal(fwd["compiled"], fwd["vpu"])
         assert np.array_equal(inv["compiled"], inv["numpy"])
@@ -145,18 +173,10 @@ class TestThreeWayBitEquality:
             assert np.array_equal(a_c, a_n)
             assert np.array_equal(a_c, a_v)
 
-    def test_wide_modulus_falls_back_to_object_path(self, compiled):
-        # q >= 2**32: no compiled plan exists; the inherited numpy path
-        # (object-dtype per-row) must serve the batch bit-identically.
+    def test_wide_modulus_is_refused(self, compiled):
+        # q >= 2**32: refused like every modulus past the host limit.
         q = _prime_just_above(2 * N, 1 << 32)
-        primes = (q,)
-        x = _rows(primes)
-        plan = get_plan(N, primes)
-        assert not plan.lazy_stages_ok
-        before = compiled.fallbacks
-        out = compiled.forward_ntt_batch(x, primes)
-        assert compiled.fallbacks > before
-        assert np.array_equal(out, NumpyBackend().forward_ntt_batch(x, primes))
+        assert_refused_on_the_host(compiled, _rows((q,)), (q,))
 
     def test_full_keyswitch_three_backends(self, compiled):
         from repro.fhe.ckks import CkksContext
@@ -179,10 +199,11 @@ class TestThreeWayBitEquality:
 class TestKeyswitchInnerProduct:
     def test_matches_reference_lazy_and_reduced(self, compiled):
         rng = np.random.default_rng(11)
-        for bits in (29, 31):  # lazy gate holds at 29, refuses at 31
+        # The lazy gate holds for 5 digits at 29 bits, refuses 17 at 30.
+        for bits, digits in ((29, 5), (30, 17)):
             primes = tuple(find_ntt_primes(2 * N, bits, LIMBS))
             q_arr = np.array(primes, dtype=np.uint64)
-            shape = (5, LIMBS, N)
+            shape = (digits, LIMBS, N)
             d = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
             b = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
             a = rng.integers(0, min(primes), size=shape, dtype=np.uint64)
@@ -197,22 +218,22 @@ class TestKeyswitchInnerProduct:
     def test_refuses_wide_single_products(self, compiled):
         q = _prime_just_above(2 * N, 1 << 33)
         z = np.zeros((1, 1, N), dtype=np.uint64)
-        with pytest.raises(ValueError, match="fit uint64"):
+        with pytest.raises(HostModulusError, match=str(q)):
             compiled.keyswitch_inner_product(z, z, z, (q,))
 
     def test_schedule_is_picked_from_the_gate_without_being_told(
             self, compiled):
-        """Five digits: the lazy accumulator at 29-bit primes, the
-        per-step reduced one at 31-bit — the binding's own choice,
+        """The lazy accumulator for five digits of 29-bit primes, the
+        per-step reduced one for 17 of 30-bit — the binding's own choice,
         visible only as the last argument of the foreign call."""
         impl = compiled._impl
         real, seen = impl._ks, []
         impl._ks = lambda *args: (seen.append(args[-1]), real(*args))
         try:
-            for bits in (29, 31):
+            for bits, digits in ((29, 5), (30, 17)):
                 primes = tuple(find_ntt_primes(2 * N, bits, LIMBS))
-                z = np.zeros((5, LIMBS, N), dtype=np.uint64)
-                assert keyswitch_lazy_accumulate_ok(5, max(primes)) == \
+                z = np.zeros((digits, LIMBS, N), dtype=np.uint64)
+                assert keyswitch_lazy_accumulate_ok(digits, max(primes)) == \
                     (bits == 29)
                 compiled.keyswitch_inner_product(z, z, z, primes)
         finally:

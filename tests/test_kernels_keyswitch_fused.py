@@ -41,11 +41,12 @@ from repro.fhe.bgv import BgvContext, BgvParams
 from repro.fhe.ckks import Ciphertext, CkksContext
 from repro.fhe.keyswitch import KeySwitchKey
 from repro.fhe.params import toy_params
-from repro.fhe.rlwe import RlweCiphertext, tensor
+from repro.fhe.rlwe import tensor
 from repro.fhe.rns import get_basis
 from repro.fhe.sampling import sample_uniform_poly
 from repro.kernels import CompiledBackend, cext, get_plan
 from repro.kernels import backend as kernels_backend
+from repro.ntt.negacyclic import HOST_MODULUS_LIMIT, HostModulusError
 from repro.obs import observe
 from tests.test_fhe_drop import coefficient_domain_drop
 
@@ -141,7 +142,8 @@ def _synthetic(primes, n=N, seed=0):
 SLOT_PRIMES = tuple(find_ntt_primes(2 * N, 30, 4))
 _WIDE = tuple(find_ntt_primes(2 * N, 30, 2))
 #: Chains without a compiled schedule: the lift gate refuses a 30-bit
-#: source against a 20-bit target, and a 32-bit limb has no compiled NTT.
+#: source against a 20-bit target, and a 32-bit limb has no compiled NTT
+#: (nor a host polynomial: ``RnsPoly`` refuses it).
 UNSCHEDULED = {
     "lift-30-20-bit": (_WIDE[0], find_ntt_prime(2 * N, 20), _WIDE[1]),
     "mixed-30-32-bit": _WIDE + tuple(find_ntt_primes(2 * N, 32, 2)),
@@ -149,12 +151,31 @@ UNSCHEDULED = {
 }
 
 
+def assert_host_refuses(primes):
+    """Past the host limit there is no polynomial to hand a slot or the
+    phased path: ``RnsPoly`` refuses the chain, naming its first wide
+    prime."""
+    wide = next(q for q in primes if q >= HOST_MODULUS_LIMIT)
+    with pytest.raises(HostModulusError, match=str(wide)):
+        sample_uniform_poly(N, primes, np.random.default_rng(0))
+
+
 def assert_unscheduled_chain_declines(primes, count):
     """A ``count``-key call over ``primes`` declines before any kernel
-    runs, and the phased path answers with numpy's residues."""
+    runs, and the phased path answers with numpy's residues — or, past
+    the host limit, refuses the chain."""
     galois = GALOIS[count]
-    x, ksk, params = _synthetic(primes, seed=3)
     backend = CompiledBackend()
+    if max(primes) >= HOST_MODULUS_LIMIT:
+        assert_host_refuses(primes)
+        limbs = len(primes) - 1
+        block = np.zeros((limbs, 2, limbs + 1, N), dtype=np.uint64)
+        assert backend.keyswitch_apply(
+            np.zeros((limbs, N), dtype=np.uint64), primes, [block] * count,
+            range(limbs + 1), galois) is None
+        assert backend.kernel_invocations == 0
+        return
+    x, ksk, params = _synthetic(primes, seed=3)
     assert backend.keyswitch_apply(x.residues, primes, [ksk.block] * count,
                                    range(len(primes)), galois) is None
     assert backend.kernel_invocations == 0
@@ -297,19 +318,17 @@ class TestTensorProduct:
         assert spy.self_checks == 1
 
     def test_mixed_width_chain_declines(self):
-        """A 32-bit limb: no compiled schedule, hence no ``mu`` table
-        to reduce with — the slot declines, ``RnsPoly`` answers."""
+        """A 32-bit limb: no compiled schedule, so the slot declines a
+        raw stack before any kernel runs, and ``RnsPoly`` refuses the
+        chain (no ciphertext to tensor)."""
         primes = tuple(find_ntt_primes(2 * N, 30, 2)
                        + find_ntt_primes(2 * N, 32, 1))
-        rng = np.random.default_rng(7)
-        a, b = (RlweCiphertext([sample_uniform_poly(N, primes, rng)
-                                for _ in range(2)]) for _ in range(2))
-        golden = _on_numpy(lambda: tensor(a, b))
-        spy = SpyBackend()
-        with use_backend(spy):
-            assert _same(tensor(a, b), golden)
-        assert spy.taken == [("tensor_product", False)]
-        assert spy.kernel_invocations == 0
+        block = np.zeros((len(primes), N), dtype=np.uint64)
+        backend = CompiledBackend()
+        assert backend.tensor_product(block, block, block, block,
+                                      primes) is None
+        assert backend.kernel_invocations == 0
+        assert_host_refuses(primes)
 
     def test_shapes_are_checked_before_the_foreign_call(self):
         primes = tuple(find_ntt_primes(2 * N, 30, 2))
@@ -324,7 +343,8 @@ class TestTensorProduct:
 
 class TestModulusWidths:
     """Primes just below 2^30 (Shoup butterflies) and at 2^30 and above
-    (no compiled NTT: the slot declines and the phased path answers)."""
+    (past the host limit: no polynomial, so neither the slot nor the
+    phased path runs)."""
 
     @pytest.mark.parametrize("bits, limbs, taken", [
         (30, 3, True),
@@ -335,6 +355,9 @@ class TestModulusWidths:
     ])
     def test_keyswitch(self, bits, limbs, taken):
         primes = tuple(find_ntt_primes(2 * N, bits, limbs + 1))
+        if bits > 30:
+            assert_host_refuses(primes)
+            return
         for count in range(1, limbs + 1):
             x, ksk, params = _synthetic(primes, seed=bits + count)
             _assert_three_ways(x.limbs_prefix(count), ksk, params,
@@ -344,6 +367,9 @@ class TestModulusWidths:
                                              (32, False)])
     def test_drop_top_limb(self, bits, taken):
         primes = tuple(find_ntt_primes(2 * N, bits, 4))
+        if bits > 30:
+            assert_host_refuses(primes)
+            return
         basis = get_basis(primes[:-1], primes[-1])
         t = sample_uniform_poly(N, primes, np.random.default_rng(bits))
 

@@ -16,6 +16,7 @@ from repro.ntt import (
     ntt_multidim,
 )
 from repro.ntt.decomposition import ntt_multidim_fast
+from repro.ntt.negacyclic import HostModulusError
 from repro.ntt.tables import get_tables
 
 Q = 998244353
@@ -70,15 +71,22 @@ class TestNegacyclic:
         )
         assert [int(v) for v in got] == expected
 
-    def test_wide_modulus_scalar_path(self):
+    def test_wide_modulus_is_refused(self):
+        """A 60-bit modulus is past the host limit: the wrapper and the
+        NTT product refuse it, and only the naive reference multiplies
+        over it."""
         q = find_ntt_prime(64, 60)
         n = 32
-        ntt = NegacyclicNtt(n, q)
         rng = np.random.default_rng(4)
-        x = np.array([int(v) for v in rng.integers(0, 1 << 59, size=n)], dtype=object)
-        x = x % q
-        got = ntt.inverse(ntt.forward(x))
-        assert [int(v) for v in got] == [int(v) for v in x]
+        a, b = (np.array([int(v) % q for v in rng.integers(0, 1 << 59, n)],
+                         dtype=object) for _ in range(2))
+        with pytest.raises(HostModulusError, match=str(q)):
+            NegacyclicNtt(n, q)
+        with pytest.raises(HostModulusError, match=str(q)):
+            negacyclic_poly_mul(a, b, q)
+        product = naive_negacyclic_poly_mul(list(a), list(b), q)
+        assert product[0] == (int(a[0]) * int(b[0]) - sum(
+            int(a[i]) * int(b[n - i]) for i in range(1, n))) % q
 
     def test_mul_shape_mismatch(self):
         with pytest.raises(ValueError):
