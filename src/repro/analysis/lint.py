@@ -14,9 +14,9 @@ unwritable (DESIGN.md says which and how).
     (whose wraparound-clamp idiom is meaningless off uint64).
 
 ``FHC002`` **unchecked narrowing** — ``.astype`` to a *signed or
-    narrower* integer dtype (``int64``/``int32``/``uint32``) in a
-    function with no visible power-of-two range guard.  Widening to
-    ``uint64`` is exempt.
+    narrower* integer dtype (``int64``/``int32``/``uint32``) with no
+    visible power-of-two range guard on the narrowed value in the
+    enclosing function.  Widening to ``uint64`` is exempt.
 
 ``FHC003`` **unreduced product under %** — ``(a ± b) * c % q`` in
     uint64-handling code: the product of an unreduced sum can exceed
@@ -162,35 +162,51 @@ def _contains_unreduced_sum(node: ast.expr) -> bool:
             and isinstance(node.op, (ast.Add, ast.Sub)))
 
 
-def _function_has_range_guard(fn: ast.AST) -> bool:
-    """Does the function visibly bound the narrowed value?
+def _is_width_bound(compare: ast.Compare) -> bool:
+    """Is one side of the comparison a power of two (``1 << 31`` /
+    ``2**31``) or a halving (``q // 2``)?"""
+    for side in [compare.left, *compare.comparators]:
+        for sub in ast.walk(side):
+            if not isinstance(sub, ast.BinOp):
+                continue
+            if isinstance(sub.op, (ast.LShift, ast.Pow)) and isinstance(
+                    sub.left, ast.Constant) and sub.left.value in (1, 2):
+                return True
+            if isinstance(sub.op, ast.FloorDiv) and isinstance(
+                    sub.right, ast.Constant) and sub.right.value == 2:
+                return True
+    return False
 
-    Two accepted idioms:
 
-    * an explicit power-of-two comparison (``x < (1 << 31)`` /
-      ``2**31``) anywhere in the function — a deliberate width gate;
+def _has_range_guard(fn: ast.AST, call: ast.Call) -> bool:
+    """Does the function visibly bound the value ``call`` narrows?
+
+    A width comparison (:func:`_is_width_bound`) counts only when it
+    bounds that value: it sits inside the ``.astype`` receiver, or it
+    mentions the receiver or a name the narrowed result is assigned to.
+    Two idioms pass:
+
+    * an explicit width gate on the value (``x.max() < (1 << 31)``);
     * the repository's centered-lift pattern
       ``np.where(x > q // 2, x - q, x)`` — the comparison against
       ``_ // 2`` marks the value as a reduced residue (``< q < 2**62``,
       the Barrett modulus ceiling), which int64 holds exactly.
+
+    A width test of anything else — a modulus, a dtype choice — guards
+    nothing here.
     """
+    receiver = call.func.value  # type: ignore[attr-defined]
+    values = {ast.unparse(receiver)}
     for node in ast.walk(fn):
-        if not isinstance(node, ast.Compare):
-            continue
-        for side in [node.left, *node.comparators]:
-            for sub in ast.walk(side):
-                if not isinstance(sub, ast.BinOp):
-                    continue
-                if isinstance(sub.op, (ast.LShift, ast.Pow)):
-                    base = sub.left
-                    if isinstance(base, ast.Constant) and \
-                            base.value in (1, 2):
-                        return True
-                if isinstance(sub.op, ast.FloorDiv) and \
-                        isinstance(sub.right, ast.Constant) and \
-                        sub.right.value == 2:
-                    return True
-    return False
+        if isinstance(node, ast.Assign) and any(
+                sub is call for sub in ast.walk(node.value)):
+            values.update(ast.unparse(target) for target in node.targets)
+    inside = {id(sub) for sub in ast.walk(receiver)}
+    return any(
+        isinstance(node, ast.Compare) and _is_width_bound(node) and (
+            id(node) in inside
+            or any(ast.unparse(sub) in values for sub in ast.walk(node)))
+        for node in ast.walk(fn))
 
 
 def _function_mentions_uint64(fn: ast.AST, source: str,
@@ -395,7 +411,7 @@ class _Linter(ast.NodeVisitor):
 
     def _check_narrow(self, node: ast.Call, dtype: str) -> None:
         fn = self._fn_stack[-1] if self._fn_stack else None
-        if fn is not None and _function_has_range_guard(fn):
+        if fn is not None and _has_range_guard(fn, node):
             return
         self._flag(
             "FHC002", node,

@@ -261,11 +261,13 @@ def analyze_shoup_scale(q: int, entry_hi: int) -> PlanReport:
 
 
 def analyze_batched_forward(log_n: int, q: int) -> PlanReport:
-    """Mirror of :meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.forward`:
-    psi folding, lazy DIF stages, one final conditional subtract.
+    """Mirror of the forward transform of one batch plan
+    (:meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.forward`, which
+    the compiled kernels run too): psi folding, lazy DIF stages, one
+    final conditional subtract.
 
-    Selects the Shoup variant exactly as the kernel does (``q < 2**30``).
-    Declared output: fully reduced (``< q``).
+    Selects the Shoup variant below ``2**30``, the host limit, as every
+    plan's fast path does.  Declared output: fully reduced (``< q``).
     """
     shoup = q < (1 << 30)
     plan = _Plan("batched_forward" + ("+shoup" if shoup else ""), q, log_n)
@@ -287,12 +289,15 @@ def analyze_batched_forward(log_n: int, q: int) -> PlanReport:
 
 def analyze_batched_inverse(log_n: int, q: int, *,
                             unclamped: bool) -> PlanReport:
-    """Mirror of :meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.inverse`:
-    reduced entry, DIT stages, fused ``psi^{-1} n^{-1}`` scaling with
-    one true reduction.  Declared output: ``< q``.
+    """Mirror of the inverse transform of one batch plan
+    (:meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.inverse`, in numpy
+    and in the compiled kernels alike): reduced entry, DIT stages, fused
+    ``psi^{-1} n^{-1}`` scaling with one true reduction.  Declared
+    output: ``< q``.
 
     This is the analysis behind the production gate
-    :func:`repro.analysis.bounds.unclamped_dit_ok`.
+    :func:`repro.analysis.bounds.unclamped_dit_ok`, which the plan asks
+    once to pick its ``inv_mode``.
     """
     shoup = q < (1 << 30)
     name = "batched_inverse+" + ("unclamped" if unclamped else

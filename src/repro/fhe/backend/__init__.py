@@ -41,7 +41,7 @@ from repro.fhe.backend.numpy_backend import NumpyBackend, ladder_backend
 from repro.fhe.backend.observed import ObservedBackend, observed
 from repro.fhe.backend.protocol import KernelBackend
 from repro.fhe.backend.vpu_backend import ProgramQuarantinedError, VpuBackend
-from repro.ntt.negacyclic import get_batched_ntt
+from repro.ntt.negacyclic import plan_cache
 
 __all__ = [
     "IntegrityBackend",
@@ -105,9 +105,10 @@ def get_backend() -> KernelBackend:
 
 
 def clear_caches() -> None:
-    """Drop every kernel-level cache: the batched-NTT stacks, the
-    compiled-kernel plans and workspaces (:mod:`repro.kernels`, when
-    loaded), and the active backend's compiled programs and quarantines
+    """Drop every kernel-level cache: the batch plans every host backend
+    reads (:func:`repro.ntt.negacyclic.plan_cache`, counters too), the
+    compiled kernels' workspaces and Galois tables (:mod:`repro.kernels`,
+    when loaded), and the active backend's compiled programs and quarantines
     (for an :class:`IntegrityBackend` also its checker's weight tables
     and key spare images).
     Fault campaigns and tests call this between runs so poisoned state
@@ -119,10 +120,10 @@ def clear_caches() -> None:
     dropped caches' stale counters, even when the backend that published
     them is no longer the active one — and the telemetry ring is dropped
     (windowed deltas across a reset would be nonsense)."""
-    get_batched_ntt.cache_clear()
-    kernel_plans = sys.modules.get("repro.kernels.plan")
-    if kernel_plans is not None:
-        kernel_plans.clear_compiled_caches()
+    plan_cache().clear()
+    kernels = sys.modules.get("repro.kernels.backend")
+    if kernels is not None:
+        kernels.clear_compiled_caches()
     clearer = getattr(get_backend(), "clear_caches", None)
     if clearer is not None:
         clearer()

@@ -16,9 +16,11 @@ class NumpyBackend:
     ``mode`` selects the rung of the integrity layer's degradation
     ladder this instance runs at:
 
-    * ``"fast"`` — the default: Shoup/unclamped batched stage kernels.
-    * ``"clamped"`` — batched, but every butterfly product strictly
-      reduced (no Shoup companions, no unclamped DIT).
+    * ``"fast"`` — the default: the batch plan's schedule (Shoup
+      stages, the clamp-free inverse where the plan proves it).
+    * ``"clamped"`` — the same plan and tables, but every butterfly
+      product strictly reduced (no Shoup companions, no clamp-free
+      inverse).
     * ``"golden"`` — per-row :class:`NegacyclicNtt` reference, the
       slowest and simplest path.
     """
@@ -40,8 +42,8 @@ class NumpyBackend:
         residues = np.asarray(residues)
         if self.mode == "golden":
             return _per_row(NegacyclicNtt.forward, residues, primes)
-        return get_batched_ntt(residues.shape[1], primes,
-                               self.mode == "clamped").forward(residues)
+        return get_batched_ntt(residues.shape[1], primes).forward(
+            residues, clamped=self.mode == "clamped")
 
     def inverse_ntt_batch(self, values: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
@@ -49,8 +51,8 @@ class NumpyBackend:
         values = np.asarray(values)
         if self.mode == "golden":
             return _per_row(NegacyclicNtt.inverse, values, primes)
-        return get_batched_ntt(values.shape[1], primes,
-                               self.mode == "clamped").inverse(values)
+        return get_batched_ntt(values.shape[1], primes).inverse(
+            values, clamped=self.mode == "clamped")
 
     def automorphism_eval_batch(self, values: np.ndarray, galois_k: int,
                                 primes: tuple[int, ...]) -> np.ndarray:

@@ -5,9 +5,11 @@ whole forward/inverse negacyclic NTTs, batched automorphisms, and the
 fused keyswitch inner loop each run as a *single* compiled call over
 the full ``(L, n)`` residue matrix — no per-stage numpy dispatch, no
 full-size temporaries beyond one reusable workspace.  It subclasses
-:class:`~repro.fhe.backend.NumpyBackend`, so every shape a gate or a
-missing C toolchain refuses simply falls through to the vectorized
-numpy path.  On top of the protocol it offers the optional slots
+:class:`~repro.fhe.backend.NumpyBackend`, so a missing C toolchain or
+a shape below ``n = 2`` falls through to the vectorized numpy path,
+which walks the same batch plan
+(:class:`~repro.ntt.negacyclic.BatchedNegacyclicNtt`) the kernels read.
+On top of the protocol it offers the optional slots
 ``keyswitch_apply`` (the keyswitches of one polynomial or of several
 of its rotations, its digit rows transformed once) and
 ``drop_top_limb`` (``rescale`` / ``mod_down``) — both row-fused — and
@@ -24,27 +26,69 @@ against the numpy reference on first use — the row-fused slots against
 silently returning wrong residues.
 
 The backend picks no reduction schedule: it asks the plan whether a
-kernel may run, and calls the binding (:mod:`repro.kernels.cext`) with
-the plan, which carries the schedule and is refused by the binding
-itself where no schedule is sound.
+row-fused kernel may run, and calls the binding
+(:mod:`repro.kernels.cext`) with the plan, which carries the schedule
+and is refused by the binding itself where a gate is False.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import partial
 
 import numpy as np
 
+from repro.automorphism.mapping import galois_eval_permutation
 from repro.fhe.backend import NumpyBackend
 from repro.kernels.cext import resolve_provider
-from repro.kernels.plan import (
-    clear_compiled_caches,
-    get_destinations,
-    get_plan,
-    get_workspace,
-    plan_cache,
-)
-from repro.ntt.negacyclic import check_host_moduli
+from repro.ntt.negacyclic import check_host_moduli, get_batched_ntt, plan_cache
+
+_WORKSPACES = threading.local()
+_DESTINATIONS: dict[tuple[int, int], np.ndarray] = {}
+_DESTINATIONS_LOCK = threading.Lock()
+
+
+def get_workspace(rows: int, n: int) -> np.ndarray:
+    """Reusable ``(rows, n)`` uint64 scratch buffer for one dispatch.
+
+    Workspaces are **thread-local**: the plan/destination tables are
+    immutable and safely shared, but scratch is written by every
+    dispatch, so concurrent same-shape dispatches from the serving
+    layer's worker threads each get their own buffer."""
+    pool = getattr(_WORKSPACES, "buffers", None)
+    if pool is None:
+        pool = _WORKSPACES.buffers = {}
+    key = (rows, n)
+    buf = pool.get(key)
+    if buf is None:
+        buf = np.empty((rows, n), dtype=np.uint64)
+        pool[key] = buf
+    return buf
+
+
+def get_destinations(n: int, galois_k: int) -> np.ndarray:
+    """Contiguous int64 destination table of the Galois permutation
+    ``X -> X**galois_k`` (slot ``i`` lands at ``dest[i]``)."""
+    key = (n, galois_k)
+    with _DESTINATIONS_LOCK:
+        dest = _DESTINATIONS.get(key)
+        if dest is None:
+            dest = np.ascontiguousarray(
+                galois_eval_permutation(n, galois_k).destinations(),
+                dtype=np.int64)
+            _DESTINATIONS[key] = dest
+    return dest
+
+
+def clear_compiled_caches() -> None:
+    """Drop the compiled kernels' own state: workspace buffers and
+    automorphism destination tables.  Wired into the module-level
+    :func:`repro.fhe.backend.clear_caches`, which also clears the plan
+    cache every host backend shares and zeroes the
+    ``backend.compiled_plan_cache.*`` gauges."""
+    getattr(_WORKSPACES, "buffers", {}).clear()
+    with _DESTINATIONS_LOCK:
+        _DESTINATIONS.clear()
 
 
 class _PhasedKernels:
@@ -132,11 +176,20 @@ class CompiledBackend(NumpyBackend):
         return len(plan_cache())
 
     def clear_caches(self) -> None:
-        """Reset the shared compiled-kernel state — constant-table plans
-        (and their hit/miss counters), workspace buffers, automorphism
-        destination tables — plus this instance's self-check memos."""
+        """Reset the shared kernel state — the batch plans (and their
+        hit/miss counters), workspace buffers, automorphism destination
+        tables — plus this instance's self-check memos."""
+        plan_cache().clear()
         clear_compiled_caches()
         self._checked.clear()
+
+    def _plan(self, n: int, primes: tuple[int, ...]):
+        """The shape's batch plan, or None where no kernel runs: no
+        provider, or ``n < 2``.  A modulus of ``2**30`` or more raises
+        :class:`~repro.ntt.negacyclic.HostModulusError` here."""
+        if self._impl is None or n < 2:
+            return None
+        return get_batched_ntt(n, primes)
 
     # -- self-check ----------------------------------------------------------
 
@@ -165,23 +218,22 @@ class CompiledBackend(NumpyBackend):
             raise ValueError(f"ntt batch: {values.shape} rows do not match "
                              f"{len(primes)} primes")
         check_host_moduli(primes)
-        impl = self._impl
-        reference = (NumpyBackend.inverse_ntt_batch if inverse
-                     else NumpyBackend.forward_ntt_batch)
-        plan = (get_plan(values.shape[1], primes)
-                if impl is not None and values.shape[1] else None)
-        if plan is not None and plan.lazy_stages_ok:
+        plan = self._plan(values.shape[1], primes)
+        if plan is not None:
             x = np.ascontiguousarray(values, dtype=np.uint64)
             out = np.empty_like(x)
-            kernel = impl.inv_ntt if inverse else impl.fwd_ntt
+            kernel = self._impl.inv_ntt if inverse else self._impl.fwd_ntt
             kernel(plan, x, out, get_workspace(x.shape[0], x.shape[1]))
             self.kernel_invocations += 1
+            # The reference is numpy's walk of the same plan.
             self._verify_first_use(
                 ("intt" if inverse else "ntt", x.shape[1], primes),
-                lambda: reference(self, x, primes), out)
+                lambda: (plan.inverse if inverse else plan.forward)(x), out)
             return out
         self.fallbacks += 1
-        return reference(self, values, primes)
+        if inverse:
+            return NumpyBackend.inverse_ntt_batch(self, values, primes)
+        return NumpyBackend.forward_ntt_batch(self, values, primes)
 
     def forward_ntt_batch(self, residues: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
@@ -312,7 +364,7 @@ class CompiledBackend(NumpyBackend):
                 f"{[block.shape for block in key_blocks]}, keep "
                 f"{keep.tolist()} and Galois elements {galois} do not "
                 f"describe keyswitches over {limbs + 1} primes")
-        plan = get_plan(n, primes) if n else None
+        plan = self._plan(n, primes)
         if plan is None or not plan.keyswitch_ok or (
                 check is not None and not (plan.checksum_ok and plan.ks_lazy)):
             return None
@@ -390,7 +442,7 @@ class CompiledBackend(NumpyBackend):
             raise ValueError(
                 f"drop_top_limb: {x.shape} residues and {inv.shape} "
                 f"inverses do not match {rows} primes")
-        plan = get_plan(n, primes) if n else None
+        plan = self._plan(n, primes)
         if plan is not None and plan.drop_top_ok and (
                 check is None or plan.checksum_ok):
             out = np.empty((rows - 1, n), dtype=np.uint64)
@@ -423,8 +475,9 @@ class CompiledBackend(NumpyBackend):
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The parts ``(a0 b0, a0 b1 + a1 b0, a1 b1)`` of an unrelinearized
         product over ``(L, n)`` evaluation-domain blocks in one call — or
-        ``None``, as for :meth:`keyswitch_apply` (gate:
-        ``plan.lazy_stages_ok``)."""
+        ``None``, as for :meth:`keyswitch_apply` (no gate beyond the
+        plan's own: a product of two words below ``2**30`` fits
+        uint64)."""
         impl = self._impl
         primes = tuple(primes)
         if impl is None:
@@ -436,8 +489,8 @@ class CompiledBackend(NumpyBackend):
             raise ValueError(
                 f"tensor_product: blocks {[b.shape for b in blocks]} do "
                 f"not match {len(primes)} primes")
-        plan = get_plan(shape[1], primes) if shape[1] else None
-        if plan is None or not plan.lazy_stages_ok:
+        plan = self._plan(shape[1], primes)
+        if plan is None:
             return None
         out = tuple(np.empty(shape, dtype=np.uint64) for _ in range(3))
         impl.tensor(plan, blocks, out)

@@ -6,12 +6,15 @@ dependency: :func:`load_provider` returns ``None`` whenever a working
 compiler is missing and the backend degrades to numpy.
 
 An entry takes ``(plan, arrays...)`` and nothing that names a reduction
-schedule.  The schedule is the plan's (:class:`~repro.kernels.plan
-.CompiledPlan` writes it into ``plan_t``); the stack accumulate, which
+schedule.  The schedule is the plan's
+(:class:`~repro.ntt.negacyclic.BatchedNegacyclicNtt` resolves it and
+:func:`_tables` writes it into ``plan_t``); the stack accumulate, which
 has no plan, asks :func:`~repro.analysis.bounds
-.keyswitch_lazy_accumulate_ok` itself.  Each entry raises *before* the
-foreign call when handed a table-less plan or a shape its gate refuses,
-so a lazy kernel cannot be run where the analysis did not prove it.
+.keyswitch_lazy_accumulate_ok` itself.  A plan exists only for host
+moduli (below ``2**30``, where every NTT schedule is proven), and each
+row-fused entry raises *before* the foreign call on a shape its gate
+refuses, so a lazy kernel cannot be run where the analysis did not
+prove it.
 The two row-fused entries also take an optional ``check`` — the
 integrity layer's weight tables in, the kernel's ABFT sums out
 (:class:`CheckTables`) — under the same rule.
@@ -81,8 +84,9 @@ def _addr(arr: np.ndarray) -> int:
 
 class PlanTables(ctypes.Structure):
     """ctypes mirror of ``plan_t`` in ``kernels.c``, field for field:
-    the addresses of one :class:`~repro.kernels.plan.CompiledPlan`'s
-    constant tables, then its schedule."""
+    the addresses of one batch plan's
+    (:class:`~repro.ntt.negacyclic.BatchedNegacyclicNtt`) constant
+    tables, then its schedule."""
 
     _fields_ = [(name, _VOID) for name in (
         "q", "mu", "psi", "psi_sh", "twf", "twf_sh", "twi", "twi_sh",
@@ -93,9 +97,8 @@ class PlanTables(ctypes.Structure):
 def _tables(plan, entry: str, ok: bool = True) -> PlanTables:
     """The plan's ``plan_t``, built once and kept on the plan (which
     owns the arrays, so the addresses live as long as it does) — or a
-    :class:`ValueError` when the plan is table-less or ``ok``, the
-    entry's own gate, is False."""
-    if not (plan.lazy_stages_ok and ok):
+    :class:`ValueError` when ``ok``, the entry's own gate, is False."""
+    if not ok:
         raise ValueError(
             f"{entry}: no compiled schedule is proven sound for "
             f"n={plan.n}, primes={plan.primes}")
@@ -294,7 +297,7 @@ class CExtProvider:
 
     def tensor(self, plan, operands, parts) -> None:
         """``parts = (a0 b0, a0 b1 + a1 b0, a1 b1)`` of ``operands = (a0,
-        a1, b0, b1)``, ``(L, n)`` blocks.  Gate: ``plan.lazy_stages_ok``."""
+        a1, b0, b1)``, ``(L, n)`` blocks."""
         rows, n = operands[0].shape
         self._tensor(_tables(plan, "tensor"),
                      *map(_addr, (*operands, *parts)), rows, n)

@@ -19,12 +19,13 @@
  * (``repro.analysis.stage_plans``), so the eligibility gates derived
  * there (``repro.analysis.bounds``) carry over.  Which schedule a plan's
  * kernels run is decided once, where the plan is built
- * (``repro/kernels/plan.py``), and read here from ``plan_t`` -- no
- * plan-taking entry has a schedule argument a caller could set:
+ * (``repro/ntt/negacyclic.py``, the batch plan the numpy path walks
+ * too), and read here from ``plan_t`` -- no plan-taking entry has a
+ * schedule argument a caller could set:
  *
- * - Shoup butterflies (``*_sh`` tables, 2**32 radix) in every NTT: a
- *   plan has tables only where ``ntt_shoup_ok`` holds (q < 2**30), and
- *   a wider prime's NTTs take the numpy path;
+ * - Shoup butterflies (``*_sh`` tables, 2**32 radix) in every NTT:
+ *   ``ntt_shoup_ok`` holds for every host prime (q < 2**30), and a plan
+ *   is refused for a wider one;
  * - the clamp-free inverse schedule only under ``unclamped_dit_ok``;
  * - the unreduced keyswitch accumulator only under
  *   ``keyswitch_lazy_accumulate_ok``;
@@ -248,7 +249,7 @@ static inline void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
     }
 }
 
-/* One (n, primes) plan (repro/kernels/plan.py): its constant tables,
+/* One (n, primes) plan (repro/ntt/negacyclic.py): its constant tables,
  * row l modulo q[l] -- n words per row in psi/unfold, n - 1 in the flat
  * stage twiddles, each with its Shoup companion (*_sh) -- and the
  * reduction schedule the gates proved for it.  Field order is the

@@ -119,7 +119,8 @@ def vec_intt_dit(x: np.ndarray, tables: NttTables) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Limb-batched stage kernels: one dispatch over a stack of rows, each
 # with its own prime modulus (the shape keyswitch and ring conversions
-# produce).  Their one caller is negacyclic.BatchedNegacyclicNtt.
+# produce).  They run on negacyclic.BatchedNegacyclicNtt's per-stage
+# views of its flat twiddle stacks, ``(L, 1, length)`` each.
 #
 # The stage loops use lazy reduction: uint64 `%` by a broadcast divisor
 # is numpy's slowest elementwise op, so the add/sub halves of every
@@ -128,19 +129,6 @@ def vec_intt_dit(x: np.ndarray, tables: NttTables) -> np.ndarray:
 # Safe for any q < 2**31: the worst intermediate is (4q - 1)(q - 1),
 # below 2**64.
 # ---------------------------------------------------------------------------
-
-
-def _stacked_stage_twiddles(tables_per_row: list[NttTables],
-                            kind: str) -> list[np.ndarray]:
-    """Per-stage ``(L, 1, length)`` twiddle stacks across the limb primes."""
-    attr = {"dif": "dif_stage_twiddles",
-            "dit": "dit_stage_twiddles",
-            "dif_shoup": "dif_stage_twiddles_shoup",
-            "dit_shoup": "dit_stage_twiddles_shoup"}[kind]
-    return [
-        np.stack([getattr(t, attr)[s] for t in tables_per_row])[:, None, :]
-        for s in range(tables_per_row[0].log_n)
-    ]
 
 
 _SHIFT32 = np.uint64(32)

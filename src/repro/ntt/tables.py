@@ -10,6 +10,8 @@ CKKS reuses the same ring for every limb operation.
 from __future__ import annotations
 
 import threading
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,19 +66,6 @@ class NttTables:
         self.psi_powers = self._power_table(self.psi, n, dtype)
         self.psi_inv_powers = self._power_table(self.psi_inv, n, dtype)
         self.bitrev = bit_reverse_indices(n)
-        self._dif_stage_twiddles: list[np.ndarray] | None = None
-        self._dit_stage_twiddles: list[np.ndarray] | None = None
-        self._dif_stage_twiddles_shoup: list[np.ndarray] | None = None
-        self._dit_stage_twiddles_shoup: list[np.ndarray] | None = None
-        self._barrett_mu: int | None = None
-        self._psi_shoup: np.ndarray | None = None
-        self._psi_inv_ninv: np.ndarray | None = None
-        self._psi_inv_ninv_shoup: np.ndarray | None = None
-        self._dif_twiddles_flat: np.ndarray | None = None
-        self._dit_twiddles_flat: np.ndarray | None = None
-        self._dif_twiddles_flat_shoup: np.ndarray | None = None
-        self._dit_twiddles_flat_shoup: np.ndarray | None = None
-        self._psi_period: np.ndarray | None = None
 
     def _power_table(self, base: int, count: int, dtype) -> np.ndarray:
         # Doubling: with base**j filled for j < k, the next k powers are
@@ -94,154 +83,102 @@ class NttTables:
             step = step * step % self.q
         return powers
 
-    def _stage_twiddles(self, powers: np.ndarray,
-                        lengths: list[int]) -> list[np.ndarray]:
-        out = []
-        for length in lengths:
-            step = self.n // (2 * length)
-            out.append(powers[(np.arange(length) * step) % self.n])
-        return out
+    def _flat_twiddles(self, powers: np.ndarray, dif: bool) -> np.ndarray:
+        # Stage half-length ``length`` multiplies by
+        # ``omega**(j * n / (2 * length))`` for ``j`` in ``[0, length)``.
+        index = np.zeros(self.n - 1, dtype=np.int64)
+        for span in stage_spans(self.n, dif):
+            length = span.stop - span.start
+            index[span] = np.arange(length) * (self.n // (2 * length))
+        return powers[index]
+
+    def _shoup(self, table: np.ndarray) -> np.ndarray:
+        """Shoup companions ``floor(w * 2**32 / q)``: exact in uint64,
+        as ``w < q < 2**30``."""
+        if self.q >= (1 << 30):
+            raise ValueError("Shoup twiddles require q < 2**30")
+        return (table << np.uint64(32)) // np.uint64(self.q)
+
+    # -- flat stage twiddles ------------------------------------------------
+    #
+    # Each direction keeps one flat table, its stages concatenated (DIF
+    # half-lengths ``n/2, .., 1``, DIT ``1, .., n/2``: ``n - 1`` entries
+    # either way), plus its Shoup companion for the mod-free butterfly.
+    # A stage's twiddles are the view ``table[span]`` for its span in
+    # :func:`stage_spans`; the batch plans
+    # (:class:`~repro.ntt.negacyclic.BatchedNegacyclicNtt`) stack these
+    # tables across primes in the row-major layout the compiled kernels
+    # index.
+
+    @cached_property
+    def dif_twiddles(self) -> np.ndarray:
+        """Every DIF stage twiddle, stage after stage (``n - 1``)."""
+        return self._flat_twiddles(self.omega_powers, dif=True)
+
+    @cached_property
+    def dit_twiddles(self) -> np.ndarray:
+        """Every inverse DIT stage twiddle, stage after stage."""
+        return self._flat_twiddles(self.omega_inv_powers, dif=False)
+
+    @cached_property
+    def dif_twiddles_shoup(self) -> np.ndarray:
+        """Shoup companions of :attr:`dif_twiddles` (``q < 2**30``)."""
+        return self._shoup(self.dif_twiddles)
+
+    @cached_property
+    def dit_twiddles_shoup(self) -> np.ndarray:
+        """Shoup companions of :attr:`dit_twiddles` (``q < 2**30``)."""
+        return self._shoup(self.dit_twiddles)
 
     @property
     def dif_stage_twiddles(self) -> list[np.ndarray]:
-        """Per-stage twiddle vectors for the DIF pass, hoisted once.
-
-        Stage ``s`` (half-lengths ``n/2, n/4, .., 1``) multiplies the
-        lower butterfly outputs by ``omega**(j * step)`` for ``j`` in
-        ``[0, length)``; the gather used to be rebuilt on every
-        :func:`~repro.ntt.cooley_tukey.vec_ntt_dif` call.
-        """
-        if self._dif_stage_twiddles is None:
-            lengths = [self.n >> (s + 1) for s in range(self.log_n)]
-            self._dif_stage_twiddles = self._stage_twiddles(
-                self.omega_powers, lengths)
-        return self._dif_stage_twiddles
+        """Per-stage views of :attr:`dif_twiddles`, for
+        :func:`~repro.ntt.cooley_tukey.vec_ntt_dif`."""
+        return [self.dif_twiddles[s] for s in stage_spans(self.n, True)]
 
     @property
     def dit_stage_twiddles(self) -> list[np.ndarray]:
-        """Per-stage inverse twiddles for the DIT pass (lengths
-        ``1, 2, .., n/2``), hoisted once per table."""
-        if self._dit_stage_twiddles is None:
-            lengths = [1 << s for s in range(self.log_n)]
-            self._dit_stage_twiddles = self._stage_twiddles(
-                self.omega_inv_powers, lengths)
-        return self._dit_stage_twiddles
+        """Per-stage views of :attr:`dit_twiddles`, for
+        :func:`~repro.ntt.cooley_tukey.vec_intt_dit`."""
+        return [self.dit_twiddles[s] for s in stage_spans(self.n, False)]
 
-    def _shoup(self, twiddles: list[np.ndarray]) -> list[np.ndarray]:
-        if self.q >= (1 << 30):
-            raise ValueError("Shoup twiddles require q < 2**30")
-        return [((tw.astype(object) << 32) // self.q).astype(np.uint64)
-                for tw in twiddles]
+    # -- per-modulus constants of the batch plans ---------------------------
 
-    @property
-    def dif_stage_twiddles_shoup(self) -> list[np.ndarray]:
-        """Shoup companions ``floor(w * 2**32 / q)`` of the DIF stage
-        twiddles, for the mod-free butterfly product (``q < 2**30``)."""
-        if self._dif_stage_twiddles_shoup is None:
-            self._dif_stage_twiddles_shoup = self._shoup(
-                self.dif_stage_twiddles)
-        return self._dif_stage_twiddles_shoup
-
-    @property
-    def dit_stage_twiddles_shoup(self) -> list[np.ndarray]:
-        """Shoup companions of the DIT stage twiddles (``q < 2**30``)."""
-        if self._dit_stage_twiddles_shoup is None:
-            self._dit_stage_twiddles_shoup = self._shoup(
-                self.dit_stage_twiddles)
-        return self._dit_stage_twiddles_shoup
-
-    # -- compiled-backend constant tables ----------------------------------
-    #
-    # The fused kernels (:mod:`repro.kernels`) consume per-modulus
-    # constants hoisted here so they are computed exactly once per
-    # ``(n, q)`` and shared by every backend that wants them: the
-    # Barrett constant, the Shoup psi companions, the fused
-    # ``psi^{-1} * n^{-1}`` unfold table, and the stage twiddles
-    # flattened into one contiguous vector per direction (DIF lengths
-    # ``n/2, .., 1`` and DIT lengths ``1, .., n/2`` both concatenate to
-    # exactly ``n - 1`` entries).
-
-    @property
+    @cached_property
     def barrett_mu(self) -> int:
         """Barrett constant ``floor(2**64 / q)``: the estimate
         ``floor(z * mu / 2**64)`` undershoots ``floor(z / q)`` by at
         most 2 for any uint64 ``z``, so reduction is two multiplies and
         at most two conditional subtracts."""
-        if self._barrett_mu is None:
-            self._barrett_mu = (1 << 64) // self.q
-        return self._barrett_mu
+        return (1 << 64) // self.q
 
-    @property
+    @cached_property
     def psi_shoup(self) -> np.ndarray:
         """Shoup companions of ``psi_powers`` for the mod-free
         negacyclic fold (``q < 2**30``)."""
-        if self._psi_shoup is None:
-            self._psi_shoup = self._shoup([self.psi_powers])[0]
-        return self._psi_shoup
+        return self._shoup(self.psi_powers)
 
-    @property
+    @cached_property
     def psi_inv_ninv(self) -> np.ndarray:
         """Fused unfold table ``psi**(-j) * n**(-1) mod q``: the inverse
         transform's final scaling collapsed into one product per lane."""
-        if self._psi_inv_ninv is None:
-            fused = self.psi_inv_powers.astype(object) * self.n_inv % self.q
-            self._psi_inv_ninv = (fused.astype(np.uint64)
-                                  if self.q < (1 << 31)
-                                  else fused)
-        return self._psi_inv_ninv
+        fused = self.psi_inv_powers.astype(object) * self.n_inv % self.q
+        return fused.astype(np.uint64) if self.q < (1 << 31) else fused
 
-    @property
+    @cached_property
     def psi_inv_ninv_shoup(self) -> np.ndarray:
         """Shoup companions of :attr:`psi_inv_ninv` (``q < 2**30``)."""
-        if self._psi_inv_ninv_shoup is None:
-            self._psi_inv_ninv_shoup = self._shoup([self.psi_inv_ninv])[0]
-        return self._psi_inv_ninv_shoup
+        return self._shoup(self.psi_inv_ninv)
 
-    @property
+    @cached_property
     def psi_period(self) -> np.ndarray:
         """``psi**e`` for ``e`` in ``[0, 2n)`` as uint64 (``psi**(n + j)
         = -psi**j``): the table a VPU program's twiddles are gathered
         from (:func:`repro.core.vpu.bind_table`)."""
-        if self._psi_period is None:
-            psi = self.psi_powers.astype(np.uint64)
-            self._psi_period = np.concatenate([psi, self.q - psi])
-            self._psi_period.setflags(write=False)
-        return self._psi_period
-
-    def _concat(self, stages: list[np.ndarray]) -> np.ndarray:
-        if not stages:  # n == 1: a zero-stage transform
-            return np.empty(0, dtype=np.uint64)
-        return np.concatenate(stages)
-
-    @property
-    def dif_twiddles_flat(self) -> np.ndarray:
-        """All DIF stage twiddles concatenated (``n - 1`` entries)."""
-        if self._dif_twiddles_flat is None:
-            self._dif_twiddles_flat = self._concat(self.dif_stage_twiddles)
-        return self._dif_twiddles_flat
-
-    @property
-    def dit_twiddles_flat(self) -> np.ndarray:
-        """All DIT stage twiddles concatenated (``n - 1`` entries)."""
-        if self._dit_twiddles_flat is None:
-            self._dit_twiddles_flat = self._concat(self.dit_stage_twiddles)
-        return self._dit_twiddles_flat
-
-    @property
-    def dif_twiddles_flat_shoup(self) -> np.ndarray:
-        """Shoup companions of :attr:`dif_twiddles_flat`."""
-        if self._dif_twiddles_flat_shoup is None:
-            self._dif_twiddles_flat_shoup = self._concat(
-                self.dif_stage_twiddles_shoup)
-        return self._dif_twiddles_flat_shoup
-
-    @property
-    def dit_twiddles_flat_shoup(self) -> np.ndarray:
-        """Shoup companions of :attr:`dit_twiddles_flat`."""
-        if self._dit_twiddles_flat_shoup is None:
-            self._dit_twiddles_flat_shoup = self._concat(
-                self.dit_stage_twiddles_shoup)
-        return self._dit_twiddles_flat_shoup
+        psi = self.psi_powers.astype(np.uint64)
+        period = np.concatenate([psi, self.q - psi])
+        period.setflags(write=False)
+        return period
 
     def omega_power(self, exponent: int) -> int:
         """Return ``omega ** exponent mod q`` (any integer exponent)."""
@@ -253,6 +190,17 @@ class NttTables:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"NttTables(n={self.n}, q={self.q})"
+
+
+def stage_spans(n: int, dif: bool) -> list[slice]:
+    """Where each stage of a length-``n`` transform sits in a flat
+    twiddle table: half-lengths ``n/2, .., 1`` for the DIF pass
+    (``dif``), ``1, .., n/2`` for the DIT pass, back to back."""
+    lengths = [1 << s for s in range(n.bit_length() - 1)]
+    if dif:
+        lengths.reverse()
+    return [slice(start, start + length)
+            for start, length in zip(accumulate(lengths, initial=0), lengths)]
 
 
 _TABLES_CACHE: dict[tuple[int, int], NttTables] = {}

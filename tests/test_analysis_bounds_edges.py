@@ -10,6 +10,7 @@ boolean and the full derivation can never drift apart.
 """
 
 import numpy as np
+import pytest
 
 from repro.analysis.bounds import (
     centered_lift_lazy_ok,
@@ -26,7 +27,11 @@ from repro.analysis.stage_plans import (
     analyze_keyswitch_accumulate,
 )
 from repro.arith.primes import find_ntt_prime, find_ntt_primes, is_prime
-from repro.kernels.plan import CompiledPlan
+from repro.ntt.negacyclic import (
+    HOST_MODULUS_LIMIT,
+    BatchedNegacyclicNtt,
+    HostModulusError,
+)
 
 #: NTT primes for every n up to 2^17 on either side of 2^30: the
 #: largest below it, and the smallest above it.
@@ -37,15 +42,16 @@ ABOVE_2_30 = next(q for q in range((1 << 30) + 1, 1 << 31, ORDER)
 
 
 class TestCompiledNttModulusEdge:
-    """The compiled kernels' gate is ``ntt_shoup_ok``: a plan has tables
-    exactly where every prime is below 2^30."""
+    """The compiled kernels' Shoup stages are proven by ``ntt_shoup_ok``
+    exactly below 2^30, the host limit: a batch plan is built there and
+    refused from 2^30 up, so no plan needs a gate of its own."""
 
     def test_widest_vectorized_modulus_accepted(self):
         # Largest NTT-friendly prime below 2^30 for n=256 negacyclic.
         q = find_ntt_prime(512, 30)
         assert q == 1073738753
         assert ntt_shoup_ok(8, q)
-        assert CompiledPlan(256, (q,)).lazy_stages_ok
+        assert BatchedNegacyclicNtt(256, (q,)).primes == (q,)
 
     def test_32_bit_modulus_refused(self):
         q = find_ntt_prime(512, 32)
@@ -72,10 +78,25 @@ class TestCompiledNttModulusEdge:
         for n in (2, 64, 1024):
             for primes in (narrow, narrow + (ABOVE_2_30,), (ABOVE_2_30,),
                            tuple(find_ntt_primes(ORDER, 31, 2))):
-                plan = CompiledPlan(n, primes)
-                assert plan.lazy_stages_ok == (max(primes) < 1 << 30)
-                assert hasattr(plan, "q") == plan.lazy_stages_ok
-        assert not CompiledPlan(48, narrow).lazy_stages_ok
+                if max(primes) < HOST_MODULUS_LIMIT:
+                    plan = BatchedNegacyclicNtt(n, primes)
+                    assert plan.twf.shape == (len(primes), n - 1)
+                    continue
+                with pytest.raises(HostModulusError):
+                    BatchedNegacyclicNtt(n, primes)
+        with pytest.raises(ValueError, match="power of two"):
+            BatchedNegacyclicNtt(48, narrow)
+
+    def test_every_host_plan_is_proven(self):
+        """What lets a plan carry no gate of its own: the Shoup stages
+        verify for the largest NTT prime below 2^30 at every n from 2
+        to 2^17 (the largest for that n, and the one every such n
+        shares)."""
+        for log_n in range(1, 18):
+            q = find_ntt_prime(2 << log_n, 30)
+            assert q < HOST_MODULUS_LIMIT
+            assert ntt_shoup_ok(log_n, q), (log_n, q)
+            assert ntt_shoup_ok(log_n, BELOW_2_30), log_n
 
 
 class TestShoupPrecisionEdge:

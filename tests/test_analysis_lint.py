@@ -47,8 +47,23 @@ class TestFHC002Narrowing:
     def test_power_of_two_guard_exempts(self):
         assert _rules("""
             def f(x, q):
-                assert q < (1 << 31)
+                assert x.max() < (1 << 31)
                 return x.astype(np.int64)
+            """) == []
+
+    def test_unrelated_width_test_does_not_exempt(self):
+        """A width test of the modulus bounds nothing that is narrowed."""
+        assert _rules("""
+            def f(x, q):
+                if q >= (1 << 31):
+                    raise ValueError(q)
+                return x.astype(np.int64)
+            """) == ["FHC002"]
+
+    def test_guard_inside_the_receiver_exempts(self):
+        assert _rules("""
+            def f(x, q):
+                return np.where(x > q // 2, x - q, x).astype(np.int64)
             """) == []
 
     def test_centered_lift_idiom_exempts(self):

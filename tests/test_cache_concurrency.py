@@ -1,6 +1,8 @@
-"""Thread-safety of the module-level caches and the cache-reset
-metrics contract (gauges zeroed on clear)."""
+"""Thread-safety of the module-level caches — the one batch-plan cache
+that numpy and the compiled kernels share among them — and the
+cache-reset metrics contract (gauges zeroed on clear)."""
 
+import itertools
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 
 from repro.arith.primes import find_ntt_primes
-from repro.fhe.backend import VpuBackend, clear_caches
-from repro.kernels.plan import get_plan, get_workspace, plan_cache
-from repro.ntt.negacyclic import get_batched_ntt
+from repro.fhe.backend import NumpyBackend, VpuBackend, clear_caches, observed
+from repro.kernels import CompiledBackend, cext, resolve_provider
+from repro.kernels.backend import get_workspace
+from repro.ntt import negacyclic
+from repro.ntt.negacyclic import get_batched_ntt, plan_cache
 from repro.ntt.tables import get_tables
 from repro.obs import observe
 
@@ -46,20 +50,111 @@ class TestNttTablesCache:
         assert a is not b and a.n == 128 and b.n == 256
 
 
+class _RecordingProvider:
+    """The C provider, noting the id of every plan its NTTs are handed."""
+
+    def __init__(self, impl):
+        self.name = impl.name
+        self._impl = impl
+        self.plans: set[int] = set()
+
+    def fwd_ntt(self, plan, *arrays):
+        self.plans.add(id(plan))
+        self._impl.fwd_ntt(plan, *arrays)
+
+    def inv_ntt(self, plan, *arrays):
+        self.plans.add(id(plan))
+        self._impl.inv_ntt(plan, *arrays)
+
+
+@pytest.fixture
+def c_provider():
+    impl = resolve_provider()
+    if impl is None:
+        pytest.skip("no compiled provider available (needs a C compiler)")
+    return _RecordingProvider(impl)
+
+
 class TestBatchedNttCache:
-    def test_single_instance_under_concurrency(self):
-        get_batched_ntt.cache_clear()
-        primes = (Q,)
-        results = _hammer(lambda: get_batched_ntt(64, primes))
-        instances = {id(t) for batch in results for t in batch}
-        assert len(instances) == 1
+    """One plan per batch shape, read by numpy (fast and clamped) and by
+    the compiled kernels alike, from one counted cache."""
+
+    N = 64
+    PRIMES = tuple(find_ntt_primes(2 * 64, 28, 3))
+
+    def test_single_instance_under_concurrency(self, monkeypatch,
+                                               c_provider):
+        built, walked = [], set()
+
+        class Counting(negacyclic.BatchedNegacyclicNtt):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+            def forward(self, *args, **kwargs):
+                walked.add(id(self))
+                return super().forward(*args, **kwargs)
+
+        monkeypatch.setattr(negacyclic, "BatchedNegacyclicNtt", Counting)
+        clear_caches()
+        x = np.random.default_rng(3).integers(
+            0, min(self.PRIMES), (len(self.PRIMES), self.N), dtype=np.uint64)
+        want = NumpyBackend("golden").forward_ntt_batch(x, self.PRIMES)
+        backends = [NumpyBackend(), NumpyBackend("clamped"),
+                    CompiledBackend(provider=c_provider)]
+        turn = itertools.count()
+
+        def dispatch():
+            backend = backends[next(turn) % len(backends)]
+            evals = backend.forward_ntt_batch(x, self.PRIMES)
+            return (np.array_equal(evals, want) and np.array_equal(
+                backend.inverse_ntt_batch(evals, self.PRIMES), x))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _hammer(dispatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(ok for batch in results for ok in batch)
+        cache = plan_cache()
+        assert len(built) == 1 and len(cache) == 1
+        assert cache.misses == 1
+        assert cache.hits + cache.misses == 2 * THREADS * 20
+        # numpy and C walked the one plan object.
+        assert walked == c_provider.plans == {id(built[0])}
+
+    def test_numpy_and_c_read_the_same_arrays(self):
+        plan = get_batched_ntt(self.N, self.PRIMES)
+        ctables = cext._tables(plan, "test")
+        for name, stages in plan._stages.items():
+            table = getattr(plan, name)
+            assert getattr(ctables, name) == table.ctypes.data
+            assert all(np.shares_memory(stage, table) for stage in stages)
+
+    def test_clear_caches_drops_the_plan_and_its_gauges(self, c_provider):
+        x = np.zeros((len(self.PRIMES), self.N), dtype=np.uint64)
+        with observe() as obs:
+            clear_caches()
+            compiled = observed(CompiledBackend(provider=c_provider))
+            for _ in range(2):
+                compiled.forward_ntt_batch(x, self.PRIMES)
+                NumpyBackend().forward_ntt_batch(x, self.PRIMES)
+            gauges = obs.metrics.gauges
+            assert gauges["backend.compiled_plan_cache.size"] == 1
+            assert gauges["backend.compiled_plan_cache.misses"] == 1
+            clear_caches()
+            assert len(plan_cache()) == 0
+            assert plan_cache().hits == plan_cache().misses == 0
+            assert all(gauges[f"backend.compiled_plan_cache.{name}"] == 0
+                       for name in ("hits", "misses", "size"))
 
 
 class TestPlanCache:
     def test_counters_exact_under_concurrency(self):
         plan_cache().clear()
         primes = (Q,)
-        results = _hammer(lambda: get_plan(256, primes), per_thread=25)
+        results = _hammer(lambda: get_batched_ntt(256, primes), per_thread=25)
         total_calls = sum(len(batch) for batch in results)
         cache = plan_cache()
         assert cache.misses == 1

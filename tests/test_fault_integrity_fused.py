@@ -37,8 +37,8 @@ from repro.fhe.params import toy_params
 from repro.fhe.polynomial import RnsPoly
 from repro.fhe.rns import get_basis
 from repro.fhe.sampling import sample_uniform_poly
-from repro.kernels import CompiledBackend, get_plan
-from repro.ntt.negacyclic import HostModulusError
+from repro.kernels import CompiledBackend
+from repro.ntt.negacyclic import HostModulusError, get_batched_ntt
 from repro.obs import observe
 from tests.test_kernels_keyswitch_fused import (
     SLOTS,
@@ -410,7 +410,7 @@ class TestDetection:
     def test_stuck_forward_twiddle_names_the_rows_of_its_limb(self, case):
         *_, checker, run = case
         target = 2
-        with flipped(get_plan(N, self.PRIMES).twf, (target, 0)):
+        with flipped(get_batched_ntt(N, self.PRIMES).twf, (target, 0)):
             check = run()
         assert checker.faulty_fused_rows(check) == (
             [], [row for row, (_, j) in enumerate(_forward_pairs(3))
@@ -423,7 +423,7 @@ class TestDetection:
 
     def test_stuck_inverse_twiddle_names_its_row(self, case):
         *_, checker, run = case
-        with flipped(get_plan(N, self.PRIMES).twi, (1, 3)):
+        with flipped(get_batched_ntt(N, self.PRIMES).twi, (1, 3)):
             check = run()
         # Digit 1's forward rows transform a wrong row correctly.
         assert checker.faulty_fused_rows(check) == ([1], [])
@@ -472,10 +472,10 @@ class TestDetection:
         with use_backend(guard), ExitStack() as stack:
             assert _same(keyswitch.apply_keyswitch(x, ksk, params), golden)
             del spy.taken[:]
-            stack.enter_context(flipped(get_plan(N, self.PRIMES).twf, (2, 0)))
+            stack.enter_context(flipped(get_batched_ntt(N, self.PRIMES).twf, (2, 0)))
             if both_paths:
                 stack.enter_context(flipped(
-                    get_plan(N, batch_primes).twf,
+                    get_batched_ntt(N, batch_primes).twf,
                     (batch_primes.index(self.PRIMES[2]), 0)))
             out = keyswitch.apply_keyswitch(x, ksk, params)
         assert spy.taken[0] == ("keyswitch_apply", 1, True)
@@ -530,7 +530,7 @@ class TestDetection:
         with use_backend(guard):
             assert _same([keyswitch.mod_down(t, basis)], [golden])
             assert (guard.checker.checks, guard.detections) == (2, 0)
-            with flipped(getattr(get_plan(N, primes), table), index):
+            with flipped(getattr(get_batched_ntt(N, primes), table), index):
                 check = guard.checker.fused_check(N, primes)
                 spy.drop_top_limb(t.residues, primes,
                                   basis.special_inv_mod_chain, check=check)

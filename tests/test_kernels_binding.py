@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.arith.primes import find_ntt_prime, find_ntt_primes
-from repro.kernels import cext, get_plan, resolve_provider
+from repro.kernels import cext, resolve_provider
+from repro.ntt.negacyclic import HostModulusError, get_batched_ntt, plan_cache
 
 N = 64
 PLAN_ENTRIES = {"repro_fwd_ntt_batch", "repro_inv_ntt_batch",
@@ -65,14 +66,18 @@ class TestGatesLiveInTheCallee:
     @pytest.mark.parametrize("entry", ["fwd_ntt", "inv_ntt", "ks_apply",
                                        "drop_top", "tensor"])
     def test_table_less_plan_never_reaches_c(self, provider, entry):
-        """q >= 2^30: ``lazy_stages_ok`` is False, the plan has no
-        tables, and nothing is written."""
-        plan = get_plan(N, tuple(find_ntt_primes(2 * N, 32, 3)))
-        assert not plan.lazy_stages_ok and not hasattr(plan, "q")
+        """q >= 2^30: no plan is built — :class:`HostModulusError`
+        names the prime and the cache keeps nothing — so no entry has a
+        plan to hand C.  A host plan reaches it and writes."""
+        wide = tuple(find_ntt_primes(2 * N, 32, 3))
+        cached = len(plan_cache())
+        with pytest.raises(HostModulusError, match=str(wide[0])):
+            get_batched_ntt(N, wide)
+        assert len(plan_cache()) == cached
+        plan = get_batched_ntt(N, tuple(find_ntt_primes(2 * N, 30, 3)))
         call, outputs = _calls(provider, plan)[entry]
-        with pytest.raises(ValueError, match=f"{entry}: no compiled schedule"):
-            call()
-        assert all((out == 0xDEAD).all() for out in outputs)
+        call()
+        assert not all((out == 0xDEAD).all() for out in outputs)
 
     @pytest.mark.parametrize("entry", ["ks_apply", "drop_top"])
     def test_mixed_width_chain_never_reaches_c(self, provider, entry):
@@ -80,8 +85,7 @@ class TestGatesLiveInTheCallee:
         fine, ``centered_lift_lazy_ok`` refuses both lift users."""
         small = find_ntt_prime(2 * N, 20)
         wide = tuple(find_ntt_primes(2 * N, 30, 2))
-        plan = get_plan(N, (small,) + wide)
-        assert plan.lazy_stages_ok
+        plan = get_batched_ntt(N, (small,) + wide)
         assert not plan.keyswitch_ok and not plan.drop_top_ok
         calls = _calls(provider, plan)
         call, outputs = calls[entry]
@@ -92,7 +96,7 @@ class TestGatesLiveInTheCallee:
         assert not (calls["fwd_ntt"][1][0] == 0xDEAD).any()
 
     def test_eligible_plan_runs_every_entry(self, provider):
-        plan = get_plan(N, tuple(find_ntt_primes(2 * N, 30, 3)))
+        plan = get_batched_ntt(N, tuple(find_ntt_primes(2 * N, 30, 3)))
         assert plan.keyswitch_ok and plan.drop_top_ok
         for call, outputs in _calls(provider, plan).values():
             call()
@@ -100,23 +104,20 @@ class TestGatesLiveInTheCallee:
 
     @pytest.mark.parametrize("bits, schedule", [
         (30, (2, 1)),  # clamp-free inverse, unreduced accumulator
-        (31, (1, 1)),  # table-less: no schedule reaches C
+        (31, (1, 1)),  # past the host limit: no plan, no schedule
     ])
     def test_schedule_is_resolved_once_on_the_plan(self, provider, bits,
                                                    schedule):
         """The plan holds ``(inv_mode, ks_lazy)`` and ``plan_t`` carries
-        it.  From 2^30 up no compiled NTT is proven: the plan is
-        table-less and every plan entry raises before C."""
-        plan = get_plan(N, tuple(find_ntt_primes(2 * N, bits, 3)))
-        assert (plan.inv_mode, plan.ks_lazy) == schedule
+        it.  From 2^30 up no plan is built: :class:`HostModulusError`
+        is raised where it would be, so no schedule reaches C."""
+        primes = tuple(find_ntt_primes(2 * N, bits, 3))
         if bits > 30:
-            assert not plan.lazy_stages_ok and not hasattr(plan, "q")
-            for entry, (call, outputs) in _calls(provider, plan).items():
-                with pytest.raises(ValueError,
-                                   match=f"{entry}: no compiled schedule"):
-                    call()
-                assert all((out == 0xDEAD).all() for out in outputs)
+            with pytest.raises(HostModulusError, match=str(primes[0])):
+                get_batched_ntt(N, primes)
             return
+        plan = get_batched_ntt(N, primes)
+        assert (plan.inv_mode, plan.ks_lazy) == schedule
         tables = cext._tables(plan, "test")
         assert (tables.inv_mode, tables.ks_lazy) == schedule
         assert cext._tables(plan, "test") is tables
@@ -135,7 +136,7 @@ class TestCheckRequestIsValidatedInTheCallee:
 
     @pytest.fixture
     def plan(self):
-        return get_plan(N, tuple(find_ntt_primes(2 * N, 30, 3)))
+        return get_batched_ntt(N, tuple(find_ntt_primes(2 * N, 30, 3)))
 
     def _checked_calls(self, provider, plan, check_of):
         rows = len(plan.primes)
@@ -213,8 +214,8 @@ class TestCheckRequestIsValidatedInTheCallee:
         accumulator is reduced at every step and has no ``mod q_s`` to
         compare."""
         primes = tuple(find_ntt_primes(2 * N, 30, 18))
-        assert get_plan(N, primes[:17]).ks_lazy
-        plan = get_plan(N, primes)
+        assert get_batched_ntt(N, primes[:17]).ks_lazy
+        plan = get_batched_ntt(N, primes)
         assert plan.keyswitch_ok and plan.checksum_ok and not plan.ks_lazy
         calls = self._checked_calls(provider, plan, _check)
         with pytest.raises(ValueError, match="ks_apply: in-kernel integrity"):
@@ -225,7 +226,7 @@ class TestCheckRequestIsValidatedInTheCallee:
         from repro.analysis.bounds import checksum_dot_lazy_ok
 
         for bits in (28, 29, 30):
-            plan = get_plan(N, tuple(find_ntt_primes(2 * N, bits, 3)))
+            plan = get_batched_ntt(N, tuple(find_ntt_primes(2 * N, bits, 3)))
             assert plan.checksum_ok == all(
                 checksum_dot_lazy_ok(N, 2**32 - 1, q) for q in plan.primes)
         assert checksum_dot_lazy_ok(1 << 17, 2**32 - 1, (1 << 30) - 1)

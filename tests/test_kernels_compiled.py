@@ -29,13 +29,12 @@ from repro.fhe.backend import (
 )
 from repro.fhe.keyswitch import KeySwitchKey, accumulate_keyswitch
 from repro.fhe.sampling import sample_uniform_poly
-from repro.kernels import (
-    CompiledBackend,
-    get_plan,
-    plan_cache,
-    resolve_provider,
+from repro.kernels import CompiledBackend, plan_cache, resolve_provider
+from repro.ntt.negacyclic import (
+    HOST_MODULUS_LIMIT,
+    HostModulusError,
+    get_batched_ntt,
 )
-from repro.ntt.negacyclic import HOST_MODULUS_LIMIT, HostModulusError
 from repro.obs import Observer, install_obs_hook
 from tests.test_ntt_boundary_moduli import reference_forward
 
@@ -88,7 +87,8 @@ def assert_refused_on_the_host(compiled, x, primes):
                 kernel(x, primes)
     assert (compiled.kernel_invocations, compiled.fallbacks,
             len(plan_cache())) == counts
-    assert not get_plan(N, primes).lazy_stages_ok
+    with pytest.raises(HostModulusError, match=str(wide)):
+        get_batched_ntt(N, primes)  # no plan: none is proven
     vpu = VpuBackend(m=16)
     evals = vpu.forward_ntt_batch(x, primes)
     for row, value, q in zip(x, evals, primes):
@@ -135,7 +135,7 @@ class TestThreeWayBitEquality:
         every shape the benches and the other tests use gets mode 2."""
         n = 1 << 16
         primes = (find_ntt_prime(2 * n, 30),)
-        plan = get_plan(n, primes)
+        plan = get_batched_ntt(n, primes)
         assert plan.inv_mode == 1
         x = np.random.default_rng(16).integers(
             0, primes[0], size=(1, n), dtype=np.uint64)

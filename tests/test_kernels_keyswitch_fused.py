@@ -44,9 +44,13 @@ from repro.fhe.params import toy_params
 from repro.fhe.rlwe import tensor
 from repro.fhe.rns import get_basis
 from repro.fhe.sampling import sample_uniform_poly
-from repro.kernels import CompiledBackend, cext, get_plan
+from repro.kernels import CompiledBackend, cext
 from repro.kernels import backend as kernels_backend
-from repro.ntt.negacyclic import HOST_MODULUS_LIMIT, HostModulusError
+from repro.ntt.negacyclic import (
+    HOST_MODULUS_LIMIT,
+    HostModulusError,
+    get_batched_ntt,
+)
 from repro.obs import observe
 from tests.test_fhe_drop import coefficient_domain_drop
 
@@ -163,16 +167,18 @@ def assert_host_refuses(primes):
 def assert_unscheduled_chain_declines(primes, count):
     """A ``count``-key call over ``primes`` declines before any kernel
     runs, and the phased path answers with numpy's residues — or, past
-    the host limit, refuses the chain."""
+    the host limit, refuses the chain: no polynomial, and no plan for
+    a raw stack either."""
     galois = GALOIS[count]
     backend = CompiledBackend()
     if max(primes) >= HOST_MODULUS_LIMIT:
         assert_host_refuses(primes)
         limbs = len(primes) - 1
         block = np.zeros((limbs, 2, limbs + 1, N), dtype=np.uint64)
-        assert backend.keyswitch_apply(
-            np.zeros((limbs, N), dtype=np.uint64), primes, [block] * count,
-            range(limbs + 1), galois) is None
+        with pytest.raises(HostModulusError):
+            backend.keyswitch_apply(
+                np.zeros((limbs, N), dtype=np.uint64), primes,
+                [block] * count, range(limbs + 1), galois)
         assert backend.kernel_invocations == 0
         return
     x, ksk, params = _synthetic(primes, seed=3)
@@ -199,7 +205,7 @@ def assert_declines_before_allocating(monkeypatch, count):
     def refuse(*args):
         raise AssertionError("allocated before declining")
 
-    for name in ("get_plan", "get_workspace", "get_destinations"):
+    for name in ("get_batched_ntt", "get_workspace", "get_destinations"):
         monkeypatch.setattr(kernels_backend, name, refuse)
     assert backend.keyswitch_apply(
         x.residues, SLOT_PRIMES, [ksk.block] * count, [0, 1, 2, 3],
@@ -235,7 +241,7 @@ def assert_reduced_walk_matches_phased(count):
     path on numpy."""
     n = 1024
     primes = tuple(find_ntt_primes(2 * n, 30, 18))
-    assert get_plan(n, primes).ks_lazy == 0
+    assert get_batched_ntt(n, primes).ks_lazy == 0
     x, ksk, params = _synthetic(primes, n=n, seed=17)
 
     def switch():
@@ -318,15 +324,15 @@ class TestTensorProduct:
         assert spy.self_checks == 1
 
     def test_mixed_width_chain_declines(self):
-        """A 32-bit limb: no compiled schedule, so the slot declines a
-        raw stack before any kernel runs, and ``RnsPoly`` refuses the
-        chain (no ciphertext to tensor)."""
+        """A 32-bit limb: no plan, so the slot refuses a raw stack
+        before any kernel runs, and ``RnsPoly`` refuses the chain (no
+        ciphertext to tensor)."""
         primes = tuple(find_ntt_primes(2 * N, 30, 2)
                        + find_ntt_primes(2 * N, 32, 1))
         block = np.zeros((len(primes), N), dtype=np.uint64)
         backend = CompiledBackend()
-        assert backend.tensor_product(block, block, block, block,
-                                      primes) is None
+        with pytest.raises(HostModulusError, match=str(primes[-1])):
+            backend.tensor_product(block, block, block, block, primes)
         assert backend.kernel_invocations == 0
         assert_host_refuses(primes)
 

@@ -29,8 +29,9 @@ from repro.fhe.backend import IntegrityBackend, NumpyBackend, use_backend
 from repro.fhe.ckks import CkksContext
 from repro.fhe.params import CkksParams, toy_params
 from repro.fhe.serialize import ciphertext_digest
-from repro.kernels import CompiledBackend, cext, get_plan
-from repro.kernels.plan import get_destinations
+from repro.kernels import CompiledBackend, cext
+from repro.kernels.backend import get_destinations
+from repro.ntt.negacyclic import get_batched_ntt
 from tests.test_fault_integrity_fused import flipped
 from tests.test_kernels_keyswitch_fused import (
     UNSCHEDULED,
@@ -173,7 +174,7 @@ class TestRaggedArgumentsNeverReachC:
 
     def test_the_binding_refuses(self):
         provider = cext.load_provider()
-        plan = get_plan(N, self.PRIMES)
+        plan = get_batched_ntt(N, self.PRIMES)
         x, ksk, _ = _synthetic(self.PRIMES)
         keep = np.arange(4, dtype=np.int64)
         table = get_destinations(N, 5)
@@ -241,7 +242,7 @@ def assert_detects_each_stuck_word(backend):
     table = get_destinations(N, pow(125, -1, 2 * N))
     with flipped(table.view(np.uint64), 7):
         assert run() == _verdicts([(2, "table")], 3)
-    with flipped(get_plan(N, primes).twf, (2, 0)):
+    with flipped(get_batched_ntt(N, primes).twf, (2, 0)):
         assert run()[:2] == (True, False)
     assert run() == _verdicts([], 3)  # every flip is gone
 

@@ -139,7 +139,6 @@ class TestHostModulusGate:
         q = self.WIDE[width]
         _refused(lambda: NegacyclicNtt(N, q), q)
         _refused(lambda: BatchedNegacyclicNtt(N, (q,)), q)
-        _refused(lambda: BatchedNegacyclicNtt(N, (q,), clamped=True), q)
 
     @pytest.mark.parametrize("width", WIDE)
     def test_plaintext_modulus_refused(self, width):
@@ -245,16 +244,15 @@ class TestBoundaryModuliBitEquality:
         clamped pass are the same function mod q — bit-equal after the
         final reduction (the stage kernels themselves, below the gate)."""
         from repro.ntt.cooley_tukey import (
-            _stacked_stage_twiddles,
             dit_stages_lazy,
             dit_stages_unclamped,
         )
 
         q = boundary_primes[which]
         assert unclamped_dit_ok(LOG_N, q)
-        tables = [get_tables(N, q)]
         q3 = np.array([[q]], dtype=np.uint64)[:, :, None]
-        tw = _stacked_stage_twiddles(tables, "dit")
+        tw = [stage[None, None, :]
+              for stage in get_tables(N, q).dit_stage_twiddles]
         rows = _rand_rows((q,), seed=11)
 
         fast = rows.copy()
@@ -273,13 +271,15 @@ class TestBoundaryModuliBitEquality:
         n = 1 << 16
         q = find_ntt_prime(2 * n, 30)
         batched = BatchedNegacyclicNtt(n, (q,))
-        assert not batched._dit_unclamped  # gate refused the fast pass
-        assert BatchedNegacyclicNtt(n // 2, (q,))._dit_unclamped
+        assert batched.inv_mode == 1  # gate refused the clamp-free pass
+        assert BatchedNegacyclicNtt(n // 2, (q,)).inv_mode == 2
         rows = _rand_rows((q,), seed=13, n=n)
         evals = batched.forward(rows)
         np.testing.assert_array_equal(
-            evals, BatchedNegacyclicNtt(n, (q,), clamped=True).forward(rows))
+            evals, batched.forward(rows, clamped=True))
         np.testing.assert_array_equal(batched.inverse(evals), rows)
+        np.testing.assert_array_equal(
+            batched.inverse(evals, clamped=True), rows)
 
     def test_mixed_width_stack_roundtrip(self, boundary_primes):
         """A stack with one prime past the edge is refused as a whole,
