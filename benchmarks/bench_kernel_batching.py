@@ -573,6 +573,9 @@ def main() -> None:
         compiled = None
 
     results = host_envelope("kernel_batching")
+    # The clone of kernels.c's row kernels the compiled columns ran.
+    results["host"]["kernel_isa"] = (
+        None if compiled is None else compiled.kernel_isa)
     results.update({
         "quick": args.quick,
         "compiled_provider":

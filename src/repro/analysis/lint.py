@@ -16,7 +16,10 @@ unwritable (DESIGN.md says which and how).
 ``FHC002`` **unchecked narrowing** — ``.astype`` to a *signed or
     narrower* integer dtype (``int64``/``int32``/``uint32``) with no
     visible power-of-two range guard on the narrowed value in the
-    enclosing function.  Widening to ``uint64`` is exempt.
+    enclosing function.  Widening to ``uint64`` is exempt.  A dtype held
+    in a local name (``dtype = np.uint32 if ... else np.uint64``) is
+    resolved when every binding of the name is a literal dtype, and
+    each of them is checked.
 
 ``FHC003`` **unreduced product under %** — ``(a ± b) * c % q`` in
     uint64-handling code: the product of an unreduced sum can exceed
@@ -126,6 +129,44 @@ def _is_astype_call(node: ast.AST, dtypes: set[str]) -> bool:
             and node.func.attr == "astype"
             and len(node.args) == 1
             and _dtype_name(node.args[0]) in dtypes)
+
+
+def _literal_dtypes(node: ast.expr) -> list[str] | None:
+    """The dtypes a literal dtype expression names — one, or each arm of
+    a conditional of literals — or None for anything else."""
+    if isinstance(node, ast.IfExp):
+        body, orelse = _literal_dtypes(node.body), _literal_dtypes(node.orelse)
+        return None if body is None or orelse is None else body + orelse
+    name = _dtype_name(node)
+    return None if name is None else [name]
+
+
+def _astype_dtypes(node: ast.Call, fn: ast.AST | None) -> list[str]:
+    """The dtypes an ``.astype(dtype)`` call may narrow to: the literal
+    one, or — for a name ``fn`` binds only in single-target assignments
+    of literal dtypes — each of those.  Empty for anything else."""
+    if not (isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype" and len(node.args) == 1):
+        return []
+    arg = node.args[0]
+    if not isinstance(arg, ast.Name) or fn is None:
+        return _literal_dtypes(arg) or []
+    stores = [sub for sub in ast.walk(fn)
+              if isinstance(sub, ast.arg) and sub.arg == arg.id
+              or isinstance(sub, ast.Name) and sub.id == arg.id
+              and not isinstance(sub.ctx, ast.Load)]
+    if not stores:  # a global or a builtin (``object``)
+        return [arg.id]
+    values = {id(sub.targets[0]): sub.value for sub in ast.walk(fn)
+              if isinstance(sub, ast.Assign) and len(sub.targets) == 1}
+    dtypes: list[str] = []
+    for store in stores:
+        names = _literal_dtypes(values[id(store)]) \
+            if id(store) in values else None
+        if names is None:
+            return []
+        dtypes += names
+    return dtypes
 
 
 def _has_object_dtype(node: ast.AST, *, stop_at_mod: bool) -> bool:
@@ -382,16 +423,20 @@ class _Linter(ast.NodeVisitor):
     # -- FHC001 / FHC002: calls --------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        if _is_astype_call(node, _NARROW_DTYPES | {"uint64", "int_"}):
-            dtype = _dtype_name(node.args[0])
+        fn = self._fn_stack[-1] if self._fn_stack else None
+        dtypes = [dtype for dtype in _astype_dtypes(node, fn)
+                  if dtype in _NARROW_DTYPES | {"uint64", "int_"}]
+        if dtypes:
             receiver = node.func.value  # type: ignore[union-attr]
+            narrow = [dtype for dtype in dtypes if dtype in _NARROW_DTYPES]
             if _has_object_dtype(receiver, stop_at_mod=True):
                 self._flag(
                     "FHC001", node,
-                    f"object-dtype value narrowed straight to {dtype} "
-                    f"without an intervening % reduction")
-            elif dtype in _NARROW_DTYPES:
-                self._check_narrow(node, dtype)
+                    f"object-dtype value narrowed straight to "
+                    f"{' / '.join(dtypes)} without an intervening % "
+                    f"reduction")
+            elif narrow:
+                self._check_narrow(node, " / ".join(narrow))
         elif _is_np_call(node, "uint64") or _is_np_call(node, "int64"):
             for arg in node.args:
                 if _has_object_dtype(arg, stop_at_mod=True):

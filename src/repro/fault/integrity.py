@@ -143,11 +143,14 @@ def _transposed_image(golden: NegacyclicNtt, r: np.ndarray,
 
 
 def _split(v: np.ndarray, q: int) -> np.ndarray:
-    """``v`` as its ``(lo, hi)`` halves, stored as narrowly as ``q``
-    allows (the tables are per-prime and persistent)."""
-    dtype = np.uint32 if q <= (1 << 47) else np.uint64
+    """``v`` (residues mod ``q``) as its ``(lo, hi)`` halves, stored as
+    narrowly as ``q`` allows (the tables are per-prime and persistent):
+    uint32 up to ``q = 2**47``, where a reduced word's high half is below
+    ``2**32``, and uint64 past it or for a word that is not reduced."""
     mask = (1 << CHECKSUM_HALF_BITS) - 1
-    return np.stack([v & mask, v >> CHECKSUM_HALF_BITS]).astype(dtype)
+    halves = np.stack([v & mask, v >> CHECKSUM_HALF_BITS])
+    narrow = q <= (1 << 47) and halves.max() < (1 << 32)
+    return halves.astype(np.uint32 if narrow else np.uint64)
 
 
 def _checksums(block: np.ndarray, halves: np.ndarray, q: int) -> np.ndarray:

@@ -152,8 +152,10 @@ class CompiledBackend(NumpyBackend):
         if provider is None or isinstance(provider, str):
             provider = resolve_provider(provider)
         self._impl = provider
-        #: (kernel, shape) pairs already cross-checked against numpy.
+        #: (kernel, shape) pairs already cross-checked against numpy,
+        #: tested and added under the lock as one step.
         self._checked: set[tuple] = set()
+        self._checked_lock = threading.Lock()
         self.kernel_invocations = 0
         self.fallbacks = 0
         self.self_checks = 0
@@ -162,6 +164,13 @@ class CompiledBackend(NumpyBackend):
     def provider_name(self) -> str | None:
         """Active compiled provider (``cext``), or None."""
         return None if self._impl is None else self._impl.name
+
+    @property
+    def kernel_isa(self) -> str | None:
+        """The clone of ``kernels.c``'s row kernels this host runs —
+        ``x86-64-v4``, ``x86-64-v3`` or ``default``, picked once when
+        the library loaded — or None without a compiled provider."""
+        return getattr(self._impl, "isa", None)
 
     @property
     def plan_cache_hits(self) -> int:
@@ -181,7 +190,8 @@ class CompiledBackend(NumpyBackend):
         tables — plus this instance's self-check memos."""
         plan_cache().clear()
         clear_compiled_caches()
-        self._checked.clear()
+        with self._checked_lock:
+            self._checked.clear()
 
     def _plan(self, n: int, primes: tuple[int, ...]):
         """The shape's batch plan, or None where no kernel runs: no
@@ -197,10 +207,11 @@ class CompiledBackend(NumpyBackend):
         """Compare one compiled result against the numpy reference, once
         per (kernel, shape): the runtime leg of the bit-identity
         contract, for whatever compiler built the provider."""
-        if key in self._checked:
-            return
-        self._checked.add(key)
-        self.self_checks += 1
+        with self._checked_lock:
+            if key in self._checked:
+                return
+            self._checked.add(key)
+            self.self_checks += 1
         expected = reference_fn()
         if not np.array_equal(expected, out):
             raise RuntimeError(

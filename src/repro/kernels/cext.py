@@ -19,12 +19,19 @@ The two row-fused entries also take an optional ``check`` — the
 integrity layer's weight tables in, the kernel's ABFT sums out
 (:class:`CheckTables`) — under the same rule.
 
-The shared object is cached on disk keyed by the source hash (under
-``$REPRO_KERNEL_CACHE`` or the system temp directory), so the one-time
-compile cost (~a second) is paid once per source revision per machine,
-not per process.  ``-fopenmp`` is attempted first for per-limb
-parallelism — the rows of every kernel are independent, so threading is
-deterministic — with a serial fallback when the toolchain lacks it.
+The build command is ``$CC -O3 -fPIC -shared -std=c11 [-fopenmp]
+kernels.c``: ``-fopenmp`` is attempted first for per-limb parallelism —
+the rows of every kernel are independent, so threading is deterministic
+— with a serial fallback when the toolchain lacks it.  The command
+names no CPU: ``kernels.c`` itself gives its row kernels GCC
+``target_clones`` for baseline x86-64, x86-64-v3 (AVX2) and x86-64-v4
+(AVX-512), and the loader's ifunc resolver picks one clone per function
+once, when the library loads (:attr:`CExtProvider.isa` names it; a
+toolchain that cannot clone builds the baseline alone).  So the shared
+object is the same file on every x86-64 host, and its on-disk cache is
+keyed by the source hash alone (under ``$REPRO_KERNEL_CACHE`` or the
+system temp directory): the one-time compile cost (a few seconds) is
+paid once per source revision per machine, not per process.
 """
 
 from __future__ import annotations
@@ -210,6 +217,11 @@ class CExtProvider:
         self._drop_top = entry("repro_drop_top_limb", _PLAN, _VOID, _VOID,
                                _VOID, _VOID, _I64, _I64, _CHECK)
         self._tensor = entry("repro_tensor", _PLAN, *[_VOID] * 7, _I64, _I64)
+        isa = entry("repro_kernel_isa")
+        isa.restype = ctypes.c_char_p
+        #: The clone of the row kernels the loader picked on this host
+        #: (``x86-64-v4``, ``x86-64-v3`` or ``default``).
+        self.isa = isa().decode()
 
     def fwd_ntt(self, plan, x: np.ndarray, out: np.ndarray,
                 work: np.ndarray) -> None:

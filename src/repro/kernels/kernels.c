@@ -2,11 +2,23 @@
  *
  * This file is the C provider behind ``repro.kernels.CompiledBackend``:
  * it is compiled at first use by ``repro/kernels/cext.py`` with the host
- * C compiler (``cc -O3 -shared -fPIC`` plus ``-fopenmp`` when the
- * toolchain supports it) and loaded through ctypes.  Every entry point
- * operates on a full (L, n) residue matrix and runs *all* butterfly
- * stages of every limb in one call — no per-stage dispatch, no
+ * C compiler (``cc -O3 -fPIC -shared -std=c11`` plus ``-fopenmp`` when
+ * the toolchain supports it) and loaded through ctypes.  Every entry
+ * point operates on a full (L, n) residue matrix and runs *all*
+ * butterfly stages of every limb in one call — no per-stage dispatch, no
  * temporaries beyond the caller-provided workspace.
+ *
+ * The row kernels (``ROW_KERNEL``: ``fwd_row``, ``inv_row`` and the
+ * entries whose row loops inline ``mac_row`` / ``lift_row`` --
+ * ``repro_ks_apply``, ``repro_drop_top_limb``, ``repro_tensor``,
+ * ``repro_auto_batch``) carry three GCC ``target_clones``: baseline
+ * x86-64, x86-64-v3 (AVX2) and x86-64-v4 (AVX-512).  The ifunc resolver
+ * picks one clone per function once, when the library loads, from the
+ * CPU's ISA-level bits; ``repro_kernel_isa`` names the pick.  The build
+ * command keeps baseline flags, so the shared object is the same file on
+ * every x86-64 host and its cache key stays the source hash alone.  The
+ * clones compute the same words: outputs are reduced, and a test builds
+ * each level without clones and compares every entry's bytes.
  *
  * The butterfly loops exist once, in ``fwd_row`` / ``inv_row``; the
  * batch entries map them over rows, and the two row-fused entries
@@ -47,6 +59,26 @@ typedef uint32_t u32;
 typedef int64_t i64;
 typedef unsigned __int128 u128;
 
+/* ROW_KERNEL: out of line, and cloned where the toolchain can -- x86-64
+ * GCC 12 or later on glibc (ifunc).  Elsewhere it is plain noinline and
+ * the build is the baseline one; ``-DKERNEL_CLONES=0`` builds that form
+ * on any host, the reference the clones are tested against. */
+#ifndef KERNEL_CLONES
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    __GNUC__ >= 12 && defined(__GLIBC__)
+#define KERNEL_CLONES 1
+#else
+#define KERNEL_CLONES 0
+#endif
+#endif
+#if KERNEL_CLONES
+#define ROW_KERNEL                                                      \
+    __attribute__((noinline,                                            \
+                   target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
+#else
+#define ROW_KERNEL __attribute__((noinline))
+#endif
+
 /* Each entry point sets `par_rows` to its outer (independent-rows)
  * extent before the pragma; small batches stay serial so the threading
  * threshold, not the caller, decides when OpenMP pays. */
@@ -58,6 +90,28 @@ typedef unsigned __int128 u128;
 #define PARALLEL_LIMBS
 #define ATOMIC_UPDATE
 #endif
+
+/* The clone of every ROW_KERNEL function this host runs: "x86-64-v4",
+ * "x86-64-v3" or "default".  Cloned the same way; in a clone build the
+ * answer is the resolver's own test (the ISA-level bits it reads, in the
+ * clone list's order), in a build without clones the level the
+ * compiler targeted. */
+ROW_KERNEL
+const char *repro_kernel_isa(void) {
+#if KERNEL_CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
+    if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
+    return "default";
+#elif defined(__AVX512F__) && defined(__AVX512BW__) && \
+    defined(__AVX512DQ__) && defined(__AVX512VL__)
+    return "x86-64-v4";
+#elif defined(__AVX2__) && defined(__FMA__) && defined(__BMI2__)
+    return "x86-64-v3";
+#else
+    return "default";
+#endif
+}
 
 /* Phase clock of the row-fused keyswitch.  `ticks` is NULL unless an
  * observer asked for the split; on NULL neither helper reads a clock.
@@ -108,17 +162,26 @@ static inline u64 shoup_mul_lazy(u64 x, u64 w, u64 w_sh, u64 q) {
 /* Out of line: inlined into a row loop, gcc 12 -O3 -fopenmp spilled  */
 /* a butterfly product to the stack (a ~8 % slower forward NTT).      */
 /* ------------------------------------------------------------------ */
-__attribute__((noinline))
+ROW_KERNEL
 static void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
                     const u64 *ps, const u64 *ps_sh,
                     const u64 *tw, const u64 *tw_sh, const i64 *bitrev) {
     const u64 two_q = 2 * q;
 
-    /* psi fold: x * psi^j, into [0, 2q). */
+    /* psi fold: x * psi^j, into [0, 2q).  The loop that vectorizes
+     * notes whether the row had a word >= q; only such a row is folded
+     * again, reducing those words by `%` first. */
+    u64 wide = 0;
     for (i64 i = 0; i < n; i++) {
-        u64 v = x[i];
-        if (v >= q) v %= q;
-        a[i] = shoup_mul_lazy(v, ps[i], ps_sh[i], q);
+        wide |= x[i] >= q;
+        a[i] = shoup_mul_lazy(x[i], ps[i], ps_sh[i], q);
+    }
+    if (wide) {
+        for (i64 i = 0; i < n; i++) {
+            u64 v = x[i];
+            if (v >= q) v %= q;
+            a[i] = shoup_mul_lazy(v, ps[i], ps_sh[i], q);
+        }
     }
 
     /* Gentleman-Sande DIF stages, lazy (< 2q lanes throughout). */
@@ -173,11 +236,12 @@ static void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
 /* table.  mode: 1 = lazy Shoup (gate: ntt_shoup_ok), 2 = clamp-free  */
 /* (gate: unclamped_dit_ok; its products are Barrett-reduced).        */
 /* ------------------------------------------------------------------ */
-static inline void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
-                           u64 q, u64 mu,
-                           const u64 *tw, const u64 *tw_sh,
-                           const u64 *uf, const u64 *uf_sh,
-                           const i64 *bitrev, int mode) {
+ROW_KERNEL
+static void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
+                    u64 q, u64 mu,
+                    const u64 *tw, const u64 *tw_sh,
+                    const u64 *uf, const u64 *uf_sh,
+                    const i64 *bitrev, int mode) {
     const u64 two_q = 2 * q;
 
     /* Natural order -> bit-reversed DIT input, reduced < q. */
@@ -302,6 +366,7 @@ void repro_inv_ntt_batch(const plan_t *plan, const u64 *in, u64 *out,
 /* Batched evaluation-domain automorphism: one prime-independent       */
 /* gather applied to every limb (dest[i] is where slot i lands).      */
 /* ------------------------------------------------------------------ */
+ROW_KERNEL
 void repro_auto_batch(const u64 *in, u64 *out, i64 L, i64 n,
                       const i64 *dest) {
     const i64 par_rows = L;
@@ -540,6 +605,7 @@ static inline u64 spare_sum(const u64 *acc, i64 n, u64 qs, u64 mus) {
 /* accumulator unreduced (plan->ks_lazy; the binding refuses          */
 /* otherwise).                                                         */
 /* ------------------------------------------------------------------ */
+ROW_KERNEL
 void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
                     const i64 *const *tables, i64 G, const i64 *keep,
                     u64 *acc0, u64 *acc1, u64 *coeff, u64 *work,
@@ -647,6 +713,7 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
 /* row's inverse at 0, remaining limb j's forward row at 1 + j (the   */
 /* element-wise finish is outside the brackets).                      */
 /* ------------------------------------------------------------------ */
+ROW_KERNEL
 void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
                          u64 *out, u64 *work, i64 R, i64 n,
                          const check_t *check) {
@@ -678,6 +745,7 @@ void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
 /* Tensor product of two 2-part ciphertexts, (L, n) rows through the
  * L plan rows: d0 = a0 b0, d1 = a0 b1 + a1 b0, d2 = a1 b1, operands
  * read once.  A product of two reduced words below 2**30 fits uint64. */
+ROW_KERNEL
 void repro_tensor(const plan_t *plan, const u64 *a0, const u64 *a1,
                   const u64 *b0, const u64 *b1, u64 *d0, u64 *d1, u64 *d2,
                   i64 L, i64 n) {

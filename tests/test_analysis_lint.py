@@ -66,6 +66,41 @@ class TestFHC002Narrowing:
                 return np.where(x > q // 2, x - q, x).astype(np.int64)
             """) == []
 
+    def test_dtype_held_in_a_local_name_is_checked(self):
+        """Each literal a local dtype name is bound to is checked."""
+        assert _rules("""
+            def f(v, q):
+                dtype = np.uint32 if q <= (1 << 47) else np.uint64
+                return np.stack([v & 7, v >> 3]).astype(dtype)
+            """) == ["FHC002"]
+        assert _rules("""
+            def f(v, wide):
+                dtype = "uint64"
+                if not wide:
+                    dtype = np.int32
+                return v.astype(dtype)
+            """) == ["FHC002"]
+
+    def test_guard_on_a_local_dtype_narrowing_exempts(self):
+        assert _rules("""
+            def f(v, q):
+                halves = np.stack([v & 7, v >> 3])
+                narrow = halves.max() < (1 << 32)
+                dtype = np.uint32 if narrow else np.uint64
+                return halves.astype(dtype)
+            """) == []
+
+    def test_dtype_name_with_a_non_literal_binding_is_not_resolved(self):
+        assert _rules("""
+            def f(v, w):
+                dtype = w.dtype
+                return v.astype(dtype)
+            """) == []
+        assert _rules("""
+            def f(v, dtype=np.int32):
+                return v.astype(dtype)
+            """) == []
+
     def test_centered_lift_idiom_exempts(self):
         assert _rules("""
             def f(x, q):

@@ -117,6 +117,8 @@ class TestBatchedNttCache:
         finally:
             sys.setswitchinterval(interval)
         assert all(ok for batch in results for ok in batch)
+        # One first-use oracle per (kernel, shape): forward and inverse.
+        assert backends[2].self_checks == 2
         cache = plan_cache()
         assert len(built) == 1 and len(cache) == 1
         assert cache.misses == 1
@@ -148,6 +150,43 @@ class TestBatchedNttCache:
             assert plan_cache().hits == plan_cache().misses == 0
             assert all(gauges[f"backend.compiled_plan_cache.{name}"] == 0
                        for name in ("hits", "misses", "size"))
+
+
+class TestFirstUseOracle:
+    N = 64
+    PRIMES = TestBatchedNttCache.PRIMES
+
+    def test_threads_on_a_new_shape_run_one_oracle(self, c_provider):
+        """Testing and adding a (kernel, shape) key is one step: two
+        threads that both reach the membership test of a new shape run
+        the numpy oracle once between them."""
+        backend = CompiledBackend(provider=c_provider)
+        barrier = threading.Barrier(2)
+
+        class Rendezvous(set):
+            """Holds each membership answer until both threads have
+            tested (or, when only one thread can be inside, a short
+            timeout): the interleaving where neither sees the other's
+            add."""
+
+            def __contains__(self, key):
+                found = super().__contains__(key)
+                try:
+                    barrier.wait(timeout=0.5)
+                except threading.BrokenBarrierError:
+                    pass
+                return found
+
+        backend._checked = Rendezvous()
+        x = np.random.default_rng(4).integers(
+            0, min(self.PRIMES), (len(self.PRIMES), self.N), dtype=np.uint64)
+        want = NumpyBackend().forward_ntt_batch(x, self.PRIMES)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(
+                lambda _: backend.forward_ntt_batch(x, self.PRIMES), range(2)))
+        assert all(np.array_equal(got, want) for got in results)
+        assert backend.self_checks == 1
+        assert backend.kernel_invocations == 2
 
 
 class TestPlanCache:
