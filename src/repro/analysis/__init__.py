@@ -46,6 +46,8 @@ any error-severity finding fired, 2 on usage errors.
 from __future__ import annotations
 
 from repro.analysis.bounds import (
+    barrett_w_ok,
+    fold_ok,
     keyswitch_lazy_accumulate_ok,
     mul_fits_uint64,
     unclamped_dit_lane_bound,
@@ -55,11 +57,13 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.intervals import U64_MAX, Interval, IntervalVec
 from repro.analysis.stage_plans import (
     PlanReport,
+    analyze_barrett_w,
     analyze_batched_forward,
     analyze_batched_inverse,
     analyze_dif_lazy,
     analyze_dit_lazy,
     analyze_dit_unclamped,
+    analyze_fold,
     analyze_keyswitch_accumulate,
 )
 
@@ -78,17 +82,21 @@ __all__ = [
     "ResourceReport",
     "Severity",
     "StagedPlan",
+    "analyze_barrett_w",
     "analyze_batched_forward",
     "analyze_batched_inverse",
     "analyze_dif_lazy",
     "analyze_dit_lazy",
     "analyze_dit_unclamped",
+    "analyze_fold",
     "analyze_keyswitch_accumulate",
     "analyze_staged_plan",
     "automorphism_staging_plan",
+    "barrett_w_ok",
     "check_dataflow",
     "check_program",
     "check_sequence",
+    "fold_ok",
     "keyswitch_lazy_accumulate_ok",
     "keyswitch_staging_plan",
     "mul_fits_uint64",

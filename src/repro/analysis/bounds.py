@@ -15,6 +15,10 @@ to the kernels:
   :func:`keyswitch_lazy_accumulate_ok`.
 * the uint64 fit of the integrity layer's checksum dot products
   (:mod:`repro.fault.integrity`) is :func:`checksum_dot_lazy_ok`.
+* the word reductions of ``kernels.c`` — the fold of any uint64 word
+  and the w-bit Barrett of a product of two reduced words, both with
+  32 x 32 -> 64 products only — are :func:`fold_ok` and
+  :func:`barrett_w_ok`.
 * ``max(level_primes) // 2 < min(target)`` and ``q_top // 2 <
   min(chain)`` guarding the conditional-add centered lifts in
   :mod:`repro.fhe.keyswitch` are both :func:`centered_lift_lazy_ok`,
@@ -38,9 +42,11 @@ from functools import lru_cache
 
 from repro.analysis.intervals import U64_MAX
 from repro.analysis.stage_plans import (
+    analyze_barrett_w,
     analyze_batched_inverse,
     analyze_dif_lazy,
     analyze_dit_lazy,
+    analyze_fold,
     analyze_keyswitch_accumulate,
     analyze_shoup_scale,
 )
@@ -95,6 +101,38 @@ def ntt_shoup_ok(log_n: int, max_q: int) -> bool:
     inv = analyze_dit_lazy(log_n, max_q, shoup=True, entry_hi=max_q - 1)
     scale = analyze_shoup_scale(max_q, 2 * max_q - 1)
     return fwd.ok and inv.ok and scale.ok
+
+
+@lru_cache(maxsize=1024)
+def fold_ok(q: int) -> bool:
+    """May ``kernels.c`` fold any uint64 word below ``q``?
+
+    Its ``fold``: two Shoup products of 32-bit multiplicands through
+    ``2**32 mod q``, < 4q, then two conditional subtracts.
+
+    True iff :func:`~repro.analysis.stage_plans.analyze_fold` verifies:
+    the Shoup preconditions (``S002``/``S003``) for both halves and a
+    reduced output.  Holds for every host modulus (``q < 2**30``); the
+    compiled kernels' gate for the wide-word refolds, the keyswitch
+    accumulator's finish and the spare channel, in the style of
+    :func:`ntt_shoup_ok`.
+    """
+    return analyze_fold(q).ok
+
+
+@lru_cache(maxsize=1024)
+def barrett_w_ok(q: int) -> bool:
+    """May ``kernels.c`` reduce a product by its w-bit Barrett?
+
+    Its ``mulmod``, on a product of two words below ``q``: ``u =
+    floor(2**(2w) / q)``, every product 32 x 32 -> 64, the remainder
+    < 3q before two conditional subtracts.
+
+    True iff :func:`~repro.analysis.stage_plans.analyze_barrett_w`
+    verifies for ``z < 2**(2w)``.  Holds for every host modulus; the
+    tensor product's and the reduced keyswitch accumulator's gate.
+    """
+    return analyze_barrett_w(q).ok
 
 
 @lru_cache(maxsize=1024)

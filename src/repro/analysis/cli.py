@@ -66,8 +66,10 @@ from repro.analysis.program_check import check_program
 from repro.analysis.sarif import to_sarif, validate_sarif
 from repro.analysis.stage_plans import (
     PlanReport,
+    analyze_barrett_w,
     analyze_batched_forward,
     analyze_batched_inverse,
+    analyze_fold,
     analyze_keyswitch_accumulate,
 )
 
@@ -181,6 +183,8 @@ def _check_plans(verbose: bool) -> tuple[list[Finding], list[str]]:
     reports: list[tuple[str, PlanReport]] = []
     for label, log_n, q in _plan_regimes():
         reports.append((label, analyze_batched_forward(log_n, q)))
+        reports.append((label, analyze_fold(q)))
+        reports.append((label, analyze_barrett_w(q)))
         unclamped = unclamped_dit_ok(log_n, q)
         reports.append((label, analyze_batched_inverse(
             log_n, q, unclamped=unclamped)))

@@ -15,9 +15,15 @@ intermediate expression the kernel evaluates:
 * the declared output invariant (rule ``S005``).
 
 The mutation keyword arguments (``skip_total_clamp`` /
-``skip_diff_clamp``) model *removing* one of the conditional subtracts,
-so tests can confirm that the analyzer reports the resulting overflow —
-exactly the regression the hand-derived comments could never catch.
+``skip_diff_clamp`` / ``skip_subtract``, and the shifts of
+:func:`analyze_fold` / :func:`analyze_barrett_w`) model *removing* one
+of the conditional subtracts or shifting by the wrong amount, so tests
+can confirm that the analyzer reports the resulting overflow — exactly
+the regression the hand-derived comments could never catch.
+
+Two analyses mirror ``kernels.c``'s word reductions rather than a
+numpy stage: :func:`analyze_fold` (any uint64 word) and
+:func:`analyze_barrett_w` (a product of two reduced words).
 
 Derived bounds (exact, inclusive):
 
@@ -260,6 +266,85 @@ def analyze_shoup_scale(q: int, entry_hi: int) -> PlanReport:
     return plan.finish(out, 2 * q - 1, "shoup scale output")
 
 
+def analyze_fold(q: int, *, shift: int = 32,
+                 skip_subtract: bool = False) -> PlanReport:
+    """Mirror of ``kernels.c``'s ``fold`` of any uint64 ``z`` below ``q``.
+
+    ``z = hi 2**shift + lo`` is congruent to ``hi c + lo`` with ``c =
+    2**shift mod q``; each term is a Shoup product (by ``c`` and by 1),
+    so both halves must sit below the ``2**32`` radix (``S003``) and
+    ``q`` below ``2**30`` (``S002``).  The < 4q sum takes two
+    conditional subtracts, by 2q and by q.  Declared output: ``< q``.
+    """
+    plan = _Plan("fold", q, 0)
+    hi = plan.shoup_mul(Interval.upto(U64_MAX >> shift), "hi * c (Shoup)")
+    lo = plan.shoup_mul(Interval.upto((1 << shift) - 1), "lo * 1 (Shoup)")
+    total = plan.intermediate(hi.add(lo), "hi c + lo")
+    plan.report.stage_bounds = [U64_MAX, total.hi]
+    out = plan.cond_sub(total, 2 * q, "subtract 2q")
+    if not skip_subtract:
+        out = plan.cond_sub(out, q, "subtract q")
+    return plan.finish(out, q - 1, "fold output")
+
+
+def analyze_barrett_w(q: int, *, pre_shift: int | None = None,
+                      post_shift: int | None = None,
+                      skip_subtract: bool = False) -> PlanReport:
+    """Mirror of ``kernels.c``'s ``mulmod``, a w-bit Barrett.
+
+    The Barrett of the lane model
+    (:class:`repro.arith.barrett.BarrettReducer`) on ``z = a b``, ``a,
+    b < q``.
+
+    With ``w`` the width of ``q`` and ``u = floor(2**(2w) / q)``, the
+    estimate is ``((z >> (w - 1)) u) >> (w + 1)`` (``pre_shift`` /
+    ``post_shift`` override the two shifts).  Checked: ``q`` below
+    ``2**30`` (``S002``); every product is 32 x 32 -> 64 — ``z >> (w -
+    1)``, ``u`` and the estimate below ``2**32`` (``S003``); the
+    estimate never exceeds ``floor(z / q)``, else ``z - est q`` wraps
+    (``S001``); and the remainder's exact worst case over ``z <
+    2**(2w)``, from the two floors' rounding, stays below ``3q`` so
+    that two conditional subtracts reduce it (``S005`` on the output
+    otherwise).  For the true shifts the worst case is below ``q (z /
+    2**(2w) + (2**(w-1) - 1) / q + 1) < 3q`` at every ``q``: the bound
+    behind the gate.
+    """
+    plan = _Plan("barrett_w", q, 0)
+    w = q.bit_length()
+    s1 = w - 1 if pre_shift is None else pre_shift
+    s2 = w + 1 if post_shift is None else post_shift
+    exp = 2 * w
+    u = (1 << exp) // q
+    if q >= (1 << 30):
+        plan.error("S002", f"barrett_w: host moduli are below 2**30, q={q}")
+    z_hi = (1 << exp) - 1  # a b <= (q - 1)**2 < 2**(2w)
+    est_hi = ((z_hi >> s1) * u) >> s2
+    for what, value in (("z >> (w - 1)", z_hi >> s1), ("u", u),
+                        ("estimate", est_hi)):
+        if value >= _SHOUP_RADIX:
+            plan.error("S003", f"{what}: bound {value} is not a 32-bit "
+                               f"multiplicand")
+    plan.intermediate(Interval.upto(z_hi >> s1).mul(Interval.const(u)),
+                      "(z >> (w - 1)) * u")
+    if s1 + s2 < exp:
+        plan.error("S001", f"estimate may exceed floor(z / q): shifts "
+                           f"{s1} + {s2} < {exp}, z - est * q wraps")
+        plan.report.stage_bounds = [z_hi, U64_MAX]
+        return plan.finish(Interval.upto(U64_MAX), q - 1, "barrett output")
+    # est >= ((z - 2**s1 + 1) u / 2**s1 - 2**s2 + 1) / 2**s2, so
+    # z - est q is at most this bound (times 2**(s1 + s2)), linear in z
+    # with a coefficient >= 0 (q u <= 2**exp), largest at z_hi.
+    bound = (z_hi * ((1 << (s1 + s2)) - q * u) + q * u * ((1 << s1) - 1)
+             + (q * ((1 << s2) - 1) << s1))
+    rem = plan.intermediate(Interval.upto(bound >> (s1 + s2)),
+                            "z - est * q")
+    plan.report.stage_bounds = [z_hi, rem.hi]
+    out = plan.cond_sub(rem, 2 * q, "subtract 2q")
+    if not skip_subtract:
+        out = plan.cond_sub(out, q, "subtract q")
+    return plan.finish(out, q - 1, "barrett output")
+
+
 def analyze_batched_forward(log_n: int, q: int) -> PlanReport:
     """Mirror of the forward transform of one batch plan
     (:meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.forward`, which
@@ -290,14 +375,14 @@ def analyze_batched_forward(log_n: int, q: int) -> PlanReport:
 def analyze_batched_inverse(log_n: int, q: int, *,
                             unclamped: bool) -> PlanReport:
     """Mirror of the inverse transform of one batch plan
-    (:meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.inverse`, in numpy
-    and in the compiled kernels alike): reduced entry, DIT stages, fused
-    ``psi^{-1} n^{-1}`` scaling with one true reduction.  Declared
-    output: ``< q``.
+    (:meth:`repro.ntt.negacyclic.BatchedNegacyclicNtt.inverse`; the
+    compiled kernels run its lazy Shoup form): reduced entry, DIT
+    stages, fused ``psi^{-1} n^{-1}`` scaling with one true reduction.
+    Declared output: ``< q``.
 
     This is the analysis behind the production gate
     :func:`repro.analysis.bounds.unclamped_dit_ok`, which the plan asks
-    once to pick its ``inv_mode``.
+    once to pick numpy's ``inv_mode``.
     """
     shoup = q < (1 << 30)
     name = "batched_inverse+" + ("unclamped" if unclamped else

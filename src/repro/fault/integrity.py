@@ -73,6 +73,7 @@ the Galois element.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -170,7 +171,9 @@ class AbftChecker:
 
     A weight table is a pure function of ``(seed, n, q, map)`` — not of
     the order checks are issued in — so a campaign with a fixed seed
-    produces byte-identical reports.
+    produces byte-identical reports.  One lock covers the caches and
+    the counters: threads that share a checker build each table once
+    and lose no check.
     """
 
     def __init__(self, seed: int = 0):
@@ -185,38 +188,42 @@ class AbftChecker:
         #: in its own ``(D, 2, L+1, n)`` layout, for as long as the
         #: block lives.
         self._key_images: dict[int, tuple] = {}
+        self._lock = threading.RLock()
         self.checks = 0
         self.mismatches = 0
 
     def _record(self, ok: bool) -> bool:
-        self.checks += 1
-        if not ok:
-            self.mismatches += 1
+        with self._lock:
+            self.checks += 1
+            if not ok:
+                self.mismatches += 1
         return ok
 
     def clear_caches(self) -> None:
         """Drop the weight tables and the key spare images (rebuilt on
         next use, to the same values; the counters survive)."""
-        self._weights.clear()
-        self._stacks.clear()
-        self._key_images.clear()
+        with self._lock:
+            self._weights.clear()
+            self._stacks.clear()
+            self._key_images.clear()
 
     # -- NTT rows -------------------------------------------------------------
 
     def _weight_table(self, n: int, q: int,
                       kind: str) -> tuple[np.ndarray, np.ndarray]:
         key = (n, q, kind)
-        table = self._weights.get(key)
-        if table is None:
-            golden = NegacyclicNtt(n, q)
-            rng = np.random.default_rng(
-                [self._seed, n, q, _MAPS.index(kind)])
-            while True:
-                r = rng.integers(1, q, size=n, dtype=np.uint64)
-                w = _transposed_image(golden, r, kind)
-                if w.all():  # r is nonzero by construction
-                    break
-            table = self._weights[key] = (_split(r, q), _split(w, q))
+        with self._lock:
+            table = self._weights.get(key)
+            if table is None:
+                golden = NegacyclicNtt(n, q)
+                rng = np.random.default_rng(
+                    [self._seed, n, q, _MAPS.index(kind)])
+                while True:
+                    r = rng.integers(1, q, size=n, dtype=np.uint64)
+                    w = _transposed_image(golden, r, kind)
+                    if w.all():  # r is nonzero by construction
+                        break
+                table = self._weights[key] = (_split(r, q), _split(w, q))
         return table
 
     def faulty_ntt_rows(self, inputs: np.ndarray, outputs: np.ndarray,
@@ -258,13 +265,15 @@ class AbftChecker:
     # -- keyswitch spare-modulus check ----------------------------------------
 
     def _key_image(self, block: np.ndarray) -> np.ndarray:
-        entry = self._key_images.get(id(block))
-        if entry is None or entry[0]() is not block:
-            # Reduced below q_s < 2**20, so uint32 holds every word.
-            image = (block % np.uint64(SPARE_MODULUS)).astype(np.uint32)  # fhecheck: ok=FHC002
-            images, key = self._key_images, id(block)
-            entry = images[key] = (
-                weakref.ref(block, lambda _: images.pop(key, None)), image)
+        with self._lock:
+            entry = self._key_images.get(id(block))
+            if entry is None or entry[0]() is not block:
+                # Reduced below q_s < 2**20, so uint32 holds every word.
+                image = (block % np.uint64(SPARE_MODULUS)).astype(np.uint32)  # fhecheck: ok=FHC002
+                images, key = self._key_images, id(block)
+                entry = images[key] = (
+                    weakref.ref(block, lambda _: images.pop(key, None)),
+                    image)
         return entry[1]
 
     def check_keyswitch_accumulation(self, accs, digits, ksk,
@@ -298,14 +307,15 @@ class AbftChecker:
         of the polynomial itself (``galois`` None), or one block per
         Galois element of ``galois`` — ``drop_top_limb`` otherwise
         (``primes`` ends in the limb being dropped)."""
-        tables = self._stacks.get((n, primes))
-        if tables is None:
-            tables = self._stacks[n, primes] = tuple(
-                # (r, w) per modulus -> row l's (w, r): input side first.
-                np.ascontiguousarray(np.stack([
-                    np.stack(self._weight_table(n, q, kind)[::-1])
-                    for q in primes]))
-                for kind in ("intt", "ntt"))
+        with self._lock:
+            tables = self._stacks.get((n, primes))
+            if tables is None:
+                tables = self._stacks[n, primes] = tuple(
+                    # (r, w) per modulus -> row l's (w, r): input first.
+                    np.ascontiguousarray(np.stack([
+                        np.stack(self._weight_table(n, q, kind)[::-1])
+                        for q in primes]))
+                    for kind in ("intt", "ntt"))
         rest = primes[:-1]
         if key_blocks is None:
             # Only the top row leaves the evaluation domain.

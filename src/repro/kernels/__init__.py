@@ -4,7 +4,7 @@ The whole forward/inverse negacyclic NTT, the batched automorphism,
 the fused keyswitch inner loop, the tensor product and — row-fused, no
 digit tensor in between — a whole keyswitch and the top-limb division each
 compile to a *single* kernel call over the full ``(L, n)`` residue matrix,
-with precomputed Barrett/Shoup constant tables and reusable per-shape
+with precomputed Shoup constant tables and reusable per-shape
 workspace buffers.
 
 There is one compiled source, ``kernels.c``, built at first use with

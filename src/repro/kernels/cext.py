@@ -93,12 +93,14 @@ class PlanTables(ctypes.Structure):
     """ctypes mirror of ``plan_t`` in ``kernels.c``, field for field:
     the addresses of one batch plan's
     (:class:`~repro.ntt.negacyclic.BatchedNegacyclicNtt`) constant
-    tables, then its schedule."""
+    tables — moduli and the Shoup tables; the kernels derive every
+    reduction constant from ``q`` — then its keyswitch accumulator
+    schedule, ``ks_lazy``.  The NTTs have one schedule in C, so the
+    plan's ``inv_mode`` (numpy's inverse stages) is not mirrored."""
 
     _fields_ = [(name, _VOID) for name in (
-        "q", "mu", "psi", "psi_sh", "twf", "twf_sh", "twi", "twi_sh",
-        "unfold", "unfold_sh", "bitrev")] + [
-        (name, _INT) for name in ("inv_mode", "ks_lazy")]
+        "q", "psi", "psi_sh", "twf", "twf_sh", "twi", "twi_sh",
+        "unfold", "unfold_sh", "bitrev")] + [("ks_lazy", _INT)]
 
 
 def _tables(plan, entry: str, ok: bool = True) -> PlanTables:
@@ -210,7 +212,7 @@ class CExtProvider:
         self._auto = entry("repro_auto_batch", _VOID, _VOID, _I64, _I64,
                            _VOID)
         self._ks = entry("repro_ks_accum", _VOID, _VOID, _VOID, _I64,
-                         _VOID, _VOID, _I64, _I64, _I64, _VOID, _VOID, _INT)
+                         _VOID, _VOID, _I64, _I64, _I64, _VOID, _INT)
         self._ks_apply = entry("repro_ks_apply", _PLAN, _VOID, _VOID, _VOID,
                                _I64, _VOID, _VOID, _VOID, _VOID, _VOID,
                                _I64, _I64, _I64, _VOID, _CHECK)
@@ -253,10 +255,9 @@ class CExtProvider:
         num_digits, rows, n = digits.shape
         lazy = keyswitch_lazy_accumulate_ok(num_digits, max(primes))
         q_arr = np.array(primes, dtype=np.uint64)
-        mu_arr = np.array([(1 << 64) // q for q in primes], dtype=np.uint64)
         self._ks(_addr(digits), _addr(bstack), _addr(astack), key_stride,
                  _addr(acc0), _addr(acc1), num_digits, rows, n,
-                 _addr(q_arr), _addr(mu_arr), 1 if lazy else 0)
+                 _addr(q_arr), 1 if lazy else 0)
 
     def ks_apply(self, plan, x: np.ndarray, keys, keep: np.ndarray,
                  acc0: np.ndarray, acc1: np.ndarray, work: np.ndarray,

@@ -8,11 +8,12 @@
  * butterfly stages of every limb in one call — no per-stage dispatch, no
  * temporaries beyond the caller-provided workspace.
  *
- * The row kernels (``ROW_KERNEL``: ``fwd_row``, ``inv_row`` and the
- * entries whose row loops inline ``mac_row`` / ``lift_row`` --
- * ``repro_ks_apply``, ``repro_drop_top_limb``, ``repro_tensor``,
- * ``repro_auto_batch``) carry three GCC ``target_clones``: baseline
- * x86-64, x86-64-v3 (AVX2) and x86-64-v4 (AVX-512).  The ifunc resolver
+ * The row kernels (``ROW_KERNEL``: ``fwd_row``, ``inv_row``,
+ * ``drop_finish``, ``tensor_row`` and the entries whose row loops
+ * inline ``mac_row`` / ``lift_row`` or gather -- ``repro_ks_apply``,
+ * ``repro_drop_top_limb``, ``repro_auto_batch``) carry three GCC
+ * ``target_clones``: baseline x86-64, x86-64-v3 (AVX2) and x86-64-v4
+ * (AVX-512).  The ifunc resolver
  * picks one clone per function once, when the library loads, from the
  * CPU's ISA-level bits; ``repro_kernel_isa`` names the pick.  The build
  * command keeps baseline flags, so the shared object is the same file on
@@ -27,7 +28,14 @@
  * them between a lift and a multiply-accumulate (a subtract-and-scale)
  * so a 64 KB row is produced and consumed while it is in cache.
  *
- * The arithmetic mirrors the analyzed numpy stage plans line for line
+ * Every row loop but the bit-reversal gathers and the automorphism
+ * scatter runs on the vector lanes: no product here is wider than 64
+ * bits, and the word reductions' products have both factors below
+ * 2**32 (a 32x32->64 lane multiply).  The short NTT stages, whose
+ * butterflies are closer together than a vector is wide, run as one
+ * pass over 8-word blocks.
+ *
+ * The arithmetic mirrors the analyzed plans line for line
  * (``repro.analysis.stage_plans``), so the eligibility gates derived
  * there (``repro.analysis.bounds``) carry over.  Which schedule a plan's
  * kernels run is decided once, where the plan is built
@@ -35,10 +43,12 @@
  * too), and read here from ``plan_t`` -- no plan-taking entry has a
  * schedule argument a caller could set:
  *
- * - Shoup butterflies (``*_sh`` tables, 2**32 radix) in every NTT:
- *   ``ntt_shoup_ok`` holds for every host prime (q < 2**30), and a plan
- *   is refused for a wider one;
- * - the clamp-free inverse schedule only under ``unclamped_dit_ok``;
+ * - lazy Shoup butterflies (``*_sh`` tables, 2**32 radix) in every
+ *   NTT, forward and inverse: ``ntt_shoup_ok`` holds for every host
+ *   prime (q < 2**30), and a plan is refused for a wider one;
+ * - words reduced by ``fold`` (any uint64) and ``mulmod`` (a product of
+ *   two reduced words): ``fold_ok`` and ``barrett_w_ok`` hold for every
+ *   host prime;
  * - the unreduced keyswitch accumulator only under
  *   ``keyswitch_lazy_accumulate_ok``;
  * - the conditional-add centered lift only under
@@ -57,7 +67,6 @@
 typedef uint64_t u64;
 typedef uint32_t u32;
 typedef int64_t i64;
-typedef unsigned __int128 u128;
 
 /* ROW_KERNEL: out of line, and cloned where the toolchain can -- x86-64
  * GCC 12 or later on glibc (ifunc).  Elsewhere it is plain noinline and
@@ -129,15 +138,37 @@ static inline void tick_add(i64 *ticks, int slot, i64 ns) {
     ticks[slot] += ns;
 }
 
-/* Barrett reduction of an arbitrary uint64 value z modulo q, with the
- * precomputed constant mu = floor(2**64 / q).  The estimate
- * floor(z * mu / 2**64) undershoots floor(z / q) by at most 2, so the
- * correction loop runs at most twice. */
-static inline u64 barrett_mod(u64 z, u64 q, u64 mu) {
-    u64 est = (u64)(((u128)z * mu) >> 64);
-    u64 r = z - est * q;
-    while (r >= q) r -= q;
-    return r;
+/* The reduction constants of one modulus q < 2**30 (the host limit),
+ * derived here from q alone: its width w (2**(w-1) <= q < 2**w), the
+ * w-bit Barrett constant u = floor(2**(2w) / q), and the fold constant
+ * c = 2**32 mod q with the Shoup companions of c and of 1.  Every
+ * product below has both factors under 2**32: a 32x32->64 lane
+ * multiply, no 128-bit word (gates: fold_ok, barrett_w_ok). */
+typedef struct {
+    u64 q, u, c, c_sh, one_sh;
+    int w;
+} modulus_t;
+
+static inline modulus_t modulus_of(u64 q) {
+    modulus_t m;
+    m.q = q;
+    m.w = 64 - __builtin_clzll(q);
+    m.u = ((u64)1 << (2 * m.w)) / q;
+    m.c = ((u64)1 << 32) % q;
+    m.c_sh = (m.c << 32) / q;
+    m.one_sh = ((u64)1 << 32) / q;
+    return m;
+}
+
+/* a * b of two words below 2**32, as the lanes' unsigned 32x32->64
+ * multiply sees it. */
+static inline u64 mul32(u64 a, u64 b) {
+    return (u64)(u32)a * (u32)b;
+}
+
+/* x - t where x >= t, else x: a conditional subtract. */
+static inline u64 csub(u64 x, u64 t) {
+    return x >= t ? x - t : x;
 }
 
 /* Shoup multiplication x * w mod q, lazily in [0, 2q).  w_sh is the
@@ -149,6 +180,53 @@ static inline u64 shoup_mul_lazy(u64 x, u64 w, u64 w_sh, u64 q) {
     return x * w - est * q;
 }
 
+/* Any uint64 z modulo q: z = hi 2**32 + lo is congruent to hi c + lo,
+ * two Shoup products of 32-bit multiplicands (by c and by 1), each
+ * < 2q; two conditional subtracts take the < 4q sum below q (gate:
+ * fold_ok). */
+static inline u64 fold(u64 z, modulus_t m) {
+    const u64 hi = z >> 32, lo = z & 0xffffffffu;
+    const u64 r = mul32(hi, m.c) - mul32(mul32(hi, m.c_sh) >> 32, m.q)
+                  + lo - mul32(mul32(lo, m.one_sh) >> 32, m.q);
+    return csub(csub(r, 2 * m.q), m.q);
+}
+
+/* a * b mod q for two reduced words, by the w-bit Barrett of the lane
+ * model (repro.arith.barrett): z = a b < 2**(2w), the estimate
+ * ((z >> (w - 1)) u) >> (w + 1) undershoots floor(z / q) by at most 2,
+ * so the remainder is < 3q and two conditional subtracts finish it
+ * (gate: barrett_w_ok). */
+static inline u64 mulmod(u64 a, u64 b, modulus_t m) {
+    const u64 z = mul32(a, b);
+    const u64 est = mul32(z >> (m.w - 1), m.u) >> (m.w + 1);
+    return csub(csub(z - mul32(est, m.q), 2 * m.q), m.q);
+}
+
+/* One lazy butterfly on lanes < 2q (gate: ntt_shoup_ok).  DIF: the sum
+ * and the twiddled difference; DIT: the twiddled v, then the sum and
+ * the difference, each clamped to < 2q. */
+static inline void dif_bf(u64 *u, u64 *v, u64 w, u64 w_sh, u64 q) {
+    const u64 t = csub(*u + *v, 2 * q);
+    const u64 d = *u + 2 * q - *v; /* < 4q < 2**32 */
+    *u = t;
+    *v = shoup_mul_lazy(d, w, w_sh, q);
+}
+
+static inline void dit_bf(u64 *u, u64 *v, u64 w, u64 w_sh, u64 q) {
+    const u64 t = shoup_mul_lazy(*v, w, w_sh, q);
+    const u64 s = csub(*u + t, 2 * q);
+    *v = csub(*u + 2 * q - t, 2 * q);
+    *u = s;
+}
+
+/* The identity-twiddle butterfly of the len-1 stage, either
+ * direction: omega**0 == 1, so no product. */
+static inline void unit_bf(u64 *u, u64 *v, u64 q) {
+    const u64 t = csub(*u + *v, 2 * q);
+    *v = csub(*u + 2 * q - *v, 2 * q);
+    *u = t;
+}
+
 /* ------------------------------------------------------------------ */
 /* One row of the forward negacyclic NTT, all stages fused -- the only */
 /* forward butterfly loops in this file.                               */
@@ -156,9 +234,12 @@ static inline u64 shoup_mul_lazy(u64 x, u64 w, u64 w_sh, u64 q) {
 /* x: n input words; a: n words of scratch; o: n output words (o may  */
 /* alias x: the psi fold consumes x before o is written).  ps/ps_sh:  */
 /* the row's psi folding table.  tw/tw_sh: its flattened DIF stage    */
-/* twiddles (lengths n/2, n/4, .., 1 concatenated -> n - 1 entries).  */
-/* bitrev: the length-n involution undoing the DIF output order.      */
-/* Every product is a mod-free Shoup product (gate: ntt_shoup_ok).    */
+/* twiddles (lengths n/2, n/4, .., 1 concatenated -> n - 1 entries;   */
+/* stage len starts at n - 2 len).  bitrev: the length-n involution   */
+/* undoing the DIF output order.  Every product is a mod-free Shoup   */
+/* product (gate: ntt_shoup_ok).  The stages down to len 8 run one    */
+/* butterfly loop; len 4, 2 and 1 run as one pass over 8-word blocks, */
+/* whose six twiddles are the same in every block.                    */
 /* Out of line: inlined into a row loop, gcc 12 -O3 -fopenmp spilled  */
 /* a butterfly product to the stack (a ~8 % slower forward NTT).      */
 /* ------------------------------------------------------------------ */
@@ -166,64 +247,63 @@ ROW_KERNEL
 static void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
                     const u64 *ps, const u64 *ps_sh,
                     const u64 *tw, const u64 *tw_sh, const i64 *bitrev) {
-    const u64 two_q = 2 * q;
-
-    /* psi fold: x * psi^j, into [0, 2q).  The loop that vectorizes
-     * notes whether the row had a word >= q; only such a row is folded
-     * again, reducing those words by `%` first. */
+    /* psi fold: x * psi^j, into [0, 2q).  The loop notes whether the
+     * row had a word >= q; only such a row is folded again, each word
+     * reduced first. */
     u64 wide = 0;
     for (i64 i = 0; i < n; i++) {
         wide |= x[i] >= q;
         a[i] = shoup_mul_lazy(x[i], ps[i], ps_sh[i], q);
     }
     if (wide) {
-        for (i64 i = 0; i < n; i++) {
-            u64 v = x[i];
-            if (v >= q) v %= q;
-            a[i] = shoup_mul_lazy(v, ps[i], ps_sh[i], q);
-        }
+        const modulus_t m = modulus_of(q);
+        for (i64 i = 0; i < n; i++)
+            a[i] = shoup_mul_lazy(fold(x[i], m), ps[i], ps_sh[i], q);
     }
 
-    /* Gentleman-Sande DIF stages, lazy (< 2q lanes throughout). */
-    i64 toff = 0;
-    for (i64 len = n >> 1; len >= 2; len >>= 1) {
-        const u64 *wt = tw + toff;
-        const u64 *wt_sh = tw_sh + toff;
+    /* Gentleman-Sande DIF stages, lazy (< 2q lanes throughout); below
+     * n = 8 this loop runs every stage, the last one's twiddle 1. */
+    for (i64 len = n >> 1; len >= (n >= 8 ? 8 : 1); len >>= 1) {
+        const u64 *wt = tw + n - 2 * len;
+        const u64 *wt_sh = tw_sh + n - 2 * len;
         for (i64 start = 0; start < n; start += 2 * len) {
             u64 *pu = a + start;
             u64 *pv = a + start + len;
-            for (i64 j = 0; j < len; j++) {
-                u64 u = pu[j], v = pv[j];
-                u64 t = u + v; /* < 4q */
-                if (t >= two_q) t -= two_q;
-                u64 d = u + two_q - v; /* < 4q < 2**32 */
-                pu[j] = t;
-                pv[j] = shoup_mul_lazy(d, wt[j], wt_sh[j], q);
-            }
+            for (i64 j = 0; j < len; j++)
+                dif_bf(&pu[j], &pv[j], wt[j], wt_sh[j], q);
         }
-        toff += len;
     }
-    /* Last stage (len == 1): the single twiddle is omega**0 == 1
-     * for every prime -- skip the product, clamp the difference. */
-    if (n >= 2) {
-        for (i64 start = 0; start < n; start += 2) {
-            u64 u = a[start], v = a[start + 1];
-            u64 t = u + v;
-            if (t >= two_q) t -= two_q;
-            u64 d = u + two_q - v;
-            if (d >= two_q) d -= two_q;
-            a[start] = t;
-            a[start + 1] = d;
+    if (n >= 8) {
+        const u64 *w4 = tw + n - 8, *s4 = tw_sh + n - 8;
+        const u64 *w2 = tw + n - 4, *s2 = tw_sh + n - 4;
+        const u64 w40 = w4[0], w41 = w4[1], w42 = w4[2], w43 = w4[3];
+        const u64 s40 = s4[0], s41 = s4[1], s42 = s4[2], s43 = s4[3];
+        const u64 w20 = w2[0], w21 = w2[1], s20 = s2[0], s21 = s2[1];
+        for (i64 start = 0; start < n; start += 8) {
+            u64 *b = a + start;
+            u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
+            u64 b4 = b[4], b5 = b[5], b6 = b[6], b7 = b[7];
+            dif_bf(&b0, &b4, w40, s40, q);
+            dif_bf(&b1, &b5, w41, s41, q);
+            dif_bf(&b2, &b6, w42, s42, q);
+            dif_bf(&b3, &b7, w43, s43, q);
+            dif_bf(&b0, &b2, w20, s20, q);
+            dif_bf(&b1, &b3, w21, s21, q);
+            dif_bf(&b4, &b6, w20, s20, q);
+            dif_bf(&b5, &b7, w21, s21, q);
+            unit_bf(&b0, &b1, q);
+            unit_bf(&b2, &b3, q);
+            unit_bf(&b4, &b5, q);
+            unit_bf(&b6, &b7, q);
+            b[0] = b0, b[1] = b1, b[2] = b2, b[3] = b3;
+            b[4] = b4, b[5] = b5, b[6] = b6, b[7] = b7;
         }
     }
 
     /* Undo the DIF output order (bit reversal is an involution: a
      * gather with the same table) and finish the < q reduction. */
-    for (i64 i = 0; i < n; i++) {
-        u64 t = a[bitrev[i]];
-        if (t >= q) t -= q;
-        o[i] = t;
-    }
+    for (i64 i = 0; i < n; i++)
+        o[i] = csub(a[bitrev[i]], q);
 }
 
 /* ------------------------------------------------------------------ */
@@ -232,101 +312,84 @@ static void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
 /*                                                                    */
 /* x/a/o as in fwd_row (o may alias x: the bit-reversal gather        */
 /* consumes x first).  tw/tw_sh: flattened DIT stage twiddles         */
-/* (lengths 1, 2, .., n/2).  uf/uf_sh: the fused psi^{-j} * n^{-1}    */
-/* table.  mode: 1 = lazy Shoup (gate: ntt_shoup_ok), 2 = clamp-free  */
-/* (gate: unclamped_dit_ok; its products are Barrett-reduced).        */
+/* (lengths 1, 2, .., n/2; stage len starts at len - 1).  uf/uf_sh:   */
+/* the fused psi^{-j} * n^{-1} table.  Lazy Shoup throughout: < 2q    */
+/* lanes, mod-free twiddle products, a Shoup unfold plus one          */
+/* conditional subtract (gate: ntt_shoup_ok).  Stages len 1, 2 and 4  */
+/* run as one pass over 8-word blocks, the rest as one loop.          */
 /* ------------------------------------------------------------------ */
 ROW_KERNEL
-static void inv_row(const u64 *x, u64 *a, u64 *o, i64 n,
-                    u64 q, u64 mu,
+static void inv_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
                     const u64 *tw, const u64 *tw_sh,
-                    const u64 *uf, const u64 *uf_sh,
-                    const i64 *bitrev, int mode) {
-    const u64 two_q = 2 * q;
-
-    /* Natural order -> bit-reversed DIT input, reduced < q. */
+                    const u64 *uf, const u64 *uf_sh, const i64 *bitrev) {
+    /* Natural order -> bit-reversed DIT input; a row that had a word
+     * >= q is folded below q in place. */
+    u64 wide = 0;
     for (i64 i = 0; i < n; i++) {
-        u64 v = x[bitrev[i]];
-        if (v >= q) v %= q;
-        a[i] = v;
+        a[i] = x[bitrev[i]];
+        wide |= a[i] >= q;
+    }
+    if (wide) {
+        const modulus_t m = modulus_of(q);
+        for (i64 i = 0; i < n; i++) a[i] = fold(a[i], m);
     }
 
-    i64 toff = 0;
-    if (mode == 2) {
-        /* Clamp-free schedule: lanes grow by exactly +q per stage
-         * (the twiddled half is freshly reduced); the gate proved
-         * every intermediate, including the fused unfold product
-         * below, fits uint64. */
-        for (i64 len = 1; len < n; len <<= 1) {
-            const u64 *wt = tw + toff;
-            for (i64 start = 0; start < n; start += 2 * len) {
-                u64 *pu = a + start;
-                u64 *pv = a + start + len;
-                if (len == 1) {
-                    /* Stage 0 twiddle is omega**0 == 1. */
-                    u64 u = pu[0], v = pv[0];
-                    pu[0] = u + v;
-                    pv[0] = u + q - v;
-                } else {
-                    for (i64 j = 0; j < len; j++) {
-                        u64 u = pu[j];
-                        u64 v = barrett_mod(pv[j] * wt[j], q, mu);
-                        pu[j] = u + v;
-                        pv[j] = u + q - v;
-                    }
-                }
-            }
-            toff += len;
+    i64 len = 1;
+    if (n >= 8) {
+        const u64 w20 = tw[1], w21 = tw[2], s20 = tw_sh[1], s21 = tw_sh[2];
+        const u64 w40 = tw[3], w41 = tw[4], w42 = tw[5], w43 = tw[6];
+        const u64 s40 = tw_sh[3], s41 = tw_sh[4], s42 = tw_sh[5],
+                  s43 = tw_sh[6];
+        for (i64 start = 0; start < n; start += 8) {
+            u64 *b = a + start;
+            u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
+            u64 b4 = b[4], b5 = b[5], b6 = b[6], b7 = b[7];
+            unit_bf(&b0, &b1, q);
+            unit_bf(&b2, &b3, q);
+            unit_bf(&b4, &b5, q);
+            unit_bf(&b6, &b7, q);
+            dit_bf(&b0, &b2, w20, s20, q);
+            dit_bf(&b1, &b3, w21, s21, q);
+            dit_bf(&b4, &b6, w20, s20, q);
+            dit_bf(&b5, &b7, w21, s21, q);
+            dit_bf(&b0, &b4, w40, s40, q);
+            dit_bf(&b1, &b5, w41, s41, q);
+            dit_bf(&b2, &b6, w42, s42, q);
+            dit_bf(&b3, &b7, w43, s43, q);
+            b[0] = b0, b[1] = b1, b[2] = b2, b[3] = b3;
+            b[4] = b4, b[5] = b5, b[6] = b6, b[7] = b7;
         }
-        for (i64 i = 0; i < n; i++)
-            o[i] = barrett_mod(a[i] * uf[i], q, mu);
-    } else {
-        /* Lazy Shoup schedule: < 2q lanes, mod-free twiddle
-         * products, Shoup unfold plus one conditional subtract. */
-        for (i64 len = 1; len < n; len <<= 1) {
-            const u64 *wt = tw + toff;
-            const u64 *wt_sh = tw_sh + toff;
-            for (i64 start = 0; start < n; start += 2 * len) {
-                u64 *pu = a + start;
-                u64 *pv = a + start + len;
-                for (i64 j = 0; j < len; j++) {
-                    u64 u = pu[j];
-                    u64 vin = pv[j];
-                    u64 v = (len == 1)
-                                ? vin
-                                : shoup_mul_lazy(vin, wt[j], wt_sh[j], q);
-                    u64 t = u + v;
-                    if (t >= two_q) t -= two_q;
-                    u64 d = u + two_q - v;
-                    if (d >= two_q) d -= two_q;
-                    pu[j] = t;
-                    pv[j] = d;
-                }
-            }
-            toff += len;
-        }
-        for (i64 i = 0; i < n; i++) {
-            u64 r = shoup_mul_lazy(a[i], uf[i], uf_sh[i], q);
-            if (r >= q) r -= q;
-            o[i] = r;
+        len = 8;
+    }
+    /* The remaining stages; below n = 8 every stage, the first one's
+     * twiddle 1. */
+    for (; len < n; len <<= 1) {
+        const u64 *wt = tw + len - 1;
+        const u64 *wt_sh = tw_sh + len - 1;
+        for (i64 start = 0; start < n; start += 2 * len) {
+            u64 *pu = a + start;
+            u64 *pv = a + start + len;
+            for (i64 j = 0; j < len; j++)
+                dit_bf(&pu[j], &pv[j], wt[j], wt_sh[j], q);
         }
     }
+    for (i64 i = 0; i < n; i++)
+        o[i] = csub(shoup_mul_lazy(a[i], uf[i], uf_sh[i], q), q);
 }
 
 /* One (n, primes) plan (repro/ntt/negacyclic.py): its constant tables,
  * row l modulo q[l] -- n words per row in psi/unfold, n - 1 in the flat
  * stage twiddles, each with its Shoup companion (*_sh) -- and the
- * reduction schedule the gates proved for it.  Field order is the
+ * accumulator schedule the gates proved for it.  Field order is the
  * ctypes mirror's (cext.PlanTables). */
 typedef struct {
-    const u64 *q, *mu;
+    const u64 *q;
     const u64 *psi, *psi_sh;
     const u64 *twf, *twf_sh;
     const u64 *twi, *twi_sh;
     const u64 *unfold, *unfold_sh;
     const i64 *bitrev;
-    int inv_mode; /* inverse schedule, as inv_row's mode */
-    int ks_lazy;  /* repro_ks_apply: 1 unreduced accumulator */
+    int ks_lazy; /* repro_ks_apply: 1 unreduced accumulator */
 } plan_t;
 
 static inline void plan_fwd(const plan_t *p, i64 l, i64 n, const u64 *x,
@@ -337,9 +400,9 @@ static inline void plan_fwd(const plan_t *p, i64 l, i64 n, const u64 *x,
 
 static inline void plan_inv(const plan_t *p, i64 l, i64 n, const u64 *x,
                             u64 *a, u64 *o) {
-    inv_row(x, a, o, n, p->q[l], p->mu[l],
-            p->twi + l * (n - 1), p->twi_sh + l * (n - 1),
-            p->unfold + l * n, p->unfold_sh + l * n, p->bitrev, p->inv_mode);
+    inv_row(x, a, o, n, p->q[l], p->twi + l * (n - 1),
+            p->twi_sh + l * (n - 1), p->unfold + l * n, p->unfold_sh + l * n,
+            p->bitrev);
 }
 
 /* ------------------------------------------------------------------ */
@@ -387,10 +450,9 @@ void repro_auto_batch(const u64 *in, u64 *out, i64 L, i64 n,
 /* the key rows are still walked in order).                            */
 /*                                                                    */
 /* lazy == 1 accumulates raw uint64 products and leaves the single    */
-/* final Barrett reduction to mac_finish (gate:                       */
-/* keyswitch_lazy_accumulate_ok); otherwise every product is          */
-/* Barrett-reduced as it is added and the running sum is kept < q     */
-/* with a conditional subtract.                                        */
+/* final fold to mac_finish (gate: keyswitch_lazy_accumulate_ok);     */
+/* otherwise every product is Barrett-reduced as it is added and the  */
+/* running sum is kept < q with a conditional subtract.               */
 /* ------------------------------------------------------------------ */
 static inline void mac_clear(u64 *s0, u64 *s1, i64 n) {
     for (i64 k = 0; k < n; k++) {
@@ -400,7 +462,7 @@ static inline void mac_clear(u64 *s0, u64 *s1, i64 n) {
 }
 
 static inline void mac_row(u64 *s0, u64 *s1, const u64 *dd, const i64 *src,
-                           const u64 *bb, const u64 *aa, i64 n, u64 q, u64 mu,
+                           const u64 *bb, const u64 *aa, i64 n, modulus_t m,
                            int lazy) {
     if (lazy) {
         for (i64 k = 0; k < n; k++) {
@@ -411,22 +473,18 @@ static inline void mac_row(u64 *s0, u64 *s1, const u64 *dd, const i64 *src,
     } else {
         for (i64 k = 0; k < n; k++) {
             const u64 d = dd[src ? src[k] : k];
-            u64 t0 = s0[k] + barrett_mod(d * bb[k], q, mu);
-            if (t0 >= q) t0 -= q;
-            u64 t1 = s1[k] + barrett_mod(d * aa[k], q, mu);
-            if (t1 >= q) t1 -= q;
-            s0[k] = t0;
-            s1[k] = t1;
+            s0[k] = csub(s0[k] + mulmod(d, bb[k], m), m.q);
+            s1[k] = csub(s1[k] + mulmod(d, aa[k], m), m.q);
         }
     }
 }
 
-static inline void mac_finish(u64 *s0, u64 *s1, i64 n, u64 q, u64 mu,
+static inline void mac_finish(u64 *s0, u64 *s1, i64 n, modulus_t m,
                               int lazy) {
     if (!lazy) return;
     for (i64 k = 0; k < n; k++) {
-        s0[k] = barrett_mod(s0[k], q, mu);
-        s1[k] = barrett_mod(s1[k], q, mu);
+        s0[k] = fold(s0[k], m);
+        s1[k] = fold(s1[k], m);
     }
 }
 
@@ -440,19 +498,19 @@ static inline void mac_finish(u64 *s0, u64 *s1, i64 n, u64 q, u64 mu,
 void repro_ks_accum(const u64 *digits, const u64 *bstack, const u64 *astack,
                     i64 key_stride, u64 *acc0, u64 *acc1,
                     i64 D, i64 R, i64 n,
-                    const u64 *q_arr, const u64 *mu_arr, int lazy) {
+                    const u64 *q_arr, int lazy) {
     const i64 par_rows = R;
     PARALLEL_LIMBS
     for (i64 r = 0; r < par_rows; r++) {
-        const u64 q = q_arr[r], mu = mu_arr[r];
+        const modulus_t m = modulus_of(q_arr[r]);
         u64 *s0 = acc0 + r * n;
         u64 *s1 = acc1 + r * n;
         mac_clear(s0, s1, n);
         for (i64 d = 0; d < D; d++)
             mac_row(s0, s1, digits + (d * R + r) * n, 0,
                     bstack + d * key_stride + r * n,
-                    astack + d * key_stride + r * n, n, q, mu, lazy);
-        mac_finish(s0, s1, n, q, mu, lazy);
+                    astack + d * key_stride + r * n, n, m, lazy);
+        mac_finish(s0, s1, n, m, lazy);
     }
 }
 
@@ -534,10 +592,10 @@ static inline i64 check_row(const check_t *check, int fwd, i64 l, i64 r,
 
 /* One digit row mod the spare modulus, taken once however many
  * rotations read it.  Words below qs < 2**20. */
-static inline void spare_reduce(u32 *dq, const u64 *dd, i64 n, u64 qs,
-                                u64 mus) {
+static inline void spare_reduce(u32 *dq, const u64 *dd, i64 n,
+                                modulus_t ms) {
     for (i64 k = 0; k < n; k++)
-        dq[k] = (u32)barrett_mod(dd[k], qs, mus);
+        dq[k] = (u32)fold(dd[k], ms);
 }
 
 /* The spare-modulus channel of one digit row, beside mac_row and over
@@ -547,23 +605,23 @@ static inline void spare_reduce(u32 *dq, const u64 *dd, i64 n, u64 qs,
  * factors are below qs < 2**20 and checksum_ok bounds n by 2**17, so a
  * row's dot product stays unreduced. */
 static inline void spare_row(u64 *sides, const u32 *dq, const i64 *src,
-                             const u32 *ib, const u32 *ia, i64 n, u64 qs,
-                             u64 mus) {
+                             const u32 *ib, const u32 *ia, i64 n,
+                             modulus_t ms) {
     u64 t0 = 0, t1 = 0;
     for (i64 k = 0; k < n; k++) {
         const u64 d = dq[src ? src[k] : k];
         t0 += d * ib[k];
         t1 += d * ia[k];
     }
-    sides[1] += barrett_mod(t0, qs, mus);
-    sides[3] += barrett_mod(t1, qs, mus);
+    sides[1] += fold(t0, ms);
+    sides[3] += fold(t1, ms);
 }
 
 /* The accumulator side of a spare check: the unreduced accumulator
  * reduced mod qs word by word and summed (n words below 2**20: exact). */
-static inline u64 spare_sum(const u64 *acc, i64 n, u64 qs, u64 mus) {
+static inline u64 spare_sum(const u64 *acc, i64 n, modulus_t ms) {
     u64 sum = 0;
-    for (i64 k = 0; k < n; k++) sum += barrett_mod(acc[k], qs, mus);
+    for (i64 k = 0; k < n; k++) sum += fold(acc[k], ms);
     return sum;
 }
 
@@ -611,8 +669,7 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
                     u64 *acc0, u64 *acc1, u64 *coeff, u64 *work,
                     i64 L, i64 K, i64 n, i64 *ticks, const check_t *check) {
     const int lazy = plan->ks_lazy;
-    const u64 qs = check ? check->spare_q : 0;
-    const u64 mus = check ? ~(u64)0 / qs : 0; /* qs is odd: floor(2**64 / qs) */
+    const modulus_t ms = check ? modulus_of(check->spare_q) : (modulus_t){0};
     i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++) {
@@ -627,7 +684,7 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
     par_rows = L + 1;
     PARALLEL_LIMBS
     for (i64 j = 0; j < par_rows; j++) {
-        const u64 q = plan->q[j], mu = plan->mu[j];
+        const modulus_t m = modulus_of(plan->q[j]);
         u64 *row = work + 2 * j * n;
         u32 *dq = (u32 *)(row + n); /* digit mod qs, in the NTT's scratch */
         i64 lift_ns = 0, ntt_ns = 0, mac_ns = 0, check_ns = 0;
@@ -644,7 +701,7 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
             const u64 *digit = x + i * n;
             if (i != j) {
                 const i64 r = L + i * L + (j > i ? j - 1 : j);
-                lift_row(coeff + i * n, row, n, plan->q[i], q);
+                lift_row(coeff + i * n, row, n, plan->q[i], m.q);
                 t1 = tick_now(ticks);
                 lift_ns += t1 - t0;
                 i64 ns = check_row(check, 1, j, r, 0, row, n, ticks);
@@ -660,18 +717,18 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
                 const i64 out = (g * (L + 1) + j) * n;
                 const u64 *rows = keys[g] + key_row;
                 mac_row(acc0 + out, acc1 + out, digit, tables ? tables[g] : 0,
-                        rows, rows + K * n, n, q, mu, lazy);
+                        rows, rows + K * n, n, m, lazy);
             }
             t1 = tick_now(ticks);
             mac_ns += t1 - t0;
             t0 = t1;
             if (check) {
-                spare_reduce(dq, digit, n, qs, mus);
+                spare_reduce(dq, digit, n, ms);
                 for (i64 g = 0; g < G; g++) {
                     const u32 *image = check->key_images[g] + key_row;
                     spare_row(check->spare + 4 * (g * (L + 1) + j), dq,
                               tables ? tables[g] : 0, image, image + K * n, n,
-                              qs, mus);
+                              ms);
                 }
                 t0 = tick_now(ticks);
                 check_ns += t0 - t1;
@@ -681,19 +738,61 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
             const i64 out = (g * (L + 1) + j) * n;
             if (check) {
                 u64 *sides = check->spare + 4 * (g * (L + 1) + j);
-                sides[0] = spare_sum(acc0 + out, n, qs, mus);
-                sides[2] = spare_sum(acc1 + out, n, qs, mus);
+                sides[0] = spare_sum(acc0 + out, n, ms);
+                sides[2] = spare_sum(acc1 + out, n, ms);
                 t1 = tick_now(ticks);
                 check_ns += t1 - t0;
                 t0 = t1;
             }
-            mac_finish(acc0 + out, acc1 + out, n, q, mu, lazy);
+            mac_finish(acc0 + out, acc1 + out, n, m, lazy);
         }
         mac_ns += tick_now(ticks) - t0;
         tick_add(ticks, 1, lift_ns);
         tick_add(ticks, 2, ntt_ns);
         tick_add(ticks, 3, mac_ns);
         tick_add(ticks, 4, check_ns);
+    }
+}
+
+/* The drop's finish of one remaining limb: o = (x - o) q_top^{-1}
+ * mod q, o the forward NTT of the lifted top row (reduced), scale =
+ * q_top^{-1} mod q with its Shoup companion taken here.  x is read as
+ * it comes: a row with a word >= q takes the loop that folds each word
+ * first. */
+static inline u64 drop_word(u64 v, u64 o, u64 q, u64 scale, u64 scale_sh) {
+    return csub(shoup_mul_lazy(csub(v + q - o, q), scale, scale_sh, q), q);
+}
+
+ROW_KERNEL
+static void drop_finish(const u64 *restrict x, u64 *restrict o, i64 n, u64 q,
+                        u64 scale) {
+    const u64 scale_sh = (scale << 32) / q;
+    u64 wide = 0;
+    for (i64 k = 0; k < n; k++) wide |= x[k] >= q;
+    if (wide) {
+        const modulus_t m = modulus_of(q);
+        for (i64 k = 0; k < n; k++)
+            o[k] = drop_word(fold(x[k], m), o[k], q, scale, scale_sh);
+    } else {
+        for (i64 k = 0; k < n; k++)
+            o[k] = drop_word(x[k], o[k], q, scale, scale_sh);
+    }
+}
+
+/* One row of the tensor product, every product a w-bit Barrett
+ * (mulmod).  Its own function, with restrict rows: inside the OpenMP
+ * body the loop did not vectorize. */
+ROW_KERNEL
+static void tensor_row(const u64 *restrict a0, const u64 *restrict a1,
+                       const u64 *restrict b0, const u64 *restrict b1,
+                       u64 *restrict d0, u64 *restrict d1, u64 *restrict d2,
+                       i64 n, u64 q) {
+    const modulus_t m = modulus_of(q);
+    for (i64 k = 0; k < n; k++) {
+        const u64 x0 = a0[k], x1 = a1[k], y0 = b0[k], y1 = b1[k];
+        d0[k] = mulmod(x0, y0, m);
+        d1[k] = csub(mulmod(x0, y1, m) + mulmod(x1, y0, m), q);
+        d2[k] = mulmod(x1, y1, m);
     }
 }
 
@@ -726,39 +825,26 @@ void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
     const i64 par_rows = R - 1;
     PARALLEL_LIMBS
     for (i64 j = 0; j < par_rows; j++) {
-        const u64 q = plan->q[j], mu = plan->mu[j], scale = inv[j];
         u64 *o = out + j * n;
-        lift_row(top, o, n, q_top, q);
+        lift_row(top, o, n, q_top, plan->q[j]);
         check_row(check, 1, j, 1 + j, 0, o, n, 0);
         plan_fwd(plan, j, n, o, work + (1 + j) * n, o);
         check_row(check, 1, j, 1 + j, 1, o, n, 0);
-        for (i64 k = 0; k < n; k++) {
-            u64 v = x[j * n + k];
-            if (v >= q) v %= q;
-            u64 s = v + (q - o[k]); /* < 2q: one conditional subtract */
-            if (s >= q) s -= q;
-            o[k] = barrett_mod(s * scale, q, mu);
-        }
+        drop_finish(x + j * n, o, n, plan->q[j], inv[j]);
     }
 }
 
 /* Tensor product of two 2-part ciphertexts, (L, n) rows through the
  * L plan rows: d0 = a0 b0, d1 = a0 b1 + a1 b0, d2 = a1 b1, operands
- * read once.  A product of two reduced words below 2**30 fits uint64. */
-ROW_KERNEL
+ * (reduced words) read once. */
 void repro_tensor(const plan_t *plan, const u64 *a0, const u64 *a1,
                   const u64 *b0, const u64 *b1, u64 *d0, u64 *d1, u64 *d2,
                   i64 L, i64 n) {
     const i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++) {
-        const u64 q = plan->q[l], mu = plan->mu[l];
-        for (i64 k = l * n; k < (l + 1) * n; k++) {
-            const u64 x0 = a0[k], x1 = a1[k], y0 = b0[k], y1 = b1[k];
-            u64 s = barrett_mod(x0 * y1, q, mu) + barrett_mod(x1 * y0, q, mu);
-            d0[k] = barrett_mod(x0 * y0, q, mu);
-            d1[k] = s >= q ? s - q : s;
-            d2[k] = barrett_mod(x1 * y1, q, mu);
-        }
+        const i64 k = l * n;
+        tensor_row(a0 + k, a1 + k, b0 + k, b1 + k, d0 + k, d1 + k, d2 + k, n,
+                   plan->q[l]);
     }
 }

@@ -114,7 +114,7 @@ class BatchedNegacyclicNtt:
     This is the software shape of the paper's limb-level batching: a
     double-CRT polynomial is one unit of work, not ``L`` separate rows.
     The plan stacks each prime's constants once, row-major and
-    contiguous — moduli ``q``, Barrett constants ``mu``, the psi fold
+    contiguous — moduli ``q``, the psi fold
     ``psi``, the flat stage twiddles ``twf`` (forward) and ``twi``
     (inverse), the fused ``psi^{-j} * n^{-1}`` unfold ``unfold``, each
     table with its Shoup companion ``*_sh``, and ``bitrev`` — which is
@@ -127,10 +127,12 @@ class BatchedNegacyclicNtt:
     shape runs, from analyzer-derived gates (:mod:`repro.analysis
     .bounds`): ``inv_mode`` is 2 (clamp-free inverse stages) where
     :func:`~repro.analysis.bounds.unclamped_dit_ok` proves it and 1
-    (lazy Shoup stages) otherwise, and ``ks_lazy`` says whether the
-    row-fused keyswitch may sum its digit products unreduced.  The
-    compiled kernels read both from ``plan_t``; no caller passes a
-    schedule, so none can ask for one the plan never proved.  The two
+    (lazy Shoup stages) otherwise — numpy's choice: the compiled
+    inverse runs the lazy Shoup stages at every shape — and
+    ``ks_lazy`` says whether the row-fused keyswitch may sum its digit
+    products unreduced, which the compiled kernels read from
+    ``plan_t``; no caller passes a schedule, so none can ask for one
+    the plan never proved.  The two
     row-fused kernels read the last prime as the special prime
     (``keyswitch_ok``) or the limb being dropped (``drop_top_ok``),
     each gated on its conditional-add lift; ``checksum_ok`` gates their
@@ -160,7 +162,6 @@ class BatchedNegacyclicNtt:
             return np.stack([getattr(t, attr) for t in tabs])
 
         self.q = np.array(primes, dtype=np.uint64)
-        self.mu = np.array([t.barrett_mu for t in tabs], dtype=np.uint64)
         self.psi = stack("psi_powers")
         self.psi_sh = stack("psi_shoup")
         self.twf = stack("dif_twiddles")

@@ -145,14 +145,6 @@ class NttTables:
     # -- per-modulus constants of the batch plans ---------------------------
 
     @cached_property
-    def barrett_mu(self) -> int:
-        """Barrett constant ``floor(2**64 / q)``: the estimate
-        ``floor(z * mu / 2**64)`` undershoots ``floor(z / q)`` by at
-        most 2 for any uint64 ``z``, so reduction is two multiplies and
-        at most two conditional subtracts."""
-        return (1 << 64) // self.q
-
-    @cached_property
     def psi_shoup(self) -> np.ndarray:
         """Shoup companions of ``psi_powers`` for the mod-free
         negacyclic fold (``q < 2**30``)."""

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.bounds import (
+    barrett_w_ok,
     centered_lift_lazy_ok,
     checksum_dot_lazy_ok,
+    fold_ok,
     keyswitch_lazy_accumulate_ok,
     mul_fits_uint64,
     ntt_shoup_ok,
@@ -22,8 +24,10 @@ from repro.analysis.bounds import (
 )
 from repro.analysis.intervals import U64_MAX
 from repro.analysis.stage_plans import (
+    analyze_barrett_w,
     analyze_batched_forward,
     analyze_batched_inverse,
+    analyze_fold,
     analyze_keyswitch_accumulate,
 )
 from repro.arith.primes import find_ntt_prime, find_ntt_primes, is_prime
@@ -237,3 +241,68 @@ class TestCenteredLiftEdge:
         assert backend.drop_top_limb(
             rows, wide + (small,), [1, 1]) is not None
         assert backend.kernel_invocations >= 1
+
+
+class TestKernelWordReductions:
+    """``kernels.c`` reduces words by ``fold`` (any uint64) and by the
+    w-bit Barrett ``mulmod`` (a product of two reduced words), every
+    product 32 x 32 -> 64: both proven for every host modulus and
+    refused from 2^30 up."""
+
+    @staticmethod
+    def _moduli_of_every_width():
+        """Both ends of every width from 2 to 30 bits, odd moduli as the
+        NTT primes are, and the NTT primes the kernels run."""
+        for w in range(2, 31):
+            yield (1 << (w - 1)) + 1
+            yield (1 << w) - 1
+        yield from (BELOW_2_30, find_ntt_prime(1 << 14, 30),
+                    find_ntt_prime(1 << 17, 30))
+
+    def test_every_width_below_2_30_is_proven(self):
+        for q in self._moduli_of_every_width():
+            assert fold_ok(q) and barrett_w_ok(q), q
+            report = analyze_barrett_w(q)
+            assert report.stage_bounds[-1] < 3 * q < 1 << 32, q
+            assert analyze_fold(q).stage_bounds[-1] < 4 * q, q
+
+    def test_2_30_and_up_refused(self):
+        for q in (HOST_MODULUS_LIMIT + 1, ABOVE_2_30):
+            assert not fold_ok(q) and not barrett_w_ok(q)
+            assert "S002" in [f.rule for f in analyze_fold(q).findings]
+
+    @pytest.mark.parametrize("q", [3, 257, BELOW_2_30])
+    def test_the_kernels_formulas_are_the_analyzed_ones(self, q):
+        """``fold`` and ``mulmod`` as written in ``kernels.c``, on numpy
+        uint64 words, give ``z % q`` — at the words the bounds are
+        tight at and at random ones."""
+        u64 = np.uint64
+        w = q.bit_length()
+        u = (1 << (2 * w)) // q
+        c = (1 << 32) % q
+        c_sh, one_sh = (c << 32) // q, (1 << 32) // q
+        rng = np.random.default_rng(q)
+
+        def csub(x, t):
+            return np.where(x >= u64(t), x - u64(t), x)
+
+        def shoup(x, w_, w_sh):
+            return x * u64(w_) - ((x * u64(w_sh)) >> u64(32)) * u64(q)
+
+        z = np.concatenate([
+            rng.integers(0, U64_MAX, 4096, dtype=np.uint64, endpoint=True),
+            np.array([0, q - 1, q, U64_MAX, U64_MAX - q, 1 << 32,
+                      (1 << 32) - 1], dtype=np.uint64)])
+        hi, lo = z >> u64(32), z & u64(0xFFFFFFFF)
+        folded = csub(csub(shoup(hi, c, c_sh) + shoup(lo, 1, one_sh),
+                           2 * q), q)
+        assert np.array_equal(folded, z % u64(q))
+
+        a = np.concatenate([rng.integers(0, q, 4096, dtype=np.uint64),
+                            np.array([q - 1, 0, 1], dtype=np.uint64)])
+        b = np.concatenate([rng.integers(0, q, 4096, dtype=np.uint64),
+                            np.array([q - 1, q - 1, 1], dtype=np.uint64)])
+        prod = a * b
+        est = ((prod >> u64(w - 1)) * u64(u)) >> u64(w + 1)
+        reduced = csub(csub(prod - est * u64(q), 2 * q), q)
+        assert np.array_equal(reduced, prod % u64(q))

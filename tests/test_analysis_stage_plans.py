@@ -15,6 +15,8 @@ from repro.analysis.stage_plans import (
     analyze_dif_lazy,
     analyze_dit_lazy,
     analyze_dit_unclamped,
+    analyze_fold,
+    analyze_barrett_w,
     analyze_keyswitch_accumulate,
 )
 from repro.arith.primes import find_ntt_prime
@@ -102,3 +104,38 @@ class TestGates:
         assert report.output_bound <= q - 1
         assert report.max_intermediate == d * (q - 1) ** 2
         assert keyswitch_lazy_accumulate_ok(d, q)
+
+
+class TestKernelReductionMutations:
+    """Seeded mutations of ``kernels.c``'s word reductions: each must
+    surface as exactly the finding that names it."""
+
+    @pytest.mark.parametrize("analyze", [analyze_fold, analyze_barrett_w])
+    def test_clean(self, analyze):
+        assert list(analyze(Q30).findings) == []
+
+    @pytest.mark.parametrize("analyze", [analyze_fold, analyze_barrett_w])
+    def test_dropped_subtract_escapes_the_reduced_range(self, analyze):
+        report = analyze(Q30, skip_subtract=True)
+        assert [f.rule for f in report.findings] == ["S005"]
+        assert Q30 <= report.output_bound < 2 * Q30
+
+    def test_fold_split_at_the_wrong_bit_breaks_the_shoup_radix(self):
+        rules = [f.rule for f in analyze_fold(Q30, shift=31).findings]
+        assert rules[0] == "S003"
+
+    def test_barrett_shifted_too_far_undershoots(self):
+        """A post shift of w + 2 halves the estimate: the remainder
+        reaches far past 3q, past what two subtracts can reduce."""
+        w = Q30.bit_length()
+        report = analyze_barrett_w(Q30, post_shift=w + 2)
+        assert [f.rule for f in report.findings] == ["S005"]
+        assert report.stage_bounds[-1] > 3 * Q30
+
+    def test_barrett_shifted_too_little_overshoots(self):
+        """A pre shift of w - 2 doubles the estimate past floor(z / q):
+        z - est * q wraps."""
+        w = Q30.bit_length()
+        rules = [f.rule for f in
+                 analyze_barrett_w(Q30, pre_shift=w - 2).findings]
+        assert "S001" in rules

@@ -1,6 +1,7 @@
 """Thread-safety of the module-level caches — the one batch-plan cache
-that numpy and the compiled kernels share among them — and the
-cache-reset metrics contract (gauges zeroed on clear)."""
+that numpy and the compiled kernels share among them, the compiled
+kernels' workspace pools, the integrity checker's tables and counters —
+and the cache-reset metrics contract (gauges zeroed on clear)."""
 
 import itertools
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.arith.primes import find_ntt_primes
+from repro.fault.integrity import AbftChecker
 from repro.fhe.backend import NumpyBackend, VpuBackend, clear_caches, observed
 from repro.kernels import CompiledBackend, cext, resolve_provider
 from repro.kernels.backend import get_workspace
@@ -216,6 +218,99 @@ class TestPlanCache:
         _hammer(body, per_thread=1)
         # Same thread -> same buffer; different threads -> different.
         assert len(set(seen.values())) == len(seen)
+
+
+class TestCompiledWorkspaces:
+    """The compiled kernels' scratch comes from per-thread pools
+    (``get_workspace``): threads that dispatch the same shapes at once —
+    transforms, the row-fused keyswitch and the drop, whose scratch
+    holds coefficient and digit rows between their phases — each get
+    their own rows and the serial result."""
+
+    N = 256
+    PRIMES = tuple(find_ntt_primes(2 * 256, 29, 4))
+
+    def test_concurrent_dispatches_match_the_serial_result(self, c_provider):
+        backend = CompiledBackend(provider=c_provider._impl)
+        primes, rows = self.PRIMES, len(self.PRIMES)
+        rng = np.random.default_rng(11)
+        q = np.array(primes, dtype=np.uint64)
+        key = rng.integers(0, 1 << 62, (rows - 1, 2, rows, self.N),
+                           dtype=np.uint64) % q[None, None, :, None]
+        keep = list(range(rows))
+        inv = np.array([pow(primes[-1], -1, p) for p in primes[:-1]],
+                       dtype=np.uint64)
+
+        def work(x):
+            return (backend.forward_ntt_batch(x, primes),
+                    backend.inverse_ntt_batch(x, primes),
+                    *backend.keyswitch_apply(x[:-1], primes, [key], keep),
+                    backend.drop_top_limb(x, primes, inv))
+
+        inputs = [rng.integers(0, 1 << 62, (rows, self.N),
+                               dtype=np.uint64) % q[:, None]
+                  for _ in range(THREADS)]
+        want = [work(x) for x in inputs]  # also the first-use oracles
+        barrier = threading.Barrier(THREADS)
+
+        def body(t):
+            barrier.wait(timeout=60)
+            return [work(inputs[t]) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                results = list(pool.map(body, range(THREADS), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        wrong = sum(not np.array_equal(got, expected)
+                    for t, runs in enumerate(results) for outputs in runs
+                    for got, expected in zip(outputs, want[t]))
+        assert wrong == 0
+        assert backend.fallbacks == 0
+
+
+class TestAbftCheckerCaches:
+    """One checker shared by threads: each weight table, stacked table
+    and key image is built once, to the words a lone checker builds,
+    and no recorded check is lost."""
+
+    N = 64
+    PRIMES = tuple(find_ntt_primes(2 * 64, 28, 3))
+
+    def test_tables_built_once_under_concurrency(self):
+        key = np.random.default_rng(2).integers(
+            0, min(self.PRIMES), (2, 2, 3, self.N), dtype=np.uint64)
+        checker = AbftChecker(seed=7)
+        results = _hammer(
+            lambda: checker.fused_check(self.N, self.PRIMES, [key]),
+            per_thread=5)
+        checks = [check for batch in results for check in batch]
+        assert len({id(check.intt) for check in checks}) == 1
+        assert len({id(check.key_images[0]) for check in checks}) == 1
+        assert len(checker._weights) == 2 * len(self.PRIMES)
+        alone = AbftChecker(seed=7).fused_check(self.N, self.PRIMES, [key])
+        for name in ("intt", "ntt"):
+            assert np.array_equal(getattr(checks[0], name),
+                                  getattr(alone, name))
+        assert np.array_equal(checks[0].key_images[0], alone.key_images[0])
+
+    def test_counters_exact_under_concurrency(self):
+        checker = AbftChecker(seed=7)
+        x = np.random.default_rng(3).integers(
+            0, min(self.PRIMES), (len(self.PRIMES), self.N), dtype=np.uint64)
+        y = NumpyBackend().forward_ntt_batch(x, self.PRIMES)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _hammer(
+                lambda: checker.check_ntt_batch(x, y, self.PRIMES))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(ok for batch in results for ok in batch)
+        assert checker.checks == THREADS * 20
+        assert checker.mismatches == 0
 
 
 class TestVpuProgramCache:

@@ -130,9 +130,10 @@ class TestThreeWayBitEquality:
         assert np.array_equal(inv["compiled"], x)
 
     def test_lazy_shoup_inverse_schedule(self, compiled):
-        """``inv_mode == 1`` — Shoup butterflies hold, the clamp-free
+        """``inv_mode == 1`` — Shoup butterflies hold, numpy's clamp-free
         inverse does not — needs n = 2^16 with a prime just under 2^30;
-        every shape the benches and the other tests use gets mode 2."""
+        every shape the benches and the other tests use gets mode 2 on
+        numpy.  C runs the lazy Shoup inverse at every shape."""
         n = 1 << 16
         primes = (find_ntt_prime(2 * n, 30),)
         plan = get_batched_ntt(n, primes)

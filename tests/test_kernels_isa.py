@@ -8,19 +8,23 @@ without clones (``-DKERNEL_CLONES=0``, the reference), once without
 clones for each x86-64 level the host CPU supports (``-march=<level>``:
 the code generation of that level's clone, run whatever the resolver
 would pick) and once as the product builds it, and runs every entry of
-each build on the same inputs: forward and inverse batches (both inverse
-schedules, reduced and unreduced inputs), automorphisms, keyswitches of
-one and of two Galois images, the top-limb drop, the tensor product and
-the checked forms' sums, over 28- to 30-bit primes up to ``n = 2**14``.
+each build on the same inputs: forward and inverse batches (reduced
+inputs, and rows with words in ``[q, 2**32)`` and above ``2**32``),
+automorphisms, keyswitches of one and of two Galois images, the top-limb
+drop (reduced and wide inputs), the tensor product and the checked
+forms' sums, over 28- to 30-bit primes from ``n = 2``, where the fused
+8-word end stages are not yet taken, up to ``n = 2**14``.  The
+transforms, the drop and the tensor product of every build are also
+held to numpy's words.
 """
 
 import ctypes
 import os
 import platform
+import re
 import shutil
 import subprocess
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,10 +48,13 @@ LEVELS = {
     "x86-64-v4": {"avx512f", "avx512bw", "avx512cd", "avx512dq",
                   "avx512vl"},
 }
-#: (n, prime bits, plan rows): up to 2**14, 28- to 30-bit primes; the
-#: last has 17 limbs of 30-bit primes, whose keyswitch keeps its
-#: accumulator reduced (``ks_lazy`` 0).
-SHAPES = [(256, 28, 4), (4096, 29, 3), (2**14, 30, 4), (1024, 30, 18)]
+#: (n, prime bits, plan rows): 28- to 30-bit primes from n = 2 (below
+#: n = 8 every stage runs the generic butterfly loop; from 8 the fused
+#: 8-word blocks take the last three forward and first three inverse
+#: stages) up to 2**14; the last has 17 limbs of 30-bit primes, whose
+#: keyswitch keeps its accumulator reduced (``ks_lazy`` 0).
+SHAPES = [(2, 28, 3), (4, 29, 3), (8, 30, 4), (16, 30, 3), (256, 28, 4),
+          (4096, 29, 3), (2**14, 30, 4), (1024, 30, 18)]
 
 
 def _host_levels() -> list[str]:
@@ -96,22 +103,65 @@ def builds(tmp_path_factory):
     return found
 
 
-def _with_inverse_mode(plan, mode: int):
-    """``plan``'s tables under the inverse schedule ``mode``: the lazy
-    Shoup schedule (1) is sound for every host prime, so a plan whose
-    gate picked the clamp-free one (2) can be walked with it too."""
-    fields = {name: getattr(plan, name) for name, _ in cext.PlanTables._fields_}
-    return SimpleNamespace(**{**fields, "inv_mode": mode})
-
-
 def _inputs(n: int, bits: int, rows: int):
     primes = tuple(find_ntt_primes(2 * n, bits, rows))
     rng = np.random.default_rng([n, bits, rows])
     q = np.array(primes, dtype=np.uint64)[:, None]
     reduced = rng.integers(0, 1 << 62, (rows, n), dtype=np.uint64) % q
     wide = reduced.copy()
-    wide[1] = rng.integers(0, 1 << 63, n, dtype=np.uint64)  # one wide row
+    # Row 1 wide: its first half in [q, 2**32), the rest from 2**32 up;
+    # the last row (the drop's top) past 2**32 too.
+    half = max(n // 2, 1)
+    wide[1, :half] = rng.integers(primes[1], 1 << 32, half, dtype=np.uint64)
+    wide[1, half:] = rng.integers(1 << 32, 1 << 63, n - half, dtype=np.uint64)
+    wide[-1] = rng.integers(0, 1 << 63, n, dtype=np.uint64)
     return primes, rng, reduced, wide
+
+
+def _numpy_drop(primes, x, inv) -> np.ndarray:
+    """The drop written out on numpy: the top row's inverse, its
+    centered lift into every remaining prime, their forward NTT, then
+    ``(x_j - that) * inv[j] mod q_j``."""
+    n, q_top = x.shape[1], primes[-1]
+    top = get_batched_ntt(n, primes[-1:]).inverse(x[-1:])[0]
+    rest = np.array(primes[:-1], dtype=np.uint64)[:, None]
+    lifted = np.where(top > q_top // 2, top + rest - np.uint64(q_top),
+                      top)
+    lifted %= rest
+    forward = get_batched_ntt(n, primes[:-1]).forward(lifted)
+    diff = (x[:-1] % rest + rest - forward) % rest
+    return diff * inv[:, None] % rest
+
+
+def _numpy_words(n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
+    """The words numpy gives for the transforms, the drop and the tensor
+    product on the shape's inputs, by :func:`_run_all`'s names."""
+    primes, rng, x, wide = _inputs(n, bits, rows)
+    plan = get_batched_ntt(n, primes)
+    out = {"fwd": plan.forward(x), "fwd wide": plan.forward(wide),
+           "inv": plan.inverse(x), "inv wide": plan.inverse(wide)}
+    q = np.array(primes, dtype=np.uint64)[:, None]
+    a0, a1, b0, b1 = _tensor_operands(x, primes)
+    out.update({"tensor 0": a0 * b0 % q,
+                "tensor 1": (a0 * b1 % q + a1 * b0 % q) % q,
+                "tensor 2": a1 * b1 % q})
+    inv = _drop_scales(primes)
+    out["drop checked=False"] = _numpy_drop(primes, x, inv)
+    out["drop wide"] = _numpy_drop(primes, wide, inv)
+    return out
+
+
+def _tensor_operands(x, primes):
+    q = np.array(primes, dtype=np.uint64)[:, None]
+    return [np.ascontiguousarray(op) % q for op in (
+        x, x[::-1].copy(), np.roll(x, 1, axis=1), np.roll(x, 7))]
+
+
+def _drop_scales(primes):
+    """The drop's ``inv`` words (any nonzero reduced scales), from a
+    generator of their own."""
+    rng = np.random.default_rng(primes)
+    return rng.integers(1, min(primes), len(primes) - 1, dtype=np.uint64)
 
 
 def _run_all(impl, n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
@@ -120,25 +170,21 @@ def _run_all(impl, n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
     plan = get_batched_ntt(n, primes)
     out: dict[str, np.ndarray] = {}
 
-    def batch(name, kernel, kernel_plan, values):
+    def batch(name, kernel, values):
         result = np.empty_like(values)
-        kernel(kernel_plan, values, result, np.empty_like(values))
+        kernel(plan, values, result, np.empty_like(values))
         out[name] = result
 
-    for mode in (1, 2):
-        modal = _with_inverse_mode(plan, mode)
-        batch(f"fwd mode{mode}", impl.fwd_ntt, modal, x)
-        batch(f"fwd wide mode{mode}", impl.fwd_ntt, modal, wide)
-        batch(f"inv mode{mode}", impl.inv_ntt, modal, x)
-        batch(f"inv wide mode{mode}", impl.inv_ntt, modal, wide)
+    batch("fwd", impl.fwd_ntt, x)
+    batch("fwd wide", impl.fwd_ntt, wide)
+    batch("inv", impl.inv_ntt, x)
+    batch("inv wide", impl.inv_ntt, wide)
 
     out["auto"] = np.empty_like(x)
     impl.auto(x, out["auto"], get_destinations(n, 5))
 
     parts = [np.empty_like(x) for _ in range(3)]
-    operands = [x, x[::-1].copy(), np.roll(x, 1, axis=1), np.roll(x, 7)]
-    impl.tensor(plan, [np.ascontiguousarray(op) % np.array(
-        primes, dtype=np.uint64)[:, None] for op in operands], parts)
+    impl.tensor(plan, _tensor_operands(x, primes), parts)
     out.update({f"tensor {i}": part for i, part in enumerate(parts)})
 
     limbs = rows - 1
@@ -166,7 +212,7 @@ def _run_all(impl, n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
                 out[f"{name} sums"] = check.sums
                 out[f"{name} spare"] = check.spare
 
-    inv = rng.integers(1, min(primes), rows - 1, dtype=np.uint64)
+    inv = _drop_scales(primes)
     for check in [None] + ([checker.fused_check(n, primes)]
                            if plan.checksum_ok else []):
         dropped = np.empty((rows - 1, n), dtype=np.uint64)
@@ -175,6 +221,9 @@ def _run_all(impl, n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
         out[f"drop checked={check is not None}"] = dropped
         if check is not None:
             out["drop sums"] = check.sums
+    out["drop wide"] = np.empty((rows - 1, n), dtype=np.uint64)
+    impl.drop_top(plan, wide, inv, out["drop wide"],
+                  np.empty((rows, n), dtype=np.uint64))
     return out
 
 
@@ -182,12 +231,16 @@ def _run_all(impl, n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
 def test_every_build_gives_the_reference_bytes(builds, n, bits, rows):
     reference = _run_all(builds["reference"], n, bits, rows)
     assert any("checked=True" in name for name in reference)
+    numpy_words = _numpy_words(n, bits, rows)
     for name, impl in builds.items():
         got = _run_all(impl, n, bits, rows)
         assert got.keys() == reference.keys()
         differ = [entry for entry, want in reference.items()
                   if got[entry].tobytes() != want.tobytes()]
         assert differ == [], f"{name}: {differ}"
+        differ = [entry for entry, want in numpy_words.items()
+                  if got[entry].tobytes() != want.tobytes()]
+        assert differ == [], f"{name} against numpy: {differ}"
 
 
 def _clone_symbols(path: Path) -> dict[str, int]:
@@ -235,3 +288,61 @@ def test_the_named_clone_is_the_one_the_loader_picked(builds):
     clone = "default" if impl.isa == "default" \
         else "arch_" + impl.isa.replace("-", "_")
     assert picked == [f"repro_kernel_isa.{clone}"]
+
+
+#: The loops that must vectorize, by the function that holds them and
+#: a line of source that starts each (every such line in the function):
+#: the butterfly stage loops and the fused 8-word blocks of both
+#: transforms, the drop's finish, the tensor row and the keyswitch
+#: accumulator's finish.
+VECTOR_LOOPS = {
+    "fwd_row": ["for (i64 j = 0; j < len; j++)",
+                "for (i64 start = 0; start < n; start += 8) {"],
+    "inv_row": ["for (i64 j = 0; j < len; j++)",
+                "for (i64 start = 0; start < n; start += 8) {"],
+    "drop_finish": ["for (i64 k = 0; k < n; k++)"],
+    "tensor_row": ["for (i64 k = 0; k < n; k++) {"],
+    "mac_finish": ["for (i64 k = 0; k < n; k++) {"],
+}
+
+
+def _loop_lines(source: str, function: str, start: str) -> list[int]:
+    """1-based lines of ``source`` that begin with ``start`` (indent
+    aside) inside the body of ``function``."""
+    lines = source.splitlines()
+    head = next(i for i, line in enumerate(lines)
+                if re.match(rf"^(static )?(inline )?\w+ {function}\(", line))
+    end = next(i for i in range(head, len(lines)) if lines[i] == "}")
+    return [i + 1 for i in range(head, end)
+            if lines[i].strip().startswith(start)]
+
+
+def test_the_row_loops_vectorize(tmp_path):
+    """The no-clone x86-64-v4 build, with OpenMP as the product builds
+    it, reports every loop of :data:`VECTOR_LOOPS` vectorized with
+    64-byte vectors: a lost ``restrict`` or an OpenMP-outlined body puts
+    a loop back on scalar code without changing a word."""
+    cc = os.environ.get("CC", "cc")
+    source = cext._SOURCE.read_text()
+    for extra in (["-fopenmp"], []):
+        proc = subprocess.run(
+            [cc, "-O3", "-fPIC", "-shared", "-std=c11", *extra,
+             "-DKERNEL_CLONES=0", "-march=x86-64-v4",
+             "-fopt-info-vec-optimized", str(cext._SOURCE),
+             "-o", str(tmp_path / "k.so")],
+            capture_output=True, text=True, timeout=300)
+        if proc.returncode == 0:
+            break
+    else:
+        pytest.skip(f"{cc} cannot build -march=x86-64-v4")
+    vectorized = {int(line) for line in re.findall(
+        r"kernels\.c:(\d+):\d+: optimized: loop vectorized using 64 byte",
+        proc.stderr)}
+    missing = []
+    for function, starts in VECTOR_LOOPS.items():
+        for start in starts:
+            lines = _loop_lines(source, function, start)
+            assert lines, (function, start)
+            missing += [(function, line) for line in lines
+                        if line not in vectorized]
+    assert missing == []
