@@ -1,28 +1,23 @@
-"""Implementation-detail artifacts: roofline placement and compiled-
-program analysis.
+"""Implementation-detail artifacts: compiled-program analysis.
 
 Not a paper table — these are the secondary artifacts an accelerator
 paper's implementation section reports, generated from the same models:
-where each FHE op sits against the scratchpad roofline, and what the
-compiled NTT/automorphism programs demand of the register files."""
+what the compiled NTT/automorphism programs demand of the register
+files."""
 
 from conftest import record
-from repro.accel import Accelerator
 from repro.analysis.dataflow import check_dataflow
 from repro.automorphism import paper_sigma
 from repro.mapping import compile_automorphism, compile_ntt, required_registers
-from repro.perf.roofline import render_roofline, roofline_table
 
 Q = 998244353
 
 
 def build_artifacts():
-    acc = Accelerator(num_vpus=8, lanes=64)
-    roofline = roofline_table(acc)
     ntt_report = check_dataflow(compile_ntt(4096, 64), m=64)
     autom_report = check_dataflow(
         compile_automorphism(paper_sigma(4096, 3), 64), m=64)
-    return roofline, ntt_report, autom_report
+    return ntt_report, autom_report
 
 
 def render_program(report, label: str) -> str:
@@ -43,11 +38,10 @@ def render_program(report, label: str) -> str:
 
 
 def test_implementation_details(benchmark, results_dir):
-    roofline, ntt, autom = benchmark(build_artifacts)
+    ntt, autom = benchmark(build_artifacts)
     record(
         results_dir, "implementation_details",
-        render_roofline(roofline) + "\n\n"
-        + render_program(ntt, "NTT-4096 on 64 lanes") + "\n\n"
+        render_program(ntt, "NTT-4096 on 64 lanes") + "\n\n"
         + render_program(autom, "automorphism-4096 on 64 lanes"),
     )
     # Compiled programs honour the declared register budget.

@@ -1,13 +1,13 @@
 """Kernel-level NTT throughput: the software substrate's own numbers.
 
 Not a paper table — this documents the repository's kernel performance
-(vectorized DIF/DIT, constant-geometry form, negacyclic wrap) so changes
+(vectorized DIF/DIT, negacyclic wrap, batched limbs) so changes
 that slow the golden models get caught."""
 
 import numpy as np
 import pytest
 
-from repro.ntt import NegacyclicNtt, cg_dif_ntt, ntt_dif, vec_ntt_dif
+from repro.ntt import NegacyclicNtt, vec_ntt_dif
 from repro.ntt.tables import get_tables
 
 Q = 998244353
@@ -31,26 +31,6 @@ def test_negacyclic_roundtrip(benchmark):
 
     out = benchmark(roundtrip)
     np.testing.assert_array_equal(out, x)
-
-
-def test_scalar_constant_geometry(benchmark):
-    n = 256
-    t = get_tables(n, Q)
-    x = [int(v) for v in np.random.default_rng(2).integers(0, Q, n)]
-    got = benchmark(cg_dif_ntt, x, t)
-    assert got == ntt_dif(x, t)
-
-
-def test_merged_psi_forward(benchmark):
-    """The merged-psi (Longa–Naehrig) form: one multiply per butterfly
-    and no fold pass — the kernel shape hardware twiddle SRAM feeds."""
-    from repro.ntt.merged import merged_forward
-
-    n = 4096
-    t = get_tables(n, Q)
-    x = np.random.default_rng(4).integers(0, Q, n, dtype=np.uint64)
-    out = benchmark(merged_forward, x, t)
-    np.testing.assert_array_equal(out, NegacyclicNtt(n, Q).forward_bitrev(x))
 
 
 def test_batched_limbs(benchmark):

@@ -3,8 +3,8 @@
 This package provides the arithmetic primitives that everything above it is
 built on:
 
-* :mod:`repro.arith.modular` — plain scalar and vectorized modular
-  add/sub/mul/pow/inverse helpers.
+* :mod:`repro.arith.modular` — the modular inverse the scheme, RNS and
+  automorphism layers share.
 * :mod:`repro.arith.barrett` — a bit-accurate model of the Barrett-reduction
   modular multiplier used in each VPU lane (paper §III-A).
 * :mod:`repro.arith.montgomery` — a Montgomery multiplier used as a
@@ -15,14 +15,7 @@ built on:
 """
 
 from repro.arith.barrett import BarrettReducer
-from repro.arith.modular import (
-    mod_add,
-    mod_exp,
-    mod_inverse,
-    mod_mul,
-    mod_neg,
-    mod_sub,
-)
+from repro.arith.modular import mod_inverse
 from repro.arith.montgomery import MontgomeryReducer
 from repro.arith.primes import (
     find_ntt_prime,
@@ -39,11 +32,6 @@ __all__ = [
     "find_ntt_primes",
     "find_primitive_root",
     "is_prime",
-    "mod_add",
-    "mod_exp",
     "mod_inverse",
-    "mod_mul",
-    "mod_neg",
-    "mod_sub",
     "nth_root_of_unity",
 ]

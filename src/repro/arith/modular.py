@@ -1,60 +1,17 @@
-"""Plain modular arithmetic helpers.
+"""The modular inverse the scheme, RNS and automorphism layers share.
 
-These are the golden-model operations: simple, obviously-correct Python
-integer arithmetic.  The hardware-shaped implementations in
-:mod:`repro.arith.barrett` and :mod:`repro.arith.montgomery` are tested
-against these.
-
-All functions accept Python ints.  The vectorized variants
-(:func:`vec_mod_mul` etc.) operate on ``numpy.uint64`` arrays and require the
-modulus to be below 2**31 so that a product of two residues fits in 64 bits
-without overflow; the FHE layer picks its RNS primes accordingly.
+Plain Python-integer arithmetic, any modulus width: the RNS
+reconstruction constants, the drop's and BGV's plaintext-modulus
+corrections, the Galois maps' ``k^-1`` and Montgomery's ``-q^-1`` are
+all computed here.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-#: Largest modulus for which the vectorized uint64 paths are safe:
-#: ``(q - 1)**2`` must fit in an unsigned 64-bit integer.
-MAX_VECTOR_MODULUS = 1 << 31
 
 
 def _check_modulus(q: int) -> None:
     if q <= 1:
         raise ValueError(f"modulus must be > 1, got {q}")
-
-
-def mod_add(a: int, b: int, q: int) -> int:
-    """Return ``(a + b) mod q``."""
-    _check_modulus(q)
-    return (a + b) % q
-
-
-def mod_sub(a: int, b: int, q: int) -> int:
-    """Return ``(a - b) mod q``."""
-    _check_modulus(q)
-    return (a - b) % q
-
-
-def mod_neg(a: int, q: int) -> int:
-    """Return ``(-a) mod q``."""
-    _check_modulus(q)
-    return (-a) % q
-
-
-def mod_mul(a: int, b: int, q: int) -> int:
-    """Return ``(a * b) mod q``."""
-    _check_modulus(q)
-    return (a * b) % q
-
-
-def mod_exp(base: int, exponent: int, q: int) -> int:
-    """Return ``base ** exponent mod q`` (non-negative exponent)."""
-    _check_modulus(q)
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return pow(base % q, exponent, q)
 
 
 def mod_inverse(a: int, q: int) -> int:
@@ -63,90 +20,4 @@ def mod_inverse(a: int, q: int) -> int:
     Raises :class:`ValueError` if ``a`` is not invertible.
     """
     _check_modulus(q)
-    a %= q
-    g, x = _extended_gcd(a, q)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {q} (gcd = {g})")
-    return x % q
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int]:
-    """Return ``(gcd(a, b), x)`` with ``a*x === gcd (mod b)``."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    while r != 0:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_x, x = x, old_x - quotient * x
-    return old_r, old_x
-
-
-# ---------------------------------------------------------------------------
-# Vectorized variants (uint64, modulus < 2**31)
-# ---------------------------------------------------------------------------
-
-
-def _check_vector_modulus(q: int) -> None:
-    _check_modulus(q)
-    if q >= MAX_VECTOR_MODULUS:
-        raise ValueError(
-            f"vectorized paths require q < 2**31 to avoid uint64 overflow, got {q}"
-        )
-
-
-def _as_u64(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.uint64)
-
-
-def vec_mod_add(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(a + b) mod q`` on uint64 arrays."""
-    _check_vector_modulus(q)
-    return (_as_u64(a) + _as_u64(b)) % np.uint64(q)
-
-
-def vec_mod_sub(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(a - b) mod q`` on uint64 arrays."""
-    _check_vector_modulus(q)
-    qq = np.uint64(q)
-    return (_as_u64(a) + (qq - _as_u64(b) % qq)) % qq
-
-
-def vec_mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(a * b) mod q`` on uint64 arrays (q < 2**31)."""
-    _check_vector_modulus(q)
-    return (_as_u64(a) * _as_u64(b)) % np.uint64(q)
-
-
-def vec_mod_neg(a: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(-a) mod q`` on uint64 arrays."""
-    _check_vector_modulus(q)
-    qq = np.uint64(q)
-    return (qq - _as_u64(a) % qq) % qq
-
-
-def vec_mod_exp(a: np.ndarray, exponent: int, q: int) -> np.ndarray:
-    """Element-wise ``a ** exponent mod q`` by square-and-multiply."""
-    _check_vector_modulus(q)
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    base = _as_u64(a) % np.uint64(q)
-    result = np.ones_like(base)
-    e = exponent
-    while e > 0:
-        if e & 1:
-            result = vec_mod_mul(result, base, q)
-        base = vec_mod_mul(base, base, q)
-        e >>= 1
-    return result
-
-
-def balanced_representation(a: np.ndarray, q: int) -> np.ndarray:
-    """Map residues in ``[0, q)`` to the balanced range ``(-q/2, q/2]``.
-
-    Returned as int64.  Used when reconstructing signed plaintext values
-    from RNS residues.
-    """
-    _check_vector_modulus(q)
-    a = _as_u64(a) % np.uint64(q)
-    signed = a.astype(np.int64)
-    return np.where(signed > q // 2, signed - q, signed)
+    return pow(a % q, -1, q)

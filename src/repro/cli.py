@@ -129,10 +129,10 @@ def cmd_controls(args) -> int:
         ks = [paper_sigma(m, args.r).multiplier]
     else:
         ks = list(range(1, m, 2))
+    controls = [(k, affine_controls(m, k, args.s)) for k in ks]
     print(f"shift-network control words, m={m} "
           f"(stages {m // 2}..1, MSB-first per stage):")
-    for k in ks:
-        c = affine_controls(m, k, args.s)
+    for k, c in controls:
         word = "".join(
             "".join(str(b) for b in c.group_bits[bi])
             for bi in reversed(range(len(c.group_bits)))
@@ -164,11 +164,11 @@ def cmd_motivation(args) -> int:
     )
 
     sram = args.sram_mib << 20
+    rows = [(log_n, naive_ntt_traffic(1 << log_n, sram),
+             decomposed_ntt_traffic(1 << log_n, 64, sram))
+            for log_n in range(14, 23, 2)]
     print(f"{'N':>6s} {'naive MB':>10s} {'4-step MB':>10s} {'ratio':>7s}")
-    for log_n in range(14, 23, 2):
-        n = 1 << log_n
-        naive = naive_ntt_traffic(n, sram)
-        dec = decomposed_ntt_traffic(n, 64, sram)
+    for log_n, naive, dec in rows:
         ratio = naive.burst_bytes_moved / dec.burst_bytes_moved
         print(f"2^{log_n:<4d} {naive.burst_bytes_moved / 2**20:10.1f} "
               f"{dec.burst_bytes_moved / 2**20:10.1f} {ratio:6.1f}x")
@@ -214,10 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     controls = sub.add_parser(
         "controls", help="dump automorphism shift-network control words")
     controls.add_argument("--m", type=int, default=64)
-    controls.add_argument("--k", type=int, default=None,
-                          help="automorphism multiplier (odd)")
-    controls.add_argument("--r", type=int, default=None,
-                          help="rotation amount (k = 5^r mod m)")
+    which = controls.add_mutually_exclusive_group()
+    which.add_argument("--k", type=int, default=None,
+                       help="automorphism multiplier (odd)")
+    which.add_argument("--r", type=int, default=None,
+                       help="rotation amount (k = 5^r mod m)")
     controls.add_argument("--s", type=int, default=0,
                           help="additional cyclic shift to merge")
     controls.set_defaults(func=cmd_controls)
@@ -235,11 +236,17 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs import enable_from_env
     from repro.obs.export import format_attribution
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     # REPRO_TRACE=1 turns on the observability hook for any command and
     # appends the per-phase cycle-attribution table to the output.
     observer = enable_from_env()
-    status = args.func(args)
+    try:
+        status = args.func(args)
+    except ValueError as exc:
+        # The models refuse a bad size with a ValueError: report it as
+        # the usage error it is (exit 2, as argparse's own errors do).
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     if observer is not None:
         print("\n[repro.obs] cycle attribution (REPRO_TRACE)")
         print(format_attribution(observer.tracer))

@@ -26,8 +26,6 @@ Modules:
   management, and the evaluator (HAdd/HSub/HMult/HRot/conjugate/rescale).
 * :mod:`repro.fhe.bgv` / :mod:`repro.fhe.bfv` — the BGV and BFV layers
   (exact integer slots) on the same core, as §II-A anticipates.
-* :mod:`repro.fhe.packing` — arbitrary-length vectors over multiple
-  ciphertexts.
 * :mod:`repro.fhe.linear` — homomorphic matrix-vector products
   (diagonal and baby-step/giant-step methods).
 * :mod:`repro.fhe.polyeval` — homomorphic polynomial evaluation

@@ -118,8 +118,7 @@ def clear_caches() -> None:
     With a live metrics registry the gauges of both program caches are
     zeroed as well — a snapshot taken after a reset must not report the
     dropped caches' stale counters, even when the backend that published
-    them is no longer the active one — and the telemetry ring is dropped
-    (windowed deltas across a reset would be nonsense)."""
+    them is no longer the active one."""
     plan_cache().clear()
     kernels = sys.modules.get("repro.kernels.backend")
     if kernels is not None:
@@ -129,7 +128,6 @@ def clear_caches() -> None:
         clearer()
     obs.zero_gauges("backend.program_cache.")
     obs.zero_gauges("backend.compiled_plan_cache.")
-    obs.reset_telemetry()
 
 
 def set_backend(backend: KernelBackend) -> None:

@@ -22,6 +22,12 @@ from repro.hwmodel.components import (
 from repro.hwmodel.sram import SramMacro
 
 
+def check_lane_count(m: int) -> None:
+    """Refuse a lane count the mux networks cannot be built for."""
+    if m <= 1 or m & (m - 1):
+        raise ValueError(f"m must be a power of two > 1, got {m}")
+
+
 def cg_stage_count(m: int) -> int:
     """Number of constant-geometry stages: 2, merged to 1 when m = 4."""
     if m < 4:
@@ -47,8 +53,7 @@ def multistage_network_cost(
     lane-attach overhead and control); ``activity`` scales switching
     power for designs without our per-stage clock gating.
     """
-    if m <= 1 or m & (m - 1):
-        raise ValueError(f"m must be a power of two > 1, got {m}")
+    check_lane_count(m)
     if stages <= 0 or units <= 0:
         raise ValueError("stages and units must be positive")
     total = (mux_stage_cost(m, bits) * stages

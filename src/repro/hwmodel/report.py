@@ -22,6 +22,7 @@ from repro.hwmodel.components import (
 )
 from repro.hwmodel.network_cost import (
     cg_stage_count,
+    check_lane_count,
     control_table_cost,
     shift_stage_count,
 )
@@ -46,6 +47,7 @@ class BreakdownLine:
 
 def network_breakdown(m: int, bits: int = tech.WORD_BITS) -> list[BreakdownLine]:
     """Component-by-component split of the unified inter-lane network."""
+    check_lane_count(m)
     cg = cg_stage_count(m)
     shifts = shift_stage_count(m)
     return [
@@ -62,6 +64,7 @@ def vpu_breakdown(m: int, bits: int = tech.WORD_BITS,
                   regfile_entries: int = tech.REGFILE_DEFAULT_ENTRIES
                   ) -> list[BreakdownLine]:
     """Component split of the whole VPU (lanes + network)."""
+    network = network_breakdown(m, bits)
     lines = [
         BreakdownLine("Barrett modular multipliers", m,
                       barrett_multiplier_cost(bits) * m),
@@ -71,7 +74,7 @@ def vpu_breakdown(m: int, bits: int = tech.WORD_BITS,
                       register_file_cost(regfile_entries, bits) * m),
     ]
     total_net = CostReport(0.0, 0.0)
-    for line in network_breakdown(m, bits):
+    for line in network:
         total_net = total_net + line.cost
     lines.append(BreakdownLine("inter-lane network (all stages)", 1,
                                total_net))

@@ -10,10 +10,11 @@ the paper's inter-lane network implement (paper §III-B, refs [13], [14]).
 Correctness rests on Pease's storage-map theorem, which we use directly:
 after ``s`` CG-DIF stages, memory position ``p`` holds the Gentleman–Sande
 working value of logical index ``ror^s(p)`` (rotate-right of the bit
-string).  The stage twiddles below are the GS twiddles re-indexed through
-that map, so CG-DIF is *element-for-element identical* to
-:func:`repro.ntt.cooley_tukey.ntt_dif` (natural-order input, bit-reversed
-output), and CG-DIT to :func:`intt_dit`.
+string).  The stage-twiddle exponents below are the GS twiddles
+re-indexed through that map, so the CG-DIF stages that
+:mod:`repro.mapping.ntt` compiles from them are *element-for-element
+identical* to :func:`repro.ntt.cooley_tukey.ntt_dif` (natural-order
+input, bit-reversed output), and the CG-DIT stages to :func:`intt_dit`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.ntt.bitrev import rotate_bits_left, rotate_bits_right
-from repro.ntt.tables import NttTables
 
 
 def dif_gather_permutation(n: int) -> np.ndarray:
@@ -92,66 +92,3 @@ def cg_dit_exponents(n: int, stage: int) -> tuple[int, ...]:
     step = n // (2 * length)
     return tuple((rotate_bits_left(2 * j, stage, bits) % length) * step
                  for j in range(n // 2))
-
-
-def cg_dif_stage_twiddles(stage: int, tables: NttTables) -> list[int]:
-    """Twiddles for CG-DIF stage ``stage`` using the tables' own root."""
-    return [pow(tables.omega, k, tables.q)
-            for k in cg_dif_exponents(tables.n, stage)]
-
-
-def cg_dit_stage_twiddles(stage: int, tables: NttTables) -> list[int]:
-    """Twiddles for CG-DIT stage ``stage`` using the tables' own root."""
-    return [pow(tables.omega_inv, k, tables.q)
-            for k in cg_dit_exponents(tables.n, stage)]
-
-
-def cg_dif_stage(x: list[int], stage: int, tables: NttTables) -> list[int]:
-    """Apply one CG-DIF stage: gather ``(j, j+n/2)`` -> butterfly ->
-    adjacent ``(2j, 2j+1)``."""
-    n, q = tables.n, tables.q
-    half = n // 2
-    twiddles = cg_dif_stage_twiddles(stage, tables)
-    out = [0] * n
-    for j in range(half):
-        u = int(x[j])
-        v = int(x[j + half])
-        out[2 * j] = (u + v) % q
-        out[2 * j + 1] = (u - v) * twiddles[j] % q
-    return out
-
-
-def cg_dit_stage(x: list[int], stage: int, tables: NttTables) -> list[int]:
-    """Apply one CG-DIT stage: butterfly adjacent ``(2j, 2j+1)`` ->
-    scatter to ``(j, j+n/2)``."""
-    n, q = tables.n, tables.q
-    half = n // 2
-    twiddles = cg_dit_stage_twiddles(stage, tables)
-    out = [0] * n
-    for j in range(half):
-        u = int(x[2 * j])
-        v = int(x[2 * j + 1]) * twiddles[j] % q
-        out[j] = (u + v) % q
-        out[j + half] = (u - v) % q
-    return out
-
-
-def cg_dif_ntt(x: list[int], tables: NttTables) -> list[int]:
-    """Full constant-geometry forward NTT (natural in, bit-reversed out)."""
-    if len(x) != tables.n:
-        raise ValueError(f"expected length {tables.n}, got {len(x)}")
-    a = [int(v) % tables.q for v in x]
-    for stage in range(tables.log_n):
-        a = cg_dif_stage(a, stage, tables)
-    return a
-
-
-def cg_dit_intt(x: list[int], tables: NttTables) -> list[int]:
-    """Full constant-geometry inverse NTT (bit-reversed in, natural out)."""
-    if len(x) != tables.n:
-        raise ValueError(f"expected length {tables.n}, got {len(x)}")
-    a = [int(v) % tables.q for v in x]
-    for stage in range(tables.log_n):
-        a = cg_dit_stage(a, stage, tables)
-    n_inv, q = tables.n_inv, tables.q
-    return [v * n_inv % q for v in a]

@@ -1,28 +1,16 @@
-"""Multi-dimensional (Bailey four-step) NTT decomposition.
+"""Multi-dimensional (Bailey four-step) NTT decomposition: the split.
 
 An NTT of length ``N`` decomposes into ``ceil(log N / log m)`` dimensions
 of length at most ``m`` (the hardware width), processed one dimension at a
 time with an element-wise twiddle multiplication and a data transposition
-between dimensions (paper §II-B).  This module is the *algorithmic* golden
-model of that decomposition; the VPU compiler in
-:mod:`repro.mapping.ntt` emits the same schedule as lane-level programs.
-
-Four-step recursion for ``N = n1 * n2`` (row-major ``x[j1*n2 + j2]``):
-
-1. length-``n1`` NTTs down the columns with root ``omega^{n2}``;
-2. element-wise twiddles ``omega^{k1 * j2}``;
-3. length-``n2`` NTTs along the rows with root ``omega^{n1}``
-   (recursively decomposed if still larger than ``m``);
-4. output element ``X[k1 + n1*k2]`` is row-NTT result ``D[k1][k2]`` —
-   i.e. a final transpose.
+between dimensions (paper §II-B).  This module picks the dimensions; the
+VPU compiler in :mod:`repro.mapping.ntt` emits the schedule over them as
+lane-level programs, and the cycle, traffic and resource models
+(:mod:`repro.perf.cycles`, :mod:`repro.accel.dram`,
+:mod:`repro.analysis.resources`) count it.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from repro.ntt.reference import naive_ntt
-from repro.ntt.tables import get_tables
 
 
 def choose_dimensions(n: int, m: int) -> list[int]:
@@ -44,86 +32,3 @@ def choose_dimensions(n: int, m: int) -> list[int]:
         remaining //= m
     dims.append(remaining)
     return dims
-
-
-def _ntt_axis(matrix: np.ndarray, root: int, q: int) -> np.ndarray:
-    """Length-``rows`` NTT down axis 0 of ``matrix`` (naive; golden model)."""
-    rows = matrix.shape[0]
-    result = np.zeros_like(matrix)
-    # Precompute the root's power table once: root has order `rows`.
-    powers = [1] * rows
-    for i in range(1, rows):
-        powers[i] = powers[i - 1] * root % q
-    for k in range(rows):
-        acc = np.zeros(matrix.shape[1], dtype=object)
-        for j in range(rows):
-            acc = acc + matrix[j].astype(object) * powers[(j * k) % rows]
-        result[k] = acc % q
-    return result
-
-
-def ntt_four_step(x: np.ndarray, n1: int, omega: int, q: int) -> np.ndarray:
-    """One four-step split ``N = n1 * n2``; returns the natural-order NTT."""
-    x = np.asarray(x, dtype=object)
-    n = len(x)
-    if n % n1 != 0:
-        raise ValueError(f"n1={n1} does not divide n={n}")
-    n2 = n // n1
-
-    a = x.reshape(n1, n2)
-    # Step 1: column NTTs (length n1, root omega^n2).
-    b = _ntt_axis(a, pow(omega, n2, q), q)
-    # Step 2: element-wise twiddles omega^(k1 * j2).
-    k1 = np.arange(n1).reshape(n1, 1)
-    j2 = np.arange(n2).reshape(1, n2)
-    tw = np.array(
-        [[pow(omega, int(i * j) % n, q) for j in j2[0]] for i in k1[:, 0]],
-        dtype=object,
-    )
-    c = b * tw % q
-    # Step 3: row NTTs (length n2, root omega^n1).
-    d = _ntt_axis(c.T.copy(), pow(omega, n1, q), q).T
-    # Step 4: X[k1 + n1*k2] = D[k1][k2]  ->  transpose to (k2, k1) order.
-    return d.T.reshape(-1)
-
-
-def ntt_multidim(
-    x: np.ndarray, dims: list[int], omega: int, q: int
-) -> np.ndarray:
-    """Full multi-dimensional NTT over the given dimension list.
-
-    ``prod(dims) == len(x)``; each dimension handled by one four-step
-    level.  Matches :func:`repro.ntt.reference.naive_ntt` exactly.
-    """
-    x = np.asarray(x, dtype=object)
-    n = len(x)
-    if int(np.prod(dims)) != n:
-        raise ValueError(f"dims {dims} do not multiply to {n}")
-    if len(dims) == 1:
-        return np.array(naive_ntt(list(x), omega, q), dtype=object)
-
-    n1 = dims[0]
-    n2 = n // n1
-    a = x.reshape(n1, n2)
-    b = _ntt_axis(a, pow(omega, n2, q), q)
-    tw = np.array(
-        [[pow(omega, (i * j) % n, q) for j in range(n2)] for i in range(n1)],
-        dtype=object,
-    )
-    c = b * tw % q
-    # Rows recursively, each length n2 with root omega^n1.
-    row_root = pow(omega, n1, q)
-    d = np.stack(
-        [ntt_multidim(c[i], dims[1:], row_root, q) for i in range(n1)]
-    )
-    return d.T.reshape(-1)
-
-
-def ntt_multidim_fast(x: np.ndarray, m: int, n: int, q: int) -> np.ndarray:
-    """Convenience: decompose for ``m``-lane hardware and transform.
-
-    Uses :func:`choose_dimensions`; root taken from the cached tables.
-    """
-    tables = get_tables(n, q)
-    dims = choose_dimensions(n, m)
-    return ntt_multidim(np.asarray(x, dtype=object), dims, tables.omega, q)

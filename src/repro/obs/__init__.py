@@ -9,9 +9,8 @@ serving engine, durable-execution journaling, and the keyswitch phases
 — the kernel backends, integrity layer included, are observed from
 outside by one wrapper (:mod:`repro.fhe.backend.observed`) — and
 the exporters turn one run into a Perfetto-loadable Chrome trace (with
-per-request flow stitching), a JSON metrics snapshot, a Prometheus
-text exposition, and a per-phase cycle-attribution table
-(:mod:`repro.obs.export`, :mod:`repro.obs.telemetry`,
+per-request flow stitching), a JSON metrics snapshot, and a per-phase
+cycle-attribution table (:mod:`repro.obs.export`,
 ``python -m repro.obs``).
 
 Request-scoped tracing (:mod:`repro.obs.context`): ``begin_request`` /
@@ -71,7 +70,6 @@ from repro.obs.context import (
     unbind_trace,
 )
 from repro.obs.metrics import Histogram, LogHistogram, MetricsRegistry
-from repro.obs.telemetry import SnapshotRing, prometheus_text
 from repro.obs.trace import CAT_PHASE, Span, Tracer, cycle_attribution
 
 __all__ = [
@@ -81,7 +79,6 @@ __all__ = [
     "MetricsRegistry",
     "Observer",
     "RequestTrace",
-    "SnapshotRing",
     "Span",
     "TraceContext",
     "Tracer",
@@ -99,12 +96,9 @@ __all__ = [
     "observe",
     "observe_value",
     "per_trace_cycles",
-    "prometheus_text",
     "record",
     "request",
-    "reset_telemetry",
     "span",
-    "tick_ring",
     "trace_scope",
     "unbind_trace",
     "zero_gauges",
@@ -183,7 +177,7 @@ class _RequestScope(_SpanScope):
 
 
 class Observer:
-    """One observation session: tracer, metrics registry, snapshot ring.
+    """One observation session: a tracer and a metrics registry.
 
     The module-level verbs forward here when this observer is the
     installed hook; tests and drivers that hold an observer call the
@@ -191,11 +185,9 @@ class Observer:
     """
 
     def __init__(self, tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 ring: SnapshotRing | None = None):
+                 metrics: MetricsRegistry | None = None):
         self.tracer = Tracer() if tracer is None else tracer
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        self.ring = SnapshotRing() if ring is None else ring
 
     # -- tracing -------------------------------------------------------------
 
@@ -269,16 +261,6 @@ class Observer:
         """Feed one sample to a histogram and its quantile sketch."""
         self.metrics.observe(name, value)
 
-    # -- telemetry -----------------------------------------------------------
-
-    def tick_ring(self) -> None:
-        """Feed the periodic snapshot ring (rate-limited internally)."""
-        self.ring.tick(self.metrics)
-
-    def reset_telemetry(self) -> None:
-        """Drop accumulated ring state (cache/reset paths)."""
-        self.ring.clear()
-
 
 _ACTIVE_OBSERVER: Observer | None = None
 
@@ -323,8 +305,6 @@ count = _verb(Observer.count)
 gauge = _verb(Observer.gauge)
 observe_value = _verb(Observer.observe_value)
 zero_gauges = _verb(Observer.zero_gauges)
-tick_ring = _verb(Observer.tick_ring)
-reset_telemetry = _verb(Observer.reset_telemetry)
 
 
 @contextmanager

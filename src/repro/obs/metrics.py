@@ -13,9 +13,8 @@ Every observed value feeds two summaries: the exact
 min/mean/max :class:`Histogram` (what the reports print) and a
 :class:`LogHistogram` quantile sketch.  The sketch uses *fixed*
 log-spaced bucket boundaries — a pure function of the value, never of
-the data seen so far — which is what makes sketches from different
-workers, windows, or hosts mergeable by plain bucket-count addition
-(the property SLO burn-rate windows and the snapshot ring rely on).
+the data seen so far — so a reported quantile's error is bounded by the
+bucket width whatever the stream.
 
 Metric names are dotted, lower-case, and stable —
 ``layer.component.what`` — and documented in DESIGN.md's Observability
@@ -62,10 +61,8 @@ class LogHistogram:
     Bucket ``i`` covers ``[2^(i/k), 2^((i+1)/k))`` with
     ``k = buckets_per_octave`` (default 8: every bucket spans ~9%, so a
     reported quantile is within ~4.5% of the true value — ample for
-    latency SLOs).  Boundaries depend only on the value, so two
-    sketches — from different workers, different time windows, or
-    different hosts — merge exactly by adding bucket counts
-    (:meth:`merge`).  Non-positive values land in a dedicated zero
+    latency quantiles).  Boundaries depend only on the value, never on
+    the data seen so far.  Non-positive values land in a dedicated zero
     bucket (quantiles treat them as 0).
 
     Storage is a sparse ``dict`` of bucket index -> count; real
@@ -103,20 +100,6 @@ class LogHistogram:
             return
         index = self._index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold ``other`` into this sketch (exact: fixed boundaries)."""
-        if other.buckets_per_octave != self.buckets_per_octave:
-            raise ValueError(
-                f"cannot merge sketches with different resolutions "
-                f"({self.buckets_per_octave} vs {other.buckets_per_octave})")
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
-        self.zero_count += other.zero_count
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
 
     def quantile(self, q: float) -> float | None:
         """Approximate ``q``-quantile (bucket geometric midpoint), or

@@ -13,12 +13,6 @@ from repro.perf.cycles import (
     automorphism_cycle_model,
     ntt_cycle_model,
 )
-from repro.perf.energy import EnergyReport, estimate_program_energy
-from repro.perf.roofline import (
-    RooflinePoint,
-    machine_balance,
-    roofline_table,
-)
 from repro.perf.utilization import (
     PAPER_TABLE_III,
     table3_rows,
@@ -27,14 +21,9 @@ from repro.perf.utilization import (
 
 __all__ = [
     "CycleReport",
-    "EnergyReport",
     "PAPER_TABLE_III",
-    "RooflinePoint",
     "automorphism_cycle_model",
-    "estimate_program_energy",
-    "machine_balance",
     "ntt_cycle_model",
-    "roofline_table",
     "table3_rows",
     "utilization_report",
 ]

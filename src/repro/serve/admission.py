@@ -9,15 +9,6 @@ deadlines do the shedding.
 
 Rejections carry a ``retry_after`` estimate derived from Little's law:
 current backlog divided by observed drain rate.
-
-The controller is also the consumer of the SLO engine's typed alerts
-(:class:`~repro.obs.slo.SloAlert`): :meth:`AdmissionController
-.note_slo_alert` folds burn-rate pressure into a multiplicative
-capacity scale, so a tenant burning its error budget sheds load at the
-door instead of burning deadline timeouts.  The wiring is explicit —
-the serving loop (or operator) calls ``note_slo_alert`` with whatever
-``SloEngine.evaluate`` fired; nothing here reads the obs hook, keeping
-the obs-off path byte-for-byte identical.
 """
 
 from __future__ import annotations
@@ -42,31 +33,11 @@ class AdmissionController:
         #: the retry_after hint (seconds).
         self.service_estimate = 0.001
         self._alpha = 0.05
-        #: Multiplicative capacity scale under SLO pressure (1.0 = no
-        #: pressure); shrunk by :meth:`note_slo_alert`, restored by
-        #: :meth:`clear_slo_pressure`.
-        self.slo_scale = 1.0
 
     def capacity(self) -> int:
-        """Current queue-depth cap, shrunk by backend health and SLO
-        pressure."""
-        fraction = min(1.0, max(0.0, self.health())) * self.slo_scale
+        """Current queue-depth cap, shrunk by backend health."""
+        fraction = min(1.0, max(0.0, self.health()))
         return max(self.min_capacity, int(self.queue_limit * fraction))
-
-    def note_slo_alert(self, alert) -> float:
-        """Fold one fired :class:`~repro.obs.slo.SloAlert` into the
-        capacity scale: page-severity burn shrinks hard (x0.7, floor
-        0.25), anything else gently (x0.9, floor 0.5).  Returns the new
-        scale."""
-        if alert.severity == "page":
-            self.slo_scale = max(0.25, self.slo_scale * 0.7)
-        else:
-            self.slo_scale = max(0.5, self.slo_scale * 0.9)
-        return self.slo_scale
-
-    def clear_slo_pressure(self) -> None:
-        """Restore full capacity once the alerts stop firing."""
-        self.slo_scale = 1.0
 
     def admit(self, depth: int) -> bool:
         """May a request join a queue currently ``depth`` deep?"""

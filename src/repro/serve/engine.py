@@ -343,18 +343,15 @@ class ServeEngine:
 
     def _note_tenant(self, request: ServeRequest,
                      result: ServeResult) -> None:
-        """Per-tenant SLO series for one resolved request: cumulative
-        request/bad counters (burn-rate numerators ride counter deltas
-        across the snapshot ring) and the latency quantile sketch —
-        plus the ring tick that turns resolutions into periodic
-        samples.  Rejections count as requests but not as budget burn:
-        load shedding is the mitigation, not the incident."""
+        """Per-tenant series for one resolved request: cumulative
+        request/bad counters and the latency quantile sketch.
+        Rejections count as requests but not as bad ones: load shedding
+        is the mitigation, not the incident."""
         base = f"serve.tenant.{request.tenant}"
         obs.count(f"{base}.requests")
         if result.status in (STATUS_ERROR, STATUS_TIMEOUT):
             obs.count(f"{base}.bad")
         obs.observe_value(f"{base}.latency_s", result.latency)
-        obs.tick_ring()
 
     async def resume_pending(self) -> list[ServeResult]:
         """Re-submit every journaled request that was admitted but never

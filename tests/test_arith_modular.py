@@ -1,117 +1,22 @@
 """Unit tests for repro.arith.modular."""
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.arith import modular
 
-MODULI = [2, 3, 17, 257, 7681, 12289, (1 << 30) - 35, (1 << 31) - 1]
-
 
 class TestScalarOps:
-    @pytest.mark.parametrize("q", MODULI)
-    def test_add_sub_roundtrip(self, q):
-        for a in [0, 1, q - 1, q // 2]:
-            for b in [0, 1, q - 1, q // 3]:
-                s = modular.mod_add(a, b, q)
-                assert modular.mod_sub(s, b, q) == a % q
-
-    @pytest.mark.parametrize("q", MODULI)
-    def test_neg(self, q):
-        for a in [0, 1, q - 1]:
-            assert modular.mod_add(a, modular.mod_neg(a, q), q) == 0
-
-    def test_mul_matches_python(self):
-        q = 12289
-        for a in range(0, q, 997):
-            for b in range(0, q, 991):
-                assert modular.mod_mul(a, b, q) == (a * b) % q
-
-    def test_exp_matches_pow(self):
-        q = 7681
-        for base in [0, 1, 2, 3, 7680]:
-            for e in [0, 1, 2, 10, 7680]:
-                assert modular.mod_exp(base, e, q) == pow(base, e, q)
-
-    def test_exp_rejects_negative(self):
-        with pytest.raises(ValueError):
-            modular.mod_exp(2, -1, 17)
-
     def test_bad_modulus_rejected(self):
         for q in [1, 0, -5]:
             with pytest.raises(ValueError):
-                modular.mod_add(1, 2, q)
+                modular.mod_inverse(1, q)
 
     def test_inverse(self):
         q = 12289
-        for a in [1, 2, 3, 12288, 6144]:
+        for a in [1, 2, 3, 12288, 6144, -1, q + 2]:
             inv = modular.mod_inverse(a, q)
-            assert (a * inv) % q == 1
+            assert (a * inv) % q == 1 and 0 <= inv < q
 
     def test_inverse_noninvertible(self):
         with pytest.raises(ValueError):
             modular.mod_inverse(6, 12)
-
-    @given(st.integers(min_value=0, max_value=10**18),
-           st.integers(min_value=0, max_value=10**18))
-    def test_mul_property(self, a, b):
-        q = 998244353
-        assert modular.mod_mul(a, b, q) == (a * b) % q
-
-
-class TestVectorOps:
-    Q = 998244353  # < 2**30
-
-    def _rand(self, rng, n=256):
-        return rng.integers(0, self.Q, size=n, dtype=np.uint64)
-
-    def test_vec_add_sub_mul(self):
-        rng = np.random.default_rng(0)
-        a, b = self._rand(rng), self._rand(rng)
-        np.testing.assert_array_equal(
-            modular.vec_mod_add(a, b, self.Q),
-            (a.astype(object) + b.astype(object)) % self.Q,
-        )
-        np.testing.assert_array_equal(
-            modular.vec_mod_sub(a, b, self.Q),
-            (a.astype(object) - b.astype(object)) % self.Q,
-        )
-        np.testing.assert_array_equal(
-            modular.vec_mod_mul(a, b, self.Q),
-            (a.astype(object) * b.astype(object)) % self.Q,
-        )
-
-    def test_vec_neg(self):
-        rng = np.random.default_rng(1)
-        a = self._rand(rng)
-        s = modular.vec_mod_add(a, modular.vec_mod_neg(a, self.Q), self.Q)
-        assert not s.any()
-
-    def test_vec_exp(self):
-        rng = np.random.default_rng(2)
-        a = self._rand(rng, 32)
-        for e in [0, 1, 2, 5, 1000]:
-            expected = np.array([pow(int(x), e, self.Q) for x in a], dtype=np.uint64)
-            np.testing.assert_array_equal(modular.vec_mod_exp(a, e, self.Q), expected)
-
-    def test_vector_modulus_guard(self):
-        with pytest.raises(ValueError):
-            modular.vec_mod_mul(np.array([1]), np.array([1]), 1 << 31)
-
-    def test_balanced_representation(self):
-        q = 17
-        a = np.arange(q, dtype=np.uint64)
-        bal = modular.balanced_representation(a, q)
-        assert bal.min() == -(q // 2)
-        assert bal.max() == q // 2
-        np.testing.assert_array_equal(bal % q, a.astype(np.int64))
-
-    @given(st.lists(st.integers(min_value=0, max_value=998244352),
-                    min_size=1, max_size=64))
-    def test_vec_mul_property(self, values):
-        a = np.array(values, dtype=np.uint64)
-        got = modular.vec_mod_mul(a, a, self.Q)
-        expected = np.array([(v * v) % self.Q for v in values], dtype=np.uint64)
-        np.testing.assert_array_equal(got, expected)

@@ -33,6 +33,15 @@ class TestNetworkBreakdown:
         lines = {l.name: l for l in network_breakdown(4)}
         assert lines["CG stages (DIT/DIF)"].count == 1
 
+    @pytest.mark.parametrize("breakdown", [network_breakdown, vpu_breakdown,
+                                           our_network_cost])
+    @pytest.mark.parametrize("m", [6, 1, 0])
+    def test_lane_count_not_a_power_of_two_is_refused(self, breakdown, m):
+        """A breakdown refuses exactly what the cost model refuses: there
+        is no 6-lane network to split into CG and shift stages."""
+        with pytest.raises(ValueError, match="power of two"):
+            breakdown(m)
+
 
 class TestVpuBreakdown:
     def test_multipliers_dominate(self):

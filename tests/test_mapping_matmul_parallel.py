@@ -1,61 +1,13 @@
-"""Tests for matrix-vector mapping and the multi-VPU pool."""
+"""Tests for the multi-VPU pool."""
 
 import numpy as np
 import pytest
 
 from repro.accel.parallel import ParallelVpuPool
-from repro.core import VectorProcessingUnit
-from repro.mapping.matmul import (
-    compile_dot_product,
-    compile_matvec,
-    matvec_cycle_count,
-)
 from repro.ntt import vec_ntt_dif
 from repro.ntt.tables import get_tables
 
 Q = 998244353
-
-
-class TestDotProduct:
-    @pytest.mark.parametrize("m", [4, 16, 64])
-    def test_matches_numpy(self, m):
-        vpu = VectorProcessingUnit(m=m, q=Q)
-        rng = np.random.default_rng(m)
-        a = rng.integers(0, Q, m, dtype=np.uint64)
-        b = rng.integers(0, Q, m, dtype=np.uint64)
-        vpu.regfile.write(0, a)
-        vpu.regfile.write(1, b)
-        vpu.execute(compile_dot_product(m, 0, 1, 2, 3))
-        expected = int((a.astype(object) * b.astype(object)).sum() % Q)
-        assert all(int(v) == expected for v in vpu.regfile.read(2))
-
-    def test_register_validation(self):
-        with pytest.raises(ValueError):
-            compile_dot_product(8, 0, 1, 1, 3)
-        with pytest.raises(ValueError):
-            compile_dot_product(8, 0, 1, 2, 2)
-
-
-class TestMatvec:
-    def test_matches_numpy(self):
-        m, rows = 16, 4
-        vpu = VectorProcessingUnit(m=m, q=Q, regfile_entries=32)
-        rng = np.random.default_rng(1)
-        matrix = rng.integers(0, Q, (rows, m), dtype=np.uint64)
-        x = rng.integers(0, Q, m, dtype=np.uint64)
-        for i in range(rows):
-            vpu.regfile.write(2 + i, matrix[i])
-        vpu.regfile.write(0, x)
-        prog = compile_matvec(m, rows, matrix_base=2, x_reg=0,
-                              out_base=8, tmp_reg=1)
-        stats = vpu.run_fresh(prog)
-        expected = (matrix.astype(object) @ x.astype(object)) % Q
-        for i in range(rows):
-            assert all(int(v) == int(expected[i]) for v in vpu.regfile.read(8 + i))
-        assert stats.cycles == matvec_cycle_count(m, rows)
-
-    def test_cycle_model(self):
-        assert matvec_cycle_count(64, 8) == 8 * (1 + 12)
 
 
 class TestParallelPool:

@@ -1,28 +1,10 @@
-"""Tests for the Pease constant-geometry NTT (the CG network's algorithm)."""
+"""Tests for the Pease constant-geometry permutations (the CG network's
+wiring)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.ntt import (
-    cg_dif_ntt,
-    cg_dif_stage,
-    cg_dit_intt,
-    cg_dit_stage,
-    dif_gather_permutation,
-    dit_scatter_permutation,
-    intt_dit,
-    ntt_dif,
-)
-from repro.ntt.tables import get_tables
-
-Q = 998244353
-
-
-def rand_ints(n, seed):
-    rng = np.random.default_rng(seed)
-    return [int(v) for v in rng.integers(0, Q, size=n)]
+from repro.ntt import dif_gather_permutation, dit_scatter_permutation
 
 
 class TestPermutations:
@@ -58,65 +40,3 @@ class TestPermutations:
         with pytest.raises(ValueError):
             dit_scatter_permutation(1)
 
-
-class TestConstantGeometry:
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256])
-    def test_cg_dif_matches_gs_dif(self, n):
-        """CG-DIF must be element-for-element identical to iterative DIF."""
-        t = get_tables(n, Q)
-        x = rand_ints(n, seed=n)
-        assert cg_dif_ntt(x, t) == ntt_dif(x, t)
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256])
-    def test_cg_dit_matches_ct_dit(self, n):
-        t = get_tables(n, Q)
-        x = rand_ints(n, seed=n + 1)
-        assert cg_dit_intt(x, t) == intt_dit(x, t)
-
-    @pytest.mark.parametrize("n", [4, 16, 128])
-    def test_cg_roundtrip(self, n):
-        t = get_tables(n, Q)
-        x = rand_ints(n, seed=n + 2)
-        assert cg_dit_intt(cg_dif_ntt(x, t), t) == x
-
-    def test_stagewise_geometry_is_constant(self):
-        """Every CG stage must read pairs (j, j+n/2) and write (2j, 2j+1):
-        feed a stage a delta and check where energy can appear."""
-        n = 16
-        t = get_tables(n, Q)
-        for stage in range(t.log_n):
-            for src in range(n):
-                x = [0] * n
-                x[src] = 1
-                out = cg_dif_stage(x, stage, t)
-                j = src % (n // 2)
-                touched = {i for i, v in enumerate(out) if v != 0}
-                assert touched <= {2 * j, 2 * j + 1}
-
-    def test_dit_stage_geometry(self):
-        n = 16
-        t = get_tables(n, Q)
-        for stage in range(t.log_n):
-            for src in range(n):
-                x = [0] * n
-                x[src] = 1
-                out = cg_dit_stage(x, stage, t)
-                j = src // 2
-                touched = {i for i, v in enumerate(out) if v != 0}
-                assert touched <= {j, j + n // 2}
-
-    def test_length_validation(self):
-        t = get_tables(8, Q)
-        with pytest.raises(ValueError):
-            cg_dif_ntt([1, 2, 3], t)
-        with pytest.raises(ValueError):
-            cg_dit_intt([1] * 4, t)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32))
-    def test_cg_equals_gs_property(self, log_n, seed):
-        n = 1 << log_n
-        t = get_tables(n, Q)
-        x = rand_ints(n, seed=seed)
-        assert cg_dif_ntt(x, t) == ntt_dif(x, t)
-        assert cg_dit_intt(x, t) == intt_dit(x, t)

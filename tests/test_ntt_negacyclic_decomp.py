@@ -1,4 +1,4 @@
-"""Tests for the negacyclic NTT wrapper and multi-dimensional decomposition."""
+"""Tests for the negacyclic NTT wrapper and the multi-dimensional split."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,9 @@ from repro.ntt import (
     NegacyclicNtt,
     choose_dimensions,
     naive_negacyclic_poly_mul,
-    naive_ntt,
     negacyclic_poly_mul,
-    ntt_four_step,
-    ntt_multidim,
 )
-from repro.ntt.decomposition import ntt_multidim_fast
 from repro.ntt.negacyclic import HostModulusError
-from repro.ntt.tables import get_tables
 
 Q = 998244353
 
@@ -134,35 +129,3 @@ class TestChooseDimensions:
         with pytest.raises(ValueError):
             choose_dimensions(64, 3)
 
-
-class TestMultidim:
-    @pytest.mark.parametrize("n,n1", [(16, 4), (16, 2), (64, 8), (256, 16)])
-    def test_four_step_matches_naive(self, n, n1):
-        t = get_tables(n, Q)
-        x = rand_poly(n, seed=n + n1).astype(object)
-        got = ntt_four_step(x, n1, t.omega, Q)
-        expected = naive_ntt([int(v) for v in x], t.omega, Q)
-        assert [int(v) for v in got] == expected
-
-    @pytest.mark.parametrize("dims", [[4, 4], [8, 2], [4, 4, 4], [2, 4, 8], [8, 8, 4]])
-    def test_multidim_matches_naive(self, dims):
-        n = int(np.prod(dims))
-        t = get_tables(n, Q)
-        x = rand_poly(n, seed=n).astype(object)
-        got = ntt_multidim(x, dims, t.omega, Q)
-        expected = naive_ntt([int(v) for v in x], t.omega, Q)
-        assert [int(v) for v in got] == expected
-
-    def test_multidim_fast_hardware_shape(self):
-        n, m = 256, 16
-        x = rand_poly(n, seed=1).astype(object)
-        t = get_tables(n, Q)
-        got = ntt_multidim_fast(x, m, n, Q)
-        expected = naive_ntt([int(v) for v in x], t.omega, Q)
-        assert [int(v) for v in got] == expected
-
-    def test_dims_validation(self):
-        with pytest.raises(ValueError):
-            ntt_multidim(np.zeros(16, dtype=object), [4, 8], 1, Q)
-        with pytest.raises(ValueError):
-            ntt_four_step(np.zeros(16, dtype=object), 3, 1, Q)

@@ -1,21 +1,14 @@
-"""Live telemetry: quantile sketches, the snapshot ring, Prometheus
-exposition, the SLO engine, and the zero-drift reset contract.
+"""Quantile sketches and the zero-drift reset contract.
 
-The load-bearing assertions: the log-histogram sketch is mergeable
-exactly (fixed boundaries) and its quantiles land within bucket
-resolution of the truth; ring-counter deltas drive the multi-window
-burn-rate alerts (long window fires only when the confirmation window
-agrees); alerts fold into admission-controller capacity; and resetting
-(``zero_gauges`` + ``reset_telemetry``) is idempotent — a second reset
-changes nothing, and no sketch/ring state survives the first.
+The load-bearing assertions: the log-histogram sketch's quantiles land
+within bucket resolution of the truth, and resetting (``zero_gauges``)
+is idempotent — a second reset changes nothing, and no sketch state
+survives the first.
 """
 
 import pytest
 
-from repro.obs import LogHistogram, MetricsRegistry, Observer, SnapshotRing
-from repro.obs.slo import DEFAULT_WINDOWS, SloEngine, SloPolicy
-from repro.obs.telemetry import prometheus_text
-from repro.serve.admission import AdmissionController
+from repro.obs import LogHistogram, Observer
 
 
 class TestLogHistogram:
@@ -37,186 +30,15 @@ class TestLogHistogram:
         assert sketch.zero_count == 3
         assert sketch.quantile(0.5) == 0.0
 
-    def test_merge_is_exact(self):
-        """Merging two sketches equals one sketch fed both streams —
-        the property windowed/multi-worker aggregation relies on."""
-        a, b, both = LogHistogram(), LogHistogram(), LogHistogram()
-        stream_a = [0.002, 0.004, 0.1, 3.0]
-        stream_b = [0.001, 0.05, 0.05, 7.5, 0.0]
-        for v in stream_a:
-            a.observe(v)
-            both.observe(v)
-        for v in stream_b:
-            b.observe(v)
-            both.observe(v)
-        a.merge(b)
-        assert a.buckets == both.buckets
-        assert a.zero_count == both.zero_count
-        assert a.count == both.count
-        assert a.total == pytest.approx(both.total)
-        for q in (0.1, 0.5, 0.9, 0.99):
-            assert a.quantile(q) == both.quantile(q)
-
-    def test_merge_rejects_mismatched_resolution(self):
-        with pytest.raises(ValueError):
-            LogHistogram(8).merge(LogHistogram(4))
-
-
-class TestSnapshotRing:
-    def test_tick_rate_limits(self):
-        reg = MetricsRegistry()
-        ring = SnapshotRing(capacity=8, period_s=1.0, clock=lambda: 0.0)
-        assert ring.tick(reg, t=0.0) is not None
-        assert ring.tick(reg, t=0.5) is None
-        assert ring.tick(reg, t=1.0) is not None
-        assert len(ring) == 2
-
-    def test_capacity_evicts_oldest(self):
-        reg = MetricsRegistry()
-        ring = SnapshotRing(capacity=3, period_s=0.0)
-        for i in range(5):
-            ring.record(reg, t=float(i))
-        assert len(ring) == 3
-        assert [e["t"] for e in ring.entries] == [2.0, 3.0, 4.0]
-
-    def test_window_counter_deltas(self):
-        reg = MetricsRegistry()
-        ring = SnapshotRing(capacity=16, period_s=0.0)
-        for i in range(10):
-            reg.inc("serve.tenant.a.requests", 10)
-            ring.record(reg, t=float(i))
-        pair = ring.window(4.0)
-        assert pair is not None
-        oldest, newest = pair
-        delta = (newest["snapshot"]["counters"]["serve.tenant.a.requests"]
-                 - oldest["snapshot"]["counters"]["serve.tenant.a.requests"])
-        assert delta == 40  # entries at t=5..9 span the 4s window
-
-    def test_window_needs_two_entries(self):
-        ring = SnapshotRing()
-        assert ring.window(60.0) is None
-        ring.record(MetricsRegistry(), t=0.0)
-        assert ring.window(60.0) is None
-
-
-class TestPrometheusText:
-    def test_exposition_shape_and_determinism(self):
-        reg = MetricsRegistry()
-        reg.inc("serve.requests", 3)
-        reg.gauge("pool.healthy", 4)
-        reg.observe("serve.latency_s", 0.010)
-        reg.observe("serve.latency_s", 0.020)
-        text = prometheus_text(reg)
-        assert text.endswith("\n")
-        assert "# TYPE repro_serve_requests_total counter" in text
-        assert "repro_serve_requests_total 3" in text
-        assert "repro_pool_healthy 4" in text
-        assert "# TYPE repro_serve_latency_s summary" in text
-        assert 'repro_serve_latency_s{quantile="0.5"}' in text
-        assert "repro_serve_latency_s_count 2" in text
-        assert text == prometheus_text(reg)  # deterministic
-
-    def test_empty_registry_is_just_a_newline(self):
-        assert prometheus_text(MetricsRegistry()) == "\n"
-
-
-def _feed(reg: MetricsRegistry, ring: SnapshotRing, *,
-          seconds: int, rps: int, bad_fraction: float,
-          tenant: str = "a", start_t: float = 0.0) -> float:
-    """Simulate ``seconds`` of traffic at ``rps`` with the given bad
-    fraction, snapshotting once per second; returns the end time."""
-    t = start_t
-    for _ in range(seconds):
-        t += 1.0
-        reg.inc(f"serve.tenant.{tenant}.requests", rps)
-        reg.inc(f"serve.tenant.{tenant}.bad", rps * bad_fraction)
-        ring.record(reg, t=t)
-    return t
-
-
-class TestSloEngine:
-    def test_quiet_traffic_fires_nothing(self):
-        reg, ring = MetricsRegistry(), SnapshotRing(capacity=700, period_s=0)
-        _feed(reg, ring, seconds=120, rps=50, bad_fraction=0.001)
-        engine = SloEngine(policies=(SloPolicy("a"),))
-        assert engine.evaluate(reg, ring) == []
-
-    def test_sustained_burn_pages(self):
-        # 30% bad on a 1% budget = burn 30 > both thresholds.
-        reg, ring = MetricsRegistry(), SnapshotRing(capacity=700, period_s=0)
-        _feed(reg, ring, seconds=120, rps=50, bad_fraction=0.30)
-        engine = SloEngine(policies=(SloPolicy("a"),))
-        alerts = engine.evaluate(reg, ring)
-        kinds = {(a.kind, a.severity) for a in alerts}
-        assert ("burn_rate", "page") in kinds
-        assert engine.fired == alerts
-
-    def test_recovered_incident_clears_via_confirmation_window(self):
-        """The long window still carries the incident's bad counts, but
-        the 1/12 confirmation window is clean — no page."""
-        reg, ring = MetricsRegistry(), SnapshotRing(capacity=700, period_s=0)
-        t = _feed(reg, ring, seconds=40, rps=50, bad_fraction=0.30)
-        _feed(reg, ring, seconds=20, rps=50, bad_fraction=0.0, start_t=t)
-        engine = SloEngine(policies=(
-            SloPolicy("a", windows=((60.0, 14.4, "page"),)),))
-        assert engine.evaluate(reg, ring) == []
-
-    def test_latency_objective_alert(self):
-        reg, ring = MetricsRegistry(), SnapshotRing(capacity=8, period_s=0)
-        policy = SloPolicy("a", latency_objective_s=0.05, quantile=0.95)
-        for _ in range(50):
-            reg.observe(policy.metric("latency_s"), 0.200)
-        engine = SloEngine(policies=(policy,))
-        alerts = engine.evaluate(reg, ring)
-        assert [a.kind for a in alerts] == ["latency"]
-        assert alerts[0].value > 0.05
-        assert alerts[0].severity == "ticket"
-
-    def test_min_requests_suppresses_noise(self):
-        reg, ring = MetricsRegistry(), SnapshotRing(capacity=700, period_s=0)
-        _feed(reg, ring, seconds=5, rps=2, bad_fraction=1.0)
-        engine = SloEngine(policies=(SloPolicy("a"),), min_requests=20)
-        assert engine.evaluate(reg, ring) == []
-
-    def test_default_windows_are_multiwindow(self):
-        assert len(DEFAULT_WINDOWS) >= 2
-        assert {w[2] for w in DEFAULT_WINDOWS} == {"page", "ticket"}
-
-
-class TestAdmissionSloCoupling:
-    def _page_alert(self):
-        from repro.obs.slo import SloAlert
-
-        return SloAlert(tenant="a", kind="burn_rate", severity="page",
-                        window_s=60.0, value=20.0, threshold=14.4)
-
-    def test_page_alert_shrinks_capacity(self):
-        ctl = AdmissionController(queue_limit=100)
-        full = ctl.capacity()
-        ctl.note_slo_alert(self._page_alert())
-        assert ctl.capacity() < full
-        for _ in range(10):
-            ctl.note_slo_alert(self._page_alert())
-        assert ctl.slo_scale == pytest.approx(0.25)  # hard floor
-        assert ctl.capacity() >= ctl.min_capacity
-
-    def test_clear_restores_full_capacity(self):
-        ctl = AdmissionController(queue_limit=100)
-        full = ctl.capacity()
-        ctl.note_slo_alert(self._page_alert())
-        ctl.clear_slo_pressure()
-        assert ctl.capacity() == full
-
 
 class TestZeroDrift:
     def _dirty_observer(self) -> Observer:
-        obs = Observer(ring=SnapshotRing(capacity=8, period_s=0.0))
+        obs = Observer()
         obs.count("vpu.cache.hits", 5)
         obs.gauge("vpu.cache.size", 3)
         obs.gauge("vpu.cache.lookups", 9)
         obs.observe_value("vpu.cache.age_s", 1.5)
         obs.observe_value("serve.latency_s", 0.01)
-        obs.ring.record(obs.metrics, t=0.0)
         return obs
 
     def test_zero_gauges_drops_sketches_and_histograms(self):
@@ -229,28 +51,18 @@ class TestZeroDrift:
         # Unrelated series are untouched.
         assert "serve.latency_s" in obs.metrics.sketches
 
-    def test_reset_telemetry_clears_ring(self):
-        obs = self._dirty_observer()
-        assert len(obs.ring) == 1
-        obs.reset_telemetry()
-        assert len(obs.ring) == 0
-
     def test_reset_is_idempotent(self):
         """A second reset observes exactly the state the first left —
         the zero-drift contract cache-reset paths rely on."""
         obs = self._dirty_observer()
         obs.zero_gauges("vpu.cache.")
-        obs.reset_telemetry()
         first = obs.metrics.snapshot()
-        first_ring = list(obs.ring.entries)
         assert obs.zero_gauges("vpu.cache.") >= 0
-        obs.reset_telemetry()
         assert obs.metrics.snapshot() == first
-        assert obs.ring.entries == first_ring
 
     def test_backend_clear_caches_resets_obs_state(self):
-        """The integrity-backend module reset hooks the observer: cache
-        gauges zeroed, ring emptied, and a second call is a no-op."""
+        """The backend module reset hooks the observer: cache gauges
+        zeroed, and a second call is a no-op."""
         from repro.fhe import backend as backend_mod
         from repro.obs import install_obs_hook
 
@@ -265,7 +77,6 @@ class TestZeroDrift:
         previous = install_obs_hook(obs)
         try:
             backend_mod.clear_caches()
-            assert len(obs.ring) == 0
             snap = state(obs)
             backend_mod.clear_caches()
             assert state(obs) == snap

@@ -1,4 +1,4 @@
-"""Tests for vector packing utilities and the off-chip traffic model."""
+"""Tests for sparse-secret contexts and the off-chip traffic model."""
 
 import numpy as np
 import pytest
@@ -10,76 +10,7 @@ from repro.accel.dram import (
     naive_ntt_traffic,
 )
 from repro.fhe.ckks import CkksContext
-from repro.fhe.packing import (
-    add_packed,
-    decrypt_vector,
-    encrypt_vector,
-    inner_sum,
-    multiply_packed,
-    multiply_plain_packed,
-    rotation_keys_for_inner_sum,
-)
-from repro.fhe.params import CkksParams, toy_params
-
-
-@pytest.fixture(scope="module")
-def ctx():
-    return CkksContext(toy_params(), seed=71)
-
-
-class TestPackedVectors:
-    def test_roundtrip_odd_length(self, ctx):
-        values = np.random.default_rng(0).uniform(-1, 1, 300)  # 3 chunks of 128
-        packed = encrypt_vector(ctx, values)
-        assert packed.num_ciphertexts == 3
-        np.testing.assert_allclose(decrypt_vector(ctx, packed).real, values,
-                                   atol=1e-3)
-
-    def test_single_chunk(self, ctx):
-        values = np.random.default_rng(1).uniform(-1, 1, 50)
-        packed = encrypt_vector(ctx, values)
-        assert packed.num_ciphertexts == 1
-        np.testing.assert_allclose(decrypt_vector(ctx, packed).real, values,
-                                   atol=1e-3)
-
-    def test_add_and_multiply(self, ctx):
-        rng = np.random.default_rng(2)
-        a = rng.uniform(-1, 1, 200)
-        b = rng.uniform(-1, 1, 200)
-        pa, pb = encrypt_vector(ctx, a), encrypt_vector(ctx, b)
-        np.testing.assert_allclose(
-            decrypt_vector(ctx, add_packed(ctx, pa, pb)).real, a + b, atol=2e-3)
-        np.testing.assert_allclose(
-            decrypt_vector(ctx, multiply_packed(ctx, pa, pb)).real, a * b,
-            atol=3e-3)
-
-    def test_multiply_plain(self, ctx):
-        rng = np.random.default_rng(3)
-        a = rng.uniform(-1, 1, 150)
-        w = rng.uniform(-1, 1, 150)
-        pa = encrypt_vector(ctx, a)
-        np.testing.assert_allclose(
-            decrypt_vector(ctx, multiply_plain_packed(ctx, pa, w)).real,
-            a * w, atol=2e-3)
-
-    def test_inner_sum(self):
-        ctx = CkksContext(toy_params(), seed=72)
-        ctx.generate_galois_keys(
-            rotation_keys_for_inner_sum(ctx.params.slots))
-        values = np.random.default_rng(4).uniform(-1, 1, 200)
-        packed = encrypt_vector(ctx, values)
-        total = inner_sum(ctx, packed)
-        assert abs(total.real - values.sum()) < 0.05
-
-    def test_validation(self, ctx):
-        with pytest.raises(ValueError):
-            encrypt_vector(ctx, np.zeros((2, 2)))
-        a = encrypt_vector(ctx, np.zeros(10))
-        b = encrypt_vector(ctx, np.zeros(20))
-        with pytest.raises(ValueError):
-            add_packed(ctx, a, b)
-        with pytest.raises(ValueError):
-            multiply_plain_packed(ctx, a, np.zeros(5))
+from repro.fhe.params import CkksParams
 
 
 class TestSparseSecret:

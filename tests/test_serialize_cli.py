@@ -125,6 +125,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["controls", "--k", "2"],
+        ["controls", "--m", "6"],
+        ["verify", "--n", "100"],
+        ["chip", "--vpus", "0"],
+        ["motivation", "--sram-mib", "0"],
+        ["breakdown", "--m", "6"],
+    ])
+    def test_bad_size_is_a_one_line_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"uvpu-fhe {argv[0]}: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_k_and_r_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["controls", "--k", "3", "--r", "1"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestMultiSchemeSerialization:
     """BFV/BGV archives round-trip with the scheme tag, across levels."""
