@@ -27,9 +27,12 @@ unwritable (DESIGN.md says which and how).
     by an inner ``%`` are exempt.
 
 ``FHC004`` **lazy value escapes unclamped** — a function calls one of
-    the lazy/unclamped stage kernels but never applies a ``%`` or a
-    ``np.minimum`` conditional subtract afterwards, so a ``>= q`` (or
-    ``>= 2q``) value may become architecturally visible.
+    the lazy/unclamped stage kernels but never applies a ``%`` (or
+    ``np.remainder``) or a ``np.minimum`` conditional subtract
+    afterwards, so a ``>= q`` (or ``>= 2q``) value may become
+    architecturally visible.  Every call site counts, so a transform
+    that runs its stages in two calls (the numpy plan's natural and
+    transposed spans) is checked at both.
 
 ``FHC005`` **unguarded fault-hook dereference** — a method is invoked
     on a fault-injection hook (``*fault_hook`` attributes/names, or
@@ -508,7 +511,8 @@ class _Linter(ast.NodeVisitor):
                 if isinstance(node, ast.AugAssign) and isinstance(
                         node.op, ast.Mod):
                     return True
-                if _is_np_call(node, "minimum"):
+                if (_is_np_call(node, "minimum")
+                        or _is_np_call(node, "remainder")):
                     return True
             return False
         for call in lazy_calls:

@@ -142,6 +142,14 @@ def analyze_dif_lazy(log_n: int, q: int, *, shoup: bool,
     Entry lanes may be anywhere in ``[0, 2q)`` (the Shoup psi-folding of
     the negacyclic wrapper enters at ``2q - 1``); every stage restores
     the ``< 2q`` lane invariant.  Declared output: ``< 2q``.
+
+    The plan (:class:`repro.ntt.negacyclic.BatchedNegacyclicNtt`) runs
+    these stages per row block in two calls: the spans of at least 16
+    on the block's natural ``(R, n)`` rows and the shorter ones on its
+    transposed ``(R, 16, n/16)`` copy, where each ufunc walks ``n/16``
+    contiguous lanes.  A stage's arithmetic is the same in either
+    layout and the second call enters at the first call's exit bound,
+    so one walk over all ``log_n`` stages covers both calls.
     """
     plan = _Plan("dif_stages_lazy" + ("+shoup" if shoup else ""), q, log_n)
     two_q = 2 * q
@@ -190,6 +198,11 @@ def analyze_dit_lazy(log_n: int, q: int, *, shoup: bool,
     Entry and per-stage invariant ``< 2q``; both butterfly halves are
     clamped because a DIT stage mixes previous sum *and* difference
     lanes.  Declared output: ``< 2q``.
+
+    The plan runs these stages in the two calls per row block that
+    :func:`analyze_dif_lazy` describes, the short spans (on the
+    transposed view) first; one walk over all ``log_n`` stages covers
+    both, and the span-1 stage, whose twiddle is 1, is ``stage == 0``.
     """
     plan = _Plan("dit_stages_lazy" + ("+shoup" if shoup else ""), q, log_n)
     two_q = 2 * q
@@ -235,6 +248,11 @@ def analyze_dit_unclamped(log_n: int, q: int,
     the bound is ``(s + 2)q - 1``.  The declared output is the growth
     schedule itself, not ``< q``; callers must finish with one true
     reduction (checked by :func:`analyze_batched_inverse`).
+
+    The plan runs these stages in the two calls per row block that
+    :func:`analyze_dif_lazy` describes, the short spans (on the
+    transposed view) first; one walk over all ``log_n`` stages covers
+    both, and the span-1 stage, whose twiddle is 1, is ``stage == 0``.
     """
     plan = _Plan("dit_stages_unclamped", q, log_n)
     cur = Interval.upto(q - 1 if entry_hi is None else entry_hi)

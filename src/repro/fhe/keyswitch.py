@@ -214,16 +214,17 @@ def accumulate_keyswitch(
         q_col = np.array(primes, dtype=np.uint64)[:, None]
         maxq = max(primes)
         lazy = keyswitch_lazy_accumulate_ok(len(digits), maxq)
+        # The key stacks are views into the key block at the top level
+        # (keep is the full basis), one gather per read below it.
+        key = ksk.block[:len(digits)]
+        whole = keep == list(range(key.shape[2]))
         inner = _fused_slot("keyswitch_inner_product")
         if inner is not None and digits:
             # Fused compiled path: one kernel call over the (D, L+1, n)
-            # stacks.  The key stacks are views into the key block at the
-            # top level (keep is the full basis), one gather below it.
-            key = ksk.block[:len(digits)]
-            if keep != list(range(key.shape[2])):
-                key = key[:, :, keep]
+            # stacks.
+            stacks = key if whole else key[:, :, keep]
             accs = inner(np.stack([d.residues for d in digits]),
-                         key[:, 0], key[:, 1], primes)
+                         stacks[:, 0], stacks[:, 1], primes)
             if accs is not None:  # None: the slot declined (no provider)
                 phase.set(lazy=lazy, fused=True)
                 return (RnsPoly(accs[0], primes, is_eval=True),
@@ -231,15 +232,15 @@ def accumulate_keyswitch(
         acc0 = np.zeros_like(digits[0].residues)
         acc1 = np.zeros_like(digits[0].residues)
         for i, digit in enumerate(digits):
-            b_i, a_i = ksk.block[i]
+            b_i, a_i = key[i] if whole else key[i][:, keep]
             if lazy:
-                acc0 += digit.residues * b_i[keep]
-                acc1 += digit.residues * a_i[keep]
+                acc0 += digit.residues * b_i
+                acc1 += digit.residues * a_i
             else:
                 # Each summand is reduced (< q) and the running sum is kept
                 # < q, so the uint64 addition transient stays below 2q.
-                acc0 = (acc0 + digit.residues * b_i[keep] % q_col) % q_col
-                acc1 = (acc1 + digit.residues * a_i[keep] % q_col) % q_col
+                acc0 = (acc0 + digit.residues * b_i % q_col) % q_col
+                acc1 = (acc1 + digit.residues * a_i % q_col) % q_col
         if lazy:
             hook = current_fault_hook()
             if hook is not None:

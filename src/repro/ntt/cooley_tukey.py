@@ -119,8 +119,20 @@ def vec_intt_dit(x: np.ndarray, tables: NttTables) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Limb-batched stage kernels: one dispatch over a stack of rows, each
 # with its own prime modulus (the shape keyswitch and ring conversions
-# produce).  They run on negacyclic.BatchedNegacyclicNtt's per-stage
-# views of its flat twiddle stacks, ``(L, 1, length)`` each.
+# produce).  They run on negacyclic.BatchedNegacyclicNtt's per-block
+# views of its flat twiddle stacks.
+#
+# A stack is ``(R, m)`` with twiddle views ``(R, 1, length)``, or
+# ``(R, m, lanes)`` with views ``(R, 1, length, 1)``: butterflies pair
+# entries of axis 1, and the ``lanes`` trailing columns go through
+# each stage alike.  A stage's half-length (its butterfly span) is its
+# twiddle view's ``length``, so a call runs any consecutive stages.
+# The plan runs the spans of at least 16 on a row block's ``(R, n)``
+# rows and the shorter ones on the block's transposed ``(R, 16,
+# n/16)`` copy, where every ufunc walks contiguous runs ``n/16`` long
+# instead of 1-8 words (the paper's lane-parallel stages, then the
+# short spans after a transpose).  Temporaries are few and updated in
+# place, so a block's working set stays in cache.
 #
 # The stage loops use lazy reduction: uint64 `%` by a broadcast divisor
 # is numpy's slowest elementwise op, so the add/sub halves of every
@@ -137,7 +149,9 @@ _SHIFT32 = np.uint64(32)
 def dif_stages_lazy(a: np.ndarray, q3: np.ndarray, two_q3: np.ndarray,
                     tw_stages: list[np.ndarray],
                     shoup_stages: list[np.ndarray] | None = None) -> None:
-    """In-place Gentleman–Sande stages on an ``(L, n)`` stack.
+    """In-place Gentleman–Sande stages, one per twiddle view.
+
+    ``a`` is an ``(R, m)`` or ``(R, m, lanes)`` stack; spans halve.
 
     Inputs may be lazily reduced (``< 2q`` per row — the Shoup psi fold
     feeds exactly that); outputs are ``< 2q`` — callers finish with one
@@ -145,42 +159,46 @@ def dif_stages_lazy(a: np.ndarray, q3: np.ndarray, two_q3: np.ndarray,
     the twiddle product at ``(4q-1)(q-1)``, inside uint64 for every
     ``q < 2**31`` (machine-checked by
     :func:`repro.analysis.stage_plans.analyze_dif_lazy`).
-    ``q3``/``two_q3`` are ``(L, 1, 1)`` broadcast columns.
+    ``q3``/``two_q3`` are broadcast columns, one axis more than ``a``.
 
     With ``shoup_stages`` (requires every ``q < 2**30``) the twiddle
     product uses Shoup multiplication — ``r = x*w - (x*w' >> 32)*q`` with
     ``w' = floor(w * 2**32 / q)`` — which lands in ``[0, 2q)`` without a
     single ``%``.  The ``< 2q`` lane invariant absorbs that laziness.
     """
-    rows, n = a.shape
-    length = n // 2
+    rows, lanes = a.shape[0], a.shape[2:]
     for stage, tw in enumerate(tw_stages):
-        blocks = a.reshape(rows, -1, 2 * length)
+        length = tw.shape[2]
+        blocks = a.reshape(rows, -1, 2 * length, *lanes)
         u = blocks[:, :, :length]
         v = blocks[:, :, length:]
         total = u + v                      # < 4q
+        diff = u + two_q3
+        diff -= v                          # < 4q, positive
         # Unsigned-wraparound conditional subtract: total - 2q wraps to a
         # huge value exactly when total < 2q, so minimum() selects right.
-        np.minimum(total, total - two_q3, out=total)  # < 2q
-        diff = (u + two_q3) - v            # < 4q, positive
-        blocks[:, :, :length] = total
+        np.minimum(total, total - two_q3, out=u)            # < 2q
         if length == 1:
             # Last stage: the single twiddle is omega**0 == 1 for every
             # prime — skip the product, clamp the raw difference.
-            np.minimum(diff, diff - two_q3, out=diff)       # < 2q
-            blocks[:, :, length:] = diff
+            np.minimum(diff, diff - two_q3, out=v)          # < 2q
         elif shoup_stages is not None:
-            q_hat = (diff * shoup_stages[stage]) >> _SHIFT32
-            blocks[:, :, length:] = diff * tw - q_hat * q3  # < 2q
+            q_hat = diff * shoup_stages[stage]
+            q_hat >>= _SHIFT32
+            q_hat *= q3
+            diff *= tw
+            np.subtract(diff, q_hat, out=v)                 # < 2q
         else:
-            blocks[:, :, length:] = diff * tw % q3          # < q
-        length //= 2
+            diff *= tw
+            np.remainder(diff, q3, out=v)                   # < q
 
 
 def dit_stages_lazy(a: np.ndarray, q3: np.ndarray, two_q3: np.ndarray,
                     tw_stages: list[np.ndarray],
                     shoup_stages: list[np.ndarray] | None = None) -> None:
-    """In-place Cooley–Tukey DIT stages on an ``(L, n)`` stack.
+    """In-place Cooley–Tukey DIT stages, one per twiddle view.
+
+    ``a`` is an ``(R, m)`` or ``(R, m, lanes)`` stack; spans double.
 
     Every lane stays ``< 2q`` across stages: unlike the DIF pass, a DIT
     stage's input halves mix the previous stage's sum *and* difference
@@ -191,31 +209,37 @@ def dit_stages_lazy(a: np.ndarray, q3: np.ndarray, two_q3: np.ndarray,
     twiddle product runs mod-free (Shoup lands in ``[0, 2q)``, which the
     invariant absorbs); requires every ``q < 2**30``.
     """
-    rows, n = a.shape
-    length = 1
+    rows, lanes = a.shape[0], a.shape[2:]
     for stage, tw in enumerate(tw_stages):
-        blocks = a.reshape(rows, -1, 2 * length)
-        u = blocks[:, :, :length].copy()   # < 2q
+        length = tw.shape[2]
+        blocks = a.reshape(rows, -1, 2 * length, *lanes)
+        u = blocks[:, :, :length]          # < 2q
         vin = blocks[:, :, length:]        # < 2q < 2**32
-        if stage == 0:
+        if length == 1:
             v = vin                        # twiddle is omega**0 == 1
         elif shoup_stages is not None:
-            q_hat = (vin * shoup_stages[stage]) >> _SHIFT32
-            v = vin * tw - q_hat * q3      # < 2q
+            q_hat = vin * shoup_stages[stage]
+            q_hat >>= _SHIFT32
+            q_hat *= q3
+            v = vin * tw
+            v -= q_hat                     # < 2q
         else:
-            v = vin * tw % q3              # < q
+            v = vin * tw
+            v %= q3                        # < q
         total = u + v                      # < 4q
-        np.minimum(total, total - two_q3, out=total)  # < 2q
-        diff = (u + two_q3) - v            # < 4q, positive
-        np.minimum(diff, diff - two_q3, out=diff)     # < 2q
-        blocks[:, :, :length] = total
-        blocks[:, :, length:] = diff
-        length *= 2
+        diff = u + two_q3
+        diff -= v                          # < 4q, positive
+        # Both halves are read; now overwrite them.
+        np.minimum(total, total - two_q3, out=u)      # < 2q
+        np.minimum(diff, diff - two_q3, out=vin)      # < 2q
 
 
 def dit_stages_unclamped(a: np.ndarray, q3: np.ndarray,
                          tw_stages: list[np.ndarray]) -> None:
     """In-place DIT stages with **no** per-stage clamping.
+
+    ``a`` is an ``(R, m)`` or ``(R, m, lanes)`` stack, one stage per
+    twiddle view; spans double.
 
     The twiddled half of every butterfly is freshly reduced (``< q``),
     so lane magnitudes grow by exactly ``q`` per stage: entering at
@@ -227,17 +251,22 @@ def dit_stages_unclamped(a: np.ndarray, q3: np.ndarray,
     call this without that gate.  Skipping the clamps halves the ufunc
     dispatches of the clamped pass, which dominates for short limb
     stacks.  Entry values must be ``< q``; callers finish with one true
-    ``%`` (usually fused into the ``n^{-1}`` scaling).
+    ``%`` (usually fused into the ``n^{-1}`` scaling).  A transform run
+    as two calls grows the same way: the second call enters at the
+    first call's exit bound.
     """
-    rows, n = a.shape
-    length = 1
-    for stage, tw in enumerate(tw_stages):
-        blocks = a.reshape(rows, -1, 2 * length)
-        u = blocks[:, :, :length].copy()
+    rows, lanes = a.shape[0], a.shape[2:]
+    for tw in tw_stages:
+        length = tw.shape[2]
+        blocks = a.reshape(rows, -1, 2 * length, *lanes)
+        u = blocks[:, :, :length]
         vin = blocks[:, :, length:]
-        # Stage 0's single twiddle is omega**0 == 1; reuse the view (the
-        # u-half store never aliases it, and both RHS below are temps).
-        v = vin if stage == 0 else vin * tw % q3   # < q
-        blocks[:, :, :length] = u + v              # < M + q
-        blocks[:, :, length:] = (u + q3) - v       # positive, < M + q
-        length *= 2
+        # The span-1 stage's single twiddle is omega**0 == 1: copy the
+        # half, which the difference store overwrites before the sum.
+        if length == 1:
+            v = vin.copy()
+        else:
+            v = vin * tw
+            v %= q3                                # < q
+        np.subtract(u + q3, v, out=vin)            # positive, < M + q
+        u += v                                     # < M + q

@@ -44,6 +44,16 @@ from repro.ntt.tables import NttTables, get_tables, stage_spans
 #: runs one uint64 schedule.
 HOST_MODULUS_LIMIT = 1 << 30
 
+#: numpy walks a stack in row blocks of at most this many words — 4
+#: rows at ``n = 8192``, 32 at ``n = 1024`` (one row from ``2**16``) —
+#: so a block's operand and stage temporaries stay inside a 2 MB L2
+#: (blocks of ``2**16`` words made ``ops_numpy`` 6 % slower).
+BLOCK_WORDS = 1 << 15
+#: numpy runs the butterfly stages of span below this (or below ``n``)
+#: on a block's transposed ``(R, width, n // width)`` view, where each
+#: ufunc walks contiguous runs ``n // width`` long.
+TRANSPOSE_WIDTH = 16
+
 
 class HostModulusError(ValueError):
     """A host batch met a modulus of :data:`HOST_MODULUS_LIMIT` or more."""
@@ -118,9 +128,14 @@ class BatchedNegacyclicNtt:
     ``psi``, the flat stage twiddles ``twf`` (forward) and ``twi``
     (inverse), the fused ``psi^{-j} * n^{-1}`` unfold ``unfold``, each
     table with its Shoup companion ``*_sh``, and ``bitrev`` — which is
-    the layout ``kernels.c`` indexes; :meth:`forward` and
-    :meth:`inverse` walk per-stage views of the same stacks.  Every
-    prime must be below :data:`HOST_MODULUS_LIMIT`
+    the layout ``kernels.c`` indexes.  :meth:`forward` and
+    :meth:`inverse` walk the stack in row blocks of ``block_rows`` rows
+    (at most :data:`BLOCK_WORDS` words), over views of the same stacks
+    built once per block, and run the stages of span below ``width``
+    (:data:`TRANSPOSE_WIDTH`, or ``n``) on a block's transposed copy;
+    ``tbitrev`` is their bit-reversal gather read through that
+    transpose.  The plan holds no scratch, so threads may share it.
+    Every prime must be below :data:`HOST_MODULUS_LIMIT`
     (:class:`HostModulusError` otherwise).
 
     The plan also resolves, once, the schedule every executor of the
@@ -171,15 +186,25 @@ class BatchedNegacyclicNtt:
         self.unfold = stack("psi_inv_ninv")
         self.unfold_sh = stack("psi_inv_ninv_shoup")
         self.bitrev = np.ascontiguousarray(tabs[0].bitrev, dtype=np.int64)
-        # Broadcast moduli and ``(L, 1, length)`` stage views for numpy.
-        self._q_col = self.q[:, None]
-        self._q3 = self.q[:, None, None]
-        self._two_q3 = 2 * self._q3
-        self._stages = {
-            name: [table[:, None, span] for span in stage_spans(n, dif)]
-            for name, table, dif in (
-                ("twf", self.twf, True), ("twf_sh", self.twf_sh, True),
-                ("twi", self.twi, False), ("twi_sh", self.twi_sh, False))}
+        # numpy's layout: ``width`` rows of the transposed view, each
+        # ``n // width`` long; ``tbitrev`` is the bit-reversal gather
+        # read through that transpose (an involution, like ``bitrev``).
+        self.width = min(TRANSPOSE_WIDTH, n)
+        self.tbitrev = (self.bitrev % self.width * (n // self.width)
+                        + self.bitrev // self.width)
+        self.block_rows = max(1, BLOCK_WORDS // n)
+        self._blocks = tuple(
+            _Block(self, slice(start, start + self.block_rows))
+            for start in range(0, len(primes), self.block_rows))
+
+    def _stack(self, x) -> np.ndarray:
+        """``x`` as a uint64 stack, refused unless it is ``(L, n)``."""
+        x = np.asarray(x, dtype=np.uint64)
+        if x.shape != (len(self.primes), self.n):
+            raise ValueError(
+                f"expected a ({len(self.primes)}, {self.n}) stack for "
+                f"{len(self.primes)} primes, got shape {x.shape}")
+        return x
 
     def forward(self, residues: np.ndarray,
                 clamped: bool = False) -> np.ndarray:
@@ -188,46 +213,118 @@ class BatchedNegacyclicNtt:
         ``clamped`` reduces every butterfly product strictly, reading no
         Shoup companion — the integrity layer's mid-ladder rung when
         the fast path is suspect."""
-        x = np.asarray(residues, dtype=np.uint64)
-        if not (x < self._q_col).all():
-            x = x % self._q_col
-        if clamped:
-            x = x * self.psi % self._q_col
-        else:
-            # Shoup psi fold: x < q < 2**30, so x*psi' < 2**64 and the
-            # result lands in [0, 2q) — inside the lazy stage invariant.
-            q_hat = (x * self.psi_sh) >> np.uint64(32)
-            x = x * self.psi - q_hat * self._q_col
-        dif_stages_lazy(x, self._q3, self._two_q3, self._stages["twf"],
-                        None if clamped else self._stages["twf_sh"])
-        np.minimum(x, x - self._q_col, out=x)
-        # Bit reversal is an involution, so undoing the DIF output order
-        # is a gather with the same index table (faster than a scatter).
-        return x[:, self.bitrev]
+        x = self._stack(residues)
+        out = np.empty_like(x)
+        n, width = self.n, self.width
+        for blk in self._blocks:
+            xb = x[blk.rows]
+            if not (xb < blk.q).all():
+                xb = xb % blk.q
+            if clamped:
+                xb = xb * blk.psi % blk.q
+            else:
+                # Shoup psi fold: x < q < 2**30, so x*psi' < 2**64 and
+                # the result lands in [0, 2q) — inside the lazy stage
+                # invariant.
+                q_hat = (xb * blk.psi_sh) >> np.uint64(32)
+                q_hat *= blk.q
+                xb = xb * blk.psi
+                xb -= q_hat
+            (tw, short_tw), (sh, short_sh) = (
+                blk.stages["twf"], blk.stages["twf_sh"])
+            dif_stages_lazy(xb, blk.q3, blk.two_q3, tw,
+                            None if clamped else sh)
+            t = np.ascontiguousarray(
+                xb.reshape(-1, n // width, width).transpose(0, 2, 1))
+            dif_stages_lazy(t, blk.q4, blk.two_q4, short_tw,
+                            None if clamped else short_sh)
+            t = t.reshape(-1, n)
+            np.minimum(t, t - blk.q, out=t)
+            # Bit reversal through the transpose: one gather, straight
+            # into the output ("clip": the index is in range, and the
+            # default mode would buffer the output).
+            np.take(t, self.tbitrev, axis=1, out=out[blk.rows], mode="clip")
+        return out
 
     def inverse(self, values: np.ndarray,
                 clamped: bool = False) -> np.ndarray:
         """``(L, n)`` natural-order evaluation values -> coefficients
         (``clamped`` as for :meth:`forward`, which also rules out the
         clamp-free stages)."""
-        x = np.asarray(values, dtype=np.uint64)
-        reduced = bool((x < self._q_col).all())
-        x = x[:, self.bitrev]
-        if not reduced:
-            x %= self._q_col
-        if self.inv_mode == 2 and not clamped:
-            dit_stages_unclamped(x, self._q3, self._stages["twi"])
-            # Lanes are < (log2(n)+1)*q, inside the gate's product bound.
-            return x * self.unfold % self._q_col
-        dit_stages_lazy(x, self._q3, self._two_q3, self._stages["twi"],
-                        None if clamped else self._stages["twi_sh"])
-        if clamped:
-            return x * self.unfold % self._q_col
-        # x < 2q < 2**31: Shoup unfold to [0, 2q), one subtract to < q.
-        q_hat = (x * self.unfold_sh) >> np.uint64(32)
-        out = x * self.unfold - q_hat * self._q_col
-        np.minimum(out, out - self._q_col, out=out)
+        x = self._stack(values)
+        out = np.empty_like(x)
+        n, width = self.n, self.width
+        unclamped = self.inv_mode == 2 and not clamped
+        for blk in self._blocks:
+            xb = x[blk.rows]
+            reduced = bool((xb < blk.q).all())
+            # Bit reversal into the transposed view: one gather.
+            t = np.take(xb, self.tbitrev, axis=1)
+            if not reduced:
+                t %= blk.q
+            t = t.reshape(-1, width, n // width)
+            (short_tw, tw), (short_sh, sh) = (
+                blk.stages["twi"], blk.stages["twi_sh"])
+            if unclamped:
+                dit_stages_unclamped(t, blk.q4, short_tw)
+            else:
+                dit_stages_lazy(t, blk.q4, blk.two_q4, short_tw,
+                                None if clamped else short_sh)
+            xb = np.ascontiguousarray(t.transpose(0, 2, 1)).reshape(-1, n)
+            if unclamped:
+                dit_stages_unclamped(xb, blk.q3, tw)
+            else:
+                dit_stages_lazy(xb, blk.q3, blk.two_q3, tw,
+                                None if clamped else sh)
+            if unclamped or clamped:
+                # Clamp-free lanes are < (log2(n)+1)*q, inside the gate's
+                # product bound.
+                xb *= blk.unfold
+                np.remainder(xb, blk.q, out=out[blk.rows])
+            else:
+                # x < 2q < 2**31: Shoup unfold to [0, 2q), one subtract
+                # to < q.
+                q_hat = (xb * blk.unfold_sh) >> np.uint64(32)
+                q_hat *= blk.q
+                xb *= blk.unfold
+                xb -= q_hat
+                np.minimum(xb, xb - blk.q, out=out[blk.rows])
         return out
+
+
+class _Block:
+    """One row block of a plan: views of the plan's stacked tables for
+    rows ``rows`` (``R`` of them), with the moduli as broadcast columns,
+    and per twiddle table its stage views in the order the pass runs
+    them, split where the layout changes.  The DIF pass runs its spans
+    of at least ``width`` on the block's ``(R, n)`` rows, views ``(R,
+    1, length)``, then the shorter spans on the ``(R, width, n //
+    width)`` transposed copy, views ``(R, 1, length, 1)``; the DIT pass
+    runs the same two groups the other way round."""
+
+    def __init__(self, plan: BatchedNegacyclicNtt, rows: slice):
+        self.rows = rows
+        self.q = plan.q[rows, None]
+        self.q3 = self.q[:, :, None]
+        self.two_q3 = 2 * self.q3
+        self.q4, self.two_q4 = self.q3[..., None], self.two_q3[..., None]
+        self.psi, self.psi_sh = plan.psi[rows], plan.psi_sh[rows]
+        self.unfold = plan.unfold[rows]
+        self.unfold_sh = plan.unfold_sh[rows]
+        self.stages = {}
+        short = plan.width.bit_length() - 1  # stages of span < width
+        for name, dif in (("twf", True), ("twf_sh", True),
+                          ("twi", False), ("twi_sh", False)):
+            table = getattr(plan, name)[rows]
+            spans = stage_spans(plan.n, dif)
+            split = plan.log_n - short if dif else short
+            first = [table[:, None, span] for span in spans[:split]]
+            then = [table[:, None, span] for span in spans[split:]]
+            if dif:
+                then = [view[..., None] for view in then]
+            else:
+                first = [view[..., None] for view in first]
+            self.stages[name] = (first, then)
 
 
 class PlanCache:

@@ -2,8 +2,12 @@
 
 import re
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis.lint import lint_paths, lint_source
+from repro.ntt import negacyclic
 
 
 def _rules(source: str) -> list[str]:
@@ -144,6 +148,29 @@ class TestFHC004LazyEscape:
                 dif_stages_lazy(a, q3, two_q3, tw)
                 return np.minimum(a, a - q)
             """) == []
+
+    @pytest.mark.parametrize("clamps, calls", [
+        (["np.minimum(t, t - blk.q, out=t)"],
+         ["dif_stages_lazy(t, blk.q4"]),
+        (["np.remainder(xb, blk.q, out=out[blk.rows])",
+          "np.minimum(xb, xb - blk.q, out=out[blk.rows])"],
+         ["dit_stages_unclamped(t, blk.q4", "dit_stages_lazy(t, blk.q4"]),
+    ])
+    def test_sees_the_transposed_short_stage_calls(self, clamps, calls):
+        """The numpy plan runs its short spans in calls of their own, on
+        the transposed view: dropping the clamp that ends the forward,
+        or the reductions that end the inverse, is reported there."""
+        source = Path(negacyclic.__file__).read_text()
+        assert "FHC004" not in [f.rule for f in lint_source(source)]
+        for clamp in clamps:
+            assert source.count(clamp) == 1
+            source = source.replace(clamp, "pass")  # lines stay put
+        flagged = {int(f.location.rsplit(":", 1)[1])
+                   for f in lint_source(source) if f.rule == "FHC004"}
+        lines = source.splitlines()
+        for call in calls:
+            [line] = [i for i, text in enumerate(lines, 1) if call in text]
+            assert line in flagged
 
 
 class TestFHC005FaultHookGuard:

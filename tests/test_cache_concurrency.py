@@ -129,12 +129,25 @@ class TestBatchedNttCache:
         assert walked == c_provider.plans == {id(built[0])}
 
     def test_numpy_and_c_read_the_same_arrays(self):
-        plan = get_batched_ntt(self.N, self.PRIMES)
+        """Every row block's views — its natural and transposed stage
+        views too — read the stacked tables C reads: none is a copy."""
+        n = 8192
+        primes = tuple(find_ntt_primes(2 * n, 28, 9))
+        plan = get_batched_ntt(n, primes)
         ctables = cext._tables(plan, "test")
-        for name, stages in plan._stages.items():
-            table = getattr(plan, name)
-            assert getattr(ctables, name) == table.ctypes.data
-            assert all(np.shares_memory(stage, table) for stage in stages)
+        assert len(plan._blocks) > 1
+        for blk in plan._blocks:
+            for name in ("psi", "psi_sh", "unfold", "unfold_sh"):
+                table = getattr(plan, name)
+                assert getattr(ctables, name) == table.ctypes.data
+                assert np.shares_memory(getattr(blk, name), table)
+            for name, groups in blk.stages.items():
+                table = getattr(plan, name)
+                assert getattr(ctables, name) == table.ctypes.data
+                views = [view for group in groups for view in group]
+                assert len(views) == plan.log_n
+                assert {view.ndim for view in views} == {3, 4}
+                assert all(np.shares_memory(view, table) for view in views)
 
     def test_clear_caches_drops_the_plan_and_its_gauges(self, c_provider):
         x = np.zeros((len(self.PRIMES), self.N), dtype=np.uint64)
@@ -152,6 +165,41 @@ class TestBatchedNttCache:
             assert plan_cache().hits == plan_cache().misses == 0
             assert all(gauges[f"backend.compiled_plan_cache.{name}"] == 0
                        for name in ("hits", "misses", "size"))
+
+
+class TestBlockedNumpyEngine:
+    """Threads share a plan whose numpy walk runs in several row blocks:
+    the plan holds no scratch, so every result equals the serial one."""
+
+    N = 4096
+    PRIMES = tuple(find_ntt_primes(2 * 4096, 28, 20))
+
+    def test_concurrent_calls_match_the_serial_result(self):
+        plan = get_batched_ntt(self.N, self.PRIMES)
+        assert len(plan._blocks) > 1
+        rng = np.random.default_rng(5)
+        inputs = [rng.integers(0, 1 << 40, (len(self.PRIMES), self.N),
+                               dtype=np.uint64) for _ in range(2)]
+        calls = [(run, clamped, x) for run in (plan.forward, plan.inverse)
+                 for clamped in (False, True) for x in inputs]
+        want = [run(x, clamped=clamped).copy() for run, clamped, x in calls]
+        turn = itertools.count()
+
+        def dispatch():
+            i = next(turn) % len(calls)
+            run, clamped, x = calls[i]
+            return i, run(x, clamped=clamped)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _hammer(dispatch, per_thread=4)
+        finally:
+            sys.setswitchinterval(interval)
+        # Checked once every call is done: a result sharing memory with
+        # a later call's would have changed under it.
+        assert all(np.array_equal(got, want[i])
+                   for batch in results for i, got in batch)
 
 
 class TestFirstUseOracle:
