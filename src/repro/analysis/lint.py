@@ -22,9 +22,10 @@ unwritable (DESIGN.md says which and how).
     each of them is checked.
 
 ``FHC003`` **unreduced product under %** — ``(a ± b) * c % q`` in
-    uint64-handling code: the product of an unreduced sum can exceed
-    uint64 *before* the reduction ever runs.  Operands already reduced
-    by an inner ``%`` are exempt.
+    uint64-handling code, or the same product handed to the row
+    reduction ``reduce_rows``: the product of an unreduced sum can
+    exceed uint64 *before* the reduction ever runs.  Operands already
+    reduced by an inner ``%`` are exempt.
 
 ``FHC004`` **lazy value escapes unclamped** — a function calls one of
     the lazy/unclamped stage kernels but never applies a ``%`` (or
@@ -97,6 +98,9 @@ _NARROW_DTYPES = {"int64", "int32", "uint32", "int16", "uint16",
                   "int8", "uint8"}
 _LAZY_KERNELS = {"dif_stages_lazy", "dit_stages_lazy",
                  "dit_stages_unclamped"}
+#: The row reduction (:func:`repro.fhe.polynomial.reduce_rows`): its
+#: first argument is checked by FHC003 like the left side of a ``%``.
+_ROW_REDUCTION = "reduce_rows"
 #: Files subject to FHC011: the async serving layer.
 _SERVE_PATH_RE = re.compile(r"repro[/\\]serve[/\\]")
 #: Files subject to FHC012: the durable-execution layer.
@@ -423,10 +427,14 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
         self._fn_stack.pop()
 
-    # -- FHC001 / FHC002: calls --------------------------------------------
+    # -- FHC001 / FHC002, and FHC003 at the row reduction: calls -----------
 
     def visit_Call(self, node: ast.Call) -> None:
         fn = self._fn_stack[-1] if self._fn_stack else None
+        func = node.func
+        if node.args and _ROW_REDUCTION in (
+                getattr(func, "id", None), getattr(func, "attr", None)):
+            self._check_unreduced_product(node, node.args[0])
         dtypes = [dtype for dtype in _astype_dtypes(node, fn)
                   if dtype in _NARROW_DTYPES | {"uint64", "int_"}]
         if dtypes:
@@ -470,21 +478,28 @@ class _Linter(ast.NodeVisitor):
     # -- FHC003: unreduced product under % ---------------------------------
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, ast.Mod) and isinstance(node.left, ast.BinOp) \
-                and isinstance(node.left.op, ast.Mult):
-            fn = self._fn_stack[-1] if self._fn_stack else None
-            if fn is not None and _function_mentions_uint64(
-                    fn, self.source, self.lines):
-                mult = node.left
-                for operand in (mult.left, mult.right):
-                    if _contains_unreduced_sum(operand):
-                        self._flag(
-                            "FHC003", node,
-                            "product of an unreduced sum taken mod q — "
-                            "the uint64 product may overflow before the "
-                            "% ever runs; reduce or clamp the sum first")
-                        break
+        if isinstance(node.op, ast.Mod):
+            self._check_unreduced_product(node, node.left)
         self.generic_visit(node)
+
+    def _check_unreduced_product(self, node: ast.AST,
+                                 reduced: ast.expr) -> None:
+        """FHC003 on ``reduced``, the value a ``%`` or the row
+        reduction takes mod q."""
+        if not (isinstance(reduced, ast.BinOp)
+                and isinstance(reduced.op, ast.Mult)):
+            return
+        fn = self._fn_stack[-1] if self._fn_stack else None
+        if fn is None or not _function_mentions_uint64(
+                fn, self.source, self.lines):
+            return
+        if any(_contains_unreduced_sum(operand)
+               for operand in (reduced.left, reduced.right)):
+            self._flag(
+                "FHC003", node,
+                "product of an unreduced sum taken mod q — "
+                "the uint64 product may overflow before the "
+                "% ever runs; reduce or clamp the sum first")
 
     # -- FHC004: lazy value escapes unclamped ------------------------------
 

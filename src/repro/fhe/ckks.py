@@ -14,15 +14,68 @@ behavioral VPU.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fault.injector import current_fault_hook
 from repro.fhe import keyswitch
 from repro.fhe.encoding import CkksEncoder
 from repro.fhe.params import CkksParams
 from repro.fhe.polynomial import RnsPoly
 from repro.fhe.rlwe import RlweCiphertext, RlweContext, tensor
+
+
+#: Byte budget of one context's plaintext cache (residues plus keys):
+#: the 8 constants of a bootstrap-shaped program at ``n = 8192``,
+#: ``L = 8`` take 3.5 MiB.
+PLAINTEXT_CACHE_BYTES = 32 << 20
+
+
+class PlaintextCache:
+    """A context's encoded plaintexts: an LRU map bounded in bytes.
+
+    Entries past :data:`PLAINTEXT_CACHE_BYTES` are evicted least
+    recently used first; each entry's residues are read-only.
+    Thread-safe: a miss encodes outside the lock, and two threads that
+    race on one key both return the entry stored first."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, RnsPoly] = OrderedDict()
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def _size(key: tuple, poly: RnsPoly) -> int:
+        return len(key[1]) + poly.residues.nbytes
+
+    def get(self, key: tuple, encode) -> RnsPoly:
+        """The entry under ``key``, made by ``encode()`` on a miss.
+
+        ``key`` is ``(shape, slot bytes, level, scale)``; its slot bytes
+        count against the budget with the residues."""
+        with self._lock:
+            poly = self._entries.get(key)
+            if poly is not None:
+                self._entries.move_to_end(key)
+                return poly
+        poly = encode()
+        poly.residues.flags.writeable = False
+        with self._lock:
+            stored = self._entries.setdefault(key, poly)
+            if stored is poly:
+                self.nbytes += self._size(key, poly)
+                while self.nbytes > PLAINTEXT_CACHE_BYTES:
+                    old_key, old = self._entries.popitem(last=False)
+                    self.nbytes -= self._size(old_key, old)
+            else:
+                self._entries.move_to_end(key)
+            return stored
 
 
 @dataclass
@@ -41,6 +94,7 @@ class CkksContext(RlweContext):
     def __init__(self, params: CkksParams, seed: int = 2025):
         self.params = params
         self.encoder = CkksEncoder(params)
+        self.plaintexts = PlaintextCache()
         super().__init__(params, seed)
 
     def generate_galois_keys(self, rotations: list[int],
@@ -86,17 +140,34 @@ class CkksContext(RlweContext):
             raise ValueError("cannot raise a ciphertext's level")
         return self._truncate(ct, target_level)
 
+    def _plaintext(self, values: np.ndarray, level: int,
+                   scale: float | None = None) -> RnsPoly:
+        """``values`` encoded at ``(level, scale)`` (default: the
+        parameter scale), from :attr:`plaintexts` — a constant is
+        encoded once per context.  While a fault hook is installed every
+        call encodes afresh and nothing is stored, so an injected
+        corruption is never memoized."""
+        scale = self.params.scale if scale is None else scale
+
+        def encode() -> RnsPoly:
+            return self.encoder.encode(values, level=level, scale=scale)[0]
+
+        if current_fault_hook() is not None:
+            return encode()
+        z = np.asarray(values, dtype=np.complex128)
+        return self.plaintexts.get((z.shape, z.tobytes(), level, scale),
+                                   encode)
+
     def add_plain(self, ct: Ciphertext, values: np.ndarray) -> Ciphertext:
-        plaintext, _ = self.encoder.encode(values, level=ct.level,
-                                           scale=ct.scale)
+        plaintext = self._plaintext(values, ct.level, ct.scale)
         parts = [ct.parts[0] + plaintext] + [p.copy() for p in ct.parts[1:]]
         return Ciphertext(parts, ct.scale)
 
     def multiply_plain(self, ct: Ciphertext, values: np.ndarray,
                        rescale_after: bool = True) -> Ciphertext:
-        plaintext, pt_scale = self.encoder.encode(values, level=ct.level)
+        plaintext = self._plaintext(values, ct.level)
         parts = [p * plaintext for p in ct.parts]
-        out = Ciphertext(parts, ct.scale * pt_scale)
+        out = Ciphertext(parts, ct.scale * self.params.scale)
         return self.rescale(out) if rescale_after else out
 
     # -- evaluator: multiplication ------------------------------------------------
@@ -146,8 +217,8 @@ class CkksContext(RlweContext):
                 f"cannot reach scale 2^{np.log2(target_scale):.2f} from "
                 f"2^{np.log2(ct.scale):.2f} in one step"
             )
-        plaintext, _ = self.encoder.encode(np.ones(self.params.slots),
-                                           level=ct.level, scale=pt_scale)
+        plaintext = self._plaintext(np.ones(self.params.slots), ct.level,
+                                    pt_scale)
         adjusted = Ciphertext([p * plaintext for p in ct.parts],
                               ct.scale * pt_scale)
         out = self.rescale(adjusted)

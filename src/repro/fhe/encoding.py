@@ -124,8 +124,14 @@ class CkksEncoder:
         """
         level = self.params.top_level if level is None else level
         scale = self.params.scale if scale is None else scale
-        coeffs = self.embed(slots_vec) * scale
-        rounded = np.rint(coeffs).astype(object)
+        rounded = np.rint(self.embed(slots_vec) * scale)
+        # Every coefficient inside [-2^63, 2^63) goes to int64 as it is
+        # (exact: the values are integral); only wider ones, or a NaN,
+        # take Python objects.
+        if -2.0 ** 63 <= rounded.min() and rounded.max() < 2.0 ** 63:
+            rounded = rounded.astype(np.int64)
+        else:
+            rounded = rounded.astype(object)
         primes = self.params.primes[:level + 1]
         return RnsPoly.from_int_coeffs(rounded, primes), scale
 

@@ -49,7 +49,7 @@ from repro.arith.modular import mod_inverse
 from repro.fault.injector import current_fault_hook
 from repro.fhe.backend import get_backend
 from repro.fhe.params import CkksParams
-from repro.fhe.polynomial import RnsPoly
+from repro.fhe.polynomial import RnsPoly, reduce_rows
 from repro.fhe.rns import RnsBasis, get_basis
 from repro.fhe.sampling import sample_gaussian, sample_uniform_poly
 from repro.ntt.negacyclic import check_host_moduli
@@ -202,7 +202,7 @@ def accumulate_keyswitch(
     when the analyzer proves the full unreduced accumulator
     ``num_digits * (max(q)-1)**2`` fits uint64 (true for the host's
     primes below ``2**30`` up to 16 digits) the raw products accumulate
-    unreduced and each sum takes exactly **one** final ``%``.
+    unreduced and each sum takes exactly **one** final reduction.
     Otherwise each product, below ``2**60``, is reduced as it is added.
     ``keep`` selects the key limbs matching the digits' basis (level
     prefix plus special prime).
@@ -262,8 +262,8 @@ def accumulate_keyswitch(
                             d.residues * ksk.block[i, part][keep] % q_col
                             for i, d in enumerate(digits))
                 acc0, acc1 = accs
-        acc0 %= q_col
-        acc1 %= q_col
+        reduce_rows(acc0, primes)
+        reduce_rows(acc1, primes)
         phase.set(lazy=lazy)
         return (RnsPoly(acc0, primes, is_eval=True),
                 RnsPoly(acc1, primes, is_eval=True))
@@ -391,7 +391,7 @@ def _divide_by_top_limb(poly: RnsPoly, inv_table: np.ndarray,
     inv_col = np.asarray(inv_table, dtype=np.uint64)[:, None]
     s = chain.residues + (qq - lifted)  # < 2q: one conditional subtract
     np.minimum(s, s - qq, out=s)
-    out = s * inv_col % qq
+    out = reduce_rows(s * inv_col, chain.primes)
     if not poly.is_eval:
         out = get_backend().forward_ntt_batch(out, chain.primes)
     return RnsPoly(out, chain.primes, is_eval=True)

@@ -4,8 +4,8 @@ An :class:`RnsPoly` stores one residue row per modulus — the chain
 primes of its level, optionally followed by the keyswitch special prime
 — in either the coefficient or the evaluation (NTT) domain.  The unit
 of work is the whole ``(L, n)`` residue matrix: ring operations
-broadcast an ``(L, 1)`` prime column across the limbs, and NTTs and
-automorphisms go through the active :mod:`repro.fhe.backend`'s batched
+run over it in one expression and end in :func:`reduce_rows`, and NTTs
+and automorphisms go through the active :mod:`repro.fhe.backend`'s batched
 kernels in a single dispatch — which is how the whole FHE stack can run
 on the behavioral VPU and how the numpy path reaches its throughput.
 """
@@ -24,9 +24,36 @@ from repro.ntt.negacyclic import check_host_moduli
 _INT64_MAX = (1 << 63) - 1
 
 
+def _reduce_lanes(x: np.ndarray, q, quot: np.ndarray) -> None:
+    """``x %= q`` in place on integer lanes, through the buffer ``quot``
+    (a floor division by a scalar is a multiply-shift in numpy; ``%``
+    is a hardware divide)."""
+    np.floor_divide(x, q, out=quot)
+    quot *= q
+    x -= quot
+
+
+def reduce_rows(x: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """Reduce row ``i`` of ``x`` modulo ``primes[i]``, in place.
+
+    ``x % q_col`` for an ``(L, n)`` uint64 or int64 stack, by one
+    scalar floor division per row (a negative int64 word lands in
+    ``[0, q)``, as under ``%``).  Returns ``x``.
+
+    The ring ops, the integer-coefficient reduction, the numpy
+    keyswitch accumulators and the top-limb division all end here:
+    ``%`` by an ``(L, 1)`` column divides word by word, a scalar
+    divisor is numpy's multiply-shift.
+    """
+    quot = np.empty(x.shape[1:], dtype=x.dtype)
+    for row, q in zip(x, primes):
+        _reduce_lanes(row, x.dtype.type(q), quot)
+    return x
+
+
 def _reduce_int_rows(coeffs: np.ndarray,
                      primes: tuple[int, ...]) -> np.ndarray | None:
-    """Reduce integer coefficients modulo every prime in one broadcast.
+    """Reduce integer coefficients modulo every prime (:func:`reduce_rows`).
 
     Returns the ``(L, n)`` uint64 matrix, or ``None`` when the input
     does not fit int64.  Centered digits, sampled noise and every
@@ -43,9 +70,9 @@ def _reduce_int_rows(coeffs: np.ndarray,
             and coeffs.max() >= 1 << 63:
         return None
     else:
-        coeffs = coeffs.astype(np.int64)
-    q_col = np.array(primes, dtype=np.int64)[:, None]
-    return (coeffs[None, :] % q_col).astype(np.uint64)
+        coeffs = coeffs.astype(np.int64, copy=False)
+    rows = reduce_rows(np.tile(coeffs, (len(primes), 1)), primes)
+    return rows.view(np.uint64)
 
 
 @lru_cache(maxsize=64)
@@ -59,15 +86,6 @@ def _garner_constants(primes: tuple[int, ...]) -> tuple:
         inv = pow(weights[i], -1, q)
         rows.append((inv, tuple(-w * inv % q for w in weights[:i])))
     return tuple(rows)
-
-
-def _reduce_lanes(x: np.ndarray, q: np.uint64, quot: np.ndarray) -> None:
-    """``x %= q`` in place on uint64 lanes, through the buffer ``quot``
-    (a floor division by a scalar is a multiply-shift in numpy; ``%``
-    is a hardware divide)."""
-    np.floor_divide(x, q, out=quot)
-    quot *= q
-    x -= quot
 
 
 def _garner_digits(residues: np.ndarray,
@@ -201,8 +219,8 @@ class RnsPoly:
         """Build from signed integer coefficients (reduced per limb).
 
         Inputs that fit int64 — every sampled secret/noise vector and
-        every centered keyswitch digit — reduce in one broadcast modulo
-        the ``(L, 1)`` prime column; only oversized big-int coefficients
+        every centered keyswitch digit — reduce row by row in int64
+        (:func:`reduce_rows`); only oversized big-int coefficients
         take the object-dtype per-limb path.
         """
         coeffs = np.asarray(coeffs)
@@ -243,25 +261,24 @@ class RnsPoly:
 
     # -- ring operations -----------------------------------------------------
     #
-    # All limb-wise ops run as one broadcast over the full residue
-    # matrix.  Every prime is below 2**30 (__post_init__ refuses any
-    # other), so sums fit uint64 with room and products fit below
-    # 2**60 — no per-limb loop, no intermediate overflow.
+    # All limb-wise ops run as one expression over the full residue
+    # matrix and one reduce_rows.  Every prime is below 2**30
+    # (__post_init__ refuses any other), so sums fit uint64 with room
+    # and products fit below 2**60 — no intermediate overflow.
 
     def __add__(self, other: "RnsPoly") -> "RnsPoly":
         self._check_compatible(other)
-        out = (self.residues + other.residues) % self._q_col
+        out = reduce_rows(self.residues + other.residues, self.primes)
         return RnsPoly(out, self.primes, self.is_eval)
 
     def __sub__(self, other: "RnsPoly") -> "RnsPoly":
         self._check_compatible(other)
-        q_col = self._q_col
-        out = (self.residues + (q_col - other.residues)) % q_col
+        out = reduce_rows(self.residues + (self._q_col - other.residues),
+                          self.primes)
         return RnsPoly(out, self.primes, self.is_eval)
 
     def __neg__(self) -> "RnsPoly":
-        q_col = self._q_col
-        out = (q_col - self.residues) % q_col
+        out = reduce_rows(self._q_col - self.residues, self.primes)
         return RnsPoly(out, self.primes, self.is_eval)
 
     def __mul__(self, other: "RnsPoly") -> "RnsPoly":
@@ -270,13 +287,13 @@ class RnsPoly:
         self._check_compatible(other)
         if not self.is_eval:
             raise ValueError("ring multiplication requires eval domain")
-        out = self.residues * other.residues % self._q_col
+        out = reduce_rows(self.residues * other.residues, self.primes)
         return RnsPoly(out, self.primes, self.is_eval)
 
     def mul_scalar(self, scalar: int) -> "RnsPoly":
         s_col = np.array([scalar % q for q in self.primes],
                          dtype=np.uint64)[:, None]
-        out = self.residues * s_col % self._q_col
+        out = reduce_rows(self.residues * s_col, self.primes)
         return RnsPoly(out, self.primes, self.is_eval)
 
     # -- domain conversion ----------------------------------------------------

@@ -105,14 +105,17 @@ class NegacyclicNtt:
 
     # -- order conversion ----------------------------------------------------
 
+    # Both permute the last axis: the stage kernels transform every
+    # leading row of a stack alike.
+
     def _reverse(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        return x[self.tables.bitrev]
+        return x[..., self.tables.bitrev]
 
     def _unreverse(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         out = np.empty_like(x)
-        out[self.tables.bitrev] = x
+        out[..., self.tables.bitrev] = x
         return out
 
 

@@ -133,6 +133,25 @@ class TestFHC003UnreducedProduct:
                 return (u + v) * tw % q
             """) == []
 
+    @pytest.mark.parametrize("call", [
+        "reduce_rows((u + v) * tw, primes)",
+        "polynomial.reduce_rows(tw * (u - v), primes)",
+    ])
+    def test_flags_the_product_handed_to_the_row_reduction(self, call):
+        """``reduce_rows`` takes its argument mod q like ``%`` does."""
+        assert _rules(f"""
+            def f(u, v, tw, primes):
+                "operates on uint64 rows"
+                return {call}
+            """) == ["FHC003"]
+
+    def test_a_reduced_product_at_the_row_reduction_passes(self):
+        assert _rules("""
+            def f(u, v, tw, primes):
+                "operates on uint64 rows"
+                return reduce_rows((u + v) % q * tw, primes)
+            """) == []
+
 
 class TestFHC004LazyEscape:
     def test_flags_unreduced_lazy_result(self):

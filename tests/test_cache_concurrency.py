@@ -1,7 +1,8 @@
 """Thread-safety of the module-level caches — the one batch-plan cache
 that numpy and the compiled kernels share among them, the compiled
-kernels' workspace pools, the integrity checker's tables and counters —
-and the cache-reset metrics contract (gauges zeroed on clear)."""
+kernels' workspace pools, the integrity checker's tables and counters,
+a CKKS context's plaintext cache — and the cache-reset metrics contract
+(gauges zeroed on clear)."""
 
 import itertools
 import sys
@@ -402,6 +403,46 @@ class TestVpuProgramCache:
                     for order, batches in zip(orders, results)
                     for got in batches)
         assert wrong == 0
+
+
+class TestPlaintextCache:
+    """Threads on one CKKS context mix hits, misses and evictions of its
+    plaintext cache: each result is the serial encode, and the byte
+    bound holds once every call is done."""
+
+    def test_concurrent_lookups_match_the_serial_encode(self, monkeypatch):
+        from repro.fhe import ckks
+        from repro.fhe.params import toy_params
+
+        ctx = ckks.CkksContext(toy_params(), seed=3)
+        rng = np.random.default_rng(9)
+        vectors = [rng.uniform(-1, 1, ctx.params.slots) for _ in range(4)]
+        keys = [(v, level) for v in range(len(vectors)) for level in (1, 2)]
+        want = [ctx.encoder.encode(vectors[v], level=level)[0].residues
+                for v, level in keys]
+        entry = want[-1].nbytes + ctx.params.slots * 16
+        budget = 3 * entry  # 3 of the 8 keys: most lookups evict
+        monkeypatch.setattr(ckks, "PLAINTEXT_CACHE_BYTES", budget)
+        turn = itertools.count()
+
+        def lookup():
+            i = next(turn) * 5 % len(keys)
+            v, level = keys[i]
+            return i, ctx._plaintext(vectors[v], level).residues
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _hammer(lookup, per_thread=12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(got, want[i])
+                   for batch in results for i, got in batch)
+        cache = ctx.plaintexts
+        assert cache.nbytes <= budget and len(cache) <= 3
+        assert cache.nbytes == sum(
+            len(key[1]) + poly.residues.nbytes
+            for key, poly in cache._entries.items())
 
 
 class TestClearCachesMetricsReset:

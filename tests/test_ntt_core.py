@@ -176,3 +176,22 @@ class TestVectorizedNtt:
         prod = vec_intt_dit(fa * fb % np.uint64(Q), t)
         expected = naive_cyclic_poly_mul([int(v) for v in a], [int(v) for v in b], Q)
         assert [int(v) for v in prod] == expected
+
+
+class TestNegacyclicStacks:
+    """``NegacyclicNtt`` permutes the last axis: a stack of rows is each
+    row's transform (an ``(8, 8)`` stack at ``n = 8`` came back permuted
+    along the wrong axis; a ``(3, 8)`` one raised)."""
+
+    @pytest.mark.parametrize("rows", [8, 3, 1])
+    def test_a_stack_is_its_rows(self, rows):
+        from repro.ntt import NegacyclicNtt
+
+        ntt = NegacyclicNtt(8, 97)
+        x = np.random.default_rng(rows).integers(0, 97, (rows, 8),
+                                                 dtype=np.uint64)
+        fwd = ntt.forward(x)
+        assert np.array_equal(fwd, np.stack([ntt.forward(r) for r in x]))
+        inv = ntt.inverse(x)
+        assert np.array_equal(inv, np.stack([ntt.inverse(r) for r in x]))
+        assert np.array_equal(ntt.inverse(fwd), x)

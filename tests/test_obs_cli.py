@@ -30,6 +30,15 @@ class TestProfile:
                 "keyswitch.inner_product", "keyswitch.mod_down"} \
             <= set(result["phases"])
 
+    @pytest.mark.parametrize("name", ["hmult", "bootstrap"])
+    def test_every_pass_matches_and_is_fully_attributed(self, name):
+        """The bootstrap passes run on one context: each must replay
+        the same dispatches (its constants are encoded in set-up, not
+        in the first pass), all inside named phases."""
+        result = profile(_WORKLOADS[name](quick=True, seed=3), m=16)
+        assert result["ok"] and result["checks"]["fully_attributed"]
+        assert result["unattributed"] == 0
+
     def test_hrot_covers_automorphism_phase(self):
         workload = _WORKLOADS["hrot"](quick=True, seed=3)
         result = profile(workload, m=16)
