@@ -90,15 +90,19 @@ def keyswitch_lazy_accumulate_ok(num_digits: int, max_q: int) -> bool:
 def ntt_shoup_ok(log_n: int, max_q: int) -> bool:
     """May the mod-free Shoup butterfly variants run for this shape?
 
-    True iff the Shoup plans verify end to end — the analyzer's
-    ``S002``/``S003`` preconditions (``q < 2**30``, every multiplicand
-    below the ``2**32`` precision radix) checked at every stage and at
-    the pointwise psi fold / unfold (also where ``n <= 2`` has no
-    twiddled stage).  The forward stages and the scaling enter at
-    ``2q - 1``, the inverse stages reduced.  The compiled kernels' gate.
+    True iff the Shoup plans verify end to end on the 32-bit lane
+    words of ``kernels.c`` — the analyzer's ``S002``/``S003``
+    preconditions (``q < 2**30``, every multiplicand below the ``2**32``
+    precision radix) checked at every stage and at the pointwise psi
+    fold / unfold (also where ``n <= 2`` has no twiddled stage), and
+    every lane sum, difference and Shoup low product below ``2**32``
+    (``S001``).  The forward stages and the scaling enter at ``2q - 1``,
+    the inverse stages reduced.  The compiled kernels' gate.
     """
-    fwd = analyze_dif_lazy(log_n, max_q, shoup=True, entry_hi=2 * max_q - 1)
-    inv = analyze_dit_lazy(log_n, max_q, shoup=True, entry_hi=max_q - 1)
+    fwd = analyze_dif_lazy(log_n, max_q, shoup=True, entry_hi=2 * max_q - 1,
+                           word_bits=32)
+    inv = analyze_dit_lazy(log_n, max_q, shoup=True, entry_hi=max_q - 1,
+                           word_bits=32)
     scale = analyze_shoup_scale(max_q, 2 * max_q - 1)
     return fwd.ok and inv.ok and scale.ok
 
@@ -108,7 +112,8 @@ def fold_ok(q: int) -> bool:
     """May ``kernels.c`` fold any uint64 word below ``q``?
 
     Its ``fold``: two Shoup products of 32-bit multiplicands through
-    ``2**32 mod q``, < 4q, then two conditional subtracts.
+    ``2**32 mod q``, < 4q in a 32-bit lane, then two conditional
+    subtracts.
 
     True iff :func:`~repro.analysis.stage_plans.analyze_fold` verifies:
     the Shoup preconditions (``S002``/``S003``) for both halves and a
@@ -126,7 +131,7 @@ def barrett_w_ok(q: int) -> bool:
 
     Its ``mulmod``, on a product of two words below ``q``: ``u =
     floor(2**(2w) / q)``, every product 32 x 32 -> 64, the remainder
-    < 3q before two conditional subtracts.
+    < 3q in a 32-bit lane before two conditional subtracts.
 
     True iff :func:`~repro.analysis.stage_plans.analyze_barrett_w`
     verifies for ``z < 2**(2w)``.  Holds for every host modulus; the

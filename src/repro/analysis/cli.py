@@ -69,6 +69,8 @@ from repro.analysis.stage_plans import (
     analyze_barrett_w,
     analyze_batched_forward,
     analyze_batched_inverse,
+    analyze_dif_lazy,
+    analyze_dit_lazy,
     analyze_fold,
     analyze_keyswitch_accumulate,
 )
@@ -183,6 +185,11 @@ def _check_plans(verbose: bool) -> tuple[list[Finding], list[str]]:
     reports: list[tuple[str, PlanReport]] = []
     for label, log_n, q in _plan_regimes():
         reports.append((label, analyze_batched_forward(log_n, q)))
+        # kernels.c: the butterflies and word reductions on 32-bit lanes.
+        reports.append((label, analyze_dif_lazy(
+            log_n, q, shoup=True, entry_hi=2 * q - 1, word_bits=32)))
+        reports.append((label, analyze_dit_lazy(
+            log_n, q, shoup=True, entry_hi=q - 1, word_bits=32)))
         reports.append((label, analyze_fold(q)))
         reports.append((label, analyze_barrett_w(q)))
         unclamped = unclamped_dit_ok(log_n, q)
@@ -202,7 +209,9 @@ def _check_plans(verbose: bool) -> tuple[list[Finding], list[str]]:
     reports.append(("toy keyswitch", analyze_keyswitch_accumulate(
         params.levels, maxq, lazy=True)))
     for label, report in reports:
-        _book(report, f"plan {report.name:32s} ({label}) q={report.q:<10d} "
+        lanes = f"u{report.word_bits}"
+        _book(report, f"plan {report.name:28s} {lanes} ({label}) "
+              f"q={report.q:<10d} "
               f"lane bound {report.stage_bounds[-1]}, max intermediate "
               f"2^{report.max_intermediate.bit_length()}",
               verbose, findings, lines)

@@ -35,7 +35,8 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "P006": "stored value exceeds the architecturally visible bound",
     "P007": "unknown instruction reached the interval walker",
     # stage plans (S...)
-    "S001": "stage intermediate exceeds uint64 or wraps below zero",
+    "S001": "stage intermediate exceeds its word (uint64, or a 32-bit "
+            "lane) or wraps below zero",
     "S002": "Shoup path used with a modulus at or above 2^30",
     "S003": "Shoup multiplicand bound reaches the 2^32 precision radix",
     "S004": "lane bound escapes the < 2q lazy invariant",

@@ -6,7 +6,10 @@ Each ``analyze_*`` function mirrors one kernel of
 :class:`~repro.analysis.intervals.Interval` per stage and checking every
 intermediate expression the kernel evaluates:
 
-* uint64 fit of every product/sum before it is formed (rule ``S001``);
+* the fit of every product/sum before it is formed (rule ``S001``):
+  a lane value fits the plan's lane word — uint64 for numpy's stages,
+  a 32-bit word for ``kernels.c``'s butterfly lanes (``word_bits=32``)
+  — and a widened 32 x 32 -> 64 product fits uint64;
 * the Shoup preconditions — ``q < 2**30`` and the multiplicand below the
   ``2**32`` precision radix (rules ``S002``/``S003``);
 * the declared lane invariant after every stage (``< 2q`` for lazy
@@ -54,6 +57,9 @@ class PlanReport:
     name: str
     q: int
     stages: int
+    #: Width of the lane word every sum, difference and Shoup low
+    #: product must fit: 64 (numpy) or 32 (``kernels.c``).
+    word_bits: int = 64
     #: Inclusive lane bound after each stage (entry bound first).
     stage_bounds: list[int] = field(default_factory=list)
     #: Largest uint64 intermediate formed anywhere in the plan.
@@ -68,11 +74,16 @@ class PlanReport:
 
 
 class _Plan:
-    """Bound bookkeeping shared by the stage mirrors."""
+    """Bound bookkeeping shared by the stage mirrors, for lanes of
+    ``word_bits`` bits (64 or 32)."""
 
-    def __init__(self, name: str, q: int, stages: int):
+    def __init__(self, name: str, q: int, stages: int,
+                 word_bits: int = 64):
         self.q = q
-        self.report = PlanReport(name=name, q=q, stages=stages)
+        self.report = PlanReport(name=name, q=q, stages=stages,
+                                 word_bits=word_bits)
+        self.word_bits = word_bits
+        self.word_max = (1 << word_bits) - 1
         self.stage = -1  # -1 = entry / pre-stage work
 
     def _loc(self) -> str:
@@ -81,14 +92,20 @@ class _Plan:
     def error(self, rule: str, message: str) -> None:
         self.report.findings.error("plan", rule, self._loc(), message)
 
-    def intermediate(self, value: Interval, what: str) -> Interval:
-        """Record an intermediate and check it fits uint64."""
+    def intermediate(self, value: Interval, what: str,
+                     wide: bool = False) -> Interval:
+        """Record an intermediate and check it fits the lane word — or,
+        ``wide``, a widened product, uint64."""
         if value.hi > self.report.max_intermediate:
             self.report.max_intermediate = value.hi
-        if not value.fits_uint64:
-            self.error(
-                "S001",
-                f"{what}: bound {value.hi} exceeds uint64 max {U64_MAX}")
+        if wide or self.word_max == U64_MAX:
+            if not value.fits_uint64:
+                self.error("S001", f"{what}: bound {value.hi} exceeds "
+                                   f"uint64 max {U64_MAX}")
+        elif value.hi > self.word_max:
+            self.error("S001", f"{what}: bound {value.hi} wraps the "
+                               f"{self.word_bits}-bit lane word (max "
+                               f"{self.word_max})")
         return value
 
     def mul_mod(self, x: Interval, factor_hi: int, what: str) -> Interval:
@@ -101,7 +118,10 @@ class _Plan:
 
         Preconditions (checked): ``q < 2**30`` so the quotient error is
         absorbed, and ``x < 2**32`` (the precision radix) so the
-        estimate is within one of the true quotient.
+        estimate is within one of the true quotient.  On 32-bit lanes
+        ``x * w'`` is the one widened product and the two low products
+        wrap mod ``2**32``: their difference is exact when the result,
+        below ``2q``, fits the lane word.
         """
         q = self.q
         if q >= (1 << 30):
@@ -112,14 +132,17 @@ class _Plan:
                 "S003",
                 f"{what}: Shoup multiplicand bound {x.hi} reaches the "
                 f"2**32 precision radix — result no longer < 2q")
-        # x * w' (w' < 2**32) and x * w (w < q) both fit checks:
         self.intermediate(x.mul(Interval.upto(_SHOUP_RADIX - 1)),
-                          f"{what}: x * w_shoup")
-        self.intermediate(x.mul(Interval.upto(q - 1)), f"{what}: x * w")
-        return Interval.upto(2 * q - 1)
+                          f"{what}: x * w_shoup", wide=True)
+        if self.word_max == U64_MAX:
+            self.intermediate(x.mul(Interval.upto(q - 1)), f"{what}: x * w")
+            return Interval.upto(2 * q - 1)
+        return self.intermediate(Interval.upto(2 * q - 1),
+                                 f"{what}: x * w - est * q mod 2**32")
 
     def cond_sub(self, x: Interval, t: int, what: str) -> Interval:
-        """``np.minimum(x, x - t)`` — requires the input to fit uint64."""
+        """``np.minimum(x, x - t)`` — requires the input to fit the lane
+        word."""
         self.intermediate(x, what)
         return x.cond_sub(t)
 
@@ -136,7 +159,8 @@ class _Plan:
 def analyze_dif_lazy(log_n: int, q: int, *, shoup: bool,
                      entry_hi: int | None = None,
                      skip_total_clamp: bool = False,
-                     skip_diff_clamp: bool = False) -> PlanReport:
+                     skip_diff_clamp: bool = False,
+                     word_bits: int = 64) -> PlanReport:
     """Mirror of :func:`repro.ntt.cooley_tukey.dif_stages_lazy`.
 
     Entry lanes may be anywhere in ``[0, 2q)`` (the Shoup psi-folding of
@@ -150,8 +174,13 @@ def analyze_dif_lazy(log_n: int, q: int, *, shoup: bool,
     contiguous lanes.  A stage's arithmetic is the same in either
     layout and the second call enters at the first call's exit bound,
     so one walk over all ``log_n`` stages covers both calls.
+
+    ``word_bits=32`` mirrors ``kernels.c``'s ``fwd_row`` instead, whose
+    lanes are 32-bit words: the same stages (its fused 8-word blocks
+    are the last three), every sum and difference below ``2**32``.
     """
-    plan = _Plan("dif_stages_lazy" + ("+shoup" if shoup else ""), q, log_n)
+    plan = _Plan("dif_stages_lazy" + ("+shoup" if shoup else ""), q, log_n,
+                 word_bits)
     two_q = 2 * q
     cur = Interval.upto(2 * q - 1 if entry_hi is None else entry_hi)
     plan.report.stage_bounds.append(cur.hi)
@@ -192,7 +221,8 @@ def analyze_dif_lazy(log_n: int, q: int, *, shoup: bool,
 def analyze_dit_lazy(log_n: int, q: int, *, shoup: bool,
                      entry_hi: int | None = None,
                      skip_total_clamp: bool = False,
-                     skip_diff_clamp: bool = False) -> PlanReport:
+                     skip_diff_clamp: bool = False,
+                     word_bits: int = 64) -> PlanReport:
     """Mirror of :func:`repro.ntt.cooley_tukey.dit_stages_lazy`.
 
     Entry and per-stage invariant ``< 2q``; both butterfly halves are
@@ -203,8 +233,11 @@ def analyze_dit_lazy(log_n: int, q: int, *, shoup: bool,
     :func:`analyze_dif_lazy` describes, the short spans (on the
     transposed view) first; one walk over all ``log_n`` stages covers
     both, and the span-1 stage, whose twiddle is 1, is ``stage == 0``.
+    ``word_bits=32`` mirrors ``kernels.c``'s ``inv_row``, as for
+    :func:`analyze_dif_lazy`.
     """
-    plan = _Plan("dit_stages_lazy" + ("+shoup" if shoup else ""), q, log_n)
+    plan = _Plan("dit_stages_lazy" + ("+shoup" if shoup else ""), q, log_n,
+                 word_bits)
     two_q = 2 * q
     cur = Interval.upto(2 * q - 1 if entry_hi is None else entry_hi)
     plan.report.stage_bounds.append(cur.hi)
@@ -277,9 +310,9 @@ def analyze_dit_unclamped(log_n: int, q: int,
 def analyze_shoup_scale(q: int, entry_hi: int) -> PlanReport:
     """A pointwise Shoup scaling: the compiled NTTs' psi fold or unfold.
 
-    One Shoup product of lanes up to ``entry_hi``.  Declared output:
-    ``< 2q``."""
-    plan = _Plan("shoup_scale", q, 0)
+    One Shoup product of lanes up to ``entry_hi``, on ``kernels.c``'s
+    32-bit lane words.  Declared output: ``< 2q``."""
+    plan = _Plan("shoup_scale", q, 0, 32)
     out = plan.shoup_mul(Interval.upto(entry_hi), "lanes * scale (Shoup)")
     return plan.finish(out, 2 * q - 1, "shoup scale output")
 
@@ -293,8 +326,9 @@ def analyze_fold(q: int, *, shift: int = 32,
     so both halves must sit below the ``2**32`` radix (``S003``) and
     ``q`` below ``2**30`` (``S002``).  The < 4q sum takes two
     conditional subtracts, by 2q and by q.  Declared output: ``< q``.
+    The lanes are 32-bit words, as in ``kernels.c``.
     """
-    plan = _Plan("fold", q, 0)
+    plan = _Plan("fold", q, 0, 32)
     hi = plan.shoup_mul(Interval.upto(U64_MAX >> shift), "hi * c (Shoup)")
     lo = plan.shoup_mul(Interval.upto((1 << shift) - 1), "lo * 1 (Shoup)")
     total = plan.intermediate(hi.add(lo), "hi c + lo")
@@ -325,9 +359,11 @@ def analyze_barrett_w(q: int, *, pre_shift: int | None = None,
     that two conditional subtracts reduce it (``S005`` on the output
     otherwise).  For the true shifts the worst case is below ``q (z /
     2**(2w) + (2**(w-1) - 1) / q + 1) < 3q`` at every ``q``: the bound
-    behind the gate.
+    behind the gate.  The lanes are 32-bit words, as in ``kernels.c``:
+    ``z`` and the estimate's product are widened, and the remainder,
+    taken in the low word, must fit it.
     """
-    plan = _Plan("barrett_w", q, 0)
+    plan = _Plan("barrett_w", q, 0, 32)
     w = q.bit_length()
     s1 = w - 1 if pre_shift is None else pre_shift
     s2 = w + 1 if post_shift is None else post_shift
@@ -343,7 +379,7 @@ def analyze_barrett_w(q: int, *, pre_shift: int | None = None,
             plan.error("S003", f"{what}: bound {value} is not a 32-bit "
                                f"multiplicand")
     plan.intermediate(Interval.upto(z_hi >> s1).mul(Interval.const(u)),
-                      "(z >> (w - 1)) * u")
+                      "(z >> (w - 1)) * u", wide=True)
     if s1 + s2 < exp:
         plan.error("S001", f"estimate may exceed floor(z / q): shifts "
                            f"{s1} + {s2} < {exp}, z - est * q wraps")

@@ -49,7 +49,9 @@ _DESTINATIONS_LOCK = threading.Lock()
 
 
 def get_workspace(rows: int, n: int) -> np.ndarray:
-    """Reusable ``(rows, n)`` uint64 scratch buffer for one dispatch.
+    """Reusable ``(rows, n)`` uint32 scratch buffer for one dispatch
+    (the binding's ``work``: butterfly lanes, and for the row-fused
+    entries uint64 rows before them).
 
     Workspaces are **thread-local**: the plan/destination tables are
     immutable and safely shared, but scratch is written by every
@@ -61,7 +63,7 @@ def get_workspace(rows: int, n: int) -> np.ndarray:
     key = (rows, n)
     buf = pool.get(key)
     if buf is None:
-        buf = np.empty((rows, n), dtype=np.uint64)
+        buf = np.empty((rows, n), dtype=np.uint32)
         pool[key] = buf
     return buf
 
@@ -388,7 +390,7 @@ class CompiledBackend(NumpyBackend):
         tables = None if galois is None else [
             get_destinations(n, pow(k, -1, 2 * n)) for k in galois]
         impl.ks_apply(plan, x, key_blocks, keep, acc0, acc1,
-                      get_workspace(3 * limbs + 2, n), ticks, check, tables)
+                      get_workspace(5 * limbs + 3, n), ticks, check, tables)
         self.kernel_invocations += 1
         # The plain, one-table and several-table walks are checked apart.
         self._verify_first_use(
@@ -457,7 +459,8 @@ class CompiledBackend(NumpyBackend):
         if plan is not None and plan.drop_top_ok and (
                 check is None or plan.checksum_ok):
             out = np.empty((rows - 1, n), dtype=np.uint64)
-            impl.drop_top(plan, x, inv, out, get_workspace(rows, n), check)
+            impl.drop_top(plan, x, inv, out, get_workspace(rows + 1, n),
+                          check)
             self.kernel_invocations += 1
             self._verify_first_use(
                 ("drop_top_limb", n, primes),

@@ -52,6 +52,9 @@ _VOID = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _U64 = ctypes.c_uint64
 _INT = ctypes.c_int
+_U32P = ctypes.POINTER(ctypes.c_uint32)
+_U64P = ctypes.POINTER(ctypes.c_uint64)
+_I64P = ctypes.POINTER(ctypes.c_int64)
 
 
 def _cache_dir() -> Path:
@@ -91,16 +94,29 @@ def _addr(arr: np.ndarray) -> int:
 
 class PlanTables(ctypes.Structure):
     """ctypes mirror of ``plan_t`` in ``kernels.c``, field for field:
-    the addresses of one batch plan's
+    typed pointers to one batch plan's
     (:class:`~repro.ntt.negacyclic.BatchedNegacyclicNtt`) constant
-    tables — moduli and the Shoup tables; the kernels derive every
-    reduction constant from ``q`` — then its keyswitch accumulator
-    schedule, ``ks_lazy``.  The NTTs have one schedule in C, so the
-    plan's ``inv_mode`` (numpy's inverse stages) is not mirrored."""
+    tables — the uint64 moduli, the eight uint32 Shoup tables the
+    butterfly lanes read (the kernels derive every reduction constant
+    from ``q``) and the int64 bit reversal — then its keyswitch
+    accumulator schedule, ``ks_lazy``.  The NTTs have one schedule in
+    C, so the plan's ``inv_mode`` (numpy's inverse stages) is not
+    mirrored."""
 
-    _fields_ = [(name, _VOID) for name in (
-        "q", "psi", "psi_sh", "twf", "twf_sh", "twi", "twi_sh",
-        "unfold", "unfold_sh", "bitrev")] + [("ks_lazy", _INT)]
+    _fields_ = [("q", _U64P)] + [(name, _U32P) for name in (
+        "psi", "psi_sh", "twf", "twf_sh", "twi", "twi_sh",
+        "unfold", "unfold_sh")] + [("bitrev", _I64P), ("ks_lazy", _INT)]
+
+
+def _pointer(arr: np.ndarray, pointer):
+    """``arr``'s address as ``pointer``, a ctypes pointer type — or a
+    :class:`TypeError` unless ``arr`` is a contiguous array of the
+    pointer's element type."""
+    if np.ctypeslib.as_ctypes_type(arr.dtype) is not pointer._type_ \
+            or not arr.flags.c_contiguous:
+        raise TypeError(f"a contiguous {pointer._type_.__name__} array "
+                        f"is wanted, got {arr.dtype} {arr.shape}")
+    return arr.ctypes.data_as(pointer)
 
 
 def _tables(plan, entry: str, ok: bool = True) -> PlanTables:
@@ -115,9 +131,27 @@ def _tables(plan, entry: str, ok: bool = True) -> PlanTables:
     if tables is None:
         tables = plan.ctables = PlanTables(*(
             getattr(plan, name) if ctype is _INT
-            else _addr(getattr(plan, name))
+            else _pointer(getattr(plan, name), ctype)
             for name, ctype in PlanTables._fields_))
     return tables
+
+
+def _work(entry: str, work: np.ndarray, n: int, rows64: int,
+          rows32: int) -> tuple[int, int]:
+    """The two scratch areas of one call, carved from ``work``: the
+    addresses of ``rows64`` uint64 rows (each two uint32 rows of
+    ``work``) and of the ``rows32`` uint32 rows of butterfly lanes
+    after them.  C reads each area as one type only.  Raises
+    :class:`ValueError` unless ``work`` is a contiguous uint32
+    ``(2 rows64 + rows32, n)`` buffer."""
+    shape = (2 * rows64 + rows32, n)
+    if work.dtype != np.uint32 or work.shape != shape \
+            or not work.flags.c_contiguous:
+        raise ValueError(
+            f"{entry}: work must be a contiguous uint32 {shape} buffer, "
+            f"got {work.dtype} {work.shape}")
+    base = _addr(work)
+    return base, base + 8 * rows64 * n
 
 
 class CheckTables(ctypes.Structure):
@@ -192,8 +226,9 @@ class CExtProvider:
 
     Arrays handed in must be C-contiguous uint64 (int64 for index
     tables and ticks) — the plan builder and the backend guarantee
-    that — so each call is a gate test, a handful of pointer loads and
-    one foreign call, no marshalling.
+    that — and each ``work`` buffer a uint32 one of the entry's shape
+    (:func:`_work` checks it), so each call is a gate test, a handful
+    of pointer loads and one foreign call, no marshalling.
     """
 
     name = "cext"
@@ -217,7 +252,7 @@ class CExtProvider:
                                _I64, _VOID, _VOID, _VOID, _VOID, _VOID,
                                _I64, _I64, _I64, _VOID, _CHECK)
         self._drop_top = entry("repro_drop_top_limb", _PLAN, _VOID, _VOID,
-                               _VOID, _VOID, _I64, _I64, _CHECK)
+                               _VOID, _VOID, _VOID, _I64, _I64, _CHECK)
         self._tensor = entry("repro_tensor", _PLAN, *[_VOID] * 7, _I64, _I64)
         isa = entry("repro_kernel_isa")
         isa.restype = ctypes.c_char_p
@@ -227,15 +262,17 @@ class CExtProvider:
 
     def fwd_ntt(self, plan, x: np.ndarray, out: np.ndarray,
                 work: np.ndarray) -> None:
+        """``work``: uint32 ``(L, n)``, the rows' butterfly lanes."""
         rows, n = x.shape
         self._fwd(_tables(plan, "fwd_ntt"), _addr(x), _addr(out),
-                  _addr(work), rows, n)
+                  _work("fwd_ntt", work, n, 0, rows)[1], rows, n)
 
     def inv_ntt(self, plan, x: np.ndarray, out: np.ndarray,
                 work: np.ndarray) -> None:
+        """``work`` as for :meth:`fwd_ntt`."""
         rows, n = x.shape
         self._inv(_tables(plan, "inv_ntt"), _addr(x), _addr(out),
-                  _addr(work), rows, n)
+                  _work("inv_ntt", work, n, 0, rows)[1], rows, n)
 
     def auto(self, x: np.ndarray, out: np.ndarray,
              dest: np.ndarray) -> None:
@@ -268,8 +305,10 @@ class CExtProvider:
         ones (``tables`` None), or of its Galois images — rotation
         ``g`` reads every digit row through the int64 source table
         ``tables[g]`` against key block ``keys[g]`` (rotations).
-        ``work`` is ``(3 L + 2, n)``: ``L`` coefficient rows, then two
-        scratch rows per target limb.  ``check`` (:func:`_check_tables`)
+        ``work`` is uint32 ``(5 L + 3, n)`` (:func:`_work`): ``2 L + 1``
+        uint64 rows — ``L`` coefficient rows, then a digit row per
+        target limb — then the butterfly lanes of each target limb.
+        ``check`` (:func:`_check_tables`)
         numbers the ``L + L * L`` row NTTs as ``kernels.c`` does and
         also receives ``tables``.  ``ticks`` has five slots.
         Gate: ``plan.keyswitch_ok``."""
@@ -286,6 +325,7 @@ class CExtProvider:
                 f"{acc0.shape} accumulators do not describe keyswitches "
                 f"of a {x.shape} polynomial")
         plan_tables = _tables(plan, "ks_apply", plan.keyswitch_ok)
+        scratch = _work("ks_apply", work, n, 2 * limbs + 1, limbs + 1)
         checks = _check_tables(plan, "ks_apply", check,
                                limbs + limbs * limbs, keys)
         if check is not None:
@@ -294,18 +334,21 @@ class CExtProvider:
         table_pointers = None if tables is None else _pointers(tables)
         self._ks_apply(plan_tables, _addr(x), key_pointers, table_pointers,
                        len(keys), _addr(keep), _addr(acc0), _addr(acc1),
-                       _addr(work), _addr(work[limbs:]), limbs,
+                       *scratch, limbs,
                        keys[0].shape[2], n,
                        None if ticks is None else _addr(ticks), checks)
 
     def drop_top(self, plan, x: np.ndarray, inv: np.ndarray,
                  out: np.ndarray, work: np.ndarray, check=None) -> None:
-        """``work`` is ``(R, n)``: the top coefficient row, then scratch.
-        ``check`` as for :meth:`ks_apply`, over ``R`` row NTTs (the top
-        row's inverse first).  Gate: ``plan.drop_top_ok``."""
+        """``work`` is uint32 ``(R + 1, n)`` (:func:`_work`): the top
+        coefficient row as uint64, then the butterfly lanes of each
+        remaining limb.  ``check`` as for :meth:`ks_apply`, over ``R``
+        row NTTs (the top row's inverse first).  Gate:
+        ``plan.drop_top_ok``."""
         rows, n = x.shape
         tables = _tables(plan, "drop_top", plan.drop_top_ok)
-        self._drop_top(tables, _addr(x), _addr(inv), _addr(out), _addr(work),
+        scratch = _work("drop_top", work, n, 1, rows - 1)
+        self._drop_top(tables, _addr(x), _addr(inv), _addr(out), *scratch,
                        rows, n, _check_tables(plan, "drop_top", check, rows))
 
     def tensor(self, plan, operands, parts) -> None:

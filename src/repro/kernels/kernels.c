@@ -28,12 +28,19 @@
  * them between a lift and a multiply-accumulate (a subtract-and-scale)
  * so a 64 KB row is produced and consumed while it is in cache.
  *
- * Every row loop but the bit-reversal gathers and the automorphism
- * scatter runs on the vector lanes: no product here is wider than 64
- * bits, and the word reductions' products have both factors below
- * 2**32 (a 32x32->64 lane multiply).  The short NTT stages, whose
- * butterflies are closer together than a vector is wide, run as one
- * pass over 8-word blocks.
+ * Every row loop but the forward's bit-reversal gather and the
+ * automorphism scatter runs on the vector lanes, and the butterfly
+ * lanes are 32-bit words, as wide as the modulus needs: every host
+ * prime is below 2**30, so a lazy sum (< 4q) fits one, and each Shoup
+ * product is one 32x32->64 multiply for its high word plus two low
+ * products that wrap mod 2**32 to the exact result (< 2q).  The plan
+ * tables are uint32 too, and so is each row's scratch: a row of lanes
+ * is 32 KB at n = 8192.  Rows come in and go out as reduced uint64
+ * words; a row with a word >= q is folded on the way in.  The word
+ * reductions (fold, mulmod) and the drop's and the tensor product's
+ * finishes work on 32-bit operands the same way.  The short NTT
+ * stages, whose butterflies are closer together than a vector is
+ * wide, run as one pass over 8-word blocks.
  *
  * The arithmetic mirrors the analyzed plans line for line
  * (``repro.analysis.stage_plans``), so the eligibility gates derived
@@ -43,9 +50,10 @@
  * too), and read here from ``plan_t`` -- no plan-taking entry has a
  * schedule argument a caller could set:
  *
- * - lazy Shoup butterflies (``*_sh`` tables, 2**32 radix) in every
- *   NTT, forward and inverse: ``ntt_shoup_ok`` holds for every host
- *   prime (q < 2**30), and a plan is refused for a wider one;
+ * - lazy Shoup butterflies (``*_sh`` tables, 2**32 radix) on 32-bit
+ *   lanes in every NTT, forward and inverse: ``ntt_shoup_ok`` (asked
+ *   at a 32-bit lane word) holds for every host prime (q < 2**30), and
+ *   a plan is refused for a wider one;
  * - words reduced by ``fold`` (any uint64) and ``mulmod`` (a product of
  *   two reduced words): ``fold_ok`` and ``barrett_w_ok`` hold for every
  *   host prime;
@@ -141,88 +149,87 @@ static inline void tick_add(i64 *ticks, int slot, i64 ns) {
 /* The reduction constants of one modulus q < 2**30 (the host limit),
  * derived here from q alone: its width w (2**(w-1) <= q < 2**w), the
  * w-bit Barrett constant u = floor(2**(2w) / q), and the fold constant
- * c = 2**32 mod q with the Shoup companions of c and of 1.  Every
- * product below has both factors under 2**32: a 32x32->64 lane
- * multiply, no 128-bit word (gates: fold_ok, barrett_w_ok). */
+ * c = 2**32 mod q with the Shoup companions of c and of 1.  All of them
+ * are 32-bit words, like the lanes they reduce (gates: fold_ok,
+ * barrett_w_ok). */
 typedef struct {
-    u64 q, u, c, c_sh, one_sh;
+    u32 q, u, c, c_sh, one_sh;
     int w;
 } modulus_t;
 
 static inline modulus_t modulus_of(u64 q) {
     modulus_t m;
-    m.q = q;
+    m.q = (u32)q;
     m.w = 64 - __builtin_clzll(q);
-    m.u = ((u64)1 << (2 * m.w)) / q;
-    m.c = ((u64)1 << 32) % q;
-    m.c_sh = (m.c << 32) / q;
-    m.one_sh = ((u64)1 << 32) / q;
+    m.u = (u32)(((u64)1 << (2 * m.w)) / q);
+    m.c = (u32)(((u64)1 << 32) % q);
+    m.c_sh = (u32)(((u64)m.c << 32) / q);
+    m.one_sh = (u32)(((u64)1 << 32) / q);
     return m;
 }
 
-/* a * b of two words below 2**32, as the lanes' unsigned 32x32->64
- * multiply sees it. */
-static inline u64 mul32(u64 a, u64 b) {
-    return (u64)(u32)a * (u32)b;
+/* The high word of a * b: the lanes' one 32x32->64 multiply. */
+static inline u32 mulhi32(u32 a, u32 b) {
+    return (u32)(((u64)a * b) >> 32);
 }
 
 /* x - t where x >= t, else x: a conditional subtract. */
-static inline u64 csub(u64 x, u64 t) {
+static inline u32 csub(u32 x, u32 t) {
     return x >= t ? x - t : x;
 }
 
 /* Shoup multiplication x * w mod q, lazily in [0, 2q).  w_sh is the
  * precomputed companion floor(w * 2**32 / q); requires q < 2**30 and
- * x below the 2**32 precision radix (the S002/S003 preconditions the
- * analyzer checks). */
-static inline u64 shoup_mul_lazy(u64 x, u64 w, u64 w_sh, u64 q) {
-    u64 est = (x * w_sh) >> 32;
-    return x * w - est * q;
+ * x below the 2**32 radix (the S002/S003 preconditions the analyzer
+ * checks).  The two low products wrap mod 2**32, but the difference
+ * they give is below 2q < 2**32, so it is exact. */
+static inline u32 shoup_mul_lazy(u32 x, u32 w, u32 w_sh, u32 q) {
+    return x * w - mulhi32(x, w_sh) * q;
 }
 
 /* Any uint64 z modulo q: z = hi 2**32 + lo is congruent to hi c + lo,
  * two Shoup products of 32-bit multiplicands (by c and by 1), each
  * < 2q; two conditional subtracts take the < 4q sum below q (gate:
  * fold_ok). */
-static inline u64 fold(u64 z, modulus_t m) {
-    const u64 hi = z >> 32, lo = z & 0xffffffffu;
-    const u64 r = mul32(hi, m.c) - mul32(mul32(hi, m.c_sh) >> 32, m.q)
-                  + lo - mul32(mul32(lo, m.one_sh) >> 32, m.q);
+static inline u32 fold(u64 z, modulus_t m) {
+    const u32 r = shoup_mul_lazy((u32)(z >> 32), m.c, m.c_sh, m.q)
+                  + shoup_mul_lazy((u32)z, 1, m.one_sh, m.q);
     return csub(csub(r, 2 * m.q), m.q);
 }
 
 /* a * b mod q for two reduced words, by the w-bit Barrett of the lane
  * model (repro.arith.barrett): z = a b < 2**(2w), the estimate
  * ((z >> (w - 1)) u) >> (w + 1) undershoots floor(z / q) by at most 2,
- * so the remainder is < 3q and two conditional subtracts finish it
- * (gate: barrett_w_ok). */
-static inline u64 mulmod(u64 a, u64 b, modulus_t m) {
-    const u64 z = mul32(a, b);
-    const u64 est = mul32(z >> (m.w - 1), m.u) >> (m.w + 1);
-    return csub(csub(z - mul32(est, m.q), 2 * m.q), m.q);
+ * so the remainder is < 3q -- exact in the low word -- and two
+ * conditional subtracts finish it (gate: barrett_w_ok). */
+static inline u32 mulmod(u32 a, u32 b, modulus_t m) {
+    const u64 z = (u64)a * b;
+    const u32 est = (u32)(((u64)(u32)(z >> (m.w - 1)) * m.u) >> (m.w + 1));
+    return csub(csub((u32)z - est * m.q, 2 * m.q), m.q);
 }
 
 /* One lazy butterfly on lanes < 2q (gate: ntt_shoup_ok).  DIF: the sum
  * and the twiddled difference; DIT: the twiddled v, then the sum and
- * the difference, each clamped to < 2q. */
-static inline void dif_bf(u64 *u, u64 *v, u64 w, u64 w_sh, u64 q) {
-    const u64 t = csub(*u + *v, 2 * q);
-    const u64 d = *u + 2 * q - *v; /* < 4q < 2**32 */
+ * the difference, each clamped to < 2q.  Sums and differences are
+ * < 4q < 2**32. */
+static inline void dif_bf(u32 *u, u32 *v, u32 w, u32 w_sh, u32 q) {
+    const u32 t = csub(*u + *v, 2 * q);
+    const u32 d = *u + 2 * q - *v;
     *u = t;
     *v = shoup_mul_lazy(d, w, w_sh, q);
 }
 
-static inline void dit_bf(u64 *u, u64 *v, u64 w, u64 w_sh, u64 q) {
-    const u64 t = shoup_mul_lazy(*v, w, w_sh, q);
-    const u64 s = csub(*u + t, 2 * q);
+static inline void dit_bf(u32 *u, u32 *v, u32 w, u32 w_sh, u32 q) {
+    const u32 t = shoup_mul_lazy(*v, w, w_sh, q);
+    const u32 s = csub(*u + t, 2 * q);
     *v = csub(*u + 2 * q - t, 2 * q);
     *u = s;
 }
 
 /* The identity-twiddle butterfly of the len-1 stage, either
  * direction: omega**0 == 1, so no product. */
-static inline void unit_bf(u64 *u, u64 *v, u64 q) {
-    const u64 t = csub(*u + *v, 2 * q);
+static inline void unit_bf(u32 *u, u32 *v, u32 q) {
+    const u32 t = csub(*u + *v, 2 * q);
     *v = csub(*u + 2 * q - *v, 2 * q);
     *u = t;
 }
@@ -231,29 +238,29 @@ static inline void unit_bf(u64 *u, u64 *v, u64 q) {
 /* One row of the forward negacyclic NTT, all stages fused -- the only */
 /* forward butterfly loops in this file.                               */
 /*                                                                    */
-/* x: n input words; a: n words of scratch; o: n output words (o may  */
-/* alias x: the psi fold consumes x before o is written).  ps/ps_sh:  */
-/* the row's psi folding table.  tw/tw_sh: its flattened DIF stage    */
-/* twiddles (lengths n/2, n/4, .., 1 concatenated -> n - 1 entries;   */
-/* stage len starts at n - 2 len).  bitrev: the length-n involution   */
-/* undoing the DIF output order.  Every product is a mod-free Shoup   */
-/* product (gate: ntt_shoup_ok).  The stages down to len 8 run one    */
-/* butterfly loop; len 4, 2 and 1 run as one pass over 8-word blocks, */
-/* whose six twiddles are the same in every block.                    */
+/* x: n input words; a: n 32-bit lanes of scratch; o: n output words  */
+/* (o may alias x: the psi fold consumes x before o is written).      */
+/* ps/ps_sh: the row's psi folding table.  tw/tw_sh: its flattened    */
+/* DIF stage twiddles (lengths n/2, n/4, .., 1 concatenated -> n - 1  */
+/* entries; stage len starts at n - 2 len).  bitrev: the length-n     */
+/* involution undoing the DIF output order.  Every product is a       */
+/* mod-free Shoup product (gate: ntt_shoup_ok).  The stages down to   */
+/* len 8 run one butterfly loop; len 4, 2 and 1 run as one pass over  */
+/* 8-word blocks, whose six twiddles are the same in every block.     */
 /* Out of line: inlined into a row loop, gcc 12 -O3 -fopenmp spilled  */
 /* a butterfly product to the stack (a ~8 % slower forward NTT).      */
 /* ------------------------------------------------------------------ */
 ROW_KERNEL
-static void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
-                    const u64 *ps, const u64 *ps_sh,
-                    const u64 *tw, const u64 *tw_sh, const i64 *bitrev) {
+static void fwd_row(const u64 *x, u32 *a, u64 *o, i64 n, u32 q,
+                    const u32 *ps, const u32 *ps_sh,
+                    const u32 *tw, const u32 *tw_sh, const i64 *bitrev) {
     /* psi fold: x * psi^j, into [0, 2q).  The loop notes whether the
      * row had a word >= q; only such a row is folded again, each word
      * reduced first. */
     u64 wide = 0;
     for (i64 i = 0; i < n; i++) {
         wide |= x[i] >= q;
-        a[i] = shoup_mul_lazy(x[i], ps[i], ps_sh[i], q);
+        a[i] = shoup_mul_lazy((u32)x[i], ps[i], ps_sh[i], q);
     }
     if (wide) {
         const modulus_t m = modulus_of(q);
@@ -264,25 +271,25 @@ static void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
     /* Gentleman-Sande DIF stages, lazy (< 2q lanes throughout); below
      * n = 8 this loop runs every stage, the last one's twiddle 1. */
     for (i64 len = n >> 1; len >= (n >= 8 ? 8 : 1); len >>= 1) {
-        const u64 *wt = tw + n - 2 * len;
-        const u64 *wt_sh = tw_sh + n - 2 * len;
+        const u32 *wt = tw + n - 2 * len;
+        const u32 *wt_sh = tw_sh + n - 2 * len;
         for (i64 start = 0; start < n; start += 2 * len) {
-            u64 *pu = a + start;
-            u64 *pv = a + start + len;
+            u32 *pu = a + start;
+            u32 *pv = a + start + len;
             for (i64 j = 0; j < len; j++)
                 dif_bf(&pu[j], &pv[j], wt[j], wt_sh[j], q);
         }
     }
     if (n >= 8) {
-        const u64 *w4 = tw + n - 8, *s4 = tw_sh + n - 8;
-        const u64 *w2 = tw + n - 4, *s2 = tw_sh + n - 4;
-        const u64 w40 = w4[0], w41 = w4[1], w42 = w4[2], w43 = w4[3];
-        const u64 s40 = s4[0], s41 = s4[1], s42 = s4[2], s43 = s4[3];
-        const u64 w20 = w2[0], w21 = w2[1], s20 = s2[0], s21 = s2[1];
+        const u32 *w4 = tw + n - 8, *s4 = tw_sh + n - 8;
+        const u32 *w2 = tw + n - 4, *s2 = tw_sh + n - 4;
+        const u32 w40 = w4[0], w41 = w4[1], w42 = w4[2], w43 = w4[3];
+        const u32 s40 = s4[0], s41 = s4[1], s42 = s4[2], s43 = s4[3];
+        const u32 w20 = w2[0], w21 = w2[1], s20 = s2[0], s21 = s2[1];
         for (i64 start = 0; start < n; start += 8) {
-            u64 *b = a + start;
-            u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
-            u64 b4 = b[4], b5 = b[5], b6 = b[6], b7 = b[7];
+            u32 *b = a + start;
+            u32 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
+            u32 b4 = b[4], b5 = b[5], b6 = b[6], b7 = b[7];
             dif_bf(&b0, &b4, w40, s40, q);
             dif_bf(&b1, &b5, w41, s41, q);
             dif_bf(&b2, &b6, w42, s42, q);
@@ -310,40 +317,42 @@ static void fwd_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
 /* One row of the inverse negacyclic NTT, all stages fused -- the only */
 /* inverse butterfly loops in this file.                               */
 /*                                                                    */
-/* x/a/o as in fwd_row (o may alias x: the bit-reversal gather        */
-/* consumes x first).  tw/tw_sh: flattened DIT stage twiddles         */
-/* (lengths 1, 2, .., n/2; stage len starts at len - 1).  uf/uf_sh:   */
-/* the fused psi^{-j} * n^{-1} table.  Lazy Shoup throughout: < 2q    */
-/* lanes, mod-free twiddle products, a Shoup unfold plus one          */
-/* conditional subtract (gate: ntt_shoup_ok).  Stages len 1, 2 and 4  */
-/* run as one pass over 8-word blocks, the rest as one loop.          */
+/* x/a/o as in fwd_row (o may alias x: the bit-reversal gather and    */
+/* the refold of a wide row consume x first).  tw/tw_sh: flattened    */
+/* DIT stage twiddles (lengths 1, 2, .., n/2; stage len starts at     */
+/* len - 1).  uf/uf_sh: the fused psi^{-j} * n^{-1} table.  Lazy      */
+/* Shoup throughout: < 2q lanes, mod-free twiddle products, a Shoup   */
+/* unfold plus one conditional subtract (gate: ntt_shoup_ok).  Stages */
+/* len 1, 2 and 4 run as one pass over 8-word blocks, the rest as one */
+/* loop.                                                               */
 /* ------------------------------------------------------------------ */
 ROW_KERNEL
-static void inv_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
-                    const u64 *tw, const u64 *tw_sh,
-                    const u64 *uf, const u64 *uf_sh, const i64 *bitrev) {
+static void inv_row(const u64 *x, u32 *a, u64 *o, i64 n, u32 q,
+                    const u32 *tw, const u32 *tw_sh,
+                    const u32 *uf, const u32 *uf_sh, const i64 *bitrev) {
     /* Natural order -> bit-reversed DIT input; a row that had a word
-     * >= q is folded below q in place. */
+     * >= q is gathered again, each word folded below q. */
     u64 wide = 0;
     for (i64 i = 0; i < n; i++) {
-        a[i] = x[bitrev[i]];
-        wide |= a[i] >= q;
+        const u64 v = x[bitrev[i]];
+        wide |= v >= q;
+        a[i] = (u32)v;
     }
     if (wide) {
         const modulus_t m = modulus_of(q);
-        for (i64 i = 0; i < n; i++) a[i] = fold(a[i], m);
+        for (i64 i = 0; i < n; i++) a[i] = fold(x[bitrev[i]], m);
     }
 
     i64 len = 1;
     if (n >= 8) {
-        const u64 w20 = tw[1], w21 = tw[2], s20 = tw_sh[1], s21 = tw_sh[2];
-        const u64 w40 = tw[3], w41 = tw[4], w42 = tw[5], w43 = tw[6];
-        const u64 s40 = tw_sh[3], s41 = tw_sh[4], s42 = tw_sh[5],
+        const u32 w20 = tw[1], w21 = tw[2], s20 = tw_sh[1], s21 = tw_sh[2];
+        const u32 w40 = tw[3], w41 = tw[4], w42 = tw[5], w43 = tw[6];
+        const u32 s40 = tw_sh[3], s41 = tw_sh[4], s42 = tw_sh[5],
                   s43 = tw_sh[6];
         for (i64 start = 0; start < n; start += 8) {
-            u64 *b = a + start;
-            u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
-            u64 b4 = b[4], b5 = b[5], b6 = b[6], b7 = b[7];
+            u32 *b = a + start;
+            u32 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
+            u32 b4 = b[4], b5 = b[5], b6 = b[6], b7 = b[7];
             unit_bf(&b0, &b1, q);
             unit_bf(&b2, &b3, q);
             unit_bf(&b4, &b5, q);
@@ -364,11 +373,11 @@ static void inv_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
     /* The remaining stages; below n = 8 every stage, the first one's
      * twiddle 1. */
     for (; len < n; len <<= 1) {
-        const u64 *wt = tw + len - 1;
-        const u64 *wt_sh = tw_sh + len - 1;
+        const u32 *wt = tw + len - 1;
+        const u32 *wt_sh = tw_sh + len - 1;
         for (i64 start = 0; start < n; start += 2 * len) {
-            u64 *pu = a + start;
-            u64 *pv = a + start + len;
+            u32 *pu = a + start;
+            u32 *pv = a + start + len;
             for (i64 j = 0; j < len; j++)
                 dit_bf(&pu[j], &pv[j], wt[j], wt_sh[j], q);
         }
@@ -379,50 +388,50 @@ static void inv_row(const u64 *x, u64 *a, u64 *o, i64 n, u64 q,
 
 /* One (n, primes) plan (repro/ntt/negacyclic.py): its constant tables,
  * row l modulo q[l] -- n words per row in psi/unfold, n - 1 in the flat
- * stage twiddles, each with its Shoup companion (*_sh) -- and the
- * accumulator schedule the gates proved for it.  Field order is the
- * ctypes mirror's (cext.PlanTables). */
+ * stage twiddles, each with its Shoup companion (*_sh), all 32-bit
+ * words like the lanes -- and the accumulator schedule the gates proved
+ * for it.  Field order is the ctypes mirror's (cext.PlanTables). */
 typedef struct {
     const u64 *q;
-    const u64 *psi, *psi_sh;
-    const u64 *twf, *twf_sh;
-    const u64 *twi, *twi_sh;
-    const u64 *unfold, *unfold_sh;
+    const u32 *psi, *psi_sh;
+    const u32 *twf, *twf_sh;
+    const u32 *twi, *twi_sh;
+    const u32 *unfold, *unfold_sh;
     const i64 *bitrev;
     int ks_lazy; /* repro_ks_apply: 1 unreduced accumulator */
 } plan_t;
 
 static inline void plan_fwd(const plan_t *p, i64 l, i64 n, const u64 *x,
-                            u64 *a, u64 *o) {
-    fwd_row(x, a, o, n, p->q[l], p->psi + l * n, p->psi_sh + l * n,
+                            u32 *a, u64 *o) {
+    fwd_row(x, a, o, n, (u32)p->q[l], p->psi + l * n, p->psi_sh + l * n,
             p->twf + l * (n - 1), p->twf_sh + l * (n - 1), p->bitrev);
 }
 
 static inline void plan_inv(const plan_t *p, i64 l, i64 n, const u64 *x,
-                            u64 *a, u64 *o) {
-    inv_row(x, a, o, n, p->q[l], p->twi + l * (n - 1),
+                            u32 *a, u64 *o) {
+    inv_row(x, a, o, n, (u32)p->q[l], p->twi + l * (n - 1),
             p->twi_sh + l * (n - 1), p->unfold + l * n, p->unfold_sh + l * n,
             p->bitrev);
 }
 
 /* ------------------------------------------------------------------ */
-/* Batched transforms: in/out/work (L, n) row-major, row l through    */
-/* plan row l.                                                         */
+/* Batched transforms: in/out (L, n) row-major, row l through plan    */
+/* row l; scratch (L, n) 32-bit lanes.                                 */
 /* ------------------------------------------------------------------ */
 void repro_fwd_ntt_batch(const plan_t *plan, const u64 *in, u64 *out,
-                         u64 *work, i64 L, i64 n) {
+                         u32 *scratch, i64 L, i64 n) {
     const i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++)
-        plan_fwd(plan, l, n, in + l * n, work + l * n, out + l * n);
+        plan_fwd(plan, l, n, in + l * n, scratch + l * n, out + l * n);
 }
 
 void repro_inv_ntt_batch(const plan_t *plan, const u64 *in, u64 *out,
-                         u64 *work, i64 L, i64 n) {
+                         u32 *scratch, i64 L, i64 n) {
     const i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++)
-        plan_inv(plan, l, n, in + l * n, work + l * n, out + l * n);
+        plan_inv(plan, l, n, in + l * n, scratch + l * n, out + l * n);
 }
 
 /* ------------------------------------------------------------------ */
@@ -473,8 +482,8 @@ static inline void mac_row(u64 *s0, u64 *s1, const u64 *dd, const i64 *src,
     } else {
         for (i64 k = 0; k < n; k++) {
             const u64 d = dd[src ? src[k] : k];
-            s0[k] = csub(s0[k] + mulmod(d, bb[k], m), m.q);
-            s1[k] = csub(s1[k] + mulmod(d, aa[k], m), m.q);
+            s0[k] = csub((u32)s0[k] + mulmod((u32)d, (u32)bb[k], m), m.q);
+            s1[k] = csub((u32)s1[k] + mulmod((u32)d, (u32)aa[k], m), m.q);
         }
     }
 }
@@ -595,7 +604,7 @@ static inline i64 check_row(const check_t *check, int fwd, i64 l, i64 r,
 static inline void spare_reduce(u32 *dq, const u64 *dd, i64 n,
                                 modulus_t ms) {
     for (i64 k = 0; k < n; k++)
-        dq[k] = (u32)fold(dd[k], ms);
+        dq[k] = fold(dd[k], ms);
 }
 
 /* The spare-modulus channel of one digit row, beside mac_row and over
@@ -635,9 +644,10 @@ static inline u64 spare_sum(const u64 *acc, i64 n, modulus_t ms) {
 /* in place through keep (L + 1 row indices below K).  tables: NULL   */
 /* -- G plain keyswitches of x -- or G source tables of Galois maps:  */
 /* rotation g switches sigma_g(x), slot k of which is slot            */
-/* tables[g][k] of x.  acc0/acc1: (G, L + 1, n) outputs.  coeff:      */
-/* (L, n) scratch for the coefficient rows; work: two scratch rows    */
-/* per target limb.                                                   */
+/* tables[g][k] of x.  acc0/acc1: (G, L + 1, n) outputs.  work:       */
+/* (2 L + 1, n): the L coefficient rows, then one digit row per       */
+/* target limb.  scratch: (L + 1, n) 32-bit lanes, one row per target */
+/* limb (the inverse NTTs take the first L).                          */
 /*                                                                    */
 /* After the L inverse NTTs, target limb j takes each digit i in      */
 /* turn: lift coefficient row i into j's scratch row, forward-NTT it  */
@@ -666,16 +676,17 @@ static inline u64 spare_sum(const u64 *acc, i64 n, modulus_t ms) {
 ROW_KERNEL
 void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
                     const i64 *const *tables, i64 G, const i64 *keep,
-                    u64 *acc0, u64 *acc1, u64 *coeff, u64 *work,
+                    u64 *acc0, u64 *acc1, u64 *work, u32 *scratch,
                     i64 L, i64 K, i64 n, i64 *ticks, const check_t *check) {
     const int lazy = plan->ks_lazy;
+    u64 *coeff = work;
     const modulus_t ms = check ? modulus_of(check->spare_q) : (modulus_t){0};
     i64 par_rows = L;
     PARALLEL_LIMBS
     for (i64 l = 0; l < par_rows; l++) {
         i64 check_ns = check_row(check, 0, l, l, 0, x + l * n, n, ticks);
         const i64 t0 = tick_now(ticks);
-        plan_inv(plan, l, n, x + l * n, work + l * n, coeff + l * n);
+        plan_inv(plan, l, n, x + l * n, scratch + l * n, coeff + l * n);
         tick_add(ticks, 0, tick_now(ticks) - t0);
         check_ns += check_row(check, 0, l, l, 1, coeff + l * n, n, ticks);
         tick_add(ticks, 4, check_ns);
@@ -685,8 +696,9 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
     PARALLEL_LIMBS
     for (i64 j = 0; j < par_rows; j++) {
         const modulus_t m = modulus_of(plan->q[j]);
-        u64 *row = work + 2 * j * n;
-        u32 *dq = (u32 *)(row + n); /* digit mod qs, in the NTT's scratch */
+        u64 *row = work + (L + j) * n;
+        u32 *lanes = scratch + j * n;
+        u32 *dq = lanes; /* digit mod qs, once the NTT is done with it */
         i64 lift_ns = 0, ntt_ns = 0, mac_ns = 0, check_ns = 0;
         i64 t0 = tick_now(ticks), t1;
         for (i64 g = 0; g < G; g++) {
@@ -705,7 +717,7 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
                 t1 = tick_now(ticks);
                 lift_ns += t1 - t0;
                 i64 ns = check_row(check, 1, j, r, 0, row, n, ticks);
-                plan_fwd(plan, j, n, row, row + n, row);
+                plan_fwd(plan, j, n, row, lanes, row);
                 ns += check_row(check, 1, j, r, 1, row, n, ticks);
                 t0 = tick_now(ticks);
                 ntt_ns += t0 - t1 - ns;
@@ -759,29 +771,29 @@ void repro_ks_apply(const plan_t *plan, const u64 *x, const u64 *const *keys,
  * q_top^{-1} mod q with its Shoup companion taken here.  x is read as
  * it comes: a row with a word >= q takes the loop that folds each word
  * first. */
-static inline u64 drop_word(u64 v, u64 o, u64 q, u64 scale, u64 scale_sh) {
+static inline u32 drop_word(u32 v, u32 o, u32 q, u32 scale, u32 scale_sh) {
     return csub(shoup_mul_lazy(csub(v + q - o, q), scale, scale_sh, q), q);
 }
 
 ROW_KERNEL
-static void drop_finish(const u64 *restrict x, u64 *restrict o, i64 n, u64 q,
-                        u64 scale) {
-    const u64 scale_sh = (scale << 32) / q;
+static void drop_finish(const u64 *restrict x, u64 *restrict o, i64 n, u32 q,
+                        u32 scale) {
+    const u32 scale_sh = (u32)(((u64)scale << 32) / q);
     u64 wide = 0;
     for (i64 k = 0; k < n; k++) wide |= x[k] >= q;
     if (wide) {
         const modulus_t m = modulus_of(q);
         for (i64 k = 0; k < n; k++)
-            o[k] = drop_word(fold(x[k], m), o[k], q, scale, scale_sh);
+            o[k] = drop_word(fold(x[k], m), (u32)o[k], q, scale, scale_sh);
     } else {
         for (i64 k = 0; k < n; k++)
-            o[k] = drop_word(x[k], o[k], q, scale, scale_sh);
+            o[k] = drop_word((u32)x[k], (u32)o[k], q, scale, scale_sh);
     }
 }
 
 /* One row of the tensor product, every product a w-bit Barrett
- * (mulmod).  Its own function, with restrict rows: inside the OpenMP
- * body the loop did not vectorize. */
+ * (mulmod) of the operands' 32-bit words.  Its own function, with
+ * restrict rows: inside the OpenMP body the loop did not vectorize. */
 ROW_KERNEL
 static void tensor_row(const u64 *restrict a0, const u64 *restrict a1,
                        const u64 *restrict b0, const u64 *restrict b1,
@@ -789,9 +801,10 @@ static void tensor_row(const u64 *restrict a0, const u64 *restrict a1,
                        i64 n, u64 q) {
     const modulus_t m = modulus_of(q);
     for (i64 k = 0; k < n; k++) {
-        const u64 x0 = a0[k], x1 = a1[k], y0 = b0[k], y1 = b1[k];
+        const u32 x0 = (u32)a0[k], x1 = (u32)a1[k];
+        const u32 y0 = (u32)b0[k], y1 = (u32)b1[k];
         d0[k] = mulmod(x0, y0, m);
-        d1[k] = csub(mulmod(x0, y1, m) + mulmod(x1, y0, m), q);
+        d1[k] = csub(mulmod(x0, y1, m) + mulmod(x1, y0, m), m.q);
         d2[k] = mulmod(x1, y1, m);
     }
 }
@@ -802,11 +815,13 @@ static void tensor_row(const u64 *restrict a0, const u64 *restrict a1,
 /*                                                                    */
 /* x: (R, n) evaluation-domain rows through the R plan rows; out:     */
 /* (R - 1, n), evaluation domain.  inv[j] = q_top^{-1} mod q_j.       */
-/* work: (R, n) scratch, the top coefficient row first.  The NTT is   */
-/* linear, so only the top row is inverse-transformed; remaining limb */
-/* j lifts it centered (lift_row's gate, against every remaining      */
-/* prime), forward-NTTs the lift in its output row and finishes there */
-/* -- out_j = inv[j] * (x_j - NTT_j(lift)): R row NTTs, not 2 R - 1.  */
+/* work: one row, the top coefficient row.  scratch: (R - 1, n)      */
+/* 32-bit lanes, one row per remaining limb (the first also serves    */
+/* the top row's inverse).  The NTT is linear, so only the top row is */
+/* inverse-transformed; remaining limb j lifts it centered (lift_row's */
+/* gate, against every remaining prime), forward-NTTs the lift in its */
+/* output row and finishes there -- out_j = inv[j] * (x_j -           */
+/* NTT_j(lift)): R row NTTs, not 2 R - 1.                             */
 /*                                                                    */
 /* check: NULL, or the integrity sums of the R row NTTs: the top      */
 /* row's inverse at 0, remaining limb j's forward row at 1 + j (the   */
@@ -814,12 +829,12 @@ static void tensor_row(const u64 *restrict a0, const u64 *restrict a1,
 /* ------------------------------------------------------------------ */
 ROW_KERNEL
 void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
-                         u64 *out, u64 *work, i64 R, i64 n,
+                         u64 *out, u64 *work, u32 *scratch, i64 R, i64 n,
                          const check_t *check) {
     const i64 t = R - 1;
     u64 *top = work;
     check_row(check, 0, t, 0, 0, x + t * n, n, 0);
-    plan_inv(plan, t, n, x + t * n, work + n, top);
+    plan_inv(plan, t, n, x + t * n, scratch, top);
     check_row(check, 0, t, 0, 1, top, n, 0);
     const u64 q_top = plan->q[t];
     const i64 par_rows = R - 1;
@@ -828,9 +843,9 @@ void repro_drop_top_limb(const plan_t *plan, const u64 *x, const u64 *inv,
         u64 *o = out + j * n;
         lift_row(top, o, n, q_top, plan->q[j]);
         check_row(check, 1, j, 1 + j, 0, o, n, 0);
-        plan_fwd(plan, j, n, o, work + (1 + j) * n, o);
+        plan_fwd(plan, j, n, o, scratch + j * n, o);
         check_row(check, 1, j, 1 + j, 1, o, n, 0);
-        drop_finish(x + j * n, o, n, plan->q[j], inv[j]);
+        drop_finish(x + j * n, o, n, (u32)plan->q[j], (u32)inv[j]);
     }
 }
 

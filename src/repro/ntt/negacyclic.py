@@ -130,11 +130,13 @@ class BatchedNegacyclicNtt:
     contiguous — moduli ``q``, the psi fold
     ``psi``, the flat stage twiddles ``twf`` (forward) and ``twi``
     (inverse), the fused ``psi^{-j} * n^{-1}`` unfold ``unfold``, each
-    table with its Shoup companion ``*_sh``, and ``bitrev`` — which is
-    the layout ``kernels.c`` indexes.  :meth:`forward` and
-    :meth:`inverse` walk the stack in row blocks of ``block_rows`` rows
-    (at most :data:`BLOCK_WORDS` words), over views of the same stacks
-    built once per block, and run the stages of span below ``width``
+    table with its Shoup companion ``*_sh`` — these eight as uint32,
+    the word of the kernels' butterfly lanes, which numpy's stages read
+    as they are — and ``bitrev``: the layout ``kernels.c`` indexes.
+    :meth:`forward` and :meth:`inverse` walk the stack in row blocks of
+    ``block_rows`` rows (at most :data:`BLOCK_WORDS` words), over views
+    of the same stacks built once per block, and run the stages of span
+    below ``width``
     (:data:`TRANSPOSE_WIDTH`, or ``n``) on a block's transposed copy;
     ``tbitrev`` is their bit-reversal gather read through that
     transpose.  The plan holds no scratch, so threads may share it.
@@ -177,7 +179,12 @@ class BatchedNegacyclicNtt:
         self.ks_lazy = int(keyswitch_lazy_accumulate_ok(len(rest), max_q))
 
         def stack(attr: str) -> np.ndarray:
-            return np.stack([getattr(t, attr) for t in tabs])
+            # Every word is below 2**32: a residue or a Shoup companion
+            # of one (q < 2**30).
+            table = np.stack([getattr(t, attr) for t in tabs])
+            if table.max(initial=0) >= (1 << 32):
+                raise ValueError(f"{attr}: a word of 2**32 or more")
+            return table.astype(np.uint32)
 
         self.q = np.array(primes, dtype=np.uint64)
         self.psi = stack("psi_powers")

@@ -298,7 +298,6 @@ class ServeEngine:
         if rejection is not None:
             self.counters["resolved"] += 1
             rejection.latency = self.clock() - submitted_at
-            self._note_tenant(request, rejection)
             return rejection
         if self._journal is not None:
             # Durable point: once this record is on disk, a crash
@@ -338,20 +337,7 @@ class ServeEngine:
         if self._journal is not None:
             self._journal.record_resolve(request.request_id, result.status)
         result.latency = self.clock() - submitted_at
-        self._note_tenant(request, result)
         return result
-
-    def _note_tenant(self, request: ServeRequest,
-                     result: ServeResult) -> None:
-        """Per-tenant series for one resolved request: cumulative
-        request/bad counters and the latency quantile sketch.
-        Rejections count as requests but not as bad ones: load shedding
-        is the mitigation, not the incident."""
-        base = f"serve.tenant.{request.tenant}"
-        obs.count(f"{base}.requests")
-        if result.status in (STATUS_ERROR, STATUS_TIMEOUT):
-            obs.count(f"{base}.bad")
-        obs.observe_value(f"{base}.latency_s", result.latency)
 
     async def resume_pending(self) -> list[ServeResult]:
         """Re-submit every journaled request that was admitted but never

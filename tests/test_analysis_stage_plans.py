@@ -85,6 +85,42 @@ class TestSeededMutations:
         assert any(f.rule == "S002" for f in report.findings)
 
 
+class TestThirtyTwoBitLanes:
+    """``kernels.c`` runs the butterflies on 32-bit lane words: every
+    sum, difference and Shoup low product must fit one."""
+
+    @pytest.mark.parametrize("analyze, entry", [
+        (analyze_dif_lazy, lambda q: 2 * q - 1),
+        (analyze_dit_lazy, lambda q: q - 1)])
+    def test_clean_at_the_host_limit(self, analyze, entry):
+        for log_n in (1, 3, 13, 16):
+            report = analyze(log_n, Q30, shoup=True, entry_hi=entry(Q30),
+                             word_bits=32)
+            assert report.ok and report.word_bits == 32, log_n
+            assert report.max_intermediate < 1 << 64
+            assert 4 * Q30 - 1 <= (1 << 32) - 1
+
+    def test_dropped_dif_sum_subtract_is_a_32_bit_wrap(self):
+        """Without the DIF sum's conditional subtract the next stage's
+        sum reaches 8q: a uint64 lane holds it, a 32-bit lane wraps."""
+        report = analyze_dif_lazy(12, Q30, shoup=True,
+                                  skip_total_clamp=True, word_bits=32)
+        wraps = [f for f in report.findings
+                 if f.rule == "S001" and "32-bit lane" in f.message]
+        assert wraps and "total = u + v" in wraps[0].message
+        assert wraps[0].location == "stage 1"
+        wide = analyze_dif_lazy(12, Q30, shoup=True, skip_total_clamp=True)
+        assert not any("32-bit lane" in f.message for f in wide.findings)
+
+    def test_shoup_low_product_must_fit_the_lane(self):
+        """Past 2**31 the Shoup result (below 2q) no longer fits a
+        32-bit lane: the low products' difference is not exact."""
+        report = analyze_dif_lazy(12, Q31 * 2 + 1, shoup=True,
+                                  word_bits=32)
+        assert any(f.rule == "S001" and "mod 2**32" in f.message
+                   for f in report.findings)
+
+
 class TestGates:
     def test_unclamped_gate_matches_exact_product(self):
         for log_n in (6, 12, 16):
@@ -126,10 +162,13 @@ class TestKernelReductionMutations:
 
     def test_barrett_shifted_too_far_undershoots(self):
         """A post shift of w + 2 halves the estimate: the remainder
-        reaches far past 3q, past what two subtracts can reduce."""
+        reaches far past 3q, past what two subtracts can reduce — and
+        past the 32-bit lane word it is taken in."""
         w = Q30.bit_length()
         report = analyze_barrett_w(Q30, post_shift=w + 2)
-        assert [f.rule for f in report.findings] == ["S005"]
+        rules = [f.rule for f in report.findings]
+        assert rules[0] == "S001" and rules[-1] == "S005"
+        assert "32-bit lane" in list(report.findings)[0].message
         assert report.stage_bounds[-1] > 3 * Q30
 
     def test_barrett_shifted_too_little_overshoots(self):

@@ -4,6 +4,7 @@ kernels' workspace pools, the integrity checker's tables and counters,
 a CKKS context's plaintext cache — and the cache-reset metrics contract
 (gauges zeroed on clear)."""
 
+import ctypes
 import itertools
 import sys
 import threading
@@ -131,20 +132,27 @@ class TestBatchedNttCache:
 
     def test_numpy_and_c_read_the_same_arrays(self):
         """Every row block's views — its natural and transposed stage
-        views too — read the stacked tables C reads: none is a copy."""
+        views too — read the stacked uint32 tables C reads: none is a
+        copy, and none is a wider twin."""
         n = 8192
         primes = tuple(find_ntt_primes(2 * n, 28, 9))
         plan = get_batched_ntt(n, primes)
         ctables = cext._tables(plan, "test")
+
+        def address(name):
+            return ctypes.cast(getattr(ctables, name), ctypes.c_void_p).value
+
         assert len(plan._blocks) > 1
         for blk in plan._blocks:
             for name in ("psi", "psi_sh", "unfold", "unfold_sh"):
                 table = getattr(plan, name)
-                assert getattr(ctables, name) == table.ctypes.data
+                assert table.dtype == np.uint32
+                assert address(name) == table.ctypes.data
                 assert np.shares_memory(getattr(blk, name), table)
             for name, groups in blk.stages.items():
                 table = getattr(plan, name)
-                assert getattr(ctables, name) == table.ctypes.data
+                assert table.dtype == np.uint32
+                assert address(name) == table.ctypes.data
                 views = [view for group in groups for view in group]
                 assert len(views) == plan.log_n
                 assert {view.ndim for view in views} == {3, 4}

@@ -344,8 +344,8 @@ class TestNumpyChecksAreTheOracleOfTheCSums:
     @pytest.mark.parametrize("old, new", [
         # The input sum taken after the in-place transform.
         ("""                i64 ns = check_row(check, 1, j, r, 0, row, n, ticks);
-                plan_fwd(plan, j, n, row, row + n, row);
-""", """                plan_fwd(plan, j, n, row, row + n, row);
+                plan_fwd(plan, j, n, row, lanes, row);
+""", """                plan_fwd(plan, j, n, row, lanes, row);
                 i64 ns = check_row(check, 1, j, r, 0, row, n, ticks);
 """),
         # The spare channel reading the b image for both key parts.
@@ -426,15 +426,14 @@ class TestDetection:
         with flipped(get_batched_ntt(N, self.PRIMES).twi, (1, 3)):
             check = run()
         # The inverse is the lazy Shoup schedule: the stuck word (1 -> 0)
-        # meets its old companion, the product wraps below zero and
-        # digit 1's coefficient row leaves the reduced range.  Its
-        # forward rows transform that row correctly, but it has words of
-        # 2**32 and more, which saturate their input sums: those rows
-        # are named too, and no other.
-        digit_rows = [row for row, (i, _) in enumerate(_forward_pairs(3))
-                      if i == 1]
-        assert checker.faulty_fused_rows(check) == ([1], digit_rows)
-        assert checker.check_fused(check) == (False, False, True, True)
+        # meets its old companion, the product wraps below zero in its
+        # 32-bit lane and digit 1's coefficient row leaves the reduced
+        # range -- but a lane wraps at 2**32, so no word reaches it.
+        # Digit 1's forward rows fold those words and transform them
+        # correctly, their sums unsaturated: the inverse row is named,
+        # and no other.
+        assert checker.faulty_fused_rows(check) == ([1], [])
+        assert checker.check_fused(check) == (False, True, True, True)
 
     @pytest.mark.parametrize("part", [0, 1])
     def test_key_word_corrupted_after_its_image_names_the_accumulator(

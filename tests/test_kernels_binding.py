@@ -39,6 +39,13 @@ def _poison(*shape):
     return np.full(shape, 0xDEAD, dtype=np.uint64)
 
 
+def _work(entry, rows):
+    """The uint32 ``work`` buffer ``entry`` takes for a plan of
+    ``rows`` primes."""
+    count = {"ks_apply": 5 * (rows - 1) + 3, "drop_top": rows + 1}
+    return np.zeros((count.get(entry, rows), N), dtype=np.uint32)
+
+
 def _calls(provider, plan):
     """Every plan-taking entry on ``plan``, each with a poisoned output
     it must leave untouched when it refuses."""
@@ -49,15 +56,17 @@ def _calls(provider, plan):
     ones = np.ones(rows - 1, dtype=np.uint64)
     out, acc0, acc1 = (_poison(rows, N), _poison(1, rows, N),
                        _poison(1, rows, N))
-    work = np.zeros((3 * rows, N), dtype=np.uint64)
     parts = [_poison(rows, N) for _ in range(3)]
     return {
-        "fwd_ntt": (lambda: provider.fwd_ntt(plan, x, out, work), [out]),
-        "inv_ntt": (lambda: provider.inv_ntt(plan, x, out, work), [out]),
+        "fwd_ntt": (lambda: provider.fwd_ntt(
+            plan, x, out, _work("fwd_ntt", rows)), [out]),
+        "inv_ntt": (lambda: provider.inv_ntt(
+            plan, x, out, _work("inv_ntt", rows)), [out]),
         "ks_apply": (lambda: provider.ks_apply(
-            plan, x[:-1], [key], keep, acc0, acc1, work), [acc0, acc1]),
+            plan, x[:-1], [key], keep, acc0, acc1,
+            _work("ks_apply", rows)), [acc0, acc1]),
         "drop_top": (lambda: provider.drop_top(
-            plan, x, ones, out, work), [out]),
+            plan, x, ones, out, _work("drop_top", rows)), [out]),
         "tensor": (lambda: provider.tensor(plan, [x] * 4, parts), parts),
     }
 
@@ -148,15 +157,14 @@ class TestCheckRequestIsValidatedInTheCallee:
         keep = np.arange(rows, dtype=np.int64)
         out, acc0, acc1 = (_poison(rows - 1, N), _poison(1, rows, N),
                            _poison(1, rows, N))
-        work = np.zeros((5 * rows, N), dtype=np.uint64)
         ks, drop = check_of(plan, key), check_of(plan, None)
         return {
             "ks_apply": (lambda: provider.ks_apply(
-                plan, x[:-1], [key], keep, acc0, acc1, work, None, ks),
-                [acc0, acc1], ks),
+                plan, x[:-1], [key], keep, acc0, acc1,
+                _work("ks_apply", rows), None, ks), [acc0, acc1], ks),
             "drop_top": (lambda: provider.drop_top(
-                plan, x, np.ones(rows - 1, dtype=np.uint64), out, work, drop),
-                [out], drop),
+                plan, x, np.ones(rows - 1, dtype=np.uint64), out,
+                _work("drop_top", rows), drop), [out], drop),
         }
 
     def test_a_well_formed_request_gets_its_sums(self, provider, plan):
@@ -244,15 +252,20 @@ def _c_struct_fields(struct):
     """``struct``'s fields in ``kernels.c``, as a ctypes ``_fields_``."""
     body = re.search(r"typedef struct \{([^{}]*)\} %s;" % struct,
                      _c_source()).group(1)
-    scalars = {"int": ctypes.c_int, "u64": ctypes.c_uint64}
+    scalars = {"int": ctypes.c_int, "u64": ctypes.c_uint64,
+               "u32": ctypes.c_uint32, "i64": ctypes.c_int64}
     fields = []
     for decl in filter(None, (d.strip() for d in body.split(";"))):
         ctype, names = re.fullmatch(r"((?:const )?\w+) (.+)", decl,
                                     flags=re.S).groups()
         for name in (part.strip() for part in names.split(",")):
-            fields.append((name.lstrip("*"),
-                           ctypes.c_void_p if name.startswith("*")
-                           else scalars[ctype]))
+            if not name.startswith("*"):
+                fields.append((name, scalars[ctype]))
+            elif struct == "plan_t":  # typed pointers
+                fields.append((name[1:], ctypes.POINTER(
+                    scalars[ctype.removeprefix("const ")])))
+            else:
+                fields.append((name.lstrip("*"), ctypes.c_void_p))
     return fields
 
 

@@ -13,9 +13,10 @@ inputs, and rows with words in ``[q, 2**32)`` and above ``2**32``),
 automorphisms, keyswitches of one and of two Galois images, the top-limb
 drop (reduced and wide inputs), the tensor product and the checked
 forms' sums, over 28- to 30-bit primes from ``n = 2``, where the fused
-8-word end stages are not yet taken, up to ``n = 2**14``.  The
-transforms, the drop and the tensor product of every build are also
-held to numpy's words.
+8-word end stages are not yet taken, up to ``n = 2**16`` with the widest
+NTT prime below ``2**30``, where the lanes' ``4q`` is closest to
+``2**32``.  The transforms, the drop and the tensor product of every
+build are also held to numpy's words.
 """
 
 import ctypes
@@ -51,10 +52,12 @@ LEVELS = {
 #: (n, prime bits, plan rows): 28- to 30-bit primes from n = 2 (below
 #: n = 8 every stage runs the generic butterfly loop; from 8 the fused
 #: 8-word blocks take the last three forward and first three inverse
-#: stages) up to 2**14; the last has 17 limbs of 30-bit primes, whose
-#: keyswitch keeps its accumulator reduced (``ks_lazy`` 0).
+#: stages) up to 2**16, whose first prime is the widest NTT prime below
+#: 2**30 (the 32-bit lanes' tightest fit); the last has 17 limbs of
+#: 30-bit primes, whose keyswitch keeps its accumulator reduced
+#: (``ks_lazy`` 0).
 SHAPES = [(2, 28, 3), (4, 29, 3), (8, 30, 4), (16, 30, 3), (256, 28, 4),
-          (4096, 29, 3), (2**14, 30, 4), (1024, 30, 18)]
+          (4096, 29, 3), (2**14, 30, 4), (2**16, 30, 3), (1024, 30, 18)]
 
 
 def _host_levels() -> list[str]:
@@ -172,7 +175,7 @@ def _run_all(impl, n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
 
     def batch(name, kernel, values):
         result = np.empty_like(values)
-        kernel(plan, values, result, np.empty_like(values))
+        kernel(plan, values, result, np.empty(values.shape, np.uint32))
         out[name] = result
 
     batch("fwd", impl.fwd_ntt, x)
@@ -204,7 +207,7 @@ def _run_all(impl, n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
             acc1 = np.empty_like(acc0)
             ticks = np.zeros(5, dtype=np.int64)
             impl.ks_apply(plan, x[:limbs].copy(), keys, keep, acc0, acc1,
-                          np.empty((3 * limbs + 2, n), dtype=np.uint64),
+                          np.empty((5 * limbs + 3, n), dtype=np.uint32),
                           ticks, check, tables)
             name = f"ks G={count} galois={galois} checked={check is not None}"
             out[f"{name} acc0"], out[f"{name} acc1"] = acc0, acc1
@@ -217,13 +220,13 @@ def _run_all(impl, n: int, bits: int, rows: int) -> dict[str, np.ndarray]:
                            if plan.checksum_ok else []):
         dropped = np.empty((rows - 1, n), dtype=np.uint64)
         impl.drop_top(plan, x, inv, dropped,
-                      np.empty((rows, n), dtype=np.uint64), check)
+                      np.empty((rows + 1, n), dtype=np.uint32), check)
         out[f"drop checked={check is not None}"] = dropped
         if check is not None:
             out["drop sums"] = check.sums
     out["drop wide"] = np.empty((rows - 1, n), dtype=np.uint64)
     impl.drop_top(plan, wide, inv, out["drop wide"],
-                  np.empty((rows, n), dtype=np.uint64))
+                  np.empty((rows + 1, n), dtype=np.uint32))
     return out
 
 
@@ -292,13 +295,16 @@ def test_the_named_clone_is_the_one_the_loader_picked(builds):
 
 #: The loops that must vectorize, by the function that holds them and
 #: a line of source that starts each (every such line in the function):
-#: the butterfly stage loops and the fused 8-word blocks of both
-#: transforms, the drop's finish, the tensor row and the keyswitch
-#: accumulator's finish.
+#: the 32-bit lane loops of both transforms -- the forward's psi fold,
+#: the inverse's gather, refold and unfold, the butterfly stages and the
+#: fused 8-word blocks -- the drop's finish, the tensor row and the
+#: keyswitch accumulator's finish.
 VECTOR_LOOPS = {
-    "fwd_row": ["for (i64 j = 0; j < len; j++)",
+    "fwd_row": ["for (i64 i = 0; i < n; i++) {",
+                "for (i64 j = 0; j < len; j++)",
                 "for (i64 start = 0; start < n; start += 8) {"],
-    "inv_row": ["for (i64 j = 0; j < len; j++)",
+    "inv_row": ["for (i64 i = 0; i < n; i++)",
+                "for (i64 j = 0; j < len; j++)",
                 "for (i64 start = 0; start < n; start += 8) {"],
     "drop_finish": ["for (i64 k = 0; k < n; k++)"],
     "tensor_row": ["for (i64 k = 0; k < n; k++) {"],

@@ -178,7 +178,7 @@ class TestRaggedArgumentsNeverReachC:
         x, ksk, _ = _synthetic(self.PRIMES)
         keep = np.arange(4, dtype=np.int64)
         table = get_destinations(N, 5)
-        work = np.zeros((11, N), dtype=np.uint64)
+        work = np.zeros((5 * 3 + 3, N), dtype=np.uint32)
 
         def call(keys, tables, count):
             acc = [np.full((count, 4, N), 0xDEAD, dtype=np.uint64)

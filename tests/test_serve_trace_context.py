@@ -131,16 +131,6 @@ class TestBarrierHammer:
         assert totals.get(0, 0) == 0  # nothing escaped its request
         assert sum(totals.values()) == observer.tracer.total_cycles()
 
-    def test_tenant_slo_series_published(self):
-        observer, results = self._run_observed()
-        counters = observer.metrics.counters
-        for t in range(TENANTS):
-            key = f"serve.tenant.tenant-{t}.requests"
-            assert counters.get(key) == PER_TENANT
-            sketch = observer.metrics.sketch(
-                f"serve.tenant.tenant-{t}.latency_s")
-            assert sketch is not None and sketch.count == PER_TENANT
-
     def test_untraced_engine_still_serves(self):
         """No observer installed: no ids minted, no spans, same results."""
         async def main():
