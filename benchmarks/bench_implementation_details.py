@@ -6,7 +6,7 @@ what the compiled NTT/automorphism programs demand of the register
 files."""
 
 from conftest import record
-from repro.analysis.dataflow import check_dataflow
+from repro.analysis.dataflow import analyze_dataflow
 from repro.automorphism import paper_sigma
 from repro.mapping import compile_automorphism, compile_ntt, required_registers
 
@@ -14,8 +14,8 @@ Q = 998244353
 
 
 def build_artifacts():
-    ntt_report = check_dataflow(compile_ntt(4096, 64), m=64)
-    autom_report = check_dataflow(
+    ntt_report = analyze_dataflow(compile_ntt(4096, 64), m=64)
+    autom_report = analyze_dataflow(
         compile_automorphism(paper_sigma(4096, 3), 64), m=64)
     return ntt_report, autom_report
 

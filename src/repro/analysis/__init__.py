@@ -19,9 +19,8 @@ those invariants instead of trusting comments:
 * :mod:`repro.analysis.bounds` — the production gate API: the single
   source of truth the NTT/keyswitch fast paths query instead of
   hand-coded inequalities.
-* :mod:`repro.analysis.dataflow` — def-use verification over the same
-  lowered steps: uninitialized register reads, dead writes, routing that
-  is not a permutation, diagonal-read WAR hazards, 2R1W port violations.
+* :mod:`repro.analysis.dataflow` — def-use facts over the same lowered
+  steps: the register and memory demands of a compiled program.
 * :mod:`repro.analysis.resources` — symbolic SRAM/DRAM occupancy replay
   of staged accelerator plans: capacity overflow, use-after-evict,
   double-buffer conflicts.
@@ -30,17 +29,14 @@ those invariants instead of trusting comments:
   NTT/coeff domain, noise budget).  Its verdict is what the program
   executor (:class:`repro.fhe.program.ProgramExecutor`) is built from;
   :func:`~repro.analysis.ctstate.run_checked` composes the two.
-* :mod:`repro.analysis.lint` — repository-specific AST lint rules
-  (object-dtype leakage, unchecked ``astype`` narrowing, unreduced
-  products under ``%``, lazy values escaping without a clamp, unchecked
-  SRAM staging, stale suppressions).
-* :mod:`repro.analysis.sarif` — SARIF 2.1.0 rendering of findings for
-  GitHub code scanning, with an envelope validator CI runs.
+* :mod:`repro.analysis.lint` — four repository-specific AST lint rules
+  (unreduced products under ``%``, unguarded fault-hook dereferences,
+  non-durable writes in the recovery layer, stale suppressions).
 
 Run everything with ``python -m repro.analysis`` (see
-:mod:`repro.analysis.cli`); findings are machine-readable with
-``--format json`` / ``--format sarif``.  Exit status: 0 clean, 1 when
-any error-severity finding fired, 2 on usage errors.
+:mod:`repro.analysis.cli`); ``--json`` prints the findings as one JSON
+report.  Exit status: 0 clean, 1 when any error-severity finding fired,
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -85,6 +81,7 @@ __all__ = [
     "analyze_barrett_w",
     "analyze_batched_forward",
     "analyze_batched_inverse",
+    "analyze_dataflow",
     "analyze_dif_lazy",
     "analyze_dit_lazy",
     "analyze_dit_unclamped",
@@ -93,7 +90,6 @@ __all__ = [
     "analyze_staged_plan",
     "automorphism_staging_plan",
     "barrett_w_ok",
-    "check_dataflow",
     "check_program",
     "check_sequence",
     "fold_ok",
@@ -102,10 +98,8 @@ __all__ = [
     "mul_fits_uint64",
     "ntt_staging_plan",
     "run_checked",
-    "to_sarif",
     "unclamped_dit_lane_bound",
     "unclamped_dit_ok",
-    "validate_sarif",
 ]
 
 #: PEP 562 lazy exports: name -> defining submodule.
@@ -114,7 +108,7 @@ _LAZY = {
     "ProgramVerificationError": "program_check",
     "check_program": "program_check",
     "DataflowReport": "dataflow",
-    "check_dataflow": "dataflow",
+    "analyze_dataflow": "dataflow",
     "ResourceReport": "resources",
     "StagedPlan": "resources",
     "analyze_staged_plan": "resources",
@@ -127,8 +121,6 @@ _LAZY = {
     "Op": "ctstate",
     "check_sequence": "ctstate",
     "run_checked": "ctstate",
-    "to_sarif": "sarif",
-    "validate_sarif": "sarif",
 }
 
 

@@ -143,15 +143,13 @@ def _transposed_image(golden: NegacyclicNtt, r: np.ndarray,
     return image * t.psi_powers % q
 
 
-def _split(v: np.ndarray, q: int) -> np.ndarray:
-    """``v`` (residues mod ``q``) as its ``(lo, hi)`` halves, stored as
-    narrowly as ``q`` allows (the tables are per-prime and persistent):
-    uint32 up to ``q = 2**47``, where a reduced word's high half is below
-    ``2**32``, and uint64 past it or for a word that is not reduced."""
+def _split(v: np.ndarray) -> np.ndarray:
+    """``v`` (residues mod a prime below ``2**30``: the tables are built
+    through :class:`NegacyclicNtt`, which refuses any wider one) as its
+    ``(lo, hi)`` halves, each below ``2**15``, stored as uint32 (the
+    tables are per-prime and persistent)."""
     mask = (1 << CHECKSUM_HALF_BITS) - 1
-    halves = np.stack([v & mask, v >> CHECKSUM_HALF_BITS])
-    narrow = q <= (1 << 47) and halves.max() < (1 << 32)
-    return halves.astype(np.uint32 if narrow else np.uint64)
+    return np.stack([v & mask, v >> CHECKSUM_HALF_BITS]).astype(np.uint32)
 
 
 def _checksums(block: np.ndarray, halves: np.ndarray, q: int) -> np.ndarray:
@@ -223,7 +221,7 @@ class AbftChecker:
                     w = _transposed_image(golden, r, kind)
                     if w.all():  # r is nonzero by construction
                         break
-                table = self._weights[key] = (_split(r, q), _split(w, q))
+                table = self._weights[key] = (_split(r), _split(w))
         return table
 
     def faulty_ntt_rows(self, inputs: np.ndarray, outputs: np.ndarray,
@@ -269,7 +267,7 @@ class AbftChecker:
             entry = self._key_images.get(id(block))
             if entry is None or entry[0]() is not block:
                 # Reduced below q_s < 2**20, so uint32 holds every word.
-                image = (block % np.uint64(SPARE_MODULUS)).astype(np.uint32)  # fhecheck: ok=FHC002
+                image = (block % np.uint64(SPARE_MODULUS)).astype(np.uint32)
                 images, key = self._key_images, id(block)
                 entry = images[key] = (
                     weakref.ref(block, lambda _: images.pop(key, None)),

@@ -70,7 +70,7 @@ class BatchEncoder:
     def decode(self, coeffs: np.ndarray) -> np.ndarray:
         """Integer coefficients (any representative) -> slots in [0, t)."""
         evals = self._ntt.forward(np.asarray(coeffs, dtype=object) % self.t)
-        # fhecheck: ok=FHC002 — evals are residues mod t < 2**30
+        # Residues mod t < 2**30.
         return evals[self.slot_order].astype(np.int64)
 
 

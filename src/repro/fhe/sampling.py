@@ -23,7 +23,6 @@ def sample_ternary(n: int, rng: np.random.Generator,
     nonzero (the sparse-secret variant common in CKKS deployments).
     """
     if hamming_weight is None:
-        # fhecheck: ok=FHC002 — ternary samples in {-1, 0, 1}
         return rng.integers(-1, 2, size=n).astype(np.int64)
     if not 0 < hamming_weight <= n:
         raise ValueError(f"hamming weight {hamming_weight} out of range")
@@ -37,7 +36,7 @@ def sample_gaussian(n: int, std: float, rng: np.random.Generator) -> np.ndarray:
     """Centered discrete Gaussian (rounded normal) coefficients."""
     if std <= 0:
         raise ValueError(f"std must be positive, got {std}")
-    # fhecheck: ok=FHC002 — rounded Gaussian, |x| ~ 6*std << 2**63
+    # Rounded Gaussian: |x| ~ 6*std << 2**63.
     return np.rint(rng.normal(0.0, std, size=n)).astype(np.int64)
 
 

@@ -7,7 +7,7 @@ through the kernel-backend stack with the robustness properties a
 service needs —
 
 * **deadlines** propagate end-to-end and cancel abandoned work
-  (:mod:`repro.serve.deadline`, enforced statically by lint FHC011);
+  (:mod:`repro.serve.deadline`);
 * **admission control** sheds load at the door: per-tenant token
   buckets and a queue bound that shrinks with backend health
   (:mod:`repro.serve.limits`, :mod:`repro.serve.admission`);

@@ -10,9 +10,9 @@ backend work (kernel dispatch, keyswitch, NTT batches, executor calls):
 it bounds the awaitable by the deadline's remaining budget and converts
 the timeout into the typed
 :class:`~repro.serve.errors.DeadlineExceeded`, cancelling the wrapped
-task so no work outlives its request.  Lint rule FHC011 statically
-enforces this — a bare ``await backend.keyswitch(...)`` inside
-``repro.serve`` is a finding.
+task so no work outlives its request.  An attempt awaited without it
+outlives a dropped completion: ``test_dropped_completion_retried``
+(``tests/test_serve_engine.py``) then never finishes.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ class DeadlineExceeded(ServeError):
 
     Raised by :func:`repro.serve.deadline.with_deadline` when the
     wrapped awaitable is cancelled at the deadline — the only sanctioned
-    way backend work times out (lint rule FHC011)."""
+    way backend work times out."""
 
 
 class RejectedError(ServeError):

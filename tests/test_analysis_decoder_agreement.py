@@ -1,11 +1,12 @@
-"""The VPU and the two micro-program passes agree on malformed programs.
+"""The VPU and the interval pass agree on malformed programs.
 
-Each seeded program maps to three verdicts: the exact rule list of
-:func:`check_program` (interval pass), the exact rule list of
-:func:`check_dataflow` (def-use pass), and the exception type the VPU
+Each seeded program maps to two verdicts: the exact rule list of
+:func:`check_program` (interval pass) and the exception type the VPU
 raises before it runs the program — lowering it, or checking its bound
-table against the lowering (``None``: the unit runs it).  A
-finding belongs to exactly one pass, so no row names a defect twice.
+table against the lowering (``None``: the unit runs it).  A destination
+inside a diagonal-read window and a route that is not a permutation are
+neither's to refuse: the VPU runs them, and the bit-identity tests of
+the compiled programs fail on the values they produce.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.analysis.dataflow import check_dataflow
 from repro.analysis.program_check import check_program
 from repro.arith.primes import find_ntt_prime
 from repro.core import VectorProcessingUnit
@@ -86,26 +86,24 @@ def _network_pass():
 
 
 CASES = {
-    # case: (build, program rules, dataflow rules, strict lowering raises)
-    "phantom read": (_phantom_read, ["P004"], ["D001"], IndexError),
+    # case: (build, program rules, strict lowering raises)
+    "phantom read": (_phantom_read, ["P004"], IndexError),
     "short twiddles": (lambda: _twiddle_program([1, 2, 3]),
-                       ["P005"], [], ValueError),
+                       ["P005"], ValueError),
     "unreduced twiddle": (lambda: _twiddle_program([Q] * M),
-                          ["P003"], [], None),
-    "three read ports": (_three_reads, ["P007", "P004"], ["D005"],
-                         ValueError),
-    "destination in diagonal window": (_diagonal_onto_window,
-                                       [], ["D004"], None),
-    "non-permutation route": (_network_pass, [], ["D003"], None),
+                          ["P003"], None),
+    "three read ports": (_three_reads, ["P007", "P004"], ValueError),
+    "destination in diagonal window": (_diagonal_onto_window, [], None),
+    "non-permutation route": (_network_pass, [], None),
     "lazy input": (lambda: _twiddle_program(
         [WIDE_Q - 1] * M, WIDE_Q, input_bound=2 * WIDE_Q - 1),
-        ["P002"], [], None),
+        ["P002"], None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_passes_and_lowering_agree(case, monkeypatch):
-    build, program_rules, dataflow_rules, raises = CASES[case]
+    build, program_rules, raises = CASES[case]
     if case == "non-permutation route":
         monkeypatch.setattr(InterLaneNetwork, "route",
                             lambda self, config: np.zeros(self.m, dtype=int))
@@ -114,9 +112,6 @@ def test_passes_and_lowering_agree(case, monkeypatch):
     program, q, options = build()
     report = check_program(program, q=q, m=M, **options)
     assert [f.rule for f in report.findings] == program_rules
-    program, _, _ = build()
-    report = check_dataflow(program, m=M)
-    assert [f.rule for f in report.findings] == dataflow_rules
     program, _, _ = build()
     unit = VectorProcessingUnit(m=M, q=q,
                                 regfile_entries=required_registers(M))

@@ -1,4 +1,4 @@
-"""Seeded-mutation acceptance tests for the fhecheck v2 passes.
+"""Seeded-mutation acceptance tests for the fhecheck passes.
 
 Each test plants one specific bug in an otherwise-verified artifact and
 asserts the analysis produces *exactly* the expected finding — no
@@ -6,16 +6,32 @@ finding on the clean artifact, no cascade on the mutated one.  This is
 the acceptance contract of the whole-program verification layer: a pass
 that stays silent on its target bug, or that drowns it in secondary
 findings, is broken either way.
+
+The mutations of a product site that no test outside
+``tests/test_analysis_*.py`` catches (EXPERIMENTS.md, "What each
+fhecheck rule catches") are here by name: the lazy difference in the
+division by the top limb (FHC003), a stale waiver (FHC010), the dropped fsync (FHC012), and the
+staging plans' scratchpad below the peak (R001), evict before use
+(R002), swapped dimensions (R003) and a prefetch into a live digit
+(R004).
 """
+
+from pathlib import Path
 
 from repro.accel.sram import OnChipSram
 from repro.analysis.ctstate import Op, check_sequence, \
     ckks_mult_rotate_sequence
-from repro.analysis.dataflow import check_dataflow
-from repro.analysis.resources import analyze_staged_plan, \
-    keyswitch_staging_plan, ntt_staging_plan
+from repro.analysis.lint import lint_source
+from repro.analysis.program_check import check_program
+from repro.analysis.resources import (
+    Compute,
+    Evict,
+    StagedPlan,
+    analyze_staged_plan,
+    keyswitch_staging_plan,
+    ntt_staging_plan,
+)
 from repro.arith.primes import find_ntt_prime
-from repro.core.isa import Program, Store
 from repro.fhe.params import default_params, toy_params
 from repro.mapping.ntt import compile_negacyclic_ntt
 
@@ -25,21 +41,63 @@ def _error_rules(report) -> list[str]:
 
 
 class TestUninitializedReadMutation:
-    """Drop-in compiler bug: an instruction reads a phantom register."""
-
-    def _program(self) -> Program:
-        return compile_negacyclic_ntt(256, 16)
+    """Compiler bug: an instruction reads a register nothing wrote.  The
+    interval pass reports it as P004 (see
+    ``test_analysis_decoder_agreement.py``); the clean program has no
+    finding."""
 
     def test_clean_program_has_zero_findings(self):
-        report = check_dataflow(self._program(), m=16)
+        report = check_program(compile_negacyclic_ntt(256, 16),
+                               q=find_ntt_prime(512, 28), m=16)
         assert list(report.findings) == []
 
-    def test_phantom_read_yields_exactly_d001(self):
-        program = self._program()
-        program.instructions.append(Store(src=999, addr=0))
-        report = check_dataflow(program, m=16)
-        assert [f.rule for f in report.findings] == ["D001"]
-        assert "r999" in report.findings.findings[0].message
+
+def _source(module) -> str:
+    return Path(module.__file__).read_text(encoding="utf-8")
+
+
+class TestUnreducedProductMutation:
+    """Overflow bug: the division by the top limb drops its conditional
+    subtract and multiplies the lazy (< 2q) difference by the inverse.
+    Below the host modulus limit of 2**30 the product still fits uint64,
+    so every scheme stays bit-identical: only the lint sees it."""
+
+    CLEAN = ("    s = chain.residues + (qq - lifted)  # < 2q: one conditional"
+             " subtract\n"
+             "    np.minimum(s, s - qq, out=s)\n"
+             "    out = reduce_rows(s * inv_col, chain.primes)\n")
+    MUTATED = ("    out = reduce_rows((chain.residues + (qq - lifted))"
+               " * inv_col, chain.primes)\n")
+
+    def _source(self) -> str:
+        import repro.fhe.keyswitch as keyswitch
+
+        return _source(keyswitch)
+
+    def test_shipped_division_is_clean(self):
+        assert lint_source(self._source()) == []
+
+    def test_lazy_difference_yields_only_fhc003(self):
+        source = self._source()
+        assert source.count(self.CLEAN) == 1
+        findings = lint_source(source.replace(self.CLEAN, self.MUTATED))
+        assert [f.rule for f in findings] == ["FHC003"]
+
+
+class TestStaleWaiverMutation:
+    """Audit bug: a waiver outlives the finding it excused."""
+
+    def test_waiver_on_a_clean_line_yields_only_fhc010(self):
+        import repro.fhe.sampling as sampling
+
+        source = _source(sampling)
+        assert lint_source(source) == []
+        mutated = source.replace("import numpy as np\n",
+                                 "import numpy as np  # fhecheck: ok=FHC003\n")
+        assert mutated != source
+        findings = lint_source(mutated)
+        assert [(f.rule, f.severity.value) for f in findings] == [
+            ("FHC010", "warning")]
 
 
 class TestStageOrderMutation:
@@ -64,12 +122,52 @@ class TestStageOrderMutation:
         assert "x.v1" in report.findings.findings[0].message
 
 
+class TestEvictBeforeUseMutation:
+    """Scheduling bug: a dimension's input is evicted before the
+    dimension's transform reads it."""
+
+    def test_evict_before_compute_yields_exactly_r002(self):
+        plan = ntt_staging_plan(256, 16)
+        steps = list(plan.steps)
+        # [Stage x.v0 | Alloc x.v1, Compute dim0, Evict x.v0 | ...]
+        assert isinstance(steps[2], Compute) and isinstance(steps[3], Evict)
+        steps[2], steps[3] = steps[3], steps[2]
+        report = analyze_staged_plan(StagedPlan(plan.label, tuple(steps)))
+        assert [f.rule for f in report.findings] == ["R002"]
+        assert "x.v0" in report.findings.findings[0].message
+
+
+class TestPrefetchIntoLiveDigitMutation:
+    """Double-buffering bug: each digit step prefetches the digit it is
+    still consuming instead of the next one."""
+
+    def test_prefetch_of_the_current_digit_yields_r004(self):
+        plan = keyswitch_staging_plan(toy_params())
+        steps = tuple(
+            Compute(step.label, step.reads, step.writes,
+                    (step.reads[0], step.prefetch[1]))
+            if isinstance(step, Compute) and step.prefetch else step
+            for step in plan.steps)
+        report = analyze_staged_plan(StagedPlan(plan.label, steps))
+        rules = [f.rule for f in report.findings]
+        assert set(rules) <= {"R003", "R004"} and "R004" in rules
+
+
 class TestShrunkSramMutation:
     """Provisioning bug: the scratchpad is half the proven peak."""
 
     def test_clean_plan_fits_default_sram(self):
         report = analyze_staged_plan(keyswitch_staging_plan(default_params()))
         assert list(report.findings) == []
+
+    def test_one_mib_default_sram_yields_only_r001(self):
+        """The default scratchpad shrunk from 4 MiB to 1 MiB: below the
+        keyswitch plan's 1 344 KiB peak, and no accelerator test sees
+        it."""
+        report = analyze_staged_plan(keyswitch_staging_plan(default_params()),
+                                     OnChipSram(capacity_bytes=1 << 20))
+        # Once per overflow transition: each digit's key staging.
+        assert {f.rule for f in report.findings} == {"R001"}
 
     def test_half_peak_sram_yields_only_r001(self):
         plan = keyswitch_staging_plan(default_params())
@@ -119,22 +217,16 @@ class TestDroppedFsyncMutation:
     write a kill-campaign crash would tear silently."""
 
     def _wal_source(self) -> str:
-        from pathlib import Path
-
         import repro.recover.wal as wal
 
-        return Path(wal.__file__).read_text(encoding="utf-8")
+        return _source(wal)
 
     def test_shipped_wal_is_clean(self):
-        from repro.analysis.lint import lint_source
-
         findings = lint_source(self._wal_source(),
                                filename="src/repro/recover/wal.py")
         assert [f.rule for f in findings] == []
 
     def test_dropped_fsync_yields_only_fhc012(self):
-        from repro.analysis.lint import lint_source
-
         mutated = self._wal_source().replace(
             "os.fsync(self._fh.fileno())\n", "\n")
         assert mutated != self._wal_source()  # the mutation landed

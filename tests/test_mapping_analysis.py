@@ -1,9 +1,9 @@
-"""Register and memory demands of VPU programs, as ``check_dataflow``
+"""Register and memory demands of VPU programs, as ``analyze_dataflow``
 reports them from the lowered steps' def-use model."""
 
 import pytest
 
-from repro.analysis.dataflow import check_dataflow
+from repro.analysis.dataflow import analyze_dataflow
 from repro.automorphism import paper_sigma
 from repro.automorphism.mapping import galois_eval_permutation
 from repro.core import (
@@ -28,7 +28,7 @@ Q = 998244353
 
 
 def facts(program: Program, m: int = 16):
-    report = check_dataflow(program, m=m)
+    report = analyze_dataflow(program, m=m)
     return report, report.stats
 
 

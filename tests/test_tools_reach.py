@@ -75,3 +75,14 @@ def test_a_stale_allow_list_entry_fails(reach, package):
          "gone.py": "a reason"})
     assert problems == ["allowed.py: allow-listed but reached",
                         "gone.py: allow-listed but missing"]
+
+
+def test_a_failing_entry_keeps_its_stdout_tail(reach, tmp_path, monkeypatch):
+    """A CLI that reports its failure on stdout and exits 1 leaves that
+    report in the entry's note."""
+    monkeypatch.setattr(reach, "ENTRIES", [
+        "-c 'print(\"3 of 6 runs\", \"failed\"); raise SystemExit(1)'"])
+    log = tmp_path / "reached.tsv"
+    log.touch()
+    [note] = reach.run_entries(log, str(tmp_path))
+    assert "3 of 6 runs failed" in note

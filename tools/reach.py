@@ -73,9 +73,7 @@ ENTRIES = [
     "-m repro.obs --validate-envelope BENCH_recover.json",
     *(f"-m repro.recover --campaign --executor {e} --injections 24 "
       f"--json {{tmp}}/r.json" for e in ("ckks", "bgv")),
-    "-m repro.analysis --bench-shapes --format sarif --output {tmp}/a.sarif",
-    "-m repro.analysis --validate-sarif {tmp}/a.sarif",
-    "-m repro.analysis --json",
+    "-m repro.analysis --bench-shapes --json",
     "tools/check_tables.py",
     *(f"examples/{p.name}" for p in sorted((ROOT / "examples").glob("*.py"))),
     *(f"-m repro.cli {c}" for c in ("table2", "table3", "table4", "verify",
@@ -153,7 +151,8 @@ def measure(package: Path, reached: set[tuple[str, int]],
 
 
 def run_entries(log: Path, tmp: str) -> list[str]:
-    """Run every entry under the tracer; the commands that failed."""
+    """Run every entry under the tracer; the commands that failed, each
+    with the tail of its stdout and of its stderr."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     failed = []
@@ -162,12 +161,12 @@ def run_entries(log: Path, tmp: str) -> list[str]:
         argv = shlex.split(entry.format(tmp=tmp))
         done = subprocess.run(
             [sys.executable, "-c", _TRACER, str(log), str(PACKAGE), *argv],
-            cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE, text=True)
+            cwd=ROOT, env=env, capture_output=True, text=True)
         print(f"[{time.perf_counter() - start:5.1f} s] exit "
               f"{done.returncode}: {' '.join(argv)[:90]}", flush=True)
         if done.returncode:
-            failed.append(f"{entry}: {done.stderr.strip()[-300:]}")
+            tails = (done.stdout.strip()[-300:], done.stderr.strip()[-300:])
+            failed.append(f"{entry}: {' | '.join(filter(None, tails))}")
     return failed
 
 
