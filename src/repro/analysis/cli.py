@@ -1,6 +1,6 @@
 """The ``fhecheck`` command line: ``python -m repro.analysis``.
 
-Six sections, all run by default:
+Five sections, all run by default:
 
 * ``programs`` — compile every micro-program of the toy workload
   (forward/inverse negacyclic NTT for every chain + special prime, the
@@ -10,11 +10,6 @@ Six sections, all run by default:
 * ``dataflow`` — report the register and memory demands of the same
   compiled and lowered programs with
   :func:`repro.analysis.dataflow.analyze_dataflow` (facts, no findings).
-* ``plans`` — symbolically verify the lazy-reduction stage plans of the
-  host word regime (every modulus ``< 2**30``: the toy chain, the
-  Shoup edge, and the edge at ``n = 2**16`` where the inverse falls
-  back to clamped stages) plus the fused keyswitch accumulation for the
-  toy parameter set.
 * ``resources`` — replay the canonical keyswitch/NTT/automorphism
   staging schedules against the SRAM/DRAM models with
   :func:`repro.analysis.resources.analyze_staged_plan`.
@@ -44,29 +39,17 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:
     from repro.core.isa import Program
 
-from repro.analysis.bounds import unclamped_dit_ok
 from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.lint import lint_paths
 from repro.analysis.program_check import check_program
-from repro.analysis.stage_plans import (
-    PlanReport,
-    analyze_barrett_w,
-    analyze_batched_forward,
-    analyze_batched_inverse,
-    analyze_dif_lazy,
-    analyze_dit_lazy,
-    analyze_fold,
-    analyze_keyswitch_accumulate,
-)
 
-_SECTIONS = ("programs", "dataflow", "plans", "resources", "ctstate",
-             "lint")
+_SECTIONS = ("programs", "dataflow", "resources", "ctstate", "lint")
 
 
 def _workload_programs(m: int, bench_shapes: bool) -> Iterator[
@@ -150,51 +133,6 @@ def _dataflow_facts(workload: list) -> tuple[list[Finding], list[str]]:
     return [], lines
 
 
-def _plan_regimes() -> Iterable[tuple[str, int, int]]:
-    """(label, log_n, q) triples spanning the supported regimes."""
-    from repro.arith.primes import find_ntt_prime
-    from repro.fhe.params import toy_params
-
-    params = toy_params()
-    log_n = params.n.bit_length() - 1
-    yield "toy chain max", log_n, max(params.primes + (params.special_prime,))
-    n = params.n
-    yield "shoup edge (just below 2^30)", log_n, find_ntt_prime(2 * n, 30)
-    yield "clamped inverse (n = 2^16, just below 2^30)", 16, \
-        find_ntt_prime(1 << 17, 30)
-
-
-def _check_plans(verbose: bool) -> tuple[list[Finding], list[str]]:
-    from repro.fhe.params import toy_params
-
-    findings: list[Finding] = []
-    lines: list[str] = []
-    reports: list[tuple[str, PlanReport]] = []
-    for label, log_n, q in _plan_regimes():
-        reports.append((label, analyze_batched_forward(log_n, q)))
-        # kernels.c: the butterflies and word reductions on 32-bit lanes.
-        reports.append((label, analyze_dif_lazy(
-            log_n, q, shoup=True, entry_hi=2 * q - 1, word_bits=32)))
-        reports.append((label, analyze_dit_lazy(
-            log_n, q, shoup=True, entry_hi=q - 1, word_bits=32)))
-        reports.append((label, analyze_fold(q)))
-        reports.append((label, analyze_barrett_w(q)))
-        reports.append((label, analyze_batched_inverse(
-            log_n, q, unclamped=unclamped_dit_ok(log_n, q))))
-    params = toy_params()
-    maxq = max(params.primes + (params.special_prime,))
-    reports.append(("toy keyswitch", analyze_keyswitch_accumulate(
-        params.levels, maxq, lazy=True)))
-    for label, report in reports:
-        lanes = f"u{report.word_bits}"
-        _book(report, f"plan {report.name:28s} {lanes} ({label}) "
-              f"q={report.q:<10d} "
-              f"lane bound {report.stage_bounds[-1]}, max intermediate "
-              f"2^{report.max_intermediate.bit_length()}",
-              verbose, findings, lines)
-    return findings, lines
-
-
 def _check_resources(verbose: bool) -> tuple[list[Finding], list[str]]:
     """Replay the canonical staging schedules against the SRAM model."""
     from repro.analysis.resources import (
@@ -270,8 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="fhecheck: static bound/overflow, dataflow, resource "
-                    "and ciphertext-state verification for the "
-                    "lazy-reduction kernels and VPU micro-programs.")
+                    "and ciphertext-state verification of the VPU "
+                    "micro-programs, staging plans and scheme op "
+                    "sequences, plus the repository lint rules.")
     parser.add_argument("sections", nargs="*", metavar="section",
                         default=[],
                         help=f"which sections to run: {', '.join(_SECTIONS)} "
@@ -309,7 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     passes = {
         "programs": lambda: _check_programs(workload, args.verbose),
         "dataflow": lambda: _dataflow_facts(workload),
-        "plans": lambda: _check_plans(args.verbose),
         "resources": lambda: _check_resources(args.verbose),
         "ctstate": lambda: _check_ctstate(args.verbose),
         "lint": lambda: _check_lint(root, args.verbose),

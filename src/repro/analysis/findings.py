@@ -31,16 +31,17 @@ class Finding:
     ----------
     source:
         The pass that produced it: ``program`` (micro-program interval
-        walk), ``plan`` (symbolic stage-plan check), or ``lint`` (AST
-        rules).
+        walk), ``resource`` (staging-plan replay), ``ctstate``
+        (ciphertext-state walk), or ``lint`` (AST rules).
     rule:
-        Stable rule identifier (``P###`` program rules, ``S###`` stage
-        plan rules, ``FHC###`` lint rules).
+        Stable rule identifier (``P###`` program rules, ``R###``
+        resource rules, ``C###`` ciphertext-state rules, ``FHC###`` lint
+        rules).
     severity:
         :class:`Severity`; only ``ERROR`` findings are gating.
     location:
-        Where: ``"pc 12: VMul(...)"`` for programs, ``"stage 3"`` for
-        plans, ``"path.py:41"`` for lint.
+        Where: ``"pc 12: VMul(...)"`` for programs, ``"path.py:41"`` for
+        lint.
     message:
         The violated invariant, with the derived bounds spelled out.
     """

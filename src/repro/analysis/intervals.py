@@ -1,18 +1,17 @@
-"""The unsigned interval domain used by every ``fhecheck`` pass.
+"""The unsigned interval domain of the micro-program walk
+(:mod:`repro.analysis.program_check`).
 
 Bounds are exact Python integers (never numpy scalars), so products of
 two 63-bit quantities do not wrap during the *analysis* — detecting that
-they would wrap in the uint64 *kernels* is the whole point.
+they would wrap in the uint64 datapath is the whole point.
 
 Two layers:
 
-* :class:`Interval` — one ``[lo, hi]`` range (inclusive ends), with the
-  transfer functions the kernels actually use, including the
-  unsigned-wraparound conditional subtract
-  ``np.minimum(x, x - t)`` that the lazy stages rely on.
-* :class:`IntervalVec` — one interval per VPU lane, so per-lane
-  constants (twiddle vectors) keep their exact values through the
-  micro-program walk instead of collapsing to a register-wide bound.
+* :class:`Interval` — one ``[lo, hi]`` range (inclusive ends).
+* :class:`IntervalVec` — one interval per VPU lane, with the lane-wise
+  product, so per-lane constants (twiddle vectors) keep
+  their exact values through the walk instead of collapsing to a
+  register-wide bound.
 """
 
 from __future__ import annotations
@@ -52,66 +51,6 @@ class Interval:
     def upto(hi: int) -> "Interval":
         """``[0, hi]``."""
         return Interval(0, hi)
-
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def fits_uint64(self) -> bool:
-        return self.hi <= U64_MAX
-
-    def within(self, bound: int) -> bool:
-        """True when every value is ``<= bound``."""
-        return self.hi <= bound
-
-    # -- transfer functions ------------------------------------------------
-
-    def add(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def add_const(self, c: int) -> "Interval":
-        return Interval(self.lo + c, self.hi + c)
-
-    def mul(self, other: "Interval") -> "Interval":
-        # All values are unsigned, so the extremes multiply directly.
-        return Interval(self.lo * other.lo, self.hi * other.hi)
-
-    def union(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def mod(self, q: int) -> "Interval":
-        """A true ``% q`` reduction: ``[0, q - 1]`` unless already below."""
-        if self.hi < q:
-            return self
-        return Interval.reduced(q)
-
-    def sub_nonneg(self, other: "Interval") -> "Interval":
-        """``self - other`` when the kernel guarantees non-negativity
-        (e.g. ``(u + 2q) - v`` with ``v <= 2q``).  Raises if the
-        guarantee cannot hold for every value pair."""
-        if self.lo - other.hi < 0:
-            raise ValueError(
-                f"subtraction may go negative: [{self.lo},{self.hi}] - "
-                f"[{other.lo},{other.hi}]")
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def cond_sub(self, t: int) -> "Interval":
-        """Model ``np.minimum(x, x - t)`` on uint64 (wraparound select).
-
-        For ``x < t`` the subtraction wraps to a huge value and the
-        minimum keeps ``x``; for ``x >= t`` it keeps ``x - t``.  The
-        result is below ``t`` **only if** ``hi < 2t`` — the analyzer
-        models the true outcome, so a dropped clamp earlier in a plan
-        cascades into a visible bound blow-up rather than being silently
-        absorbed.  The trick itself requires ``hi <= U64_MAX`` (checked
-        by the caller before this transfer function runs).
-        """
-        if self.hi < t:
-            return self
-        if self.lo >= t:
-            return Interval(self.lo - t, self.hi - t)
-        # Mixed: the kept branch tops out at t - 1, the reduced branch
-        # at hi - t; values >= t map down to >= 0.
-        return Interval(0, max(t - 1, self.hi - t))
 
 
 class IntervalVec:
@@ -156,16 +95,9 @@ class IntervalVec:
     def lane(self, i: int) -> Interval:
         return Interval(self.lo[i], self.hi[i])
 
-    def lanes(self) -> list[Interval]:
-        return [Interval(a, b) for a, b in zip(self.lo, self.hi)]
-
     @property
     def max_hi(self) -> int:
         return max(self.hi)
-
-    @property
-    def fits_uint64(self) -> bool:
-        return self.max_hi <= U64_MAX
 
     def every(self, i: int, step: int) -> "IntervalVec":
         """Strided lane view ``[i::step]`` (butterfly halves)."""
@@ -189,32 +121,14 @@ class IntervalVec:
             hi.extend((even.hi[i], odd.hi[i]))
         return IntervalVec(lo, hi)
 
-    # -- lane-wise transfer functions --------------------------------------
+    # -- lane-wise product -----------------------------------------------
 
-    def _zip(self, other: "IntervalVec") -> None:
+    def mul(self, other: "IntervalVec") -> "IntervalVec":
         if len(self) != len(other):
             raise ValueError(
                 f"lane count mismatch: {len(self)} vs {len(other)}")
-
-    def add(self, other: "IntervalVec") -> "IntervalVec":
-        self._zip(other)
-        return IntervalVec([a + b for a, b in zip(self.lo, other.lo)],
-                           [a + b for a, b in zip(self.hi, other.hi)])
-
-    def mul(self, other: "IntervalVec") -> "IntervalVec":
-        self._zip(other)
         return IntervalVec([a * b for a, b in zip(self.lo, other.lo)],
                            [a * b for a, b in zip(self.hi, other.hi)])
-
-    def mod(self, q: int) -> "IntervalVec":
-        return IntervalVec([0 if b >= q else a
-                            for a, b in zip(self.lo, self.hi)],
-                           [min(b, q - 1) for b in self.hi])
-
-    def union(self, other: "IntervalVec") -> "IntervalVec":
-        self._zip(other)
-        return IntervalVec([min(a, b) for a, b in zip(self.lo, other.lo)],
-                           [max(a, b) for a, b in zip(self.hi, other.hi)])
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         worst = max(self.hi)

@@ -31,8 +31,8 @@ exactly.
 
 **Keyswitch accumulation** uses a spare modulus (redundant residue):
 the lazy path's *unreduced* uint64 accumulator ``A = sum_i d_i * k_i``
-is exact (the bound analyzer gates the lazy path on it fitting uint64),
-so it must satisfy
+is exact (``keyswitch_lazy_accumulate_ok`` gates the lazy path on it
+fitting uint64), so it must satisfy
 
     ``A mod q_s  ==  sum_i (d_i mod q_s)(k_i mod q_s)   (mod q_s)``
 
@@ -154,9 +154,9 @@ def _split(v: np.ndarray) -> np.ndarray:
 
 def _checksums(block: np.ndarray, halves: np.ndarray, q: int) -> np.ndarray:
     """``<v, row> mod q`` for every row of ``block``, ``v`` given as its
-    ``(lo, hi)`` halves: uint64 with one ``%`` per dot product when the
-    bound analyzer proves the unreduced sums fit, object dtype
-    otherwise."""
+    ``(lo, hi)`` halves: uint64 with one ``%`` per dot product when
+    :func:`checksum_dot_lazy_ok` says the unreduced sums fit, object
+    dtype otherwise."""
     lazy = checksum_dot_lazy_ok(block.shape[1], int(block.max()), q)
     dtype = np.uint64 if lazy else object
     sums = np.einsum("ij,kj->ik", block.astype(dtype, copy=False),

@@ -199,8 +199,9 @@ def accumulate_keyswitch(
 
     Accumulates ``sum_i digit_i * b_i`` and ``sum_i digit_i * a_i`` in
     place over the ``(L+1, n)`` residue matrices with lazy reduction:
-    when the analyzer proves the full unreduced accumulator
-    ``num_digits * (max(q)-1)**2`` fits uint64 (true for the host's
+    when the full unreduced accumulator ``num_digits * (max(q)-1)**2``
+    fits uint64 (:func:`~repro.analysis.bounds
+    .keyswitch_lazy_accumulate_ok`; true for the host's
     primes below ``2**30`` up to 16 digits) the raw products accumulate
     unreduced and each sum takes exactly **one** final reduction.
     Otherwise each product, below ``2**60``, is reduced as it is added.

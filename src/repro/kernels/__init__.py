@@ -14,8 +14,8 @@ path is its reference and its fallback.  Both read one batch plan per
 ``(n, primes)`` shape,
 :class:`~repro.ntt.negacyclic.BatchedNegacyclicNtt`, from one cache
 (:func:`plan_cache`, with hit/miss counters): its stacked constant
-tables, and the reduction schedule it resolves once from the fhecheck
-interval analysis (:mod:`repro.analysis.bounds`), never hand-coded.
+tables, and the reduction schedule it resolves once from the
+closed-form gates of :mod:`repro.analysis.bounds`.
 The schedule travels to C inside the plan; the binding takes no
 schedule argument.  On a host with no working compiler
 :class:`CompiledBackend` degrades to the inherited

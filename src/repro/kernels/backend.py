@@ -138,7 +138,7 @@ def _digit_stride(stack: np.ndarray) -> int | None:
 
 
 class CompiledBackend(NumpyBackend):
-    """Fused compiled kernels with analyzer-derived gates and numpy
+    """Fused compiled kernels with closed-form gates and numpy
     fallback.
 
     ``provider`` is a provider object, a provider name

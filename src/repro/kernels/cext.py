@@ -11,10 +11,10 @@ schedule.  The schedule is the plan's
 :func:`_tables` writes it into ``plan_t``); the stack accumulate, which
 has no plan, asks :func:`~repro.analysis.bounds
 .keyswitch_lazy_accumulate_ok` itself.  A plan exists only for host
-moduli (below ``2**30``, where every NTT schedule is proven), and each
-row-fused entry raises *before* the foreign call on a shape its gate
-refuses, so a lazy kernel cannot be run where the analysis did not
-prove it.
+moduli (below ``2**30``, which keeps every lazy lane of ``kernels.c``
+inside its 32-bit word), and each row-fused entry raises *before* the
+foreign call on a shape its gate refuses, so a lazy kernel cannot be
+run where its inequality does not hold.
 The two row-fused entries also take an optional ``check`` — the
 integrity layer's weight tables in, the kernel's ABFT sums out
 (:class:`CheckTables`) — under the same rule.

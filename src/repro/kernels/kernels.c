@@ -42,21 +42,22 @@
  * stages, whose butterflies are closer together than a vector is
  * wide, run as one pass over 8-word blocks.
  *
- * The arithmetic mirrors the analyzed plans line for line
- * (``repro.analysis.stage_plans``), so the eligibility gates derived
- * there (``repro.analysis.bounds``) carry over.  Which schedule a plan's
- * kernels run is decided once, where the plan is built
+ * Every word bound below follows from q < 2**30 (the host limit), and
+ * tests/test_analysis_bounds_edges.py holds that limit to them; the
+ * gates q does not decide are closed forms in ``repro.analysis.bounds``.
+ * Which schedule a plan's kernels run is decided once, where the plan
+ * is built
  * (``repro/ntt/negacyclic.py``, the batch plan the numpy path walks
  * too), and read here from ``plan_t`` -- no plan-taking entry has a
  * schedule argument a caller could set:
  *
  * - lazy Shoup butterflies (``*_sh`` tables, 2**32 radix) on 32-bit
- *   lanes in every NTT, forward and inverse: ``ntt_shoup_ok`` (asked
- *   at a 32-bit lane word) holds for every host prime (q < 2**30), and
- *   a plan is refused for a wider one;
- * - words reduced by ``fold`` (any uint64) and ``mulmod`` (a product of
- *   two reduced words): ``fold_ok`` and ``barrett_w_ok`` hold for every
- *   host prime;
+ *   lanes in every NTT, forward and inverse: every lane stays below
+ *   4q < 2**32 for a host prime (q < 2**30), and a plan is refused for
+ *   a wider one;
+ * - words reduced by ``fold`` (any uint64, a sum < 4q) and ``mulmod``
+ *   (a product of two reduced words, a remainder < 3q): both exact in
+ *   a 32-bit word for every host prime;
  * - the unreduced keyswitch accumulator only under
  *   ``keyswitch_lazy_accumulate_ok``;
  * - the conditional-add centered lift only under
@@ -150,8 +151,7 @@ static inline void tick_add(i64 *ticks, int slot, i64 ns) {
  * derived here from q alone: its width w (2**(w-1) <= q < 2**w), the
  * w-bit Barrett constant u = floor(2**(2w) / q), and the fold constant
  * c = 2**32 mod q with the Shoup companions of c and of 1.  All of them
- * are 32-bit words, like the lanes they reduce (gates: fold_ok,
- * barrett_w_ok). */
+ * are 32-bit words, like the lanes they reduce. */
 typedef struct {
     u32 q, u, c, c_sh, one_sh;
     int w;
@@ -180,8 +180,7 @@ static inline u32 csub(u32 x, u32 t) {
 
 /* Shoup multiplication x * w mod q, lazily in [0, 2q).  w_sh is the
  * precomputed companion floor(w * 2**32 / q); requires q < 2**30 and
- * x below the 2**32 radix (the S002/S003 preconditions the analyzer
- * checks).  The two low products wrap mod 2**32, but the difference
+ * x below the 2**32 radix.  The two low products wrap mod 2**32, but the difference
  * they give is below 2q < 2**32, so it is exact. */
 static inline u32 shoup_mul_lazy(u32 x, u32 w, u32 w_sh, u32 q) {
     return x * w - mulhi32(x, w_sh) * q;
@@ -189,8 +188,7 @@ static inline u32 shoup_mul_lazy(u32 x, u32 w, u32 w_sh, u32 q) {
 
 /* Any uint64 z modulo q: z = hi 2**32 + lo is congruent to hi c + lo,
  * two Shoup products of 32-bit multiplicands (by c and by 1), each
- * < 2q; two conditional subtracts take the < 4q sum below q (gate:
- * fold_ok). */
+ * < 2q; two conditional subtracts take the < 4q sum below q. */
 static inline u32 fold(u64 z, modulus_t m) {
     const u32 r = shoup_mul_lazy((u32)(z >> 32), m.c, m.c_sh, m.q)
                   + shoup_mul_lazy((u32)z, 1, m.one_sh, m.q);
@@ -201,14 +199,14 @@ static inline u32 fold(u64 z, modulus_t m) {
  * model (repro.arith.barrett): z = a b < 2**(2w), the estimate
  * ((z >> (w - 1)) u) >> (w + 1) undershoots floor(z / q) by at most 2,
  * so the remainder is < 3q -- exact in the low word -- and two
- * conditional subtracts finish it (gate: barrett_w_ok). */
+ * conditional subtracts finish it. */
 static inline u32 mulmod(u32 a, u32 b, modulus_t m) {
     const u64 z = (u64)a * b;
     const u32 est = (u32)(((u64)(u32)(z >> (m.w - 1)) * m.u) >> (m.w + 1));
     return csub(csub((u32)z - est * m.q, 2 * m.q), m.q);
 }
 
-/* One lazy butterfly on lanes < 2q (gate: ntt_shoup_ok).  DIF: the sum
+/* One lazy butterfly on lanes < 2q.  DIF: the sum
  * and the twiddled difference; DIT: the twiddled v, then the sum and
  * the difference, each clamped to < 2q.  Sums and differences are
  * < 4q < 2**32. */
@@ -244,9 +242,9 @@ static inline void unit_bf(u32 *u, u32 *v, u32 q) {
 /* DIF stage twiddles (lengths n/2, n/4, .., 1 concatenated -> n - 1  */
 /* entries; stage len starts at n - 2 len).  bitrev: the length-n     */
 /* involution undoing the DIF output order.  Every product is a       */
-/* mod-free Shoup product (gate: ntt_shoup_ok).  The stages down to   */
-/* len 8 run one butterfly loop; len 4, 2 and 1 run as one pass over  */
-/* 8-word blocks, whose six twiddles are the same in every block.     */
+/* mod-free Shoup product.  The stages down to len 8 run one          */
+/* butterfly loop; len 4, 2 and 1 run as one pass over 8-word blocks, */
+/* whose six twiddles are the same in every block.                    */
 /* Out of line: inlined into a row loop, gcc 12 -O3 -fopenmp spilled  */
 /* a butterfly product to the stack (a ~8 % slower forward NTT).      */
 /* ------------------------------------------------------------------ */
@@ -322,9 +320,8 @@ static void fwd_row(const u64 *x, u32 *a, u64 *o, i64 n, u32 q,
 /* DIT stage twiddles (lengths 1, 2, .., n/2; stage len starts at     */
 /* len - 1).  uf/uf_sh: the fused psi^{-j} * n^{-1} table.  Lazy      */
 /* Shoup throughout: < 2q lanes, mod-free twiddle products, a Shoup   */
-/* unfold plus one conditional subtract (gate: ntt_shoup_ok).  Stages */
-/* len 1, 2 and 4 run as one pass over 8-word blocks, the rest as one */
-/* loop.                                                               */
+/* unfold plus one conditional subtract.  Stages len 1, 2 and 4 run   */
+/* as one pass over 8-word blocks, the rest as one loop.              */
 /* ------------------------------------------------------------------ */
 ROW_KERNEL
 static void inv_row(const u64 *x, u32 *a, u64 *o, i64 n, u32 q,

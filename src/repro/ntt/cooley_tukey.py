@@ -157,8 +157,7 @@ def dif_stages_lazy(a: np.ndarray, q3: np.ndarray, two_q3: np.ndarray,
     feeds exactly that); outputs are ``< 2q`` — callers finish with one
     conditional subtract.  The ``< 4q`` butterfly transient then caps
     the twiddle product at ``(4q-1)(q-1)``, inside uint64 for every
-    ``q < 2**31`` (machine-checked by
-    :func:`repro.analysis.stage_plans.analyze_dif_lazy`).
+    ``q < 2**31``.
     ``q3``/``two_q3`` are broadcast columns, one axis more than ``a``.
 
     With ``shoup_stages`` (requires every ``q < 2**30``) the twiddle
@@ -245,9 +244,9 @@ def dit_stages_unclamped(a: np.ndarray, q3: np.ndarray,
     so lane magnitudes grow by exactly ``q`` per stage: entering at
     ``<= q - 1``, the bound after stage ``s`` is ``(s + 2) * q - 1``,
     i.e. ``(log2(n) + 1) * q - 1`` inclusive after the final stage.
-    Eligibility — every intermediate, including the caller's fused
-    scaling product against that final bound, fitting uint64 — is
-    decided by :func:`repro.analysis.bounds.unclamped_dit_ok`; do not
+    Eligibility — the caller's fused scaling product against that final
+    bound, ``((log2(n) + 1)q - 1)(q - 1)``, fitting uint64 — is decided
+    by :func:`repro.analysis.bounds.unclamped_dit_ok`; do not
     call this without that gate.  Skipping the clamps halves the ufunc
     dispatches of the clamped pass, which dominates for short limb
     stacks.  Entry values must be ``< q``; callers finish with one true

@@ -144,15 +144,15 @@ class BatchedNegacyclicNtt:
     (:class:`HostModulusError` otherwise).
 
     The plan also resolves, once, the schedule every executor of the
-    shape runs, from analyzer-derived gates (:mod:`repro.analysis
-    .bounds`): ``inv_mode`` is 2 (clamp-free inverse stages) where
-    :func:`~repro.analysis.bounds.unclamped_dit_ok` proves it and 1
+    shape runs, from the closed-form gates of :mod:`repro.analysis
+    .bounds`: ``inv_mode`` is 2 (clamp-free inverse stages) where
+    :func:`~repro.analysis.bounds.unclamped_dit_ok` holds and 1
     (lazy Shoup stages) otherwise — numpy's choice: the compiled
     inverse runs the lazy Shoup stages at every shape — and
     ``ks_lazy`` says whether the row-fused keyswitch may sum its digit
     products unreduced, which the compiled kernels read from
     ``plan_t``; no caller passes a schedule, so none can ask for one
-    the plan never proved.  The two
+    whose gate the plan never asked.  The two
     row-fused kernels read the last prime as the special prime
     (``keyswitch_ok``) or the limb being dropped (``drop_top_ok``),
     each gated on its conditional-add lift; ``checksum_ok`` gates their

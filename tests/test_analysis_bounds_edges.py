@@ -1,35 +1,24 @@
-"""Edge-of-validity tests for the production gates in analysis.bounds.
+"""Edge-of-validity tests for the production gates in analysis.bounds,
+and for the host modulus limit that stands in for every other gate.
 
 The gates answer "may the fast path run?" right at the boundaries the
-paper's parameter space touches: the widest modulus the compiled
-kernels take (just below 2^30, the Shoup precision limit), the widest
-vectorized numpy modulus (just below 2^31), and the degenerate smallest
-shapes (log_n <= 1, a single keyswitch digit).  Each gate answer is
-cross-checked against the symbolic stage-plan analysis so the cheap
-boolean and the full derivation can never drift apart.
+paper's parameter space touches: the widest host modulus (just below
+2^30, ``HOST_MODULUS_LIMIT``) and the degenerate smallest shapes
+(log_n <= 1, a single keyswitch digit).  Every lazy word of
+``kernels.c`` fits because of that limit alone, so the limit itself is
+held to the closed-form word bounds of the kernels' reductions.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.bounds import (
-    barrett_w_ok,
     centered_lift_lazy_ok,
     checksum_dot_lazy_ok,
-    fold_ok,
     keyswitch_lazy_accumulate_ok,
-    mul_fits_uint64,
-    ntt_shoup_ok,
     unclamped_dit_ok,
 )
 from repro.analysis.intervals import U64_MAX
-from repro.analysis.stage_plans import (
-    analyze_barrett_w,
-    analyze_batched_forward,
-    analyze_batched_inverse,
-    analyze_fold,
-    analyze_keyswitch_accumulate,
-)
 from repro.arith.primes import find_ntt_prime, find_ntt_primes, is_prime
 from repro.ntt.negacyclic import (
     HOST_MODULUS_LIMIT,
@@ -43,39 +32,29 @@ ORDER = 1 << 18
 BELOW_2_30 = find_ntt_prime(ORDER, 30)
 ABOVE_2_30 = next(q for q in range((1 << 30) + 1, 1 << 31, ORDER)
                   if is_prime(q))
+Q28 = find_ntt_prime(512, 28)
+Q30 = find_ntt_prime(512, 30)
+Q31 = find_ntt_prime(512, 31)
+#: The widest 32-bit lane word of ``kernels.c``.
+U32_MAX = (1 << 32) - 1
 
 
 class TestCompiledNttModulusEdge:
-    """The compiled kernels' Shoup stages are proven by ``ntt_shoup_ok``
-    exactly below 2^30, the host limit: a batch plan is built there and
-    refused from 2^30 up, so no plan needs a gate of its own."""
+    """A batch plan, the one the compiled kernels run, is built exactly
+    below 2^30, the host limit, and refused from 2^30 up, so no plan
+    needs a word gate of its own."""
 
     def test_widest_vectorized_modulus_accepted(self):
         # Largest NTT-friendly prime below 2^30 for n=256 negacyclic.
         q = find_ntt_prime(512, 30)
-        assert q == 1073738753
-        assert ntt_shoup_ok(8, q)
+        assert q == 1073738753 < HOST_MODULUS_LIMIT
         assert BatchedNegacyclicNtt(256, (q,)).primes == (q,)
 
     def test_32_bit_modulus_refused(self):
         q = find_ntt_prime(512, 32)
         assert q == 4294962689
-        assert not ntt_shoup_ok(8, q)
-        assert not analyze_batched_forward(8, q).ok
-
-    def test_gate_agrees_with_stage_analysis_on_both_sides(self):
-        """Every log_n from 0 to 17 (n <= 2 has no twiddled stage: the
-        pointwise Shoup scaling refuses there): the gate holds exactly
-        below 2^30, and wherever it holds the clamped batched plans
-        verify too, so the gate narrowed nothing below 2^30."""
-        for log_n in range(18):
-            for q in (BELOW_2_30, ABOVE_2_30):
-                ok = ntt_shoup_ok(log_n, q)
-                assert ok == (q < 1 << 30), (log_n, q)
-                if ok:
-                    assert analyze_batched_forward(log_n, q).ok
-                    assert analyze_batched_inverse(log_n, q,
-                                                   unclamped=False).ok
+        with pytest.raises(HostModulusError):
+            BatchedNegacyclicNtt(256, (q,))
 
     def test_compiled_plan_edge_is_2_30(self):
         narrow = tuple(find_ntt_primes(ORDER, 30, 2))
@@ -92,58 +71,48 @@ class TestCompiledNttModulusEdge:
             BatchedNegacyclicNtt(48, narrow)
 
     def test_every_host_plan_is_proven(self):
-        """What lets a plan carry no gate of its own: the Shoup stages
-        verify for the largest NTT prime below 2^30 at every n from 2
-        to 2^17 (the largest for that n, and the one every such n
-        shares)."""
+        """The largest NTT prime below 2^30 at every n from 2 to 2^17 is
+        a host modulus whose lazy lanes (< 4q) fit the 32-bit word, and
+        its numpy inverse schedule is the closed form's: clamp-free
+        through n = 2^15, where (16q - 1)(q - 1) still fits uint64, and
+        clamped from 2^16."""
         for log_n in range(1, 18):
             q = find_ntt_prime(2 << log_n, 30)
-            assert q < HOST_MODULUS_LIMIT
-            assert ntt_shoup_ok(log_n, q), (log_n, q)
-            assert ntt_shoup_ok(log_n, BELOW_2_30), log_n
-
-
-class TestShoupPrecisionEdge:
-    def test_just_below_2_30_accepted(self):
-        assert ntt_shoup_ok(8, find_ntt_prime(512, 30))
-
-    def test_31_bit_modulus_refused(self):
-        # Interval-precise: the wide modulus breaks the 2^32 Shoup radix
-        # even though it fits numpy's lazy batched plans.
-        q = find_ntt_prime(512, 31)
-        assert not ntt_shoup_ok(8, q)
-        assert analyze_batched_forward(8, q).ok
+            assert q < HOST_MODULUS_LIMIT and 4 * q - 1 <= U32_MAX
+            assert unclamped_dit_ok(log_n, q) == (log_n <= 15), log_n
 
 
 class TestDegenerateShapes:
     """log_n <= 1 and single-digit keyswitch must not over-reject."""
 
     def test_two_point_ntt_accepted(self):
-        assert ntt_shoup_ok(1, 257)
         assert unclamped_dit_ok(1, 257)
+        assert BatchedNegacyclicNtt(2, (257,)).inv_mode == 2
 
     def test_log_n_zero_does_not_raise(self):
         # A 1-point transform is vacuously safe for any sane modulus.
-        assert ntt_shoup_ok(0, 257)
-        assert analyze_batched_inverse(0, 257, unclamped=False).ok
-
-    def test_degenerate_analysis_agreement(self):
-        assert analyze_batched_forward(1, 257).ok
+        assert unclamped_dit_ok(0, 257)
 
     def test_single_digit_keyswitch_accepted(self):
-        q = find_ntt_prime(512, 31)
-        assert keyswitch_lazy_accumulate_ok(1, q)
-        report = analyze_keyswitch_accumulate(1, q, lazy=True)
-        assert report.ok, list(report.findings)
+        assert keyswitch_lazy_accumulate_ok(1, find_ntt_prime(512, 31))
 
     def test_zero_digit_keyswitch_does_not_raise(self):
         assert keyswitch_lazy_accumulate_ok(0, find_ntt_prime(512, 31))
 
 
-class TestMulFitsUint64:
-    def test_exact_boundary(self):
-        assert mul_fits_uint64(2**32 - 1, 2**32 + 1)        # == 2^64 - 1
-        assert not mul_fits_uint64(2**32, 2**32)            # == 2^64
+class TestGates:
+    def test_unclamped_gate_matches_exact_product(self):
+        for log_n in (6, 12, 16):
+            for q in (Q28, Q30, Q31):
+                exact = ((log_n + 1) * q - 1) * (q - 1) <= U64_MAX
+                assert unclamped_dit_ok(log_n, q) == exact, (log_n, q)
+
+    def test_keyswitch_bound_is_exact(self):
+        q = Q28
+        assert keyswitch_lazy_accumulate_ok(4, q)
+        most = U64_MAX // (q - 1) ** 2
+        assert keyswitch_lazy_accumulate_ok(most, q)
+        assert not keyswitch_lazy_accumulate_ok(most + 1, q)
 
 
 class TestChecksumDotGate:
@@ -244,37 +213,73 @@ class TestCenteredLiftEdge:
 
 
 class TestKernelWordReductions:
-    """``kernels.c`` reduces words by ``fold`` (any uint64) and by the
-    w-bit Barrett ``mulmod`` (a product of two reduced words), every
-    product 32 x 32 -> 64: both proven for every host modulus and
-    refused from 2^30 up."""
+    """``kernels.c`` keeps its lanes in 32-bit words and reduces words by
+    ``fold`` (any uint64) and by the w-bit Barrett ``mulmod`` (a product
+    of two reduced words), every product 32 x 32 -> 64.  No gate guards
+    any of it: ``HOST_MODULUS_LIMIT`` does, and these are the bounds it
+    must keep."""
 
     @staticmethod
-    def _moduli_of_every_width():
-        """Both ends of every width from 2 to 30 bits, odd moduli as the
-        NTT primes are, and the NTT primes the kernels run."""
-        for w in range(2, 31):
+    def _host_moduli():
+        """The largest host modulus, both ends of every width below the
+        limit (odd, as the NTT primes are), and the NTT primes the
+        kernels run."""
+        yield HOST_MODULUS_LIMIT - 1
+        for w in range(2, HOST_MODULUS_LIMIT.bit_length()):
             yield (1 << (w - 1)) + 1
             yield (1 << w) - 1
         yield from (BELOW_2_30, find_ntt_prime(1 << 14, 30),
                     find_ntt_prime(1 << 17, 30))
 
-    def test_every_width_below_2_30_is_proven(self):
-        for q in self._moduli_of_every_width():
-            assert fold_ok(q) and barrett_w_ok(q), q
-            report = analyze_barrett_w(q)
-            assert report.stage_bounds[-1] < 3 * q < 1 << 32, q
-            assert analyze_fold(q).stage_bounds[-1] < 4 * q, q
+    @staticmethod
+    def _barrett_remainder_bound(q):
+        """The exact worst remainder ``z - est q`` of ``mulmod`` over
+        ``z < 2**(2w)``: ``est >= ((z - 2**s1 + 1) u / 2**s1 - 2**s2 +
+        1) / 2**s2`` with ``s1 = w - 1``, ``s2 = w + 1``, so the
+        remainder is linear in ``z`` (coefficient >= 0, as ``q u <=
+        2**(2w)``) and largest at the top word."""
+        w = q.bit_length()
+        s1, s2 = w - 1, w + 1
+        u = (1 << (2 * w)) // q
+        z_hi = (1 << (2 * w)) - 1
+        bound = (z_hi * ((1 << (s1 + s2)) - q * u)
+                 + q * u * ((1 << s1) - 1) + (q * ((1 << s2) - 1) << s1))
+        return bound >> (s1 + s2)
+
+    def test_the_host_limit_bounds_the_kernels_words(self):
+        for q in self._host_moduli():
+            assert q < HOST_MODULUS_LIMIT
+            # A lazy butterfly lane (< 2q) sums to 4q - 1 before its
+            # clamp: the 32-bit lane word must hold it.
+            assert 4 * q - 1 <= U32_MAX, q
+            # The Shoup product widens a lane and a companion
+            # floor(w 2**32 / q), both 32-bit words, into uint64.
+            companion = ((q - 1) << 32) // q
+            assert companion <= U32_MAX
+            assert U32_MAX * U32_MAX <= U64_MAX
+            # fold: two Shoup products (< 2q each) of the word's halves.
+            assert 2 * (2 * q - 1) < 4 * q <= U32_MAX + 1, q
+            # mulmod: z >> (w - 1), u and the estimate are 32-bit
+            # multiplicands, and the remainder is below 3q, which two
+            # conditional subtracts reduce.
+            w = q.bit_length()
+            u = (1 << (2 * w)) // q
+            top = ((1 << (2 * w)) - 1) >> (w - 1)
+            assert max(top, u, (top * u) >> (w + 1)) <= U32_MAX, q
+            assert self._barrett_remainder_bound(q) < 3 * q <= U32_MAX, q
 
     def test_2_30_and_up_refused(self):
+        """The limit is tight: from 2^30 up a lazy lane outgrows the
+        32-bit word, and a plan is refused before it runs."""
         for q in (HOST_MODULUS_LIMIT + 1, ABOVE_2_30):
-            assert not fold_ok(q) and not barrett_w_ok(q)
-            assert "S002" in [f.rule for f in analyze_fold(q).findings]
+            assert 4 * q - 1 > U32_MAX
+            with pytest.raises(HostModulusError):
+                BatchedNegacyclicNtt(64, (q,))
 
     @pytest.mark.parametrize("q", [3, 257, BELOW_2_30])
     def test_the_kernels_formulas_are_the_analyzed_ones(self, q):
         """``fold`` and ``mulmod`` as written in ``kernels.c``, on numpy
-        uint64 words, give ``z % q`` — at the words the bounds are
+        uint64 words, give ``z % q`` — at the words the bounds above are
         tight at and at random ones."""
         u64 = np.uint64
         w = q.bit_length()

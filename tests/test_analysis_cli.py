@@ -22,10 +22,10 @@ class TestSections:
         assert "fhecheck: clean" in out
 
     def test_json_output_machine_readable(self, capsys):
-        assert main(["plans", "--json"]) == 0
+        assert main(["resources", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["sections"] == ["plans"]
+        assert payload["sections"] == ["resources"]
         assert payload["findings"] == []
 
     def test_unknown_section_rejected(self):
@@ -67,6 +67,14 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
+
+    def test_plans_section_is_a_usage_error(self, capsys):
+        # No stage-plan section: the kernels' word bounds are closed
+        # forms, held by tests/test_analysis_bounds_edges.py.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plans"])
+        assert excinfo.value.code == 2
+        assert "plans" in capsys.readouterr().err
 
     def test_findings_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

@@ -18,12 +18,7 @@ silently changing results) fails loudly.
 import numpy as np
 import pytest
 
-from repro.analysis.bounds import (
-    keyswitch_lazy_accumulate_ok,
-    mul_fits_uint64,
-    unclamped_dit_ok,
-    unclamped_dit_lane_bound,
-)
+from repro.analysis.bounds import keyswitch_lazy_accumulate_ok, unclamped_dit_ok
 from repro.arith.primes import find_ntt_prime, is_prime
 from repro.fhe.backend import (
     IntegrityBackend,
@@ -179,7 +174,7 @@ class TestHostModulusGate:
 class TestGateAgainstHandFormula:
     def test_never_stricter_than_old_gate(self):
         """Every (log_n, q) the old hand inequality accepted, the
-        analyzer-derived gate must also accept."""
+        closed-form gate must also accept."""
         for log_n in (1, 6, 12, 16):
             for bits in (20, 28, 30, 31):
                 try:
@@ -199,8 +194,9 @@ class TestGateAgainstHandFormula:
     def test_accepts_shoup_edge_prime(self, boundary_primes):
         q = boundary_primes["below_2^30"]
         assert unclamped_dit_ok(LOG_N, q)
-        # Derived bound is the exact +q-per-stage growth formula.
-        assert unclamped_dit_lane_bound(LOG_N, q) == (LOG_N + 1) * q - 1
+        # The lane bound after the +q-per-stage growth, times a reduced
+        # scaling factor, fits uint64.
+        assert ((LOG_N + 1) * q - 1) * (q - 1) <= (1 << 64) - 1
 
     def test_gate_flips_with_depth(self):
         """A modulus eligible at small n loses eligibility once the
@@ -349,7 +345,7 @@ class TestKeyswitchAccumulateFallbacks:
         assert keyswitch_lazy_accumulate_ok(3, q28)
         assert keyswitch_lazy_accumulate_ok(16, q30)
         assert not keyswitch_lazy_accumulate_ok(17, q30)
-        assert mul_fits_uint64(HOST_MODULUS_LIMIT - 1, HOST_MODULUS_LIMIT - 1)
+        assert (HOST_MODULUS_LIMIT - 1) ** 2 <= (1 << 64) - 1
 
     def test_lazy_threshold_is_exact(self):
         """The gate accepts exactly up to D * (q-1)^2 <= 2^64 - 1."""

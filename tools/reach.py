@@ -37,7 +37,6 @@ ALLOWED = {
     "mapping/reduction.py": "§III-A's cross-lane sum; only tests run it",
     "fhe/backend/protocol.py": "typing.Protocol stubs, which nothing calls",
     "serve/errors.py": "RejectedError's constructor; no entry overloads",
-    "analysis/__init__.py": "PEP 562 lazy loader no entry reads through",
 }
 
 _E2E = "benchmarks/e2e/run.py --seed 3 --seconds 0.6 --smoke --out {tmp}"
