@@ -12,36 +12,23 @@ ours times its duplication factor, and the unified network grows
 import pytest
 
 from conftest import record
-from repro.baselines import (
-    ark_network_cost,
-    bts_network_cost,
-    f1_network_cost,
-    sharp_network_cost,
-)
-from repro.hwmodel import our_network_cost
+from repro.baselines import NETWORK_COSTS
 
-DESIGNS = {
-    "Ours": our_network_cost,
-    "ARK": ark_network_cost,
-    "BTS": bts_network_cost,
-    "F1": f1_network_cost,
-    "SHARP": sharp_network_cost,
-}
 LANES = [8, 16, 32, 64, 128, 256]
 
 
 def sweep():
-    return {name: [fn(m) for m in LANES] for name, fn in DESIGNS.items()}
+    return {name: [fn(m) for m in LANES] for name, fn in NETWORK_COSTS.items()}
 
 
 def render(series) -> str:
-    lines = [f"{'m':>4s} " + "".join(f"{name:>12s}" for name in DESIGNS)]
+    lines = [f"{'m':>4s} " + "".join(f"{name:>12s}" for name in NETWORK_COSTS)]
     for i, m in enumerate(LANES):
         row = f"{m:4d} " + "".join(
-            f"{series[name][i].area_um2:12.0f}" for name in DESIGNS)
+            f"{series[name][i].area_um2:12.0f}" for name in NETWORK_COSTS)
         lines.append(row)
     lines.append("area growth factor m=8 -> m=256:")
-    for name in DESIGNS:
+    for name in NETWORK_COSTS:
         g = series[name][-1].area_um2 / series[name][0].area_um2
         lines.append(f"  {name:6s} {g:8.1f}x")
     return "\n".join(lines)
@@ -52,7 +39,7 @@ def test_scaling_comparison(benchmark, results_dir):
     record(results_dir, "scaling_comparison_area_um2", render(series))
 
     growth = {name: series[name][-1].area_um2 / series[name][0].area_um2
-              for name in DESIGNS}
+              for name in NETWORK_COSTS}
     # The crossbar's quadratic growth dominates everything else.
     assert growth["BTS"] > 2 * growth["Ours"]
     # Model finding: a tiny crossbar (m = 8) is actually *smaller* than

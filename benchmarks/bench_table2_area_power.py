@@ -9,33 +9,12 @@ canary for accidental complexity)."""
 import pytest
 
 from conftest import record
-from repro.baselines import (
-    ark_network_cost,
-    bts_network_cost,
-    f1_network_cost,
-    sharp_network_cost,
-)
-from repro.hwmodel import our_network_cost, vpu_cost
-
-PAPER = {
-    "F1": (55616.42, 300306.61, 93.50, 842.12),
-    "BTS": (19405.16, 264095.35, 45.13, 793.75),
-    "ARK": (9480.50, 254170.69, 46.35, 794.97),
-    "SHARP": (44453.51, 289143.70, 44.04, 792.66),
-    "Ours": (5913.62, 250603.81, 15.59, 764.21),
-}
-
-COSTS = {
-    "F1": f1_network_cost,
-    "BTS": bts_network_cost,
-    "ARK": ark_network_cost,
-    "SHARP": sharp_network_cost,
-    "Ours": our_network_cost,
-}
+from repro.baselines import NETWORK_COSTS
+from repro.hwmodel import PAPER_TABLE_II, vpu_cost
 
 
 def evaluate_all(m: int = 64):
-    nets = {name: fn(m) for name, fn in COSTS.items()}
+    nets = {name: fn(m) for name, fn in NETWORK_COSTS.items()}
     vpus = {name: vpu_cost(m, net) for name, net in nets.items()}
     return nets, vpus
 
@@ -47,11 +26,11 @@ def render(nets, vpus) -> str:
         f"{'net mW':>8s} {'ratio':>6s} {'paper':>6s} "
         f"{'VPU area um^2':>14s} {'VPU mW':>8s}",
     ]
-    for name in ["F1", "BTS", "ARK", "SHARP", "Ours"]:
+    for name in NETWORK_COSTS:
         net, vpu = nets[name], vpus[name]
         ra, rp = net.ratio_to(ours_net)
-        pa = PAPER[name][0] / PAPER["Ours"][0]
-        pp = PAPER[name][2] / PAPER["Ours"][2]
+        pa = PAPER_TABLE_II[name][0] / PAPER_TABLE_II["Ours"][0]
+        pp = PAPER_TABLE_II[name][2] / PAPER_TABLE_II["Ours"][2]
         lines.append(
             f"{name:7s} {net.area_um2:14.2f} {ra:5.2f}x {pa:5.2f}x "
             f"{net.power_mw:8.2f} {rp:5.2f}x {pp:5.2f}x "

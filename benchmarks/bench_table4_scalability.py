@@ -6,28 +6,18 @@ Checks the published design points and the §V-D scaling claim
 import pytest
 
 from conftest import record
-from repro.hwmodel import our_network_cost
-
-PAPER = {
-    4: (208.99, 0.59),
-    8: (509.45, 1.38),
-    16: (1180.83, 3.13),
-    32: (2664.50, 7.02),
-    64: (5913.62, 15.59),
-    128: (12975.47, 34.28),
-    256: (28226.38, 75.02),
-}
+from repro.hwmodel import PAPER_TABLE_IV, our_network_cost
 
 
 def sweep():
-    return {m: our_network_cost(m) for m in sorted(PAPER)}
+    return {m: our_network_cost(m) for m in sorted(PAPER_TABLE_IV)}
 
 
 def render(costs) -> str:
     lines = [f"{'lanes':>5s} {'area um^2':>12s} {'paper':>12s} {'err':>7s} "
              f"{'power mW':>9s} {'paper':>7s} {'err':>7s}"]
     for m, c in costs.items():
-        pa, pp = PAPER[m]
+        pa, pp = PAPER_TABLE_IV[m]
         lines.append(
             f"{m:5d} {c.area_um2:12.2f} {pa:12.2f} {c.area_um2 / pa - 1:+6.1%} "
             f"{c.power_mw:9.2f} {pp:7.2f} {c.power_mw / pp - 1:+6.1%}"
@@ -43,5 +33,5 @@ def test_table4(benchmark, results_dir):
     costs = benchmark(sweep)
     record(results_dir, "table4_scalability", render(costs))
     for m, c in costs.items():
-        assert c.area_um2 == pytest.approx(PAPER[m][0], rel=0.10)
-        assert c.power_mw == pytest.approx(PAPER[m][1], rel=0.10)
+        assert c.area_um2 == pytest.approx(PAPER_TABLE_IV[m][0], rel=0.10)
+        assert c.power_mw == pytest.approx(PAPER_TABLE_IV[m][1], rel=0.10)

@@ -10,22 +10,10 @@ Run:  python examples/accelerator_report.py
 """
 
 from repro.accel import Accelerator
-from repro.baselines import (
-    ark_network_cost,
-    bts_network_cost,
-    f1_network_cost,
-    sharp_network_cost,
-)
-from repro.hwmodel import our_network_cost, vpu_cost
+from repro.baselines import NETWORK_COSTS
+from repro.hwmodel import vpu_cost
 
 N, LEVEL = 4096, 5
-NETWORKS = {
-    "Ours": our_network_cost,
-    "ARK": ark_network_cost,
-    "BTS": bts_network_cost,
-    "SHARP": sharp_network_cost,
-    "F1": f1_network_cost,
-}
 
 
 def main() -> None:
@@ -49,8 +37,8 @@ def main() -> None:
     print("\nchip cost with each permutation-unit choice (8 VPUs):")
     print(f"{'design':7s} {'chip area mm^2':>14s} {'chip power W':>13s}")
     baseline_chip = None
-    for name, fn in NETWORKS.items():
-        vpus = vpu_cost(64, fn(64))
+    for name in ["Ours", "ARK", "BTS", "SHARP", "F1"]:
+        vpus = vpu_cost(64, NETWORK_COSTS[name](64))
         chip_area = vpus.area_um2 * 8 + acc.sram.cost().area_um2 \
             + acc.noc.cost().area_um2
         chip_power = vpus.power_mw * 8 + acc.sram.cost().power_mw \

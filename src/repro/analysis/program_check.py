@@ -10,20 +10,17 @@ routing and the constants the hardware would use (grouped-CG
 sub-networks and diagonal register reads included).  It proves, per
 instruction:
 
-* every uint64 intermediate of the vectorized Barrett datapath fits
-  (``z = a * b`` with *raw* register values — the vectorized multiplier
-  does not pre-reduce its operands; from ``q >= 2**31`` on it reduces
-  them and multiplies exact integers);
-* the Barrett precondition ``z < q**2`` holds, which is what guarantees
-  the two-correction reduction bound;
 * twiddle constants are fully reduced (``< q``), matching the table
   contract, and every slot an instruction names lies inside the bound
   table;
 * reads never see an uninitialized register (the mapping compilers must
   route data through loads);
-* every architecturally visible value — anything stored back to memory —
-  is ``< q``, or ``< 2q`` where the program declares lazy output;
 * every instruction is one the unit decodes (a decode fault).
+
+Inputs are reduced residues and every add, subtract and Barrett product
+leaves a value ``< q``, so no product can overflow uint64 or break the
+Barrett precondition and no stored value can exceed ``q - 1``; the walk
+records the largest product it meets as ``max_intermediate``.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.analysis.findings import FindingList
-from repro.analysis.intervals import U64_MAX, Interval, IntervalVec
+from repro.analysis.intervals import Interval, IntervalVec
 from repro.core.isa import Instruction, Program
 from repro.core.vpu import (
     _ADD,
@@ -110,9 +107,7 @@ class _Walker:
     """One interval-execution of a lowered program (the VPU's replay
     loop over intervals)."""
 
-    def __init__(self, program: Program, q: int, m: int,
-                 input_bound: int | None, lazy_output: bool,
-                 faults: dict):
+    def __init__(self, program: Program, q: int, m: int, faults: dict):
         self.q = q
         self.m = m
         self.binding = bind_table(program, q)
@@ -122,11 +117,8 @@ class _Walker:
         self.regs: dict[int, IntervalVec] = {}
         self.memory: dict[int, IntervalVec] = {}
         # Contract for rows the program loads but never stored: the
-        # caller packs fully reduced residues unless it says otherwise.
-        self.input_row = IntervalVec.uniform(
-            m, Interval.upto(input_bound if input_bound is not None
-                             else q - 1))
-        self.visible_bound = 2 * q - 1 if lazy_output else q - 1
+        # caller packs fully reduced residues.
+        self.input_row = IntervalVec.reduced(m, q)
         self.pc = 0
         self.instr: Any = None
 
@@ -153,7 +145,7 @@ class _Walker:
             self.regs[reg] = value
         return value
 
-    def _mul(self, a: IntervalVec, b: IntervalVec, what: str) -> IntervalVec:
+    def _mul(self, a: IntervalVec, b: IntervalVec) -> IntervalVec:
         """The vectorized Barrett multiplier on raw register values."""
         q = self.q
         if q >= 1 << 31:
@@ -161,19 +153,7 @@ class _Walker:
             # operands and multiplies exact integers: nothing overflows.
             self._note_intermediate((q - 1) ** 2)
             return IntervalVec.reduced(len(a), q)
-        z = a.mul(b)
-        self._note_intermediate(z.max_hi)
-        if z.max_hi > U64_MAX:
-            self._error(
-                "P001",
-                f"{what}: product bound {z.max_hi} exceeds uint64 "
-                f"(operands up to {a.max_hi} and {b.max_hi})")
-        if z.max_hi >= q * q:
-            self._error(
-                "P002",
-                f"{what}: product bound {z.max_hi} breaks the Barrett "
-                f"precondition z < q^2 = {q * q}")
-        # Barrett output is fully reduced when the precondition holds.
+        self._note_intermediate(a.mul(b).max_hi)
         return IntervalVec.reduced(len(a), q)
 
     def _add_reduced(self, a: IntervalVec, b: IntervalVec) -> IntervalVec:
@@ -216,9 +196,9 @@ class _Walker:
             even = self._add_reduced(u, v)
             # _sub reduces operands, so the multiplier sees [0, q).
             diff = IntervalVec.reduced(self.m // 2, self.q)
-            odd = self._mul(diff, tw, "dif butterfly twiddle product")
+            odd = self._mul(diff, tw)
         else:
-            t = self._mul(v, tw, "dit butterfly twiddle product")
+            t = self._mul(v, tw)
             even = self._add_reduced(u, t)
             odd = IntervalVec.reduced(self.m // 2, self.q)
         return IntervalVec.interleave(even, odd)
@@ -237,13 +217,13 @@ class _Walker:
         elif op == _SUB:
             out = IntervalVec.reduced(m, q)
         elif op == _MUL:
-            out = self._mul(*x, "VMul")
+            out = self._mul(*x)
         elif op == _MUL_SCALAR:
             (word,) = self._constants(self.binding.scalars, const)
             scalar = IntervalVec.uniform(m, Interval.const(word % q))
-            out = self._mul(x[0], scalar, "VMulScalar")
+            out = self._mul(x[0], scalar)
         elif op == _MUL_TWIDDLE:
-            out = self._mul(x[0], self._twiddles(const), "VMulTwiddle")
+            out = self._mul(x[0], self._twiddles(const))
         elif op == _BFLY:
             out = self._butterfly(x[0], b, const)
         elif op == _NTT and b:
@@ -259,12 +239,6 @@ class _Walker:
         elif op == _LOAD:
             out = self.memory.get(a, self.input_row)
         elif op == _STORE:
-            if x[0].max_hi > self.visible_bound:
-                self._error(
-                    "P006",
-                    f"stored value bound {x[0].max_hi} exceeds the "
-                    f"architecturally visible limit {self.visible_bound} "
-                    f"(q={q})")
             self.memory[b] = x[0]
         else:
             self._error("P007", str(self.faults[(self.pc, "opcode")]))
@@ -274,9 +248,7 @@ class _Walker:
         self.pc += 1
 
 
-def check_program(program: Program, *, q: int, m: int,
-                  input_bound: int | None = None,
-                  lazy_output: bool = False) -> ProgramCheckReport:
+def check_program(program: Program, *, q: int, m: int) -> ProgramCheckReport:
     """Interval-verify one compiled micro-program.
 
     Parameters
@@ -286,14 +258,8 @@ def check_program(program: Program, *, q: int, m: int,
     q:
         The RNS modulus the program will execute under.
     m:
-        Lane count of the target VPU.
-    input_bound:
-        Inclusive bound on memory rows the program loads without having
-        stored them first (default ``q - 1`` — callers pack reduced
-        residues).
-    lazy_output:
-        Declare the program's stored values lazily reduced: visible
-        values may reach ``2q - 1`` instead of ``q - 1``.
+        Lane count of the target VPU.  Rows the program loads without
+        having stored them first hold reduced residues (``< q``).
 
     Returns a :class:`ProgramCheckReport`; ``report.ok`` is False when
     any error-severity finding fired.
@@ -301,7 +267,7 @@ def check_program(program: Program, *, q: int, m: int,
     if q <= 1:
         raise ValueError(f"modulus must exceed 1, got {q}")
     lowered, faults = decode(program, m)
-    walker = _Walker(program, q, m, input_bound, lazy_output, faults)
+    walker = _Walker(program, q, m, faults)
     for instr, step in zip(program.instructions, lowered.steps, strict=True):
         walker.step(instr, step)
     return walker.report

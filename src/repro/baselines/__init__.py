@@ -3,7 +3,8 @@
 Each baseline module provides the behavioral model of that design's
 permutation approach, ported to the same 64-lane VPU as in the paper's
 §V-A methodology, plus a ``*_network_cost`` function priced with the
-shared technology constants of :mod:`repro.hwmodel`:
+shared technology constants of :mod:`repro.hwmodel` from the counts of
+the models that route (Benes columns, crosspoints, CG and shift stages):
 
 * :mod:`repro.baselines.f1` — F1: quadrant-swap SRAM transpose buffers
   plus a cyclic-shift network (automorphism = shifts + transposes).
@@ -29,6 +30,12 @@ from repro.baselines.f1 import (
     quadrant_swap_transpose,
 )
 from repro.baselines.sharp import SharpPermuter, sharp_network_cost
+from repro.hwmodel import our_network_cost
+
+#: Table II's five designs, in its row order, and their cost functions.
+NETWORK_COSTS = {"F1": f1_network_cost, "BTS": bts_network_cost,
+                 "ARK": ark_network_cost, "SHARP": sharp_network_cost,
+                 "Ours": our_network_cost}
 
 __all__ = [
     "ArkPermuter",
@@ -37,6 +44,7 @@ __all__ = [
     "BtsPermuter",
     "Crossbar",
     "F1Permuter",
+    "NETWORK_COSTS",
     "affine_via_uniform_shifts",
     "ark_network_cost",
     "bts_network_cost",

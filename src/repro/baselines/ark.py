@@ -14,9 +14,10 @@ import numpy as np
 
 from repro.automorphism.mapping import AffinePermutation
 from repro.baselines.benes import BenesNetwork
+from repro.core.network import InterLaneNetwork
 from repro.hwmodel import technology as tech
 from repro.hwmodel.components import CostReport
-from repro.hwmodel.network_cost import cg_stage_count, multistage_network_cost
+from repro.hwmodel.network_cost import multistage_network_cost
 from repro.ntt.constant_geometry import dif_gather_permutation, dit_scatter_permutation
 
 
@@ -24,8 +25,6 @@ class ArkPermuter:
     """Behavioral model of ARK's dual dedicated networks."""
 
     def __init__(self, m: int):
-        if m < 2 or m & (m - 1):
-            raise ValueError(f"m must be a power of two >= 2, got {m}")
         self.m = m
         self.automorphism_network = BenesNetwork(m)
         self.passes_executed = 0
@@ -42,24 +41,29 @@ class ArkPermuter:
         return self.automorphism_network.apply(x, perm.destinations())
 
 
-def automorphism_unit_stage_count(m: int) -> int:
-    """Stages of ARK's automorphism network.
+def automorphism_unit_cost(network: BenesNetwork, bits: int,
+                           activity: float) -> CostReport:
+    """The dedicated automorphism unit built on ``network``.
 
-    A Benes network has ``2*log2(m) - 1`` switch columns; ARK's
-    specialized variant trims one column by exploiting the restricted
+    ARK's specialized variant trims one of the Benes network's
+    ``2*log2(m) - 1`` switch columns by exploiting the restricted
     permutation family, leaving ``2*log2(m) - 2`` mux stages.
     """
-    return 2 * (m.bit_length() - 1) - 2
+    return multistage_network_cost(network.n, network.stage_count - 1, bits,
+                                   activity=activity)
 
 
 def ark_network_cost(m: int, bits: int = tech.WORD_BITS) -> CostReport:
-    """ARK's two dedicated networks on an ``m``-lane VPU."""
+    """ARK's two dedicated networks on an ``m``-lane VPU.
+
+    The NTT unit has our network's CG wiring; the automorphism unit is
+    built on the Benes network :class:`ArkPermuter` routes through.
+    """
     ntt_unit = multistage_network_cost(
-        m, cg_stage_count(m), bits, activity=tech.ARK_ACTIVITY_FACTOR
-    )
-    autom_unit = multistage_network_cost(
-        m, automorphism_unit_stage_count(m), bits,
+        m, len(InterLaneNetwork(m).cg_stages), bits,
         activity=tech.ARK_ACTIVITY_FACTOR,
     )
+    autom_unit = automorphism_unit_cost(ArkPermuter(m).automorphism_network,
+                                        bits, tech.ARK_ACTIVITY_FACTOR)
     total = ntt_unit + autom_unit
     return CostReport(total.area_um2, total.power_mw, f"ARK networks (m={m})")

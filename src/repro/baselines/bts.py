@@ -39,12 +39,11 @@ class BtsPermuter:
 def bts_network_cost(m: int, bits: int = tech.WORD_BITS) -> CostReport:
     """An ``m x m`` crossbar with ``bits``-wide links.
 
-    Area: crosspoint array (``m^2`` word crosspoints).  Power: each of
-    the ``m`` active paths drives a wire spanning ``m/2`` lane pitches on
-    average every cycle.
+    Area: the crossbar's crosspoint array (``m^2`` word crosspoints).
+    Power: each of the ``m`` active paths drives a wire spanning ``m/2``
+    lane pitches on average every cycle.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    area = m * m * bits * tech.XBAR_CROSSPOINT_AREA_PER_BIT
+    crossbar = BtsPermuter(m).crossbar
+    area = crossbar.crosspoint_count * bits * tech.XBAR_CROSSPOINT_AREA_PER_BIT
     power = m * bits * (m / 2) * tech.XBAR_WIRE_POWER_PER_BIT_LANE
     return CostReport(area, power, f"BTS crossbar (m={m})")

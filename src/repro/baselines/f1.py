@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.automorphism.mapping import AffinePermutation
+from repro.core.network import InterLaneNetwork
 from repro.hwmodel import technology as tech
 from repro.hwmodel.components import CostReport, mux_stage_cost
-from repro.hwmodel.network_cost import multistage_network_cost, shift_stage_count
+from repro.hwmodel.network_cost import multistage_network_cost
 from repro.hwmodel.sram import SramMacro
 
 
@@ -101,8 +102,9 @@ def f1_network_cost(m: int, bits: int = tech.WORD_BITS) -> CostReport:
     Quadrant-swap buffers sized for an ``m x m`` word tile with
     simultaneous read+write streaming (dual port, full duty), two levels
     of swap muxes on the ``m``-word datapath, plus the cyclic-shift
-    network (``log2 m`` stages, no CG stages).
+    network (our network's ``log2 m`` shift stages, no CG stages).
     """
+    shifts = len(InterLaneNetwork(m).shift_stages)
     buffers = SramMacro(
         bits=m * m * bits,
         io_bits=m * bits,
@@ -111,6 +113,6 @@ def f1_network_cost(m: int, bits: int = tech.WORD_BITS) -> CostReport:
         label="quadrant-swap transpose buffers",
     ).cost()
     swap_muxes = mux_stage_cost(m, bits) * 2
-    shift_net = multistage_network_cost(m, shift_stage_count(m), bits)
+    shift_net = multistage_network_cost(m, shifts, bits)
     total = buffers + swap_muxes + shift_net
     return CostReport(total.area_um2, total.power_mw, f"F1 network (m={m})")

@@ -19,12 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.automorphism.mapping import AffinePermutation
-from repro.baselines.ark import automorphism_unit_stage_count
+from repro.baselines.ark import automorphism_unit_cost
 from repro.baselines.benes import BenesNetwork
 from repro.baselines.f1 import quadrant_swap_transpose
 from repro.hwmodel import technology as tech
 from repro.hwmodel.components import CostReport, mux_stage_cost
-from repro.hwmodel.network_cost import multistage_network_cost
 from repro.hwmodel.sram import SramMacro
 
 #: Effective access duty of the phase-alternating hierarchical buffers.
@@ -35,8 +34,6 @@ class SharpPermuter:
     """Behavioral model of SHARP's permutation units."""
 
     def __init__(self, m: int):
-        if m < 2 or m & (m - 1):
-            raise ValueError(f"m must be a power of two >= 2, got {m}")
         self.m = m
         self.automorphism_network = BenesNetwork(m)
         self.passes_executed = 0
@@ -54,10 +51,8 @@ class SharpPermuter:
 
 def sharp_network_cost(m: int, bits: int = tech.WORD_BITS) -> CostReport:
     """SHARP's permutation hardware on an ``m``-lane VPU."""
-    autom_unit = multistage_network_cost(
-        m, automorphism_unit_stage_count(m), bits,
-        activity=tech.SHARP_ACTIVITY_FACTOR,
-    )
+    autom_unit = automorphism_unit_cost(SharpPermuter(m).automorphism_network,
+                                        bits, tech.SHARP_ACTIVITY_FACTOR)
     buffers = SramMacro(
         bits=m * m * bits,
         io_bits=m * bits,

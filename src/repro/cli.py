@@ -19,31 +19,12 @@ import sys
 
 import numpy as np
 
-PAPER_TABLE2 = {
-    "F1": (55616.42, 93.50),
-    "BTS": (19405.16, 45.13),
-    "ARK": (9480.50, 46.35),
-    "SHARP": (44453.51, 44.04),
-    "Ours": (5913.62, 15.59),
-}
-
 
 def cmd_table2(_args) -> int:
-    from repro.baselines import (
-        ark_network_cost,
-        bts_network_cost,
-        f1_network_cost,
-        sharp_network_cost,
-    )
-    from repro.hwmodel import our_network_cost, vpu_cost
+    from repro.baselines import NETWORK_COSTS
+    from repro.hwmodel import vpu_cost
 
-    costs = {
-        "F1": f1_network_cost(64),
-        "BTS": bts_network_cost(64),
-        "ARK": ark_network_cost(64),
-        "SHARP": sharp_network_cost(64),
-        "Ours": our_network_cost(64),
-    }
+    costs = {name: cost(64) for name, cost in NETWORK_COSTS.items()}
     ours = costs["Ours"]
     print(f"{'design':7s} {'net um^2':>10s} {'ratio':>6s} {'mW':>7s} "
           f"{'ratio':>6s} {'VPU um^2':>11s} {'VPU mW':>8s}")

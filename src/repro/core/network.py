@@ -85,16 +85,20 @@ class InterLaneNetwork:
         self.fault_hook = None
 
     @property
+    def cg_stages(self) -> list[CgStage]:
+        """The physical CG stages: DIT and DIF, one stage at m=4."""
+        return [self.cg_dit] if self.merged_cg else [self.cg_dit, self.cg_dif]
+
+    @property
     def stage_count(self) -> int:
-        """Physical stages: CG (1 at m=4, else 2) + log2 m shifts."""
-        cg = 1 if self.merged_cg else 2
-        return cg + len(self.shift_stages)
+        """Physical stages: the CG stages + log2 m shifts."""
+        return len(self.cg_stages) + len(self.shift_stages)
 
     @property
     def control_bit_count(self) -> int:
         """Live control bits per pass: 1 per CG stage + m-1 shift bits."""
-        cg = 1 if self.merged_cg else 2
-        return cg + sum(s.control_signal_count for s in self.shift_stages)
+        return len(self.cg_stages) + sum(s.control_signal_count
+                                         for s in self.shift_stages)
 
     def route(self, config: NetworkConfig) -> np.ndarray:
         """Source lane of every output lane under ``config``.

@@ -7,7 +7,8 @@ multiplier, register file) has an area/power formula whose constants are
 calibrated once against the published design points (see
 ``technology.py`` for the calibration provenance).  Relative comparisons
 between designs then follow from structure — mux counts, stage counts,
-SRAM bits, crossbar size — not from per-design fudging.
+SRAM bits, crossbar size — not from per-design fudging — and every count
+is read off an instance of a model that routes, never restated here.
 """
 
 from repro.hwmodel.components import (
@@ -23,10 +24,13 @@ from repro.hwmodel.network_cost import (
     our_network_cost,
 )
 from repro.hwmodel.sram import SramMacro
+from repro.hwmodel.technology import PAPER_TABLE_II, PAPER_TABLE_IV
 from repro.hwmodel.vpu_cost import vpu_cost
 
 __all__ = [
     "CostReport",
+    "PAPER_TABLE_II",
+    "PAPER_TABLE_IV",
     "SramMacro",
     "barrett_multiplier_cost",
     "lane_cost",

@@ -14,18 +14,10 @@ from repro.hwmodel import technology as tech
 from repro.hwmodel.components import (
     CostReport,
     barrett_multiplier_cost,
-    lane_attach_overhead,
     modular_adder_cost,
-    mux_stage_cost,
-    network_control_cost,
     register_file_cost,
 )
-from repro.hwmodel.network_cost import (
-    cg_stage_count,
-    check_lane_count,
-    control_table_cost,
-    shift_stage_count,
-)
+from repro.hwmodel.network_cost import control_table_cost, our_network_parts
 
 
 @dataclass(frozen=True)
@@ -46,18 +38,15 @@ class BreakdownLine:
 
 
 def network_breakdown(m: int, bits: int = tech.WORD_BITS) -> list[BreakdownLine]:
-    """Component-by-component split of the unified inter-lane network."""
-    check_lane_count(m)
-    cg = cg_stage_count(m)
-    shifts = shift_stage_count(m)
-    return [
-        BreakdownLine("CG stages (DIT/DIF)", cg, mux_stage_cost(m, bits) * cg),
-        BreakdownLine("shift stages", shifts, mux_stage_cost(m, bits) * shifts),
-        BreakdownLine("lane attach (pair links, drivers)", 1,
-                      lane_attach_overhead(m)),
-        BreakdownLine("control sequencing", 1, network_control_cost()),
-        BreakdownLine("automorphism control table", 1, control_table_cost(m)),
-    ]
+    """Component-by-component split of the unified inter-lane network.
+
+    The parts :func:`~repro.hwmodel.our_network_cost` sums, plus the
+    control table.
+    """
+    lines = [BreakdownLine(*part) for part in our_network_parts(m, bits)]
+    lines.append(BreakdownLine("automorphism control table", 1,
+                               control_table_cost(m)))
+    return lines
 
 
 def vpu_breakdown(m: int, bits: int = tech.WORD_BITS,

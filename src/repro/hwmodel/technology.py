@@ -110,3 +110,20 @@ REGFILE_POWER_PER_BIT = 3.0472 / (64 * 64)
 
 #: Default register-file depth per lane (entries of WORD_BITS each).
 REGFILE_DEFAULT_ENTRIES = 64
+
+# --- the published values the constants are fit to ------------------------
+
+#: Paper Table II (m = 64), in its row order: design -> (network area
+#: um^2, VPU area um^2, network power mW, VPU power mW).
+PAPER_TABLE_II = {
+    "F1": (55616.42, 300306.61, 93.50, 842.12),
+    "BTS": (19405.16, 264095.35, 45.13, 793.75),
+    "ARK": (9480.50, 254170.69, 46.35, 794.97),
+    "SHARP": (44453.51, 289143.70, 44.04, 792.66),
+    "Ours": (5913.62, 250603.81, 15.59, 764.21),
+}
+
+#: Paper Table IV: our network on m lanes -> (area um^2, power mW).
+PAPER_TABLE_IV = {4: (208.99, 0.59), 8: (509.45, 1.38), 16: (1180.83, 3.13),
+                  32: (2664.50, 7.02), 64: (5913.62, 15.59),
+                  128: (12975.47, 34.28), 256: (28226.38, 75.02)}

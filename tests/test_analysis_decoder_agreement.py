@@ -31,7 +31,6 @@ from repro.mapping.ntt import compile_negacyclic_ntt, required_registers
 
 M = 16
 Q = find_ntt_prime(2 * 64, 28)
-WIDE_Q = find_ntt_prime(2 * 64, 31)
 
 
 @dataclass(frozen=True)
@@ -48,23 +47,23 @@ class FakeWideRead(Instruction):
 def _phantom_read():
     program = compile_negacyclic_ntt(256, M)
     program.instructions.append(Store(src=999, addr=0))
-    return program, find_ntt_prime(512, 28), {}
+    return program, find_ntt_prime(512, 28)
 
 
-def _twiddle_program(twiddles, q=Q, **options):
+def _twiddle_program(twiddles):
     program = Program(label="twiddle", instructions=[
         Load(dst=0, addr=0),
         VMulTwiddle(dst=1, a=0, row=0),
         Store(src=1, addr=0),
     ])
-    bind_table(program, q, twiddles=twiddles)
-    return program, q, options
+    bind_table(program, Q, twiddles=twiddles)
+    return program, Q
 
 
 def _three_reads():
     loads = [Load(dst=r, addr=8 * r) for r in range(3)]
     return Program(label="wide", instructions=[
-        *loads, FakeWideRead(), Store(src=3, addr=0)]), Q, {}
+        *loads, FakeWideRead(), Store(src=3, addr=0)]), Q
 
 
 def _diagonal_onto_window():
@@ -74,7 +73,7 @@ def _diagonal_onto_window():
         NetworkPass(dst=2, src=0, config=NetworkConfig(),
                     src_rot=0, src_window=4),
         Store(src=2, addr=0),
-    ]), Q, {}
+    ]), Q
 
 
 def _network_pass():
@@ -82,7 +81,7 @@ def _network_pass():
         Load(dst=0, addr=0),
         NetworkPass(dst=1, src=0, config=NetworkConfig()),
         Store(src=1, addr=0),
-    ]), Q, {}
+    ]), Q
 
 
 CASES = {
@@ -95,9 +94,6 @@ CASES = {
     "three read ports": (_three_reads, ["P007", "P004"], ValueError),
     "destination in diagonal window": (_diagonal_onto_window, [], None),
     "non-permutation route": (_network_pass, [], None),
-    "lazy input": (lambda: _twiddle_program(
-        [WIDE_Q - 1] * M, WIDE_Q, input_bound=2 * WIDE_Q - 1),
-        ["P002"], None),
 }
 
 
@@ -109,10 +105,10 @@ def test_passes_and_lowering_agree(case, monkeypatch):
                             lambda self, config: np.zeros(self.m, dtype=int))
     # A fresh program per verdict: nothing one verdict decodes is seen
     # by the next.
-    program, q, options = build()
-    report = check_program(program, q=q, m=M, **options)
+    program, q = build()
+    report = check_program(program, q=q, m=M)
     assert [f.rule for f in report.findings] == program_rules
-    program, _, _ = build()
+    program, _ = build()
     unit = VectorProcessingUnit(m=M, q=q,
                                 regfile_entries=required_registers(M))
     if raises is None:

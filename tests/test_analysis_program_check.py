@@ -53,17 +53,6 @@ class TestCheckProgram:
         report = check_program(program, q=Q, m=M)
         assert any(f.rule == "P004" for f in report.findings)
 
-    def test_wide_input_bound_overflows_product(self):
-        """Lazy (< 2q) inputs into a twiddle product overflow the
-        Barrett precondition when q is at the vectorized ceiling."""
-        q = find_ntt_prime(2 * N, 31)
-        program = _one_twiddle_row("lazy-in", q, [q - 1] * M)
-        clean = check_program(program, q=q, m=M)
-        assert clean.ok
-        lazy_in = check_program(program, q=q, m=M, input_bound=2 * q - 1)
-        assert not lazy_in.ok
-        assert any(f.rule == "P002" for f in lazy_in.findings)
-
     def test_raise_on_error_carries_report(self):
         program = Program(label="bad", instructions=[Store(src=0, addr=0)])
         report = check_program(program, q=Q, m=M)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.automorphism import AffinePermutation, affine_controls, paper_sigma
+from repro.automorphism import (
+    AffinePermutation,
+    affine_controls,
+    control_table,
+    control_table_size_bits,
+    paper_sigma,
+)
 from repro.core import InterLaneNetwork, NetworkConfig
 from repro.core.stages import CgStage, ShiftStage
 from repro.ntt.constant_geometry import (
@@ -89,11 +95,20 @@ class TestShiftStage:
 
 
 class TestInterLaneNetwork:
-    def test_stage_and_control_counts(self):
-        """m=64: 8 stages (2 CG + 6 shift); m-1 = 63 shift control bits."""
-        net = InterLaneNetwork(64)
-        assert net.stage_count == 8
-        assert net.control_bit_count == 2 + 63
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256])
+    def test_stage_and_control_counts(self, m):
+        """The counts the cost model prices: one stage per distinct CG
+        wiring plus log2 m shifts; the CG bits plus the paper's m - 1
+        shift-control bits; a (m/2)(m-1)-bit control table."""
+        net = InterLaneNetwork(m)
+        wirings = {tuple(net.cg_dit.remote_source),
+                   tuple(net.cg_dif.remote_source)}
+        assert len(net.cg_stages) == len(wirings)
+        assert net.stage_count == len(wirings) + m.bit_length() - 1
+        assert net.control_bit_count == len(wirings) + m - 1
+        table = control_table(m)
+        assert (sum(c.total_bits for c in table.values())
+                == control_table_size_bits(m) == (m // 2) * (m - 1))
 
     def test_m4_merges_cg(self):
         net = InterLaneNetwork(4)

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.baselines import (
-    ark_network_cost,
-    bts_network_cost,
-    f1_network_cost,
-    sharp_network_cost,
-)
+from repro.baselines import NETWORK_COSTS, f1_network_cost
 from repro.hwmodel import (
+    PAPER_TABLE_II,
+    PAPER_TABLE_IV,
     CostReport,
     SramMacro,
     barrett_multiplier_cost,
@@ -20,35 +17,7 @@ from repro.hwmodel import (
     register_file_cost,
     vpu_cost,
 )
-from repro.hwmodel.network_cost import cg_stage_count, control_table_cost
-
-# Paper Table IV: our inter-lane network, (area um^2, power mW).
-TABLE_IV = {
-    4: (208.99, 0.59),
-    8: (509.45, 1.38),
-    16: (1180.83, 3.13),
-    32: (2664.50, 7.02),
-    64: (5913.62, 15.59),
-    128: (12975.47, 34.28),
-    256: (28226.38, 75.02),
-}
-
-# Paper Table II: (network area, VPU area, network power, VPU power).
-TABLE_II = {
-    "F1": (55616.42, 300306.61, 93.50, 842.12),
-    "BTS": (19405.16, 264095.35, 45.13, 793.75),
-    "ARK": (9480.50, 254170.69, 46.35, 794.97),
-    "SHARP": (44453.51, 289143.70, 44.04, 792.66),
-    "Ours": (5913.62, 250603.81, 15.59, 764.21),
-}
-
-BASELINE_COSTS = {
-    "F1": f1_network_cost,
-    "BTS": bts_network_cost,
-    "ARK": ark_network_cost,
-    "SHARP": sharp_network_cost,
-    "Ours": our_network_cost,
-}
+from repro.hwmodel.network_cost import control_table_cost
 
 
 class TestCostReport:
@@ -117,12 +86,6 @@ class TestSram:
 
 
 class TestNetworkModel:
-    def test_cg_stage_merging_at_m4(self):
-        """Paper §III-B: at m=4 the DIT and DIF CG stages coincide."""
-        assert cg_stage_count(4) == 1
-        assert cg_stage_count(8) == 2
-        assert cg_stage_count(64) == 2
-
     def test_multistage_validation(self):
         with pytest.raises(ValueError):
             multistage_network_cost(63, 4)
@@ -136,10 +99,10 @@ class TestNetworkModel:
         net = our_network_cost(64)
         assert table.area_um2 < 0.1 * net.area_um2
 
-    @pytest.mark.parametrize("m", sorted(TABLE_IV))
+    @pytest.mark.parametrize("m", sorted(PAPER_TABLE_IV))
     def test_table4_regression(self, m):
         """Our network model must stay within 10% of every Table IV row."""
-        area, power = TABLE_IV[m]
+        area, power = PAPER_TABLE_IV[m]
         c = our_network_cost(m)
         assert c.area_um2 == pytest.approx(area, rel=0.10)
         assert c.power_mw == pytest.approx(power, rel=0.10)
@@ -155,17 +118,17 @@ class TestNetworkModel:
 
 
 class TestTable2:
-    @pytest.mark.parametrize("design", sorted(TABLE_II))
+    @pytest.mark.parametrize("design", sorted(PAPER_TABLE_II))
     def test_network_values(self, design):
-        net_area, _, net_power, _ = TABLE_II[design]
-        c = BASELINE_COSTS[design](64)
+        net_area, _, net_power, _ = PAPER_TABLE_II[design]
+        c = NETWORK_COSTS[design](64)
         assert c.area_um2 == pytest.approx(net_area, rel=0.12)
         assert c.power_mw == pytest.approx(net_power, rel=0.12)
 
-    @pytest.mark.parametrize("design", sorted(TABLE_II))
+    @pytest.mark.parametrize("design", sorted(PAPER_TABLE_II))
     def test_vpu_values(self, design):
-        _, vpu_area, _, vpu_power = TABLE_II[design]
-        v = vpu_cost(64, BASELINE_COSTS[design](64))
+        _, vpu_area, _, vpu_power = PAPER_TABLE_II[design]
+        v = vpu_cost(64, NETWORK_COSTS[design](64))
         assert v.area_um2 == pytest.approx(vpu_area, rel=0.05)
         assert v.power_mw == pytest.approx(vpu_power, rel=0.05)
 
@@ -183,10 +146,10 @@ class TestTable2:
 
     def test_ordering_preserved(self):
         """Area ordering: ours < ARK < BTS < SHARP < F1 (Table II)."""
-        areas = {d: BASELINE_COSTS[d](64).area_um2 for d in BASELINE_COSTS}
+        areas = {d: NETWORK_COSTS[d](64).area_um2 for d in NETWORK_COSTS}
         assert (areas["Ours"] < areas["ARK"] < areas["BTS"]
                 < areas["SHARP"] < areas["F1"])
 
     def test_ours_always_cheapest_in_power(self):
-        powers = {d: BASELINE_COSTS[d](64).power_mw for d in BASELINE_COSTS}
+        powers = {d: NETWORK_COSTS[d](64).power_mw for d in NETWORK_COSTS}
         assert min(powers, key=powers.get) == "Ours"

@@ -1,37 +1,15 @@
-"""Tests for assorted extensions: twiddle storage, negative rotations,
-and the scheduler-vs-functional-pool cross-check."""
+"""Tests for assorted extensions: negative rotations and the
+scheduler-vs-functional-pool cross-check."""
 
 import numpy as np
-import pytest
 
 from repro.accel import Accelerator
 from repro.accel.parallel import ParallelVpuPool
 from repro.fhe.ckks import CkksContext
 from repro.fhe.params import toy_params
-from repro.hwmodel.network_cost import twiddle_storage_cost
 from repro.perf.cycles import ntt_cycle_model
 
 Q = 998244353
-
-
-class TestTwiddleStorage:
-    def test_grows_with_n(self):
-        small = twiddle_storage_cost(1024, 64)
-        large = twiddle_storage_cost(4096, 64)
-        assert large.area_um2 > small.area_um2
-
-    def test_reasonable_relative_to_network(self):
-        from repro.hwmodel import our_network_cost
-
-        tw = twiddle_storage_cost(4096, 64)
-        net = our_network_cost(64)
-        # Twiddles for N=4096 are a few times the network — the reason
-        # every accelerator shares them across VPUs.
-        assert 0.1 * net.area_um2 < tw.area_um2 < 10 * net.area_um2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            twiddle_storage_cost(1000, 64)
 
 
 class TestNegativeRotation:

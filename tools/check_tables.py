@@ -25,28 +25,13 @@ def check(label: str, got: float, want: float, rel_tol: float) -> None:
 
 
 def check_table2() -> None:
-    from repro.baselines import (
-        ark_network_cost,
-        bts_network_cost,
-        f1_network_cost,
-        sharp_network_cost,
-    )
-    from repro.hwmodel import our_network_cost, vpu_cost
+    from repro.baselines import NETWORK_COSTS
+    from repro.hwmodel import PAPER_TABLE_II, vpu_cost
 
-    paper = {
-        "F1": (55616.42, 300306.61, 93.50, 842.12),
-        "BTS": (19405.16, 264095.35, 45.13, 793.75),
-        "ARK": (9480.50, 254170.69, 46.35, 794.97),
-        "SHARP": (44453.51, 289143.70, 44.04, 792.66),
-        "Ours": (5913.62, 250603.81, 15.59, 764.21),
-    }
-    fns = {"F1": f1_network_cost, "BTS": bts_network_cost,
-           "ARK": ark_network_cost, "SHARP": sharp_network_cost,
-           "Ours": our_network_cost}
-    for name, fn in fns.items():
-        net = fn(64)
+    for name, cost in NETWORK_COSTS.items():
+        net = cost(64)
         vpu = vpu_cost(64, net)
-        na, va, np_, vp = paper[name]
+        na, va, np_, vp = PAPER_TABLE_II[name]
         check(f"Table II {name} network area", net.area_um2, na, 0.12)
         check(f"Table II {name} network power", net.power_mw, np_, 0.12)
         check(f"Table II {name} VPU area", vpu.area_um2, va, 0.05)
@@ -70,12 +55,9 @@ def check_table3() -> None:
 
 
 def check_table4() -> None:
-    from repro.hwmodel import our_network_cost
+    from repro.hwmodel import PAPER_TABLE_IV, our_network_cost
 
-    paper = {4: (208.99, 0.59), 8: (509.45, 1.38), 16: (1180.83, 3.13),
-             32: (2664.50, 7.02), 64: (5913.62, 15.59),
-             128: (12975.47, 34.28), 256: (28226.38, 75.02)}
-    for m, (area, power) in paper.items():
+    for m, (area, power) in PAPER_TABLE_IV.items():
         c = our_network_cost(m)
         check(f"Table IV m={m} area", c.area_um2, area, 0.10)
         check(f"Table IV m={m} power", c.power_mw, power, 0.10)

@@ -32,8 +32,6 @@ PACKAGE = ROOT / "src" / "repro"
 ALLOWED = {
     "ntt/reference.py": "the O(N^2) oracle tests hold the VPU's wide primes to",
     "arith/montgomery.py": "the Montgomery arm of the Barrett ablation bench",
-    "baselines/benes.py": "ARK's and SHARP's Benes unit; only tests route it",
-    "baselines/crossbar.py": "BTS's crossbar; only tests route it",
     "mapping/reduction.py": "§III-A's cross-lane sum; only tests run it",
     "fhe/backend/protocol.py": "typing.Protocol stubs, which nothing calls",
     "serve/errors.py": "RejectedError's constructor; no entry overloads",
