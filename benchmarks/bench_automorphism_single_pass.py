@@ -10,11 +10,7 @@ import numpy as np
 from conftest import record
 from repro.automorphism import paper_sigma
 from repro.core import VectorProcessingUnit
-from repro.mapping import (
-    automorphism_layout_pack,
-    automorphism_layout_unpack,
-    compile_automorphism,
-)
+from repro.mapping import compile_automorphism, pack_for_ntt, unpack_columns
 from repro.perf.cycles import baseline_automorphism_passes
 
 Q = 998244353
@@ -30,10 +26,10 @@ def test_single_pass_automorphism(benchmark, results_dir):
     vpu = VectorProcessingUnit(m=M, q=Q, memory_rows=2 * N // M)
     perm = paper_sigma(N, 3)
     x = np.random.default_rng(2).integers(0, Q, N).astype(np.uint64)
-    packed = automorphism_layout_pack(x, M)
+    packed = pack_for_ntt(x, M)
     prog = compile_automorphism(perm, M)
     stats = benchmark(run, vpu, prog, packed)
-    out = automorphism_layout_unpack(vpu.memory, N, M, base_row=N // M)
+    out = unpack_columns(vpu.memory, N, M, base_row=N // M)
     np.testing.assert_array_equal(out, perm.apply(x))
     assert stats.network_passes == N // M  # exactly one traversal/element
 

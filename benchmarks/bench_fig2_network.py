@@ -37,6 +37,7 @@ def test_control_table_artifact(benchmark, results_dir):
     from repro.automorphism import AffinePermutation, affine_controls
 
     m = 64
+    net = InterLaneNetwork(m)
     table = benchmark(
         lambda: {k: affine_controls(m, k) for k in range(1, m, 2)})
     lines = [f"pre-generated automorphism control table, m={m} "
@@ -46,7 +47,7 @@ def test_control_table_artifact(benchmark, results_dir):
             "".join(str(b) for b in controls.group_bits[bi])
             for bi in reversed(range(len(controls.group_bits))))
         lines.append(f"  k={k:2d}: {word}")
-        out = controls.apply(np.arange(m))
+        out = net.traverse(np.arange(m), NetworkConfig(shift=controls))
         assert np.array_equal(out, AffinePermutation(m, k).apply(np.arange(m)))
     record(results_dir, "control_table_m64", "\n".join(lines))
 

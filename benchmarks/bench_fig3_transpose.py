@@ -11,19 +11,17 @@ import pytest
 
 from conftest import record
 from repro.automorphism import RoutingConflictError, route_distance_map
-from repro.core import VectorProcessingUnit
+from repro.core import NetworkPass, VectorProcessingUnit
 from repro.mapping import compile_tile_transpose
-from repro.mapping.transpose import tile_transpose_pass_count
 
 Q = 998244353
 M = 64
 
 
 def run_transpose(vpu, tile, prog):
-    for r in range(M):
-        vpu.regfile.write(2 + r, tile[r])
+    vpu.regfile.data[2:2 + M] = tile
     vpu.execute(prog)
-    return np.stack([vpu.regfile.read(2 + M + r) for r in range(M)])
+    return vpu.regfile.data[2 + M:2 + 2 * M].copy()
 
 
 def test_fig3_transpose(benchmark, results_dir):
@@ -32,7 +30,7 @@ def test_fig3_transpose(benchmark, results_dir):
     prog = compile_tile_transpose(M, 2, 2 + M)
     out = benchmark(run_transpose, vpu, tile, prog)
     np.testing.assert_array_equal(out, tile.T)
-    assert len(prog) == tile_transpose_pass_count(M) == 2 * M
+    assert len(prog) == prog.count(NetworkPass) == 2 * M
 
     # Fig. 3(b): the irregular return-transpose distances (example: a
     # column needing shifts 0,1,3,0) cannot route as shifts alone.

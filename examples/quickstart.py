@@ -15,12 +15,11 @@ from repro.baselines import f1_network_cost
 from repro.core import VectorProcessingUnit
 from repro.hwmodel import our_network_cost, vpu_cost
 from repro.mapping import (
-    automorphism_layout_pack,
-    automorphism_layout_unpack,
     compile_automorphism,
     compile_ntt,
     pack_for_ntt,
     required_registers,
+    unpack_columns,
     unpack_ntt_result,
 )
 from repro.ntt import vec_ntt_dif
@@ -56,9 +55,9 @@ def main() -> None:
     # --- Automorphism: sigma_{5,3} in one network traversal per element
     # (paper §IV-B).
     sigma = paper_sigma(N, 3)
-    vpu.memory.data[:N // M] = automorphism_layout_pack(x, M)
+    vpu.memory.data[:N // M] = pack_for_ntt(x, M)
     stats = vpu.run_fresh(compile_automorphism(sigma, M))
-    out = automorphism_layout_unpack(vpu.memory, N, M, base_row=N // M)
+    out = unpack_columns(vpu.memory, N, M, base_row=N // M)
     assert np.array_equal(out, sigma.apply(x)), "automorphism mismatch!"
     print(f"automorphism sigma_(5,3) on {N} elements: OK   "
           f"({stats.network_passes} passes = N/m, one traversal per element)")

@@ -9,6 +9,9 @@ This module models the datapath at the word level so that hardware cost
 accounting (:mod:`repro.hwmodel.components`) can point at concrete
 multiplier/adder widths, and so the functional unit tests can confirm the
 reduction never needs more than the documented correction steps.
+:class:`BarrettReducer` is the scalar reference the tests and the
+Barrett/Montgomery ablation compare against; :class:`BarrettStack` is the
+vector datapath every VPU replay multiplies through.
 
 The classic Barrett scheme for a ``w``-bit modulus ``q``:
 
@@ -30,8 +33,8 @@ import numpy as np
 
 
 def _lane_words(q: int) -> tuple[int, int, int, int]:
-    """The uint64 datapath's constants for ``q``: ``w - 1``, ``w + 1``,
-    ``mu`` and ``q``."""
+    """The datapath's constants for ``q``: ``w - 1``, ``w + 1``, ``mu``
+    and ``q``."""
     w = q.bit_length()
     return w - 1, w + 1, (1 << (2 * w)) // q, q
 
@@ -45,6 +48,17 @@ def _reduce_lanes(z: np.ndarray, low, high, mu, q) -> np.ndarray:
     # when ``t < q``.
     t = np.minimum(t, t - q)
     return np.minimum(t, t - q)
+
+
+def _mul_exact(a: np.ndarray, b: np.ndarray, low, high, mu, q) -> np.ndarray:
+    """The same datapath on exact Python integers, for a modulus whose
+    products overflow uint64 (constants of :func:`_lane_words`):
+    operands reduced first, two conditional subtractions."""
+    z = ((np.asarray(a, dtype=np.uint64).astype(object) % q)
+         * (np.asarray(b, dtype=np.uint64).astype(object) % q))
+    t = z - (((z >> low) * mu) >> high) * q
+    t = np.where(t >= q, t - q, t)
+    return np.where(t >= q, t - q, t).astype(np.uint64)
 
 
 @dataclass
@@ -78,9 +92,6 @@ class BarrettReducer:
             raise ValueError(f"modulus out of supported range: {self.q}")
         self.width = self.q.bit_length()
         self.mu = (1 << (2 * self.width)) // self.q
-        if self.q < (1 << 31):
-            self._lane_constants = tuple(
-                np.uint64(c) for c in _lane_words(self.q))
 
     # -- scalar datapath ---------------------------------------------------
 
@@ -120,38 +131,6 @@ class BarrettReducer:
         t = (a % self.q) - (b % self.q)
         return t + self.q if t < 0 else t
 
-    # -- vectorized datapath -----------------------------------------------
-
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized ``a * b mod q``.
-
-        Implements the same shift/multiply structure as :meth:`reduce`:
-        with uint64 intermediates below ``2**31`` (operands taken as
-        they come, the product must stay below ``q**2``), and on exact
-        Python integers from there up.
-        """
-        if self.q >= (1 << 31):
-            return self._mul_vec_exact(a, b)
-        z = np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64)
-        return _reduce_lanes(z, *self._lane_constants)
-
-    def _mul_vec_exact(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """:meth:`mul` on every lane at once, for moduli whose products
-        overflow uint64: operands reduced first, object-dtype
-        intermediates, ``max_corrections_seen`` maintained."""
-        q, w = self.q, self.width
-        z = ((np.asarray(a, dtype=np.uint64).astype(object) % q)
-             * (np.asarray(b, dtype=np.uint64).astype(object) % q))
-        t = z - (((z >> (w - 1)) * self.mu) >> (w + 1)) * q
-        first = t >= q
-        t = np.where(first, t - q, t)
-        second = t >= q
-        t = np.where(second, t - q, t)
-        corrections = int(first.any()) + int(second.any())
-        if corrections > self.max_corrections_seen:
-            self.max_corrections_seen = corrections
-        return t.astype(np.uint64)
-
     def mul_count_ops(self, a: int, b: int) -> tuple[int, dict[str, int]]:
         """Return ``a*b mod q`` plus the operation tally of the datapath.
 
@@ -170,24 +149,26 @@ class BarrettReducer:
 
 
 class BarrettStack:
-    """The Barrett multipliers of a batch: one modulus per limb, applied
-    to arrays with a leading limb axis.
+    """The lanes' Barrett multipliers, the VPU's one vector datapath: one
+    modulus per limb, applied to arrays with a leading limb axis — or,
+    with a single modulus, to arrays of any shape.  The lock-step replay
+    stacks a batch's primes, the step loop its unit's one modulus.
 
     While every modulus is below ``2**31`` the limbs share the uint64
     datapath.  A constant that differs between limbs is expanded to the
     operands' shape (numpy runs a broadcast limb axis in short loops);
-    one they share stays a scalar.  From ``2**31`` up each limb takes its
-    own reducer's exact path.
+    one they share stays a scalar.  From ``2**31`` up each limb runs the
+    same steps on exact integers (:func:`_mul_exact`).
     """
 
     def __init__(self, moduli) -> None:
         moduli = [int(q) for q in moduli]
         #: The moduli, one ``uint64`` word per limb.
         self.moduli = np.array(moduli, dtype=np.uint64)
-        self._reducers = None
+        self._exact = None
         columns = [moduli]
         if max(moduli) >= (1 << 31):
-            self._reducers = [BarrettReducer(q) for q in moduli]
+            self._exact = [_lane_words(q) for q in moduli]
         else:
             columns = list(zip(*map(_lane_words, moduli)))
         self._columns = [
@@ -210,10 +191,14 @@ class BarrettStack:
         return words
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """:meth:`BarrettReducer.mul_vec` of every limb: ``a`` and ``b``
-        are ``(L, ...)``, limb ``l`` reduced modulo ``moduli[l]``."""
-        if self._reducers is not None:
-            return np.stack([r.mul_vec(x, y)
-                             for r, x, y in zip(self._reducers, a, b)])
+        """``a * b mod q`` on every lane: ``a`` and ``b`` are ``(L, ...)``,
+        limb ``l`` reduced modulo ``moduli[l]``.  The uint64 datapath
+        takes operands as they come (the product must stay below
+        ``q**2``); the exact one reduces them first."""
+        if self._exact is not None:
+            if len(self._exact) == 1:
+                return _mul_exact(a, b, *self._exact[0])
+            return np.stack([_mul_exact(x, y, *c)
+                             for c, x, y in zip(self._exact, a, b)])
         z = a * b
         return _reduce_lanes(z, *self.words(z.shape))

@@ -16,6 +16,8 @@ package contains:
   generation: ``m - 1`` bits per automorphism, ``m/2``-entry pre-generated
   table (the paper's on-chip SRAM), plus a generic router that decides
   whether an arbitrary distance map can traverse the network in one pass.
+  The words steer :class:`repro.core.network.InterLaneNetwork`, the only
+  model of the routing itself.
 """
 
 from repro.automorphism.controls import (

@@ -7,10 +7,10 @@ The shift network has ``log2 m`` stages of cyclic-shift distance
 cycle to switch together — so the stage has exactly ``d`` independent
 control signals and the whole network ``m - 1`` bits, as the paper notes.
 
-**Single-pass theorem** (the paper's contribution, proven constructively
-here): for an affine permutation ``dest(i) = k*i + s (mod m)`` with odd
-``k``, the per-element shift distance ``D(i) = (dest(i) - i) mod m``
-satisfies two properties that make one network traversal sufficient:
+**Single-pass theorem** (the paper's contribution): for an affine
+permutation ``dest(i) = k*i + s (mod m)`` with odd ``k``, the
+per-element shift distance ``D(i) = (dest(i) - i) mod m`` satisfies two
+properties that make one network traversal sufficient:
 
 * *co-control consistency*: bit ``b`` of ``D(i)`` depends only on
   ``i mod 2^b`` (because ``k - 1`` is even), so all elements sharing a
@@ -19,7 +19,12 @@ satisfies two properties that make one network traversal sufficient:
   positions ``i + (D(i) >> b << b)`` are pairwise distinct (their
   difference is ``(i1 - i2) * k mod m`` with ``k`` a unit).
 
-Stages are traversed largest distance first, matching Fig. 2.
+Stages are traversed largest distance first, matching Fig. 2.  A
+:class:`ShiftControls` word only names the group bits; the routing it
+causes is :class:`repro.core.network.InterLaneNetwork`'s mux model, the
+one the VPU executes, and ``tests/test_automorphism_controls.py`` holds
+the theorem there: every word of :func:`control_table` for m = 4 … 256,
+and every affine map with an offset, crosses the network in one pass.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from repro.automorphism.mapping import AffinePermutation
 
 
 class RoutingConflictError(ValueError):
@@ -70,45 +73,9 @@ class ShiftControls:
         """Number of control bits: always ``m - 1``."""
         return sum(len(bits) for bits in self.group_bits)
 
-    def stage_distances(self) -> list[int]:
-        """Distances in traversal order (largest first)."""
-        return [1 << b for b in reversed(range(len(self.group_bits)))]
 
-    def lane_selects(self, b: int) -> np.ndarray:
-        """Expand stage ``b``'s group bits to per-output-lane MUX selects.
-
-        ``select[j] == 1``: output lane ``j`` takes the shifted input from
-        lane ``(j - 2^b) mod m``; otherwise it takes its local input.
-        The group owning output ``j`` is ``j mod 2^b``.
-        """
-        d = 1 << b
-        bits = np.array(self.group_bits[b], dtype=np.int64)
-        return bits[np.arange(self.m) % d]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Run a vector through the controlled shift network."""
-        x = np.asarray(x)
-        if len(x) != self.m:
-            raise ValueError(f"expected length {self.m}, got {len(x)}")
-        out = x
-        for b in reversed(range(len(self.group_bits))):
-            d = 1 << b
-            selects = self.lane_selects(b).astype(bool)
-            shifted = np.roll(out, d)
-            out = np.where(selects, shifted, out)
-        return out
-
-    def packed(self) -> int:
-        """All control bits packed into one integer (for table sizing)."""
-        value = 0
-        for bits in self.group_bits:
-            for bit in bits:
-                value = (value << 1) | bit
-        return value
-
-
-def controls_from_distance_map(m: int, distances: np.ndarray) -> ShiftControls:
-    """Build controls for an arbitrary per-element distance map.
+def route_distance_map(m: int, distances: np.ndarray) -> ShiftControls:
+    """Controls for an arbitrary per-element distance map (the router).
 
     ``distances[i]`` is the cyclic distance element ``i`` must travel.
     Raises :class:`RoutingConflictError` if the map violates co-control
@@ -149,11 +116,6 @@ def controls_from_distance_map(m: int, distances: np.ndarray) -> ShiftControls:
     return ShiftControls(m, tuple(group_bits))
 
 
-def route_distance_map(m: int, distances: np.ndarray) -> ShiftControls:
-    """Alias of :func:`controls_from_distance_map` (public router API)."""
-    return controls_from_distance_map(m, distances)
-
-
 def affine_controls(m: int, multiplier: int, offset: int = 0) -> ShiftControls:
     """Controls for ``dest(i) = multiplier*i + offset mod m`` (closed form).
 
@@ -178,11 +140,6 @@ def affine_controls(m: int, multiplier: int, offset: int = 0) -> ShiftControls:
     return ShiftControls(m, tuple(group_bits))
 
 
-def controls_for_permutation(perm: AffinePermutation) -> ShiftControls:
-    """Controls realizing an :class:`AffinePermutation` in one pass."""
-    return affine_controls(perm.n, perm.multiplier, perm.offset)
-
-
 def uniform_shift_controls(m: int, amount: int) -> ShiftControls:
     """Controls for a plain cyclic shift by ``amount`` (multiplier 1)."""
     return affine_controls(m, 1, amount)
@@ -203,15 +160,3 @@ def control_table_size_bits(m: int) -> int:
     """SRAM footprint of the table: ``(m/2) * (m-1)`` bits (paper: ~2 kb
     at m = 64)."""
     return (m // 2) * (m - 1)
-
-
-def merge_with_shift(controls_k: int, extra_shift: int, m: int) -> ShiftControls:
-    """Merge an automorphism's controls with an additional cyclic shift.
-
-    Used by the full-length mapping (Eq. 2): each column needs the
-    length-``m`` automorphism *plus* a column-specific shift.  Composition
-    of ``i -> k*i`` then ``+shift`` is affine, so the merged controls come
-    straight from the closed form — the "extra simple logic gates" of
-    §IV-B.
-    """
-    return affine_controls(m, controls_k, extra_shift)

@@ -57,12 +57,11 @@ def cmd_verify(args) -> int:
     from repro.automorphism import paper_sigma
     from repro.core import VectorProcessingUnit
     from repro.mapping import (
-        automorphism_layout_pack,
-        automorphism_layout_unpack,
         compile_automorphism,
         compile_ntt,
         pack_for_ntt,
         required_registers,
+        unpack_columns,
         unpack_ntt_result,
     )
     from repro.ntt import vec_ntt_dif
@@ -85,9 +84,9 @@ def cmd_verify(args) -> int:
           f"({stats.cycles} instructions)")
 
     sigma = paper_sigma(n, 3)
-    vpu.memory.data[:n // m] = automorphism_layout_pack(x, m)
+    vpu.memory.data[:n // m] = pack_for_ntt(x, m)
     stats = vpu.run_fresh(compile_automorphism(sigma, m))
-    out = automorphism_layout_unpack(vpu.memory, n, m, base_row=n // m)
+    out = unpack_columns(vpu.memory, n, m, base_row=n // m)
     autom_ok = bool(np.array_equal(out, sigma.apply(x)))
     print(f"automorphism sigma_(5,3): {'OK' if autom_ok else 'MISMATCH'} "
           f"({stats.network_passes} network passes = N/m)")

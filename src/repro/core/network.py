@@ -12,7 +12,11 @@ stage active (they gather/scatter conflicting patterns) and a
 stages.  Inactive stages pass lanes straight through — the clock-gating
 that the power model credits the unified design for.
 
-The stage-by-stage mux model is the only definition of routing.  Since a
+The stage-by-stage mux model is the only definition of routing: the
+executor, the single-pass tests of the control words and the Fig. 2
+bench all send their vectors through :meth:`InterLaneNetwork.traverse`
+or gather by :meth:`InterLaneNetwork.route`, and the hardware cost
+model reads its stage and mux counts off the same instance.  Since a
 fault-free traversal is a pure function of its configuration,
 :meth:`InterLaneNetwork.route` sends the lane indices through that model
 once per configuration and keeps the resulting source-index vector, so
@@ -151,13 +155,3 @@ class InterLaneNetwork:
             out = x[self.route(config)]
         self.passes += 1
         return out
-
-    def traverse_rows(self, rows: np.ndarray, config: NetworkConfig) -> np.ndarray:
-        """Traverse several independent m-element rows (one per cycle)."""
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != self.m:
-            raise ValueError(f"expected (*, {self.m}) rows, got {rows.shape}")
-        if self.fault_hook is not None:
-            return np.stack([self.traverse(row, config) for row in rows])
-        self.passes += len(rows)
-        return rows[:, self.route(config)]

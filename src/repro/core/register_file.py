@@ -2,8 +2,12 @@
 
 The model stores all lanes' registers as one ``(entries, m)`` array —
 register ``r`` across the lanes is row ``r`` — because every instruction
-addresses the same register index in every lane (SIMD).  Port-usage
-checking enforces the 2R1W constraint per instruction.
+addresses the same register index in every lane (SIMD).  The executor
+reads and writes ``data`` itself: its step loop is the one read port,
+and it passes each read through the unit's fault hook
+(``filter_regfile_read``).  This class holds what a decoder checks — the
+register range and the 2R1W port budget of one instruction — and the
+access counters the executor books.
 """
 
 from __future__ import annotations
@@ -22,33 +26,11 @@ class RegisterFile:
         self.data = np.zeros((entries, m), dtype=np.uint64)
         self.reads = 0
         self.writes = 0
-        #: Optional fault-injection hook (guard-checked: None costs one
-        #: branch per read and zero modeled cycles).
-        self.fault_hook = None
 
     def check_range(self, reg: int) -> None:
         """Reject a register index this file does not have."""
         if not 0 <= reg < self.entries:
             raise IndexError(f"register {reg} out of range [0, {self.entries})")
-
-    def read(self, reg: int) -> np.ndarray:
-        """Read one register row (all lanes)."""
-        self.check_range(reg)
-        self.reads += 1
-        value = self.data[reg].copy()
-        hook = self.fault_hook
-        if hook is not None:
-            value = hook.filter_regfile_read(reg, value)
-        return value
-
-    def write(self, reg: int, value: np.ndarray) -> None:
-        """Write one register row (all lanes)."""
-        self.check_range(reg)
-        value = np.asarray(value, dtype=np.uint64)
-        if value.shape != (self.m,):
-            raise ValueError(f"expected shape ({self.m},), got {value.shape}")
-        self.writes += 1
-        self.data[reg] = value
 
     def check_ports(self, read_regs: list[int], write_regs: list[int]) -> None:
         """Enforce the 2R1W port budget of one instruction."""

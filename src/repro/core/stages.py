@@ -137,7 +137,3 @@ class ShiftStage(_Stage):
             )
         bits = np.array(group_bits, dtype=np.int64)
         return bits[np.arange(self.m) % self.distance].astype(bool)
-
-    def apply(self, x: np.ndarray, group_bits: tuple[int, ...]) -> np.ndarray:
-        """Route a vector using per-cycle group control bits."""
-        return self.forward(x, self.selects_from_group_bits(group_bits))

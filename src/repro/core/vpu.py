@@ -55,8 +55,13 @@ register-file and memory read ports, each adder / subtractor /
 multiplier result — and every traversal walks the mux stages again,
 because a control-word or mux-select fault reroutes a single pass.
 
-The datapath is bit-accurate with the scalar Barrett model for every
-modulus (the tests check it against plain modular arithmetic).
+Both replays multiply through one datapath,
+:class:`~repro.arith.barrett.BarrettStack` — the step loop's a stack of
+the unit's one modulus — which is bit-accurate with the scalar Barrett
+model for every modulus (the tests check it against plain modular
+arithmetic).  The register file and the memory are the arrays both
+replays index; the step loop's reads are the ports the fault hook
+filters.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from itertools import groupby
 import numpy as np
 
 from repro import obs
-from repro.arith.barrett import BarrettReducer, BarrettStack
+from repro.arith.barrett import BarrettStack
 from repro.core.isa import (
     Butterfly,
     Instruction,
@@ -150,7 +155,9 @@ def _sub_reduced(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
 
 class VectorMemory:
     """A simple row-addressed scratch memory (models the on-chip SRAM
-    feeding the VPU; rows are m-element vectors)."""
+    feeding the VPU; rows are m-element vectors, which
+    :func:`repro.mapping.pack_for_ntt` lays out and
+    :func:`repro.mapping.unpack_columns` reads back)."""
 
     def __init__(self, m: int, rows: int):
         if m <= 0 or rows <= 0:
@@ -161,16 +168,6 @@ class VectorMemory:
         #: Optional fault-injection hook (guard-checked no-op when None).
         self.fault_hook = None
 
-    def load_vector(self, x: np.ndarray, base_row: int = 0) -> None:
-        """Pack a flat length-``k*m`` vector into rows (row-major)."""
-        x = np.asarray(x, dtype=np.uint64)
-        if len(x) % self.m:
-            raise ValueError(f"vector length {len(x)} not a multiple of m={self.m}")
-        k = len(x) // self.m
-        if base_row + k > self.rows:
-            raise ValueError("vector does not fit in memory")
-        self.data[base_row:base_row + k] = x.reshape(k, self.m)
-
     def read_row(self, addr: int) -> np.ndarray:
         """Read one row through the (optional) fault hook — the path
         every ``Load`` instruction takes."""
@@ -179,13 +176,6 @@ class VectorMemory:
         if hook is not None:
             value = hook.filter_memory_read(addr, value)
         return value
-
-    def read_vector(self, length: int, base_row: int = 0) -> np.ndarray:
-        """Read back a flat vector of ``length`` elements."""
-        if length % self.m:
-            raise ValueError(f"length {length} not a multiple of m={self.m}")
-        k = length // self.m
-        return self.data[base_row:base_row + k].reshape(-1).copy()
 
 
 @dataclass
@@ -432,7 +422,6 @@ class VectorProcessingUnit:
         injection costs one branch per touch point and zero modeled
         cycles."""
         self.fault_hook = hook
-        self.regfile.fault_hook = hook
         self.memory.fault_hook = hook
         self.network.fault_hook = hook
 
@@ -445,10 +434,12 @@ class VectorProcessingUnit:
         self.memory = memory
 
     def set_modulus(self, q: int) -> None:
-        """Rebind the lanes' Barrett units to a new RNS modulus."""
-        self.reducer = BarrettReducer(q)
+        """Rebind the lanes to a new RNS modulus.  The step loop builds
+        its multipliers' stack on its first use (a lock-step replay that
+        leaves a new modulus behind needs none)."""
         self.q = q
         self._q = np.uint64(q)
+        self._lanes = None
 
     def reset_stats(self) -> None:
         self.stats = ExecutionStats()
@@ -456,7 +447,7 @@ class VectorProcessingUnit:
     # -- arithmetic helpers (bit-accurate with the Barrett datapath) -----
 
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = self.reducer.mul_vec(a, b)
+        out = self._lanes.mul_vec(a, b)
         hook = self.fault_hook
         if hook is not None:
             out = hook.filter_alu("mul", out)
@@ -658,6 +649,8 @@ class VectorProcessingUnit:
         rf, net, memory, hook = (self.regfile, self.network, self.memory,
                                  self.fault_hook)
         data = rf.data
+        if self._lanes is None:
+            self._lanes = BarrettStack([self.q])
         add, sub, mul = self._add, self._sub, self._mul
         butterfly = partial(self._butterfly_pairs, add=add, sub=sub)
         twiddles, scalars = binding.twiddles, binding.scalars % self._q

@@ -262,22 +262,18 @@ class VpuBackend:
 
     def inverse_ntt_batch(self, values: np.ndarray,
                           primes: tuple[int, ...]) -> np.ndarray:
-        from repro.mapping import pack_ntt_values
+        from repro.mapping import pack_ntt_values, unpack_columns
 
-        def unpack(images, n):  # undo the pack_for_ntt layout
-            return images[:, :n // self.m].swapaxes(1, 2).reshape(-1, n)
-
-        return self._replay("intt", values, primes, pack_ntt_values, unpack)
+        return self._replay(
+            "intt", values, primes, pack_ntt_values,
+            lambda images, n: unpack_columns(images, n, self.m))
 
     def automorphism_eval_batch(self, values: np.ndarray, galois_k: int,
                                 primes: tuple[int, ...]) -> np.ndarray:
-        from repro.mapping import (
-            automorphism_layout_pack,
-            automorphism_layout_unpack,
-        )
+        from repro.mapping import pack_for_ntt, unpack_columns
 
         return self._replay(
-            "auto", values, primes, automorphism_layout_pack,
-            lambda images, n: automorphism_layout_unpack(
-                images, n, self.m, base_row=n // self.m),
+            "auto", values, primes, pack_for_ntt,
+            lambda images, n: unpack_columns(images, n, self.m,
+                                             base_row=n // self.m),
             galois_k)

@@ -13,11 +13,7 @@
   matrix/tensor products using uniform shift passes (§III-A).
 """
 
-from repro.mapping.automorphism import (
-    automorphism_layout_pack,
-    automorphism_layout_unpack,
-    compile_automorphism,
-)
+from repro.mapping.automorphism import compile_automorphism
 from repro.mapping.ntt import (
     NttMappingError,
     compile_grouped_intt,
@@ -29,6 +25,7 @@ from repro.mapping.ntt import (
     pack_for_ntt,
     pack_ntt_values,
     required_registers,
+    unpack_columns,
     unpack_ntt_result,
 )
 from repro.mapping.reduction import compile_reduction
@@ -36,8 +33,6 @@ from repro.mapping.transpose import compile_tile_transpose
 
 __all__ = [
     "NttMappingError",
-    "automorphism_layout_pack",
-    "automorphism_layout_unpack",
     "compile_automorphism",
     "compile_grouped_intt",
     "compile_grouped_ntt",
@@ -50,5 +45,6 @@ __all__ = [
     "pack_for_ntt",
     "pack_ntt_values",
     "required_registers",
+    "unpack_columns",
     "unpack_ntt_result",
 ]

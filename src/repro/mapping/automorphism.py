@@ -19,42 +19,14 @@ which is why Table III reports 100% automorphism throughput.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.automorphism.controls import affine_controls
 from repro.automorphism.decomposition import column_decompose
 from repro.automorphism.mapping import AffinePermutation
 from repro.core.isa import Load, NetworkPass, Program, Store
 from repro.core.network import NetworkConfig
-from repro.core.vpu import VectorMemory
 
 _R_WORK = 0
 _R_OUT = 1
-
-
-def automorphism_layout_pack(x: np.ndarray, m: int) -> np.ndarray:
-    """Memory layout for the automorphism program.
-
-    Row-major ``N = m x C`` matrix with the **row index across lanes**:
-    memory row ``c`` holds column ``c``, i.e. lane ``l`` of row ``c`` is
-    element ``x[l * C + c]``.  Each vector of an ``(..., N)`` stack gets
-    its own rows.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n % m:
-        raise ValueError(f"N={n} is not a multiple of m={m}")
-    cols = n // m
-    return x.reshape(*x.shape[:-1], m, cols).swapaxes(-1, -2).copy()
-
-
-def automorphism_layout_unpack(memory: VectorMemory | np.ndarray, n: int,
-                               m: int, base_row: int = 0) -> np.ndarray:
-    """Read a vector back out of the column layout of a memory, or one
-    out of each image of an ``(..., rows, m)`` stack."""
-    data = memory if isinstance(memory, np.ndarray) else memory.data
-    cols = data[..., base_row:base_row + n // m, :].swapaxes(-1, -2)
-    return cols.reshape(*cols.shape[:-2], -1).copy()
 
 
 def compile_automorphism(perm: AffinePermutation, m: int,
@@ -62,9 +34,11 @@ def compile_automorphism(perm: AffinePermutation, m: int,
                          dst_base: int | None = None) -> Program:
     """Compile a length-``N`` affine permutation into column passes.
 
-    Memory rows ``[src_base, src_base + N/m)`` hold the packed input
-    (:func:`automorphism_layout_pack`); the permuted result lands at
-    ``dst_base`` (default: right after the input) in the same layout.
+    Memory rows ``[src_base, src_base + N/m)`` hold the input in the
+    column layout of :func:`repro.mapping.ntt.pack_for_ntt` (memory row
+    ``c`` holds column ``c``); the permuted result lands at ``dst_base``
+    (default: right after the input) in the same layout, which
+    :func:`repro.mapping.ntt.unpack_columns` reads back.
     """
     n = perm.n
     if n % m:
@@ -86,11 +60,3 @@ def compile_automorphism(perm: AffinePermutation, m: int,
                                 NetworkConfig(shift=controls)))
         prog.append(Store(_R_OUT, dst_base + c_dst))
     return prog
-
-
-def network_passes_for_automorphism(n: int, m: int) -> int:
-    """Network passes of the compiled program: always ``N/m`` — each
-    element traverses the network exactly once."""
-    if n % m:
-        raise ValueError(f"N={n} is not a multiple of m={m}")
-    return n // m

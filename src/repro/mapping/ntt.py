@@ -68,10 +68,12 @@ def required_registers(m: int) -> int:
 
 
 def pack_for_ntt(x: np.ndarray, m: int) -> np.ndarray:
-    """Arrange a length-``N`` vector into the VPU's initial memory rows
-    (each vector of an ``(..., N)`` stack into its own rows).
+    """Arrange a length-``N`` vector into the VPU's memory rows (each
+    vector of an ``(..., N)`` stack into its own rows): the input layout
+    of the forward NTT and of the automorphism.
 
-    Row ``jr``, lane ``l`` gets ``x[l * (N/m) + jr]``.
+    Row ``jr``, lane ``l`` gets ``x[l * (N/m) + jr]``: the ``m x N/m``
+    matrix with its row index across the lanes, one column per row.
     """
     x = np.asarray(x)
     n = x.shape[-1]
@@ -79,6 +81,19 @@ def pack_for_ntt(x: np.ndarray, m: int) -> np.ndarray:
         raise NttMappingError(f"N={n} is not a multiple of m={m}")
     rows = n // m
     return x.reshape(*x.shape[:-1], m, rows).swapaxes(-1, -2).copy()
+
+
+def unpack_columns(memory: VectorMemory | np.ndarray, n: int, m: int,
+                   base_row: int = 0) -> np.ndarray:
+    """Inverse of :func:`pack_for_ntt`: the vector held from ``base_row``
+    on by a memory, or by each image of an ``(..., rows, m)`` stack (the
+    inverse NTT's and the automorphism's output layout).  A new array,
+    copied once."""
+    data = memory if isinstance(memory, np.ndarray) else memory.data
+    cols = data[..., base_row:base_row + n // m, :]
+    out = np.empty(cols.shape[:-2] + (n,), dtype=cols.dtype)
+    out.reshape(*cols.shape[:-2], m, n // m)[...] = cols.swapaxes(-1, -2)
+    return out
 
 
 def unpack_ntt_result(memory: VectorMemory | np.ndarray, n: int, m: int,

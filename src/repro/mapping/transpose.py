@@ -57,11 +57,6 @@ def compile_tile_transpose(m: int, src_base: int, dst_base: int,
     return prog
 
 
-def tile_transpose_pass_count(m: int) -> int:
-    """Network passes needed per m x m tile: always 2m."""
-    return 2 * m
-
-
 @lru_cache(maxsize=None)
 def group_shift_controls(m: int, group: int, amount: int):
     """Controls for a *group-local* cyclic shift: each block of ``group``

@@ -14,7 +14,9 @@ pass, or one network-only pass:
   element-wise twiddle passes *do* hide under them (multipliers are idle
   during transposes, and row-level pipelining overlaps the two).
 * **drain**: each of the ``2d - 1`` phases (``d`` dimension sweeps,
-  ``d-1`` transposes) refills the ``log2(m) + 2``-stage pipeline once.
+  ``d-1`` transposes) refills the pipeline once; its depth is the
+  network's physical stage count, ``log2(m) + 2`` (``log2(m) + 1`` at
+  m = 4, where the two CG stages merge).
 
 The compute and transpose terms are validated instruction-for-
 instruction against the executable compiler
@@ -23,13 +25,14 @@ pipeline behaviour a one-instruction-per-cycle executor cannot see.
 
 Automorphisms take ``N/m`` single-traversal passes with every lane
 carrying a useful element every cycle — 100% throughput, the Table III
-right-hand column.
+right-hand column, the compiled automorphism's pass count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.network import InterLaneNetwork
 from repro.ntt.decomposition import choose_dimensions
 
 
@@ -55,9 +58,9 @@ class CycleReport:
 
 
 def pipeline_depth(m: int) -> int:
-    """Depth of the lane/network pipeline: the physical stage count."""
-    cg = 1 if m == 4 else 2
-    return (m.bit_length() - 1) + cg
+    """Depth of the lane/network pipeline: the network's physical stage
+    count."""
+    return InterLaneNetwork(m).stage_count
 
 
 def ntt_cycle_model(n: int, m: int = 64) -> CycleReport:
@@ -95,18 +98,17 @@ def baseline_automorphism_passes(n: int, m: int, design: str) -> int:
     """Network/buffer passes per length-``n`` automorphism for the
     baselines (the pass-count ablation).
 
-    * ``ours`` / ``bts`` / ``ark`` / ``sharp``: one pass per column.
+    * ``ours`` / ``bts`` / ``ark`` / ``sharp``: one pass per column,
+      :func:`automorphism_cycle_model`'s cycles.
     * ``f1``: uniform shifts only — one masked pass per distinct shift
       distance in each column's affine map, up to m/2 per column.
     """
-    from repro.automorphism.controls import affine_controls  # noqa: F401
     from repro.automorphism.decomposition import column_decompose
     from repro.automorphism.mapping import AffinePermutation
     from repro.baselines.f1 import affine_via_uniform_shifts
 
-    cols = n // m
     if design in ("ours", "bts", "ark", "sharp"):
-        return cols
+        return automorphism_cycle_model(n, m).total_cycles
     if design != "f1":
         raise ValueError(f"unknown design {design!r}")
     perm = AffinePermutation(n, 5 % n if (5 % n) % 2 else 3, 0)

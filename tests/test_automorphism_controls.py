@@ -1,4 +1,9 @@
-"""Tests for shift-network control generation — the single-pass theorem."""
+"""Tests for shift-network control generation — the single-pass theorem.
+
+Every control word is routed by the executor's own mux model,
+:meth:`InterLaneNetwork.traverse`: each shift stage checks that its
+selects form a bijection, so a word that routes is one collision-free
+pass."""
 
 import numpy as np
 import pytest
@@ -16,7 +21,13 @@ from repro.automorphism import (
     route_distance_map,
     uniform_shift_controls,
 )
-from repro.automorphism.controls import controls_for_permutation, merge_with_shift
+from repro.core import InterLaneNetwork, NetworkConfig
+
+
+def routed(controls, net=None):
+    """The lane indices after one traversal steered by ``controls``."""
+    net = net or InterLaneNetwork(controls.m)
+    return net.traverse(np.arange(controls.m), NetworkConfig(shift=controls))
 
 
 class TestControlStructure:
@@ -25,9 +36,9 @@ class TestControlStructure:
         c = affine_controls(m, 3 % m if (3 % m) % 2 else 1, 0)
         assert c.total_bits == m - 1
 
-    def test_stage_distances_descend(self):
-        c = affine_controls(64, 5)
-        assert c.stage_distances() == [32, 16, 8, 4, 2, 1]
+    def test_shift_stages_descend(self):
+        stages = InterLaneNetwork(64).shift_stages
+        assert [s.distance for s in stages] == [32, 16, 8, 4, 2, 1]
 
     def test_group_counts(self):
         c = affine_controls(8, 3)
@@ -43,13 +54,14 @@ class TestControlStructure:
         with pytest.raises(ValueError):
             affine_controls(8, 2)
 
-    def test_lane_selects_expand_groups(self):
+    def test_group_bits_expand_to_mux_selects(self):
         c = affine_controls(8, 3)
-        for b in range(3):
-            sel = c.lane_selects(b)
-            d = 1 << b
+        for stage in InterLaneNetwork(8).shift_stages:
+            d = stage.distance
+            bits = c.group_bits[d.bit_length() - 1]
+            sel = stage.selects_from_group_bits(bits)
             for j in range(8):
-                assert sel[j] == c.group_bits[b][j % d]
+                assert sel[j] == bits[j % d]
 
     def test_table_size(self):
         """Paper §IV-B: m=64 needs (m/2)(m-1) = 2016 bits ~ 2 kbit."""
@@ -64,57 +76,57 @@ class TestControlStructure:
 
 
 class TestSinglePassRouting:
-    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256])
     def test_all_automorphisms_route_exhaustively(self, m):
         """THE paper claim: every automorphism (odd multiplier) traverses
-        the shift network in exactly one pass."""
+        the shift network in exactly one pass — every word of the
+        pre-generated table, on the network the VPU executes."""
+        net = InterLaneNetwork(m)
         x = np.arange(m)
-        for k in range(1, m, 2):
-            perm = AffinePermutation(m, k, 0)
-            out = affine_controls(m, k).apply(x)
-            expected = perm.apply(x)
-            np.testing.assert_array_equal(out, expected)
+        table = control_table(m)
+        assert sorted(table) == list(range(1, m, 2))
+        for k, controls in table.items():
+            before = net.passes
+            np.testing.assert_array_equal(routed(controls, net),
+                                          AffinePermutation(m, k, 0).apply(x))
+            assert net.passes == before + 1
 
-    @pytest.mark.parametrize("m", [8, 64])
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128])
     def test_affine_with_offsets_route(self, m):
         """Generalization used by Eq. 2 merging: automorphism + shift."""
+        net = InterLaneNetwork(m)
         x = np.arange(m)
+        offsets = {0, 1, m // 2, *range(0, m, max(1, m // 8))}
         for k in range(1, m, 2):
-            for s in range(0, m, max(1, m // 8)):
+            for s in sorted(offsets):
                 perm = AffinePermutation(m, k, s)
-                out = affine_controls(m, k, s).apply(x)
-                np.testing.assert_array_equal(out, perm.apply(x))
+                np.testing.assert_array_equal(
+                    routed(affine_controls(m, k, s), net), perm.apply(x))
 
     def test_uniform_shift(self):
         m = 16
+        net = InterLaneNetwork(m)
         x = np.arange(m)
         for amount in range(m):
-            out = uniform_shift_controls(m, amount).apply(x)
+            out = routed(uniform_shift_controls(m, amount), net)
             np.testing.assert_array_equal(out, np.roll(x, amount))
 
-    def test_merge_with_shift_composes(self):
-        m = 64
-        x = np.arange(m)
-        for k in [3, 5, 25]:
-            for s in [0, 7, 63]:
-                merged = merge_with_shift(k, s, m)
-                expected = AffinePermutation(m, k, s).apply(x)
-                np.testing.assert_array_equal(merged.apply(x), expected)
-
-    def test_controls_for_permutation(self):
+    def test_paper_sigma_routes(self):
+        """The paper's own sigma (Eq. 1) routes from its multiplier and
+        offset."""
         perm = paper_sigma(64, 2)
-        c = controls_for_permutation(perm)
-        np.testing.assert_array_equal(c.apply(np.arange(64)), perm.apply(np.arange(64)))
+        c = affine_controls(perm.n, perm.multiplier, perm.offset)
+        np.testing.assert_array_equal(routed(c), perm.apply(np.arange(64)))
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=1, max_value=8),
+    @given(st.integers(min_value=2, max_value=8),
            st.integers(min_value=0, max_value=2**16),
            st.integers(min_value=0, max_value=2**16))
     def test_affine_routing_property(self, log_m, k_raw, s):
         m = 1 << log_m
         k = (2 * k_raw + 1) % m
         perm = AffinePermutation(m, k, s % m)
-        out = affine_controls(m, k, s % m).apply(np.arange(m))
+        out = routed(affine_controls(m, k, s % m))
         np.testing.assert_array_equal(out, perm.apply(np.arange(m)))
 
 
@@ -124,16 +136,15 @@ class TestGenericRouter:
         for k in range(1, m, 2):
             perm = AffinePermutation(m, k, 3)
             c = route_distance_map(m, perm.shift_distances())
-            np.testing.assert_array_equal(
-                c.apply(np.arange(m)), perm.apply(np.arange(m))
-            )
+            np.testing.assert_array_equal(routed(c), perm.apply(np.arange(m)))
 
     def test_router_matches_closed_form(self):
         m = 64
         for k in [3, 5, 25, 63]:
             perm = AffinePermutation(m, k, 0)
-            assert (route_distance_map(m, perm.shift_distances()).group_bits
-                    == affine_controls(m, k).group_bits)
+            c = route_distance_map(m, perm.shift_distances())
+            assert c.group_bits == affine_controls(m, k).group_bits
+            np.testing.assert_array_equal(routed(c), perm.apply(np.arange(m)))
 
     def test_irregular_map_rejected(self):
         """Fig. 3b's irregular shifts (0,1,3,0 on a 4-element column)
@@ -162,12 +173,12 @@ class TestAgainstRecursiveDecomposition:
     def test_agreement(self, m):
         from repro.automorphism import merge_shifts, recursive_shift_decomposition
 
+        net = InterLaneNetwork(m)
         x = np.arange(m)
         for k in range(1, m, 2):
             perm = AffinePermutation(m, k, 0)
             merged = merge_shifts(recursive_shift_decomposition(perm), m)
-            via_router = route_distance_map(m, merged)
-            via_closed_form = affine_controls(m, k)
-            np.testing.assert_array_equal(
-                via_router.apply(x), via_closed_form.apply(x)
-            )
+            via_router = routed(route_distance_map(m, merged), net)
+            via_closed_form = routed(affine_controls(m, k), net)
+            np.testing.assert_array_equal(via_router, via_closed_form)
+            np.testing.assert_array_equal(via_router, perm.apply(x))

@@ -74,9 +74,12 @@ class TestVectorMemoryEdges:
             VectorMemory(4, 0)
 
     def test_overflow_rejected(self):
-        mem = VectorMemory(8, 2)
-        with pytest.raises(ValueError):
-            mem.load_vector(np.zeros(32, dtype=np.uint64))
+        """A row past the memory's last is refused, and the load that
+        named it does not retire."""
+        vpu = VectorProcessingUnit(m=8, q=17, memory_rows=2)
+        with pytest.raises(IndexError):
+            vpu.execute(Program([Load(0, 1), Load(0, 2)]))
+        assert vpu.stats.loads == 1
 
 
 class TestModulusEdges:
@@ -84,15 +87,15 @@ class TestModulusEdges:
         """RNS limb processing swaps moduli between programs; results must
         track the active modulus."""
         vpu = VectorProcessingUnit(m=8, q=17)
-        vpu.regfile.write(0, np.full(8, 16, dtype=np.uint64))
+        vpu.regfile.data[0] = np.full(8, 16, dtype=np.uint64)
         from repro.core import VMul
 
         vpu.execute(Program([VMul(1, 0, 0)]))
-        assert all(int(v) == (16 * 16) % 17 for v in vpu.regfile.read(1))
+        assert all(int(v) == (16 * 16) % 17 for v in vpu.regfile.data[1])
         vpu.set_modulus(97)
-        vpu.regfile.write(0, np.full(8, 96, dtype=np.uint64))
+        vpu.regfile.data[0] = np.full(8, 96, dtype=np.uint64)
         vpu.execute(Program([VMul(1, 0, 0)]))
-        assert all(int(v) == (96 * 96) % 97 for v in vpu.regfile.read(1))
+        assert all(int(v) == (96 * 96) % 97 for v in vpu.regfile.data[1])
 
     def test_stats_survive_modulus_swap(self):
         vpu = VectorProcessingUnit(m=8, q=17)

@@ -66,13 +66,14 @@ class TestShiftStage:
     def test_uniform_shift(self):
         stage = ShiftStage(8, 2)
         x = np.arange(8)
-        np.testing.assert_array_equal(stage.apply(x, (1, 1)), np.roll(x, 2))
+        out = stage.forward(x, stage.selects_from_group_bits((1, 1)))
+        np.testing.assert_array_equal(out, np.roll(x, 2))
 
     def test_partial_groups(self):
         """Independent group signals: shift only the odd-lane cycle."""
         stage = ShiftStage(8, 2)
         x = np.arange(8)
-        out = stage.apply(x, (0, 1))
+        out = stage.forward(x, stage.selects_from_group_bits((0, 1)))
         np.testing.assert_array_equal(out[0::2], x[0::2])
         np.testing.assert_array_equal(out[1::2], np.roll(x[1::2], 1))
 
@@ -153,14 +154,20 @@ class TestInterLaneNetwork:
         out = net.traverse(x, config)
         np.testing.assert_array_equal(out, np.roll(x[dif_gather_permutation(m)], 3))
 
-    def test_traverse_rows(self):
+    def test_rows_traverse_one_pass_each(self):
+        """Rows traverse one pass each, and a fault-free pass is one
+        gather by the learned route — how the lock-step replay moves
+        every row of a wave at once."""
         net = InterLaneNetwork(8)
         rows = np.arange(24).reshape(3, 8)
         sigma = paper_sigma(8, 1)
         config = NetworkConfig(shift=affine_controls(8, sigma.multiplier))
-        out = net.traverse_rows(rows, config)
+        gathered = rows[:, net.route(config)]
         for i in range(3):
-            np.testing.assert_array_equal(out[i], sigma.apply(rows[i]))
+            np.testing.assert_array_equal(net.traverse(rows[i], config),
+                                          sigma.apply(rows[i]))
+            np.testing.assert_array_equal(gathered[i], sigma.apply(rows[i]))
+        assert net.passes == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

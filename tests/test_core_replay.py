@@ -41,11 +41,10 @@ from repro.core.vpu import ExecutionStats, bind_table
 from repro.fault import FaultInjector, FaultSpec
 from repro.fhe.backend import VpuBackend, use_backend
 from repro.mapping import (
-    automorphism_layout_pack,
-    automorphism_layout_unpack,
     compile_automorphism,
     pack_for_ntt,
     required_registers,
+    unpack_columns,
     unpack_ntt_result,
 )
 from repro.mapping.ntt import compile_negacyclic_intt, compile_negacyclic_ntt
@@ -296,9 +295,9 @@ def test_bench_round_cycles_and_instruction_counts(units):
 
 def _run_automorphism(vpu, program, x, n):
     cols = n // vpu.m
-    vpu.memory.data[:cols] = automorphism_layout_pack(x, vpu.m)
+    vpu.memory.data[:cols] = pack_for_ntt(x, vpu.m)
     vpu.execute(program)
-    return automorphism_layout_unpack(vpu.memory, n, vpu.m, base_row=cols)
+    return unpack_columns(vpu.memory, n, vpu.m, base_row=cols)
 
 
 class TestLoweredLifetime:

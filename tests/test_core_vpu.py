@@ -19,7 +19,8 @@ from repro.core import (
     VSub,
     VectorProcessingUnit,
 )
-from repro.core.vpu import bind_table
+from repro.core.vpu import VectorMemory, bind_table
+from repro.mapping import pack_for_ntt, unpack_columns
 from repro.ntt.tables import get_tables
 
 Q = 998244353
@@ -38,21 +39,29 @@ def hand_bound(instructions, twiddles=(), scalars=(), q=Q):
 
 class TestRegisterFile:
     def test_read_write(self):
-        rf = RegisterFile(4, 8)
-        rf.write(3, np.array([1, 2, 3, 4], dtype=np.uint64))
-        np.testing.assert_array_equal(rf.read(3), [1, 2, 3, 4])
+        """Register ``r`` is row ``r`` of ``data``, the array the
+        executor's ports read and write; each access is counted."""
+        vpu = fresh_vpu(m=4)
+        vpu.memory.data[5] = [1, 2, 3, 4]
+        vpu.execute(Program([Load(3, 5), Store(3, 6)]))
+        rf = vpu.regfile
+        assert rf.data.shape == (64, 4) and rf.data.dtype == np.uint64
+        np.testing.assert_array_equal(rf.data[3], [1, 2, 3, 4])
+        np.testing.assert_array_equal(vpu.memory.data[6], [1, 2, 3, 4])
+        assert (rf.reads, rf.writes) == (1, 1)
 
     def test_bounds(self):
         rf = RegisterFile(4, 8)
+        rf.check_range(7)
         with pytest.raises(IndexError):
-            rf.read(8)
+            rf.check_range(8)
         with pytest.raises(IndexError):
-            rf.write(-1, np.zeros(4, dtype=np.uint64))
+            rf.check_range(-1)
 
     def test_shape_check(self):
-        rf = RegisterFile(4, 8)
-        with pytest.raises(ValueError):
-            rf.write(0, np.zeros(5, dtype=np.uint64))
+        for m, entries in [(0, 8), (4, 0)]:
+            with pytest.raises(ValueError):
+                RegisterFile(m, entries)
 
     def test_port_budget(self):
         rf = RegisterFile(4, 8)
@@ -70,26 +79,26 @@ class TestElementwiseOps:
         rng = np.random.default_rng(0)
         a = rng.integers(0, Q, 8, dtype=np.uint64)
         b = rng.integers(0, Q, 8, dtype=np.uint64)
-        vpu.regfile.write(0, a)
-        vpu.regfile.write(1, b)
+        vpu.regfile.data[0] = a
+        vpu.regfile.data[1] = b
         prog = Program([VAdd(2, 0, 1), VSub(3, 0, 1), VMul(4, 0, 1)])
         vpu.execute(prog)
-        np.testing.assert_array_equal(vpu.regfile.read(2), (a + b) % Q)
-        np.testing.assert_array_equal(vpu.regfile.read(3),
+        np.testing.assert_array_equal(vpu.regfile.data[2], (a + b) % Q)
+        np.testing.assert_array_equal(vpu.regfile.data[3],
                                       (a.astype(np.int64) - b.astype(np.int64)) % Q)
         np.testing.assert_array_equal(
-            vpu.regfile.read(4),
+            vpu.regfile.data[4],
             (a.astype(object) * b.astype(object)) % Q)
 
     def test_scalar_and_twiddle_mul(self):
         vpu = fresh_vpu()
         a = np.arange(8, dtype=np.uint64)
         tw = tuple(range(10, 18))
-        vpu.regfile.write(0, a)
+        vpu.regfile.data[0] = a
         vpu.execute(hand_bound([VMulScalar(1, 0, 0), VMulTwiddle(2, 0, 0)],
                                twiddles=tw, scalars=[7]))
-        np.testing.assert_array_equal(vpu.regfile.read(1), a * 7 % Q)
-        np.testing.assert_array_equal(vpu.regfile.read(2),
+        np.testing.assert_array_equal(vpu.regfile.data[1], a * 7 % Q)
+        np.testing.assert_array_equal(vpu.regfile.data[2],
                                       a * np.array(tw, dtype=np.uint64) % Q)
 
     def test_twiddle_length_check(self):
@@ -103,10 +112,10 @@ class TestElementwiseOps:
         q = find_ntt_prime(16, 60)
         vpu = fresh_vpu(q=q)
         a = np.array([q - 1] * 8, dtype=np.uint64)
-        vpu.regfile.write(0, a)
+        vpu.regfile.data[0] = a
         vpu.execute(Program([VMul(1, 0, 0)]))
         expected = pow(q - 1, 2, q)
-        assert all(int(v) == expected for v in vpu.regfile.read(1))
+        assert all(int(v) == expected for v in vpu.regfile.data[1])
 
 
 class TestButterfly:
@@ -114,9 +123,9 @@ class TestButterfly:
         vpu = fresh_vpu()
         x = np.arange(8, dtype=np.uint64)
         tw = (3, 5, 7, 11)
-        vpu.regfile.write(0, x)
+        vpu.regfile.data[0] = x
         vpu.execute(hand_bound([Butterfly("dif", 1, 0, 0)], twiddles=tw))
-        out = vpu.regfile.read(1)
+        out = vpu.regfile.data[1]
         for j in range(4):
             u, v = int(x[2 * j]), int(x[2 * j + 1])
             assert int(out[2 * j]) == (u + v) % Q
@@ -126,9 +135,9 @@ class TestButterfly:
         vpu = fresh_vpu()
         x = np.arange(8, dtype=np.uint64)
         tw = (3, 5, 7, 11)
-        vpu.regfile.write(0, x)
+        vpu.regfile.data[0] = x
         vpu.execute(hand_bound([Butterfly("dit", 1, 0, 0)], twiddles=tw))
-        out = vpu.regfile.read(1)
+        out = vpu.regfile.data[1]
         for j in range(4):
             u, v = int(x[2 * j]), int(x[2 * j + 1])
             t = v * tw[j] % Q
@@ -154,25 +163,33 @@ class TestMemoryAndNetwork:
         np.testing.assert_array_equal(vpu.memory.data[6], row)
 
     def test_vector_memory_pack_unpack(self):
+        """The one memory layout: ``pack_for_ntt`` puts column ``c`` of
+        the ``m x N/m`` matrix in row ``c``, ``unpack_columns`` reads it
+        back, for one memory and for a stack of images."""
         vpu = fresh_vpu()
         x = np.arange(32, dtype=np.uint64)
-        vpu.memory.load_vector(x, base_row=2)
-        np.testing.assert_array_equal(vpu.memory.read_vector(32, base_row=2), x)
+        vpu.memory.data[2:6] = pack_for_ntt(x, 8)
+        np.testing.assert_array_equal(vpu.memory.data[3], x[1::4])
+        out = unpack_columns(vpu.memory, 32, 8, base_row=2)
+        np.testing.assert_array_equal(out, x)
+        assert not np.shares_memory(out, vpu.memory.data)
+        images = np.stack([vpu.memory.data, vpu.memory.data + 1])
+        np.testing.assert_array_equal(
+            unpack_columns(images, 32, 8, base_row=2), [x, x + 1])
 
     def test_memory_validation(self):
-        vpu = fresh_vpu()
         with pytest.raises(ValueError):
-            vpu.memory.load_vector(np.arange(5))
+            pack_for_ntt(np.arange(5), 8)
         with pytest.raises(ValueError):
-            vpu.memory.read_vector(12)
+            VectorMemory(8, 0)
 
     def test_network_pass_instruction(self):
         vpu = fresh_vpu()
         x = np.arange(8, dtype=np.uint64)
-        vpu.regfile.write(0, x)
+        vpu.regfile.data[0] = x
         config = NetworkConfig(shift=affine_controls(8, 1, 3))
         vpu.execute(Program([NetworkPass(1, 0, config)]))
-        np.testing.assert_array_equal(vpu.regfile.read(1), np.roll(x, 3))
+        np.testing.assert_array_equal(vpu.regfile.data[1], np.roll(x, 3))
 
 
 class TestStats:
@@ -213,6 +230,6 @@ class TestStats:
         vpu = fresh_vpu()
         vpu.set_modulus(12289)
         assert vpu.q == 12289
-        vpu.regfile.write(0, np.full(8, 12288, dtype=np.uint64))
+        vpu.regfile.data[0] = np.full(8, 12288, dtype=np.uint64)
         vpu.execute(Program([VMul(1, 0, 0)]))
-        assert all(int(v) == 1 for v in vpu.regfile.read(1))
+        assert all(int(v) == 1 for v in vpu.regfile.data[1])

@@ -7,12 +7,12 @@ from repro.automorphism import AffinePermutation, galois_eval_permutation, paper
 from repro.core import VectorProcessingUnit
 from repro.core.isa import NetworkPass
 from repro.mapping import (
-    automorphism_layout_pack,
-    automorphism_layout_unpack,
     compile_automorphism,
     compile_reduction,
+    pack_for_ntt,
+    unpack_columns,
 )
-from repro.mapping.automorphism import network_passes_for_automorphism
+from repro.perf import automorphism_cycle_model
 
 Q = 998244353
 
@@ -20,10 +20,10 @@ Q = 998244353
 def run_automorphism(perm, m, x):
     cols = perm.n // m
     vpu = VectorProcessingUnit(m=m, q=Q, memory_rows=max(4, 2 * cols))
-    vpu.memory.data[:cols] = automorphism_layout_pack(x, m)
+    vpu.memory.data[:cols] = pack_for_ntt(x, m)
     prog = compile_automorphism(perm, m)
     stats = vpu.run_fresh(prog)
-    out = automorphism_layout_unpack(vpu.memory, perm.n, m, base_row=cols)
+    out = unpack_columns(vpu.memory, perm.n, m, base_row=cols)
     return out, stats, prog
 
 
@@ -63,7 +63,7 @@ class TestAutomorphismMapping:
         out, stats, prog = run_automorphism(perm, m, x)
         np.testing.assert_array_equal(out, perm.apply(x))
         assert stats.network_passes == n // m
-        assert network_passes_for_automorphism(n, m) == n // m
+        assert automorphism_cycle_model(n, m).total_cycles == n // m
 
     def test_n_equals_m(self):
         m = 16
@@ -85,10 +85,10 @@ class TestReduction:
     def test_all_lanes_hold_sum(self, m):
         vpu = VectorProcessingUnit(m=m, q=Q)
         x = np.random.default_rng(m).integers(0, Q, m, dtype=np.uint64)
-        vpu.regfile.write(0, x)
+        vpu.regfile.data[0] = x
         vpu.execute(compile_reduction(m))
         expected = int(x.astype(object).sum() % Q)
-        assert all(int(v) == expected for v in vpu.regfile.read(0))
+        assert all(int(v) == expected for v in vpu.regfile.data[0])
 
     def test_logarithmic_cost(self):
         prog = compile_reduction(64)

@@ -25,9 +25,9 @@ def run(m, c, x, forward=True, also_inverse=False):
         compile_grouped_ntt(m, c, 2, prog)
     if also_inverse or not forward:
         compile_grouped_intt(m, c, -2, prog)
-    vpu.regfile.write(0, np.asarray(x, dtype=np.uint64))
+    vpu.regfile.data[0] = np.asarray(x, dtype=np.uint64)
     stats = vpu.run_fresh(prog)
-    return vpu.regfile.read(0), stats, prog
+    return vpu.regfile.data[0], stats, prog
 
 
 class TestGroupedNtt:
@@ -67,9 +67,9 @@ class TestGroupedNtt:
         vpu = VectorProcessingUnit(m=m, q=Q)
         prog = Program(n=m)
         compile_small_ntt(m, 2, prog)
-        vpu.regfile.write(0, x)
+        vpu.regfile.data[0] = x
         vpu.execute(prog)
-        np.testing.assert_array_equal(grouped, vpu.regfile.read(0))
+        np.testing.assert_array_equal(grouped, vpu.regfile.data[0])
 
     def test_group_of_two(self):
         """c = 2: each pair of adjacent lanes is one 2-point NTT (a bare

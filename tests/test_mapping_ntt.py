@@ -43,10 +43,10 @@ class TestTileTranspose:
         vpu = make_vpu(m, m * m)
         tile = rand(m * m, m).reshape(m, m)
         for r in range(m):
-            vpu.regfile.write(2 + r, tile[r])
+            vpu.regfile.data[2 + r] = tile[r]
         prog = compile_tile_transpose(m, 2, 2 + m)
         vpu.execute(prog)
-        got = np.stack([vpu.regfile.read(2 + m + r) for r in range(m)])
+        got = np.stack([vpu.regfile.data[2 + m + r] for r in range(m)])
         np.testing.assert_array_equal(got, tile.T)
 
     def test_pass_count(self):
@@ -66,23 +66,23 @@ class TestSmallNtt:
         t = get_tables(m, Q)
         vpu = make_vpu(m, m)
         x = rand(m, m + 1)
-        vpu.regfile.write(0, x)
+        vpu.regfile.data[0] = x
         prog = Program(n=m)  # table roots: psi of order 2m, omega = psi^2
         compile_small_ntt(m, 2, prog)
         vpu.execute(prog)
         expected = ntt_dif([int(v) for v in x], t)
-        assert [int(v) for v in vpu.regfile.read(0)] == expected
+        assert [int(v) for v in vpu.regfile.data[0]] == expected
 
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_roundtrip(self, m):
         vpu = make_vpu(m, m)
         x = rand(m, m + 2)
-        vpu.regfile.write(0, x)
+        vpu.regfile.data[0] = x
         prog = Program(n=m)
         compile_small_ntt(m, 2, prog)
         compile_small_intt(m, -2, prog)
         vpu.execute(prog)
-        np.testing.assert_array_equal(vpu.regfile.read(0), x)
+        np.testing.assert_array_equal(vpu.regfile.data[0], x)
 
     def test_cycle_structure(self):
         """log2(m) fused stages: one cycle each (network + butterfly)."""

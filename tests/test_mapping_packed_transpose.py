@@ -51,9 +51,9 @@ class TestPackedTranspose:
         tile = np.random.default_rng(m + c).integers(
             0, Q, (c, m)).astype(np.uint64)
         for r in range(c):
-            vpu.regfile.write(2 + r, tile[r])
+            vpu.regfile.data[2 + r] = tile[r]
         vpu.execute(compile_packed_transpose(m, c, 2, 2 + c))
-        out = np.stack([vpu.regfile.read(2 + c + r) for r in range(c)])
+        out = np.stack([vpu.regfile.data[2 + c + r] for r in range(c)])
         for g in range(m // c):
             block_in = tile[:, g * c:(g + 1) * c]
             block_out = out[:, g * c:(g + 1) * c]
@@ -65,13 +65,13 @@ class TestPackedTranspose:
         vpu = VectorProcessingUnit(m=m, q=Q, regfile_entries=2 * m + 2)
         tile = np.random.default_rng(1).integers(0, Q, (c, m)).astype(np.uint64)
         for r in range(c):
-            vpu.regfile.write(2 + r, tile[r])
+            vpu.regfile.data[2 + r] = tile[r]
         vpu.execute(compile_packed_transpose(m, c, 2, 2 + c))
         # Move the result back into the source window and transpose again.
         for r in range(c):
-            vpu.regfile.write(2 + r, vpu.regfile.read(2 + c + r))
+            vpu.regfile.data[2 + r] = vpu.regfile.data[2 + c + r]
         vpu.execute(compile_packed_transpose(m, c, 2, 2 + c))
-        out = np.stack([vpu.regfile.read(2 + c + r) for r in range(c)])
+        out = np.stack([vpu.regfile.data[2 + c + r] for r in range(c)])
         np.testing.assert_array_equal(out, tile)
 
     def test_pass_count(self):

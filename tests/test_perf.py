@@ -4,7 +4,7 @@ the executable compiler."""
 import numpy as np
 import pytest
 
-from repro.core import NttStage, VectorProcessingUnit
+from repro.core import InterLaneNetwork, NttStage, VectorProcessingUnit
 from repro.core.isa import NetworkPass
 from repro.mapping import compile_ntt, pack_for_ntt, required_registers
 from repro.perf import (
@@ -22,13 +22,17 @@ Q = 998244353
 
 class TestCycleModelValidation:
     """The analytic compute/transpose terms must match the compiled
-    programs instruction-for-instruction at executable sizes."""
+    programs instruction-for-instruction: at executable sizes, and
+    compiled only at every Table III row (m = 64, N = 2^10 ... 2^20)."""
 
     @pytest.mark.parametrize("m,n", [(4, 16), (4, 64), (8, 64), (8, 512),
                                      (16, 256), (64, 4096),
                                      # ragged sizes (packed layout):
                                      (8, 32), (16, 512), (64, 1024),
-                                     (16, 2048)])
+                                     (16, 2048),
+                                     # the rest of Table III's rows:
+                                     (64, 2**14), (64, 2**16), (64, 2**18),
+                                     (64, 2**20)])
     def test_counts_match_compiler(self, m, n):
         prog = compile_ntt(n, m)
         model = ntt_cycle_model(n, m)
@@ -90,6 +94,14 @@ class TestCycleModelStructure:
     def test_pipeline_depth(self):
         assert pipeline_depth(64) == 8
         assert pipeline_depth(4) == 3  # merged CG at m=4
+        # Read off the network: log2 m shifts, and the CG stages, which
+        # merge only where the DIT and DIF wirings coincide.
+        for log_m in range(2, 9):
+            m = 1 << log_m
+            net = InterLaneNetwork(m)
+            same = np.array_equal(net.cg_dit.remote_source,
+                                  net.cg_dif.remote_source)
+            assert pipeline_depth(m) == log_m + (1 if same else 2)
 
     def test_single_dimension_has_no_transposes(self):
         model = ntt_cycle_model(64, 64)

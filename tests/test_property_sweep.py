@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from repro.automorphism import AffinePermutation, affine_controls
 from repro.core import NetworkConfig, VectorProcessingUnit
 from repro.mapping import (
-    automorphism_layout_pack,
-    automorphism_layout_unpack,
     compile_automorphism,
     compile_intt,
     compile_ntt,
     pack_for_ntt,
     required_registers,
+    unpack_columns,
     unpack_ntt_result,
 )
 from repro.ntt import vec_ntt_dif
@@ -72,9 +71,9 @@ class TestVpuAutomorphismProperty:
         perm = AffinePermutation(n, k, s % n)
         vpu = VectorProcessingUnit(m=m, q=Q, memory_rows=2 * n // m)
         x = np.arange(n, dtype=np.uint64)
-        vpu.memory.data[:n // m] = automorphism_layout_pack(x, m)
+        vpu.memory.data[:n // m] = pack_for_ntt(x, m)
         stats = vpu.run_fresh(compile_automorphism(perm, m))
-        out = automorphism_layout_unpack(vpu.memory, n, m, base_row=n // m)
+        out = unpack_columns(vpu.memory, n, m, base_row=n // m)
         np.testing.assert_array_equal(out, perm.apply(x))
         assert stats.network_passes == n // m
 
