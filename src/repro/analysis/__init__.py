@@ -5,18 +5,15 @@ keyswitch accumulation (:mod:`repro.fhe.keyswitch`) earn their speed by
 *postponing* modular reduction: intermediate lane values deliberately
 exceed the modulus, and correctness rests on inequalities such as
 ``((log2(n)+1)q - 1)(q - 1) < 2**64``.  This package holds those
-inequalities and checks the compiled and planned work against its
-models:
+inequalities and checks the planned work against its models.  A
+compiled VPU micro-program is checked by the unit that runs it: its
+lowering refuses port, register-range and opcode faults, and its
+binding a constant slot past the table.
 
-* :mod:`repro.analysis.intervals` — the unsigned interval domain of the
-  micro-program walk (exact Python-int bounds, one interval per lane).
-* :mod:`repro.analysis.program_check` — abstract interpretation of
-  compiled VPU micro-programs (:class:`repro.core.isa.Program`),
-  propagating per-lane value intervals through the VPU's lowered steps.
 * :mod:`repro.analysis.bounds` — the production gates: the closed-form
   inequalities the NTT/keyswitch/integrity fast paths ask before they
   postpone a reduction.
-* :mod:`repro.analysis.dataflow` — def-use facts over the same lowered
+* :mod:`repro.analysis.dataflow` — def-use facts over a VPU's lowered
   steps: the register and memory demands of a compiled program.
 * :mod:`repro.analysis.resources` — symbolic SRAM/DRAM occupancy replay
   of staged accelerator plans: capacity overflow, use-after-evict,

@@ -27,7 +27,7 @@ once per keyswitch, so none is cached.
 
 from __future__ import annotations
 
-from repro.analysis.intervals import U64_MAX
+U64_MAX: int = (1 << 64) - 1
 
 
 def unclamped_dit_ok(log_n: int, max_q: int) -> bool:

@@ -1,15 +1,13 @@
 """The ``fhecheck`` command line: ``python -m repro.analysis``.
 
-Five sections, all run by default:
+Four sections, all run by default:
 
-* ``programs`` — compile every micro-program of the toy workload
-  (forward/inverse negacyclic NTT for every chain + special prime, the
-  rotation and conjugation automorphisms the keyswitch tests exercise)
-  and interval-verify each with
-  :func:`repro.analysis.program_check.check_program`.
-* ``dataflow`` — report the register and memory demands of the same
-  compiled and lowered programs with
-  :func:`repro.analysis.dataflow.analyze_dataflow` (facts, no findings).
+* ``dataflow`` — compile every micro-program of the toy workload (the
+  forward and inverse negacyclic NTT, the rotation and conjugation
+  automorphisms the keyswitch tests exercise), lower each on a VPU and
+  report its register and memory demands with
+  :func:`repro.analysis.dataflow.analyze_dataflow` (facts, no findings;
+  a program the unit refuses raises).
 * ``resources`` — replay the canonical keyswitch/NTT/automorphism
   staging schedules against the SRAM/DRAM models with
   :func:`repro.analysis.resources.analyze_staged_plan`.
@@ -17,17 +15,13 @@ Five sections, all run by default:
   sequences with :func:`repro.analysis.ctstate.check_sequence`.
 * ``lint`` — run the repository AST rules over ``src/repro``.
 
-``--bench-shapes`` widens ``programs``/``dataflow`` to every compiled
-program shape the benchmark suite exercises (``small_params`` NTT and
-automorphism programs, the m=64 four-step NTT).
-
 Output: a status line per check and a summary, or with ``--json`` one
 JSON report (``ok``, ``sections``, ``elapsed_s``, ``findings``).
 
 Exit status (the CI contract, also documented in README/DESIGN):
 
 * ``0`` — analysis ran and no error-severity finding fired (warnings,
-  e.g. dead writes or stale suppressions, do not gate);
+  e.g. stale suppressions, do not gate);
 * ``1`` — at least one error-severity finding;
 * ``2`` — usage error (unknown section or flag; argparse's own exit).
 """
@@ -47,54 +41,31 @@ if TYPE_CHECKING:
 from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.lint import lint_paths
-from repro.analysis.program_check import check_program
 
-_SECTIONS = ("programs", "dataflow", "resources", "ctstate", "lint")
+_SECTIONS = ("dataflow", "resources", "ctstate", "lint")
 
 
-def _workload_programs(m: int, bench_shapes: bool) -> Iterator[
-        "tuple[Program, int, int]"]:
-    """``(program, q, m)`` for every compiled shape under verification.
-
-    The toy workload covers every micro-program a toy keyswitch
-    dispatches; ``bench_shapes`` adds the shapes the benchmark suite
-    executes (``small_params`` at m=16 and the m=64 four-step NTT).
-    """
+def _workload_programs(m: int) -> Iterator["Program"]:
+    """Every micro-program a toy keyswitch dispatches, once each: the
+    programs carry no prime, so one serves every limb."""
     from repro.automorphism.mapping import (
         galois_element_for_rotation,
         galois_eval_permutation,
     )
-    from repro.fhe.params import small_params, toy_params
-    from repro.mapping import compile_automorphism, compile_ntt
+    from repro.fhe.params import toy_params
+    from repro.mapping import compile_automorphism
     from repro.mapping.ntt import (
         compile_negacyclic_intt,
         compile_negacyclic_ntt,
     )
 
-    param_sets = [(toy_params(), m)]
-    if bench_shapes:
-        param_sets.append((small_params(), m))
-    for params, lanes in param_sets:
-        n = params.n
-        primes = params.primes + (params.special_prime,)
-        # The keyswitch workload is, per digit, a batch of forward NTTs
-        # over every limb plus the accumulation — so the forward and
-        # inverse NTT programs for every prime of the full basis cover
-        # every micro-program a keyswitch dispatches.
-        # One program per kind serves every prime; each is verified under
-        # every prime's binding.
-        forward = compile_negacyclic_ntt(n, lanes)
-        inverse = compile_negacyclic_intt(n, lanes)
-        for q in primes:
-            yield forward, q, lanes
-            yield inverse, q, lanes
-        # Rotation + conjugation automorphisms (modulus-independent
-        # programs, verified under the widest modulus of the basis).
-        for galois_k in (galois_element_for_rotation(n, 1), 2 * n - 1):
-            perm = galois_eval_permutation(n, galois_k)
-            yield compile_automorphism(perm, lanes), max(primes), lanes
-    if bench_shapes:
-        yield compile_ntt(4096, 64), 998244353, 64
+    n = toy_params().n
+    # Per digit, a keyswitch is a batch of forward NTTs over every limb,
+    # the accumulation and inverse NTTs; a rotation adds its automorphism.
+    yield compile_negacyclic_ntt(n, m)
+    yield compile_negacyclic_intt(n, m)
+    for galois_k in (galois_element_for_rotation(n, 1), 2 * n - 1):
+        yield compile_automorphism(galois_eval_permutation(n, galois_k), m)
 
 
 def _book(report: Any, text: str, verbose: bool, findings: list[Finding],
@@ -107,25 +78,11 @@ def _book(report: Any, text: str, verbose: bool, findings: list[Finding],
         lines += [f"    {f}" for f in report.findings]
 
 
-def _check_programs(workload: list, verbose: bool
-                    ) -> tuple[list[Finding], list[str]]:
-    """Interval-verify the workload's micro-programs."""
-    findings: list[Finding] = []
-    lines: list[str] = []
-    for program, q, lanes in workload:
-        report = check_program(program, q=q, m=lanes)
-        _book(report, f"program {report.label:45s} q={report.q:<10d} "
-              f"{report.instructions:5d} instrs, max intermediate "
-              f"2^{report.max_intermediate.bit_length()}",
-              verbose, findings, lines)
-    return findings, lines
-
-
-def _dataflow_facts(workload: list) -> tuple[list[Finding], list[str]]:
-    """The def-use demands of the same compiled micro-programs."""
+def _dataflow_facts(m: int) -> tuple[list[Finding], list[str]]:
+    """The def-use demands of the workload's micro-programs."""
     lines = []
-    for program, _q, lanes in workload:
-        report = analyze_dataflow(program, m=lanes)
+    for program in _workload_programs(m):
+        report = analyze_dataflow(program, m=m)
         lines.append(f"[ok ] dataflow {report.label:44s} "
                      f"{report.instructions:5d} instrs, "
                      f"{report.registers_written:3d} regs, "
@@ -207,9 +164,9 @@ def _check_lint(root: Path, verbose: bool) -> tuple[list[Finding], list[str]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="fhecheck: static bound/overflow, dataflow, resource "
-                    "and ciphertext-state verification of the VPU "
-                    "micro-programs, staging plans and scheme op "
+        description="fhecheck: the dataflow facts of the VPU "
+                    "micro-programs, resource and ciphertext-state "
+                    "verification of the staging plans and scheme op "
                     "sequences, plus the repository lint rules.")
     parser.add_argument("sections", nargs="*", metavar="section",
                         default=[],
@@ -218,14 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="print one JSON report instead of the text "
                              "summary")
-    parser.add_argument("--bench-shapes", action="store_true",
-                        help="also verify every compiled program shape "
-                             "the benchmark suite exercises")
     parser.add_argument("--lint-root", default=None,
                         help="directory to lint (default: the installed "
                              "repro package source)")
     parser.add_argument("-m", "--lanes", type=int, default=16,
-                        help="VPU lane count for program verification")
+                        help="VPU lane count of the dataflow programs")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every finding, not just failures")
     args = parser.parse_args(argv)
@@ -239,15 +193,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     findings: list[Finding] = []
     lines: list[str] = []
-    # Compiled once; the first pass keeps each program's lowered form on
-    # it and the second walks that same object.
-    workload = (list(_workload_programs(args.lanes, args.bench_shapes))
-                if {"programs", "dataflow"} & set(sections) else [])
     root = (Path(args.lint_root) if args.lint_root
             else Path(__file__).resolve().parents[1])
     passes = {
-        "programs": lambda: _check_programs(workload, args.verbose),
-        "dataflow": lambda: _dataflow_facts(workload),
+        "dataflow": lambda: _dataflow_facts(args.lanes),
         "resources": lambda: _check_resources(args.verbose),
         "ctstate": lambda: _check_ctstate(args.verbose),
         "lint": lambda: _check_lint(root, args.verbose),

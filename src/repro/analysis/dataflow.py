@@ -2,9 +2,9 @@
 
 :func:`analyze_dataflow` walks a :class:`repro.core.isa.Program` as
 :class:`repro.core.vpu.VectorProcessingUnit` decodes it — the lowered
-steps :mod:`repro.analysis.program_check` walks too — but tracks
-*which* registers are defined and consumed instead of their value
-intervals.  The roles are :func:`repro.core.vpu.step_operands`, the
+steps a unit with the register file the compilers assume keeps on the
+program and replays — and tracks which registers are defined and
+consumed.  The roles are :func:`repro.core.vpu.step_operands`, the
 def-use model the VPU's lock-step renaming reads too.  The report gives
 the program's register and memory demands: registers used, peak live
 registers, rows read and written, writes nothing reads, and the
@@ -17,9 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.program_check import decode
 from repro.core.isa import Program
-from repro.core.vpu import _LOAD, _STORE, ExecutionStats, step_operands
+from repro.core.vpu import (
+    _LOAD,
+    _STORE,
+    ExecutionStats,
+    VectorProcessingUnit,
+    step_operands,
+)
+from repro.mapping.ntt import required_registers
 
 
 @dataclass
@@ -58,8 +64,12 @@ class DataflowReport:
 
 
 def analyze_dataflow(program: Program, *, m: int) -> DataflowReport:
-    """Def-use facts of one compiled micro-program on an ``m``-lane VPU."""
-    lowered, _ = decode(program, m)
+    """Def-use facts of one compiled micro-program on an ``m``-lane VPU.
+
+    The unit's lowering refuses a program it cannot run (it raises)."""
+    unit = VectorProcessingUnit(m, regfile_entries=required_registers(m),
+                                memory_rows=1)
+    lowered = unit.lower(program)
     report = DataflowReport(label=program.label or "<program>", m=m)
     report.stats.add(lowered.stats)
     operands = [tuple(map(set, step_operands(step)))

@@ -30,18 +30,16 @@ class Finding:
     Attributes
     ----------
     source:
-        The pass that produced it: ``program`` (micro-program interval
-        walk), ``resource`` (staging-plan replay), ``ctstate``
-        (ciphertext-state walk), or ``lint`` (AST rules).
+        The pass that produced it: ``resource`` (staging-plan replay),
+        ``ctstate`` (ciphertext-state walk), or ``lint`` (AST rules).
     rule:
-        Stable rule identifier (``P###`` program rules, ``R###``
-        resource rules, ``C###`` ciphertext-state rules, ``FHC###`` lint
-        rules).
+        Stable rule identifier (``R###`` resource rules, ``C###``
+        ciphertext-state rules, ``FHC###`` lint rules).
     severity:
         :class:`Severity`; only ``ERROR`` findings are gating.
     location:
-        Where: ``"pc 12: VMul(...)"`` for programs, ``"path.py:41"`` for
-        lint.
+        Where: the plan step or op index for the passes, ``"path.py:41"``
+        for lint.
     message:
         The violated invariant, with the derived bounds spelled out.
     """

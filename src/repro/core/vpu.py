@@ -23,9 +23,10 @@ on the program (``Program.lowered``), knows neither modulus nor
 constant (a :class:`Binding` per prime, in ``Program.bound``), and goes
 away with the program or when it grows.  The lowering is the only
 decoder of the ISA, and :func:`step_operands` its one def-use model:
-the lock-step schedule and the interval and def-use passes of
-:mod:`repro.analysis` read the same steps through it, decoded tolerantly
-for the passes, so that a failed check comes back as a value.
+the lock-step schedule and the def-use facts of
+:mod:`repro.analysis.dataflow` read the same steps through it.  A
+lowering raises on the first check that fails, so a program its unit
+refuses is never kept, scheduled or replayed.
 
 :meth:`~VectorProcessingUnit.execute` replays the lowered form once, or
 once per limb of a batch: one prime and one memory image per limb, as
@@ -108,7 +109,7 @@ class Binding:
     q: int
     twiddles: np.ndarray
     scalars: np.ndarray
-    reduced: bool  # every word below q: fhecheck's P003 condition
+    reduced: bool  # every word below q: the lanes need not divide
     waves: dict = field(default_factory=dict)
 
 
@@ -238,12 +239,11 @@ class _Lowered:
 def step_operands(step: tuple) -> tuple:
     """The registers a lowered step consumes and defines: ``(reads, writes)``.
 
-    This is the ISA's one def-use model: the lock-step renaming and both
-    program passes of :mod:`repro.analysis` read it.  Streamed
+    This is the ISA's one def-use model: the lock-step renaming and the
+    def-use facts of :mod:`repro.analysis.dataflow` read it.  Streamed
     constants are not reads (``VMulTwiddle`` charges a read port for its
     twiddles but consumes only ``a``).  A diagonal read consumes one
-    register per output lane, in output-lane order.  An undecodable step
-    (``None`` opcode) reads and writes the registers its ports touch."""
+    register per output lane, in output-lane order."""
     op, dst, a, b = step[:4]
     if op == _LOAD:
         return (), (dst,)
@@ -253,8 +253,6 @@ def step_operands(step: tuple) -> tuple:
         return b[0].tolist(), (dst,)
     if op in (_ADD, _SUB, _MUL):
         return (a, b), (dst,)
-    if op is None:
-        return a, dst
     return (a,), (dst,)
 
 
@@ -485,40 +483,22 @@ class VectorProcessingUnit:
 
     # -- lowering ----------------------------------------------------------
 
-    def _lower(self, instructions: list[Instruction],
-               faults: dict | None = None) -> _Lowered:
+    def _lower(self, instructions: list[Instruction]) -> _Lowered:
         """Decode instructions for this unit's shape, running every
-        check that depends on nothing else.
-
-        The first failed check raises, unless a ``faults`` dict is given:
-        then each is stored as ``faults[pc, check] = error`` (``check`` is
-        ``"ports"``, ``"registers"`` or ``"opcode"``) and decoding goes on
-        with a placeholder — for an unknown instruction a ``None`` opcode
-        whose ``dst`` / ``a`` are the registers its ports write / read.
-        """
+        check that depends on nothing else; the first that fails raises
+        (port budget: ``ValueError``, register range: ``IndexError``,
+        unknown instruction: ``TypeError``)."""
         m, rf, net = self.m, self.regfile, self.network
         lanes = np.arange(m)
         steps = []
         stats = ExecutionStats()
         reads = writes = 0
         table = [0, 0, 0]  # lowest slot, twiddle and scalar words read
-
-        def fault(check: str, error: Exception) -> None:
-            if faults is None:
-                raise error
-            faults[len(steps), check] = error
-
         for instr in instructions:
             read_regs, write_regs = instr.read_regs(), instr.write_regs()
-            try:
-                rf.check_ports(read_regs, write_regs)
-            except ValueError as error:
-                fault("ports", error)
-            try:
-                for reg in read_regs + write_regs:
-                    rf.check_range(reg)
-            except IndexError as error:
-                fault("registers", error)
+            rf.check_ports(read_regs, write_regs)
+            for reg in read_regs + write_regs:
+                rf.check_range(reg)
             kind = type(instr)
             const = route = config = None
             if kind in _BINARY:
@@ -551,16 +531,14 @@ class VectorProcessingUnit:
                     # the same row already routed.
                     regs = instr.src + (lanes + instr.src_rot) % instr.src_window
                     if regs.max() >= rf.entries:
-                        fault("registers", IndexError(
-                            "diagonal read window out of range"))
+                        raise IndexError("diagonal read window out of range")
                     op, a, b = _NET_DIAG, (regs, lanes), (regs[route], route)
             elif kind is Load:
                 op, dst, a, b = _LOAD, instr.dst, instr.addr, None
             elif kind is Store:
                 op, dst, a, b = _STORE, None, instr.src, instr.addr
             else:
-                fault("opcode", TypeError(f"unknown instruction {instr!r}"))
-                op, dst, a, b = None, write_regs, read_regs, None
+                raise TypeError(f"unknown instruction {instr!r}")
             if const is not None:
                 words = 1 + (op == _MUL_SCALAR)
                 table[0] = min(table[0], const.start)
@@ -574,16 +552,16 @@ class VectorProcessingUnit:
         return _Lowered(tuple(steps), tuple(table), stats,
                         reads, writes)
 
-    def lower(self, program: Program, faults: dict | None = None) -> _Lowered:
+    def lower(self, program: Program) -> _Lowered:
         """Decode a program for this unit's shape, once.
 
-        Kept in ``program.lowered`` unless the decode recorded a fault."""
+        Kept in ``program.lowered``; a lowering that raises keeps
+        nothing."""
         shape = (self.m, self.regfile.entries)
         lowered = program.lowered.get(shape)
         if lowered is None:
-            lowered = self._lower(program.instructions, faults)
-            if not faults:
-                program.lowered[shape] = lowered
+            lowered = program.lowered[shape] = self._lower(
+                program.instructions)
         return lowered
 
     # -- execution ---------------------------------------------------------

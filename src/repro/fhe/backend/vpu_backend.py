@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import threading
-import weakref
 
 import numpy as np
 
@@ -42,13 +40,15 @@ class VpuBackend:
     and every prime — one compilation, one lowering and one lock-step
     schedule per kernel shape — so ``program_compilations`` grows with
     the number of *distinct kernel shapes* while ``kernel_invocations``
-    (one per limb) grows with the work actually executed.
+    (one per limb) grows with the work actually executed.  A fresh
+    program is lowered before it is cached, so one the units refuse
+    raises there and never enters the cache; the unit's lowering and its
+    binding are the only checks a compiled program gets.
     """
 
     name = "vpu"
 
-    def __init__(self, m: int = 16, verify_programs: bool | None = None,
-                 units: int = 1):
+    def __init__(self, m: int = 16, units: int = 1):
         from repro.core import VectorProcessingUnit
         from repro.mapping import required_registers
 
@@ -65,23 +65,13 @@ class VpuBackend:
         ]
         self.kernel_invocations = 0
         self.program_compilations = 0
-        self.programs_verified = 0
         #: Compiled-program cache hit/miss counters.  Unlike
         #: ``program_compilations`` (the lifetime experiment record)
         #: these reset with :meth:`clear_caches`, tracking the cache
         #: *instance* — the figures the metrics registry mirrors.
         self.program_cache_hits = 0
         self.program_cache_misses = 0
-        if verify_programs is None:
-            verify_programs = bool(os.environ.get("REPRO_VERIFY_PROGRAMS"))
-        #: Debug hook: interval-verify every new binding of a compiled
-        #: micro-program to a prime (repro.analysis.program_check), on the
-        #: unit's own lowering of it, before any unit replays it.
-        self.verify_programs = verify_programs
         self._programs: dict[tuple, object] = {}
-        #: Bindings the debug hook has verified; a binding goes with its
-        #: program.
-        self._verified: weakref.WeakSet = weakref.WeakSet()
         self._quarantined: set[tuple] = set()
         #: Guards the compiled-program cache, the quarantine set and the
         #: units themselves for a whole batch (the serving layer shares one
@@ -141,15 +131,9 @@ class VpuBackend:
             self.program_cache_hits = 0
             self.program_cache_misses = 0
 
-    def _program(self, kind: str, n: int, primes: tuple[int, ...],
-                 galois_k: int | None = None):
-        """Fetch (or compile once) the program for one kernel shape.
-
-        The program serves every prime; under ``verify_programs`` its
-        binding to each of ``primes`` is interval-verified the first
-        time, before any unit replays it and before a fresh program is
-        cached.
-        """
+    def _program(self, kind: str, n: int, galois_k: int | None = None):
+        """Fetch (or compile and lower once) the program for one kernel
+        shape; it serves every prime."""
         key = self._key(kind, n, galois_k)
         with self._cache_lock:
             if key in self._quarantined:
@@ -157,35 +141,17 @@ class VpuBackend:
                     f"compiled program {key} is quarantined after detected "
                     f"corruption")
             prog = self._programs.get(key)
-            fresh = prog is None
-            if fresh:
-                self.program_cache_misses += 1
-                prog = self._compile(kind, n, galois_k)
-                # Decoded for the units that replay it: a program they
-                # refuse raises here, before it can enter the cache.
-                self.vpu.lower(prog)
-            else:
+            if prog is not None:
                 self.program_cache_hits += 1
-            if self.verify_programs:
-                self._verify(prog, primes)
-            if fresh:
-                self.program_compilations += 1
-                self._programs[key] = prog
+                return prog
+            self.program_cache_misses += 1
+            prog = self._compile(kind, n, galois_k)
+            # Decoded for the units that replay it: a program they
+            # refuse raises here, before it can enter the cache.
+            self.vpu.lower(prog)
+            self.program_compilations += 1
+            self._programs[key] = prog
         return prog
-
-    def _verify(self, prog, primes: tuple[int, ...]) -> None:
-        """Walk the lowered form kept on the program, the object every
-        replay reuses, under each new binding a replay will read; raises
-        ProgramVerificationError."""
-        from repro.analysis.program_check import check_program
-        from repro.core.vpu import bind_table
-
-        for q in dict.fromkeys(primes):
-            binding = bind_table(prog, q)
-            if binding not in self._verified:
-                check_program(prog, q=q, m=self.m).raise_on_error()
-                self._verified.add(binding)
-                self.programs_verified += 1
 
     def _compile(self, kind: str, n: int, galois_k: int | None):
         from repro.mapping import compile_automorphism
@@ -227,7 +193,7 @@ class VpuBackend:
         units = len(self.units)
         # A batch holds the units from its first limb to its last.
         with self._cache_lock:
-            program = self._program(kind, n, primes, galois_k)
+            program = self._program(kind, n, galois_k)
             for j, unit in enumerate(self.units[:len(primes)]):
                 if unit.memory.rows < needed:
                     # resize_memory keeps any installed fault hook attached.

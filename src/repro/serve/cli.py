@@ -1,4 +1,4 @@
-"""``python -m repro.serve`` — benchmark, chaos campaign, validation.
+"""``python -m repro.serve`` — benchmark and chaos campaign.
 
 Modes (mutually exclusive):
 
@@ -7,8 +7,9 @@ Modes (mutually exclusive):
 * ``--chaos``: run the chaos campaign and exit nonzero on any
   robustness violation (hung request, silent corruption, untyped
   failure, unbounded p99, or too few injections).
-* ``--validate-envelope PATH``: shape-check an existing artifact with
-  :func:`repro.obs.export.validate_envelope` (the CI gate).
+
+An artifact's envelope is shape-checked by ``python -m repro.obs
+--validate-envelope PATH``.
 
 ``REPRO_TRACE=1`` enables the obs hook for any mode, in which case a
 metrics snapshot accompanies the run on stderr-free stdout.
@@ -35,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--chaos", action="store_true",
                       help="run the chaos campaign; nonzero exit on any "
                            "robustness violation")
-    mode.add_argument("--validate-envelope", metavar="PATH",
-                      help="validate an artifact's schema-1 envelope")
     parser.add_argument("--requests", type=int, default=None,
                         help="request count (default: 100000 bench, "
                              "600 chaos)")
@@ -71,17 +70,6 @@ def _emit_metrics() -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     enable_from_env()
-
-    if args.validate_envelope:
-        payload = json.loads(Path(args.validate_envelope).read_text())
-        problems = validate_envelope(payload)
-        if problems:
-            for problem in problems:
-                print(f"ENVELOPE: {problem}", file=sys.stderr)
-            return 1
-        print(f"{args.validate_envelope}: envelope ok "
-              f"(bench={payload.get('bench')!r})")
-        return 0
 
     if args.chaos:
         from repro.serve.chaos import run_chaos_campaign

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.bounds import (
+    U64_MAX,
     centered_lift_lazy_ok,
     checksum_dot_lazy_ok,
     keyswitch_lazy_accumulate_ok,
     unclamped_dit_ok,
 )
-from repro.analysis.intervals import U64_MAX
 from repro.arith.primes import find_ntt_prime, find_ntt_primes, is_prime
 from repro.ntt.negacyclic import (
     HOST_MODULUS_LIMIT,

@@ -76,6 +76,14 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "plans" in capsys.readouterr().err
 
+    def test_programs_section_is_a_usage_error(self, capsys):
+        # No interval walk: a compiled program is checked by the unit
+        # that lowers, binds and runs it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["programs"])
+        assert excinfo.value.code == 2
+        assert "programs" in capsys.readouterr().err
+
     def test_findings_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(UNREDUCED_PRODUCT)

@@ -22,7 +22,6 @@ from repro.accel.sram import OnChipSram
 from repro.analysis.ctstate import Op, check_sequence, \
     ckks_mult_rotate_sequence
 from repro.analysis.lint import lint_source
-from repro.analysis.program_check import check_program
 from repro.analysis.resources import (
     Compute,
     Evict,
@@ -31,25 +30,11 @@ from repro.analysis.resources import (
     keyswitch_staging_plan,
     ntt_staging_plan,
 )
-from repro.arith.primes import find_ntt_prime
 from repro.fhe.params import default_params, toy_params
-from repro.mapping.ntt import compile_negacyclic_ntt
 
 
 def _error_rules(report) -> list[str]:
     return [f.rule for f in report.findings.errors]
-
-
-class TestUninitializedReadMutation:
-    """Compiler bug: an instruction reads a register nothing wrote.  The
-    interval pass reports it as P004 (see
-    ``test_analysis_decoder_agreement.py``); the clean program has no
-    finding."""
-
-    def test_clean_program_has_zero_findings(self):
-        report = check_program(compile_negacyclic_ntt(256, 16),
-                               q=find_ntt_prime(512, 28), m=16)
-        assert list(report.findings) == []
 
 
 def _source(module) -> str:

@@ -1,8 +1,11 @@
 """Negative-path and edge-case tests for the core VPU layer."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from repro.arith.primes import find_ntt_prime
 from repro.core import (
     Load,
     NetworkConfig,
@@ -11,9 +14,13 @@ from repro.core import (
     Program,
     Store,
     VectorProcessingUnit,
+    VMulTwiddle,
 )
-from repro.core.vpu import VectorMemory
+from repro.core.isa import Instruction
+from repro.core.network import InterLaneNetwork
+from repro.core.vpu import VectorMemory, bind_table
 from repro.fault import FaultInjector
+from repro.mapping.ntt import compile_negacyclic_ntt, required_registers
 
 
 class TestInstructionValidation:
@@ -56,14 +63,102 @@ class TestInstructionValidation:
             vpu.execute(prog)
 
     def test_unknown_instruction_rejected(self):
-        from repro.core.isa import Instruction
-
         class Bogus(Instruction):
             pass
 
         vpu = VectorProcessingUnit(m=8, q=998244353)
         with pytest.raises(TypeError):
             vpu.execute(Program([Bogus()]))
+
+
+M = 16
+Q = find_ntt_prime(2 * 64, 28)
+
+
+@dataclass(frozen=True)
+class FakeWideRead(Instruction):
+    """An instruction outside the ISA that needs three read ports."""
+
+    def read_regs(self):
+        return [0, 1, 2]
+
+    def write_regs(self):
+        return [3]
+
+
+def _phantom_read():
+    program = compile_negacyclic_ntt(256, M)
+    program.instructions.append(Store(src=999, addr=0))
+    return program, find_ntt_prime(512, 28)
+
+
+def _twiddle_program(twiddles):
+    program = Program(label="twiddle", instructions=[
+        Load(dst=0, addr=0),
+        VMulTwiddle(dst=1, a=0, row=0),
+        Store(src=1, addr=0),
+    ])
+    bind_table(program, Q, twiddles=twiddles)
+    return program, Q
+
+
+def _three_reads():
+    loads = [Load(dst=r, addr=8 * r) for r in range(3)]
+    return Program(label="wide", instructions=[
+        *loads, FakeWideRead(), Store(src=3, addr=0)]), Q
+
+
+def _diagonal_onto_window():
+    loads = [Load(dst=r, addr=8 * r) for r in range(4)]
+    return Program(label="diag", instructions=[
+        *loads,
+        NetworkPass(dst=2, src=0, config=NetworkConfig(),
+                    src_rot=0, src_window=4),
+        Store(src=2, addr=0),
+    ]), Q
+
+
+def _network_pass():
+    return Program(label="net", instructions=[
+        Load(dst=0, addr=0),
+        NetworkPass(dst=1, src=0, config=NetworkConfig()),
+        Store(src=1, addr=0),
+    ]), Q
+
+
+MALFORMED = {
+    # case: (build, what the unit raises before it runs the program)
+    "phantom read": (_phantom_read, IndexError),
+    "short twiddles": (lambda: _twiddle_program([1, 2, 3]), ValueError),
+    "three read ports": (_three_reads, ValueError),
+    # The unit runs these: an unreduced table word makes its lanes
+    # divide, and the bit-identity tests of the compiled programs fail
+    # on what a window clash or a non-permutation route produces.
+    "unreduced twiddle": (lambda: _twiddle_program([Q] * M), None),
+    "destination in diagonal window": (_diagonal_onto_window, None),
+    "non-permutation route": (_network_pass, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_program_is_refused_before_it_runs(case, monkeypatch):
+    """The unit's lowering (port budget, register range, opcode) and its
+    binding check (a constant slot past the table) are the only checks
+    of a compiled program: a refused one retires nothing."""
+    build, raises = MALFORMED[case]
+    if case == "non-permutation route":
+        monkeypatch.setattr(InterLaneNetwork, "route",
+                            lambda self, config: np.zeros(self.m, dtype=int))
+    program, q = build()
+    unit = VectorProcessingUnit(m=M, q=q,
+                                regfile_entries=required_registers(M))
+    if raises is None:
+        unit.execute(program)
+        assert unit.stats.cycles == len(program.instructions)
+    else:
+        with pytest.raises(raises):
+            unit.execute(program)
+        assert unit.stats.cycles == 0 and not unit.regfile.data.any()
 
 
 class TestVectorMemoryEdges:

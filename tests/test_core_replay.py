@@ -321,17 +321,17 @@ class TestLoweredLifetime:
         assert vpu.memory.data[1].tolist() == [4, 8, 12, 16]
 
     def test_a_faulted_lowering_builds_no_schedule(self):
-        from repro.analysis.program_check import decode
-
+        """The lowering raises on the register it cannot address and
+        keeps no lowered form, so there is nothing to schedule."""
         program = Program([Load(0, 0), VAdd(1, 0, 12), VAdd(2, 1, 1)])
-        lowered, faults = decode(program, 4)
-        assert list(faults) == [(1, "registers")]
-        assert lowered.lockstep is None and not program.lowered
         vpu = VectorProcessingUnit(m=4, q=97, regfile_entries=10,
                                    memory_rows=1)
         with pytest.raises(IndexError):
+            vpu.lower(program)
+        assert not program.lowered
+        with pytest.raises(IndexError):
             vpu.execute(program)
-        assert lowered.lockstep is None and not program.lowered
+        assert not program.lowered and vpu.stats.cycles == 0
 
     def test_one_program_two_moduli_two_register_files(self):
         """The automorphism programs carry no modulus: one compiled (and

@@ -4,6 +4,7 @@ on the behavioral VPU model, bit-identical to the numpy backend."""
 import numpy as np
 import pytest
 
+from repro.core.isa import Load, Program, Store
 from repro.fhe.backend import NumpyBackend, VpuBackend, get_backend, use_backend
 from repro.fhe.ckks import CkksContext
 from repro.fhe.params import CkksParams
@@ -61,6 +62,35 @@ class TestKernelEquivalence:
         vpu_backend.forward_ntt_batch(np.zeros((1, 256), dtype=np.uint64),
                                       (Q,))
         assert vpu_backend.kernel_invocations == before + 1
+
+
+class TestProgramCache:
+    """A fresh program is lowered on the backend's unit before it is
+    cached; every replay reuses that one lowering."""
+
+    def test_program_its_unit_refuses_never_enters_cache(self, monkeypatch):
+        import repro.mapping.ntt as mapping_ntt
+        from repro.mapping import required_registers
+
+        entries = required_registers(16)
+        monkeypatch.setattr(
+            mapping_ntt, "compile_negacyclic_ntt",
+            lambda *args, **kwargs: Program(label="deep", instructions=[
+                Load(dst=entries, addr=0), Store(src=entries, addr=0)]))
+        backend = VpuBackend(m=16)
+        with pytest.raises(IndexError):
+            backend._program("ntt", 256)
+        assert not backend._programs
+        assert backend.program_compilations == 0
+
+    def test_replay_reuses_the_cached_lowering(self):
+        backend = VpuBackend(m=16)
+        program = backend._program("ntt", 256)
+        (lowered,) = program.lowered.values()  # lowered once, before caching
+        backend.forward_ntt_batch(row(np.random.default_rng(7), 256), (Q,))
+        assert backend._program("ntt", 256) is program
+        (replayed,) = program.lowered.values()
+        assert replayed is lowered
 
 
 class TestBackendSwitching:

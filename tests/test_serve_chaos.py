@@ -127,7 +127,7 @@ class TestBenchArtifact:
         path = tmp_path / "BENCH_serve.json"
         path.write_text(json.dumps(artifact))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.serve",
+            [sys.executable, "-m", "repro.obs",
              "--validate-envelope", str(path)],
             capture_output=True, text=True, env={"PYTHONPATH": SRC,
                                                  "PATH": "/usr/bin:/bin"})
@@ -135,7 +135,7 @@ class TestBenchArtifact:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 0, "bench": ""}))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.serve",
+            [sys.executable, "-m", "repro.obs",
              "--validate-envelope", str(bad)],
             capture_output=True, text=True, env={"PYTHONPATH": SRC,
                                                  "PATH": "/usr/bin:/bin"})
